@@ -26,7 +26,7 @@ pub const TOLERANCE: f64 = 1.10;
 /// One row type of a gated benchmark suite: how to identify a row across
 /// runs, which timing columns are gated (within [`Self::TOLERANCE`]),
 /// and which boolean verdicts are gated exactly.
-pub trait GatedSuite: Serialize + Deserialize {
+pub trait GatedSuite: Serialize + for<'de> Deserialize<'de> {
     /// Suite name — names the `BENCH_<suite>.json` /
     /// `results/BENCH_<suite>.baseline.json` pair in messages.
     const SUITE: &'static str;

@@ -83,14 +83,8 @@ fn main() {
             t.row(&[&r.method, &format!("{:.1} us", r.time_us)]);
             all.push(r);
         }
-        // the model-driven choice with pipelining enabled
-        let r = run(
-            TempiConfig {
-                pipeline_chunk: Some(256 << 10),
-                ..TempiConfig::default()
-            },
-            "model (pipeline enabled)".to_string(),
-        );
+        // the model-driven choice: nothing forced, no knob set
+        let r = run(TempiConfig::default(), "model (default)".to_string());
         t.row(&[&r.method, &format!("{:.1} us", r.time_us)]);
         all.push(r);
         t.print();

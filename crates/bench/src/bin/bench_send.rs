@@ -1,15 +1,16 @@
-//! `bench_send`: the Fig. 11 datatype zoo under the online-calibrated
-//! send-method tuner.
+//! `bench_send`: the Fig. 11 datatype zoo under the model-driven send
+//! decision, fresh and online-calibrated.
 //!
 //! For every 2-D object in the zoo (1 KiB / 1 MiB / 4 MiB totals across
 //! contiguous block sizes) this measures the one-way typed delivery time
 //! three ways:
 //!
-//! * **static** — `TEMPI_TUNER=off`: the §5 analytical model evaluated
-//!   fresh on every send (the pre-tuner behavior);
-//! * **tuned** — `TEMPI_TUNER=online`: the calibrated, memoized,
-//!   epsilon-greedy tuner, which may also auto-select the §8 pipelined
-//!   method with a bandwidth-crossover chunk size;
+//! * **static** — `TEMPI_TUNER=off`: the analytical model evaluated fresh
+//!   on every send, ranking device, one-shot, staged and the §8 pipeline
+//!   at its best chunk (what the default, `model`, memoizes);
+//! * **tuned** — `TEMPI_TUNER=online`: the same ranking with every term
+//!   scaled by its measured ÷ modelled ratio, memoized and re-probed
+//!   epsilon-greedily;
 //! * **one-shot** — `MPI_Send` forced to the one-shot method (the
 //!   single-method baseline the speedup column is quoted against).
 //!
@@ -152,21 +153,28 @@ fn main() {
     }
     t.print();
 
+    // Where the model pipelines, what that is worth over the one-piece
+    // method prior work preferred.
     let best = rows
         .iter()
-        .map(|r| r.tuned_vs_static)
+        .filter(|r| r.method_static == "Pipelined")
+        .map(|r| r.oneshot_ns / r.static_ns)
         .fold(0.0f64, f64::max);
-    println!("\nbest tuned-vs-static speedup: {}", fmt_speedup(best));
+    println!(
+        "\nbest pipelined-vs-one-shot speedup: {}",
+        fmt_speedup(best)
+    );
 
-    // The tuner must not lose meaningfully to the static model on its own
-    // zoo, and must find at least one staged/one-shot → pipelined
-    // crossover worth ≥ 1.2× — the bar EXPERIMENTS.md quotes. NEAR_TIE
-    // gives the tuner 2% of slack: its choice is the argmin of the
-    // *calibrated model*, so on rows where two methods are within the
-    // model's error (device vs pipelined at 2 blocks, say) it may pick
-    // the one that measures a hair slower one-way. A real mis-selection
-    // is far outside 2%; the gate below still catches regressions against
-    // the committed baseline.
+    // Calibration must not cost anything where the model is already
+    // right, which in the simulator is everywhere: the tuner may not lose
+    // meaningfully to the static model on any row. NEAR_TIE gives it 2% of
+    // slack: its choice is the argmin of the *calibrated* model, so on
+    // rows where two methods are within the model's error (device vs
+    // pipelined at a few blocks, say) it may pick the one that measures a
+    // hair slower one-way. A real mis-selection is far outside 2%; the
+    // gate below still catches regressions against the committed
+    // baseline. And the static model must find at least one one-shot →
+    // pipelined crossover worth ≥ 1.2× — the bar EXPERIMENTS.md quotes.
     const NEAR_TIE: f64 = 0.98;
     for r in &rows {
         assert!(

@@ -8,7 +8,7 @@
 //!                                              Fig. 6-style create/commit breakdown
 //! tempi-cli model <bytes> <block> [--word W] [--chunk C]
 //!                                              evaluate the §5 method models
-//! tempi-cli send "<spec>" [--incount N] [--method device|oneshot|staged]
+//! tempi-cli send "<spec>" [--incount N] [--method device|oneshot|staged|pipelined]
 //!                [--tuner off|model|online]
 //!                [--rounds R]
 //!                [--faults "<plan>"]           2-rank send/recv, optionally
@@ -58,20 +58,22 @@ mod spec;
 use gpu_sim::PackDir;
 use mpi_sim::datatype::pack_cpu;
 use mpi_sim::{FaultPlan, MpiError, RankCtx, World, WorldConfig};
-use tempi_bench::{commit_breakdown, fmt_speedup, measure::unpack_time, pack_time, Mode, Platform};
+use tempi_bench::{
+    commit_breakdown, fmt_bytes, fmt_speedup, measure::unpack_time, pack_time, Mode, Platform,
+};
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::ir::strided_block::strided_block;
 use tempi_core::ir::transform::simplify;
 use tempi_core::ir::translate::{translate, Translated};
-use tempi_core::model::SendModel;
+use tempi_core::model::{Calibration, SendModel};
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_core::{TraceLevel, Tracer};
 use tempi_stencil::{CheckpointStore, Decomp, HaloConfig, HaloExchanger};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  tempi-cli describe \"<spec>\"\n  tempi-cli pack \"<spec>\" [--incount N] [--platform mv|op|sp] [--unpack]\n  tempi-cli commit \"<spec>\" [--platform mv|op|sp]\n  tempi-cli model <bytes> <block> [--word W] [--chunk C]\n  tempi-cli send \"<spec>\" [--incount N] [--method device|oneshot|staged] [--tuner off|model|online] [--rounds R] [--faults \"<plan>\"] [--trace out.json]\n  tempi-cli stencil [--ranks P] [--n N] [--iters I] [--faults \"<plan>\"] [--recover] [--checkpoint-every N] [--trace out.json]\n  tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR] | --replay DIR\n  tempi-cli spec-help\n\nfault plan: comma-separated clauses, e.g.\n  \"seed=42,kernel=1.0,send=0.05,corrupt=0.1,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us\""
+        "usage:\n  tempi-cli describe \"<spec>\"\n  tempi-cli pack \"<spec>\" [--incount N] [--platform mv|op|sp] [--unpack]\n  tempi-cli commit \"<spec>\" [--platform mv|op|sp]\n  tempi-cli model <bytes> <block> [--word W] [--chunk C]\n  tempi-cli send \"<spec>\" [--incount N] [--method device|oneshot|staged|pipelined] [--tuner off|model|online] [--rounds R] [--faults \"<plan>\"] [--trace out.json]\n  tempi-cli stencil [--ranks P] [--n N] [--iters I] [--faults \"<plan>\"] [--recover] [--checkpoint-every N] [--trace out.json]\n  tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR] | --replay DIR\n  tempi-cli spec-help\n\nfault plan: comma-separated clauses, e.g.\n  \"seed=42,kernel=1.0,send=0.05,corrupt=0.1,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us\""
     );
     std::process::exit(2);
 }
@@ -393,18 +395,29 @@ fn model(args: &[String]) {
             b.total()
         );
     }
-    if let Some(chunk) = flag_value(args, "--chunk") {
-        let chunk: usize = chunk.parse().unwrap_or_else(|_| {
+    // the pipeline at the given chunk size, else at the model's best one
+    let chunk = match flag_value(args, "--chunk") {
+        Some(chunk) => Some(chunk.parse().unwrap_or_else(|_| {
             eprintln!("error: --chunk takes an integer, got `{chunk}`");
             std::process::exit(2);
-        });
+        })),
+        None => {
+            m.choose_among(&[Method::Pipelined], bytes, block, word, &Calibration::NONE)
+                .chunk
+        }
+    };
+    if let Some(chunk) = chunk {
         println!(
             "pipelined({} B chunks): {}",
             chunk,
             m.t_pipelined(bytes, block, word, chunk)
         );
     }
-    println!("\nmodel choice: {:?}", m.choose(bytes, block, word));
+    let choice = m.choose(bytes, block, word);
+    match choice.chunk {
+        Some(chunk) => println!("\nmodel choice: {:?} ({chunk} B chunks)", choice.method),
+        None => println!("\nmodel choice: {:?}", choice.method),
+    }
     // a tiny visual of the pack-direction cost curve
     println!("\npack-kernel time vs block size (device target, this object size):");
     for b in [4usize, 16, 64, 256, 1024, 4096] {
@@ -430,8 +443,9 @@ fn send(args: &[String]) {
         Some("device") => Some(Method::Device),
         Some("oneshot") | Some("one-shot") => Some(Method::OneShot),
         Some("staged") => Some(Method::Staged),
+        Some("pipelined") => Some(Method::Pipelined),
         Some(other) => {
-            eprintln!("unknown method `{other}` (use device, oneshot or staged)");
+            eprintln!("unknown method `{other}` (use device, oneshot, staged or pipelined)");
             std::process::exit(2);
         }
     };
@@ -479,6 +493,11 @@ fn send(args: &[String]) {
                 ctx.gpu.memory().poke(buf, &fill(span))?;
                 let m = mpi.send(ctx, buf, incount, dt, 1, round as i32)?;
                 label = m.map_or("system fall-through".to_string(), |m| format!("{m:?}"));
+                // a pipelined send also names the chunk it was cut into
+                let chunk = mpi.tempi.last_choice().and_then(|c| c.chunk);
+                if let (Some(Method::Pipelined), Some(chunk)) = (m, chunk) {
+                    label = format!("{label}, {} chunks", fmt_bytes(chunk));
+                }
             } else {
                 let st = mpi.recv(ctx, buf, incount, dt, Some(0), Some(round as i32))?;
                 // verify the typed bytes against the CPU pack oracle

@@ -21,8 +21,22 @@ pub enum Method {
     Staged,
     /// The §8 extension: the staged composition executed in chunks so the
     /// pack kernels, the PCIe/NVLink copies, the wire, and the unpack
-    /// kernels all overlap. Enabled by [`TempiConfig::pipeline_chunk`].
+    /// kernels all overlap. The model picks it, and its chunk size, where
+    /// it wins (large objects); [`TempiConfig::pipeline_chunk`] pins the
+    /// chunk.
     Pipelined,
+}
+
+impl Method {
+    /// Every method, most GPU-dependent first: the order the degradation
+    /// ladder steps down in after a transient fault, and the order in
+    /// which the model breaks ties.
+    pub const LADDER: [Method; 4] = [
+        Method::Pipelined,
+        Method::Device,
+        Method::OneShot,
+        Method::Staged,
+    ];
 }
 
 /// How the per-send method decision is made.
@@ -37,11 +51,9 @@ pub enum TunerMode {
     #[default]
     Model,
     /// Full online calibration: virtual-time measurements of pack, copy
-    /// and wire stages EWMA-correct the model's constants per bucket, the
-    /// memoized choice is revisited epsilon-greedily under a seeded RNG,
-    /// and the pipelined method (with an auto-tuned chunk) joins the
-    /// candidate set. Requires TEMPI on both peers for pipelined sends,
-    /// like [`TempiConfig::pipeline_chunk`].
+    /// and wire stages EWMA-correct the model's constants per bucket, and
+    /// the memoized choice is revisited epsilon-greedily under a seeded
+    /// RNG. The candidate set is the same as in the other modes.
     Online,
 }
 
@@ -68,13 +80,13 @@ pub struct TempiConfig {
     /// (paper §8 future work: "extended to cover indexed and struct types
     /// with some additional kernels").
     pub extend_struct: bool,
-    /// Pipeline the device method: pack/send/unpack in chunks of this many
-    /// bytes so packing overlaps the wire (paper §8 future work: "prior
-    /// work also suggests that pipelining packing operations with MPI send
-    /// operations is optimal"). **Both communicating peers must have TEMPI
-    /// interposed**: a pipelined transfer arrives as multiple tagged parts
-    /// that only TEMPI's receive path reassembles (a plain system receive
-    /// rejects them with an error rather than delivering partial data).
+    /// Chunk size in bytes for pipelined sends (paper §8 future work:
+    /// "prior work also suggests that pipelining packing operations with
+    /// MPI send operations is optimal"), replacing the one the model picks
+    /// from its candidate table. Whether a send is pipelined at all stays
+    /// the model's decision (or [`TempiConfig::force_method`]'s). A
+    /// pipelined transfer arrives as tagged parts; any matching receive
+    /// reassembles them, TEMPI's own overlaps the unpack with the wire.
     pub pipeline_chunk: Option<usize>,
     /// Take a coordinated checkpoint every N halo-exchange iterations
     /// (`None` disables checkpointing). Snapshots are packed with the
@@ -137,7 +149,7 @@ impl TempiConfig {
     /// | `TEMPI_METHOD=device\|oneshot\|staged\|pipelined` | force the §5 method |
     /// | `TEMPI_USE_DMA=1` | use the 2-D/3-D DMA engine where applicable |
     /// | `TEMPI_EXTEND_STRUCT=1` | enable the §8 struct block-list extension |
-    /// | `TEMPI_PIPELINE_CHUNK=BYTES` | enable §8 pipelining with this chunk |
+    /// | `TEMPI_PIPELINE_CHUNK=BYTES` | chunk size of pipelined sends (default: the model's pick) |
     /// | `TEMPI_CHECKPOINT_EVERY=N` | coordinated checkpoint every N iterations |
     /// | `TEMPI_TUNER=off\|model\|online` | method decision mode (default `model`) |
     /// | `TEMPI_TUNER_SEED=N` | seed for the tuner's exploration RNG |
@@ -223,11 +235,6 @@ impl TempiConfig {
             }
             cfg.guideline_tol = tol;
         }
-        if cfg.force_method == Some(Method::Pipelined) && cfg.pipeline_chunk.is_none() {
-            return Err(
-                "TEMPI_METHOD=pipelined requires TEMPI_PIPELINE_CHUNK to be set".to_string(),
-            );
-        }
         Ok(cfg)
     }
 }
@@ -303,12 +310,14 @@ mod tests {
         let err = TempiConfig::from_env().unwrap_err();
         assert!(err.contains("TEMPI_METHOD"), "{err}");
 
+        // forced pipelining needs no chunk: the model supplies one
         unsafe {
             std::env::set_var("TEMPI_METHOD", "pipelined");
             std::env::remove_var("TEMPI_PIPELINE_CHUNK");
         }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("requires TEMPI_PIPELINE_CHUNK"), "{err}");
+        let cfg = TempiConfig::from_env().unwrap();
+        assert_eq!(cfg.force_method, Some(Method::Pipelined));
+        assert_eq!(cfg.pipeline_chunk, None);
 
         unsafe {
             std::env::set_var("TEMPI_METHOD", "device");

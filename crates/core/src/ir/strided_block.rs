@@ -71,28 +71,25 @@ impl StridedBlock {
     /// innermost run, in layout order — the loop structure the packing
     /// kernels execute.
     pub fn for_each_block(&self, mut f: impl FnMut(i64)) {
-        let dims = self.ndims() - 1; // outer dimensions
-        let mut idx = vec![0i64; dims];
-        loop {
-            let off: i64 = self.start
-                + idx
-                    .iter()
-                    .zip(&self.strides[1..])
-                    .map(|(&i, &s)| i * s)
-                    .sum::<i64>();
-            f(off);
-            // odometer: dimension 1 (innermost outer dimension) fastest
-            let mut d = 0;
-            loop {
-                if d == dims {
-                    return;
+        self.visit_blocks(self.ndims() - 1, self.start, &mut f);
+    }
+
+    /// Dimension `d`'s loop of [`StridedBlock::for_each_block`]: the loop
+    /// nest is the call stack, so dimension 1 runs fastest (as a plain
+    /// loop the compiler can see through) and nothing is allocated per
+    /// traversal.
+    fn visit_blocks<F: FnMut(i64)>(&self, d: usize, off: i64, f: &mut F) {
+        match d {
+            0 => f(off),
+            1 => {
+                for i in 0..self.counts[1] {
+                    f(off + i * self.strides[1]);
                 }
-                idx[d] += 1;
-                if idx[d] < self.counts[d + 1] {
-                    break;
+            }
+            _ => {
+                for i in 0..self.counts[d] {
+                    self.visit_blocks(d - 1, off + i * self.strides[d], f);
                 }
-                idx[d] = 0;
-                d += 1;
             }
         }
     }

@@ -238,7 +238,7 @@ pub fn execute_strided_with(
         (PackDir::Unpack, KernelKind::Pack3D) => "tempi_unpack_3d",
         (PackDir::Unpack, _) => "tempi_unpack_nd",
     };
-    let sb = plan.sb.clone();
+    let sb = &plan.sb;
     let block_len = sb.block_bytes() as usize;
     let run = |mem: &mut gpu_sim::Memory| -> GpuResult<()> {
         let mut pos = packed_off;
@@ -324,7 +324,7 @@ pub fn execute_strided_range_async(
         ),
         block: Dim3::new(256, 1, 1),
     };
-    let sb = plan.sb.clone();
+    let sb = &plan.sb;
     let run = |mem: &mut gpu_sim::Memory| -> GpuResult<()> {
         let mut pos = packed_off;
         for gbi in first_block..first_block + nblocks {
@@ -390,7 +390,6 @@ pub fn execute_blocklist(
         ),
         block: Dim3::new(256, 1, 1),
     };
-    let blocks = blocks.clone();
     let run = |mem: &mut gpu_sim::Memory| -> GpuResult<()> {
         let mut pos = packed_off;
         for item in 0..incount {

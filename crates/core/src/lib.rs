@@ -60,7 +60,7 @@ pub mod tuner;
 
 pub use config::{Method, TempiConfig, TunerMode};
 pub use interpose::{InterposedMpi, Linker, MpiSymbol, Provider};
-pub use model::{Breakdown, SendModel};
+pub use model::{Breakdown, Calibration, Choice, SendModel};
 pub use tempi::{CommitReport, PlanKind, Tempi, TempiStats, TypePlan};
 pub use tempi_trace::{TraceLevel, Tracer};
 pub use tuner::{BucketKey, Decision, Tuner, Workload};

@@ -12,10 +12,17 @@
 //!
 //! and shows that — contrary to prior work's preference for one-shot — the
 //! *device* method wins for larger, less-contiguous objects, while
-//! one-shot wins for smaller, more-contiguous ones, and staged is never
-//! competitive. [`SendModel::choose`] is the decision TEMPI applies per
-//! send; the figure harnesses evaluate the same equations to regenerate
-//! Figs. 8, 10 and 11.
+//! one-shot wins for smaller, more-contiguous ones, and staged, run as one
+//! piece, is never competitive. Its §8 names the way staged does become
+//! competitive: run in chunks, the five stages of Eq. 3 overlap, and above
+//! roughly a megabyte the overlap pays for the D2H + H2D trips several
+//! times over. [`SendModel::t_pipelined`] prices that composition by
+//! replaying the executor's own issue order ([`PipelineTerms::total`]), so
+//! the model and the send path cannot drift apart. [`SendModel::choose`]
+//! ranks all four — device, one-shot, staged, and pipelined at its best
+//! chunk — and is the decision TEMPI applies per send in every tuner mode;
+//! the figure harnesses evaluate the same equations to regenerate Figs. 8,
+//! 10 and 11.
 
 use std::sync::Arc;
 
@@ -60,38 +67,170 @@ impl Breakdown {
     }
 }
 
-/// Per-chunk stage durations of the §8 pipeline (see
-/// [`SendModel::pipeline_terms`]).
+/// Chunk sizes considered for the pipelined method, chosen around the
+/// D2H/wire bandwidth crossover on Summit-class hardware.
+pub const CHUNK_CANDIDATES: [usize; 5] = [64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20];
+
+/// Staging slots per space and per side of a pipelined transfer: chunk
+/// `k` stages through slot `k % RING_SLOTS`, so a transfer of any size
+/// holds this many chunks of device and of pinned memory, not two copies
+/// of the object. Two is enough: on an in-order stream the work that
+/// refills a slot already queues behind the work that drained it.
+pub const RING_SLOTS: usize = 2;
+
+/// How a pipelined transfer of `bytes` is cut: chunks hold whole blocks, so
+/// a chunk is `chunk` rounded down to a multiple of `block` (one block at
+/// least). Returns `(chunk bytes, chunk count)`, or `None` when everything
+/// fits one chunk and there is nothing to overlap. The executor cuts with
+/// this same function.
+pub fn pipeline_chunks(bytes: usize, block: usize, chunk: usize) -> Option<(usize, usize)> {
+    let block = block.max(1);
+    let chunk = (chunk / block).max(1) * block;
+    (chunk < bytes).then(|| (chunk, bytes.div_ceil(chunk)))
+}
+
+/// Measured ÷ modelled correction of each model term. All ones
+/// ([`Calibration::NONE`]) is the analytical model; the online tuner
+/// substitutes the ratios it has observed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Calibration {
+    /// Pack and unpack kernels against a device buffer.
+    pub pack_device: f64,
+    /// Pack and unpack kernels against mapped host memory.
+    pub pack_mapped: f64,
+    /// Device-to-host engine copies.
+    pub d2h: f64,
+    /// Host-to-device engine copies.
+    pub h2d: f64,
+    /// CPU-path wire transfers to this peer class.
+    pub wire_cpu: f64,
+    /// CUDA-aware wire transfers to this peer class.
+    pub wire_gpu: f64,
+}
+
+impl Calibration {
+    /// Trust the model as it is.
+    pub const NONE: Calibration = Calibration {
+        pack_device: 1.0,
+        pack_mapped: 1.0,
+        d2h: 1.0,
+        h2d: 1.0,
+        wire_cpu: 1.0,
+        wire_gpu: 1.0,
+    };
+}
+
+/// The outcome of [`SendModel::choose`]: a method and, for
+/// [`Method::Pipelined`], the chunk size it was priced at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Choice {
+    /// The fastest method.
+    pub method: Method,
+    /// Its chunk size, when it is the pipelined one.
+    pub chunk: Option<usize>,
+}
+
+/// GPU and link occupancy of one chunk in each stage of the §8 pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkTerms {
+    /// Device pack kernel.
+    pub pack: SimTime,
+    /// D2H engine copy.
+    pub d2h: SimTime,
+    /// Time on the link (the bandwidth term of the CPU wire alone).
+    pub wire: SimTime,
+    /// H2D engine copy on the receiver.
+    pub h2d: SimTime,
+    /// Device unpack kernel.
+    pub unpack: SimTime,
+}
+
+impl ChunkTerms {
+    fn scaled(self, c: &Calibration) -> ChunkTerms {
+        let scale = |t: SimTime, r: f64| SimTime::from_ns_f64(t.as_ns_f64() * r);
+        ChunkTerms {
+            pack: scale(self.pack, c.pack_device),
+            d2h: scale(self.d2h, c.d2h),
+            wire: scale(self.wire, c.wire_cpu),
+            h2d: scale(self.h2d, c.h2d),
+            unpack: scale(self.unpack, c.pack_device),
+        }
+    }
+}
+
+/// The §8 pipeline as the executor runs it: `n` chunks, each passing
+/// through five occupancies, issued by two CPUs that pay a fixed overhead
+/// per call (see [`SendModel::pipeline_terms`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineTerms {
-    /// Per-chunk device pack (launch + kernel, no sync).
-    pub pack: SimTime,
-    /// Per-chunk D2H copy (memcpy overhead + engine time).
-    pub d2h: SimTime,
-    /// Per-chunk CPU wire transfer.
-    pub wire: SimTime,
-    /// Per-chunk H2D copy on the receiver.
-    pub h2d: SimTime,
-    /// Per-chunk device unpack (launch + kernel, no sync).
-    pub unpack: SimTime,
-    /// Number of chunks.
+    /// Number of chunks (at least 2).
     pub n: u64,
+    /// Every chunk but the last.
+    pub chunk: ChunkTerms,
+    /// The last chunk, which may be short.
+    pub last: ChunkTerms,
+    /// CPU cost of one kernel launch.
+    pub launch: SimTime,
+    /// CPU cost of one `cudaMemcpyAsync` call.
+    pub memcpy: SimTime,
+    /// Sender-side CPU overhead of posting one part.
+    pub send_overhead: SimTime,
+    /// Receiver-side CPU overhead of matching one part.
+    pub recv_overhead: SimTime,
+    /// Wire latency floor, paid by every part on top of its link time.
+    pub latency: SimTime,
     /// One trailing stream synchronize.
     pub sync: SimTime,
 }
 
 impl PipelineTerms {
-    /// Pipeline bound: fill (one traversal of every stage) plus `(n-1)`
-    /// repetitions of the bottleneck stage, plus the trailing sync.
+    /// The terms with each stage scaled by its measured ÷ modelled ratio.
+    pub fn scaled(self, c: &Calibration) -> PipelineTerms {
+        PipelineTerms {
+            chunk: self.chunk.scaled(c),
+            last: self.last.scaled(c),
+            latency: SimTime::from_ns_f64(self.latency.as_ns_f64() * c.wire_cpu),
+            ..self
+        }
+    }
+
+    /// Receiver-side completion time of the pipeline, both ranks starting
+    /// together: a replay of the executor's issue order. Each side has one
+    /// CPU, which pays the call overheads in program order, and one
+    /// in-order stream, on which a chunk's kernel and copy queue; the link
+    /// carries one part at a time; a pinned receive slot is reused only
+    /// once the copy that drained it is done. Whatever is the bottleneck —
+    /// a GPU, the link, or a CPU issuing small chunks — falls out of the
+    /// replay rather than being assumed.
     pub fn total(&self) -> SimTime {
-        let fill = self.pack + self.d2h + self.wire + self.h2d + self.unpack;
-        let bottleneck = self
-            .pack
-            .max(self.d2h)
-            .max(self.wire)
-            .max(self.h2d)
-            .max(self.unpack);
-        fill + bottleneck * (self.n - 1) + self.sync
+        let (mut cpu_s, mut gpu_s) = (SimTime::ZERO, SimTime::ZERO);
+        let (mut cpu_r, mut gpu_r) = (SimTime::ZERO, SimTime::ZERO);
+        let mut link_free = SimTime::ZERO;
+        let mut drained = [SimTime::ZERO; RING_SLOTS];
+        for k in 0..self.n {
+            let t = if k + 1 == self.n {
+                self.last
+            } else {
+                self.chunk
+            };
+            // sender: launch the pack, queue the D2H behind it, post the part
+            cpu_s += self.launch;
+            gpu_s = gpu_s.max(cpu_s) + t.pack;
+            cpu_s += self.memcpy;
+            gpu_s = gpu_s.max(cpu_s) + t.d2h;
+            cpu_s += self.send_overhead;
+            // link: the part leaves when its bytes are staged and the link is free
+            link_free = cpu_s.max(gpu_s).max(link_free) + t.wire;
+            // receiver: match the part, queue the H2D, launch the unpack
+            let slot = &mut drained[k as usize % RING_SLOTS];
+            cpu_r = cpu_r.max(*slot).max(link_free + self.latency) + self.recv_overhead;
+            cpu_r += self.memcpy;
+            gpu_r = gpu_r.max(cpu_r) + t.h2d;
+            *slot = gpu_r;
+            cpu_r += self.launch;
+            gpu_r = gpu_r.max(cpu_r) + t.unpack;
+        }
+        cpu_r.max(gpu_r) + self.sync
     }
 }
 
@@ -181,60 +320,150 @@ impl SendModel {
         }
     }
 
-    /// Per-chunk stage terms of the §8 pipeline for a given chunk size.
-    /// Exposed separately from [`SendModel::t_pipelined`] so the online
-    /// tuner can rescale each stage by its measured/model calibration
-    /// ratio without re-deriving the pipeline algebra.
+    /// The §8 pipeline's terms for a given chunk size, or `None` when the
+    /// object fits one chunk ([`pipeline_chunks`]).
     pub fn pipeline_terms(
         &self,
         bytes: usize,
         block: usize,
         word: usize,
         chunk: usize,
-    ) -> PipelineTerms {
-        let chunk = chunk.min(bytes).max(1);
-        let n = bytes.div_ceil(chunk) as u64;
-        let pack = self.gpu.kernel_launch_overhead
-            + self
+    ) -> Option<PipelineTerms> {
+        let (chunk, n) = pipeline_chunks(bytes, block, chunk)?;
+        let terms = |len: usize| ChunkTerms {
+            pack: self
                 .gpu
-                .pack_kernel_time(PackDir::Pack, PackTarget::Device, chunk, block, word);
-        let d2h = self.gpu.memcpy_async_overhead + self.gpu.copy_engine_time(CopyKind::D2H, chunk);
-        let wire = self.t_cpu_cpu(chunk);
-        let h2d = self.gpu.memcpy_async_overhead + self.gpu.copy_engine_time(CopyKind::H2D, chunk);
-        let unpack = self.gpu.kernel_launch_overhead
-            + self
-                .gpu
-                .pack_kernel_time(PackDir::Unpack, PackTarget::Device, chunk, block, word);
-        PipelineTerms {
-            pack,
-            d2h,
-            wire,
-            h2d,
-            unpack,
-            n,
+                .pack_kernel_time(PackDir::Pack, PackTarget::Device, len, block, word),
+            d2h: self.gpu.copy_engine_time(CopyKind::D2H, len),
+            wire: self
+                .net
+                .serialization_time(len, Transport::Cpu, self.src, self.dst),
+            h2d: self.gpu.copy_engine_time(CopyKind::H2D, len),
+            unpack: self.gpu.pack_kernel_time(
+                PackDir::Unpack,
+                PackTarget::Device,
+                len,
+                block,
+                word,
+            ),
+        };
+        Some(PipelineTerms {
+            n: n as u64,
+            chunk: terms(chunk),
+            last: terms(bytes - (n - 1) * chunk),
+            launch: self.gpu.kernel_launch_overhead,
+            memcpy: self.gpu.memcpy_async_overhead,
+            send_overhead: self.net.send_overhead,
+            recv_overhead: self.net.recv_overhead,
+            latency: self.net.latency(Transport::Cpu, self.src, self.dst),
             sync: self.gpu.stream_sync_overhead,
-        }
+        })
     }
 
     /// The §8 pipelining extension: the staged composition executed in
-    /// `chunk`-byte pieces so its four stages (pack kernel, D2H copy, CPU
-    /// wire, H2D + unpack) overlap. Classic pipeline bound: one traversal
-    /// of every stage plus `(n-1)` repetitions of the slowest stage.
+    /// `chunk`-byte pieces so its stages overlap. An object that fits one
+    /// chunk is just staged.
     pub fn t_pipelined(&self, bytes: usize, block: usize, word: usize, chunk: usize) -> SimTime {
-        self.pipeline_terms(bytes, block, word, chunk).total()
+        match self.pipeline_terms(bytes, block, word, chunk) {
+            Some(t) => t.total(),
+            None => self.t_staged(bytes, block, word).total(),
+        }
     }
 
-    /// The per-send decision: device or one-shot, whichever the model says
-    /// is faster. (Staged is excluded: Fig. 8b shows the small region where
-    /// `T_cpu-cpu < T_gpu-gpu` is not enough to pay for the D2H+H2D trips.)
-    pub fn choose(&self, bytes: usize, block: usize, word: usize) -> Method {
-        let dev = self.t_device(bytes, block, word).total();
-        let osh = self.t_oneshot(bytes, block, word).total();
-        if dev <= osh {
-            Method::Device
-        } else {
-            Method::OneShot
+    /// The fastest pipelined composition over [`CHUNK_CANDIDATES`], in
+    /// calibrated ns with its chunk. Only cuts of at least
+    /// `2 * RING_SLOTS` chunks are proposed, so that the two staging rings
+    /// together never hold more than the one object-sized buffer of the
+    /// method they replace; `None` when no candidate is that small.
+    fn best_pipelined(
+        &self,
+        bytes: usize,
+        block: usize,
+        word: usize,
+        cal: &Calibration,
+    ) -> Option<(f64, usize)> {
+        CHUNK_CANDIDATES
+            .iter()
+            .filter_map(|&chunk| {
+                let t = self.pipeline_terms(bytes, block, word, chunk)?;
+                (t.n >= 2 * RING_SLOTS as u64).then(|| (t.scaled(cal).total().as_ns_f64(), chunk))
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+    }
+
+    /// Calibrated estimate (ns) of one of the three one-piece methods:
+    /// ratios multiply the model's terms component-wise, so with
+    /// [`Calibration::NONE`] this *is* Eqs. 1–3.
+    fn estimate(
+        &self,
+        method: Method,
+        bytes: usize,
+        block: usize,
+        word: usize,
+        cal: &Calibration,
+    ) -> f64 {
+        let (b, r_pack, r_wire) = match method {
+            Method::Device => (
+                self.t_device(bytes, block, word),
+                cal.pack_device,
+                cal.wire_gpu,
+            ),
+            Method::OneShot => (
+                self.t_oneshot(bytes, block, word),
+                cal.pack_mapped,
+                cal.wire_cpu,
+            ),
+            // (a pipeline of one chunk is the staged method)
+            Method::Staged | Method::Pipelined => {
+                return (self.t_pack(PackDir::Pack, PackTarget::Device, bytes, block, word)
+                    + self.t_pack(PackDir::Unpack, PackTarget::Device, bytes, block, word))
+                .as_ns_f64()
+                    * cal.pack_device
+                    + self.t_d2h(bytes).as_ns_f64() * cal.d2h
+                    + self.t_cpu_cpu(bytes).as_ns_f64() * cal.wire_cpu
+                    + self.t_h2d(bytes).as_ns_f64() * cal.h2d;
+            }
+        };
+        (b.pack + b.unpack).as_ns_f64() * r_pack + b.transfer.as_ns_f64() * r_wire
+    }
+
+    /// The per-send decision: whichever of device, one-shot, staged and
+    /// pipelined (at its best chunk) the model says is fastest.
+    pub fn choose(&self, bytes: usize, block: usize, word: usize) -> Choice {
+        self.choose_among(&Method::LADDER, bytes, block, word, &Calibration::NONE)
+    }
+
+    /// [`SendModel::choose`] over the candidates in `allowed` only (the
+    /// caller drops quarantined methods and, for plans that cannot be cut,
+    /// the pipelined one), with every term scaled by `cal`. Ties go to the
+    /// earlier candidate; an empty `allowed` yields the device method.
+    pub fn choose_among(
+        &self,
+        allowed: &[Method],
+        bytes: usize,
+        block: usize,
+        word: usize,
+        cal: &Calibration,
+    ) -> Choice {
+        let mut best = Choice {
+            method: allowed.first().copied().unwrap_or(Method::Device),
+            chunk: None,
+        };
+        let mut best_ns = f64::INFINITY;
+        for &method in allowed {
+            let (ns, chunk) = match method {
+                Method::Pipelined => match self.best_pipelined(bytes, block, word, cal) {
+                    Some((ns, chunk)) => (ns, Some(chunk)),
+                    None => continue,
+                },
+                _ => (self.estimate(method, bytes, block, word, cal), None),
+            };
+            if ns < best_ns {
+                best_ns = ns;
+                best = Choice { method, chunk };
+            }
         }
+        best
     }
 }
 
@@ -244,6 +473,14 @@ mod tests {
 
     fn m() -> SendModel {
         SendModel::summit_internode()
+    }
+
+    /// The paper's three one-piece methods (Eqs. 1–3).
+    const SECTION5: [Method; 3] = [Method::Device, Method::OneShot, Method::Staged];
+
+    fn section5(m: &SendModel, bytes: usize, block: usize, word: usize) -> Method {
+        m.choose_among(&SECTION5, bytes, block, word, &Calibration::NONE)
+            .method
     }
 
     #[test]
@@ -272,9 +509,9 @@ mod tests {
     fn oneshot_wins_small_contiguous_device_wins_large_strided() {
         let m = m();
         // 1 MiB with large blocks: one-shot (Fig. 10a)
-        assert_eq!(m.choose(1 << 20, 4096, 8), Method::OneShot);
+        assert_eq!(section5(&m, 1 << 20, 4096, 8), Method::OneShot);
         // 4 MiB with small blocks: device (Fig. 10b)
-        assert_eq!(m.choose(4 << 20, 16, 4), Method::Device);
+        assert_eq!(section5(&m, 4 << 20, 16, 4), Method::Device);
     }
 
     #[test]

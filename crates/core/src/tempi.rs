@@ -25,8 +25,8 @@ use crate::kernels::{
     execute_blocklist, execute_dma_2d, execute_strided, execute_strided_with, select_kernel,
     KernelKind, KernelPlan,
 };
-use crate::model::SendModel;
-use crate::tuner::{BucketKey, Tuner, Workload, CHUNK_CANDIDATES};
+use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
+use crate::tuner::{BucketKey, Tuner, Workload};
 
 /// CPU cost per IR node per canonicalization pass (tiny; Fig. 6's commit
 /// overhead is dominated by the vendor-priced introspection calls).
@@ -221,6 +221,8 @@ pub struct Tempi {
     /// Datatypes whose kernel pack/unpack path failed transiently;
     /// subsequent pack/unpack calls go straight to the CPU copy path.
     pack_quarantine: HashSet<Datatype>,
+    /// What the last accelerated send decided (before any step-down).
+    last_choice: Option<Choice>,
 }
 
 impl Default for Tempi {
@@ -243,7 +245,15 @@ impl Tempi {
             reshape_cache: HashMap::new(),
             quarantine: HashMap::new(),
             pack_quarantine: HashSet::new(),
+            last_choice: None,
         }
+    }
+
+    /// The method, and for a pipelined send the chunk size, the last
+    /// accelerated send started its ladder at — "why did TEMPI do that?"
+    /// without a trace.
+    pub fn last_choice(&self) -> Option<Choice> {
+        self.last_choice
     }
 
     /// Is `method` quarantined for `dt` at virtual time `now`? Entries
@@ -920,10 +930,11 @@ impl Tempi {
         r
     }
 
-    /// Pick the method for one accelerated send. Forced methods bypass the
-    /// tuner; `TunerMode::Off` evaluates the static model per call (the
-    /// pre-tuner behavior); `Model`/`Online` go through the bucketed tuner.
-    /// Returns the method and, for pipelined, the chunk to use.
+    /// Pick the method for one accelerated send, and the chunk size should
+    /// it be the pipelined one. A forced method bypasses the tuner;
+    /// otherwise every tuner mode takes the argmin of the (calibrated) §5
+    /// model over the ladder's rungs that are not quarantined, the
+    /// pipelined rung included whenever the plan can be cut into chunks.
     #[allow(clippy::too_many_arguments)]
     fn choose_method(
         &mut self,
@@ -934,52 +945,57 @@ impl Tempi {
         count: usize,
         dest: usize,
         now: SimTime,
-    ) -> (Method, Option<usize>) {
-        if let Some(forced) = self.config.force_method {
-            return (forced, self.config.pipeline_chunk);
-        }
-        let model = self.send_model(ctx, dest);
-        if self.tuner.mode() == TunerMode::Off {
-            return (
-                model.choose(bytes, plan.block_bytes(), plan.word()),
-                self.config.pipeline_chunk,
-            );
-        }
+    ) -> Choice {
+        let wl = Workload {
+            bytes,
+            block: plan.block_bytes(),
+            word: plan.word(),
+        };
         let shape = match &plan.kind {
             PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D => 0,
             PlanKind::Strided(_) => 1,
             PlanKind::Blocks(_) => 2,
             _ => 3,
         };
-        let intra = ctx.net.same_node(ctx.rank, dest);
-        let key = BucketKey::new(shape, plan.block_bytes(), bytes, intra);
-        let wl = Workload {
-            bytes,
-            block: plan.block_bytes(),
-            word: plan.word(),
-        };
-        // Candidate set: ladder rungs minus quarantined ones; in Online
-        // mode, pipelined joins whenever the plan can be chunked at all
-        // (the tuner's own chunk argmin rejects one-chunk payloads).
-        let mut allowed: Vec<Method> = [Method::Device, Method::OneShot, Method::Staged]
-            .into_iter()
-            .filter(|&m| !self.is_quarantined(dt, m, now))
-            .collect();
-        let chunkable = matches!(&plan.kind, PlanKind::Strided(kp)
-            if kp.kind != KernelKind::Memcpy1D && kp.sb.block_bytes() > 0 && count > 0);
-        if self.tuner.mode() == TunerMode::Online
-            && chunkable
-            && bytes > CHUNK_CANDIDATES[0]
-            && !self.is_quarantined(dt, Method::Pipelined, now)
-        {
-            allowed.push(Method::Pipelined);
+        // only a strided plan can be cut at block boundaries
+        let chunkable = shape == 1 && wl.block > 0 && count > 0;
+        if let Some(forced) = self.config.force_method {
+            // a forced pipeline without a configured chunk runs at the
+            // model's best one
+            let chunk = if forced == Method::Pipelined && chunkable {
+                self.config.pipeline_chunk.or_else(|| {
+                    self.send_model(ctx, dest)
+                        .choose_among(&[forced], bytes, wl.block, wl.word, &Calibration::NONE)
+                        .chunk
+                })
+            } else {
+                None
+            };
+            return Choice {
+                method: forced,
+                chunk,
+            };
         }
-        if allowed.is_empty() {
+        let model = self.send_model(ctx, dest);
+        let intra = ctx.net.same_node(ctx.rank, dest);
+        let key = BucketKey::new(shape, wl.block, bytes, intra);
+        let mut allowed = Method::LADDER;
+        let mut n = 0;
+        for m in Method::LADDER {
+            if (m != Method::Pipelined || chunkable) && !self.is_quarantined(dt, m, now) {
+                allowed[n] = m;
+                n += 1;
+            }
+        }
+        if n == 0 {
             // Every rung quarantined: hand the ladder its usual starting
             // point and let it fall through to the system MPI.
-            return (Method::Device, None);
+            return Choice {
+                method: Method::Device,
+                chunk: None,
+            };
         }
-        let d = self.tuner.choose(key, wl, &model, &allowed, now);
+        let d = self.tuner.choose(key, wl, &model, &allowed[..n], now);
         self.stats.tuner_probes += d.probe as u64;
         self.stats.tuner_bucket_hits += d.bucket_hit as u64;
         self.stats.tuner_method_switches += d.switched as u64;
@@ -998,7 +1014,16 @@ impl Tempi {
                 ]
             },
         );
-        (d.method, d.chunk.or(self.config.pipeline_chunk))
+        Choice {
+            method: d.method,
+            chunk: d.chunk.map(|c| self.config.pipeline_chunk.unwrap_or(c)),
+        }
+    }
+
+    /// The first rung of [`Method::LADDER`] at or after index `from` that
+    /// is not quarantined for `dt`.
+    fn next_rung(&self, dt: Datatype, from: usize, now: SimTime) -> Option<usize> {
+        (from..Method::LADDER.len()).find(|&i| !self.is_quarantined(dt, Method::LADDER[i], now))
     }
 
     fn send_inner(
@@ -1024,65 +1049,29 @@ impl Tempi {
             return Ok(None);
         }
         let now = ctx.clock.now();
-        let (mut method, mut chunk) = self.choose_method(ctx, &plan, dt, bytes, count, dest, now);
-        // the pipelined method needs a strided plan with more than one
-        // chunk of blocks; otherwise it degenerates to plain staged
-        if method == Method::Pipelined || self.config.force_method.is_none() {
-            let viable = match (&plan.kind, chunk) {
-                (PlanKind::Strided(kp), Some(c)) => {
-                    let block_len = kp.sb.block_bytes().max(1) as usize;
-                    kp.sb.block_count() * count as i64 > (c / block_len).max(1) as i64
-                }
-                _ => false,
-            };
-            if method == Method::Pipelined && !viable {
-                method = Method::Staged;
-            } else if self.config.force_method.is_none()
-                && method != Method::Pipelined
-                && self.tuner.mode() != TunerMode::Online
-                && viable
-            {
-                // Legacy upgrade check against the configured chunk; the
-                // Online tuner already weighed pipelined itself.
-                let c = chunk.ok_or_else(|| {
-                    MpiError::Internal("pipeline viability computed without a chunk size".into())
-                })?;
-                let m = self.send_model(ctx, dest);
-                let current = match method {
-                    Method::Device => m.t_device(bytes, plan.block_bytes(), plan.word()).total(),
-                    _ => m.t_oneshot(bytes, plan.block_bytes(), plan.word()).total(),
-                };
-                if m.t_pipelined(bytes, plan.block_bytes(), plan.word(), c) < current {
-                    method = Method::Pipelined;
-                }
-            }
+        let Choice { mut method, chunk } =
+            self.choose_method(ctx, &plan, dt, bytes, count, dest, now);
+        // the pipelined method needs more than one chunk of blocks;
+        // otherwise it degenerates to plain staged
+        let cut = chunk.and_then(|c| pipeline_chunks(bytes, plan.block_bytes(), c));
+        if method == Method::Pipelined && cut.is_none() {
+            method = Method::Staged;
         }
-        if method == Method::Pipelined {
-            // Mid-pipeline degradation is unsafe — the receiver has already
-            // seen parts and expects the rest — so the pipelined method is
-            // not a rung on the ladder; its errors propagate.
-            let c = chunk.take().ok_or_else(|| {
-                MpiError::InvalidArg("pipelined method requires pipeline_chunk".to_string())
-            })?;
-            if let Err(e) = self.send_pipelined(ctx, &plan, buf, count, dt, dest, tag, bytes, c) {
-                self.note_comm_failure(&e);
-                return Err(e);
-            }
-            return Ok(Some(Method::Pipelined));
-        }
+        self.last_choice = Some(Choice {
+            method,
+            chunk: cut.map(|(chunk, _)| chunk),
+        });
 
         // Degradation ladder (most GPU-dependent first). Start at the
         // chosen method, skip quarantined rungs, and on a transient
         // failure step down; past the last rung, fall through to the
         // system MPI, which needs no TEMPI resources at all.
-        let rungs: Vec<Method> = [Method::Device, Method::OneShot, Method::Staged]
-            .into_iter()
-            .skip_while(|&m| m != method)
-            .filter(|&m| !self.is_quarantined(dt, m, now))
-            .collect();
-        let mut idx = 0usize;
+        let mut rung = Method::LADDER
+            .iter()
+            .position(|&m| m == method)
+            .and_then(|i| self.next_rung(dt, i, now));
         loop {
-            let Some(&current) = rungs.get(idx) else {
+            let Some(i) = rung else {
                 // Ladder exhausted (or every rung quarantined): system MPI.
                 self.stats.fallbacks += 1;
                 if let Err(e) = ctx.send(buf, count, dt, dest, tag) {
@@ -1091,15 +1080,33 @@ impl Tempi {
                 }
                 return Ok(None);
             };
-            match self.send_via(ctx, current, &plan, bytes, buf, count, dt, dest, tag) {
+            let current = Method::LADDER[i];
+            // Parts of a pipelined transfer already on the wire commit the
+            // receiver to the rest of them, so only a fault before the
+            // first part is posted may step down.
+            let mut posted = 0u32;
+            let sent = self.send_via(
+                ctx,
+                current,
+                &plan,
+                bytes,
+                buf,
+                count,
+                dt,
+                dest,
+                tag,
+                cut,
+                &mut posted,
+            );
+            match sent {
                 Ok(()) => return Ok(Some(current)),
-                Err(e) if e.is_transient() => {
+                Err(e) if e.is_transient() && posted == 0 => {
                     self.quarantine
                         .insert((dt, current), ctx.clock.now() + QUARANTINE_TTL);
                     self.stats.degraded_sends += 1;
-                    let to = rungs.get(idx + 1).map_or("SystemMpi", |&m| method_name(m));
+                    rung = self.next_rung(dt, i + 1, now);
+                    let to = rung.map_or("SystemMpi", |j| method_name(Method::LADDER[j]));
                     record_degrade(ctx, dt, method_name(current), to, &e);
-                    idx += 1;
                 }
                 Err(e) => {
                     // A failed peer or a revoked communicator is not a
@@ -1180,6 +1187,8 @@ impl Tempi {
         dt: Datatype,
         dest: usize,
         tag: i32,
+        cut: Option<(usize, usize)>,
+        posted: &mut u32,
     ) -> MpiResult<()> {
         match method {
             Method::Device | Method::OneShot => {
@@ -1216,9 +1225,40 @@ impl Tempi {
                 self.stats.staged_sends += 1;
             }
             Method::Pipelined => {
-                return Err(MpiError::Internal(
-                    "pipelined is not a ladder rung".to_string(),
-                ));
+                let (PlanKind::Strided(kp), Some((chunk, nparts))) = (&plan.kind, cut) else {
+                    return Err(MpiError::Internal(
+                        "pipelined send needs a strided plan and a cut".to_string(),
+                    ));
+                };
+                // chunk-sized ring staging: slot k % slots of each buffer
+                let ring = chunk * nparts.min(RING_SLOTS);
+                let (dev, dsz) = self.pool.take(ctx, MemSpace::Device, ring)?;
+                let pin = match self.pool.take(ctx, MemSpace::Pinned, ring) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        self.pool.put(dev, dsz);
+                        return Err(e);
+                    }
+                };
+                let (pin, psz) = pin;
+                let r = send_pipelined(
+                    ctx,
+                    kp,
+                    plan.extent,
+                    buf,
+                    dest,
+                    tag,
+                    bytes,
+                    chunk,
+                    nparts,
+                    dev,
+                    pin,
+                    posted,
+                );
+                self.pool.put(dev, dsz);
+                self.pool.put(pin, psz);
+                r?;
+                self.stats.pipelined_sends += 1;
             }
         }
         Ok(())
@@ -1238,19 +1278,10 @@ impl Tempi {
         dest: usize,
         tag: i32,
     ) -> MpiResult<()> {
-        let pid = ctx.world_rank as u32;
         let t0 = ctx.clock.now();
         self.gpu_xfer(ctx, PackDir::Pack, plan, buf, count, dt, tmp, 0)?;
         let t1 = ctx.clock.now();
-        ctx.tracer.complete(
-            pid,
-            LANE_CPU,
-            "tempi",
-            "pack",
-            t0.as_ps(),
-            (t1 - t0).as_ps(),
-            || vec![("bytes", bytes.into())],
-        );
+        phase(ctx, "pack", t0, || vec![("bytes", bytes.into())]);
         let target = if tmp.space == MemSpace::Device {
             PackTarget::Device
         } else {
@@ -1265,24 +1296,7 @@ impl Tempi {
             plan.word(),
             t1 - t0,
         );
-        let t_wire = ctx.clock.now();
-        let r = ctx.send_bytes(tmp, bytes, dest, tag);
-        ctx.tracer.complete(
-            pid,
-            LANE_CPU,
-            "tempi",
-            "wire",
-            t_wire.as_ps(),
-            (ctx.clock.now() - t_wire).as_ps(),
-            || {
-                vec![
-                    ("bytes", bytes.into()),
-                    ("dest", dest.into()),
-                    ("ok", r.is_ok().into()),
-                ]
-            },
-        );
-        r
+        ship(ctx, tmp, bytes, dest, tag, None)
     }
 
     /// Staged rung body: kernel pack into `dev`, engine D2H into `pin`,
@@ -1301,19 +1315,10 @@ impl Tempi {
         dest: usize,
         tag: i32,
     ) -> MpiResult<()> {
-        let pid = ctx.world_rank as u32;
         let t0 = ctx.clock.now();
         self.gpu_xfer(ctx, PackDir::Pack, plan, buf, count, dt, dev, 0)?;
         let t1 = ctx.clock.now();
-        ctx.tracer.complete(
-            pid,
-            LANE_CPU,
-            "tempi",
-            "pack",
-            t0.as_ps(),
-            (t1 - t0).as_ps(),
-            || vec![("bytes", bytes.into())],
-        );
+        phase(ctx, "pack", t0, || vec![("bytes", bytes.into())]);
         self.observe_pack_measurement(
             ctx,
             PackDir::Pack,
@@ -1327,122 +1332,11 @@ impl Tempi {
             .memcpy_async(&mut ctx.clock, pin, dev, bytes)
             .map_err(MpiError::Gpu)?;
         ctx.stream.synchronize(&mut ctx.clock);
-        let t2 = ctx.clock.now();
-        ctx.tracer.complete(
-            pid,
-            LANE_CPU,
-            "tempi",
-            "copy",
-            t1.as_ps(),
-            (t2 - t1).as_ps(),
-            || vec![("bytes", bytes.into()), ("kind", "D2H".into())],
-        );
-        self.observe_copy_measurement(ctx, CopyKind::D2H, bytes, t2 - t1);
-        let t_wire = ctx.clock.now();
-        let r = ctx.send_bytes(pin, bytes, dest, tag);
-        ctx.tracer.complete(
-            pid,
-            LANE_CPU,
-            "tempi",
-            "wire",
-            t_wire.as_ps(),
-            (ctx.clock.now() - t_wire).as_ps(),
-            || {
-                vec![
-                    ("bytes", bytes.into()),
-                    ("dest", dest.into()),
-                    ("ok", r.is_ok().into()),
-                ]
-            },
-        );
-        r
-    }
-
-    /// §8 extension: chunked staged pipeline. Each chunk is packed by an
-    /// async kernel into a device staging buffer, copied D2H by the engine,
-    /// and its message departs when that copy completes on the GPU timeline
-    /// — so kernel k+1 and copy k+1 overlap chunk k's wire time.
-    #[allow(clippy::too_many_arguments)]
-    fn send_pipelined(
-        &mut self,
-        ctx: &mut RankCtx,
-        plan: &Arc<TypePlan>,
-        buf: GpuPtr,
-        count: usize,
-        _dt: Datatype,
-        dest: usize,
-        tag: i32,
-        bytes: usize,
-        chunk: usize,
-    ) -> MpiResult<()> {
-        let PlanKind::Strided(kp) = &plan.kind else {
-            return Err(MpiError::Internal(
-                "pipelined send needs a strided plan".to_string(),
-            ));
-        };
-        let block_len = kp.sb.block_bytes() as usize;
-        let total_blocks = kp.sb.block_count() * count as i64;
-        let blocks_per_chunk = (chunk / block_len).max(1) as i64;
-        let nparts = (total_blocks + blocks_per_chunk - 1) / blocks_per_chunk;
-        let (dev, dsz) = self.pool.take(ctx, MemSpace::Device, bytes)?;
-        let pin = match self.pool.take(ctx, MemSpace::Pinned, bytes) {
-            Ok(p) => p,
-            Err(e) => {
-                self.pool.put(dev, dsz);
-                return Err(e);
-            }
-        };
-        let (pin, psz) = pin;
-        let extent = plan.extent;
-        // The chunk loop touches only `ctx`, so an immediately-invoked
-        // closure scopes its `?`s and lets the pool buffers be returned on
-        // every path.
-        let r = (|| -> MpiResult<()> {
-            let mut first = 0i64;
-            let mut off = 0usize;
-            let mut index = 0u32;
-            while first < total_blocks {
-                let n = blocks_per_chunk.min(total_blocks - first);
-                let len = n as usize * block_len;
-                crate::kernels::execute_strided_range_async(
-                    kp,
-                    &mut ctx.stream,
-                    &mut ctx.clock,
-                    PackDir::Pack,
-                    buf,
-                    extent,
-                    dev,
-                    off,
-                    first,
-                    n,
-                )?;
-                // D2H of this chunk queues after its pack kernel
-                ctx.stream
-                    .memcpy_async(&mut ctx.clock, pin.add(off), dev.add(off), len)
-                    .map_err(MpiError::Gpu)?;
-                let ready = ctx.stream.busy_until();
-                ctx.send_bytes_part(
-                    pin.add(off),
-                    len,
-                    dest,
-                    tag,
-                    ready,
-                    mpi_sim::PartInfo {
-                        index,
-                        total: nparts as u32,
-                    },
-                )?;
-                first += n;
-                off += len;
-                index += 1;
-            }
-            Ok(())
-        })();
-        self.pool.put(dev, dsz);
-        self.pool.put(pin, psz);
-        r?;
-        self.stats.pipelined_sends += 1;
-        Ok(())
+        phase(ctx, "copy", t1, || {
+            vec![("bytes", bytes.into()), ("kind", "D2H".into())]
+        });
+        self.observe_copy_measurement(ctx, CopyKind::D2H, bytes, ctx.clock.now() - t1);
+        ship(ctx, pin, bytes, dest, tag, None)
     }
 
     /// TEMPI's `MPI_Recv`. Probes the matched message to learn the
@@ -1542,7 +1436,6 @@ impl Tempi {
             _ => (MemSpace::Mapped, Method::OneShot),
         };
         ctx.tracer.observe("tempi.recv.bytes", info.bytes as u64);
-        let pid = ctx.world_rank as u32;
         let (tmp, sz) = self.pool.take(ctx, space, info.bytes)?;
         let t_wire = ctx.clock.now();
         let st = match ctx.recv_bytes(tmp, info.bytes, Some(info.source), Some(info.tag)) {
@@ -1553,15 +1446,9 @@ impl Tempi {
                 return Err(e);
             }
         };
-        ctx.tracer.complete(
-            pid,
-            LANE_CPU,
-            "tempi",
-            "wire",
-            t_wire.as_ps(),
-            (ctx.clock.now() - t_wire).as_ps(),
-            || vec![("bytes", info.bytes.into()), ("source", info.source.into())],
-        );
+        phase(ctx, "wire", t_wire, || {
+            vec![("bytes", info.bytes.into()), ("source", info.source.into())]
+        });
         // Wire time is only visible on the receiving clock (senders pay
         // just the send overhead), so the wire ratio is calibrated here:
         // measured wait-plus-transfer against the modeled transfer for the
@@ -1599,21 +1486,13 @@ impl Tempi {
                 Err(e) => Err(e),
             }
         };
-        ctx.tracer.complete(
-            pid,
-            LANE_CPU,
-            "tempi",
-            "unpack",
-            t_unpack.as_ps(),
-            (ctx.clock.now() - t_unpack).as_ps(),
-            || {
-                vec![
-                    ("bytes", info.bytes.into()),
-                    ("method", method_name(method).into()),
-                    ("ok", r.is_ok().into()),
-                ]
-            },
-        );
+        phase(ctx, "unpack", t_unpack, || {
+            vec![
+                ("bytes", info.bytes.into()),
+                ("method", method_name(method).into()),
+                ("ok", r.is_ok().into()),
+            ]
+        });
         self.pool.put(tmp, sz);
         r?;
         Ok((st, Some(method)))
@@ -1666,15 +1545,9 @@ impl Tempi {
             .memcpy_async(&mut ctx.clock, dev, tmp, bytes)
             .map_err(MpiError::Gpu)?;
         ctx.stream.synchronize(&mut ctx.clock);
-        ctx.tracer.complete(
-            ctx.world_rank as u32,
-            LANE_CPU,
-            "tempi",
-            "copy",
-            t0.as_ps(),
-            (ctx.clock.now() - t0).as_ps(),
-            || vec![("bytes", bytes.into()), ("kind", "H2D".into())],
-        );
+        phase(ctx, "copy", t0, || {
+            vec![("bytes", bytes.into()), ("kind", "H2D".into())]
+        });
         self.observe_copy_measurement(ctx, CopyKind::H2D, bytes, ctx.clock.now() - t0);
         let t1 = ctx.clock.now();
         self.gpu_xfer(ctx, PackDir::Unpack, plan, buf, items, dt, dev, 0)?;
@@ -1691,9 +1564,12 @@ impl Tempi {
     }
 
     /// Consume a pipelined multi-part transfer: receive each chunk into a
-    /// staging device buffer and launch its unpack kernel asynchronously,
-    /// overlapping wire time of chunk k+1 with unpack of chunk k; join at
-    /// the end.
+    /// pinned staging slot, queue its H2D copy and its unpack kernel
+    /// asynchronously — overlapping the wire time of chunk k+1 with the
+    /// unpack of chunk k — and join at the end. Staging is a ring of
+    /// [`RING_SLOTS`] chunk-sized slots per space; only when the sender's
+    /// chunks do not end on this rank's block boundaries is the whole
+    /// object staged and unpacked once at the end.
     #[allow(clippy::too_many_arguments)] // MPI-shaped plus plan/part context
     fn recv_pipelined(
         &mut self,
@@ -1706,8 +1582,20 @@ impl Tempi {
         part: mpi_sim::PartInfo,
     ) -> MpiResult<Status> {
         let capacity = plan.size as usize * count;
-        let (pin, psz) = self.pool.take(ctx, MemSpace::Pinned, capacity)?;
-        let tmp = match self.pool.take(ctx, MemSpace::Device, capacity) {
+        // every part but the last has the first one's size
+        let chunk = info.bytes;
+        let ring = match &plan.kind {
+            PlanKind::Strided(kp) if kp.sb.block_bytes() > 0 => {
+                (chunk % kp.sb.block_bytes() as usize == 0).then_some(kp)
+            }
+            _ => None,
+        };
+        let staging = match ring {
+            Some(_) => chunk * (part.total as usize).min(RING_SLOTS),
+            None => capacity,
+        };
+        let (pin, psz) = self.pool.take(ctx, MemSpace::Pinned, staging)?;
+        let tmp = match self.pool.take(ctx, MemSpace::Device, staging) {
             Ok(t) => t,
             Err(e) => {
                 self.pool.put(pin, psz);
@@ -1715,105 +1603,213 @@ impl Tempi {
             }
         };
         let (tmp, sz) = tmp;
-        let r = self.recv_pipelined_body(ctx, buf, dt, plan, &info, &part, pin, tmp, capacity);
+        let r = recv_parts(
+            ctx, buf, plan, ring, &info, &part, pin, tmp, chunk, capacity,
+        );
+        let r = match (r, ring) {
+            // mismatched boundaries: single unpack of the whole payload
+            (Ok(received), None) => {
+                let items = received.checked_div(plan.size as usize).unwrap_or(0);
+                self.gpu_xfer(ctx, PackDir::Unpack, plan, buf, items, dt, tmp, 0)
+                    .map(|()| received)
+            }
+            (r, _) => r,
+        };
         self.pool.put(tmp, sz);
         self.pool.put(pin, psz);
-        let st = r?;
+        let received =
+            r.map_err(|e| e.with_envelope(|| ctx.registry().read().get_envelope(dt).ok()))?;
         self.stats.pipelined_recvs += 1;
-        Ok(st)
-    }
-
-    /// The chunk loop of [`Tempi::recv_pipelined`], split out so the pool
-    /// buffers can be returned on every exit path.
-    #[allow(clippy::too_many_arguments)]
-    fn recv_pipelined_body(
-        &mut self,
-        ctx: &mut RankCtx,
-        buf: GpuPtr,
-        dt: Datatype,
-        plan: &TypePlan,
-        info: &mpi_sim::ProbeInfo,
-        part: &mpi_sim::PartInfo,
-        pin: GpuPtr,
-        tmp: GpuPtr,
-        capacity: usize,
-    ) -> MpiResult<Status> {
-        let mut received = 0usize;
-        let mut per_chunk_unpack: Option<(&KernelPlan, i64)> = match &plan.kind {
-            PlanKind::Strided(kp) if kp.sb.block_bytes() > 0 => Some((kp, kp.sb.block_bytes())),
-            _ => None,
-        };
-        let mut last = Status {
+        Ok(Status {
             source: info.source,
             tag: info.tag,
-            bytes: 0,
-        };
-        for _ in 0..part.total {
-            // CPU-path receive into pinned staging, then async H2D and
-            // async unpack of this chunk
-            let st = ctx.recv_bytes(
-                pin.add(received),
-                capacity - received,
-                Some(info.source),
-                Some(info.tag),
-            )?;
-            ctx.stream
-                .memcpy_async(
-                    &mut ctx.clock,
-                    tmp.add(received),
-                    pin.add(received),
-                    st.bytes,
-                )
-                .map_err(MpiError::Gpu)?;
-            // chunk boundaries must land on this rank's block boundaries
-            // for incremental unpack; otherwise defer to one final unpack
-            if let Some((kp, block_len)) = &per_chunk_unpack {
-                if st.bytes % *block_len as usize == 0 {
-                    let first = (received / *block_len as usize) as i64;
-                    let n = (st.bytes / *block_len as usize) as i64;
-                    crate::kernels::execute_strided_range_async(
-                        kp,
-                        &mut ctx.stream,
-                        &mut ctx.clock,
-                        PackDir::Unpack,
-                        buf,
-                        plan.extent,
-                        tmp,
-                        received,
-                        first,
-                        n,
-                    )?;
-                } else {
-                    per_chunk_unpack = None;
-                }
-            }
-            received += st.bytes;
-            last = st;
-        }
-        if received > capacity {
-            return Err(MpiError::Truncated {
-                sent: received,
-                capacity,
-                envelope: ctx.registry().read().get_envelope(dt).ok(),
-            });
-        }
-        if per_chunk_unpack.is_some() {
-            ctx.stream.synchronize(&mut ctx.clock);
-        } else {
-            // mismatched boundaries: single unpack of the whole payload
-            let items = if plan.size == 0 {
-                0
-            } else {
-                received / plan.size as usize
-            };
-            self.gpu_xfer(ctx, PackDir::Unpack, plan, buf, items, dt, tmp, 0)?;
-        }
-        Ok(Status {
-            source: last.source,
-            tag: last.tag,
             bytes: received,
         })
     }
+}
+
+/// Record one send/receive phase as a complete span on the rank's CPU
+/// lane, from `t0` to now.
+fn phase(ctx: &RankCtx, name: &'static str, t0: SimTime, args: impl FnOnce() -> tempi_trace::Args) {
+    ctx.tracer.complete(
+        ctx.world_rank as u32,
+        LANE_CPU,
+        "tempi",
+        name,
+        t0.as_ps(),
+        (ctx.clock.now() - t0).as_ps(),
+        args,
+    );
+}
+
+/// Hand `len` packed bytes at `buf` to the system MPI under a `wire` span:
+/// as one message, or as one part of a pipelined transfer that departs
+/// once its bytes are staged (`ready`).
+fn ship(
+    ctx: &mut RankCtx,
+    buf: GpuPtr,
+    len: usize,
+    dest: usize,
+    tag: i32,
+    part: Option<(SimTime, mpi_sim::PartInfo)>,
+) -> MpiResult<()> {
+    let t0 = ctx.clock.now();
+    let r = match part {
+        Some((ready, part)) => ctx.send_bytes_part(buf, len, dest, tag, ready, part),
+        None => ctx.send_bytes(buf, len, dest, tag),
+    };
+    phase(ctx, "wire", t0, || {
+        vec![
+            ("bytes", len.into()),
+            ("dest", dest.into()),
+            ("ok", r.is_ok().into()),
+        ]
+    });
+    r
+}
+
+/// §8 extension, send side: the chunk loop of the pipelined method. Chunk
+/// `k` is packed by an async kernel into slot `k % slots` of the device
+/// ring, copied D2H by the engine into the same slot of the pinned ring,
+/// and its message departs when that copy completes on the GPU timeline —
+/// so kernel k+1 and copy k+1 overlap chunk k's wire time. Slot reuse needs
+/// no waiting here: the stream runs in order, so the kernel refilling a
+/// device slot follows the copy that drained it, and the system MPI has
+/// taken a part's bytes by the time the copy refilling its pinned slot can
+/// start. `posted` counts the parts handed to the system MPI.
+#[allow(clippy::too_many_arguments)]
+fn send_pipelined(
+    ctx: &mut RankCtx,
+    kp: &KernelPlan,
+    extent: i64,
+    buf: GpuPtr,
+    dest: usize,
+    tag: i32,
+    bytes: usize,
+    chunk: usize,
+    nparts: usize,
+    dev: GpuPtr,
+    pin: GpuPtr,
+    posted: &mut u32,
+) -> MpiResult<()> {
+    let block_len = kp.sb.block_bytes() as usize;
+    for k in 0..nparts {
+        let at = k * chunk;
+        let len = chunk.min(bytes - at);
+        let slot = (k % RING_SLOTS) * chunk;
+        let t0 = ctx.clock.now();
+        crate::kernels::execute_strided_range_async(
+            kp,
+            &mut ctx.stream,
+            &mut ctx.clock,
+            PackDir::Pack,
+            buf,
+            extent,
+            dev,
+            slot,
+            (at / block_len) as i64,
+            (len / block_len) as i64,
+        )?;
+        phase(ctx, "pack", t0, || vec![("bytes", len.into())]);
+        let t1 = ctx.clock.now();
+        // D2H of this chunk queues after its pack kernel
+        ctx.stream
+            .memcpy_async(&mut ctx.clock, pin.add(slot), dev.add(slot), len)
+            .map_err(MpiError::Gpu)?;
+        phase(ctx, "copy", t1, || {
+            vec![("bytes", len.into()), ("kind", "D2H".into())]
+        });
+        let part = mpi_sim::PartInfo {
+            index: k as u32,
+            total: nparts as u32,
+        };
+        let ready = ctx.stream.busy_until();
+        ship(ctx, pin.add(slot), len, dest, tag, Some((ready, part)))?;
+        *posted += 1;
+    }
+    Ok(())
+}
+
+/// §8 extension, receive side: the chunk loop of
+/// [`Tempi::recv_pipelined`]. With `ring` (this rank's kernel plan) each
+/// part lands in slot `k % slots` of the pinned ring and is copied and
+/// unpacked from the same slot of the device ring; a pinned slot is taken
+/// again only once the copy that drained it has completed in virtual time
+/// (device slots are ordered by the stream). Without it, parts are staged
+/// back to back for one unpack by the caller. Returns the bytes received.
+#[allow(clippy::too_many_arguments)]
+fn recv_parts(
+    ctx: &mut RankCtx,
+    buf: GpuPtr,
+    plan: &TypePlan,
+    ring: Option<&KernelPlan>,
+    info: &mpi_sim::ProbeInfo,
+    part: &mpi_sim::PartInfo,
+    pin: GpuPtr,
+    tmp: GpuPtr,
+    chunk: usize,
+    capacity: usize,
+) -> MpiResult<usize> {
+    let mut received = 0usize;
+    let mut drained = [SimTime::ZERO; RING_SLOTS];
+    for k in 0..part.total as usize {
+        let (slot, room) = match ring {
+            Some(_) => {
+                ctx.clock.advance_to(drained[k % RING_SLOTS]);
+                ((k % RING_SLOTS) * chunk, chunk.min(capacity - received))
+            }
+            None => (received, capacity - received),
+        };
+        // CPU-path receive into pinned staging, then async H2D and
+        // async unpack of this chunk
+        let t0 = ctx.clock.now();
+        let st = ctx
+            .recv_bytes_part(pin.add(slot), room, Some(info.source), Some(info.tag))
+            .map_err(|e| match e {
+                // report the transfer so far against the receive's capacity
+                MpiError::Truncated { sent, .. } => MpiError::Truncated {
+                    sent: received + sent,
+                    capacity,
+                    envelope: None,
+                },
+                e => e,
+            })?;
+        phase(ctx, "wire", t0, || {
+            vec![("bytes", st.bytes.into()), ("source", info.source.into())]
+        });
+        let t1 = ctx.clock.now();
+        ctx.stream
+            .memcpy_async(&mut ctx.clock, tmp.add(slot), pin.add(slot), st.bytes)
+            .map_err(MpiError::Gpu)?;
+        phase(ctx, "copy", t1, || {
+            vec![("bytes", st.bytes.into()), ("kind", "H2D".into())]
+        });
+        if let Some(kp) = ring {
+            drained[k % RING_SLOTS] = ctx.stream.busy_until();
+            let block_len = kp.sb.block_bytes() as usize;
+            let t2 = ctx.clock.now();
+            crate::kernels::execute_strided_range_async(
+                kp,
+                &mut ctx.stream,
+                &mut ctx.clock,
+                PackDir::Unpack,
+                buf,
+                plan.extent,
+                tmp,
+                slot,
+                (received / block_len) as i64,
+                (st.bytes / block_len) as i64,
+            )?;
+            phase(ctx, "unpack", t2, || vec![("bytes", st.bytes.into())]);
+        }
+        received += st.bytes;
+    }
+    if ring.is_some() {
+        let t0 = ctx.clock.now();
+        ctx.stream.synchronize(&mut ctx.clock);
+        phase(ctx, "unpack", t0, || vec![("bytes", received.into())]);
+    }
+    Ok(received)
 }
 
 #[cfg(test)]
@@ -2229,9 +2225,13 @@ mod tests {
             let p1 = tempi.type_commit(ctx, small_blocks)?;
             let p2 = tempi.type_commit(ctx, big_blocks)?;
             let m = tempi.send_model(ctx, 1 - ctx.rank);
-            let c1 = m.choose(p1.size as usize, p1.block_bytes(), p1.word());
-            let c2 = m.choose(p2.size as usize, p2.block_bytes(), p2.word());
-            Ok((c1, c2))
+            let three = [Method::Device, Method::OneShot, Method::Staged];
+            let pick = |p: &TypePlan| {
+                let (bytes, block) = (p.size as usize, p.block_bytes());
+                m.choose_among(&three, bytes, block, p.word(), &Calibration::NONE)
+                    .method
+            };
+            Ok((pick(&p1), pick(&p2)))
         })
         .unwrap();
         assert_eq!(results[0], (Method::Device, Method::OneShot));
@@ -2271,11 +2271,10 @@ mod tests {
         let count = total / block;
         let span = count * block * 2;
 
-        let run = |pipeline: Option<usize>| -> (Vec<u8>, u64, SimTime) {
+        let run = |force: Option<Method>| -> (Vec<u8>, u64, SimTime) {
             let results = World::run(&cfg, |ctx| {
                 let mut tempi = Tempi::new(TempiConfig {
-                    pipeline_chunk: pipeline,
-                    force_method: pipeline.map(|_| Method::Pipelined),
+                    force_method: force,
                     ..TempiConfig::default()
                 });
                 let dt =
@@ -2306,18 +2305,20 @@ mod tests {
             (got, recvs, SimTime::from_ps(t))
         };
 
-        let (plain_bytes, plain_recvs, t_plain) = run(None);
-        let (pipe_bytes, pipe_recvs, t_pipe) = run(Some(256 << 10));
-        assert_eq!(plain_recvs, 0);
+        // with nothing forced and no knob set, the model pipelines a
+        // 4 MiB coarse-grained object
+        let (pipe_bytes, pipe_recvs, t_pipe) = run(None);
         assert_eq!(pipe_recvs, 2);
-        // identical delivered bytes
-        assert_eq!(plain_bytes, pipe_bytes);
-        // and on a 4 MiB coarse-grained object the pipeline beats the
-        // model-chosen non-pipelined method
-        assert!(
-            t_pipe < t_plain,
-            "pipelined {t_pipe} should beat plain {t_plain}"
-        );
+        // and that beats each one-piece method, with identical bytes
+        for m in [Method::Device, Method::OneShot, Method::Staged] {
+            let (plain_bytes, plain_recvs, t_plain) = run(Some(m));
+            assert_eq!(plain_recvs, 0);
+            assert_eq!(plain_bytes, pipe_bytes, "{m:?}");
+            assert!(
+                t_pipe < t_plain,
+                "pipelined {t_pipe} should beat {m:?} {t_plain}"
+            );
+        }
     }
 
     #[test]
@@ -2503,32 +2504,241 @@ mod tests {
         assert!(tempi.plan(dt).is_some());
     }
 
+    /// What a receive of `dt` into a zeroed `span`-byte buffer must hold
+    /// after a sender sent `dt` from `data`: the CPU pack of the sender's
+    /// bytes, unpacked over the receiver's type.
+    fn oracle(
+        ctx: &RankCtx,
+        data: &[u8],
+        send: (usize, Datatype),
+        recv: (usize, Datatype),
+        span: usize,
+    ) -> Vec<u8> {
+        let reg = ctx.registry().read();
+        let bytes = reg.attrs(send.1).unwrap().size as usize * send.0;
+        let mut packed = vec![0u8; bytes];
+        pack_cpu::pack(&reg, data, 0, send.0, send.1, &mut packed, &mut 0).unwrap();
+        let mut want = vec![0u8; span];
+        pack_cpu::unpack(&reg, &packed, &mut 0, &mut want, 0, recv.0, recv.1).unwrap();
+        want
+    }
+
     #[test]
-    fn system_recv_rejects_pipelined_parts_instead_of_partial_delivery() {
+    fn any_matching_receive_completes_a_pipelined_transfer() {
+        // a strided 1 MiB send the default configuration pipelines, taken
+        // by receivers that know nothing about parts: TEMPI's own
+        // fall-through (a contiguous MPI_BYTE receive), the system MPI's
+        // typed receive, and a nonblocking raw receive
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
+        let bytes = 1usize << 20;
+        let span = 4096 * 512;
         let results = World::run(&cfg, |ctx| {
-            let dt = ctx.type_vector(4096, 256, 512, MPI_BYTE)?; // 1 MiB
+            let dt = ctx.type_vector(4096, 256, 512, MPI_BYTE)?;
+            let mut tempi = Tempi::default();
+            tempi.type_commit(ctx, dt)?;
+            let buf = ctx.gpu.malloc(span)?;
+            let data = fill(span);
             if ctx.rank == 0 {
-                let mut tempi = Tempi::new(TempiConfig {
-                    force_method: Some(Method::Pipelined),
-                    pipeline_chunk: Some(128 << 10),
-                    ..TempiConfig::default()
-                });
-                tempi.type_commit(ctx, dt)?;
-                let buf = ctx.gpu.malloc(4096 * 512)?;
-                tempi.send(ctx, buf, 1, dt, 1, 0)?;
-                Ok(true)
-            } else {
-                // receiver WITHOUT TEMPI: must error, not truncate
-                ctx.type_commit_native(dt)?;
-                let buf = ctx.gpu.malloc(4096 * 512)?;
-                let r = ctx.recv(buf, 1, dt, Some(0), Some(0));
-                Ok(matches!(r, Err(MpiError::InvalidArg(_))))
+                ctx.gpu.memory().poke(buf, &data)?;
+                for tag in 0..3 {
+                    let m = tempi.send(ctx, buf, 1, dt, 1, tag)?;
+                    assert_eq!(m, Some(Method::Pipelined));
+                }
+                return Ok(true);
             }
+            let mut packed = vec![0u8; bytes];
+            {
+                let reg = ctx.registry().read();
+                pack_cpu::pack(&reg, &data, 0, 1, dt, &mut packed, &mut 0)?;
+            }
+            let flat = ctx.gpu.malloc(bytes)?;
+            let (st, m) = tempi.recv(ctx, flat, bytes, MPI_BYTE, Some(0), Some(0))?;
+            let fell_through = m.is_none() && st.bytes == bytes;
+            let got_flat = ctx.gpu.memory().peek(flat, bytes)?;
+
+            let st = ctx.recv(buf, 1, dt, Some(0), Some(1))?;
+            let got_typed = ctx.gpu.memory().peek(buf, span)?;
+            let want_typed = oracle(ctx, &data, (1, dt), (1, dt), span);
+
+            let host = ctx.gpu.host_alloc(bytes)?;
+            let req = ctx.irecv_bytes(host, bytes, Some(0), Some(2))?;
+            let sts = ctx.waitall(&[req])?;
+            let got_host = ctx.gpu.memory().peek(host, bytes)?;
+            Ok(fell_through
+                && got_flat == packed
+                && st.bytes == bytes
+                && got_typed == want_typed
+                && sts[0].bytes == bytes
+                && got_host == packed)
         })
         .unwrap();
-        assert!(results[1], "plain recv must reject pipelined parts");
+        assert!(results[1], "every receive must deliver all the bytes");
+    }
+
+    #[test]
+    fn ring_staged_pipeline_delivers_the_oracle_bytes() {
+        // (blocks, block, stride, count, chunk): a short last chunk; count
+        // > 1 with padding between items; and a receiver whose type has
+        // the sender's signature but a block length the chunks do not end
+        // on (whole-object fallback)
+        let mut cfg = WorldConfig::summit(2);
+        cfg.net.ranks_per_node = 1;
+        for (case, recv_block) in [
+            (
+                (1000usize, 96usize, 160usize, 1usize, 64usize << 10),
+                96usize,
+            ),
+            ((300, 128, 200, 3, 32 << 10), 128),
+            ((1024, 256, 512, 1, 96 << 10), 1024),
+        ] {
+            let (blocks, block, stride, count, chunk) = case;
+            let results = World::run(&cfg, |ctx| {
+                let mut tempi = Tempi::new(TempiConfig {
+                    force_method: Some(Method::Pipelined),
+                    pipeline_chunk: Some(chunk),
+                    ..TempiConfig::default()
+                });
+                let sdt = ctx.type_vector(blocks as i32, block as i32, stride as i32, MPI_BYTE)?;
+                let rblocks = blocks * block / recv_block;
+                let rdt = ctx.type_vector(
+                    rblocks as i32,
+                    recv_block as i32,
+                    (recv_block * 2) as i32,
+                    MPI_BYTE,
+                )?;
+                tempi.type_commit(ctx, sdt)?;
+                tempi.type_commit(ctx, rdt)?;
+                let span = count * blocks.max(rblocks) * stride.max(recv_block * 2);
+                let buf = ctx.gpu.malloc(span)?;
+                let data = fill(span);
+                if ctx.rank == 0 {
+                    ctx.gpu.memory().poke(buf, &data)?;
+                    let m = tempi.send(ctx, buf, count, sdt, 1, 0)?;
+                    Ok(m == Some(Method::Pipelined) && tempi.pool.outstanding() == 0)
+                } else {
+                    let (st, m) = tempi.recv(ctx, buf, count, rdt, Some(0), Some(0))?;
+                    let got = ctx.gpu.memory().peek(buf, span)?;
+                    let want = oracle(ctx, &data, (count, sdt), (count, rdt), span);
+                    Ok(st.bytes == count * blocks * block
+                        && m == Some(Method::Pipelined)
+                        && got == want
+                        && tempi.pool.outstanding() == 0)
+                }
+            })
+            .unwrap();
+            assert_eq!(results, vec![true, true], "case {case:?}");
+        }
+    }
+
+    #[test]
+    fn executed_pipeline_takes_what_the_model_says() {
+        // conservation: the receiver-side one-way time of a pipelined
+        // transfer is the model's replay of it, for every chunk candidate
+        let mut cfg = WorldConfig::summit(2);
+        cfg.net.ranks_per_node = 1;
+        for total in [1usize << 20, 2 << 20, 4 << 20] {
+            for block in [8usize, 512] {
+                for chunk in crate::model::CHUNK_CANDIDATES {
+                    let blocks = total / block;
+                    let results = World::run(&cfg, |ctx| {
+                        let mut tempi = Tempi::new(TempiConfig {
+                            force_method: Some(Method::Pipelined),
+                            pipeline_chunk: Some(chunk),
+                            ..TempiConfig::default()
+                        });
+                        let dt = ctx.type_vector(
+                            blocks as i32,
+                            block as i32,
+                            (2 * block) as i32,
+                            MPI_BYTE,
+                        )?;
+                        let plan = tempi.type_commit(ctx, dt)?;
+                        let buf = ctx.gpu.malloc(2 * total)?;
+                        let mut took = SimTime::ZERO;
+                        // the first op allocates the staging rings
+                        for tag in 0..2 {
+                            ctx.barrier();
+                            if ctx.rank == 0 {
+                                tempi.send(ctx, buf, 1, dt, 1, tag)?;
+                            } else {
+                                let t0 = ctx.clock.now();
+                                tempi.recv(ctx, buf, 1, dt, Some(0), Some(tag))?;
+                                took = ctx.clock.now() - t0;
+                            }
+                        }
+                        let model = tempi.send_model(ctx, 1 - ctx.rank).t_pipelined(
+                            total,
+                            plan.block_bytes(),
+                            plan.word(),
+                            chunk,
+                        );
+                        Ok((took.as_ns_f64(), model.as_ns_f64()))
+                    })
+                    .unwrap();
+                    let (took, model) = results[1];
+                    assert!(
+                        (took - model).abs() <= 0.03 * model,
+                        "{total} B / {block} B blocks / {chunk} B chunks: \
+                         executed {took} ns, model {model} ns"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_before_the_first_part_steps_down_and_after_it_propagates() {
+        use mpi_sim::{FaultPlan, FaultSite, ScopedFault, PAYLOAD_POOL_BYTES};
+        // a self-send on one rank, so a transfer abandoned half-way leaves
+        // no peer waiting; kernel ordinal 0 is the first chunk's pack,
+        // ordinal 1 the second's
+        let run = |at_call: u64| {
+            let mut plan = FaultPlan::default();
+            plan.scoped.push(ScopedFault {
+                rank: 0,
+                site: FaultSite::Kernel,
+                at_call,
+            });
+            let mut ctx = RankCtx::standalone(&WorldConfig::summit(1).with_faults(plan));
+            // forced: to itself a rank would not pipeline
+            let mut tempi = Tempi::new(TempiConfig {
+                force_method: Some(Method::Pipelined),
+                ..TempiConfig::default()
+            });
+            let dt = ctx.type_vector(4096, 512, 1024, MPI_BYTE).unwrap(); // 2 MiB
+            tempi.type_commit(&mut ctx, dt).unwrap();
+            let span = 4096 * 1024;
+            let buf = ctx.gpu.malloc(span).unwrap();
+            ctx.gpu.memory().poke(buf, &fill(span)).unwrap();
+            let sent = tempi.send(&mut ctx, buf, 1, dt, 0, 0);
+            (ctx, tempi, sent, dt, buf, span)
+        };
+
+        let (mut ctx, mut tempi, sent, dt, buf, span) = run(0);
+        assert_eq!(sent, Ok(Some(Method::Device)), "Pipelined -> Device");
+        assert_eq!(tempi.stats.degraded_sends, 1);
+        assert_eq!(ctx.faults.stats.events.len(), 1);
+        assert_eq!(ctx.faults.stats.events[0].from, "Pipelined");
+        assert_eq!(ctx.faults.stats.events[0].to, "Device");
+        assert!(tempi.is_quarantined(dt, Method::Pipelined, ctx.clock.now()));
+        let dst = ctx.gpu.malloc(span).unwrap();
+        let (st, m) = tempi.recv(&mut ctx, dst, 1, dt, Some(0), Some(0)).unwrap();
+        assert_eq!((st.bytes, m), (2 << 20, Some(Method::Device)));
+        let got = ctx.gpu.memory().peek(dst, span).unwrap();
+        assert_eq!(got, oracle(&ctx, &fill(span), (1, dt), (1, dt), span));
+        assert_eq!(tempi.pool.outstanding(), 0);
+        assert!(ctx.pooled_payload_bytes() <= PAYLOAD_POOL_BYTES);
+
+        let (ctx, tempi, sent, ..) = run(1);
+        let err = sent.unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        assert_eq!(tempi.stats.degraded_sends, 0, "no step-down mid-transfer");
+        assert!(ctx.faults.stats.events.is_empty());
+        assert_eq!(tempi.stats.pipelined_sends, 0);
+        assert_eq!(tempi.pool.outstanding(), 0);
+        assert!(ctx.pooled_payload_bytes() <= PAYLOAD_POOL_BYTES);
+        let _ = buf;
     }
 
     #[test]
@@ -2590,11 +2800,10 @@ mod tests {
             if ctx.rank != 0 {
                 return Ok(true);
             }
-            let oracle = tempi.send_model(ctx, 1).choose(
-                plan.size as usize,
-                plan.block_bytes(),
-                plan.word(),
-            );
+            let oracle = tempi
+                .send_model(ctx, 1)
+                .choose(plan.size as usize, plan.block_bytes(), plan.word())
+                .method;
             let key = BucketKey::new(1, plan.block_bytes(), plan.size as usize, false);
             let memo = tempi.tuner.memoized(&key);
             Ok(memo.map(|(m, _)| m) == Some(oracle) && tempi.stats.tuner_bucket_hits > 0)
@@ -2604,31 +2813,33 @@ mod tests {
     }
 
     #[test]
-    fn online_tuner_discovers_pipelined_on_large_coarse_objects() {
+    fn every_tuner_mode_pipelines_large_coarse_objects() {
         // 4 MiB with 4 KiB blocks is the staged/one-shot crossover where
-        // the §8 pipeline wins; with no configured chunk, Online mode must
+        // the §8 pipeline wins; with no configured chunk, every mode must
         // find it (and a chunk) by itself on the very first (cold) send.
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let count = (4usize << 20) / 4096;
-        let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::new(TempiConfig {
-                tuner: TunerMode::Online,
-                ..TempiConfig::default()
-            });
-            let dt = ctx.type_vector(count as i32, 4096, 8192, MPI_BYTE)?;
-            tempi.type_commit(ctx, dt)?;
-            let buf = ctx.gpu.malloc(count * 8192)?;
-            if ctx.rank == 0 {
-                tempi.send(ctx, buf, 1, dt, 1, 0)
-            } else {
-                let (_, m) = tempi.recv(ctx, buf, 1, dt, Some(0), Some(0))?;
-                Ok(m)
-            }
-        })
-        .unwrap();
-        assert_eq!(results[0], Some(Method::Pipelined));
-        assert_eq!(results[1], Some(Method::Pipelined));
+        for tuner in [TunerMode::Off, TunerMode::Model, TunerMode::Online] {
+            let results = World::run(&cfg, |ctx| {
+                let mut tempi = Tempi::new(TempiConfig {
+                    tuner,
+                    ..TempiConfig::default()
+                });
+                let dt = ctx.type_vector(count as i32, 4096, 8192, MPI_BYTE)?;
+                tempi.type_commit(ctx, dt)?;
+                let buf = ctx.gpu.malloc(count * 8192)?;
+                if ctx.rank == 0 {
+                    tempi.send(ctx, buf, 1, dt, 1, 0)
+                } else {
+                    let (_, m) = tempi.recv(ctx, buf, 1, dt, Some(0), Some(0))?;
+                    Ok(m)
+                }
+            })
+            .unwrap();
+            assert_eq!(results[0], Some(Method::Pipelined), "{tuner:?}");
+            assert_eq!(results[1], Some(Method::Pipelined), "{tuner:?}");
+        }
     }
 
     #[test]

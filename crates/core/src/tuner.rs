@@ -15,10 +15,11 @@
 //!   copy-engine per [`CopyKind`], wire per ([`Transport`], peer class).
 //!   Component ratios — not per-bucket totals — let one measured pack on a
 //!   misaligned layout re-rank *every* bucket that shares the component.
-//! - The per-bucket choice is the **argmin of the calibrated model** and
-//!   is memoized; with probability ε (decaying per bucket visit) or after
-//!   a virtual-time re-probe interval, a non-best method is chosen instead
-//!   so its component ratios stay fresh.
+//! - The per-bucket choice is the **argmin of the calibrated model**
+//!   ([`SendModel::choose_among`], the same ranking every mode uses, fed
+//!   the observed ratios) and is memoized; with probability ε (decaying
+//!   per bucket visit) or after a virtual-time re-probe interval, a
+//!   non-best method is chosen instead so its component ratios stay fresh.
 //!
 //! Everything is deterministic: the exploration RNG is a seeded
 //! xorshift64*, and "time" is the rank's virtual clock, so the same seed
@@ -30,7 +31,7 @@ use gpu_sim::{CopyKind, PackTarget, SimTime};
 use mpi_sim::Transport;
 
 use crate::config::{Method, TunerMode};
-use crate::model::SendModel;
+use crate::model::{Calibration as Ratios, Choice, SendModel};
 
 /// Initial exploration probability for a warm bucket.
 pub const EPSILON_0: f64 = 0.10;
@@ -40,9 +41,6 @@ pub const EPSILON_DECAY: f64 = 32.0;
 /// even when ε says exploit. Long enough that steady-state benchmarks are
 /// not perturbed.
 pub const REPROBE_INTERVAL: SimTime = SimTime::from_ms(250);
-/// Chunk sizes the tuner considers for the pipelined method, chosen around
-/// the D2H/wire bandwidth crossover on Summit-class hardware.
-pub const CHUNK_CANDIDATES: [usize; 5] = [64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20];
 
 /// Deterministic xorshift64* generator (no external RNG dependency; `rand`
 /// is a dev-dependency only).
@@ -357,7 +355,16 @@ impl Tuner {
         now: SimTime,
     ) -> Decision {
         debug_assert!(!allowed.is_empty());
-        let (best, best_chunk) = self.argmin(model, allowed, wl, key.intra_node);
+        let Choice {
+            method: best,
+            chunk: best_chunk,
+        } = model.choose_among(
+            allowed,
+            wl.bytes,
+            wl.block,
+            wl.word,
+            &self.ratios(key.intra_node),
+        );
 
         match self.mode {
             TunerMode::Off => Decision {
@@ -399,7 +406,24 @@ impl Tuner {
                     switched,
                 }
             }
-            TunerMode::Online => self.choose_online(key, best, best_chunk, allowed, now),
+            TunerMode::Online => {
+                let mut d = self.choose_online(key, best, best_chunk, allowed, now);
+                if d.method == Method::Pipelined && d.chunk.is_none() {
+                    // a probe of the pipelined method runs at the chunk
+                    // the model would give it, so the observation is
+                    // representative
+                    d.chunk = model
+                        .choose_among(
+                            &[Method::Pipelined],
+                            wl.bytes,
+                            wl.block,
+                            wl.word,
+                            &self.ratios(key.intra_node),
+                        )
+                        .chunk;
+                }
+                d
+            }
         }
     }
 
@@ -423,13 +447,7 @@ impl Tuner {
                     b.last_probe = now;
                     Decision {
                         method: pick,
-                        // Probing pipelined uses the current best-guess
-                        // chunk so the observation is representative.
-                        chunk: if pick == Method::Pipelined {
-                            best_chunk.or(Some(CHUNK_CANDIDATES[2]))
-                        } else {
-                            None
-                        },
+                        chunk: None,
                         probe: true,
                         bucket_hit: true,
                         switched: false,
@@ -471,93 +489,25 @@ impl Tuner {
         }
     }
 
-    /// Calibrated argmin over the allowed candidate set. For
-    /// [`Method::Pipelined`] the inner argmin over [`CHUNK_CANDIDATES`]
-    /// finds the chunk at the calibrated D2H/wire crossover.
-    fn argmin(
-        &self,
-        model: &SendModel,
-        allowed: &[Method],
-        wl: Workload,
-        intra: bool,
-    ) -> (Method, Option<usize>) {
-        let mut best = allowed[0];
-        let mut best_chunk = None;
-        let mut best_ns = f64::INFINITY;
-        for &m in allowed {
-            let (ns, chunk) = match m {
-                Method::Pipelined => self.best_pipelined(model, wl, intra),
-                _ => (self.estimate(model, m, wl, intra), None),
-            };
-            if ns < best_ns {
-                best_ns = ns;
-                best = m;
-                best_chunk = chunk;
-            }
+    /// The observed measured ÷ modelled ratios for a peer class, in the
+    /// shape the model scales its terms by. With no observations every
+    /// ratio is 1.0 and the calibrated argmin *is* the §5 model's.
+    fn ratios(&self, intra: bool) -> Ratios {
+        Ratios {
+            pack_device: self.pack_ratio(PackTarget::Device),
+            pack_mapped: self.pack_ratio(PackTarget::MappedHost),
+            d2h: self.copy_ratio(CopyKind::D2H),
+            h2d: self.copy_ratio(CopyKind::H2D),
+            wire_cpu: self.wire_ratio(Transport::Cpu, intra),
+            wire_gpu: self.wire_ratio(Transport::Gpu, intra),
         }
-        (best, best_chunk)
-    }
-
-    /// Calibrated estimate (ns) of one method. Ratios multiply the model's
-    /// terms component-wise; with no observations every ratio is 1.0 and
-    /// this *is* the §5 model.
-    fn estimate(&self, model: &SendModel, method: Method, wl: Workload, intra: bool) -> f64 {
-        let Workload { bytes, block, word } = wl;
-        let r_pack_dev = self.pack_ratio(PackTarget::Device);
-        let r_pack_map = self.pack_ratio(PackTarget::MappedHost);
-        match method {
-            Method::Device => {
-                let b = model.t_device(bytes, block, word);
-                (b.pack + b.unpack).as_ns_f64() * r_pack_dev
-                    + b.transfer.as_ns_f64() * self.wire_ratio(Transport::Gpu, intra)
-            }
-            Method::OneShot => {
-                let b = model.t_oneshot(bytes, block, word);
-                (b.pack + b.unpack).as_ns_f64() * r_pack_map
-                    + b.transfer.as_ns_f64() * self.wire_ratio(Transport::Cpu, intra)
-            }
-            Method::Staged => {
-                let b = model.t_staged(bytes, block, word);
-                (b.pack + b.unpack).as_ns_f64() * r_pack_dev
-                    + model.t_d2h(bytes).as_ns_f64() * self.copy_ratio(CopyKind::D2H)
-                    + model.t_cpu_cpu(bytes).as_ns_f64() * self.wire_ratio(Transport::Cpu, intra)
-                    + model.t_h2d(bytes).as_ns_f64() * self.copy_ratio(CopyKind::H2D)
-            }
-            Method::Pipelined => self.best_pipelined(model, wl, intra).0,
-        }
-    }
-
-    /// Calibrated pipeline bound minimized over the chunk candidates.
-    /// Returns infinity when no candidate is smaller than the payload
-    /// (pipelining a one-chunk message is just staged with extra tags).
-    fn best_pipelined(&self, model: &SendModel, wl: Workload, intra: bool) -> (f64, Option<usize>) {
-        let Workload { bytes, block, word } = wl;
-        let r_pack = self.pack_ratio(PackTarget::Device);
-        let r_d2h = self.copy_ratio(CopyKind::D2H);
-        let r_h2d = self.copy_ratio(CopyKind::H2D);
-        let r_wire = self.wire_ratio(Transport::Cpu, intra);
-        let mut best = (f64::INFINITY, None);
-        for &chunk in CHUNK_CANDIDATES.iter().filter(|&&c| c < bytes) {
-            let t = model.pipeline_terms(bytes, block, word, chunk);
-            let pack = t.pack.as_ns_f64() * r_pack;
-            let d2h = t.d2h.as_ns_f64() * r_d2h;
-            let wire = t.wire.as_ns_f64() * r_wire;
-            let h2d = t.h2d.as_ns_f64() * r_h2d;
-            let unpack = t.unpack.as_ns_f64() * r_pack;
-            let fill = pack + d2h + wire + h2d + unpack;
-            let bottleneck = pack.max(d2h).max(wire).max(h2d).max(unpack);
-            let ns = fill + bottleneck * (t.n - 1) as f64 + t.sync.as_ns_f64();
-            if ns < best.0 {
-                best = (ns, Some(chunk));
-            }
-        }
-        best
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CHUNK_CANDIDATES;
 
     fn model() -> SendModel {
         SendModel::summit_internode()
@@ -574,6 +524,13 @@ mod tests {
         Workload { bytes, block, word }
     }
 
+    /// The uncalibrated model's pick among the paper's three methods.
+    fn section5(m: &SendModel, bytes: usize, block: usize, word: usize) -> Method {
+        let three = [Method::Device, Method::OneShot, Method::Staged];
+        m.choose_among(&three, bytes, block, word, &Ratios::NONE)
+            .method
+    }
+
     #[test]
     fn cold_bucket_matches_analytical_model() {
         let m = model();
@@ -586,7 +543,7 @@ mod tests {
             &[Method::Device, Method::OneShot],
             SimTime::ZERO,
         );
-        assert_eq!(d.method, m.choose(bytes, 4096, 8));
+        assert_eq!(d.method, section5(&m, bytes, 4096, 8));
         assert!(!d.bucket_hit);
         assert!(!d.probe);
     }
@@ -658,7 +615,7 @@ mod tests {
         // modeled; the calibrated argmin must flip to Device.
         let m = model();
         let bytes = 1 << 20;
-        assert_eq!(m.choose(bytes, 4096, 8), Method::OneShot);
+        assert_eq!(section5(&m, bytes, 4096, 8), Method::OneShot);
         let mut t = Tuner::new(TunerMode::Online, 9);
         let modeled = SimTime::from_us(10);
         for _ in 0..8 {
@@ -695,7 +652,7 @@ mod tests {
                     SimTime::from_us(i),
                 );
             }
-            let oracle = m.choose(bytes, block, word);
+            let oracle = section5(&m, bytes, block, word);
             assert_eq!(t.memoized(&key).unwrap().0, oracle);
         }
     }
@@ -703,16 +660,29 @@ mod tests {
     #[test]
     fn pipelined_chunk_tracks_the_calibrated_crossover() {
         let m = model();
-        let t = Tuner::new(TunerMode::Online, 3);
+        let only = [Method::Pipelined];
         // Large coarse object: pipelined must propose a chunk from the
         // candidate table, strictly smaller than the payload.
-        let (ns, chunk) = t.best_pipelined(&m, wl(4 << 20, 4096, 8), false);
-        assert!(ns.is_finite());
-        let c = chunk.unwrap();
+        let mut t = Tuner::new(TunerMode::Online, 3);
+        let d = t.choose(KEY, wl(4 << 20, 4096, 8), &m, &only, SimTime::ZERO);
+        let c = d.chunk.unwrap();
         assert!(CHUNK_CANDIDATES.contains(&c) && c < (4 << 20));
+        // Teach it that the wire runs 4x slower than modelled: per-part
+        // overheads matter less, so the chunk must not grow.
+        let mut slow = Tuner::new(TunerMode::Online, 3);
+        for _ in 0..8 {
+            slow.observe_wire(
+                Transport::Cpu,
+                false,
+                SimTime::from_us(10),
+                SimTime::from_us(40),
+            );
+        }
+        let ds = slow.choose(KEY, wl(4 << 20, 4096, 8), &m, &only, SimTime::ZERO);
+        assert!(ds.chunk.unwrap() <= c, "{:?} vs {c}", ds.chunk);
         // Small payload: no candidate fits, pipelined is never proposed.
-        let (ns_small, chunk_small) = t.best_pipelined(&m, wl(16 << 10, 64, 4), false);
-        assert!(ns_small.is_infinite() && chunk_small.is_none());
+        let d = t.choose(KEY, wl(16 << 10, 64, 4), &m, &only, SimTime::ZERO);
+        assert_eq!(d.chunk, None);
     }
 
     #[test]

@@ -303,8 +303,8 @@ impl RankCtx {
                 // verification as p2p.
                 self.fault_gate_recv(None)?;
                 let msg = self.match_message(None, Some(TAG_GATHER))?;
-                let payload = self.deliver_payload(&msg, gpu_sim::MemSpace::Host)?;
-                all[msg.src] = payload;
+                let src = msg.src;
+                all[src] = self.deliver_payload(msg, gpu_sim::MemSpace::Host)?;
             }
             Ok(Some(all))
         } else {

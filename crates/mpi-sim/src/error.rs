@@ -137,6 +137,21 @@ impl MpiError {
         }
     }
 
+    /// Name the receive's datatype in a [`MpiError::Truncated`] raised by a
+    /// layer that moves raw bytes and so could not; any other error passes
+    /// through. The envelope is only looked up when it is needed.
+    #[must_use]
+    pub fn with_envelope(self, envelope: impl FnOnce() -> Option<Envelope>) -> MpiError {
+        match self {
+            MpiError::Truncated { sent, capacity, .. } => MpiError::Truncated {
+                sent,
+                capacity,
+                envelope: envelope(),
+            },
+            e => e,
+        }
+    }
+
     /// Is this a *communicator* failure — the class of errors a ULFM-style
     /// recovery path (revoke → agree → shrink) can repair, as opposed to a
     /// program error in the operation itself?

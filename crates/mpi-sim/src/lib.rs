@@ -61,7 +61,7 @@ pub use net::{NetModel, Transport};
 pub use nonblocking::Request;
 pub use p2p::{payload_checksum, Message, PartInfo, ProbeInfo, Status};
 pub use runtime::{RankCtx, World, WorldConfig};
-pub use sched::SchedMode;
+pub use sched::{SchedMode, PAYLOAD_POOL_BYTES};
 pub use tempi_trace::{TraceLevel, Tracer};
 pub use vendor::{BaselineMethod, VendorId, VendorProfile};
 pub use watchdog::{DeadlockInfo, Watchdog, WatchdogConfig};

@@ -149,29 +149,52 @@ impl NetModel {
         src: usize,
         dst: usize,
     ) -> SimTime {
-        let intra = self.same_node(src, dst) && src != dst;
-        let local = src == dst;
-        if local {
+        self.latency(transport, src, dst) + self.serialization_time(bytes, transport, src, dst)
+    }
+
+    /// The latency floor of [`NetModel::transfer_time`]: what a message
+    /// pays once, however many bytes follow.
+    pub fn latency(&self, transport: Transport, src: usize, dst: usize) -> SimTime {
+        if src == dst {
             // self-message: a memcpy, no fabric
+            return SimTime::ZERO;
+        }
+        match (transport, self.same_node(src, dst)) {
+            (Transport::Cpu, false) => self.cpu_latency_inter,
+            (Transport::Cpu, true) => self.cpu_latency_intra,
+            (Transport::Gpu, false) => self.gpu_latency_inter,
+            (Transport::Gpu, true) => self.gpu_latency_intra,
+        }
+    }
+
+    /// The bandwidth term of [`NetModel::transfer_time`]: how long `bytes`
+    /// occupy the link. Parts of one pipelined transfer share the link, so
+    /// they queue on this term (and only on this term) one after another.
+    pub fn serialization_time(
+        &self,
+        bytes: usize,
+        transport: Transport,
+        src: usize,
+        dst: usize,
+    ) -> SimTime {
+        if src == dst {
             return SimTime::from_ns_f64(bytes as f64 / self.cpu_bw_intra_bpns);
         }
-        if transport == Transport::Gpu && !intra {
-            // CUDA-aware inter-node: slow staging rate up to the pipeline
-            // threshold, pipelined wire rate beyond it.
-            let head = bytes.min(self.gpu_pipeline_threshold) as f64;
-            let tail = bytes.saturating_sub(self.gpu_pipeline_threshold) as f64;
-            return self.gpu_latency_inter
-                + SimTime::from_ns_f64(
+        let bw = match (transport, self.same_node(src, dst)) {
+            (Transport::Gpu, false) => {
+                // CUDA-aware inter-node: slow staging rate up to the pipeline
+                // threshold, pipelined wire rate beyond it.
+                let head = bytes.min(self.gpu_pipeline_threshold) as f64;
+                let tail = bytes.saturating_sub(self.gpu_pipeline_threshold) as f64;
+                return SimTime::from_ns_f64(
                     head / self.gpu_bw_inter_bpns + tail / self.gpu_bw_pipelined_bpns,
                 );
-        }
-        let (floor, bw) = match (transport, intra) {
-            (Transport::Cpu, false) => (self.cpu_latency_inter, self.cpu_bw_inter_bpns),
-            (Transport::Cpu, true) => (self.cpu_latency_intra, self.cpu_bw_intra_bpns),
-            (Transport::Gpu, false) => unreachable!("handled above"),
-            (Transport::Gpu, true) => (self.gpu_latency_intra, self.gpu_bw_intra_bpns),
+            }
+            (Transport::Cpu, false) => self.cpu_bw_inter_bpns,
+            (Transport::Cpu, true) => self.cpu_bw_intra_bpns,
+            (Transport::Gpu, true) => self.gpu_bw_intra_bpns,
         };
-        floor + SimTime::from_ns_f64(bytes as f64 / bw)
+        SimTime::from_ns_f64(bytes as f64 / bw)
     }
 }
 

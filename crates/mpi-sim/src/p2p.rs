@@ -374,21 +374,27 @@ impl RankCtx {
     /// (`completion = max(now, depart + transfer)`), apply any injected
     /// in-transit corruption, and — when the envelope carries a checksum —
     /// verify it and run the bounded NACK/retransmit handshake, all in
-    /// virtual time on this rank's clock. Returns the bytes that actually
-    /// land in the receive buffer.
+    /// virtual time on this rank's clock. Consumes the message and returns
+    /// the bytes that actually land in the receive buffer.
+    ///
+    /// Parts of one pipelined transfer share the sender's link: part `k`
+    /// starts serialising only once part `k-1`'s bytes are off the wire
+    /// (`start = max(depart, link_free)`), so N parts never complete before
+    /// `Σ bytes ÷ bandwidth` and each pays the latency floor on top of its
+    /// own start. A message that is not a part is priced as if alone.
     ///
     /// The corruption model is receive-sided: the sender's pristine payload
     /// sits in the in-flight [`Message`], and this rank's seeded injector
     /// decides per *delivery attempt* whether the bytes that crossed the
     /// wire got a bit flipped. A retransmit therefore re-reads the pristine
-    /// copy and redraws the corruption coin; each round trip charges one
+    /// bytes and redraws the corruption coin; each round trip charges one
     /// NACK wire plus one payload wire. Exhausting the budget surfaces
     /// [`MpiError::Corrupted`]. Without a checksum (integrity disabled) a
     /// flipped byte is delivered silently — the failure mode the integrity
     /// envelope exists to close.
     pub(crate) fn deliver_payload(
         &mut self,
-        msg: &Message,
+        msg: Message,
         dst_space: MemSpace,
     ) -> MpiResult<Vec<u8>> {
         let bytes = msg.payload.len();
@@ -396,7 +402,17 @@ impl RankCtx {
         let wire = self
             .net
             .transfer_time(bytes, transport, msg.src_world, self.world_rank);
-        self.clock.advance_to(msg.depart + wire);
+        let mut start = msg.depart;
+        if let Some(part) = msg.part {
+            if part.index > 0 {
+                start = start.max(self.part_link_free);
+            }
+            self.part_link_free = start
+                + self
+                    .net
+                    .serialization_time(bytes, transport, msg.src_world, self.world_rank);
+        }
+        self.clock.advance_to(start + wire);
         self.fault_extra_delay();
         self.clock.advance(self.net.recv_overhead);
         let max_retries = self
@@ -404,26 +420,27 @@ impl RankCtx {
             .injector
             .as_ref()
             .map_or(0, FaultInjector::max_retries);
+        let mut payload = msg.payload;
         let mut attempt: u32 = 0;
         loop {
             let flip = match self.faults.injector.as_mut() {
                 Some(inj) => inj.corrupt_delivery(bytes),
                 None => None,
             };
-            let delivered = match flip {
-                Some((idx, mask)) => {
-                    self.faults.stats.corruptions += 1;
-                    let mut p = msg.payload.clone();
-                    p[idx] ^= mask;
-                    p
-                }
-                None => msg.payload.clone(),
-            };
+            if let Some((idx, mask)) = flip {
+                self.faults.stats.corruptions += 1;
+                payload[idx] ^= mask;
+            }
             let Some(expect) = msg.checksum else {
-                return Ok(delivered);
+                return Ok(payload);
             };
-            if payload_checksum(&delivered) == expect {
-                return Ok(delivered);
+            if payload_checksum(&payload) == expect {
+                return Ok(payload);
+            }
+            // the sender still holds the pristine bytes: undo this
+            // attempt's flip rather than keeping a second copy around
+            if let Some((idx, mask)) = flip {
+                payload[idx] ^= mask;
             }
             self.faults.stats.nacks += 1;
             if attempt >= max_retries {
@@ -443,6 +460,68 @@ impl RankCtx {
             self.faults.stats.retransmits += 1;
             attempt += 1;
         }
+    }
+
+    /// Deliver `first` and, when it is a part of a pipelined transfer,
+    /// every later part of that transfer in order, handing each delivered
+    /// payload and its byte offset within the transfer to `land`. Any
+    /// matching receive completes a part-tagged transfer this way, so a
+    /// peer without TEMPI (or TEMPI's own fall-through) gets all the bytes
+    /// rather than the first chunk. A transfer larger than `capacity` is
+    /// consumed whole and reported as [`MpiError::Truncated`]. `land`
+    /// returns the buffer it is done with (empty if it kept the bytes);
+    /// those of parts go back to the router's free list.
+    pub(crate) fn deliver_transfer(
+        &mut self,
+        first: Message,
+        capacity: usize,
+        dst_space: MemSpace,
+        mut land: impl FnMut(&mut RankCtx, usize, Vec<u8>) -> MpiResult<Vec<u8>>,
+    ) -> MpiResult<Status> {
+        let (src, tag) = (first.src, first.tag);
+        let mut received = 0usize;
+        let mut failed = None;
+        let mut msg = first;
+        loop {
+            let part = msg.part;
+            let len = msg.payload.len();
+            if failed.is_none() && received + len <= capacity {
+                let landed = self
+                    .deliver_payload(msg, dst_space)
+                    .and_then(|payload| land(self, received, payload));
+                match landed {
+                    Ok(spent) if part.is_some() => self.router.recycle_payload(spent),
+                    Ok(_) => {}
+                    Err(e) => failed = Some(e),
+                }
+            }
+            received += len;
+            if part.is_none_or(|p| p.index + 1 >= p.total) {
+                break;
+            }
+            msg = self.match_message(Some(src), Some(tag))?;
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if received > capacity {
+            return Err(MpiError::Truncated {
+                sent: received,
+                capacity,
+                envelope: None,
+            });
+        }
+        Ok(Status {
+            source: src,
+            tag,
+            bytes: received,
+        })
+    }
+
+    /// Bytes of buffer capacity the world's part-payload free list holds
+    /// (never more than [`crate::PAYLOAD_POOL_BYTES`]).
+    pub fn pooled_payload_bytes(&self) -> usize {
+        self.router.pooled_payload_bytes()
     }
 
     /// Charge any injected extra delivery latency to the virtual clock
@@ -565,7 +644,8 @@ impl RankCtx {
         self.check_comm()?;
         self.check_rank(dest)?;
         self.fault_gate_send(dest)?;
-        let payload = self.gpu.memory().peek(buf, len)?;
+        let mut payload = self.router.take_payload(len);
+        self.gpu.memory().peek_into(buf, len, &mut payload)?;
         self.post_at(dest, tag, payload, buf.space, ready_at, Some(part))
     }
 
@@ -844,7 +924,8 @@ impl RankCtx {
     }
 
     /// Receive raw bytes into `buf` (capacity `maxlen`). Returns the
-    /// completion [`Status`].
+    /// completion [`Status`]. A pipelined transfer is reassembled part by
+    /// part, in order, into consecutive bytes of `buf`.
     pub fn recv_bytes(
         &mut self,
         buf: GpuPtr,
@@ -855,7 +936,27 @@ impl RankCtx {
         self.check_comm()?;
         self.fault_gate_recv(src)?;
         let msg = self.match_message(src, tag)?;
-        let bytes = msg.payload.len();
+        self.deliver_transfer(msg, maxlen, buf.space, |ctx, off, payload| {
+            ctx.gpu.memory().poke(buf.add(off), &payload)?;
+            Ok(payload)
+        })
+    }
+
+    /// Receive exactly one message into `buf`, even when it is one part of
+    /// a pipelined transfer — the mirror of [`RankCtx::send_bytes_part`],
+    /// for a receiver that overlaps its own work with the parts still on
+    /// the wire.
+    pub fn recv_bytes_part(
+        &mut self,
+        buf: GpuPtr,
+        maxlen: usize,
+        src: Option<usize>,
+        tag: Option<i32>,
+    ) -> MpiResult<Status> {
+        self.check_comm()?;
+        self.fault_gate_recv(src)?;
+        let msg = self.match_message(src, tag)?;
+        let (source, tag, part, bytes) = (msg.src, msg.tag, msg.part, msg.payload.len());
         if bytes > maxlen {
             return Err(MpiError::Truncated {
                 sent: bytes,
@@ -863,13 +964,13 @@ impl RankCtx {
                 envelope: None,
             });
         }
-        let payload = self.deliver_payload(&msg, buf.space)?;
-        self.gpu.memory().poke(buf, &payload)?;
-        Ok(Status {
-            source: msg.src,
-            tag: msg.tag,
-            bytes,
-        })
+        let payload = self.deliver_payload(msg, buf.space)?;
+        let poked = self.gpu.memory().poke(buf, &payload);
+        if part.is_some() {
+            self.router.recycle_payload(payload);
+        }
+        poked?;
+        Ok(Status { source, tag, bytes })
     }
 
     // ---- datatype-aware system-MPI send/recv ----------------------------
@@ -943,35 +1044,27 @@ impl RankCtx {
         let capacity = wt.size * count;
         self.fault_gate_recv(src)?;
         let msg = self.match_message(src, tag)?;
-        if msg.part.is_some() {
-            // A pipelined (multi-part) transfer can only be consumed by a
-            // receiver that reassembles the parts (TEMPI's recv). Matching
-            // one chunk here would silently deliver partial data.
-            return Err(MpiError::InvalidArg(
-                "matched one chunk of a pipelined transfer; the receiver must                  use TEMPI's recv (both peers need TEMPI when pipeline_chunk                  is enabled)"
-                    .to_string(),
-            ));
-        }
-        let bytes = msg.payload.len();
-        if bytes > capacity {
-            return Err(MpiError::Truncated {
-                sent: bytes,
-                capacity,
-                envelope: self.registry().read().get_envelope(dt).ok(),
-            });
-        }
-        let payload = self.deliver_payload(&msg, buf.space)?;
+        // One message is consumed as it is; the parts of a pipelined
+        // transfer are gathered, in order, into one packed payload first.
+        let mut payload = Vec::new();
+        let st = self
+            .deliver_transfer(msg, capacity, buf.space, |_, off, part| {
+                if off == 0 {
+                    payload = part;
+                    return Ok(Vec::new());
+                }
+                payload.extend_from_slice(&part);
+                Ok(part)
+            })
+            .map_err(|e| e.with_envelope(|| self.registry().read().get_envelope(dt).ok()))?;
+        let bytes = st.bytes;
 
         let items = bytes.checked_div(wt.size).unwrap_or(0);
         let fully_contiguous =
             is_contiguous(&wt.segs) && (items <= 1 || wt.size as i64 == wt.extent);
 
         if bytes == 0 {
-            return Ok(Status {
-                source: msg.src,
-                tag: msg.tag,
-                bytes,
-            });
+            return Ok(st);
         }
 
         if buf.space == MemSpace::Device && !fully_contiguous {
@@ -1001,11 +1094,7 @@ impl RankCtx {
                 self.clock.advance(t);
             }
         }
-        Ok(Status {
-            source: msg.src,
-            tag: msg.tag,
-            bytes,
-        })
+        Ok(st)
     }
 
     /// `MPI_Sendrecv` on raw bytes (used by ping-pong harnesses).
@@ -1174,6 +1263,98 @@ mod tests {
         })
         .unwrap();
         assert_eq!(results[1].len(), 16);
+    }
+
+    /// Rank 0 posts `n` parts of `len` bytes, all ready at once.
+    fn post_parts(ctx: &mut RankCtx, buf: GpuPtr, len: usize, n: u32, tag: i32) -> MpiResult<()> {
+        for index in 0..n {
+            let part = PartInfo { index, total: n };
+            ctx.send_bytes_part(buf, len, 1, tag, SimTime::ZERO, part)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn parts_of_one_transfer_serialise_on_the_link() {
+        // eight 128 KiB parts posted back to back: each crosses the link
+        // after the one before it, so the last cannot land before the sum
+        // of their bandwidth terms, while a lone message of a part's size
+        // is priced exactly as a message always was
+        let mut cfg = WorldConfig::summit(2);
+        cfg.net.ranks_per_node = 1;
+        let (len, n) = (128usize << 10, 8u32);
+        let results = World::run(&cfg, |ctx| {
+            let buf = ctx.gpu.pinned_alloc(len * n as usize)?;
+            ctx.barrier();
+            ctx.reset_clock();
+            if ctx.rank == 0 {
+                post_parts(ctx, buf, len, n, 0)?;
+                ctx.send_bytes(buf, len, 1, 1)?;
+                return Ok(vec![]);
+            }
+            let mut landed = Vec::new();
+            for _ in 0..n {
+                ctx.recv_bytes_part(buf, len, Some(0), Some(0))?;
+                landed.push(ctx.clock.now());
+            }
+            let before = ctx.clock.now();
+            ctx.recv_bytes(buf, len, Some(0), Some(1))?;
+            landed.push(ctx.clock.now() - before);
+            Ok(landed)
+        })
+        .unwrap();
+        let net = &cfg.net;
+        let ser = net.serialization_time(len, Transport::Cpu, 0, 1);
+        let landed = &results[1];
+        assert!(landed[n as usize - 1] >= ser * n as u64, "{landed:?}");
+        for pair in landed[..n as usize].windows(2) {
+            assert!(pair[1] - pair[0] >= ser, "{landed:?}");
+        }
+        // the lone message had long arrived: only the receive overhead
+        assert_eq!(landed[n as usize], net.recv_overhead);
+    }
+
+    #[test]
+    fn recv_bytes_reassembles_parts_and_consumes_an_oversized_transfer_whole() {
+        let mut cfg = WorldConfig::summit(2);
+        cfg.net.ranks_per_node = 1;
+        let (len, n) = (1000usize, 4u32);
+        let results = World::run(&cfg, |ctx| {
+            let buf = ctx.gpu.host_alloc(len * n as usize)?;
+            if ctx.rank == 0 {
+                for tag in [0, 1] {
+                    for index in 0..n {
+                        let at = buf.add(index as usize * len);
+                        ctx.gpu.memory().poke(at, &vec![index as u8 + 1; len])?;
+                        let part = PartInfo { index, total: n };
+                        ctx.send_bytes_part(at, len, 1, tag, SimTime::ZERO, part)?;
+                    }
+                }
+                ctx.gpu.memory().poke(buf, &[9u8; 8])?;
+                ctx.send_bytes(buf, 8, 1, 1)?;
+                return Ok(true);
+            }
+            // all four parts land, in order, in one receive
+            let st = ctx.recv_bytes(buf, len * n as usize, Some(0), Some(0))?;
+            let got = ctx.gpu.memory().peek(buf, len * n as usize)?;
+            let in_order = (0..n as usize).all(|k| got[k * len..][..len] == vec![k as u8 + 1; len]);
+            // too small a buffer: an error, and no part is left behind to
+            // be mistaken for the next message
+            let small = ctx.recv_bytes(buf, 2 * len, Some(0), Some(1));
+            let truncated = matches!(
+                small,
+                Err(MpiError::Truncated { sent, capacity, .. })
+                    if sent == len * n as usize && capacity == 2 * len
+            );
+            let next = ctx.recv_bytes(buf, 8, Some(0), Some(1))?;
+            Ok(st.bytes == len * n as usize
+                && in_order
+                && truncated
+                && next.bytes == 8
+                && ctx.pooled_payload_bytes() <= crate::PAYLOAD_POOL_BYTES)
+        })
+        .unwrap();
+        assert!(results[1]);
     }
 
     #[test]

@@ -486,6 +486,9 @@ pub struct RankCtx {
     pub(crate) known_dead: BTreeMap<usize, SimTime>,
     /// Has this rank already broadcast its own death notice?
     pub(crate) death_sent: bool,
+    /// When the link finishes serialising the last part this rank took
+    /// delivery of: the next part of the same transfer queues behind it.
+    pub(crate) part_link_free: SimTime,
     /// Shared deadlock detector, when the world runs one.
     pub(crate) watchdog: Option<Arc<Watchdog>>,
 }
@@ -525,6 +528,7 @@ impl RankCtx {
             revoked: false,
             known_dead: BTreeMap::new(),
             death_sent: false,
+            part_link_free: SimTime::ZERO,
             watchdog: None,
         }
     }
@@ -867,6 +871,7 @@ fn build_ctxs(
                 revoked: false,
                 known_dead: BTreeMap::new(),
                 death_sent: false,
+                part_link_free: SimTime::ZERO,
                 watchdog: watchdog.map(Arc::clone),
             }
         })

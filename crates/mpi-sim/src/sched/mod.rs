@@ -40,6 +40,7 @@
 pub(crate) mod fiber;
 mod router;
 
+pub use router::PAYLOAD_POOL_BYTES;
 pub(crate) use router::{Router, DEFAULT_INBOX_HWM};
 
 use std::cell::UnsafeCell;
@@ -358,8 +359,12 @@ impl SchedCore {
             self.cv.notify_one();
         } else {
             inner.state = TaskState::Parked;
-            drop(inner);
+            // Count the park before it becomes visible: a wake that sees
+            // `Parked` decrements `parked`, and if it got in ahead of the
+            // increment the counter would underflow (a panic in debug
+            // builds that leaves the woken task out of the ready heap).
             let mut s = self.state.lock();
+            drop(inner);
             s.running -= 1;
             s.parked += 1;
         }

@@ -40,6 +40,19 @@ use crate::watchdog::Watchdog;
 /// Default per-rank inbox high-water mark, in messages.
 pub(crate) const DEFAULT_INBOX_HWM: usize = 8192;
 
+/// Most bytes of buffer capacity the part-payload free list retains. One
+/// pipelined transfer has at most its own size in flight, and the model
+/// only pipelines objects of a few MiB, so this recycles every part of the
+/// sends that use it while a world of any size holds at most this much.
+pub const PAYLOAD_POOL_BYTES: usize = 8 << 20;
+
+/// Spent part payloads awaiting reuse, with their total capacity.
+#[derive(Default)]
+struct PayloadPool {
+    bufs: Vec<Vec<u8>>,
+    bytes: usize,
+}
+
 #[derive(Default)]
 struct InboxQ {
     msgs: VecDeque<Message>,
@@ -61,6 +74,9 @@ struct InboxSlot {
 pub(crate) struct Router {
     slots: Vec<InboxSlot>,
     hwm: usize,
+    /// Part payloads are allocated by the sender and freed by the
+    /// receiver, so only a list both can reach recycles them.
+    payloads: Mutex<PayloadPool>,
 }
 
 impl Router {
@@ -76,7 +92,41 @@ impl Router {
                 })
                 .collect(),
             hwm,
+            payloads: Mutex::new(PayloadPool::default()),
         }
+    }
+
+    /// An empty buffer with room for `len` bytes: the smallest pooled one
+    /// that is large enough, else a fresh allocation.
+    pub(crate) fn take_payload(&self, len: usize) -> Vec<u8> {
+        let mut pool = self.payloads.lock();
+        let fit = (0..pool.bufs.len())
+            .filter(|&i| pool.bufs[i].capacity() >= len)
+            .min_by_key(|&i| pool.bufs[i].capacity());
+        match fit {
+            Some(i) => {
+                let buf = pool.bufs.swap_remove(i);
+                pool.bytes -= buf.capacity();
+                buf
+            }
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// Hand a delivered part payload back for reuse; dropped instead when
+    /// the list already holds [`PAYLOAD_POOL_BYTES`].
+    pub(crate) fn recycle_payload(&self, mut buf: Vec<u8>) {
+        let mut pool = self.payloads.lock();
+        if buf.capacity() > 0 && pool.bytes + buf.capacity() <= PAYLOAD_POOL_BYTES {
+            buf.clear();
+            pool.bytes += buf.capacity();
+            pool.bufs.push(buf);
+        }
+    }
+
+    /// Bytes of capacity the payload free list currently retains.
+    pub(crate) fn pooled_payload_bytes(&self) -> usize {
+        self.payloads.lock().bytes
     }
 
     /// The configured high-water mark (0 = unbounded).

@@ -1,6 +1,7 @@
 //! Explore the Section-5 performance model: for a grid of object sizes and
-//! contiguous block sizes, print which method (device / one-shot) TEMPI
-//! would choose and the modeled times of all three compositions.
+//! contiguous block sizes, print which method (device / one-shot / staged /
+//! pipelined) TEMPI would choose and the modeled times of the three
+//! one-piece compositions.
 //!
 //! Run: `cargo run --example send_methods`
 
@@ -20,7 +21,7 @@ fn main() {
     for total in sizes {
         print!("{:>10}", format!("{} KiB", total >> 10));
         for block in blocks {
-            let m = model.choose(total, block, 4);
+            let m = model.choose(total, block, 4).method;
             print!(
                 "{:>10}",
                 match m {
@@ -50,7 +51,9 @@ fn main() {
         );
     }
     println!(
-        "\nthe device method wins for large, finely-strided objects; one-shot\n\
-         for smaller or more contiguous ones; staged never wins (paper §5/§6.3)."
+        "\namong the one-piece methods device wins for large, finely-strided\n\
+         objects, one-shot for smaller or more contiguous ones, and staged\n\
+         never (paper §5/§6.3); cut into chunks (§8), staged overlaps its\n\
+         stages and takes over above roughly a megabyte."
     );
 }

@@ -8,7 +8,7 @@ use tempi_bench::{
     commit_breakdown, pack_time, send_pair_time, Construction, Mode, Obj2d, Platform,
 };
 use tempi_core::config::{Method, TempiConfig};
-use tempi_core::model::SendModel;
+use tempi_core::model::{Calibration, SendModel};
 
 fn obj(total: usize, block: usize) -> Obj2d {
     Obj2d {
@@ -147,11 +147,17 @@ fn fig8_staged_never_wins_anywhere() {
 #[test]
 fn fig10_crossover_oneshot_1mib_device_4mib() {
     let m = SendModel::summit_internode();
+    // the figure ranks the paper's three one-piece methods
+    let three = [Method::Device, Method::OneShot, Method::Staged];
+    let pick = |bytes, block, word| {
+        m.choose_among(&three, bytes, block, word, &Calibration::NONE)
+            .method
+    };
     // large blocks (the regime the paper's figure sweeps)
-    assert_eq!(m.choose(1 << 20, 4096, 8), Method::OneShot);
-    assert_eq!(m.choose(4 << 20, 4096, 8), Method::Device);
+    assert_eq!(pick(1 << 20, 4096, 8), Method::OneShot);
+    assert_eq!(pick(4 << 20, 4096, 8), Method::Device);
     // tiny blocks always device
-    assert_eq!(m.choose(1 << 20, 8, 4), Method::Device);
+    assert_eq!(pick(1 << 20, 8, 4), Method::Device);
 }
 
 // ---- Fig. 11 shapes ------------------------------------------------------

@@ -217,28 +217,39 @@ fn four_rank_ring_with_derived_types() {
 
 #[test]
 fn model_selected_methods_match_expectation_per_size() {
-    // integration-level check of §5: a fine-strided 4 MiB object goes
-    // device, a coarse 256 KiB object goes one-shot
+    // integration-level check of §5 and §8: a fine-strided 4 MiB object is
+    // pipelined, a fine-strided 64 KiB one (too small to cut) goes device,
+    // a coarse 256 KiB object goes one-shot
     let results = World::run(&two_node_cfg(), |ctx| {
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let fine = ctx.type_vector((4 << 20) / 16, 16, 32, MPI_BYTE)?;
+        let small = ctx.type_vector((64 << 10) / 16, 16, 32, MPI_BYTE)?;
         let coarse = ctx.type_vector(64, 4096, 8192, MPI_BYTE)?;
         mpi.type_commit(ctx, fine)?;
+        mpi.type_commit(ctx, small)?;
         mpi.type_commit(ctx, coarse)?;
         let buf_f = ctx.gpu.malloc((4 << 20) * 2 + 64)?;
         let buf_c = ctx.gpu.malloc(64 * 8192 + 64)?;
         if ctx.rank == 0 {
             let m1 = mpi.tempi.send(ctx, buf_f, 1, fine, 1, 1)?;
-            let m2 = mpi.tempi.send(ctx, buf_c, 1, coarse, 1, 2)?;
-            Ok((m1, m2))
+            let m2 = mpi.tempi.send(ctx, buf_f, 1, small, 1, 2)?;
+            let m3 = mpi.tempi.send(ctx, buf_c, 1, coarse, 1, 3)?;
+            Ok((m1, m2, m3))
         } else {
             let (_, m1) = mpi.tempi.recv(ctx, buf_f, 1, fine, Some(0), Some(1))?;
-            let (_, m2) = mpi.tempi.recv(ctx, buf_c, 1, coarse, Some(0), Some(2))?;
-            Ok((m1, m2))
+            let (_, m2) = mpi.tempi.recv(ctx, buf_f, 1, small, Some(0), Some(2))?;
+            let (_, m3) = mpi.tempi.recv(ctx, buf_c, 1, coarse, Some(0), Some(3))?;
+            Ok((m1, m2, m3))
         }
     })
     .unwrap();
-    assert_eq!(results[0], (Some(Method::Device), Some(Method::OneShot)));
-    // receiver inferred the same methods from the probed buffer spaces
-    assert_eq!(results[1], (Some(Method::Device), Some(Method::OneShot)));
+    let want = (
+        Some(Method::Pipelined),
+        Some(Method::Device),
+        Some(Method::OneShot),
+    );
+    assert_eq!(results[0], want);
+    // receiver inferred the same methods from the parts and the probed
+    // buffer spaces
+    assert_eq!(results[1], want);
 }
