@@ -132,10 +132,46 @@ impl BufferPool {
     }
 }
 
-/// Take-with-RAII is deliberately not provided: the pool is owned by the
-/// `Tempi` state which also owns the operations using the buffer, so a
-/// guard would fight the borrow checker for no robustness gain; call sites
-/// are short and `put` unconditionally.
+/// The scratch buffers of one transfer: whatever it takes from the pool
+/// through the lease goes back with one [`Lease::release`], so a stage
+/// that fails half-way returns early and leaks nothing. A transfer stages
+/// through at most two buffers (its pack target and a pinned bounce).
+///
+/// Not a `Drop` guard: the pool is owned by the `Tempi` state that also
+/// runs the operations using the buffers, and a guard borrowing it would
+/// fight the borrow checker for no robustness gain over one release site.
+#[derive(Default)]
+pub struct Lease {
+    held: [Option<(GpuPtr, usize)>; 2],
+}
+
+impl Lease {
+    /// [`BufferPool::take`], remembered for [`Lease::release`].
+    pub fn take(
+        &mut self,
+        pool: &mut BufferPool,
+        ctx: &mut RankCtx,
+        space: MemSpace,
+        len: usize,
+    ) -> MpiResult<GpuPtr> {
+        let Some(slot) = self.held.iter_mut().find(|s| s.is_none()) else {
+            return Err(mpi_sim::MpiError::Internal(
+                "a transfer stages through at most two buffers".to_string(),
+            ));
+        };
+        let taken = pool.take(ctx, space, len)?;
+        *slot = Some(taken);
+        Ok(taken.0)
+    }
+
+    /// Return everything taken to `pool`.
+    pub fn release(self, pool: &mut BufferPool) {
+        for (ptr, size) in self.held.into_iter().flatten() {
+            pool.put(ptr, size);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +229,26 @@ mod tests {
         assert_eq!((pool.hits, pool.outstanding()), (1, 1));
         pool.put(c, csz);
         assert_eq!(pool.outstanding(), 0);
+    }
+
+    #[test]
+    fn lease_returns_what_it_took_and_holds_at_most_two() {
+        let mut ctx = ctx();
+        let mut pool = BufferPool::new();
+        let mut lease = Lease::default();
+        let d = lease
+            .take(&mut pool, &mut ctx, MemSpace::Device, 64)
+            .unwrap();
+        let p = lease
+            .take(&mut pool, &mut ctx, MemSpace::Pinned, 64)
+            .unwrap();
+        assert_eq!((d.space, p.space), (MemSpace::Device, MemSpace::Pinned));
+        assert!(lease
+            .take(&mut pool, &mut ctx, MemSpace::Mapped, 64)
+            .is_err());
+        assert_eq!(pool.outstanding(), 2, "the refused take took nothing");
+        lease.release(&mut pool);
+        assert_eq!((pool.outstanding(), pool.pooled()), (0, 2));
     }
 
     #[test]

@@ -2,24 +2,27 @@
 //!
 //! The real library is configured through environment variables; here the
 //! same switches are a plain struct so experiments and ablations can set
-//! them programmatically and deterministically.
+//! them programmatically and deterministically. The send methods live here
+//! too, with what each one is, as data: [`Method`] and its [`Recipe`].
 
+use gpu_sim::{MemSpace, PackTarget};
+use mpi_sim::Transport;
 use serde::{Deserialize, Serialize};
 use tempi_trace::TraceLevel;
 
-/// Which Section-5 communication method a datatype send uses.
+/// Which Section-5 communication method a datatype send uses. What each one
+/// does, stage by stage, is its [`Recipe`] ([`Method::recipe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Method {
-    /// Pack to an intermediate *device* buffer, CUDA-aware send,
-    /// device unpack (Eq. 1).
+    /// Eq. 1: the packed object stays on the device and is sent CUDA-aware.
     Device,
-    /// Pack directly into *mapped host* memory, CPU send, unpack from
-    /// mapped memory (Eq. 2) — the method prior work preferred.
+    /// Eq. 2: packed straight into mapped host memory — the method prior
+    /// work preferred.
     OneShot,
-    /// Device pack, explicit D2H, CPU send, H2D, device unpack (Eq. 3);
+    /// Eq. 3: packed on the device and bounced through pinned host memory;
     /// never competitive per Fig. 8b, included for completeness.
     Staged,
-    /// The §8 extension: the staged composition executed in chunks so the
+    /// The §8 extension: the staged recipe executed in chunks, so that the
     /// pack kernels, the PCIe/NVLink copies, the wire, and the unpack
     /// kernels all overlap. The model picks it, and its chunk size, where
     /// it wins (large objects); [`TempiConfig::pipeline_chunk`] pins the
@@ -37,6 +40,73 @@ impl Method {
         Method::OneShot,
         Method::Staged,
     ];
+
+    /// What the method does with a packed object. The pipelined method is
+    /// the staged recipe cut into chunks; the other three run it in one
+    /// piece.
+    pub const fn recipe(self) -> Recipe {
+        let (pack, bounce, wire) = match self {
+            Method::Device => (PackTarget::Device, false, Transport::Gpu),
+            Method::OneShot => (PackTarget::MappedHost, false, Transport::Cpu),
+            Method::Staged | Method::Pipelined => (PackTarget::Device, true, Transport::Cpu),
+        };
+        Recipe { pack, bounce, wire }
+    }
+
+    /// The one-piece method whose payload left a sender buffer in `space`
+    /// ([`Recipe::wire_space`] read backwards): what a receiver unpacks a
+    /// probed message with.
+    pub fn landing(space: MemSpace) -> Method {
+        match space {
+            MemSpace::Device => Method::Device,
+            MemSpace::Pinned => Method::Staged,
+            _ => Method::OneShot,
+        }
+    }
+
+    /// The name degradation events and trace arguments carry.
+    pub fn name(self) -> &'static str {
+        match self {
+            Method::Device => "Device",
+            Method::OneShot => "OneShot",
+            Method::Staged => "Staged",
+            Method::Pipelined => "Pipelined",
+        }
+    }
+}
+
+/// A send method as data ([`Method::recipe`] is the table): the one
+/// description the send and receive executors ([`crate::tempi`]) walk stage
+/// by stage and the §5 model ([`crate::model::SendModel::terms`]) prices
+/// term by term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Recipe {
+    /// Memory the pack kernel writes and the unpack kernel reads.
+    pub pack: PackTarget,
+    /// Whether the packed bytes bounce through pinned host memory: an
+    /// engine D2H copy before the wire, an H2D copy after it.
+    pub bounce: bool,
+    /// The system-MPI transport that carries them.
+    pub wire: Transport,
+}
+
+impl Recipe {
+    /// The space of the staging buffer the kernels work against.
+    pub fn pack_space(self) -> MemSpace {
+        match self.pack {
+            PackTarget::Device => MemSpace::Device,
+            PackTarget::MappedHost => MemSpace::Mapped,
+        }
+    }
+
+    /// The space of the buffer handed to the system MPI.
+    pub fn wire_space(self) -> MemSpace {
+        if self.bounce {
+            MemSpace::Pinned
+        } else {
+            self.pack_space()
+        }
+    }
 }
 
 /// How the per-send method decision is made.
@@ -159,14 +229,20 @@ impl TempiConfig {
     /// Unknown or malformed values are rejected with a message naming the
     /// variable, rather than silently ignored.
     pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`TempiConfig::from_env`] over any source of variables: `var`
+    /// returns the value of a `TEMPI_*` name, or `None` when it is unset.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut cfg = TempiConfig::default();
         let flag = |name: &str| -> bool {
-            std::env::var(name).is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+            var(name).is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
         };
         cfg.canonicalize = !flag("TEMPI_NO_CANONICALIZE");
         cfg.use_dma = flag("TEMPI_USE_DMA");
         cfg.extend_struct = flag("TEMPI_EXTEND_STRUCT");
-        if let Ok(v) = std::env::var("TEMPI_FORCE_WORD") {
+        if let Some(v) = var("TEMPI_FORCE_WORD") {
             let w: usize = v
                 .parse()
                 .map_err(|_| format!("TEMPI_FORCE_WORD must be an integer, got `{v}`"))?;
@@ -175,7 +251,7 @@ impl TempiConfig {
             }
             cfg.force_word = Some(w);
         }
-        if let Ok(v) = std::env::var("TEMPI_METHOD") {
+        if let Some(v) = var("TEMPI_METHOD") {
             cfg.force_method = Some(match v.to_ascii_lowercase().as_str() {
                 "device" => Method::Device,
                 "oneshot" | "one-shot" => Method::OneShot,
@@ -188,7 +264,7 @@ impl TempiConfig {
                 }
             });
         }
-        if let Ok(v) = std::env::var("TEMPI_PIPELINE_CHUNK") {
+        if let Some(v) = var("TEMPI_PIPELINE_CHUNK") {
             let c: usize = v
                 .parse()
                 .map_err(|_| format!("TEMPI_PIPELINE_CHUNK must be bytes, got `{v}`"))?;
@@ -197,7 +273,7 @@ impl TempiConfig {
             }
             cfg.pipeline_chunk = Some(c);
         }
-        if let Ok(v) = std::env::var("TEMPI_CHECKPOINT_EVERY") {
+        if let Some(v) = var("TEMPI_CHECKPOINT_EVERY") {
             let n: usize = v
                 .parse()
                 .map_err(|_| format!("TEMPI_CHECKPOINT_EVERY must be an integer, got `{v}`"))?;
@@ -206,7 +282,7 @@ impl TempiConfig {
             }
             cfg.checkpoint_every = Some(n);
         }
-        if let Ok(v) = std::env::var("TEMPI_TUNER") {
+        if let Some(v) = var("TEMPI_TUNER") {
             cfg.tuner = match v.to_ascii_lowercase().as_str() {
                 "off" => TunerMode::Off,
                 "model" => TunerMode::Model,
@@ -218,15 +294,15 @@ impl TempiConfig {
                 }
             };
         }
-        if let Ok(v) = std::env::var("TEMPI_TUNER_SEED") {
+        if let Some(v) = var("TEMPI_TUNER_SEED") {
             cfg.tuner_seed = v
                 .parse()
                 .map_err(|_| format!("TEMPI_TUNER_SEED must be an integer, got `{v}`"))?;
         }
-        if let Ok(v) = std::env::var("TEMPI_TRACE") {
+        if let Some(v) = var("TEMPI_TRACE") {
             cfg.trace = TraceLevel::parse(&v)?;
         }
-        if let Ok(v) = std::env::var("TEMPI_GUIDELINE_TOL") {
+        if let Some(v) = var("TEMPI_GUIDELINE_TOL") {
             let tol: f64 = v
                 .parse()
                 .map_err(|_| format!("TEMPI_GUIDELINE_TOL must be a number, got `{v}`"))?;
@@ -243,120 +319,85 @@ impl TempiConfig {
 mod tests {
     use super::*;
 
-    // NOTE: env-var tests mutate process environment; they run in one test
-    // to avoid interference under the parallel test runner.
+    /// Parse a configuration from exactly the variables in `set`.
+    fn parse(set: &[(&str, &str)]) -> Result<TempiConfig, String> {
+        TempiConfig::from_vars(|name| {
+            set.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
     #[test]
-    fn from_env_parses_and_validates() {
-        // SAFETY: single-threaded within this test; keys are unique to it.
-        unsafe {
-            std::env::set_var("TEMPI_NO_CANONICALIZE", "1");
-            std::env::set_var("TEMPI_FORCE_WORD", "8");
-            std::env::set_var("TEMPI_METHOD", "oneshot");
-            std::env::set_var("TEMPI_PIPELINE_CHUNK", "262144");
-            std::env::set_var("TEMPI_CHECKPOINT_EVERY", "5");
-            std::env::set_var("TEMPI_TUNER", "online");
-            std::env::set_var("TEMPI_TUNER_SEED", "12345");
-        }
-        let cfg = TempiConfig::from_env().unwrap();
+    fn from_vars_parses_every_variable() {
+        let cfg = parse(&[
+            ("TEMPI_NO_CANONICALIZE", "1"),
+            ("TEMPI_FORCE_WORD", "8"),
+            ("TEMPI_METHOD", "oneshot"),
+            ("TEMPI_USE_DMA", "true"),
+            ("TEMPI_EXTEND_STRUCT", "1"),
+            ("TEMPI_PIPELINE_CHUNK", "262144"),
+            ("TEMPI_CHECKPOINT_EVERY", "5"),
+            ("TEMPI_TUNER", "online"),
+            ("TEMPI_TUNER_SEED", "12345"),
+            ("TEMPI_TRACE", "full"),
+            ("TEMPI_GUIDELINE_TOL", "0.05"),
+        ])
+        .unwrap();
         assert!(!cfg.canonicalize);
         assert_eq!(cfg.force_word, Some(8));
         assert_eq!(cfg.force_method, Some(Method::OneShot));
+        assert!(cfg.use_dma);
+        assert!(cfg.extend_struct);
         assert_eq!(cfg.pipeline_chunk, Some(262144));
         assert_eq!(cfg.checkpoint_every, Some(5));
         assert_eq!(cfg.tuner, TunerMode::Online);
         assert_eq!(cfg.tuner_seed, 12345);
-
-        unsafe {
-            std::env::set_var("TEMPI_TUNER", "clairvoyant");
-        }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("TEMPI_TUNER"), "{err}");
-        unsafe {
-            std::env::set_var("TEMPI_TUNER", "model");
-            std::env::set_var("TEMPI_TUNER_SEED", "not-a-number");
-        }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("TEMPI_TUNER_SEED"), "{err}");
-        unsafe {
-            std::env::remove_var("TEMPI_TUNER");
-            std::env::remove_var("TEMPI_TUNER_SEED");
-        }
-
-        unsafe {
-            std::env::set_var("TEMPI_FORCE_WORD", "3");
-        }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("TEMPI_FORCE_WORD"), "{err}");
-
-        unsafe {
-            std::env::set_var("TEMPI_FORCE_WORD", "8");
-            std::env::set_var("TEMPI_CHECKPOINT_EVERY", "0");
-        }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("TEMPI_CHECKPOINT_EVERY"), "{err}");
-        unsafe {
-            std::env::set_var("TEMPI_CHECKPOINT_EVERY", "soon");
-        }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("TEMPI_CHECKPOINT_EVERY"), "{err}");
-        unsafe {
-            std::env::remove_var("TEMPI_CHECKPOINT_EVERY");
-        }
-
-        unsafe {
-            std::env::set_var("TEMPI_FORCE_WORD", "8");
-            std::env::set_var("TEMPI_METHOD", "warp-drive");
-        }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("TEMPI_METHOD"), "{err}");
+        assert_eq!(cfg.trace, TraceLevel::Full);
+        assert!((cfg.guideline_tol - 0.05).abs() < 1e-12);
 
         // forced pipelining needs no chunk: the model supplies one
-        unsafe {
-            std::env::set_var("TEMPI_METHOD", "pipelined");
-            std::env::remove_var("TEMPI_PIPELINE_CHUNK");
-        }
-        let cfg = TempiConfig::from_env().unwrap();
+        let cfg = parse(&[("TEMPI_METHOD", "pipelined")]).unwrap();
         assert_eq!(cfg.force_method, Some(Method::Pipelined));
         assert_eq!(cfg.pipeline_chunk, None);
 
-        unsafe {
-            std::env::set_var("TEMPI_METHOD", "device");
-            std::env::set_var("TEMPI_TRACE", "full");
-        }
-        let cfg = TempiConfig::from_env().unwrap();
-        assert_eq!(cfg.trace, TraceLevel::Full);
-        unsafe {
-            std::env::set_var("TEMPI_TRACE", "loud");
-        }
-        let err = TempiConfig::from_env().unwrap_err();
-        assert!(err.contains("TEMPI_TRACE"), "{err}");
-        unsafe {
-            std::env::remove_var("TEMPI_TRACE");
-        }
+        assert_eq!(parse(&[]).unwrap(), TempiConfig::default());
+    }
 
-        unsafe {
-            std::env::set_var("TEMPI_GUIDELINE_TOL", "0.05");
+    #[test]
+    fn from_vars_rejects_malformed_values_naming_the_variable() {
+        for (name, bad) in [
+            ("TEMPI_TUNER", "clairvoyant"),
+            ("TEMPI_TUNER_SEED", "not-a-number"),
+            ("TEMPI_FORCE_WORD", "3"),
+            ("TEMPI_FORCE_WORD", "wide"),
+            ("TEMPI_CHECKPOINT_EVERY", "0"),
+            ("TEMPI_CHECKPOINT_EVERY", "soon"),
+            ("TEMPI_PIPELINE_CHUNK", "0"),
+            ("TEMPI_METHOD", "warp-drive"),
+            ("TEMPI_TRACE", "loud"),
+            ("TEMPI_GUIDELINE_TOL", "snug"),
+            ("TEMPI_GUIDELINE_TOL", "-0.1"),
+            ("TEMPI_GUIDELINE_TOL", "1.5"),
+            ("TEMPI_GUIDELINE_TOL", "inf"),
+        ] {
+            // a valid neighbour does not mask the bad one
+            let err = parse(&[(name, bad), ("TEMPI_TUNER_SEED", "7")]).unwrap_err();
+            assert!(err.contains(name), "{name}={bad}: {err}");
         }
-        let cfg = TempiConfig::from_env().unwrap();
-        assert!((cfg.guideline_tol - 0.05).abs() < 1e-12);
-        for bad in ["snug", "-0.1", "1.5", "inf"] {
-            unsafe {
-                std::env::set_var("TEMPI_GUIDELINE_TOL", bad);
-            }
-            let err = TempiConfig::from_env().unwrap_err();
-            assert!(err.contains("TEMPI_GUIDELINE_TOL"), "{bad}: {err}");
-        }
-        unsafe {
-            std::env::remove_var("TEMPI_GUIDELINE_TOL");
-        }
+    }
 
-        unsafe {
-            std::env::remove_var("TEMPI_NO_CANONICALIZE");
-            std::env::remove_var("TEMPI_FORCE_WORD");
-            std::env::remove_var("TEMPI_METHOD");
+    #[test]
+    fn recipes_invert_to_their_method_on_the_receiver() {
+        for m in [Method::Device, Method::OneShot, Method::Staged] {
+            assert_eq!(Method::landing(m.recipe().wire_space()), m);
         }
-        let cfg = TempiConfig::from_env().unwrap();
-        assert_eq!(cfg, TempiConfig::default());
+        // a pipelined transfer is the staged recipe, told apart by its parts
+        assert_eq!(Method::Pipelined.recipe(), Method::Staged.recipe());
+        for m in Method::LADDER {
+            let r = m.recipe();
+            assert_eq!(r.wire == Transport::Gpu, r.wire_space() == MemSpace::Device);
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   3-D / N-D strided kernels, the block-list kernel, and the
 //!   `cudaMemcpy2D` DMA alternative.
 //! * [`model`] — the Section-5 performance model (`T_device`,
-//!   `T_oneshot`, `T_staged`) and the per-send method choice.
+//!   `T_oneshot`, `T_staged`) and the per-send method choice, priced from
+//!   the same per-method [`config::Recipe`] the send engine executes.
 //! * [`tempi`] — the library state: the `MPI_Type_commit` pipeline with
 //!   its per-type plan cache, interposed `MPI_Pack`/`MPI_Unpack`, and
 //!   datatype-accelerated `MPI_Send`/`MPI_Recv` over intermediate pooled
@@ -48,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod buffers;
 pub mod config;
@@ -58,7 +60,7 @@ pub mod model;
 pub mod tempi;
 pub mod tuner;
 
-pub use config::{Method, TempiConfig, TunerMode};
+pub use config::{Method, Recipe, TempiConfig, TunerMode};
 pub use interpose::{InterposedMpi, Linker, MpiSymbol, Provider};
 pub use model::{Breakdown, Calibration, Choice, SendModel};
 pub use tempi::{CommitReport, PlanKind, Tempi, TempiStats, TypePlan};

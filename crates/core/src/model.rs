@@ -1,28 +1,26 @@
 //! The Section-5 performance model of datatype-accelerated MPI primitives.
 //!
 //! The interposer cannot reach inside the system MPI, so a non-contiguous
-//! send must be composed from packing and contiguous transfers. The paper
-//! models three compositions:
+//! send must be composed from packing and contiguous transfers. What each
+//! composition consists of is written down once, as the method's
+//! [`Recipe`]; [`SendModel::terms`] prices a recipe stage by stage, and
+//! Eqs. 1–3 ([`SendModel::t_device`], [`SendModel::t_oneshot`],
+//! [`SendModel::t_staged`]) are that sum for the three one-piece methods —
+//! the same table the send and receive executors walk, so the model and the
+//! send path cannot drift apart.
 //!
-//! ```text
-//! T_device  = T_gpu-pack  + T_gpu-gpu            + T_gpu-unpack     (Eq. 1)
-//! T_oneshot = T_host-pack + T_cpu-cpu            + T_host-unpack    (Eq. 2)
-//! T_staged  = T_gpu-pack  + T_d2h + T_cpu-cpu + T_h2d + T_gpu-unpack (Eq. 3)
-//! ```
-//!
-//! and shows that — contrary to prior work's preference for one-shot — the
-//! *device* method wins for larger, less-contiguous objects, while
-//! one-shot wins for smaller, more-contiguous ones, and staged, run as one
-//! piece, is never competitive. Its §8 names the way staged does become
-//! competitive: run in chunks, the five stages of Eq. 3 overlap, and above
-//! roughly a megabyte the overlap pays for the D2H + H2D trips several
-//! times over. [`SendModel::t_pipelined`] prices that composition by
-//! replaying the executor's own issue order ([`PipelineTerms::total`]), so
-//! the model and the send path cannot drift apart. [`SendModel::choose`]
-//! ranks all four — device, one-shot, staged, and pipelined at its best
-//! chunk — and is the decision TEMPI applies per send in every tuner mode;
-//! the figure harnesses evaluate the same equations to regenerate Figs. 8,
-//! 10 and 11.
+//! The paper shows that — contrary to prior work's preference for
+//! one-shot — the *device* method wins for larger, less-contiguous
+//! objects, while one-shot wins for smaller, more-contiguous ones, and
+//! staged, run as one piece, is never competitive. Its §8 names the way
+//! staged does become competitive: run in chunks, its five stages overlap,
+//! and above roughly a megabyte the overlap pays for the D2H + H2D trips
+//! several times over. [`SendModel::t_pipelined`] prices that by replaying
+//! the executor's own issue order ([`PipelineTerms::total`]).
+//! [`SendModel::choose`] ranks all four — device, one-shot, staged, and
+//! pipelined at its best chunk — and is the decision TEMPI applies per
+//! send in every tuner mode; the figure harnesses evaluate the same
+//! equations to regenerate Figs. 8, 10 and 11.
 
 use std::sync::Arc;
 
@@ -30,7 +28,7 @@ use gpu_sim::{CopyKind, GpuCostModel, PackDir, PackTarget, SimTime};
 use mpi_sim::{NetModel, Transport};
 use serde::{Deserialize, Serialize};
 
-use crate::config::Method;
+use crate::config::{Method, Recipe};
 
 /// The model, parameterized by the calibrated GPU and network models and a
 /// (source, destination) rank placement.
@@ -118,6 +116,22 @@ impl Calibration {
         wire_cpu: 1.0,
         wire_gpu: 1.0,
     };
+
+    /// The ratio of pack and unpack kernels against `target`.
+    pub fn pack(&self, target: PackTarget) -> f64 {
+        match target {
+            PackTarget::Device => self.pack_device,
+            PackTarget::MappedHost => self.pack_mapped,
+        }
+    }
+
+    /// The ratio of wire transfers over `transport`.
+    pub fn wire(&self, transport: Transport) -> f64 {
+        match transport {
+            Transport::Cpu => self.wire_cpu,
+            Transport::Gpu => self.wire_gpu,
+        }
+    }
 }
 
 /// The outcome of [`SendModel::choose`]: a method and, for
@@ -130,30 +144,34 @@ pub struct Choice {
     pub chunk: Option<usize>,
 }
 
-/// GPU and link occupancy of one chunk in each stage of the §8 pipeline.
+/// A recipe priced stage by stage. For a one-piece method
+/// ([`SendModel::terms`]) each term carries its call overheads and its
+/// synchronize, and the copies are zero unless the recipe bounces; for one
+/// chunk of the §8 pipeline ([`PipelineTerms`]) each is GPU or link
+/// occupancy alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkTerms {
-    /// Device pack kernel.
+pub struct StageTerms {
+    /// Pack kernel.
     pub pack: SimTime,
     /// D2H engine copy.
     pub d2h: SimTime,
-    /// Time on the link (the bandwidth term of the CPU wire alone).
+    /// The wire (for a chunk: the bandwidth term alone).
     pub wire: SimTime,
     /// H2D engine copy on the receiver.
     pub h2d: SimTime,
-    /// Device unpack kernel.
+    /// Unpack kernel.
     pub unpack: SimTime,
 }
 
-impl ChunkTerms {
-    fn scaled(self, c: &Calibration) -> ChunkTerms {
+impl StageTerms {
+    fn scaled(self, r: Recipe, c: &Calibration) -> StageTerms {
         let scale = |t: SimTime, r: f64| SimTime::from_ns_f64(t.as_ns_f64() * r);
-        ChunkTerms {
-            pack: scale(self.pack, c.pack_device),
+        StageTerms {
+            pack: scale(self.pack, c.pack(r.pack)),
             d2h: scale(self.d2h, c.d2h),
-            wire: scale(self.wire, c.wire_cpu),
+            wire: scale(self.wire, c.wire(r.wire)),
             h2d: scale(self.h2d, c.h2d),
-            unpack: scale(self.unpack, c.pack_device),
+            unpack: scale(self.unpack, c.pack(r.pack)),
         }
     }
 }
@@ -166,9 +184,9 @@ pub struct PipelineTerms {
     /// Number of chunks (at least 2).
     pub n: u64,
     /// Every chunk but the last.
-    pub chunk: ChunkTerms,
+    pub chunk: StageTerms,
     /// The last chunk, which may be short.
-    pub last: ChunkTerms,
+    pub last: StageTerms,
     /// CPU cost of one kernel launch.
     pub launch: SimTime,
     /// CPU cost of one `cudaMemcpyAsync` call.
@@ -186,10 +204,11 @@ pub struct PipelineTerms {
 impl PipelineTerms {
     /// The terms with each stage scaled by its measured ÷ modelled ratio.
     pub fn scaled(self, c: &Calibration) -> PipelineTerms {
+        let r = Method::Pipelined.recipe();
         PipelineTerms {
-            chunk: self.chunk.scaled(c),
-            last: self.last.scaled(c),
-            latency: SimTime::from_ns_f64(self.latency.as_ns_f64() * c.wire_cpu),
+            chunk: self.chunk.scaled(r, c),
+            last: self.last.scaled(r, c),
+            latency: SimTime::from_ns_f64(self.latency.as_ns_f64() * c.wire(r.wire)),
             ..self
         }
     }
@@ -261,63 +280,84 @@ impl SendModel {
             + self.gpu.stream_sync_overhead
     }
 
+    /// MPI transfer of `bytes` over `transport`, overheads of both ends
+    /// included.
+    pub fn t_wire(&self, transport: Transport, bytes: usize) -> SimTime {
+        self.net.send_overhead
+            + self.net.transfer_time(bytes, transport, self.src, self.dst)
+            + self.net.recv_overhead
+    }
+
     /// CUDA-aware GPU–GPU MPI transfer of `bytes` (Fig. 8a upper curve).
     pub fn t_gpu_gpu(&self, bytes: usize) -> SimTime {
-        self.net.send_overhead
-            + self
-                .net
-                .transfer_time(bytes, Transport::Gpu, self.src, self.dst)
-            + self.net.recv_overhead
+        self.t_wire(Transport::Gpu, bytes)
     }
 
     /// CPU–CPU MPI transfer of `bytes` (Fig. 8a lower curve).
     pub fn t_cpu_cpu(&self, bytes: usize) -> SimTime {
-        self.net.send_overhead
-            + self
-                .net
-                .transfer_time(bytes, Transport::Cpu, self.src, self.dst)
-            + self.net.recv_overhead
+        self.t_wire(Transport::Cpu, bytes)
+    }
+
+    /// One engine copy: `cudaMemcpyAsync` + synchronize.
+    pub fn t_copy(&self, kind: CopyKind, bytes: usize) -> SimTime {
+        self.gpu.memcpy_async_overhead
+            + self.gpu.copy_engine_time(kind, bytes)
+            + self.gpu.stream_sync_overhead
     }
 
     /// `cudaMemcpyAsync` D2H + synchronize (Fig. 8a).
     pub fn t_d2h(&self, bytes: usize) -> SimTime {
-        self.gpu.memcpy_async_overhead
-            + self.gpu.copy_engine_time(CopyKind::D2H, bytes)
-            + self.gpu.stream_sync_overhead
+        self.t_copy(CopyKind::D2H, bytes)
     }
 
     /// `cudaMemcpyAsync` H2D + synchronize (Fig. 8a).
     pub fn t_h2d(&self, bytes: usize) -> SimTime {
-        self.gpu.memcpy_async_overhead
-            + self.gpu.copy_engine_time(CopyKind::H2D, bytes)
-            + self.gpu.stream_sync_overhead
+        self.t_copy(CopyKind::H2D, bytes)
+    }
+
+    /// A method's recipe priced as one piece, stage by stage: the pack
+    /// ratio follows the recipe's target, the wire its transport, and the
+    /// copies exist only when it bounces. The pipelined method run as one
+    /// piece is the staged one.
+    pub fn terms(&self, method: Method, bytes: usize, block: usize, word: usize) -> StageTerms {
+        let r = method.recipe();
+        let copy = |kind| match r.bounce {
+            true => self.t_copy(kind, bytes),
+            false => SimTime::ZERO,
+        };
+        StageTerms {
+            pack: self.t_pack(PackDir::Pack, r.pack, bytes, block, word),
+            d2h: copy(CopyKind::D2H),
+            wire: self.t_wire(r.wire, bytes),
+            h2d: copy(CopyKind::H2D),
+            unpack: self.t_pack(PackDir::Unpack, r.pack, bytes, block, word),
+        }
+    }
+
+    /// Eqs. 1–3: [`SendModel::terms`] with everything between pack and
+    /// unpack summed into `transfer`.
+    pub fn breakdown(&self, method: Method, bytes: usize, block: usize, word: usize) -> Breakdown {
+        let t = self.terms(method, bytes, block, word);
+        Breakdown {
+            pack: t.pack,
+            transfer: t.d2h + t.wire + t.h2d,
+            unpack: t.unpack,
+        }
     }
 
     /// Equation 1: the device method.
     pub fn t_device(&self, bytes: usize, block: usize, word: usize) -> Breakdown {
-        Breakdown {
-            pack: self.t_pack(PackDir::Pack, PackTarget::Device, bytes, block, word),
-            transfer: self.t_gpu_gpu(bytes),
-            unpack: self.t_pack(PackDir::Unpack, PackTarget::Device, bytes, block, word),
-        }
+        self.breakdown(Method::Device, bytes, block, word)
     }
 
     /// Equation 2: the one-shot method.
     pub fn t_oneshot(&self, bytes: usize, block: usize, word: usize) -> Breakdown {
-        Breakdown {
-            pack: self.t_pack(PackDir::Pack, PackTarget::MappedHost, bytes, block, word),
-            transfer: self.t_cpu_cpu(bytes),
-            unpack: self.t_pack(PackDir::Unpack, PackTarget::MappedHost, bytes, block, word),
-        }
+        self.breakdown(Method::OneShot, bytes, block, word)
     }
 
     /// Equation 3: the staged method.
     pub fn t_staged(&self, bytes: usize, block: usize, word: usize) -> Breakdown {
-        Breakdown {
-            pack: self.t_pack(PackDir::Pack, PackTarget::Device, bytes, block, word),
-            transfer: self.t_d2h(bytes) + self.t_cpu_cpu(bytes) + self.t_h2d(bytes),
-            unpack: self.t_pack(PackDir::Unpack, PackTarget::Device, bytes, block, word),
-        }
+        self.breakdown(Method::Staged, bytes, block, word)
     }
 
     /// The §8 pipeline's terms for a given chunk size, or `None` when the
@@ -330,22 +370,17 @@ impl SendModel {
         chunk: usize,
     ) -> Option<PipelineTerms> {
         let (chunk, n) = pipeline_chunks(bytes, block, chunk)?;
-        let terms = |len: usize| ChunkTerms {
+        let r = Method::Pipelined.recipe();
+        let terms = |len: usize| StageTerms {
             pack: self
                 .gpu
-                .pack_kernel_time(PackDir::Pack, PackTarget::Device, len, block, word),
+                .pack_kernel_time(PackDir::Pack, r.pack, len, block, word),
             d2h: self.gpu.copy_engine_time(CopyKind::D2H, len),
-            wire: self
-                .net
-                .serialization_time(len, Transport::Cpu, self.src, self.dst),
+            wire: self.net.serialization_time(len, r.wire, self.src, self.dst),
             h2d: self.gpu.copy_engine_time(CopyKind::H2D, len),
-            unpack: self.gpu.pack_kernel_time(
-                PackDir::Unpack,
-                PackTarget::Device,
-                len,
-                block,
-                word,
-            ),
+            unpack: self
+                .gpu
+                .pack_kernel_time(PackDir::Unpack, r.pack, len, block, word),
         };
         Some(PipelineTerms {
             n: n as u64,
@@ -355,7 +390,7 @@ impl SendModel {
             memcpy: self.gpu.memcpy_async_overhead,
             send_overhead: self.net.send_overhead,
             recv_overhead: self.net.recv_overhead,
-            latency: self.net.latency(Transport::Cpu, self.src, self.dst),
+            latency: self.net.latency(r.wire, self.src, self.dst),
             sync: self.gpu.stream_sync_overhead,
         })
     }
@@ -391,9 +426,9 @@ impl SendModel {
             .min_by(|a, b| a.0.total_cmp(&b.0))
     }
 
-    /// Calibrated estimate (ns) of one of the three one-piece methods:
-    /// ratios multiply the model's terms component-wise, so with
-    /// [`Calibration::NONE`] this *is* Eqs. 1–3.
+    /// Calibrated estimate (ns) of a method run as one piece: each of its
+    /// [`SendModel::terms`] times the ratio measured for that stage, so
+    /// with [`Calibration::NONE`] this *is* Eqs. 1–3.
     fn estimate(
         &self,
         method: Method,
@@ -402,29 +437,11 @@ impl SendModel {
         word: usize,
         cal: &Calibration,
     ) -> f64 {
-        let (b, r_pack, r_wire) = match method {
-            Method::Device => (
-                self.t_device(bytes, block, word),
-                cal.pack_device,
-                cal.wire_gpu,
-            ),
-            Method::OneShot => (
-                self.t_oneshot(bytes, block, word),
-                cal.pack_mapped,
-                cal.wire_cpu,
-            ),
-            // (a pipeline of one chunk is the staged method)
-            Method::Staged | Method::Pipelined => {
-                return (self.t_pack(PackDir::Pack, PackTarget::Device, bytes, block, word)
-                    + self.t_pack(PackDir::Unpack, PackTarget::Device, bytes, block, word))
-                .as_ns_f64()
-                    * cal.pack_device
-                    + self.t_d2h(bytes).as_ns_f64() * cal.d2h
-                    + self.t_cpu_cpu(bytes).as_ns_f64() * cal.wire_cpu
-                    + self.t_h2d(bytes).as_ns_f64() * cal.h2d;
-            }
-        };
-        (b.pack + b.unpack).as_ns_f64() * r_pack + b.transfer.as_ns_f64() * r_wire
+        let (r, t) = (method.recipe(), self.terms(method, bytes, block, word));
+        (t.pack + t.unpack).as_ns_f64() * cal.pack(r.pack)
+            + t.d2h.as_ns_f64() * cal.d2h
+            + t.wire.as_ns_f64() * cal.wire(r.wire)
+            + t.h2d.as_ns_f64() * cal.h2d
     }
 
     /// The per-send decision: whichever of device, one-shot, staged and
@@ -543,6 +560,44 @@ mod tests {
         assert!(
             extra >= cpu_saving,
             "d2h+h2d {extra} must consume {cpu_saving}"
+        );
+    }
+
+    #[test]
+    fn the_recipe_table_prices_to_the_papers_equations() {
+        let m = m();
+        let (bytes, block, word) = (1usize << 20, 64, 4);
+        let pk = |dir, target| m.t_pack(dir, target, bytes, block, word);
+        let (dev, map) = (PackTarget::Device, PackTarget::MappedHost);
+        // Eq. 1
+        assert_eq!(
+            m.t_device(bytes, block, word).total(),
+            pk(PackDir::Pack, dev) + m.t_gpu_gpu(bytes) + pk(PackDir::Unpack, dev)
+        );
+        // Eq. 2
+        assert_eq!(
+            m.t_oneshot(bytes, block, word).total(),
+            pk(PackDir::Pack, map) + m.t_cpu_cpu(bytes) + pk(PackDir::Unpack, map)
+        );
+        // Eq. 3
+        assert_eq!(
+            m.t_staged(bytes, block, word).total(),
+            pk(PackDir::Pack, dev)
+                + m.t_d2h(bytes)
+                + m.t_cpu_cpu(bytes)
+                + m.t_h2d(bytes)
+                + pk(PackDir::Unpack, dev)
+        );
+        for method in Method::LADDER {
+            // uncalibrated, the estimate is the breakdown
+            let total = m.breakdown(method, bytes, block, word).total();
+            let est = m.estimate(method, bytes, block, word, &Calibration::NONE);
+            assert!((est - total.as_ns_f64()).abs() < 1e-6, "{method:?}");
+        }
+        // a pipeline of one chunk is the staged method
+        assert_eq!(
+            m.breakdown(Method::Pipelined, bytes, block, word),
+            m.t_staged(bytes, block, word)
         );
     }
 
