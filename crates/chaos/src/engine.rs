@@ -1,10 +1,10 @@
 //! The chaos engine: run one [`Scenario`] in a virtual-time world and
 //! judge it with every invariant oracle.
 //!
-//! The engine never trusts a run to terminate on its own — every world
-//! gets the virtual-time watchdog, so a schedule that deadlocks comes
-//! back as a typed [`MpiError::Deadlock`] naming the stuck ranks instead
-//! of hanging the campaign. Closures never return `Err`: each rank folds
+//! The engine never has to trust a run to terminate on its own — the
+//! scheduler detects deadlock structurally, so a schedule that wedges
+//! comes back as a typed [`MpiError::Deadlock`] naming the stuck ranks
+//! instead of hanging the campaign. Closures never return `Err`: each rank folds
 //! what happened into a [`RankReport`] so one rank's failure cannot hide
 //! another's evidence.
 
@@ -62,7 +62,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     cfg.net.ranks_per_node = 2;
     let mut cfg = cfg
         .with_faults(sc.to_plan())
-        .with_watchdog(mpi_sim::WatchdogConfig::default())
+        .with_deadlock_budget(SimTime::from_ms(100))
         .with_tracer(tracer.clone());
     if sc.integrity {
         cfg = cfg.with_integrity();

@@ -6,8 +6,8 @@
 //! crate tests their *composition*. A seeded [`Scenario`] pairs a
 //! workload (a datatype send storm, a stencil with recovery, a
 //! checkpoint cycle) with a randomized multi-site fault plan, runs it in
-//! a virtual-time world under the deadlock watchdog, and judges the run
-//! with invariant [`oracle`]s: byte-exactness against a serial oracle,
+//! a virtual-time world (where a wedged schedule is a typed deadlock
+//! verdict, not a hang), and judges the run with invariant [`oracle`]s: byte-exactness against a serial oracle,
 //! no hangs, balanced trace spans, monotone ULFM epochs, and nothing
 //! leaked at teardown.
 //!

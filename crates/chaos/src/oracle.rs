@@ -57,7 +57,7 @@ impl std::fmt::Display for Violation {
 pub mod oracle {
     /// Payload bytes must equal the communication-free serial oracle.
     pub const BYTE_EXACT: &str = "byte-exactness";
-    /// No run may quiesce with pending operations (watchdog verdict).
+    /// No run may quiesce with pending operations (deadlock verdict).
     pub const NO_HANG: &str = "no-hang";
     /// Every rank not scheduled to die must finish without an error.
     pub const NO_UNEXPECTED_ERROR: &str = "no-unexpected-error";
@@ -88,7 +88,7 @@ pub struct RankReport {
     pub died: bool,
     /// Terminal error text, if the workload ended in an error.
     pub error: Option<String>,
-    /// The terminal error was a watchdog deadlock verdict.
+    /// The terminal error was a deadlock verdict.
     pub deadlock: bool,
     /// First byte-exactness mismatch, if any.
     pub bytes_mismatch: Option<String>,

@@ -155,13 +155,9 @@ impl RankCtx {
             // `deliver_payload`
             checksum: None,
         };
-        // Charge the in-flight account before the delivery (router pushes
-        // never fail). Control traffic is exempt from backpressure: the
-        // recovery protocol's progress guarantees are built on it.
-        if let Some(wd) = &self.watchdog {
-            wd.note_send(dest_world);
-        }
-        self.router.push(dest_world, msg, self.sched.as_deref());
+        // Control traffic is exempt from backpressure: the recovery
+        // protocol's progress guarantees are built on it.
+        self.router.push(dest_world, msg);
     }
 
     /// ULFM `MPI_Comm_revoke`: poison the current communicator epoch on
@@ -222,7 +218,7 @@ impl RankCtx {
             if self.known_dead.contains_key(&watch_world) {
                 return Ok(AgreeEvent::Dead);
             }
-            let msg = self.wd_blocking_recv(|| format!("agree(epoch={epoch})"))?;
+            let msg = self.blocking_recv(|| format!("agree(epoch={epoch})"))?;
             match self.sift(msg) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 // Deaths update `known_dead` inside sift; revocations of a
@@ -435,8 +431,7 @@ impl RankCtx {
                 self.faults.stats.peer_gone += 1;
                 return Err(MpiError::PeerGone);
             }
-            let msg =
-                self.wd_blocking_recv(|| format!("comm_barrier(from={from}, round={round})"))?;
+            let msg = self.blocking_recv(|| format!("comm_barrier(from={from}, round={round})"))?;
             match self.sift(msg) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 Sifted::Revoke => return Err(MpiError::Revoked),

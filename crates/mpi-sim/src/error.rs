@@ -89,11 +89,12 @@ pub enum MpiError {
         attempts: u32,
     },
     /// The world quiesced with operations still pending: every live rank is
-    /// blocked (in a receive, a wait or a barrier) and no message is in
-    /// flight toward any blocked rank, so no rank can ever make progress.
+    /// parked (in a receive, a wait, a barrier or send backpressure) and
+    /// nothing is left running to wake one, so no rank can ever make
+    /// progress.
     ///
-    /// Produced by the virtual-time watchdog (see [`crate::Watchdog`])
-    /// instead of letting the test binary hang. Named after the condition,
+    /// Produced by the scheduler's structural detector (see
+    /// [`crate::sched`]) instead of letting the process hang. Named after the condition,
     /// not a peer: a deadlock is a property of the whole world.
     Deadlock {
         /// World ranks that were blocked when quiescence was detected.
@@ -322,7 +323,7 @@ mod tests {
     fn deadlock_is_neither_transient_nor_repairable() {
         // A quiesced world cannot be retried into progress and revoking
         // the communicator cannot un-stick ranks that already blocked, so
-        // the watchdog verdict sits outside both recovery taxonomies.
+        // the deadlock verdict sits outside both recovery taxonomies.
         let dl = MpiError::Deadlock {
             ranks: vec![0, 2],
             ops: vec!["recv(src=1, tag=5)".into(), "barrier".into()],

@@ -17,10 +17,9 @@
 //!   measurements (2.2 µs CPU floor, 11 µs CUDA-aware floor); and
 //! * a **multi-rank runtime** ([`runtime`], [`p2p`], [`collective`]) — an
 //!   event-driven virtual-time scheduler ([`sched`]) running each rank as
-//!   a fiber with one simulated GPU (10,000+ ranks on a laptop; a legacy
-//!   thread-per-rank backend remains selectable), Lamport-style virtual
-//!   clocks, blocking send/recv with MPI matching rules, `Alltoallv`,
-//!   barriers, and ULFM-style communicator recovery ([`comm`]: revoke /
+//!   a fiber with one simulated GPU (10,000+ ranks on a laptop),
+//!   Lamport-style virtual clocks, blocking send/recv with MPI matching
+//!   rules, `Alltoallv`, barriers, and ULFM-style communicator recovery ([`comm`]: revoke /
 //!   agree / shrink with epoch-stamped envelopes); and
 //! * a **deterministic fault-injection subsystem** ([`fault`]) — seeded,
 //!   replayable GPU/network fault schedules with bounded retry + backoff
@@ -36,6 +35,8 @@
 //! verified against the typemap oracle.
 
 #![warn(missing_docs)]
+// The context switch and the scoped spawn are the crate's only unsafe code.
+#![deny(unsafe_code)]
 
 pub mod collective;
 pub mod comm;
@@ -46,9 +47,9 @@ pub mod net;
 pub mod nonblocking;
 pub mod p2p;
 pub mod runtime;
+#[allow(unsafe_code)]
 pub mod sched;
 pub mod vendor;
-pub mod watchdog;
 
 pub use collective::AlltoallvBlock;
 pub use datatype::{consts, Combiner, Contents, Datatype, Envelope, Named, Order, TypeRegistry};
@@ -61,7 +62,6 @@ pub use net::{NetModel, Transport};
 pub use nonblocking::Request;
 pub use p2p::{payload_checksum, Message, PartInfo, ProbeInfo, Status};
 pub use runtime::{RankCtx, World, WorldConfig};
-pub use sched::{SchedMode, PAYLOAD_POOL_BYTES};
+pub use sched::PAYLOAD_POOL_BYTES;
 pub use tempi_trace::{TraceLevel, Tracer};
 pub use vendor::{BaselineMethod, VendorId, VendorProfile};
-pub use watchdog::{DeadlockInfo, Watchdog, WatchdogConfig};

@@ -173,7 +173,9 @@ impl RankCtx {
     /// stale-epoch drops) updates rank state instead of polluting the
     /// matchable queue.
     fn absorb_arrivals(&mut self) {
-        while let Some(m) = self.wd_try_recv() {
+        // An empty inbox also yields this fiber to its peers (see
+        // `Router::try_recv`), so `test()` loops cannot livelock a worker.
+        while let Some(m) = self.router.try_recv(self.world_rank, self.clock.now()) {
             if let Sifted::Keep(m) = self.sift(m) {
                 self.pending.push_back(m);
             }
@@ -290,7 +292,7 @@ impl RankCtx {
                 }
             }
             // block for one more arrival, then re-scan
-            let m = self.wd_blocking_recv(|| format!("waitany({} requests)", reqs.len()))?;
+            let m = self.blocking_recv(|| format!("waitany({} requests)", reqs.len()))?;
             match self.sift(m) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 Sifted::Revoke => return Err(MpiError::Revoked),

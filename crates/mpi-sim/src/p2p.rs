@@ -254,18 +254,10 @@ impl RankCtx {
             part: None,
             checksum: None,
         };
-        let sched = self.sched.as_deref();
         for w in 0..self.world_size {
-            if w == self.world_rank {
-                continue;
+            if w != self.world_rank {
+                self.router.push(w, notice.clone());
             }
-            // Charge the in-flight account before the delivery so the
-            // watchdog can never observe the notice as neither in flight
-            // nor queued.
-            if let Some(wd) = &self.watchdog {
-                wd.note_send(w);
-            }
-            self.router.push(w, notice.clone(), sched);
         }
     }
 
@@ -598,11 +590,8 @@ impl RankCtx {
                 ]
             },
         );
-        // The in-flight account is charged *before* the delivery so the
-        // watchdog can never observe the message as neither in flight nor
-        // queued (a false quiescence). Router pushes never fail — an inbox
-        // has no "disconnected" state; traffic to an exited rank just sits
-        // in its queue.
+        // Router pushes never fail — an inbox has no "disconnected" state;
+        // traffic to an exited rank just sits in its queue.
         //
         // User payloads to a remote rank go through the bounded path: a
         // full destination inbox parks *this sender* until the receiver
@@ -610,21 +599,11 @@ impl RankCtx {
         // O(ranks · HWM) memory). Control traffic (negative tags) and
         // self-sends are exempt: recovery progress is built on them, and a
         // rank's send to itself can never be drained while it is parked.
-        if let Some(wd) = &self.watchdog {
-            wd.note_send(dest_world);
-        }
         if tag >= MIN_USER_TAG && dest_world != self.world_rank {
-            let now = self.clock.now();
-            self.router.push_bounded(
-                self.world_rank,
-                dest_world,
-                msg,
-                now,
-                self.sched.as_deref(),
-                self.watchdog.as_deref(),
-            );
+            self.router
+                .push_bounded(self.world_rank, dest_world, msg, self.clock.now());
         } else {
-            self.router.push(dest_world, msg, self.sched.as_deref());
+            self.router.push(dest_world, msg);
         }
         Ok(())
     }
@@ -702,97 +681,20 @@ impl RankCtx {
         }
     }
 
-    // ---- watchdog-aware inbox access ------------------------------------
-
-    /// Pull the next message from this rank's inbox, blocking until one
-    /// arrives. Under the event scheduler the fiber parks (described by
-    /// `desc`, rendered lazily) and a structural deadlock verdict unwinds
-    /// it as [`MpiError::Deadlock`]. Under the thread backend without a
-    /// watchdog this is a plain condvar wait; with one, the rank registers
-    /// as blocked and re-evaluates the quiescence predicate on the poll
-    /// interval while parked.
-    pub(crate) fn wd_blocking_recv(&mut self, desc: impl FnOnce() -> String) -> MpiResult<Message> {
-        if let Some(sched) = self.sched.clone() {
-            // Cache the rendering so a spurious-wake re-park doesn't
-            // re-format.
-            let mut rendered: Option<String> = None;
-            let mut desc = Some(desc);
-            let mut render = || {
-                rendered
-                    .get_or_insert_with(|| (desc.take().expect("rendered once"))())
-                    .clone()
-            };
-            let msg =
-                self.router
-                    .recv_sched(self.world_rank, &sched, self.clock.now(), &mut render);
-            return match msg {
-                Some(m) => Ok(m),
-                None => {
-                    let v = sched.verdict().expect("recv_sched only fails condemned");
-                    self.clock.advance_to(v.at);
-                    Err(MpiError::Deadlock {
-                        ranks: v.ranks,
-                        ops: v.ops,
-                    })
+    /// Pull the next message from this rank's inbox, parking this rank's
+    /// fiber (described by `desc`, rendered lazily) until one arrives. A
+    /// structural deadlock verdict unwinds it as [`MpiError::Deadlock`],
+    /// with the clock moved to the verdict's instant.
+    pub(crate) fn blocking_recv(&mut self, desc: impl FnOnce() -> String) -> MpiResult<Message> {
+        self.router
+            .recv(self.world_rank, self.clock.now(), desc)
+            .map_err(|v| {
+                self.clock.advance_to(v.at);
+                MpiError::Deadlock {
+                    ranks: v.ranks,
+                    ops: v.ops,
                 }
-            };
-        }
-        let Some(wd) = self.watchdog.clone() else {
-            return Ok(self.router.recv_thread(self.world_rank));
-        };
-        if let Some(v) = wd.verdict() {
-            // The world was already declared dead; never park again.
-            self.clock.advance_to(v.at);
-            return Err(MpiError::Deadlock {
-                ranks: v.ranks,
-                ops: v.ops,
-            });
-        }
-        wd.block(self.world_rank, desc(), self.clock.now());
-        loop {
-            match self
-                .router
-                .recv_thread_timeout(self.world_rank, wd.poll_interval())
-            {
-                Some(msg) => {
-                    // Slot clear + in-flight decrement happen under one
-                    // lock so the checker can't see a false quiescence.
-                    wd.unblock_after_recv(self.world_rank);
-                    return Ok(msg);
-                }
-                None => {
-                    if let Some(v) = wd.poll_detect() {
-                        self.clock.advance_to(v.at);
-                        return Err(MpiError::Deadlock {
-                            ranks: v.ranks,
-                            ops: v.ops,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking inbox pull with watchdog accounting (the `try_recv`
-    /// analogue of [`RankCtx::wd_blocking_recv`]). Under the event
-    /// scheduler an empty inbox also yields the fiber: poll loops
-    /// (`test()` spinning) must let peers run on a single worker, or the
-    /// world would livelock.
-    pub(crate) fn wd_try_recv(&mut self) -> Option<Message> {
-        match self.router.try_recv(self.world_rank, self.sched.as_deref()) {
-            Some(m) => {
-                if let Some(wd) = &self.watchdog {
-                    wd.note_recv(self.world_rank);
-                }
-                Some(m)
-            }
-            None => {
-                if let Some(sched) = self.sched.clone() {
-                    sched.yield_now(self.world_rank, self.clock.now());
-                }
-                None
-            }
-        }
+            })
     }
 
     /// Blocking match of `(src, tag)`; `None` means wildcard
@@ -836,7 +738,7 @@ impl RankCtx {
             return Err(MpiError::PeerGone);
         }
         loop {
-            let msg = self.wd_blocking_recv(|| match (src, tag) {
+            let msg = self.blocking_recv(|| match (src, tag) {
                 (Some(s), Some(t)) => format!("recv(src={s}, tag={t})"),
                 (Some(s), None) => format!("recv(src={s}, tag=*)"),
                 (None, Some(t)) => format!("recv(src=*, tag={t})"),
@@ -902,7 +804,7 @@ impl RankCtx {
                 self.faults.stats.peer_gone += 1;
                 return Err(MpiError::PeerGone);
             }
-            let msg = self.wd_blocking_recv(|| format!("probe(src={src:?}, tag={tag:?})"))?;
+            let msg = self.blocking_recv(|| format!("probe(src={src:?}, tag={tag:?})"))?;
             match self.sift(msg) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 Sifted::Revoke => return Err(MpiError::Revoked),

@@ -8,11 +8,9 @@
 //! instant, and a receive completes at `max(local now, departure + wire
 //! time)`.
 //!
-//! Two scheduling backends exist (see [`SchedMode`]): the default
-//! event-driven scheduler runs ranks as cooperatively-yielding fibers on an
-//! M-worker pool (M ≈ cores) and scales past 10,000 ranks; the legacy
-//! thread backend spawns one OS thread per rank. Wall-clock scheduling
-//! never affects results under either: all reported times are virtual, and
+//! Ranks run as cooperatively-yielding fibers on an M-worker pool (M ≈
+//! cores; see [`crate::sched`]), which scales past 10,000 ranks. Wall-clock
+//! scheduling never affects results: all reported times are virtual, and
 //! matching is deterministic for the directed (source-specified) receives
 //! used throughout the experiments.
 
@@ -20,16 +18,15 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::datatype::{Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::{FaultPlan, FaultState};
 use crate::net::NetModel;
 use crate::p2p::Message;
-use crate::sched::{Router, SchedCore, SchedMode, DEFAULT_INBOX_HWM};
+use crate::sched::{DeadlockInfo, Router, SchedCore, DEFAULT_INBOX_HWM};
 use crate::vendor::VendorProfile;
-use crate::watchdog::{DeadlockInfo, Watchdog, WatchdogConfig};
 
 /// Everything that parameterizes a simulated platform.
 #[derive(Debug, Clone)]
@@ -56,16 +53,13 @@ pub struct WorldConfig {
     /// Observability sink shared by every rank of this world (the default,
     /// [`Tracer::off`], records nothing and costs one branch per hook).
     pub tracer: Tracer,
-    /// Deadlock watchdog. Under the event scheduler deadlocks are detected
-    /// structurally and this only contributes the virtual-time budget
-    /// folded into the verdict's timestamp; under the thread backend,
-    /// `None` (the default) keeps every blocking point a plain blocking
-    /// condvar wait with zero added cost.
-    pub watchdog: Option<WatchdogConfig>,
-    /// Scheduling backend (default [`SchedMode::Auto`]: the event
-    /// scheduler where fibers are supported, honoring `TEMPI_SCHED`).
-    pub sched: SchedMode,
-    /// Worker threads for the event scheduler; `None` (the default) uses
+    /// Virtual time added to the latest parked rank's clock when a
+    /// deadlock verdict is stamped: "the world made no progress for this
+    /// long". Deadlocks are detected structurally either way; this only
+    /// moves the instant ranks unwinding with [`MpiError::Deadlock`] find
+    /// themselves at (default zero).
+    pub deadlock_budget: SimTime,
+    /// Worker threads for the scheduler; `None` (the default) uses
     /// `TEMPI_SCHED_WORKERS` or the machine's available parallelism.
     /// Results are byte-identical regardless of this value.
     pub sched_workers: Option<usize>,
@@ -87,8 +81,7 @@ impl WorldConfig {
             faults: None,
             integrity: false,
             tracer: Tracer::off(),
-            watchdog: None,
-            sched: SchedMode::Auto,
+            deadlock_budget: SimTime::ZERO,
             sched_workers: None,
             inbox_hwm: None,
         }
@@ -106,8 +99,7 @@ impl WorldConfig {
             faults: None,
             integrity: false,
             tracer: Tracer::off(),
-            watchdog: None,
-            sched: SchedMode::Auto,
+            deadlock_budget: SimTime::ZERO,
             sched_workers: None,
             inbox_hwm: None,
         }
@@ -139,24 +131,16 @@ impl WorldConfig {
         self
     }
 
-    /// Builder-style: run this world under a deadlock watchdog, so a
-    /// quiesced world with operations pending surfaces as
-    /// [`MpiError::Deadlock`] instead of hanging the process.
+    /// Builder-style: stamp deadlock verdicts `budget` of virtual time
+    /// after the latest parked clock (see
+    /// [`WorldConfig::deadlock_budget`]).
     #[must_use]
-    pub fn with_watchdog(mut self, wd: WatchdogConfig) -> Self {
-        self.watchdog = Some(wd);
+    pub fn with_deadlock_budget(mut self, budget: SimTime) -> Self {
+        self.deadlock_budget = budget;
         self
     }
 
-    /// Builder-style: force a specific scheduling backend (the default,
-    /// [`SchedMode::Auto`], picks per platform).
-    #[must_use]
-    pub fn with_sched_mode(mut self, mode: SchedMode) -> Self {
-        self.sched = mode;
-        self
-    }
-
-    /// Builder-style: pin the event scheduler's worker-pool size (the
+    /// Builder-style: pin the scheduler's worker-pool size (the
     /// determinism tests run the same world at `M=1` and `M=8`).
     #[must_use]
     pub fn with_sched_workers(mut self, workers: usize) -> Self {
@@ -183,7 +167,7 @@ impl WorldConfig {
             .unwrap_or(DEFAULT_INBOX_HWM)
     }
 
-    /// The event scheduler's worker count after environment fallback,
+    /// The scheduler's worker count after environment fallback,
     /// clamped to `[1, size]` (more workers than ranks is pure waste).
     fn resolve_workers(&self) -> usize {
         self.sched_workers
@@ -218,7 +202,6 @@ pub(crate) struct ClockBarrier {
     size: usize,
     cost: SimTime,
     state: Mutex<BarrierState>,
-    cv: Condvar,
 }
 
 struct BarrierState {
@@ -226,12 +209,8 @@ struct BarrierState {
     max_time: SimTime,
     release: SimTime,
     generation: u64,
-    /// Watchdog-tracked ranks currently parked in this barrier. The
-    /// releaser clears their `Blocked` slots *under the barrier lock*
-    /// before notifying: a released-but-still-parked waiter must not look
-    /// blocked to the watchdog, or a fast rank re-entering the next
-    /// barrier would observe a quiescent (all-blocked) world and report a
-    /// false deadlock.
+    /// Ranks whose fibers are parked in this barrier; the releaser drains
+    /// the list under the barrier lock and wakes each.
     waiters: Vec<usize>,
 }
 
@@ -247,73 +226,17 @@ impl ClockBarrier {
                 generation: 0,
                 waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
     /// Enter with the caller's current virtual instant; returns the common
-    /// release instant, or `None` if the watchdog declared the world
-    /// deadlocked while this caller was parked (the caller withdraws its
-    /// arrival so the barrier accounting stays coherent).
-    ///
-    /// With a watchdog, waiters park on a timed condvar and re-evaluate
-    /// the quiescence predicate each interval — this is what detects a
-    /// world where the last live ranks are all stuck in a barrier a dead
-    /// rank will never reach. Lock ordering is safe: watchdog methods
-    /// never take the barrier mutex.
-    fn wait(&self, now: SimTime, wd: Option<(&Watchdog, usize)>) -> Option<SimTime> {
-        let mut s = self.state.lock();
-        let gen = s.generation;
-        s.max_time = s.max_time.max(now);
-        s.arrived += 1;
-        if s.arrived == self.size {
-            s.arrived = 0;
-            s.release = s.max_time + self.cost;
-            s.max_time = SimTime::ZERO;
-            s.generation += 1;
-            if let Some((wd, _)) = wd {
-                for w in s.waiters.drain(..) {
-                    wd.unblock(w);
-                }
-            }
-            self.cv.notify_all();
-            return Some(s.release);
-        }
-        match wd {
-            None => {
-                while s.generation == gen {
-                    self.cv.wait(&mut s);
-                }
-                Some(s.release)
-            }
-            Some((wd, rank)) => {
-                wd.block(rank, "barrier".to_string(), now);
-                s.waiters.push(rank);
-                loop {
-                    if s.generation != gen {
-                        // The releaser already cleared this rank's
-                        // watchdog slot (and drained `waiters`).
-                        return Some(s.release);
-                    }
-                    if wd.poll_detect().is_some() {
-                        s.arrived -= 1;
-                        s.waiters.retain(|&w| w != rank);
-                        wd.unblock(rank);
-                        return None;
-                    }
-                    self.cv.wait_for(&mut s, wd.poll_interval());
-                }
-            }
-        }
-    }
-
-    /// Event-mode entry: same clock-merging contract as
-    /// [`ClockBarrier::wait`], but waiters park their fiber instead of an
-    /// OS thread. The releaser drains `waiters` under the barrier lock and
-    /// wakes each parked fiber; a waiter woken by a deadlock verdict
-    /// withdraws its arrival (decrementing `arrived` and delisting itself)
-    /// and returns `None`, exactly like the watchdog path.
-    fn wait_sched(&self, now: SimTime, sched: &SchedCore, rank: usize) -> Option<SimTime> {
+    /// release instant, parking the caller's fiber until the last
+    /// participant arrives. Returns `None` if the world was declared
+    /// deadlocked while (or before) this caller was parked — the classic
+    /// case being the last live ranks stuck in a barrier a dead rank will
+    /// never reach; the caller withdraws its arrival (decrementing
+    /// `arrived` and delisting itself) so the accounting stays coherent.
+    fn wait(&self, now: SimTime, sched: &SchedCore, rank: usize) -> Option<SimTime> {
         let mut s = self.state.lock();
         let gen = s.generation;
         s.max_time = s.max_time.max(now);
@@ -464,11 +387,9 @@ pub struct RankCtx {
     /// default). Layers above record spans against `world_rank`.
     pub tracer: Tracer,
     pub(crate) registry: Arc<RwLock<TypeRegistry>>,
-    /// Shared delivery fabric: one bounded FIFO inbox per rank.
+    /// Shared delivery fabric: one bounded FIFO inbox per rank, and the
+    /// scheduler this rank's blocking points park on.
     pub(crate) router: Arc<Router>,
-    /// Event-mode scheduler core; `None` under the thread backend (and in
-    /// standalone contexts), where blocking points use condvars instead.
-    pub(crate) sched: Option<Arc<SchedCore>>,
     pub(crate) pending: VecDeque<Message>,
     pub(crate) requests: Vec<Option<crate::nonblocking::PendingOp>>,
     pub(crate) barrier: Arc<ClockBarrier>,
@@ -489,48 +410,17 @@ pub struct RankCtx {
     /// When the link finishes serialising the last part this rank took
     /// delivery of: the next part of the same transfer queues behind it.
     pub(crate) part_link_free: SimTime,
-    /// Shared deadlock detector, when the world runs one.
-    pub(crate) watchdog: Option<Arc<Watchdog>>,
 }
 
 impl RankCtx {
-    /// A standalone single-rank context — used by the non-communication
-    /// experiments (type commit, `MPI_Pack`) and by unit tests.
+    /// A standalone single-rank context on the caller's own thread — used
+    /// by the non-communication experiments (type commit, `MPI_Pack`) and
+    /// by unit tests. Self-sends are received normally; a blocking call
+    /// with nothing deliverable can never be satisfied, so it returns
+    /// [`MpiError::Deadlock`] at once instead of hanging.
     pub fn standalone(cfg: &WorldConfig) -> RankCtx {
-        let gpu = GpuContext::new(cfg.device.clone());
-        let faults = init_faults(cfg, 0, &gpu);
-        let mut stream = Stream::new(gpu.clone(), cfg.gpu_cost.clone());
-        stream.set_tracer(cfg.tracer.clone(), 0);
-        RankCtx {
-            rank: 0,
-            size: 1,
-            world_rank: 0,
-            world_size: 1,
-            clock: SimClock::new(),
-            gpu,
-            stream,
-            vendor: cfg.vendor.clone(),
-            net: Arc::new(cfg.net.clone()),
-            faults,
-            integrity: cfg.integrity,
-            tracer: cfg.tracer.clone(),
-            registry: Arc::new(RwLock::new(TypeRegistry::new())),
-            router: Arc::new(Router::new(1, cfg.resolve_hwm())),
-            sched: None,
-            pending: VecDeque::new(),
-            requests: Vec::new(),
-            barrier: Arc::new(ClockBarrier::new(1, cfg.net.barrier_cost)),
-            board: Arc::new(Board {
-                slots: Mutex::new(vec![0]),
-            }),
-            comm_members: Members::Identity(1),
-            epoch: 0,
-            revoked: false,
-            known_dead: BTreeMap::new(),
-            death_sent: false,
-            part_link_free: SimTime::ZERO,
-            watchdog: None,
-        }
+        // No tasks, no workers: the caller's thread is the rank.
+        WorldShared::new(cfg, 1, SchedCore::new(0, cfg.deadlock_budget)).ctx(cfg, 0)
     }
 
     /// Run `body` inside a tracing span named `name` on this rank's CPU
@@ -576,23 +466,16 @@ impl RankCtx {
 
     /// `MPI_Barrier`: synchronize all ranks (and their virtual clocks).
     ///
-    /// Deliberately infallible even under a watchdog: if the world is
-    /// declared deadlocked while this rank is parked here, the barrier
-    /// simply returns without advancing the clock — the structured
+    /// Deliberately infallible: if the world is declared deadlocked while
+    /// this rank is parked here, the barrier simply returns without
+    /// advancing the clock — the structured
     /// [`MpiError::Deadlock`] surfaces from the ranks blocked in receives
     /// (and any later receive this rank attempts), which is where the
     /// diagnostic context lives.
     pub fn barrier(&mut self) {
-        let release = if let Some(sched) = self.sched.clone() {
-            self.barrier
-                .wait_sched(self.clock.now(), &sched, self.world_rank)
-        } else {
-            let wd = self.watchdog.clone();
-            self.barrier.wait(
-                self.clock.now(),
-                wd.as_deref().map(|w| (w, self.world_rank)),
-            )
-        };
+        let release = self
+            .barrier
+            .wait(self.clock.now(), self.router.sched(), self.world_rank);
         if let Some(release) = release {
             self.clock.advance_to(release);
         }
@@ -823,59 +706,65 @@ impl RankCtx {
 /// The simulated MPI world.
 pub struct World;
 
-/// Build the per-rank contexts for one world run. `sched` is set in event
-/// mode, `watchdog` in thread mode — never both: event mode detects
-/// deadlocks structurally, so its blocking points must not also feed the
-/// polling watchdog's accounting.
-fn build_ctxs(
-    cfg: &WorldConfig,
-    router: &Arc<Router>,
-    sched: Option<&Arc<SchedCore>>,
-    watchdog: Option<&Arc<Watchdog>>,
-) -> Vec<RankCtx> {
-    let size = cfg.size;
-    let registry = Arc::new(RwLock::new(TypeRegistry::new()));
-    let net = Arc::new(cfg.net.clone());
-    let barrier = Arc::new(ClockBarrier::new(size, cfg.net.barrier_cost));
-    let board = Arc::new(Board {
-        slots: Mutex::new(vec![0; size]),
-    });
-    (0..size)
-        .map(|rank| {
-            let gpu = GpuContext::new(cfg.device.clone());
-            let faults = init_faults(cfg, rank, &gpu);
-            let mut stream = Stream::new(gpu.clone(), cfg.gpu_cost.clone());
-            stream.set_tracer(cfg.tracer.clone(), rank as u32);
-            RankCtx {
-                rank,
-                size,
-                world_rank: rank,
-                world_size: size,
-                clock: SimClock::new(),
-                gpu,
-                stream,
-                vendor: cfg.vendor.clone(),
-                net: Arc::clone(&net),
-                faults,
-                integrity: cfg.integrity,
-                tracer: cfg.tracer.clone(),
-                registry: Arc::clone(&registry),
-                router: Arc::clone(router),
-                sched: sched.map(Arc::clone),
-                pending: VecDeque::new(),
-                requests: Vec::new(),
-                barrier: Arc::clone(&barrier),
-                board: Arc::clone(&board),
-                comm_members: Members::Identity(size),
-                epoch: 0,
-                revoked: false,
-                known_dead: BTreeMap::new(),
-                death_sent: false,
-                part_link_free: SimTime::ZERO,
-                watchdog: watchdog.map(Arc::clone),
-            }
-        })
-        .collect()
+/// The handles every rank of one world shares.
+struct WorldShared {
+    size: usize,
+    registry: Arc<RwLock<TypeRegistry>>,
+    net: Arc<NetModel>,
+    router: Arc<Router>,
+    barrier: Arc<ClockBarrier>,
+    board: Arc<Board>,
+}
+
+impl WorldShared {
+    /// The shared state of a `size`-rank world whose blocking points park
+    /// on `sched`.
+    fn new(cfg: &WorldConfig, size: usize, sched: SchedCore) -> WorldShared {
+        WorldShared {
+            size,
+            registry: Arc::new(RwLock::new(TypeRegistry::new())),
+            net: Arc::new(cfg.net.clone()),
+            router: Arc::new(Router::new(size, cfg.resolve_hwm(), sched)),
+            barrier: Arc::new(ClockBarrier::new(size, cfg.net.barrier_cost)),
+            board: Arc::new(Board {
+                slots: Mutex::new(vec![0; size]),
+            }),
+        }
+    }
+
+    /// World rank `rank`'s context.
+    fn ctx(&self, cfg: &WorldConfig, rank: usize) -> RankCtx {
+        let gpu = GpuContext::new(cfg.device.clone());
+        let faults = init_faults(cfg, rank, &gpu);
+        let mut stream = Stream::new(gpu.clone(), cfg.gpu_cost.clone());
+        stream.set_tracer(cfg.tracer.clone(), rank as u32);
+        RankCtx {
+            rank,
+            size: self.size,
+            world_rank: rank,
+            world_size: self.size,
+            clock: SimClock::new(),
+            gpu,
+            stream,
+            vendor: cfg.vendor.clone(),
+            net: Arc::clone(&self.net),
+            faults,
+            integrity: cfg.integrity,
+            tracer: cfg.tracer.clone(),
+            registry: Arc::clone(&self.registry),
+            router: Arc::clone(&self.router),
+            pending: VecDeque::new(),
+            requests: Vec::new(),
+            barrier: Arc::clone(&self.barrier),
+            board: Arc::clone(&self.board),
+            comm_members: Members::Identity(self.size),
+            epoch: 0,
+            revoked: false,
+            known_dead: BTreeMap::new(),
+            death_sent: false,
+            part_link_free: SimTime::ZERO,
+        }
+    }
 }
 
 /// Run one rank's body with panic isolation and the standard epilogue.
@@ -915,16 +804,10 @@ where
     {
         ctx.announce_death(at);
     }
-    // Done only after the death notices above: a notice counts as
-    // in-flight traffic and must not race a quiescence check against a
-    // `Done` mark.
-    if let Some(wd) = &ctx.watchdog {
-        wd.mark_done(ctx.world_rank);
-    }
     r
 }
 
-/// Collapse per-rank results and a scheduler/watchdog verdict into the
+/// Collapse per-rank results and the scheduler's verdict into the
 /// run's result. A panic is the primary failure (any `Deadlock`/`PeerGone`
 /// on other ranks is fallout); otherwise the first rank error wins; a
 /// verdict only surfaces when every rank returned `Ok` (a deadlock whose
@@ -932,7 +815,7 @@ where
 /// the barrier withdraws silently — and must not be lost).
 fn merge_results<T>(
     results: Vec<MpiResult<T>>,
-    verdict: Option<DeadlockInfo>,
+    verdict: Option<&DeadlockInfo>,
 ) -> MpiResult<Vec<T>> {
     let mut results = results;
     if let Some(i) = results
@@ -945,8 +828,8 @@ fn merge_results<T>(
     let out: MpiResult<Vec<T>> = results.into_iter().collect();
     match (out, verdict) {
         (Ok(_), Some(v)) => Err(MpiError::Deadlock {
-            ranks: v.ranks,
-            ops: v.ops,
+            ranks: v.ranks.clone(),
+            ops: v.ops.clone(),
         }),
         (out, _) => out,
     }
@@ -954,102 +837,42 @@ fn merge_results<T>(
 
 impl World {
     /// Run `body` on every rank of a world configured by `cfg`; returns the
-    /// per-rank results in rank order. A panicking rank surfaces as
+    /// per-rank results in rank order. Every rank is a fiber on an M-worker
+    /// pool; blocking points park the fiber and deadlocks are detected
+    /// structurally (see [`crate::sched`]). A panicking rank surfaces as
     /// [`MpiError::RankPanicked`] naming it (peers see it die like a
-    /// fault-injected exit).
+    /// fault-injected exit); an empty world is [`MpiError::InvalidArg`].
     pub fn run<F, T>(cfg: &WorldConfig, body: F) -> MpiResult<Vec<T>>
     where
         F: Fn(&mut RankCtx) -> MpiResult<T> + Sync,
         T: Send,
     {
-        assert!(cfg.size > 0, "world size must be positive");
-        if cfg.sched.use_events() {
-            Self::run_events(cfg, &body)
-        } else {
-            Self::run_threads(cfg, &body)
+        if cfg.size == 0 {
+            return Err(MpiError::InvalidArg(
+                "world size must be positive".to_string(),
+            ));
         }
-    }
-
-    /// Legacy backend: one OS thread per rank, condvar blocking, optional
-    /// wall-clock polling watchdog. Caps at a few hundred ranks but
-    /// exercises real preemption.
-    fn run_threads<F, T>(cfg: &WorldConfig, body: &F) -> MpiResult<Vec<T>>
-    where
-        F: Fn(&mut RankCtx) -> MpiResult<T> + Sync,
-        T: Send,
-    {
-        let size = cfg.size;
-        let watchdog = cfg
-            .watchdog
-            .as_ref()
-            .map(|wd| Arc::new(Watchdog::new(wd, size)));
-        let router = Arc::new(Router::new(size, cfg.resolve_hwm()));
-        let mut ctxs = build_ctxs(cfg, &router, None, watchdog.as_ref());
-        let results: Vec<MpiResult<T>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ctxs
-                .iter_mut()
-                .map(|ctx| scope.spawn(move || run_rank(body, ctx)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panics are caught in run_rank"))
-                .collect()
-        });
-        merge_results(results, watchdog.as_ref().and_then(|w| w.verdict()))
-    }
-
-    /// Event backend: every rank is a fiber on an M-worker pool; blocking
-    /// points park the fiber and deadlocks are detected structurally (see
-    /// [`crate::sched`]).
-    fn run_events<F, T>(cfg: &WorldConfig, body: &F) -> MpiResult<Vec<T>>
-    where
-        F: Fn(&mut RankCtx) -> MpiResult<T> + Sync,
-        T: Send,
-    {
-        let size = cfg.size;
-        // The watchdog config contributes only its virtual-time budget
-        // (stamped into verdicts for parity with thread mode); no watchdog
-        // runs, so ctxs carry `watchdog: None` and every blocking point
-        // takes its sched path.
-        let budget = cfg.watchdog.as_ref().map_or(SimTime::ZERO, |w| w.budget);
-        let core = Arc::new(SchedCore::new(size, budget));
-        let router = Arc::new(Router::new(size, cfg.resolve_hwm()));
-        let ctxs = build_ctxs(cfg, &router, Some(&core), None);
-        let slots: Vec<Mutex<Option<MpiResult<T>>>> = (0..size).map(|_| Mutex::new(None)).collect();
-        {
-            let slots = &slots;
-            for (rank, mut ctx) in ctxs.into_iter().enumerate() {
-                let entry: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let r = run_rank(body, &mut ctx);
-                    *slots[rank].lock() = Some(r);
-                });
-                // SAFETY: the scheduler stores entries as 'static, but
-                // every fiber is driven to completion before this block
-                // ends — the worker scope below only joins once all tasks
-                // are Finished, and a deadlock verdict wakes every parked
-                // fiber so blocking points unwind and bodies return. The
-                // borrows of `body` and `slots` therefore never outlive
-                // this frame.
-                let entry: Box<dyn FnOnce() + Send + 'static> =
-                    unsafe { std::mem::transmute(entry) };
-                core.spawn(rank, entry);
-            }
-            let workers = cfg.resolve_workers();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let core = &core;
-                    scope.spawn(move || core.worker_loop());
-                }
-            });
-        }
-        let results: Vec<MpiResult<T>> = slots
+        let world = WorldShared::new(cfg, cfg.size, SchedCore::new(cfg.size, cfg.deadlock_budget));
+        let sched = world.router.sched();
+        let slots: Vec<Mutex<Option<MpiResult<T>>>> =
+            (0..cfg.size).map(|_| Mutex::new(None)).collect();
+        let (body, out) = (&body, &slots);
+        sched.run(
+            cfg.resolve_workers(),
+            (0..cfg.size).map(|rank| -> Box<dyn FnOnce() + Send + '_> {
+                let mut ctx = world.ctx(cfg, rank);
+                Box::new(move || *out[rank].lock() = Some(run_rank(body, &mut ctx)))
+            }),
+        );
+        let results = slots
             .into_iter()
             .map(|slot| {
+                // `SchedCore::run` returns only once every body has.
                 slot.into_inner()
                     .expect("every rank fiber runs to completion")
             })
             .collect();
-        merge_results(results, core.verdict())
+        merge_results(results, sched.verdict())
     }
 }
 
@@ -1129,21 +952,18 @@ mod tests {
         assert!(results.iter().all(|&s| s == 16));
     }
 
-    fn test_watchdog() -> WatchdogConfig {
-        WatchdogConfig {
-            budget: SimTime::from_ms(1),
-            poll: std::time::Duration::from_millis(1),
-        }
-    }
+    const BUDGET: SimTime = SimTime::from_ms(1);
 
     #[test]
-    fn watchdog_converts_synthetic_deadlock_into_structured_error() {
+    fn deadlocked_receive_becomes_a_structured_error_naming_the_op() {
         // Rank 1 returns without ever sending; rank 0 blocks on a receive
-        // that can never match. Without the watchdog this hangs forever.
-        let cfg = WorldConfig::summit(2).with_watchdog(test_watchdog());
+        // that can never match. The message it left queued toward rank 1
+        // will never be drained and must not mask the verdict.
+        let cfg = WorldConfig::summit(2).with_deadlock_budget(BUDGET);
         let err = World::run(&cfg, |ctx| {
             if ctx.rank == 0 {
                 let buf = ctx.gpu.host_alloc(64)?;
+                ctx.send_bytes(buf, 64, 1, 3)?;
                 ctx.recv_bytes(buf, 64, Some(1), Some(7))?;
             }
             Ok(())
@@ -1159,11 +979,11 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_detects_barrier_deadlock() {
+    fn lone_barrier_is_a_deadlock_surfaced_by_the_run() {
         // Rank 1 never reaches the barrier; rank 0 parks there forever.
         // The verdict surfaces as the run's result because the barrier
         // itself withdraws silently.
-        let cfg = WorldConfig::summit(2).with_watchdog(test_watchdog());
+        let cfg = WorldConfig::summit(2).with_deadlock_budget(BUDGET);
         let err = World::run(&cfg, |ctx| {
             if ctx.rank == 0 {
                 ctx.barrier();
@@ -1181,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_leaves_healthy_runs_and_their_timing_untouched() {
+    fn deadlock_budget_leaves_healthy_runs_and_their_timing_untouched() {
         let body = |ctx: &mut RankCtx| {
             ctx.clock.advance(SimTime::from_us(ctx.rank as u64 * 3));
             ctx.barrier();
@@ -1190,12 +1010,43 @@ mod tests {
             Ok((ctx.clock.now(), all))
         };
         let plain = World::run(&WorldConfig::summit(3), body).unwrap();
-        let watched =
-            World::run(&WorldConfig::summit(3).with_watchdog(test_watchdog()), body).unwrap();
+        let budgeted =
+            World::run(&WorldConfig::summit(3).with_deadlock_budget(BUDGET), body).unwrap();
         assert_eq!(
-            plain, watched,
-            "virtual time must not depend on the watchdog"
+            plain, budgeted,
+            "virtual time must not depend on the budget"
         );
+    }
+
+    #[test]
+    fn an_empty_world_is_an_invalid_argument_not_a_panic() {
+        let err = World::run(&WorldConfig::summit(0), |_| Ok(())).unwrap_err();
+        assert!(matches!(err, MpiError::InvalidArg(_)), "{err:?}");
+    }
+
+    #[test]
+    fn standalone_self_send_is_received_and_an_empty_inbox_is_a_deadlock() {
+        let cfg = WorldConfig::summit(1).with_deadlock_budget(BUDGET);
+        let mut ctx = RankCtx::standalone(&cfg);
+        let (src, dst) = (
+            ctx.gpu.host_alloc(8).unwrap(),
+            ctx.gpu.host_alloc(8).unwrap(),
+        );
+        ctx.gpu.memory().poke(src, &[7u8; 8]).unwrap();
+        ctx.send_bytes(src, 8, 0, 5).unwrap();
+        ctx.recv_bytes(dst, 8, Some(0), Some(5)).unwrap();
+        assert_eq!(ctx.gpu.memory().peek(dst, 8).unwrap(), vec![7u8; 8]);
+        // Nothing is in flight and nobody else exists to send: at once,
+        // not a hang.
+        let before = ctx.clock.now();
+        assert_eq!(
+            ctx.recv_bytes(dst, 8, Some(0), Some(5)).unwrap_err(),
+            MpiError::Deadlock {
+                ranks: vec![0],
+                ops: vec!["recv(src=0, tag=5)".to_string()],
+            }
+        );
+        assert_eq!(ctx.clock.now(), before + BUDGET, "stamped like any verdict");
     }
 
     #[test]

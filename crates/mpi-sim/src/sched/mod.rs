@@ -1,12 +1,11 @@
 //! Event-driven virtual-time scheduler: ranks as fibers on an M-worker pool.
 //!
-//! The thread-per-rank runtime capped worlds at a few hundred ranks (an OS
-//! thread each). This module runs every rank as a cooperatively-yielding
-//! *fiber* (see the `fiber` submodule) multiplexed onto M worker threads (M ≈ cores),
-//! so a 10,000-rank world costs 10,000 lazily-committed stacks and M
-//! threads. Blocking points — receive waits, barrier entry, send
-//! backpressure — park the fiber instead of an OS thread; delivery of a
-//! message (or a barrier release) wakes it.
+//! This is the only runtime. Every rank is a cooperatively-yielding
+//! *fiber* (see the `fiber` submodule) multiplexed onto M worker threads
+//! (M ≈ cores), so a 10,000-rank world costs 10,000 lazily-committed
+//! stacks and M threads. Blocking points — receive waits, barrier entry,
+//! send backpressure — park the fiber; delivery of a message (or a barrier
+//! release) wakes it.
 //!
 //! ## Ready ordering and determinism
 //!
@@ -18,15 +17,14 @@
 //! `test()` at a constant virtual time would always outrank the sender it
 //! is waiting on, livelocking an M=1 world. With `seq` in the middle, a
 //! yielded spinner goes to the back of its virtual instant and its peers
-//! run.) Results are *byte-identical* across M — and identical to thread
-//! mode — because all timing is virtual and Lamport-composed at receives,
-//! matching is deterministic, and per-pair delivery order is FIFO; the
-//! heap order affects wall-clock interleaving only.
+//! run.) Results are *byte-identical* across M because all timing is
+//! virtual and Lamport-composed at receives, matching is deterministic,
+//! and per-pair delivery order is FIFO; the heap order affects wall-clock
+//! interleaving only.
 //!
 //! ## Structural deadlock detection
 //!
-//! The thread runtime needs a wall-clock polling watchdog to notice a
-//! wedged world. Here the scheduler *knows*: every unfinished task is
+//! The scheduler *knows* when a world is wedged: every unfinished task is
 //! ready, running, or parked, so when a worker finds the ready heap empty
 //! with nothing running and not everything finished, every live rank is
 //! parked with no wake in flight — a deadlock, by construction, with zero
@@ -36,58 +34,38 @@
 //! [`Deadlock`](crate::MpiError::Deadlock) error, barriers withdraw, and
 //! backpressured senders proceed — so the world always drains and the
 //! process never hangs.
+//!
+//! A [`RankCtx::standalone`](crate::RankCtx::standalone) context is the
+//! same machinery with nothing in it — a scheduler of zero tasks and zero
+//! workers. Its one rank is the caller's own thread, which is no task of
+//! the scheduler's: it cannot be suspended and nothing could wake it, so
+//! its park *is* the verdict, stamped on the spot.
 
-pub(crate) mod fiber;
+mod fiber;
 mod router;
 
 pub use router::PAYLOAD_POOL_BYTES;
 pub(crate) use router::{Router, DEFAULT_INBOX_HWM};
 
-use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
+use fiber::{Entry, Fiber, Resumed};
 use gpu_sim::SimTime;
 use parking_lot::{Condvar, Mutex};
 
-use crate::watchdog::DeadlockInfo;
-
-/// How [`World::run`](crate::World::run) schedules its ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Pick per platform (and honor `TEMPI_SCHED=threads|events`): the
-    /// event scheduler on x86_64, threads elsewhere (the aarch64 fiber
-    /// backend exists but is opt-in until it has seen native CI).
-    #[default]
-    Auto,
-    /// One OS thread per rank (the legacy runtime; caps at ~hundreds of
-    /// ranks but exercises real preemption).
-    Threads,
-    /// Fibers on an M-worker pool; scales to 10,000+ ranks.
-    Events,
-}
-
-impl SchedMode {
-    /// Resolve to a concrete backend choice.
-    pub(crate) fn use_events(self) -> bool {
-        let check = |wanted: bool| {
-            assert!(
-                !wanted || fiber::supported(),
-                "event scheduler requested but fibers are unsupported on this target"
-            );
-            wanted
-        };
-        match self {
-            SchedMode::Threads => false,
-            SchedMode::Events => check(true),
-            SchedMode::Auto => match std::env::var("TEMPI_SCHED").ok().as_deref() {
-                Some("threads") => false,
-                Some("events") => check(true),
-                _ => cfg!(all(target_arch = "x86_64", not(target_os = "windows"))),
-            },
-        }
-    }
+/// The structural deadlock verdict: which ranks were parked with nothing
+/// left to wake them, on what, and when (in virtual time).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DeadlockInfo {
+    /// World ranks parked at the verdict, in rank order.
+    pub(crate) ranks: Vec<usize>,
+    /// Each stuck rank's pending operation, parallel to `ranks`.
+    pub(crate) ops: Vec<String>,
+    /// Virtual instant of the verdict: the latest parked clock plus
+    /// [`WorldConfig::deadlock_budget`](crate::WorldConfig::deadlock_budget).
+    pub(crate) at: SimTime,
 }
 
 /// Default fiber stack size; override with `TEMPI_SCHED_STACK_KIB`.
@@ -96,7 +74,7 @@ impl SchedMode {
 const DEFAULT_STACK_KIB: usize = 2048;
 
 /// Fiber stack size in bytes, after the environment override.
-pub(crate) fn stack_bytes() -> usize {
+fn stack_bytes() -> usize {
     std::env::var("TEMPI_SCHED_STACK_KIB")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -111,6 +89,9 @@ enum TaskState {
     Ready,
     /// Executing on some worker.
     Running,
+    /// Suspending to go to the back of its virtual instant; its worker
+    /// re-enqueues it as soon as the switch completes.
+    Yielding,
     /// Announced intent to park; its worker has not yet completed the
     /// handoff (the fiber may still be switching out).
     Parking,
@@ -122,49 +103,29 @@ enum TaskState {
 
 struct TaskInner {
     state: TaskState,
-    /// A wake arrived while the task was `Running`/`Parking`: consume it
-    /// at the next park-handoff instead of losing it.
+    /// A wake arrived while the task was on a worker: consume it at the
+    /// next park-handoff instead of losing it.
     wake_pending: bool,
     /// What the task is blocked on (rendered at park time; feeds the
     /// deadlock verdict's `ops`).
     park_desc: Option<String>,
-    /// The task's virtual clock when it parked (feeds the verdict's `at`
-    /// and orders the re-enqueue on wake).
-    park_clock: SimTime,
-}
-
-const EXIT_PARK: u8 = 0;
-const EXIT_YIELD: u8 = 1;
-
-/// Mutable per-task machinery touched only by whichever thread currently
-/// *is* the task (its fiber) or runs it (its worker) — exclusivity is
-/// guaranteed by the [`TaskState`] machine, so no lock guards it.
-struct TaskCell {
-    stack: Option<fiber::FiberStack>,
-    /// Saved stack pointer of the suspended fiber.
-    sp: usize,
-    /// Saved stack pointer of the worker that resumed this fiber.
-    worker_sp: usize,
-    entry: Option<Box<dyn FnOnce() + Send + 'static>>,
-    exit: u8,
-    /// Virtual time to key the next ready-heap entry with.
-    resume_vtime: u64,
-    finished: bool,
+    /// The task's virtual clock when it last parked or yielded: keys its
+    /// next ready-heap entry and feeds the verdict's `at`.
+    clock: SimTime,
 }
 
 struct Task {
     inner: Mutex<TaskInner>,
-    cell: UnsafeCell<TaskCell>,
+    /// Touched only by whichever thread currently *is* the task or runs
+    /// it; the [`TaskState`] machine makes those mutually exclusive.
+    fiber: Fiber,
 }
-
-// SAFETY: `cell` is only accessed by the fiber itself or the worker
-// currently running/parking it; the state machine in `inner` makes those
-// accesses mutually exclusive.
-unsafe impl Sync for Task {}
 
 struct RunState {
     /// Min-heap of runnable tasks keyed `(virtual_time_ps, seq)`.
     ready: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Monotonic enqueue counter: FIFO among equal virtual times.
+    seq: u64,
     /// Tasks currently executing on workers (includes `Parking` tasks
     /// whose handoff is not yet complete — crucial: `running == 0`
     /// implies every park has fully settled and nobody can be mid-wake).
@@ -173,37 +134,30 @@ struct RunState {
     finished: usize,
 }
 
+impl RunState {
+    /// Make `rank` runnable at virtual time `vtime_ps`, behind everything
+    /// already queued for that instant.
+    fn enqueue(&mut self, vtime_ps: u64, rank: usize) {
+        self.ready.push(Reverse((vtime_ps, self.seq, rank)));
+        self.seq += 1;
+    }
+}
+
 /// The scheduler shared by every rank and worker of one world run.
 pub(crate) struct SchedCore {
     tasks: Vec<Task>,
     state: Mutex<RunState>,
     cv: Condvar,
-    seq: AtomicU64,
-    verdict_flag: AtomicBool,
-    verdict: Mutex<Option<DeadlockInfo>>,
-    /// Virtual-time budget folded into the verdict's `at` stamp (taken
-    /// from the watchdog config when one is set, for parity with thread
-    /// mode).
+    /// Stamped at most once; sticky.
+    verdict: OnceLock<DeadlockInfo>,
+    /// Virtual-time offset folded into the verdict's `at` stamp.
     budget: SimTime,
-    stack_bytes: usize,
-}
-
-unsafe extern "C" fn task_entry(payload: *mut u8) -> ! {
-    let cell = payload as *mut TaskCell;
-    let f = (*cell).entry.take().expect("fiber entry installed");
-    // The closure is panic-proof by construction (the runtime wraps the
-    // rank body in catch_unwind), so unwinding never reaches the asm
-    // switch below.
-    f();
-    (*cell).finished = true;
-    let mut scratch = 0usize;
-    let target = (*cell).worker_sp;
-    fiber::switch(&mut scratch, target);
-    // The worker never resumes a finished fiber.
-    std::process::abort();
 }
 
 impl SchedCore {
+    /// A scheduler for a `total`-rank world; [`SchedCore::run`] drives it.
+    /// `total == 0` is the standalone scheduler (see module docs): it
+    /// allocates nothing and is never run.
     pub(crate) fn new(total: usize, budget: SimTime) -> SchedCore {
         SchedCore {
             tasks: (0..total)
@@ -212,62 +166,69 @@ impl SchedCore {
                         state: TaskState::Ready,
                         wake_pending: false,
                         park_desc: None,
-                        park_clock: SimTime::ZERO,
+                        clock: SimTime::ZERO,
                     }),
-                    cell: UnsafeCell::new(TaskCell {
-                        stack: None,
-                        sp: 0,
-                        worker_sp: 0,
-                        entry: None,
-                        exit: EXIT_PARK,
-                        resume_vtime: 0,
-                        finished: false,
-                    }),
+                    fiber: Fiber::new(),
                 })
                 .collect(),
             state: Mutex::new(RunState {
                 ready: BinaryHeap::with_capacity(total),
+                seq: 0,
                 running: 0,
                 parked: 0,
                 finished: 0,
             }),
             cv: Condvar::new(),
-            // Initial enqueues use seq == rank, so a fresh world starts in
-            // rank order at virtual time zero.
-            seq: AtomicU64::new(total as u64),
-            verdict_flag: AtomicBool::new(false),
-            verdict: Mutex::new(None),
+            verdict: OnceLock::new(),
             budget,
-            stack_bytes: stack_bytes(),
         }
     }
 
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Install `entry` as rank `rank`'s body and mark it runnable at
-    /// virtual time zero. Must be called before any worker starts.
-    pub(crate) fn spawn(&self, rank: usize, entry: Box<dyn FnOnce() + Send + 'static>) {
-        let cell = self.tasks[rank].cell.get();
-        unsafe {
-            let stack = fiber::FiberStack::new(self.stack_bytes);
-            let sp = fiber::init_frame(&stack, task_entry, cell as *mut u8);
-            (*cell).stack = Some(stack);
-            (*cell).sp = sp;
-            (*cell).entry = Some(entry);
+    /// Run `bodies` — one per rank, in rank order — as fibers on `workers`
+    /// threads, and return once every one of them has returned.
+    ///
+    /// The bodies may borrow from the caller's frame (`'env`): this is the
+    /// scoped-spawn entry point, and the loop below is what upholds it.
+    pub(crate) fn run<'env>(
+        &self,
+        workers: usize,
+        bodies: impl Iterator<Item = Box<dyn FnOnce() + Send + 'env>>,
+    ) {
+        let stack_bytes = stack_bytes();
+        let mut armed = 0;
+        for (rank, (task, body)) in self.tasks.iter().zip(bodies).enumerate() {
+            // SAFETY: a fiber stores its body as `'static`, but the body is
+            // consumed (called by value, its captures dropped) by the time
+            // its task is `Finished`; workers only leave `worker_loop` once
+            // *every* task is `Finished` — a deadlock verdict wakes every
+            // parked fiber so blocking points unwind and bodies return —
+            // and the thread scope below only ends once every worker has
+            // left. So no body, and nothing borrowed by one, outlives this
+            // call.
+            let body =
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Entry>(body) };
+            // SAFETY: no worker exists yet, so nothing else touches the
+            // fiber; `tasks` is never resized, so the fiber never moves.
+            unsafe { task.fiber.arm(stack_bytes, body) };
+            armed += 1;
+            // In rank order, so a fresh world starts in rank order.
+            self.state.lock().enqueue(0, rank);
         }
-        self.state
-            .lock()
-            .ready
-            .push(Reverse((0, rank as u64, rank)));
+        // A task given no body has nothing to run: count it finished, so
+        // the loop's exit condition (and the argument above) still holds.
+        self.state.lock().finished = self.tasks.len() - armed;
+        std::thread::scope(|scope| {
+            for _ in 0..workers.max(1) {
+                scope.spawn(|| self.worker_loop());
+            }
+        });
     }
 
     /// One worker's life: pop the earliest runnable task, run its fiber
     /// until it parks/yields/finishes, repeat. When the heap runs dry
     /// with nothing running and tasks still unfinished, the world is
     /// structurally deadlocked (see module docs).
-    pub(crate) fn worker_loop(&self) {
+    fn worker_loop(&self) {
         loop {
             let rank = {
                 let mut s = self.state.lock();
@@ -301,23 +262,19 @@ impl SchedCore {
             debug_assert_eq!(inner.state, TaskState::Ready);
             inner.state = TaskState::Running;
         }
-        let cell = task.cell.get();
-        unsafe {
-            let target = (*cell).sp;
-            fiber::switch(std::ptr::addr_of_mut!((*cell).worker_sp), target);
-        }
-        if unsafe { (*cell).finished } {
-            if let Some(stack) = unsafe { (*cell).stack.take() } {
-                if !stack.canary_intact() {
-                    // The overflow already scribbled on the heap;
-                    // continuing (or unwinding) would only smear the
-                    // evidence.
-                    eprintln!(
-                        "fatal: fiber stack overflow on rank {rank} \
-                         (raise TEMPI_SCHED_STACK_KIB, default {DEFAULT_STACK_KIB})"
-                    );
-                    std::process::abort();
-                }
+        // SAFETY: `run` armed the fiber; popping it from the ready heap
+        // made this worker its only runner until the transition below
+        // re-publishes it, and a `Finished` task is never re-enqueued.
+        let resumed = unsafe { task.fiber.resume() };
+        if let Resumed::Finished { stack_intact } = resumed {
+            if !stack_intact {
+                // The overflow already scribbled on the heap; continuing
+                // (or unwinding) would only smear the evidence.
+                eprintln!(
+                    "fatal: fiber stack overflow on rank {rank} \
+                     (raise TEMPI_SCHED_STACK_KIB, default {DEFAULT_STACK_KIB})"
+                );
+                std::process::abort();
             }
             task.inner.lock().state = TaskState::Finished;
             let mut s = self.state.lock();
@@ -330,34 +287,14 @@ impl SchedCore {
             }
             return;
         }
-        let exit = unsafe { (*cell).exit };
-        let vtime = unsafe { (*cell).resume_vtime };
-        if exit == EXIT_YIELD {
-            task.inner.lock().state = TaskState::Ready;
-            let mut s = self.state.lock();
-            s.running -= 1;
-            s.ready.push(Reverse((vtime, self.next_seq(), rank)));
-            drop(s);
-            self.cv.notify_one();
-            return;
-        }
-        // EXIT_PARK: complete the Parking -> Parked handoff. A wake that
-        // raced in while the fiber was switching out left `wake_pending`;
-        // honor it by re-enqueueing instead of parking — this is what
-        // makes a deliver-vs-park race lose no wakeups and never run one
-        // fiber on two workers.
         let mut inner = task.inner.lock();
-        debug_assert_eq!(inner.state, TaskState::Parking);
-        if inner.wake_pending {
-            inner.wake_pending = false;
-            inner.state = TaskState::Ready;
-            drop(inner);
-            let mut s = self.state.lock();
-            s.running -= 1;
-            s.ready.push(Reverse((vtime, self.next_seq(), rank)));
-            drop(s);
-            self.cv.notify_one();
-        } else {
+        let vtime = inner.clock.as_ps();
+        // Complete the Parking -> Parked handoff. A wake that raced in
+        // while the fiber was switching out left `wake_pending`; honor it
+        // by re-enqueueing instead of parking — this is what makes a
+        // deliver-vs-park race lose no wakeups and never run one fiber on
+        // two workers.
+        if inner.state == TaskState::Parking && !inner.wake_pending {
             inner.state = TaskState::Parked;
             // Count the park before it becomes visible: a wake that sees
             // `Parked` decrements `parked`, and if it got in ahead of the
@@ -367,7 +304,22 @@ impl SchedCore {
             drop(inner);
             s.running -= 1;
             s.parked += 1;
+            return;
         }
+        debug_assert!(matches!(
+            inner.state,
+            TaskState::Parking | TaskState::Yielding
+        ));
+        if inner.state == TaskState::Parking {
+            inner.wake_pending = false;
+        }
+        inner.state = TaskState::Ready;
+        drop(inner);
+        let mut s = self.state.lock();
+        s.running -= 1;
+        s.enqueue(vtime, rank);
+        drop(s);
+        self.cv.notify_one();
     }
 
     /// Fiber-side: announce intent to park on an operation described by
@@ -375,25 +327,27 @@ impl SchedCore {
     /// publishes its wake condition (e.g. an inbox "receiver parked"
     /// flag) and calls [`SchedCore::park_switch`].
     pub(crate) fn begin_park(&self, rank: usize, now: SimTime, desc: String) {
-        let mut inner = self.tasks[rank].inner.lock();
+        let Some(task) = self.tasks.get(rank) else {
+            // A standalone caller: nothing can wake it, so this is final.
+            self.condemn(vec![rank], vec![desc], now);
+            return;
+        };
+        let mut inner = task.inner.lock();
         debug_assert!(matches!(
             inner.state,
             TaskState::Running | TaskState::Parking
         ));
         inner.state = TaskState::Parking;
         inner.park_desc = Some(desc);
-        inner.park_clock = now;
-        drop(inner);
-        unsafe { (*self.tasks[rank].cell.get()).resume_vtime = now.as_ps() };
+        inner.clock = now;
     }
 
     /// Fiber-side: hand control to the worker; returns when woken.
     pub(crate) fn park_switch(&self, rank: usize) {
-        let cell = self.tasks[rank].cell.get();
-        unsafe {
-            (*cell).exit = EXIT_PARK;
-            let target = (*cell).worker_sp;
-            fiber::switch(std::ptr::addr_of_mut!((*cell).sp), target);
+        if let Some(task) = self.tasks.get(rank) {
+            // SAFETY: only rank `rank`'s own body reaches its blocking
+            // points, so this runs on that rank's fiber.
+            unsafe { task.fiber.suspend() };
         }
     }
 
@@ -401,13 +355,16 @@ impl SchedCore {
     /// the current virtual instant so peers can run. This is what keeps
     /// spin-polling (`test()` loops) live on a single worker.
     pub(crate) fn yield_now(&self, rank: usize, now: SimTime) {
-        let cell = self.tasks[rank].cell.get();
-        unsafe {
-            (*cell).exit = EXIT_YIELD;
-            (*cell).resume_vtime = now.as_ps();
-            let target = (*cell).worker_sp;
-            fiber::switch(std::ptr::addr_of_mut!((*cell).sp), target);
+        let Some(task) = self.tasks.get(rank) else {
+            return; // a standalone caller has no peers to yield to
+        };
+        {
+            let mut inner = task.inner.lock();
+            inner.state = TaskState::Yielding;
+            inner.clock = now;
         }
+        // SAFETY: as in `park_switch`.
+        unsafe { task.fiber.suspend() };
     }
 
     /// Make `rank` runnable again (message delivered, barrier released,
@@ -415,32 +372,41 @@ impl SchedCore {
     /// from any state: a wake racing a park is latched via
     /// `wake_pending`, a wake of a ready/finished task is a no-op.
     pub(crate) fn wake(&self, rank: usize) {
-        let task = &self.tasks[rank];
+        let Some(task) = self.tasks.get(rank) else {
+            return; // a standalone caller never parks
+        };
         let mut inner = task.inner.lock();
         match inner.state {
             TaskState::Parked => {
                 inner.state = TaskState::Ready;
-                let vtime = inner.park_clock.as_ps();
+                let vtime = inner.clock.as_ps();
                 drop(inner);
                 let mut s = self.state.lock();
                 s.parked -= 1;
-                s.ready.push(Reverse((vtime, self.next_seq(), rank)));
+                s.enqueue(vtime, rank);
                 drop(s);
                 self.cv.notify_one();
             }
-            TaskState::Parking | TaskState::Running => inner.wake_pending = true,
+            TaskState::Parking | TaskState::Running | TaskState::Yielding => {
+                inner.wake_pending = true;
+            }
             TaskState::Ready | TaskState::Finished => {}
         }
     }
 
     /// The sticky deadlock verdict, if one was declared. One atomic load
     /// on the happy path.
-    pub(crate) fn verdict(&self) -> Option<DeadlockInfo> {
-        if self.verdict_flag.load(Ordering::Acquire) {
-            self.verdict.lock().clone()
-        } else {
-            None
-        }
+    pub(crate) fn verdict(&self) -> Option<&DeadlockInfo> {
+        self.verdict.get()
+    }
+
+    /// Stamp the verdict (first one wins; it is sticky).
+    fn condemn(&self, ranks: Vec<usize>, ops: Vec<String>, latest: SimTime) {
+        let _ = self.verdict.set(DeadlockInfo {
+            ranks,
+            ops,
+            at: latest + self.budget,
+        });
     }
 
     /// Declare the world deadlocked: stamp the verdict from the parked
@@ -448,38 +414,92 @@ impl SchedCore {
     /// points unwind and the run drains. Called only when `running == 0`
     /// and the ready heap is empty, so the parked set is stable.
     fn declare_deadlock(&self) {
-        {
-            let mut v = self.verdict.lock();
-            if v.is_none() {
-                let mut ranks = Vec::new();
-                let mut ops = Vec::new();
-                let mut latest = SimTime::ZERO;
-                for (rank, task) in self.tasks.iter().enumerate() {
-                    let inner = task.inner.lock();
-                    if inner.state == TaskState::Parked {
-                        ranks.push(rank);
-                        ops.push(
-                            inner
-                                .park_desc
-                                .clone()
-                                .unwrap_or_else(|| "blocked".to_string()),
-                        );
-                        latest = latest.max(inner.park_clock);
-                    }
-                }
-                if ranks.is_empty() {
-                    return;
-                }
-                *v = Some(DeadlockInfo {
-                    ranks,
-                    ops,
-                    at: latest + self.budget,
-                });
-                self.verdict_flag.store(true, Ordering::Release);
+        let mut ranks = Vec::new();
+        let mut ops = Vec::new();
+        let mut latest = SimTime::ZERO;
+        for (rank, task) in self.tasks.iter().enumerate() {
+            let inner = task.inner.lock();
+            if inner.state == TaskState::Parked {
+                ranks.push(rank);
+                ops.push(
+                    inner
+                        .park_desc
+                        .clone()
+                        .unwrap_or_else(|| "blocked".to_string()),
+                );
+                latest = latest.max(inner.clock);
             }
         }
+        if ranks.is_empty() {
+            return;
+        }
+        self.condemn(ranks, ops, latest);
         for rank in 0..self.tasks.len() {
             self.wake(rank);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use super::*;
+
+    /// Park `rank` of `core` once, as a blocking point would.
+    fn park(core: &SchedCore, rank: usize, at: SimTime, op: &str) {
+        core.begin_park(rank, at, op.to_string());
+        core.park_switch(rank);
+    }
+
+    #[test]
+    fn verdict_names_every_parked_rank_and_is_stamped_latest_clock_plus_budget() {
+        let budget = SimTime::from_ms(100);
+        let core = SchedCore::new(3, budget);
+        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+            Box::new(|| park(&core, 0, SimTime::from_us(3), "recv(src=1, tag=7)")),
+            Box::new(|| park(&core, 1, SimTime::from_us(5), "barrier")),
+            Box::new(|| {}), // returns at once: done, not stuck
+        ];
+        core.run(2, bodies.into_iter());
+        let v = core.verdict().expect("two ranks parked for good");
+        assert_eq!(v.ranks, vec![0, 1]);
+        assert_eq!(v.ops, vec!["recv(src=1, tag=7)", "barrier"]);
+        assert_eq!(v.at, SimTime::from_us(5) + budget);
+    }
+
+    #[test]
+    fn a_world_whose_ranks_all_return_has_no_verdict_and_bodies_may_borrow() {
+        let hits = AtomicU64::new(0);
+        let core = SchedCore::new(4, SimTime::ZERO);
+        core.run(
+            2,
+            (0..4usize).map(|rank| -> Box<dyn FnOnce() + Send + '_> {
+                let (core, hits) = (&core, &hits);
+                Box::new(move || {
+                    core.yield_now(rank, SimTime::from_us(rank as u64));
+                    hits.fetch_add(1, Ordering::SeqCst);
+                })
+            }),
+        );
+        assert_eq!(hits.load(Ordering::SeqCst), 4);
+        assert_eq!(core.verdict(), None);
+    }
+
+    #[test]
+    fn a_standalone_park_is_the_verdict_and_returns_at_once() {
+        let core = SchedCore::new(0, SimTime::from_ms(1));
+        core.yield_now(0, SimTime::ZERO); // nobody to yield to: a no-op
+        assert_eq!(core.verdict(), None);
+        park(&core, 0, SimTime::from_us(2), "recv(src=0, tag=1)");
+        let v = core
+            .verdict()
+            .expect("nothing can wake a standalone caller");
+        assert_eq!(v.ranks, vec![0]);
+        assert_eq!(v.ops, vec!["recv(src=0, tag=1)"]);
+        assert_eq!(v.at, SimTime::from_us(2) + SimTime::from_ms(1));
+        let first = v.clone();
+        park(&core, 0, SimTime::from_us(9), "barrier");
+        assert_eq!(core.verdict(), Some(&first), "the verdict is sticky");
     }
 }

@@ -1,16 +1,11 @@
 //! Message delivery with bounded inboxes.
 //!
-//! The old runtime wired every rank to every other rank with its own
-//! unbounded channel sender — an O(N²) table (~800 MB of channel handles
-//! at 10,000 ranks) whose queues a send storm could grow without bound.
-//! The router replaces all of that with one locked FIFO inbox per rank,
-//! shared by both scheduler backends:
+//! One locked FIFO inbox per rank — O(N) state for an N-rank world, where
+//! a sender handle per pair would be O(N²):
 //!
 //! * **per-pair FIFO**: a rank's sends are sequential and each push takes
-//!   the destination's lock, so the non-overtaking guarantee is exactly
-//!   the old per-channel one;
-//! * **receiver wakes**: a push wakes a parked fiber (event mode) or
-//!   notifies a condvar (thread mode);
+//!   the destination's lock, so MPI's non-overtaking guarantee holds;
+//! * **receiver wakes**: a push wakes the destination's parked fiber;
 //! * **backpressure**: user-payload traffic to a remote rank parks the
 //!   *sender* while the destination inbox sits at its high-water mark
 //!   (default [`DEFAULT_INBOX_HWM`], tunable via `TEMPI_INBOX_HWM`, 0 =
@@ -22,20 +17,17 @@
 //!   real deadlock under finite buffering and is reported as one
 //!   (`send backpressure(dest=N)` ops in the verdict).
 //!
-//! Sends never fail: unlike channels, an inbox has no "disconnected"
-//! state, so traffic to a rank whose body already returned simply sits in
-//! its queue (the watchdog's per-destination accounting already handles
-//! that case).
+//! Sends never fail: an inbox has no "disconnected" state, so traffic to
+//! a rank whose body already returned simply sits in its queue (and, its
+//! owner being finished rather than parked, never masks a deadlock).
 
 use std::collections::VecDeque;
-use std::time::Duration;
 
 use gpu_sim::SimTime;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
-use super::SchedCore;
+use super::{DeadlockInfo, SchedCore};
 use crate::p2p::Message;
-use crate::watchdog::Watchdog;
 
 /// Default per-rank inbox high-water mark, in messages.
 pub(crate) const DEFAULT_INBOX_HWM: usize = 8192;
@@ -56,44 +48,38 @@ struct PayloadPool {
 #[derive(Default)]
 struct InboxQ {
     msgs: VecDeque<Message>,
-    /// Event mode: the owning fiber is parked waiting for a push.
+    /// The owning fiber is parked waiting for a push.
     recv_parked: bool,
-    /// Event mode: sender ranks parked on this inbox's high-water mark.
+    /// Sender ranks parked on this inbox's high-water mark.
     send_parked: Vec<usize>,
 }
 
-struct InboxSlot {
-    q: Mutex<InboxQ>,
-    /// Thread mode: the owning rank waits here for a push.
-    recv_cv: Condvar,
-    /// Thread mode: backpressured senders wait here for a drain.
-    send_cv: Condvar,
-}
-
-/// Shared delivery fabric for one world: a bounded FIFO inbox per rank.
+/// Shared delivery fabric for one world: a bounded FIFO inbox per rank,
+/// and the scheduler whose fibers park on (and are woken through) them.
 pub(crate) struct Router {
-    slots: Vec<InboxSlot>,
+    slots: Vec<Mutex<InboxQ>>,
     hwm: usize,
+    sched: SchedCore,
     /// Part payloads are allocated by the sender and freed by the
     /// receiver, so only a list both can reach recycles them.
     payloads: Mutex<PayloadPool>,
 }
 
 impl Router {
-    /// A router for `n` ranks with the given high-water mark (0 =
-    /// unbounded).
-    pub(crate) fn new(n: usize, hwm: usize) -> Router {
+    /// A router for `n` ranks scheduled by `sched`, with the given
+    /// high-water mark (0 = unbounded).
+    pub(crate) fn new(n: usize, hwm: usize, sched: SchedCore) -> Router {
         Router {
-            slots: (0..n)
-                .map(|_| InboxSlot {
-                    q: Mutex::new(InboxQ::default()),
-                    recv_cv: Condvar::new(),
-                    send_cv: Condvar::new(),
-                })
-                .collect(),
+            slots: (0..n).map(|_| Mutex::new(InboxQ::default())).collect(),
             hwm,
+            sched,
             payloads: Mutex::new(PayloadPool::default()),
         }
+    }
+
+    /// The world's scheduler.
+    pub(crate) fn sched(&self) -> &SchedCore {
+        &self.sched
     }
 
     /// An empty buffer with room for `len` bytes: the smallest pooled one
@@ -135,202 +121,117 @@ impl Router {
     }
 
     /// Push under the queue lock and wake the receiver.
-    fn deliver_locked(
-        &self,
-        dest: usize,
-        mut q: MutexGuard<'_, InboxQ>,
-        msg: Message,
-        sched: Option<&SchedCore>,
-    ) {
+    fn deliver_locked(&self, dest: usize, mut q: MutexGuard<'_, InboxQ>, msg: Message) {
         q.msgs.push_back(msg);
-        let wake = q.recv_parked;
-        if wake {
-            q.recv_parked = false;
-        }
+        let wake = std::mem::take(&mut q.recv_parked);
         drop(q);
-        self.slots[dest].recv_cv.notify_one();
         if wake {
-            sched
-                .expect("recv_parked is only ever set in event mode")
-                .wake(dest);
+            self.sched.wake(dest);
         }
     }
 
     /// Deliver unconditionally (control traffic, self-sends): never
     /// blocks, never fails.
-    pub(crate) fn push(&self, dest: usize, msg: Message, sched: Option<&SchedCore>) {
-        let q = self.slots[dest].q.lock();
-        self.deliver_locked(dest, q, msg, sched);
+    pub(crate) fn push(&self, dest: usize, msg: Message) {
+        let q = self.slots[dest].lock();
+        self.deliver_locked(dest, q, msg);
     }
 
     /// Deliver subject to the high-water mark: while `dest`'s inbox is
-    /// full, park the sending fiber (event mode) or wait on the drain
-    /// condvar (thread mode, re-evaluating the watchdog's quiescence
-    /// predicate on its poll interval). Once a deadlock verdict exists
-    /// the message is force-delivered so the world can drain.
+    /// full, park the sending fiber. Once a deadlock verdict exists the
+    /// message is force-delivered so the world can drain.
     ///
     /// `me` is the sending world rank, `now` its virtual clock (the wait
     /// is wall-clock machinery only — virtual time is never advanced by
     /// backpressure).
-    pub(crate) fn push_bounded(
-        &self,
-        me: usize,
-        dest: usize,
-        msg: Message,
-        now: SimTime,
-        sched: Option<&SchedCore>,
-        wd: Option<&Watchdog>,
-    ) {
-        if self.hwm == 0 {
-            self.push(dest, msg, sched);
-            return;
-        }
-        let slot = &self.slots[dest];
-        if let Some(sched) = sched {
-            loop {
-                if sched.verdict().is_some() {
-                    break;
-                }
-                let mut q = slot.q.lock();
-                // A spurious wake can leave this sender still registered.
-                q.send_parked.retain(|&r| r != me);
-                if q.msgs.len() < self.hwm {
-                    self.deliver_locked(dest, q, msg, Some(sched));
-                    return;
-                }
-                sched.begin_park(me, now, format!("send backpressure(dest={dest})"));
-                q.send_parked.push(me);
-                drop(q);
-                sched.park_switch(me);
+    pub(crate) fn push_bounded(&self, me: usize, dest: usize, msg: Message, now: SimTime) {
+        while self.hwm != 0 && self.sched.verdict().is_none() {
+            let mut q = self.slots[dest].lock();
+            // A spurious wake can leave this sender still registered.
+            q.send_parked.retain(|&r| r != me);
+            if q.msgs.len() < self.hwm {
+                self.deliver_locked(dest, q, msg);
+                return;
             }
-            self.push(dest, msg, Some(sched));
-            return;
+            self.sched
+                .begin_park(me, now, format!("send backpressure(dest={dest})"));
+            q.send_parked.push(me);
+            drop(q);
+            self.sched.park_switch(me);
         }
-        let mut q = slot.q.lock();
-        match wd {
-            None => {
-                while q.msgs.len() >= self.hwm {
-                    slot.send_cv.wait(&mut q);
-                }
-            }
-            Some(wd) => {
-                if q.msgs.len() >= self.hwm {
-                    wd.block(me, format!("send backpressure(dest={dest})"), now);
-                    while q.msgs.len() >= self.hwm {
-                        if wd.poll_detect().is_some() {
-                            break; // force-deliver so the world drains
-                        }
-                        slot.send_cv.wait_for(&mut q, wd.poll_interval());
-                    }
-                    wd.unblock(me);
-                }
-            }
-        }
-        self.deliver_locked(dest, q, msg, sched);
+        self.push(dest, msg);
     }
 
-    /// After a pop: once the queue drops below the high-water mark, wake
-    /// every backpressured sender (each re-checks and re-parks if the
-    /// mark is hit again).
-    fn after_pop(&self, me: usize, mut q: MutexGuard<'_, InboxQ>, sched: Option<&SchedCore>) {
-        if self.hwm == 0 || q.msgs.len() >= self.hwm {
-            return;
-        }
-        let to_wake = if q.send_parked.is_empty() {
-            Vec::new()
-        } else {
-            std::mem::take(&mut q.send_parked)
-        };
-        drop(q);
-        self.slots[me].send_cv.notify_all();
-        if let Some(sched) = sched {
-            for r in to_wake {
-                sched.wake(r);
-            }
-        }
-    }
-
-    /// Non-blocking pop of `me`'s inbox.
-    pub(crate) fn try_recv(&self, me: usize, sched: Option<&SchedCore>) -> Option<Message> {
-        let mut q = self.slots[me].q.lock();
+    /// Non-blocking pop of `me`'s inbox. An empty inbox also yields the
+    /// fiber: poll loops (`test()` spinning) must let peers run on a
+    /// single worker, or the world would livelock.
+    pub(crate) fn try_recv(&self, me: usize, now: SimTime) -> Option<Message> {
+        let mut q = self.slots[me].lock();
         let msg = q.msgs.pop_front();
         if msg.is_some() {
-            self.after_pop(me, q, sched);
+            self.after_pop(q);
+        } else {
+            drop(q);
+            self.sched.yield_now(me, now);
         }
         msg
     }
 
-    /// Thread mode: block until a message arrives.
-    pub(crate) fn recv_thread(&self, me: usize) -> Message {
-        let slot = &self.slots[me];
-        let mut q = slot.q.lock();
-        loop {
-            if let Some(m) = q.msgs.pop_front() {
-                self.after_pop(me, q, None);
-                return m;
-            }
-            slot.recv_cv.wait(&mut q);
+    /// After a pop: once the queue drops below the high-water mark, wake
+    /// every backpressured sender (each re-checks and re-parks if the
+    /// mark is hit again). Unbounded inboxes (mark 0) never park a sender.
+    fn after_pop(&self, mut q: MutexGuard<'_, InboxQ>) {
+        if q.msgs.len() >= self.hwm || q.send_parked.is_empty() {
+            return;
+        }
+        let to_wake = std::mem::take(&mut q.send_parked);
+        drop(q);
+        for r in to_wake {
+            self.sched.wake(r);
         }
     }
 
-    /// Thread mode: block until a message arrives or `dur` elapses (the
-    /// watchdog poll loop).
-    pub(crate) fn recv_thread_timeout(&self, me: usize, dur: Duration) -> Option<Message> {
-        let slot = &self.slots[me];
-        let mut q = slot.q.lock();
-        if let Some(m) = q.msgs.pop_front() {
-            self.after_pop(me, q, None);
-            return Some(m);
-        }
-        slot.recv_cv.wait_for(&mut q, dur);
-        match q.msgs.pop_front() {
-            Some(m) => {
-                self.after_pop(me, q, None);
-                Some(m)
-            }
-            None => None,
-        }
-    }
-
-    /// Event mode: pop `me`'s inbox, parking the fiber while it is empty.
-    /// Returns `None` only when the world was declared deadlocked while
-    /// (or before) this receiver was parked. `desc` renders the pending
-    /// operation for the verdict; it is only invoked if the receiver
-    /// actually parks (callers cache the rendering, so re-parks after a
-    /// spurious wake stay cheap).
-    pub(crate) fn recv_sched(
+    /// Pop `me`'s inbox, parking the fiber while it is empty. Fails only
+    /// when the world was declared deadlocked while (or before) this
+    /// receiver was parked. `desc` renders the pending operation for the
+    /// verdict; it is invoked once, and only if the receiver actually
+    /// parks (re-parks after a spurious wake reuse the rendering).
+    pub(crate) fn recv(
         &self,
         me: usize,
-        sched: &SchedCore,
         now: SimTime,
-        desc: &mut dyn FnMut() -> String,
-    ) -> Option<Message> {
-        let slot = &self.slots[me];
+        desc: impl FnOnce() -> String,
+    ) -> Result<Message, DeadlockInfo> {
+        let mut desc = Some(desc);
+        let mut rendered = String::new();
         loop {
-            if sched.verdict().is_some() {
-                return None;
+            if let Some(verdict) = self.sched.verdict() {
+                return Err(verdict.clone());
             }
-            let mut q = slot.q.lock();
+            let mut q = self.slots[me].lock();
             // Clear a stale flag from a verdict wake or a racing push.
             q.recv_parked = false;
             if let Some(m) = q.msgs.pop_front() {
-                self.after_pop(me, q, Some(sched));
-                return Some(m);
+                self.after_pop(q);
+                return Ok(m);
             }
             // Order matters: announce Parking *before* publishing the
             // parked flag, so a deliverer that observes the flag always
             // finds the task in Parking/Parked and its wake is never
             // lost (a racing wake latches `wake_pending`).
-            sched.begin_park(me, now, desc());
+            if let Some(render) = desc.take() {
+                rendered = render();
+            }
+            self.sched.begin_park(me, now, rendered.clone());
             q.recv_parked = true;
             drop(q);
-            sched.park_switch(me);
+            self.sched.park_switch(me);
         }
     }
 
     /// Messages currently queued in `rank`'s inbox (teardown/test
     /// accounting).
     pub(crate) fn inbox_depth(&self, rank: usize) -> usize {
-        self.slots[rank].q.lock().msgs.len()
+        self.slots[rank].lock().msgs.len()
     }
 }

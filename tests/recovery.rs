@@ -250,7 +250,7 @@ fn kill_plus_corruption_restores_from_checkpoints_and_replays() {
     // log, restored state, virtual clocks — replays identically under the
     // same seed.
     let run = |seed: u64| {
-        // The watchdog turns any residual hang in this schedule into a
+        // The scheduler turns any residual hang in this schedule into a
         // structured Deadlock error naming the stuck ranks — this test
         // used to wedge rarely (see the barrier note in
         // `recovering_rank`), and a silent hang is the one outcome a CI
@@ -262,7 +262,7 @@ fn kill_plus_corruption_restores_from_checkpoints_and_replays() {
                 ))
                 .unwrap(),
             )
-            .with_watchdog(mpi_sim::WatchdogConfig::default());
+            .with_deadlock_budget(SimTime::from_ms(100));
         assert!(cfg.integrity, "an active corrupt site enables integrity");
         World::run(&cfg, |ctx| match recovering_rank(ctx, 4) {
             Ok((out, got, want, size)) => {
@@ -332,7 +332,7 @@ fn restore_falls_back_to_spill_when_owner_and_buddy_both_die() {
     let plan = FaultPlan::parse("exit=4@10ms,exit=5@10ms").unwrap();
     let cfg = WorldConfig::summit(8)
         .with_faults(plan)
-        .with_watchdog(mpi_sim::WatchdogConfig::default());
+        .with_deadlock_budget(SimTime::from_ms(100));
     let spill = dir.clone();
     let results = World::run(&cfg, move |ctx| {
         let mut mpi = InterposedMpi::new(TempiConfig::default());
@@ -404,7 +404,7 @@ fn corrupted_spill_surfaces_a_typed_error_instead_of_bad_data() {
     });
     let cfg = WorldConfig::summit(8)
         .with_faults(plan)
-        .with_watchdog(mpi_sim::WatchdogConfig::default());
+        .with_deadlock_budget(SimTime::from_ms(100));
     let spill = dir.clone();
     let results = World::run(&cfg, move |ctx| {
         let mut mpi = InterposedMpi::new(TempiConfig::default());

@@ -1,11 +1,11 @@
-//! Event-scheduler scale and robustness tests: the discrete-event runtime
+//! Scheduler scale and robustness tests: the discrete-event runtime
 //! must carry a four-digit rank count through a real workload (the CI
 //! smoke for the `bench_scale` sweep), surface one rank's panic as a
 //! typed error without discarding the world, and keep send storms inside
 //! the bounded-inbox high-water mark — parking senders instead of growing
 //! memory, and reporting a *genuine* buffer-cycle deadlock structurally.
 
-use mpi_sim::{MpiError, SchedMode, World, WorldConfig};
+use mpi_sim::{MpiError, World, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_stencil::{HaloConfig, HaloExchanger};
@@ -13,8 +13,8 @@ use tempi_stencil::{HaloConfig, HaloExchanger};
 #[test]
 fn stencil_smoke_at_1024_ranks() {
     // The CI scale smoke: a full 26-direction halo exchange at 1,024
-    // ranks — two orders of magnitude past what the thread-per-rank
-    // backend could schedule — with every ghost cell verified.
+    // ranks — two orders of magnitude past what a thread per rank can
+    // schedule — with every ghost cell verified.
     let cfg = WorldConfig::summit(1024);
     let results = World::run(&cfg, |ctx| {
         let mut mpi = InterposedMpi::new(TempiConfig::default());
@@ -28,27 +28,21 @@ fn stencil_smoke_at_1024_ranks() {
     assert!(results.iter().all(|&bad| bad == 0), "corrupt ghost cells");
 }
 
-fn panicking_world(mode: SchedMode) -> MpiError {
-    let cfg = WorldConfig::summit(4).with_sched_mode(mode);
-    World::run(&cfg, |ctx| {
+#[test]
+fn one_rank_panic_reports_the_rank() {
+    let err = World::run(&WorldConfig::summit(4), |ctx| {
         if ctx.rank == 2 {
             panic!("rank 2 exploded");
         }
         Ok(ctx.rank)
     })
-    .expect_err("a panicking rank must fail the world")
-}
-
-#[test]
-fn one_rank_panic_reports_the_rank_in_both_backends() {
-    for mode in [SchedMode::Auto, SchedMode::Threads] {
-        match panicking_world(mode) {
-            MpiError::RankPanicked { rank, message } => {
-                assert_eq!(rank, 2, "{mode:?}");
-                assert!(message.contains("exploded"), "{mode:?}: {message}");
-            }
-            other => panic!("{mode:?}: expected RankPanicked, got {other:?}"),
+    .expect_err("a panicking rank must fail the world");
+    match err {
+        MpiError::RankPanicked { rank, message } => {
+            assert_eq!(rank, 2);
+            assert!(message.contains("exploded"), "{message}");
         }
+        other => panic!("expected RankPanicked, got {other:?}"),
     }
 }
 
@@ -84,17 +78,14 @@ fn send_storm_stays_inside_the_inbox_high_water_mark() {
     );
 }
 
-#[cfg(target_arch = "x86_64")]
 #[test]
 fn mutual_storms_past_the_mark_are_a_structural_deadlock() {
     // Both ranks flood each other without ever receiving: with finite
     // buffers that is a true deadlock (each sender waits for inbox space
-    // only the other's receive could create). The event scheduler sees it
+    // only the other's receive could create). The scheduler sees it
     // structurally — every fiber parked, event heap empty — and names the
     // backpressure parks in the verdict.
-    let cfg = WorldConfig::summit(2)
-        .with_inbox_hwm(2)
-        .with_sched_mode(SchedMode::Events);
+    let cfg = WorldConfig::summit(2).with_inbox_hwm(2);
     let err = World::run(&cfg, |ctx| {
         let buf = ctx.gpu.host_alloc(8)?;
         let peer = 1 - ctx.rank;

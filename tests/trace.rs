@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use mpi_sim::consts::MPI_BYTE;
-use mpi_sim::{FaultPlan, SchedMode, World, WorldConfig};
+use mpi_sim::{FaultPlan, World, WorldConfig};
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::{TraceLevel, Tracer};
@@ -241,7 +241,7 @@ fn per_lane_sequences_replay_exactly_for_a_seed() {
 /// (virtual clock, verified ghost cells, tuner counters) plus the complete
 /// Chrome trace JSON (which embeds every span, timestamp, method choice,
 /// and `tuner.decide` instant).
-fn seeded_run(mode: SchedMode, workers: usize) -> (Vec<(u64, usize, u64, u64)>, String) {
+fn seeded_run(workers: usize) -> (Vec<(u64, usize, u64, u64)>, String) {
     let tracer = Tracer::new(TraceLevel::Full);
     let mut cfg = WorldConfig::summit(4);
     cfg.net.ranks_per_node = 2;
@@ -250,7 +250,6 @@ fn seeded_run(mode: SchedMode, workers: usize) -> (Vec<(u64, usize, u64, u64)>, 
             FaultPlan::parse("seed=424242,send=0.1,retries=6,backoff=15us,delay=0.2:30us").unwrap(),
         )
         .with_tracer(tracer.clone())
-        .with_sched_mode(mode)
         .with_sched_workers(workers);
     let results = World::run(&cfg, |ctx| {
         let mut mpi = InterposedMpi::new(TempiConfig {
@@ -289,18 +288,14 @@ fn seeded_run(mode: SchedMode, workers: usize) -> (Vec<(u64, usize, u64, u64)>, 
 
 #[test]
 fn scheduler_worker_count_never_changes_results_traces_or_tuner_decisions() {
-    // The determinism contract of the event scheduler: the same seed at
-    // M=1 and M=8 workers produces byte-identical per-rank results and a
+    // The determinism contract of the scheduler: the same seed at M=1 and
+    // M=8 workers produces byte-identical per-rank results and a
     // byte-identical Chrome trace (which embeds every tuner decision as a
-    // `tuner.decide` instant) — and both match the legacy thread backend.
-    let (r1, t1) = seeded_run(SchedMode::Events, 1);
-    let (r8, t8) = seeded_run(SchedMode::Events, 8);
+    // `tuner.decide` instant).
+    let (r1, t1) = seeded_run(1);
+    let (r8, t8) = seeded_run(8);
     assert_eq!(r1, r8, "per-rank results depend on the worker count");
     assert_eq!(t1, t8, "Chrome traces depend on the worker count");
-
-    let (rt, tt) = seeded_run(SchedMode::Threads, 1);
-    assert_eq!(r1, rt, "event-mode results diverge from thread mode");
-    assert_eq!(t1, tt, "event-mode traces diverge from thread mode");
 
     // The trace really does pin the tuner: decisions were recorded.
     assert!(
