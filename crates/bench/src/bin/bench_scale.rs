@@ -16,7 +16,8 @@
 //! slowest rank's, after one warm-up exchange and a clock-synchronizing
 //! barrier) — deterministic, so `check_bench` gates on it — and the host
 //! wall-clock of the whole world run, which is the scaling headline but
-//! is never gated (it is the one noisy column).
+//! is never gated (it is the one noisy column). The stencil rows from 64
+//! ranks up must agree within 1 %: a neighbor exchange weak-scales flat.
 //!
 //! Rows go to `BENCH_scale.json` at the repository root (gate input, or
 //! `--out DIR`; a failed write exits non-zero) and
@@ -125,6 +126,18 @@ fn main() {
         headline.wall_ms < 60_000.0,
         "10,000-rank stencil exchange took {:.1} s — the acceptance bar is 60 s",
         headline.wall_ms / 1e3
+    );
+
+    // A nearest-neighbor exchange weak-scales flat: from 64 ranks up every
+    // rank has 26 distinct neighbors, and the exchange costs the same.
+    let flat = rows
+        .iter()
+        .filter(|r| r.workload == "stencil" && r.ranks >= 64)
+        .map(|r| r.exchange_ns);
+    let (lo, hi) = flat.fold((f64::MAX, 0.0_f64), |(lo, hi), ns| (lo.min(ns), hi.max(ns)));
+    assert!(
+        hi <= lo * 1.01,
+        "stencil exchange grows with the world: {lo:.0} ns to {hi:.0} ns from 64 ranks up"
     );
 
     let write = tempi_bench::out_dir_from_args(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))

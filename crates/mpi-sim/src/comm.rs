@@ -63,6 +63,7 @@ use tempi_trace::LANE_CPU;
 use crate::error::{MpiError, MpiResult};
 use crate::p2p::{Message, Sifted, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_BARRIER, TAG_REVOKE};
 use crate::runtime::RankCtx;
+use crate::sched::ParkOp;
 
 /// Encode a set of world ranks as little-endian `u64`s.
 fn encode_ranks<'a>(ranks: impl IntoIterator<Item = &'a usize>) -> Vec<u8> {
@@ -218,7 +219,7 @@ impl RankCtx {
             if self.known_dead.contains_key(&watch_world) {
                 return Ok(AgreeEvent::Dead);
             }
-            let msg = self.blocking_recv(|| format!("agree(epoch={epoch})"))?;
+            let msg = self.blocking_recv(ParkOp::Agree { epoch })?;
             match self.sift(msg) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 // Deaths update `known_dead` inside sift; revocations of a
@@ -431,7 +432,7 @@ impl RankCtx {
                 self.faults.stats.peer_gone += 1;
                 return Err(MpiError::PeerGone);
             }
-            let msg = self.blocking_recv(|| format!("comm_barrier(from={from}, round={round})"))?;
+            let msg = self.blocking_recv(ParkOp::CommBarrier { from, round })?;
             match self.sift(msg) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 Sifted::Revoke => return Err(MpiError::Revoked),

@@ -26,27 +26,9 @@ use gpu_sim::GpuPtr;
 
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{Message, Sifted, Status};
+use crate::p2p::{Sifted, Status};
 use crate::runtime::RankCtx;
-
-/// Does a delivered message satisfy a posted receive? Mirrors the matching
-/// rules of `match_message` in `p2p.rs`: current-epoch only, and wildcards
-/// never see internal (negative-tag) control or collective traffic.
-fn recv_matches(m: &Message, epoch: u64, src: Option<usize>, tag: Option<i32>) -> bool {
-    if m.epoch != epoch {
-        return false;
-    }
-    let internal_requested = matches!(tag, Some(t) if t < crate::p2p::MIN_USER_TAG);
-    let src_ok = match src {
-        Some(s) => m.src == s,
-        None => m.tag >= crate::p2p::MIN_USER_TAG || internal_requested,
-    };
-    let tag_ok = match tag {
-        Some(t) => m.tag == t,
-        None => m.tag >= crate::p2p::MIN_USER_TAG,
-    };
-    src_ok && tag_ok
-}
+use crate::sched::ParkOp;
 
 /// A handle to an outstanding nonblocking operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,9 +167,7 @@ impl RankCtx {
     /// Is a matching message already queued? (no blocking, no removal)
     fn peek_match(&self, src: Option<usize>, tag: Option<i32>) -> bool {
         let epoch = self.epoch;
-        self.pending
-            .iter()
-            .any(|m| recv_matches(m, epoch, src, tag))
+        self.pending.iter().any(|m| m.matches(epoch, src, tag))
     }
 
     /// Complete one request, blocking if necessary.
@@ -292,7 +272,7 @@ impl RankCtx {
                 }
             }
             // block for one more arrival, then re-scan
-            let m = self.blocking_recv(|| format!("waitany({} requests)", reqs.len()))?;
+            let m = self.blocking_recv(ParkOp::Waitany(reqs.len()))?;
             match self.sift(m) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 Sifted::Revoke => return Err(MpiError::Revoked),
@@ -322,7 +302,7 @@ impl RankCtx {
                 .pending
                 .iter()
                 .enumerate()
-                .position(|(i, m)| !claimed[i] && recv_matches(m, epoch, src, tag));
+                .position(|(i, m)| !claimed[i] && m.matches(epoch, src, tag));
             match hit {
                 Some(i) => claimed[i] = true,
                 None => return Ok(None),

@@ -21,6 +21,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::fault::FaultInjector;
 use crate::net::Transport;
 use crate::runtime::RankCtx;
+use crate::sched::ParkOp;
 use crate::vendor::{baseline_gpu_pack, baseline_gpu_unpack, is_contiguous};
 
 /// Tags below this value are reserved for internal collectives.
@@ -82,6 +83,26 @@ pub struct Message {
     /// corrupting) wire; `None` means the envelope carries no integrity
     /// information and corruption is delivered silently.
     pub checksum: Option<u64>,
+}
+
+impl Message {
+    /// Does this message satisfy a receive of `(src, tag)` posted under
+    /// `epoch`? `None` is a wildcard (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`).
+    /// Only current-epoch traffic matches, and wildcards only see user
+    /// traffic (tag >= 0) — except that an explicit internal tag
+    /// (collectives) may match wildcard-source.
+    pub(crate) fn matches(&self, epoch: u64, src: Option<usize>, tag: Option<i32>) -> bool {
+        let user = self.tag >= MIN_USER_TAG;
+        let src_ok = match src {
+            Some(s) => self.src == s,
+            None => user || tag.is_some_and(|t| t < MIN_USER_TAG),
+        };
+        let tag_ok = match tag {
+            Some(t) => self.tag == t,
+            None => user,
+        };
+        self.epoch == epoch && src_ok && tag_ok
+    }
 }
 
 /// FNV-1a 64 over a payload: the content checksum integrity-enabled
@@ -682,12 +703,12 @@ impl RankCtx {
     }
 
     /// Pull the next message from this rank's inbox, parking this rank's
-    /// fiber (described by `desc`, rendered lazily) until one arrives. A
-    /// structural deadlock verdict unwinds it as [`MpiError::Deadlock`],
-    /// with the clock moved to the verdict's instant.
-    pub(crate) fn blocking_recv(&mut self, desc: impl FnOnce() -> String) -> MpiResult<Message> {
+    /// fiber on `op` until one arrives. A structural deadlock verdict
+    /// unwinds it as [`MpiError::Deadlock`], with the clock moved to the
+    /// verdict's instant.
+    pub(crate) fn blocking_recv(&mut self, op: ParkOp) -> MpiResult<Message> {
         self.router
-            .recv(self.world_rank, self.clock.now(), desc)
+            .recv(self.world_rank, self.clock.now(), op)
             .map_err(|v| {
                 self.clock.advance_to(v.at);
                 MpiError::Deadlock {
@@ -708,26 +729,10 @@ impl RankCtx {
         src: Option<usize>,
         tag: Option<i32>,
     ) -> MpiResult<Message> {
-        // An explicit internal tag (collectives) may match wildcard-source;
-        // otherwise wildcards only see user traffic (tag >= 0).
-        let internal_requested = matches!(tag, Some(t) if t < MIN_USER_TAG);
         let epoch = self.epoch;
-        let matches = move |m: &Message| -> bool {
-            if m.epoch != epoch {
-                return false;
-            }
-            let src_ok = match src {
-                Some(s) => m.src == s,
-                None => m.tag >= MIN_USER_TAG || internal_requested,
-            };
-            let tag_ok = match tag {
-                Some(t) => m.tag == t,
-                None => m.tag >= MIN_USER_TAG,
-            };
-            src_ok && tag_ok
-        };
-        if let Some(i) = self.pending.iter().position(matches) {
-            return Ok(self.pending.remove(i).expect("index valid"));
+        let found = self.pending.iter().position(|m| m.matches(epoch, src, tag));
+        if let Some(m) = found.and_then(|i| self.pending.remove(i)) {
+            return Ok(m);
         }
         // Nothing deliverable is queued; a receive aimed at a known-dead
         // peer can never complete. The clock still converges on the
@@ -738,15 +743,10 @@ impl RankCtx {
             return Err(MpiError::PeerGone);
         }
         loop {
-            let msg = self.blocking_recv(|| match (src, tag) {
-                (Some(s), Some(t)) => format!("recv(src={s}, tag={t})"),
-                (Some(s), None) => format!("recv(src={s}, tag=*)"),
-                (None, Some(t)) => format!("recv(src=*, tag={t})"),
-                (None, None) => "recv(src=*, tag=*)".to_string(),
-            })?;
+            let msg = self.blocking_recv(ParkOp::Recv { src, tag })?;
             match self.sift(msg) {
                 Sifted::Keep(m) => {
-                    if matches(&m) {
+                    if m.matches(epoch, src, tag) {
                         return Ok(m);
                     }
                     self.pending.push_back(m);
@@ -773,24 +773,9 @@ impl RankCtx {
     /// which TEMPI's receive path uses to pick the matching unpack method.
     pub fn probe(&mut self, src: Option<usize>, tag: Option<i32>) -> MpiResult<ProbeInfo> {
         self.check_comm()?;
-        let internal_requested = matches!(tag, Some(t) if t < MIN_USER_TAG);
         let epoch = self.epoch;
-        let matches = move |m: &Message| -> bool {
-            if m.epoch != epoch {
-                return false;
-            }
-            let src_ok = match src {
-                Some(s) => m.src == s,
-                None => m.tag >= MIN_USER_TAG || internal_requested,
-            };
-            let tag_ok = match tag {
-                Some(t) => m.tag == t,
-                None => m.tag >= MIN_USER_TAG,
-            };
-            src_ok && tag_ok
-        };
         loop {
-            if let Some(m) = self.pending.iter().find(|m| matches(m)) {
+            if let Some(m) = self.pending.iter().find(|m| m.matches(epoch, src, tag)) {
                 return Ok(ProbeInfo {
                     source: m.src,
                     tag: m.tag,
@@ -804,7 +789,7 @@ impl RankCtx {
                 self.faults.stats.peer_gone += 1;
                 return Err(MpiError::PeerGone);
             }
-            let msg = self.blocking_recv(|| format!("probe(src={src:?}, tag={tag:?})"))?;
+            let msg = self.blocking_recv(ParkOp::Probe { src, tag })?;
             match self.sift(msg) {
                 Sifted::Keep(m) => self.pending.push_back(m),
                 Sifted::Revoke => return Err(MpiError::Revoked),

@@ -25,7 +25,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::fault::{FaultPlan, FaultState};
 use crate::net::NetModel;
 use crate::p2p::Message;
-use crate::sched::{DeadlockInfo, Router, SchedCore, DEFAULT_INBOX_HWM};
+use crate::sched::{DeadlockInfo, ParkOp, Router, SchedCore, DEFAULT_INBOX_HWM};
 use crate::vendor::VendorProfile;
 
 /// Everything that parameterizes a simulated platform.
@@ -266,7 +266,7 @@ impl ClockBarrier {
             // lock, so the releaser (which drains `waiters` under that
             // lock) always finds this task in Parking/Parked and its wake
             // is latched rather than lost.
-            sched.begin_park(rank, now, "barrier".to_string());
+            sched.begin_park(rank, now, ParkOp::Barrier);
             drop(s);
             sched.park_switch(rank);
             s = self.state.lock();

@@ -49,6 +49,7 @@ pub(crate) use router::{Router, DEFAULT_INBOX_HWM};
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::sync::OnceLock;
 
 use fiber::{Entry, Fiber, Resumed};
@@ -66,6 +67,56 @@ pub(crate) struct DeadlockInfo {
     /// Virtual instant of the verdict: the latest parked clock plus
     /// [`WorldConfig::deadlock_budget`](crate::WorldConfig::deadlock_budget).
     pub(crate) at: SimTime,
+}
+
+/// What a parked task is blocked on. Parks are frequent and verdicts are
+/// not, so a park stores this `Copy` value and only a deadlock verdict
+/// renders it (into [`DeadlockInfo::ops`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ParkOp {
+    /// A blocking match of `(src, tag)`; `None` is a wildcard.
+    Recv {
+        src: Option<usize>,
+        tag: Option<i32>,
+    },
+    /// `MPI_Probe` of `(src, tag)`.
+    Probe {
+        src: Option<usize>,
+        tag: Option<i32>,
+    },
+    /// `MPI_Waitany` over this many requests.
+    Waitany(usize),
+    /// The world barrier.
+    Barrier,
+    /// A send held back by `dest`'s full inbox.
+    Backpressure { dest: usize },
+    /// One wait step of the failure-agreement protocol.
+    Agree { epoch: u64 },
+    /// One round of the dissemination barrier on a communicator.
+    CommBarrier { from: usize, round: u32 },
+}
+
+/// `Some(v)` as `v`, a wildcard as `*`.
+fn or_star<T: ToString>(v: Option<T>) -> String {
+    v.map_or_else(|| "*".to_string(), |v| v.to_string())
+}
+
+impl fmt::Display for ParkOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ParkOp::Recv { src, tag } => {
+                write!(f, "recv(src={}, tag={})", or_star(src), or_star(tag))
+            }
+            ParkOp::Probe { src, tag } => write!(f, "probe(src={src:?}, tag={tag:?})"),
+            ParkOp::Waitany(n) => write!(f, "waitany({n} requests)"),
+            ParkOp::Barrier => f.write_str("barrier"),
+            ParkOp::Backpressure { dest } => write!(f, "send backpressure(dest={dest})"),
+            ParkOp::Agree { epoch } => write!(f, "agree(epoch={epoch})"),
+            ParkOp::CommBarrier { from, round } => {
+                write!(f, "comm_barrier(from={from}, round={round})")
+            }
+        }
+    }
 }
 
 /// Default fiber stack size; override with `TEMPI_SCHED_STACK_KIB`.
@@ -106,9 +157,9 @@ struct TaskInner {
     /// A wake arrived while the task was on a worker: consume it at the
     /// next park-handoff instead of losing it.
     wake_pending: bool,
-    /// What the task is blocked on (rendered at park time; feeds the
-    /// deadlock verdict's `ops`).
-    park_desc: Option<String>,
+    /// What the task is blocked on (rendered only into a deadlock
+    /// verdict's `ops`).
+    park_desc: Option<ParkOp>,
     /// The task's virtual clock when it last parked or yielded: keys its
     /// next ready-heap entry and feeds the verdict's `at`.
     clock: SimTime,
@@ -322,14 +373,14 @@ impl SchedCore {
         self.cv.notify_one();
     }
 
-    /// Fiber-side: announce intent to park on an operation described by
-    /// `desc`, with the caller's virtual clock at `now`. The caller then
-    /// publishes its wake condition (e.g. an inbox "receiver parked"
-    /// flag) and calls [`SchedCore::park_switch`].
-    pub(crate) fn begin_park(&self, rank: usize, now: SimTime, desc: String) {
+    /// Fiber-side: announce intent to park on `op`, with the caller's
+    /// virtual clock at `now`. The caller then publishes its wake
+    /// condition (e.g. an inbox "receiver parked" flag) and calls
+    /// [`SchedCore::park_switch`].
+    pub(crate) fn begin_park(&self, rank: usize, now: SimTime, op: ParkOp) {
         let Some(task) = self.tasks.get(rank) else {
             // A standalone caller: nothing can wake it, so this is final.
-            self.condemn(vec![rank], vec![desc], now);
+            self.condemn(vec![rank], vec![op.to_string()], now);
             return;
         };
         let mut inner = task.inner.lock();
@@ -338,7 +389,7 @@ impl SchedCore {
             TaskState::Running | TaskState::Parking
         ));
         inner.state = TaskState::Parking;
-        inner.park_desc = Some(desc);
+        inner.park_desc = Some(op);
         inner.clock = now;
     }
 
@@ -424,8 +475,7 @@ impl SchedCore {
                 ops.push(
                     inner
                         .park_desc
-                        .clone()
-                        .unwrap_or_else(|| "blocked".to_string()),
+                        .map_or_else(|| "blocked".to_string(), |op| op.to_string()),
                 );
                 latest = latest.max(inner.clock);
             }
@@ -447,9 +497,45 @@ mod tests {
     use super::*;
 
     /// Park `rank` of `core` once, as a blocking point would.
-    fn park(core: &SchedCore, rank: usize, at: SimTime, op: &str) {
-        core.begin_park(rank, at, op.to_string());
+    fn park(core: &SchedCore, rank: usize, at: SimTime, op: ParkOp) {
+        core.begin_park(rank, at, op);
         core.park_switch(rank);
+    }
+
+    const RECV_1_7: ParkOp = ParkOp::Recv {
+        src: Some(1),
+        tag: Some(7),
+    };
+
+    #[test]
+    fn park_ops_render_the_verdict_strings() {
+        let any = ParkOp::Recv {
+            src: None,
+            tag: None,
+        };
+        let probe = ParkOp::Probe {
+            src: Some(1),
+            tag: None,
+        };
+        let rendered = [
+            (RECV_1_7, "recv(src=1, tag=7)"),
+            (any, "recv(src=*, tag=*)"),
+            (probe, "probe(src=Some(1), tag=None)"),
+            (ParkOp::Waitany(3), "waitany(3 requests)"),
+            (ParkOp::Barrier, "barrier"),
+            (
+                ParkOp::Backpressure { dest: 9 },
+                "send backpressure(dest=9)",
+            ),
+            (ParkOp::Agree { epoch: 2 }, "agree(epoch=2)"),
+            (
+                ParkOp::CommBarrier { from: 4, round: 1 },
+                "comm_barrier(from=4, round=1)",
+            ),
+        ];
+        for (op, want) in rendered {
+            assert_eq!(op.to_string(), want);
+        }
     }
 
     #[test]
@@ -457,8 +543,8 @@ mod tests {
         let budget = SimTime::from_ms(100);
         let core = SchedCore::new(3, budget);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| park(&core, 0, SimTime::from_us(3), "recv(src=1, tag=7)")),
-            Box::new(|| park(&core, 1, SimTime::from_us(5), "barrier")),
+            Box::new(|| park(&core, 0, SimTime::from_us(3), RECV_1_7)),
+            Box::new(|| park(&core, 1, SimTime::from_us(5), ParkOp::Barrier)),
             Box::new(|| {}), // returns at once: done, not stuck
         ];
         core.run(2, bodies.into_iter());
@@ -491,15 +577,15 @@ mod tests {
         let core = SchedCore::new(0, SimTime::from_ms(1));
         core.yield_now(0, SimTime::ZERO); // nobody to yield to: a no-op
         assert_eq!(core.verdict(), None);
-        park(&core, 0, SimTime::from_us(2), "recv(src=0, tag=1)");
+        park(&core, 0, SimTime::from_us(2), RECV_1_7);
         let v = core
             .verdict()
             .expect("nothing can wake a standalone caller");
         assert_eq!(v.ranks, vec![0]);
-        assert_eq!(v.ops, vec!["recv(src=0, tag=1)"]);
+        assert_eq!(v.ops, vec!["recv(src=1, tag=7)"]);
         assert_eq!(v.at, SimTime::from_us(2) + SimTime::from_ms(1));
         let first = v.clone();
-        park(&core, 0, SimTime::from_us(9), "barrier");
+        park(&core, 0, SimTime::from_us(9), ParkOp::Barrier);
         assert_eq!(core.verdict(), Some(&first), "the verdict is sticky");
     }
 }

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use gpu_sim::SimTime;
 use parking_lot::{Mutex, MutexGuard};
 
-use super::{DeadlockInfo, SchedCore};
+use super::{DeadlockInfo, ParkOp, SchedCore};
 use crate::p2p::Message;
 
 /// Default per-rank inbox high-water mark, in messages.
@@ -154,7 +154,7 @@ impl Router {
                 return;
             }
             self.sched
-                .begin_park(me, now, format!("send backpressure(dest={dest})"));
+                .begin_park(me, now, ParkOp::Backpressure { dest });
             q.send_parked.push(me);
             drop(q);
             self.sched.park_switch(me);
@@ -191,19 +191,15 @@ impl Router {
         }
     }
 
-    /// Pop `me`'s inbox, parking the fiber while it is empty. Fails only
-    /// when the world was declared deadlocked while (or before) this
-    /// receiver was parked. `desc` renders the pending operation for the
-    /// verdict; it is invoked once, and only if the receiver actually
-    /// parks (re-parks after a spurious wake reuse the rendering).
+    /// Pop `me`'s inbox, parking the fiber on `op` while it is empty.
+    /// Fails only when the world was declared deadlocked while (or before)
+    /// this receiver was parked.
     pub(crate) fn recv(
         &self,
         me: usize,
         now: SimTime,
-        desc: impl FnOnce() -> String,
+        op: ParkOp,
     ) -> Result<Message, DeadlockInfo> {
-        let mut desc = Some(desc);
-        let mut rendered = String::new();
         loop {
             if let Some(verdict) = self.sched.verdict() {
                 return Err(verdict.clone());
@@ -219,10 +215,7 @@ impl Router {
             // parked flag, so a deliverer that observes the flag always
             // finds the task in Parking/Parked and its wake is never
             // lost (a racing wake latches `wake_pending`).
-            if let Some(render) = desc.take() {
-                rendered = render();
-            }
-            self.sched.begin_park(me, now, rendered.clone());
+            self.sched.begin_park(me, now, op);
             q.recv_parked = true;
             drop(q);
             self.sched.park_switch(me);

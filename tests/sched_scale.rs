@@ -29,6 +29,28 @@ fn stencil_smoke_at_1024_ranks() {
 }
 
 #[test]
+fn neighbor_exchange_clocks_do_not_depend_on_the_worker_count() {
+    // The sparse alltoallv's schedule is a function of the block lists
+    // only — never of arrival order — so every rank's clock after two
+    // 26-direction exchanges is the same on 1 worker and on 8.
+    let clocks = |workers: usize| {
+        let cfg = WorldConfig::summit(64).with_sched_workers(workers);
+        World::run(&cfg, |ctx| {
+            let mut mpi = InterposedMpi::new(TempiConfig::default());
+            let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
+            ex.fill(ctx)?;
+            ex.exchange(ctx, &mut mpi)?;
+            ex.exchange(ctx, &mut mpi)?;
+            Ok((ctx.clock.now(), ex.verify_ghosts(ctx)?))
+        })
+        .expect("64-rank world")
+    };
+    let (one, eight) = (clocks(1), clocks(8));
+    assert_eq!(one, eight);
+    assert!(one.iter().all(|&(_, bad)| bad == 0), "corrupt ghost cells");
+}
+
+#[test]
 fn one_rank_panic_reports_the_rank() {
     let err = World::run(&WorldConfig::summit(4), |ctx| {
         if ctx.rank == 2 {
