@@ -7,7 +7,8 @@
 //! slower than the semantically equivalent operation the user could
 //! write by hand. This module states four of those guidelines over the
 //! expanded datatype zoo ([`ZooPattern::zoo`]) and evaluates them per
-//! (pattern, vendor) cell, with TEMPI interposed and not:
+//! (pattern, vendor) cell, with TEMPI interposed — as
+//! `TempiConfig::default()`, what a user gets with no knob set — and not:
 //!
 //! * **G1** — a DDT send must not lose to packing the same bytes and
 //!   sending them contiguously (`MPI_Pack` + send + `MPI_Unpack`),
@@ -353,17 +354,6 @@ pub fn render_report(rows: &[GuidelineRow], tol: f64) -> String {
     s
 }
 
-/// The TEMPI deployment the harness interposes: the default pipeline
-/// plus the indexed/struct block-list extension, so the struct-of-arrays
-/// and block-cyclic zoo families route through TEMPI's kernels instead
-/// of falling back.
-pub fn tempi_on_config() -> TempiConfig {
-    TempiConfig {
-        extend_struct: true,
-        ..TempiConfig::default()
-    }
-}
-
 /// The vendor a measurement platform simulates.
 fn vendor_of(platform: Platform) -> VendorId {
     match platform {
@@ -378,7 +368,7 @@ fn vendor_of(platform: Platform) -> VendorId {
 /// handling (strided or block-list — the layouts G4 ranges over).
 pub fn plan_label(platform: Platform, pattern: ZooPattern) -> MpiResult<(String, bool)> {
     let mut ctx = RankCtx::standalone(&platform.world(1));
-    let mut tempi = Tempi::new(tempi_on_config());
+    let mut tempi = Tempi::default();
     let dt = pattern.build(&mut ctx)?;
     let plan = tempi.type_commit(&mut ctx, dt)?;
     Ok(match &plan.kind {
@@ -507,10 +497,10 @@ pub fn measure_cell(
 /// G4 ablation, the plan probe, and the guideline evaluation at
 /// tolerance `tol`.
 pub fn run_cell(platform: Platform, pattern: ZooPattern, tol: f64) -> MpiResult<GuidelineRow> {
-    let on_cfg = tempi_on_config();
+    let on_cfg = TempiConfig::default();
     let nocanon_cfg = TempiConfig {
         canonicalize: false,
-        ..tempi_on_config()
+        ..TempiConfig::default()
     };
     let off = measure_cell(platform, None, pattern, false)?;
     let on = measure_cell(platform, Some(&on_cfg), pattern, false)?;
@@ -723,7 +713,7 @@ mod tests {
             elem: 8,
             row_bytes: 256,
         };
-        let on_cfg = tempi_on_config();
+        let on_cfg = TempiConfig::default();
         let off = measure_cell(Platform::Summit, None, pattern, false).unwrap();
         let on = measure_cell(Platform::Summit, Some(&on_cfg), pattern, false).unwrap();
         for t in [&off, &on] {

@@ -145,11 +145,6 @@ pub struct TempiConfig {
     /// work: "CUDA provides native APIs to handle 2D and 3D objects using
     /// the DMA engine").
     pub use_dma: bool,
-    /// Translate top-level `MPI_Type_create_struct` to a block list served
-    /// by the block-list kernel instead of falling back to copy-per-block
-    /// (paper §8 future work: "extended to cover indexed and struct types
-    /// with some additional kernels").
-    pub extend_struct: bool,
     /// Chunk size in bytes for pipelined sends (paper §8 future work:
     /// "prior work also suggests that pipelining packing operations with
     /// MPI send operations is optimal"), replacing the one the model picks
@@ -196,7 +191,6 @@ impl Default for TempiConfig {
             force_word: None,
             force_method: None,
             use_dma: false,
-            extend_struct: false,
             pipeline_chunk: None,
             checkpoint_every: None,
             tuner: TunerMode::Model,
@@ -218,7 +212,6 @@ impl TempiConfig {
     /// | `TEMPI_FORCE_WORD=N` | force kernel word size (1/2/4/8/16) |
     /// | `TEMPI_METHOD=device\|oneshot\|staged\|pipelined` | force the §5 method |
     /// | `TEMPI_USE_DMA=1` | use the 2-D/3-D DMA engine where applicable |
-    /// | `TEMPI_EXTEND_STRUCT=1` | enable the §8 struct block-list extension |
     /// | `TEMPI_PIPELINE_CHUNK=BYTES` | chunk size of pipelined sends (default: the model's pick) |
     /// | `TEMPI_CHECKPOINT_EVERY=N` | coordinated checkpoint every N iterations |
     /// | `TEMPI_TUNER=off\|model\|online` | method decision mode (default `model`) |
@@ -241,7 +234,6 @@ impl TempiConfig {
         };
         cfg.canonicalize = !flag("TEMPI_NO_CANONICALIZE");
         cfg.use_dma = flag("TEMPI_USE_DMA");
-        cfg.extend_struct = flag("TEMPI_EXTEND_STRUCT");
         if let Some(v) = var("TEMPI_FORCE_WORD") {
             let w: usize = v
                 .parse()
@@ -335,7 +327,6 @@ mod tests {
             ("TEMPI_FORCE_WORD", "8"),
             ("TEMPI_METHOD", "oneshot"),
             ("TEMPI_USE_DMA", "true"),
-            ("TEMPI_EXTEND_STRUCT", "1"),
             ("TEMPI_PIPELINE_CHUNK", "262144"),
             ("TEMPI_CHECKPOINT_EVERY", "5"),
             ("TEMPI_TUNER", "online"),
@@ -348,7 +339,6 @@ mod tests {
         assert_eq!(cfg.force_word, Some(8));
         assert_eq!(cfg.force_method, Some(Method::OneShot));
         assert!(cfg.use_dma);
-        assert!(cfg.extend_struct);
         assert_eq!(cfg.pipeline_chunk, Some(262144));
         assert_eq!(cfg.checkpoint_every, Some(5));
         assert_eq!(cfg.tuner, TunerMode::Online);
@@ -402,15 +392,29 @@ mod tests {
 
     #[test]
     fn defaults_enable_the_paper_pipeline() {
-        let c = TempiConfig::default();
-        assert!(c.canonicalize);
-        assert!(c.force_word.is_none());
-        assert!(c.force_method.is_none());
-        assert!(!c.use_dma);
-        assert!(!c.extend_struct);
-        assert!(c.pipeline_chunk.is_none());
-        assert!(c.checkpoint_every.is_none());
-        assert_eq!(c.tuner, TunerMode::Model);
-        assert!((c.guideline_tol - 0.10).abs() < 1e-12);
+        // every settable value, by name: a new knob has to be written into
+        // this pattern. Which combiners take the kernel path is not one —
+        // struct and the indexed family do, always.
+        let TempiConfig {
+            canonicalize,
+            force_word,
+            force_method,
+            use_dma,
+            pipeline_chunk,
+            checkpoint_every,
+            tuner,
+            tuner_seed: _,
+            trace,
+            guideline_tol,
+        } = TempiConfig::default();
+        assert!(canonicalize);
+        assert!(force_word.is_none());
+        assert!(force_method.is_none());
+        assert!(!use_dma);
+        assert!(pipeline_chunk.is_none());
+        assert!(checkpoint_every.is_none());
+        assert_eq!(tuner, TunerMode::Model);
+        assert_eq!(trace, TraceLevel::Off);
+        assert!((guideline_tol - 0.10).abs() < 1e-12);
     }
 }

@@ -1,16 +1,20 @@
 //! TEMPI's internal representation of datatypes (paper Section 3.1).
 //!
-//! A [`Type`] is a tree whose nodes carry [`TypeData`]:
+//! The paper draws a [`Type`] as a tree of two kinds of node:
 //!
 //! * [`DenseData`] — a run of contiguous bytes (the role MPI named types
-//!   play); leaf nodes.
+//!   play); the leaf.
 //! * [`StreamData`] — a strided sequence of `count` elements of the single
 //!   child type, `stride` bytes apart, starting `off` bytes from the
 //!   parent's origin.
 //!
+//! Every stream has exactly one child, so the tree is always a chain, and
+//! that is how it is stored: one leaf and one flat list of the streams
+//! above it — one allocation per translated type, however deep.
+//!
 //! Every composition of contiguous / vector / hvector / subarray types
-//! translates to such a tree ([`translate`]); canonicalization
-//! ([`transform`]) then collapses equivalent trees to an identical form,
+//! translates to such a chain ([`translate`]); canonicalization
+//! ([`transform`]) then collapses equivalent chains to an identical form,
 //! which converts to the [`strided_block::StridedBlock`] the packing
 //! kernels consume.
 
@@ -43,107 +47,71 @@ pub struct StreamData {
     pub count: i64,
 }
 
-/// Discriminated node payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TypeData {
-    /// Contiguous bytes; leaf.
-    Dense(DenseData),
-    /// Strided repetition of the child.
-    Stream(StreamData),
-}
-
-/// A node of the IR tree.
+/// The IR of one datatype: a dense leaf under zero or more streams.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Type {
-    /// Node payload.
-    pub data: TypeData,
-    /// Children (empty for Dense; exactly one for Stream in well-formed
-    /// trees).
-    pub children: Vec<Type>,
+    /// The contiguous run at the bottom of the chain.
+    pub leaf: DenseData,
+    /// The streams above the leaf, innermost (the leaf's parent) first.
+    pub streams: Vec<StreamData>,
 }
 
 impl Type {
     /// A dense leaf.
     pub fn dense(off: i64, extent: i64) -> Type {
         Type {
-            data: TypeData::Dense(DenseData { off, extent }),
-            children: Vec::new(),
+            leaf: DenseData { off, extent },
+            streams: Vec::new(),
         }
     }
 
-    /// A stream node over one child.
-    pub fn stream(off: i64, stride: i64, count: i64, child: Type) -> Type {
-        Type {
-            data: TypeData::Stream(StreamData { off, stride, count }),
-            children: vec![child],
-        }
+    /// A stream node over `child`: the new root of its chain.
+    pub fn stream(off: i64, stride: i64, count: i64, mut child: Type) -> Type {
+        child.streams.push(StreamData { off, stride, count });
+        child
     }
 
-    /// Is this node dense?
+    /// Is this a lone dense leaf?
     pub fn is_dense(&self) -> bool {
-        matches!(self.data, TypeData::Dense(_))
+        self.streams.is_empty()
     }
 
-    /// The single child of a stream node, if well-formed.
-    pub fn child(&self) -> Option<&Type> {
-        self.children.first()
-    }
-
-    /// Number of nodes in the tree.
+    /// Number of nodes: the streams and the leaf.
     pub fn node_count(&self) -> usize {
-        1 + self.children.iter().map(Type::node_count).sum::<usize>()
-    }
-
-    /// Depth of the tree (a lone leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        1 + self.children.iter().map(Type::depth).max().unwrap_or(0)
+        self.streams.len() + 1
     }
 
     /// Total bytes of data the type denotes (product of stream counts times
-    /// leaf extents).
+    /// the leaf extent).
     pub fn data_bytes(&self) -> i64 {
-        match self.data {
-            TypeData::Dense(d) => d.extent,
-            TypeData::Stream(s) => {
-                s.count * self.children.iter().map(Type::data_bytes).sum::<i64>()
-            }
-        }
-    }
-
-    /// Is the tree a well-formed chain: streams with exactly one child
-    /// each, terminated by a dense leaf? (Translation of the strided
-    /// constructors always produces chains; Alg. 8 requires one.)
-    pub fn is_chain(&self) -> bool {
-        match self.data {
-            TypeData::Dense(_) => self.children.is_empty(),
-            TypeData::Stream(_) => self.children.len() == 1 && self.children[0].is_chain(),
-        }
+        self.streams
+            .iter()
+            .fold(self.leaf.extent, |bytes, s| bytes * s.count)
     }
 }
 
 impl fmt::Display for Type {
     /// Renders like the paper's Fig. 2 annotations, parent above child.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(t: &Type, depth: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            for _ in 0..depth {
-                write!(f, "  ")?;
-            }
-            match t.data {
-                TypeData::Dense(d) => {
-                    writeln!(f, "DenseData{{offset:{}, extent:{}}}", d.off, d.extent)?
-                }
-                TypeData::Stream(s) => writeln!(
-                    f,
-                    "StreamData{{offset:{}, count:{}, stride:{}}}",
-                    s.off, s.count, s.stride
-                )?,
-            }
-            for c in &t.children {
-                go(c, depth + 1, f)?;
-            }
-            Ok(())
+        for (depth, s) in self.streams.iter().rev().enumerate() {
+            writeln!(
+                f,
+                "{:indent$}StreamData{{offset:{}, count:{}, stride:{}}}",
+                "",
+                s.off,
+                s.count,
+                s.stride,
+                indent = 2 * depth
+            )?;
         }
-        go(self, 0, f)
+        writeln!(
+            f,
+            "{:indent$}DenseData{{offset:{}, extent:{}}}",
+            "",
+            self.leaf.off,
+            self.leaf.extent,
+            indent = 2 * self.streams.len()
+        )
     }
 }
 
@@ -181,11 +149,13 @@ mod tests {
     #[test]
     fn constructors_and_shape() {
         let t = fig2_tree();
-        assert!(t.is_chain());
         assert!(!t.is_dense());
         assert_eq!(t.node_count(), 3);
-        assert_eq!(t.depth(), 3);
         assert_eq!(t.data_bytes(), 47 * 13 * 100);
+        // stored flat: the leaf, then its streams innermost first
+        assert_eq!(t.leaf.extent, 100);
+        assert_eq!(t.streams[0].count, 13);
+        assert_eq!(t.streams[1].count, 47);
     }
 
     #[test]
@@ -194,13 +164,6 @@ mod tests {
         assert!(s.contains("StreamData{offset:0, count:47, stride:131072}"));
         assert!(s.contains("  StreamData{offset:0, count:13, stride:256}"));
         assert!(s.contains("    DenseData{offset:0, extent:100}"));
-    }
-
-    #[test]
-    fn non_chain_detected() {
-        let mut t = fig2_tree();
-        t.children.push(Type::dense(0, 4));
-        assert!(!t.is_chain());
     }
 
     #[test]

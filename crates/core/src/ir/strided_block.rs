@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::{Type, TypeData};
+use super::Type;
 
 /// The canonical N-dimensional strided object (paper §3.3).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -95,43 +95,25 @@ impl StridedBlock {
     }
 }
 
-/// Algorithm 8: convert a canonical chain (Dense leaf under zero or more
-/// Streams) into a [`StridedBlock`]. Returns `None` for trees that are not
-/// such a chain ("Not strided" in the paper — those fall back to other
-/// handling).
+/// Algorithm 8: convert a chain (dense leaf under zero or more streams)
+/// into a [`StridedBlock`]. The paper's "Not strided" cannot arise — the IR
+/// holds nothing but chains — so `None` is left with one meaning: the
+/// offsets do not sum to a representable `start`, and the type falls back
+/// to other handling.
 pub fn strided_block(ty: &Type) -> Option<StridedBlock> {
-    // Walk to the leaf, collecting nodes root→leaf.
-    let mut datas: Vec<&Type> = Vec::new();
-    let mut cur = ty;
-    loop {
-        datas.push(cur);
-        match cur.children.len() {
-            0 => break,
-            1 => cur = &cur.children[0],
-            _ => return None, // not a chain
-        }
-    }
-    // Leaf-first: dimension 0 must be dense, the rest streams.
+    let ndims = ty.node_count();
     let mut sb = StridedBlock {
-        start: 0,
-        counts: Vec::with_capacity(datas.len()),
-        strides: Vec::with_capacity(datas.len()),
+        start: ty.leaf.off,
+        counts: Vec::with_capacity(ndims),
+        strides: Vec::with_capacity(ndims),
     };
-    for (i, node) in datas.iter().rev().enumerate() {
-        match (i, &node.data) {
-            (0, TypeData::Dense(d)) => {
-                sb.start = d.off;
-                sb.counts.push(d.extent);
-                sb.strides.push(1);
-            }
-            (0, TypeData::Stream(_)) => return None, // leaf must be dense
-            (_, TypeData::Stream(s)) => {
-                sb.start += s.off;
-                sb.counts.push(s.count);
-                sb.strides.push(s.stride);
-            }
-            (_, TypeData::Dense(_)) => return None, // dense above leaf
-        }
+    // dimension 0 is the dense leaf, the rest the streams above it
+    sb.counts.push(ty.leaf.extent);
+    sb.strides.push(1);
+    for s in &ty.streams {
+        sb.start = sb.start.checked_add(s.off)?;
+        sb.counts.push(s.count);
+        sb.strides.push(s.stride);
     }
     Some(sb)
 }
@@ -208,23 +190,8 @@ mod tests {
     }
 
     #[test]
-    fn non_chain_rejected() {
-        let mut t = Type::stream(0, 8, 2, Type::dense(0, 4));
-        t.children.push(Type::dense(0, 4));
-        assert_eq!(strided_block(&t), None);
-    }
-
-    #[test]
-    fn stream_leaf_rejected() {
-        // a Stream with no children is malformed — "not strided"
-        let t = Type {
-            data: TypeData::Stream(crate::ir::StreamData {
-                off: 0,
-                stride: 4,
-                count: 4,
-            }),
-            children: vec![],
-        };
+    fn unrepresentable_start_rejected() {
+        let t = Type::stream(i64::MAX, 8, 2, Type::dense(1, 4));
         assert_eq!(strided_block(&t), None);
     }
 

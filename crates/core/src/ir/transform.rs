@@ -18,72 +18,49 @@
 //! required for the paper's own claim that equivalent objects get equal
 //! treatment.
 
-use super::{DenseData, Type, TypeData};
+use super::{DenseData, Type};
 
-/// Dense folding (Algorithm 6), applied bottom-up across the whole tree.
-/// Returns the rewritten tree and whether anything changed.
+/// Dense folding (Algorithm 6), applied bottom-up across the whole chain:
+/// each fold makes a larger leaf, which the next stream up may fold in
+/// turn. Returns the rewritten chain and whether anything changed.
 pub fn dense_folding(mut ty: Type) -> (Type, bool) {
-    let mut changed = false;
-    // fold from the bottom up
-    ty.children = ty
-        .children
-        .into_iter()
-        .map(|c| {
-            let (c, ch) = dense_folding(c);
-            changed |= ch;
-            c
-        })
-        .collect();
-
-    let TypeData::Stream(p) = ty.data else {
-        return (ty, changed);
-    };
-    if ty.children.len() != 1 {
-        return (ty, changed);
-    }
-    let TypeData::Dense(c) = ty.children[0].data else {
-        return (ty, changed);
-    };
-    if c.extent == p.stride && c.extent > 0 {
+    let mut folds = 0;
+    while let Some(p) = ty.streams.get(folds) {
+        let c = ty.leaf;
+        if c.extent != p.stride || c.extent <= 0 {
+            break;
+        }
         // replace the pair with one larger dense run
-        let folded = Type {
-            data: TypeData::Dense(DenseData {
-                off: p.off + c.off,
-                extent: p.count * p.stride,
-            }),
-            children: Vec::new(),
+        ty.leaf = DenseData {
+            off: p.off + c.off,
+            extent: p.count * p.stride,
         };
-        return (folded, true);
+        folds += 1;
     }
-    (ty, changed)
+    ty.streams.drain(..folds);
+    (ty, folds > 0)
 }
 
 /// Stream elision (Algorithm 7, strengthened as documented above), applied
-/// bottom-up. Returns the rewritten tree and whether anything changed.
+/// bottom-up. Returns the rewritten chain and whether anything changed.
 pub fn stream_elision(mut ty: Type) -> (Type, bool) {
-    let mut changed = false;
-    ty.children = ty
-        .children
-        .into_iter()
-        .map(|c| {
-            let (c, ch) = stream_elision(c);
-            changed |= ch;
-            c
-        })
-        .collect();
-
-    if let TypeData::Stream(s) = ty.data {
-        if s.count == 1 && ty.children.len() == 1 {
+    let mut kept = 0usize;
+    for i in 0..ty.streams.len() {
+        let s = ty.streams[i];
+        if s.count == 1 {
             // a single-element stream is its child, shifted by the
             // stream's offset
-            let mut child = ty.children.pop().expect("len checked");
-            match &mut child.data {
-                TypeData::Dense(d) => d.off += s.off,
-                TypeData::Stream(cs) => cs.off += s.off,
+            match kept.checked_sub(1) {
+                Some(child) => ty.streams[child].off += s.off,
+                None => ty.leaf.off += s.off,
             }
-            return (child, true);
+        } else {
+            ty.streams[kept] = s;
+            kept += 1;
         }
     }
+    let changed = kept < ty.streams.len();
+    ty.streams.truncate(kept);
     (ty, changed)
 }
 

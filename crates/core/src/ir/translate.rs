@@ -8,10 +8,14 @@
 //! introspection cost — which is why Fig. 6's commit overhead differs
 //! across implementations even though TEMPI does identical work.
 
-use mpi_sim::datatype::{Combiner, Contents, Datatype, Envelope, Order};
+use std::num::NonZeroU8;
+
+use mpi_sim::datatype::{Combiner, Contents, Datatype, Envelope, Named};
 use mpi_sim::{MpiError, MpiResult, RankCtx, TypeRegistry};
 
-use super::{BlockList, Type};
+use super::strided_block::{strided_block, StridedBlock};
+use super::transform::simplify;
+use super::{BlockList, StreamData, Type};
 
 /// The introspection face of MPI that translation consumes.
 pub trait Introspect {
@@ -55,33 +59,86 @@ impl Introspect for TypeRegistry {
     }
 }
 
-/// Wrapper that counts introspection calls (Fig. 6 reports how many MPI
-/// calls TEMPI's commit makes).
-pub struct CountingIntrospect<'a, I: Introspect> {
-    inner: &'a mut I,
-    /// Number of introspection calls made through this wrapper.
-    pub calls: u64,
+/// `MPI_Type_get_envelope` of a predefined type, as the standard fixes it:
+/// nothing to ask `MPI_Type_get_contents` for.
+const NAMED_ENVELOPE: Envelope = Envelope {
+    num_integers: 0,
+    num_addresses: 0,
+    num_datatypes: 0,
+    combiner: Combiner::Named,
+};
+
+/// What introspection calls have taught one process about the predefined
+/// (named) handles: an array over those handles, filled by the first call
+/// that asks and never by looking the answer up behind MPI's back. It is
+/// held by value in per-rank state, so it is kept to a flag and a byte per
+/// handle — a predefined type's envelope is [`NAMED_ENVELOPE`], its lower
+/// bound 0 and its extent a few bytes; an answer of any other form is not
+/// remembered and the call is made again. Which handles are predefined is
+/// MPI's to say ([`Datatype::named_index`], the rule `MPI_Type_free`
+/// refuses a handle by), so an entry cannot go stale: it names the same
+/// type for the life of the process. Derived handles are not remembered —
+/// the application may free one, and reuse its number, through a call the
+/// interposer does not see.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NamedMemo {
+    /// A call has returned [`NAMED_ENVELOPE`] for the handle.
+    envelope_seen: [bool; Named::ALL.len()],
+    /// The extent a call has returned for the handle.
+    extent: [Option<NonZeroU8>; Named::ALL.len()],
 }
 
-impl<'a, I: Introspect> CountingIntrospect<'a, I> {
+/// The introspection source `MPI_Type_commit` translates through. It
+/// answers `envelope` / `extent` of a predefined handle from the
+/// [`NamedMemo`] once a call has paid for the answer, and counts the calls
+/// it does forward — the vendor-priced ones, which is the number of MPI
+/// calls Fig. 6 reports for TEMPI's commit.
+pub(crate) struct MemoIntrospect<'a, I: Introspect> {
+    inner: &'a mut I,
+    memo: &'a mut NamedMemo,
+    /// Introspection calls forwarded to the wrapped source.
+    pub(crate) calls: u64,
+}
+
+impl<'a, I: Introspect> MemoIntrospect<'a, I> {
     /// Wrap an introspection source.
-    pub fn new(inner: &'a mut I) -> Self {
-        CountingIntrospect { inner, calls: 0 }
+    pub(crate) fn new(inner: &'a mut I, memo: &'a mut NamedMemo) -> Self {
+        MemoIntrospect {
+            inner,
+            memo,
+            calls: 0,
+        }
     }
 }
 
-impl<I: Introspect> Introspect for CountingIntrospect<'_, I> {
+impl<I: Introspect> Introspect for MemoIntrospect<'_, I> {
     fn envelope(&mut self, dt: Datatype) -> MpiResult<Envelope> {
+        let named = dt.named_index();
+        if named.is_some_and(|i| self.memo.envelope_seen[i]) {
+            return Ok(NAMED_ENVELOPE);
+        }
         self.calls += 1;
-        self.inner.envelope(dt)
+        let env = self.inner.envelope(dt)?;
+        if let Some(i) = named {
+            self.memo.envelope_seen[i] = env == NAMED_ENVELOPE;
+        }
+        Ok(env)
     }
     fn contents(&mut self, dt: Datatype) -> MpiResult<Contents> {
         self.calls += 1;
         self.inner.contents(dt)
     }
     fn extent(&mut self, dt: Datatype) -> MpiResult<(i64, i64)> {
+        let named = dt.named_index();
+        if let Some(extent) = named.and_then(|i| self.memo.extent[i]) {
+            return Ok((0, extent.get().into()));
+        }
         self.calls += 1;
-        self.inner.extent(dt)
+        let (lb, extent) = self.inner.extent(dt)?;
+        if let (Some(i), 0) = (named, lb) {
+            self.memo.extent[i] = u8::try_from(extent).ok().and_then(NonZeroU8::new);
+        }
+        Ok((lb, extent))
     }
     fn type_size(&mut self, dt: Datatype) -> MpiResult<u64> {
         self.calls += 1;
@@ -97,16 +154,21 @@ pub enum Translated {
     /// A nested strided pattern — the representation the paper's kernels
     /// consume after canonicalization.
     Strided(Type),
-    /// An irregular pattern captured as a block list (indexed-family
-    /// extension, paper §8).
+    /// An irregular pattern captured as a block list (indexed-family and
+    /// struct extension, paper §8).
     Blocks(BlockList),
-    /// A construction TEMPI does not accelerate (struct); handling falls
-    /// through to the system MPI.
+    /// A construction the IR cannot express; handling falls through to the
+    /// system MPI. Every combiner the registry supports translates, so
+    /// this is left for an element type whose offsets do not sum to a
+    /// representable start.
     Unsupported(Combiner),
 }
 
-/// Translate `dt` into the IR (Algorithms 1–4, plus the hvector, resized
-/// and indexed/hindexed cases).
+/// One stream level to wrap a child in: `(off, stride, count)`.
+type Spec = (i64, i64, i64);
+
+/// Translate `dt` into the IR (Algorithms 1–4, plus the hvector, resized,
+/// indexed-family and struct cases).
 pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Translated> {
     let env = intro.envelope(dt)?;
     match env.combiner {
@@ -115,7 +177,9 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             let (_, extent) = intro.extent(dt)?;
             Ok(Translated::Strided(Type::dense(0, extent)))
         }
-        Combiner::Dup => {
+        // Neither changes where the data lies; a parent asks MPI for the
+        // (possibly resized) extent itself.
+        Combiner::Dup | Combiner::Resized => {
             let c = intro.contents(dt)?;
             translate(intro, c.datatypes[0])
         }
@@ -157,41 +221,21 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             let sizes = &c.integers[1..1 + ndims];
             let subsizes = &c.integers[1 + ndims..1 + 2 * ndims];
             let starts = &c.integers[1 + 2 * ndims..1 + 3 * ndims];
-            let order = if c.integers[1 + 3 * ndims] == 0 {
-                Order::C
-            } else {
-                Order::Fortran
-            };
+            let c_order = c.integers[1 + 3 * ndims] == 0;
             let old = c.datatypes[0];
             let (_, ex) = intro.extent(old)?;
-            // element stride of each dimension
-            let mut strides = vec![1i64; ndims];
-            match order {
-                Order::C => {
-                    for i in (0..ndims.saturating_sub(1)).rev() {
-                        strides[i] = strides[i + 1] * sizes[i + 1];
-                    }
-                }
-                Order::Fortran => {
-                    for i in 1..ndims {
-                        strides[i] = strides[i - 1] * sizes[i - 1];
-                    }
-                }
-            }
-            // innermost (fastest-varying) dimension first
-            let dims_inner_first: Vec<usize> = match order {
-                Order::C => (0..ndims).rev().collect(),
-                Order::Fortran => (0..ndims).collect(),
-            };
-            let specs: Vec<(i64, i64, i64)> = dims_inner_first
-                .iter()
-                .map(|&d| (starts[d] * strides[d] * ex, strides[d] * ex, subsizes[d]))
+            // innermost (fastest-varying) dimension first: the last in C
+            // order, the first in Fortran order
+            let mut stride = ex;
+            let specs: Vec<Spec> = (0..ndims)
+                .map(|i| {
+                    let d = if c_order { ndims - 1 - i } else { i };
+                    let spec = (starts[d] * stride, stride, subsizes[d]);
+                    stride *= sizes[d];
+                    spec
+                })
                 .collect();
             wrap_stream(intro, old, &specs)
-        }
-        Combiner::Resized => {
-            let c = intro.contents(dt)?;
-            translate(intro, c.datatypes[0])
         }
         // Indexed-family extension: flatten to a block list when the
         // element type itself reduces to a block list or dense run.
@@ -202,9 +246,8 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             let displs = &c.integers[1 + count..1 + 2 * count];
             let old = c.datatypes[0];
             let (_, ex) = intro.extent(old)?;
-            let blocks: Vec<(i64, i64)> =
-                bls.iter().zip(displs).map(|(&b, &d)| (d * ex, b)).collect();
-            indexed_blocks(intro, old, &blocks)
+            let blocks = displs.iter().zip(bls).map(|(&d, &bl)| (d, bl));
+            indexed_blocks(intro, old, ex, ex, blocks)
         }
         Combiner::IndexedBlock => {
             let c = intro.contents(dt)?;
@@ -213,158 +256,210 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             let displs = &c.integers[2..2 + count];
             let old = c.datatypes[0];
             let (_, ex) = intro.extent(old)?;
-            let blocks: Vec<(i64, i64)> = displs.iter().map(|&d| (d * ex, bl)).collect();
-            indexed_blocks(intro, old, &blocks)
+            indexed_blocks(intro, old, ex, ex, displs.iter().map(|&d| (d, bl)))
         }
         Combiner::Hindexed => {
             let c = intro.contents(dt)?;
             let count = c.integers[0] as usize;
             let bls = &c.integers[1..1 + count];
             let old = c.datatypes[0];
-            let blocks: Vec<(i64, i64)> = bls
-                .iter()
-                .zip(&c.addresses)
-                .map(|(&b, &d)| (d, b))
-                .collect();
-            indexed_blocks(intro, old, &blocks)
+            let (_, ex) = intro.extent(old)?;
+            let blocks = c.addresses.iter().zip(bls).map(|(&d, &bl)| (d, bl));
+            indexed_blocks(intro, old, ex, 1, blocks)
         }
-        Combiner::Struct => Ok(Translated::Unsupported(Combiner::Struct)),
+        // Struct extension (paper §8): every member is an indexed block of
+        // its own element type, appended to one list in member order.
+        Combiner::Struct => {
+            let c = intro.contents(dt)?;
+            let count = c.integers[0] as usize;
+            let bls = &c.integers[1..1 + count];
+            let mut out = Vec::with_capacity(count);
+            for ((&bl, &disp), &old) in bls.iter().zip(&c.addresses).zip(&c.datatypes) {
+                if bl == 0 {
+                    continue;
+                }
+                let (_, ex) = intro.extent(old)?;
+                match ElementRuns::of(translate(intro, old)?, ex) {
+                    Ok(runs) => runs.append(ex, disp, bl, &mut out)?,
+                    Err(c) => return Ok(Translated::Unsupported(c)),
+                }
+            }
+            Ok(blocks_or_empty(out))
+        }
     }
 }
 
-/// Wrap the translation of `old` in a chain of streams, innermost first:
-/// each spec is `(off, stride, count)`. Handles empty and block-list
-/// children; rejects unsupported ones.
+/// Wrap the translation of `old` in a chain of streams, innermost first.
+/// Handles empty and block-list children; passes unsupported ones on.
 fn wrap_stream<I: Introspect>(
     intro: &mut I,
     old: Datatype,
-    specs: &[(i64, i64, i64)],
+    specs: &[Spec],
 ) -> MpiResult<Translated> {
     if specs.iter().any(|&(_, _, count)| count == 0) {
         return Ok(Translated::Empty);
     }
     match translate(intro, old)? {
-        Translated::Empty => Ok(Translated::Empty),
-        Translated::Unsupported(c) => Ok(Translated::Unsupported(c)),
         Translated::Strided(mut ty) => {
-            for &(off, stride, count) in specs {
-                ty = Type::stream(off, stride, count, ty);
-            }
+            ty.streams
+                .extend(specs.iter().map(|&(off, stride, count)| StreamData {
+                    off,
+                    stride,
+                    count,
+                }));
             Ok(Translated::Strided(ty))
         }
         Translated::Blocks(inner) => {
             // replicate the block list through each stream level
             let mut blocks = inner.blocks;
             for &(off, stride, count) in specs {
-                let mut next = Vec::with_capacity(blocks.len() * count as usize);
+                let mut next = Vec::new();
+                reserve_runs(&mut next, blocks.len(), count)?;
                 for i in 0..count {
-                    let base = off + i * stride;
-                    next.extend(blocks.iter().map(|&(o, l)| (base + o, l)));
+                    let base = at(off, i, stride)?;
+                    for &(o, l) in &blocks {
+                        next.push((base.checked_add(o).ok_or_else(overflow)?, l));
+                    }
                 }
                 blocks = next;
             }
             Ok(Translated::Blocks(BlockList { blocks }))
         }
+        none => Ok(none),
     }
 }
 
-/// Build a block list for an indexed-family type with `(byte displacement,
-/// element count)` blocks of element type `old`.
+/// Build the block list of an indexed-family type: `(displacement, element
+/// count)` blocks of element type `old`, whose extent is `ex` bytes; a
+/// displacement is in units of `disp_unit` bytes.
 fn indexed_blocks<I: Introspect>(
     intro: &mut I,
     old: Datatype,
-    blocks: &[(i64, i64)],
+    ex: i64,
+    disp_unit: i64,
+    blocks: impl ExactSizeIterator<Item = (i64, i64)>,
 ) -> MpiResult<Translated> {
-    let (_, ex) = intro.extent(old)?;
-    match translate(intro, old)? {
-        Translated::Empty => Ok(Translated::Empty),
-        Translated::Unsupported(c) => Ok(Translated::Unsupported(c)),
-        Translated::Strided(ty) => {
-            // Canonicalize the child, then enumerate its contiguous runs
-            // per block element (prior work reduces *all* types this way;
-            // TEMPI only does it for the indexed family).
-            let canon = super::transform::simplify(ty).0;
-            let Some(sb) = super::strided_block::strided_block(&canon) else {
-                return Ok(Translated::Unsupported(Combiner::Indexed));
-            };
-            let mut out = Vec::new();
-            for &(disp, bl) in blocks {
-                if bl == 0 {
-                    continue;
-                }
-                if sb.is_contiguous() && sb.block_bytes() == ex {
-                    // elements tile: one run per block
-                    out.push((disp + sb.start, (bl * ex) as u64));
+    let runs = match ElementRuns::of(translate(intro, old)?, ex) {
+        Ok(runs) => runs,
+        Err(c) => return Ok(Translated::Unsupported(c)),
+    };
+    let mut out = Vec::with_capacity(blocks.len());
+    for (disp, bl) in blocks {
+        runs.append(ex, at(0, disp, disp_unit)?, bl, &mut out)?;
+    }
+    Ok(blocks_or_empty(out))
+}
+
+/// The byte runs of one element of an indexed-family or struct member
+/// type, from the element's origin.
+enum ElementRuns {
+    /// One dense run, `start` bytes in, as long as the element's extent:
+    /// consecutive elements tile into one run per block.
+    Tile(i64),
+    /// The blocks of a canonical strided pattern.
+    Strided(StridedBlock),
+    /// An explicit list; none for an element that denotes no bytes.
+    List(Vec<(i64, u64)>),
+}
+
+impl ElementRuns {
+    /// The runs of an element type of extent `ex` from its translation, or
+    /// the combiner that keeps the IR from expressing it.
+    fn of(element: Translated, ex: i64) -> Result<ElementRuns, Combiner> {
+        match element {
+            Translated::Empty => Ok(ElementRuns::List(Vec::new())),
+            Translated::Blocks(inner) => Ok(ElementRuns::List(inner.blocks)),
+            Translated::Strided(ty) => {
+                // Canonicalize the child, then enumerate its contiguous runs
+                // per block element (prior work reduces *all* types this way;
+                // TEMPI only does it for the indexed family and struct).
+                let canon = simplify(ty).0;
+                if canon.is_dense() && canon.leaf.extent == ex {
+                    Ok(ElementRuns::Tile(canon.leaf.off))
                 } else {
-                    for j in 0..bl {
-                        let elem_base = disp + j * ex;
-                        sb.for_each_block(|off| {
-                            out.push((elem_base + off, sb.block_bytes() as u64))
-                        });
+                    strided_block(&canon)
+                        .map(ElementRuns::Strided)
+                        .ok_or(Combiner::Indexed)
+                }
+            }
+            Translated::Unsupported(c) => Err(c),
+        }
+    }
+
+    /// Append the runs of a block of `bl` elements, `ex` bytes apart from
+    /// byte displacement `disp`, to `out`.
+    fn append(&self, ex: i64, disp: i64, bl: i64, out: &mut Vec<(i64, u64)>) -> MpiResult<()> {
+        if bl <= 0 {
+            return Ok(());
+        }
+        match self {
+            ElementRuns::Tile(start) => {
+                let first = disp.checked_add(*start).ok_or_else(overflow)?;
+                let len = bl.checked_mul(ex).and_then(|l| u64::try_from(l).ok());
+                out.push((first, len.ok_or_else(overflow)?));
+            }
+            ElementRuns::Strided(sb) => {
+                let per_element = usize::try_from(sb.block_count()).unwrap_or(usize::MAX);
+                reserve_runs(out, per_element, bl)?;
+                let len = sb.block_bytes() as u64;
+                for j in 0..bl {
+                    let elem_base = at(disp, j, ex)?;
+                    let mut fits = true;
+                    sb.for_each_block(|off| match elem_base.checked_add(off) {
+                        Some(o) => out.push((o, len)),
+                        None => fits = false,
+                    });
+                    if !fits {
+                        return Err(overflow());
                     }
                 }
             }
-            if out.is_empty() {
-                Ok(Translated::Empty)
-            } else {
-                Ok(Translated::Blocks(BlockList { blocks: out }))
-            }
-        }
-        Translated::Blocks(inner) => {
-            let mut out = Vec::new();
-            for &(disp, bl) in blocks {
+            ElementRuns::List(runs) => {
+                if runs.is_empty() {
+                    return Ok(());
+                }
+                reserve_runs(out, runs.len(), bl)?;
                 for j in 0..bl {
-                    let base = disp + j * ex;
-                    out.extend(inner.blocks.iter().map(|&(o, l)| (base + o, l)));
+                    let elem_base = at(disp, j, ex)?;
+                    for &(o, l) in runs {
+                        out.push((elem_base.checked_add(o).ok_or_else(overflow)?, l));
+                    }
                 }
             }
-            if out.is_empty() {
-                Ok(Translated::Empty)
-            } else {
-                Ok(Translated::Blocks(BlockList { blocks: out }))
-            }
         }
+        Ok(())
     }
 }
 
-/// Extension (paper §8): translate a *top-level* `MPI_Type_create_struct`
-/// into a block list, so the block-list kernel can serve it instead of
-/// falling back to copy-per-block. Members may be any construction that
-/// itself translates to a strided pattern or a block list; a struct nested
-/// *inside* another combiner still falls back (the paper's tree-only
-/// analysis).
-pub fn translate_struct_blocks<I: Introspect>(
-    intro: &mut I,
-    dt: Datatype,
-) -> MpiResult<Translated> {
-    let env = intro.envelope(dt)?;
-    if env.combiner != Combiner::Struct {
-        return translate(intro, dt);
-    }
-    let c = intro.contents(dt)?;
-    let count = c.integers[0] as usize;
-    let bls = &c.integers[1..1 + count];
-    let mut out: Vec<(i64, u64)> = Vec::new();
-    for ((&bl, &disp), &old) in bls.iter().zip(&c.addresses).zip(&c.datatypes) {
-        if bl == 0 {
-            continue;
-        }
-        match indexed_blocks(intro, old, &[(disp, bl)])? {
-            Translated::Empty => {}
-            Translated::Blocks(b) => out.extend(b.blocks),
-            Translated::Unsupported(u) => return Ok(Translated::Unsupported(u)),
-            Translated::Strided(_) => {
-                return Err(MpiError::Internal(
-                    "indexed_blocks returned a strided tree".to_string(),
-                ))
-            }
-        }
-    }
-    if out.is_empty() {
-        Ok(Translated::Empty)
+/// A block list, or `Empty` when there is nothing in it.
+fn blocks_or_empty(blocks: Vec<(i64, u64)>) -> Translated {
+    if blocks.is_empty() {
+        Translated::Empty
     } else {
-        Ok(Translated::Blocks(BlockList { blocks: out }))
+        Translated::Blocks(BlockList { blocks })
     }
+}
+
+/// The error for a displacement or run count that leaves its integer type.
+fn overflow() -> MpiError {
+    MpiError::InvalidArg("datatype displacements overflow a 64-bit address".to_string())
+}
+
+/// `base + i × stride`, checked.
+fn at(base: i64, i: i64, stride: i64) -> MpiResult<i64> {
+    i.checked_mul(stride)
+        .and_then(|d| base.checked_add(d))
+        .ok_or_else(overflow)
+}
+
+/// Make room in `out` for `copies` more copies of `runs` runs; a product
+/// no allocation can hold is the caller's overflow, not an abort here.
+fn reserve_runs(out: &mut Vec<(i64, u64)>, runs: usize, copies: i64) -> MpiResult<()> {
+    usize::try_from(copies)
+        .ok()
+        .and_then(|c| c.checked_mul(runs))
+        .and_then(|n| out.try_reserve(n).ok())
+        .ok_or_else(overflow)
 }
 
 /// Convenience for tests and tools: translate expecting a strided tree.
@@ -381,6 +476,7 @@ pub fn translate_strided<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResul
 mod tests {
     use super::*;
     use mpi_sim::consts::*;
+    use mpi_sim::datatype::Order;
 
     fn reg() -> TypeRegistry {
         TypeRegistry::new()
@@ -592,16 +688,80 @@ mod tests {
         }
     }
 
+    fn blocks_of(r: &mut TypeRegistry, dt: Datatype) -> Vec<(i64, u64)> {
+        match translate(r, dt).unwrap() {
+            Translated::Blocks(b) => b.blocks,
+            other => panic!("expected blocks, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn struct_is_unsupported() {
+    fn struct_translates_to_member_runs() {
         let mut r = reg();
+        // padding after the int, a zero-length member, displacements that
+        // run backwards: one run per member, in member order
         let dt = r
-            .type_create_struct(&[1, 1], &[0, 8], &[MPI_INT, MPI_DOUBLE])
+            .type_create_struct(
+                &[1, 0, 3, 2],
+                &[32, 99, 8, 0],
+                &[MPI_INT, MPI_DOUBLE, MPI_SHORT, MPI_BYTE],
+            )
+            .unwrap();
+        assert_eq!(blocks_of(&mut r, dt), vec![(32, 4), (8, 6), (0, 2)]);
+        // nothing but zero-length members denotes no bytes
+        let empty = r.type_create_struct(&[0], &[0], &[MPI_INT]).unwrap();
+        assert_eq!(translate(&mut r, empty).unwrap(), Translated::Empty);
+    }
+
+    #[test]
+    fn struct_members_may_be_any_construction() {
+        let mut r = reg();
+        let v = r.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // runs at 0, 4; extent 6
+        let wide = r.type_create_resized(MPI_INT, 0, 16).unwrap();
+        let h = r.type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE).unwrap();
+        let dt = r
+            .type_create_struct(&[2, 2, 1], &[100, 0, 50], &[v, wide, h])
             .unwrap();
         assert_eq!(
-            translate(&mut r, dt).unwrap(),
-            Translated::Unsupported(Combiner::Struct)
+            blocks_of(&mut r, dt),
+            vec![
+                (100, 2), // two vectors, 6 bytes apart
+                (104, 2),
+                (106, 2),
+                (110, 2),
+                (0, 4), // two ints, a resized extent apart
+                (16, 4),
+                (54, 1), // the hindexed member, in its own order
+                (50, 1),
+            ]
         );
+    }
+
+    #[test]
+    fn struct_under_every_strided_combiner_replicates_its_runs() {
+        let mut r = reg();
+        let s = r
+            .type_create_struct(&[1, 1], &[8, 0], &[MPI_SHORT, MPI_INT])
+            .unwrap(); // runs (8, 2), (0, 4); extent 10
+        let runs = |base: i64| [(base + 8, 2), (base, 4)];
+        let cat =
+            |bases: &[i64]| -> Vec<(i64, u64)> { bases.iter().flat_map(|&b| runs(b)).collect() };
+
+        let c = r.type_contiguous(3, s).unwrap();
+        assert_eq!(blocks_of(&mut r, c), cat(&[0, 10, 20]));
+        let v = r.type_vector(2, 2, 3, s).unwrap();
+        assert_eq!(blocks_of(&mut r, v), cat(&[0, 10, 30, 40]));
+        let h = r.type_create_hvector(2, 1, 64, s).unwrap();
+        assert_eq!(blocks_of(&mut r, h), cat(&[0, 64]));
+        let sub = r
+            .type_create_subarray(&[3, 4], &[2, 2], &[1, 1], Order::C, s)
+            .unwrap();
+        assert_eq!(blocks_of(&mut r, sub), cat(&[50, 60, 90, 100]));
+        let ib = r.type_create_indexed_block(1, &[2, 0], s).unwrap();
+        assert_eq!(blocks_of(&mut r, ib), cat(&[20, 0]));
+        // and a struct of structs
+        let ss = r.type_create_struct(&[1, 2], &[100, 0], &[s, s]).unwrap();
+        assert_eq!(blocks_of(&mut r, ss), cat(&[100, 0, 10]));
     }
 
     #[test]
@@ -619,12 +779,173 @@ mod tests {
     }
 
     #[test]
-    fn counting_introspect_counts() {
+    fn memo_counts_only_the_calls_it_forwards() {
         let mut r = reg();
+        let mut memo = NamedMemo::default();
         let dt = r.type_vector(4, 2, 8, MPI_FLOAT).unwrap();
-        let mut c = CountingIntrospect::new(&mut r);
-        translate(&mut c, dt).unwrap();
-        // vector: envelope + contents + extent(old) + child: envelope + extent
-        assert_eq!(c.calls, 5);
+        let mut m = MemoIntrospect::new(&mut r, &mut memo);
+        let first = translate(&mut m, dt).unwrap();
+        // vector: envelope + contents + extent(old); child: envelope, and
+        // its extent is already known
+        assert_eq!(m.calls, 4);
+        // a second translation asks about the vector only, and sees the
+        // same type
+        let mut m = MemoIntrospect::new(&mut r, &mut memo);
+        assert_eq!(translate(&mut m, dt).unwrap(), first);
+        assert_eq!(m.calls, 2);
+        // what was learnt about MPI_FLOAT says nothing about MPI_DOUBLE
+        let mut m = MemoIntrospect::new(&mut r, &mut memo);
+        assert_eq!(m.extent(MPI_DOUBLE).unwrap(), (0, 8));
+        assert_eq!(m.extent(MPI_DOUBLE).unwrap(), (0, 8));
+        assert_eq!(m.envelope(MPI_DOUBLE).unwrap().combiner, Combiner::Named);
+        assert_eq!(m.calls, 2);
+        // a derived handle is asked about every time
+        assert_eq!(m.extent(dt).unwrap(), m.extent(dt).unwrap());
+        assert_eq!(m.calls, 4);
+    }
+
+    /// An introspection source that answers with whatever the test wrote
+    /// down: a handle not in `derived` is a named type of `named_extent`
+    /// bytes.
+    struct Hostile {
+        derived: Vec<(Datatype, Combiner, Contents, i64)>,
+        named_extent: i64,
+    }
+
+    impl Hostile {
+        fn named(named_extent: i64) -> Self {
+            Hostile {
+                derived: Vec::new(),
+                named_extent,
+            }
+        }
+
+        /// Add a derived type of the given extent; contents as
+        /// `MPI_Type_get_contents` lays them out.
+        fn with(
+            mut self,
+            dt: Datatype,
+            combiner: Combiner,
+            (integers, addresses, datatypes): (&[i64], &[i64], &[Datatype]),
+            extent: i64,
+        ) -> Self {
+            let contents = Contents {
+                integers: integers.to_vec(),
+                addresses: addresses.to_vec(),
+                datatypes: datatypes.to_vec(),
+            };
+            self.derived.push((dt, combiner, contents, extent));
+            self
+        }
+
+        fn find(&self, dt: Datatype) -> Option<&(Datatype, Combiner, Contents, i64)> {
+            self.derived.iter().find(|d| d.0 == dt)
+        }
+    }
+
+    impl Introspect for Hostile {
+        fn envelope(&mut self, dt: Datatype) -> MpiResult<Envelope> {
+            Ok(Envelope {
+                combiner: self.find(dt).map_or(Combiner::Named, |d| d.1),
+                ..NAMED_ENVELOPE
+            })
+        }
+        fn contents(&mut self, dt: Datatype) -> MpiResult<Contents> {
+            self.find(dt)
+                .map(|d| d.2.clone())
+                .ok_or(MpiError::InvalidDatatype)
+        }
+        fn extent(&mut self, dt: Datatype) -> MpiResult<(i64, i64)> {
+            Ok((0, self.find(dt).map_or(self.named_extent, |d| d.3)))
+        }
+        fn type_size(&mut self, dt: Datatype) -> MpiResult<u64> {
+            self.extent(dt).map(|(_, ex)| ex as u64)
+        }
+    }
+
+    const TOP: Datatype = Datatype(1000);
+    const INNER: Datatype = Datatype(1001);
+    const BIG: i64 = i64::MAX / 2;
+
+    fn assert_overflow(r: MpiResult<Translated>) {
+        match r {
+            Err(MpiError::InvalidArg(msg)) => assert!(msg.contains("overflow"), "{msg}"),
+            other => panic!("expected an overflow error, got {other:?}"),
+        }
+    }
+
+    fn one_run(off: i64, len: u64) -> Translated {
+        Translated::Blocks(BlockList {
+            blocks: vec![(off, len)],
+        })
+    }
+
+    #[test]
+    fn indexed_displacements_are_checked() {
+        let indexed = |combiner, integers: &[i64], addresses: &[i64], named_extent| {
+            let mut source = Hostile::named(named_extent).with(
+                TOP,
+                combiner,
+                (integers, addresses, &[MPI_BYTE]),
+                0,
+            );
+            translate(&mut source, TOP)
+        };
+        // d × extent
+        assert_overflow(indexed(Combiner::Indexed, &[1, 1, 3], &[], BIG));
+        assert_overflow(indexed(Combiner::IndexedBlock, &[1, 1, 3], &[], BIG));
+        // bl × extent
+        assert_overflow(indexed(Combiner::Hindexed, &[1, 3], &[0], BIG));
+        // the same shapes inside the range translate
+        let ok = indexed(Combiner::Indexed, &[1, 2, 3], &[], 8).unwrap();
+        assert_eq!(ok, one_run(24, 16));
+    }
+
+    #[test]
+    fn struct_displacements_are_checked() {
+        // bl × extent of a member
+        let mut source =
+            Hostile::named(BIG).with(TOP, Combiner::Struct, (&[1, 3], &[0], &[MPI_BYTE]), 0);
+        assert_overflow(translate(&mut source, TOP));
+        // disp + j × extent over a member that does not tile: one byte,
+        // resized to an extent of 16
+        let member = |disp| {
+            let mut source = Hostile::named(1)
+                .with(INNER, Combiner::Resized, (&[], &[0, 16], &[MPI_BYTE]), 16)
+                .with(TOP, Combiner::Struct, (&[1, 2], &[disp], &[INNER]), 0);
+            translate(&mut source, TOP)
+        };
+        assert_overflow(member(i64::MAX - 8));
+        let ok = Translated::Blocks(BlockList {
+            blocks: vec![(100, 1), (116, 1)],
+        });
+        assert_eq!(member(100).unwrap(), ok);
+    }
+
+    #[test]
+    fn replicated_block_lists_are_checked() {
+        // hvector(count, 1, stride) of a struct that holds one byte at 8
+        let hvector = |count, stride| {
+            let mut source = Hostile::named(1)
+                .with(INNER, Combiner::Struct, (&[1, 1], &[8], &[MPI_BYTE]), 16)
+                .with(
+                    TOP,
+                    Combiner::Hvector,
+                    (&[count, 1], &[stride], &[INNER]),
+                    0,
+                );
+            translate(&mut source, TOP)
+        };
+        // blocks.len() × count: more copies than any allocation holds, and
+        // a count that is no count at all
+        assert_overflow(hvector(i64::MAX, 16));
+        assert_overflow(hvector(-1, 16));
+        // base + o, and i × stride
+        assert_overflow(hvector(2, i64::MAX - 4));
+        assert_overflow(hvector(3, BIG));
+        let ok = Translated::Blocks(BlockList {
+            blocks: vec![(8, 1), (40, 1)],
+        });
+        assert_eq!(hvector(2, 32).unwrap(), ok);
     }
 }

@@ -21,7 +21,7 @@ use tempi_trace::{Tracer, LANE_CPU};
 use crate::buffers::{BufferPool, Lease};
 use crate::config::{Method, TempiConfig, TunerMode};
 use crate::ir::transform::simplify;
-use crate::ir::translate::{translate, CountingIntrospect, Translated};
+use crate::ir::translate::{translate, MemoIntrospect, NamedMemo, Translated};
 use crate::ir::{strided_block::strided_block, BlockList};
 use crate::kernels::{
     execute_blocklist, execute_dma_2d, execute_strided, execute_strided_range_async,
@@ -63,7 +63,8 @@ pub enum PlanKind {
 /// Diagnostics from one `MPI_Type_commit` (drives Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CommitReport {
-    /// MPI introspection calls the translation made (vendor-priced).
+    /// Vendor-priced MPI introspection calls the translation made (what it
+    /// already knew of the predefined handles cost no call).
     pub introspection_calls: u64,
     /// Fixed-point passes of Alg. 5.
     pub simplify_passes: usize,
@@ -236,6 +237,9 @@ pub struct Tempi {
     /// memoized decisions (see [`crate::tuner`]).
     pub tuner: Tuner,
     cache: HashMap<Datatype, Arc<TypePlan>>,
+    /// What translation has already paid MPI to learn about the predefined
+    /// handles; a commit asks only about the derived types it is given.
+    named_memo: NamedMemo,
     /// Launch geometry per (datatype, incount): steady-state sends skip
     /// the grid/block derivation entirely.
     launch_cache: HashMap<(Datatype, usize), LaunchConfig>,
@@ -270,6 +274,7 @@ impl Tempi {
             stats: TempiStats::default(),
             tuner,
             cache: HashMap::new(),
+            named_memo: NamedMemo::default(),
             launch_cache: HashMap::new(),
             reshape_cache: HashMap::new(),
             quarantine: HashMap::new(),
@@ -356,13 +361,9 @@ impl Tempi {
         ctx.type_commit_native(dt)?;
 
         let t_tr = ctx.clock.now();
-        let mut counting = CountingIntrospect::new(ctx);
-        let translated = if self.config.extend_struct {
-            crate::ir::translate::translate_struct_blocks(&mut counting, dt)?
-        } else {
-            translate(&mut counting, dt)?
-        };
-        let introspection_calls = counting.calls;
+        let mut intro = MemoIntrospect::new(ctx, &mut self.named_memo);
+        let translated = translate(&mut intro, dt)?;
+        let introspection_calls = intro.calls;
         phase(ctx, "translate", t_tr, || {
             vec![("introspection_calls", introspection_calls.into())]
         });
@@ -1771,24 +1772,57 @@ mod tests {
     }
 
     #[test]
-    fn struct_type_falls_back() {
+    fn fallback_plan_packs_and_unpacks_by_system_handling() {
+        // Commit leaves a Fallback plan only for offsets that do not sum to
+        // a representable start, and no buffer holds such a type: hand a
+        // committed struct that plan to drive the system MPI's handling.
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = ctx
             .type_create_struct(&[2, 1], &[0, 16], &[MPI_INT, MPI_DOUBLE])
             .unwrap();
         let plan = tempi.type_commit(&mut ctx, dt).unwrap();
-        assert!(matches!(plan.kind, PlanKind::Fallback(_)));
-        let src = ctx.gpu.malloc(32).unwrap();
-        ctx.gpu.memory().poke(src, &fill(32)).unwrap();
-        let dst = ctx.gpu.malloc(16).unwrap();
-        let mut pos = 0;
-        tempi.pack(&mut ctx, src, 1, dt, dst, 16, &mut pos).unwrap();
-        assert_eq!(tempi.stats.fallbacks, 1);
+        assert!(matches!(plan.kind, PlanKind::Blocks(_)));
+        let fallback = TypePlan {
+            kind: PlanKind::Fallback(Combiner::Struct),
+            ..(*plan).clone()
+        };
+        tempi.cache.insert(dt, Arc::new(fallback));
+
         let data = fill(32);
-        let got = ctx.gpu.memory().peek(dst, 16).unwrap();
-        assert_eq!(&got[..8], &data[..8]);
-        assert_eq!(&got[8..16], &data[16..24]);
+        let want = [&data[..8], &data[16..24]].concat();
+        let src = ctx.gpu.malloc(32).unwrap();
+        ctx.gpu.memory().poke(src, &data).unwrap();
+        let packed = ctx.gpu.malloc(16).unwrap();
+        let mut pos = 0;
+        tempi
+            .pack(&mut ctx, src, 1, dt, packed, 16, &mut pos)
+            .unwrap();
+        assert_eq!((pos, tempi.stats.fallbacks), (16, 1));
+        assert_eq!(ctx.stream.stats().kernel_launches, 0);
+        assert_eq!(ctx.gpu.memory().peek(packed, 16).unwrap(), want);
+
+        let back = ctx.gpu.malloc(32).unwrap();
+        ctx.gpu.memory().poke(back, &[0xEE; 32]).unwrap();
+        let mut pos = 0;
+        tempi
+            .unpack(&mut ctx, packed, 16, &mut pos, back, 1, dt)
+            .unwrap();
+        assert_eq!((pos, tempi.stats.fallbacks), (16, 2));
+        let got = ctx.gpu.memory().peek(back, 32).unwrap();
+        assert_eq!((&got[..8], &got[16..24]), (&data[..8], &data[16..24]));
+        // the holes are not written
+        assert!(got[8..16].iter().chain(&got[24..]).all(|&b| b == 0xEE));
+
+        // host-resident data takes the CPU path over the same segments
+        let hsrc = ctx.gpu.host_alloc(32).unwrap();
+        ctx.gpu.memory().poke(hsrc, &data).unwrap();
+        let hdst = ctx.gpu.host_alloc(16).unwrap();
+        let mut pos = 0;
+        tempi
+            .pack(&mut ctx, hsrc, 1, dt, hdst, 16, &mut pos)
+            .unwrap();
+        assert_eq!(ctx.gpu.memory().peek(hdst, 16).unwrap(), want);
     }
 
     #[test]
@@ -2142,12 +2176,10 @@ mod tests {
     }
 
     #[test]
-    fn struct_extension_builds_blocklist_and_packs() {
+    fn struct_builds_blocklist_and_packs() {
+        // no knob: a struct takes the block-list kernel by default
         let mut ctx = ctx();
-        let mut tempi = Tempi::new(TempiConfig {
-            extend_struct: true,
-            ..TempiConfig::default()
-        });
+        let mut tempi = Tempi::default();
         let dt = ctx
             .type_create_struct(&[2, 1], &[0, 16], &[MPI_INT, MPI_DOUBLE])
             .unwrap();
@@ -2169,12 +2201,9 @@ mod tests {
     }
 
     #[test]
-    fn struct_of_vectors_extension_flattens_members() {
+    fn struct_of_vectors_flattens_members() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::new(TempiConfig {
-            extend_struct: true,
-            ..TempiConfig::default()
-        });
+        let mut tempi = Tempi::default();
         let v = ctx.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // blocks at 0,4
         let dt = ctx
             .type_create_struct(&[1, 2], &[32, 0], &[MPI_INT, v])
@@ -2187,6 +2216,48 @@ mod tests {
             }
             other => panic!("expected blocks, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn second_commit_pays_only_for_the_derived_type() {
+        // the first commit of a rank pays MPI for what MPI_BYTE is; the
+        // report counts priced calls, so a fresh type built on it costs
+        // its own envelope and contents and nothing else
+        let mut ctx = ctx();
+        let mut tempi = Tempi::default();
+        let v = ctx.type_vector(4, 2, 8, MPI_BYTE).unwrap();
+        let first = tempi.type_commit(&mut ctx, v).unwrap().report;
+        // envelope + contents, then extent and envelope of MPI_BYTE once
+        assert_eq!(first.introspection_calls, 4);
+
+        let v = ctx.type_vector(5, 3, 9, MPI_BYTE).unwrap();
+        let t0 = ctx.clock.now();
+        let second = tempi.type_commit(&mut ctx, v).unwrap().report;
+        assert_eq!(second.introspection_calls, 2);
+        // what is not counted is not charged either
+        let calls = ctx.vendor.introspection_call_cost * 2;
+        assert!(ctx.clock.now() - t0 >= calls);
+        assert!(second.commit_time < first.commit_time);
+
+        let soa = ctx
+            .type_create_struct(
+                &[16; 8],
+                &[0, 64, 128, 192, 256, 320, 384, 448],
+                &[MPI_BYTE; 8],
+            )
+            .unwrap();
+        let plan = tempi.type_commit(&mut ctx, soa).unwrap();
+        assert_eq!(plan.report.introspection_calls, 2);
+        match &plan.kind {
+            PlanKind::Blocks(bl) => assert_eq!(bl.blocks.len(), 8),
+            other => panic!("expected blocks, got {other:?}"),
+        }
+
+        // another rank's library state has learnt nothing yet
+        let mut other = Tempi::default();
+        let v = ctx.type_vector(5, 3, 9, MPI_BYTE).unwrap();
+        let report = other.type_commit(&mut ctx, v).unwrap().report;
+        assert_eq!(report.introspection_calls, 4);
     }
 
     #[test]

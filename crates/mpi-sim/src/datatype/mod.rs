@@ -34,6 +34,17 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Datatype(pub u32);
 
+impl Datatype {
+    /// Position in [`Named::ALL`] if this is one of the predefined handles
+    /// ([`registry::consts`]), as a library compares a handle to `MPI_BYTE`.
+    /// `MPI_Type_free` refuses exactly these, so each names the same type
+    /// for the life of the process.
+    pub fn named_index(self) -> Option<usize> {
+        let i = self.0 as usize;
+        (i < Named::ALL.len()).then_some(i)
+    }
+}
+
 /// Array storage order for `MPI_Type_create_subarray`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Order {
@@ -218,6 +229,16 @@ impl TypeAttrs {
         self.true_ub - self.true_lb
     }
 
+    /// Does the data occupy exactly `[lb, ub)`, with no holes? (Says
+    /// nothing of the order the typemap visits it in: see
+    /// [`TypeInfo::ascending`].)
+    pub(crate) fn is_dense(&self) -> bool {
+        self.extent() >= 0
+            && self.size == self.extent() as u64
+            && self.lb == self.true_lb
+            && self.ub == self.true_ub
+    }
+
     /// Attributes of an empty type (count-zero constructions).
     pub const EMPTY: TypeAttrs = TypeAttrs {
         size: 0,
@@ -237,4 +258,9 @@ pub struct TypeInfo {
     pub attrs: TypeAttrs,
     /// Has `MPI_Type_commit` been called?
     pub committed: bool,
+    /// Is the typemap known to visit its bytes in ascending address order?
+    /// Only then is a dense type one segment: a struct whose displacements
+    /// run backwards covers `[lb, ub)` too, and packs in member order.
+    /// Conservative — `false` for every indexed or struct construction.
+    pub ascending: bool,
 }

@@ -69,6 +69,7 @@ impl TypeRegistry {
                         true_ub: size,
                     },
                     committed: true, // named types are always committed
+                    ascending: true,
                 })
             })
             .collect();
@@ -84,12 +85,57 @@ impl TypeRegistry {
 
     fn insert(&mut self, def: TypeDef, attrs: TypeAttrs) -> Datatype {
         let handle = Datatype(self.slots.len() as u32);
+        let ascending = self.ascends(&def);
         self.slots.push(Some(TypeInfo {
             def,
             attrs,
             committed: false,
+            ascending,
         }));
         handle
+    }
+
+    /// [`TypeInfo::ascending`] of a construction over live children:
+    /// elements that ascend and tile, repeated at strides that do not step
+    /// back over each other. The indexed family and struct answer `false`
+    /// without looking at their displacements; for one that does ascend
+    /// that costs host time only — `typemap::segments` walks it block by
+    /// block and `push_seg` merges the touching runs into the same single
+    /// segment the fast path would have emitted.
+    fn ascends(&self, def: &TypeDef) -> bool {
+        // the element type, if its own typemap ascends and fills its extent
+        let tiling = |oldtype: &Datatype| {
+            self.get(*oldtype)
+                .ok()
+                .filter(|old| old.ascending && old.attrs.is_dense())
+        };
+        match def {
+            TypeDef::Named(_) => true,
+            TypeDef::Dup { oldtype } | TypeDef::Resized { oldtype, .. } => {
+                self.get(*oldtype).is_ok_and(|old| old.ascending)
+            }
+            TypeDef::Contiguous { oldtype, .. } | TypeDef::Subarray { oldtype, .. } => {
+                tiling(oldtype).is_some()
+            }
+            TypeDef::Vector {
+                count,
+                blocklength,
+                stride,
+                oldtype,
+            } => tiling(oldtype).is_some() && (*count <= 1 || stride >= blocklength),
+            TypeDef::Hvector {
+                count,
+                blocklength,
+                stride_bytes,
+                oldtype,
+            } => tiling(oldtype).is_some_and(|old| {
+                *count <= 1 || *stride_bytes >= *blocklength as i64 * old.attrs.extent()
+            }),
+            TypeDef::Indexed { .. }
+            | TypeDef::IndexedBlock { .. }
+            | TypeDef::Hindexed { .. }
+            | TypeDef::Struct { .. } => false,
+        }
     }
 
     /// The full record for a handle.
@@ -139,7 +185,7 @@ impl TypeRegistry {
     /// invalidate types derived from this one (they hold their own copies
     /// of the layout information), matching MPI semantics.
     pub fn free(&mut self, dt: Datatype) -> MpiResult<()> {
-        if (dt.0 as usize) < Named::ALL.len() {
+        if dt.named_index().is_some() {
             return Err(MpiError::InvalidArg(
                 "cannot free a named datatype".to_string(),
             ));
@@ -631,10 +677,16 @@ impl TypeRegistry {
     }
 
     /// `MPI_Type_get_contents`: the constructor arguments, encoded in the
-    /// standard's layout.
+    /// standard's layout. As in the C API, where the caller sizes the three
+    /// arrays from the envelope, each is allocated once at its final length.
     pub fn get_contents(&self, dt: Datatype) -> MpiResult<Contents> {
+        let env = self.get_envelope(dt)?;
         let info = self.get(dt)?;
-        let mut c = Contents::default();
+        let mut c = Contents {
+            integers: Vec::with_capacity(env.num_integers),
+            addresses: Vec::with_capacity(env.num_addresses),
+            datatypes: Vec::with_capacity(env.num_datatypes),
+        };
         match &info.def {
             TypeDef::Named(_) => {
                 return Err(MpiError::InvalidArg(
@@ -732,6 +784,11 @@ impl TypeRegistry {
                 c.datatypes.push(*oldtype);
             }
         }
+        debug_assert_eq!(
+            (c.integers.len(), c.addresses.len(), c.datatypes.len()),
+            (env.num_integers, env.num_addresses, env.num_datatypes),
+            "contents disagree with the envelope"
+        );
         Ok(c)
     }
 

@@ -48,15 +48,6 @@ pub fn max_block(segs: &[Segment]) -> u64 {
     segs.iter().map(|s| s.len).max().unwrap_or(0)
 }
 
-/// Is the datatype "dense": its data occupies exactly `[lb, ub)` with no
-/// holes? Dense types can be emitted as a single segment without recursion.
-/// (Assumes the typemap is non-self-overlapping, true of every type the
-/// engine can build from non-overlapping constructors.)
-fn is_dense(reg: &TypeRegistry, dt: Datatype) -> MpiResult<bool> {
-    let a = reg.attrs(dt)?;
-    Ok(a.extent() >= 0 && a.size == a.extent() as u64 && a.lb == a.true_lb && a.ub == a.true_ub)
-}
-
 fn push_seg(out: &mut Vec<Segment>, off: i64, len: u64) {
     if len == 0 {
         return;
@@ -72,8 +63,8 @@ fn push_seg(out: &mut Vec<Segment>, off: i64, len: u64) {
 
 fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> MpiResult<()> {
     let info = reg.info(dt)?;
-    // Fast path: dense subtree is one segment.
-    if info.attrs.size > 0 && is_dense(reg, dt)? {
+    // Fast path: a dense subtree visited in address order is one segment.
+    if info.attrs.size > 0 && info.attrs.is_dense() && info.ascending {
         push_seg(out, base + info.attrs.lb, info.attrs.size);
         return Ok(());
     }
@@ -249,6 +240,31 @@ mod tests {
         assert_eq!(segs[1], Segment { off: 512, len: 400 });
         assert_eq!(data_bytes(&segs), 5200);
         assert_eq!(max_block(&segs), 400);
+    }
+
+    #[test]
+    fn dense_but_out_of_order_keeps_typemap_order() {
+        let mut r = reg();
+        // a struct that covers [0, 6) from its last member back: dense, and
+        // still packed in member order
+        let s = r
+            .type_create_struct(&[1, 2], &[2, 0], &[MPI_FLOAT, MPI_BYTE])
+            .unwrap();
+        let want = vec![Segment { off: 2, len: 4 }, Segment { off: 0, len: 2 }];
+        assert_eq!(segments(&r, s).unwrap(), want);
+        // and so is anything built of it
+        let c = r.type_contiguous(2, s).unwrap();
+        let segs = segments(&r, c).unwrap();
+        assert_eq!(segs.len(), 4);
+        assert_eq!(segs[2], Segment { off: 8, len: 4 });
+        // two interleaved vectors cover [0, 4) as bytes 0, 2, 1, 3
+        let v = r.type_vector(2, 1, 2, MPI_BYTE).unwrap();
+        let h = r.type_create_hvector(2, 1, 1, v).unwrap();
+        let offs: Vec<i64> = segments(&r, h).unwrap().iter().map(|s| s.off).collect();
+        assert_eq!(offs, vec![0, 2, 1, 3]);
+        // the same bytes in order are one segment, whatever builds them
+        let i = r.type_indexed(&[2, 4], &[0, 2], MPI_BYTE).unwrap();
+        assert_eq!(segments(&r, i).unwrap(), vec![Segment { off: 0, len: 6 }]);
     }
 
     #[test]

@@ -48,6 +48,16 @@ pub enum TypeDesc {
         gaps: Vec<u8>,
         inner: Box<TypeDesc>,
     },
+    /// `MPI_Type_create_struct`: `(blocklength, padding, type)` members laid
+    /// end to end with the padding between them, from the first member up
+    /// or — descending displacements — from the last. A blocklength that
+    /// is 0 mod 3 is a zero-length member.
+    Struct {
+        members: Vec<(u8, u8, TypeDesc)>,
+        descending: bool,
+    },
+    /// `MPI_Type_create_resized` to a larger extent.
+    Resized { extra: u8, inner: Box<TypeDesc> },
 }
 
 impl TypeDesc {
@@ -133,8 +143,99 @@ impl TypeDesc {
                 }
                 ctx.type_create_indexed_block(bl, &displs, old)
             }
+            TypeDesc::Struct {
+                members,
+                descending,
+            } => {
+                let mut bls = Vec::new();
+                let mut types = Vec::new();
+                let mut reach = Vec::new(); // bytes to the next member
+                for (bl, pad, inner) in members {
+                    let old = inner.build(ctx)?;
+                    let a = ctx.attrs(old)?;
+                    let bl = *bl as i32 % 3;
+                    bls.push(bl);
+                    types.push(old);
+                    let last = (bl as i64 - 1).max(0) * a.extent();
+                    reach.push(last + a.true_ub.max(a.ub).max(0) + *pad as i64 % 8);
+                }
+                let mut order: Vec<usize> = (0..members.len()).collect();
+                if *descending {
+                    order.reverse();
+                }
+                let mut displs = vec![0i64; members.len()];
+                let mut at = 0;
+                for i in order {
+                    displs[i] = at;
+                    at += reach[i];
+                }
+                ctx.type_create_struct(&bls, &displs, &types)
+            }
+            TypeDesc::Resized { extra, inner } => {
+                let old = inner.build(ctx)?;
+                let a = ctx.attrs(old)?;
+                ctx.type_create_resized(old, a.lb, a.extent() + *extra as i64 % 8)
+            }
         }
     }
+}
+
+/// The struct shapes every struct check walks, by name: what the random
+/// generator reaches only sometimes is here every time.
+pub fn struct_zoo() -> Vec<(&'static str, TypeDesc)> {
+    use TypeDesc::*;
+    let (byte, int, double, short) = (Named(0), Named(1), Named(3), Named(4));
+    let of = |members: &[(u8, u8, &TypeDesc)], descending| Struct {
+        members: members
+            .iter()
+            .map(|&(bl, pad, t)| (bl, pad, t.clone()))
+            .collect(),
+        descending,
+    };
+    let padded = of(&[(1, 3, &int), (2, 5, &double), (1, 0, &short)], false);
+    let descending = of(&[(1, 3, &int), (2, 5, &double), (1, 0, &short)], true);
+    let vector = Vector {
+        count: 2,
+        blocklength: 1,
+        stride_extra: 2,
+        inner: Box::new(byte.clone()),
+    };
+    let wide_int = Resized {
+        extra: 5,
+        inner: Box::new(int.clone()),
+    };
+    vec![
+        ("padding between members", padded.clone()),
+        (
+            "a zero-length member",
+            of(&[(1, 0, &int), (0, 4, &double), (2, 0, &byte)], false),
+        ),
+        ("descending displacements", descending.clone()),
+        (
+            "a vector member",
+            of(&[(2, 1, &vector), (1, 0, &int)], false),
+        ),
+        (
+            "a resized member",
+            of(&[(2, 0, &wide_int), (1, 2, &short)], false),
+        ),
+        (
+            "struct under vector",
+            Vector {
+                count: 2,
+                blocklength: 1,
+                stride_extra: 1,
+                inner: Box::new(padded),
+            },
+        ),
+        (
+            "struct under contiguous",
+            Contig {
+                count: 2,
+                inner: Box::new(descending),
+            },
+        ),
+    ]
 }
 
 /// Strategy for a random datatype description of bounded depth.
@@ -179,13 +280,25 @@ pub fn arb_typedesc() -> impl Strategy<Value = TypeDesc> {
             (
                 any::<u8>(),
                 proptest::collection::vec(any::<u8>(), 1..4),
-                inner
+                inner.clone()
             )
                 .prop_map(|(blocklength, gaps, i)| TypeDesc::IndexedBlock {
                     blocklength,
                     gaps,
                     inner: Box::new(i)
                 }),
+            (
+                proptest::collection::vec((any::<u8>(), any::<u8>(), inner.clone()), 1..4),
+                any::<bool>()
+            )
+                .prop_map(|(members, descending)| TypeDesc::Struct {
+                    members,
+                    descending
+                }),
+            (any::<u8>(), inner).prop_map(|(extra, i)| TypeDesc::Resized {
+                extra,
+                inner: Box::new(i)
+            }),
         ]
     })
 }

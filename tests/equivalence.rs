@@ -155,6 +155,42 @@ fn mvapich_baseline_is_construction_sensitive_tempi_is_not() {
     assert_eq!(t_vec, t_sub);
 }
 
+/// Commit a struct of equal named members, the hindexed and the
+/// indexed_block that name the same runs of `bl` ints at `displs` (in
+/// ints), and return the three plans.
+fn block_list_constructions(bl: i32, displs: &[i32]) -> Vec<PlanKind> {
+    use mpi_sim::consts::MPI_INT;
+    let mut ctx = ctx();
+    let mut mpi = InterposedMpi::new(TempiConfig::default());
+    let bytes: Vec<i64> = displs.iter().map(|&d| d as i64 * 4).collect();
+    let bls = vec![bl; displs.len()];
+    let types = [
+        ctx.type_create_struct(&bls, &bytes, &vec![MPI_INT; displs.len()])
+            .unwrap(),
+        ctx.type_create_hindexed(&bls, &bytes, MPI_INT).unwrap(),
+        ctx.type_create_indexed_block(bl, displs, MPI_INT).unwrap(),
+    ];
+    types
+        .iter()
+        .map(|&dt| {
+            mpi.type_commit(&mut ctx, dt).unwrap();
+            mpi.tempi.plan(dt).unwrap().kind.clone()
+        })
+        .collect()
+}
+
+#[test]
+fn struct_hindexed_and_indexed_block_one_plan() {
+    // out of order, with a gap: nothing a strided pattern could express
+    let kinds = block_list_constructions(2, &[12, 0, 5]);
+    match &kinds[0] {
+        PlanKind::Blocks(bl) => assert_eq!(bl.blocks, vec![(48, 8), (0, 8), (20, 8)]),
+        other => panic!("a struct must commit to a block list, got {other:?}"),
+    }
+    assert_eq!(kinds[0], kinds[1], "struct vs hindexed");
+    assert_eq!(kinds[1], kinds[2], "hindexed vs indexed_block");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -201,5 +237,30 @@ proptest! {
             mpi.type_commit(&mut ctx, dt).unwrap();
             prop_assert_eq!(&mpi.tempi.plan(dt).unwrap().kind, &want);
         }
+    }
+
+    /// For random runs, the struct / hindexed / indexed_block
+    /// constructions all produce the same committed block list.
+    #[test]
+    fn random_runs_one_block_list(
+        bl in 1i32..5,
+        gaps in proptest::collection::vec(0i32..6, 1..8),
+        rotate in 0usize..8,
+    ) {
+        // non-overlapping runs, visited from an arbitrary one round
+        let mut displs: Vec<i32> = gaps
+            .iter()
+            .scan(0, |at, gap| {
+                let d = *at + gap;
+                *at = d + bl;
+                Some(d)
+            })
+            .collect();
+        let n = displs.len();
+        displs.rotate_left(rotate % n);
+        let kinds = block_list_constructions(bl, &displs);
+        prop_assert!(matches!(kinds[0], PlanKind::Blocks(_)));
+        prop_assert_eq!(&kinds[0], &kinds[1]);
+        prop_assert_eq!(&kinds[1], &kinds[2]);
     }
 }

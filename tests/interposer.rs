@@ -115,8 +115,13 @@ fn stats_attribute_work_to_the_right_layer() {
     mpi.pack(&mut ctx, src, 1, s, dst, 256, &mut pos).unwrap();
     assert_eq!(mpi.tempi.stats.commits, 2);
     assert_eq!(mpi.tempi.stats.pack_calls, 2);
-    // the struct pack fell through to baseline handling
-    assert_eq!(mpi.tempi.stats.fallbacks, 1);
+    // both packs ran TEMPI's kernels: a struct is not left to the system
+    // MPI's copy-per-block handling
+    assert_eq!(mpi.tempi.stats.fallbacks, 0);
+    assert!(matches!(
+        mpi.tempi.plan(s).unwrap().kind,
+        tempi_core::PlanKind::Blocks(_)
+    ));
 }
 
 // ---- error paths through the interposer (both providers) -----------------

@@ -4,15 +4,81 @@
 
 mod common;
 
-use common::{arb_typedesc, pattern, span_of, TypeDesc};
+use common::{arb_typedesc, pattern, span_of, struct_zoo, TypeDesc};
 use mpi_sim::datatype::pack_cpu;
 use mpi_sim::{RankCtx, WorldConfig};
 use proptest::prelude::*;
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
+use tempi_core::PlanKind;
 
 fn ctx() -> RankCtx {
     RankCtx::standalone(&WorldConfig::summit(1))
+}
+
+/// Every named struct shape, in the default configuration: the plan is a
+/// block list (TEMPI's kernels, not the system MPI's copy-per-block), the
+/// GPU pack equals the CPU typemap oracle for one item and for two, and
+/// unpack restores every byte the type covers and no other.
+#[test]
+fn struct_zoo_packs_and_unpacks_like_the_oracle() {
+    for (what, desc) in struct_zoo() {
+        for incount in [1usize, 2] {
+            let mut ctx = ctx();
+            let mut mpi = InterposedMpi::new(TempiConfig::default());
+            let dt = desc.build(&mut ctx).unwrap();
+            mpi.type_commit(&mut ctx, dt).unwrap();
+            let plan = mpi.tempi.plan(dt).unwrap();
+            assert!(matches!(plan.kind, PlanKind::Blocks(_)), "{what}: {plan:?}");
+
+            let size = ctx.attrs(dt).unwrap().size as usize * incount;
+            let span = span_of(&ctx, dt, incount);
+            let data = pattern(span);
+            let src = ctx.gpu.malloc(span).unwrap();
+            ctx.gpu.memory().poke(src, &data).unwrap();
+            let packed = ctx.gpu.malloc(size).unwrap();
+            let mut pos = 0;
+            mpi.pack(&mut ctx, src, incount, dt, packed, size, &mut pos)
+                .unwrap();
+            assert_eq!(pos, size, "{what}");
+            let mut want = vec![0u8; size];
+            pack_cpu::pack(
+                &ctx.registry().read(),
+                &data,
+                0,
+                incount,
+                dt,
+                &mut want,
+                &mut 0,
+            )
+            .unwrap();
+            assert_eq!(ctx.gpu.memory().peek(packed, size).unwrap(), want, "{what}");
+
+            // unpack into zeroes: the CPU unpack of the same bytes is the oracle
+            let out = ctx.gpu.malloc(span).unwrap();
+            ctx.gpu.memory().poke(out, &vec![0u8; span]).unwrap();
+            let mut pos = 0;
+            mpi.unpack(&mut ctx, packed, size, &mut pos, out, incount, dt)
+                .unwrap();
+            let mut restored = vec![0u8; span];
+            pack_cpu::unpack(
+                &ctx.registry().read(),
+                &want,
+                &mut 0,
+                &mut restored,
+                0,
+                incount,
+                dt,
+            )
+            .unwrap();
+            assert_eq!(
+                ctx.gpu.memory().peek(out, span).unwrap(),
+                restored,
+                "{what}"
+            );
+            assert_eq!(mpi.tempi.stats.fallbacks, 0, "{what}");
+        }
+    }
 }
 
 proptest! {

@@ -4,9 +4,9 @@
 
 mod common;
 
-use common::pattern;
+use common::{pattern, span_of, struct_zoo};
 use mpi_sim::consts::MPI_BYTE;
-use mpi_sim::datatype::Order;
+use mpi_sim::datatype::{pack_cpu, Order};
 use mpi_sim::{MpiError, World, WorldConfig};
 use tempi_core::config::{Method, TempiConfig};
 use tempi_core::interpose::InterposedMpi;
@@ -79,6 +79,56 @@ fn methods_all_deliver_identical_bytes() {
         for b in 0..128 {
             let o = b * 64;
             assert_eq!(&got[o..o + 32], &src[o..o + 32], "{method:?} block {b}");
+        }
+    }
+}
+
+#[test]
+fn struct_sends_through_every_one_piece_rung_match_the_oracle() {
+    // the default configuration plus the forced rung: each struct shape
+    // leaves through TEMPI's kernels by that method, and lands as the CPU
+    // typemap oracle says it must
+    let one_piece = Method::LADDER
+        .into_iter()
+        .filter(|&m| m != Method::Pipelined);
+    for method in one_piece {
+        for (what, desc) in struct_zoo() {
+            World::run(&two_node_cfg(), |ctx| {
+                let mut mpi = InterposedMpi::new(TempiConfig {
+                    force_method: Some(method),
+                    ..TempiConfig::default()
+                });
+                let dt = desc.build(ctx)?;
+                mpi.type_commit(ctx, dt)?;
+                let span = span_of(ctx, dt, 1);
+                let src = pattern(span);
+                let buf = ctx.gpu.malloc(span)?;
+                if ctx.rank == 0 {
+                    ctx.gpu.memory().poke(buf, &src)?;
+                    let used = mpi.send(ctx, buf, 1, dt, 1, 5)?;
+                    assert_eq!(used, Some(method), "{what}");
+                } else {
+                    ctx.gpu.memory().poke(buf, &vec![0u8; span])?;
+                    let st = mpi.recv(ctx, buf, 1, dt, Some(0), Some(5))?;
+                    let size = ctx.attrs(dt)?.size as usize;
+                    assert_eq!(st.bytes, size, "{what}");
+                    let mut packed = vec![0u8; size];
+                    let mut want = vec![0u8; span];
+                    {
+                        let reg = ctx.registry().read();
+                        pack_cpu::pack(&reg, &src, 0, 1, dt, &mut packed, &mut 0)?;
+                        pack_cpu::unpack(&reg, &packed, &mut 0, &mut want, 0, 1, dt)?;
+                    }
+                    assert_eq!(
+                        ctx.gpu.memory().peek(buf, span)?,
+                        want,
+                        "{what} by {method:?}"
+                    );
+                }
+                assert_eq!(mpi.tempi.stats.fallbacks, 0, "{what} by {method:?}");
+                Ok(())
+            })
+            .unwrap();
         }
     }
 }
