@@ -19,14 +19,12 @@
 //! run: they are the status quo the harness documents, and the
 //! `check_bench` verdict gate pins them against silent drift.
 //!
-//! Tolerance: `TEMPI_GUIDELINE_TOL` (default 0.10 — see
-//! `TempiConfig::guideline_tol`).
+//! Tolerance: [`GUIDELINE_TOL`] (10%).
 //!
 //! Run: `cargo run --release -p tempi-bench --bin check_guidelines [--out DIR]`
 
-use tempi_bench::guidelines::{render_report, run_zoo, violations};
+use tempi_bench::guidelines::{render_report, run_zoo, violations, GUIDELINE_TOL};
 use tempi_bench::{fmt_bytes, out_dir_from_args, write_rows, Table};
-use tempi_core::config::TempiConfig;
 
 fn main() {
     let out = match out_dir_from_args(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")) {
@@ -36,15 +34,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let tol = match TempiConfig::from_env() {
-        Ok(cfg) => cfg.guideline_tol,
-        Err(e) => {
-            eprintln!("check_guidelines: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let rows = match run_zoo(tol) {
+    let rows = match run_zoo(GUIDELINE_TOL) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("check_guidelines: measurement failed: {e}");
@@ -94,7 +84,7 @@ fn main() {
     }
     t.print();
 
-    let report = render_report(&rows, tol);
+    let report = render_report(&rows, GUIDELINE_TOL);
     println!("\n{report}");
 
     let report_path = out.join("BENCH_guidelines_violations.txt");
@@ -132,6 +122,6 @@ fn main() {
     println!(
         "check_guidelines: no G3 violations across {} cells (tolerance {:.0}%)",
         rows.len(),
-        tol * 100.0
+        GUIDELINE_TOL * 100.0
     );
 }

@@ -544,7 +544,7 @@ fn send(args: &[String]) {
     );
     let ts = &results[0].5;
     println!(
-        "tuner         : mode {tuner:?} — probes {}, bucket hits {}, method switches {}, pool reuse {}/{}, launch-cache hits {}",
+        "tuner         : mode {tuner:?} — probes {}, bucket hits {}, method switches {}, pool reuse {}/{}, reshaped-plan hits {}",
         ts.tuner_probes,
         ts.tuner_bucket_hits,
         ts.tuner_method_switches,

@@ -8,7 +8,6 @@
 use gpu_sim::{MemSpace, PackTarget};
 use mpi_sim::Transport;
 use serde::{Deserialize, Serialize};
-use tempi_trace::TraceLevel;
 
 /// Which Section-5 communication method a datatype send uses. What each one
 /// does, stage by stage, is its [`Recipe`] ([`Method::recipe`]).
@@ -140,11 +139,6 @@ pub struct TempiConfig {
     /// Force the send method instead of consulting the performance model
     /// (the method-selection ablation).
     pub force_method: Option<Method>,
-    /// Use the DMA engine (`cudaMemcpy2DAsync` / `cudaMemcpy3DAsync`)
-    /// instead of the 2-D/3-D kernels where applicable (paper §8 future
-    /// work: "CUDA provides native APIs to handle 2D and 3D objects using
-    /// the DMA engine").
-    pub use_dma: bool,
     /// Chunk size in bytes for pipelined sends (paper §8 future work:
     /// "prior work also suggests that pipelining packing operations with
     /// MPI send operations is optimal"), replacing the one the model picks
@@ -166,22 +160,6 @@ pub struct TempiConfig {
     /// Seed for the tuner's exploration RNG. Same seed + same fault-free
     /// world ⇒ identical method sequence, so tuned runs replay exactly.
     pub tuner_seed: u64,
-    /// Observability level (`TEMPI_TRACE`): `Off` keeps every tracer call
-    /// a single branch, `Spans` records begin/end/GPU-complete events,
-    /// `Full` adds per-call instants (tuner decisions, pool takes, wire
-    /// departures) and live metrics. The level here configures the tracer
-    /// the harness builds; the library itself only consults the
-    /// [`tempi_trace::Tracer`] handed to each rank.
-    pub trace: TraceLevel,
-    /// Relative slack the performance-guidelines gate (`check_guidelines`)
-    /// allows before a Hunold/Träff guideline counts as violated
-    /// (`TEMPI_GUIDELINE_TOL`): a derived-datatype send may be up to
-    /// `1 + guideline_tol` times slower than the pack-then-send / naive
-    /// reference before G1/G2 flag it. The default 0.10 absorbs modeling
-    /// asymmetries between the composed and fused paths (an extra
-    /// dispatch, one barrier's skew) while catching method-choice
-    /// regressions, which move cells by integer factors.
-    pub guideline_tol: f64,
 }
 
 impl Default for TempiConfig {
@@ -190,13 +168,10 @@ impl Default for TempiConfig {
             canonicalize: true,
             force_word: None,
             force_method: None,
-            use_dma: false,
             pipeline_chunk: None,
             checkpoint_every: None,
             tuner: TunerMode::Model,
             tuner_seed: 0x7e3a_11c5,
-            trace: TraceLevel::Off,
-            guideline_tol: 0.10,
         }
     }
 }
@@ -211,13 +186,10 @@ impl TempiConfig {
     /// | `TEMPI_NO_CANONICALIZE=1` | skip Algorithms 5–7 |
     /// | `TEMPI_FORCE_WORD=N` | force kernel word size (1/2/4/8/16) |
     /// | `TEMPI_METHOD=device\|oneshot\|staged\|pipelined` | force the §5 method |
-    /// | `TEMPI_USE_DMA=1` | use the 2-D/3-D DMA engine where applicable |
     /// | `TEMPI_PIPELINE_CHUNK=BYTES` | chunk size of pipelined sends (default: the model's pick) |
     /// | `TEMPI_CHECKPOINT_EVERY=N` | coordinated checkpoint every N iterations |
     /// | `TEMPI_TUNER=off\|model\|online` | method decision mode (default `model`) |
     /// | `TEMPI_TUNER_SEED=N` | seed for the tuner's exploration RNG |
-    /// | `TEMPI_TRACE=off\|spans\|full` | observability level (default `off`) |
-    /// | `TEMPI_GUIDELINE_TOL=F` | relative slack of the performance-guidelines gate (default `0.10`) |
     ///
     /// Unknown or malformed values are rejected with a message naming the
     /// variable, rather than silently ignored.
@@ -233,7 +205,6 @@ impl TempiConfig {
             var(name).is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
         };
         cfg.canonicalize = !flag("TEMPI_NO_CANONICALIZE");
-        cfg.use_dma = flag("TEMPI_USE_DMA");
         if let Some(v) = var("TEMPI_FORCE_WORD") {
             let w: usize = v
                 .parse()
@@ -291,18 +262,6 @@ impl TempiConfig {
                 .parse()
                 .map_err(|_| format!("TEMPI_TUNER_SEED must be an integer, got `{v}`"))?;
         }
-        if let Some(v) = var("TEMPI_TRACE") {
-            cfg.trace = TraceLevel::parse(&v)?;
-        }
-        if let Some(v) = var("TEMPI_GUIDELINE_TOL") {
-            let tol: f64 = v
-                .parse()
-                .map_err(|_| format!("TEMPI_GUIDELINE_TOL must be a number, got `{v}`"))?;
-            if !tol.is_finite() || !(0.0..1.0).contains(&tol) {
-                return Err(format!("TEMPI_GUIDELINE_TOL must be in [0, 1), got {tol}"));
-            }
-            cfg.guideline_tol = tol;
-        }
         Ok(cfg)
     }
 }
@@ -326,25 +285,19 @@ mod tests {
             ("TEMPI_NO_CANONICALIZE", "1"),
             ("TEMPI_FORCE_WORD", "8"),
             ("TEMPI_METHOD", "oneshot"),
-            ("TEMPI_USE_DMA", "true"),
             ("TEMPI_PIPELINE_CHUNK", "262144"),
             ("TEMPI_CHECKPOINT_EVERY", "5"),
             ("TEMPI_TUNER", "online"),
             ("TEMPI_TUNER_SEED", "12345"),
-            ("TEMPI_TRACE", "full"),
-            ("TEMPI_GUIDELINE_TOL", "0.05"),
         ])
         .unwrap();
         assert!(!cfg.canonicalize);
         assert_eq!(cfg.force_word, Some(8));
         assert_eq!(cfg.force_method, Some(Method::OneShot));
-        assert!(cfg.use_dma);
         assert_eq!(cfg.pipeline_chunk, Some(262144));
         assert_eq!(cfg.checkpoint_every, Some(5));
         assert_eq!(cfg.tuner, TunerMode::Online);
         assert_eq!(cfg.tuner_seed, 12345);
-        assert_eq!(cfg.trace, TraceLevel::Full);
-        assert!((cfg.guideline_tol - 0.05).abs() < 1e-12);
 
         // forced pipelining needs no chunk: the model supplies one
         let cfg = parse(&[("TEMPI_METHOD", "pipelined")]).unwrap();
@@ -365,11 +318,6 @@ mod tests {
             ("TEMPI_CHECKPOINT_EVERY", "soon"),
             ("TEMPI_PIPELINE_CHUNK", "0"),
             ("TEMPI_METHOD", "warp-drive"),
-            ("TEMPI_TRACE", "loud"),
-            ("TEMPI_GUIDELINE_TOL", "snug"),
-            ("TEMPI_GUIDELINE_TOL", "-0.1"),
-            ("TEMPI_GUIDELINE_TOL", "1.5"),
-            ("TEMPI_GUIDELINE_TOL", "inf"),
         ] {
             // a valid neighbour does not mask the bad one
             let err = parse(&[(name, bad), ("TEMPI_TUNER_SEED", "7")]).unwrap_err();
@@ -399,22 +347,16 @@ mod tests {
             canonicalize,
             force_word,
             force_method,
-            use_dma,
             pipeline_chunk,
             checkpoint_every,
             tuner,
             tuner_seed: _,
-            trace,
-            guideline_tol,
         } = TempiConfig::default();
         assert!(canonicalize);
         assert!(force_word.is_none());
         assert!(force_method.is_none());
-        assert!(!use_dma);
         assert!(pipeline_chunk.is_none());
         assert!(checkpoint_every.is_none());
         assert_eq!(tuner, TunerMode::Model);
-        assert_eq!(trace, TraceLevel::Off);
-        assert!((guideline_tol - 0.10).abs() < 1e-12);
     }
 }

@@ -194,7 +194,7 @@ impl InterposedMpi {
             Provider::Tempi => self
                 .tempi
                 .pack(ctx, inbuf, incount, dt, outbuf, outsize, position),
-            Provider::System => system_pack(ctx, inbuf, incount, dt, outbuf, outsize, position),
+            Provider::System => ctx.pack(inbuf, incount, dt, outbuf, outsize, position),
         }
     }
 
@@ -214,7 +214,7 @@ impl InterposedMpi {
             Provider::Tempi => self
                 .tempi
                 .unpack(ctx, inbuf, insize, position, outbuf, outcount, dt),
-            Provider::System => system_unpack(ctx, inbuf, insize, position, outbuf, outcount, dt),
+            Provider::System => ctx.unpack(inbuf, insize, position, outbuf, outcount, dt),
         }
     }
 
@@ -227,7 +227,7 @@ impl InterposedMpi {
     ) -> MpiResult<usize> {
         match self.resolve(MpiSymbol::PackSize) {
             Provider::Tempi => self.tempi.pack_size(ctx, incount, dt),
-            Provider::System => Ok(ctx.type_size(dt)? as usize * incount),
+            Provider::System => ctx.pack_size(incount, dt),
         }
     }
 
@@ -337,142 +337,6 @@ impl InterposedMpi {
     }
 }
 
-/// The system MPI's `MPI_Pack` (vendor baseline behavior) — what runs when
-/// TEMPI is not interposed.
-#[allow(clippy::too_many_arguments)]
-pub fn system_pack(
-    ctx: &mut RankCtx,
-    inbuf: GpuPtr,
-    incount: usize,
-    dt: Datatype,
-    outbuf: GpuPtr,
-    outsize: usize,
-    position: &mut usize,
-) -> MpiResult<()> {
-    use mpi_sim::datatype::typemap::segments;
-    use mpi_sim::{Combiner, MpiError};
-    if !ctx.is_committed(dt)? {
-        return Err(MpiError::NotCommitted);
-    }
-    let reg = ctx.registry().clone();
-    let (segs, attrs, envelope) = {
-        let reg = reg.read();
-        (segments(&reg, dt)?, reg.attrs(dt)?, reg.get_envelope(dt)?)
-    };
-    let root_is_vector = matches!(envelope.combiner, Combiner::Vector);
-    let bytes = attrs.size as usize * incount;
-    if *position + bytes > outsize {
-        return Err(MpiError::BufferTooSmall {
-            required: *position + bytes,
-            available: outsize,
-            envelope: Some(envelope),
-        });
-    }
-    if inbuf.space.device_accessible() && outbuf.space.device_accessible() {
-        let vendor = ctx.vendor.clone();
-        mpi_sim::vendor::baseline_gpu_pack(
-            &vendor,
-            &mut ctx.stream,
-            &mut ctx.clock,
-            &segs,
-            attrs.extent(),
-            root_is_vector,
-            inbuf,
-            incount,
-            outbuf.add(*position),
-            &mut 0,
-        )?;
-        *position += bytes;
-        return Ok(());
-    }
-    // host path: CPU pack
-    let mut mem = ctx.gpu.memory();
-    let mut pos = *position;
-    for item in 0..incount {
-        let base = item as i64 * attrs.extent();
-        for seg in &segs {
-            let s = inbuf
-                .offset_by(base + seg.off)
-                .ok_or_else(|| MpiError::InvalidArg("reaches before buffer".to_string()))?;
-            let data = mem.peek(s, seg.len as usize)?;
-            mem.poke(outbuf.add(pos), &data)?;
-            pos += seg.len as usize;
-        }
-    }
-    drop(mem);
-    ctx.clock
-        .advance(ctx.vendor.host_pack_time(bytes, segs.len() * incount));
-    *position = pos;
-    Ok(())
-}
-
-/// The system MPI's `MPI_Unpack` (vendor baseline behavior).
-#[allow(clippy::too_many_arguments)]
-pub fn system_unpack(
-    ctx: &mut RankCtx,
-    inbuf: GpuPtr,
-    insize: usize,
-    position: &mut usize,
-    outbuf: GpuPtr,
-    outcount: usize,
-    dt: Datatype,
-) -> MpiResult<()> {
-    use mpi_sim::datatype::typemap::segments;
-    use mpi_sim::{Combiner, MpiError};
-    if !ctx.is_committed(dt)? {
-        return Err(MpiError::NotCommitted);
-    }
-    let reg = ctx.registry().clone();
-    let (segs, attrs, envelope) = {
-        let reg = reg.read();
-        (segments(&reg, dt)?, reg.attrs(dt)?, reg.get_envelope(dt)?)
-    };
-    let root_is_vector = matches!(envelope.combiner, Combiner::Vector);
-    let bytes = attrs.size as usize * outcount;
-    if *position + bytes > insize {
-        return Err(MpiError::BufferTooSmall {
-            required: *position + bytes,
-            available: insize,
-            envelope: Some(envelope),
-        });
-    }
-    if inbuf.space.device_accessible() && outbuf.space.device_accessible() {
-        let vendor = ctx.vendor.clone();
-        mpi_sim::vendor::baseline_gpu_unpack(
-            &vendor,
-            &mut ctx.stream,
-            &mut ctx.clock,
-            &segs,
-            attrs.extent(),
-            root_is_vector,
-            inbuf.add(*position),
-            &mut 0,
-            outbuf,
-            outcount,
-        )?;
-        *position += bytes;
-        return Ok(());
-    }
-    let mut mem = ctx.gpu.memory();
-    let mut pos = *position;
-    for item in 0..outcount {
-        let base = item as i64 * attrs.extent();
-        for seg in &segs {
-            let d = outbuf
-                .offset_by(base + seg.off)
-                .ok_or_else(|| MpiError::InvalidArg("reaches before buffer".to_string()))?;
-            let data = mem.peek(inbuf.add(pos), seg.len as usize)?;
-            mem.poke(d, &data)?;
-            pos += seg.len as usize;
-        }
-    }
-    drop(mem);
-    ctx.clock
-        .advance(ctx.vendor.host_pack_time(bytes, segs.len() * outcount));
-    *position = pos;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn tempi_pack_beats_system_pack_on_gpu_buffers() {
+    fn tempi_pack_beats_the_system_mpi_on_gpu_buffers() {
         // same operation through both resolution tables; identical bytes,
         // very different virtual cost
         let run = |interposed: bool| -> (Vec<u8>, gpu_sim::SimTime) {

@@ -13,12 +13,24 @@
 //!   repetition folded into the grid's Z extent;
 //! * no object metadata is stored on the GPU — kernel parameters are the
 //!   scalar values of the [`StridedBlock`].
+//!
+//! Execution has one entry, `Engine::execute`: the dispatch from what a
+//! type committed to ([`PlanKind`]) to the plain copy, the strided kernel
+//! (whole object, or a contiguous-with-padding transfer reshaped to 2-D)
+//! or the block-list kernel. Every kernel — those two, and the block-range
+//! kernel of the pipelined path (`execute_range_async`) — is the same walk
+//! of the typed buffer's runs against a packed cursor (`walk`); a kernel
+//! supplies its runs, its price and its launch geometry. The CPU copy path
+//! (`execute_on_host`) is that walk again, in host code.
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 use gpu_sim::{
-    div_ceil, next_pow2, Dim3, GpuPtr, GpuResult, LaunchConfig, MemSpace, PackDir, PackTarget,
-    SimClock, Stream,
+    div_ceil, next_pow2, Dim3, GpuError, GpuPtr, GpuResult, LaunchConfig, MemSpace, Memory,
+    PackDir, PackTarget, SimClock, SimTime, Stream,
 };
-use mpi_sim::{MpiError, MpiResult};
+use mpi_sim::{Combiner, Datatype, MpiError, MpiResult, RankCtx};
 use serde::{Deserialize, Serialize};
 
 use crate::ir::strided_block::StridedBlock;
@@ -50,6 +62,47 @@ pub struct KernelPlan {
     pub block: Dim3,
     /// Which kernel implementation.
     pub kind: KernelKind,
+}
+
+/// What a committed type resolved to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanKind {
+    /// The type denotes no bytes.
+    Empty,
+    /// A (possibly 1-D) strided object with a selected kernel.
+    Strided(KernelPlan),
+    /// An irregular block list (indexed-family extension).
+    Blocks(BlockList),
+    /// Not accelerated; operations fall through to the system MPI.
+    Fallback(Combiner),
+}
+
+/// The typed side of one transfer, as an MPI call names it and a kernel
+/// reads it: `count` items of `dt` at `buf`, `extent` bytes apart, `bytes`
+/// of them packed. Built by `TypePlan::typed`, which checks the size.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Typed {
+    /// The typed buffer.
+    pub(crate) buf: GpuPtr,
+    /// How many items of the datatype.
+    pub(crate) count: usize,
+    /// The datatype handle.
+    pub(crate) dt: Datatype,
+    /// `MPI_Type_get_extent` extent: the spacing of the items.
+    pub(crate) extent: i64,
+    /// Packed size of all `count` items.
+    pub(crate) bytes: usize,
+}
+
+impl Typed {
+    /// This buffer's items, each laid out as `layout`.
+    fn items<L>(self, layout: &L) -> Items<'_, L> {
+        Items {
+            layout,
+            extent: self.extent,
+            count: self.count,
+        }
+    }
 }
 
 /// Largest GPU-native word (16, 8, 4, 2, 1 bytes) that divides the block
@@ -135,6 +188,26 @@ impl KernelPlan {
             block: self.block,
         }
     }
+
+    /// On-GPU time of one strided kernel moving `total` bytes of this
+    /// object between `strided` and the packed bytes at `packed`.
+    fn price(
+        &self,
+        stream: &Stream,
+        dir: PackDir,
+        strided: GpuPtr,
+        packed: GpuPtr,
+        total: usize,
+    ) -> SimTime {
+        stream.cost_model().pack_kernel_time_dims(
+            dir,
+            target_for(strided.space, packed.space),
+            total,
+            self.sb.block_bytes() as usize,
+            effective_word(self.word, strided, packed),
+            self.sb.ndims(),
+        )
+    }
 }
 
 /// Degrade the static word size to what the actual buffer alignments
@@ -164,6 +237,132 @@ fn ptr_at(p: GpuPtr, off: i64) -> MpiResult<GpuPtr> {
     })
 }
 
+/// The contiguous runs of a typed buffer, in packed order.
+trait Runs {
+    /// Hand `sink` every run: its offset into the typed buffer, its length.
+    fn for_each(&self, sink: impl FnMut(i64, usize));
+}
+
+/// `count` objects of one layout, `extent` bytes apart.
+struct Items<'a, L> {
+    layout: &'a L,
+    extent: i64,
+    count: usize,
+}
+
+impl Runs for Items<'_, StridedBlock> {
+    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
+        let len = self.layout.block_bytes() as usize;
+        for item in 0..self.count {
+            let base = item as i64 * self.extent;
+            self.layout.for_each_block(|off| sink(base + off, len));
+        }
+    }
+}
+
+impl Runs for Items<'_, BlockList> {
+    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
+        for item in 0..self.count {
+            let base = item as i64 * self.extent;
+            for &(off, len) in &self.layout.blocks {
+                sink(base + off, len as usize);
+            }
+        }
+    }
+}
+
+/// The blocks `blocks` of a stream of strided objects `extent` apart, the
+/// blocks of all its items numbered globally.
+struct BlockRange<'a> {
+    sb: &'a StridedBlock,
+    extent: i64,
+    blocks: Range<i64>,
+}
+
+impl Runs for BlockRange<'_> {
+    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
+        let (len, per_item) = (self.sb.block_bytes() as usize, self.sb.block_count());
+        for b in self.blocks.clone() {
+            let item = (b / per_item) * self.extent;
+            sink(item + self.sb.block_offset(b % per_item), len);
+        }
+    }
+}
+
+/// The one run-walking body every pack/unpack shares: a cursor through the
+/// packed bytes from `packed`, advanced run by run of the typed buffer
+/// `strided`. Which side of a run is the source is `dir`'s business, a run
+/// that reaches before the typed buffer is out of bounds, and the first
+/// fault ends the walk (the run visitors cannot stop early, so later runs
+/// are skipped, not moved). `ON_HOST` copies with host code, which no
+/// address space refuses, instead of a kernel's device code.
+fn walk<const ON_HOST: bool>(
+    mem: &mut Memory,
+    dir: PackDir,
+    strided: GpuPtr,
+    packed: GpuPtr,
+    runs: &impl Runs,
+) -> GpuResult<()> {
+    let mut fault = Ok(());
+    let mut pos = 0;
+    runs.for_each(|off, len| {
+        if fault.is_err() {
+            return;
+        }
+        let Some(s) = strided.offset_by(off) else {
+            fault = Err(GpuError::OutOfBounds {
+                alloc: strided.alloc_id(),
+                offset: 0,
+                len,
+                size: 0,
+            });
+            return;
+        };
+        let (dst, src) = dir.ends(s, packed.add(pos));
+        let moved = match ON_HOST {
+            true => mem.peek(src, len).and_then(|data| mem.poke(dst, &data)),
+            false => mem.dev_copy(dst, src, len),
+        };
+        if moved.is_err() {
+            fault = moved;
+        }
+        pos += len;
+    });
+    fault
+}
+
+/// What a kernel supplies besides its runs.
+struct Launch {
+    name: &'static str,
+    cfg: LaunchConfig,
+    cost: SimTime,
+}
+
+/// One warp per block, 256 threads per thread-block.
+fn warp_per_block(nblocks: u64) -> LaunchConfig {
+    LaunchConfig {
+        grid: Dim3::new(div_ceil(nblocks * 32, 256).clamp(1, 65_535) as u32, 1, 1),
+        block: Dim3::new(256, 1, 1),
+    }
+}
+
+/// Launch one kernel whose body walks `runs` between `strided` and the
+/// packed bytes at `packed`. Does not synchronize.
+fn launch(
+    stream: &mut Stream,
+    clock: &mut SimClock,
+    dir: PackDir,
+    l: Launch,
+    strided: GpuPtr,
+    packed: GpuPtr,
+    runs: &impl Runs,
+) -> MpiResult<()> {
+    let body = |mem: &mut Memory| walk::<false>(mem, dir, strided, packed, runs);
+    stream
+        .launch(clock, l.name, l.cfg, l.cost, body)
+        .map_err(MpiError::Gpu)
+}
+
 /// Execute the strided pack/unpack kernel: one launch + synchronize moving
 /// `incount` objects between the strided buffer (`strided`, items
 /// `item_extent` bytes apart) and the packed buffer (`packed`, starting at
@@ -180,183 +379,60 @@ pub fn execute_strided(
     packed: GpuPtr,
     packed_off: usize,
 ) -> MpiResult<usize> {
-    execute_strided_with(
-        plan,
-        None,
-        stream,
-        clock,
-        dir,
-        strided,
-        item_extent,
-        incount,
-        packed,
-        packed_off,
-    )
-}
-
-/// [`execute_strided`] with an optionally pre-computed launch geometry.
-/// The hot send path caches the [`LaunchConfig`] per `(datatype, incount)`
-/// so steady-state sends skip the grid/block derivation; `None` derives it
-/// from the plan as usual. The caller must have derived `cached` from this
-/// same plan and `incount`.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_strided_with(
-    plan: &KernelPlan,
-    cached: Option<LaunchConfig>,
-    stream: &mut Stream,
-    clock: &mut SimClock,
-    dir: PackDir,
-    strided: GpuPtr,
-    item_extent: i64,
-    incount: usize,
-    packed: GpuPtr,
-    packed_off: usize,
-) -> MpiResult<usize> {
     let total = (plan.sb.data_bytes() as usize) * incount;
-    let word = effective_word(plan.word, strided, packed.add(packed_off));
-    let target = target_for(strided.space, packed.space);
-    let cost = stream.cost_model().pack_kernel_time_dims(
-        dir,
-        target,
-        total,
-        plan.sb.block_bytes() as usize,
-        word,
-        plan.sb.ndims(),
-    );
-    let cfg = match cached {
-        Some(cfg) => {
-            debug_assert_eq!(cfg, plan.launch_config(incount));
-            cfg
-        }
-        None => plan.launch_config(incount),
+    let packed = packed.add(packed_off);
+    let l = Launch {
+        name: match (dir, plan.kind) {
+            (PackDir::Pack, KernelKind::Pack2D) => "tempi_pack_2d",
+            (PackDir::Pack, KernelKind::Pack3D) => "tempi_pack_3d",
+            (PackDir::Pack, _) => "tempi_pack_nd",
+            (PackDir::Unpack, KernelKind::Pack2D) => "tempi_unpack_2d",
+            (PackDir::Unpack, KernelKind::Pack3D) => "tempi_unpack_3d",
+            (PackDir::Unpack, _) => "tempi_unpack_nd",
+        },
+        cfg: plan.launch_config(incount),
+        cost: plan.price(stream, dir, strided, packed, total),
     };
-    let name = match (dir, plan.kind) {
-        (PackDir::Pack, KernelKind::Pack2D) => "tempi_pack_2d",
-        (PackDir::Pack, KernelKind::Pack3D) => "tempi_pack_3d",
-        (PackDir::Pack, _) => "tempi_pack_nd",
-        (PackDir::Unpack, KernelKind::Pack2D) => "tempi_unpack_2d",
-        (PackDir::Unpack, KernelKind::Pack3D) => "tempi_unpack_3d",
-        (PackDir::Unpack, _) => "tempi_unpack_nd",
+    let runs = Items {
+        layout: &plan.sb,
+        extent: item_extent,
+        count: incount,
     };
-    let sb = &plan.sb;
-    let block_len = sb.block_bytes() as usize;
-    let run = |mem: &mut gpu_sim::Memory| -> GpuResult<()> {
-        let mut pos = packed_off;
-        for item in 0..incount {
-            let base = item as i64 * item_extent;
-            let mut fault = None;
-            sb.for_each_block(|off| {
-                if fault.is_some() {
-                    return;
-                }
-                let s = match strided.offset_by(base + off) {
-                    Some(p) => p,
-                    None => {
-                        fault = Some(gpu_sim::GpuError::OutOfBounds {
-                            alloc: strided.alloc_id(),
-                            offset: 0,
-                            len: block_len,
-                            size: 0,
-                        });
-                        return;
-                    }
-                };
-                let p = packed.add(pos);
-                let (dst, src) = match dir {
-                    PackDir::Pack => (p, s),
-                    PackDir::Unpack => (s, p),
-                };
-                if let Err(e) = mem.dev_copy(dst, src, block_len) {
-                    fault = Some(e);
-                }
-                pos += block_len;
-            });
-            if let Some(e) = fault {
-                return Err(e);
-            }
-        }
-        Ok(())
-    };
-    stream
-        .launch(clock, name, cfg, cost, run)
-        .map_err(MpiError::Gpu)?;
+    launch(stream, clock, dir, l, strided, packed, &runs)?;
     stream.synchronize(clock);
     Ok(total)
 }
 
-/// Execute one *asynchronous* pack/unpack kernel over a contiguous range
-/// of block indices of the object stream (blocks of all `incount` items
-/// numbered globally). Does **not** synchronize — the pipelined send path
-/// (paper §8) overlaps these launches with wire transfers and joins at the
-/// end. Returns the bytes moved by this launch.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_strided_range_async(
+/// Execute one *asynchronous* pack/unpack kernel over the contiguous range
+/// `blocks` of block indices of `x`'s object stream (blocks of all its
+/// items numbered globally), against the packed bytes at `packed`. Does
+/// **not** synchronize — the pipelined send path (paper §8) overlaps these
+/// launches with wire transfers and joins at the end.
+pub(crate) fn execute_range_async(
     plan: &KernelPlan,
-    stream: &mut Stream,
-    clock: &mut SimClock,
+    ctx: &mut RankCtx,
     dir: PackDir,
-    strided: GpuPtr,
-    item_extent: i64,
+    x: Typed,
     packed: GpuPtr,
-    packed_off: usize,
-    first_block: i64,
-    nblocks: i64,
-) -> MpiResult<usize> {
-    let block_len = plan.sb.block_bytes() as usize;
-    let blocks_per_item = plan.sb.block_count();
-    let total = block_len * nblocks as usize;
-    let word = effective_word(plan.word, strided, packed.add(packed_off));
-    let target = target_for(strided.space, packed.space);
-    let cost = stream.cost_model().pack_kernel_time_dims(
-        dir,
-        target,
-        total,
-        block_len,
-        word,
-        plan.sb.ndims(),
-    );
-    // 1-D launch over this range's blocks (one warp per block)
-    let cfg = LaunchConfig {
-        grid: Dim3::new(
-            div_ceil(nblocks as u64 * 32, 256).clamp(1, 65_535) as u32,
-            1,
-            1,
-        ),
-        block: Dim3::new(256, 1, 1),
+    blocks: Range<i64>,
+) -> MpiResult<()> {
+    let nblocks = (blocks.end - blocks.start) as u64;
+    let total = plan.sb.block_bytes() as usize * nblocks as usize;
+    let l = Launch {
+        name: match dir {
+            PackDir::Pack => "tempi_pack_range",
+            PackDir::Unpack => "tempi_unpack_range",
+        },
+        cfg: warp_per_block(nblocks),
+        cost: plan.price(&ctx.stream, dir, x.buf, packed, total),
     };
-    let sb = &plan.sb;
-    let run = |mem: &mut gpu_sim::Memory| -> GpuResult<()> {
-        let mut pos = packed_off;
-        for gbi in first_block..first_block + nblocks {
-            let item = gbi / blocks_per_item;
-            let within = gbi % blocks_per_item;
-            let off = item * item_extent + sb.block_offset(within);
-            let s = strided
-                .offset_by(off)
-                .ok_or(gpu_sim::GpuError::OutOfBounds {
-                    alloc: strided.alloc_id(),
-                    offset: 0,
-                    len: block_len,
-                    size: 0,
-                })?;
-            let p = packed.add(pos);
-            let (dst, src) = match dir {
-                PackDir::Pack => (p, s),
-                PackDir::Unpack => (s, p),
-            };
-            mem.dev_copy(dst, src, block_len)?;
-            pos += block_len;
-        }
-        Ok(())
+    let runs = BlockRange {
+        sb: &plan.sb,
+        extent: x.extent,
+        blocks,
     };
-    let name = match dir {
-        PackDir::Pack => "tempi_pack_range",
-        PackDir::Unpack => "tempi_unpack_range",
-    };
-    stream
-        .launch(clock, name, cfg, cost, run)
-        .map_err(MpiError::Gpu)?;
-    Ok(total)
+    let (stream, clock) = (&mut ctx.stream, &mut ctx.clock);
+    launch(stream, clock, dir, l, x.buf, packed, &runs)
 }
 
 /// Execute the block-list kernel for the indexed-family extension: one
@@ -373,60 +449,165 @@ pub fn execute_blocklist(
     packed: GpuPtr,
     packed_off: usize,
 ) -> MpiResult<usize> {
-    let item_bytes = blocks.data_bytes() as usize;
-    let total = item_bytes * incount;
+    let total = blocks.data_bytes() as usize * incount;
     let nblocks = blocks.blocks.len().max(1) * incount.max(1);
-    let avg_block = (total / nblocks).max(1);
-    let target = target_for(strided.space, packed.space);
-    let cost = stream
-        .cost_model()
-        .pack_kernel_time(dir, target, total, avg_block, 1);
-    // one warp per block, 256 threads per thread-block
-    let cfg = LaunchConfig {
-        grid: Dim3::new(
-            div_ceil(nblocks as u64 * 32, 256).clamp(1, 65_535) as u32,
-            1,
+    let l = Launch {
+        name: match dir {
+            PackDir::Pack => "tempi_pack_blocklist",
+            PackDir::Unpack => "tempi_unpack_blocklist",
+        },
+        cfg: warp_per_block(nblocks as u64),
+        cost: stream.cost_model().pack_kernel_time(
+            dir,
+            target_for(strided.space, packed.space),
+            total,
+            (total / nblocks).max(1),
             1,
         ),
-        block: Dim3::new(256, 1, 1),
     };
-    let run = |mem: &mut gpu_sim::Memory| -> GpuResult<()> {
-        let mut pos = packed_off;
-        for item in 0..incount {
-            let base = item as i64 * item_extent;
-            for &(off, len) in &blocks.blocks {
-                let s = strided
-                    .offset_by(base + off)
-                    .ok_or(gpu_sim::GpuError::OutOfBounds {
-                        alloc: strided.alloc_id(),
-                        offset: 0,
-                        len: len as usize,
-                        size: 0,
-                    })?;
-                let p = packed.add(pos);
-                let (dst, src) = match dir {
-                    PackDir::Pack => (p, s),
-                    PackDir::Unpack => (s, p),
-                };
-                mem.dev_copy(dst, src, len as usize)?;
-                pos += len as usize;
-            }
-        }
-        Ok(())
+    let runs = Items {
+        layout: blocks,
+        extent: item_extent,
+        count: incount,
     };
-    let name = match dir {
-        PackDir::Pack => "tempi_pack_blocklist",
-        PackDir::Unpack => "tempi_unpack_blocklist",
-    };
-    stream
-        .launch(clock, name, cfg, cost, run)
-        .map_err(MpiError::Gpu)?;
+    launch(
+        stream,
+        clock,
+        dir,
+        l,
+        strided,
+        packed.add(packed_off),
+        &runs,
+    )?;
     stream.synchronize(clock);
     Ok(total)
 }
 
+/// The CPU copy path: `x`'s runs under `plan` moved by host code against
+/// the packed bytes at `packed`, priced like the system MPI's host pack.
+/// Host-resident data takes it, and so does a datatype whose kernel path
+/// failed: it touches no GPU resource.
+pub(crate) fn execute_on_host(
+    ctx: &mut RankCtx,
+    plan: &PlanKind,
+    dir: PackDir,
+    x: Typed,
+    packed: GpuPtr,
+) -> MpiResult<()> {
+    let mut mem = ctx.gpu.memory();
+    let runs = match plan {
+        PlanKind::Strided(kp) => {
+            walk::<true>(&mut mem, dir, x.buf, packed, &x.items(&kp.sb))?;
+            kp.sb.block_count() as usize
+        }
+        PlanKind::Blocks(bl) => {
+            walk::<true>(&mut mem, dir, x.buf, packed, &x.items(bl))?;
+            bl.blocks.len()
+        }
+        PlanKind::Empty => 0,
+        PlanKind::Fallback(_) => return Err(no_kernel()),
+    };
+    drop(mem);
+    let t = ctx.vendor.host_pack_time(x.bytes, runs * x.count);
+    ctx.clock.advance(t);
+    Ok(())
+}
+
+/// A `Fallback` plan is the system MPI's: the library hands it over before
+/// it reaches the engine.
+fn no_kernel() -> MpiError {
+    MpiError::Internal("a fallback plan has no kernel to execute".to_string())
+}
+
+/// One rank's pack/unpack engine: the dispatch from a committed plan to
+/// the kernel that moves it, and the plans derived on the way.
+pub(crate) struct Engine {
+    /// Forced word size of derived plans (the word-size ablation).
+    force_word: Option<usize>,
+    /// The 2-D plans contiguous-with-padding transfers are reshaped to,
+    /// per (datatype, count): a reshape allocates stride vectors, so the
+    /// hot path builds it once, not per send.
+    reshaped: HashMap<(Datatype, usize), KernelPlan>,
+    /// Transfers whose reshaped plan was served from that cache.
+    pub(crate) reshape_hits: u64,
+}
+
+impl Engine {
+    /// A fresh engine; `force_word` as in [`select_kernel`].
+    pub(crate) fn new(force_word: Option<usize>) -> Self {
+        Engine {
+            force_word,
+            reshaped: HashMap::new(),
+            reshape_hits: 0,
+        }
+    }
+
+    /// Kernel-path pack/unpack of `x` under `plan` between
+    /// device-accessible buffers, the packed bytes at `packed`: the whole
+    /// object in one synchronous launch-and-join.
+    pub(crate) fn execute(
+        &mut self,
+        ctx: &mut RankCtx,
+        plan: &PlanKind,
+        dir: PackDir,
+        x: Typed,
+        packed: GpuPtr,
+    ) -> MpiResult<()> {
+        let (stream, clock) = (&mut ctx.stream, &mut ctx.clock);
+        let (buf, extent) = (x.buf, x.extent);
+        match plan {
+            PlanKind::Empty => {}
+            PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D => {
+                // A contiguous object: "issue a single cudaMemcpyAsync …
+                // followed by a cudaStreamSynchronize" (§3.3).
+                let size = kp.sb.block_bytes();
+                if x.count <= 1 || size == extent {
+                    let (dst, src) = dir.ends(ptr_at(buf, kp.sb.start)?, packed);
+                    stream
+                        .memcpy_async(clock, dst, src, x.bytes)
+                        .map_err(MpiError::Gpu)?;
+                    stream.synchronize(clock);
+                    return Ok(());
+                }
+                // Several items with padding: incount acts as an extra
+                // stride dimension, handled dynamically (§3.3) — view as
+                // 2-D and launch once.
+                let kp = match self.reshaped.entry((x.dt, x.count)) {
+                    Entry::Occupied(hit) => {
+                        self.reshape_hits += 1;
+                        hit.into_mut()
+                    }
+                    Entry::Vacant(slot) => {
+                        let sb = StridedBlock {
+                            start: kp.sb.start,
+                            counts: vec![size, x.count as i64],
+                            strides: vec![1, extent],
+                        };
+                        slot.insert(select_kernel(sb, self.force_word))
+                    }
+                };
+                execute_strided(kp, stream, clock, dir, buf, extent, 1, packed, 0)?;
+            }
+            PlanKind::Strided(kp) => {
+                execute_strided(kp, stream, clock, dir, buf, extent, x.count, packed, 0)?;
+            }
+            PlanKind::Blocks(bl) => {
+                execute_blocklist(bl, stream, clock, dir, buf, extent, x.count, packed, 0)?;
+            }
+            PlanKind::Fallback(_) => return Err(no_kernel()),
+        }
+        Ok(())
+    }
+}
+
 /// The future-work DMA path (paper §8): pack a 2-D object with
 /// `cudaMemcpy2DAsync` instead of a kernel. Only applicable to 2-D plans.
+///
+/// Nothing in the library calls this: measured against the kernel on the
+/// virtual clock it loses on 62 of 70 shapes (by up to 520×) and wins only
+/// for ≤ 64 rows of ≥ 64 KiB, so the configuration switch that selected it
+/// is gone. It stays as the probe behind the repo benchmark's
+/// `kernels.dma_host_ns_per_mib` row.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_dma_2d(
     plan: &KernelPlan,
@@ -442,96 +623,16 @@ pub fn execute_dma_2d(
     debug_assert_eq!(plan.sb.ndims(), 2);
     let width = plan.sb.block_bytes() as usize;
     let rows = plan.sb.counts[1] as usize;
-    let spitch = plan.sb.strides[1] as usize;
+    let pitch = plan.sb.strides[1] as usize;
     let mut moved = 0usize;
     for item in 0..incount {
         let s = ptr_at(strided, item as i64 * item_extent + plan.sb.start)?;
         let p = packed.add(packed_off + item * width * rows);
-        match dir {
-            PackDir::Pack => {
-                stream
-                    .memcpy_2d_async(clock, p, width, s, spitch, width, rows)
-                    .map_err(MpiError::Gpu)?;
-            }
-            PackDir::Unpack => {
-                stream
-                    .memcpy_2d_async(clock, s, spitch, p, width, width, rows)
-                    .map_err(MpiError::Gpu)?;
-            }
-        }
+        let ((dst, dpitch), (src, spitch)) = dir.ends((s, pitch), (p, width));
+        stream
+            .memcpy_2d_async(clock, dst, dpitch, src, spitch, width, rows)
+            .map_err(MpiError::Gpu)?;
         moved += width * rows;
-    }
-    stream.synchronize(clock);
-    Ok(moved)
-}
-
-/// The future-work DMA path for 3-D objects: `cudaMemcpy3DAsync` instead
-/// of a kernel. Only applicable to 3-D plans whose strides are a valid
-/// pitched layout (slice stride a multiple of the row stride).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_dma_3d(
-    plan: &KernelPlan,
-    stream: &mut Stream,
-    clock: &mut SimClock,
-    dir: PackDir,
-    strided: GpuPtr,
-    item_extent: i64,
-    incount: usize,
-    packed: GpuPtr,
-    packed_off: usize,
-) -> MpiResult<usize> {
-    debug_assert_eq!(plan.sb.ndims(), 3);
-    let width = plan.sb.block_bytes() as usize;
-    let rows = plan.sb.counts[1] as usize;
-    let slices = plan.sb.counts[2] as usize;
-    let spitch = plan.sb.strides[1] as usize;
-    let sslice = plan.sb.strides[2] as usize;
-    if sslice < spitch * rows {
-        return Err(MpiError::InvalidArg(
-            "3-D object is not a pitched layout; DMA path inapplicable".to_string(),
-        ));
-    }
-    let mut moved = 0usize;
-    for item in 0..incount {
-        let s = strided
-            .offset_by(item as i64 * item_extent + plan.sb.start)
-            .ok_or_else(|| MpiError::InvalidArg("type reaches before buffer".to_string()))?;
-        let p = packed.add(packed_off + item * width * rows * slices);
-        match dir {
-            PackDir::Pack => {
-                stream
-                    .memcpy_3d_async(
-                        clock,
-                        p,
-                        width,
-                        width * rows,
-                        s,
-                        spitch,
-                        sslice,
-                        width,
-                        rows,
-                        slices,
-                    )
-                    .map_err(MpiError::Gpu)?;
-            }
-            PackDir::Unpack => {
-                stream
-                    .memcpy_3d_async(
-                        clock,
-                        s,
-                        spitch,
-                        sslice,
-                        p,
-                        width,
-                        width * rows,
-                        width,
-                        rows,
-                        slices,
-                    )
-                    .map_err(MpiError::Gpu)?;
-            }
-        }
-        moved += width * rows * slices;
     }
     stream.synchronize(clock);
     Ok(moved)

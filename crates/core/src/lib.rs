@@ -9,16 +9,18 @@
 //!   (Algorithms 5–7), and conversion to the `StridedBlock` kernel
 //!   parameterization (Algorithm 8).
 //! * [`kernels`] — kernel selection (word size `W`, power-of-two block
-//!   dimensions X→Z under the 1024-thread cap) and execution of the 2-D /
-//!   3-D / N-D strided kernels, the block-list kernel, and the
-//!   `cudaMemcpy2D` DMA alternative.
+//!   dimensions X→Z under the 1024-thread cap) and the pack/unpack engine:
+//!   one dispatch from a committed plan to the plain copy, the 2-D / 3-D /
+//!   N-D strided kernel or the block-list kernel, every one of them (and
+//!   the CPU copy) the same walk of the typed buffer's runs.
 //! * [`model`] — the Section-5 performance model (`T_device`,
 //!   `T_oneshot`, `T_staged`) and the per-send method choice, priced from
 //!   the same per-method [`config::Recipe`] the send engine executes.
 //! * [`tempi`] — the library state: the `MPI_Type_commit` pipeline with
 //!   its per-type plan cache, interposed `MPI_Pack`/`MPI_Unpack`, and
 //!   datatype-accelerated `MPI_Send`/`MPI_Recv` over intermediate pooled
-//!   buffers ([`buffers`]).
+//!   buffers ([`buffers`]). What TEMPI does not cover it hands to the
+//!   system MPI unchanged (`mpi_sim::RankCtx::{pack, unpack, send, recv}`).
 //! * [`interpose`] — the Section-4 architecture: a symbol-resolution
 //!   table deciding, per MPI entry point, whether TEMPI or the system MPI
 //!   serves the call, with automatic fall-through.

@@ -10,22 +10,22 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use gpu_sim::{CopyKind, GpuPtr, LaunchConfig, MemSpace, PackDir, SimTime};
-use mpi_sim::datatype::typemap::segments;
+use gpu_sim::{CopyKind, GpuPtr, MemSpace, PackDir, SimTime};
 use mpi_sim::{
-    Combiner, Datatype, DegradeEvent, MpiError, MpiResult, PartInfo, ProbeInfo, RankCtx, Status,
+    transfer_bytes, Datatype, DegradeEvent, MpiError, MpiResult, PartInfo, ProbeInfo, RankCtx,
+    Status,
 };
 use serde::{Deserialize, Serialize};
 use tempi_trace::{Tracer, LANE_CPU};
 
 use crate::buffers::{BufferPool, Lease};
 use crate::config::{Method, TempiConfig, TunerMode};
+use crate::ir::strided_block::strided_block;
 use crate::ir::transform::simplify;
 use crate::ir::translate::{translate, MemoIntrospect, NamedMemo, Translated};
-use crate::ir::{strided_block::strided_block, BlockList};
+pub use crate::kernels::PlanKind;
 use crate::kernels::{
-    execute_blocklist, execute_dma_2d, execute_strided, execute_strided_range_async,
-    execute_strided_with, select_kernel, KernelKind, KernelPlan,
+    execute_on_host, execute_range_async, select_kernel, Engine, KernelKind, Typed,
 };
 use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
 use crate::tuner::{BucketKey, Tuner, Workload};
@@ -46,19 +46,6 @@ const TEMPI_DISPATCH_OVERHEAD: SimTime = SimTime::from_ns(300);
 /// long after the fault cleared, so the rung is re-attempted once the
 /// quarantine expires (and re-quarantined if it fails again).
 pub const QUARANTINE_TTL: SimTime = SimTime::from_ms(50);
-
-/// What a committed type resolved to.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanKind {
-    /// The type denotes no bytes.
-    Empty,
-    /// A (possibly 1-D) strided object with a selected kernel.
-    Strided(KernelPlan),
-    /// An irregular block list (indexed-family extension).
-    Blocks(BlockList),
-    /// Not accelerated; operations fall through to the system MPI.
-    Fallback(Combiner),
-}
 
 /// Diagnostics from one `MPI_Type_commit` (drives Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,6 +103,40 @@ impl TypePlan {
     pub fn is_contiguous(&self) -> bool {
         matches!(&self.kind, PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D)
     }
+
+    /// `count` items at `buf` of `dt`, the datatype this plan was committed
+    /// for, as the kernels take them. The transfer's size is computed here,
+    /// once: the count is the caller's, and a size that does not fit is an
+    /// [`MpiError::InvalidArg`], never a wrapped number.
+    fn typed(&self, buf: GpuPtr, count: usize, dt: Datatype) -> MpiResult<Typed> {
+        Ok(Typed {
+            buf,
+            count,
+            dt,
+            extent: self.extent,
+            bytes: transfer_bytes(self.size as usize, count)?,
+        })
+    }
+
+    /// The whole items among the first `len` packed bytes of `x`.
+    fn items_of(&self, x: Typed, len: usize) -> Typed {
+        let count = len.checked_div(self.size as usize).unwrap_or(0);
+        Typed {
+            count,
+            bytes: count * self.size as usize,
+            ..x
+        }
+    }
+
+    /// Does TEMPI move `x` itself rather than hand it to the system MPI?
+    /// Only non-empty, non-contiguous device data with a kernel plan: the
+    /// system MPI already sends contiguous bytes well.
+    fn accelerates(&self, x: Typed) -> bool {
+        x.buf.space == MemSpace::Device
+            && x.bytes > 0
+            && matches!(self.kind, PlanKind::Strided(_) | PlanKind::Blocks(_))
+            && !(self.is_contiguous() && (x.count <= 1 || self.size as i64 == self.extent))
+    }
 }
 
 /// Operation counters (tests + reporting).
@@ -171,46 +192,19 @@ pub struct TempiStats {
     /// operation). `pool_hits / (pool_hits + pool_fresh_allocs)` is the
     /// reuse rate; steady state must not grow this counter.
     pub pool_fresh_allocs: u64,
-    /// Kernel launches whose geometry (or dynamically derived 2-D plan)
-    /// was served from the per-(datatype, count) cache.
+    /// Contiguous-with-padding transfers whose dynamically derived 2-D
+    /// plan was served from the per-(datatype, count) cache. (Launch
+    /// geometry is derived per launch: a lookup cost more than the
+    /// derivation.)
     pub launch_cache_hits: u64,
 }
 
-/// One typed buffer as an MPI call names it — `count` items of `dt` at
-/// `buf` — with the plan `dt` committed to.
-#[derive(Clone, Copy)]
-struct Typed<'a> {
-    plan: &'a TypePlan,
+/// The packed side of an `MPI_Pack` / `MPI_Unpack`: `size` bytes at `buf`
+/// and the call's cursor into them.
+struct Packed<'a> {
     buf: GpuPtr,
-    count: usize,
-    dt: Datatype,
-}
-
-impl<'a> Typed<'a> {
-    fn new(plan: &'a TypePlan, buf: GpuPtr, count: usize, dt: Datatype) -> Self {
-        Typed {
-            plan,
-            buf,
-            count,
-            dt,
-        }
-    }
-
-    /// Packed size of the whole buffer.
-    fn bytes(&self) -> usize {
-        self.plan.size as usize * self.count
-    }
-
-    /// Does TEMPI move this buffer itself rather than hand it to the
-    /// system MPI? Only non-empty, non-contiguous device data with a
-    /// kernel plan: the system MPI already sends contiguous bytes well.
-    fn accelerated(&self) -> bool {
-        let plan = self.plan;
-        self.buf.space == MemSpace::Device
-            && self.bytes() > 0
-            && matches!(plan.kind, PlanKind::Strided(_) | PlanKind::Blocks(_))
-            && !(plan.is_contiguous() && (self.count <= 1 || plan.size as i64 == plan.extent))
-    }
+    size: usize,
+    position: &'a mut usize,
 }
 
 /// Append one downgrade to the rank's degradation-event log.
@@ -240,13 +234,8 @@ pub struct Tempi {
     /// What translation has already paid MPI to learn about the predefined
     /// handles; a commit asks only about the derived types it is given.
     named_memo: NamedMemo,
-    /// Launch geometry per (datatype, incount): steady-state sends skip
-    /// the grid/block derivation entirely.
-    launch_cache: HashMap<(Datatype, usize), LaunchConfig>,
-    /// Dynamically derived 2-D plans for contiguous-with-padding packs,
-    /// per (datatype, incount): the reshape allocates stride vectors, so
-    /// the hot path must build it once, not per send.
-    reshape_cache: HashMap<(Datatype, usize), KernelPlan>,
+    /// The pack/unpack engine: kernel dispatch over a committed plan.
+    engine: Engine,
     /// Send methods that failed transiently for a datatype, with the
     /// virtual time their quarantine expires; until then, sends of that
     /// type skip them (part of the degradation ladder).
@@ -269,14 +258,13 @@ impl Tempi {
     pub fn new(config: TempiConfig) -> Self {
         let tuner = Tuner::new(config.tuner, config.tuner_seed);
         Tempi {
+            engine: Engine::new(config.force_word),
             config,
             pool: BufferPool::new(),
             stats: TempiStats::default(),
             tuner,
             cache: HashMap::new(),
             named_memo: NamedMemo::default(),
-            launch_cache: HashMap::new(),
-            reshape_cache: HashMap::new(),
             quarantine: HashMap::new(),
             pack_quarantine: HashSet::new(),
             last_choice: None,
@@ -299,11 +287,12 @@ impl Tempi {
             .is_some_and(|&until| now < until)
     }
 
-    /// Copy the pool counters into the stats snapshot so callers reading
-    /// `TempiStats` see the current reuse rate.
-    fn sync_pool_stats(&mut self) {
+    /// Copy the pool's and the engine's counters into the stats snapshot
+    /// so callers reading `TempiStats` see the current reuse rates.
+    fn sync_stats(&mut self) {
         self.stats.pool_hits = self.pool.hits;
         self.stats.pool_fresh_allocs = self.pool.fresh_allocs;
+        self.stats.launch_cache_hits = self.engine.reshape_hits;
     }
 
     /// The cached plan for a committed type, if any.
@@ -457,7 +446,7 @@ impl Tempi {
         incount: usize,
         dt: Datatype,
     ) -> MpiResult<usize> {
-        Ok(self.plan_or_commit(ctx, dt)?.size as usize * incount)
+        transfer_bytes(self.plan_or_commit(ctx, dt)?.size as usize, incount)
     }
 
     /// TEMPI's `MPI_Pack`: pack `incount` items of `dt` from `inbuf` into
@@ -475,22 +464,12 @@ impl Tempi {
         outsize: usize,
         position: &mut usize,
     ) -> MpiResult<()> {
-        self.stats.pack_calls += 1;
-        ctx.clock.advance(TEMPI_DISPATCH_OVERHEAD);
-        let r = ctx.with_span("tempi", "MPI_Pack", |ctx| {
-            self.xfer(
-                ctx,
-                PackDir::Pack,
-                inbuf,
-                incount,
-                dt,
-                outbuf,
-                outsize,
-                position,
-            )
-        });
-        self.sync_pool_stats();
-        r
+        let packed = Packed {
+            buf: outbuf,
+            size: outsize,
+            position,
+        };
+        self.xfer(ctx, PackDir::Pack, inbuf, incount, dt, packed)
     }
 
     /// TEMPI's `MPI_Unpack`: mirror of [`Tempi::pack`] (`inbuf` holds
@@ -507,27 +486,16 @@ impl Tempi {
         outcount: usize,
         dt: Datatype,
     ) -> MpiResult<()> {
-        self.stats.unpack_calls += 1;
-        ctx.clock.advance(TEMPI_DISPATCH_OVERHEAD);
-        let r = ctx.with_span("tempi", "MPI_Unpack", |ctx| {
-            self.xfer(
-                ctx,
-                PackDir::Unpack,
-                outbuf,
-                outcount,
-                dt,
-                inbuf,
-                insize,
-                position,
-            )
-        });
-        self.sync_pool_stats();
-        r
+        let packed = Packed {
+            buf: inbuf,
+            size: insize,
+            position,
+        };
+        self.xfer(ctx, PackDir::Unpack, outbuf, outcount, dt, packed)
     }
 
-    /// Shared pack/unpack dispatch. `strided` is the datatype-shaped
-    /// buffer, `packed` the contiguous one.
-    #[allow(clippy::too_many_arguments)]
+    /// One interposed pack/unpack call: `count` items of `dt` at the
+    /// datatype-shaped buffer `strided`, against `packed`.
     fn xfer(
         &mut self,
         ctx: &mut RankCtx,
@@ -535,33 +503,64 @@ impl Tempi {
         strided: GpuPtr,
         count: usize,
         dt: Datatype,
-        packed: GpuPtr,
-        packed_size: usize,
-        position: &mut usize,
+        packed: Packed<'_>,
+    ) -> MpiResult<()> {
+        let (calls, name) = match dir {
+            PackDir::Pack => (&mut self.stats.pack_calls, "MPI_Pack"),
+            PackDir::Unpack => (&mut self.stats.unpack_calls, "MPI_Unpack"),
+        };
+        *calls += 1;
+        ctx.clock.advance(TEMPI_DISPATCH_OVERHEAD);
+        let r = ctx.with_span("tempi", name, |ctx| {
+            self.route(ctx, dir, strided, count, dt, packed)
+        });
+        self.sync_stats();
+        r
+    }
+
+    /// Where [`Tempi::xfer`] goes: to the system MPI with a type TEMPI has
+    /// no kernel for, else to the kernel path — staged through a device
+    /// lease when the packed side is pageable — else, for host data or a
+    /// kernel path that failed, to the CPU copy.
+    fn route(
+        &mut self,
+        ctx: &mut RankCtx,
+        dir: PackDir,
+        strided: GpuPtr,
+        count: usize,
+        dt: Datatype,
+        packed: Packed<'_>,
     ) -> MpiResult<()> {
         let plan = self.plan_or_commit(ctx, dt)?;
-        let x = Typed::new(&plan, strided, count, dt);
-        let bytes = x.bytes();
-        if *position + bytes > packed_size {
-            return Err(MpiError::BufferTooSmall {
-                required: *position + bytes,
-                available: packed_size,
-                envelope: ctx.registry().read().get_envelope(dt).ok(),
-            });
+        let Packed {
+            buf,
+            size,
+            position,
+        } = packed;
+        if let PlanKind::Fallback(_) = plan.kind {
+            // the fall-through is the system MPI, its argument checks too
+            self.stats.fallbacks += 1;
+            return match dir {
+                PackDir::Pack => ctx.pack(strided, count, dt, buf, size, position),
+                PackDir::Unpack => ctx.unpack(buf, size, position, strided, count, dt),
+            };
         }
-        if bytes == 0 {
+        let x = plan.typed(strided, count, dt)?;
+        let end = ctx.packed_window(dt, *position, x.bytes, size)?;
+        if x.bytes == 0 {
             return Ok(());
         }
+        let at = buf.add(*position);
 
         if strided.space.device_accessible() && !self.pack_quarantine.contains(&dt) {
-            let r = if packed.space.device_accessible() {
-                self.gpu_xfer(ctx, dir, x, packed, *position)
+            let r = if buf.space.device_accessible() {
+                self.engine.execute(ctx, &plan.kind, dir, x, at)
             } else {
-                self.staged_host_xfer(ctx, dir, x, packed.add(*position))
+                self.staged_host_xfer(ctx, dir, &plan.kind, x, at)
             };
             match r {
                 Ok(()) => {
-                    *position += bytes;
+                    *position = end;
                     return Ok(());
                 }
                 Err(e) if e.is_transient() => {
@@ -579,8 +578,8 @@ impl Tempi {
         // Host-side strided data (or a quarantined kernel path): CPU
         // pack/unpack, as the system MPI would do — TEMPI does not
         // accelerate host-resident datatypes.
-        self.host_xfer(ctx, dir, x, packed, *position)?;
-        *position += bytes;
+        execute_on_host(ctx, &plan.kind, dir, x, at)?;
+        *position = end;
         Ok(())
     }
 
@@ -604,257 +603,23 @@ impl Tempi {
         &mut self,
         ctx: &mut RankCtx,
         dir: PackDir,
-        x: Typed<'_>,
+        plan: &PlanKind,
+        x: Typed,
         packed: GpuPtr,
     ) -> MpiResult<()> {
         self.with_lease(ctx, |t, ctx, lease| {
-            let bytes = x.bytes();
-            let tmp = lease.take(&mut t.pool, ctx, MemSpace::Device, bytes)?;
+            let tmp = lease.take(&mut t.pool, ctx, MemSpace::Device, x.bytes)?;
             match dir {
                 PackDir::Pack => {
-                    t.gpu_xfer(ctx, dir, x, tmp, 0)?;
-                    engine_copy(ctx, packed, tmp, bytes, true)
+                    t.engine.execute(ctx, plan, dir, x, tmp)?;
+                    engine_copy(ctx, packed, tmp, x.bytes, true)
                 }
                 PackDir::Unpack => {
-                    engine_copy(ctx, tmp, packed, bytes, true)?;
-                    t.gpu_xfer(ctx, dir, x, tmp, 0)
+                    engine_copy(ctx, tmp, packed, x.bytes, true)?;
+                    t.engine.execute(ctx, plan, dir, x, tmp)
                 }
             }
         })
-    }
-
-    /// Kernel-path pack/unpack between device-accessible buffers: the
-    /// whole object in one synchronous launch-and-join.
-    fn gpu_xfer(
-        &mut self,
-        ctx: &mut RankCtx,
-        dir: PackDir,
-        x: Typed<'_>,
-        packed: GpuPtr,
-        packed_off: usize,
-    ) -> MpiResult<()> {
-        let (plan, strided, count, dt) = (x.plan, x.buf, x.count, x.dt);
-        match &plan.kind {
-            PlanKind::Empty => Ok(()),
-            PlanKind::Strided(kp) => {
-                // A contiguous object: "issue a single cudaMemcpyAsync …
-                // followed by a cudaStreamSynchronize" (§3.3). Multiple
-                // items with padding become a dynamic 2-D strided object.
-                if kp.kind == KernelKind::Memcpy1D {
-                    if count <= 1 || plan.size as i64 == plan.extent {
-                        let s = strided.offset_by(kp.sb.start).ok_or_else(|| {
-                            MpiError::InvalidArg("type reaches before buffer".to_string())
-                        })?;
-                        let p = packed.add(packed_off);
-                        let (dst, src) = match dir {
-                            PackDir::Pack => (p, s),
-                            PackDir::Unpack => (s, p),
-                        };
-                        return engine_copy(ctx, dst, src, x.bytes(), true);
-                    }
-                    // incount acts as an extra stride dimension, handled
-                    // dynamically (§3.3): view as 2-D and launch once. The
-                    // derived plan allocates stride vectors, so it is
-                    // cached per (type, count) and steady-state sends
-                    // rebuild nothing.
-                    if self.reshape_cache.contains_key(&(dt, count)) {
-                        self.stats.launch_cache_hits += 1;
-                    } else {
-                        let sb2 = crate::ir::strided_block::StridedBlock {
-                            start: kp.sb.start,
-                            counts: vec![plan.size as i64, count as i64],
-                            strides: vec![1, plan.extent],
-                        };
-                        self.reshape_cache
-                            .insert((dt, count), select_kernel(sb2, self.config.force_word));
-                    }
-                    execute_strided(
-                        &self.reshape_cache[&(dt, count)],
-                        &mut ctx.stream,
-                        &mut ctx.clock,
-                        dir,
-                        strided,
-                        plan.extent,
-                        1,
-                        packed,
-                        packed_off,
-                    )?;
-                    return Ok(());
-                }
-                if self.config.use_dma && kp.kind == KernelKind::Pack2D {
-                    execute_dma_2d(
-                        kp,
-                        &mut ctx.stream,
-                        &mut ctx.clock,
-                        dir,
-                        strided,
-                        plan.extent,
-                        count,
-                        packed,
-                        packed_off,
-                    )?;
-                    return Ok(());
-                }
-                if self.config.use_dma
-                    && kp.kind == KernelKind::Pack3D
-                    && kp.sb.strides[2] >= kp.sb.strides[1] * kp.sb.counts[1]
-                {
-                    crate::kernels::execute_dma_3d(
-                        kp,
-                        &mut ctx.stream,
-                        &mut ctx.clock,
-                        dir,
-                        strided,
-                        plan.extent,
-                        count,
-                        packed,
-                        packed_off,
-                    )?;
-                    return Ok(());
-                }
-                // Steady-state fast path: the launch geometry for this
-                // (type, count) pair is cached after the first send.
-                let cfg = match self.launch_cache.get(&(dt, count)).copied() {
-                    Some(c) => {
-                        self.stats.launch_cache_hits += 1;
-                        c
-                    }
-                    None => {
-                        let c = kp.launch_config(count);
-                        self.launch_cache.insert((dt, count), c);
-                        c
-                    }
-                };
-                execute_strided_with(
-                    kp,
-                    Some(cfg),
-                    &mut ctx.stream,
-                    &mut ctx.clock,
-                    dir,
-                    strided,
-                    plan.extent,
-                    count,
-                    packed,
-                    packed_off,
-                )?;
-                Ok(())
-            }
-            PlanKind::Blocks(bl) => {
-                execute_blocklist(
-                    bl,
-                    &mut ctx.stream,
-                    &mut ctx.clock,
-                    dir,
-                    strided,
-                    plan.extent,
-                    count,
-                    packed,
-                    packed_off,
-                )?;
-                Ok(())
-            }
-            PlanKind::Fallback(_) => {
-                // Fall through to the system MPI's copy-per-block handling.
-                // The registry lock is scoped so the vendor pricing below
-                // borrows ctx fields disjointly — no Arc or profile clones
-                // on this path.
-                self.stats.fallbacks += 1;
-                let (segs, root_is_vector) = {
-                    let reg = ctx.registry().read();
-                    (
-                        segments(&reg, dt)?,
-                        matches!(reg.get_envelope(dt)?.combiner, Combiner::Vector),
-                    )
-                };
-                let mut pos = packed_off;
-                match dir {
-                    PackDir::Pack => {
-                        mpi_sim::vendor::baseline_gpu_pack(
-                            &ctx.vendor,
-                            &mut ctx.stream,
-                            &mut ctx.clock,
-                            &segs,
-                            plan.extent,
-                            root_is_vector,
-                            strided,
-                            count,
-                            packed,
-                            &mut pos,
-                        )?;
-                    }
-                    PackDir::Unpack => {
-                        mpi_sim::vendor::baseline_gpu_unpack(
-                            &ctx.vendor,
-                            &mut ctx.stream,
-                            &mut ctx.clock,
-                            &segs,
-                            plan.extent,
-                            root_is_vector,
-                            packed,
-                            &mut pos,
-                            strided,
-                            count,
-                        )?;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// CPU pack/unpack for host-resident strided data. Functional movement
-    /// via the plan's block layout, priced like the system MPI's host path.
-    fn host_xfer(
-        &mut self,
-        ctx: &mut RankCtx,
-        dir: PackDir,
-        x: Typed<'_>,
-        packed: GpuPtr,
-        packed_off: usize,
-    ) -> MpiResult<()> {
-        let (plan, strided, count, dt) = (x.plan, x.buf, x.count, x.dt);
-        // Collect (offset, len) runs of one item.
-        let runs: Vec<(i64, usize)> = match &plan.kind {
-            PlanKind::Empty => Vec::new(),
-            PlanKind::Strided(kp) => {
-                let mut v = Vec::new();
-                let len = kp.sb.block_bytes() as usize;
-                kp.sb.for_each_block(|off| v.push((off, len)));
-                v
-            }
-            PlanKind::Blocks(bl) => bl.blocks.iter().map(|&(o, l)| (o, l as usize)).collect(),
-            PlanKind::Fallback(_) => {
-                let reg = ctx.registry().read();
-                segments(&reg, dt)?
-                    .iter()
-                    .map(|s| (s.off, s.len as usize))
-                    .collect()
-            }
-        };
-        // The engine copy must not fault on pageable host memory: this is
-        // CPU code, so use host-side accessors.
-        let mut mem = ctx.gpu.memory();
-        let mut pos = packed_off;
-        for item in 0..count {
-            let base = item as i64 * plan.extent;
-            for &(off, len) in &runs {
-                let s = strided.offset_by(base + off).ok_or_else(|| {
-                    MpiError::InvalidArg("type reaches before buffer".to_string())
-                })?;
-                let p = packed.add(pos);
-                let (dst, src) = match dir {
-                    PackDir::Pack => (p, s),
-                    PackDir::Unpack => (s, p),
-                };
-                let data = mem.peek(src, len)?;
-                mem.poke(dst, &data)?;
-                pos += len;
-            }
-        }
-        drop(mem);
-        ctx.clock
-            .advance(ctx.vendor.host_pack_time(x.bytes(), runs.len() * count));
-        Ok(())
     }
 
     // ---- datatype-accelerated send/recv (§5) ----------------------------
@@ -892,7 +657,7 @@ impl Tempi {
         if r.as_ref().is_err_and(MpiError::is_comm_failure) {
             self.stats.comm_failures += 1;
         }
-        self.sync_pool_stats();
+        self.sync_stats();
         tracer.end_args(pid, LANE_CPU, ctx.clock.now().as_ps(), || match &r {
             Ok(out) => {
                 let mut args = args(out);
@@ -937,8 +702,15 @@ impl Tempi {
     /// otherwise every tuner mode takes the argmin of the (calibrated) §5
     /// model over the ladder's rungs that are not quarantined, the
     /// pipelined rung included whenever the plan can be cut into chunks.
-    fn choose_method(&mut self, ctx: &RankCtx, x: Typed<'_>, dest: usize, now: SimTime) -> Choice {
-        let (plan, bytes) = (x.plan, x.bytes());
+    fn choose_method(
+        &mut self,
+        ctx: &RankCtx,
+        plan: &TypePlan,
+        x: Typed,
+        dest: usize,
+        now: SimTime,
+    ) -> Choice {
+        let bytes = x.bytes;
         let wl = Workload {
             bytes,
             block: plan.block_bytes(),
@@ -1030,16 +802,16 @@ impl Tempi {
     ) -> MpiResult<Option<Method>> {
         ctx.clock.advance(TEMPI_DISPATCH_OVERHEAD);
         let plan = self.plan_or_commit(ctx, dt)?;
-        let x = Typed::new(&plan, buf, count, dt);
-        let bytes = x.bytes();
+        let x = plan.typed(buf, count, dt)?;
+        let bytes = x.bytes;
         ctx.tracer.observe("tempi.send.bytes", bytes as u64);
-        if !x.accelerated() {
+        if !plan.accelerates(x) {
             self.stats.fallbacks += 1;
             ctx.send(buf, count, dt, dest, tag)?;
             return Ok(None);
         }
         let now = ctx.clock.now();
-        let Choice { mut method, chunk } = self.choose_method(ctx, x, dest, now);
+        let Choice { mut method, chunk } = self.choose_method(ctx, &plan, x, dest, now);
         // the pipelined method needs more than one chunk of blocks;
         // otherwise it degenerates to plain staged
         let cut = chunk.and_then(|c| pipeline_chunks(bytes, plan.block_bytes(), c));
@@ -1072,7 +844,7 @@ impl Tempi {
             // down.
             let mut posted = 0u32;
             let sent = self.with_lease(ctx, |t, ctx, lease| {
-                t.send_stages(ctx, lease, current, x, dest, tag, cut, &mut posted)
+                t.send_stages(ctx, lease, current, &plan, x, dest, tag, cut, &mut posted)
             });
             match sent {
                 Ok(()) => {
@@ -1132,14 +904,15 @@ impl Tempi {
         ctx: &mut RankCtx,
         lease: &mut Lease,
         method: Method,
-        x: Typed<'_>,
+        plan: &TypePlan,
+        x: Typed,
         dest: usize,
         tag: i32,
         cut: Option<(usize, usize)>,
         posted: &mut u32,
     ) -> MpiResult<()> {
-        let (recipe, bytes) = (method.recipe(), x.bytes());
-        let (chunk, n, ranged) = match (method, cut, &x.plan.kind) {
+        let (recipe, bytes) = (method.recipe(), x.bytes);
+        let (chunk, n, ranged) = match (method, cut, &plan.kind) {
             (Method::Pipelined, Some((chunk, n)), PlanKind::Strided(kp)) => (chunk, n, Some(kp)),
             (Method::Pipelined, ..) => {
                 return Err(MpiError::Internal(
@@ -1155,7 +928,7 @@ impl Tempi {
             false => stage,
         };
         let online = self.online_model(ctx, dest, n);
-        let (block, word) = (x.plan.block_bytes(), x.plan.word());
+        let (block, word) = (plan.block_bytes(), plan.word());
         for k in 0..n {
             let at = k * chunk;
             let len = chunk.min(bytes - at);
@@ -1163,20 +936,13 @@ impl Tempi {
 
             let t0 = ctx.clock.now();
             match ranged {
-                None => self.gpu_xfer(ctx, PackDir::Pack, x, stage, 0)?,
+                None => self
+                    .engine
+                    .execute(ctx, &plan.kind, PackDir::Pack, x, stage)?,
                 Some(kp) => {
-                    execute_strided_range_async(
-                        kp,
-                        &mut ctx.stream,
-                        &mut ctx.clock,
-                        PackDir::Pack,
-                        x.buf,
-                        x.plan.extent,
-                        stage,
-                        slot,
-                        (at / block) as i64,
-                        (len / block) as i64,
-                    )?;
+                    let first = (at / block) as i64;
+                    let blocks = first..first + (len / block) as i64;
+                    execute_range_async(kp, ctx, PackDir::Pack, x, stage.add(slot), blocks)?;
                 }
             }
             let t1 = ctx.clock.now();
@@ -1262,14 +1028,16 @@ impl Tempi {
     ) -> MpiResult<(Status, Option<Method>)> {
         ctx.clock.advance(TEMPI_DISPATCH_OVERHEAD);
         let plan = self.plan_or_commit(ctx, dt)?;
-        let x = Typed::new(&plan, buf, count, dt);
-        if !x.accelerated() {
+        let x = plan.typed(buf, count, dt)?;
+        if !plan.accelerates(x) {
             self.stats.fallbacks += 1;
             return Ok((ctx.recv(buf, count, dt, src, tag)?, None));
         }
         let info = ctx.probe(src, tag)?;
         let (st, method) = self
-            .with_lease(ctx, |t, ctx, lease| t.recv_stages(ctx, lease, x, &info))
+            .with_lease(ctx, |t, ctx, lease| {
+                t.recv_stages(ctx, lease, &plan, x, &info)
+            })
             .map_err(|e| e.with_envelope(|| ctx.registry().read().get_envelope(dt).ok()))?;
         Ok((st, Some(method)))
     }
@@ -1297,10 +1065,11 @@ impl Tempi {
         &mut self,
         ctx: &mut RankCtx,
         lease: &mut Lease,
-        x: Typed<'_>,
+        plan: &TypePlan,
+        x: Typed,
         info: &ProbeInfo,
     ) -> MpiResult<(Status, Method)> {
-        let (plan, capacity) = (x.plan, x.bytes());
+        let capacity = x.bytes;
         let n = info.part.map_or(1, |p| p.total as usize);
         let method = match n {
             1 => Method::landing(info.sender_space),
@@ -1415,29 +1184,20 @@ impl Tempi {
                 Some(kp) => {
                     copied?;
                     drained[k % RING_SLOTS] = ctx.stream.busy_until();
-                    execute_strided_range_async(
-                        kp,
-                        &mut ctx.stream,
-                        &mut ctx.clock,
-                        PackDir::Unpack,
-                        x.buf,
-                        plan.extent,
-                        dev.unwrap_or(land),
-                        slot,
-                        (received / block) as i64,
-                        (len / block) as i64,
-                    )?;
+                    let first = (received / block) as i64;
+                    let blocks = first..first + (len / block) as i64;
+                    let from = dev.unwrap_or(land).add(slot);
+                    execute_range_async(kp, ctx, PackDir::Unpack, x, from, blocks)?;
                     unpack_span(ctx, t2, len, None);
                 }
                 None if n > 1 => copied?,
                 None => {
-                    let whole = Typed {
-                        count: len.checked_div(plan.size as usize).unwrap_or(0),
-                        ..x
-                    };
+                    let whole = plan.items_of(x, len);
+                    let from = dev.unwrap_or(land);
                     let tried = kernels.then(|| {
                         copied.and_then(|()| {
-                            self.gpu_xfer(ctx, PackDir::Unpack, whole, dev.unwrap_or(land), 0)
+                            self.engine
+                                .execute(ctx, &plan.kind, PackDir::Unpack, whole, from)
                         })
                     });
                     let r = match tried {
@@ -1457,7 +1217,7 @@ impl Tempi {
                                 self.stats.degraded_xfers += 1;
                                 record_degrade(ctx, x.dt, method.name(), "HostCopy", &e);
                             }
-                            self.host_xfer(ctx, PackDir::Unpack, whole, land, 0)
+                            execute_on_host(ctx, &plan.kind, PackDir::Unpack, whole, land)
                         }
                     };
                     unpack_span(ctx, t2, len, Some(r.is_ok()));
@@ -1477,11 +1237,9 @@ impl Tempi {
                     unpack_span(ctx, t0, received, None);
                 }
                 None => {
-                    let whole = Typed {
-                        count: received.checked_div(plan.size as usize).unwrap_or(0),
-                        ..x
-                    };
-                    self.gpu_xfer(ctx, PackDir::Unpack, whole, dev.unwrap_or(land), 0)?;
+                    let (whole, from) = (plan.items_of(x, received), dev.unwrap_or(land));
+                    self.engine
+                        .execute(ctx, &plan.kind, PackDir::Unpack, whole, from)?;
                 }
             }
             self.stats.pipelined_recvs += 1;
@@ -1530,10 +1288,11 @@ fn engine_copy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpose::InterposedMpi;
     use mpi_sim::consts::*;
     use mpi_sim::datatype::pack_cpu;
     use mpi_sim::datatype::Order;
-    use mpi_sim::{World, WorldConfig};
+    use mpi_sim::{Combiner, World, WorldConfig};
 
     fn ctx() -> RankCtx {
         RankCtx::standalone(&WorldConfig::summit(1))
@@ -1749,6 +1508,11 @@ mod tests {
                 "item {item}"
             );
         }
+        // the 2-D plan is derived once per (type, count), then served
+        assert_eq!(tempi.stats.launch_cache_hits, 0);
+        tempi.pack(&mut ctx, src, 4, dt, dst, 32, &mut 0).unwrap();
+        tempi.pack(&mut ctx, src, 3, dt, dst, 32, &mut 0).unwrap();
+        assert_eq!(tempi.stats.launch_cache_hits, 1);
     }
 
     #[test]
@@ -1771,119 +1535,234 @@ mod tests {
         );
     }
 
+    /// A plan kind of the engine table: its name, how to build the
+    /// datatype, how many items one call moves, and whether the kernel path
+    /// serves it with a launch (`Some(true)`), a plain copy (`Some(false)`)
+    /// or no GPU work of its own (`None`: nothing to move, or the system
+    /// MPI's business).
+    type KindRow = (
+        &'static str,
+        fn(&mut RankCtx) -> MpiResult<Datatype>,
+        usize,
+        Option<bool>,
+    );
+
+    /// Every [`PlanKind`], the strided one in each shape the engine tells
+    /// apart. The `Fallback` row is a committed struct handed that plan:
+    /// commit leaves one only for offsets no buffer can hold.
+    const KINDS: [KindRow; 9] = [
+        ("Empty", |c| c.type_contiguous(0, MPI_INT), 5, None),
+        (
+            "plain copy",
+            |c| c.type_contiguous(64, MPI_BYTE),
+            1,
+            Some(false),
+        ),
+        (
+            "plain copy, dense items",
+            |c| c.type_contiguous(16, MPI_INT),
+            3,
+            Some(false),
+        ),
+        (
+            "reshaped contiguous with padding",
+            |c| {
+                let row = c.type_contiguous(8, MPI_BYTE)?;
+                c.type_create_resized(row, 0, 16)
+            },
+            4,
+            Some(true),
+        ),
+        ("2-D", |c| c.type_vector(4, 4, 8, MPI_BYTE), 2, Some(true)),
+        (
+            "3-D",
+            |c| c.type_create_subarray(&[4, 8, 16], &[2, 4, 8], &[1, 2, 4], Order::C, MPI_BYTE),
+            1,
+            Some(true),
+        ),
+        (
+            "N-D",
+            |c| {
+                let (sizes, sub, starts) = ([3, 4, 4, 8], [2, 2, 2, 4], [1, 1, 1, 2]);
+                c.type_create_subarray(&sizes, &sub, &starts, Order::C, MPI_BYTE)
+            },
+            2,
+            Some(true),
+        ),
+        (
+            "Blocks",
+            |c| c.type_create_hindexed(&[4, 2, 6], &[32, 0, 12], MPI_BYTE),
+            2,
+            Some(true),
+        ),
+        (
+            "Fallback",
+            |c| c.type_create_struct(&[2, 1], &[0, 16], &[MPI_INT, MPI_DOUBLE]),
+            2,
+            None,
+        ),
+    ];
+
+    /// A route [`Tempi::route`] takes: where the typed and the packed buffer
+    /// live, and whether the datatype's kernel path is quarantined.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Route {
+        DeviceDevice,
+        DeviceMapped,
+        /// Pageable host memory on the packed side: staged through a lease.
+        DevicePageable,
+        /// The CPU path.
+        HostHost,
+        /// Device buffers, but the CPU path: the kernels failed before.
+        Quarantined,
+    }
+
+    const ROUTES: [Route; 5] = [
+        Route::DeviceDevice,
+        Route::DeviceMapped,
+        Route::DevicePageable,
+        Route::HostHost,
+        Route::Quarantined,
+    ];
+
     #[test]
-    fn fallback_plan_packs_and_unpacks_by_system_handling() {
-        // Commit leaves a Fallback plan only for offsets that do not sum to
-        // a representable start, and no buffer holds such a type: hand a
-        // committed struct that plan to drive the system MPI's handling.
-        let mut ctx = ctx();
-        let mut tempi = Tempi::default();
-        let dt = ctx
-            .type_create_struct(&[2, 1], &[0, 16], &[MPI_INT, MPI_DOUBLE])
-            .unwrap();
-        let plan = tempi.type_commit(&mut ctx, dt).unwrap();
-        assert!(matches!(plan.kind, PlanKind::Blocks(_)));
-        let fallback = TypePlan {
-            kind: PlanKind::Fallback(Combiner::Struct),
-            ..(*plan).clone()
+    fn every_plan_kind_moves_the_oracles_bytes_on_every_route() {
+        // what one call leaves behind: the bytes it wrote (the packed
+        // buffer, or the whole typed span over a 0xEE fill), its virtual
+        // time, the stream's counters and the library's fall-through count
+        let run = |row: KindRow, route: Route, dir: PackDir, interposed: bool| {
+            let (name, build, count, _) = row;
+            let mut ctx = ctx();
+            let mut mpi = match interposed {
+                true => InterposedMpi::new(TempiConfig::default()),
+                false => InterposedMpi::system_only(),
+            };
+            let dt = build(&mut ctx).unwrap();
+            mpi.type_commit(&mut ctx, dt).unwrap();
+            if interposed {
+                let plan = mpi.tempi.plan(dt).unwrap();
+                let kernel = match &plan.kind {
+                    PlanKind::Empty => "Empty",
+                    PlanKind::Strided(kp) => match kp.kind {
+                        KernelKind::Memcpy1D if count > 1 && plan.size as i64 != plan.extent => {
+                            "reshaped contiguous with padding"
+                        }
+                        KernelKind::Memcpy1D => "plain copy",
+                        KernelKind::Pack2D => "2-D",
+                        KernelKind::Pack3D => "3-D",
+                        _ => "N-D",
+                    },
+                    PlanKind::Blocks(_) if name == "Fallback" => {
+                        let kind = PlanKind::Fallback(Combiner::Struct);
+                        let fallback = TypePlan {
+                            kind,
+                            ..(*plan).clone()
+                        };
+                        mpi.tempi.cache.insert(dt, Arc::new(fallback));
+                        "Fallback"
+                    }
+                    PlanKind::Blocks(_) => "Blocks",
+                    PlanKind::Fallback(_) => "a fallback nobody asked for",
+                };
+                assert!(name.starts_with(kernel), "{name} committed to {kernel}");
+                if route == Route::Quarantined {
+                    mpi.tempi.pack_quarantine.insert(dt);
+                }
+            }
+            let attrs = ctx.attrs(dt).unwrap();
+            let size = attrs.size as usize * count;
+            let span =
+                (attrs.true_ub.max(attrs.ub) + (count as i64 - 1) * attrs.extent()) as usize + 16;
+            let alloc = |ctx: &RankCtx, space: MemSpace, len: usize| match space {
+                MemSpace::Device => ctx.gpu.malloc(len),
+                MemSpace::Mapped => ctx.gpu.mapped_alloc(len),
+                _ => ctx.gpu.host_alloc(len),
+            };
+            let (typed_space, packed_space) = match route {
+                Route::DeviceDevice | Route::Quarantined => (MemSpace::Device, MemSpace::Device),
+                Route::DeviceMapped => (MemSpace::Device, MemSpace::Mapped),
+                Route::DevicePageable => (MemSpace::Device, MemSpace::Host),
+                Route::HostHost => (MemSpace::Host, MemSpace::Host),
+            };
+            let typed = alloc(&ctx, typed_space, span).unwrap();
+            let packed = alloc(&ctx, packed_space, size.max(1)).unwrap();
+
+            // the oracle: the CPU pack of the pattern, and its CPU unpack
+            // over a buffer of 0xEE (holes must stay 0xEE)
+            let data = fill(span);
+            let mut packed_want = vec![0u8; size];
+            let mut unpacked_want = vec![0xEE; span];
+            {
+                let reg = ctx.registry().read();
+                pack_cpu::pack(&reg, &data, 0, count, dt, &mut packed_want, &mut 0).unwrap();
+                let into = &mut unpacked_want;
+                pack_cpu::unpack(&reg, &packed_want, &mut 0, into, 0, count, dt).unwrap();
+            }
+            let mut pos = 0;
+            ctx.stream.reset_stats();
+            let t0 = ctx.clock.now();
+            let (got, want) = match dir {
+                PackDir::Pack => {
+                    ctx.gpu.memory().poke(typed, &data).unwrap();
+                    mpi.pack(&mut ctx, typed, count, dt, packed, size, &mut pos)
+                        .unwrap();
+                    (ctx.gpu.memory().peek(packed, size).unwrap(), packed_want)
+                }
+                PackDir::Unpack => {
+                    ctx.gpu.memory().poke(packed, &packed_want).unwrap();
+                    ctx.gpu.memory().poke(typed, &vec![0xEE; span]).unwrap();
+                    mpi.unpack(&mut ctx, packed, size, &mut pos, typed, count, dt)
+                        .unwrap();
+                    (ctx.gpu.memory().peek(typed, span).unwrap(), unpacked_want)
+                }
+            };
+            let took = ctx.clock.now() - t0;
+            let at = format!(
+                "{name} / {route:?} / {dir:?} / {}",
+                if interposed { "TEMPI" } else { "system" }
+            );
+            assert_eq!(pos, size, "{at}: position");
+            assert_eq!(got, want, "{at}: bytes against the CPU oracle");
+            assert_eq!(mpi.tempi.pool.outstanding(), 0, "{at}: a lease leaked");
+            (got, took, ctx.stream.stats(), mpi.tempi.stats.fallbacks)
         };
-        tempi.cache.insert(dt, Arc::new(fallback));
 
-        let data = fill(32);
-        let want = [&data[..8], &data[16..24]].concat();
-        let src = ctx.gpu.malloc(32).unwrap();
-        ctx.gpu.memory().poke(src, &data).unwrap();
-        let packed = ctx.gpu.malloc(16).unwrap();
-        let mut pos = 0;
-        tempi
-            .pack(&mut ctx, src, 1, dt, packed, 16, &mut pos)
-            .unwrap();
-        assert_eq!((pos, tempi.stats.fallbacks), (16, 1));
-        assert_eq!(ctx.stream.stats().kernel_launches, 0);
-        assert_eq!(ctx.gpu.memory().peek(packed, 16).unwrap(), want);
+        for row in KINDS {
+            for route in ROUTES {
+                for dir in [PackDir::Pack, PackDir::Unpack] {
+                    let (tempi_bytes, tempi_took, gpu, fell) = run(row, route, dir, true);
+                    let (system_bytes, system_took, ..) = run(row, route, dir, false);
+                    let at = format!("{} / {route:?} / {dir:?}", row.0);
+                    assert_eq!(tempi_bytes, system_bytes, "{at}: TEMPI vs system MPI");
 
-        let back = ctx.gpu.malloc(32).unwrap();
-        ctx.gpu.memory().poke(back, &[0xEE; 32]).unwrap();
-        let mut pos = 0;
-        tempi
-            .unpack(&mut ctx, packed, 16, &mut pos, back, 1, dt)
-            .unwrap();
-        assert_eq!((pos, tempi.stats.fallbacks), (16, 2));
-        let got = ctx.gpu.memory().peek(back, 32).unwrap();
-        assert_eq!((&got[..8], &got[16..24]), (&data[..8], &data[16..24]));
-        // the holes are not written
-        assert!(got[8..16].iter().chain(&got[24..]).all(|&b| b == 0xEE));
-
-        // host-resident data takes the CPU path over the same segments
-        let hsrc = ctx.gpu.host_alloc(32).unwrap();
-        ctx.gpu.memory().poke(hsrc, &data).unwrap();
-        let hdst = ctx.gpu.host_alloc(16).unwrap();
-        let mut pos = 0;
-        tempi
-            .pack(&mut ctx, hsrc, 1, dt, hdst, 16, &mut pos)
-            .unwrap();
-        assert_eq!(ctx.gpu.memory().peek(hdst, 16).unwrap(), want);
-    }
-
-    #[test]
-    fn host_buffers_use_cpu_path() {
-        let mut ctx = ctx();
-        let mut tempi = Tempi::default();
-        let dt = ctx.type_vector(4, 4, 8, MPI_BYTE).unwrap();
-        tempi.type_commit(&mut ctx, dt).unwrap();
-        let src = ctx.gpu.host_alloc(32).unwrap();
-        ctx.gpu.memory().poke(src, &fill(32)).unwrap();
-        let dst = ctx.gpu.host_alloc(16).unwrap();
-        let mut pos = 0;
-        tempi.pack(&mut ctx, src, 1, dt, dst, 16, &mut pos).unwrap();
-        assert_eq!(ctx.stream.stats().kernel_launches, 0);
-        let data = fill(32);
-        let got = ctx.gpu.memory().peek(dst, 16).unwrap();
-        assert_eq!(&got[..4], &data[..4]);
-        assert_eq!(&got[4..8], &data[8..12]);
-    }
-
-    #[test]
-    fn gpu_to_pageable_host_pack_stages_through_device() {
-        let mut ctx = ctx();
-        let mut tempi = Tempi::default();
-        let dt = ctx.type_vector(4, 4, 8, MPI_BYTE).unwrap();
-        tempi.type_commit(&mut ctx, dt).unwrap();
-        let src = ctx.gpu.malloc(32).unwrap();
-        ctx.gpu.memory().poke(src, &fill(32)).unwrap();
-        let dst = ctx.gpu.host_alloc(16).unwrap();
-        let mut pos = 0;
-        tempi.pack(&mut ctx, src, 1, dt, dst, 16, &mut pos).unwrap();
-        // kernel into temp device buffer + one D2H copy
-        assert_eq!(ctx.stream.stats().kernel_launches, 1);
-        assert_eq!(ctx.stream.stats().memcpys, 1);
-        let data = fill(32);
-        let got = ctx.gpu.memory().peek(dst, 16).unwrap();
-        assert_eq!(&got[..4], &data[..4]);
-    }
-
-    #[test]
-    fn dma_config_uses_2d_engine() {
-        let mut ctx = ctx();
-        let mut tempi = Tempi::new(TempiConfig {
-            use_dma: true,
-            ..TempiConfig::default()
-        });
-        let dt = ctx.type_vector(8, 16, 32, MPI_BYTE).unwrap();
-        tempi.type_commit(&mut ctx, dt).unwrap();
-        let src = ctx.gpu.malloc(256).unwrap();
-        ctx.gpu.memory().poke(src, &fill(256)).unwrap();
-        let dst = ctx.gpu.malloc(128).unwrap();
-        let mut pos = 0;
-        tempi
-            .pack(&mut ctx, src, 1, dt, dst, 128, &mut pos)
-            .unwrap();
-        assert_eq!(ctx.stream.stats().memcpys_2d, 1);
-        assert_eq!(ctx.stream.stats().kernel_launches, 0);
-        let data = fill(256);
-        let got = ctx.gpu.memory().peek(dst, 128).unwrap();
-        assert_eq!(&got[..16], &data[..16]);
-        assert_eq!(&got[16..32], &data[32..48]);
+                    // what the route costs the stream: one launch or one
+                    // copy on the kernel path, one more copy to bridge
+                    // pageable memory, nothing on the CPU path
+                    let staged = (route == Route::DevicePageable) as u64;
+                    match (row.3, route) {
+                        (None, _) if row.0 == "Empty" => {
+                            assert_eq!((gpu.kernel_launches, gpu.memcpys), (0, 0), "{at}");
+                        }
+                        (None, _) => {
+                            // the fall-through *is* the system MPI: its
+                            // time, plus the interposer's dispatch
+                            assert_eq!((gpu.kernel_launches, fell), (0, 1), "{at}");
+                            let want = system_took + TEMPI_DISPATCH_OVERHEAD;
+                            assert_eq!(tempi_took, want, "{at}: system MPI + dispatch");
+                        }
+                        (Some(_), Route::HostHost | Route::Quarantined) => {
+                            assert_eq!((gpu.kernel_launches, gpu.memcpys), (0, 0), "{at}");
+                        }
+                        (Some(true), _) => {
+                            assert_eq!((gpu.kernel_launches, gpu.memcpys), (1, staged), "{at}");
+                        }
+                        (Some(false), _) => {
+                            assert_eq!((gpu.kernel_launches, gpu.memcpys), (0, 1 + staged), "{at}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// A datatype of the method matrix: how to build it and how many items
@@ -2873,43 +2752,53 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_sends_allocate_nothing_and_reuse_launch_geometry() {
-        let mut cfg = WorldConfig::summit(2);
-        cfg.net.ranks_per_node = 1;
-        let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::default();
-            let dt = ctx.type_vector(64, 16, 64, MPI_BYTE)?;
-            tempi.type_commit(ctx, dt)?;
-            let span = 63 * 64 + 16;
-            let buf = ctx.gpu.malloc(span)?;
-            // warm-up: allocates intermediates, derives launch geometry
-            for i in 0..2 {
-                if ctx.rank == 0 {
-                    tempi.send(ctx, buf, 1, dt, 1, i)?;
-                } else {
-                    tempi.recv(ctx, buf, 1, dt, Some(0), Some(i))?;
+    fn steady_state_sends_allocate_nothing_with_a_tracer_attached_or_not() {
+        // an attached tracer that is off costs one branch per call site and
+        // records nothing; a full one records the rounds, and neither puts
+        // allocations back on the steady send path
+        for level in [tempi_trace::TraceLevel::Off, tempi_trace::TraceLevel::Full] {
+            let tracer = Tracer::new(level);
+            let mut cfg = WorldConfig::summit(2).with_tracer(tracer.clone());
+            cfg.net.ranks_per_node = 1;
+            let results = World::run(&cfg, |ctx| {
+                let mut tempi = Tempi::default();
+                let dt = ctx.type_vector(64, 16, 64, MPI_BYTE)?;
+                tempi.type_commit(ctx, dt)?;
+                let span = 63 * 64 + 16;
+                let buf = ctx.gpu.malloc(span)?;
+                // warm-up: allocates the intermediates
+                for i in 0..2 {
+                    if ctx.rank == 0 {
+                        tempi.send(ctx, buf, 1, dt, 1, i)?;
+                    } else {
+                        tempi.recv(ctx, buf, 1, dt, Some(0), Some(i))?;
+                    }
                 }
-            }
-            let warm_allocs = tempi.stats.pool_fresh_allocs;
-            let warm_hits = tempi.stats.pool_hits;
-            for i in 2..12 {
-                if ctx.rank == 0 {
-                    tempi.send(ctx, buf, 1, dt, 1, i)?;
-                } else {
-                    tempi.recv(ctx, buf, 1, dt, Some(0), Some(i))?;
+                let warm_allocs = tempi.stats.pool_fresh_allocs;
+                let warm_hits = tempi.stats.pool_hits;
+                for i in 2..12 {
+                    if ctx.rank == 0 {
+                        tempi.send(ctx, buf, 1, dt, 1, i)?;
+                    } else {
+                        tempi.recv(ctx, buf, 1, dt, Some(0), Some(i))?;
+                    }
                 }
+                Ok((
+                    tempi.stats.pool_fresh_allocs - warm_allocs,
+                    tempi.stats.pool_hits - warm_hits,
+                ))
+            })
+            .unwrap();
+            for (rank, &(fresh, hits)) in results.iter().enumerate() {
+                assert_eq!(fresh, 0, "{level:?}: rank {rank} allocated in steady state");
+                assert!(hits >= 10, "{level:?}: rank {rank} pool hits only {hits}");
             }
-            Ok((
-                tempi.stats.pool_fresh_allocs - warm_allocs,
-                tempi.stats.pool_hits - warm_hits,
-                tempi.stats.launch_cache_hits,
-            ))
-        })
-        .unwrap();
-        for (rank, &(fresh, hits, launch_hits)) in results.iter().enumerate() {
-            assert_eq!(fresh, 0, "rank {rank} allocated in steady state");
-            assert!(hits >= 10, "rank {rank} pool hits only {hits}");
-            assert!(launch_hits > 0, "rank {rank} never hit the launch cache");
+            let recorded = tracer.event_count() > 0;
+            assert_eq!(
+                recorded,
+                level == tempi_trace::TraceLevel::Full,
+                "{level:?}"
+            );
         }
     }
 

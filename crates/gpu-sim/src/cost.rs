@@ -72,6 +72,18 @@ pub enum PackDir {
     Unpack,
 }
 
+impl PackDir {
+    /// `(dst, src)` of one copy between a strided and a packed location:
+    /// the one place the direction swaps the ends.
+    #[inline]
+    pub fn ends<T>(self, strided: T, packed: T) -> (T, T) {
+        match self {
+            PackDir::Pack => (packed, strided),
+            PackDir::Unpack => (strided, packed),
+        }
+    }
+}
+
 /// Where the contiguous side of a pack/unpack lives. Determines whether the
 /// kernel runs at HBM rates ("device" method) or interconnect rates
 /// ("one-shot" method into mapped host memory).

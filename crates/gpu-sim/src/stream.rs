@@ -233,66 +233,6 @@ impl Stream {
         Ok(kind)
     }
 
-    /// `cudaMemcpy3DAsync`: copy a `width × height × depth` box between
-    /// two pitched 3-D layouts. Pitches are bytes per row; `slice_*` are
-    /// bytes per 2-D slice (≥ `pitch × height`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn memcpy_3d_async(
-        &mut self,
-        clock: &mut SimClock,
-        dst: GpuPtr,
-        dpitch: usize,
-        dslice: usize,
-        src: GpuPtr,
-        spitch: usize,
-        sslice: usize,
-        width: usize,
-        height: usize,
-        depth: usize,
-    ) -> GpuResult<CopyKind> {
-        if width > dpitch || width > spitch {
-            return Err(GpuError::InvalidLaunch {
-                reason: format!(
-                    "memcpy3d width {width} exceeds pitch (dpitch={dpitch}, spitch={spitch})"
-                ),
-            });
-        }
-        if dpitch * height > dslice || spitch * height > sslice {
-            return Err(GpuError::InvalidLaunch {
-                reason: "memcpy3d slice pitch smaller than pitch x height".to_string(),
-            });
-        }
-        let kind = {
-            let mut mem = self.ctx.memory();
-            let d_space = mem.space_of(dst)?;
-            let s_space = mem.space_of(src)?;
-            Self::injected_fault(&mem, GpuFaultSite::CopyFault, "memcpy_3d_async")?;
-            for z in 0..depth {
-                for row in 0..height {
-                    mem.raw_copy(
-                        dst.add(z * dslice + row * dpitch),
-                        src.add(z * sslice + row * spitch),
-                        width,
-                    )?;
-                }
-            }
-            CopyKind::infer(d_space, s_space)
-        };
-        clock.advance(self.cost.memcpy_async_overhead);
-        let dur = self.cost.copy_engine_time_2d(kind, width, height * depth);
-        let start = self.enqueue(clock, dur);
-        self.trace_gpu("memcpy3d", start, dur, || {
-            vec![
-                ("kind", format!("{kind:?}").into()),
-                ("bytes", (width * height * depth).into()),
-                ("rows", (height * depth).into()),
-            ]
-        });
-        self.stats.memcpys_2d += 1;
-        self.stats.copy_bytes += (width * height * depth) as u64;
-        Ok(kind)
-    }
-
     /// Launch a kernel.
     ///
     /// * `name` — for diagnostics.
@@ -641,38 +581,6 @@ mod tests {
         let b = ctx.malloc(64).unwrap();
         assert!(matches!(
             s.memcpy_2d_async(&mut clock, a, 4, b, 8, 6, 4),
-            Err(GpuError::InvalidLaunch { .. })
-        ));
-    }
-
-    #[test]
-    fn memcpy3d_packs_a_box() {
-        let (ctx, mut s, mut clock) = setup();
-        // source: 4x4x4 allocation (pitch 4, slice 16); box: 2x2x2 at origin
-        let src = ctx.malloc(64).unwrap();
-        let dst = ctx.malloc(8).unwrap();
-        let data: Vec<u8> = (0..64).map(|i| i as u8).collect();
-        ctx.memory().poke(src, &data).unwrap();
-        s.memcpy_3d_async(&mut clock, dst, 2, 4, src, 4, 16, 2, 2, 2)
-            .unwrap();
-        s.synchronize(&mut clock);
-        assert_eq!(
-            ctx.memory().peek(dst, 8).unwrap(),
-            vec![0, 1, 4, 5, 16, 17, 20, 21]
-        );
-    }
-
-    #[test]
-    fn memcpy3d_validates_pitches() {
-        let (ctx, mut s, mut clock) = setup();
-        let a = ctx.malloc(64).unwrap();
-        let b = ctx.malloc(64).unwrap();
-        assert!(matches!(
-            s.memcpy_3d_async(&mut clock, a, 2, 4, b, 4, 16, 3, 2, 2),
-            Err(GpuError::InvalidLaunch { .. })
-        ));
-        assert!(matches!(
-            s.memcpy_3d_async(&mut clock, a, 4, 4, b, 4, 16, 4, 2, 2),
             Err(GpuError::InvalidLaunch { .. })
         ));
     }

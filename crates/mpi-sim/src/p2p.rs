@@ -13,7 +13,7 @@
 //! `completion = max(local now, depart + transfer_time)`. Message order per
 //! (source, destination) pair is preserved (MPI's non-overtaking rule).
 
-use gpu_sim::{GpuPtr, MemSpace, SimTime};
+use gpu_sim::{GpuPtr, MemSpace, PackDir, SimTime};
 
 use crate::datatype::typemap::{segments, Segment};
 use crate::datatype::{Combiner, Datatype};
@@ -22,7 +22,7 @@ use crate::fault::FaultInjector;
 use crate::net::Transport;
 use crate::runtime::RankCtx;
 use crate::sched::ParkOp;
-use crate::vendor::{baseline_gpu_pack, baseline_gpu_unpack, is_contiguous};
+use crate::vendor::{baseline_gpu_xfer, for_each_segment, is_contiguous, offset_ptr};
 
 /// Tags below this value are reserved for internal collectives.
 pub(crate) const MIN_USER_TAG: i32 = 0;
@@ -159,13 +159,32 @@ pub struct ProbeInfo {
     pub part: Option<PartInfo>,
 }
 
-/// Everything the send/recv paths need to know about a datatype, computed
-/// once per call (the TEMPI layer caches its own richer plan instead).
+/// The packed size of `count` items of `size` bytes each. The count is the
+/// caller's: a product that does not fit is an invalid argument, never a
+/// wrapped size.
+pub fn transfer_bytes(size: usize, count: usize) -> MpiResult<usize> {
+    size.checked_mul(count).ok_or_else(|| {
+        MpiError::InvalidArg(format!(
+            "{count} items of {size} bytes overflow the transfer size"
+        ))
+    })
+}
+
+/// Everything the system MPI's pack/unpack and send/recv paths need to know
+/// about a datatype, computed once per call (the TEMPI layer caches its own
+/// richer plan instead).
 pub(crate) struct WireType {
     pub segs: Vec<Segment>,
     pub extent: i64,
     pub size: usize,
     pub root_is_vector: bool,
+}
+
+impl WireType {
+    /// Are `count` items one contiguous run (so a plain copy moves them)?
+    fn fully_contiguous(&self, count: usize) -> bool {
+        is_contiguous(&self.segs) && (count <= 1 || self.size as i64 == self.extent)
+    }
 }
 
 impl RankCtx {
@@ -195,15 +214,10 @@ impl RankCtx {
     ) -> MpiResult<Vec<u8>> {
         let mem = self.gpu.memory();
         let mut out = Vec::with_capacity(wt.size * count);
-        for item in 0..count {
-            let base = item as i64 * wt.extent;
-            for seg in &wt.segs {
-                let p = buf.offset_by(base + seg.off).ok_or_else(|| {
-                    MpiError::InvalidArg("datatype reaches before buffer start".to_string())
-                })?;
-                out.extend_from_slice(&mem.peek(p, seg.len as usize)?);
-            }
-        }
+        for_each_segment(&wt.segs, wt.extent, count, |off, len, _| {
+            out.extend_from_slice(&mem.peek(offset_ptr(buf, off)?, len)?);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -217,17 +231,142 @@ impl RankCtx {
         payload: &[u8],
     ) -> MpiResult<()> {
         let mut mem = self.gpu.memory();
-        let mut pos = 0usize;
-        for item in 0..count {
-            let base = item as i64 * wt.extent;
-            for seg in &wt.segs {
-                let p = buf.offset_by(base + seg.off).ok_or_else(|| {
-                    MpiError::InvalidArg("datatype reaches before buffer start".to_string())
-                })?;
-                mem.poke(p, &payload[pos..pos + seg.len as usize])?;
-                pos += seg.len as usize;
+        for_each_segment(&wt.segs, wt.extent, count, |off, len, pos| {
+            Ok(mem.poke(offset_ptr(buf, off)?, &payload[pos..pos + len])?)
+        })
+    }
+
+    // ---- the system MPI's MPI_Pack / MPI_Unpack -------------------------
+
+    /// `MPI_Pack_size`: the packed size of `incount` items of `dt`.
+    pub fn pack_size(&mut self, incount: usize, dt: Datatype) -> MpiResult<usize> {
+        transfer_bytes(self.type_size(dt)? as usize, incount)
+    }
+
+    /// Where `bytes` packed at `position` of a `capacity`-byte buffer end:
+    /// the window check of `MPI_Pack` / `MPI_Unpack` of `dt`, the system
+    /// MPI's and TEMPI's alike.
+    pub fn packed_window(
+        &self,
+        dt: Datatype,
+        position: usize,
+        bytes: usize,
+        capacity: usize,
+    ) -> MpiResult<usize> {
+        match position.checked_add(bytes) {
+            Some(end) if end <= capacity => Ok(end),
+            Some(required) => Err(MpiError::BufferTooSmall {
+                required,
+                available: capacity,
+                envelope: self.registry().read().get_envelope(dt).ok(),
+            }),
+            None => Err(MpiError::InvalidArg(format!(
+                "position {position} + {bytes} bytes overflows a buffer size"
+            ))),
+        }
+    }
+
+    /// `MPI_Pack`: pack `incount` items of `dt` from `inbuf` into
+    /// `outbuf[*position..outsize]`, advancing `*position` — the vendor's
+    /// baseline handling, what runs when TEMPI is not interposed and what
+    /// TEMPI falls through to.
+    pub fn pack(
+        &mut self,
+        inbuf: GpuPtr,
+        incount: usize,
+        dt: Datatype,
+        outbuf: GpuPtr,
+        outsize: usize,
+        position: &mut usize,
+    ) -> MpiResult<()> {
+        self.pack_dir(PackDir::Pack, inbuf, incount, dt, outbuf, outsize, position)
+    }
+
+    /// `MPI_Unpack`: the mirror of [`RankCtx::pack`] (`inbuf` holds packed
+    /// bytes at `*position..insize`; `outbuf` is the typed destination).
+    pub fn unpack(
+        &mut self,
+        inbuf: GpuPtr,
+        insize: usize,
+        position: &mut usize,
+        outbuf: GpuPtr,
+        outcount: usize,
+        dt: Datatype,
+    ) -> MpiResult<()> {
+        self.pack_dir(
+            PackDir::Unpack,
+            outbuf,
+            outcount,
+            dt,
+            inbuf,
+            insize,
+            position,
+        )
+    }
+
+    /// [`RankCtx::pack`] and [`RankCtx::unpack`]: `count` items of `dt` at
+    /// `typed` against `packed[*position..packed_size]`.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_dir(
+        &mut self,
+        dir: PackDir,
+        typed: GpuPtr,
+        count: usize,
+        dt: Datatype,
+        packed: GpuPtr,
+        packed_size: usize,
+        position: &mut usize,
+    ) -> MpiResult<()> {
+        let wt = self.wire_type(dt)?;
+        let bytes = transfer_bytes(wt.size, count)?;
+        let end = self.packed_window(dt, *position, bytes, packed_size)?;
+        self.wire_xfer(dir, &wt, typed, count, packed.add(*position))?;
+        *position = end;
+        Ok(())
+    }
+
+    /// The system MPI's datatype handling, one body for both directions and
+    /// for every caller (`MPI_Pack` / `MPI_Unpack`, and the typed
+    /// `MPI_Send` / `MPI_Recv` below for device data): `count` items of
+    /// `wt` at `typed` against the packed bytes at `packed`. GPU buffers
+    /// take the vendor's baseline ([`crate::vendor`]); anything else is
+    /// packed on the CPU.
+    fn wire_xfer(
+        &mut self,
+        dir: PackDir,
+        wt: &WireType,
+        typed: GpuPtr,
+        count: usize,
+        packed: GpuPtr,
+    ) -> MpiResult<()> {
+        if typed.space.device_accessible() && packed.space.device_accessible() {
+            baseline_gpu_xfer(
+                &self.vendor,
+                &mut self.stream,
+                &mut self.clock,
+                &wt.segs,
+                wt.extent,
+                wt.root_is_vector,
+                typed,
+                count,
+                packed,
+                dir,
+            )?;
+            return Ok(());
+        }
+        let bytes = wt.size * count;
+        match dir {
+            PackDir::Pack => {
+                let payload = self.gather_payload(typed, count, wt)?;
+                self.gpu.memory().poke(packed, &payload)?;
+            }
+            PackDir::Unpack => {
+                let payload = self.gpu.memory().peek(packed, bytes)?;
+                self.scatter_payload(typed, count, wt, &payload)?;
             }
         }
+        let t = self.vendor.host_pack_time(bytes, wt.segs.len() * count);
+        self.clock.advance(t);
         Ok(())
     }
 
@@ -877,9 +1016,8 @@ impl RankCtx {
         self.check_rank(dest)?;
         self.fault_gate_send(dest)?;
         let wt = self.wire_type(dt)?;
-        let bytes = wt.size * count;
-        let fully_contiguous =
-            is_contiguous(&wt.segs) && (count <= 1 || wt.size as i64 == wt.extent);
+        let bytes = transfer_bytes(wt.size, count)?;
+        let fully_contiguous = wt.fully_contiguous(count);
 
         if bytes == 0 {
             return self.post(dest, tag, Vec::new(), buf.space);
@@ -889,20 +1027,7 @@ impl RankCtx {
             // Vendor baseline: pack on the GPU block-by-block into a
             // temporary device buffer, then CUDA-aware transfer.
             let tmp = self.gpu.malloc(bytes)?;
-            let mut pos = 0usize;
-            // Split borrows: stream/clock are distinct fields.
-            baseline_gpu_pack(
-                &self.vendor.clone(),
-                &mut self.stream,
-                &mut self.clock,
-                &wt.segs,
-                wt.extent,
-                wt.root_is_vector,
-                buf,
-                count,
-                tmp,
-                &mut pos,
-            )?;
+            self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp)?;
             let payload = self.gpu.memory().peek(tmp, bytes)?;
             self.gpu.free(tmp)?;
             return self.post(dest, tag, payload, MemSpace::Device);
@@ -928,7 +1053,7 @@ impl RankCtx {
     ) -> MpiResult<Status> {
         self.check_comm()?;
         let wt = self.wire_type(dt)?;
-        let capacity = wt.size * count;
+        let capacity = transfer_bytes(wt.size, count)?;
         self.fault_gate_recv(src)?;
         let msg = self.match_message(src, tag)?;
         // One message is consumed as it is; the parts of a pipelined
@@ -947,8 +1072,7 @@ impl RankCtx {
         let bytes = st.bytes;
 
         let items = bytes.checked_div(wt.size).unwrap_or(0);
-        let fully_contiguous =
-            is_contiguous(&wt.segs) && (items <= 1 || wt.size as i64 == wt.extent);
+        let fully_contiguous = wt.fully_contiguous(items);
 
         if bytes == 0 {
             return Ok(st);
@@ -960,19 +1084,7 @@ impl RankCtx {
             // block-by-block.
             let tmp = self.gpu.malloc(bytes)?;
             self.gpu.memory().poke(tmp, &payload)?;
-            let mut pos = 0usize;
-            baseline_gpu_unpack(
-                &self.vendor.clone(),
-                &mut self.stream,
-                &mut self.clock,
-                &wt.segs,
-                wt.extent,
-                wt.root_is_vector,
-                tmp,
-                &mut pos,
-                buf,
-                items,
-            )?;
+            self.wire_xfer(PackDir::Unpack, &wt, buf, items, tmp)?;
             self.gpu.free(tmp)?;
         } else {
             self.scatter_payload(buf, items, &wt, &payload)?;

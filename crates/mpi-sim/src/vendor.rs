@@ -171,77 +171,17 @@ pub fn is_contiguous(segs: &[Segment]) -> bool {
     segs.len() <= 1
 }
 
-/// Baseline vendor `MPI_Pack` on GPU buffers: the behavior TEMPI's speedups
-/// are measured against.
+/// Baseline vendor `MPI_Pack` / `MPI_Unpack` on GPU buffers: the behavior
+/// TEMPI's speedups are measured against, one body for both directions.
 ///
 /// `segs` is the type's segment list, `extent` its extent (items of a
 /// repeated pack are `extent` apart), `root_is_vector` whether the
 /// outermost combiner is `MPI_Type_vector` (MVAPICH's fast-path trigger).
-/// Packs `incount` items from `inbuf` into `outbuf` at `*position`,
-/// advancing it. Returns which method was used.
+/// Moves `incount` items between the typed buffer `strided` and the packed
+/// bytes starting at `packed`: `strided` is the source for `Pack`, the
+/// destination for `Unpack`. Returns which method was used.
 #[allow(clippy::too_many_arguments)]
-pub fn baseline_gpu_pack(
-    profile: &VendorProfile,
-    stream: &mut Stream,
-    clock: &mut SimClock,
-    segs: &[Segment],
-    extent: i64,
-    root_is_vector: bool,
-    inbuf: GpuPtr,
-    incount: usize,
-    outbuf: GpuPtr,
-    position: &mut usize,
-) -> MpiResult<BaselineMethod> {
-    baseline_gpu_xfer(
-        profile,
-        stream,
-        clock,
-        segs,
-        extent,
-        root_is_vector,
-        inbuf,
-        incount,
-        outbuf,
-        position,
-        PackDir::Pack,
-    )
-}
-
-/// Baseline vendor `MPI_Unpack` on GPU buffers (mirror of
-/// [`baseline_gpu_pack`]: `inbuf` is the packed buffer at `*position`,
-/// `outbuf` the strided destination).
-#[allow(clippy::too_many_arguments)]
-pub fn baseline_gpu_unpack(
-    profile: &VendorProfile,
-    stream: &mut Stream,
-    clock: &mut SimClock,
-    segs: &[Segment],
-    extent: i64,
-    root_is_vector: bool,
-    inbuf: GpuPtr,
-    position: &mut usize,
-    outbuf: GpuPtr,
-    outcount: usize,
-) -> MpiResult<BaselineMethod> {
-    baseline_gpu_xfer(
-        profile,
-        stream,
-        clock,
-        segs,
-        extent,
-        root_is_vector,
-        outbuf,
-        outcount,
-        inbuf,
-        position,
-        PackDir::Unpack,
-    )
-}
-
-/// Shared pack/unpack implementation. For `Pack`, `strided` is the source
-/// and `packed` the destination; for `Unpack` the reverse.
-#[allow(clippy::too_many_arguments)]
-fn baseline_gpu_xfer(
+pub fn baseline_gpu_xfer(
     profile: &VendorProfile,
     stream: &mut Stream,
     clock: &mut SimClock,
@@ -251,7 +191,6 @@ fn baseline_gpu_xfer(
     strided: GpuPtr,
     incount: usize,
     packed: GpuPtr,
-    position: &mut usize,
     dir: PackDir,
 ) -> MpiResult<BaselineMethod> {
     let item_bytes: u64 = segs.iter().map(|s| s.len).sum();
@@ -260,12 +199,7 @@ fn baseline_gpu_xfer(
     // Contiguous fast path: one (possibly chunked) plain copy.
     if is_contiguous(segs) && (incount <= 1 || item_bytes as i64 == extent) {
         let base_off = segs.first().map(|s| s.off).unwrap_or(0);
-        let strided_at = offset_ptr(strided, base_off)?;
-        let packed_at = packed.add(*position);
-        let (dst, src) = match dir {
-            PackDir::Pack => (packed_at, strided_at),
-            PackDir::Unpack => (strided_at, packed_at),
-        };
+        let (dst, src) = dir.ends(offset_ptr(strided, base_off)?, packed);
         match profile.contiguous_chunk_bytes {
             Some(chunk) if total > chunk => {
                 let mut done = 0;
@@ -287,7 +221,6 @@ fn baseline_gpu_xfer(
                 }
             }
         }
-        *position += total;
         return Ok(BaselineMethod::Contiguous);
     }
 
@@ -295,16 +228,21 @@ fn baseline_gpu_xfer(
     // vector; hvector/subarray descriptions of the same object fall through
     // to copy-per-block (the fragility Fig. 7 highlights).
     if profile.specialized_vector_kernel && root_is_vector {
-        move_segments(
-            stream, clock, segs, extent, strided, incount, packed, *position, dir,
-        )?;
-        let block = max_block(segs) as usize;
+        // the bytes move here, in one go; the launch below carries only
+        // geometry and cost
+        let gpu = stream.context().clone();
+        let mut mem = gpu.memory();
+        for_each_segment(segs, extent, incount, |off, len, pos| {
+            let (dst, src) = dir.ends(offset_ptr(strided, off)?, packed.add(pos));
+            Ok(mem.dev_copy(dst, src, len)?)
+        })?;
+        drop(mem);
         let cost = stream.cost_model().pack_kernel_time(
             dir,
             PackTarget::Device,
             total,
-            block,
-            kernel_word(segs, strided, packed.add(*position)),
+            max_block(segs) as usize,
+            kernel_word(segs, strided, packed),
         );
         let cfg = LaunchConfig {
             grid: Dim3::new(
@@ -314,64 +252,39 @@ fn baseline_gpu_xfer(
             ),
             block: Dim3::new(256, 1, 1),
         };
-        // functional effect already applied by move_segments; the launch
-        // body is a no-op carrying only geometry + cost
         stream.launch(clock, "mvapich_vector_kernel", cfg, cost, |_| Ok(()))?;
         stream.synchronize(clock);
-        *position += total;
         return Ok(BaselineMethod::SpecializedVector);
     }
 
     // Copy-per-block: the universal baseline.
-    let mut pos = *position;
-    for item in 0..incount {
-        let item_base = item as i64 * extent;
-        for seg in segs {
-            let strided_at = offset_ptr(strided, item_base + seg.off)?;
-            let packed_at = packed.add(pos);
-            let (dst, src) = match dir {
-                PackDir::Pack => (packed_at, strided_at),
-                PackDir::Unpack => (strided_at, packed_at),
-            };
-            stream.memcpy_async(clock, dst, src, seg.len as usize)?;
-            clock.advance(profile.per_block_extra);
-            if profile.sync_per_block {
-                stream.synchronize(clock);
-            }
-            pos += seg.len as usize;
+    for_each_segment(segs, extent, incount, |off, len, pos| {
+        let (dst, src) = dir.ends(offset_ptr(strided, off)?, packed.add(pos));
+        stream.memcpy_async(clock, dst, src, len)?;
+        clock.advance(profile.per_block_extra);
+        if profile.sync_per_block {
+            stream.synchronize(clock);
         }
-    }
+        Ok(())
+    })?;
     stream.synchronize(clock);
-    *position = pos;
     Ok(BaselineMethod::CopyPerBlock)
 }
 
-/// Apply a segment walk functionally in one go (used where the timing is
-/// modeled as a kernel rather than per-copy API calls).
-#[allow(clippy::too_many_arguments)]
-fn move_segments(
-    stream: &mut Stream,
-    _clock: &mut SimClock,
+/// The segment walk of `incount` items `extent` apart: hands `run` each
+/// contiguous run's offset in the typed buffer, its length, and where its
+/// bytes sit in the packed stream.
+pub(crate) fn for_each_segment(
     segs: &[Segment],
     extent: i64,
-    strided: GpuPtr,
     incount: usize,
-    packed: GpuPtr,
-    mut pos: usize,
-    dir: PackDir,
+    mut run: impl FnMut(i64, usize, usize) -> MpiResult<()>,
 ) -> MpiResult<()> {
-    let ctx = stream.context().clone();
-    let mut mem = ctx.memory();
+    let mut pos = 0;
     for item in 0..incount {
-        let item_base = item as i64 * extent;
+        let base = item as i64 * extent;
         for seg in segs {
-            let strided_at = offset_ptr(strided, item_base + seg.off)?;
-            let packed_at = packed.add(pos);
-            let (dst, src) = match dir {
-                PackDir::Pack => (packed_at, strided_at),
-                PackDir::Unpack => (strided_at, packed_at),
-            };
-            mem.dev_copy(dst, src, seg.len as usize)?;
+            run(base + seg.off, seg.len as usize, pos)?;
             pos += seg.len as usize;
         }
     }
@@ -390,7 +303,7 @@ fn kernel_word(segs: &[Segment], a: GpuPtr, b: GpuPtr) -> usize {
     1
 }
 
-fn offset_ptr(p: GpuPtr, off: i64) -> MpiResult<GpuPtr> {
+pub(crate) fn offset_ptr(p: GpuPtr, off: i64) -> MpiResult<GpuPtr> {
     p.offset_by(off).ok_or_else(|| {
         MpiError::InvalidArg(format!(
             "datatype reaches {off} bytes before the buffer start"
@@ -427,8 +340,7 @@ mod tests {
         let (_, extent) = reg.extent(t).unwrap();
         let src = filled_device(&ctx, 12);
         let dst = ctx.malloc(6).unwrap();
-        let mut pos = 0;
-        let method = baseline_gpu_pack(
+        let method = baseline_gpu_xfer(
             &VendorProfile::openmpi(),
             &mut stream,
             &mut clock,
@@ -438,11 +350,10 @@ mod tests {
             src,
             1,
             dst,
-            &mut pos,
+            PackDir::Pack,
         )
         .unwrap();
         assert_eq!(method, BaselineMethod::CopyPerBlock);
-        assert_eq!(pos, 6);
         assert_eq!(ctx.memory().peek(dst, 6).unwrap(), vec![0, 1, 4, 5, 8, 9]);
         // one memcpy per block
         assert_eq!(stream.stats().memcpys, 3);
@@ -458,8 +369,7 @@ mod tests {
         let packed = ctx.malloc(32).unwrap();
         let out = ctx.malloc(64).unwrap();
         let p = VendorProfile::openmpi();
-        let mut pos = 0;
-        baseline_gpu_pack(
+        baseline_gpu_xfer(
             &p,
             &mut stream,
             &mut clock,
@@ -469,21 +379,20 @@ mod tests {
             src,
             1,
             packed,
-            &mut pos,
+            PackDir::Pack,
         )
         .unwrap();
-        let mut pos = 0;
-        baseline_gpu_unpack(
+        baseline_gpu_xfer(
             &p,
             &mut stream,
             &mut clock,
             &segs,
             extent,
             false,
-            packed,
-            &mut pos,
             out,
             1,
+            packed,
+            PackDir::Unpack,
         )
         .unwrap();
         // every byte covered by the type matches the source
@@ -517,8 +426,7 @@ mod tests {
         ] {
             let mut stream = Stream::new(ctx.clone(), GpuCostModel::summit_v100());
             let mut clock = SimClock::new();
-            let mut pos = 0;
-            baseline_gpu_pack(
+            baseline_gpu_xfer(
                 &p,
                 &mut stream,
                 &mut clock,
@@ -528,7 +436,7 @@ mod tests {
                 src,
                 1,
                 dst,
-                &mut pos,
+                PackDir::Pack,
             )
             .unwrap();
             times.push(clock.now());
@@ -555,8 +463,7 @@ mod tests {
         let (_, extent) = reg.extent(t).unwrap();
         let src = filled_device(&ctx, 64 * 256);
         let dst = ctx.malloc(1024).unwrap();
-        let mut pos = 0;
-        let method = baseline_gpu_pack(
+        let method = baseline_gpu_xfer(
             &VendorProfile::mvapich(),
             &mut stream,
             &mut clock,
@@ -566,7 +473,7 @@ mod tests {
             src,
             1,
             dst,
-            &mut pos,
+            PackDir::Pack,
         )
         .unwrap();
         assert_eq!(method, BaselineMethod::SpecializedVector);
@@ -589,8 +496,7 @@ mod tests {
 
         let mut stream = Stream::new(ctx.clone(), GpuCostModel::summit_v100());
         let mut clock = SimClock::new();
-        let mut pos = 0;
-        let m = baseline_gpu_pack(
+        let m = baseline_gpu_xfer(
             &VendorProfile::openmpi(),
             &mut stream,
             &mut clock,
@@ -600,7 +506,7 @@ mod tests {
             src,
             1,
             dst,
-            &mut pos,
+            PackDir::Pack,
         )
         .unwrap();
         assert_eq!(m, BaselineMethod::Contiguous);
@@ -608,8 +514,7 @@ mod tests {
 
         let mut stream = Stream::new(ctx.clone(), GpuCostModel::summit_v100());
         let mut clock2 = SimClock::new();
-        let mut pos = 0;
-        baseline_gpu_pack(
+        baseline_gpu_xfer(
             &VendorProfile::spectrum(),
             &mut stream,
             &mut clock2,
@@ -619,7 +524,7 @@ mod tests {
             src,
             1,
             dst,
-            &mut pos,
+            PackDir::Pack,
         )
         .unwrap();
         // 1 MiB / 128 KiB chunks = 8 copies, each synchronized
@@ -636,8 +541,7 @@ mod tests {
         let (_, extent) = reg.extent(t).unwrap();
         let src = filled_device(&ctx, 4096);
         let dst = ctx.malloc(4096).unwrap();
-        let mut pos = 0;
-        baseline_gpu_pack(
+        baseline_gpu_xfer(
             &VendorProfile::mvapich(),
             &mut stream,
             &mut clock,
@@ -647,7 +551,7 @@ mod tests {
             src,
             1,
             dst,
-            &mut pos,
+            PackDir::Pack,
         )
         .unwrap();
         // the bug: no synchronize issued, stream still busy at return
@@ -664,8 +568,7 @@ mod tests {
         assert_eq!(extent, 6);
         let src = filled_device(&ctx, 16);
         let dst = ctx.malloc(8).unwrap();
-        let mut pos = 0;
-        baseline_gpu_pack(
+        baseline_gpu_xfer(
             &VendorProfile::openmpi(),
             &mut stream,
             &mut clock,
@@ -675,7 +578,7 @@ mod tests {
             src,
             2,
             dst,
-            &mut pos,
+            PackDir::Pack,
         )
         .unwrap();
         assert_eq!(

@@ -26,8 +26,8 @@
 //! that option and returns immediately — no allocation, no formatting, no
 //! lock. Event names and argument lists are only materialized *after* the
 //! enabled check, so the hot send path keeps its zero-allocation
-//! steady-state property with tracing compiled in (asserted by the
-//! `send_path` criterion bench).
+//! steady-state property with tracing compiled in (asserted by tempi-core's
+//! `steady_state_sends_allocate_nothing_with_a_tracer_attached_or_not`).
 //!
 //! Timestamps are raw picosecond counts (`u64`), the same unit as the
 //! simulator's `SimTime`, keeping this crate dependency-free of the

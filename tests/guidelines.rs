@@ -4,11 +4,8 @@
 //! `results/BENCH_guidelines.baseline.json` gates at full vendor
 //! coverage in CI.
 
-use tempi_bench::guidelines::{render_report, run_zoo_on, violations};
+use tempi_bench::guidelines::{render_report, run_zoo_on, violations, GUIDELINE_TOL as TOL};
 use tempi_bench::{GatedSuite, Platform, ZooPattern};
-
-/// The default `TEMPI_GUIDELINE_TOL`.
-const TOL: f64 = 0.10;
 
 #[test]
 fn summit_zoo_verdicts_are_pinned() {
@@ -91,9 +88,8 @@ fn guideline_measurements_are_deterministic() {
 
 #[test]
 fn tolerance_knob_widens_the_gate() {
-    // the fig2d/1|4096|64 G2[on] miss is ~1.5x: a 100%-tolerance run
-    // (TEMPI_GUIDELINE_TOL=0.99...) must clear it, proving the knob
-    // reaches the verdicts (0.99 is the largest valid tolerance).
+    // the fig2d/1|4096|64 G2[on] miss is ~1.5x: a 99%-tolerance run must
+    // clear it, proving the `tol` parameter reaches the verdicts.
     let pattern = ZooPattern::Fig2d(tempi_bench::Obj2d {
         incount: 1,
         block: 4096,

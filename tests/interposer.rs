@@ -223,3 +223,50 @@ fn scheduled_peer_exit_surfaces_peer_gone_under_both_providers() {
         assert!(matches!(r, Err(MpiError::PeerGone)), "{name}: {r:?}");
     }
 }
+
+#[test]
+fn a_transfer_size_that_overflows_is_invalid_arg_on_every_entry_point() {
+    // counts are the caller's: 2^61 items of a 16-byte type wrap to a size
+    // of 0 if multiplied unchecked (a release build then "packs" nothing
+    // and says Ok; a debug build panics), and so must be refused by all
+    // five datatype entry points, whichever library serves them
+    use mpi_sim::consts::MPI_INT;
+    let huge = 1usize << 61;
+    for (name, factory) in providers() {
+        let mut ctx = ctx();
+        let mut mpi = factory();
+        let dt = ctx.type_vector(4, 1, 2, MPI_INT).unwrap();
+        mpi.type_commit(&mut ctx, dt).unwrap();
+        let buf = ctx.gpu.malloc(64).unwrap();
+        let refused = [
+            ("pack", mpi.pack(&mut ctx, buf, huge, dt, buf, 64, &mut 0)),
+            (
+                "unpack",
+                mpi.unpack(&mut ctx, buf, 64, &mut 0, buf, huge, dt),
+            ),
+            (
+                "pack_size",
+                mpi.pack_size(&mut ctx, usize::MAX / 2, dt).map(drop),
+            ),
+            ("send", mpi.send(&mut ctx, buf, huge, dt, 0, 0).map(drop)),
+            (
+                "recv",
+                mpi.recv(&mut ctx, buf, huge, dt, Some(0), Some(0))
+                    .map(drop),
+            ),
+            // a cursor the size carries past the end of the address space
+            (
+                "pack at a huge position",
+                mpi.pack(&mut ctx, buf, 1, dt, buf, 64, &mut (usize::MAX - 8)),
+            ),
+        ];
+        for (entry, r) in refused {
+            assert!(
+                matches!(r, Err(MpiError::InvalidArg(_))),
+                "{name} / {entry}: {r:?}"
+            );
+        }
+        // nothing was queued or moved on the way to those errors
+        assert_eq!(ctx.stream.stats().memcpys, 0, "{name}");
+    }
+}
