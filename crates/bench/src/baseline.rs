@@ -15,7 +15,7 @@
 //! comparison is exactly reproducible: a regression here is an algorithmic
 //! change (method choice, chunking, extra hops), never host noise.
 
-use serde::{Deserialize, Serialize};
+use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 /// Default largest allowed `current / baseline` ratio per gated timing:
 /// a 10% slowdown budget, absorbing intentional small costs (an extra
@@ -26,7 +26,7 @@ pub const TOLERANCE: f64 = 1.10;
 /// One row type of a gated benchmark suite: how to identify a row across
 /// runs, which timing columns are gated (within [`Self::TOLERANCE`]),
 /// and which boolean verdicts are gated exactly.
-pub trait GatedSuite: Serialize + for<'de> Deserialize<'de> {
+pub trait GatedSuite: ToJson + FromJson {
     /// Suite name — names the `BENCH_<suite>.json` /
     /// `results/BENCH_<suite>.baseline.json` pair in messages.
     const SUITE: &'static str;
@@ -181,25 +181,22 @@ pub fn compare_rows<T: GatedSuite>(
     Ok(regressions)
 }
 
-/// One datatype-zoo row, matching what `bench_send` serializes.
+/// One datatype-zoo row of `BENCH_send.json`.
 ///
 /// The derived columns (`speedup_vs_oneshot`, `tuned_vs_static`) and the
 /// method labels are carried for the report but not gated on — the gate
 /// compares raw times only.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchRow {
     /// Human-readable object size (e.g. `"1.0 MiB"`).
-    #[serde(default)]
     pub object: String,
     /// Total packed bytes of the object — half of the row key.
     pub object_bytes: usize,
     /// Contiguous block size in bytes — the other half of the row key.
     pub block_bytes: usize,
     /// Method the static model chose on the minimal round.
-    #[serde(default)]
     pub method_static: String,
     /// Method the online tuner chose on the minimal round.
-    #[serde(default)]
     pub method_tuned: String,
     /// One-way delivery time under `TEMPI_TUNER=off`, virtual ns.
     pub static_ns: f64,
@@ -208,11 +205,45 @@ pub struct BenchRow {
     /// One-way delivery time with the one-shot method forced, virtual ns.
     pub oneshot_ns: f64,
     /// `oneshot_ns / tuned_ns` (reported, not gated).
-    #[serde(default)]
     pub speedup_vs_oneshot: f64,
     /// `static_ns / tuned_ns` (reported, not gated).
-    #[serde(default)]
     pub tuned_vs_static: f64,
+}
+
+impl ToJson for BenchRow {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("object", self.object.to_json()),
+            ("object_bytes", self.object_bytes.to_json()),
+            ("block_bytes", self.block_bytes.to_json()),
+            ("method_static", self.method_static.to_json()),
+            ("method_tuned", self.method_tuned.to_json()),
+            ("static_ns", self.static_ns.to_json()),
+            ("tuned_ns", self.tuned_ns.to_json()),
+            ("oneshot_ns", self.oneshot_ns.to_json()),
+            ("speedup_vs_oneshot", self.speedup_vs_oneshot.to_json()),
+            ("tuned_vs_static", self.tuned_vs_static.to_json()),
+        ])
+    }
+}
+
+/// The key and the gated times are required; the reported columns read
+/// as their defaults when missing.
+impl FromJson for BenchRow {
+    fn from_json(v: &Value) -> Result<BenchRow, json::Error> {
+        Ok(BenchRow {
+            object: v.field_or_default("object")?,
+            object_bytes: v.field("object_bytes")?,
+            block_bytes: v.field("block_bytes")?,
+            method_static: v.field_or_default("method_static")?,
+            method_tuned: v.field_or_default("method_tuned")?,
+            static_ns: v.field("static_ns")?,
+            tuned_ns: v.field("tuned_ns")?,
+            oneshot_ns: v.field("oneshot_ns")?,
+            speedup_vs_oneshot: v.field_or_default("speedup_vs_oneshot")?,
+            tuned_vs_static: v.field_or_default("tuned_vs_static")?,
+        })
+    }
 }
 
 impl BenchRow {
@@ -242,13 +273,13 @@ impl GatedSuite for BenchRow {
     }
 }
 
-/// One `bench_scale` sweep row, matching what `bench_scale` serializes.
+/// One `bench_scale` sweep row of `BENCH_scale.json`.
 ///
 /// `exchange_ns` is virtual time from the simulator clock (the slowest
 /// rank's measured exchange), so the gate is exactly reproducible.
 /// `wall_ms` is host wall-clock — reported for the scaling headline,
 /// never gated (it is the one noisy column).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// Which sweep the row belongs to: `"stencil"` or `"alltoallv"`.
     pub workload: String,
@@ -258,8 +289,29 @@ pub struct ScaleRow {
     pub exchange_ns: f64,
     /// Host wall-clock of the whole world run, milliseconds (reported,
     /// not gated).
-    #[serde(default)]
     pub wall_ms: f64,
+}
+
+impl ToJson for ScaleRow {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("workload", self.workload.to_json()),
+            ("ranks", self.ranks.to_json()),
+            ("exchange_ns", self.exchange_ns.to_json()),
+            ("wall_ms", self.wall_ms.to_json()),
+        ])
+    }
+}
+
+impl FromJson for ScaleRow {
+    fn from_json(v: &Value) -> Result<ScaleRow, json::Error> {
+        Ok(ScaleRow {
+            workload: v.field("workload")?,
+            ranks: v.field("ranks")?,
+            exchange_ns: v.field("exchange_ns")?,
+            wall_ms: v.field_or_default("wall_ms")?,
+        })
+    }
 }
 
 impl ScaleRow {
@@ -362,8 +414,7 @@ mod tests {
     #[test]
     fn rows_round_trip_through_bench_send_json() {
         let base = vec![row(1 << 20, 64, 50_000.0)];
-        let s = serde_json::to_string(&base).unwrap();
-        let back: Vec<BenchRow> = serde_json::from_str(&s).unwrap();
+        let back: Vec<BenchRow> = json::from_str(&base.to_json().to_string()).unwrap();
         assert_eq!(back[0].key(), (1 << 20, 64));
     }
 
@@ -408,11 +459,31 @@ mod tests {
 
     /// A synthetic suite with both gated timings and gated verdicts, for
     /// exercising the verdict arm without the full guidelines harness.
-    #[derive(Clone, Serialize, Deserialize)]
+    #[derive(Clone)]
     struct VRow {
         name: String,
         ns: f64,
         ok: bool,
+    }
+
+    impl ToJson for VRow {
+        fn to_json(&self) -> Value {
+            Value::object([
+                ("name", self.name.to_json()),
+                ("ns", self.ns.to_json()),
+                ("ok", self.ok.to_json()),
+            ])
+        }
+    }
+
+    impl FromJson for VRow {
+        fn from_json(v: &Value) -> Result<VRow, json::Error> {
+            Ok(VRow {
+                name: v.field("name")?,
+                ns: v.field("ns")?,
+                ok: v.field("ok")?,
+            })
+        }
     }
 
     impl GatedSuite for VRow {

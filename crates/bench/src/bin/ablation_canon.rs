@@ -14,18 +14,8 @@
 //!
 //! Run: `cargo run --release -p tempi-bench --bin ablation_canon`
 
-use serde::Serialize;
 use tempi_bench::{fmt_speedup, pack_time, Mode, Obj2d, Platform, Table};
 use tempi_core::config::TempiConfig;
-
-#[derive(Serialize)]
-struct Row {
-    object: String,
-    construction: &'static str,
-    canon_us: f64,
-    no_canon_us: f64,
-    canon_gain: f64,
-}
 
 fn main() {
     let objects = [
@@ -50,7 +40,6 @@ fn main() {
     ];
     println!("Ablation: canonicalization on vs off (TEMPI pack, Summit)\n");
     let mut t = Table::new(&["object", "construction", "canon", "no canon", "gain"]);
-    let mut rows = Vec::new();
     for obj in objects {
         for c in obj.constructions() {
             let on = pack_time(
@@ -82,13 +71,6 @@ fn main() {
                 &format!("{off}"),
                 &fmt_speedup(gain),
             ]);
-            rows.push(Row {
-                object: obj.label(),
-                construction: c.label(),
-                canon_us: on.as_us_f64(),
-                no_canon_us: off.as_us_f64(),
-                canon_gain: gain,
-            });
         }
     }
     t.print();
@@ -130,5 +112,4 @@ fn main() {
             off_max / off_min
         );
     }
-    tempi_bench::write_json("ablation_canon", &rows);
 }

@@ -8,20 +8,8 @@
 //!
 //! Run: `cargo run --release -p tempi-bench --bin ablation_method`
 
-use serde::Serialize;
 use tempi_bench::{fmt_bytes, send_pair_time, Construction, Mode, Obj2d, Platform, Table};
 use tempi_core::config::{Method, TempiConfig};
-
-#[derive(Serialize)]
-struct Row {
-    object_bytes: usize,
-    block_bytes: usize,
-    model_us: f64,
-    oneshot_us: f64,
-    device_us: f64,
-    staged_us: f64,
-    model_regret_pct: f64,
-}
 
 fn main() {
     println!("Ablation: model-driven method choice vs forced methods (send/recv pair)\n");
@@ -34,7 +22,6 @@ fn main() {
         "staged",
         "model regret",
     ]);
-    let mut rows = Vec::new();
     for (total, block) in [
         (64usize << 10, 32usize),
         (64 << 10, 4096),
@@ -79,20 +66,10 @@ fn main() {
             &format!("{staged:.1} us"),
             &format!("{regret:.1}%"),
         ]);
-        rows.push(Row {
-            object_bytes: total,
-            block_bytes: block,
-            model_us: model,
-            oneshot_us: oneshot,
-            device_us: device,
-            staged_us: staged,
-            model_regret_pct: regret,
-        });
     }
     t.print();
     println!(
         "\nthe model choice should track the per-row best; forced one-shot loses on\n\
          large strided objects, forced device loses on small contiguous ones"
     );
-    tempi_bench::write_json("ablation_method", &rows);
 }

@@ -8,22 +8,12 @@
 //!
 //! Run: `cargo run --release -p tempi-bench --bin ablation_word`
 
-use serde::Serialize;
 use tempi_bench::{fmt_bytes, pack_time, Construction, Mode, Obj2d, Platform, Table};
 use tempi_core::config::TempiConfig;
-
-#[derive(Serialize)]
-struct Row {
-    block_bytes: usize,
-    auto_word_us: f64,
-    w1_us: f64,
-    gain: f64,
-}
 
 fn main() {
     println!("Ablation: selected word size vs forced W=1 (1 MiB objects, TEMPI pack)\n");
     let mut t = Table::new(&["block", "auto W", "forced W=1", "gain"]);
-    let mut rows = Vec::new();
     let total = 1usize << 20;
     for block in [4usize, 16, 64, 256, 1024, 4096, 16384] {
         let obj = Obj2d {
@@ -60,13 +50,6 @@ fn main() {
             &format!("{w1}"),
             &format!("{gain:.2}x"),
         ]);
-        rows.push(Row {
-            block_bytes: block,
-            auto_word_us: auto.as_us_f64(),
-            w1_us: w1.as_us_f64(),
-            gain,
-        });
     }
     t.print();
-    tempi_bench::write_json("ablation_word", &rows);
 }

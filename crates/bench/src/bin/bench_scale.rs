@@ -20,8 +20,7 @@
 //! ranks up must agree within 1 %: a neighbor exchange weak-scales flat.
 //!
 //! Rows go to `BENCH_scale.json` at the repository root (gate input, or
-//! `--out DIR`; a failed write exits non-zero) and
-//! `results/BENCH_scale.json` (report copy).
+//! `--out DIR`; a failed write exits non-zero).
 //!
 //! Run: `cargo run --release -p tempi-bench --bin bench_scale [-- --out DIR]`
 
@@ -149,5 +148,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-    tempi_bench::write_json("BENCH_scale", &rows);
 }

@@ -23,28 +23,13 @@
 //! Run: `cargo run --release -p tempi-bench --bin bench_send [-- --out DIR]`
 
 use gpu_sim::SimTime;
-use serde::Serialize;
 use tempi_bench::{
-    fmt_bytes, fmt_speedup, send_one_way_times, Construction, Obj2d, Platform, Table,
+    fmt_bytes, fmt_speedup, send_one_way_times, BenchRow, Construction, Obj2d, Platform, Table,
 };
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 
 const WARMUP: usize = 4;
 const ROUNDS: usize = 8;
-
-#[derive(Serialize)]
-struct Row {
-    object: String,
-    object_bytes: usize,
-    block_bytes: usize,
-    method_static: String,
-    method_tuned: String,
-    static_ns: f64,
-    tuned_ns: f64,
-    oneshot_ns: f64,
-    speedup_vs_oneshot: f64,
-    tuned_vs_static: f64,
-}
 
 /// Minimum delivery time over the measured rounds, plus the method the
 /// sender used on that minimal round.
@@ -138,7 +123,7 @@ fn main() {
             &fmt_speedup(speedup_vs_oneshot),
             &fmt_speedup(tuned_vs_static),
         ]);
-        rows.push(Row {
+        rows.push(BenchRow {
             object: fmt_bytes(obj.total_bytes()),
             object_bytes: obj.total_bytes(),
             block_bytes: obj.block,
@@ -200,5 +185,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-    tempi_bench::write_json("BENCH_send", &rows);
 }

@@ -20,12 +20,14 @@
 //! Run: `cargo run --release -p tempi-bench --bin check_bench [send|scale|guidelines ...]`
 //! (no arguments = all three gates).
 
+use std::path::Path;
+
 use tempi_bench::baseline::{compare_rows, BenchRow, GatedSuite, ScaleRow};
 use tempi_bench::guidelines::GuidelineRow;
 
 fn read_rows<T: GatedSuite>(path: &str) -> Result<Vec<T>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+    tempi_trace::json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// Run one gate: load current + baseline rows, bootstrap an absent or
@@ -46,9 +48,9 @@ fn gate<T: GatedSuite>(root: &str, bench_bin: &str) -> Result<String, String> {
     };
 
     if baseline.is_empty() {
-        let s = serde_json::to_string_pretty(&current).expect("serializable rows");
-        return match std::fs::write(&baseline_path, s + "\n") {
-            Ok(()) => Ok(format!(
+        let name = format!("BENCH_{}.baseline.json", T::SUITE);
+        return match tempi_bench::write_rows(&Path::new(root).join("results"), &name, &current) {
+            Ok(_) => Ok(format!(
                 "{label}: baseline was empty — recorded {} rows to {baseline_path}; \
                  review and commit it",
                 current.len()

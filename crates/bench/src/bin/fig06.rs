@@ -8,10 +8,8 @@
 //!
 //! Run: `cargo run --release -p tempi-bench --bin fig06`
 
-use serde::Serialize;
 use tempi_bench::{commit_breakdown, fig6_set, Platform, Table};
 
-#[derive(Serialize)]
 struct Row {
     platform: &'static str,
     object: String,
@@ -84,5 +82,4 @@ fn main() {
             }
         );
     }
-    tempi_bench::write_json("fig06", &rows);
 }

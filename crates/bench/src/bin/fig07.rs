@@ -12,23 +12,11 @@
 //!
 //! Run: `cargo run --release -p tempi-bench --bin fig07`
 
-use serde::Serialize;
 use tempi_bench::{fmt_bytes, fmt_speedup, pack_time, Mode, Obj2d, Obj3d, Platform, Table};
 use tempi_core::config::TempiConfig;
 
-#[derive(Serialize)]
-struct Row {
-    part: &'static str,
-    object: String,
-    construction: &'static str,
-    platform: &'static str,
-    tempi_us: f64,
-    system_us: f64,
-    speedup: Option<f64>,
-    omitted_reason: Option<&'static str>,
-}
-
-fn measure_2d(part: &'static str, total: usize, rows: &mut Vec<Row>) {
+/// Prints one 2-D part and appends every speedup that is not omitted.
+fn measure_2d(part: &'static str, total: usize, speedups: &mut Vec<f64>) {
     println!(
         "\nFig. 7{part}: MPI_Pack speedup, {} 2-D objects",
         fmt_bytes(total)
@@ -65,16 +53,9 @@ fn measure_2d(part: &'static str, total: usize, rows: &mut Vec<Row>) {
                 } else {
                     fmt_speedup(speedup)
                 });
-                rows.push(Row {
-                    part,
-                    object: obj.label(),
-                    construction: c.label(),
-                    platform: platform.label(),
-                    tempi_us: tempi.as_us_f64(),
-                    system_us: system.as_us_f64(),
-                    speedup: (!omitted).then_some(speedup),
-                    omitted_reason: omitted.then_some("mvapich contiguous sync bug"),
-                });
+                if !omitted {
+                    speedups.push(speedup);
+                }
             }
             t.row(&[&obj.label(), &c.label(), &cells[0], &cells[1], &cells[2]]);
         }
@@ -82,7 +63,7 @@ fn measure_2d(part: &'static str, total: usize, rows: &mut Vec<Row>) {
     t.print();
 }
 
-fn measure_3d(alloc: usize, rows: &mut Vec<Row>) {
+fn measure_3d(alloc: usize, speedups: &mut Vec<f64>) {
     println!("\nFig. 7c: MPI_Pack speedup, 3-D objects in a {alloc}^3 B allocation");
     let mut t = Table::new(&["x|y|z", "construction", "mv", "op", "sp"]);
     for obj in Obj3d::sweep(alloc) {
@@ -110,16 +91,7 @@ fn measure_3d(alloc: usize, rows: &mut Vec<Row>) {
                 .expect("system pack");
                 let speedup = system.as_ns_f64() / tempi.as_ns_f64();
                 cells.push(fmt_speedup(speedup));
-                rows.push(Row {
-                    part: "c",
-                    object: obj.label(),
-                    construction: c.label(),
-                    platform: platform.label(),
-                    tempi_us: tempi.as_us_f64(),
-                    system_us: system.as_us_f64(),
-                    speedup: Some(speedup),
-                    omitted_reason: None,
-                });
+                speedups.push(speedup);
             }
             t.row(&[&obj.label(), &c.label(), &cells[0], &cells[1], &cells[2]]);
         }
@@ -129,20 +101,16 @@ fn measure_3d(alloc: usize, rows: &mut Vec<Row>) {
 
 fn main() {
     let full = std::env::var("TEMPI_BENCH_FULL").is_ok();
-    let mut rows: Vec<Row> = Vec::new();
-    measure_2d("a", 1 << 10, &mut rows);
-    measure_2d("b", 1 << 20, &mut rows);
-    measure_3d(if full { 1024 } else { 256 }, &mut rows);
+    let mut speedups = Vec::new();
+    measure_2d("a", 1 << 10, &mut speedups);
+    measure_2d("b", 1 << 20, &mut speedups);
+    measure_3d(if full { 1024 } else { 256 }, &mut speedups);
 
-    let max = rows.iter().filter_map(|r| r.speedup).fold(0.0f64, f64::max);
-    let min = rows
-        .iter()
-        .filter_map(|r| r.speedup)
-        .fold(f64::INFINITY, f64::min);
+    let max = speedups.iter().copied().fold(0.0f64, f64::max);
+    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
     println!(
         "\nOverall speedup range: {} to {} (paper: 0.89x to 720,400x)",
         fmt_speedup(min),
         fmt_speedup(max)
     );
-    tempi_bench::write_json("fig07", &rows);
 }

@@ -16,33 +16,8 @@
 
 use gpu_sim::{SimClock, SimTime};
 use mpi_sim::{World, WorldConfig};
-use serde::Serialize;
 use tempi_bench::{fmt_bytes, Table};
 use tempi_core::model::SendModel;
-
-#[derive(Serialize)]
-struct RowA {
-    bytes: usize,
-    d2h_us: f64,
-    h2d_us: f64,
-    cpu_cpu_us: f64,
-    gpu_gpu_us: f64,
-}
-
-#[derive(Serialize)]
-struct RowB {
-    bytes: usize,
-    device_us: f64,
-    oneshot_us: f64,
-    staged_us: f64,
-}
-
-#[derive(Serialize)]
-struct RowC {
-    bytes: usize,
-    bw_gbps: f64,
-    oneshot_us: f64,
-}
 
 fn sizes() -> Vec<usize> {
     (0..=26).step_by(2).map(|p| 1usize << p).collect()
@@ -94,7 +69,6 @@ fn main() {
 
     println!("Fig. 8a: measured transfer primitives (half ping-pong / memcpy+sync)\n");
     let mut t = Table::new(&["size", "T_d2h", "T_h2d", "T_cpu-cpu", "T_gpu-gpu"]);
-    let mut rows_a = Vec::new();
     for bytes in sizes() {
         let d2h = measure_memcpy(bytes, true);
         let h2d = measure_memcpy(bytes, false);
@@ -107,20 +81,12 @@ fn main() {
             &format!("{}", cpu),
             &format!("{}", gpu),
         ]);
-        rows_a.push(RowA {
-            bytes,
-            d2h_us: d2h.as_us_f64(),
-            h2d_us: h2d.as_us_f64(),
-            cpu_cpu_us: cpu.as_us_f64(),
-            gpu_gpu_us: gpu.as_us_f64(),
-        });
     }
     t.print();
     println!("\nfloors: gpu-gpu / d2h / h2d ≈ 11 us; cpu-cpu ≈ 2.2 us (paper Fig. 8a)");
 
     println!("\nFig. 8b: modeled methods excluding pack time\n");
     let mut t = Table::new(&["size", "T_device", "T_oneshot", "T_staged"]);
-    let mut rows_b = Vec::new();
     for bytes in sizes() {
         let dev = model.t_gpu_gpu(bytes);
         let osh = model.t_cpu_cpu(bytes);
@@ -131,12 +97,6 @@ fn main() {
             &format!("{osh}"),
             &format!("{stg}"),
         ]);
-        rows_b.push(RowB {
-            bytes,
-            device_us: dev.as_us_f64(),
-            oneshot_us: osh.as_us_f64(),
-            staged_us: stg.as_us_f64(),
-        });
     }
     t.print();
     println!("\nstaged is never below device: the cpu-cpu advantage is consumed by D2H+H2D");
@@ -145,7 +105,6 @@ fn main() {
     let bws = [5.0f64, 10.0, 20.0, 40.0, f64::INFINITY];
     let launch = model.gpu.kernel_launch_overhead + model.gpu.stream_sync_overhead;
     let mut t = Table::new(&["size", "5 GB/s", "10 GB/s", "20 GB/s", "40 GB/s", "inf"]);
-    let mut rows_c = Vec::new();
     for bytes in sizes() {
         let mut cells = Vec::new();
         for &bw in &bws {
@@ -156,11 +115,6 @@ fn main() {
             };
             let total = launch + pack + model.t_cpu_cpu(bytes) + launch + pack;
             cells.push(format!("{total}"));
-            rows_c.push(RowC {
-                bytes,
-                bw_gbps: bw,
-                oneshot_us: total.as_us_f64(),
-            });
         }
         t.row(&[
             &fmt_bytes(bytes),
@@ -173,8 +127,4 @@ fn main() {
     }
     t.print();
     println!("\nlatency of one-shot depends heavily on pack/unpack performance (paper Fig. 8c)");
-
-    tempi_bench::write_json("fig08a", &rows_a);
-    tempi_bench::write_json("fig08b", &rows_b);
-    tempi_bench::write_json("fig08c", &rows_c);
 }

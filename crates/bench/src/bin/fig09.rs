@@ -12,18 +12,13 @@
 
 use gpu_sim::{MemSpace, PackDir};
 use mpi_sim::{MpiResult, RankCtx, WorldConfig};
-use serde::Serialize;
 use tempi_bench::{fmt_bytes, Table};
 use tempi_core::config::TempiConfig;
 use tempi_core::tempi::{PlanKind, Tempi};
 
-#[derive(Serialize)]
 struct Row {
     strategy: &'static str,
     dir: &'static str,
-    object_bytes: usize,
-    block_bytes: usize,
-    time_us: f64,
     gbps: f64,
 }
 
@@ -98,9 +93,6 @@ fn main() {
                     rows.push(Row {
                         strategy,
                         dir: dname,
-                        object_bytes: total,
-                        block_bytes: block,
-                        time_us: us,
                         gbps,
                     });
                 }
@@ -132,5 +124,4 @@ fn main() {
         };
         println!("max {strategy} {dir} throughput: {peak:.1} GB/s (paper: {paper} GB/s)");
     }
-    tempi_bench::write_json("fig09", &rows);
 }

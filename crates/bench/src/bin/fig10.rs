@@ -10,25 +10,12 @@
 //!
 //! Run: `cargo run --release -p tempi-bench --bin fig10`
 
-use serde::Serialize;
 use tempi_bench::{fmt_bytes, send_pair_time, Construction, Mode, Obj2d, Platform, Table};
 use tempi_core::config::{Method, TempiConfig};
 use tempi_core::model::SendModel;
 
-#[derive(Serialize)]
-struct Row {
-    object_bytes: usize,
-    block_bytes: usize,
-    oneshot_measured_us: f64,
-    oneshot_modeled_us: f64,
-    device_measured_us: f64,
-    device_modeled_us: f64,
-    winner: &'static str,
-}
-
 fn main() {
     let model = SendModel::summit_internode();
-    let mut rows = Vec::new();
     for total in [1usize << 20, 4 << 20] {
         println!(
             "\nFig. 10: send time for a {} object (measured | modeled)\n",
@@ -88,15 +75,6 @@ fn main() {
                 &format!("{dev_model:.1} us"),
                 &winner,
             ]);
-            rows.push(Row {
-                object_bytes: total,
-                block_bytes: block,
-                oneshot_measured_us: osh_meas,
-                oneshot_modeled_us: osh_model,
-                device_measured_us: dev_meas,
-                device_modeled_us: dev_model,
-                winner,
-            });
         }
         t.print();
     }
@@ -104,5 +82,4 @@ fn main() {
         "\npaper: one-shot wins the 1 MiB object, device wins the 4 MiB object;\n\
          models track measurements except at very small blocks"
     );
-    tempi_bench::write_json("fig10", &rows);
 }

@@ -7,23 +7,13 @@
 //!
 //! Run: `cargo run --release -p tempi-bench --bin fig11`
 
-use serde::Serialize;
 use tempi_bench::{
     fmt_bytes, fmt_speedup, send_pair_time, Construction, Mode, Obj2d, Platform, Table,
 };
 use tempi_core::config::TempiConfig;
 
-#[derive(Serialize)]
-struct Row {
-    object_bytes: usize,
-    block_bytes: usize,
-    tempi_us: f64,
-    system_us: f64,
-    speedup: f64,
-}
-
 fn main() {
-    let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for total in [1usize << 10, 1 << 20, 4 << 20] {
         println!(
             "\nFig. 11: send/recv pair time, {} 2-D objects\n",
@@ -67,23 +57,16 @@ fn main() {
                 &format!("{system}"),
                 &fmt_speedup(speedup),
             ]);
-            rows.push(Row {
-                object_bytes: total,
-                block_bytes: block,
-                tempi_us: tempi.as_us_f64(),
-                system_us: system.as_us_f64(),
-                speedup,
-            });
+            speedups.push(speedup);
             block *= 8;
         }
         t.print();
     }
-    let max = rows.iter().map(|r| r.speedup).fold(0.0f64, f64::max);
-    let min = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
+    let max = speedups.iter().copied().fold(0.0f64, f64::max);
+    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
     println!(
         "\nspeedup range {} - {} (paper: 1.07x - 59,000x)",
         fmt_speedup(min),
         fmt_speedup(max)
     );
-    tempi_bench::write_json("fig11", &rows);
 }

@@ -13,22 +13,10 @@
 
 use gpu_sim::SimTime;
 use mpi_sim::{World, WorldConfig};
-use serde::Serialize;
 use tempi_bench::{fmt_speedup, Table};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_stencil::{ExchangeTiming, HaloConfig, HaloExchanger};
-
-#[derive(Serialize)]
-struct Row {
-    ranks: usize,
-    local: usize,
-    pack_speedup: f64,
-    unpack_speedup: f64,
-    total_speedup: f64,
-    tempi_total_us: f64,
-    system_total_us: f64,
-}
 
 /// Run the exchange on `p` ranks; returns the max-over-ranks phase times
 /// (the iteration is gated by the slowest rank).
@@ -82,7 +70,6 @@ fn main() {
         "TEMPI total",
         "baseline total",
     ]);
-    let mut rows = Vec::new();
     for &p in &ranks {
         let sys = run(p, n, false);
         let tmp = run(p, n, true);
@@ -97,20 +84,10 @@ fn main() {
             &format!("{}", tmp.total()),
             &format!("{}", sys.total()),
         ]);
-        rows.push(Row {
-            ranks: p,
-            local: n,
-            pack_speedup: pack,
-            unpack_speedup: unpack,
-            total_speedup: total,
-            tempi_total_us: tmp.total().as_us_f64(),
-            system_total_us: sys.total().as_us_f64(),
-        });
     }
     t.print();
     println!(
         "\npaper shape: pack/unpack speedups ~10^3-10^4; iteration speedup decreases\n\
          with rank count as communication takes a larger share (up to ~20,000x on 512^3)"
     );
-    tempi_bench::write_json("fig12", &rows);
 }

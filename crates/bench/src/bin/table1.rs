@@ -2,20 +2,7 @@
 //!
 //! Run: `cargo run -p tempi-bench --bin table1`
 
-use serde::Serialize;
 use tempi_bench::{Platform, Table};
-
-#[derive(Serialize)]
-struct Row {
-    name: String,
-    mpi: String,
-    cpu: String,
-    gpu: String,
-    gpu_mem_gib: usize,
-    ranks_per_node: String,
-    cpu_floor_us: f64,
-    gpu_floor_us: f64,
-}
 
 fn main() {
     let mut table = Table::new(&[
@@ -28,7 +15,6 @@ fn main() {
         "cpu-cpu floor",
         "gpu-gpu floor",
     ]);
-    let mut rows = Vec::new();
     for p in [Platform::Summit, Platform::OpenMpi, Platform::Mvapich] {
         let w = p.world(1);
         let name = match p {
@@ -58,18 +44,7 @@ fn main() {
             &format!("{cpu_floor:.1} us"),
             &format!("{gpu_floor:.1} us"),
         ]);
-        rows.push(Row {
-            name: name.to_string(),
-            mpi,
-            cpu: cpu.to_string(),
-            gpu: w.device.name.clone(),
-            gpu_mem_gib: w.device.global_mem_bytes >> 30,
-            ranks_per_node: rpn,
-            cpu_floor_us: cpu_floor,
-            gpu_floor_us: gpu_floor,
-        });
     }
     println!("Table 1: Experimental Platform Summaries (simulated)\n");
     table.print();
-    tempi_bench::write_json("table1", &rows);
 }

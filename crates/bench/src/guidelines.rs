@@ -31,10 +31,10 @@
 use mpi_sim::consts::MPI_BYTE;
 use mpi_sim::datatype::typemap::segments;
 use mpi_sim::{MpiError, MpiResult, RankCtx, VendorId, World};
-use serde::{Deserialize, Serialize};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::tempi::{PlanKind, Tempi};
+use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 use crate::baseline::GatedSuite;
 use crate::measure::Platform;
@@ -66,7 +66,7 @@ const NAIVE_ROUNDS: usize = 1;
 
 /// The three one-way delivery times of one (pattern, vendor, mode) cell,
 /// virtual nanoseconds, receiver-side, minimum over measured rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellTimes {
     /// Typed DDT send: `MPI_Send(buf, 1, ddt)` → typed `MPI_Recv`.
     pub ddt_ns: f64,
@@ -153,7 +153,7 @@ pub fn evaluate(
 /// One (pattern, vendor) cell of `BENCH_guidelines.json`: the raw
 /// virtual times of both deployments, the plan TEMPI built, the six
 /// verdicts, and the worst violation ratio.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GuidelineRow {
     /// Zoo pattern label ([`ZooPattern::label`]).
     pub pattern: String,
@@ -196,6 +196,60 @@ pub struct GuidelineRow {
     pub g4: bool,
     /// Worst violation ratio (1.0 when clean).
     pub worst_ratio: f64,
+}
+
+impl ToJson for GuidelineRow {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("pattern", self.pattern.to_json()),
+            ("vendor", self.vendor.to_json()),
+            ("size_bytes", self.size_bytes.to_json()),
+            ("nblocks", self.nblocks.to_json()),
+            ("plan", self.plan.to_json()),
+            ("normalized", self.normalized.to_json()),
+            ("off_ddt_ns", self.off_ddt_ns.to_json()),
+            ("off_pack_send_ns", self.off_pack_send_ns.to_json()),
+            ("off_naive_ns", self.off_naive_ns.to_json()),
+            ("on_ddt_ns", self.on_ddt_ns.to_json()),
+            ("on_pack_send_ns", self.on_pack_send_ns.to_json()),
+            ("on_naive_ns", self.on_naive_ns.to_json()),
+            ("on_nocanon_ddt_ns", self.on_nocanon_ddt_ns.to_json()),
+            ("g1_off", self.g1_off.to_json()),
+            ("g2_off", self.g2_off.to_json()),
+            ("g1_on", self.g1_on.to_json()),
+            ("g2_on", self.g2_on.to_json()),
+            ("g3", self.g3.to_json()),
+            ("g4", self.g4.to_json()),
+            ("worst_ratio", self.worst_ratio.to_json()),
+        ])
+    }
+}
+
+impl FromJson for GuidelineRow {
+    fn from_json(v: &Value) -> Result<GuidelineRow, json::Error> {
+        Ok(GuidelineRow {
+            pattern: v.field("pattern")?,
+            vendor: v.field("vendor")?,
+            size_bytes: v.field("size_bytes")?,
+            nblocks: v.field("nblocks")?,
+            plan: v.field("plan")?,
+            normalized: v.field("normalized")?,
+            off_ddt_ns: v.field("off_ddt_ns")?,
+            off_pack_send_ns: v.field("off_pack_send_ns")?,
+            off_naive_ns: v.field("off_naive_ns")?,
+            on_ddt_ns: v.field("on_ddt_ns")?,
+            on_pack_send_ns: v.field("on_pack_send_ns")?,
+            on_naive_ns: v.field("on_naive_ns")?,
+            on_nocanon_ddt_ns: v.field("on_nocanon_ddt_ns")?,
+            g1_off: v.field("g1_off")?,
+            g2_off: v.field("g2_off")?,
+            g1_on: v.field("g1_on")?,
+            g2_on: v.field("g2_on")?,
+            g3: v.field("g3")?,
+            g4: v.field("g4")?,
+            worst_ratio: v.field("worst_ratio")?,
+        })
+    }
 }
 
 impl GuidelineRow {
@@ -688,8 +742,7 @@ mod tests {
     #[test]
     fn rows_round_trip_through_json_and_key_by_pattern_and_vendor() {
         let r = row("nested/32@8192x16x64@256", "openmpi");
-        let s = serde_json::to_string(&[r]).unwrap();
-        let back: Vec<GuidelineRow> = serde_json::from_str(&s).unwrap();
+        let back: Vec<GuidelineRow> = json::from_str(&[r].to_json().to_string()).unwrap();
         assert_eq!(back[0].row_key(), "nested/32@8192x16x64@256 [openmpi]");
         assert_eq!(back[0].timings().len(), 7);
         assert_eq!(back[0].verdicts().len(), 6);

@@ -19,5 +19,5 @@ pub use guidelines::{evaluate, run_zoo, run_zoo_on, CellTimes, GuidelineRow, Vio
 pub use measure::{
     commit_breakdown, pack_time, send_one_way_times, send_pair_time, trimean, Mode, Platform,
 };
-pub use report::{fmt_bytes, fmt_speedup, out_dir_from_args, write_json, write_rows, Table};
+pub use report::{fmt_bytes, fmt_speedup, out_dir_from_args, write_rows, Table};
 pub use workloads::{fig6_set, Construction, Fig6Object, Obj2d, Obj3d, ZooPattern};

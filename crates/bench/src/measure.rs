@@ -3,12 +3,11 @@
 
 use gpu_sim::SimTime;
 use mpi_sim::{Datatype, MpiResult, RankCtx, VendorProfile, World, WorldConfig};
-use serde::{Deserialize, Serialize};
 use tempi_core::config::{Method, TempiConfig};
 use tempi_core::interpose::InterposedMpi;
 
 /// The paper's three experimental platforms (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// MVAPICH2 2.3.4 on the GTX-1070 workstation.
     Mvapich,
@@ -57,7 +56,7 @@ pub fn trimean(samples: &mut [f64]) -> f64 {
 }
 
 /// Interposition mode of a measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// TEMPI in the link order.
     Tempi,
@@ -131,7 +130,7 @@ pub fn unpack_time(
 /// Create/commit breakdown for Fig. 6: virtual time of the `MPI_Type_*`
 /// construction calls, and of `MPI_Type_commit` (native-only vs with TEMPI
 /// interposed).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CommitBreakdown {
     /// Time in the constructor calls.
     pub create: SimTime,

@@ -1,14 +1,15 @@
-//! Table printing and JSON emission for the figure-regeneration binaries.
+//! Table printing for the figure-regeneration binaries and JSON emission
+//! for the gated suites.
 //!
 //! Every binary prints a human-readable table (the rows/series the paper's
-//! figure shows) and, when `results/` is writable, a machine-readable JSON
-//! file next to it so EXPERIMENTS.md numbers can be regenerated.
+//! figure shows; `results/logs/*.txt` are the recorded runs). The three
+//! gated suites also write their rows as `BENCH_<suite>.json`.
 
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
 
-use serde::Serialize;
+use tempi_trace::json::ToJson;
 
 /// A simple fixed-width table printer.
 pub struct Table {
@@ -81,41 +82,19 @@ pub fn out_dir_from_args(default: &str) -> Result<PathBuf, String> {
 }
 
 /// Write `rows` as pretty JSON to `dir/name`, creating `dir` if needed.
-/// Unlike [`write_json`] this is for gate inputs, where a silent write
-/// failure would let CI pass on stale rows — so failures are returned
-/// for the binary to exit non-zero on, not swallowed.
-pub fn write_rows<T: Serialize>(
+/// These are gate inputs, where a silent write failure would let CI pass
+/// on stale rows — so failures are returned for the binary to exit
+/// non-zero on, not swallowed.
+pub fn write_rows<T: ToJson>(
     dir: &std::path::Path,
     name: &str,
     rows: &T,
 ) -> Result<PathBuf, String> {
     fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(name);
-    let s =
-        serde_json::to_string_pretty(rows).map_err(|e| format!("cannot serialize {name}: {e}"))?;
-    fs::write(&path, s + "\n").map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    fs::write(&path, rows.to_json().pretty() + "\n")
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(path)
-}
-
-/// Write `rows` as pretty JSON to `results/<name>.json` (best effort: the
-/// directory is created if needed; failures are reported but not fatal).
-pub fn write_json<T: Serialize>(name: &str, rows: &T) {
-    let dir = PathBuf::from("results");
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("note: cannot create results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(rows) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("note: cannot write {}: {e}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("note: cannot serialize {name}: {e}"),
-    }
 }
 
 /// Format a speedup like the paper quotes them ("720,400x").
@@ -174,7 +153,7 @@ mod tests {
     fn write_rows_round_trips_and_reports_failures() {
         let dir = std::env::temp_dir().join("tempi_bench_write_rows_test");
         let p = write_rows(&dir, "x.json", &vec![1, 2, 3]).unwrap();
-        let back: Vec<i32> = serde_json::from_str(&fs::read_to_string(&p).unwrap()).unwrap();
+        let back: Vec<i32> = tempi_trace::json::from_str(&fs::read_to_string(&p).unwrap()).unwrap();
         assert_eq!(back, vec![1, 2, 3]);
         // a file in the directory position errors instead of panicking
         let bad = p.join("nested");

@@ -4,11 +4,10 @@
 use mpi_sim::consts::MPI_BYTE;
 use mpi_sim::datatype::Order;
 use mpi_sim::{Datatype, MpiResult, RankCtx};
-use serde::{Deserialize, Serialize};
 
 /// How an object is expressed in MPI (the paper shows that TEMPI treats
 /// all of these identically while baselines do not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Construction {
     /// `MPI_Type_contiguous` (only for fully contiguous objects).
     Contiguous,
@@ -38,7 +37,7 @@ impl Construction {
 
 /// A 2-D strided object: `count` contiguous blocks of `block` bytes,
 /// `stride` bytes apart, repeated `incount` times by the MPI call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Obj2d {
     /// Items passed as the pack/send count.
     pub incount: usize,
@@ -165,7 +164,7 @@ impl Obj2d {
 
 /// A 3-D object: an `x × y × z`-byte box inside a cubic byte allocation
 /// (Fig. 7c uses a 1024³ B allocation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Obj3d {
     /// Allocation edge in bytes.
     pub alloc: usize,
@@ -280,7 +279,7 @@ impl Obj3d {
 /// Status Quo") pattern families plus representatives of the existing
 /// fig-zoo, each expressed through the MPI construction a real
 /// application would use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZooPattern {
     /// Row extraction from a C-order matrix: one fully contiguous run of
     /// `bytes` (the degenerate guideline case — a DDT send of contiguous
@@ -542,7 +541,7 @@ impl ZooPattern {
 }
 
 /// One entry of the Fig. 6 object set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fig6Object {
     /// The 2-D object (100-byte blocks × 13, stride 256) in one of its
     /// constructions.

@@ -15,9 +15,10 @@ use std::path::{Path, PathBuf};
 use crate::engine::run_scenario;
 use crate::oracle::Violation;
 use crate::scenario::Scenario;
+use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 /// One corpus file: a scenario plus what we expect of it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusEntry {
     /// Stable name (also the file stem).
     pub name: String,
@@ -27,21 +28,42 @@ pub struct CorpusEntry {
     pub scenario: Scenario,
     /// For `"open"` entries: the violation replay must reproduce (matched
     /// by oracle name and rank).
-    #[serde(default)]
     pub violation: Option<Violation>,
+}
+
+impl ToJson for CorpusEntry {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("name", self.name.to_json()),
+            ("status", self.status.to_json()),
+            ("scenario", self.scenario.to_json()),
+            ("violation", self.violation.to_json()),
+        ])
+    }
+}
+
+impl FromJson for CorpusEntry {
+    fn from_json(v: &Value) -> Result<CorpusEntry, json::Error> {
+        Ok(CorpusEntry {
+            name: v.field("name")?,
+            status: v.field("status")?,
+            scenario: v.field("scenario")?,
+            violation: v.field_or_default("violation")?,
+        })
+    }
 }
 
 /// Write one entry as pretty JSON (stable field order — the shrinker's
 /// determinism guarantee extends to the committed artifact).
 pub fn save(path: &Path, entry: &CorpusEntry) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(entry).map_err(|e| e.to_string())?;
-    std::fs::write(path, json + "\n").map_err(|e| format!("{}: {e}", path.display()))
+    std::fs::write(path, entry.to_json().pretty() + "\n")
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Load one entry.
 pub fn load(path: &Path) -> Result<CorpusEntry, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
+    json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Load every `*.json` corpus entry under `dir` (trace dumps are

@@ -6,20 +6,39 @@
 //! diverged from the serial oracle"), never *why*; the why is the
 //! shrinker's and the human's job.
 
+use tempi_trace::json::{self, FromJson, ToJson, Value};
 use tempi_trace::{EventPhase, TraceEvent};
 
 /// One invariant failure, serializable so a corpus entry can record the
 /// symptom a committed reproducer is expected to reproduce.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The oracle that fired (one of the [`oracle`] name constants).
     pub oracle: String,
     /// The world rank the violation was observed on, if rank-local.
-    #[serde(default)]
     pub rank: Option<usize>,
     /// Human-readable symptom.
-    #[serde(default)]
     pub detail: String,
+}
+
+impl ToJson for Violation {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("oracle", self.oracle.to_json()),
+            ("rank", self.rank.to_json()),
+            ("detail", self.detail.to_json()),
+        ])
+    }
+}
+
+impl FromJson for Violation {
+    fn from_json(v: &Value) -> Result<Violation, json::Error> {
+        Ok(Violation {
+            oracle: v.field("oracle")?,
+            rank: v.field_or_default("rank")?,
+            detail: v.field_or_default("detail")?,
+        })
+    }
 }
 
 impl Violation {

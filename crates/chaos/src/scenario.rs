@@ -8,6 +8,7 @@
 
 use gpu_sim::SimTime;
 use mpi_sim::{FaultPlan, FaultSite, RankExit, ScopedFault};
+use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 /// The application the scenario drives under faults.
 ///
@@ -16,7 +17,7 @@ use mpi_sim::{FaultPlan, FaultSite, RankExit, ScopedFault};
 /// the integrity envelope, `StencilRecovery` the ULFM
 /// revoke/agree/shrink/restore machinery, `CheckpointCycle` the two-phase
 /// commit and the spill path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// A ring of datatype-accelerated sends: every rank sends `messages`
     /// rounds of the datatype zoo (contiguous, vector, subarray) to its
@@ -41,8 +42,49 @@ pub enum Workload {
     },
 }
 
+/// `{"tag": body}`: an externally tagged enum variant with a payload.
+fn tagged(tag: &str, body: Value) -> Value {
+    Value::object([(tag, body)])
+}
+
+/// Externally tagged: `{"SendStorm": {"messages": 2}}`.
+impl ToJson for Workload {
+    fn to_json(&self) -> Value {
+        match *self {
+            Workload::SendStorm { messages } => tagged(
+                "SendStorm",
+                Value::object([("messages", messages.to_json())]),
+            ),
+            Workload::StencilRecovery { n } => {
+                tagged("StencilRecovery", Value::object([("n", n.to_json())]))
+            }
+            Workload::CheckpointCycle { cycles } => tagged(
+                "CheckpointCycle",
+                Value::object([("cycles", cycles.to_json())]),
+            ),
+        }
+    }
+}
+
+impl FromJson for Workload {
+    fn from_json(v: &Value) -> Result<Workload, json::Error> {
+        Ok(match v.variant()? {
+            ("SendStorm", body) => Workload::SendStorm {
+                messages: body.field("messages")?,
+            },
+            ("StencilRecovery", body) => Workload::StencilRecovery {
+                n: body.field("n")?,
+            },
+            ("CheckpointCycle", body) => Workload::CheckpointCycle {
+                cycles: body.field("cycles")?,
+            },
+            (other, _) => return Err(json::Error(format!("unknown workload `{other}`"))),
+        })
+    }
+}
+
 /// One schedulable fault event — the shrinker's unit of minimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosEvent {
     /// A scripted single-shot fault: rank × site × call ordinal.
     Fault(ScopedFault),
@@ -55,27 +97,76 @@ pub enum ChaosEvent {
     },
 }
 
+/// Externally tagged: `{"Fault": {..}}` or `{"Exit": {"rank": 4, "at_us": 10000}}`.
+impl ToJson for ChaosEvent {
+    fn to_json(&self) -> Value {
+        match *self {
+            ChaosEvent::Fault(f) => tagged("Fault", f.to_json()),
+            ChaosEvent::Exit { rank, at_us } => tagged(
+                "Exit",
+                Value::object([("rank", rank.to_json()), ("at_us", at_us.to_json())]),
+            ),
+        }
+    }
+}
+
+impl FromJson for ChaosEvent {
+    fn from_json(v: &Value) -> Result<ChaosEvent, json::Error> {
+        Ok(match v.variant()? {
+            ("Fault", body) => ChaosEvent::Fault(ScopedFault::from_json(body)?),
+            ("Exit", body) => ChaosEvent::Exit {
+                rank: body.field("rank")?,
+                at_us: body.field("at_us")?,
+            },
+            (other, _) => return Err(json::Error(format!("unknown event `{other}`"))),
+        })
+    }
+}
+
 /// A complete, reproducible chaos run description.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Seed: mixed into the fault plan and (for generated scenarios) the
     /// source of every other field.
-    #[serde(default)]
     pub seed: u64,
     /// World size.
-    #[serde(default)]
     pub ranks: usize,
     /// The workload under test.
     pub workload: Workload,
     /// Scripted fault events (the shrinker minimizes this list).
-    #[serde(default)]
     pub events: Vec<ChaosEvent>,
     /// Run with the end-to-end integrity envelope enabled.
-    #[serde(default)]
     pub integrity: bool,
     /// Transient-fault retry budget handed to the fault plan.
-    #[serde(default)]
     pub max_retries: u32,
+}
+
+impl ToJson for Scenario {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("seed", self.seed.to_json()),
+            ("ranks", self.ranks.to_json()),
+            ("workload", self.workload.to_json()),
+            ("events", self.events.to_json()),
+            ("integrity", self.integrity.to_json()),
+            ("max_retries", self.max_retries.to_json()),
+        ])
+    }
+}
+
+/// Only the workload is required; every other missing field reads as its
+/// type's default.
+impl FromJson for Scenario {
+    fn from_json(v: &Value) -> Result<Scenario, json::Error> {
+        Ok(Scenario {
+            seed: v.field_or_default("seed")?,
+            ranks: v.field_or_default("ranks")?,
+            workload: v.field("workload")?,
+            events: v.field_or_default("events")?,
+            integrity: v.field_or_default("integrity")?,
+            max_retries: v.field_or_default("max_retries")?,
+        })
+    }
 }
 
 impl Scenario {
@@ -253,10 +344,7 @@ mod tests {
         let a = Scenario::generate(42, 7);
         let b = Scenario::generate(42, 7);
         assert_eq!(a, b);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
+        assert_eq!(a.to_json().to_string(), b.to_json().to_string());
         let c = Scenario::generate(42, 8);
         assert_ne!(a, c, "different indices must differ");
     }
@@ -265,8 +353,7 @@ mod tests {
     fn scenarios_roundtrip_through_json() {
         for i in 0..20 {
             let sc = Scenario::generate(1337, i);
-            let json = serde_json::to_string(&sc).unwrap();
-            let back: Scenario = serde_json::from_str(&json).unwrap();
+            let back: Scenario = json::from_str(&sc.to_json().to_string()).unwrap();
             assert_eq!(sc, back, "index {i}");
         }
     }

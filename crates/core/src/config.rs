@@ -7,11 +7,10 @@
 
 use gpu_sim::{MemSpace, PackTarget};
 use mpi_sim::Transport;
-use serde::{Deserialize, Serialize};
 
 /// Which Section-5 communication method a datatype send uses. What each one
 /// does, stage by stage, is its [`Recipe`] ([`Method::recipe`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Eq. 1: the packed object stays on the device and is sent CUDA-aware.
     Device,
@@ -109,7 +108,7 @@ impl Recipe {
 }
 
 /// How the per-send method decision is made.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum TunerMode {
     /// Legacy behavior: evaluate the §5 analytical model from scratch on
     /// every send. No memoization, no measurement.
@@ -127,7 +126,7 @@ pub enum TunerMode {
 }
 
 /// TEMPI configuration switches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TempiConfig {
     /// Run the canonicalization fixed point (Alg. 5) at commit. Disabling
     /// this is the canonicalization ablation: kernels are parameterized by

@@ -17,13 +17,12 @@ use std::collections::HashSet;
 
 use gpu_sim::GpuPtr;
 use mpi_sim::{AlltoallvBlock, Datatype, MpiResult, RankCtx, Status};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{Method, TempiConfig};
 use crate::tempi::Tempi;
 
 /// MPI entry points relevant to the datatype path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum MpiSymbol {
     TypeCommit,
@@ -40,7 +39,7 @@ pub enum MpiSymbol {
 }
 
 /// Which library a symbol resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provider {
     /// The interposed TEMPI library.
     Tempi,

@@ -24,10 +24,8 @@ pub mod translate;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous run of bytes (paper §3.1, "DenseData").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DenseData {
     /// Bytes between the lower bound and the first byte of the run.
     pub off: i64,
@@ -37,7 +35,7 @@ pub struct DenseData {
 
 /// A strided sequence of elements of the child type (paper §3.1,
 /// "StreamData").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamData {
     /// Bytes between the lower bound and the first element.
     pub off: i64,
@@ -48,7 +46,7 @@ pub struct StreamData {
 }
 
 /// The IR of one datatype: a dense leaf under zero or more streams.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Type {
     /// The contiguous run at the bottom of the chain.
     pub leaf: DenseData,
@@ -119,7 +117,7 @@ impl fmt::Display for Type {
 /// uses for indexed-family types that are not nested strided patterns
 /// (paper §8 extension; prior work reduces *everything* to this, TEMPI only
 /// what cannot be expressed as a [`strided_block::StridedBlock`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BlockList {
     /// `(byte offset from origin, length)` in typemap order.
     pub blocks: Vec<(i64, u64)>,

@@ -9,12 +9,10 @@
 //! apart. It exists only to parameterize kernel selection: no tree or
 //! metadata ever reaches the (simulated) GPU, just these scalars.
 
-use serde::{Deserialize, Serialize};
-
 use super::Type;
 
 /// The canonical N-dimensional strided object (paper §3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StridedBlock {
     /// Byte offset between the type's lower bound and the first byte.
     pub start: i64,

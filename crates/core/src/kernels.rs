@@ -31,13 +31,12 @@ use gpu_sim::{
     PackDir, PackTarget, SimClock, SimTime, Stream,
 };
 use mpi_sim::{Combiner, Datatype, MpiError, MpiResult, RankCtx};
-use serde::{Deserialize, Serialize};
 
 use crate::ir::strided_block::StridedBlock;
 use crate::ir::BlockList;
 
 /// Which implementation a committed type selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// 1-D (contiguous): a single `cudaMemcpyAsync` + synchronize.
     Memcpy1D,
@@ -52,7 +51,7 @@ pub enum KernelKind {
 }
 
 /// A committed type's kernel parameterization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelPlan {
     /// The canonical strided object.
     pub sb: StridedBlock,

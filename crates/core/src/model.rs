@@ -26,7 +26,6 @@ use std::sync::Arc;
 
 use gpu_sim::{CopyKind, GpuCostModel, PackDir, PackTarget, SimTime};
 use mpi_sim::{NetModel, Transport};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{Method, Recipe};
 
@@ -48,7 +47,7 @@ pub struct SendModel {
 }
 
 /// A modeled time split into its equation terms (for Figs. 8b/10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Breakdown {
     /// Pack term.
     pub pack: SimTime,

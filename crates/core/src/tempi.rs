@@ -15,7 +15,6 @@ use mpi_sim::{
     transfer_bytes, Datatype, DegradeEvent, MpiError, MpiResult, PartInfo, ProbeInfo, RankCtx,
     Status,
 };
-use serde::{Deserialize, Serialize};
 use tempi_trace::{Tracer, LANE_CPU};
 
 use crate::buffers::{BufferPool, Lease};
@@ -48,7 +47,7 @@ const TEMPI_DISPATCH_OVERHEAD: SimTime = SimTime::from_ns(300);
 pub const QUARANTINE_TTL: SimTime = SimTime::from_ms(50);
 
 /// Diagnostics from one `MPI_Type_commit` (drives Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitReport {
     /// Vendor-priced MPI introspection calls the translation made (what it
     /// already knew of the predefined handles cost no call).
@@ -140,7 +139,7 @@ impl TypePlan {
 }
 
 /// Operation counters (tests + reporting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TempiStats {
     /// `MPI_Type_commit` interceptions that built a plan.
     pub commits: u64,

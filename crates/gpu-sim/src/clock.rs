@@ -14,18 +14,29 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
+use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 /// A duration or instant on the virtual timeline, in picoseconds.
 ///
 /// `SimTime` is used both as a point in time (e.g. "the stream is busy until
 /// t") and as a span (e.g. "this memcpy takes 11 µs"); the arithmetic is the
 /// same for both and the context makes the meaning clear.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime {
     ps: u64,
+}
+
+/// `{"ps": N}` — the form fault plans persist their latencies in.
+impl ToJson for SimTime {
+    fn to_json(&self) -> Value {
+        Value::object([("ps", self.ps.to_json())])
+    }
+}
+
+impl FromJson for SimTime {
+    fn from_json(v: &Value) -> Result<SimTime, json::Error> {
+        Ok(SimTime { ps: v.field("ps")? })
+    }
 }
 
 impl SimTime {

@@ -29,13 +29,11 @@
 //! the knee (coalescing), and unpack is slower than pack (uncoalesced
 //! writes vs uncoalesced reads).
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimTime;
 use crate::memory::MemSpace;
 
 /// Direction classification of a plain memory copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CopyKind {
     /// Host → device.
     H2D,
@@ -64,7 +62,7 @@ impl CopyKind {
 /// scatters out of one (unpack). Unpack is priced slower: its strided side
 /// is the *write* side, and uncoalesced writes cost more than uncoalesced
 /// reads (Section 6.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PackDir {
     /// Gather strided → contiguous.
     Pack,
@@ -87,7 +85,7 @@ impl PackDir {
 /// Where the contiguous side of a pack/unpack lives. Determines whether the
 /// kernel runs at HBM rates ("device" method) or interconnect rates
 /// ("one-shot" method into mapped host memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PackTarget {
     /// Contiguous buffer in device global memory.
     Device,
@@ -96,7 +94,7 @@ pub enum PackTarget {
 }
 
 /// Calibrated cost parameters for one simulated GPU + driver stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuCostModel {
     /// CPU-side overhead of one kernel launch (`cudaLaunchKernel`).
     pub kernel_launch_overhead: SimTime,

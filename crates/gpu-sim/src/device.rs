@@ -5,10 +5,8 @@
 //! (Table 1): an NVIDIA V100 (OLCF Summit node) and a GTX 1070 (the
 //! single-node openmpi/mvapich workstation).
 
-use serde::{Deserialize, Serialize};
-
 /// Architectural description of a simulated GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProps {
     /// Marketing name, e.g. `"Tesla V100-SXM2-16GB"`.
     pub name: String,

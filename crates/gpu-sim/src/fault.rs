@@ -14,6 +14,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tempi_trace::json::{self, FromJson, ToJson, Value};
+
 /// SplitMix64: mix `x` into a uniformly distributed 64-bit value.
 ///
 /// Small, seedable and stateless — the deterministic coin the injector
@@ -38,15 +40,32 @@ fn unit_f64(h: u64) -> f64 {
 ///
 /// Serializable so higher layers (the chaos engine) can persist and replay
 /// minimized fault plans byte-for-byte.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SiteSpec {
     /// Probability in `[0, 1]` that any given call at this site fails.
-    #[serde(default)]
     pub probability: f64,
     /// Call ordinals (0-based, counted per site) that always fail,
     /// independent of `probability`.
-    #[serde(default)]
     pub at_calls: Vec<u64>,
+}
+
+impl ToJson for SiteSpec {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("probability", self.probability.to_json()),
+            ("at_calls", self.at_calls.to_json()),
+        ])
+    }
+}
+
+/// A missing field reads as its default: a sparse spec never fires.
+impl FromJson for SiteSpec {
+    fn from_json(v: &Value) -> Result<SiteSpec, json::Error> {
+        Ok(SiteSpec {
+            probability: v.field_or_default("probability")?,
+            at_calls: v.field_or_default("at_calls")?,
+        })
+    }
 }
 
 impl SiteSpec {

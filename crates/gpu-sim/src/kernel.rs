@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A CUDA-style 3-component extent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// Extent in x (fastest-varying).
     pub x: u32,
@@ -49,7 +47,7 @@ impl fmt::Display for Dim3 {
 }
 
 /// Grid + block geometry for one kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaunchConfig {
     /// Number of blocks in each dimension.
     pub grid: Dim3,

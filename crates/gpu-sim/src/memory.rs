@@ -19,15 +19,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use tempi_trace::sync::{Mutex, MutexGuard};
 
 use crate::device::DeviceProps;
 use crate::error::{GpuError, GpuResult};
 use crate::fault::{GpuFaultInjector, GpuFaultSite};
 
 /// Address space of an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// GPU global memory (`cudaMalloc`).
     Device,
@@ -433,7 +432,7 @@ impl GpuContext {
 
     /// Lock and access the memory state. Hold the guard only for the
     /// duration of one operation.
-    pub fn memory(&self) -> parking_lot::MutexGuard<'_, Memory> {
+    pub fn memory(&self) -> MutexGuard<'_, Memory> {
         self.mem.lock()
     }
 

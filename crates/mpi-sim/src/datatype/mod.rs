@@ -27,11 +27,9 @@ pub use named::Named;
 pub use registry::{consts, TypeRegistry};
 pub use typemap::Segment;
 
-use serde::{Deserialize, Serialize};
-
 /// An opaque MPI datatype handle. Handles index into a [`TypeRegistry`];
 /// the named types have fixed well-known handles (see [`registry::consts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Datatype(pub u32);
 
 impl Datatype {
@@ -46,7 +44,7 @@ impl Datatype {
 }
 
 /// Array storage order for `MPI_Type_create_subarray`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Order {
     /// Row-major (`MPI_ORDER_C`): dimension 0 varies slowest.
     C,
@@ -160,7 +158,7 @@ pub enum TypeDef {
 }
 
 /// The combiner tag reported by `MPI_Type_get_envelope`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Combiner {
     Named,
@@ -178,7 +176,7 @@ pub enum Combiner {
 
 /// The result of `MPI_Type_get_envelope`: how many items of each kind
 /// `get_contents` will return, and the combiner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Envelope {
     /// Number of integers in the contents.
     pub num_integers: usize,
@@ -202,7 +200,7 @@ pub struct Contents {
 }
 
 /// Cached layout attributes of a datatype, computed at construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TypeAttrs {
     /// Total bytes of data (`MPI_Type_size`).
     pub size: u64,

@@ -5,10 +5,8 @@
 //! matters to the datatype engine (alignment padding ε is taken as zero, as
 //! all sizes here are self-aligned).
 
-use serde::{Deserialize, Serialize};
-
 /// The predefined MPI datatypes modeled by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Named {
     Byte,

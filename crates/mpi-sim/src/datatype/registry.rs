@@ -222,14 +222,15 @@ impl TypeRegistry {
         let attrs = if count == 0 {
             TypeAttrs::EMPTY
         } else {
-            let ex = old.extent();
-            let n = (count - 1) as i64;
+            // where the last element starts, relative to the first
+            let last = mul(count as i64 - 1, old.extent())?;
+            let size = (count as u64).checked_mul(old.size);
             TypeAttrs {
-                size: count as u64 * old.size,
-                lb: old.lb + (n * ex).min(0),
-                ub: old.ub + (n * ex).max(0),
-                true_lb: old.true_lb + (n * ex).min(0),
-                true_ub: old.true_ub + (n * ex).max(0),
+                size: size.ok_or_else(bounds_overflow)?,
+                lb: add(old.lb, last.min(0))?,
+                ub: add(old.ub, last.max(0))?,
+                true_lb: add(old.true_lb, last.min(0))?,
+                true_ub: add(old.true_ub, last.max(0))?,
             }
         };
         Ok(self.insert(TypeDef::Contiguous { count, oldtype }, attrs))
@@ -243,9 +244,8 @@ impl TypeRegistry {
         block_disps: impl Iterator<Item = i64>,
         blocklength: i64,
         total_blocks: u64,
-    ) -> TypeAttrs {
-        let ex = old.extent();
-        let last = (blocklength - 1) * ex;
+    ) -> MpiResult<TypeAttrs> {
+        let last = mul(blocklength - 1, old.extent())?;
         let mut lb = i64::MAX;
         let mut ub = i64::MIN;
         let mut tlb = i64::MAX;
@@ -254,25 +254,28 @@ impl TypeRegistry {
         for d in block_disps {
             any = true;
             let (lo, hi) = if last >= 0 {
-                (d, d + last)
+                (d, add(d, last)?)
             } else {
-                (d + last, d)
+                (add(d, last)?, d)
             };
-            lb = lb.min(lo + old.lb);
-            ub = ub.max(hi + old.ub);
-            tlb = tlb.min(lo + old.true_lb);
-            tub = tub.max(hi + old.true_ub);
+            lb = lb.min(add(lo, old.lb)?);
+            ub = ub.max(add(hi, old.ub)?);
+            tlb = tlb.min(add(lo, old.true_lb)?);
+            tub = tub.max(add(hi, old.true_ub)?);
         }
         if !any || blocklength == 0 {
-            return TypeAttrs::EMPTY;
+            return Ok(TypeAttrs::EMPTY);
         }
-        TypeAttrs {
-            size: total_blocks * blocklength as u64 * old.size,
+        let size = total_blocks
+            .checked_mul(blocklength as u64)
+            .and_then(|n| n.checked_mul(old.size));
+        Ok(TypeAttrs {
+            size: size.ok_or_else(bounds_overflow)?,
             lb,
             ub,
             true_lb: tlb,
             true_ub: tub,
-        }
+        })
     }
 
     /// `MPI_Type_vector` (stride in elements).
@@ -289,16 +292,17 @@ impl TypeRegistry {
             )));
         }
         let old = self.get(oldtype)?.attrs;
-        let ex = old.extent();
         let attrs = if count == 0 || blocklength == 0 {
             TypeAttrs::EMPTY
         } else {
+            // two `i32`s multiply without overflow in an `i64`
+            let last_block = mul((count - 1) as i64 * stride as i64, old.extent())?;
             Self::block_attrs(
                 old,
-                [0i64, (count - 1) as i64 * stride as i64 * ex].into_iter(),
+                [0, last_block].into_iter(),
                 blocklength as i64,
                 count as u64,
-            )
+            )?
         };
         Ok(self.insert(
             TypeDef::Vector {
@@ -330,10 +334,10 @@ impl TypeRegistry {
         } else {
             Self::block_attrs(
                 old,
-                [0i64, (count - 1) as i64 * stride_bytes].into_iter(),
+                [0, mul((count - 1) as i64, stride_bytes)?].into_iter(),
                 blocklength as i64,
                 count as u64,
-            )
+            )?
         };
         Ok(self.insert(
             TypeDef::Hvector {
@@ -859,6 +863,21 @@ impl TypeRegistry {
     }
 }
 
+/// What a constructor returns when a size or bound of the new type does
+/// not fit: MPI has no such type, and arithmetic that wrapped would hand
+/// every later pack a wrong extent.
+fn bounds_overflow() -> MpiError {
+    MpiError::InvalidArg("datatype size or bounds overflow".to_string())
+}
+
+fn add(a: i64, b: i64) -> MpiResult<i64> {
+    a.checked_add(b).ok_or_else(bounds_overflow)
+}
+
+fn mul(a: i64, b: i64) -> MpiResult<i64> {
+    a.checked_mul(b).ok_or_else(bounds_overflow)
+}
+
 /// Element strides (in elements of `oldtype`) per subarray dimension.
 pub(crate) fn subarray_elem_strides(sizes: &[i32], order: Order) -> Vec<i64> {
     let n = sizes.len();
@@ -1166,6 +1185,36 @@ mod tests {
         assert!(r.type_vector(1, -1, 1, MPI_INT).is_err());
         assert!(r.type_indexed(&[1], &[0, 1], MPI_INT).is_err());
         assert!(r.type_indexed(&[-1], &[0], MPI_INT).is_err());
+    }
+
+    /// Bounds that do not fit are an argument error in debug and release
+    /// alike — never a panic, never a wrapped extent — and leave no handle
+    /// behind.
+    #[test]
+    fn overflowing_bounds_are_invalid_arguments_and_insert_nothing() {
+        let mut r = TypeRegistry::new();
+        let a = r.type_contiguous(i32::MAX, MPI_BYTE).unwrap();
+        let b = r.type_contiguous(i32::MAX, a).unwrap();
+        assert_eq!(r.size(b).unwrap(), (i32::MAX as u64).pow(2));
+        let live = r.live();
+        let rejected = |res: MpiResult<Datatype>| matches!(res, Err(MpiError::InvalidArg(_)));
+        // contiguous nested three deep: size and upper bound pass 2^64
+        assert!(rejected(r.type_contiguous(i32::MAX, b)));
+        // one block whose last element reaches past i64::MAX
+        assert!(rejected(r.type_vector(1, i32::MAX, 1, b)));
+        // (count - 1) * stride * extent
+        assert!(rejected(r.type_vector(i32::MAX, 1, i32::MAX, b)));
+        assert!(rejected(r.type_vector(3, 1, i32::MIN, b)));
+        // the second block starts at i64::MAX: its upper bound is one past
+        assert!(rejected(r.type_create_hvector(2, 1, i64::MAX, MPI_BYTE)));
+        assert!(rejected(r.type_create_hvector(3, 1, i64::MAX, MPI_BYTE)));
+        assert!(rejected(r.type_create_hvector(3, 1, i64::MIN, MPI_INT)));
+        // blocks * blocklength * size
+        assert!(rejected(r.type_create_hvector(4, i32::MAX, 0, b)));
+        assert_eq!(r.live(), live, "a rejected constructor inserted a handle");
+        // the largest bounds that do fit are still accepted
+        let edge = r.type_create_hvector(2, 1, i64::MAX - 1, MPI_BYTE).unwrap();
+        assert_eq!(r.extent(edge).unwrap(), (0, i64::MAX));
     }
 
     #[test]

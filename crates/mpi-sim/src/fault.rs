@@ -21,17 +21,36 @@ use std::fmt;
 
 use gpu_sim::fault::splitmix64;
 use gpu_sim::{GpuFaultInjector, GpuFaultSpec, SimTime, SiteSpec};
+use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 use crate::error::{MpiError, MpiResult};
 
 /// Extra-latency injection: with `probability`, a receive pays `latency`
 /// on top of the modeled wire time.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DelaySpec {
     /// Probability in `[0, 1]` that a given receive is delayed.
     pub probability: f64,
     /// The additional virtual latency charged when the site fires.
     pub latency: SimTime,
+}
+
+impl ToJson for DelaySpec {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("probability", self.probability.to_json()),
+            ("latency", self.latency.to_json()),
+        ])
+    }
+}
+
+impl FromJson for DelaySpec {
+    fn from_json(v: &Value) -> Result<DelaySpec, json::Error> {
+        Ok(DelaySpec {
+            probability: v.field("probability")?,
+            latency: v.field("latency")?,
+        })
+    }
 }
 
 impl DelaySpec {
@@ -44,7 +63,7 @@ impl DelaySpec {
 
 /// A scheduled rank death: from virtual instant `at` on, peers observing
 /// rank `rank` get [`MpiError::PeerGone`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankExit {
     /// The rank that exits.
     pub rank: usize,
@@ -52,12 +71,27 @@ pub struct RankExit {
     pub at: SimTime,
 }
 
+impl ToJson for RankExit {
+    fn to_json(&self) -> Value {
+        Value::object([("rank", self.rank.to_json()), ("at", self.at.to_json())])
+    }
+}
+
+impl FromJson for RankExit {
+    fn from_json(v: &Value) -> Result<RankExit, json::Error> {
+        Ok(RankExit {
+            rank: v.field("rank")?,
+            at: v.field("at")?,
+        })
+    }
+}
+
 /// The injection sites a [`ScopedFault`] can script.
 ///
 /// Mirrors the global [`SiteSpec`] fields of a [`FaultPlan`] but names one
 /// site symbolically, so a single scripted event (rank × site × ordinal)
 /// can be serialized, shuffled and delta-debugged by the chaos engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Device-allocation OOM.
     Alloc,
@@ -75,12 +109,34 @@ pub enum FaultSite {
     Spill,
 }
 
+/// The variant's name (`"Corrupt"`), as the chaos corpus spells it.
+impl ToJson for FaultSite {
+    fn to_json(&self) -> Value {
+        format!("{self:?}").to_json()
+    }
+}
+
+impl FromJson for FaultSite {
+    fn from_json(v: &Value) -> Result<FaultSite, json::Error> {
+        Ok(match v.variant()?.0 {
+            "Alloc" => FaultSite::Alloc,
+            "Kernel" => FaultSite::Kernel,
+            "Copy" => FaultSite::Copy,
+            "Send" => FaultSite::Send,
+            "Recv" => FaultSite::Recv,
+            "Corrupt" => FaultSite::Corrupt,
+            "Spill" => FaultSite::Spill,
+            other => return Err(json::Error(format!("unknown fault site `{other}`"))),
+        })
+    }
+}
+
 /// One scripted fault event targeting a single rank: "on rank `rank`, call
 /// ordinal `at_call` of site `site` fails". The unit of minimization for
 /// the chaos shrinker — unlike the plan-wide probabilistic sites, scoped
 /// events can be removed one at a time without disturbing the coins the
 /// remaining events flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScopedFault {
     /// The world rank the event fires on.
     pub rank: usize,
@@ -90,60 +146,109 @@ pub struct ScopedFault {
     pub at_call: u64,
 }
 
+impl ToJson for ScopedFault {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("rank", self.rank.to_json()),
+            ("site", self.site.to_json()),
+            ("at_call", self.at_call.to_json()),
+        ])
+    }
+}
+
+impl FromJson for ScopedFault {
+    fn from_json(v: &Value) -> Result<ScopedFault, json::Error> {
+        Ok(ScopedFault {
+            rank: v.field("rank")?,
+            site: v.field("site")?,
+            at_call: v.field("at_call")?,
+        })
+    }
+}
+
 /// A complete, reproducible description of the faults in one run.
 ///
 /// Serializable (missing fields deserialize to their defaults) so the
 /// chaos engine can persist failing plans, shrink them offline, and replay
 /// committed reproducers byte-for-byte.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed mixed (with the rank) into every probabilistic decision.
-    #[serde(default)]
     pub seed: u64,
     /// Device-allocation OOM site (see [`gpu_sim::GpuFaultSite::AllocOom`]).
-    #[serde(default)]
     pub alloc_oom: SiteSpec,
     /// Kernel-launch failure site.
-    #[serde(default)]
     pub kernel_fault: SiteSpec,
     /// Async-copy failure site.
-    #[serde(default)]
     pub copy_fault: SiteSpec,
     /// Transient send failure site (per p2p send call).
-    #[serde(default)]
     pub send_fail: SiteSpec,
     /// Transient receive failure site (per p2p receive call).
-    #[serde(default)]
     pub recv_fail: SiteSpec,
     /// In-transit payload corruption site (per delivery attempt): when it
     /// fires, a deterministic byte of the arriving payload is flipped.
     /// With integrity enabled the receiver detects the flip and runs the
     /// NACK/retransmit handshake; without it the corruption is silent.
-    #[serde(default)]
     pub corrupt: SiteSpec,
     /// Checkpoint spill-file I/O corruption site (per spill read/write):
     /// when it fires, a deterministic byte of the frame flips on its way
     /// to or from disk. The frame checksum catches it on decode, so a
     /// corrupted spill surfaces as a typed error rather than bad data.
-    #[serde(default)]
     pub spill_corrupt: SiteSpec,
     /// Extra-latency site (per p2p receive call).
-    #[serde(default)]
     pub delay: DelaySpec,
     /// Scheduled rank deaths.
-    #[serde(default)]
     pub rank_exits: Vec<RankExit>,
     /// Scripted per-rank fault events, merged into that rank's site
     /// ordinals when the plan is instantiated. The chaos shrinker's unit
     /// of minimization.
-    #[serde(default)]
     pub scoped: Vec<ScopedFault>,
     /// Bounded-retry budget for transient p2p faults.
-    #[serde(default)]
     pub max_retries: u32,
     /// First backoff; doubles per retry (charged to the virtual clock).
-    #[serde(default)]
     pub backoff_base: SimTime,
+}
+
+impl ToJson for FaultPlan {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("seed", self.seed.to_json()),
+            ("alloc_oom", self.alloc_oom.to_json()),
+            ("kernel_fault", self.kernel_fault.to_json()),
+            ("copy_fault", self.copy_fault.to_json()),
+            ("send_fail", self.send_fail.to_json()),
+            ("recv_fail", self.recv_fail.to_json()),
+            ("corrupt", self.corrupt.to_json()),
+            ("spill_corrupt", self.spill_corrupt.to_json()),
+            ("delay", self.delay.to_json()),
+            ("rank_exits", self.rank_exits.to_json()),
+            ("scoped", self.scoped.to_json()),
+            ("max_retries", self.max_retries.to_json()),
+            ("backoff_base", self.backoff_base.to_json()),
+        ])
+    }
+}
+
+/// A missing field reads as its *type's* default, not the plan's (no
+/// retries, no backoff): a sparse plan injects nothing.
+impl FromJson for FaultPlan {
+    fn from_json(v: &Value) -> Result<FaultPlan, json::Error> {
+        Ok(FaultPlan {
+            seed: v.field_or_default("seed")?,
+            alloc_oom: v.field_or_default("alloc_oom")?,
+            kernel_fault: v.field_or_default("kernel_fault")?,
+            copy_fault: v.field_or_default("copy_fault")?,
+            send_fail: v.field_or_default("send_fail")?,
+            recv_fail: v.field_or_default("recv_fail")?,
+            corrupt: v.field_or_default("corrupt")?,
+            spill_corrupt: v.field_or_default("spill_corrupt")?,
+            delay: v.field_or_default("delay")?,
+            rank_exits: v.field_or_default("rank_exits")?,
+            scoped: v.field_or_default("scoped")?,
+            max_retries: v.field_or_default("max_retries")?,
+            backoff_base: v.field_or_default("backoff_base")?,
+        })
+    }
 }
 
 impl Default for FaultPlan {
@@ -794,13 +899,12 @@ mod tests {
             site: FaultSite::Corrupt,
             at_call: 4,
         });
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
+        let back: FaultPlan = json::from_str(&plan.to_json().to_string()).unwrap();
         assert_eq!(back, plan);
         // Missing fields deserialize to type defaults; the engine always
         // serializes complete plans, so sparse JSON only occurs when a
         // reproducer is hand-edited -- and a sparse plan injects nothing.
-        let sparse: FaultPlan = serde_json::from_str(r#"{"seed": 3}"#).unwrap();
+        let sparse: FaultPlan = json::from_str(r#"{"seed": 3}"#).unwrap();
         assert_eq!(sparse.seed, 3);
         assert!(!sparse.is_active());
     }

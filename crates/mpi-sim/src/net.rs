@@ -14,11 +14,10 @@
 //! decides intra- vs inter-node parameters.
 
 use gpu_sim::{MemSpace, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which transport a message uses, decided by the endpoint buffer spaces
 /// (CUDA-aware MPI takes the GPU path if either endpoint is device memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// Both endpoints in host memory.
     Cpu,
@@ -38,7 +37,7 @@ impl Transport {
 }
 
 /// Latency/bandwidth parameters of the simulated fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetModel {
     /// Ranks per node (Summit: 6 GPUs/node; experiments in the paper place
     /// the two ping-pong ranks on *different* nodes).

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
-use parking_lot::{Mutex, RwLock};
+use tempi_trace::sync::{Mutex, RwLock};
 
 use crate::datatype::{Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeRegistry};
 use crate::error::{MpiError, MpiResult};

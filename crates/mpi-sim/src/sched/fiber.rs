@@ -397,7 +397,7 @@ mod baton {
     use std::sync::Arc;
     use std::thread::JoinHandle;
 
-    use parking_lot::{Condvar, Mutex};
+    use tempi_trace::sync::{Condvar, Mutex};
 
     use super::{Entry, Resumed};
 

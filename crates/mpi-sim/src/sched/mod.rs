@@ -54,7 +54,7 @@ use std::sync::OnceLock;
 
 use fiber::{Entry, Fiber, Resumed};
 use gpu_sim::SimTime;
-use parking_lot::{Condvar, Mutex};
+use tempi_trace::sync::{Condvar, Mutex};
 
 /// The structural deadlock verdict: which ranks were parked with nothing
 /// left to wake them, on what, and when (in virtual time).

@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use gpu_sim::SimTime;
-use parking_lot::{Mutex, MutexGuard};
+use tempi_trace::sync::{Mutex, MutexGuard};
 
 use super::{DeadlockInfo, ParkOp, SchedCore};
 use crate::p2p::Message;

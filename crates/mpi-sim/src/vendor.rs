@@ -20,13 +20,12 @@
 //! * **OpenMPI** sits between.
 
 use gpu_sim::{Dim3, GpuPtr, LaunchConfig, PackDir, PackTarget, SimClock, SimTime, Stream};
-use serde::{Deserialize, Serialize};
 
 use crate::datatype::typemap::{max_block, Segment};
 use crate::error::{MpiError, MpiResult};
 
 /// Which system MPI a simulated world emulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VendorId {
     /// IBM Spectrum MPI 10.3.1.2 (the Summit deployment).
     SpectrumMpi,
@@ -49,7 +48,7 @@ impl VendorId {
 }
 
 /// How the baseline handled one pack/unpack call (for reporting and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaselineMethod {
     /// Single (possibly chunked) `cudaMemcpyAsync` of a contiguous type.
     Contiguous,
@@ -60,7 +59,7 @@ pub enum BaselineMethod {
 }
 
 /// Calibrated behavior of one system MPI implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VendorProfile {
     /// Which vendor this is.
     pub id: VendorId,

@@ -5,8 +5,6 @@
 //! 26 logical neighbors (with wraparound, several directions may resolve
 //! to the same rank — including self — when an axis has few ranks).
 
-use serde::{Deserialize, Serialize};
-
 /// The 26 halo directions, in the fixed global order both sender and
 /// receiver iterate (x fastest). Excludes (0,0,0).
 pub const DIRS: [[i32; 3]; 26] = {
@@ -44,7 +42,7 @@ pub fn opposite(d: [i32; 3]) -> [i32; 3] {
 
 /// A balanced 3-D factorization of `size` ranks with periodic neighbor
 /// lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decomp {
     /// Ranks along x, y, z.
     pub dims: [usize; 3],

@@ -10,7 +10,6 @@
 use gpu_sim::{GpuPtr, SimTime};
 use mpi_sim::datatype::Order;
 use mpi_sim::{AlltoallvBlock, Datatype, MpiError, MpiResult, RankCtx};
-use serde::{Deserialize, Serialize};
 use tempi_core::interpose::InterposedMpi;
 
 use crate::checkpoint::{provider_for, CheckpointStore, Frame, GenRecord, HEADER_LEN};
@@ -26,7 +25,7 @@ const TAG_CKPT_FETCH: i32 = 2_002;
 
 /// Outcome of a fault-tolerant exchange
 /// ([`HaloExchanger::exchange_with_recovery`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryOutcome {
     /// Timing of the exchange round that finally succeeded.
     pub timing: ExchangeTiming,
@@ -42,7 +41,7 @@ pub struct RecoveryOutcome {
 }
 
 /// Virtual-time split of one exchange.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeTiming {
     /// Time in the 26 `MPI_Pack` calls.
     pub pack: SimTime,

@@ -9,12 +9,11 @@
 
 use mpi_sim::datatype::Order;
 use mpi_sim::{Datatype, MpiResult, RankCtx};
-use serde::{Deserialize, Serialize};
 
 use crate::decomp::DIRS;
 
 /// Stencil geometry parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HaloConfig {
     /// Interior extent per rank (x, y, z) in gridpoints.
     pub local: [usize; 3],

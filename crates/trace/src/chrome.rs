@@ -13,26 +13,44 @@
 //! Metadata events name each process `rank N` and each thread lane, so the
 //! viewer shows meaningful labels without any manual mapping.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use serde_json::{json, Map, Value};
-
+use crate::json::{ToJson, Value};
 use crate::{ArgValue, EventPhase, TraceEvent, LANE_CPU, LANE_GPU};
 
 const PS_PER_US: f64 = 1e6;
 
+/// Keys sorted, a repeated key keeping its last value.
 fn args_object(args: &[(&'static str, ArgValue)]) -> Value {
-    let mut m = Map::new();
-    for (k, v) in args {
-        let jv = match v {
-            ArgValue::Str(s) => Value::from(s.clone()),
-            ArgValue::U64(n) => Value::from(*n),
-            ArgValue::F64(f) => Value::from(*f),
-            ArgValue::Bool(b) => Value::from(*b),
-        };
-        m.insert((*k).to_string(), jv);
-    }
-    Value::Object(m)
+    let sorted: BTreeMap<&str, Value> = args
+        .iter()
+        .map(|(k, v)| {
+            let jv = match v {
+                ArgValue::Str(s) => s.to_json(),
+                ArgValue::U64(n) => n.to_json(),
+                ArgValue::F64(f) => f.to_json(),
+                ArgValue::Bool(b) => b.to_json(),
+            };
+            (*k, jv)
+        })
+        .collect();
+    Value::Object(
+        sorted
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// One metadata (`"M"`) event naming a process or a lane.
+fn metadata(pid: u32, tid: u32, name: &str, arg: &str, value: Value) -> Value {
+    Value::object([
+        ("args", Value::object([(arg, value)])),
+        ("name", name.to_json()),
+        ("ph", "M".to_json()),
+        ("pid", pid.to_json()),
+        ("tid", tid.to_json()),
+    ])
 }
 
 fn lane_name(tid: u32) -> String {
@@ -43,7 +61,8 @@ fn lane_name(tid: u32) -> String {
     }
 }
 
-/// Render recorded events as a Chrome `trace_event` JSON document.
+/// Render recorded events as a Chrome `trace_event` JSON document. Every
+/// object's keys are in sorted order, the order the files always had.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out: Vec<Value> = Vec::with_capacity(events.len() + 8);
 
@@ -54,22 +73,16 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         pids.insert(e.pid);
         lanes.insert((e.pid, e.tid));
     }
-    for pid in &pids {
-        out.push(json!({
-            "ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-            "args": {"name": format!("rank {pid}")},
-        }));
+    for &pid in &pids {
+        let name = format!("rank {pid}").to_json();
+        out.push(metadata(pid, 0, "process_name", "name", name));
     }
-    for (pid, tid) in &lanes {
-        out.push(json!({
-            "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
-            "args": {"name": lane_name(*tid)},
-        }));
+    for &(pid, tid) in &lanes {
+        let name = lane_name(tid).to_json();
+        out.push(metadata(pid, tid, "thread_name", "name", name));
         // Keep the CPU lane above the GPU lane within each rank.
-        out.push(json!({
-            "ph": "M", "pid": pid, "tid": tid, "name": "thread_sort_index",
-            "args": {"sort_index": tid},
-        }));
+        let index = tid.to_json();
+        out.push(metadata(pid, tid, "thread_sort_index", "sort_index", index));
     }
 
     // Canonical event order: the shared buffer interleaves ranks in
@@ -82,42 +95,40 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     ordered.sort_by_key(|e| (e.pid, e.tid, e.ts_ps));
 
     for e in ordered {
-        let ts = e.ts_ps as f64 / PS_PER_US;
-        let mut obj = Map::new();
         let ph = match e.ph {
             EventPhase::Begin => "B",
             EventPhase::End => "E",
             EventPhase::Complete => "X",
             EventPhase::Instant => "i",
         };
-        obj.insert("ph".into(), ph.into());
-        obj.insert("pid".into(), e.pid.into());
-        obj.insert("tid".into(), e.tid.into());
-        obj.insert("ts".into(), ts.into());
-        if e.ph != EventPhase::End {
-            obj.insert("name".into(), e.name.clone().into());
-            if !e.cat.is_empty() {
-                obj.insert("cat".into(), e.cat.into());
-            }
-        }
-        if e.ph == EventPhase::Complete {
-            obj.insert("dur".into(), (e.dur_ps as f64 / PS_PER_US).into());
-        }
-        if e.ph == EventPhase::Instant {
+        let named = e.ph != EventPhase::End;
+        let members = [
+            (!e.args.is_empty()).then(|| ("args", args_object(&e.args))),
+            (named && !e.cat.is_empty()).then(|| ("cat", e.cat.to_json())),
+            (e.ph == EventPhase::Complete)
+                .then(|| ("dur", (e.dur_ps as f64 / PS_PER_US).to_json())),
+            named.then(|| ("name", e.name.to_json())),
+            Some(("ph", ph.to_json())),
+            Some(("pid", e.pid.to_json())),
             // Thread-scoped instants render as small arrows on the lane.
-            obj.insert("s".into(), "t".into());
-        }
-        if !e.args.is_empty() {
-            obj.insert("args".into(), args_object(&e.args));
-        }
-        out.push(Value::Object(obj));
+            (e.ph == EventPhase::Instant).then(|| ("s", "t".to_json())),
+            Some(("tid", e.tid.to_json())),
+            Some(("ts", (e.ts_ps as f64 / PS_PER_US).to_json())),
+        ];
+        out.push(Value::Object(
+            members
+                .into_iter()
+                .flatten()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        ));
     }
 
-    json!({
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-    })
-    .to_string()
+    Value::object([
+        ("displayTimeUnit", "ms".to_json()),
+        ("traceEvents", Value::Array(out)),
+    ])
+    .compact()
 }
 
 #[cfg(test)]
@@ -140,7 +151,7 @@ mod tests {
 
     #[test]
     fn export_parses_and_has_required_fields() {
-        let doc: serde_json::Value = serde_json::from_str(&sample().chrome_trace()).unwrap();
+        let doc = crate::json::parse(&sample().chrome_trace()).unwrap();
         let evs = doc["traceEvents"].as_array().unwrap();
         // 2 ranks: 2 process_name + (2 lanes for rank 0, 1 for rank 1) * 2
         // metadata each, plus 4 payload events.
@@ -166,7 +177,7 @@ mod tests {
 
     #[test]
     fn metadata_names_ranks_and_lanes() {
-        let doc: serde_json::Value = serde_json::from_str(&sample().chrome_trace()).unwrap();
+        let doc = crate::json::parse(&sample().chrome_trace()).unwrap();
         let evs = doc["traceEvents"].as_array().unwrap();
         assert!(evs
             .iter()

@@ -32,18 +32,25 @@
 //! Timestamps are raw picosecond counts (`u64`), the same unit as the
 //! simulator's `SimTime`, keeping this crate dependency-free of the
 //! simulation layers so every crate in the workspace can emit into it.
+//!
+//! As the bottom crate it also holds the two things every layer would
+//! otherwise take from a registry: [`json`] (the one `Value` tree, writer
+//! and parser behind every exported or persisted file) and [`sync`] (the
+//! non-poisoning locks over `std::sync`).
 
 #![warn(missing_docs)]
 
 mod chrome;
+pub mod json;
 mod metrics;
+pub mod sync;
 
 pub use chrome::chrome_trace_json;
 pub use metrics::{Histogram, MetricsRegistry};
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use sync::Mutex;
 
 /// Lane (Chrome `tid`) for a rank's CPU/MPI timeline.
 pub const LANE_CPU: u32 = 0;
@@ -51,8 +58,7 @@ pub const LANE_CPU: u32 = 0;
 pub const LANE_GPU: u32 = 1;
 
 /// How much the tracer records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
     /// Record nothing; every tracer call is a single branch.
     #[default]

@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{ToJson, Value};
+
 /// A histogram over `u64` observations with one bucket per power of two.
 ///
 /// Bucket `i` counts observations `v` with `2^(i-1) < v <= 2^i` (bucket 0
@@ -116,40 +118,42 @@ impl MetricsRegistry {
     /// each kind so dumps diff cleanly. Histogram buckets are emitted
     /// sparsely as `[upper_bound, count]` pairs.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(
-                &serde_json::json!({"kind": "counter", "name": name, "value": v}).to_string(),
-            );
-            out.push('\n');
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(
-                &serde_json::json!({"kind": "gauge", "name": name, "value": v}).to_string(),
-            );
-            out.push('\n');
-        }
-        for (name, h) in &self.histograms {
-            let buckets: Vec<serde_json::Value> = h
+        let scalar = |kind: &str, name: &String, value: Value| {
+            Value::object([
+                ("kind", kind.to_json()),
+                ("name", name.to_json()),
+                ("value", value),
+            ])
+        };
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, v)| scalar("counter", name, v.to_json()));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, v)| scalar("gauge", name, v.to_json()));
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets: Vec<Value> = h
                 .buckets
                 .iter()
                 .enumerate()
                 .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| serde_json::json!([(1u128 << i).min(u64::MAX as u128) as u64, c]))
+                .map(|(i, &c)| [(1u128 << i).min(u64::MAX as u128) as u64, c].to_json())
                 .collect();
-            out.push_str(
-                &serde_json::json!({
-                    "kind": "histogram",
-                    "name": name,
-                    "count": h.count,
-                    "sum": h.sum,
-                    "buckets": buckets,
-                })
-                .to_string(),
-            );
-            out.push('\n');
-        }
-        out
+            Value::object([
+                ("buckets", Value::Array(buckets)),
+                ("count", h.count.to_json()),
+                ("kind", "histogram".to_json()),
+                ("name", name.to_json()),
+                ("sum", h.sum.to_json()),
+            ])
+        });
+        counters
+            .chain(gauges)
+            .chain(histograms)
+            .map(|line| format!("{line}\n"))
+            .collect()
     }
 }
 
@@ -200,10 +204,10 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
         for line in &lines {
-            let v: serde_json::Value = serde_json::from_str(line).unwrap();
+            let v = crate::json::parse(line).unwrap();
             assert!(v.get("kind").is_some() && v.get("name").is_some());
         }
-        let hist: serde_json::Value = serde_json::from_str(lines[2]).unwrap();
+        let hist = crate::json::parse(lines[2]).unwrap();
         assert_eq!(hist["kind"], "histogram");
         assert_eq!(hist["buckets"][0][0], 4096);
         assert_eq!(hist["buckets"][0][1], 1);

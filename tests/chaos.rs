@@ -8,6 +8,7 @@ use mpi_sim::{FaultSite, ScopedFault};
 use tempi_chaos::corpus::{self, CorpusEntry};
 use tempi_chaos::oracle::oracle;
 use tempi_chaos::{run_scenario, shrink, ChaosEvent, Scenario, Workload};
+use tempi_trace::json::ToJson;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("chaos/corpus")
@@ -144,8 +145,8 @@ fn shrinking_is_deterministic_to_the_byte() {
     let a = shrink(&sc).expect("must fail");
     let b = shrink(&sc).expect("must fail");
     assert_eq!(
-        serde_json::to_string(&a.scenario).unwrap(),
-        serde_json::to_string(&b.scenario).unwrap(),
+        a.scenario.to_json().to_string(),
+        b.scenario.to_json().to_string(),
         "same seed must shrink to byte-identical JSON"
     );
 }

@@ -1,18 +1,50 @@
-//! Shared helpers for the integration tests: a property-based generator of
-//! random (bounded) MPI derived datatypes and buffer utilities.
+//! Shared helpers for the integration tests: a seeded generator of random
+//! (bounded) MPI derived datatypes, the loop that runs a property over
+//! generated cases, and buffer utilities.
 //!
 //! Each integration-test binary includes this module separately, and not
 //! every binary uses every helper.
 #![allow(dead_code)]
 
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use mpi_sim::consts::*;
 use mpi_sim::datatype::Order;
 use mpi_sim::{Datatype, MpiResult, RankCtx};
-use proptest::prelude::*;
+pub use tempi_chaos::Rng;
 
-/// A buildable description of a derived datatype (so proptest can shrink
-/// structurally).
-#[derive(Debug, Clone)]
+/// Run `property` on `cases` inputs drawn from one `Rng::new(seed)` stream.
+///
+/// Nothing shrinks a failing input (that arrives with the fuzzer, on
+/// `tempi-chaos`'s ddmin), so a failure must carry everything a replay
+/// needs: the panic names the seed, the case index and the input. The
+/// property's own assertion message is printed above it.
+pub fn for_each_case<T: Debug>(
+    seed: u64,
+    cases: u32,
+    generate: impl Fn(&mut Rng) -> T,
+    property: impl Fn(&T),
+) {
+    let mut rng = Rng::new(seed);
+    for case in 0..cases {
+        let input = generate(&mut rng);
+        if catch_unwind(AssertUnwindSafe(|| property(&input))).is_err() {
+            panic!(
+                "property failed — replay: seed {seed:#x}, case {case} of {cases}, input {input:?}"
+            );
+        }
+    }
+}
+
+/// One byte from the stream.
+fn byte(rng: &mut Rng) -> u8 {
+    rng.below(256) as u8
+}
+
+/// A buildable description of a derived datatype: eight constructors over
+/// byte-sized parameters, which `build` folds into small valid arguments.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TypeDesc {
     /// One of a few named types.
     Named(u8),
@@ -238,69 +270,64 @@ pub fn struct_zoo() -> Vec<(&'static str, TypeDesc)> {
     ]
 }
 
-/// Strategy for a random datatype description of bounded depth.
-pub fn arb_typedesc() -> impl Strategy<Value = TypeDesc> {
-    let leaf = any::<u8>().prop_map(TypeDesc::Named);
-    leaf.prop_recursive(3, 16, 4, |inner| {
-        prop_oneof![
-            (any::<u8>(), inner.clone()).prop_map(|(count, i)| TypeDesc::Contig {
-                count,
-                inner: Box::new(i)
-            }),
-            (any::<u8>(), any::<u8>(), any::<u8>(), inner.clone()).prop_map(
-                |(count, blocklength, stride_extra, i)| TypeDesc::Vector {
-                    count,
-                    blocklength,
-                    stride_extra,
-                    inner: Box::new(i)
-                }
-            ),
-            (any::<u8>(), any::<u8>(), inner.clone()).prop_map(|(count, stride_extra, i)| {
-                TypeDesc::Hvector {
-                    count,
-                    stride_extra,
-                    inner: Box::new(i),
-                }
-            }),
-            (any::<[u8; 2]>(), any::<[u8; 2]>(), inner.clone()).prop_map(|(sizes, frac, i)| {
-                TypeDesc::Subarray2d {
-                    sizes,
-                    frac,
-                    inner: Box::new(i),
-                }
-            }),
-            (
-                proptest::collection::vec((any::<u8>(), any::<u8>()), 1..4),
-                inner.clone()
-            )
-                .prop_map(|(blocks, i)| TypeDesc::Hindexed {
-                    blocks,
-                    inner: Box::new(i)
-                }),
-            (
-                any::<u8>(),
-                proptest::collection::vec(any::<u8>(), 1..4),
-                inner.clone()
-            )
-                .prop_map(|(blocklength, gaps, i)| TypeDesc::IndexedBlock {
-                    blocklength,
-                    gaps,
-                    inner: Box::new(i)
-                }),
-            (
-                proptest::collection::vec((any::<u8>(), any::<u8>(), inner.clone()), 1..4),
-                any::<bool>()
-            )
-                .prop_map(|(members, descending)| TypeDesc::Struct {
-                    members,
-                    descending
-                }),
-            (any::<u8>(), inner).prop_map(|(extra, i)| TypeDesc::Resized {
-                extra,
-                inner: Box::new(i)
-            }),
-        ]
-    })
+impl TypeDesc {
+    /// A random description nested at most `depth` constructors deep. One
+    /// draw in four stops early at a named type, so shallow and deep trees
+    /// both occur; above a leaf the eight constructors are equally likely.
+    pub fn generate(rng: &mut Rng, depth: u32) -> TypeDesc {
+        if depth == 0 || rng.below(4) == 0 {
+            return TypeDesc::Named(byte(rng));
+        }
+        let inner = |rng: &mut Rng| Box::new(TypeDesc::generate(rng, depth - 1));
+        // one to three of anything listed
+        let some = |rng: &mut Rng| 1 + rng.below(3);
+        match rng.below(8) {
+            0 => TypeDesc::Contig {
+                count: byte(rng),
+                inner: inner(rng),
+            },
+            1 => TypeDesc::Vector {
+                count: byte(rng),
+                blocklength: byte(rng),
+                stride_extra: byte(rng),
+                inner: inner(rng),
+            },
+            2 => TypeDesc::Hvector {
+                count: byte(rng),
+                stride_extra: byte(rng),
+                inner: inner(rng),
+            },
+            3 => TypeDesc::Subarray2d {
+                sizes: [byte(rng), byte(rng)],
+                frac: [byte(rng), byte(rng)],
+                inner: inner(rng),
+            },
+            4 => TypeDesc::Hindexed {
+                blocks: (0..some(rng)).map(|_| (byte(rng), byte(rng))).collect(),
+                inner: inner(rng),
+            },
+            5 => TypeDesc::IndexedBlock {
+                blocklength: byte(rng),
+                gaps: (0..some(rng)).map(|_| byte(rng)).collect(),
+                inner: inner(rng),
+            },
+            6 => TypeDesc::Struct {
+                members: (0..some(rng))
+                    .map(|_| (byte(rng), byte(rng), *inner(rng)))
+                    .collect(),
+                descending: rng.below(2) == 1,
+            },
+            _ => TypeDesc::Resized {
+                extra: byte(rng),
+                inner: inner(rng),
+            },
+        }
+    }
+}
+
+/// What the properties generate: descriptions nested up to three deep.
+pub fn arb_typedesc(rng: &mut Rng) -> TypeDesc {
+    TypeDesc::generate(rng, 3)
 }
 
 /// Bytes a buffer must have so `incount` items of `dt` (placed at origin 0)

@@ -5,12 +5,11 @@
 
 mod common;
 
-use common::pattern;
+use common::{arb_typedesc, for_each_case, pattern};
 use gpu_sim::SimTime;
 use mpi_sim::consts::MPI_BYTE;
 use mpi_sim::datatype::Order;
 use mpi_sim::{Datatype, MpiResult, RankCtx, WorldConfig};
-use proptest::prelude::*;
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::tempi::PlanKind;
@@ -191,40 +190,50 @@ fn struct_hindexed_and_indexed_block_one_plan() {
     assert_eq!(kinds[1], kinds[2], "hindexed vs indexed_block");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For random 2-D geometry, the vector / hvector / subarray / (nested
-    /// contiguous-hvector) constructions all produce the same committed
-    /// plan.
-    #[test]
-    fn random_2d_objects_one_plan(
-        count in 1i32..32,
-        block in 1i32..64,
-        gap in 0i32..32,
-    ) {
+/// For random 2-D geometry, the vector / hvector / subarray / (nested
+/// contiguous-hvector) constructions all produce the same committed
+/// plan.
+#[test]
+fn random_2d_objects_one_plan() {
+    let geometry = |rng: &mut common::Rng| {
+        let count = 1 + rng.below(31) as i32;
+        let block = 1 + rng.below(63) as i32;
+        let gap = rng.below(32) as i32;
+        (count, block, gap)
+    };
+    for_each_case(0xe1, 64, geometry, |&(count, block, gap)| {
         let stride = block + gap;
         let mut ctx = ctx();
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let v = ctx.type_vector(count, block, stride, MPI_BYTE).unwrap();
         let row = ctx.type_contiguous(block, MPI_BYTE).unwrap();
-        let h = ctx.type_create_hvector(count, 1, stride as i64, row).unwrap();
+        let h = ctx
+            .type_create_hvector(count, 1, stride as i64, row)
+            .unwrap();
         let s = ctx
-            .type_create_subarray(&[count, stride], &[count, block], &[0, 0], Order::C, MPI_BYTE)
+            .type_create_subarray(
+                &[count, stride],
+                &[count, block],
+                &[0, 0],
+                Order::C,
+                MPI_BYTE,
+            )
             .unwrap();
         let mut kinds = Vec::new();
         for dt in [v, h, s] {
             mpi.type_commit(&mut ctx, dt).unwrap();
             kinds.push(mpi.tempi.plan(dt).unwrap().kind.clone());
         }
-        prop_assert_eq!(&kinds[0], &kinds[1]);
-        prop_assert_eq!(&kinds[1], &kinds[2]);
-    }
+        assert_eq!(&kinds[0], &kinds[1]);
+        assert_eq!(&kinds[1], &kinds[2]);
+    });
+}
 
-    /// Wrapping any type in `contiguous(1, ...)`, `vector(1,1,1, ...)` or
-    /// `dup` never changes the committed plan.
-    #[test]
-    fn identity_wrappers_are_invisible(desc in common::arb_typedesc()) {
+/// Wrapping any type in `contiguous(1, ...)`, `vector(1,1,1, ...)` or
+/// `dup` never changes the committed plan.
+#[test]
+fn identity_wrappers_are_invisible() {
+    for_each_case(0xe2, 64, arb_typedesc, |desc| {
         let mut ctx = ctx();
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let base = desc.build(&mut ctx).unwrap();
@@ -235,18 +244,22 @@ proptest! {
         let want = mpi.tempi.plan(base).unwrap().kind.clone();
         for dt in [c1, v1, d1] {
             mpi.type_commit(&mut ctx, dt).unwrap();
-            prop_assert_eq!(&mpi.tempi.plan(dt).unwrap().kind, &want);
+            assert_eq!(&mpi.tempi.plan(dt).unwrap().kind, &want);
         }
-    }
+    });
+}
 
-    /// For random runs, the struct / hindexed / indexed_block
-    /// constructions all produce the same committed block list.
-    #[test]
-    fn random_runs_one_block_list(
-        bl in 1i32..5,
-        gaps in proptest::collection::vec(0i32..6, 1..8),
-        rotate in 0usize..8,
-    ) {
+/// For random runs, the struct / hindexed / indexed_block
+/// constructions all produce the same committed block list.
+#[test]
+fn random_runs_one_block_list() {
+    let runs = |rng: &mut common::Rng| {
+        let bl = 1 + rng.below(4) as i32;
+        let gaps: Vec<i32> = (0..1 + rng.below(7)).map(|_| rng.below(6) as i32).collect();
+        let rotate = rng.below(8) as usize;
+        (bl, gaps, rotate)
+    };
+    for_each_case(0xe3, 64, runs, |(bl, gaps, rotate)| {
         // non-overlapping runs, visited from an arbitrary one round
         let mut displs: Vec<i32> = gaps
             .iter()
@@ -258,9 +271,9 @@ proptest! {
             .collect();
         let n = displs.len();
         displs.rotate_left(rotate % n);
-        let kinds = block_list_constructions(bl, &displs);
-        prop_assert!(matches!(kinds[0], PlanKind::Blocks(_)));
-        prop_assert_eq!(&kinds[0], &kinds[1]);
-        prop_assert_eq!(&kinds[1], &kinds[2]);
-    }
+        let kinds = block_list_constructions(*bl, &displs);
+        assert!(matches!(kinds[0], PlanKind::Blocks(_)));
+        assert_eq!(&kinds[0], &kinds[1]);
+        assert_eq!(&kinds[1], &kinds[2]);
+    });
 }

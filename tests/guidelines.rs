@@ -6,6 +6,7 @@
 
 use tempi_bench::guidelines::{render_report, run_zoo_on, violations, GUIDELINE_TOL as TOL};
 use tempi_bench::{GatedSuite, Platform, ZooPattern};
+use tempi_trace::json::ToJson;
 
 #[test]
 fn summit_zoo_verdicts_are_pinned() {
@@ -80,10 +81,7 @@ fn guideline_measurements_are_deterministic() {
     };
     let a = tempi_bench::guidelines::run_cell(Platform::Summit, pattern, TOL).unwrap();
     let b = tempi_bench::guidelines::run_cell(Platform::Summit, pattern, TOL).unwrap();
-    assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap()
-    );
+    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
 }
 
 #[test]

@@ -4,10 +4,9 @@
 
 mod common;
 
-use common::{arb_typedesc, pattern, span_of, struct_zoo, TypeDesc};
+use common::{arb_typedesc, for_each_case, pattern, span_of, struct_zoo, TypeDesc};
 use mpi_sim::datatype::pack_cpu;
 use mpi_sim::{RankCtx, WorldConfig};
-use proptest::prelude::*;
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::PlanKind;
@@ -81,20 +80,22 @@ fn struct_zoo_packs_and_unpacks_like_the_oracle() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// For any generated datatype, TEMPI's GPU MPI_Pack produces exactly
-    /// the bytes the reference CPU pack produces.
-    #[test]
-    fn gpu_pack_matches_cpu_oracle(desc in arb_typedesc(), incount in 1usize..3) {
+/// For any generated datatype, TEMPI's GPU MPI_Pack produces exactly
+/// the bytes the reference CPU pack produces.
+#[test]
+fn gpu_pack_matches_cpu_oracle() {
+    let case = |rng: &mut common::Rng| (arb_typedesc(rng), 1 + rng.below(2) as usize);
+    for_each_case(0xa1, 96, case, |(desc, incount)| {
+        let incount = *incount;
         let mut ctx = ctx();
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let dt = desc.build(&mut ctx).unwrap();
         mpi.type_commit(&mut ctx, dt).unwrap();
 
         let size = ctx.attrs(dt).unwrap().size as usize * incount;
-        prop_assume!(size > 0 && size < 1 << 20);
+        if size == 0 || size >= 1 << 20 {
+            return;
+        }
         let span = span_of(&ctx, dt, incount);
         let data = pattern(span);
 
@@ -103,8 +104,9 @@ proptest! {
         ctx.gpu.memory().poke(src, &data).unwrap();
         let dst = ctx.gpu.malloc(size).unwrap();
         let mut pos = 0;
-        mpi.pack(&mut ctx, src, incount, dt, dst, size, &mut pos).unwrap();
-        prop_assert_eq!(pos, size);
+        mpi.pack(&mut ctx, src, incount, dt, dst, size, &mut pos)
+            .unwrap();
+        assert_eq!(pos, size);
         let gpu_out = ctx.gpu.memory().peek(dst, size).unwrap();
 
         // CPU oracle
@@ -112,18 +114,22 @@ proptest! {
         let mut cpu_out = vec![0u8; size];
         let mut p = 0;
         pack_cpu::pack(&reg, &data, 0, incount, dt, &mut cpu_out, &mut p).unwrap();
-        prop_assert_eq!(gpu_out, cpu_out);
-    }
+        assert_eq!(gpu_out, cpu_out);
+    });
+}
 
-    /// Unpack after pack restores every byte the datatype covers.
-    #[test]
-    fn unpack_inverts_pack(desc in arb_typedesc()) {
+/// Unpack after pack restores every byte the datatype covers.
+#[test]
+fn unpack_inverts_pack() {
+    for_each_case(0xa2, 96, arb_typedesc, |desc| {
         let mut ctx = ctx();
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let dt = desc.build(&mut ctx).unwrap();
         mpi.type_commit(&mut ctx, dt).unwrap();
         let size = ctx.attrs(dt).unwrap().size as usize;
-        prop_assume!(size > 0 && size < 1 << 20);
+        if size == 0 || size >= 1 << 20 {
+            return;
+        }
         let span = span_of(&ctx, dt, 1);
         let data = pattern(span);
 
@@ -133,9 +139,11 @@ proptest! {
         let out = ctx.gpu.malloc(span).unwrap();
 
         let mut pos = 0;
-        mpi.pack(&mut ctx, src, 1, dt, packed, size, &mut pos).unwrap();
+        mpi.pack(&mut ctx, src, 1, dt, packed, size, &mut pos)
+            .unwrap();
         let mut pos = 0;
-        mpi.unpack(&mut ctx, packed, size, &mut pos, out, 1, dt).unwrap();
+        mpi.unpack(&mut ctx, packed, size, &mut pos, out, 1, dt)
+            .unwrap();
 
         // every covered byte equals the source
         let reg = ctx.registry().read();
@@ -144,14 +152,16 @@ proptest! {
         for seg in segs {
             let o = seg.off as usize;
             let l = seg.len as usize;
-            prop_assert_eq!(&got[o..o + l], &data[o..o + l]);
+            assert_eq!(&got[o..o + l], &data[o..o + l]);
         }
-    }
+    });
+}
 
-    /// The system-MPI pack (copy-per-block baseline) and TEMPI's pack are
-    /// byte-identical — speed differs, semantics must not.
-    #[test]
-    fn tempi_and_the_system_mpi_pack_the_same_bytes(desc in arb_typedesc()) {
+/// The system-MPI pack (copy-per-block baseline) and TEMPI's pack are
+/// byte-identical — speed differs, semantics must not.
+#[test]
+fn tempi_and_the_system_mpi_pack_the_same_bytes() {
+    for_each_case(0xa3, 96, arb_typedesc, |desc| {
         let run = |interposed: bool, desc: &TypeDesc| -> Option<Vec<u8>> {
             let mut ctx = ctx();
             let mut mpi = if interposed {
@@ -175,8 +185,6 @@ proptest! {
             let out = ctx.gpu.memory().peek(dst, size).unwrap();
             Some(out)
         };
-        let a = run(true, &desc);
-        let b = run(false, &desc);
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(run(true, desc), run(false, desc));
+    });
 }

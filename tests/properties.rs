@@ -3,11 +3,10 @@
 
 mod common;
 
-use common::{arb_typedesc, pattern};
+use common::{arb_typedesc, for_each_case, pattern, Rng, TypeDesc};
 use mpi_sim::datatype::pack_cpu;
 use mpi_sim::datatype::typemap::segments;
 use mpi_sim::{payload_checksum, RankCtx, WorldConfig};
-use proptest::prelude::*;
 use tempi_core::config::TempiConfig;
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_stencil::Frame;
@@ -50,14 +49,12 @@ fn plan_runs(plan: &tempi_core::TypePlan) -> Option<Vec<(i64, u64)>> {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// THE invariant: for any datatype TEMPI accelerates, the committed
-    /// plan's block enumeration covers exactly the typemap's byte runs, in
-    /// the same order.
-    #[test]
-    fn committed_plan_equals_typemap_oracle(desc in arb_typedesc()) {
+/// THE invariant: for any datatype TEMPI accelerates, the committed
+/// plan's block enumeration covers exactly the typemap's byte runs, in
+/// the same order.
+#[test]
+fn committed_plan_equals_typemap_oracle() {
+    for_each_case(0xb1, 128, arb_typedesc, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
@@ -65,7 +62,7 @@ proptest! {
         let Some(runs) = plan_runs(&plan) else {
             // fallback plans delegate to the system MPI, which walks the
             // typemap directly — nothing to compare
-            return Ok(());
+            return;
         };
         let oracle: Vec<(i64, u64)> = {
             let reg = ctx.registry().read();
@@ -75,42 +72,46 @@ proptest! {
                 .map(|s| (s.off, s.len))
                 .collect()
         };
-        prop_assert_eq!(normalize(runs), normalize(oracle));
-    }
+        assert_eq!(normalize(runs), normalize(oracle));
+    });
+}
 
-    /// Plan metadata is consistent: size equals the denoted bytes, and the
-    /// strided block geometry multiplies out.
-    #[test]
-    fn plan_metadata_consistent(desc in arb_typedesc()) {
+/// Plan metadata is consistent: size equals the denoted bytes, and the
+/// strided block geometry multiplies out.
+#[test]
+fn plan_metadata_consistent() {
+    for_each_case(0xb2, 128, arb_typedesc, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
         let plan = tempi.type_commit(&mut ctx, dt).unwrap();
         let attrs = ctx.attrs(dt).unwrap();
-        prop_assert_eq!(plan.size, attrs.size);
-        prop_assert_eq!(plan.extent, attrs.extent());
+        assert_eq!(plan.size, attrs.size);
+        assert_eq!(plan.extent, attrs.extent());
         if let PlanKind::Strided(kp) = &plan.kind {
-            prop_assert_eq!(kp.sb.data_bytes() as u64, plan.size);
-            prop_assert_eq!(
+            assert_eq!(kp.sb.data_bytes() as u64, plan.size);
+            assert_eq!(
                 kp.sb.block_bytes() * kp.sb.block_count(),
                 kp.sb.data_bytes()
             );
             // word divides the block and every outer stride
             let w = kp.word as i64;
-            prop_assert_eq!(kp.sb.block_bytes() % w, 0);
+            assert_eq!(kp.sb.block_bytes() % w, 0);
             for &s in &kp.sb.strides[1..] {
-                prop_assert_eq!(s % w, 0);
+                assert_eq!(s % w, 0);
             }
             // block dims within device limits
-            prop_assert!(kp.block.count() <= 1024);
+            assert!(kp.block.count() <= 1024);
         }
-    }
+    });
+}
 
-    /// Canonicalization never changes what a type denotes: plans with and
-    /// without it cover the same bytes (only the kernel parameterization
-    /// differs).
-    #[test]
-    fn canonicalization_preserves_semantics(desc in arb_typedesc()) {
+/// Canonicalization never changes what a type denotes: plans with and
+/// without it cover the same bytes (only the kernel parameterization
+/// differs).
+#[test]
+fn canonicalization_preserves_semantics() {
+    for_each_case(0xb3, 128, arb_typedesc, |desc| {
         let mut ctx = ctx();
         let dt = desc.build(&mut ctx).unwrap();
         let mut canon = Tempi::default();
@@ -123,22 +124,26 @@ proptest! {
         // raw trees may fail StridedBlock conversion and fall back; that
         // is allowed — semantics then come from the system MPI
         if let (Some(a), Some(b)) = (plan_runs(&p1), plan_runs(&p2)) {
-            prop_assert_eq!(normalize(a), normalize(b));
+            assert_eq!(normalize(a), normalize(b));
         }
-    }
+    });
+}
 
-    /// End-to-end integrity over the datatype zoo: pack any datatype, and
-    /// the envelope checksum round-trips byte-exactly — every FNV-1a
-    /// implementation in the stack (wire envelope, GPU region checksum,
-    /// checkpoint frame) agrees on the packed bytes, and corrupting any
-    /// single byte is always detected (each FNV-1a step is a bijection of
-    /// the 64-bit state, so one changed byte must change the digest).
-    #[test]
-    fn checksum_roundtrips_over_packed_datatypes(
-        desc in arb_typedesc(),
-        flip_idx in any::<prop::sample::Index>(),
-        mask in 1u8..,
-    ) {
+/// End-to-end integrity over the datatype zoo: pack any datatype, and
+/// the envelope checksum round-trips byte-exactly — every FNV-1a
+/// implementation in the stack (wire envelope, GPU region checksum,
+/// checkpoint frame) agrees on the packed bytes, and corrupting any
+/// single byte is always detected (each FNV-1a step is a bijection of
+/// the 64-bit state, so one changed byte must change the digest).
+#[test]
+fn checksum_roundtrips_over_packed_datatypes() {
+    // a datatype, where to flip a byte (scaled to the packed length), and
+    // a non-zero mask to flip it with
+    let case = |rng: &mut Rng| {
+        let desc = arb_typedesc(rng);
+        (desc, rng.next_u64(), 1 + rng.below(255) as u8)
+    };
+    for_each_case(0xb4, 128, case, |(desc, flip_idx, mask)| {
         let mut ctx = ctx();
         let dt = desc.build(&mut ctx).unwrap();
         let attrs = ctx.attrs(dt).unwrap();
@@ -152,11 +157,11 @@ proptest! {
             pack_cpu::pack(&reg, &src, 0, 1, dt, &mut packed, &mut pos).unwrap();
         }
         let c = payload_checksum(&packed);
-        prop_assert_eq!(payload_checksum(&packed.clone()), c, "deterministic");
+        assert_eq!(payload_checksum(&packed.clone()), c, "deterministic");
         // the GPU-side region checksum agrees with the wire checksum
         let host = ctx.gpu.host_alloc(packed_len.max(1)).unwrap();
         ctx.gpu.memory().poke(host, &packed).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             ctx.gpu.memory().checksum_region(host, packed_len).unwrap(),
             c
         );
@@ -173,25 +178,82 @@ proptest! {
             payload: packed.clone(),
         };
         let back = Frame::decode(&frame.encode()).unwrap();
-        prop_assert_eq!(&back.payload, &packed);
+        assert_eq!(&back.payload, &packed);
         // any single corrupted byte is detected
         if !packed.is_empty() {
-            let i = flip_idx.index(packed.len());
+            let i = (*flip_idx % packed.len() as u64) as usize;
             let mut bad = packed.clone();
             bad[i] ^= mask;
-            prop_assert_ne!(payload_checksum(&bad), c);
+            assert_ne!(payload_checksum(&bad), c);
         }
-    }
+    });
+}
 
-    /// Committing twice (same handle) is idempotent and returns the same
-    /// plan object.
-    #[test]
-    fn commit_idempotent(desc in arb_typedesc()) {
+/// Committing twice (same handle) is idempotent and returns the same
+/// plan object.
+#[test]
+fn commit_idempotent() {
+    for_each_case(0xb5, 128, arb_typedesc, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
         let a = tempi.type_commit(&mut ctx, dt).unwrap();
         let b = tempi.type_commit(&mut ctx, dt).unwrap();
-        prop_assert!(std::sync::Arc::ptr_eq(&a, &b));
-    }
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
+    });
+}
+
+// ---- the generator itself ------------------------------------------------
+
+/// The constructor at the root of `desc` and at every node below it, and
+/// the depth of the deepest one.
+fn survey(desc: &TypeDesc, seen: &mut std::collections::BTreeSet<&'static str>) -> u32 {
+    let (name, children): (_, Vec<&TypeDesc>) = match desc {
+        TypeDesc::Named(_) => return 0,
+        TypeDesc::Contig { inner, .. } => ("contiguous", vec![inner]),
+        TypeDesc::Vector { inner, .. } => ("vector", vec![inner]),
+        TypeDesc::Hvector { inner, .. } => ("hvector", vec![inner]),
+        TypeDesc::Subarray2d { inner, .. } => ("subarray", vec![inner]),
+        TypeDesc::Hindexed { inner, .. } => ("hindexed", vec![inner]),
+        TypeDesc::IndexedBlock { inner, .. } => ("indexed_block", vec![inner]),
+        TypeDesc::Struct { members, .. } => ("struct", members.iter().map(|m| &m.2).collect()),
+        TypeDesc::Resized { inner, .. } => ("resized", vec![inner]),
+    };
+    seen.insert(name);
+    let below = children.into_iter().map(|c| survey(c, seen)).max();
+    1 + below.unwrap_or(0)
+}
+
+/// The smallest case budget any property runs with (64) already holds
+/// every constructor and a tree of full depth, and a seed names one
+/// sequence.
+#[test]
+fn the_generator_covers_every_constructor_and_repeats_per_seed() {
+    let draw = |seed| {
+        let mut rng = Rng::new(seed);
+        (0..64).map(|_| arb_typedesc(&mut rng)).collect::<Vec<_>>()
+    };
+    let cases = draw(0xe2);
+    let mut seen = std::collections::BTreeSet::new();
+    let deepest = cases.iter().map(|d| survey(d, &mut seen)).max();
+    assert_eq!(seen.len(), 8, "constructors generated: {seen:?}");
+    assert_eq!(deepest, Some(3));
+    assert_eq!(cases, draw(0xe2), "one seed, one sequence");
+    assert_ne!(cases, draw(0xe3), "another seed, another sequence");
+}
+
+/// What a failing property leaves behind: the seed, the case index and
+/// the input, enough to replay it.
+#[test]
+#[should_panic(expected = "replay: seed 0x5eed, case 2 of 64, input Contig")]
+fn a_failing_property_names_its_seed_case_and_input() {
+    let contig = |rng: &mut Rng| TypeDesc::Contig {
+        count: 1,
+        inner: Box::new(arb_typedesc(rng)),
+    };
+    let calls = std::cell::Cell::new(0);
+    for_each_case(0x5eed, 64, contig, |_| {
+        calls.set(calls.get() + 1);
+        assert!(calls.get() < 3, "deliberate: the third case fails");
+    });
 }

@@ -22,6 +22,7 @@ use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::{TraceLevel, Tracer};
 use tempi_stencil::{HaloConfig, HaloExchanger};
+use tempi_trace::json;
 
 const SEEDS: [u64; 2] = [7, 424242];
 
@@ -53,14 +54,13 @@ fn traced_stencil(seed: u64) -> Tracer {
     tracer
 }
 
-fn parse_events(tracer: &Tracer) -> Vec<serde_json::Value> {
-    let doc: serde_json::Value =
-        serde_json::from_str(&tracer.chrome_trace()).expect("chrome trace must be valid JSON");
+fn parse_events(tracer: &Tracer) -> Vec<json::Value> {
+    let doc = json::parse(&tracer.chrome_trace()).expect("chrome trace must be valid JSON");
     assert_eq!(doc["displayTimeUnit"], "ms");
     doc["traceEvents"]
         .as_array()
         .expect("traceEvents must be an array")
-        .clone()
+        .to_vec()
 }
 
 #[test]
