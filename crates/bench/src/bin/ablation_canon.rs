@@ -46,7 +46,7 @@ fn main() {
                 Platform::Summit,
                 Mode::Tempi,
                 TempiConfig::default(),
-                |ctx| obj.build(ctx, c),
+                |ctx| obj.tree(c)?.build(ctx),
                 1,
                 obj.span(),
             )
@@ -58,7 +58,7 @@ fn main() {
                     canonicalize: false,
                     ..TempiConfig::default()
                 },
-                |ctx| obj.build(ctx, c),
+                |ctx| obj.tree(c)?.build(ctx),
                 1,
                 obj.span(),
             )
@@ -87,7 +87,7 @@ fn main() {
                         Platform::Summit,
                         Mode::Tempi,
                         config.clone(),
-                        |ctx| obj.build(ctx, c),
+                        |ctx| obj.tree(c)?.build(ctx),
                         1,
                         obj.span(),
                     )

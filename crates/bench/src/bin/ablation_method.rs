@@ -44,7 +44,7 @@ fn main() {
                     force_method: force,
                     ..TempiConfig::default()
                 },
-                |ctx| obj.build(ctx, Construction::Vector),
+                |ctx| obj.tree(Construction::Vector)?.build(ctx),
                 1,
                 obj.span(),
             )

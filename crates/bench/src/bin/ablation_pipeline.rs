@@ -27,7 +27,7 @@ fn main() {
                 Platform::Summit,
                 Mode::Tempi,
                 config,
-                |ctx| obj.build(ctx, Construction::Vector),
+                |ctx| obj.tree(Construction::Vector)?.build(ctx),
                 1,
                 obj.span(),
             )

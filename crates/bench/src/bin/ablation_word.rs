@@ -26,7 +26,7 @@ fn main() {
             Platform::Summit,
             Mode::Tempi,
             TempiConfig::default(),
-            |ctx| obj.build(ctx, Construction::Vector),
+            |ctx| obj.tree(Construction::Vector)?.build(ctx),
             1,
             obj.span(),
         )
@@ -38,7 +38,7 @@ fn main() {
                 force_word: Some(1),
                 ..TempiConfig::default()
             },
-            |ctx| obj.build(ctx, Construction::Vector),
+            |ctx| obj.tree(Construction::Vector)?.build(ctx),
             1,
             obj.span(),
         )

@@ -37,7 +37,7 @@ fn measure(obj: Obj2d, config: TempiConfig) -> (SimTime, Option<Method>) {
     send_one_way_times(
         Platform::Summit,
         config,
-        |ctx| obj.build(ctx, Construction::Hvector),
+        |ctx| obj.tree(Construction::Hvector)?.build(ctx),
         obj.incount,
         obj.span(),
         WARMUP,

@@ -27,7 +27,7 @@ fn main() {
             let b = commit_breakdown(platform, |ctx| obj.build(ctx)).expect("measurement");
             rows.push(Row {
                 platform: platform.label(),
-                object: label.clone(),
+                object: label.to_string(),
                 create_us: b.create.as_us_f64(),
                 commit_system_us: b.commit_system.as_us_f64(),
                 commit_tempi_us: b.commit_tempi.as_us_f64(),

@@ -33,7 +33,7 @@ fn measure_2d(part: &'static str, total: usize, speedups: &mut Vec<f64>) {
                     platform,
                     Mode::Tempi,
                     TempiConfig::default(),
-                    |ctx| obj.build(ctx, c),
+                    |ctx| obj.tree(c)?.build(ctx),
                     obj.incount,
                     obj.span(),
                 )
@@ -42,7 +42,7 @@ fn measure_2d(part: &'static str, total: usize, speedups: &mut Vec<f64>) {
                     platform,
                     Mode::System,
                     TempiConfig::default(),
-                    |ctx| obj.build(ctx, c),
+                    |ctx| obj.tree(c)?.build(ctx),
                     obj.incount,
                     obj.span(),
                 )
@@ -75,7 +75,7 @@ fn measure_3d(alloc: usize, speedups: &mut Vec<f64>) {
                     platform,
                     Mode::Tempi,
                     TempiConfig::default(),
-                    |ctx| obj.build(ctx, c),
+                    |ctx| obj.tree(c)?.build(ctx),
                     1,
                     span,
                 )
@@ -84,7 +84,7 @@ fn measure_3d(alloc: usize, speedups: &mut Vec<f64>) {
                     platform,
                     Mode::System,
                     TempiConfig::default(),
-                    |ctx| obj.build(ctx, c),
+                    |ctx| obj.tree(c)?.build(ctx),
                     1,
                     span,
                 )

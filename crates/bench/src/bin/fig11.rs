@@ -42,7 +42,7 @@ fn main() {
                     Platform::Summit,
                     mode,
                     TempiConfig::default(),
-                    |ctx| obj.build(ctx, Construction::Hvector),
+                    |ctx| obj.tree(Construction::Hvector)?.build(ctx),
                     1,
                     obj.span(),
                 )

@@ -6,7 +6,7 @@
 //! implementation should never make a derived-datatype communication
 //! slower than the semantically equivalent operation the user could
 //! write by hand. This module states four of those guidelines over the
-//! expanded datatype zoo ([`ZooPattern::zoo`]) and evaluates them per
+//! expanded datatype zoo ([`zoo`]) and evaluates them per
 //! (pattern, vendor) cell, with TEMPI interposed — as
 //! `TempiConfig::default()`, what a user gets with no knob set — and not:
 //!
@@ -30,6 +30,7 @@
 
 use mpi_sim::consts::MPI_BYTE;
 use mpi_sim::datatype::typemap::segments;
+use mpi_sim::datatype::TypeTree;
 use mpi_sim::{MpiError, MpiResult, RankCtx, VendorId, World};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
@@ -38,7 +39,7 @@ use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 use crate::baseline::GatedSuite;
 use crate::measure::Platform;
-use crate::workloads::ZooPattern;
+use crate::workloads::zoo;
 
 /// Relative slack the gate allows before a guideline counts as violated: a
 /// derived-datatype send may be up to `1 + GUIDELINE_TOL` times slower than
@@ -155,7 +156,7 @@ pub fn evaluate(
 /// verdicts, and the worst violation ratio.
 #[derive(Debug, Clone)]
 pub struct GuidelineRow {
-    /// Zoo pattern label ([`ZooPattern::label`]).
+    /// Zoo pattern label (the row's name in [`zoo`]).
     pub pattern: String,
     /// Vendor profile label ([`VendorId::label`]).
     pub vendor: String,
@@ -427,7 +428,7 @@ fn vendor_of(platform: Platform) -> VendorId {
 /// Probe what TEMPI's commit pipeline resolves `pattern` to on
 /// `platform`: a plan label and whether the plan claims canonical
 /// handling (strided or block-list — the layouts G4 ranges over).
-pub fn plan_label(platform: Platform, pattern: ZooPattern) -> MpiResult<(String, bool)> {
+pub fn plan_label(platform: Platform, pattern: &TypeTree) -> MpiResult<(String, bool)> {
     let mut ctx = RankCtx::standalone(&platform.world(1));
     let mut tempi = Tempi::default();
     let dt = pattern.build(&mut ctx)?;
@@ -450,7 +451,7 @@ pub fn plan_label(platform: Platform, pattern: ZooPattern) -> MpiResult<(String,
 pub fn measure_cell(
     platform: Platform,
     config: Option<&TempiConfig>,
-    pattern: ZooPattern,
+    pattern: &TypeTree,
     typed_only: bool,
 ) -> MpiResult<CellTimes> {
     let mut cfg = platform.world(2);
@@ -462,8 +463,11 @@ pub fn measure_cell(
         };
         let dt = pattern.build(ctx)?;
         mpi.type_commit(ctx, dt)?;
-        let buf = ctx.gpu.malloc(pattern.span().max(1))?;
-        let total = pattern.total_bytes();
+        let attrs = ctx.attrs(dt)?;
+        let buf = ctx
+            .gpu
+            .malloc(attrs.true_ub.max(attrs.ub).max(1) as usize)?;
+        let total = attrs.size as usize;
 
         // typed DDT send
         let mut typed = u64::MAX;
@@ -556,8 +560,14 @@ pub fn measure_cell(
 
 /// Measure and judge one (pattern, vendor) cell: both deployments, the
 /// G4 ablation, the plan probe, and the guideline evaluation at
-/// tolerance `tol`.
-pub fn run_cell(platform: Platform, pattern: ZooPattern, tol: f64) -> MpiResult<GuidelineRow> {
+/// tolerance `tol`. The row's size and block count are read off the built
+/// type.
+pub fn run_cell(
+    platform: Platform,
+    label: &str,
+    pattern: &TypeTree,
+    tol: f64,
+) -> MpiResult<GuidelineRow> {
     let on_cfg = TempiConfig::default();
     let nocanon_cfg = TempiConfig {
         canonicalize: false,
@@ -568,11 +578,14 @@ pub fn run_cell(platform: Platform, pattern: ZooPattern, tol: f64) -> MpiResult<
     let nocanon = measure_cell(platform, Some(&nocanon_cfg), pattern, true)?;
     let (plan, normalized) = plan_label(platform, pattern)?;
     let eval = evaluate(off, on, nocanon.ddt_ns, normalized, tol);
+    let mut probe = RankCtx::standalone(&platform.world(1));
+    let dt = pattern.build(&mut probe)?;
+    let nblocks = segments(&probe.registry().read(), dt)?.len();
     Ok(GuidelineRow {
-        pattern: pattern.label(),
+        pattern: label.to_string(),
         vendor: vendor_of(platform).label().to_string(),
-        size_bytes: pattern.total_bytes(),
-        nblocks: pattern.nblocks(),
+        size_bytes: probe.attrs(dt)?.size as usize,
+        nblocks,
         plan,
         normalized,
         off_ddt_ns: off.ddt_ns,
@@ -596,8 +609,8 @@ pub fn run_cell(platform: Platform, pattern: ZooPattern, tol: f64) -> MpiResult<
 pub fn run_zoo_on(platforms: &[Platform], tol: f64) -> MpiResult<Vec<GuidelineRow>> {
     let mut rows = Vec::new();
     for &platform in platforms {
-        for pattern in ZooPattern::zoo() {
-            rows.push(run_cell(platform, pattern, tol)?);
+        for (label, pattern) in zoo() {
+            rows.push(run_cell(platform, label, &pattern, tol)?);
         }
     }
     Ok(rows)
@@ -750,29 +763,20 @@ mod tests {
 
     #[test]
     fn plan_probe_classifies_the_zoo_families() {
-        let (p, n) = plan_label(Platform::Summit, ZooPattern::Row { bytes: 4096 }).unwrap();
-        assert_eq!(p, "contiguous");
-        assert!(n);
-        let (p, n) = plan_label(
-            Platform::Summit,
-            ZooPattern::Col {
-                rows: 16,
-                elem: 8,
-                row_bytes: 64,
-            },
-        )
-        .unwrap();
-        assert_eq!(p, "strided");
-        assert!(n);
+        let plan = |spec: &str| plan_label(Platform::Summit, &spec.parse().unwrap()).unwrap();
+        assert_eq!(
+            plan("contiguous(4096, byte)"),
+            ("contiguous".to_string(), true)
+        );
+        assert_eq!(
+            plan("vector(16, 8, 64, byte)"),
+            ("strided".to_string(), true)
+        );
     }
 
     #[test]
     fn measure_cell_reproduces_the_paper_status_quo() {
-        let pattern = ZooPattern::Col {
-            rows: 64,
-            elem: 8,
-            row_bytes: 256,
-        };
+        let pattern = &"vector(64, 8, 256, byte)".parse().unwrap();
         let on_cfg = TempiConfig::default();
         let off = measure_cell(Platform::Summit, None, pattern, false).unwrap();
         let on = measure_cell(Platform::Summit, Some(&on_cfg), pattern, false).unwrap();

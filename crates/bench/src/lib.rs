@@ -20,4 +20,4 @@ pub use measure::{
     commit_breakdown, pack_time, send_one_way_times, send_pair_time, trimean, Mode, Platform,
 };
 pub use report::{fmt_bytes, fmt_speedup, out_dir_from_args, write_rows, Table};
-pub use workloads::{fig6_set, Construction, Fig6Object, Obj2d, Obj3d, ZooPattern};
+pub use workloads::{fig6_set, zoo, Construction, Obj2d, Obj3d};

@@ -313,7 +313,7 @@ mod tests {
                 p,
                 Mode::Tempi,
                 TempiConfig::default(),
-                |ctx| obj.build(ctx, Construction::Hvector),
+                |ctx| obj.tree(Construction::Hvector)?.build(ctx),
                 1,
                 obj.span(),
             )
@@ -322,7 +322,7 @@ mod tests {
                 p,
                 Mode::System,
                 TempiConfig::default(),
-                |ctx| obj.build(ctx, Construction::Hvector),
+                |ctx| obj.tree(Construction::Hvector)?.build(ctx),
                 1,
                 obj.span(),
             )
@@ -340,7 +340,8 @@ mod tests {
             stride: 256,
         };
         for p in Platform::ALL {
-            let b = commit_breakdown(p, |ctx| obj.build(ctx, Construction::Subarray)).unwrap();
+            let b =
+                commit_breakdown(p, |ctx| obj.tree(Construction::Subarray)?.build(ctx)).unwrap();
             assert!(b.create > SimTime::ZERO);
             assert!(b.commit_tempi > b.commit_system, "{p:?}");
             // Fig. 6: slowdowns are single-digit to low-double-digit
@@ -361,11 +362,13 @@ mod tests {
             stride: 256,
         };
         let mv = commit_breakdown(Platform::Mvapich, |ctx| {
-            obj.build(ctx, Construction::Vector)
+            obj.tree(Construction::Vector)?.build(ctx)
         })
         .unwrap();
-        let sp =
-            commit_breakdown(Platform::Summit, |ctx| obj.build(ctx, Construction::Vector)).unwrap();
+        let sp = commit_breakdown(Platform::Summit, |ctx| {
+            obj.tree(Construction::Vector)?.build(ctx)
+        })
+        .unwrap();
         assert!(sp.commit_tempi - sp.commit_system > mv.commit_tempi - mv.commit_system);
     }
 
@@ -385,7 +388,7 @@ mod tests {
                     tuner,
                     ..TempiConfig::default()
                 },
-                |ctx| obj.build(ctx, Construction::Vector),
+                |ctx| obj.tree(Construction::Vector)?.build(ctx),
                 1,
                 obj.span(),
                 4,
@@ -414,7 +417,7 @@ mod tests {
             Platform::Summit,
             Mode::Tempi,
             TempiConfig::default(),
-            |ctx| obj.build(ctx, Construction::Vector),
+            |ctx| obj.tree(Construction::Vector)?.build(ctx),
             1,
             obj.span(),
         )
@@ -423,7 +426,7 @@ mod tests {
             Platform::Summit,
             Mode::System,
             TempiConfig::default(),
-            |ctx| obj.build(ctx, Construction::Vector),
+            |ctx| obj.tree(Construction::Vector)?.build(ctx),
             1,
             obj.span(),
         )

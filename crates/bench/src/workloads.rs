@@ -1,9 +1,8 @@
 //! The paper's evaluation objects (Figs. 6, 7, 9, 10, 11) and the
-//! equivalent MPI constructions of each.
+//! equivalent MPI constructions of each, stated as [`TypeTree`] specs.
 
-use mpi_sim::consts::MPI_BYTE;
-use mpi_sim::datatype::Order;
-use mpi_sim::{Datatype, MpiResult, RankCtx};
+use mpi_sim::datatype::TypeTree;
+use mpi_sim::{MpiError, MpiResult};
 
 /// How an object is expressed in MPI (the paper shows that TEMPI treats
 /// all of these identically while baselines do not).
@@ -96,41 +95,29 @@ impl Obj2d {
         }
     }
 
-    /// Create (not commit) the datatype for one construction.
-    pub fn build(&self, ctx: &mut RankCtx, c: Construction) -> MpiResult<Datatype> {
+    /// The datatype of one construction; `Err` for one that does not
+    /// apply ([`Construction::Contiguous`] of an object with gaps).
+    pub fn tree(&self, c: Construction) -> MpiResult<TypeTree> {
+        let Obj2d {
+            block,
+            count,
+            stride,
+            ..
+        } = *self;
+        let plane = format!("subarray([{count},{stride}],[{count},{block}],[0,0],byte)");
         match c {
-            Construction::Contiguous => {
-                assert!(self.is_contiguous());
-                ctx.type_contiguous(self.item_bytes() as i32, MPI_BYTE)
+            Construction::Contiguous if self.is_contiguous() => {
+                format!("contiguous({}, byte)", self.item_bytes())
             }
-            Construction::Vector => ctx.type_vector(
-                self.count as i32,
-                self.block as i32,
-                self.stride as i32,
-                MPI_BYTE,
-            ),
+            Construction::Contiguous => return Err(not_applicable(c, &self.label())),
+            Construction::Vector => format!("vector({count}, {block}, {stride}, byte)"),
             Construction::Hvector => {
-                let row = ctx.type_contiguous(self.block as i32, MPI_BYTE)?;
-                ctx.type_create_hvector(self.count as i32, 1, self.stride as i64, row)
+                format!("hvector({count}, 1, {stride}, contiguous({block}, byte))")
             }
-            Construction::Subarray => ctx.type_create_subarray(
-                &[self.count as i32, self.stride as i32],
-                &[self.count as i32, self.block as i32],
-                &[0, 0],
-                Order::C,
-                MPI_BYTE,
-            ),
-            Construction::VectorOfSubarray => {
-                let plane = ctx.type_create_subarray(
-                    &[self.count as i32, self.stride as i32],
-                    &[self.count as i32, self.block as i32],
-                    &[0, 0],
-                    Order::C,
-                    MPI_BYTE,
-                )?;
-                ctx.type_vector(1, 1, 1, plane)
-            }
+            Construction::Subarray => plane,
+            Construction::VectorOfSubarray => format!("vector(1, 1, 1, {plane})"),
         }
+        .parse()
     }
 
     /// The Fig. 7a/7b sweep: objects of `total` data bytes with block
@@ -196,38 +183,28 @@ impl Obj3d {
         ]
     }
 
-    /// Create the datatype for one construction.
-    pub fn build(&self, ctx: &mut RankCtx, c: Construction) -> MpiResult<Datatype> {
-        let a = self.alloc as i32;
+    /// The datatype of one construction; `Err` for one that does not
+    /// apply to 3-D objects.
+    pub fn tree(&self, c: Construction) -> MpiResult<TypeTree> {
+        let Obj3d { alloc: a, x, y, z } = *self;
         match c {
-            Construction::Subarray => ctx.type_create_subarray(
-                &[a, a, a],
-                &[self.z as i32, self.y as i32, self.x as i32],
-                &[0, 0, 0],
-                Order::C,
-                MPI_BYTE,
+            Construction::Subarray => {
+                format!("subarray([{a},{a},{a}],[{z},{y},{x}],[0,0,0],byte)")
+            }
+            // row → plane of rows → box of planes
+            Construction::Hvector => format!(
+                "hvector({z}, 1, {}, hvector({y}, 1, {a}, contiguous({x}, byte)))",
+                a * a
             ),
-            Construction::Hvector => {
-                // row → plane of rows → box of planes
-                let row = ctx.type_contiguous(self.x as i32, MPI_BYTE)?;
-                let plane = ctx.type_create_hvector(self.y as i32, 1, self.alloc as i64, row)?;
-                ctx.type_create_hvector(self.z as i32, 1, (self.alloc * self.alloc) as i64, plane)
-            }
+            // a 2-D subarray plane (extent = alloc² bytes = exactly one
+            // plane), repeated by a vector — MVAPICH's specialized fast
+            // path (root combiner is Vector)
             Construction::VectorOfSubarray => {
-                // a 2-D subarray plane, repeated by a vector — MVAPICH's
-                // specialized fast path (root combiner is Vector)
-                let plane = ctx.type_create_subarray(
-                    &[a, a],
-                    &[self.y as i32, self.x as i32],
-                    &[0, 0],
-                    Order::C,
-                    MPI_BYTE,
-                )?;
-                // plane extent = alloc² bytes = exactly one plane
-                ctx.type_vector(self.z as i32, 1, 1, plane)
+                format!("vector({z}, 1, 1, subarray([{a},{a}],[{y},{x}],[0,0],byte))")
             }
-            other => panic!("construction {other:?} not applicable to 3-D objects"),
+            other => return Err(not_applicable(other, &self.label())),
         }
+        .parse()
     }
 
     /// The Fig. 7c sweep within an `alloc³` allocation.
@@ -274,334 +251,102 @@ impl Obj3d {
     }
 }
 
-/// One access pattern of the performance-guidelines zoo — the
-/// Hunold/Träff ("MPI Derived Datatypes: Performance Expectations and
-/// Status Quo") pattern families plus representatives of the existing
-/// fig-zoo, each expressed through the MPI construction a real
-/// application would use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZooPattern {
-    /// Row extraction from a C-order matrix: one fully contiguous run of
-    /// `bytes` (the degenerate guideline case — a DDT send of contiguous
-    /// data must not lose to a plain byte send).
-    Row {
-        /// Row length in bytes.
-        bytes: usize,
-    },
-    /// Column extraction from a C-order matrix of `rows` rows: `rows`
-    /// blocks of `elem` bytes, `row_bytes` apart (`MPI_Type_vector`).
-    Col {
-        /// Number of matrix rows (= number of blocks).
-        rows: usize,
-        /// Element width in bytes (= block length).
-        elem: usize,
-        /// Row pitch in bytes (= stride).
-        row_bytes: usize,
-    },
-    /// A block-cyclic distribution slice: `blocks` blocks of `block`
-    /// bytes, one every `cycle` bytes, expressed as
-    /// `MPI_Type_create_indexed_block` (the combiner a ScaLAPACK-style
-    /// decomposition produces — same layout as a vector, different
-    /// construction, so it exercises canonicalization).
-    BlockCyclic {
-        /// Number of owned blocks.
-        blocks: usize,
-        /// Block length in bytes.
-        block: usize,
-        /// Distance between owned block starts in bytes.
-        cycle: usize,
-    },
-    /// Struct-of-arrays extraction: the first `take` bytes of each of
-    /// `fields` member arrays (each `field_bytes` long, laid out
-    /// back-to-back), expressed as `MPI_Type_create_struct` over byte
-    /// blocks — few large blocks at large offsets, a combiner that
-    /// defeats subarray-style translation.
-    Soa {
-        /// Number of member arrays.
-        fields: usize,
-        /// Bytes taken from the head of each array.
-        take: usize,
-        /// Full length of one member array in bytes.
-        field_bytes: usize,
-    },
-    /// Nested vector-of-vector: `planes` repetitions (`plane_stride`
-    /// apart, via hvector) of an inner `MPI_Type_vector` of `rows` blocks
-    /// of `block` bytes `row_stride` apart — the 3-D box a naive
-    /// application composes instead of one subarray.
-    Nested {
-        /// Outer repetition count.
-        planes: usize,
-        /// Outer stride in bytes.
-        plane_stride: usize,
-        /// Inner block count.
-        rows: usize,
-        /// Inner block length in bytes.
-        block: usize,
-        /// Inner stride in bytes.
-        row_stride: usize,
-    },
-    /// An existing fig-zoo 2-D object (50%-density strided family),
-    /// expressed as hvector like `bench_send` does.
-    Fig2d(Obj2d),
-    /// An existing fig-zoo 3-D box, expressed as one n-D subarray.
-    Fig3d(Obj3d),
+fn not_applicable(c: Construction, object: &str) -> MpiError {
+    MpiError::InvalidArg(format!("construction {c:?} does not apply to {object}"))
 }
 
-impl ZooPattern {
-    /// The guidelines zoo: every Hunold/Träff pattern family at a small
-    /// and a large size where meaningful, plus fig-zoo representatives.
-    /// Block counts stay ≤ 1024 so the naive element-wise reference loop
-    /// (one message per block) stays tractable at every cell.
-    pub fn zoo() -> Vec<ZooPattern> {
-        vec![
-            ZooPattern::Row { bytes: 64 << 10 },
-            ZooPattern::Col {
-                rows: 256,
-                elem: 8,
-                row_bytes: 2048,
-            },
-            ZooPattern::Col {
-                rows: 1024,
-                elem: 64,
-                row_bytes: 64 << 10,
-            },
-            ZooPattern::BlockCyclic {
-                blocks: 512,
-                block: 128,
-                cycle: 512,
-            },
-            ZooPattern::Soa {
-                fields: 8,
-                take: 2048,
-                field_bytes: 64 << 10,
-            },
-            ZooPattern::Nested {
-                planes: 32,
-                plane_stride: 8192,
-                rows: 16,
-                block: 64,
-                row_stride: 256,
-            },
-            ZooPattern::Fig2d(Obj2d {
-                incount: 1,
-                block: 16,
-                count: 512,
-                stride: 32,
-            }),
-            ZooPattern::Fig2d(Obj2d {
-                incount: 1,
-                block: 4096,
-                count: 64,
-                stride: 8192,
-            }),
-            ZooPattern::Fig3d(Obj3d {
-                alloc: 128,
-                x: 32,
-                y: 16,
-                z: 16,
-            }),
-        ]
-    }
-
-    /// Stable row label (pattern family + geometry).
-    pub fn label(&self) -> String {
-        match *self {
-            ZooPattern::Row { bytes } => format!("row/{bytes}"),
-            ZooPattern::Col {
-                rows,
-                elem,
-                row_bytes,
-            } => format!("col/{rows}x{elem}@{row_bytes}"),
-            ZooPattern::BlockCyclic {
-                blocks,
-                block,
-                cycle,
-            } => format!("blockcyclic/{blocks}x{block}@{cycle}"),
-            ZooPattern::Soa {
-                fields,
-                take,
-                field_bytes,
-            } => format!("soa/{fields}x{take}@{field_bytes}"),
-            ZooPattern::Nested {
-                planes,
-                plane_stride,
-                rows,
-                block,
-                row_stride,
-            } => format!("nested/{planes}@{plane_stride}x{rows}x{block}@{row_stride}"),
-            ZooPattern::Fig2d(o) => format!("fig2d/{}", o.label()),
-            ZooPattern::Fig3d(o) => format!("fig3d/{}", o.label()),
-        }
-    }
-
-    /// Data bytes one item of the pattern denotes.
-    pub fn total_bytes(&self) -> usize {
-        match *self {
-            ZooPattern::Row { bytes } => bytes,
-            ZooPattern::Col { rows, elem, .. } => rows * elem,
-            ZooPattern::BlockCyclic { blocks, block, .. } => blocks * block,
-            ZooPattern::Soa { fields, take, .. } => fields * take,
-            ZooPattern::Nested {
-                planes,
-                rows,
-                block,
-                ..
-            } => planes * rows * block,
-            ZooPattern::Fig2d(o) => o.total_bytes(),
-            ZooPattern::Fig3d(o) => o.total_bytes(),
-        }
-    }
-
-    /// Number of contiguous blocks (= messages the naive element-wise
-    /// reference loop sends).
-    pub fn nblocks(&self) -> usize {
-        match *self {
-            ZooPattern::Row { .. } => 1,
-            ZooPattern::Col { rows, .. } => rows,
-            ZooPattern::BlockCyclic { blocks, .. } => blocks,
-            ZooPattern::Soa { fields, .. } => fields,
-            ZooPattern::Nested { planes, rows, .. } => planes * rows,
-            ZooPattern::Fig2d(o) => o.count * o.incount,
-            ZooPattern::Fig3d(o) => o.y * o.z,
-        }
-    }
-
-    /// Bytes the source/destination buffer must span.
-    pub fn span(&self) -> usize {
-        match *self {
-            ZooPattern::Row { bytes } => bytes,
-            ZooPattern::Col {
-                rows, row_bytes, ..
-            } => rows * row_bytes,
-            ZooPattern::BlockCyclic {
-                blocks,
-                block,
-                cycle,
-            } => (blocks - 1) * cycle + block,
-            ZooPattern::Soa {
-                fields,
-                field_bytes,
-                ..
-            } => fields * field_bytes,
-            ZooPattern::Nested {
-                planes,
-                plane_stride,
-                rows,
-                block,
-                row_stride,
-            } => (planes - 1) * plane_stride + (rows - 1) * row_stride + block,
-            ZooPattern::Fig2d(o) => o.span(),
-            ZooPattern::Fig3d(o) => o.alloc * o.alloc * o.alloc,
-        }
-    }
-
-    /// Create (not commit) the datatype the pattern's natural MPI
-    /// construction produces.
-    pub fn build(&self, ctx: &mut RankCtx) -> MpiResult<Datatype> {
-        match *self {
-            ZooPattern::Row { bytes } => ctx.type_contiguous(bytes as i32, MPI_BYTE),
-            ZooPattern::Col {
-                rows,
-                elem,
-                row_bytes,
-            } => ctx.type_vector(rows as i32, elem as i32, row_bytes as i32, MPI_BYTE),
-            ZooPattern::BlockCyclic {
-                blocks,
-                block,
-                cycle,
-            } => {
-                let displs: Vec<i32> = (0..blocks as i32).map(|i| i * cycle as i32).collect();
-                ctx.type_create_indexed_block(block as i32, &displs, MPI_BYTE)
-            }
-            ZooPattern::Soa {
-                fields,
-                take,
-                field_bytes,
-            } => {
-                let lens = vec![take as i32; fields];
-                let displs: Vec<i64> = (0..fields as i64).map(|i| i * field_bytes as i64).collect();
-                let types = vec![MPI_BYTE; fields];
-                ctx.type_create_struct(&lens, &displs, &types)
-            }
-            ZooPattern::Nested {
-                planes,
-                plane_stride,
-                rows,
-                block,
-                row_stride,
-            } => {
-                let inner =
-                    ctx.type_vector(rows as i32, block as i32, row_stride as i32, MPI_BYTE)?;
-                ctx.type_create_hvector(planes as i32, 1, plane_stride as i64, inner)
-            }
-            ZooPattern::Fig2d(o) => o.build(ctx, Construction::Hvector),
-            ZooPattern::Fig3d(o) => o.build(ctx, Construction::Subarray),
-        }
-    }
+/// A table of `(row label, spec)` as `(row label, construction)`.
+fn parsed<const N: usize>(rows: [(&'static str, &str); N]) -> Vec<(&'static str, TypeTree)> {
+    let own = |spec: &str| spec.parse().expect("this file's own specs parse");
+    rows.map(|(label, spec)| (label, own(spec))).into()
 }
 
-/// One entry of the Fig. 6 object set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig6Object {
-    /// The 2-D object (100-byte blocks × 13, stride 256) in one of its
-    /// constructions.
-    TwoD(Construction),
-    /// The Fig.-2 3-D object (100×13×47 in a 256³ allocation).
-    ThreeD(Construction),
-    /// A contiguous megabyte.
-    Contig1MiB,
-}
-
-impl Fig6Object {
-    /// Create (not commit) this object's datatype.
-    pub fn build(self, ctx: &mut RankCtx) -> MpiResult<Datatype> {
-        match self {
-            Fig6Object::TwoD(c) => Obj2d {
-                incount: 1,
-                block: 100,
-                count: 13,
-                stride: 256,
-            }
-            .build(ctx, c),
-            Fig6Object::ThreeD(c) => Obj3d {
-                alloc: 256,
-                x: 100,
-                y: 13,
-                z: 47,
-            }
-            .build(ctx, c),
-            Fig6Object::Contig1MiB => ctx.type_contiguous(1 << 20, MPI_BYTE),
-        }
-    }
+/// The performance-guidelines zoo, as `(stable row label, construction)`:
+/// the Hunold/Träff ("MPI Derived Datatypes: Performance Expectations and
+/// Status Quo") pattern families at a small and a large size where
+/// meaningful, plus representatives of the existing fig-zoo, each through
+/// the MPI construction a real application would use. Block counts stay
+/// ≤ 1024 so the naive element-wise reference loop (one message per
+/// block) stays tractable at every cell.
+///
+/// * `row/BYTES` — row extraction from a C-order matrix: one contiguous
+///   run (the degenerate guideline case: a DDT send of contiguous data
+///   must not lose to a plain byte send).
+/// * `col/ROWSxELEM@ROW_BYTES` — column extraction: `MPI_Type_vector`.
+/// * `blockcyclic/BLOCKSxBLOCK@CYCLE` — a block-cyclic distribution slice
+///   as `MPI_Type_create_indexed_block`, the combiner a ScaLAPACK-style
+///   decomposition produces: a vector's layout by another construction,
+///   so it exercises canonicalization.
+/// * `soa/FIELDSxTAKE@FIELD_BYTES` — struct-of-arrays extraction, the head
+///   of each member array, as `MPI_Type_create_struct` over byte blocks:
+///   few large blocks at large offsets, a combiner that defeats
+///   subarray-style translation.
+/// * `nested/PLANES@STRIDExROWSxBLOCK@STRIDE` — an hvector of a vector:
+///   the 3-D box a naive application composes instead of one subarray.
+/// * `fig2d/…`, `fig3d/…` — fig-zoo objects ([`Obj2d::label`] as hvector
+///   like `bench_send`, [`Obj3d::label`] as one n-D subarray).
+pub fn zoo() -> Vec<(&'static str, TypeTree)> {
+    // `n` displacements `step` apart, as a spec list
+    let every = |n: i64, step: i64| format!("{:?}", (0..n).map(|i| i * step).collect::<Vec<_>>());
+    let blockcyclic = format!("indexed_block(128, {}, byte)", every(512, 512));
+    let bytes = ["byte"; 8].join(",");
+    let soa = format!("struct({:?}, {}, [{bytes}])", [2048; 8], every(8, 65536));
+    parsed([
+        ("row/65536", "contiguous(65536, byte)"),
+        ("col/256x8@2048", "vector(256, 8, 2048, byte)"),
+        ("col/1024x64@65536", "vector(1024, 64, 65536, byte)"),
+        ("blockcyclic/512x128@512", &blockcyclic),
+        ("soa/8x2048@65536", &soa),
+        (
+            "nested/32@8192x16x64@256",
+            "hvector(32, 1, 8192, vector(16, 64, 256, byte))",
+        ),
+        (
+            "fig2d/1|16|512",
+            "hvector(512, 1, 32, contiguous(16, byte))",
+        ),
+        (
+            "fig2d/1|4096|64",
+            "hvector(64, 1, 8192, contiguous(4096, byte))",
+        ),
+        (
+            "fig3d/32|16|16",
+            "subarray([128,128,128],[16,16,32],[0,0,0],byte)",
+        ),
+    ])
 }
 
 /// The Fig. 6 object set: representative constructions whose create/commit
-/// times are broken down per implementation.
-pub fn fig6_set() -> Vec<(String, Fig6Object)> {
-    let mut v = Vec::new();
-    for c in [
-        Construction::Vector,
-        Construction::Hvector,
-        Construction::Subarray,
-    ] {
-        v.push((format!("2d-{}", c.label()), Fig6Object::TwoD(c)));
-    }
-    for c in [
-        Construction::Subarray,
-        Construction::Hvector,
-        Construction::VectorOfSubarray,
-    ] {
-        v.push((format!("3d-{}", c.label()), Fig6Object::ThreeD(c)));
-    }
-    v.push(("contig-1MiB".to_string(), Fig6Object::Contig1MiB));
-    v
+/// times are broken down per implementation — the 2-D object (100-byte
+/// blocks × 13, stride 256), the Fig.-2 3-D object (100×13×47 in a 256³
+/// allocation) and a contiguous megabyte.
+pub fn fig6_set() -> Vec<(&'static str, TypeTree)> {
+    parsed([
+        ("2d-vector", "vector(13, 100, 256, byte)"),
+        ("2d-hvector", "hvector(13, 1, 256, contiguous(100, byte))"),
+        ("2d-subarray", "subarray([13,256],[13,100],[0,0],byte)"),
+        (
+            "3d-subarray",
+            "subarray([256,256,256],[47,13,100],[0,0,0],byte)",
+        ),
+        (
+            "3d-hvector",
+            "hvector(47, 1, 65536, hvector(13, 1, 256, contiguous(100, byte)))",
+        ),
+        (
+            "3d-vec(subarr)",
+            "vector(47, 1, 1, subarray([256,256],[13,100],[0,0],byte))",
+        ),
+        ("contig-1MiB", "contiguous(1048576, byte)"),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpi_sim::consts::MPI_BYTE;
     use mpi_sim::datatype::typemap::segments;
-    use mpi_sim::WorldConfig;
+    use mpi_sim::{RankCtx, WorldConfig};
 
     fn ctx() -> RankCtx {
         RankCtx::standalone(&WorldConfig::summit(1))
@@ -613,7 +358,7 @@ mod tests {
         for obj in Obj2d::sweep(1 << 10) {
             let mut seglists = Vec::new();
             for c in obj.constructions() {
-                let dt = obj.build(&mut ctx, c).unwrap();
+                let dt = obj.tree(c).unwrap().build(&mut ctx).unwrap();
                 let reg = ctx.registry().read();
                 seglists.push((c, segments(&reg, dt).unwrap()));
             }
@@ -636,7 +381,7 @@ mod tests {
         for obj in Obj3d::sweep(64) {
             let mut seglists = Vec::new();
             for c in obj.constructions() {
-                let dt = obj.build(&mut ctx, c).unwrap();
+                let dt = obj.tree(c).unwrap().build(&mut ctx).unwrap();
                 let reg = ctx.registry().read();
                 seglists.push((c, segments(&reg, dt).unwrap()));
             }
@@ -681,6 +426,11 @@ mod tests {
         };
         assert!(!s.is_contiguous());
         assert_eq!(s.constructions().len(), 3);
+        // a construction that does not apply is an error, not a panic
+        assert!(s.tree(Construction::Contiguous).is_err());
+        let cube = Obj3d::sweep(64)[0];
+        assert!(cube.tree(Construction::Contiguous).is_err());
+        assert!(cube.tree(Construction::Vector).is_err());
     }
 
     #[test]
@@ -692,7 +442,8 @@ mod tests {
             y: 8,
             z: 8,
         };
-        let dt = o.build(&mut ctx, Construction::VectorOfSubarray).unwrap();
+        let tree = o.tree(Construction::VectorOfSubarray).unwrap();
+        let dt = tree.build(&mut ctx).unwrap();
         assert_eq!(
             ctx.combiner(dt).unwrap(),
             mpi_sim::Combiner::Vector,
@@ -700,58 +451,29 @@ mod tests {
         );
     }
 
+    /// Every table row builds, reads back out of the registry as the tree
+    /// it was built from, and prints a spec that parses to the same tree.
     #[test]
-    fn fig6_set_builds() {
+    fn zoo_and_fig6_rows_build_and_round_trip() {
         let mut ctx = ctx();
-        let objs = fig6_set();
-        assert_eq!(objs.len(), 7);
-        for (label, o) in objs {
-            let dt = o.build(&mut ctx).unwrap();
-            assert!(ctx.attrs(dt).unwrap().size > 0, "{label}");
-        }
-    }
-
-    #[test]
-    fn zoo_patterns_build_and_agree_with_their_geometry() {
-        let mut ctx = ctx();
-        let zoo = ZooPattern::zoo();
+        let zoo = zoo();
         assert!(zoo.len() >= 9, "the expanded zoo shrank");
-        for p in &zoo {
-            let dt = p
+        assert_eq!(fig6_set().len(), 7);
+        for (label, tree) in zoo.iter().chain(&fig6_set()) {
+            let dt = tree
                 .build(&mut ctx)
-                .unwrap_or_else(|e| panic!("{}: {e}", p.label()));
-            let attrs = ctx.attrs(dt).unwrap();
-            assert_eq!(
-                attrs.size as usize,
-                p.total_bytes(),
-                "{}: type size disagrees with total_bytes()",
-                p.label()
-            );
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             let reg = ctx.registry().read();
-            let segs = segments(&reg, dt).unwrap();
-            assert_eq!(
-                segs.len(),
-                p.nblocks(),
-                "{}: segment count disagrees with nblocks()",
-                p.label()
-            );
+            assert_eq!(&TypeTree::of(&reg, dt).unwrap(), tree, "{label}");
+            assert_eq!(&tree.to_string().parse::<TypeTree>().unwrap(), tree);
+            let nblocks = segments(&reg, dt).unwrap().len();
             assert!(
-                p.nblocks() <= 1024,
-                "{}: {} blocks — the naive reference loop budget is 1024",
-                p.label(),
-                p.nblocks()
-            );
-            // every block the type touches fits in the declared span
-            let last = segs.iter().map(|s| s.off + s.len as i64).max().unwrap();
-            assert!(
-                p.span() as i64 >= last,
-                "{}: span {} < last byte {last}",
-                p.label(),
-                p.span()
+                (1..=1024).contains(&nblocks),
+                "{label}: {nblocks} blocks — the naive reference loop budget is 1024"
             );
         }
         // labels are unique — they key baseline rows across runs
-        let mut labels: Vec<String> = zoo.iter().map(|p| p.label()).collect();
+        let mut labels: Vec<&str> = zoo.iter().map(|(label, _)| *label).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), zoo.len(), "duplicate zoo labels");
@@ -762,13 +484,13 @@ mod tests {
         // same layout, different construction: the canonicalization claim
         // the guidelines gate leans on
         let mut ctx = ctx();
-        let bc = ZooPattern::BlockCyclic {
-            blocks: 16,
-            block: 32,
-            cycle: 128,
-        };
+        let is_block_cyclic = |(label, _): &(&str, TypeTree)| label.starts_with("blockcyclic/");
+        let (_, bc) = zoo().into_iter().find(is_block_cyclic).unwrap();
+        assert!(bc
+            .to_string()
+            .starts_with("indexed_block(128, [0, 512, 1024,"));
         let dt = bc.build(&mut ctx).unwrap();
-        let v = ctx.type_vector(16, 32, 128, MPI_BYTE).unwrap();
+        let v = ctx.type_vector(512, 128, 512, MPI_BYTE).unwrap();
         let reg = ctx.registry().read();
         assert_eq!(
             segments(&reg, dt).unwrap(),
@@ -782,7 +504,7 @@ mod tests {
         let mut ctx = ctx();
         for obj in Obj2d::sweep(1 << 12) {
             for c in obj.constructions() {
-                let dt = obj.build(&mut ctx, c).unwrap();
+                let dt = obj.tree(c).unwrap().build(&mut ctx).unwrap();
                 let a = ctx.attrs(dt).unwrap();
                 let needed = a.true_ub + (obj.incount as i64 - 1) * a.extent();
                 assert!(

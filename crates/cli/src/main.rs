@@ -53,10 +53,8 @@
 //! Spec examples: `vector(13, 100, 256, byte)`,
 //! `subarray([1024,512,256],[47,13,100],[0,0,0],byte)`.
 
-mod spec;
-
 use gpu_sim::PackDir;
-use mpi_sim::datatype::pack_cpu;
+use mpi_sim::datatype::{pack_cpu, TypeTree};
 use mpi_sim::{FaultPlan, MpiError, RankCtx, World, WorldConfig};
 use tempi_bench::{
     commit_breakdown, fmt_bytes, fmt_speedup, measure::unpack_time, pack_time, Mode, Platform,
@@ -113,6 +111,16 @@ fn int_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T 
             std::process::exit(2);
         }),
     }
+}
+
+/// Parse a `<spec>` argument. User input must never panic the CLI: a
+/// malformed spec exits 2 with the parser's message, which says what is
+/// wrong and where.
+fn spec_arg(input: &str) -> TypeTree {
+    input.parse().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Terminal error path for library failures with no user-facing recovery:
@@ -197,13 +205,16 @@ fn main() {
 const SPEC_HELP: &str = r#"type spec mini-language (C storage order, dim 0 slowest):
 
   byte | char | short | int | long | float | double
+  unsigned_char | unsigned_short | unsigned | unsigned_long | long_long
   contiguous(COUNT, spec)
   vector(COUNT, BLOCKLEN, STRIDE, spec)            stride in elements
   hvector(COUNT, BLOCKLEN, STRIDE_BYTES, spec)
   subarray([SIZES], [SUBSIZES], [STARTS], spec)
+  subarray_fortran([SIZES], [SUBSIZES], [STARTS], spec)   dim 0 fastest
   indexed([BLOCKLENS], [DISPLS], spec)             displs in elements
   indexed_block(BLOCKLEN, [DISPLS], spec)
   hindexed([BLOCKLENS], [DISPLS_BYTES], spec)
+  struct([BLOCKLENS], [DISPLS_BYTES], [spec, ...])
   resized(LB, EXTENT, spec)
   dup(spec)
 
@@ -215,7 +226,7 @@ examples:
 fn describe(args: &[String]) {
     let Some(input) = args.first() else { usage() };
     let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
-    let dt = match spec::build_str(input, &mut ctx) {
+    let dt = match spec_arg(input).build(&mut ctx) {
         Ok(dt) => dt,
         Err(e) => {
             eprintln!("error: {e}");
@@ -297,12 +308,12 @@ fn describe(args: &[String]) {
 
 fn pack(args: &[String]) {
     let Some(input) = args.first() else { usage() };
-    let input = input.clone();
+    let tree = spec_arg(input);
     let platform = platform_arg(args);
     let incount: usize = int_flag(args, "--incount", 1);
     // span: build once to measure the type reach
     let mut probe = RankCtx::standalone(&platform.world(1));
-    let dt = match spec::build_str(&input, &mut probe) {
+    let dt = match tree.build(&mut probe) {
         Ok(dt) => dt,
         Err(e) => {
             eprintln!("error: {e}");
@@ -322,7 +333,7 @@ fn pack(args: &[String]) {
                 platform,
                 mode,
                 TempiConfig::default(),
-                |ctx| spec::build_str(&input, ctx),
+                |ctx| tree.build(ctx),
                 incount,
                 span,
             )
@@ -331,7 +342,7 @@ fn pack(args: &[String]) {
                 platform,
                 mode,
                 TempiConfig::default(),
-                |ctx| spec::build_str(&input, ctx),
+                |ctx| tree.build(ctx),
                 incount,
                 span,
             )
@@ -352,9 +363,9 @@ fn pack(args: &[String]) {
 
 fn commit(args: &[String]) {
     let Some(input) = args.first() else { usage() };
-    let input = input.clone();
+    let tree = spec_arg(input);
     let platform = platform_arg(args);
-    let b = commit_breakdown(platform, |ctx| spec::build_str(&input, ctx))
+    let b = commit_breakdown(platform, |ctx| tree.build(ctx))
         .unwrap_or_else(|e| fail("commit breakdown", e));
     println!("platform       : {}", platform.label());
     println!("create         : {}", b.create);
@@ -436,7 +447,7 @@ fn fill(n: usize) -> Vec<u8> {
 
 fn send(args: &[String]) {
     let Some(input) = args.first() else { usage() };
-    let input = input.clone();
+    let tree = spec_arg(input);
     let incount: usize = int_flag(args, "--incount", 1);
     let method = match flag_value(args, "--method").as_deref() {
         None => None,
@@ -479,7 +490,7 @@ fn send(args: &[String]) {
             tuner,
             ..TempiConfig::default()
         });
-        let dt = spec::build_str(&input, ctx)?;
+        let dt = tree.build(ctx)?;
         mpi.type_commit(ctx, dt)?;
         let a = ctx.attrs(dt)?;
         let span =

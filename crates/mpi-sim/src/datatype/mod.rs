@@ -21,10 +21,12 @@
 pub mod named;
 pub mod pack_cpu;
 pub mod registry;
+pub mod tree;
 pub mod typemap;
 
 pub use named::Named;
 pub use registry::{consts, TypeRegistry};
+pub use tree::TypeTree;
 pub use typemap::Segment;
 
 /// An opaque MPI datatype handle. Handles index into a [`TypeRegistry`];
@@ -53,22 +55,24 @@ pub enum Order {
 }
 
 /// The construction of a datatype — the persistent record of *how* it was
-/// built, which is what `MPI_Type_get_contents` reports back.
+/// built, which is what `MPI_Type_get_contents` reports back. The registry
+/// stores it over child handles; over child constructions it is a
+/// [`TypeTree`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum TypeDef {
+pub enum TypeDef<C = Datatype> {
     /// A predefined type.
     Named(Named),
     /// `MPI_Type_dup`.
     Dup {
         /// The duplicated type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_contiguous`: `count` repetitions at `extent(oldtype)`.
     Contiguous {
         /// Number of repetitions.
         count: i32,
         /// Element type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_vector`: `count` blocks of `blocklength` elements, block
     /// starts `stride` *elements* apart.
@@ -80,7 +84,7 @@ pub enum TypeDef {
         /// Stride between block starts, in elements.
         stride: i32,
         /// Element type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_create_hvector`: like `Vector` but `stride` is in bytes.
     Hvector {
@@ -91,7 +95,7 @@ pub enum TypeDef {
         /// Stride between block starts, in bytes.
         stride_bytes: i64,
         /// Element type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_indexed`: blocks of varying length at varying
     /// element-granularity displacements.
@@ -101,7 +105,7 @@ pub enum TypeDef {
         /// Displacement of each block, in elements.
         displacements: Vec<i32>,
         /// Element type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_create_indexed_block`: equal-length blocks at
     /// element-granularity displacements.
@@ -111,7 +115,7 @@ pub enum TypeDef {
         /// Displacement of each block, in elements.
         displacements: Vec<i32>,
         /// Element type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_create_hindexed`: like `Indexed` but displacements are in
     /// bytes.
@@ -121,7 +125,7 @@ pub enum TypeDef {
         /// Displacement of each block, in bytes.
         displacements_bytes: Vec<i64>,
         /// Element type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_create_subarray`: an n-dimensional subarray of an
     /// n-dimensional array.
@@ -135,7 +139,7 @@ pub enum TypeDef {
         /// Storage order.
         order: Order,
         /// Element type.
-        oldtype: Datatype,
+        oldtype: C,
     },
     /// `MPI_Type_create_struct`: heterogeneous blocks at byte displacements.
     Struct {
@@ -144,7 +148,7 @@ pub enum TypeDef {
         /// Displacement of each block, in bytes.
         displacements_bytes: Vec<i64>,
         /// Per-block element type.
-        types: Vec<Datatype>,
+        types: Vec<C>,
     },
     /// `MPI_Type_create_resized`: override lower bound and extent.
     Resized {
@@ -153,8 +157,45 @@ pub enum TypeDef {
         /// New extent, bytes.
         extent: i64,
         /// Underlying type.
-        oldtype: Datatype,
+        oldtype: C,
     },
+}
+
+impl<C> TypeDef<C> {
+    /// The combiner tag of this construction.
+    pub fn combiner(&self) -> Combiner {
+        match self {
+            TypeDef::Named(_) => Combiner::Named,
+            TypeDef::Dup { .. } => Combiner::Dup,
+            TypeDef::Contiguous { .. } => Combiner::Contiguous,
+            TypeDef::Vector { .. } => Combiner::Vector,
+            TypeDef::Hvector { .. } => Combiner::Hvector,
+            TypeDef::Indexed { .. } => Combiner::Indexed,
+            TypeDef::IndexedBlock { .. } => Combiner::IndexedBlock,
+            TypeDef::Hindexed { .. } => Combiner::Hindexed,
+            TypeDef::Subarray { .. } => Combiner::Subarray,
+            TypeDef::Struct { .. } => Combiner::Struct,
+            TypeDef::Resized { .. } => Combiner::Resized,
+        }
+    }
+
+    /// The types this construction is built over, in argument order: none
+    /// for a named type, every member of a struct, else the one `oldtype`.
+    pub fn children(&self) -> &[C] {
+        match self {
+            TypeDef::Named(_) => &[],
+            TypeDef::Struct { types, .. } => types,
+            TypeDef::Dup { oldtype }
+            | TypeDef::Contiguous { oldtype, .. }
+            | TypeDef::Vector { oldtype, .. }
+            | TypeDef::Hvector { oldtype, .. }
+            | TypeDef::Indexed { oldtype, .. }
+            | TypeDef::IndexedBlock { oldtype, .. }
+            | TypeDef::Hindexed { oldtype, .. }
+            | TypeDef::Subarray { oldtype, .. }
+            | TypeDef::Resized { oldtype, .. } => std::slice::from_ref(oldtype),
+        }
+    }
 }
 
 /// The combiner tag reported by `MPI_Type_get_envelope`.

@@ -68,6 +68,19 @@ impl Named {
             Named::Double => "MPI_DOUBLE",
         }
     }
+
+    /// The keyword naming this type in a [`TypeTree`](super::TypeTree)
+    /// spec: the MPI name without its `MPI_` prefix, in lower case
+    /// (`byte`, `unsigned_long`, ...).
+    pub fn keyword(self) -> String {
+        self.mpi_name()["MPI_".len()..].to_ascii_lowercase()
+    }
+
+    /// The named type a spec keyword denotes, in either case.
+    pub fn from_keyword(word: &str) -> Option<Named> {
+        let names = |n: &Named| n.mpi_name()["MPI_".len()..].eq_ignore_ascii_case(word);
+        Named::ALL.into_iter().find(names)
+    }
 }
 
 #[cfg(test)]

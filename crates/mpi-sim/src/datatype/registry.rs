@@ -6,7 +6,7 @@
 //! The named types occupy fixed handles (see [`consts`]).
 
 use super::named::Named;
-use super::{Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
+use super::{Contents, Datatype, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
 use crate::error::{MpiError, MpiResult};
 
 /// Well-known handles for the named types, in [`Named::ALL`] order.
@@ -181,9 +181,12 @@ impl TypeRegistry {
         Ok(self.get(dt)?.committed)
     }
 
-    /// `MPI_Type_free`. Named types cannot be freed. Freeing does not
-    /// invalidate types derived from this one (they hold their own copies
-    /// of the layout information), matching MPI semantics.
+    /// `MPI_Type_free`. Named types cannot be freed. Unlike MPI, freeing
+    /// *does* invalidate the types derived from this one: a derived type
+    /// keeps its attributes but refers to its children by handle, so after
+    /// `free(row)` both `typemap::segments(plane)` and a TEMPI commit of
+    /// `plane` return `InvalidDatatype`. [`TypeTree::build`](super::TypeTree::build)
+    /// therefore leaves every intermediate type live.
     pub fn free(&mut self, dt: Datatype) -> MpiResult<()> {
         if dt.named_index().is_some() {
             return Err(MpiError::InvalidArg(
@@ -648,35 +651,26 @@ impl TypeRegistry {
     /// `MPI_Type_get_envelope`.
     pub fn get_envelope(&self, dt: Datatype) -> MpiResult<Envelope> {
         let info = self.get(dt)?;
-        let (ni, na, nd, combiner) = match &info.def {
-            TypeDef::Named(_) => (0, 0, 0, Combiner::Named),
-            TypeDef::Dup { .. } => (0, 0, 1, Combiner::Dup),
-            TypeDef::Contiguous { .. } => (1, 0, 1, Combiner::Contiguous),
-            TypeDef::Vector { .. } => (3, 0, 1, Combiner::Vector),
-            TypeDef::Hvector { .. } => (2, 1, 1, Combiner::Hvector),
-            TypeDef::Indexed { blocklengths, .. } => {
-                (2 * blocklengths.len() + 1, 0, 1, Combiner::Indexed)
+        let (ni, na, nd) = match &info.def {
+            TypeDef::Named(_) => (0, 0, 0),
+            TypeDef::Dup { .. } => (0, 0, 1),
+            TypeDef::Contiguous { .. } => (1, 0, 1),
+            TypeDef::Vector { .. } => (3, 0, 1),
+            TypeDef::Hvector { .. } => (2, 1, 1),
+            TypeDef::Indexed { blocklengths, .. } => (2 * blocklengths.len() + 1, 0, 1),
+            TypeDef::IndexedBlock { displacements, .. } => (displacements.len() + 2, 0, 1),
+            TypeDef::Hindexed { blocklengths, .. } => {
+                (blocklengths.len() + 1, blocklengths.len(), 1)
             }
-            TypeDef::IndexedBlock { displacements, .. } => {
-                (displacements.len() + 2, 0, 1, Combiner::IndexedBlock)
-            }
-            TypeDef::Hindexed { blocklengths, .. } => (
-                blocklengths.len() + 1,
-                blocklengths.len(),
-                1,
-                Combiner::Hindexed,
-            ),
-            TypeDef::Subarray { sizes, .. } => (3 * sizes.len() + 2, 0, 1, Combiner::Subarray),
-            TypeDef::Struct { types, .. } => {
-                (types.len() + 1, types.len(), types.len(), Combiner::Struct)
-            }
-            TypeDef::Resized { .. } => (0, 2, 1, Combiner::Resized),
+            TypeDef::Subarray { sizes, .. } => (3 * sizes.len() + 2, 0, 1),
+            TypeDef::Struct { types, .. } => (types.len() + 1, types.len(), types.len()),
+            TypeDef::Resized { .. } => (0, 2, 1),
         };
         Ok(Envelope {
             num_integers: ni,
             num_addresses: na,
             num_datatypes: nd,
-            combiner,
+            combiner: info.def.combiner(),
         })
     }
 
@@ -903,6 +897,7 @@ pub(crate) fn subarray_elem_strides(sizes: &[i32], order: Order) -> Vec<i64> {
 mod tests {
     use super::consts::*;
     use super::*;
+    use crate::datatype::Combiner;
 
     #[test]
     fn named_types_preregistered() {

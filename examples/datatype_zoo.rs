@@ -16,23 +16,16 @@ fn main() -> MpiResult<()> {
     // A = (256, 512, 1024) bytes.
     println!("3-D object: 100 x 13 x 47 bytes in a 256 x 512 x 1024 B allocation\n");
 
+    let mut build = |spec: &str| spec.parse::<TypeTree>()?.build(&mut ctx);
+
     // Construction 1: 2-D subarray plane + vector of planes.
-    let plane = ctx.type_create_subarray(&[512, 256], &[13, 100], &[0, 0], Order::C, MPI_BYTE)?;
-    let cuboid1 = ctx.type_vector(47, 1, 1, plane)?;
+    let cuboid1 = build("vector(47, 1, 1, subarray([512,256],[13,100],[0,0],byte))")?;
 
     // Construction 2: nested hvectors over a byte row.
-    let row = ctx.type_vector(100, 1, 1, MPI_BYTE)?;
-    let plane2 = ctx.type_create_hvector(13, 1, 256, row)?;
-    let cuboid2 = ctx.type_create_hvector(47, 1, 256 * 512, plane2)?;
+    let cuboid2 = build("hvector(47, 1, 131072, hvector(13, 1, 256, vector(100, 1, 1, byte)))")?;
 
     // Construction 3: one 3-D subarray.
-    let cuboid3 = ctx.type_create_subarray(
-        &[1024, 512, 256],
-        &[47, 13, 100],
-        &[0, 0, 0],
-        Order::C,
-        MPI_BYTE,
-    )?;
+    let cuboid3 = build("subarray([1024,512,256],[47,13,100],[0,0,0],byte)")?;
 
     let registry = ctx.registry().clone();
     for (name, dt) in [

@@ -62,7 +62,7 @@ pub mod prelude {
         Stream,
     };
     pub use mpi_sim::consts::*;
-    pub use mpi_sim::datatype::Order;
+    pub use mpi_sim::datatype::{Order, TypeTree};
     pub use mpi_sim::{
         Datatype, MpiError, MpiResult, NetModel, RankCtx, VendorProfile, World, WorldConfig,
     };

@@ -1,6 +1,6 @@
 //! Shared helpers for the integration tests: a seeded generator of random
-//! (bounded) MPI derived datatypes, the loop that runs a property over
-//! generated cases, and buffer utilities.
+//! (bounded) MPI derived datatypes as [`TypeTree`]s, the loop that runs a
+//! property over generated cases, and buffer utilities.
 //!
 //! Each integration-test binary includes this module separately, and not
 //! every binary uses every helper.
@@ -9,17 +9,18 @@
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mpi_sim::consts::*;
-use mpi_sim::datatype::Order;
-use mpi_sim::{Datatype, MpiResult, RankCtx};
+use mpi_sim::datatype::{Named, Order, TypeAttrs, TypeDef, TypeTree};
+use mpi_sim::{Datatype, RankCtx, WorldConfig};
 pub use tempi_chaos::Rng;
 
 /// Run `property` on `cases` inputs drawn from one `Rng::new(seed)` stream.
 ///
 /// Nothing shrinks a failing input (that arrives with the fuzzer, on
 /// `tempi-chaos`'s ddmin), so a failure must carry everything a replay
-/// needs: the panic names the seed, the case index and the input. The
-/// property's own assertion message is printed above it.
+/// needs: the panic names the seed, the case index and the input. A
+/// [`TypeTree`] prints as its spec, so the datatype of a failing case
+/// pastes into `tempi-cli describe` or `str::parse`. The property's own
+/// assertion message is printed above it.
 pub fn for_each_case<T: Debug>(
     seed: u64,
     cases: u32,
@@ -37,297 +38,182 @@ pub fn for_each_case<T: Debug>(
     }
 }
 
-/// One byte from the stream.
-fn byte(rng: &mut Rng) -> u8 {
-    rng.below(256) as u8
-}
-
-/// A buildable description of a derived datatype: eight constructors over
-/// byte-sized parameters, which `build` folds into small valid arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TypeDesc {
-    /// One of a few named types.
-    Named(u8),
-    /// `MPI_Type_contiguous`.
-    Contig { count: u8, inner: Box<TypeDesc> },
-    /// `MPI_Type_vector`.
-    Vector {
-        count: u8,
-        blocklength: u8,
-        stride_extra: u8,
-        inner: Box<TypeDesc>,
-    },
-    /// `MPI_Type_create_hvector` with a byte stride ≥ the child extent.
-    Hvector {
-        count: u8,
-        stride_extra: u8,
-        inner: Box<TypeDesc>,
-    },
-    /// A 2-D subarray of bytes.
-    Subarray2d {
-        sizes: [u8; 2],
-        frac: [u8; 2],
-        inner: Box<TypeDesc>,
-    },
-    /// `MPI_Type_create_hindexed` with small displacements.
-    Hindexed {
-        blocks: Vec<(u8, u8)>,
-        inner: Box<TypeDesc>,
-    },
-    /// `MPI_Type_create_indexed_block` with non-overlapping displacements.
-    IndexedBlock {
-        blocklength: u8,
-        gaps: Vec<u8>,
-        inner: Box<TypeDesc>,
-    },
-    /// `MPI_Type_create_struct`: `(blocklength, padding, type)` members laid
-    /// end to end with the padding between them, from the first member up
-    /// or — descending displacements — from the last. A blocklength that
-    /// is 0 mod 3 is a zero-length member.
-    Struct {
-        members: Vec<(u8, u8, TypeDesc)>,
-        descending: bool,
-    },
-    /// `MPI_Type_create_resized` to a larger extent.
-    Resized { extra: u8, inner: Box<TypeDesc> },
-}
-
-impl TypeDesc {
-    /// Build the datatype in the rank's registry.
-    pub fn build(&self, ctx: &mut RankCtx) -> MpiResult<Datatype> {
-        match self {
-            TypeDesc::Named(n) => {
-                let named = [MPI_BYTE, MPI_INT, MPI_FLOAT, MPI_DOUBLE, MPI_SHORT];
-                Ok(named[*n as usize % named.len()])
-            }
-            TypeDesc::Contig { count, inner } => {
-                let old = inner.build(ctx)?;
-                ctx.type_contiguous(1 + (*count as i32 % 6), old)
-            }
-            TypeDesc::Vector {
-                count,
-                blocklength,
-                stride_extra,
-                inner,
-            } => {
-                let old = inner.build(ctx)?;
-                let bl = 1 + (*blocklength as i32 % 4);
-                // stride ≥ blocklength keeps blocks non-overlapping
-                ctx.type_vector(
-                    1 + (*count as i32 % 5),
-                    bl,
-                    bl + (*stride_extra as i32 % 4),
-                    old,
-                )
-            }
-            TypeDesc::Hvector {
-                count,
-                stride_extra,
-                inner,
-            } => {
-                let old = inner.build(ctx)?;
-                let (_, ex) = ctx.attrs(old).map(|a| (a.lb, a.extent()))?;
-                ctx.type_create_hvector(
-                    1 + (*count as i32 % 5),
-                    1,
-                    ex + (*stride_extra as i64 % 16),
-                    old,
-                )
-            }
-            TypeDesc::Subarray2d { sizes, frac, inner } => {
-                let old = inner.build(ctx)?;
-                let s0 = 2 + (sizes[0] as i32 % 6);
-                let s1 = 2 + (sizes[1] as i32 % 6);
-                let sub0 = 1 + (frac[0] as i32 % s0);
-                let sub1 = 1 + (frac[1] as i32 % s1);
-                let st0 = (frac[1] as i32 % (s0 - sub0 + 1)).min(s0 - sub0);
-                let st1 = (frac[0] as i32 % (s1 - sub1 + 1)).min(s1 - sub1);
-                ctx.type_create_subarray(&[s0, s1], &[sub0, sub1], &[st0, st1], Order::C, old)
-            }
-            TypeDesc::Hindexed { blocks, inner } => {
-                let old = inner.build(ctx)?;
-                let (_, ex) = ctx.attrs(old).map(|a| (a.lb, a.extent()))?;
-                // place blocks at non-overlapping, increasing displacements
-                let mut bls = Vec::new();
-                let mut displs = Vec::new();
-                let mut at = 0i64;
-                for (bl, gap) in blocks {
-                    let bl = 1 + (*bl as i32 % 3);
-                    displs.push(at);
-                    bls.push(bl);
-                    at += bl as i64 * ex + (*gap as i64 % 8);
-                }
-                ctx.type_create_hindexed(&bls, &displs, old)
-            }
-            TypeDesc::IndexedBlock {
-                blocklength,
-                gaps,
-                inner,
-            } => {
-                let old = inner.build(ctx)?;
-                let bl = 1 + (*blocklength as i32 % 3);
-                // increasing element displacements with gaps
-                let mut displs = Vec::new();
-                let mut at = 0i32;
-                for g in gaps {
-                    displs.push(at);
-                    at += bl + (*g as i32 % 4);
-                }
-                ctx.type_create_indexed_block(bl, &displs, old)
-            }
-            TypeDesc::Struct {
-                members,
-                descending,
-            } => {
-                let mut bls = Vec::new();
-                let mut types = Vec::new();
-                let mut reach = Vec::new(); // bytes to the next member
-                for (bl, pad, inner) in members {
-                    let old = inner.build(ctx)?;
-                    let a = ctx.attrs(old)?;
-                    let bl = *bl as i32 % 3;
-                    bls.push(bl);
-                    types.push(old);
-                    let last = (bl as i64 - 1).max(0) * a.extent();
-                    reach.push(last + a.true_ub.max(a.ub).max(0) + *pad as i64 % 8);
-                }
-                let mut order: Vec<usize> = (0..members.len()).collect();
-                if *descending {
-                    order.reverse();
-                }
-                let mut displs = vec![0i64; members.len()];
-                let mut at = 0;
-                for i in order {
-                    displs[i] = at;
-                    at += reach[i];
-                }
-                ctx.type_create_struct(&bls, &displs, &types)
-            }
-            TypeDesc::Resized { extra, inner } => {
-                let old = inner.build(ctx)?;
-                let a = ctx.attrs(old)?;
-                ctx.type_create_resized(old, a.lb, a.extent() + *extra as i64 % 8)
-            }
-        }
-    }
-}
-
 /// The struct shapes every struct check walks, by name: what the random
 /// generator reaches only sometimes is here every time.
-pub fn struct_zoo() -> Vec<(&'static str, TypeDesc)> {
-    use TypeDesc::*;
-    let (byte, int, double, short) = (Named(0), Named(1), Named(3), Named(4));
-    let of = |members: &[(u8, u8, &TypeDesc)], descending| Struct {
-        members: members
-            .iter()
-            .map(|&(bl, pad, t)| (bl, pad, t.clone()))
-            .collect(),
-        descending,
-    };
-    let padded = of(&[(1, 3, &int), (2, 5, &double), (1, 0, &short)], false);
-    let descending = of(&[(1, 3, &int), (2, 5, &double), (1, 0, &short)], true);
-    let vector = Vector {
-        count: 2,
-        blocklength: 1,
-        stride_extra: 2,
-        inner: Box::new(byte.clone()),
-    };
-    let wide_int = Resized {
-        extra: 5,
-        inner: Box::new(int.clone()),
-    };
-    vec![
-        ("padding between members", padded.clone()),
+pub fn struct_zoo() -> Vec<(&'static str, TypeTree)> {
+    [
+        (
+            "padding between members",
+            "struct([1,2,1],[0,7,28],[int,double,short])",
+        ),
         (
             "a zero-length member",
-            of(&[(1, 0, &int), (0, 4, &double), (2, 0, &byte)], false),
+            "struct([1,0,2],[0,4,16],[int,double,byte])",
         ),
-        ("descending displacements", descending.clone()),
+        (
+            "descending displacements",
+            "struct([1,2,1],[23,2,0],[int,double,short])",
+        ),
         (
             "a vector member",
-            of(&[(2, 1, &vector), (1, 0, &int)], false),
+            "struct([2,1],[0,21],[vector(3,2,4,byte),int])",
         ),
         (
             "a resized member",
-            of(&[(2, 0, &wide_int), (1, 2, &short)], false),
+            "struct([2,1],[0,18],[resized(0,9,int),short])",
         ),
         (
             "struct under vector",
-            Vector {
-                count: 2,
-                blocklength: 1,
-                stride_extra: 1,
-                inner: Box::new(padded),
-            },
+            "vector(3, 2, 3, struct([1,2,1],[0,7,28],[int,double,short]))",
         ),
         (
             "struct under contiguous",
-            Contig {
-                count: 2,
-                inner: Box::new(descending),
-            },
+            "contiguous(3, struct([1,2,1],[23,2,0],[int,double,short]))",
         ),
     ]
+    .map(|(what, spec)| (what, spec.parse().expect("the zoo's own specs parse")))
+    .into()
 }
 
-impl TypeDesc {
-    /// A random description nested at most `depth` constructors deep. One
-    /// draw in four stops early at a named type, so shallow and deep trees
-    /// both occur; above a leaf the eight constructors are equally likely.
-    pub fn generate(rng: &mut Rng, depth: u32) -> TypeDesc {
-        if depth == 0 || rng.below(4) == 0 {
-            return TypeDesc::Named(byte(rng));
-        }
-        let inner = |rng: &mut Rng| Box::new(TypeDesc::generate(rng, depth - 1));
-        // one to three of anything listed
-        let some = |rng: &mut Rng| 1 + rng.below(3);
-        match rng.below(8) {
-            0 => TypeDesc::Contig {
-                count: byte(rng),
-                inner: inner(rng),
-            },
-            1 => TypeDesc::Vector {
-                count: byte(rng),
-                blocklength: byte(rng),
-                stride_extra: byte(rng),
-                inner: inner(rng),
-            },
-            2 => TypeDesc::Hvector {
-                count: byte(rng),
-                stride_extra: byte(rng),
-                inner: inner(rng),
-            },
-            3 => TypeDesc::Subarray2d {
-                sizes: [byte(rng), byte(rng)],
-                frac: [byte(rng), byte(rng)],
-                inner: inner(rng),
-            },
-            4 => TypeDesc::Hindexed {
-                blocks: (0..some(rng)).map(|_| (byte(rng), byte(rng))).collect(),
-                inner: inner(rng),
-            },
-            5 => TypeDesc::IndexedBlock {
-                blocklength: byte(rng),
-                gaps: (0..some(rng)).map(|_| byte(rng)).collect(),
-                inner: inner(rng),
-            },
-            6 => TypeDesc::Struct {
-                members: (0..some(rng))
-                    .map(|_| (byte(rng), byte(rng), *inner(rng)))
-                    .collect(),
-                descending: rng.below(2) == 1,
-            },
-            _ => TypeDesc::Resized {
-                extra: byte(rng),
-                inner: inner(rng),
-            },
-        }
+/// What the properties generate: valid constructions nested up to three
+/// deep, of small non-overlapping pieces.
+pub fn arb_typetree(rng: &mut Rng) -> TypeTree {
+    generate(rng, 3, &mut RankCtx::standalone(&WorldConfig::summit(1))).0
+}
+
+/// A random tree nested at most `depth` constructors deep, and its bounds,
+/// which the constructor above it sizes its strides and displacements by:
+/// the tree is built into `scratch` to read them.
+fn generate(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> (TypeTree, TypeAttrs) {
+    let tree = TypeTree(Box::new(node(rng, depth, scratch)));
+    let dt = tree
+        .build(scratch)
+        .expect("the generator's arguments are valid");
+    (tree, scratch.attrs(dt).expect("just built"))
+}
+
+/// One draw in four stops early at a named type, so shallow and deep trees
+/// both occur; above a leaf the eight constructors are equally likely.
+fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
+    if depth == 0 || rng.below(4) == 0 {
+        let leaves = [
+            Named::Byte,
+            Named::Int,
+            Named::Float,
+            Named::Double,
+            Named::Short,
+        ];
+        return TypeDef::Named(leaves[rng.below(5) as usize]);
     }
-}
-
-/// What the properties generate: descriptions nested up to three deep.
-pub fn arb_typedesc(rng: &mut Rng) -> TypeDesc {
-    TypeDesc::generate(rng, 3)
+    // uniform in `lo..lo + n`
+    let pick = |rng: &mut Rng, lo: i32, n: i32| lo + rng.below(n as u64) as i32;
+    let kind = rng.below(8);
+    // one to three of anything listed
+    let some = |rng: &mut Rng| 1 + rng.below(3) as usize;
+    if kind == 6 {
+        // members laid end to end with 0..8 bytes of padding between them,
+        // from the first member up or — descending displacements — from
+        // the last; one blocklength in three is a zero-length member
+        let descending = rng.below(2) == 1;
+        let (mut blocklengths, mut types, mut reach) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..some(rng) {
+            let (bl, pad) = (pick(rng, 0, 3), pick(rng, 0, 8));
+            let (member, a) = generate(rng, depth - 1, scratch);
+            let last = (bl as i64 - 1).max(0) * a.extent();
+            reach.push(last + a.true_ub.max(a.ub).max(0) + pad as i64);
+            blocklengths.push(bl);
+            types.push(member);
+        }
+        let mut order: Vec<usize> = (0..types.len()).collect();
+        if descending {
+            order.reverse();
+        }
+        let mut displacements_bytes = vec![0; types.len()];
+        let mut at = 0;
+        for i in order {
+            displacements_bytes[i] = at;
+            at += reach[i];
+        }
+        return TypeDef::Struct {
+            blocklengths,
+            displacements_bytes,
+            types,
+        };
+    }
+    let (oldtype, a) = generate(rng, depth - 1, scratch);
+    match kind {
+        0 => TypeDef::Contiguous {
+            count: pick(rng, 1, 6),
+            oldtype,
+        },
+        1 => {
+            // stride ≥ blocklength keeps blocks non-overlapping
+            let blocklength = pick(rng, 1, 4);
+            TypeDef::Vector {
+                count: pick(rng, 1, 5),
+                blocklength,
+                stride: blocklength + pick(rng, 0, 4),
+                oldtype,
+            }
+        }
+        2 => TypeDef::Hvector {
+            count: pick(rng, 1, 5),
+            blocklength: 1,
+            stride_bytes: a.extent() + pick(rng, 0, 16) as i64,
+            oldtype,
+        },
+        3 => {
+            let sizes = [pick(rng, 2, 6), pick(rng, 2, 6)];
+            let subsizes = sizes.map(|size| pick(rng, 1, size));
+            let starts = [0, 1].map(|d| pick(rng, 0, sizes[d] - subsizes[d] + 1));
+            TypeDef::Subarray {
+                sizes: sizes.to_vec(),
+                subsizes: subsizes.to_vec(),
+                starts: starts.to_vec(),
+                order: [Order::C, Order::Fortran][rng.below(2) as usize],
+                oldtype,
+            }
+        }
+        4 => {
+            // increasing byte displacements, 0..8 bytes between blocks
+            let blocklengths: Vec<i32> = (0..some(rng)).map(|_| pick(rng, 1, 3)).collect();
+            let mut at = 0;
+            let displacements_bytes = (blocklengths.iter())
+                .map(|&bl| {
+                    let here = at;
+                    at += bl as i64 * a.extent() + pick(rng, 0, 8) as i64;
+                    here
+                })
+                .collect();
+            TypeDef::Hindexed {
+                blocklengths,
+                displacements_bytes,
+                oldtype,
+            }
+        }
+        5 => {
+            // increasing element displacements, 0..4 elements between blocks
+            let blocklength = pick(rng, 1, 3);
+            let mut at = 0;
+            let displacements = (0..some(rng))
+                .map(|_| {
+                    let here = at;
+                    at += blocklength + pick(rng, 0, 4);
+                    here
+                })
+                .collect();
+            TypeDef::IndexedBlock {
+                blocklength,
+                displacements,
+                oldtype,
+            }
+        }
+        _ => TypeDef::Resized {
+            lb: a.lb,
+            extent: a.extent() + pick(rng, 0, 8) as i64,
+            oldtype,
+        },
+    }
 }
 
 /// Bytes a buffer must have so `incount` items of `dt` (placed at origin 0)

@@ -5,10 +5,10 @@
 
 mod common;
 
-use common::{arb_typedesc, for_each_case, pattern};
+use common::{arb_typetree, for_each_case, pattern};
 use gpu_sim::SimTime;
 use mpi_sim::consts::MPI_BYTE;
-use mpi_sim::datatype::Order;
+use mpi_sim::datatype::{Order, TypeTree};
 use mpi_sim::{Datatype, MpiResult, RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
@@ -21,18 +21,21 @@ fn ctx() -> RankCtx {
 /// Build all the Section-2 representations of one row of `e0` floats in an
 /// allocation of `a0` floats.
 fn row_constructions(ctx: &mut RankCtx, e0: i32, a0: i32) -> MpiResult<Vec<Datatype>> {
-    use mpi_sim::consts::MPI_FLOAT;
-    Ok(vec![
-        ctx.type_contiguous(e0, MPI_FLOAT)?,
-        ctx.type_contiguous(e0 * 4, MPI_BYTE)?,
-        ctx.type_vector(e0, 1, 1, MPI_FLOAT)?,
-        ctx.type_vector(1, e0, 1, MPI_FLOAT)?,
-        ctx.type_vector(e0, 4, 4, MPI_BYTE)?,
-        ctx.type_vector(1, e0 * 4, e0 * 4, MPI_BYTE)?,
-        ctx.type_create_hvector(e0 * 4, 1, 1, MPI_BYTE)?,
-        ctx.type_create_subarray(&[a0], &[e0], &[0], Order::C, MPI_FLOAT)?,
-        ctx.type_create_subarray(&[a0 * 4], &[e0 * 4], &[0], Order::C, MPI_BYTE)?,
-    ])
+    let (e0b, a0b) = (e0 * 4, a0 * 4);
+    [
+        format!("contiguous({e0}, float)"),
+        format!("contiguous({e0b}, byte)"),
+        format!("vector({e0}, 1, 1, float)"),
+        format!("vector(1, {e0}, 1, float)"),
+        format!("vector({e0}, 4, 4, byte)"),
+        format!("vector(1, {e0b}, {e0b}, byte)"),
+        format!("hvector({e0b}, 1, 1, byte)"),
+        format!("subarray([{a0}], [{e0}], [0], float)"),
+        format!("subarray([{a0b}], [{e0b}], [0], byte)"),
+    ]
+    .iter()
+    .map(|spec| spec.parse::<TypeTree>()?.build(ctx))
+    .collect()
 }
 
 #[test]
@@ -233,7 +236,7 @@ fn random_2d_objects_one_plan() {
 /// `dup` never changes the committed plan.
 #[test]
 fn identity_wrappers_are_invisible() {
-    for_each_case(0xe2, 64, arb_typedesc, |desc| {
+    for_each_case(0xe2, 64, arb_typetree, |desc| {
         let mut ctx = ctx();
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let base = desc.build(&mut ctx).unwrap();

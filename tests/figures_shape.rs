@@ -24,7 +24,7 @@ fn speedup(platform: Platform, o: Obj2d, c: Construction) -> f64 {
         platform,
         Mode::Tempi,
         TempiConfig::default(),
-        |ctx| o.build(ctx, c),
+        |ctx| o.tree(c)?.build(ctx),
         o.incount,
         o.span(),
     )
@@ -33,7 +33,7 @@ fn speedup(platform: Platform, o: Obj2d, c: Construction) -> f64 {
         platform,
         Mode::System,
         TempiConfig::default(),
-        |ctx| o.build(ctx, c),
+        |ctx| o.tree(c)?.build(ctx),
         o.incount,
         o.span(),
     )
@@ -47,7 +47,7 @@ fn speedup(platform: Platform, o: Obj2d, c: Construction) -> f64 {
 fn fig6_commit_slowdown_ordering_mv_op_sp() {
     let o = obj(1 << 10, 64);
     let slow = |p: Platform| {
-        commit_breakdown(p, |ctx| o.build(ctx, Construction::Subarray))
+        commit_breakdown(p, |ctx| o.tree(Construction::Subarray)?.build(ctx))
             .expect("breakdown")
             .slowdown()
     };
@@ -170,7 +170,7 @@ fn fig11_send_speedup_far_below_pack_speedup() {
         Platform::Summit,
         Mode::Tempi,
         TempiConfig::default(),
-        |ctx| o.build(ctx, Construction::Vector),
+        |ctx| o.tree(Construction::Vector)?.build(ctx),
         1,
         o.span(),
     )
@@ -179,7 +179,7 @@ fn fig11_send_speedup_far_below_pack_speedup() {
         Platform::Summit,
         Mode::System,
         TempiConfig::default(),
-        |ctx| o.build(ctx, Construction::Vector),
+        |ctx| o.tree(Construction::Vector)?.build(ctx),
         1,
         o.span(),
     )
@@ -203,7 +203,7 @@ fn pipelining_beats_all_methods_at_16mib() {
             Platform::Summit,
             Mode::Tempi,
             cfg,
-            |ctx| o.build(ctx, Construction::Vector),
+            |ctx| o.tree(Construction::Vector)?.build(ctx),
             1,
             o.span(),
         )

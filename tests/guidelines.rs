@@ -4,14 +4,16 @@
 //! `results/BENCH_guidelines.baseline.json` gates at full vendor
 //! coverage in CI.
 
-use tempi_bench::guidelines::{render_report, run_zoo_on, violations, GUIDELINE_TOL as TOL};
-use tempi_bench::{GatedSuite, Platform, ZooPattern};
+use tempi_bench::guidelines::{
+    render_report, run_cell, run_zoo_on, violations, GUIDELINE_TOL as TOL,
+};
+use tempi_bench::{zoo, GatedSuite, Platform};
 use tempi_trace::json::ToJson;
 
 #[test]
 fn summit_zoo_verdicts_are_pinned() {
     let rows = run_zoo_on(&[Platform::Summit], TOL).unwrap();
-    assert_eq!(rows.len(), ZooPattern::zoo().len());
+    assert_eq!(rows.len(), zoo().len());
 
     for r in &rows {
         // G1: the typed send never loses to pack-then-send — in either
@@ -74,13 +76,11 @@ fn summit_zoo_verdicts_are_pinned() {
 fn guideline_measurements_are_deterministic() {
     // the whole gate rests on virtual-time reproducibility: two fresh
     // runs of one cell must agree to the picosecond
-    let pattern = ZooPattern::Soa {
-        fields: 4,
-        take: 512,
-        field_bytes: 4096,
-    };
-    let a = tempi_bench::guidelines::run_cell(Platform::Summit, pattern, TOL).unwrap();
-    let b = tempi_bench::guidelines::run_cell(Platform::Summit, pattern, TOL).unwrap();
+    let soa = "struct([512,512,512,512],[0,4096,8192,12288],[byte,byte,byte,byte])";
+    let pattern = &soa.parse().unwrap();
+    let a = run_cell(Platform::Summit, "soa/4x512@4096", pattern, TOL).unwrap();
+    let b = run_cell(Platform::Summit, "soa/4x512@4096", pattern, TOL).unwrap();
+    assert_eq!((a.size_bytes, a.nblocks), (4 * 512, 4));
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
 }
 
@@ -88,14 +88,10 @@ fn guideline_measurements_are_deterministic() {
 fn tolerance_knob_widens_the_gate() {
     // the fig2d/1|4096|64 G2[on] miss is ~1.5x: a 99%-tolerance run must
     // clear it, proving the `tol` parameter reaches the verdicts.
-    let pattern = ZooPattern::Fig2d(tempi_bench::Obj2d {
-        incount: 1,
-        block: 4096,
-        count: 64,
-        stride: 8192,
-    });
-    let tight = tempi_bench::guidelines::run_cell(Platform::Summit, pattern, TOL).unwrap();
-    let loose = tempi_bench::guidelines::run_cell(Platform::Summit, pattern, 0.99).unwrap();
+    let (label, pattern) = &zoo()[7];
+    assert_eq!(*label, "fig2d/1|4096|64");
+    let tight = run_cell(Platform::Summit, label, pattern, TOL).unwrap();
+    let loose = run_cell(Platform::Summit, label, pattern, 0.99).unwrap();
     assert!(!tight.g2_on && tight.worst_ratio > 1.0);
     assert!(loose.g2_on, "{loose:?}");
     assert!(loose.g1_on && loose.g3 && loose.g4);

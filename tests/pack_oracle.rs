@@ -4,8 +4,8 @@
 
 mod common;
 
-use common::{arb_typedesc, for_each_case, pattern, span_of, struct_zoo, TypeDesc};
-use mpi_sim::datatype::pack_cpu;
+use common::{arb_typetree, for_each_case, pattern, span_of, struct_zoo};
+use mpi_sim::datatype::{pack_cpu, TypeTree};
 use mpi_sim::{RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
@@ -84,7 +84,7 @@ fn struct_zoo_packs_and_unpacks_like_the_oracle() {
 /// the bytes the reference CPU pack produces.
 #[test]
 fn gpu_pack_matches_cpu_oracle() {
-    let case = |rng: &mut common::Rng| (arb_typedesc(rng), 1 + rng.below(2) as usize);
+    let case = |rng: &mut common::Rng| (arb_typetree(rng), 1 + rng.below(2) as usize);
     for_each_case(0xa1, 96, case, |(desc, incount)| {
         let incount = *incount;
         let mut ctx = ctx();
@@ -121,7 +121,7 @@ fn gpu_pack_matches_cpu_oracle() {
 /// Unpack after pack restores every byte the datatype covers.
 #[test]
 fn unpack_inverts_pack() {
-    for_each_case(0xa2, 96, arb_typedesc, |desc| {
+    for_each_case(0xa2, 96, arb_typetree, |desc| {
         let mut ctx = ctx();
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let dt = desc.build(&mut ctx).unwrap();
@@ -161,8 +161,8 @@ fn unpack_inverts_pack() {
 /// byte-identical — speed differs, semantics must not.
 #[test]
 fn tempi_and_the_system_mpi_pack_the_same_bytes() {
-    for_each_case(0xa3, 96, arb_typedesc, |desc| {
-        let run = |interposed: bool, desc: &TypeDesc| -> Option<Vec<u8>> {
+    for_each_case(0xa3, 96, arb_typetree, |desc| {
+        let run = |interposed: bool, desc: &TypeTree| -> Option<Vec<u8>> {
             let mut ctx = ctx();
             let mut mpi = if interposed {
                 InterposedMpi::new(TempiConfig::default())

@@ -3,10 +3,13 @@
 
 mod common;
 
-use common::{arb_typedesc, for_each_case, pattern, Rng, TypeDesc};
-use mpi_sim::datatype::pack_cpu;
+use std::collections::HashSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use common::{arb_typetree, for_each_case, pattern, struct_zoo, Rng};
 use mpi_sim::datatype::typemap::segments;
-use mpi_sim::{payload_checksum, RankCtx, WorldConfig};
+use mpi_sim::datatype::{pack_cpu, TypeDef, TypeTree};
+use mpi_sim::{payload_checksum, Combiner, RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_stencil::Frame;
@@ -54,7 +57,7 @@ fn plan_runs(plan: &tempi_core::TypePlan) -> Option<Vec<(i64, u64)>> {
 /// the same order.
 #[test]
 fn committed_plan_equals_typemap_oracle() {
-    for_each_case(0xb1, 128, arb_typedesc, |desc| {
+    for_each_case(0xb1, 128, arb_typetree, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
@@ -80,7 +83,7 @@ fn committed_plan_equals_typemap_oracle() {
 /// strided block geometry multiplies out.
 #[test]
 fn plan_metadata_consistent() {
-    for_each_case(0xb2, 128, arb_typedesc, |desc| {
+    for_each_case(0xb2, 128, arb_typetree, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
@@ -111,7 +114,7 @@ fn plan_metadata_consistent() {
 /// differs).
 #[test]
 fn canonicalization_preserves_semantics() {
-    for_each_case(0xb3, 128, arb_typedesc, |desc| {
+    for_each_case(0xb3, 128, arb_typetree, |desc| {
         let mut ctx = ctx();
         let dt = desc.build(&mut ctx).unwrap();
         let mut canon = Tempi::default();
@@ -140,7 +143,7 @@ fn checksum_roundtrips_over_packed_datatypes() {
     // a datatype, where to flip a byte (scaled to the packed length), and
     // a non-zero mask to flip it with
     let case = |rng: &mut Rng| {
-        let desc = arb_typedesc(rng);
+        let desc = arb_typetree(rng);
         (desc, rng.next_u64(), 1 + rng.below(255) as u8)
     };
     for_each_case(0xb4, 128, case, |(desc, flip_idx, mask)| {
@@ -193,7 +196,7 @@ fn checksum_roundtrips_over_packed_datatypes() {
 /// plan object.
 #[test]
 fn commit_idempotent() {
-    for_each_case(0xb5, 128, arb_typedesc, |desc| {
+    for_each_case(0xb5, 128, arb_typetree, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
@@ -205,22 +208,14 @@ fn commit_idempotent() {
 
 // ---- the generator itself ------------------------------------------------
 
-/// The constructor at the root of `desc` and at every node below it, and
-/// the depth of the deepest one.
-fn survey(desc: &TypeDesc, seen: &mut std::collections::BTreeSet<&'static str>) -> u32 {
-    let (name, children): (_, Vec<&TypeDesc>) = match desc {
-        TypeDesc::Named(_) => return 0,
-        TypeDesc::Contig { inner, .. } => ("contiguous", vec![inner]),
-        TypeDesc::Vector { inner, .. } => ("vector", vec![inner]),
-        TypeDesc::Hvector { inner, .. } => ("hvector", vec![inner]),
-        TypeDesc::Subarray2d { inner, .. } => ("subarray", vec![inner]),
-        TypeDesc::Hindexed { inner, .. } => ("hindexed", vec![inner]),
-        TypeDesc::IndexedBlock { inner, .. } => ("indexed_block", vec![inner]),
-        TypeDesc::Struct { members, .. } => ("struct", members.iter().map(|m| &m.2).collect()),
-        TypeDesc::Resized { inner, .. } => ("resized", vec![inner]),
-    };
-    seen.insert(name);
-    let below = children.into_iter().map(|c| survey(c, seen)).max();
+/// The combiner at the root of `tree` and at every node below it, and the
+/// depth of the deepest one.
+fn survey(tree: &TypeTree, seen: &mut HashSet<Combiner>) -> u32 {
+    if tree.0.combiner() == Combiner::Named {
+        return 0;
+    }
+    seen.insert(tree.0.combiner());
+    let below = tree.0.children().iter().map(|c| survey(c, seen)).max();
     1 + below.unwrap_or(0)
 }
 
@@ -231,10 +226,10 @@ fn survey(desc: &TypeDesc, seen: &mut std::collections::BTreeSet<&'static str>) 
 fn the_generator_covers_every_constructor_and_repeats_per_seed() {
     let draw = |seed| {
         let mut rng = Rng::new(seed);
-        (0..64).map(|_| arb_typedesc(&mut rng)).collect::<Vec<_>>()
+        (0..64).map(|_| arb_typetree(&mut rng)).collect::<Vec<_>>()
     };
     let cases = draw(0xe2);
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = HashSet::new();
     let deepest = cases.iter().map(|d| survey(d, &mut seen)).max();
     assert_eq!(seen.len(), 8, "constructors generated: {seen:?}");
     assert_eq!(deepest, Some(3));
@@ -242,18 +237,47 @@ fn the_generator_covers_every_constructor_and_repeats_per_seed() {
     assert_ne!(cases, draw(0xe3), "another seed, another sequence");
 }
 
-/// What a failing property leaves behind: the seed, the case index and
-/// the input, enough to replay it.
+/// A tree is one description three ways: built into a registry it reads
+/// back out as itself (so `get_contents` encodes every constructor's
+/// arguments losslessly), and what it prints parses back to itself.
 #[test]
-#[should_panic(expected = "replay: seed 0x5eed, case 2 of 64, input Contig")]
-fn a_failing_property_names_its_seed_case_and_input() {
-    let contig = |rng: &mut Rng| TypeDesc::Contig {
-        count: 1,
-        inner: Box::new(arb_typedesc(rng)),
+fn trees_round_trip_through_the_registry_and_the_grammar() {
+    let round_trip = |tree: &TypeTree| {
+        let mut ctx = ctx();
+        let dt = tree.build(&mut ctx).unwrap();
+        assert_eq!(&TypeTree::of(&ctx.registry().read(), dt).unwrap(), tree);
+        assert_eq!(&tree.to_string().parse::<TypeTree>().unwrap(), tree);
     };
+    for (_, tree) in struct_zoo() {
+        round_trip(&tree);
+    }
+    for_each_case(0xb6, 256, arb_typetree, round_trip);
+}
+
+/// What a failing property leaves behind: the seed, the case index and
+/// the input, enough to replay it — the input as a spec that parses back
+/// to the tree that failed.
+#[test]
+#[should_panic(expected = "replay: seed 0x5eed, case 2 of 64, input contiguous(1, ")]
+fn a_failing_property_names_its_seed_case_and_input() {
+    let contig = |rng: &mut Rng| {
+        TypeTree(Box::new(TypeDef::Contiguous {
+            count: 1,
+            oldtype: arb_typetree(rng),
+        }))
+    };
+    let mut rng = Rng::new(0x5eed);
+    let third = (0..3).map(|_| contig(&mut rng)).last().unwrap();
     let calls = std::cell::Cell::new(0);
-    for_each_case(0x5eed, 64, contig, |_| {
-        calls.set(calls.get() + 1);
-        assert!(calls.get() < 3, "deliberate: the third case fails");
-    });
+    let failure = catch_unwind(AssertUnwindSafe(|| {
+        for_each_case(0x5eed, 64, contig, |_| {
+            calls.set(calls.get() + 1);
+            assert!(calls.get() < 3, "deliberate: the third case fails");
+        })
+    }))
+    .unwrap_err();
+    let line = failure.downcast_ref::<String>().expect("a formatted panic");
+    let (_, input) = line.split_once(", input ").expect("the replay line");
+    assert_eq!(input.parse::<TypeTree>().unwrap(), third);
+    resume_unwind(failure)
 }
