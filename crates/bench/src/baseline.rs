@@ -1,11 +1,10 @@
 //! Perf-baseline comparison backing the `check_bench` CI gates.
 //!
 //! Three suites share one comparator ([`compare_rows`]) through the
-//! [`GatedSuite`] trait: the `bench_send` datatype zoo, the `bench_scale`
-//! scaling sweep, and the `check_guidelines` performance-guidelines zoo.
-//! Each bench bin writes fresh rows to `BENCH_<suite>.json` at the
-//! repository root; a reviewed copy lives in
-//! `results/BENCH_<suite>.baseline.json`. The gate re-runs the suite and
+//! [`GatedSuite`] trait: the `send` sweep, the `scale` sweep, and the
+//! `guidelines` performance-guidelines zoo. `bench <suite>` writes fresh
+//! rows to `BENCH_<suite>.json` at the repository root; a reviewed copy
+//! lives in `results/BENCH_<suite>.baseline.json`. The gate re-runs the suite and
 //! fails the build when any row got more than the suite's tolerance
 //! slower than the committed baseline on any gated timing column, or when
 //! any gated *verdict* (the guideline booleans) differs from the baseline
@@ -246,13 +245,6 @@ impl FromJson for BenchRow {
     }
 }
 
-impl BenchRow {
-    /// The identity of a zoo row across runs.
-    pub fn key(&self) -> (usize, usize) {
-        (self.object_bytes, self.block_bytes)
-    }
-}
-
 impl GatedSuite for BenchRow {
     const SUITE: &'static str = "send";
     const TOLERANCE: f64 = TOLERANCE;
@@ -273,7 +265,7 @@ impl GatedSuite for BenchRow {
     }
 }
 
-/// One `bench_scale` sweep row of `BENCH_scale.json`.
+/// One `bench scale` sweep row of `BENCH_scale.json`.
 ///
 /// `exchange_ns` is virtual time from the simulator clock (the slowest
 /// rank's measured exchange), so the gate is exactly reproducible.
@@ -311,13 +303,6 @@ impl FromJson for ScaleRow {
             exchange_ns: v.field("exchange_ns")?,
             wall_ms: v.field_or_default("wall_ms")?,
         })
-    }
-}
-
-impl ScaleRow {
-    /// The identity of a scale row across runs.
-    pub fn key(&self) -> (&str, usize) {
-        (&self.workload, self.ranks)
     }
 }
 
@@ -415,7 +400,7 @@ mod tests {
     fn rows_round_trip_through_bench_send_json() {
         let base = vec![row(1 << 20, 64, 50_000.0)];
         let back: Vec<BenchRow> = json::from_str(&base.to_json().to_string()).unwrap();
-        assert_eq!(back[0].key(), (1 << 20, 64));
+        assert_eq!(back[0].row_key(), "object 1048576 B / block 64 B");
     }
 
     fn srow(workload: &str, ranks: usize, ns: f64) -> ScaleRow {

@@ -1,10 +1,9 @@
-//! `check_bench`: the CI perf gates over the `bench_send` datatype zoo,
-//! the `bench_scale` scaling sweep, and the `check_guidelines`
-//! performance-guidelines zoo.
+//! `check_bench`: the CI perf gates over the three `bench` suites — the
+//! `send` sweep, the `scale` sweep, and the `guidelines` zoo.
 //!
 //! Reads the fresh `BENCH_<suite>.json` at the repository root (written
-//! by the preceding `bench_send` / `bench_scale` / `check_guidelines`
-//! run) and the committed `results/BENCH_<suite>.baseline.json` copy,
+//! by the preceding `bench <suite>` run) and the committed
+//! `results/BENCH_<suite>.baseline.json` copy,
 //! compares them through the shared [`tempi_bench::baseline`] comparator,
 //! and exits non-zero when any row got slower than the suite tolerance
 //! on any gated timing column or any gated *verdict* (the guideline
@@ -14,7 +13,7 @@
 //! Bootstrap: an empty (`[]`) or absent baseline records the current rows
 //! as the new baseline and passes. That is how a baseline is
 //! (re-)captured after an intentional perf change: empty the file's
-//! contents down to `[]`, re-run the bench bin then `check_bench`, and
+//! contents down to `[]`, re-run `bench <suite>` then `check_bench`, and
 //! commit the rewritten baseline.
 //!
 //! Run: `cargo run --release -p tempi-bench --bin check_bench [send|scale|guidelines ...]`
@@ -33,8 +32,9 @@ fn read_rows<T: GatedSuite>(path: &str) -> Result<Vec<T>, String> {
 /// Run one gate: load current + baseline rows, bootstrap an absent or
 /// empty baseline, otherwise compare. Returns `Err(exit message)` on any
 /// failure, `Ok(report line)` on pass.
-fn gate<T: GatedSuite>(root: &str, bench_bin: &str) -> Result<String, String> {
+fn gate<T: GatedSuite>(root: &str) -> Result<String, String> {
     let label = format!("check_bench[{}]", T::SUITE);
+    let bench_bin = format!("bench {}", T::SUITE);
     let current_path = format!("{root}/BENCH_{}.json", T::SUITE);
     let baseline_path = format!("{root}/results/BENCH_{}.baseline.json", T::SUITE);
     let current: Vec<T> = match read_rows(&current_path) {
@@ -98,13 +98,13 @@ fn main() {
     let mut failed = false;
     let mut results = Vec::new();
     if run("send") {
-        results.push(gate::<BenchRow>(root, "bench_send"));
+        results.push(gate::<BenchRow>(root));
     }
     if run("scale") {
-        results.push(gate::<ScaleRow>(root, "bench_scale"));
+        results.push(gate::<ScaleRow>(root));
     }
     if run("guidelines") {
-        results.push(gate::<GuidelineRow>(root, "check_guidelines"));
+        results.push(gate::<GuidelineRow>(root));
     }
     for result in results {
         match result {

@@ -1,4 +1,4 @@
-//! The DDT performance-guidelines harness behind the `check_guidelines`
+//! The DDT performance-guidelines harness behind the `bench guidelines`
 //! CI gate.
 //!
 //! Hunold/Träff ("MPI Derived Datatypes: Performance Expectations and
@@ -24,21 +24,21 @@
 //!
 //! All times are virtual nanoseconds from the simulator clock, measured
 //! receiver-side with the same barrier-per-round, minimum-over-rounds
-//! protocol as [`crate::measure::send_one_way_times`] — fully
+//! protocol as [`Cell::one_way`] ([`timed_rounds`] under both) — fully
 //! deterministic, so verdicts are exact and the baseline gate needs no
 //! flake budget. The gate's tolerance is [`GUIDELINE_TOL`].
 
+use gpu_sim::SimTime;
 use mpi_sim::consts::MPI_BYTE;
 use mpi_sim::datatype::typemap::segments;
 use mpi_sim::datatype::TypeTree;
-use mpi_sim::{MpiError, MpiResult, RankCtx, VendorId, World};
+use mpi_sim::{MpiError, MpiResult, RankCtx, World};
 use tempi_core::config::TempiConfig;
-use tempi_core::interpose::InterposedMpi;
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 use crate::baseline::GatedSuite;
-use crate::measure::Platform;
+use crate::measure::{timed_rounds, Cell, Platform, Side};
 use crate::workloads::zoo;
 
 /// Relative slack the gate allows before a guideline counts as violated: a
@@ -101,9 +101,21 @@ pub struct Eval {
 }
 
 impl Eval {
+    /// The six verdicts by their column names.
+    pub fn verdicts(&self) -> [(&'static str, bool); 6] {
+        [
+            ("g1_off", self.g1_off),
+            ("g2_off", self.g2_off),
+            ("g1_on", self.g1_on),
+            ("g2_on", self.g2_on),
+            ("g3", self.g3),
+            ("g4", self.g4),
+        ]
+    }
+
     /// Does every guideline hold?
     pub fn clean(&self) -> bool {
-        self.g1_off && self.g2_off && self.g1_on && self.g2_on && self.g3 && self.g4
+        self.verdicts().iter().all(|&(_, holds)| holds)
     }
 }
 
@@ -121,44 +133,37 @@ pub fn evaluate(
     tol: f64,
 ) -> Eval {
     let limit = 1.0 + tol;
-    let holds = |t: f64, reference: f64| t <= reference * limit;
-    let g1_off = holds(off.ddt_ns, off.pack_send_ns);
-    let g2_off = holds(off.ddt_ns, off.naive_ns);
-    let g1_on = holds(on.ddt_ns, on.pack_send_ns);
-    let g2_on = holds(on.ddt_ns, on.naive_ns);
-    let g3 = (!g1_off || g1_on) && (!g2_off || g2_on);
-    let g4 = !normalized || holds(on.ddt_ns, on_nocanon_ddt_ns);
-    let mut worst: f64 = 1.0;
-    for (ok, t, reference) in [
-        (g1_off, off.ddt_ns, off.pack_send_ns),
-        (g2_off, off.ddt_ns, off.naive_ns),
-        (g1_on, on.ddt_ns, on.pack_send_ns),
-        (g2_on, on.ddt_ns, on.naive_ns),
-        (g4, on.ddt_ns, on_nocanon_ddt_ns),
-    ] {
-        if !ok {
-            worst = worst.max(t / reference);
-        }
-    }
+    // (time, reference) of G1[off], G2[off], G1[on], G2[on] and G4
+    let pairs = [
+        (off.ddt_ns, off.pack_send_ns),
+        (off.ddt_ns, off.naive_ns),
+        (on.ddt_ns, on.pack_send_ns),
+        (on.ddt_ns, on.naive_ns),
+        (on.ddt_ns, on_nocanon_ddt_ns),
+    ];
+    let [g1_off, g2_off, g1_on, g2_on, g4] = pairs.map(|(t, reference)| t <= reference * limit);
+    let g4 = !normalized || g4;
+    let violated = (pairs.iter().zip([g1_off, g2_off, g1_on, g2_on, g4])).filter(|(_, ok)| !ok);
     Eval {
         g1_off,
         g2_off,
         g1_on,
         g2_on,
-        g3,
+        g3: (!g1_off || g1_on) && (!g2_off || g2_on),
         g4,
-        worst_ratio: worst,
+        worst_ratio: violated.map(|((t, r), _)| t / r).fold(1.0, f64::max),
     }
 }
 
 /// One (pattern, vendor) cell of `BENCH_guidelines.json`: the raw
 /// virtual times of both deployments, the plan TEMPI built, the six
-/// verdicts, and the worst violation ratio.
+/// verdicts, and the worst violation ratio. The file keeps one flat object
+/// per row (`off_ddt_ns`, …, `g1_off`, …, `worst_ratio`).
 #[derive(Debug, Clone)]
 pub struct GuidelineRow {
     /// Zoo pattern label (the row's name in [`zoo`]).
     pub pattern: String,
-    /// Vendor profile label ([`VendorId::label`]).
+    /// Vendor profile label ([`mpi_sim::VendorId::label`]).
     pub vendor: String,
     /// Data bytes the pattern denotes.
     pub size_bytes: usize,
@@ -169,38 +174,19 @@ pub struct GuidelineRow {
     pub plan: String,
     /// Does the plan claim canonical handling (G4 applies)?
     pub normalized: bool,
-    /// Typed send, TEMPI off, virtual ns.
-    pub off_ddt_ns: f64,
-    /// Pack-then-send, TEMPI off, virtual ns.
-    pub off_pack_send_ns: f64,
-    /// Naive loop, TEMPI off, virtual ns.
-    pub off_naive_ns: f64,
-    /// Typed send, TEMPI on, virtual ns.
-    pub on_ddt_ns: f64,
-    /// Pack-then-send, TEMPI on, virtual ns.
-    pub on_pack_send_ns: f64,
-    /// Naive loop, TEMPI on, virtual ns.
-    pub on_naive_ns: f64,
+    /// The three schemes with TEMPI off.
+    pub off: CellTimes,
+    /// The three schemes with TEMPI on.
+    pub on: CellTimes,
     /// Typed send, TEMPI on with `canonicalize = false`, virtual ns.
     pub on_nocanon_ddt_ns: f64,
-    /// G1 verdict, TEMPI off.
-    pub g1_off: bool,
-    /// G2 verdict, TEMPI off.
-    pub g2_off: bool,
-    /// G1 verdict, TEMPI on.
-    pub g1_on: bool,
-    /// G2 verdict, TEMPI on.
-    pub g2_on: bool,
-    /// G3 verdict (the build-failing one).
-    pub g3: bool,
-    /// G4 verdict.
-    pub g4: bool,
-    /// Worst violation ratio (1.0 when clean).
-    pub worst_ratio: f64,
+    /// The verdicts and the worst violation ratio.
+    pub eval: Eval,
 }
 
 impl ToJson for GuidelineRow {
     fn to_json(&self) -> Value {
+        let GuidelineRow { off, on, eval, .. } = self;
         Value::object([
             ("pattern", self.pattern.to_json()),
             ("vendor", self.vendor.to_json()),
@@ -208,26 +194,33 @@ impl ToJson for GuidelineRow {
             ("nblocks", self.nblocks.to_json()),
             ("plan", self.plan.to_json()),
             ("normalized", self.normalized.to_json()),
-            ("off_ddt_ns", self.off_ddt_ns.to_json()),
-            ("off_pack_send_ns", self.off_pack_send_ns.to_json()),
-            ("off_naive_ns", self.off_naive_ns.to_json()),
-            ("on_ddt_ns", self.on_ddt_ns.to_json()),
-            ("on_pack_send_ns", self.on_pack_send_ns.to_json()),
-            ("on_naive_ns", self.on_naive_ns.to_json()),
+            ("off_ddt_ns", off.ddt_ns.to_json()),
+            ("off_pack_send_ns", off.pack_send_ns.to_json()),
+            ("off_naive_ns", off.naive_ns.to_json()),
+            ("on_ddt_ns", on.ddt_ns.to_json()),
+            ("on_pack_send_ns", on.pack_send_ns.to_json()),
+            ("on_naive_ns", on.naive_ns.to_json()),
             ("on_nocanon_ddt_ns", self.on_nocanon_ddt_ns.to_json()),
-            ("g1_off", self.g1_off.to_json()),
-            ("g2_off", self.g2_off.to_json()),
-            ("g1_on", self.g1_on.to_json()),
-            ("g2_on", self.g2_on.to_json()),
-            ("g3", self.g3.to_json()),
-            ("g4", self.g4.to_json()),
-            ("worst_ratio", self.worst_ratio.to_json()),
+            ("g1_off", eval.g1_off.to_json()),
+            ("g2_off", eval.g2_off.to_json()),
+            ("g1_on", eval.g1_on.to_json()),
+            ("g2_on", eval.g2_on.to_json()),
+            ("g3", eval.g3.to_json()),
+            ("g4", eval.g4.to_json()),
+            ("worst_ratio", eval.worst_ratio.to_json()),
         ])
     }
 }
 
 impl FromJson for GuidelineRow {
     fn from_json(v: &Value) -> Result<GuidelineRow, json::Error> {
+        let times = |ddt: &str, pack_send: &str, naive: &str| -> Result<CellTimes, json::Error> {
+            Ok(CellTimes {
+                ddt_ns: v.field(ddt)?,
+                pack_send_ns: v.field(pack_send)?,
+                naive_ns: v.field(naive)?,
+            })
+        };
         Ok(GuidelineRow {
             pattern: v.field("pattern")?,
             vendor: v.field("vendor")?,
@@ -235,28 +228,19 @@ impl FromJson for GuidelineRow {
             nblocks: v.field("nblocks")?,
             plan: v.field("plan")?,
             normalized: v.field("normalized")?,
-            off_ddt_ns: v.field("off_ddt_ns")?,
-            off_pack_send_ns: v.field("off_pack_send_ns")?,
-            off_naive_ns: v.field("off_naive_ns")?,
-            on_ddt_ns: v.field("on_ddt_ns")?,
-            on_pack_send_ns: v.field("on_pack_send_ns")?,
-            on_naive_ns: v.field("on_naive_ns")?,
+            off: times("off_ddt_ns", "off_pack_send_ns", "off_naive_ns")?,
+            on: times("on_ddt_ns", "on_pack_send_ns", "on_naive_ns")?,
             on_nocanon_ddt_ns: v.field("on_nocanon_ddt_ns")?,
-            g1_off: v.field("g1_off")?,
-            g2_off: v.field("g2_off")?,
-            g1_on: v.field("g1_on")?,
-            g2_on: v.field("g2_on")?,
-            g3: v.field("g3")?,
-            g4: v.field("g4")?,
-            worst_ratio: v.field("worst_ratio")?,
+            eval: Eval {
+                g1_off: v.field("g1_off")?,
+                g2_off: v.field("g2_off")?,
+                g1_on: v.field("g1_on")?,
+                g2_on: v.field("g2_on")?,
+                g3: v.field("g3")?,
+                g4: v.field("g4")?,
+                worst_ratio: v.field("worst_ratio")?,
+            },
         })
-    }
-}
-
-impl GuidelineRow {
-    /// Is every guideline satisfied on this cell?
-    pub fn clean(&self) -> bool {
-        self.g1_off && self.g2_off && self.g1_on && self.g2_on && self.g3 && self.g4
     }
 }
 
@@ -270,25 +254,18 @@ impl GatedSuite for GuidelineRow {
 
     fn timings(&self) -> Vec<(&'static str, f64)> {
         vec![
-            ("off_ddt_ns", self.off_ddt_ns),
-            ("off_pack_send_ns", self.off_pack_send_ns),
-            ("off_naive_ns", self.off_naive_ns),
-            ("on_ddt_ns", self.on_ddt_ns),
-            ("on_pack_send_ns", self.on_pack_send_ns),
-            ("on_naive_ns", self.on_naive_ns),
+            ("off_ddt_ns", self.off.ddt_ns),
+            ("off_pack_send_ns", self.off.pack_send_ns),
+            ("off_naive_ns", self.off.naive_ns),
+            ("on_ddt_ns", self.on.ddt_ns),
+            ("on_pack_send_ns", self.on.pack_send_ns),
+            ("on_naive_ns", self.on.naive_ns),
             ("on_nocanon_ddt_ns", self.on_nocanon_ddt_ns),
         ]
     }
 
     fn verdicts(&self) -> Vec<(&'static str, bool)> {
-        vec![
-            ("g1_off", self.g1_off),
-            ("g2_off", self.g2_off),
-            ("g1_on", self.g1_on),
-            ("g2_on", self.g2_on),
-            ("g3", self.g3),
-            ("g4", self.g4),
-        ]
+        self.eval.verdicts().into()
     }
 }
 
@@ -321,7 +298,8 @@ pub fn violations(rows: &[GuidelineRow]) -> Vec<Violation> {
     let mut out = Vec::new();
     for r in rows {
         let key = r.row_key();
-        let mut push = |guideline, t: f64, reference: f64, what: String| {
+        let (off, on, eval) = (r.off, r.on, r.eval);
+        let mut push = |guideline, t: f64, reference: f64, what: &str| {
             out.push(Violation {
                 row: key.clone(),
                 guideline,
@@ -329,63 +307,37 @@ pub fn violations(rows: &[GuidelineRow]) -> Vec<Violation> {
                 detail: format!("{what} ({t:.0} ns vs {reference:.0} ns)"),
             });
         };
-        if !r.g1_off {
-            push(
-                "G1[off]",
-                r.off_ddt_ns,
-                r.off_pack_send_ns,
-                "system DDT send loses to pack-then-send".into(),
-            );
+        if !eval.g1_off {
+            let what = "system DDT send loses to pack-then-send";
+            push("G1[off]", off.ddt_ns, off.pack_send_ns, what);
         }
-        if !r.g2_off {
-            push(
-                "G2[off]",
-                r.off_ddt_ns,
-                r.off_naive_ns,
-                "system DDT send loses to the naive loop".into(),
-            );
+        if !eval.g2_off {
+            let what = "system DDT send loses to the naive loop";
+            push("G2[off]", off.ddt_ns, off.naive_ns, what);
         }
-        if !r.g1_on {
-            push(
-                "G1[on]",
-                r.on_ddt_ns,
-                r.on_pack_send_ns,
-                "TEMPI DDT send loses to pack-then-send".into(),
-            );
+        if !eval.g1_on {
+            let what = "TEMPI DDT send loses to pack-then-send";
+            push("G1[on]", on.ddt_ns, on.pack_send_ns, what);
         }
-        if !r.g2_on {
-            push(
-                "G2[on]",
-                r.on_ddt_ns,
-                r.on_naive_ns,
-                "TEMPI DDT send loses to the naive loop".into(),
-            );
+        if !eval.g2_on {
+            let what = "TEMPI DDT send loses to the naive loop";
+            push("G2[on]", on.ddt_ns, on.naive_ns, what);
         }
-        if !r.g3 {
+        if !eval.g3 {
             // report the worse of the TEMPI-on comparisons whose off-side
             // counterpart held
-            let (t, reference, what) = if r.g1_off && !r.g1_on {
-                (
-                    r.on_ddt_ns,
-                    r.on_pack_send_ns,
-                    "TEMPI-on violates G1 where TEMPI-off satisfies it",
-                )
+            let (reference, what) = if eval.g1_off && !eval.g1_on {
+                let what = "TEMPI-on violates G1 where TEMPI-off satisfies it";
+                (on.pack_send_ns, what)
             } else {
-                (
-                    r.on_ddt_ns,
-                    r.on_naive_ns,
-                    "TEMPI-on violates G2 where TEMPI-off satisfies it",
-                )
+                let what = "TEMPI-on violates G2 where TEMPI-off satisfies it";
+                (on.naive_ns, what)
             };
-            push("G3", t, reference, what.into());
+            push("G3", on.ddt_ns, reference, what);
         }
-        if !r.g4 {
-            push(
-                "G4",
-                r.on_ddt_ns,
-                r.on_nocanon_ddt_ns,
-                format!("canonicalization regresses a {} plan", r.plan),
-            );
+        if !eval.g4 {
+            let what = format!("canonicalization regresses a {} plan", r.plan);
+            push("G4", on.ddt_ns, r.on_nocanon_ddt_ns, &what);
         }
     }
     out.sort_by(|a, b| b.ratio.total_cmp(&a.ratio));
@@ -416,15 +368,6 @@ pub fn render_report(rows: &[GuidelineRow], tol: f64) -> String {
     s
 }
 
-/// The vendor a measurement platform simulates.
-fn vendor_of(platform: Platform) -> VendorId {
-    match platform {
-        Platform::Mvapich => VendorId::Mvapich,
-        Platform::OpenMpi => VendorId::OpenMpi,
-        Platform::Summit => VendorId::SpectrumMpi,
-    }
-}
-
 /// Probe what TEMPI's commit pipeline resolves `pattern` to on
 /// `platform`: a plan label and whether the plan claims canonical
 /// handling (strided or block-list — the layouts G4 ranges over).
@@ -442,119 +385,68 @@ pub fn plan_label(platform: Platform, pattern: &TypeTree) -> MpiResult<(String, 
     })
 }
 
-/// Measure the three delivery times of one cell: a 2-rank world (one
-/// rank per node), barrier per round, receiver-side minimum over
-/// measured rounds. `config = None` runs plain system MPI
-/// ([`InterposedMpi::system_only`]); `Some` interposes TEMPI with that
-/// configuration. With `typed_only` the two reference measurements are
-/// skipped (the G4 ablation needs only the typed time).
-pub fn measure_cell(
-    platform: Platform,
-    config: Option<&TempiConfig>,
-    pattern: &TypeTree,
-    typed_only: bool,
-) -> MpiResult<CellTimes> {
-    let mut cfg = platform.world(2);
-    cfg.net.ranks_per_node = 1;
-    let results = World::run(&cfg, move |ctx| {
-        let mut mpi = match config {
-            Some(c) => InterposedMpi::new(c.clone()),
-            None => InterposedMpi::system_only(),
-        };
-        let dt = pattern.build(ctx)?;
-        mpi.type_commit(ctx, dt)?;
-        let attrs = ctx.attrs(dt)?;
-        let buf = ctx
-            .gpu
-            .malloc(attrs.true_ub.max(attrs.ub).max(1) as usize)?;
-        let total = attrs.size as usize;
+/// The fastest measured round on this rank.
+fn fastest<T>(rounds: Vec<(SimTime, T)>) -> SimTime {
+    let times = rounds.iter().map(|&(t, _)| t);
+    times.min().expect("at least one measured round")
+}
 
-        // typed DDT send
-        let mut typed = u64::MAX;
-        for i in 0..TYPED_WARMUP + TYPED_ROUNDS {
-            ctx.barrier();
-            let ps = if ctx.rank == 0 {
-                mpi.send(ctx, buf, 1, dt, 1, 0)?;
-                0
-            } else {
-                let t0 = ctx.clock.now();
-                mpi.recv(ctx, buf, 1, dt, Some(0), Some(0))?;
-                (ctx.clock.now() - t0).as_ps()
-            };
-            if i >= TYPED_WARMUP {
-                typed = typed.min(ps);
-            }
-        }
+/// Measure the three delivery times of one cell against `side`: a 2-rank
+/// world (one rank per node), the three sending schemes one after another
+/// under [`timed_rounds`], receiver-side minimum over measured rounds.
+/// With `typed_only` the two reference measurements are skipped (the G4
+/// ablation needs only the typed time).
+pub fn measure_cell(cell: &Cell, side: &Side, typed_only: bool) -> MpiResult<CellTimes> {
+    let per_rank = World::run(&cell.platform.pair(), |ctx| {
+        let mut end = cell.endpoint(ctx, side)?;
+        let typed = fastest(timed_rounds(ctx, TYPED_WARMUP, TYPED_ROUNDS, |ctx| {
+            end.deliver(ctx)
+        })?);
         if typed_only {
-            return Ok([typed, 0, 0]);
+            return Ok([typed, SimTime::ZERO, SimTime::ZERO]);
         }
+        let (mpi, dt, buf) = (&mut end.mpi, end.dt, end.buf);
 
         // pack-then-send of the same bytes
+        let total = ctx.attrs(dt)?.size as usize;
         let packed = ctx.gpu.malloc(total.max(1))?;
-        let mut pack_send = u64::MAX;
-        for i in 0..PACK_WARMUP + PACK_ROUNDS {
-            ctx.barrier();
-            let ps = if ctx.rank == 0 {
-                let mut pos = 0;
+        let pack_send = fastest(timed_rounds(ctx, PACK_WARMUP, PACK_ROUNDS, |ctx| {
+            let mut pos = 0;
+            if ctx.rank == 0 {
                 mpi.pack(ctx, buf, 1, dt, packed, total, &mut pos)?;
                 mpi.send(ctx, packed, total, MPI_BYTE, 1, 1)?;
-                0
             } else {
-                let t0 = ctx.clock.now();
                 mpi.recv(ctx, packed, total, MPI_BYTE, Some(0), Some(1))?;
-                let mut pos = 0;
                 mpi.unpack(ctx, packed, total, &mut pos, buf, 1, dt)?;
-                (ctx.clock.now() - t0).as_ps()
-            };
-            if i >= PACK_WARMUP {
-                pack_send = pack_send.min(ps);
             }
-        }
+            Ok(())
+        })?);
 
         // naive element-wise loop: one byte message per contiguous block
-        let segs = {
-            let reg = ctx.registry().read();
-            segments(&reg, dt)?
-        };
+        let segs = segments(&ctx.registry().read(), dt)?;
         let at = |off: i64| {
             buf.offset_by(off)
                 .ok_or_else(|| MpiError::InvalidArg("segment reaches before buffer".to_string()))
         };
-        let mut naive = u64::MAX;
-        for i in 0..NAIVE_WARMUP + NAIVE_ROUNDS {
-            ctx.barrier();
-            let ps = if ctx.rank == 0 {
-                for seg in &segs {
-                    mpi.send(ctx, at(seg.off)?, seg.len as usize, MPI_BYTE, 1, 2)?;
+        let naive = fastest(timed_rounds(ctx, NAIVE_WARMUP, NAIVE_ROUNDS, |ctx| {
+            for seg in &segs {
+                let (block, len) = (at(seg.off)?, seg.len as usize);
+                if ctx.rank == 0 {
+                    mpi.send(ctx, block, len, MPI_BYTE, 1, 2)?;
+                } else {
+                    mpi.recv(ctx, block, len, MPI_BYTE, Some(0), Some(2))?;
                 }
-                0
-            } else {
-                let t0 = ctx.clock.now();
-                for seg in &segs {
-                    mpi.recv(
-                        ctx,
-                        at(seg.off)?,
-                        seg.len as usize,
-                        MPI_BYTE,
-                        Some(0),
-                        Some(2),
-                    )?;
-                }
-                (ctx.clock.now() - t0).as_ps()
-            };
-            if i >= NAIVE_WARMUP {
-                naive = naive.min(ps);
             }
-        }
+            Ok(())
+        })?);
         Ok([typed, pack_send, naive])
     })?;
     // the receiver's clock measured the deliveries
-    let ns = |ps: u64| ps as f64 / 1e3;
-    let [typed, pack_send, naive] = results[1];
+    let [typed, pack_send, naive] = per_rank[1].map(SimTime::as_ns_f64);
     Ok(CellTimes {
-        ddt_ns: ns(typed),
-        pack_send_ns: ns(pack_send),
-        naive_ns: ns(naive),
+        ddt_ns: typed,
+        pack_send_ns: pack_send,
+        naive_ns: naive,
     })
 }
 
@@ -568,45 +460,36 @@ pub fn run_cell(
     pattern: &TypeTree,
     tol: f64,
 ) -> MpiResult<GuidelineRow> {
-    let on_cfg = TempiConfig::default();
-    let nocanon_cfg = TempiConfig {
+    let cell = Cell::of(platform, pattern.clone(), 1)?;
+    let nocanon = Side::Tempi(TempiConfig {
         canonicalize: false,
         ..TempiConfig::default()
-    };
-    let off = measure_cell(platform, None, pattern, false)?;
-    let on = measure_cell(platform, Some(&on_cfg), pattern, false)?;
-    let nocanon = measure_cell(platform, Some(&nocanon_cfg), pattern, true)?;
+    });
+    let off = measure_cell(&cell, &Side::System, false)?;
+    let on = measure_cell(&cell, &Side::tempi(), false)?;
+    let on_nocanon_ddt_ns = measure_cell(&cell, &nocanon, true)?.ddt_ns;
     let (plan, normalized) = plan_label(platform, pattern)?;
-    let eval = evaluate(off, on, nocanon.ddt_ns, normalized, tol);
     let mut probe = RankCtx::standalone(&platform.world(1));
     let dt = pattern.build(&mut probe)?;
     let nblocks = segments(&probe.registry().read(), dt)?.len();
     Ok(GuidelineRow {
         pattern: label.to_string(),
-        vendor: vendor_of(platform).label().to_string(),
+        vendor: platform.world(1).vendor.id.label().to_string(),
         size_bytes: probe.attrs(dt)?.size as usize,
         nblocks,
         plan,
         normalized,
-        off_ddt_ns: off.ddt_ns,
-        off_pack_send_ns: off.pack_send_ns,
-        off_naive_ns: off.naive_ns,
-        on_ddt_ns: on.ddt_ns,
-        on_pack_send_ns: on.pack_send_ns,
-        on_naive_ns: on.naive_ns,
-        on_nocanon_ddt_ns: nocanon.ddt_ns,
-        g1_off: eval.g1_off,
-        g2_off: eval.g2_off,
-        g1_on: eval.g1_on,
-        g2_on: eval.g2_on,
-        g3: eval.g3,
-        g4: eval.g4,
-        worst_ratio: eval.worst_ratio,
+        off,
+        on,
+        on_nocanon_ddt_ns,
+        eval: evaluate(off, on, on_nocanon_ddt_ns, normalized, tol),
     })
 }
 
-/// Run the whole zoo on the given platforms at tolerance `tol`.
-pub fn run_zoo_on(platforms: &[Platform], tol: f64) -> MpiResult<Vec<GuidelineRow>> {
+/// Run the whole zoo on the given platforms at tolerance `tol`; all three
+/// ([`Platform::ALL`]) is what `bench guidelines` and the committed baseline
+/// cover.
+pub fn run_zoo(platforms: &[Platform], tol: f64) -> MpiResult<Vec<GuidelineRow>> {
     let mut rows = Vec::new();
     for &platform in platforms {
         for (label, pattern) in zoo() {
@@ -614,12 +497,6 @@ pub fn run_zoo_on(platforms: &[Platform], tol: f64) -> MpiResult<Vec<GuidelineRo
         }
     }
     Ok(rows)
-}
-
-/// Run the whole zoo across all three vendor profiles — what
-/// `check_guidelines` and the committed baseline cover.
-pub fn run_zoo(tol: f64) -> MpiResult<Vec<GuidelineRow>> {
-    run_zoo_on(&Platform::ALL, tol)
 }
 
 #[cfg(test)]
@@ -704,6 +581,7 @@ mod tests {
     }
 
     fn row(pattern: &str, vendor: &str) -> GuidelineRow {
+        let t = cell(900.0, 1000.0, 5000.0);
         GuidelineRow {
             pattern: pattern.to_string(),
             vendor: vendor.to_string(),
@@ -711,32 +589,22 @@ mod tests {
             nblocks: 16,
             plan: "strided".to_string(),
             normalized: true,
-            off_ddt_ns: 900.0,
-            off_pack_send_ns: 1000.0,
-            off_naive_ns: 5000.0,
-            on_ddt_ns: 900.0,
-            on_pack_send_ns: 1000.0,
-            on_naive_ns: 5000.0,
+            off: t,
+            on: t,
             on_nocanon_ddt_ns: 900.0,
-            g1_off: true,
-            g2_off: true,
-            g1_on: true,
-            g2_on: true,
-            g3: true,
-            g4: true,
-            worst_ratio: 1.0,
+            eval: evaluate(t, t, 900.0, true, 0.10),
         }
     }
 
     #[test]
     fn violations_sort_worst_first_and_name_the_cell() {
         let mut a = row("col/256x8@2048", "mvapich");
-        a.g1_on = false;
-        a.g3 = false;
-        a.on_ddt_ns = 1500.0; // 1.5x
+        a.eval.g1_on = false;
+        a.eval.g3 = false;
+        a.on.ddt_ns = 1500.0; // 1.5x
         let mut b = row("soa/8x2048@65536", "spectrum");
-        b.g4 = false;
-        b.on_ddt_ns = 3000.0;
+        b.eval.g4 = false;
+        b.on.ddt_ns = 3000.0;
         b.on_nocanon_ddt_ns = 1000.0; // 3.0x
         let v = violations(&[a, b]);
         assert_eq!(v.len(), 3);
@@ -776,10 +644,10 @@ mod tests {
 
     #[test]
     fn measure_cell_reproduces_the_paper_status_quo() {
-        let pattern = &"vector(64, 8, 256, byte)".parse().unwrap();
-        let on_cfg = TempiConfig::default();
-        let off = measure_cell(Platform::Summit, None, pattern, false).unwrap();
-        let on = measure_cell(Platform::Summit, Some(&on_cfg), pattern, false).unwrap();
+        let pattern = "vector(64, 8, 256, byte)".parse().unwrap();
+        let cell = &Cell::of(Platform::Summit, pattern, 1).unwrap();
+        let off = measure_cell(cell, &Side::System, false).unwrap();
+        let on = measure_cell(cell, &Side::tempi(), false).unwrap();
         for t in [&off, &on] {
             assert!(
                 t.ddt_ns > 0.0 && t.pack_send_ns > 0.0 && t.naive_ns > 0.0,
@@ -793,7 +661,7 @@ mod tests {
         // and it beats the vendor's typed path (the paper's headline)
         assert!(on.ddt_ns < off.ddt_ns, "on {on:?} vs off {off:?}");
         // typed-only measurement returns the same typed time, cheaper
-        let typed = measure_cell(Platform::Summit, Some(&on_cfg), pattern, true).unwrap();
+        let typed = measure_cell(cell, &Side::tempi(), true).unwrap();
         assert_eq!(typed.ddt_ns, on.ddt_ns);
     }
 }

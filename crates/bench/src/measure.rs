@@ -1,10 +1,17 @@
-//! Measurement harness: deterministic virtual-time measurements of pack,
-//! commit, and send operations across platforms and interposition modes.
+//! The measurement harness: one [`Cell`] — a datatype on a platform —
+//! measured against one [`Side`] of the interposition, in deterministic
+//! virtual time. Pack, unpack, commit, ping-pong and one-way delivery are
+//! methods of the cell; every two-rank measurement (the guidelines' three
+//! sending schemes and Fig. 8's raw ping-pong included) runs its timed
+//! operation under [`timed_rounds`], every halo measurement under
+//! [`halo_exchange`].
 
-use gpu_sim::SimTime;
+use gpu_sim::{GpuPtr, PackDir, SimTime};
+use mpi_sim::datatype::TypeTree;
 use mpi_sim::{Datatype, MpiResult, RankCtx, VendorProfile, World, WorldConfig};
 use tempi_core::config::{Method, TempiConfig};
 use tempi_core::interpose::InterposedMpi;
+use tempi_stencil::{ExchangeTiming, HaloConfig, HaloExchanger};
 
 /// The paper's three experimental platforms (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,93 +45,235 @@ impl Platform {
             Platform::Summit => WorldConfig::summit(size),
         }
     }
-}
 
-/// Tukey's trimean, the paper's reported statistic:
-/// `(Q1 + 2·median + Q3) / 4`.
-pub fn trimean(samples: &mut [f64]) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(f64::total_cmp);
-    let q = |p: f64| -> f64 {
-        let idx = p * (samples.len() - 1) as f64;
-        let lo = idx.floor() as usize;
-        let hi = idx.ceil() as usize;
-        let frac = idx - lo as f64;
-        samples[lo] * (1.0 - frac) + samples[hi] * frac
-    };
-    (q(0.25) + 2.0 * q(0.5) + q(0.75)) / 4.0
-}
-
-/// Interposition mode of a measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// TEMPI in the link order.
-    Tempi,
-    /// Plain system MPI.
-    System,
-}
-
-fn mpi_for(mode: Mode, config: TempiConfig) -> InterposedMpi {
-    match mode {
-        Mode::Tempi => InterposedMpi::new(config),
-        Mode::System => InterposedMpi::system_only(),
+    /// Two ranks on separate nodes: the world of every send measurement.
+    pub fn pair(self) -> WorldConfig {
+        let mut cfg = self.world(2);
+        cfg.net.ranks_per_node = 1;
+        cfg
     }
 }
 
-/// Measure one `MPI_Pack` of `incount` items of the type `build` creates,
-/// from a device buffer spanning `span` bytes into a device buffer of the
-/// packed size. The measurement is steady-state: one warm-up pack runs
-/// first (plans cached, pools warm), matching the paper's trimean-of-many
-/// methodology.
-pub fn pack_time(
-    platform: Platform,
-    mode: Mode,
-    config: TempiConfig,
-    build: impl FnOnce(&mut RankCtx) -> MpiResult<Datatype>,
-    incount: usize,
-    span: usize,
-) -> MpiResult<SimTime> {
-    let cfg = platform.world(1);
-    let mut ctx = RankCtx::standalone(&cfg);
-    let mut mpi = mpi_for(mode, config);
-    let dt = build(&mut ctx)?;
-    mpi.type_commit(&mut ctx, dt)?;
-    let total = mpi.pack_size(&mut ctx, incount, dt)?;
-    let src = ctx.gpu.malloc(span.max(1))?;
-    let dst = ctx.gpu.malloc(total.max(1))?;
-    // warm-up
-    let mut pos = 0;
-    mpi.pack(&mut ctx, src, incount, dt, dst, total, &mut pos)?;
-    // measured
-    let t0 = ctx.clock.now();
-    let mut pos = 0;
-    mpi.pack(&mut ctx, src, incount, dt, dst, total, &mut pos)?;
-    Ok(ctx.clock.now() - t0)
+/// Does `TEMPI_BENCH_FULL` ask for the paper-scale sizes (Fig. 7c at
+/// 1024³ B, Fig. 12 at 96³ on up to 27 ranks)?
+pub fn paper_scale() -> bool {
+    std::env::var("TEMPI_BENCH_FULL").is_ok()
 }
 
-/// Measure one `MPI_Unpack` (mirror of [`pack_time`]).
-pub fn unpack_time(
-    platform: Platform,
-    mode: Mode,
-    config: TempiConfig,
-    build: impl FnOnce(&mut RankCtx) -> MpiResult<Datatype>,
+/// Which MPI a measurement runs against.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Side {
+    /// Plain system MPI.
+    System,
+    /// TEMPI in the link order, so configured.
+    Tempi(TempiConfig),
+}
+
+impl Side {
+    /// TEMPI as a user gets it with no knob set.
+    pub fn tempi() -> Side {
+        Side::Tempi(TempiConfig::default())
+    }
+
+    /// TEMPI with `method` forced.
+    pub fn forced(method: Method) -> Side {
+        Side::Tempi(TempiConfig {
+            force_method: Some(method),
+            ..TempiConfig::default()
+        })
+    }
+
+    /// The MPI a rank of this side calls.
+    pub fn mpi(&self) -> InterposedMpi {
+        match self {
+            Side::System => InterposedMpi::system_only(),
+            Side::Tempi(config) => InterposedMpi::new(config.clone()),
+        }
+    }
+}
+
+/// One measurement cell: `incount` items of the datatype `tree` on
+/// `platform`, in a device buffer of `span` bytes. Built from a zoo spec
+/// ([`Cell::of`]) or from one construction of a figure object
+/// ([`crate::Obj2d::cell`], [`crate::Obj3d::cell`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    /// Where it runs.
+    pub platform: Platform,
+    /// The datatype.
+    pub tree: TypeTree,
+    /// Items passed as the pack/send count.
+    pub incount: usize,
+    /// Bytes the strided buffer spans.
+    pub span: usize,
+}
+
+/// One rank's end of a measurement: the MPI under test, the committed type
+/// and the strided device buffer.
+pub(crate) struct Endpoint {
+    pub(crate) mpi: InterposedMpi,
+    pub(crate) dt: Datatype,
+    pub(crate) buf: GpuPtr,
     incount: usize,
-    span: usize,
-) -> MpiResult<SimTime> {
-    let cfg = platform.world(1);
-    let mut ctx = RankCtx::standalone(&cfg);
-    let mut mpi = mpi_for(mode, config);
-    let dt = build(&mut ctx)?;
-    mpi.type_commit(&mut ctx, dt)?;
-    let total = mpi.pack_size(&mut ctx, incount, dt)?;
-    let packed = ctx.gpu.malloc(total.max(1))?;
-    let out = ctx.gpu.malloc(span.max(1))?;
-    let mut pos = 0;
-    mpi.unpack(&mut ctx, packed, total, &mut pos, out, incount, dt)?;
-    let t0 = ctx.clock.now();
-    let mut pos = 0;
-    mpi.unpack(&mut ctx, packed, total, &mut pos, out, incount, dt)?;
-    Ok(ctx.clock.now() - t0)
+}
+
+impl Endpoint {
+    /// Rank 0 sends the typed object, rank 1 receives it; the sender
+    /// reports the method it chose.
+    pub(crate) fn deliver(&mut self, ctx: &mut RankCtx) -> MpiResult<Option<Method>> {
+        let (dt, buf, n) = (self.dt, self.buf, self.incount);
+        if ctx.rank == 0 {
+            self.mpi.send(ctx, buf, n, dt, 1, 0)
+        } else {
+            self.mpi.recv(ctx, buf, n, dt, Some(0), Some(0))?;
+            Ok(None)
+        }
+    }
+}
+
+impl Cell {
+    /// The cell of any datatype: the buffer spans exactly what `incount`
+    /// items reach, read off the built type.
+    pub fn of(platform: Platform, tree: TypeTree, incount: usize) -> MpiResult<Cell> {
+        let mut probe = RankCtx::standalone(&platform.world(1));
+        let dt = tree.build(&mut probe)?;
+        let a = probe.attrs(dt)?;
+        let reach = a.true_ub.max(a.ub) + (incount as i64 - 1) * a.extent().max(0);
+        Ok(Cell {
+            platform,
+            tree,
+            incount,
+            span: reach.max(1) as usize,
+        })
+    }
+
+    /// Build and commit the type on this rank against `side`, and allocate
+    /// the strided buffer.
+    pub(crate) fn endpoint(&self, ctx: &mut RankCtx, side: &Side) -> MpiResult<Endpoint> {
+        let mut mpi = side.mpi();
+        let dt = self.tree.build(ctx)?;
+        mpi.type_commit(ctx, dt)?;
+        Ok(Endpoint {
+            mpi,
+            dt,
+            buf: ctx.gpu.malloc(self.span.max(1))?,
+            incount: self.incount,
+        })
+    }
+
+    /// One steady-state `MPI_Pack` (or `MPI_Unpack`) between the strided
+    /// buffer and a device buffer of the packed size: a warm-up call first
+    /// (plans cached, pools warm), then the measured one.
+    fn pack_or_unpack(&self, side: &Side, dir: PackDir) -> MpiResult<SimTime> {
+        let ctx = &mut RankCtx::standalone(&self.platform.world(1));
+        let Endpoint {
+            mut mpi, dt, buf, ..
+        } = self.endpoint(ctx, side)?;
+        let total = mpi.pack_size(ctx, self.incount, dt)?;
+        let packed = ctx.gpu.malloc(total.max(1))?;
+        let mut once = |ctx: &mut RankCtx| -> MpiResult<SimTime> {
+            let (t0, mut pos) = (ctx.clock.now(), 0);
+            match dir {
+                PackDir::Pack => mpi.pack(ctx, buf, self.incount, dt, packed, total, &mut pos)?,
+                PackDir::Unpack => {
+                    mpi.unpack(ctx, packed, total, &mut pos, buf, self.incount, dt)?
+                }
+            }
+            Ok(ctx.clock.now() - t0)
+        };
+        once(ctx)?;
+        once(ctx)
+    }
+
+    /// Virtual time of one `MPI_Pack` of the cell, steady state.
+    pub fn pack(&self, side: &Side) -> MpiResult<SimTime> {
+        self.pack_or_unpack(side, PackDir::Pack)
+    }
+
+    /// Virtual time of one `MPI_Unpack` of the cell, steady state.
+    pub fn unpack(&self, side: &Side) -> MpiResult<SimTime> {
+        self.pack_or_unpack(side, PackDir::Unpack)
+    }
+
+    /// TEMPI's `MPI_Pack` speedup over the system MPI (Fig. 7's metric).
+    pub fn pack_speedup(&self) -> MpiResult<f64> {
+        Ok(self.pack(&Side::System)?.as_ns_f64() / self.pack(&Side::tempi())?.as_ns_f64())
+    }
+
+    /// The Fig. 6 breakdown: the constructor calls and the native commit in
+    /// one world, TEMPI's commit of the same construction in a fresh one.
+    pub fn commit(&self) -> MpiResult<CommitBreakdown> {
+        let cfg = self.platform.world(1);
+        let mut ctx = RankCtx::standalone(&cfg);
+        let t0 = ctx.clock.now();
+        let dt = self.tree.build(&mut ctx)?;
+        let create = ctx.clock.now() - t0;
+        let t0 = ctx.clock.now();
+        Side::System.mpi().type_commit(&mut ctx, dt)?;
+        let commit_system = ctx.clock.now() - t0;
+
+        let mut ctx = RankCtx::standalone(&cfg);
+        let dt = self.tree.build(&mut ctx)?;
+        let mut tempi = Side::tempi().mpi();
+        let t0 = ctx.clock.now();
+        tempi.type_commit(&mut ctx, dt)?;
+        let plan = tempi.tempi.plan(dt);
+        Ok(CommitBreakdown {
+            create,
+            commit_system,
+            commit_tempi: ctx.clock.now() - t0,
+            introspection_calls: plan.map_or(0, |p| p.report.introspection_calls),
+        })
+    }
+
+    /// Half the ping-pong time of an `MPI_Send`/`MPI_Recv` pair of the cell
+    /// between two ranks on separate nodes (Fig. 11's metric), steady
+    /// state: one warm-up round trip, then the measured one.
+    pub fn send_pair(&self, side: &Side) -> MpiResult<SimTime> {
+        let per_rank = World::run(&self.platform.pair(), |ctx| {
+            let Endpoint {
+                mut mpi, dt, buf, ..
+            } = self.endpoint(ctx, side)?;
+            let (n, peer) = (self.incount, 1 - ctx.rank);
+            let round_trip = timed_rounds(ctx, 1, 1, |ctx| {
+                if ctx.rank == 0 {
+                    mpi.send(ctx, buf, n, dt, peer, 0)?;
+                }
+                mpi.recv(ctx, buf, n, dt, Some(peer), Some(0))?;
+                if ctx.rank == 1 {
+                    mpi.send(ctx, buf, n, dt, peer, 0)?;
+                }
+                Ok(())
+            })?;
+            Ok(round_trip[0].0)
+        })?;
+        Ok(per_rank[0] / 2)
+    }
+
+    /// One-way typed delivery, rank 0 → rank 1 on separate nodes: the
+    /// fastest of `rounds` (≥ 1) measured rounds after `warmup` unmeasured
+    /// ones, timed on the receiver, with the method the sender chose on that
+    /// round. The minimum because, with the online tuner active, a round
+    /// may be an epsilon-probe of a deliberately non-optimal method; the
+    /// minimum reports the converged choice, the way the paper's
+    /// trimean-of-thousands reports steady state.
+    pub fn one_way(
+        &self,
+        side: &Side,
+        warmup: usize,
+        rounds: usize,
+    ) -> MpiResult<(SimTime, Option<Method>)> {
+        let per_rank = World::run(&self.platform.pair(), |ctx| {
+            let mut end = self.endpoint(ctx, side)?;
+            timed_rounds(ctx, warmup, rounds, |ctx| end.deliver(ctx))
+        })?;
+        let received = per_rank[1].iter().map(|&(t, _)| t);
+        let sent = per_rank[0].iter().map(|&(_, method)| method);
+        Ok(received
+            .zip(sent)
+            .min_by_key(|&(t, _)| t)
+            .expect("one_way needs at least one measured round"))
+    }
 }
 
 /// Create/commit breakdown for Fig. 6: virtual time of the `MPI_Type_*`
@@ -150,198 +299,85 @@ impl CommitBreakdown {
     }
 }
 
-/// Measure the Fig. 6 breakdown for one construction on one platform.
-pub fn commit_breakdown(
-    platform: Platform,
-    build: impl Fn(&mut RankCtx) -> MpiResult<Datatype>,
-) -> MpiResult<CommitBreakdown> {
-    // create + native commit
-    let cfg = platform.world(1);
-    let mut ctx = RankCtx::standalone(&cfg);
-    let t0 = ctx.clock.now();
-    let dt = build(&mut ctx)?;
-    let create = ctx.clock.now() - t0;
-    let mut sys = InterposedMpi::system_only();
-    let t0 = ctx.clock.now();
-    sys.type_commit(&mut ctx, dt)?;
-    let commit_system = ctx.clock.now() - t0;
-
-    // fresh world: create + TEMPI commit
-    let mut ctx = RankCtx::standalone(&cfg);
-    let dt = build(&mut ctx)?;
-    let mut tempi = InterposedMpi::new(TempiConfig::default());
-    let t0 = ctx.clock.now();
-    tempi.type_commit(&mut ctx, dt)?;
-    let commit_tempi = ctx.clock.now() - t0;
-    let introspection_calls = tempi
-        .tempi
-        .plan(dt)
-        .map(|p| p.report.introspection_calls)
-        .unwrap_or(0);
-    Ok(CommitBreakdown {
-        create,
-        commit_system,
-        commit_tempi,
-        introspection_calls,
-    })
-}
-
-/// Half ping-pong time of an `MPI_Send`/`MPI_Recv` pair of `incount` items
-/// of the built type between two ranks on different nodes (Fig. 11's
-/// metric), steady state.
-pub fn send_pair_time(
-    platform: Platform,
-    mode: Mode,
-    config: TempiConfig,
-    build: impl Fn(&mut RankCtx) -> MpiResult<Datatype> + Sync,
-    incount: usize,
-    span: usize,
-) -> MpiResult<SimTime> {
-    let mut cfg = platform.world(2);
-    cfg.net.ranks_per_node = 1; // both experiments place ranks on separate nodes
-    let config = &config;
-    let build = &build;
-    let results = World::run(&cfg, move |ctx| {
-        let mut mpi = mpi_for(mode, config.clone());
-        let dt = build(ctx)?;
-        mpi.type_commit(ctx, dt)?;
-        let buf = ctx.gpu.malloc(span.max(1))?;
-        let peer = 1 - ctx.rank;
-        let round = |ctx: &mut RankCtx, mpi: &mut InterposedMpi| -> MpiResult<()> {
-            if ctx.rank == 0 {
-                mpi.send(ctx, buf, incount, dt, peer, 0)?;
-                mpi.recv(ctx, buf, incount, dt, Some(peer), Some(0))?;
-            } else {
-                mpi.recv(ctx, buf, incount, dt, Some(peer), Some(0))?;
-                mpi.send(ctx, buf, incount, dt, peer, 0)?;
-            }
-            Ok(())
-        };
-        // warm-up (plans, pools), then synchronize clocks and measure
-        round(ctx, &mut mpi)?;
-        ctx.barrier();
-        let t0 = ctx.clock.now();
-        round(ctx, &mut mpi)?;
-        Ok((ctx.clock.now() - t0).as_ps())
-    })?;
-    // half of the rank-0 round trip
-    Ok(SimTime::from_ps(results[0] / 2))
-}
-
-/// One-way typed delivery times (rank 0 → rank 1 on separate nodes),
-/// `rounds` measured rounds after `warmup` unmeasured ones, one barrier per
-/// round so the clocks re-synchronize and every round is independent.
-///
-/// Each element is `(delivery time, method rank 0 chose that round)`. The
-/// caller typically takes the *minimum* over rounds: with the online tuner
-/// active, individual rounds may be epsilon-probes of a deliberately
-/// non-optimal method, and the minimum reports the converged choice — the
-/// same way the paper's trimean-of-thousands reports steady state.
-#[allow(clippy::too_many_arguments)]
-pub fn send_one_way_times(
-    platform: Platform,
-    config: TempiConfig,
-    build: impl Fn(&mut RankCtx) -> MpiResult<Datatype> + Sync,
-    incount: usize,
-    span: usize,
+/// One rank's share of a timed exchange: `warmup` unmeasured rounds of `op`
+/// then `rounds` measured ones, a barrier before each so the clocks
+/// re-synchronize and every round is independent. Returns, per measured
+/// round, the virtual time `op` took on this rank and what it returned.
+pub fn timed_rounds<T>(
+    ctx: &mut RankCtx,
     warmup: usize,
     rounds: usize,
-) -> MpiResult<Vec<(SimTime, Option<Method>)>> {
-    assert!(rounds > 0);
-    let mut cfg = platform.world(2);
-    cfg.net.ranks_per_node = 1;
-    let config = &config;
-    let build = &build;
-    let results = World::run(&cfg, move |ctx| {
-        let mut mpi = InterposedMpi::new(config.clone());
-        let dt = build(ctx)?;
-        mpi.type_commit(ctx, dt)?;
-        let buf = ctx.gpu.malloc(span.max(1))?;
-        let one =
-            |ctx: &mut RankCtx, mpi: &mut InterposedMpi| -> MpiResult<(u64, Option<Method>)> {
-                ctx.barrier();
-                if ctx.rank == 0 {
-                    let m = mpi.send(ctx, buf, incount, dt, 1, 0)?;
-                    Ok((0, m))
-                } else {
-                    let t0 = ctx.clock.now();
-                    mpi.recv(ctx, buf, incount, dt, Some(0), Some(0))?;
-                    Ok(((ctx.clock.now() - t0).as_ps(), None))
-                }
-            };
-        for _ in 0..warmup {
-            one(ctx, &mut mpi)?;
+    mut op: impl FnMut(&mut RankCtx) -> MpiResult<T>,
+) -> MpiResult<Vec<(SimTime, T)>> {
+    let mut measured = Vec::with_capacity(rounds);
+    for round in 0..warmup + rounds {
+        ctx.barrier();
+        let t0 = ctx.clock.now();
+        let value = op(ctx)?;
+        if round >= warmup {
+            measured.push((ctx.clock.now() - t0, value));
         }
-        let mut out = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            out.push(one(ctx, &mut mpi)?);
-        }
-        Ok(out)
-    })?;
-    // times come from the receiving rank, methods from the sending rank
-    Ok(results[1]
-        .iter()
-        .zip(&results[0])
-        .map(|(&(ps, _), &(_, m))| (SimTime::from_ps(ps), m))
-        .collect())
+    }
+    Ok(measured)
+}
+
+/// One steady-state 26-direction halo exchange of `n³` subdomains on every
+/// rank of `cfg`'s world: fill, a warm-up exchange (plans cached, pools
+/// warm), a barrier, the measured exchange, then the ghost-cell oracle.
+/// Returns each rank's phase split; the slowest rank gates an iteration.
+pub fn halo_exchange(cfg: &WorldConfig, side: &Side, n: usize) -> MpiResult<Vec<ExchangeTiming>> {
+    World::run(cfg, |ctx| {
+        let mut mpi = side.mpi();
+        let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(n))?;
+        ex.fill(ctx)?;
+        ex.exchange(ctx, &mut mpi)?;
+        ctx.barrier();
+        let timing = ex.exchange(ctx, &mut mpi)?;
+        let bad = ex.verify_ghosts(ctx)?;
+        assert_eq!(bad, 0, "rank {}: corrupt ghost cells", ctx.rank);
+        Ok(timing)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workloads::{Construction, Obj2d};
+    use tempi_core::config::TunerMode;
 
     #[test]
-    fn trimean_basics() {
-        assert_eq!(trimean(&mut [5.0]), 5.0);
-        assert_eq!(trimean(&mut [1.0, 2.0, 3.0, 100.0]), 8.5);
-        // robust to one outlier relative to the mean
-        let mut xs = vec![10.0, 10.0, 10.0, 10.0, 1000.0];
-        assert!(trimean(&mut xs) < 20.0);
-    }
-
-    #[test]
-    fn pack_time_tempi_beats_system_everywhere() {
-        let obj = Obj2d {
-            incount: 1,
-            block: 16,
-            count: 64,
-            stride: 32,
-        };
+    fn pack_tempi_beats_system_everywhere() {
         for p in Platform::ALL {
-            let t = pack_time(
-                p,
-                Mode::Tempi,
-                TempiConfig::default(),
-                |ctx| obj.tree(Construction::Hvector)?.build(ctx),
-                1,
-                obj.span(),
-            )
-            .unwrap();
-            let s = pack_time(
-                p,
-                Mode::System,
-                TempiConfig::default(),
-                |ctx| obj.tree(Construction::Hvector)?.build(ctx),
-                1,
-                obj.span(),
-            )
-            .unwrap();
+            let cell = Obj2d::strided(1 << 10, 16)
+                .cell(p, Construction::Hvector)
+                .unwrap();
+            let t = cell.pack(&Side::tempi()).unwrap();
+            let s = cell.pack(&Side::System).unwrap();
             assert!(t < s, "{p:?}: tempi {t} vs system {s}");
+            assert!(cell.pack_speedup().unwrap() > 1.0);
         }
+        // the unpack mirrors it
+        let cell = Obj2d::strided(1 << 10, 16)
+            .cell(Platform::Summit, Construction::Hvector)
+            .unwrap();
+        assert!(cell.unpack(&Side::tempi()).unwrap() < cell.unpack(&Side::System).unwrap());
     }
 
-    #[test]
-    fn commit_breakdown_shows_tempi_slowdown() {
+    /// The Fig. 6 object: 13 blocks of 100 B, 256 B apart.
+    fn fig6_cell(p: Platform, c: Construction) -> Cell {
         let obj = Obj2d {
             incount: 1,
             block: 100,
             count: 13,
             stride: 256,
         };
+        obj.cell(p, c).unwrap()
+    }
+
+    #[test]
+    fn commit_breakdown_shows_tempi_slowdown() {
         for p in Platform::ALL {
-            let b =
-                commit_breakdown(p, |ctx| obj.tree(Construction::Subarray)?.build(ctx)).unwrap();
+            let b = fig6_cell(p, Construction::Subarray).commit().unwrap();
             assert!(b.create > SimTime::ZERO);
             assert!(b.commit_tempi > b.commit_system, "{p:?}");
             // Fig. 6: slowdowns are single-digit to low-double-digit
@@ -355,50 +391,24 @@ mod tests {
     fn summit_commit_slowdown_exceeds_mvapich() {
         // Fig. 6: TEMPI overhead is priced through each vendor's
         // introspection costs — Summit (Spectrum) is the slowest.
-        let obj = Obj2d {
-            incount: 1,
-            block: 100,
-            count: 13,
-            stride: 256,
+        let overhead = |p: Platform| {
+            let b = fig6_cell(p, Construction::Vector).commit().unwrap();
+            b.commit_tempi - b.commit_system
         };
-        let mv = commit_breakdown(Platform::Mvapich, |ctx| {
-            obj.tree(Construction::Vector)?.build(ctx)
-        })
-        .unwrap();
-        let sp = commit_breakdown(Platform::Summit, |ctx| {
-            obj.tree(Construction::Vector)?.build(ctx)
-        })
-        .unwrap();
-        assert!(sp.commit_tempi - sp.commit_system > mv.commit_tempi - mv.commit_system);
+        assert!(overhead(Platform::Summit) > overhead(Platform::Mvapich));
     }
 
     #[test]
     fn one_way_tuned_never_loses_to_static() {
-        use tempi_core::config::TunerMode;
-        let obj = Obj2d {
-            incount: 1,
-            block: 64,
-            count: 256,
-            stride: 128,
-        };
+        let cell = Obj2d::strided(1 << 14, 64)
+            .cell(Platform::Summit, Construction::Vector)
+            .unwrap();
         let run = |tuner: TunerMode| {
-            send_one_way_times(
-                Platform::Summit,
-                TempiConfig {
-                    tuner,
-                    ..TempiConfig::default()
-                },
-                |ctx| obj.tree(Construction::Vector)?.build(ctx),
-                1,
-                obj.span(),
-                4,
-                8,
-            )
-            .unwrap()
-            .into_iter()
-            .map(|(t, _)| t)
-            .min()
-            .unwrap()
+            let config = TempiConfig {
+                tuner,
+                ..TempiConfig::default()
+            };
+            cell.one_way(&Side::Tempi(config), 4, 8).unwrap().0
         };
         let stat = run(TunerMode::Off);
         let tuned = run(TunerMode::Online);
@@ -406,31 +416,22 @@ mod tests {
     }
 
     #[test]
-    fn send_pair_time_tempi_wins_for_strided() {
-        let obj = Obj2d {
-            incount: 1,
-            block: 64,
-            count: 512,
-            stride: 128,
-        };
-        let t = send_pair_time(
-            Platform::Summit,
-            Mode::Tempi,
-            TempiConfig::default(),
-            |ctx| obj.tree(Construction::Vector)?.build(ctx),
-            1,
-            obj.span(),
-        )
-        .unwrap();
-        let s = send_pair_time(
-            Platform::Summit,
-            Mode::System,
-            TempiConfig::default(),
-            |ctx| obj.tree(Construction::Vector)?.build(ctx),
-            1,
-            obj.span(),
-        )
-        .unwrap();
+    fn send_pair_tempi_wins_for_strided() {
+        let cell = Obj2d::strided(1 << 15, 64)
+            .cell(Platform::Summit, Construction::Vector)
+            .unwrap();
+        let t = cell.send_pair(&Side::tempi()).unwrap();
+        let s = cell.send_pair(&Side::System).unwrap();
         assert!(t < s, "tempi {t} vs system {s}");
+    }
+
+    #[test]
+    fn a_spec_cell_spans_what_its_items_reach() {
+        let tree: TypeTree = "vector(4, 8, 32, byte)".parse().unwrap();
+        let one = Cell::of(Platform::Summit, tree.clone(), 1).unwrap();
+        assert_eq!(one.span, 3 * 32 + 8);
+        // further items start one extent on
+        let three = Cell::of(Platform::Summit, tree, 3).unwrap();
+        assert_eq!(three.span, 3 * one.span);
     }
 }

@@ -1,17 +1,18 @@
-//! Table printing for the figure-regeneration binaries and JSON emission
-//! for the gated suites.
+//! Table rendering for the figures and JSON emission for the gated suites.
 //!
-//! Every binary prints a human-readable table (the rows/series the paper's
-//! figure shows; `results/logs/*.txt` are the recorded runs). The three
-//! gated suites also write their rows as `BENCH_<suite>.json`.
+//! A figure is a `String`: titles and notes around [`Table`]s, which
+//! render through `Display` (`results/logs/*.txt` are the recorded runs the
+//! figures are compared with). The three gated suites also write their rows
+//! as `BENCH_<suite>.json`.
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
 use std::fs;
 use std::path::PathBuf;
 
 use tempi_trace::json::ToJson;
 
-/// A simple fixed-width table printer.
+/// A simple fixed-width table: right-aligned columns two spaces apart,
+/// a dashed rule under the header, every line newline-terminated.
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -19,9 +20,9 @@ pub struct Table {
 
 impl Table {
     /// New table with the given column headers.
-    pub fn new(headers: &[&str]) -> Table {
+    pub fn new<H: ToString>(headers: impl IntoIterator<Item = H>) -> Table {
         Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.into_iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -32,53 +33,32 @@ impl Table {
         self.rows
             .push(cells.iter().map(|c| c.to_string()).collect());
     }
+}
 
-    /// Render to stdout.
-    pub fn print(&self) {
+impl Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());
             }
         }
-        let line = |cells: &[String]| {
-            let mut s = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-            }
-            println!("{}", s.trim_end());
-        };
-        line(&self.headers);
-        println!(
-            "{}",
-            widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        );
-        for row in &self.rows {
-            line(row);
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        for cells in [&self.headers, &rule].into_iter().chain(&self.rows) {
+            let padded: Vec<String> = (cells.iter().zip(&widths))
+                .map(|(c, w)| format!("{c:>w$}"))
+                .collect();
+            writeln!(f, "{}", padded.join("  ").trim_end())?;
         }
+        Ok(())
     }
 }
 
-/// Resolve the shared `--out DIR` flag of the bench binaries from the
-/// process arguments, defaulting to `default` (the repository root for
-/// the `BENCH_*.json` gate inputs). Other arguments are left for the
-/// binary's own parsing; `--out` without a value is an error.
-pub fn out_dir_from_args(default: &str) -> Result<PathBuf, String> {
-    let mut dir = PathBuf::from(default);
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--out" {
-            dir = PathBuf::from(
-                args.next()
-                    .ok_or_else(|| "--out requires a directory argument".to_string())?,
-            );
-        }
-    }
-    Ok(dir)
+/// The smallest and largest of `values` (the "range" lines of the figures).
+pub fn range(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
+    values
+        .into_iter()
+        .fold((f64::INFINITY, 0.0), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 /// Write `rows` as pretty JSON to `dir/name`, creating `dir` if needed.
@@ -162,11 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn table_roundtrip() {
-        let mut t = Table::new(&["a", "bb"]);
+    fn a_table_renders_right_aligned_under_a_rule() {
+        let mut t = Table::new(["a", "bb"]);
         t.row(&[&1, &"x"]);
-        t.row(&[&22, &"yy"]);
-        t.print(); // smoke: must not panic
-        assert_eq!(t.rows.len(), 2);
+        t.row(&[&22, &"yyy"]);
+        assert_eq!(t.to_string(), " a   bb\n--  ---\n 1    x\n22  yyy\n");
+        assert_eq!(range([3.0, 0.5, 7.0]), (0.5, 7.0));
     }
 }

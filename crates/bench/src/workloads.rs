@@ -4,6 +4,8 @@
 use mpi_sim::datatype::TypeTree;
 use mpi_sim::{MpiError, MpiResult};
 
+use crate::measure::{Cell, Platform};
+
 /// How an object is expressed in MPI (the paper shows that TEMPI treats
 /// all of these identically while baselines do not).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,6 +51,37 @@ pub struct Obj2d {
 }
 
 impl Obj2d {
+    /// The figures' strided object: `total` data bytes in blocks of `block`,
+    /// 50% density (stride = 2 × block), sent as one item.
+    pub fn strided(total: usize, block: usize) -> Obj2d {
+        Obj2d {
+            incount: 1,
+            block,
+            count: total / block,
+            stride: block * 2,
+        }
+    }
+
+    /// Objects of `item` data bytes per item: strided, with blocks from
+    /// `first_block` up in steps of 8×, then fully contiguous.
+    fn ladder(incount: usize, item: usize, first_block: usize) -> Vec<Obj2d> {
+        let blocks = std::iter::successors(Some(first_block), |b| Some(b * 8));
+        let mut v: Vec<Obj2d> = blocks
+            .take_while(|&block| block < item)
+            .map(|block| Obj2d {
+                incount,
+                ..Obj2d::strided(item, block)
+            })
+            .collect();
+        v.push(Obj2d {
+            incount,
+            block: item,
+            count: 1,
+            stride: item,
+        });
+        v
+    }
+
     /// Data bytes of one item.
     pub fn item_bytes(&self) -> usize {
         self.block * self.count
@@ -79,19 +112,11 @@ impl Obj2d {
 
     /// The constructions applicable to this object.
     pub fn constructions(&self) -> Vec<Construction> {
+        use Construction::{Contiguous, Hvector, Subarray, Vector};
         if self.is_contiguous() {
-            vec![
-                Construction::Contiguous,
-                Construction::Vector,
-                Construction::Hvector,
-                Construction::Subarray,
-            ]
+            vec![Contiguous, Vector, Hvector, Subarray]
         } else {
-            vec![
-                Construction::Vector,
-                Construction::Hvector,
-                Construction::Subarray,
-            ]
+            vec![Vector, Hvector, Subarray]
         }
     }
 
@@ -120,33 +145,30 @@ impl Obj2d {
         .parse()
     }
 
-    /// The Fig. 7a/7b sweep: objects of `total` data bytes with block
-    /// sizes from 1 B up to fully contiguous, 50% density (stride = 2 ×
-    /// block), for `incount` ∈ {1, 2}.
-    pub fn sweep(total: usize) -> Vec<Obj2d> {
-        let mut v = Vec::new();
-        for incount in [1usize, 2] {
-            let item = total / incount;
-            let mut block = 1usize;
-            while block < item {
-                v.push(Obj2d {
-                    incount,
-                    block,
-                    count: item / block,
-                    stride: block * 2,
-                });
-                block *= 8;
-            }
-            // fully contiguous
-            v.push(Obj2d {
-                incount,
-                block: item,
-                count: 1,
-                stride: item,
-            });
-        }
-        v
+    /// This construction of the object as a measurement cell on `platform`.
+    pub fn cell(&self, platform: Platform, c: Construction) -> MpiResult<Cell> {
+        Ok(Cell {
+            platform,
+            tree: self.tree(c)?,
+            incount: self.incount,
+            span: self.span(),
+        })
     }
+
+    /// The Fig. 7a/7b sweep: objects of `total` data bytes with block
+    /// sizes from 1 B up to fully contiguous, for `incount` ∈ {1, 2}.
+    pub fn sweep(total: usize) -> Vec<Obj2d> {
+        let per = |incount| Obj2d::ladder(incount, total / incount, 1);
+        [per(1), per(2)].concat()
+    }
+}
+
+/// The send sweep Fig. 11 and the `send` suite share: 1 KiB / 1 MiB / 4 MiB
+/// objects with blocks from 8 B up, each total ending in its fully
+/// contiguous object (which Fig. 11 leaves out).
+pub fn send_sweep() -> Vec<Obj2d> {
+    let totals = [1usize << 10, 1 << 20, 4 << 20];
+    totals.map(|total| Obj2d::ladder(1, total, 8)).concat()
 }
 
 /// A 3-D object: an `x × y × z`-byte box inside a cubic byte allocation
@@ -207,47 +229,30 @@ impl Obj3d {
         .parse()
     }
 
-    /// The Fig. 7c sweep within an `alloc³` allocation.
+    /// This construction of the box as a measurement cell on `platform`,
+    /// over the whole allocation.
+    pub fn cell(&self, platform: Platform, c: Construction) -> MpiResult<Cell> {
+        Ok(Cell {
+            platform,
+            tree: self.tree(c)?,
+            incount: 1,
+            span: self.alloc.pow(3),
+        })
+    }
+
+    /// The Fig. 7c sweep within an `alloc³` allocation: thin in one
+    /// dimension at a time, then the half-edge cube.
     pub fn sweep(alloc: usize) -> Vec<Obj3d> {
         let e = alloc / 2;
-        vec![
-            Obj3d {
-                alloc,
-                x: 4,
-                y: e,
-                z: e,
-            },
-            Obj3d {
-                alloc,
-                x: 16,
-                y: e,
-                z: e,
-            },
-            Obj3d {
-                alloc,
-                x: 64,
-                y: e,
-                z: e,
-            },
-            Obj3d {
-                alloc,
-                x: e,
-                y: 4,
-                z: e,
-            },
-            Obj3d {
-                alloc,
-                x: e,
-                y: e,
-                z: 4,
-            },
-            Obj3d {
-                alloc,
-                x: e,
-                y: e,
-                z: e,
-            },
-        ]
+        let boxes = [
+            (4, e, e),
+            (16, e, e),
+            (64, e, e),
+            (e, 4, e),
+            (e, e, 4),
+            (e, e, e),
+        ];
+        boxes.map(|(x, y, z)| Obj3d { alloc, x, y, z }).into()
     }
 }
 
@@ -284,7 +289,7 @@ fn parsed<const N: usize>(rows: [(&'static str, &str); N]) -> Vec<(&'static str,
 /// * `nested/PLANES@STRIDExROWSxBLOCK@STRIDE` — an hvector of a vector:
 ///   the 3-D box a naive application composes instead of one subarray.
 /// * `fig2d/…`, `fig3d/…` — fig-zoo objects ([`Obj2d::label`] as hvector
-///   like `bench_send`, [`Obj3d::label`] as one n-D subarray).
+///   like the `send` suite, [`Obj3d::label`] as one n-D subarray).
 pub fn zoo() -> Vec<(&'static str, TypeTree)> {
     // `n` displacements `step` apart, as a spec list
     let every = |n: i64, step: i64| format!("{:?}", (0..n).map(|i| i * step).collect::<Vec<_>>());
@@ -406,6 +411,11 @@ mod tests {
         for obj in Obj2d::sweep(1 << 10) {
             assert_eq!(obj.total_bytes(), 1 << 10);
         }
+        // the send sweep: 8 B blocks up, one contiguous object per total
+        let sweep = send_sweep();
+        assert_eq!(sweep.len(), 4 + 7 + 8);
+        assert_eq!(sweep[0], Obj2d::strided(1 << 10, 8));
+        assert_eq!(sweep.iter().filter(|o| o.is_contiguous()).count(), 3);
     }
 
     #[test]

@@ -56,9 +56,7 @@
 use gpu_sim::PackDir;
 use mpi_sim::datatype::{pack_cpu, TypeTree};
 use mpi_sim::{FaultPlan, MpiError, RankCtx, World, WorldConfig};
-use tempi_bench::{
-    commit_breakdown, fmt_bytes, fmt_speedup, measure::unpack_time, pack_time, Mode, Platform,
-};
+use tempi_bench::{fmt_bytes, fmt_speedup, Cell, Platform, Side};
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::ir::strided_block::strided_block;
@@ -311,46 +309,21 @@ fn pack(args: &[String]) {
     let tree = spec_arg(input);
     let platform = platform_arg(args);
     let incount: usize = int_flag(args, "--incount", 1);
-    // span: build once to measure the type reach
-    let mut probe = RankCtx::standalone(&platform.world(1));
-    let dt = match tree.build(&mut probe) {
-        Ok(dt) => dt,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let a = probe
-        .attrs(dt)
-        .unwrap_or_else(|e| fail("datatype attributes", e));
-    let span =
-        (a.true_ub.max(a.ub) + (incount as i64 - 1) * a.extent().max(0)).max(1) as usize + 64;
-
+    let cell = Cell::of(platform, tree, incount).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     let unpack = args.iter().any(|a| a == "--unpack");
-    let measure = |mode: Mode| {
+    let measure = |side: Side| {
         if unpack {
-            unpack_time(
-                platform,
-                mode,
-                TempiConfig::default(),
-                |ctx| tree.build(ctx),
-                incount,
-                span,
-            )
+            cell.unpack(&side)
         } else {
-            pack_time(
-                platform,
-                mode,
-                TempiConfig::default(),
-                |ctx| tree.build(ctx),
-                incount,
-                span,
-            )
+            cell.pack(&side)
         }
         .unwrap_or_else(|e| fail("measurement", e))
     };
-    let t = measure(Mode::Tempi);
-    let s = measure(Mode::System);
+    let t = measure(Side::tempi());
+    let s = measure(Side::System);
     let what = if unpack { "unpack" } else { "pack" };
     println!("platform      : {}", platform.label());
     println!("TEMPI {what}  : {t}");
@@ -365,7 +338,8 @@ fn commit(args: &[String]) {
     let Some(input) = args.first() else { usage() };
     let tree = spec_arg(input);
     let platform = platform_arg(args);
-    let b = commit_breakdown(platform, |ctx| tree.build(ctx))
+    let b = Cell::of(platform, tree, 1)
+        .and_then(|cell| cell.commit())
         .unwrap_or_else(|e| fail("commit breakdown", e));
     println!("platform       : {}", platform.label());
     println!("create         : {}", b.create);
@@ -622,10 +596,7 @@ fn run_stencil_rank(
     recover: bool,
     checkpoint_every: Option<usize>,
 ) -> Result<StencilOutcome, MpiError> {
-    let mut mpi = InterposedMpi::new(TempiConfig {
-        checkpoint_every,
-        ..TempiConfig::default()
-    });
+    let mut mpi = InterposedMpi::new(TempiConfig::default());
     let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(n))?;
     ex.fill(ctx)?;
     let mut store = CheckpointStore::new();

@@ -146,12 +146,6 @@ pub struct TempiConfig {
     /// pipelined transfer arrives as tagged parts; any matching receive
     /// reassembles them, TEMPI's own overlaps the unpack with the wire.
     pub pipeline_chunk: Option<usize>,
-    /// Take a coordinated checkpoint every N halo-exchange iterations
-    /// (`None` disables checkpointing). Snapshots are packed with the
-    /// interposed `MPI_Pack`, framed with a content checksum, mirrored at
-    /// a buddy rank, and committed with a two-phase generation protocol so
-    /// recovery can rebuild dead ranks' subdomains without re-running.
-    pub checkpoint_every: Option<usize>,
     /// How the per-send method decision is made: fresh model evaluation
     /// (`Off`), memoized model decision (`Model`, default), or online
     /// calibration with epsilon-greedy re-probing (`Online`).
@@ -168,7 +162,6 @@ impl Default for TempiConfig {
             force_word: None,
             force_method: None,
             pipeline_chunk: None,
-            checkpoint_every: None,
             tuner: TunerMode::Model,
             tuner_seed: 0x7e3a_11c5,
         }
@@ -186,7 +179,6 @@ impl TempiConfig {
     /// | `TEMPI_FORCE_WORD=N` | force kernel word size (1/2/4/8/16) |
     /// | `TEMPI_METHOD=device\|oneshot\|staged\|pipelined` | force the §5 method |
     /// | `TEMPI_PIPELINE_CHUNK=BYTES` | chunk size of pipelined sends (default: the model's pick) |
-    /// | `TEMPI_CHECKPOINT_EVERY=N` | coordinated checkpoint every N iterations |
     /// | `TEMPI_TUNER=off\|model\|online` | method decision mode (default `model`) |
     /// | `TEMPI_TUNER_SEED=N` | seed for the tuner's exploration RNG |
     ///
@@ -235,15 +227,6 @@ impl TempiConfig {
             }
             cfg.pipeline_chunk = Some(c);
         }
-        if let Some(v) = var("TEMPI_CHECKPOINT_EVERY") {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("TEMPI_CHECKPOINT_EVERY must be an integer, got `{v}`"))?;
-            if n == 0 {
-                return Err("TEMPI_CHECKPOINT_EVERY must be positive".to_string());
-            }
-            cfg.checkpoint_every = Some(n);
-        }
         if let Some(v) = var("TEMPI_TUNER") {
             cfg.tuner = match v.to_ascii_lowercase().as_str() {
                 "off" => TunerMode::Off,
@@ -285,7 +268,6 @@ mod tests {
             ("TEMPI_FORCE_WORD", "8"),
             ("TEMPI_METHOD", "oneshot"),
             ("TEMPI_PIPELINE_CHUNK", "262144"),
-            ("TEMPI_CHECKPOINT_EVERY", "5"),
             ("TEMPI_TUNER", "online"),
             ("TEMPI_TUNER_SEED", "12345"),
         ])
@@ -294,7 +276,6 @@ mod tests {
         assert_eq!(cfg.force_word, Some(8));
         assert_eq!(cfg.force_method, Some(Method::OneShot));
         assert_eq!(cfg.pipeline_chunk, Some(262144));
-        assert_eq!(cfg.checkpoint_every, Some(5));
         assert_eq!(cfg.tuner, TunerMode::Online);
         assert_eq!(cfg.tuner_seed, 12345);
 
@@ -313,8 +294,6 @@ mod tests {
             ("TEMPI_TUNER_SEED", "not-a-number"),
             ("TEMPI_FORCE_WORD", "3"),
             ("TEMPI_FORCE_WORD", "wide"),
-            ("TEMPI_CHECKPOINT_EVERY", "0"),
-            ("TEMPI_CHECKPOINT_EVERY", "soon"),
             ("TEMPI_PIPELINE_CHUNK", "0"),
             ("TEMPI_METHOD", "warp-drive"),
         ] {
@@ -347,7 +326,6 @@ mod tests {
             force_word,
             force_method,
             pipeline_chunk,
-            checkpoint_every,
             tuner,
             tuner_seed: _,
         } = TempiConfig::default();
@@ -355,7 +333,6 @@ mod tests {
         assert!(force_word.is_none());
         assert!(force_method.is_none());
         assert!(pipeline_chunk.is_none());
-        assert!(checkpoint_every.is_none());
         assert_eq!(tuner, TunerMode::Model);
     }
 }

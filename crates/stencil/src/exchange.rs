@@ -330,80 +330,6 @@ impl HaloExchanger {
         })
     }
 
-    /// The same exchange with nonblocking point-to-point instead of
-    /// `MPI_Alltoallv`: post all `Irecv`s, `Isend` each peer's chunk,
-    /// `Waitall`, then unpack. (`MPI_Isend`/`MPI_Irecv` are not TEMPI
-    /// symbols, so this path also demonstrates interposer fall-through for
-    /// the communication while pack/unpack stay accelerated.)
-    pub fn exchange_nonblocking(
-        &mut self,
-        ctx: &mut RankCtx,
-        mpi: &mut InterposedMpi,
-    ) -> MpiResult<ExchangeTiming> {
-        ctx.with_span("stencil", "halo.exchange", |ctx| {
-            self.exchange_nonblocking_body(ctx, mpi)
-        })
-    }
-
-    fn exchange_nonblocking_body(
-        &mut self,
-        ctx: &mut RankCtx,
-        mpi: &mut InterposedMpi,
-    ) -> MpiResult<ExchangeTiming> {
-        let total_send = self.send_bytes();
-        let total_recv: usize = self.recv_plan.iter().map(|b| b.count).sum();
-
-        let t0 = ctx.clock.now();
-        let mut pos = 0usize;
-        for &k in &self.pack_schedule {
-            mpi.pack(
-                ctx,
-                self.grid,
-                1,
-                self.types.send[k],
-                self.sendbuf,
-                total_send,
-                &mut pos,
-            )?;
-        }
-        let t1 = ctx.clock.now();
-
-        const TAG: i32 = 1_000;
-        let mut reqs = Vec::new();
-        for b in &self.recv_plan {
-            reqs.push(ctx.irecv_bytes(
-                self.recvbuf.add(b.displ),
-                b.count,
-                Some(b.peer),
-                Some(TAG),
-            )?);
-        }
-        for b in &self.send_plan {
-            reqs.push(ctx.isend_bytes(self.sendbuf.add(b.displ), b.count, b.peer, TAG)?);
-        }
-        ctx.waitall(&reqs)?;
-        let t2 = ctx.clock.now();
-
-        let mut pos = 0usize;
-        for &k in &self.unpack_schedule {
-            mpi.unpack(
-                ctx,
-                self.recvbuf,
-                total_recv,
-                &mut pos,
-                self.grid,
-                1,
-                self.types.recv[k],
-            )?;
-        }
-        let t3 = ctx.clock.now();
-        Ok(ExchangeTiming {
-            pack: t1 - t0,
-            comm: t2 - t1,
-            unpack: t3 - t2,
-        })
-    }
-
     /// Free this rank's GPU allocations and the 52 datatypes (in place,
     /// leaving `self` hollow — callers immediately overwrite it).
     fn release(&mut self, ctx: &mut RankCtx) -> MpiResult<()> {
@@ -907,29 +833,6 @@ mod tests {
             assert!(t2.total() <= t1.total() * 2, "{t1:?} vs {t2:?}");
             assert!(t1.total() <= t2.total() * 2, "{t1:?} vs {t2:?}");
         }
-    }
-
-    #[test]
-    fn nonblocking_exchange_matches_alltoallv() {
-        let mut cfg = WorldConfig::summit(8);
-        cfg.net.ranks_per_node = 2;
-        let run = |nonblocking: bool| -> Vec<Vec<u8>> {
-            World::run(&cfg, |ctx| {
-                let mut mpi = InterposedMpi::new(TempiConfig::default());
-                let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(6))?;
-                ex.fill(ctx)?;
-                if nonblocking {
-                    ex.exchange_nonblocking(ctx, &mut mpi)?;
-                } else {
-                    ex.exchange(ctx, &mut mpi)?;
-                }
-                assert_eq!(ex.verify_ghosts(ctx)?, 0, "rank {}", ctx.rank);
-                let g = ctx.gpu.memory().peek(ex.grid, ex.cfg.alloc_bytes())?;
-                Ok(g)
-            })
-            .unwrap()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

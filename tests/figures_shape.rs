@@ -4,96 +4,75 @@
 
 mod common;
 
-use tempi_bench::{
-    commit_breakdown, pack_time, send_pair_time, Construction, Mode, Obj2d, Platform,
-};
+use mpi_sim::MpiResult;
+use tempi_bench::{Construction, Obj2d, Platform, Side};
 use tempi_core::config::{Method, TempiConfig};
 use tempi_core::model::{Calibration, SendModel};
-
-fn obj(total: usize, block: usize) -> Obj2d {
-    Obj2d {
-        incount: 1,
-        block,
-        count: total / block,
-        stride: block * 2,
-    }
-}
-
-fn speedup(platform: Platform, o: Obj2d, c: Construction) -> f64 {
-    let t = pack_time(
-        platform,
-        Mode::Tempi,
-        TempiConfig::default(),
-        |ctx| o.tree(c)?.build(ctx),
-        o.incount,
-        o.span(),
-    )
-    .expect("tempi");
-    let s = pack_time(
-        platform,
-        Mode::System,
-        TempiConfig::default(),
-        |ctx| o.tree(c)?.build(ctx),
-        o.incount,
-        o.span(),
-    )
-    .expect("system");
-    s.as_ns_f64() / t.as_ns_f64()
-}
 
 // ---- Fig. 6 shapes -------------------------------------------------------
 
 #[test]
-fn fig6_commit_slowdown_ordering_mv_op_sp() {
-    let o = obj(1 << 10, 64);
-    let slow = |p: Platform| {
-        commit_breakdown(p, |ctx| o.tree(Construction::Subarray)?.build(ctx))
-            .expect("breakdown")
-            .slowdown()
+fn fig6_commit_slowdown_ordering_mv_op_sp() -> MpiResult<()> {
+    let o = Obj2d::strided(1 << 10, 64);
+    let slow = |p| {
+        o.cell(p, Construction::Subarray)?
+            .commit()
+            .map(|b| b.slowdown())
     };
     let (mv, op, sp) = (
-        slow(Platform::Mvapich),
-        slow(Platform::OpenMpi),
-        slow(Platform::Summit),
+        slow(Platform::Mvapich)?,
+        slow(Platform::OpenMpi)?,
+        slow(Platform::Summit)?,
     );
     assert!(mv < op && op < sp, "mv {mv} < op {op} < sp {sp}");
     // the paper's outer envelope: 2.1x .. 11.6x
     assert!(mv > 1.5 && sp < 15.0, "mv {mv}, sp {sp}");
+    Ok(())
 }
 
 // ---- Fig. 7 shapes -------------------------------------------------------
 
 #[test]
-fn fig7_speedup_grows_as_blocks_shrink() {
+fn fig7_speedup_grows_as_blocks_shrink() -> MpiResult<()> {
     let mut last = 0.0f64;
     for block in [4096usize, 256, 16, 1] {
-        let s = speedup(Platform::Summit, obj(1 << 20, block), Construction::Hvector);
+        let o = Obj2d::strided(1 << 20, block);
+        let s = o
+            .cell(Platform::Summit, Construction::Hvector)?
+            .pack_speedup()?;
         assert!(
             s > last,
             "block {block}: {s} should exceed larger-block speedup {last}"
         );
         last = s;
     }
+    Ok(())
 }
 
 #[test]
-fn fig7_speedup_grows_with_object_size() {
-    let small = speedup(Platform::Summit, obj(1 << 10, 16), Construction::Vector);
-    let large = speedup(Platform::Summit, obj(1 << 20, 16), Construction::Vector);
+fn fig7_speedup_grows_with_object_size() -> MpiResult<()> {
+    let speedup = |total| {
+        let cell = Obj2d::strided(total, 16).cell(Platform::Summit, Construction::Vector);
+        cell?.pack_speedup()
+    };
+    let (small, large) = (speedup(1 << 10)?, speedup(1 << 20)?);
     assert!(large > small * 5.0, "1 MiB {large} vs 1 KiB {small}");
+    Ok(())
 }
 
 #[test]
-fn fig7_platform_ordering_spectrum_worst() {
-    let o = obj(1 << 18, 32);
-    let mv = speedup(Platform::Mvapich, o, Construction::Hvector);
-    let op = speedup(Platform::OpenMpi, o, Construction::Hvector);
-    let sp = speedup(Platform::Summit, o, Construction::Hvector);
+fn fig7_platform_ordering_spectrum_worst() -> MpiResult<()> {
+    let o = Obj2d::strided(1 << 18, 32);
+    let speedup = |p| o.cell(p, Construction::Hvector)?.pack_speedup();
+    let mv = speedup(Platform::Mvapich)?;
+    let op = speedup(Platform::OpenMpi)?;
+    let sp = speedup(Platform::Summit)?;
     assert!(sp > op && op > mv, "sp {sp} > op {op} > mv {mv}");
+    Ok(())
 }
 
 #[test]
-fn fig7_contiguous_speedup_near_one() {
+fn fig7_contiguous_speedup_near_one() -> MpiResult<()> {
     for platform in [Platform::OpenMpi, Platform::Summit] {
         let o = Obj2d {
             incount: 1,
@@ -101,18 +80,21 @@ fn fig7_contiguous_speedup_near_one() {
             count: 1,
             stride: 1 << 16,
         };
-        let s = speedup(platform, o, Construction::Contiguous);
+        let s = o.cell(platform, Construction::Contiguous)?.pack_speedup()?;
         assert!(s > 0.85 && s < 1.5, "{platform:?} contiguous speedup {s}");
     }
+    Ok(())
 }
 
 #[test]
-fn fig7_mvapich_vector_near_one_but_subarray_huge() {
-    let o = obj(1 << 18, 16);
-    let vec = speedup(Platform::Mvapich, o, Construction::Vector);
-    let sub = speedup(Platform::Mvapich, o, Construction::Subarray);
+fn fig7_mvapich_vector_near_one_but_subarray_huge() -> MpiResult<()> {
+    let o = Obj2d::strided(1 << 18, 16);
+    let speedup = |c| o.cell(Platform::Mvapich, c)?.pack_speedup();
+    let vec = speedup(Construction::Vector)?;
+    let sub = speedup(Construction::Subarray)?;
     assert!(vec > 0.85 && vec < 1.1, "specialized vector path {vec}");
     assert!(sub > 100.0, "subarray fallback {sub}");
+    Ok(())
 }
 
 // ---- Fig. 8 / §5 model shapes -------------------------------------------
@@ -163,27 +145,11 @@ fn fig10_crossover_oneshot_1mib_device_4mib() {
 // ---- Fig. 11 shapes ------------------------------------------------------
 
 #[test]
-fn fig11_send_speedup_far_below_pack_speedup() {
-    let o = obj(1 << 20, 64);
-    let pack = speedup(Platform::Summit, o, Construction::Vector);
-    let t = send_pair_time(
-        Platform::Summit,
-        Mode::Tempi,
-        TempiConfig::default(),
-        |ctx| o.tree(Construction::Vector)?.build(ctx),
-        1,
-        o.span(),
-    )
-    .expect("t");
-    let s = send_pair_time(
-        Platform::Summit,
-        Mode::System,
-        TempiConfig::default(),
-        |ctx| o.tree(Construction::Vector)?.build(ctx),
-        1,
-        o.span(),
-    )
-    .expect("s");
+fn fig11_send_speedup_far_below_pack_speedup() -> MpiResult<()> {
+    let o = Obj2d::strided(1 << 20, 64).cell(Platform::Summit, Construction::Vector)?;
+    let pack = o.pack_speedup()?;
+    let t = o.send_pair(&Side::tempi())?;
+    let s = o.send_pair(&Side::System)?;
     let send = s.as_ns_f64() / t.as_ns_f64();
     assert!(send > 10.0, "send speedup {send} must still be large");
     assert!(
@@ -191,34 +157,23 @@ fn fig11_send_speedup_far_below_pack_speedup() {
         "send speedup {send} must sit well below pack speedup {pack} \
          (the un-accelerated contiguous transfer dominates)"
     );
+    Ok(())
 }
 
 // ---- §8 pipelining shape -------------------------------------------------
 
 #[test]
-fn pipelining_beats_all_methods_at_16mib() {
-    let o = obj(16 << 20, 4096);
-    let run = |cfg: TempiConfig| {
-        send_pair_time(
-            Platform::Summit,
-            Mode::Tempi,
-            cfg,
-            |ctx| o.tree(Construction::Vector)?.build(ctx),
-            1,
-            o.span(),
-        )
-        .expect("send")
-    };
-    let pipe = run(TempiConfig {
+fn pipelining_beats_all_methods_at_16mib() -> MpiResult<()> {
+    let o = Obj2d::strided(16 << 20, 4096).cell(Platform::Summit, Construction::Vector)?;
+    let pipe = Side::Tempi(TempiConfig {
         force_method: Some(Method::Pipelined),
         pipeline_chunk: Some(256 << 10),
         ..TempiConfig::default()
     });
+    let pipe = o.send_pair(&pipe)?;
     for m in [Method::OneShot, Method::Device, Method::Staged] {
-        let t = run(TempiConfig {
-            force_method: Some(m),
-            ..TempiConfig::default()
-        });
+        let t = o.send_pair(&Side::forced(m))?;
         assert!(pipe < t, "pipelined {pipe} must beat {m:?} {t}");
     }
+    Ok(())
 }

@@ -4,26 +4,25 @@
 //! `results/BENCH_guidelines.baseline.json` gates at full vendor
 //! coverage in CI.
 
-use tempi_bench::guidelines::{
-    render_report, run_cell, run_zoo_on, violations, GUIDELINE_TOL as TOL,
-};
+use tempi_bench::guidelines::{render_report, run_cell, run_zoo, violations, GUIDELINE_TOL as TOL};
 use tempi_bench::{zoo, GatedSuite, Platform};
 use tempi_trace::json::ToJson;
 
 #[test]
 fn summit_zoo_verdicts_are_pinned() {
-    let rows = run_zoo_on(&[Platform::Summit], TOL).unwrap();
+    let rows = run_zoo(&[Platform::Summit], TOL).unwrap();
     assert_eq!(rows.len(), zoo().len());
 
     for r in &rows {
+        let (key, v) = (r.row_key(), r.eval);
         // G1: the typed send never loses to pack-then-send — in either
         // deployment, on any pattern (TEMPI's thesis, and even the
         // vendor baselines pack internally).
-        assert!(r.g1_off && r.g1_on, "{}: G1 violated: {r:?}", r.row_key());
+        assert!(v.g1_off && v.g1_on, "{key}: G1 violated: {r:?}");
         // G3/G4: TEMPI never introduces a violation, and
         // canonicalization never regresses a normalized layout.
-        assert!(r.g3, "{}: G3 violated: {r:?}", r.row_key());
-        assert!(r.g4, "{}: G4 violated: {r:?}", r.row_key());
+        assert!(v.g3, "{key}: G3 violated: {r:?}");
+        assert!(v.g4, "{key}: G4 violated: {r:?}");
         // every zoo pattern routes through a TEMPI plan (no fallbacks:
         // the expanded zoo exercises the paper's canonical coverage)
         assert!(
@@ -40,7 +39,7 @@ fn summit_zoo_verdicts_are_pinned() {
     // contiguous row.
     for r in &rows {
         assert_eq!(
-            r.g2_off,
+            r.eval.g2_off,
             r.pattern.starts_with("row/"),
             "{}: unexpected off-side G2 verdict",
             r.row_key()
@@ -53,7 +52,7 @@ fn summit_zoo_verdicts_are_pinned() {
     // either way, and the loop skips the pack entirely).
     let g2_on_violators: Vec<&str> = rows
         .iter()
-        .filter(|r| !r.g2_on)
+        .filter(|r| !r.eval.g2_on)
         .map(|r| r.pattern.as_str())
         .collect();
     assert_eq!(
@@ -92,7 +91,7 @@ fn tolerance_knob_widens_the_gate() {
     assert_eq!(*label, "fig2d/1|4096|64");
     let tight = run_cell(Platform::Summit, label, pattern, TOL).unwrap();
     let loose = run_cell(Platform::Summit, label, pattern, 0.99).unwrap();
-    assert!(!tight.g2_on && tight.worst_ratio > 1.0);
-    assert!(loose.g2_on, "{loose:?}");
-    assert!(loose.g1_on && loose.g3 && loose.g4);
+    assert!(!tight.eval.g2_on && tight.eval.worst_ratio > 1.0);
+    assert!(loose.eval.g2_on, "{loose:?}");
+    assert!(loose.eval.g1_on && loose.eval.g3 && loose.eval.g4);
 }

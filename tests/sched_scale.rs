@@ -1,6 +1,6 @@
 //! Scheduler scale and robustness tests: the discrete-event runtime
 //! must carry a four-digit rank count through a real workload (the CI
-//! smoke for the `bench_scale` sweep), surface one rank's panic as a
+//! smoke for the `bench scale` sweep), surface one rank's panic as a
 //! typed error without discarding the world, and keep send storms inside
 //! the bounded-inbox high-water mark — parking senders instead of growing
 //! memory, and reporting a *genuine* buffer-cycle deadlock structurally.
