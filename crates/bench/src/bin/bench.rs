@@ -16,7 +16,7 @@ use mpi_sim::{World, WorldConfig};
 use tempi_bench::guidelines::{render_report, run_zoo, violations, GUIDELINE_TOL};
 use tempi_bench::{
     fmt_bytes, fmt_speedup, halo_exchange, range, send_sweep, write_rows, BenchRow, Construction,
-    Platform, ScaleRow, Side, Table,
+    HaloPacking, Platform, ScaleRow, Side, Table,
 };
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 
@@ -154,8 +154,13 @@ const ALLTOALLV_CHUNK: usize = 64;
 /// The slowest rank's virtual time, in ns, for one steady-state 4³ halo
 /// exchange packed with TEMPI.
 fn stencil_exchange_ns(ranks: usize) -> Result<f64, String> {
-    let per_rank = halo_exchange(&WorldConfig::summit(ranks), &Side::tempi(), 4)
-        .map_err(|e| format!("stencil world of {ranks}: {e}"))?;
+    let per_rank = halo_exchange(
+        &WorldConfig::summit(ranks),
+        &Side::tempi(),
+        4,
+        HaloPacking::Fused,
+    )
+    .map_err(|e| format!("stencil world of {ranks}: {e}"))?;
     let slowest = per_rank.iter().map(|t| t.total()).max();
     Ok(slowest.unwrap_or_default().as_ns_f64())
 }

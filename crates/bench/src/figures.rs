@@ -15,7 +15,7 @@ use tempi_core::model::SendModel;
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_stencil::ExchangeTiming;
 
-use crate::measure::{halo_exchange, paper_scale, timed_rounds, Cell, Platform, Side};
+use crate::measure::{halo_exchange, paper_scale, timed_rounds, Cell, HaloPacking, Platform, Side};
 use crate::report::{fmt_bytes, fmt_speedup, range, Table};
 use crate::workloads::{fig6_set, send_sweep, Construction, Obj2d, Obj3d};
 
@@ -495,10 +495,10 @@ fn fig12() -> MpiResult<String> {
     } else {
         (32, &[1, 2, 4, 8])
     };
-    let run = |p: usize, side: Side| -> MpiResult<ExchangeTiming> {
+    let run = |p: usize, side: Side, packing: HaloPacking| -> MpiResult<ExchangeTiming> {
         let mut cfg = WorldConfig::summit(p);
         cfg.net.ranks_per_node = 2;
-        let per_rank = halo_exchange(&cfg, &side, n)?;
+        let per_rank = halo_exchange(&cfg, &side, n, packing)?;
         let slowest = |phase: fn(&ExchangeTiming) -> SimTime| {
             per_rank.iter().map(phase).max().unwrap_or_default()
         };
@@ -510,30 +510,48 @@ fn fig12() -> MpiResult<String> {
     };
     let mut t = Table::new([
         "ranks",
+        "pack / unpack calls",
         "pack speedup",
         "unpack speedup",
         "exchange speedup",
         "TEMPI total",
         "baseline total",
     ]);
+    let speedup = |sys: SimTime, tempi: SimTime| fmt_speedup(sys.as_ns_f64() / tempi.as_ns_f64());
+    // the exchange speedups of the last rank count, per direction and fused
+    let mut summary = [String::new(), String::new()];
     for &p in ranks {
-        let (sys, tempi) = (run(p, Side::System)?, run(p, Side::tempi())?);
-        let speedup =
-            |sys: SimTime, tempi: SimTime| fmt_speedup(sys.as_ns_f64() / tempi.as_ns_f64());
-        t.row(&[
-            &p,
-            &speedup(sys.pack, tempi.pack),
-            &speedup(sys.unpack, tempi.unpack),
-            &speedup(sys.total(), tempi.total()),
-            &tempi.total(),
-            &sys.total(),
-        ]);
+        let rows = [
+            ("per direction (paper, 6.4)", HaloPacking::PerDirection),
+            ("fused (ours)", HaloPacking::Fused),
+        ];
+        for ((calls, packing), exchange) in rows.into_iter().zip(&mut summary) {
+            let (sys, tempi) = (
+                run(p, Side::System, packing)?,
+                run(p, Side::tempi(), packing)?,
+            );
+            *exchange = speedup(sys.total(), tempi.total());
+            t.row(&[
+                &p,
+                &calls,
+                &speedup(sys.pack, tempi.pack),
+                &speedup(sys.unpack, tempi.unpack),
+                exchange,
+                &tempi.total(),
+                &sys.total(),
+            ]);
+        }
     }
     Ok(format!(
         "Fig. 12: 3-D stencil halo exchange speedup vs Spectrum MPI ({n}^3 per rank, radius 2)\n\
          \n{t}\
-         \npaper shape: pack/unpack speedups ~10^3-10^4; iteration speedup decreases\n\
-         with rank count as communication takes a larger share (up to ~20,000x on 512^3)\n"
+         \nexchange speedup at {} ranks: {} per direction, {} fused \
+         (paper: up to ~20,000x on 512^3, per direction)\n\
+         paper shape: pack/unpack speedups ~10^3-10^4; iteration speedup decreases\n\
+         with rank count as communication takes a larger share\n",
+        ranks[ranks.len() - 1],
+        summary[0],
+        summary[1],
     ))
 }
 

@@ -381,6 +381,7 @@ pub fn plan_label(platform: Platform, pattern: &TypeTree) -> MpiResult<(String, 
         PlanKind::Strided(_) if plan.is_contiguous() => ("contiguous".to_string(), true),
         PlanKind::Strided(_) => ("strided".to_string(), true),
         PlanKind::Blocks(_) => ("blocklist".to_string(), true),
+        PlanKind::Multi(_) => ("memberlist".to_string(), true),
         PlanKind::Fallback(c) => (format!("fallback({c:?})"), false),
     })
 }

@@ -21,6 +21,8 @@ pub mod workloads;
 pub use baseline::{compare_rows, BenchRow, GatedSuite, Regression, ScaleRow, TOLERANCE};
 pub use figures::{figure, Figure, FIGURES};
 pub use guidelines::{evaluate, run_zoo, CellTimes, GuidelineRow, Violation};
-pub use measure::{halo_exchange, timed_rounds, Cell, CommitBreakdown, Platform, Side};
+pub use measure::{
+    halo_exchange, timed_rounds, Cell, CommitBreakdown, HaloPacking, Platform, Side,
+};
 pub use report::{fmt_bytes, fmt_speedup, range, write_rows, Table};
 pub use workloads::{fig6_set, send_sweep, zoo, Construction, Obj2d, Obj3d};

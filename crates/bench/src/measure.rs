@@ -321,20 +321,61 @@ pub fn timed_rounds<T>(
     Ok(measured)
 }
 
+/// How a halo measurement packs and unpacks the 26 regions of a side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HaloPacking {
+    /// One call over the fused datatype: what [`HaloExchanger::exchange`] does.
+    Fused,
+    /// The paper's structure (§6.4): one `MPI_Pack` / `MPI_Unpack` per
+    /// direction, over the exchanger's per-direction datatypes.
+    PerDirection,
+}
+
 /// One steady-state 26-direction halo exchange of `n³` subdomains on every
 /// rank of `cfg`'s world: fill, a warm-up exchange (plans cached, pools
 /// warm), a barrier, the measured exchange, then the ghost-cell oracle.
 /// Returns each rank's phase split; the slowest rank gates an iteration.
-pub fn halo_exchange(cfg: &WorldConfig, side: &Side, n: usize) -> MpiResult<Vec<ExchangeTiming>> {
+/// With [`HaloPacking::PerDirection`] the pack and unpack phases are
+/// measured apart from the exchange, as the sum of 26 calls on the same grid
+/// (into scratch buffers: the order of the regions does not change the
+/// time), beside the exchange's own communication phase.
+pub fn halo_exchange(
+    cfg: &WorldConfig,
+    side: &Side,
+    n: usize,
+    packing: HaloPacking,
+) -> MpiResult<Vec<ExchangeTiming>> {
     World::run(cfg, |ctx| {
         let mut mpi = side.mpi();
         let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(n))?;
         ex.fill(ctx)?;
         ex.exchange(ctx, &mut mpi)?;
         ctx.barrier();
-        let timing = ex.exchange(ctx, &mut mpi)?;
+        let mut timing = ex.exchange(ctx, &mut mpi)?;
         let bad = ex.verify_ghosts(ctx)?;
         assert_eq!(bad, 0, "rank {}: corrupt ghost cells", ctx.rank);
+        if packing == HaloPacking::PerDirection {
+            let size = ex.send_bytes();
+            let packed = ctx.gpu.malloc(size.max(1))?;
+            for dt in ex.types.send.iter().chain(&ex.types.recv) {
+                mpi.type_commit(ctx, *dt)?;
+            }
+            // the first round is the warm-up
+            for _ in 0..2 {
+                let t0 = ctx.clock.now();
+                let mut pos = 0;
+                for &dt in &ex.types.send {
+                    mpi.pack(ctx, ex.grid, 1, dt, packed, size, &mut pos)?;
+                }
+                let t1 = ctx.clock.now();
+                let mut pos = 0;
+                for &dt in &ex.types.recv {
+                    mpi.unpack(ctx, packed, size, &mut pos, ex.grid, 1, dt)?;
+                }
+                (timing.pack, timing.unpack) = (t1 - t0, ctx.clock.now() - t1);
+            }
+            ctx.gpu.free(packed)?;
+        }
         Ok(timing)
     })
 }

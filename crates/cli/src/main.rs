@@ -224,7 +224,8 @@ examples:
 fn describe(args: &[String]) {
     let Some(input) = args.first() else { usage() };
     let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
-    let dt = match spec_arg(input).build(&mut ctx) {
+    let tree = spec_arg(input);
+    let dt = match tree.build(&mut ctx) {
         Ok(dt) => dt,
         Err(e) => {
             eprintln!("error: {e}");
@@ -275,6 +276,9 @@ fn describe(args: &[String]) {
                 println!("  ... {} more", bl.blocks.len() - 16);
             }
         }
+        Translated::Multi(members) => {
+            println!("\nmember list ({} strided members)", members.len())
+        }
         Translated::Empty => println!("\n(empty type: no bytes)"),
         Translated::Unsupported(c) => {
             println!("\nnot accelerated (combiner {c:?}): falls through to the system MPI")
@@ -293,6 +297,25 @@ fn describe(args: &[String]) {
             kp.block,
             kp.grid_for(1)
         ),
+        PlanKind::Multi(members) => {
+            println!("\nkernel plan  : {} members in one launch", members.len());
+            for (i, m) in members.iter().enumerate() {
+                let n = m.ndims as usize;
+                println!(
+                    "  {i:>2}: start={} counts={:?} strides={:?} W={}",
+                    m.start,
+                    &m.counts[..n],
+                    &m.strides[..n],
+                    m.word
+                );
+            }
+            let pack =
+                Cell::of(Platform::Summit, tree, 1).and_then(|cell| cell.pack(&Side::tempi()));
+            println!(
+                "modelled pack: {}",
+                pack.unwrap_or_else(|e| fail("pack model", e))
+            );
+        }
         other => println!("\nkernel plan  : {other:?}"),
     }
     println!(

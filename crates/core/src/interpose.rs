@@ -160,11 +160,6 @@ impl InterposedMpi {
         self.tempi.publish_metrics(tracer);
     }
 
-    /// The tuner mode the interposed library is running with (`TEMPI_TUNER`).
-    pub fn tuner_mode(&self) -> crate::config::TunerMode {
-        self.tempi.tuner.mode()
-    }
-
     /// `MPI_Type_commit`. TEMPI's version performs the native commit and
     /// then the translation/transformation/kernel-selection pipeline.
     pub fn type_commit(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<()> {

@@ -93,6 +93,95 @@ impl StridedBlock {
     }
 }
 
+/// Most dimensions a [`Member`] holds.
+pub const MEMBER_DIMS: usize = 4;
+
+/// Most members a member list holds: with them it is the 4 KiB a CUDA
+/// kernel takes as parameters.
+pub const MAX_MEMBERS: usize = 4096 / std::mem::size_of::<Member>();
+
+/// One strided member of a struct: a [`StridedBlock`] of at most
+/// [`MEMBER_DIMS`] dimensions, from the struct's origin, held inline — so a
+/// list of members is one allocation, and a few dozen scalars per member
+/// however large the member is (§3.3: no object metadata on the GPU).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Member {
+    /// As [`StridedBlock::start`].
+    pub start: i64,
+    /// As [`StridedBlock::counts`]; 1 in the dimensions not in use.
+    pub counts: [i64; MEMBER_DIMS],
+    /// As [`StridedBlock::strides`]; 0 in the dimensions not in use.
+    pub strides: [i64; MEMBER_DIMS],
+    /// Dimensions in use.
+    pub ndims: u8,
+    /// The word size `W` kernel selection gave the member; 1 before it.
+    pub word: u8,
+}
+
+impl Member {
+    /// One run of `len` bytes.
+    pub fn run(start: i64, len: i64) -> Member {
+        Member {
+            start,
+            counts: [len, 1, 1, 1],
+            strides: [1, 0, 0, 0],
+            ndims: 1,
+            word: 1,
+        }
+    }
+
+    /// `bl` objects `sb`, `ex` bytes apart from byte `disp`: one more
+    /// dimension than `sb` if there are several. `None` if that is more
+    /// than [`MEMBER_DIMS`], or reaches a byte no 64-bit offset names —
+    /// checked here, once, so that enumerating the blocks need not.
+    pub fn of(sb: &StridedBlock, bl: i64, ex: i64, disp: i64) -> Option<Member> {
+        let (inner, ndims) = (sb.ndims(), sb.ndims() + usize::from(bl > 1));
+        let mut m = Member::run(disp.checked_add(sb.start)?, 0);
+        // a dimension there is no room for is the `None`
+        m.counts.get_mut(..inner)?.copy_from_slice(&sb.counts);
+        m.strides.get_mut(..inner)?.copy_from_slice(&sb.strides);
+        if bl > 1 {
+            (*m.counts.get_mut(inner)?, *m.strides.get_mut(inner)?) = (bl, ex);
+        }
+        m.ndims = ndims as u8;
+        let (mut lo, mut hi) = (m.start, m.start.checked_add(m.counts[0])?);
+        for d in 1..ndims {
+            let far = (m.counts[d] - 1).checked_mul(m.strides[d])?;
+            (lo, hi) = (lo.checked_add(far.min(0))?, hi.checked_add(far.max(0))?);
+        }
+        Some(m)
+    }
+
+    /// The member as a canonical chain.
+    pub fn chain(&self) -> Type {
+        (1..self.ndims as usize).fold(Type::dense(self.start, self.counts[0]), |ty, d| {
+            Type::stream(0, self.strides[d], self.counts[d], ty)
+        })
+    }
+
+    /// As [`StridedBlock::block_count`].
+    pub fn block_count(&self) -> i64 {
+        self.counts[1..].iter().product()
+    }
+
+    /// As [`StridedBlock::data_bytes`].
+    pub fn data_bytes(&self) -> i64 {
+        self.counts.iter().product()
+    }
+
+    /// As [`StridedBlock::for_each_block`], each with its length.
+    pub fn for_each_block(&self, mut f: impl FnMut(i64, usize)) {
+        let (c, s) = (&self.counts, &self.strides);
+        for k in 0..c[3] {
+            for j in 0..c[2] {
+                for i in 0..c[1] {
+                    f(self.start + k * s[3] + j * s[2] + i * s[1], c[0] as usize);
+                }
+            }
+        }
+    }
+}
+
 /// Algorithm 8: convert a chain (dense leaf under zero or more streams)
 /// into a [`StridedBlock`]. The paper's "Not strided" cannot arise — the IR
 /// holds nothing but chains — so `None` is left with one meaning: the
@@ -206,6 +295,55 @@ mod tests {
         for (i, &o) in seq.iter().enumerate() {
             assert_eq!(sb.block_offset(i as i64), o, "block {i}");
         }
+    }
+
+    #[test]
+    fn a_member_is_its_block_inline_and_several_are_one_more_dimension() {
+        let sb = StridedBlock {
+            start: 7,
+            counts: vec![16, 3, 4],
+            strides: vec![1, 100, 1000],
+        };
+        // one object, 50 bytes in: the block, shifted
+        let one = Member::of(&sb, 1, 9999, 50).unwrap();
+        assert_eq!((one.start, one.ndims, one.word), (57, 3, 1));
+        assert_eq!(
+            (one.counts, one.strides),
+            ([16, 3, 4, 1], [1, 100, 1000, 0])
+        );
+        assert_eq!((one.block_count(), one.data_bytes()), (12, 192));
+        let mut blocks = Vec::new();
+        sb.for_each_block(|off| blocks.push((50 + off, 16)));
+        let mut seen = Vec::new();
+        one.for_each_block(|off, len| seen.push((off, len)));
+        assert_eq!(seen, blocks);
+        assert_eq!(strided_block(&simplify(one.chain()).0).unwrap().start, 57);
+        assert_eq!(
+            simplify(one.chain()).0,
+            one.chain(),
+            "a member is canonical"
+        );
+
+        // two objects an extent apart: the fourth dimension, and no fifth
+        let two = Member::of(&sb, 2, 5000, 0).unwrap();
+        assert_eq!(
+            (two.counts, two.strides),
+            ([16, 3, 4, 2], [1, 100, 1000, 5000])
+        );
+        assert_eq!((two.ndims, two.block_count()), (4, 24));
+        assert_eq!(
+            Member::of(&strided_block(&two.chain()).unwrap(), 2, 1 << 20, 0),
+            None
+        );
+        // a reach no offset names, up or down
+        assert_eq!(Member::of(&sb, 2, i64::MAX / 2, i64::MAX / 2), None);
+        assert_eq!(Member::of(&sb, 2, i64::MIN + 8, -16), None);
+        assert_eq!(Member::of(&sb, 1, 0, i64::MAX - 8), None);
+        // one run
+        let run = Member::run(40, 8);
+        assert_eq!((run.ndims, run.block_count(), run.data_bytes()), (1, 1, 8));
+        assert_eq!(run.chain(), Type::dense(40, 8));
+        assert!(std::mem::size_of::<Member>() * MAX_MEMBERS <= 4096 && MAX_MEMBERS >= 26);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::num::NonZeroU8;
 use mpi_sim::datatype::{Combiner, Contents, Datatype, Envelope, Named};
 use mpi_sim::{MpiError, MpiResult, RankCtx, TypeRegistry};
 
-use super::strided_block::{strided_block, StridedBlock};
+use super::strided_block::{strided_block, Member, StridedBlock, MAX_MEMBERS};
 use super::transform::simplify;
 use super::{BlockList, StreamData, Type};
 
@@ -157,6 +157,11 @@ pub enum Translated {
     /// An irregular pattern captured as a block list (indexed-family and
     /// struct extension, paper §8).
     Blocks(BlockList),
+    /// A struct with a member of several strided dimensions: its members,
+    /// two to [`MAX_MEMBERS`] of them, in member order. One such member
+    /// alone is `Strided`, members that are all single runs are `Blocks`,
+    /// and under another combiner the list is its runs.
+    Multi(Vec<Member>),
     /// A construction the IR cannot express; handling falls through to the
     /// system MPI. Every combiner the registry supports translates, so
     /// this is left for an element type whose offsets do not sum to a
@@ -193,25 +198,18 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             wrap_stream(intro, old, &[(0, ex, count)])
         }
         // Algorithm 3: vector/hvector become two nested streams (blocks,
-        // then elements within a block).
-        Combiner::Vector => {
-            let c = intro.contents(dt)?;
-            let (count, blocklength, stride) = (c.integers[0], c.integers[1], c.integers[2]);
-            let old = c.datatypes[0];
-            let (_, ex) = intro.extent(old)?;
-            wrap_stream(intro, old, &[(0, ex, blocklength), (0, ex * stride, count)])
-        }
-        Combiner::Hvector => {
+        // then elements within a block), the blocks a stride in elements
+        // or in bytes apart.
+        Combiner::Vector | Combiner::Hvector => {
             let c = intro.contents(dt)?;
             let (count, blocklength) = (c.integers[0], c.integers[1]);
-            let stride_bytes = c.addresses[0];
             let old = c.datatypes[0];
             let (_, ex) = intro.extent(old)?;
-            wrap_stream(
-                intro,
-                old,
-                &[(0, ex, blocklength), (0, stride_bytes, count)],
-            )
+            let apart = match env.combiner {
+                Combiner::Vector => at(0, ex, c.integers[2])?,
+                _ => c.addresses[0],
+            };
+            wrap_stream(intro, old, &[(0, ex, blocklength), (0, apart, count)])
         }
         // Algorithm 4: each subarray dimension is a nested stream;
         // dimension strides are products of the faster dimensions' sizes.
@@ -227,27 +225,28 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             // innermost (fastest-varying) dimension first: the last in C
             // order, the first in Fortran order
             let mut stride = ex;
-            let specs: Vec<Spec> = (0..ndims)
-                .map(|i| {
-                    let d = if c_order { ndims - 1 - i } else { i };
-                    let spec = (starts[d] * stride, stride, subsizes[d]);
-                    stride *= sizes[d];
-                    spec
-                })
-                .collect();
+            let mut specs: Vec<Spec> = Vec::with_capacity(ndims);
+            for i in 0..ndims {
+                let d = if c_order { ndims - 1 - i } else { i };
+                specs.push((at(0, starts[d], stride)?, stride, subsizes[d]));
+                stride = stride.checked_mul(sizes[d]).ok_or_else(overflow)?;
+            }
             wrap_stream(intro, old, &specs)
         }
         // Indexed-family extension: flatten to a block list when the
         // element type itself reduces to a block list or dense run.
-        Combiner::Indexed => {
+        // displacements in elements, or (hindexed) in bytes
+        Combiner::Indexed | Combiner::Hindexed => {
             let c = intro.contents(dt)?;
             let count = c.integers[0] as usize;
-            let bls = &c.integers[1..1 + count];
-            let displs = &c.integers[1 + count..1 + 2 * count];
             let old = c.datatypes[0];
             let (_, ex) = intro.extent(old)?;
-            let blocks = displs.iter().zip(bls).map(|(&d, &bl)| (d, bl));
-            indexed_blocks(intro, old, ex, ex, blocks)
+            let (displs, unit) = match env.combiner {
+                Combiner::Indexed => (&c.integers[1 + count..1 + 2 * count], ex),
+                _ => (&c.addresses[..], 1),
+            };
+            let blocks = displs.iter().zip(&c.integers[1..1 + count]);
+            indexed_blocks(intro, old, ex, unit, blocks.map(|(&d, &bl)| (d, bl)))
         }
         Combiner::IndexedBlock => {
             let c = intro.contents(dt)?;
@@ -258,35 +257,62 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             let (_, ex) = intro.extent(old)?;
             indexed_blocks(intro, old, ex, ex, displs.iter().map(|&d| (d, bl)))
         }
-        Combiner::Hindexed => {
-            let c = intro.contents(dt)?;
-            let count = c.integers[0] as usize;
-            let bls = &c.integers[1..1 + count];
-            let old = c.datatypes[0];
-            let (_, ex) = intro.extent(old)?;
-            let blocks = c.addresses.iter().zip(bls).map(|(&d, &bl)| (d, bl));
-            indexed_blocks(intro, old, ex, 1, blocks)
-        }
         // Struct extension (paper §8): every member is an indexed block of
-        // its own element type, appended to one list in member order.
+        // its own element type. While each is one run they are appended to
+        // one list in member order; a member of several strided dimensions
+        // turns the runs before it into a list of strided members, and one
+        // that is no strided object at all turns that back into its runs.
         Combiner::Struct => {
             let c = intro.contents(dt)?;
             let count = c.integers[0] as usize;
             let bls = &c.integers[1..1 + count];
             let mut out = Vec::with_capacity(count);
+            let mut members: Vec<Member> = Vec::new();
+            let mut strided = true;
             for ((&bl, &disp), &old) in bls.iter().zip(&c.addresses).zip(&c.datatypes) {
-                if bl == 0 {
+                if bl <= 0 {
                     continue;
                 }
                 let (_, ex) = intro.extent(old)?;
-                match ElementRuns::of(translate(intro, old)?, ex) {
-                    Ok(runs) => runs.append(ex, disp, bl, &mut out)?,
+                let runs = match ElementRuns::of(translate(intro, old)?, ex) {
+                    Ok(ElementRuns::List(none)) if none.is_empty() => continue,
+                    Ok(runs) => runs,
                     Err(c) => return Ok(Translated::Unsupported(c)),
+                };
+                let room = strided && members.len() + out.len() < MAX_MEMBERS;
+                let member = runs.member(ex, disp, bl).filter(|_| room);
+                if member.is_none() {
+                    strided = false;
+                    out.extend(flatten(&std::mem::take(&mut members)));
+                }
+                match member {
+                    Some(m) if m.ndims > 1 || !members.is_empty() => {
+                        if members.is_empty() {
+                            let run = |(off, len): (i64, u64)| Member::run(off, len as i64);
+                            members.reserve_exact(count);
+                            members.extend(out.drain(..).map(run));
+                        }
+                        members.push(m);
+                    }
+                    _ => runs.append(ex, disp, bl, &mut out)?,
                 }
             }
-            Ok(blocks_or_empty(out))
+            Ok(match members.len() {
+                0 => blocks_or_empty(out),
+                1 => Translated::Strided(members[0].chain()),
+                _ => Translated::Multi(members),
+            })
         }
     }
+}
+
+/// The runs of a list of strided members, in member order.
+fn flatten(members: &[Member]) -> Vec<(i64, u64)> {
+    let mut runs = Vec::new();
+    members
+        .iter()
+        .for_each(|m| m.for_each_block(|off, len| runs.push((off, len as u64))));
+    runs
 }
 
 /// Wrap the translation of `old` in a chain of streams, innermost first.
@@ -299,7 +325,10 @@ fn wrap_stream<I: Introspect>(
     if specs.iter().any(|&(_, _, count)| count == 0) {
         return Ok(Translated::Empty);
     }
-    match translate(intro, old)? {
+    // one element where it lies: the wrapper changes nothing, and a member
+    // list stays one
+    let in_place = specs.iter().all(|&(off, _, n)| (off, n) == (0, 1));
+    let mut blocks = match translate(intro, old)? {
         Translated::Strided(mut ty) => {
             ty.streams
                 .extend(specs.iter().map(|&(off, stride, count)| StreamData {
@@ -307,26 +336,25 @@ fn wrap_stream<I: Introspect>(
                     stride,
                     count,
                 }));
-            Ok(Translated::Strided(ty))
+            return Ok(Translated::Strided(ty));
         }
-        Translated::Blocks(inner) => {
-            // replicate the block list through each stream level
-            let mut blocks = inner.blocks;
-            for &(off, stride, count) in specs {
-                let mut next = Vec::new();
-                reserve_runs(&mut next, blocks.len(), count)?;
-                for i in 0..count {
-                    let base = at(off, i, stride)?;
-                    for &(o, l) in &blocks {
-                        next.push((base.checked_add(o).ok_or_else(overflow)?, l));
-                    }
-                }
-                blocks = next;
+        Translated::Blocks(inner) => inner.blocks,
+        Translated::Multi(members) if !in_place => flatten(&members),
+        none => return Ok(none),
+    };
+    // replicate the block list through each stream level
+    for &(off, stride, count) in specs {
+        let mut next = Vec::new();
+        reserve_runs(&mut next, blocks.len(), count)?;
+        for i in 0..count {
+            let base = at(off, i, stride)?;
+            for &(o, l) in &blocks {
+                next.push((base.checked_add(o).ok_or_else(overflow)?, l));
             }
-            Ok(Translated::Blocks(BlockList { blocks }))
         }
-        none => Ok(none),
+        blocks = next;
     }
+    Ok(Translated::Blocks(BlockList { blocks }))
 }
 
 /// Build the block list of an indexed-family type: `(displacement, element
@@ -369,6 +397,7 @@ impl ElementRuns {
         match element {
             Translated::Empty => Ok(ElementRuns::List(Vec::new())),
             Translated::Blocks(inner) => Ok(ElementRuns::List(inner.blocks)),
+            Translated::Multi(members) => Ok(ElementRuns::List(flatten(&members))),
             Translated::Strided(ty) => {
                 // Canonicalize the child, then enumerate its contiguous runs
                 // per block element (prior work reduces *all* types this way;
@@ -383,6 +412,16 @@ impl ElementRuns {
                 }
             }
             Translated::Unsupported(c) => Err(c),
+        }
+    }
+
+    /// A block of `bl` elements, `ex` bytes apart from byte displacement
+    /// `disp`, as one strided member — if it is one.
+    fn member(&self, ex: i64, disp: i64, bl: i64) -> Option<Member> {
+        match self {
+            Self::Tile(start) => Some(Member::run(disp.checked_add(*start)?, bl.checked_mul(ex)?)),
+            Self::Strided(sb) => Member::of(sb, bl, ex, disp),
+            Self::List(_) => None,
         }
     }
 
@@ -738,6 +777,68 @@ mod tests {
     }
 
     #[test]
+    fn struct_of_strided_members_is_a_member_list_until_it_cannot_be() {
+        let mut r = reg();
+        let v = r.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // runs at 0, 4; extent 6
+        let s = r
+            .type_create_struct(&[1, 2, 0, 1], &[40, 0, 7, 32], &[MPI_INT, v, v, MPI_SHORT])
+            .unwrap();
+        let Translated::Multi(members) = translate(&mut r, s).unwrap() else {
+            panic!("a strided member among runs makes a member list");
+        };
+        // the run before it, the two vectors as one entry, the run after it;
+        // the zero-length member is not there
+        let vectors = Member {
+            counts: [2, 2, 2, 1],
+            strides: [1, 4, 6, 0],
+            ndims: 3,
+            ..Member::run(0, 0)
+        };
+        let list = [Member::run(40, 4), vectors, Member::run(32, 2)];
+        assert_eq!(members[..], list);
+        assert_eq!(
+            members.capacity(),
+            4,
+            "one allocation, sized by the member count"
+        );
+        let flat = vec![(40, 4), (0, 2), (4, 2), (6, 2), (10, 2), (32, 2)];
+        assert_eq!(flatten(&members), flat);
+
+        // a wrapper that changes nothing changes nothing; any other combiner
+        // over the list has its runs
+        let same = r.type_contiguous(1, s).unwrap();
+        assert_eq!(translate(&mut r, same).unwrap(), Translated::Multi(members));
+        let twice = r.type_create_hvector(2, 1, 100, s).unwrap();
+        let shifted = flat.iter().map(|&(off, len)| (off + 100, len));
+        let both: Vec<_> = flat.iter().copied().chain(shifted).collect();
+        assert_eq!(blocks_of(&mut r, twice), both);
+
+        // a member that is itself a list turns the members before it back
+        // into runs; so does a 52nd member, and a fifth dimension
+        let h = r.type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE).unwrap();
+        let with_list = r.type_create_struct(&[1, 1, 1], &[0, 20, 30], &[v, h, v]);
+        let runs = blocks_of(&mut r, with_list.unwrap());
+        assert_eq!(
+            runs,
+            vec![(0, 2), (4, 2), (24, 1), (20, 1), (30, 2), (34, 2)]
+        );
+        let many = |n: usize| {
+            let mut r = reg();
+            let v = r.type_vector(2, 1, 2, MPI_BYTE).unwrap();
+            let displs: Vec<i64> = (0..n as i64).map(|i| 4 * i).collect();
+            let s = r.type_create_struct(&vec![1; n], &displs, &vec![v; n]);
+            translate(&mut r, s.unwrap()).unwrap()
+        };
+        assert!(matches!(many(MAX_MEMBERS), Translated::Multi(m) if m.len() == MAX_MEMBERS));
+        assert!(matches!(many(MAX_MEMBERS + 1), Translated::Blocks(b) if b.blocks.len() == 104));
+        let deep = r
+            .type_create_subarray(&[4; 4], &[2; 4], &[1; 4], Order::C, MPI_SHORT)
+            .unwrap();
+        let fifth = r.type_create_struct(&[2, 1], &[0, 2000], &[deep, MPI_INT]);
+        assert_eq!(blocks_of(&mut r, fifth.unwrap()).len(), 2 * 8 + 1);
+    }
+
+    #[test]
     fn struct_under_every_strided_combiner_replicates_its_runs() {
         let mut r = reg();
         let s = r
@@ -916,10 +1017,36 @@ mod tests {
             translate(&mut source, TOP)
         };
         assert_overflow(member(i64::MAX - 8));
-        let ok = Translated::Blocks(BlockList {
-            blocks: vec![(100, 1), (116, 1)],
-        });
-        assert_eq!(member(100).unwrap(), ok);
+        // one strided member is that member: a byte at 100 and at 116
+        let ok = Type::stream(0, 16, 2, Type::dense(100, 1));
+        assert_eq!(member(100).unwrap(), Translated::Strided(ok));
+    }
+
+    #[test]
+    fn strided_arms_check_their_products() {
+        let big = i32::MAX as i64;
+        let subarray = |size: i64, start: i64| {
+            let integers = [3, size, size, size, 1, 1, 1, start, start, start, 0];
+            let mut source =
+                Hostile::named(8).with(TOP, Combiner::Subarray, (&integers, &[], &[MPI_BYTE]), 0);
+            translate(&mut source, TOP)
+        };
+        // stride × size, two dimensions up; start × stride, one up
+        assert_overflow(subarray(big, 0));
+        assert_overflow(subarray(1 << 30, i64::MAX >> 32));
+        assert!(matches!(subarray(4, 3), Ok(Translated::Strided(_))));
+        // extent × stride
+        let vector = |stride| {
+            let mut source = Hostile::named(BIG).with(
+                TOP,
+                Combiner::Vector,
+                (&[2, 1, stride], &[], &[MPI_BYTE]),
+                0,
+            );
+            translate(&mut source, TOP)
+        };
+        assert_overflow(vector(3));
+        assert!(matches!(vector(1), Ok(Translated::Strided(_))));
     }
 
     #[test]

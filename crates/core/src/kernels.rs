@@ -2,8 +2,10 @@
 //!
 //! After canonicalization, each MPI datatype maps to **one of two kernel
 //! implementations parameterized by a word size `W`** (plus the trivial
-//! `cudaMemcpyAsync` path for 1-D objects and the block-list kernel for
-//! the indexed-family extension):
+//! `cudaMemcpyAsync` path for 1-D objects, the block-list kernel for the
+//! indexed-family extension, and the member-list kernel for a struct of
+//! strided members — the strided kernel's loop nest once per member, each
+//! member with its own `W`):
 //!
 //! * the word size `W` is "the largest GPU-native type that is both
 //!   aligned to the object and is a factor of `count[0]`";
@@ -16,12 +18,13 @@
 //!
 //! Execution has one entry, `Engine::execute`: the dispatch from what a
 //! type committed to ([`PlanKind`]) to the plain copy, the strided kernel
-//! (whole object, or a contiguous-with-padding transfer reshaped to 2-D)
-//! or the block-list kernel. Every kernel — those two, and the block-range
-//! kernel of the pipelined path (`execute_range_async`) — is the same walk
-//! of the typed buffer's runs against a packed cursor (`walk`); a kernel
-//! supplies its runs, its price and its launch geometry. The CPU copy path
-//! (`execute_on_host`) is that walk again, in host code.
+//! (whole object, or a contiguous-with-padding transfer reshaped to 2-D),
+//! the block-list kernel or the member-list kernel. Every kernel — those
+//! three, and the block-range kernel of the pipelined path
+//! (`execute_range_async`) — is the same walk of the typed buffer's runs
+//! against a packed cursor (`walk`); a kernel supplies its runs, its price
+//! and its launch geometry. The CPU copy path (`execute_on_host`) is that
+//! walk again, in host code.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
@@ -32,7 +35,7 @@ use gpu_sim::{
 };
 use mpi_sim::{Combiner, Datatype, MpiError, MpiResult, RankCtx};
 
-use crate::ir::strided_block::StridedBlock;
+use crate::ir::strided_block::{Member, StridedBlock};
 use crate::ir::BlockList;
 
 /// Which implementation a committed type selected.
@@ -72,6 +75,9 @@ pub enum PlanKind {
     Strided(KernelPlan),
     /// An irregular block list (indexed-family extension).
     Blocks(BlockList),
+    /// A struct's strided members, each with its selected word: one kernel
+    /// whose parameters are the list.
+    Multi(Vec<Member>),
     /// Not accelerated; operations fall through to the system MPI.
     Fallback(Combiner),
 }
@@ -108,15 +114,29 @@ impl Typed {
 /// length, the start offset, and every stride — i.e. is "aligned to the
 /// object and a factor of `count[0]`".
 pub fn select_word(sb: &StridedBlock) -> usize {
-    for w in [16i64, 8, 4, 2] {
-        let aligned = sb.start % w == 0
-            && sb.block_bytes() % w == 0
-            && sb.strides[1..].iter().all(|&s| s % w == 0);
-        if aligned {
-            return w as usize;
-        }
+    widest_word(sb.start | sb.block_bytes(), &sb.strides[1..])
+}
+
+/// The largest word that divides `aligned` — several numbers or-ed into
+/// one: a power of two divides them all exactly if it divides that — and
+/// every stride.
+fn widest_word(aligned: i64, strides: &[i64]) -> usize {
+    let bits = strides.iter().fold(aligned, |bits, stride| bits | stride);
+    1 << bits.trailing_zeros().min(4)
+}
+
+/// Select every member's word, `force_word` as in [`select_kernel`]: the
+/// widest its strided side allows that its place among the packed bytes —
+/// after the members before it, in every item of a transfer — is aligned
+/// to as well.
+pub fn select_members(mut members: Vec<Member>, force_word: Option<usize>) -> Vec<Member> {
+    let (size, mut packed): (i64, i64) = (members.iter().map(Member::data_bytes).sum(), 0);
+    for m in &mut members {
+        let word = widest_word(m.start | m.counts[0] | packed | size, &m.strides[1..]);
+        m.word = force_word.unwrap_or(word) as u8;
+        packed += m.data_bytes();
     }
-    1
+    members
 }
 
 /// Paper §3.3 block-dimension rule: fill X→Z with covering powers of two
@@ -270,6 +290,22 @@ impl Runs for Items<'_, BlockList> {
     }
 }
 
+/// The contiguous blocks of one item of a member list.
+pub(crate) fn member_blocks(members: &[Member]) -> usize {
+    members.iter().map(Member::block_count).sum::<i64>() as usize
+}
+
+impl Runs for Items<'_, Vec<Member>> {
+    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
+        for item in 0..self.count {
+            let base = item as i64 * self.extent;
+            for m in self.layout {
+                m.for_each_block(|off, len| sink(base + off, len));
+            }
+        }
+    }
+}
+
 /// The blocks `blocks` of a stream of strided objects `extent` apart, the
 /// blocks of all its items numbered globally.
 struct BlockRange<'a> {
@@ -294,17 +330,19 @@ impl Runs for BlockRange<'_> {
 /// that reaches before the typed buffer is out of bounds, and the first
 /// fault ends the walk (the run visitors cannot stop early, so later runs
 /// are skipped, not moved). `ON_HOST` copies with host code, which no
-/// address space refuses, instead of a kernel's device code.
+/// address space refuses, instead of a kernel's device code. Returns the
+/// number of runs.
 fn walk<const ON_HOST: bool>(
     mem: &mut Memory,
     dir: PackDir,
     strided: GpuPtr,
     packed: GpuPtr,
     runs: &impl Runs,
-) -> GpuResult<()> {
+) -> GpuResult<usize> {
     let mut fault = Ok(());
-    let mut pos = 0;
+    let (mut pos, mut n) = (0, 0);
     runs.for_each(|off, len| {
+        n += 1;
         if fault.is_err() {
             return;
         }
@@ -327,14 +365,24 @@ fn walk<const ON_HOST: bool>(
         }
         pos += len;
     });
-    fault
+    fault.map(|()| n)
+}
+
+/// `pack` or `unpack`, as `dir` says.
+fn by_dir<T>(dir: PackDir, pack: T, unpack: T) -> T {
+    match dir {
+        PackDir::Pack => pack,
+        PackDir::Unpack => unpack,
+    }
 }
 
 /// What a kernel supplies besides its runs.
-struct Launch {
+struct Launch<'a> {
     name: &'static str,
     cfg: LaunchConfig,
     cost: SimTime,
+    /// What the kernel's trace event says besides its geometry.
+    args: &'a [(&'static str, u64)],
 }
 
 /// One warp per block, 256 threads per thread-block.
@@ -351,14 +399,14 @@ fn launch(
     stream: &mut Stream,
     clock: &mut SimClock,
     dir: PackDir,
-    l: Launch,
+    l: Launch<'_>,
     strided: GpuPtr,
     packed: GpuPtr,
     runs: &impl Runs,
 ) -> MpiResult<()> {
-    let body = |mem: &mut Memory| walk::<false>(mem, dir, strided, packed, runs);
+    let body = |mem: &mut Memory| walk::<false>(mem, dir, strided, packed, runs).map(drop);
     stream
-        .launch(clock, l.name, l.cfg, l.cost, body)
+        .launch_args(clock, l.name, l.cfg, l.cost, l.args, body)
         .map_err(MpiError::Gpu)
 }
 
@@ -381,16 +429,14 @@ pub fn execute_strided(
     let total = (plan.sb.data_bytes() as usize) * incount;
     let packed = packed.add(packed_off);
     let l = Launch {
-        name: match (dir, plan.kind) {
-            (PackDir::Pack, KernelKind::Pack2D) => "tempi_pack_2d",
-            (PackDir::Pack, KernelKind::Pack3D) => "tempi_pack_3d",
-            (PackDir::Pack, _) => "tempi_pack_nd",
-            (PackDir::Unpack, KernelKind::Pack2D) => "tempi_unpack_2d",
-            (PackDir::Unpack, KernelKind::Pack3D) => "tempi_unpack_3d",
-            (PackDir::Unpack, _) => "tempi_unpack_nd",
+        name: match plan.kind {
+            KernelKind::Pack2D => by_dir(dir, "tempi_pack_2d", "tempi_unpack_2d"),
+            KernelKind::Pack3D => by_dir(dir, "tempi_pack_3d", "tempi_unpack_3d"),
+            _ => by_dir(dir, "tempi_pack_nd", "tempi_unpack_nd"),
         },
         cfg: plan.launch_config(incount),
         cost: plan.price(stream, dir, strided, packed, total),
+        args: &[],
     };
     let runs = Items {
         layout: &plan.sb,
@@ -418,12 +464,10 @@ pub(crate) fn execute_range_async(
     let nblocks = (blocks.end - blocks.start) as u64;
     let total = plan.sb.block_bytes() as usize * nblocks as usize;
     let l = Launch {
-        name: match dir {
-            PackDir::Pack => "tempi_pack_range",
-            PackDir::Unpack => "tempi_unpack_range",
-        },
+        name: by_dir(dir, "tempi_pack_range", "tempi_unpack_range"),
         cfg: warp_per_block(nblocks),
         cost: plan.price(&ctx.stream, dir, x.buf, packed, total),
+        args: &[],
     };
     let runs = BlockRange {
         sb: &plan.sb,
@@ -451,10 +495,7 @@ pub fn execute_blocklist(
     let total = blocks.data_bytes() as usize * incount;
     let nblocks = blocks.blocks.len().max(1) * incount.max(1);
     let l = Launch {
-        name: match dir {
-            PackDir::Pack => "tempi_pack_blocklist",
-            PackDir::Unpack => "tempi_unpack_blocklist",
-        },
+        name: by_dir(dir, "tempi_pack_blocklist", "tempi_unpack_blocklist"),
         cfg: warp_per_block(nblocks as u64),
         cost: stream.cost_model().pack_kernel_time(
             dir,
@@ -463,6 +504,7 @@ pub fn execute_blocklist(
             (total / nblocks).max(1),
             1,
         ),
+        args: &[],
     };
     let runs = Items {
         layout: blocks,
@@ -495,19 +537,14 @@ pub(crate) fn execute_on_host(
 ) -> MpiResult<()> {
     let mut mem = ctx.gpu.memory();
     let runs = match plan {
-        PlanKind::Strided(kp) => {
-            walk::<true>(&mut mem, dir, x.buf, packed, &x.items(&kp.sb))?;
-            kp.sb.block_count() as usize
-        }
-        PlanKind::Blocks(bl) => {
-            walk::<true>(&mut mem, dir, x.buf, packed, &x.items(bl))?;
-            bl.blocks.len()
-        }
+        PlanKind::Strided(kp) => walk::<true>(&mut mem, dir, x.buf, packed, &x.items(&kp.sb))?,
+        PlanKind::Blocks(bl) => walk::<true>(&mut mem, dir, x.buf, packed, &x.items(bl))?,
+        PlanKind::Multi(members) => walk::<true>(&mut mem, dir, x.buf, packed, &x.items(members))?,
         PlanKind::Empty => 0,
         PlanKind::Fallback(_) => return Err(no_kernel()),
     };
     drop(mem);
-    let t = ctx.vendor.host_pack_time(x.bytes, runs * x.count);
+    let t = ctx.vendor.host_pack_time(x.bytes, runs);
     ctx.clock.advance(t);
     Ok(())
 }
@@ -592,6 +629,26 @@ impl Engine {
             }
             PlanKind::Blocks(bl) => {
                 execute_blocklist(bl, stream, clock, dir, buf, extent, x.count, packed, 0)?;
+            }
+            PlanKind::Multi(members) => {
+                // One kernel whose parameters are the list: every member
+                // moves at the rate its own block length, word and rank
+                // give it, the machine as full as the whole transfer makes it.
+                let parts = members.iter().map(|m| {
+                    let word = effective_word(m.word as usize, buf, packed);
+                    let bytes = m.data_bytes() as usize * x.count;
+                    (bytes, m.counts[0] as usize, word, m.ndims as usize)
+                });
+                let target = target_for(buf.space, packed.space);
+                let cost = stream.cost_model();
+                let l = Launch {
+                    name: by_dir(dir, "tempi_pack_multi", "tempi_unpack_multi"),
+                    cfg: warp_per_block((member_blocks(members) * x.count) as u64),
+                    cost: cost.pack_kernel_time_parts(dir, target, x.bytes, parts),
+                    args: &[("members", members.len() as u64), ("bytes", x.bytes as u64)],
+                };
+                launch(stream, clock, dir, l, buf, packed, &x.items(members))?;
+                stream.synchronize(clock);
             }
             PlanKind::Fallback(_) => return Err(no_kernel()),
         }

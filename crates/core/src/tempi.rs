@@ -24,7 +24,8 @@ use crate::ir::transform::simplify;
 use crate::ir::translate::{translate, MemoIntrospect, NamedMemo, Translated};
 pub use crate::kernels::PlanKind;
 use crate::kernels::{
-    execute_on_host, execute_range_async, select_kernel, Engine, KernelKind, Typed,
+    execute_on_host, execute_range_async, member_blocks, select_kernel, select_members, Engine,
+    KernelKind, Typed,
 };
 use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
 use crate::tuner::{BucketKey, Tuner, Workload};
@@ -79,21 +80,25 @@ impl TypePlan {
     /// Byte length of the innermost contiguous run (drives the cost model
     /// and the method choice).
     pub fn block_bytes(&self) -> usize {
-        match &self.kind {
-            PlanKind::Empty => 0,
-            PlanKind::Strided(kp) => kp.sb.block_bytes() as usize,
-            PlanKind::Blocks(bl) => {
-                let n = bl.blocks.len().max(1);
-                (bl.data_bytes() as usize / n).max(1)
-            }
-            PlanKind::Fallback(_) => self.size as usize,
-        }
+        let runs = match &self.kind {
+            PlanKind::Empty => return 0,
+            PlanKind::Strided(kp) => return kp.sb.block_bytes() as usize,
+            PlanKind::Fallback(_) => return self.size as usize,
+            // the mean run length, as the block-list kernel is priced; of
+            // a member list it is what the §5 model prices, exactly so
+            // for members of one block length and word
+            PlanKind::Blocks(bl) => bl.blocks.len(),
+            PlanKind::Multi(members) => member_blocks(members),
+        };
+        (self.size as usize / runs.max(1)).max(1)
     }
 
-    /// Selected word size (1 for non-strided plans).
+    /// Selected word size (the narrowest of a member list's; 1 for other
+    /// non-strided plans).
     pub fn word(&self) -> usize {
         match &self.kind {
             PlanKind::Strided(kp) => kp.word,
+            PlanKind::Multi(members) => members.iter().map(|m| m.word as usize).min().unwrap_or(1),
             _ => 1,
         }
     }
@@ -133,7 +138,7 @@ impl TypePlan {
     fn accelerates(&self, x: Typed) -> bool {
         x.buf.space == MemSpace::Device
             && x.bytes > 0
-            && matches!(self.kind, PlanKind::Strided(_) | PlanKind::Blocks(_))
+            && !matches!(self.kind, PlanKind::Empty | PlanKind::Fallback(_))
             && !(self.is_contiguous() && (x.count <= 1 || self.size as i64 == self.extent))
     }
 }
@@ -361,6 +366,11 @@ impl Tempi {
             Translated::Blocks(bl) => {
                 let n = bl.blocks.len();
                 (PlanKind::Blocks(bl), 0, n, n)
+            }
+            Translated::Multi(members) => {
+                let n = members.len();
+                let kind = PlanKind::Multi(select_members(members, self.config.force_word));
+                (kind, 0, n, n)
             }
             Translated::Unsupported(c) => (PlanKind::Fallback(c), 0, 0, 0),
             Translated::Strided(tree) => {
@@ -718,7 +728,7 @@ impl Tempi {
         let shape = match &plan.kind {
             PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D => 0,
             PlanKind::Strided(_) => 1,
-            PlanKind::Blocks(_) => 2,
+            PlanKind::Blocks(_) | PlanKind::Multi(_) => 2,
             _ => 3,
         };
         // only a strided plan can be cut at block boundaries
@@ -1288,6 +1298,8 @@ fn engine_copy(
 mod tests {
     use super::*;
     use crate::interpose::InterposedMpi;
+    use crate::ir::strided_block::Member;
+    use crate::ir::BlockList;
     use mpi_sim::consts::*;
     use mpi_sim::datatype::pack_cpu;
     use mpi_sim::datatype::Order;
@@ -1549,7 +1561,7 @@ mod tests {
     /// Every [`PlanKind`], the strided one in each shape the engine tells
     /// apart. The `Fallback` row is a committed struct handed that plan:
     /// commit leaves one only for offsets no buffer can hold.
-    const KINDS: [KindRow; 9] = [
+    const KINDS: [KindRow; 10] = [
         ("Empty", |c| c.type_contiguous(0, MPI_INT), 5, None),
         (
             "plain copy",
@@ -1591,6 +1603,16 @@ mod tests {
         (
             "Blocks",
             |c| c.type_create_hindexed(&[4, 2, 6], &[32, 0, 12], MPI_BYTE),
+            2,
+            Some(true),
+        ),
+        (
+            "Multi",
+            |c| {
+                let plane = c.type_vector(4, 4, 8, MPI_BYTE)?;
+                let row = c.type_create_resized(MPI_INT, 0, 12)?;
+                c.type_create_struct(&[2, 1, 3], &[64, 0, 200], &[plane, MPI_DOUBLE, row])
+            },
             2,
             Some(true),
         ),
@@ -1661,6 +1683,7 @@ mod tests {
                         "Fallback"
                     }
                     PlanKind::Blocks(_) => "Blocks",
+                    PlanKind::Multi(_) => "Multi",
                     PlanKind::Fallback(_) => "a fallback nobody asked for",
                 };
                 assert!(name.starts_with(kernel), "{name} committed to {kernel}");
@@ -1771,7 +1794,7 @@ mod tests {
     /// The shapes every method must move: the kernels' 2-D and 3-D strided
     /// paths, the block-list path (which cannot be cut into chunks),
     /// several padded items, and an object whose last chunk is short.
-    const MATRIX: [MatrixCase; 5] = [
+    const MATRIX: [MatrixCase; 6] = [
         ("2-D strided", |c| c.type_vector(512, 128, 256, MPI_BYTE), 1),
         (
             "3-D strided",
@@ -1787,6 +1810,18 @@ mod tests {
                 let lens: Vec<i32> = (0..96).map(|i| 64 * (i % 3 + 1)).collect();
                 let displs: Vec<i64> = (0..96).map(|i| i * 320).collect();
                 c.type_create_hindexed(&lens, &displs, MPI_BYTE)
+            },
+            1,
+        ),
+        (
+            // members of one block length and word: the model's mean block
+            // prices the list to the picosecond
+            "member list",
+            |c| {
+                let (sizes, sub) = ([16, 64, 256], [8, 32, 128]);
+                let lo = c.type_create_subarray(&sizes, &sub, &[0, 0, 0], Order::C, MPI_BYTE)?;
+                let hi = c.type_create_subarray(&sizes, &sub, &[8, 32, 128], Order::C, MPI_BYTE)?;
+                c.type_create_struct(&[1, 1], &[0, 0], &[lo, hi])
             },
             1,
         ),
@@ -1822,7 +1857,9 @@ mod tests {
                     let bytes = plan.size as usize * count;
                     // a forced pipeline runs staged where it cannot be cut
                     let ran = match (&plan.kind, forced) {
-                        (PlanKind::Blocks(_), Method::Pipelined) => Method::Staged,
+                        (PlanKind::Blocks(_) | PlanKind::Multi(_), Method::Pipelined) => {
+                            Method::Staged
+                        }
                         _ => forced,
                     };
                     let span = plan.extent as usize * count + 64;
@@ -2079,7 +2116,7 @@ mod tests {
     }
 
     #[test]
-    fn struct_of_vectors_flattens_members() {
+    fn struct_of_vectors_keeps_its_members_strided() {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let v = ctx.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // blocks at 0,4
@@ -2087,12 +2124,112 @@ mod tests {
             .type_create_struct(&[1, 2], &[32, 0], &[MPI_INT, v])
             .unwrap();
         let plan = tempi.type_commit(&mut ctx, dt).unwrap();
-        match &plan.kind {
-            PlanKind::Blocks(bl) => {
-                // int at 32, then two vector elements (extent 6) at 0 and 6
-                assert_eq!(bl.blocks, vec![(32, 4), (0, 2), (4, 2), (6, 2), (10, 2)]);
+        let PlanKind::Multi(members) = &plan.kind else {
+            panic!("expected a member list, got {:?}", plan.kind);
+        };
+        // int at 32, then two vector elements (extent 6) at 0 and 6: one
+        // entry each, the vector's word what its place after the int allows
+        let int = Member {
+            word: 4,
+            ..Member::run(32, 4)
+        };
+        let vectors = Member {
+            start: 0,
+            counts: [2, 2, 2, 1],
+            strides: [1, 4, 6, 0],
+            ndims: 3,
+            word: 2,
+        };
+        assert_eq!(members[..], [int, vectors]);
+        assert_eq!((plan.block_bytes(), plan.word()), (2, 2));
+        let mut runs = Vec::new();
+        vectors.for_each_block(|off, _| runs.push(off));
+        assert_eq!(runs, [0, 4, 6, 10]);
+    }
+
+    /// Virtual time of one `MPI_Pack` and one `MPI_Unpack` of `dt` between
+    /// device buffers, under the committed plan or under `kind` in its place.
+    fn pack_unpack_times(
+        ctx: &mut RankCtx,
+        tempi: &mut Tempi,
+        dt: Datatype,
+        kind: Option<PlanKind>,
+    ) -> (SimTime, SimTime) {
+        let plan = tempi.type_commit(ctx, dt).unwrap();
+        if let Some(kind) = kind {
+            let swapped = TypePlan {
+                kind,
+                ..(*plan).clone()
+            };
+            tempi.cache.insert(dt, Arc::new(swapped));
+        }
+        let size = plan.size as usize;
+        let typed = ctx.gpu.malloc(plan.extent as usize + 64).unwrap();
+        let packed = ctx.gpu.malloc(size).unwrap();
+        let t0 = ctx.clock.now();
+        tempi.pack(ctx, typed, 1, dt, packed, size, &mut 0).unwrap();
+        let t1 = ctx.clock.now();
+        tempi
+            .unpack(ctx, packed, size, &mut 0, typed, 1, dt)
+            .unwrap();
+        (t1 - t0, ctx.clock.now() - t1)
+    }
+
+    #[test]
+    fn a_member_is_priced_as_its_own_strided_plan_and_a_list_below_its_runs() {
+        let (mut ctx, mut tempi) = (ctx(), Tempi::default());
+        // a list of one member takes exactly the time of that member's plan
+        let (sizes, sub) = ([16, 64, 256], [8, 32, 128]);
+        let boxed = ctx
+            .type_create_subarray(&sizes, &sub, &[1, 2, 16], Order::C, MPI_BYTE)
+            .unwrap();
+        let strided = pack_unpack_times(&mut ctx, &mut tempi, boxed, None);
+        let PlanKind::Strided(kp) = &tempi.plan(boxed).unwrap().kind else {
+            panic!("a subarray is a strided plan");
+        };
+        let only = Member {
+            word: kp.word as u8,
+            ..Member::of(&kp.sb, 1, 0, 0).unwrap()
+        };
+        let alone = PlanKind::Multi(vec![only]);
+        let listed = pack_unpack_times(&mut ctx, &mut tempi, boxed, Some(alone));
+        assert_eq!(listed, strided);
+
+        // and a list never takes longer than the flat list of the same runs:
+        // two faces, an edge and a corner of a 68³ grid of floats (rows of
+        // 256 and of 8 bytes); the struct zoo's strided members
+        let halo: fn(&mut RankCtx) -> MpiResult<Datatype> = |c| {
+            let region = |c: &mut RankCtx, sub: [i32; 3], start: [i32; 3]| {
+                c.type_create_subarray(&[68; 3], &sub, &start, Order::C, MPI_FLOAT)
+            };
+            let face = region(c, [64, 64, 2], [2, 2, 64])?;
+            let edge = region(c, [64, 2, 2], [2, 2, 2])?;
+            let corner = region(c, [2, 2, 2], [64, 64, 64])?;
+            let wide = region(c, [2, 64, 64], [2, 2, 2])?;
+
+            c.type_create_struct(&[1; 4], &[0; 4], &[face, wide, edge, corner])
+        };
+        let vectors: fn(&mut RankCtx) -> MpiResult<Datatype> = |c| {
+            let v = c.type_vector(3, 2, 4, MPI_BYTE)?;
+            c.type_create_struct(&[2, 1], &[0, 21], &[v, MPI_INT])
+        };
+        let resized: fn(&mut RankCtx) -> MpiResult<Datatype> = |c| {
+            let wide = c.type_create_resized(MPI_INT, 0, 9)?;
+            c.type_create_struct(&[2, 1], &[0, 18], &[wide, MPI_SHORT])
+        };
+        for build in [halo, vectors, resized] {
+            let dt = build(&mut ctx).unwrap();
+            let (pack, unpack) = pack_unpack_times(&mut ctx, &mut tempi, dt, None);
+            let PlanKind::Multi(members) = &tempi.plan(dt).unwrap().kind else {
+                panic!("{} is a member list", ctx.describe(dt));
+            };
+            let mut blocks = Vec::new();
+            for m in members {
+                m.for_each_block(|off, len| blocks.push((off, len as u64)));
             }
-            other => panic!("expected blocks, got {other:?}"),
+            let flat = PlanKind::Blocks(BlockList { blocks });
+            let (flat_pack, flat_unpack) = pack_unpack_times(&mut ctx, &mut tempi, dt, Some(flat));
+            assert!(pack < flat_pack && unpack < flat_unpack);
         }
     }
 

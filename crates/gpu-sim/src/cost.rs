@@ -289,18 +289,39 @@ impl GpuCostModel {
         word_bytes: usize,
         ndims: usize,
     ) -> SimTime {
+        let part = (total_bytes, block_bytes, word_bytes, ndims);
+        self.pack_kernel_time_parts(dir, target, total_bytes, [part])
+    }
+
+    /// On-GPU execution time of one kernel that moves several strided
+    /// objects, `total_bytes` between them: each part — `(bytes, block
+    /// bytes, word bytes, rank)` — runs at the bandwidth its own
+    /// coalescing, word size and rank allow, and all of them at the
+    /// utilization of the whole transfer. One part is
+    /// [`GpuCostModel::pack_kernel_time_dims`].
+    pub fn pack_kernel_time_parts(
+        &self,
+        dir: PackDir,
+        target: PackTarget,
+        total_bytes: usize,
+        parts: impl IntoIterator<Item = (usize, usize, usize, usize)>,
+    ) -> SimTime {
         if total_bytes == 0 {
             return self.kernel_min_exec;
         }
-        let dims_eff = 1.0 / (1.0 + 0.15 * ndims.saturating_sub(3) as f64);
         let peak = self.pack_peak_bpns(dir, target);
-        let eff = self.coalesce_efficiency(target, block_bytes)
-            * self.utilization(total_bytes)
-            * self.word_efficiency(word_bytes)
-            * dims_eff;
-        let bw = (peak * eff).max(1e-6);
-        self.kernel_min_exec
-            .max(SimTime::from_ns_f64(total_bytes as f64 / bw))
+        let ns: f64 = parts
+            .into_iter()
+            .map(|(bytes, block_bytes, word_bytes, ndims)| {
+                let dims_eff = 1.0 / (1.0 + 0.15 * ndims.saturating_sub(3) as f64);
+                let eff = self.coalesce_efficiency(target, block_bytes)
+                    * self.utilization(total_bytes)
+                    * self.word_efficiency(word_bytes)
+                    * dims_eff;
+                bytes as f64 / (peak * eff).max(1e-6)
+            })
+            .sum();
+        self.kernel_min_exec.max(SimTime::from_ns_f64(ns))
     }
 
     /// Effective end-to-end bandwidth (bytes/ns) of a pack operation

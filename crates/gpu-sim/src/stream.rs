@@ -256,6 +256,23 @@ impl Stream {
     where
         F: FnOnce(&mut Memory) -> GpuResult<()>,
     {
+        self.launch_args(clock, name, cfg, exec_time, &[], body)
+    }
+
+    /// [`Stream::launch`] whose trace event also carries `args`: what the
+    /// launch geometry does not say about the kernel's work.
+    pub fn launch_args<F>(
+        &mut self,
+        clock: &mut SimClock,
+        name: &str,
+        cfg: LaunchConfig,
+        exec_time: SimTime,
+        args: &[(&'static str, u64)],
+        body: F,
+    ) -> GpuResult<()>
+    where
+        F: FnOnce(&mut Memory) -> GpuResult<()>,
+    {
         self.ctx
             .props()
             .validate_launch(cfg.grid, cfg.block)
@@ -271,10 +288,12 @@ impl Stream {
         clock.advance(self.cost.kernel_launch_overhead);
         let start = self.enqueue(clock, exec_time);
         self.trace_gpu(name, start, exec_time, || {
-            vec![
+            let mut traced = vec![
                 ("grid", format!("{:?}", cfg.grid).into()),
                 ("block", format!("{:?}", cfg.block).into()),
-            ]
+            ];
+            traced.extend(args.iter().map(|&(key, value)| (key, value.into())));
+            traced
         });
         self.stats.kernel_launches += 1;
         Ok(())

@@ -1,6 +1,7 @@
 //! The halo exchange (paper §6.4): each rank packs its 26 halo regions
-//! with `MPI_Pack` into a single send buffer, exchanges with one
-//! `MPI_Alltoallv`, and unpacks the 26 arriving regions with `MPI_Unpack`.
+//! into a single send buffer, exchanges with one `MPI_Alltoallv`, and
+//! unpacks the 26 arriving regions — one `MPI_Pack` and one `MPI_Unpack`
+//! call, over the datatype that is all 26 regions of a side.
 //!
 //! Pack/unpack go through the interposed MPI, so the same code path runs
 //! against plain system MPI (baseline) or TEMPI (accelerated) — exactly
@@ -8,13 +9,12 @@
 //! always falls through.
 
 use gpu_sim::{GpuPtr, SimTime};
-use mpi_sim::datatype::Order;
 use mpi_sim::{AlltoallvBlock, Datatype, MpiError, MpiResult, RankCtx};
 use tempi_core::interpose::InterposedMpi;
 
 use crate::checkpoint::{provider_for, CheckpointStore, Frame, GenRecord, HEADER_LEN};
 use crate::decomp::{dir_index, opposite, Decomp, DIRS};
-use crate::halo::{HaloConfig, HaloTypes};
+use crate::halo::{region_type, HaloConfig, HaloTypes};
 
 /// User tag for mirroring a checkpoint frame at the buddy rank.
 const TAG_CKPT_MIRROR: i32 = 2_000;
@@ -43,11 +43,11 @@ pub struct RecoveryOutcome {
 /// Virtual-time split of one exchange.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeTiming {
-    /// Time in the 26 `MPI_Pack` calls.
+    /// Time in `MPI_Pack` of the fused send type.
     pub pack: SimTime,
     /// Time in `MPI_Alltoallv`.
     pub comm: SimTime,
-    /// Time in the 26 `MPI_Unpack` calls.
+    /// Time in `MPI_Unpack` of the fused recv type.
     pub unpack: SimTime,
 }
 
@@ -98,7 +98,9 @@ pub struct HaloExchanger {
     pub cfg: HaloConfig,
     /// Process grid.
     pub decomp: Decomp,
-    /// The 52 committed datatypes.
+    /// The 52 per-direction datatypes, created but not committed — MPI asks
+    /// a commit only of types used in communication — and the fused pair an
+    /// exchange packs and unpacks with, which is.
     pub types: HaloTypes,
     /// The committed interior subarray datatype — the region a checkpoint
     /// snapshots and a restore rebuilds.
@@ -118,38 +120,23 @@ pub struct HaloExchanger {
     /// holding 10,000-entry count arrays on every rank.
     send_plan: Vec<AlltoallvBlock>,
     recv_plan: Vec<AlltoallvBlock>,
-    /// `(direction index)` in pack order (grouped by ascending dest).
-    pack_schedule: Vec<usize>,
-    /// `(recv-direction index)` in unpack order (grouped by ascending src,
-    /// sender's direction order within a group).
-    unpack_schedule: Vec<usize>,
+}
+
+/// Bytes a plan moves.
+fn plan_bytes(plan: &[AlltoallvBlock]) -> usize {
+    plan.iter().map(|b| b.count).sum()
 }
 
 impl HaloExchanger {
-    /// Allocate the grid and buffers, create and commit the 52 datatypes
-    /// (through the interposed `MPI_Type_commit`), and precompute the
-    /// exchange schedules.
+    /// Allocate the grid and buffers, precompute the exchange plans, create
+    /// the datatypes in their order and commit the ones communicated with
+    /// (through the interposed `MPI_Type_commit`).
     pub fn new(
         ctx: &mut RankCtx,
         mpi: &mut InterposedMpi,
         cfg: HaloConfig,
     ) -> MpiResult<HaloExchanger> {
         let decomp = Decomp::new(ctx.size);
-        let types = HaloTypes::create(ctx, &cfg)?;
-        for i in 0..26 {
-            mpi.type_commit(ctx, types.send[i])?;
-            mpi.type_commit(ctx, types.recv[i])?;
-        }
-        let a = cfg.alloc_dims();
-        let (isub, istart) = cfg.interior_region();
-        let interior_dt = ctx.type_create_subarray(
-            &[a[2] as i32, a[1] as i32, a[0] as i32],
-            &[isub[2] as i32, isub[1] as i32, isub[0] as i32],
-            &[istart[2] as i32, istart[1] as i32, istart[0] as i32],
-            Order::C,
-            mpi_sim::consts::MPI_FLOAT,
-        )?;
-        mpi.type_commit(ctx, interior_dt)?;
         let origin = [
             cfg.local[0] * decomp.dims[0],
             cfg.local[1] * decomp.dims[1],
@@ -171,15 +158,12 @@ impl HaloExchanger {
             let mut displ = 0usize;
             for &(peer, k) in pairs.iter() {
                 schedule.push(k);
+                let count = cfg.send_bytes(DIRS[k]);
                 match plan.last_mut() {
-                    Some(b) if b.peer == peer => b.count += types.bytes[k],
-                    _ => plan.push(AlltoallvBlock {
-                        peer,
-                        count: types.bytes[k],
-                        displ,
-                    }),
+                    Some(b) if b.peer == peer => b.count += count,
+                    _ => plan.push(AlltoallvBlock { peer, count, displ }),
                 }
-                displ += types.bytes[k];
+                displ += count;
             }
             (plan, schedule)
         };
@@ -188,6 +172,7 @@ impl HaloExchanger {
             .enumerate()
             .map(|(k, &d)| (decomp.neighbor(me, d), k))
             .collect();
+        // directions in pack order: grouped by ascending dest
         let (send_plan, pack_schedule) = grouped(&mut send_pairs);
         let mut recv_pairs: Vec<(usize, usize)> = DIRS
             .iter()
@@ -195,8 +180,9 @@ impl HaloExchanger {
             .map(|(k, &d)| (decomp.neighbor(me, opposite(d)), k))
             .collect();
         let (recv_plan, recv_dirs) = grouped(&mut recv_pairs);
-        // src's region for direction d fills my ghost shell on my
-        // `opposite(d)` side
+        // recv directions in unpack order (grouped by ascending src, the
+        // sender's direction order within a group): src's region for
+        // direction d fills my ghost shell on my `opposite(d)` side
         let unpack_schedule = recv_dirs
             .into_iter()
             .map(|k| {
@@ -205,12 +191,29 @@ impl HaloExchanger {
                 })
             })
             .collect::<MpiResult<Vec<usize>>>()?;
-        let total_send: usize = send_plan.iter().map(|b| b.count).sum();
-        let total_recv: usize = recv_plan.iter().map(|b| b.count).sum();
+
+        let types = HaloTypes::create(ctx, &cfg, &pack_schedule, &unpack_schedule)?;
+        let interior_dt = region_type(ctx, &cfg, cfg.interior_region())?;
+        for dt in [types.fused_send, types.fused_recv, interior_dt] {
+            mpi.type_commit(ctx, dt)?;
+        }
+        // a type that packs to another size than its plan ships would
+        // exchange short buffers
+        for (dt, plan) in [
+            (types.fused_send, &send_plan),
+            (types.fused_recv, &recv_plan),
+        ] {
+            let (packs, ships) = (mpi.pack_size(ctx, 1, dt)?, plan_bytes(plan));
+            if packs != ships {
+                return Err(MpiError::Internal(format!(
+                    "a fused halo type packs {packs} bytes, its plan ships {ships}"
+                )));
+            }
+        }
 
         let grid = ctx.gpu.malloc(cfg.alloc_bytes())?;
-        let sendbuf = ctx.gpu.malloc(total_send.max(1))?;
-        let recvbuf = ctx.gpu.malloc(total_recv.max(1))?;
+        let sendbuf = ctx.gpu.malloc(plan_bytes(&send_plan).max(1))?;
+        let recvbuf = ctx.gpu.malloc(plan_bytes(&recv_plan).max(1))?;
 
         Ok(HaloExchanger {
             cfg,
@@ -223,14 +226,12 @@ impl HaloExchanger {
             recvbuf,
             send_plan,
             recv_plan,
-            pack_schedule,
-            unpack_schedule,
         })
     }
 
     /// Total bytes this rank packs per exchange.
     pub fn send_bytes(&self) -> usize {
-        self.send_plan.iter().map(|b| b.count).sum()
+        plan_bytes(&self.send_plan)
     }
 
     /// Fill the interior with the global oracle values and the ghosts with
@@ -280,47 +281,16 @@ impl HaloExchanger {
         ctx: &mut RankCtx,
         mpi: &mut InterposedMpi,
     ) -> MpiResult<ExchangeTiming> {
-        let total_send = self.send_bytes();
-        let total_recv: usize = self.recv_plan.iter().map(|b| b.count).sum();
+        let (fused_send, fused_recv) = (self.types.fused_send, self.types.fused_recv);
+        let (send_size, recv_size) = (self.send_bytes(), plan_bytes(&self.recv_plan));
+        let (grid, sendbuf, recvbuf) = (self.grid, self.sendbuf, self.recvbuf);
 
         let t0 = ctx.clock.now();
-        let mut pos = 0usize;
-        for &k in &self.pack_schedule {
-            mpi.pack(
-                ctx,
-                self.grid,
-                1,
-                self.types.send[k],
-                self.sendbuf,
-                total_send,
-                &mut pos,
-            )?;
-        }
-        debug_assert_eq!(pos, total_send);
+        mpi.pack(ctx, grid, 1, fused_send, sendbuf, send_size, &mut 0)?;
         let t1 = ctx.clock.now();
-
-        mpi.alltoallv_sparse_bytes(
-            ctx,
-            self.sendbuf,
-            &self.send_plan,
-            self.recvbuf,
-            &self.recv_plan,
-        )?;
+        mpi.alltoallv_sparse_bytes(ctx, sendbuf, &self.send_plan, recvbuf, &self.recv_plan)?;
         let t2 = ctx.clock.now();
-
-        let mut pos = 0usize;
-        for &k in &self.unpack_schedule {
-            mpi.unpack(
-                ctx,
-                self.recvbuf,
-                total_recv,
-                &mut pos,
-                self.grid,
-                1,
-                self.types.recv[k],
-            )?;
-        }
-        debug_assert_eq!(pos, total_recv);
+        mpi.unpack(ctx, recvbuf, recv_size, &mut 0, grid, 1, fused_recv)?;
         let t3 = ctx.clock.now();
 
         Ok(ExchangeTiming {
@@ -330,26 +300,18 @@ impl HaloExchanger {
         })
     }
 
-    /// Free this rank's GPU allocations and the 52 datatypes (in place,
-    /// leaving `self` hollow — callers immediately overwrite it).
+    /// Free this rank's GPU allocations and the 55 datatypes (callers
+    /// overwrite or drop `self` at once).
     fn release(&mut self, ctx: &mut RankCtx) -> MpiResult<()> {
         ctx.gpu.free(self.grid)?;
         ctx.gpu.free(self.sendbuf)?;
         ctx.gpu.free(self.recvbuf)?;
         ctx.type_free(self.interior_dt)?;
-        let types = std::mem::replace(
-            &mut self.types,
-            HaloTypes {
-                send: Vec::new(),
-                recv: Vec::new(),
-                bytes: Vec::new(),
-            },
-        );
-        types.free(ctx)
+        self.types.free(ctx)
     }
 
     /// Tear the exchanger down: free the grid, both staging buffers and
-    /// all 52 datatypes. Recovery rebuilds from scratch after a shrink,
+    /// all 55 datatypes. Recovery rebuilds from scratch after a shrink,
     /// so nothing may leak per recovery round.
     pub fn destroy(mut self, ctx: &mut RankCtx) -> MpiResult<()> {
         self.release(ctx)
@@ -757,6 +719,79 @@ mod tests {
             Ok((bad, t))
         })
         .unwrap()
+    }
+
+    /// The fused pair is the 52 per-direction types in exchange order: one
+    /// `MPI_Pack` of it writes the bytes 26 calls would, one `MPI_Unpack`
+    /// fills the cells 26 calls would — under TEMPI and the system MPI, with
+    /// every direction to one peer (1 rank), 13 to each of two (2 ranks),
+    /// and on even (8) and uneven (12) process grids.
+    #[test]
+    fn fused_types_move_what_the_per_direction_calls_move() {
+        for (p, n, interposed) in [1, 2, 8, 12]
+            .into_iter()
+            .flat_map(|p| [(p, 4, true), (p, 4, false), (p, 6, true), (p, 6, false)])
+        {
+            World::run(&WorldConfig::summit(p), |ctx| {
+                let mut mpi = match interposed {
+                    true => InterposedMpi::new(TempiConfig::default()),
+                    false => InterposedMpi::system_only(),
+                };
+                let ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(n))?;
+                ex.fill(ctx)?;
+                let at = format!("{p} ranks, n = {n}, TEMPI {interposed}, rank {}", ctx.rank);
+                let (size, span) = (ex.send_bytes(), ex.cfg.alloc_bytes());
+                // the schedules, as MPI holds them
+                let send = ctx.get_contents(ex.types.fused_send)?.datatypes;
+                let recv = ctx.get_contents(ex.types.fused_recv)?.datatypes;
+                for (members, of) in [(&send, &ex.types.send), (&recv, &ex.types.recv)] {
+                    let mut sorted = members.clone();
+                    sorted.sort();
+                    assert_eq!(&sorted, of, "{at}: every direction, once");
+                }
+                for &dt in send.iter().chain(&recv) {
+                    mpi.type_commit(ctx, dt)?;
+                }
+
+                let (one, each) = (ctx.gpu.malloc(size)?, ctx.gpu.malloc(size)?);
+                mpi.pack(ctx, ex.grid, 1, ex.types.fused_send, one, size, &mut 0)?;
+                let mut pos = 0;
+                for &dt in &send {
+                    mpi.pack(ctx, ex.grid, 1, dt, each, size, &mut pos)?;
+                }
+                assert_eq!(pos, size, "{at}");
+                let packed = ctx.gpu.memory().peek(one, size)?;
+                assert_eq!(packed, ctx.gpu.memory().peek(each, size)?, "{at}: pack");
+
+                let (fused, apart) = (ctx.gpu.malloc(span)?, ctx.gpu.malloc(span)?);
+                for grid in [fused, apart] {
+                    ctx.gpu.memory().poke(grid, &vec![0xEE; span])?;
+                }
+                mpi.unpack(ctx, one, size, &mut 0, fused, 1, ex.types.fused_recv)?;
+                let mut pos = 0;
+                for &dt in &recv {
+                    mpi.unpack(ctx, one, size, &mut pos, apart, 1, dt)?;
+                }
+                let filled = ctx.gpu.memory().peek(fused, span)?;
+                assert_eq!(filled, ctx.gpu.memory().peek(apart, span)?, "{at}: unpack");
+                Ok(())
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_halo_extent_that_is_no_mpi_int_is_refused() {
+        let mut ctx = mpi_sim::RankCtx::standalone(&WorldConfig::summit(1));
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let cfg = HaloConfig {
+            local: [4, 4, 1 << 32],
+            radius: 2,
+        };
+        match HaloExchanger::new(&mut ctx, &mut mpi, cfg) {
+            Err(MpiError::InvalidArg(why)) => assert!(why.contains("4294967300"), "{why}"),
+            other => panic!("expected InvalidArg, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! rank's ghost cells) — each "defined in a separate MPI derived datatype"
 //! (§6.4), built here as `MPI_Type_create_subarray` over the local array.
 
+use mpi_sim::consts::MPI_FLOAT;
 use mpi_sim::datatype::Order;
-use mpi_sim::{Datatype, MpiResult, RankCtx};
+use mpi_sim::{Datatype, MpiError, MpiResult, RankCtx};
 
 use crate::decomp::DIRS;
 
@@ -121,15 +122,20 @@ impl HaloConfig {
         (self.local, [r, r, r])
     }
 
+    /// Packed bytes of the send region for direction `d` (f32 cells).
+    pub fn send_bytes(&self, d: [i32; 3]) -> usize {
+        Self::region_cells(self.send_region(d).0) * 4
+    }
+
     /// Number of cells in a region.
     pub fn region_cells(sub: [usize; 3]) -> usize {
         sub[0] * sub[1] * sub[2]
     }
 }
 
-/// The 26 send and 26 recv datatypes of one rank, committed through the
-/// given context (`MPI_FLOAT` subarrays in C order: dimension 0 slowest,
-/// so we pass (z, y, x)).
+/// The 26 send and 26 recv datatypes of one rank (`MPI_FLOAT` subarrays in
+/// C order: dimension 0 slowest, so we pass (z, y, x)), and the two types
+/// an exchange communicates with: all 26 of a side as one datatype.
 #[derive(Debug, Clone)]
 pub struct HaloTypes {
     /// Send datatype per direction, in [`DIRS`] order.
@@ -139,47 +145,70 @@ pub struct HaloTypes {
     /// Packed bytes per direction (same for send and recv of a direction's
     /// opposite pair).
     pub bytes: Vec<usize>,
+    /// Every send region, in the order they are packed: a struct of `send`
+    /// members at displacement 0.
+    pub fused_send: Datatype,
+    /// Every recv region, in the order they are unpacked.
+    pub fused_recv: Datatype,
+}
+
+/// The `MPI_FLOAT` subarray of `cfg`'s local allocation that covers
+/// `region`, a `(subsizes, starts)` pair.
+pub(crate) fn region_type(
+    ctx: &mut RankCtx,
+    cfg: &HaloConfig,
+    (sub, start): ([usize; 3], [usize; 3]),
+) -> MpiResult<Datatype> {
+    let zyx = |v: [usize; 3]| -> MpiResult<[i32; 3]> {
+        let int = |n: usize| {
+            i32::try_from(n)
+                .map_err(|_| MpiError::InvalidArg(format!("halo extent {n} is no MPI int")))
+        };
+        Ok([int(v[2])?, int(v[1])?, int(v[0])?])
+    };
+    let (sizes, sub, start) = (zyx(cfg.alloc_dims())?, zyx(sub)?, zyx(start)?);
+    ctx.type_create_subarray(&sizes, &sub, &start, Order::C, MPI_FLOAT)
 }
 
 impl HaloTypes {
-    /// Build and (natively) create all 52 datatypes; the caller commits
-    /// them through whichever `MPI_Type_commit` is interposed.
-    pub fn create(ctx: &mut RankCtx, cfg: &HaloConfig) -> MpiResult<HaloTypes> {
-        let a = cfg.alloc_dims();
-        let sizes = [a[2] as i32, a[1] as i32, a[0] as i32]; // z, y, x
+    /// Build and (natively) create the 52 per-direction datatypes and the
+    /// fused pair, the send side's members in `pack_order` and the recv
+    /// side's in `unpack_order` (direction indices). The caller commits,
+    /// through whichever `MPI_Type_commit` is interposed, the types it
+    /// communicates with.
+    pub fn create(
+        ctx: &mut RankCtx,
+        cfg: &HaloConfig,
+        pack_order: &[usize],
+        unpack_order: &[usize],
+    ) -> MpiResult<HaloTypes> {
         let mut send = Vec::with_capacity(26);
         let mut recv = Vec::with_capacity(26);
-        let mut bytes = Vec::with_capacity(26);
         for &d in &DIRS {
-            let (ssub, sstart) = cfg.send_region(d);
-            let (rsub, rstart) = cfg.recv_region(d);
-            let s = ctx.type_create_subarray(
-                &sizes,
-                &[ssub[2] as i32, ssub[1] as i32, ssub[0] as i32],
-                &[sstart[2] as i32, sstart[1] as i32, sstart[0] as i32],
-                Order::C,
-                mpi_sim::consts::MPI_FLOAT,
-            )?;
-            let r = ctx.type_create_subarray(
-                &sizes,
-                &[rsub[2] as i32, rsub[1] as i32, rsub[0] as i32],
-                &[rstart[2] as i32, rstart[1] as i32, rstart[0] as i32],
-                Order::C,
-                mpi_sim::consts::MPI_FLOAT,
-            )?;
-            send.push(s);
-            recv.push(r);
-            bytes.push(HaloConfig::region_cells(ssub) * 4);
+            send.push(region_type(ctx, cfg, cfg.send_region(d))?);
+            recv.push(region_type(ctx, cfg, cfg.recv_region(d))?);
         }
-        Ok(HaloTypes { send, recv, bytes })
+        let mut fuse = |of: &[Datatype], order: &[usize]| {
+            let members: Vec<Datatype> = order.iter().map(|&k| of[k]).collect();
+            let n = members.len().min(26);
+            ctx.type_create_struct(&[1; 26][..n], &[0; 26][..n], &members)
+        };
+        Ok(HaloTypes {
+            fused_send: fuse(&send, pack_order)?,
+            fused_recv: fuse(&recv, unpack_order)?,
+            bytes: DIRS.iter().map(|&d| cfg.send_bytes(d)).collect(),
+            send,
+            recv,
+        })
     }
 
-    /// `MPI_Type_free` all 52 datatypes. Recovery code frees the types
+    /// `MPI_Type_free` all 54 datatypes. Recovery code frees the types
     /// built against the old decomposition before rebuilding against the
     /// shrunken communicator, so repeated shrinks do not accumulate
     /// registry entries.
-    pub fn free(self, ctx: &mut RankCtx) -> MpiResult<()> {
-        for dt in self.send.into_iter().chain(self.recv) {
+    pub fn free(&self, ctx: &mut RankCtx) -> MpiResult<()> {
+        let fused = [self.fused_send, self.fused_recv];
+        for &dt in fused.iter().chain(&self.send).chain(&self.recv) {
             ctx.type_free(dt)?;
         }
         Ok(())
@@ -247,7 +276,8 @@ mod tests {
     fn types_commit_and_have_right_sizes() {
         let mut ctx = mpi_sim::RankCtx::standalone(&WorldConfig::summit(1));
         let cfg = HaloConfig::small(4);
-        let types = HaloTypes::create(&mut ctx, &cfg).unwrap();
+        let order: Vec<usize> = (0..26).collect();
+        let types = HaloTypes::create(&mut ctx, &cfg, &order, &order).unwrap();
         assert_eq!(types.send.len(), 26);
         for (i, &d) in DIRS.iter().enumerate() {
             let sz = ctx.attrs(types.send[i]).unwrap().size as usize;
@@ -266,10 +296,16 @@ mod tests {
     fn free_releases_all_types() {
         let mut ctx = mpi_sim::RankCtx::standalone(&WorldConfig::summit(1));
         let cfg = HaloConfig::small(4);
-        let types = HaloTypes::create(&mut ctx, &cfg).unwrap();
-        let probe = types.send[0];
+        let types = HaloTypes::create(&mut ctx, &cfg, &[3, 1], &[2]).unwrap();
         types.free(&mut ctx).unwrap();
-        assert!(ctx.attrs(probe).is_err());
+        for probe in [
+            types.send[0],
+            types.recv[25],
+            types.fused_send,
+            types.fused_recv,
+        ] {
+            assert!(ctx.attrs(probe).is_err());
+        }
     }
 
     #[test]

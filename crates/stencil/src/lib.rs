@@ -2,12 +2,15 @@
 //!
 //! A 26-point stencil over a `N³ × P` periodic grid: each rank owns an
 //! `N³` interior with a ghost shell of radius 2. Every iteration, each
-//! rank packs 26 halo regions (each a separate `MPI_Type_create_subarray`
-//! datatype) into one buffer with `MPI_Pack`, exchanges with a single
-//! `MPI_Alltoallv`, unpacks the 26 arriving regions with `MPI_Unpack`,
-//! and applies the stencil. Pack/unpack run through the interposed MPI —
-//! the same application code measures the system-MPI baseline and TEMPI
-//! (Fig. 12's comparison).
+//! rank packs its 26 halo regions (each a separate
+//! `MPI_Type_create_subarray` datatype) into one buffer, exchanges with a
+//! single `MPI_Alltoallv`, unpacks the 26 arriving regions, and applies the
+//! stencil. The paper packs with one `MPI_Pack` per region; here the 26
+//! regions of a side are one more datatype — `MPI_Type_create_struct` over
+//! the 26 subarrays, in exchange order — so a side is one `MPI_Pack` or
+//! `MPI_Unpack` call. Pack/unpack run through the interposed MPI — the
+//! same application code measures the system-MPI baseline and TEMPI
+//! (Fig. 12's comparison, which also measures the per-region calls).
 //!
 //! ```
 //! use mpi_sim::{World, WorldConfig};

@@ -38,6 +38,13 @@ pub fn for_each_case<T: Debug>(
     }
 }
 
+/// Run `property` on `cases` generated trees, then on half as many generated
+/// structs — what [`arb_typetree`] reaches one time in ten.
+pub fn for_each_tree(seed: u64, cases: u32, property: impl Fn(&TypeTree)) {
+    for_each_case(seed, cases, arb_typetree, &property);
+    for_each_case(seed, cases / 2, arb_struct, &property);
+}
+
 /// The struct shapes every struct check walks, by name: what the random
 /// generator reaches only sometimes is here every time.
 pub fn struct_zoo() -> Vec<(&'static str, TypeTree)> {
@@ -81,6 +88,13 @@ pub fn arb_typetree(rng: &mut Rng) -> TypeTree {
     generate(rng, 3, &mut RankCtx::standalone(&WorldConfig::summit(1))).0
 }
 
+/// A struct whose members are single constructions over named types — the
+/// strided family, the indexed one, resized — or named types themselves.
+pub fn arb_struct(rng: &mut Rng) -> TypeTree {
+    let scratch = &mut RankCtx::standalone(&WorldConfig::summit(1));
+    TypeTree(Box::new(struct_node(rng, 2, scratch)))
+}
+
 /// A random tree nested at most `depth` constructors deep, and its bounds,
 /// which the constructor above it sizes its strides and displacements by:
 /// the tree is built into `scratch` to read them.
@@ -111,34 +125,7 @@ fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
     // one to three of anything listed
     let some = |rng: &mut Rng| 1 + rng.below(3) as usize;
     if kind == 6 {
-        // members laid end to end with 0..8 bytes of padding between them,
-        // from the first member up or — descending displacements — from
-        // the last; one blocklength in three is a zero-length member
-        let descending = rng.below(2) == 1;
-        let (mut blocklengths, mut types, mut reach) = (Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..some(rng) {
-            let (bl, pad) = (pick(rng, 0, 3), pick(rng, 0, 8));
-            let (member, a) = generate(rng, depth - 1, scratch);
-            let last = (bl as i64 - 1).max(0) * a.extent();
-            reach.push(last + a.true_ub.max(a.ub).max(0) + pad as i64);
-            blocklengths.push(bl);
-            types.push(member);
-        }
-        let mut order: Vec<usize> = (0..types.len()).collect();
-        if descending {
-            order.reverse();
-        }
-        let mut displacements_bytes = vec![0; types.len()];
-        let mut at = 0;
-        for i in order {
-            displacements_bytes[i] = at;
-            at += reach[i];
-        }
-        return TypeDef::Struct {
-            blocklengths,
-            displacements_bytes,
-            types,
-        };
+        return struct_node(rng, depth, scratch);
     }
     let (oldtype, a) = generate(rng, depth - 1, scratch);
     match kind {
@@ -213,6 +200,40 @@ fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
             extent: a.extent() + pick(rng, 0, 8) as i64,
             oldtype,
         },
+    }
+}
+
+/// A struct of one to three members, each nested at most `depth - 1`
+/// constructors deep: laid end to end with 0..8 bytes of padding between
+/// them, from the first member up or — descending displacements — from the
+/// last; one blocklength in three is a zero-length member, one is two
+/// elements.
+fn struct_node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
+    let pick = |rng: &mut Rng, lo: i32, n: i32| lo + rng.below(n as u64) as i32;
+    let descending = rng.below(2) == 1;
+    let (mut blocklengths, mut types, mut reach) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..1 + rng.below(3) {
+        let (bl, pad) = (pick(rng, 0, 3), pick(rng, 0, 8));
+        let (member, a) = generate(rng, depth - 1, scratch);
+        let last = (bl as i64 - 1).max(0) * a.extent();
+        reach.push(last + a.true_ub.max(a.ub).max(0) + pad as i64);
+        blocklengths.push(bl);
+        types.push(member);
+    }
+    let mut order: Vec<usize> = (0..types.len()).collect();
+    if descending {
+        order.reverse();
+    }
+    let mut displacements_bytes = vec![0; types.len()];
+    let mut at = 0;
+    for i in order {
+        displacements_bytes[i] = at;
+        at += reach[i];
+    }
+    TypeDef::Struct {
+        blocklengths,
+        displacements_bytes,
+        types,
     }
 }
 

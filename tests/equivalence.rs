@@ -232,6 +232,95 @@ fn random_2d_objects_one_plan() {
     });
 }
 
+/// A struct keeps a strided member as one entry of its plan, and the entry
+/// is canonical: for random 2-D members the struct of vectors, of hvectors
+/// and of subarrays commit to one member list, in either displacement
+/// order; `bl` elements are one more dimension; a zero-length member is not
+/// there; and a member alone is its own strided plan.
+#[test]
+fn struct_members_one_plan_however_described() {
+    let geometry = |rng: &mut common::Rng| {
+        let member = |rng: &mut common::Rng| {
+            let (count, block) = (2 + rng.below(6) as i64, 1 + rng.below(24) as i64);
+            (count, block, block + 1 + rng.below(16) as i64)
+        };
+        (member(rng), member(rng), rng.below(2) == 1)
+    };
+    let kind_of = |spec: &str| {
+        let mut ctx = ctx();
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let dt = spec.parse::<TypeTree>().unwrap().build(&mut ctx).unwrap();
+        mpi.type_commit(&mut ctx, dt).unwrap();
+        mpi.tempi.plan(dt).unwrap().kind.clone()
+    };
+    for_each_case(0xe4, 48, geometry, |&(a, b, descending)| {
+        // one member three ways; a subarray's extent is the whole array,
+        // which a single element does not show
+        let described = |(count, block, stride): (i64, i64, i64)| {
+            [
+                format!("vector({count}, {block}, {stride}, byte)"),
+                format!("hvector({count}, 1, {stride}, contiguous({block}, byte))"),
+                format!("subarray([{count}, {stride}], [{count}, {block}], [0, 0], byte)"),
+            ]
+        };
+        let extent = |(count, _, stride): (i64, i64, i64)| count * stride;
+        // a, an int, b — laid out up or down the buffer
+        let mut at = [0, extent(a) + 3, extent(a) + 7 + 5];
+        if descending {
+            at = [extent(b) + 4 + 5, extent(b) + 2, 0];
+        }
+        let three = |a: &str, b: &str| {
+            kind_of(&format!(
+                "struct([1,1,1],[{},{},{}],[{a},int,{b}])",
+                at[0], at[1], at[2]
+            ))
+        };
+        let (as_a, as_b) = (described(a), described(b));
+        let want = three(&as_a[0], &as_b[0]);
+        let PlanKind::Multi(members) = &want else {
+            panic!("a struct of strided members is a member list, got {want:?}");
+        };
+        assert_eq!(members.len(), 3);
+        for (x, y) in [(1, 1), (2, 2), (0, 2), (1, 0)] {
+            assert_eq!(three(&as_a[x], &as_b[y]), want, "descriptions {x} and {y}");
+        }
+        // a zero-length member vanishes
+        let four = format!(
+            "struct([1,0,1,1],[{},1,{},{}],[{},double,int,{}])",
+            at[0], at[1], at[2], as_a[0], as_b[0]
+        );
+        assert_eq!(kind_of(&four), want);
+        // two elements are one more dimension, an extent apart
+        let (v, ex) = (&as_a[0], (a.0 - 1) * a.2 + a.1);
+        let twice = kind_of(&format!("struct([2,1],[0,{}],[{v},int])", 2 * ex + 1));
+        let nested = format!("hvector(2, 1, {ex}, {v})");
+        assert_eq!(
+            twice,
+            kind_of(&format!("struct([1,1],[0,{}],[{nested},int])", 2 * ex + 1))
+        );
+        assert!(matches!(&twice, PlanKind::Multi(m) if m[0].ndims == 3));
+        // one member is that member, wherever it is put
+        for description in &as_a {
+            assert_eq!(
+                kind_of(&format!("struct([1],[0],[{description}])")),
+                kind_of(v)
+            );
+        }
+        assert_eq!(kind_of(&format!("struct([2],[0],[{v}])")), kind_of(&nested));
+        let shifted = format!(
+            "subarray([{}, {}], [{}, {}], [1, 0], byte)",
+            a.0 + 1,
+            a.2,
+            a.0,
+            a.1
+        );
+        assert_eq!(
+            kind_of(&format!("struct([1],[{}],[{v}])", a.2)),
+            kind_of(&shifted)
+        );
+    });
+}
+
 /// Wrapping any type in `contiguous(1, ...)`, `vector(1,1,1, ...)` or
 /// `dup` never changes the committed plan.
 #[test]

@@ -69,5 +69,5 @@ fn readme_headline_numbers_are_the_logs_summary_numbers() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 2 + 2 + 2 + 2 + 6, "a headline row was skipped");
+    assert_eq!(checked, 2 + 2 + 2 + 2 + 2 + 6, "a headline row was skipped");
 }

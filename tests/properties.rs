@@ -6,11 +6,12 @@ mod common;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use common::{arb_typetree, for_each_case, pattern, struct_zoo, Rng};
+use common::{arb_typetree, for_each_case, for_each_tree, pattern, struct_zoo, Rng};
 use mpi_sim::datatype::typemap::segments;
 use mpi_sim::datatype::{pack_cpu, TypeDef, TypeTree};
 use mpi_sim::{payload_checksum, Combiner, RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
+use tempi_core::ir::strided_block::MAX_MEMBERS;
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_stencil::Frame;
 
@@ -48,6 +49,13 @@ fn plan_runs(plan: &tempi_core::TypePlan) -> Option<Vec<(i64, u64)>> {
             Some(v)
         }
         PlanKind::Blocks(bl) => Some(bl.blocks.clone()),
+        PlanKind::Multi(members) => {
+            let mut v = Vec::new();
+            for m in members {
+                m.for_each_block(|off, len| v.push((off, len as u64)));
+            }
+            Some(v)
+        }
         PlanKind::Fallback(_) => None,
     }
 }
@@ -57,7 +65,7 @@ fn plan_runs(plan: &tempi_core::TypePlan) -> Option<Vec<(i64, u64)>> {
 /// the same order.
 #[test]
 fn committed_plan_equals_typemap_oracle() {
-    for_each_case(0xb1, 128, arb_typetree, |desc| {
+    for_each_tree(0xb1, 128, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
@@ -83,7 +91,8 @@ fn committed_plan_equals_typemap_oracle() {
 /// strided block geometry multiplies out.
 #[test]
 fn plan_metadata_consistent() {
-    for_each_case(0xb2, 128, arb_typetree, |desc| {
+    let member_lists = std::cell::Cell::new(0);
+    for_each_tree(0xb2, 128, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
@@ -106,7 +115,29 @@ fn plan_metadata_consistent() {
             // block dims within device limits
             assert!(kp.block.count() <= 1024);
         }
+        if let PlanKind::Multi(members) = &plan.kind {
+            member_lists.set(member_lists.get() + 1);
+            // a list is several members, one of them of several dimensions
+            assert!((2..=MAX_MEMBERS).contains(&members.len()));
+            assert!(members.iter().any(|m| m.ndims > 1));
+            let bytes: i64 = members.iter().map(|m| m.data_bytes()).sum();
+            assert_eq!(bytes as u64, plan.size);
+            let mut packed = 0;
+            for m in members {
+                // no member is empty, none has a dimension of one element
+                let n = m.ndims as usize;
+                assert!(m.counts[0] > 0 && m.counts[1..n].iter().all(|&c| c > 1));
+                assert!(m.counts[n..].iter().all(|&c| c == 1));
+                // its word divides its block, its strides, its start on
+                // both sides, in every item
+                let w = m.word as i64;
+                let aligned = [m.start, packed, plan.size as i64, m.counts[0]];
+                assert!(aligned.iter().chain(&m.strides[1..]).all(|x| x % w == 0));
+                packed += m.data_bytes();
+            }
+        }
     });
+    assert!(member_lists.get() > 0, "the generator reaches member lists");
 }
 
 /// Canonicalization never changes what a type denotes: plans with and
@@ -114,7 +145,7 @@ fn plan_metadata_consistent() {
 /// differs).
 #[test]
 fn canonicalization_preserves_semantics() {
-    for_each_case(0xb3, 128, arb_typetree, |desc| {
+    for_each_tree(0xb3, 128, |desc| {
         let mut ctx = ctx();
         let dt = desc.build(&mut ctx).unwrap();
         let mut canon = Tempi::default();
@@ -196,7 +227,7 @@ fn checksum_roundtrips_over_packed_datatypes() {
 /// plan object.
 #[test]
 fn commit_idempotent() {
-    for_each_case(0xb5, 128, arb_typetree, |desc| {
+    for_each_tree(0xb5, 128, |desc| {
         let mut ctx = ctx();
         let mut tempi = Tempi::default();
         let dt = desc.build(&mut ctx).unwrap();
@@ -251,7 +282,7 @@ fn trees_round_trip_through_the_registry_and_the_grammar() {
     for (_, tree) in struct_zoo() {
         round_trip(&tree);
     }
-    for_each_case(0xb6, 256, arb_typetree, round_trip);
+    for_each_tree(0xb6, 256, round_trip);
 }
 
 /// What a failing property leaves behind: the seed, the case index and

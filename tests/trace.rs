@@ -21,14 +21,16 @@ use mpi_sim::{FaultPlan, World, WorldConfig};
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::{TraceLevel, Tracer};
-use tempi_stencil::{HaloConfig, HaloExchanger};
+use tempi_stencil::{CheckpointStore, HaloConfig, HaloExchanger};
 use tempi_trace::json;
 
 const SEEDS: [u64; 2] = [7, 424242];
 
 /// A fully traced 4-rank halo-exchange run under a seeded fault plan:
 /// transient link faults, injected delays and kernel kills (degradation
-/// to the CPU copy path), two iterations.
+/// to the CPU copy path), two iterations and a checkpoint — an exchange is
+/// two kernels, and a rank that loses both to the kills leaves its GPU
+/// lane to the checkpoint's device-to-host copy.
 fn traced_stencil(seed: u64) -> Tracer {
     let tracer = Tracer::new(TraceLevel::Full);
     let mut cfg = WorldConfig::summit(4);
@@ -47,6 +49,7 @@ fn traced_stencil(seed: u64) -> Tracer {
         ex.fill(ctx)?;
         ex.exchange(ctx, &mut mpi)?;
         ex.exchange(ctx, &mut mpi)?;
+        ex.checkpoint(ctx, &mut mpi, &mut CheckpointStore::new())?;
         mpi.publish_metrics(&ctx.tracer);
         Ok(())
     })
@@ -185,19 +188,13 @@ fn stencil_phases_nest_inside_the_exchange_span() {
             _ => {}
         }
     }
-    // 4 ranks x 2 iterations, each exchanging 26 neighbor directions:
-    // the phase spans must show up *inside* halo.exchange, repeatedly.
-    assert!(
-        packs_nested >= 8,
-        "only {packs_nested} nested MPI_Pack spans"
-    );
-    assert!(
-        unpacks_nested >= 8,
-        "only {unpacks_nested} nested MPI_Unpack spans"
-    );
-    assert!(
-        collectives_nested >= 8,
-        "only {collectives_nested} nested alltoallv spans"
+    // 4 ranks x 2 iterations, each exchanging 26 neighbor directions with
+    // one pack, one collective and one unpack: the phase spans must show up
+    // *inside* halo.exchange, once per exchange.
+    assert_eq!(
+        (packs_nested, collectives_nested, unpacks_nested),
+        (8, 8, 8),
+        "MPI_Pack, alltoallv and MPI_Unpack spans nested in 8 exchanges"
     );
     // the GPU lane saw traced kernel/copy work
     assert!(
@@ -205,6 +202,21 @@ fn stencil_phases_nest_inside_the_exchange_span() {
             .any(|e| e["ph"] == "X" && e["tid"] == 1 && e["ts"].is_number()),
         "no GPU-lane complete events recorded"
     );
+    // and the exchange's kernels — those the fault plan let launch — say
+    // what they moved: the 26 regions of a side, 448 cells of 4 bytes
+    let kernels: Vec<_> = (evs.iter())
+        .filter(|e| e["name"] == "tempi_pack_multi" || e["name"] == "tempi_unpack_multi")
+        .collect();
+    assert!(!kernels.is_empty(), "no member-list kernel recorded");
+    for e in kernels {
+        assert_eq!((e["ph"].as_str(), e["tid"].as_u64()), (Some("X"), Some(1)));
+        let args = &e["args"];
+        assert_eq!(
+            (args["members"].as_u64(), args["bytes"].as_u64()),
+            (Some(26), Some(1792))
+        );
+        assert!(args["grid"].is_string() && args["block"].is_string());
+    }
 }
 
 #[test]
