@@ -73,16 +73,15 @@ fn send(out: &Path) -> Result<(), String> {
             let fastest = cell.one_way(&Side::Tempi(config), 4, 8);
             fastest.map_err(|e| format!("send measurement of {}: {e}", obj.label()))
         };
-        let (stat_t, stat_m) = measure(None, TunerMode::Off)?;
-        let (tuned_t, tuned_m) = measure(None, TunerMode::Online)?;
+        let (stat_t, method_static) = measure(None, TunerMode::Off)?;
+        let (tuned_t, method_tuned) = measure(None, TunerMode::Online)?;
         let (oneshot_t, _) = measure(Some(Method::OneShot), TunerMode::Off)?;
-        let name = |m: Option<Method>| m.map_or("system".to_string(), |m| format!("{m:?}"));
         let row = BenchRow {
             object: fmt_bytes(obj.total_bytes()),
             object_bytes: obj.total_bytes(),
             block_bytes: obj.block,
-            method_static: name(stat_m),
-            method_tuned: name(tuned_m),
+            method_static,
+            method_tuned,
             static_ns: stat_t.as_ns_f64(),
             tuned_ns: tuned_t.as_ns_f64(),
             oneshot_ns: oneshot_t.as_ns_f64(),

@@ -119,15 +119,32 @@ pub(crate) struct Endpoint {
 
 impl Endpoint {
     /// Rank 0 sends the typed object, rank 1 receives it; the sender
-    /// reports the method it chose.
-    pub(crate) fn deliver(&mut self, ctx: &mut RankCtx) -> MpiResult<Option<Method>> {
+    /// reports what it did ([`sent_label`]), the receiver nothing.
+    pub(crate) fn deliver(&mut self, ctx: &mut RankCtx) -> MpiResult<String> {
         let (dt, buf, n) = (self.dt, self.buf, self.incount);
         if ctx.rank == 0 {
-            self.mpi.send(ctx, buf, n, dt, 1, 0)
+            let sent = self.mpi.send(ctx, buf, n, dt, 1, 0)?;
+            Ok(sent_label(&self.mpi, sent))
         } else {
             self.mpi.recv(ctx, buf, n, dt, Some(0), Some(0))?;
-            Ok(None)
+            Ok(String::new())
         }
+    }
+}
+
+/// What an `MPI_Send` through `mpi` did, as the reports name it: the
+/// method it ran, `run cut` where that was the device recipe cut at the
+/// object's runs (no pack, not one of the paper's §5 methods), `system`
+/// where TEMPI let the system MPI have it.
+fn sent_label(mpi: &InterposedMpi, sent: Option<Method>) -> String {
+    let cut = mpi
+        .tempi
+        .last_choice()
+        .is_some_and(|c| c.method == Method::Device && c.chunk.is_some());
+    match sent {
+        None => "system".to_string(),
+        Some(Method::Device) if cut => "run cut".to_string(),
+        Some(m) => format!("{m:?}"),
     }
 }
 
@@ -252,26 +269,28 @@ impl Cell {
 
     /// One-way typed delivery, rank 0 → rank 1 on separate nodes: the
     /// fastest of `rounds` (≥ 1) measured rounds after `warmup` unmeasured
-    /// ones, timed on the receiver, with the method the sender chose on that
-    /// round. The minimum because, with the online tuner active, a round
-    /// may be an epsilon-probe of a deliberately non-optimal method; the
-    /// minimum reports the converged choice, the way the paper's
-    /// trimean-of-thousands reports steady state.
+    /// ones, timed on the receiver, with what the sender did on that round:
+    /// its method, `run cut` or `system`. The minimum because, with the
+    /// online tuner active, a round may be an epsilon-probe of a
+    /// deliberately non-optimal method; the minimum reports the converged
+    /// choice, the way the paper's trimean-of-thousands reports steady
+    /// state.
     pub fn one_way(
         &self,
         side: &Side,
         warmup: usize,
         rounds: usize,
-    ) -> MpiResult<(SimTime, Option<Method>)> {
+    ) -> MpiResult<(SimTime, String)> {
         let per_rank = World::run(&self.platform.pair(), |ctx| {
             let mut end = self.endpoint(ctx, side)?;
             timed_rounds(ctx, warmup, rounds, |ctx| end.deliver(ctx))
         })?;
-        let received = per_rank[1].iter().map(|&(t, _)| t);
-        let sent = per_rank[0].iter().map(|&(_, method)| method);
+        let [sender, receiver] = <[_; 2]>::try_from(per_rank).expect("a pair of ranks");
+        let received = receiver.into_iter().map(|(t, _)| t);
+        let sent = sender.into_iter().map(|(_, label)| label);
         Ok(received
             .zip(sent)
-            .min_by_key(|&(t, _)| t)
+            .min_by_key(|(t, _)| *t)
             .expect("one_way needs at least one measured round"))
     }
 }

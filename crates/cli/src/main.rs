@@ -421,10 +421,27 @@ fn model(args: &[String]) {
             m.t_pipelined(bytes, block, word, chunk)
         );
     }
-    let choice = m.choose(bytes, block, word);
-    match choice.chunk {
-        Some(chunk) => println!("\nmodel choice: {:?} ({chunk} B chunks)", choice.method),
-        None => println!("\nmodel choice: {:?}", choice.method),
+    // an object of equal runs may also ship them as they lie
+    let runs = block > 0 && bytes % block == 0 && bytes / block >= 2;
+    if runs {
+        let n = bytes / block;
+        println!(
+            "run cut ({n} parts of {block} B, no pack): {}",
+            m.t_cut(bytes, block)
+        );
+    }
+    let choice = m.choose_among_runs(
+        &Method::LADDER,
+        runs,
+        bytes,
+        block,
+        word,
+        &Calibration::NONE,
+    );
+    match (choice.method, choice.chunk) {
+        (Method::Device, Some(run)) => println!("\nmodel choice: {}", cut_label(bytes, run)),
+        (method, Some(chunk)) => println!("\nmodel choice: {method:?} ({chunk} B chunks)"),
+        (method, None) => println!("\nmodel choice: {method:?}"),
     }
     // a tiny visual of the pack-direction cost curve
     println!("\npack-kernel time vs block size (device target, this object size):");
@@ -433,6 +450,15 @@ fn model(args: &[String]) {
         let bar = "#".repeat(((t.as_us_f64().log10().max(0.0)) * 12.0) as usize);
         println!("  {b:>5} B  {t:>12}  {bar}");
     }
+}
+
+/// The run cut of a `bytes`-byte object into runs of `run` bytes, as the
+/// `model` and `send` subcommands name it.
+fn cut_label(bytes: usize, run: usize) -> String {
+    format!(
+        "Device, cut at its {} runs of {run} B (no pack)",
+        bytes / run
+    )
 }
 
 /// Deterministic fill for the `send` subcommand's source buffer.
@@ -501,10 +527,15 @@ fn send(args: &[String]) {
                 ctx.gpu.memory().poke(buf, &fill(span))?;
                 let m = mpi.send(ctx, buf, incount, dt, 1, round as i32)?;
                 label = m.map_or("system fall-through".to_string(), |m| format!("{m:?}"));
-                // a pipelined send also names the chunk it was cut into
+                // a pipelined send also names the chunk it was cut into, a
+                // device send cut at the object's runs says so
                 let chunk = mpi.tempi.last_choice().and_then(|c| c.chunk);
-                if let (Some(Method::Pipelined), Some(chunk)) = (m, chunk) {
-                    label = format!("{label}, {} chunks", fmt_bytes(chunk));
+                match (m, chunk) {
+                    (Some(Method::Pipelined), Some(chunk)) => {
+                        label = format!("{label}, {} chunks", fmt_bytes(chunk));
+                    }
+                    (Some(Method::Device), Some(run)) => label = cut_label(packed_len, run),
+                    _ => {}
                 }
             } else {
                 let st = mpi.recv(ctx, buf, incount, dt, Some(0), Some(round as i32))?;

@@ -306,6 +306,43 @@ impl Runs for Items<'_, Vec<Member>> {
     }
 }
 
+/// Hand `sink` the offset of every run of `x` under `plan`, in packed order:
+/// what the run cut ships (a plan with no kernel has no runs to hand).
+pub(crate) fn for_each_run(plan: &PlanKind, x: Typed, mut sink: impl FnMut(i64)) {
+    let mut at = |off: i64, _: usize| sink(off);
+    match plan {
+        PlanKind::Strided(kp) => x.items(&kp.sb).for_each(&mut at),
+        PlanKind::Blocks(bl) => x.items(bl).for_each(&mut at),
+        PlanKind::Multi(members) => x.items(members).for_each(&mut at),
+        PlanKind::Empty | PlanKind::Fallback(_) => {}
+    }
+}
+
+/// Where one item's runs under `plan` lie from its origin: the lowest byte
+/// and one past the highest, or `(0, 0)`. Saturating: commit checked the
+/// offsets; this only bounds what an item's base is added to.
+pub(crate) fn reach(plan: &PlanKind) -> (i64, i64) {
+    let span = |start: i64, counts: &[i64], strides: &[i64]| {
+        (1..counts.len()).fold((start, start.saturating_add(counts[0])), |(lo, hi), d| {
+            let far = (counts[d] - 1).saturating_mul(strides[d]);
+            (lo.saturating_add(far.min(0)), hi.saturating_add(far.max(0)))
+        })
+    };
+    let (mut lo, mut hi) = (0, 0);
+    let mut widen = |(l, h): (i64, i64)| (lo, hi) = (lo.min(l), hi.max(h));
+    match plan {
+        PlanKind::Strided(kp) => widen(span(kp.sb.start, &kp.sb.counts, &kp.sb.strides)),
+        PlanKind::Blocks(bl) => {
+            (bl.blocks.iter()).for_each(|&(o, l)| widen((o, o.saturating_add(l as i64))))
+        }
+        PlanKind::Multi(ms) => {
+            (ms.iter()).for_each(|m| widen(span(m.start, &m.counts, &m.strides)))
+        }
+        PlanKind::Empty | PlanKind::Fallback(_) => {}
+    }
+    (lo, hi)
+}
+
 /// The blocks `blocks` of a stream of strided objects `extent` apart, the
 /// blocks of all its items numbered globally.
 struct BlockRange<'a> {

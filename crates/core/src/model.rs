@@ -18,9 +18,11 @@
 //! several times over. [`SendModel::t_pipelined`] prices that by replaying
 //! the executor's own issue order ([`PipelineTerms::total`]).
 //! [`SendModel::choose`] ranks all four — device, one-shot, staged, and
-//! pipelined at its best chunk — and is the decision TEMPI applies per
-//! send in every tuner mode; the figure harnesses evaluate the same
-//! equations to regenerate Figs. 8, 10 and 11.
+//! pipelined at its best chunk — and the figure harnesses evaluate the same
+//! equations to regenerate Figs. 8, 10 and 11. The decision TEMPI applies
+//! per send, in every tuner mode, is [`SendModel::choose_among_runs`]: the
+//! same ranking plus, for an object whose runs share one length, the device
+//! recipe cut at those runs with no pack at all ([`SendModel::t_cut`]).
 
 use std::sync::Arc;
 
@@ -134,12 +136,15 @@ impl Calibration {
 }
 
 /// The outcome of [`SendModel::choose`]: a method and, for
-/// [`Method::Pipelined`], the chunk size it was priced at.
+/// [`Method::Pipelined`], the chunk size it was priced at — or, for
+/// [`Method::Device`], the run length of the run cut
+/// ([`SendModel::choose_among_runs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Choice {
     /// The fastest method.
     pub method: Method,
-    /// Its chunk size, when it is the pipelined one.
+    /// Its chunk size when it is the pipelined one, its run length when it
+    /// is the device recipe cut at the object's runs.
     pub chunk: Option<usize>,
 }
 
@@ -404,6 +409,22 @@ impl SendModel {
         }
     }
 
+    /// The run cut: the device recipe with no pack, the object's
+    /// `bytes / run` runs shipped straight from the typed buffer as the
+    /// parts of one CUDA-aware transfer and landed in place. One latency
+    /// plus a flow shop of identical jobs through three stages — send
+    /// overhead, link serialisation, receive overhead — whose slowest stage
+    /// paces every part after the first: [`PipelineTerms::total`] with no
+    /// GPU stage, in closed form.
+    pub fn t_cut(&self, bytes: usize, run: usize) -> SimTime {
+        let (net, wire) = (&self.net, Transport::Gpu);
+        let ser = net.serialization_time(run, wire, self.src, self.dst);
+        let stages = [net.send_overhead, ser, net.recv_overhead];
+        let pace = stages.into_iter().max().unwrap_or(SimTime::ZERO);
+        let later = (bytes / run.max(1)).saturating_sub(1) as u64;
+        net.latency(wire, self.src, self.dst) + stages.into_iter().sum::<SimTime>() + pace * later
+    }
+
     /// The fastest pipelined composition over [`CHUNK_CANDIDATES`], in
     /// calibrated ns with its chunk. Only cuts of at least
     /// `2 * RING_SLOTS` chunks are proposed, so that the two staging rings
@@ -461,6 +482,24 @@ impl SendModel {
         word: usize,
         cal: &Calibration,
     ) -> Choice {
+        self.choose_among_runs(allowed, false, bytes, block, word, cal)
+    }
+
+    /// [`SendModel::choose_among`] with the run cut ([`SendModel::t_cut`],
+    /// its wire scaled by `cal`) one more candidate — the last, so ties go
+    /// to the paper's methods — when `runs` says every run of the object is
+    /// `block` bytes long, there are at least two, and the device method is
+    /// allowed: the cut is that method's recipe, and its choice is
+    /// `Choice { method: Device, chunk: Some(block) }`.
+    pub fn choose_among_runs(
+        &self,
+        allowed: &[Method],
+        runs: bool,
+        bytes: usize,
+        block: usize,
+        word: usize,
+        cal: &Calibration,
+    ) -> Choice {
         let mut best = Choice {
             method: allowed.first().copied().unwrap_or(Method::Device),
             chunk: None,
@@ -478,6 +517,13 @@ impl SendModel {
                 best_ns = ns;
                 best = Choice { method, chunk };
             }
+        }
+        let cut = runs && block > 0 && bytes / block >= 2 && allowed.contains(&Method::Device);
+        if cut && self.t_cut(bytes, block).as_ns_f64() * cal.wire_gpu < best_ns {
+            best = Choice {
+                method: Method::Device,
+                chunk: Some(block),
+            };
         }
         best
     }
@@ -598,6 +644,68 @@ mod tests {
             m.breakdown(Method::Pipelined, bytes, block, word),
             m.t_staged(bytes, block, word)
         );
+    }
+
+    #[test]
+    fn the_run_cut_is_the_pipeline_replay_with_no_gpu_stage() {
+        // the closed form against the replay of n parts, with runs that make
+        // each of the three stages the one that paces the train
+        let m = m();
+        let (wire, none) = (Transport::Gpu, SimTime::ZERO);
+        for run in [8usize, 1200, 4096] {
+            for n in 2..=1024 {
+                let stage = StageTerms {
+                    pack: none,
+                    d2h: none,
+                    wire: m.net.serialization_time(run, wire, m.src, m.dst),
+                    h2d: none,
+                    unpack: none,
+                };
+                let replay = PipelineTerms {
+                    n,
+                    chunk: stage,
+                    last: stage,
+                    launch: none,
+                    memcpy: none,
+                    send_overhead: m.net.send_overhead,
+                    recv_overhead: m.net.recv_overhead,
+                    latency: m.net.latency(wire, m.src, m.dst),
+                    sync: none,
+                };
+                let bytes = run * n as usize;
+                assert_eq!(m.t_cut(bytes, run), replay.total(), "{n} runs of {run} B");
+            }
+        }
+    }
+
+    #[test]
+    fn the_run_cut_is_a_candidate_only_of_objects_of_equal_runs() {
+        // 8 runs of 2 KiB: the paper's ranking sends them one-shot; told the
+        // runs are equal, the model ships them as they lie — as the device
+        // recipe, so not where the device method is not allowed
+        let m = m();
+        let (bytes, run) = (16usize << 10, 2048);
+        assert_eq!(section5(&m, bytes, run, 8), Method::OneShot);
+        let ranked = |allowed: &[Method], runs| {
+            m.choose_among_runs(allowed, runs, bytes, run, 8, &Calibration::NONE)
+        };
+        let cut = Choice {
+            method: Method::Device,
+            chunk: Some(run),
+        };
+        assert_eq!(ranked(&SECTION5, true), cut);
+        assert_eq!(ranked(&Method::LADDER, true), cut);
+        assert_eq!(ranked(&SECTION5, false).method, Method::OneShot);
+        assert_eq!(ranked(&SECTION5[1..], true).method, Method::OneShot);
+        assert!(m.t_cut(bytes, run) < m.t_oneshot(bytes, run, 8).total());
+        // one run is no cut; 2,048 runs of 8 B pack
+        assert_eq!(
+            m.choose_among_runs(&SECTION5, true, 64, 64, 8, &Calibration::NONE)
+                .chunk,
+            None
+        );
+        let fine = m.choose_among_runs(&SECTION5, true, bytes, 8, 8, &Calibration::NONE);
+        assert_eq!(fine.chunk, None);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use gpu_sim::{CopyKind, GpuPtr, MemSpace, PackDir, SimTime};
 use mpi_sim::{
-    transfer_bytes, Datatype, DegradeEvent, MpiError, MpiResult, PartInfo, ProbeInfo, RankCtx,
-    Status,
+    check_item_offsets, transfer_bytes, Datatype, DegradeEvent, MpiError, MpiResult, PartInfo,
+    ProbeInfo, RankCtx, Status,
 };
 use tempi_trace::{Tracer, LANE_CPU};
 
@@ -24,8 +24,8 @@ use crate::ir::transform::simplify;
 use crate::ir::translate::{translate, MemoIntrospect, NamedMemo, Translated};
 pub use crate::kernels::PlanKind;
 use crate::kernels::{
-    execute_on_host, execute_range_async, member_blocks, select_kernel, select_members, Engine,
-    KernelKind, Typed,
+    execute_on_host, execute_range_async, for_each_run, member_blocks, reach, select_kernel,
+    select_members, Engine, KernelKind, Typed,
 };
 use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
 use crate::tuner::{BucketKey, Tuner, Workload};
@@ -93,6 +93,24 @@ impl TypePlan {
         (self.size as usize / runs.max(1)).max(1)
     }
 
+    /// The length all of this plan's contiguous runs share, if they share
+    /// one: every strided plan's, a block or member list's of equal runs.
+    /// The run cut ships them as they lie.
+    pub(crate) fn run(&self) -> Option<usize> {
+        /// The one length `len` gives every run, if there is one.
+        fn shared<T>(runs: &[T], len: impl Fn(&T) -> i64) -> Option<i64> {
+            let first = len(runs.first()?);
+            runs.iter().all(|r| len(r) == first).then_some(first)
+        }
+        let len = match &self.kind {
+            PlanKind::Strided(kp) => kp.sb.block_bytes(),
+            PlanKind::Blocks(bl) => shared(&bl.blocks, |b| b.1 as i64)?,
+            PlanKind::Multi(members) => shared(members, |m| m.counts[0])?,
+            PlanKind::Empty | PlanKind::Fallback(_) => return None,
+        };
+        usize::try_from(len).ok().filter(|&len| len > 0)
+    }
+
     /// Selected word size (the narrowest of a member list's; 1 for other
     /// non-strided plans).
     pub fn word(&self) -> usize {
@@ -109,10 +127,12 @@ impl TypePlan {
     }
 
     /// `count` items at `buf` of `dt`, the datatype this plan was committed
-    /// for, as the kernels take them. The transfer's size is computed here,
-    /// once: the count is the caller's, and a size that does not fit is an
-    /// [`MpiError::InvalidArg`], never a wrapped number.
+    /// for, as the kernels take them. The transfer's size and its last
+    /// item's offsets are checked here, once: the count is the caller's,
+    /// and a number that does not fit is an [`MpiError::InvalidArg`] before
+    /// any byte moves, never a wrapped one.
     fn typed(&self, buf: GpuPtr, count: usize, dt: Datatype) -> MpiResult<Typed> {
+        check_item_offsets(count, self.extent, reach(&self.kind))?;
         Ok(Typed {
             buf,
             count,
@@ -154,13 +174,13 @@ pub struct TempiStats {
     pub pack_calls: u64,
     /// Interposed unpack calls.
     pub unpack_calls: u64,
-    /// Accelerated sends using the device method.
+    /// Accelerated sends using the device method (the run cut included).
     pub device_sends: u64,
     /// Accelerated sends using the one-shot method.
     pub oneshot_sends: u64,
     /// Accelerated sends using the staged method.
     pub staged_sends: u64,
-    /// Device-method sends that used the §8 pipelining extension.
+    /// Sends that ran the §8 pipeline: the staged recipe in chunks.
     pub pipelined_sends: u64,
     /// Receives that consumed a pipelined multi-part transfer.
     pub pipelined_recvs: u64,
@@ -707,10 +727,12 @@ impl Tempi {
     }
 
     /// Pick the method for one accelerated send, and the chunk size should
-    /// it be the pipelined one. A forced method bypasses the tuner;
-    /// otherwise every tuner mode takes the argmin of the (calibrated) §5
-    /// model over the ladder's rungs that are not quarantined, the
-    /// pipelined rung included whenever the plan can be cut into chunks.
+    /// it be the pipelined one (the run length should it be the device
+    /// recipe cut at the object's runs). A forced method bypasses the tuner
+    /// and runs in one piece; otherwise every tuner mode takes the argmin of
+    /// the (calibrated) §5 model over the ladder's rungs that are not
+    /// quarantined, the pipelined rung included whenever the plan can be cut
+    /// into chunks and the run cut whenever its runs share one length.
     fn choose_method(
         &mut self,
         ctx: &RankCtx,
@@ -769,7 +791,8 @@ impl Tempi {
                 chunk: None,
             };
         }
-        let d = self.tuner.choose(key, wl, &model, &allowed[..n], now);
+        let runs = plan.run() == Some(wl.block);
+        let d = (self.tuner).choose_runs(key, wl, runs, &model, &allowed[..n], now);
         self.stats.tuner_probes += d.probe as u64;
         self.stats.tuner_bucket_hits += d.bucket_hit as u64;
         self.stats.tuner_method_switches += d.switched as u64;
@@ -788,9 +811,12 @@ impl Tempi {
                 ]
             },
         );
+        // a configured chunk replaces the pipeline's, never the cut's run
+        let pinned = self.config.pipeline_chunk;
+        let pinned = pinned.filter(|_| d.method == Method::Pipelined);
         Choice {
             method: d.method,
-            chunk: d.chunk.map(|c| self.config.pipeline_chunk.unwrap_or(c)),
+            chunk: d.chunk.map(|c| pinned.unwrap_or(c)),
         }
     }
 
@@ -850,8 +876,9 @@ impl Tempi {
             let current = Method::LADDER[i];
             // Parts already on the wire commit the receiver to the rest of
             // them, so only a fault before the first is posted may step
-            // down.
+            // down; the cut is the chosen method's, a lower rung runs whole.
             let mut posted = 0u32;
+            let cut = cut.filter(|_| current == method);
             let sent = self.with_lease(ctx, |t, ctx, lease| {
                 t.send_stages(ctx, lease, current, &plan, x, dest, tag, cut, &mut posted)
             });
@@ -896,8 +923,10 @@ impl Tempi {
     /// [`Recipe`](crate::config::Recipe) over `n` chunks of `chunk` bytes:
     /// pack → \[D2H\] → ship per chunk, staging through `lease`, each stage
     /// boundary emitting its phase span and feeding the tuner. The three §5
-    /// methods are `n = 1`; the pipelined one takes its `cut`. One piece
-    /// and chunks differ where the branches on `n` say so: a single piece
+    /// methods are `n = 1`; the pipelined one takes its `cut`, and a device
+    /// send given one is the run cut — its pack-free `n > 1` case: the `n`
+    /// runs ship as they lie in one train, with no stage but the wire. One
+    /// piece and chunks differ where the branches on `n` say so: a single piece
     /// runs the plan's whole-object kernel and joins the stream after each
     /// stage, so its stage times are on the CPU clock and calibrate the
     /// tuner; chunks are packed by the async range kernel (strided plans
@@ -927,6 +956,23 @@ impl Tempi {
                 return Err(MpiError::Internal(
                     "pipelined send needs a strided plan and a cut".to_string(),
                 ));
+            }
+            // the run cut: no lease, no launch, no sync — the object's `n`
+            // runs leave the typed buffer as the parts of one train
+            (Method::Device, Some((run, n)), kind) => {
+                let t0 = ctx.clock.now();
+                let runs = |sink: &mut dyn FnMut(i64)| for_each_run(kind, x, sink);
+                let shipped = ctx.send_bytes_runs(x.buf, (run, n), dest, tag, runs);
+                phase(ctx, "wire", t0, || {
+                    vec![
+                        ("bytes", bytes.into()),
+                        ("parts", n.into()),
+                        ("dest", dest.into()),
+                        ("ok", shipped.is_ok().into()),
+                    ]
+                });
+                *posted += u32::from(shipped.is_ok());
+                return shipped;
             }
             _ => (bytes, 1, None),
         };
@@ -984,6 +1030,7 @@ impl Tempi {
                 let part = PartInfo {
                     index: k as u32,
                     total: n as u32,
+                    runs: 1,
                 };
                 ctx.send_bytes_part(out.add(slot), len, dest, tag, ready, part)
             };
@@ -1060,9 +1107,12 @@ impl Tempi {
     /// arrive: part k lands in slot `k % RING_SLOTS` of a pinned ring and
     /// its async copy and range kernel run from the same slot of a device
     /// ring, overlapping the wire time of part k+1, with one join at the
-    /// end. Otherwise — chunks cut inside this rank's blocks, and every
-    /// one-piece message — the bytes land back to back and the plan's
-    /// whole-object kernel unpacks them once. The remaining branches on `n`
+    /// end. A run cut's train is one message of `n` parts: when its runs are
+    /// this receive's own (count and length) part k lands straight in run k,
+    /// with no lease and no kernel. Otherwise — such a train, chunks cut
+    /// inside this rank's blocks, and every one-piece message — the bytes
+    /// land back to back and the plan's whole-object kernel unpacks them
+    /// once. The remaining branches on `n`
     /// are what one piece alone does: it joins the stream after each stage,
     /// so its stages calibrate the tuner, as does its wire wait (senders
     /// pay only the send overhead, so wire time is visible on this clock);
@@ -1079,7 +1129,10 @@ impl Tempi {
         info: &ProbeInfo,
     ) -> MpiResult<(Status, Method)> {
         let capacity = x.bytes;
-        let n = info.part.map_or(1, |p| p.total as usize);
+        // a train carries every part of its transfer in one message
+        let (parts, train) = info.part.map_or((1, 1), |p| (p.total, p.runs.max(1)));
+        let (parts, train) = (parts as usize, train as usize);
+        let n = parts / train;
         let method = match n {
             1 => Method::landing(info.sender_space),
             _ => Method::Pipelined,
@@ -1095,6 +1148,22 @@ impl Tempi {
                 });
             }
             ctx.tracer.observe("tempi.recv.bytes", info.bytes as u64);
+        }
+        // a train of this receive's own runs lands straight in place
+        let run = info.bytes / train;
+        if train > 1 && info.bytes == capacity && plan.run() == Some(run) {
+            let t0 = ctx.clock.now();
+            let runs = |sink: &mut dyn FnMut(i64)| for_each_run(&plan.kind, x, sink);
+            let (src, tag) = (Some(info.source), Some(info.tag));
+            let st = ctx.recv_bytes_runs(x.buf, (run, capacity), src, tag, runs)?;
+            phase(ctx, "wire", t0, || {
+                vec![
+                    ("bytes", st.bytes.into()),
+                    ("parts", train.into()),
+                    ("source", info.source.into()),
+                ]
+            });
+            return Ok((st, method));
         }
         // every part but the last has the first one's size
         let chunk = info.bytes;
@@ -1116,7 +1185,7 @@ impl Tempi {
             true => Some(lease.take(&mut self.pool, ctx, MemSpace::Device, staging)?),
             false => None,
         };
-        let online = self.online_model(ctx, info.source, n);
+        let online = self.online_model(ctx, info.source, parts);
         let unpack_span = |ctx: &RankCtx, t0: SimTime, bytes: usize, ok: Option<bool>| {
             phase(ctx, "unpack", t0, || {
                 let mut args = vec![("bytes", bytes.into())];
@@ -1154,7 +1223,9 @@ impl Tempi {
                 })?;
             let len = st.bytes;
             phase(ctx, "wire", t0, || {
-                vec![("bytes", len.into()), ("source", info.source.into())]
+                let mut args = vec![("bytes", len.into()), ("source", info.source.into())];
+                args.extend((train > 1).then(|| ("parts", train.into())));
+                args
             });
             if let Some(m) = &online {
                 let intra = ctx.net.same_node(ctx.rank, info.source);
@@ -1842,25 +1913,43 @@ mod tests {
 
     #[test]
     fn every_method_moves_every_shape_and_one_piece_takes_what_the_model_says() {
-        let mut cfg = WorldConfig::summit(2);
-        cfg.net.ranks_per_node = 1;
-        for forced in Method::LADDER {
+        // the four rungs forced, then the run cut, which is never forced:
+        // nothing is, in a world whose per-message overheads are zero, so
+        // the model cuts every shape whose runs share one length (all but
+        // the block list of unequal runs, which it must not cut)
+        for forced in Method::LADDER.map(Some).into_iter().chain([None]) {
+            let mut cfg = WorldConfig::summit(2);
+            cfg.net.ranks_per_node = 1;
+            if forced.is_none() {
+                (cfg.net.send_overhead, cfg.net.recv_overhead) = (SimTime::ZERO, SimTime::ZERO);
+            }
             for (name, build, count) in MATRIX {
                 let results = World::run(&cfg, |ctx| {
                     let mut tempi = Tempi::new(TempiConfig {
-                        force_method: Some(forced),
+                        force_method: forced,
                         pipeline_chunk: Some(16 << 10),
                         ..TempiConfig::default()
                     });
                     let dt = build(ctx)?;
                     let plan = tempi.type_commit(ctx, dt)?;
                     let bytes = plan.size as usize * count;
+                    let cut = plan.run().filter(|_| forced.is_none());
                     // a forced pipeline runs staged where it cannot be cut
                     let ran = match (&plan.kind, forced) {
-                        (PlanKind::Blocks(_) | PlanKind::Multi(_), Method::Pipelined) => {
+                        (PlanKind::Blocks(_) | PlanKind::Multi(_), Some(Method::Pipelined)) => {
                             Method::Staged
                         }
-                        _ => forced,
+                        (_, Some(forced)) => forced,
+                        (_, None) if cut.is_some() => Method::Device,
+                        // the unequal block list: whatever one piece is fastest
+                        (_, None) => {
+                            let three = [Method::Device, Method::OneShot, Method::Staged];
+                            let model = tempi.send_model(ctx, 1 - ctx.rank);
+                            let (block, word) = (plan.block_bytes(), plan.word());
+                            model
+                                .choose_among(&three, bytes, block, word, &Calibration::NONE)
+                                .method
+                        }
                     };
                     let span = plan.extent as usize * count + 64;
                     let buf = ctx.gpu.malloc(span)?;
@@ -1897,21 +1986,37 @@ mod tests {
                     assert_eq!(s.pipelined_recvs, if parts { 2 } else { 0 });
                     assert_eq!((s.fallbacks, s.degraded_sends, s.comm_failures), (0, 0, 0));
                     assert_eq!(tempi.pool.outstanding(), 0);
+                    // the cut takes no lease and launches nothing, on either
+                    // rank; the sender says so in its choice
+                    let chose = tempi.last_choice().map(|c| c.chunk);
+                    if let (Some(run), 0) = (cut, ctx.rank) {
+                        assert_eq!(chose, Some(Some(run)), "{name}: not cut");
+                    }
+                    if cut.is_some() {
+                        let stream = ctx.stream.stats();
+                        assert_eq!((stream.kernel_launches, s.pool_fresh_allocs), (0, 0));
+                    }
                     let model = tempi.send_model(ctx, 1 - ctx.rank);
-                    let modeled = model.breakdown(ran, bytes, plan.block_bytes(), plan.word());
-                    Ok((ran, took, modeled.total()))
+                    let modeled = match cut {
+                        Some(run) => model.t_cut(bytes, run),
+                        None => {
+                            (model.breakdown(ran, bytes, plan.block_bytes(), plan.word())).total()
+                        }
+                    };
+                    Ok((ran, took, modeled))
                 })
                 .expect(name);
-                // conservation, one-piece methods: the receiver-side
-                // one-way time is the interposer's dispatch plus the sum
-                // of the recipe's terms, to the picosecond (the pipelined
-                // replay has its own, 3 %, check below)
+                // conservation, one-piece methods and the cut: the
+                // receiver-side one-way time is the interposer's dispatch
+                // plus the recipe's terms (the cut's closed form), to the
+                // picosecond (the pipelined replay has its own, 3 %, check
+                // below)
                 let (ran, took, modeled) = results[1];
                 if ran != Method::Pipelined {
                     assert_eq!(
                         took,
                         TEMPI_DISPATCH_OVERHEAD + modeled,
-                        "{ran:?} / {name}: executed vs dispatch + model"
+                        "{forced:?} {ran:?} / {name}: executed vs dispatch + model"
                     );
                 }
             }
@@ -2490,6 +2595,156 @@ mod tests {
         assert_eq!(results, vec![true, true]);
     }
 
+    /// The struct-of-arrays object: eight 2 KiB fields 64 KiB apart, whose
+    /// runs the model ships as they lie.
+    fn soa(c: &mut RankCtx) -> MpiResult<Datatype> {
+        let displs: Vec<i64> = (0..8).map(|i| i << 16).collect();
+        c.type_create_struct(&[2048; 8], &displs, &[MPI_BYTE; 8])
+    }
+
+    #[test]
+    fn a_train_lands_in_place_on_its_own_runs_and_is_unpacked_once_on_others() {
+        // four cut sends of the soa object, taken by a TEMPI receive of the
+        // same type (run k straight into run k: no kernel on either rank),
+        // of a type of the same signature but other runs (staged, one
+        // unpack kernel), by the system MPI, and by a receive too small for
+        // the train (refused with the train's full size)
+        let mut cfg = WorldConfig::summit(2);
+        cfg.net.ranks_per_node = 1;
+        let span = (7 << 16) + 2048;
+        let results = World::run(&cfg, |ctx| {
+            let mut tempi = Tempi::default();
+            let dt = soa(ctx)?;
+            let other = ctx.type_vector(4, 4096, 8192, MPI_BYTE)?;
+            let small = ctx.type_vector(2, 2048, 65536, MPI_BYTE)?;
+            for t in [dt, other, small] {
+                tempi.type_commit(ctx, t)?;
+            }
+            let buf = ctx.gpu.malloc(span)?;
+            let data = fill(span);
+            let launches = |ctx: &RankCtx| ctx.stream.stats().kernel_launches;
+            if ctx.rank == 0 {
+                ctx.gpu.memory().poke(buf, &data)?;
+                for tag in 0..4 {
+                    assert_eq!(tempi.send(ctx, buf, 1, dt, 1, tag)?, Some(Method::Device));
+                    assert_eq!(tempi.last_choice().and_then(|c| c.chunk), Some(2048));
+                }
+                assert_eq!((launches(ctx), tempi.stats.pool_fresh_allocs), (0, 0));
+                return Ok(());
+            }
+            let take = |ctx: &mut RankCtx, mpi: &mut InterposedMpi, t: Datatype, tag| {
+                ctx.gpu.memory().poke(buf, &vec![0; span])?;
+                let st = mpi.recv(ctx, buf, 1, t, Some(0), Some(tag))?;
+                assert_eq!(st.bytes, 16 << 10);
+                let want = oracle(ctx, &data, (1, dt), (1, t), span);
+                assert_eq!(
+                    ctx.gpu.memory().peek(buf, span)?,
+                    want,
+                    "received as tag {tag}"
+                );
+                Ok::<_, MpiError>(())
+            };
+            let mut own = InterposedMpi::new(TempiConfig::default());
+            own.tempi = tempi;
+            take(ctx, &mut own, dt, 0)?;
+            assert_eq!((launches(ctx), own.tempi.stats.pool_fresh_allocs), (0, 0));
+            take(ctx, &mut own, other, 1)?;
+            assert_eq!(launches(ctx), 1, "one unpack of the staged train");
+            take(ctx, &mut InterposedMpi::system_only(), dt, 2)?;
+            let refused = own.recv(ctx, buf, 1, small, Some(0), Some(3));
+            let full = MpiError::Truncated {
+                sent: 16 << 10,
+                capacity: 4096,
+                envelope: ctx.registry().read().get_envelope(small).ok(),
+            };
+            assert_eq!(refused, Err(full));
+            Ok(())
+        });
+        results.unwrap();
+    }
+
+    #[test]
+    fn a_send_fault_before_the_train_is_retried_and_the_cut_steps_down_with_its_rung() {
+        use mpi_sim::FaultPlan;
+        // a self-send of the soa object, which the model cuts
+        let run = |faults: &str, device_bytes: usize| {
+            let mut cfg = WorldConfig::summit(1).with_faults(FaultPlan::parse(faults).unwrap());
+            cfg.device.global_mem_bytes = device_bytes;
+            let mut ctx = RankCtx::standalone(&cfg);
+            let dt = soa(&mut ctx).unwrap();
+            let mut tempi = Tempi::default();
+            tempi.type_commit(&mut ctx, dt).unwrap();
+            let span = (7 << 16) + 2048;
+            let (src, dst) = (ctx.gpu.malloc(span).unwrap(), ctx.gpu.malloc(span).unwrap());
+            ctx.gpu.memory().poke(src, &fill(span)).unwrap();
+            (ctx, tempi, dt, src, dst, span)
+        };
+
+        // the train's one send call faults once: the link retries it, and
+        // the train lands whole one backoff later — no step-down
+        let (mut quiet, mut clean, dt, src, ..) = run("seed=1", 1 << 30);
+        clean.send(&mut quiet, src, 1, dt, 0, 0).unwrap();
+        let (mut ctx, mut tempi, dt, src, dst, span) = run("send@0,backoff=10us", 1 << 30);
+        assert_eq!(
+            tempi.send(&mut ctx, src, 1, dt, 0, 0),
+            Ok(Some(Method::Device))
+        );
+        assert_eq!(ctx.clock.now(), quiet.clock.now() + SimTime::from_us(10));
+        assert_eq!(
+            (ctx.faults.stats.send_faults, tempi.stats.degraded_sends),
+            (1, 0)
+        );
+        tempi.recv(&mut ctx, dst, 1, dt, Some(0), Some(0)).unwrap();
+        let want = oracle(&ctx, &fill(span), (1, dt), (1, dt), span);
+        assert_eq!(ctx.gpu.memory().peek(dst, span).unwrap(), want);
+        // one the retries cannot absorb fails the link: the recovery
+        // path's business, not the ladder's
+        let (mut ctx, mut tempi, dt, src, ..) = run("send=1.0,retries=0", 1 << 30);
+        let failed = tempi.send(&mut ctx, src, 1, dt, 0, 0);
+        assert!(
+            matches!(failed, Err(MpiError::CommFailed { .. })),
+            "{failed:?}"
+        );
+        assert_eq!(
+            (tempi.stats.comm_failures, tempi.stats.degraded_sends),
+            (1, 0)
+        );
+        assert!(!tempi.is_quarantined(dt, Method::Device, ctx.clock.now()));
+
+        // the cut is the device rung: a device too small for a packed
+        // send's lease degrades a forced Device to OneShot and quarantines
+        // the rung, so the type's cut steps down to OneShot with it — and,
+        // needing no device memory, is back once the quarantine lapses
+        let (mut ctx, mut tempi, dt, src, dst, span) = run("seed=1", 2 * span + (8 << 10));
+        tempi.config.force_method = Some(Method::Device);
+        assert_eq!(
+            tempi.send(&mut ctx, src, 1, dt, 0, 0),
+            Ok(Some(Method::OneShot))
+        );
+        tempi.config.force_method = None;
+        assert_eq!(
+            tempi.send(&mut ctx, src, 1, dt, 0, 1),
+            Ok(Some(Method::OneShot))
+        );
+        ctx.clock.advance(QUARANTINE_TTL);
+        assert_eq!(
+            tempi.send(&mut ctx, src, 1, dt, 0, 2),
+            Ok(Some(Method::Device))
+        );
+        assert_eq!(tempi.last_choice().and_then(|c| c.chunk), Some(2048));
+        for tag in 0..3 {
+            tempi
+                .recv(&mut ctx, dst, 1, dt, Some(0), Some(tag))
+                .unwrap();
+        }
+        let want = oracle(&ctx, &fill(span), (1, dt), (1, dt), span);
+        assert_eq!(ctx.gpu.memory().peek(dst, span).unwrap(), want);
+        assert_eq!(
+            (tempi.stats.degraded_sends, ctx.faults.stats.events.len()),
+            (1, 1)
+        );
+    }
+
     #[test]
     fn executed_pipeline_takes_what_the_model_says() {
         // conservation: the receiver-side one-way time of a pipelined
@@ -2670,20 +2925,25 @@ mod tests {
 
     #[test]
     fn phase_spans_are_disjoint_inside_their_call_and_in_recipe_order() {
-        // a traced 2-rank transfer under every forced method: per rank the
-        // phase spans must not overlap, must lie inside the MPI_Send /
-        // MPI_Recv span, and must come in the order the recipe states
-        for forced in Method::LADDER {
+        // a traced 2-rank transfer under every forced method, and one the
+        // model cuts at its 16 runs: per rank the phase spans must not
+        // overlap, must lie inside the MPI_Send / MPI_Recv span, and must
+        // come in the order the recipe states — for the cut, one wire span
+        // per direction, carrying its parts
+        for forced in Method::LADDER.map(Some).into_iter().chain([None]) {
             let tracer = Tracer::new(tempi_trace::TraceLevel::Spans);
             let mut cfg = WorldConfig::summit(2).with_tracer(tracer.clone());
             cfg.net.ranks_per_node = 1;
             World::run(&cfg, |ctx| {
                 let mut tempi = Tempi::new(TempiConfig {
-                    force_method: Some(forced),
+                    force_method: forced,
                     pipeline_chunk: Some(16 << 10),
                     ..TempiConfig::default()
                 });
-                let dt = ctx.type_vector(512, 128, 256, MPI_BYTE)?;
+                let dt = match forced {
+                    Some(_) => ctx.type_vector(512, 128, 256, MPI_BYTE)?,
+                    None => ctx.type_vector(16, 512, 1024, MPI_BYTE)?,
+                };
                 tempi.type_commit(ctx, dt)?;
                 let buf = ctx.gpu.malloc(512 * 256)?;
                 if ctx.rank == 0 {
@@ -2701,9 +2961,12 @@ mod tests {
                 (0, "MPI_Send", vec!["pack", "copy", "wire"]),
                 (1, "MPI_Recv", vec!["wire", "copy", "unpack"]),
             ] {
-                if !forced.recipe().bounce {
-                    order.retain(|&name| name != "copy");
-                }
+                let recipe = forced.unwrap_or(Method::Device).recipe();
+                order.retain(|&name| match name {
+                    "copy" => recipe.bounce,
+                    "wire" => true,
+                    _ => forced.is_some(),
+                });
                 // this rank's CPU lane from the call's Begin to its End
                 let lane: Vec<_> = events
                     .iter()
@@ -2734,13 +2997,20 @@ mod tests {
                     at = e.ts_ps + e.dur_ps;
                     // each chunk walks the recipe's stages in order; a
                     // pipelined receive ends with one more unpack, the join
-                    let join = forced == Method::Pipelined && pid == 1 && i + 1 == phases.len();
+                    let pipelined = forced == Some(Method::Pipelined);
+                    let join = pipelined && pid == 1 && i + 1 == phases.len();
                     let want = if join {
                         "unpack"
                     } else {
                         order[i % order.len()]
                     };
                     assert_eq!(e.name, want, "{forced:?} rank {pid}, phase {i}");
+                    let parts = e.args.iter().find(|(k, _)| *k == "parts");
+                    let cut = forced.is_none().then_some(&tempi_trace::ArgValue::U64(16));
+                    assert_eq!(parts.map(|(_, v)| v), cut, "{forced:?} rank {pid}: parts");
+                }
+                if forced.is_none() {
+                    assert_eq!(phases.len(), 1, "rank {pid}: the cut is one wire span");
                 }
                 assert!(
                     at <= end.ts_ps,
@@ -2891,42 +3161,66 @@ mod tests {
     fn steady_state_sends_allocate_nothing_with_a_tracer_attached_or_not() {
         // an attached tracer that is off costs one branch per call site and
         // records nothing; a full one records the rounds, and neither puts
-        // allocations back on the steady send path
+        // allocations back on the steady send path: a packed send reuses
+        // its pooled intermediates, a cut one takes none and its train's
+        // payload goes round the world's free list
         for level in [tempi_trace::TraceLevel::Off, tempi_trace::TraceLevel::Full] {
             let tracer = Tracer::new(level);
             let mut cfg = WorldConfig::summit(2).with_tracer(tracer.clone());
             cfg.net.ranks_per_node = 1;
             let results = World::run(&cfg, |ctx| {
                 let mut tempi = Tempi::default();
-                let dt = ctx.type_vector(64, 16, 64, MPI_BYTE)?;
-                tempi.type_commit(ctx, dt)?;
-                let span = 63 * 64 + 16;
-                let buf = ctx.gpu.malloc(span)?;
-                // warm-up: allocates the intermediates
-                for i in 0..2 {
-                    if ctx.rank == 0 {
-                        tempi.send(ctx, buf, 1, dt, 1, i)?;
-                    } else {
-                        tempi.recv(ctx, buf, 1, dt, Some(0), Some(i))?;
+                // 64 runs of 16 B ship as a train; 256 of 8 B are packed
+                let cut = ctx.type_vector(64, 16, 64, MPI_BYTE)?;
+                let packed = ctx.type_vector(256, 8, 16, MPI_BYTE)?;
+                let buf = ctx.gpu.malloc(256 * 16)?;
+                let mut out = Vec::new();
+                for dt in [cut, packed] {
+                    tempi.type_commit(ctx, dt)?;
+                    let round = |tempi: &mut Tempi, ctx: &mut RankCtx, i| {
+                        ctx.barrier();
+                        match ctx.rank {
+                            0 => tempi.send(ctx, buf, 1, dt, 1, i).map(drop),
+                            _ => tempi.recv(ctx, buf, 1, dt, Some(0), Some(i)).map(drop),
+                        }
+                    };
+                    // warm-up: allocates the intermediates
+                    for i in 0..2 {
+                        round(&mut tempi, ctx, i)?;
                     }
-                }
-                let warm_allocs = tempi.stats.pool_fresh_allocs;
-                let warm_hits = tempi.stats.pool_hits;
-                for i in 2..12 {
-                    if ctx.rank == 0 {
-                        tempi.send(ctx, buf, 1, dt, 1, i)?;
-                    } else {
-                        tempi.recv(ctx, buf, 1, dt, Some(0), Some(i))?;
+                    let (warm, payloads) = (tempi.stats, ctx.pooled_payload_bytes());
+                    for i in 2..12 {
+                        round(&mut tempi, ctx, i)?;
                     }
+                    let s = tempi.stats;
+                    let cut_sent = tempi.last_choice().and_then(|c| c.chunk) == Some(16);
+                    out.push((
+                        s.pool_fresh_allocs - warm.pool_fresh_allocs,
+                        s.pool_hits - warm.pool_hits,
+                        ctx.pooled_payload_bytes() == payloads,
+                        ctx.rank == 1 || cut_sent == (dt == cut),
+                    ));
                 }
-                Ok((
-                    tempi.stats.pool_fresh_allocs - warm_allocs,
-                    tempi.stats.pool_hits - warm_hits,
-                ))
+                Ok(out)
             })
             .unwrap();
-            for (rank, &(fresh, hits)) in results.iter().enumerate() {
-                assert_eq!(fresh, 0, "{level:?}: rank {rank} allocated in steady state");
+            for (rank, per_type) in results.iter().enumerate() {
+                let [cut, packed] = per_type[..] else {
+                    panic!("two types")
+                };
+                for (fresh, _, same_payloads, chosen) in [cut, packed] {
+                    assert_eq!(fresh, 0, "{level:?}: rank {rank} allocated in steady state");
+                    assert!(
+                        same_payloads,
+                        "{level:?}: rank {rank} grew the payload list"
+                    );
+                    assert!(
+                        chosen,
+                        "{level:?}: rank {rank} did not cut only the cut type"
+                    );
+                }
+                assert_eq!(cut.1, 0, "{level:?}: rank {rank} took a lease for a cut");
+                let hits = packed.1;
                 assert!(hits >= 10, "{level:?}: rank {rank} pool hits only {hits}");
             }
             let recorded = tracer.event_count() > 0;

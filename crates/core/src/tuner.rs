@@ -208,7 +208,8 @@ impl BucketKey {
 pub struct Decision {
     /// The method to run.
     pub method: Method,
-    /// For [`Method::Pipelined`], the tuned chunk size.
+    /// For [`Method::Pipelined`], the tuned chunk size; for
+    /// [`Method::Device`], the run length when it is the run cut.
     pub chunk: Option<usize>,
     /// True when this call is an exploration probe (a deliberately
     /// non-best method run to refresh its component ratios).
@@ -354,17 +355,27 @@ impl Tuner {
         allowed: &[Method],
         now: SimTime,
     ) -> Decision {
+        self.choose_runs(key, wl, false, model, allowed, now)
+    }
+
+    /// [`Tuner::choose`] with the run cut among the candidates when `runs`
+    /// says every run of the object is `wl.block` bytes long (see
+    /// [`SendModel::choose_among_runs`]).
+    pub(crate) fn choose_runs(
+        &mut self,
+        key: BucketKey,
+        wl: Workload,
+        runs: bool,
+        model: &SendModel,
+        allowed: &[Method],
+        now: SimTime,
+    ) -> Decision {
         debug_assert!(!allowed.is_empty());
+        let (Workload { bytes, block, word }, ratios) = (wl, self.ratios(key.intra_node));
         let Choice {
             method: best,
             chunk: best_chunk,
-        } = model.choose_among(
-            allowed,
-            wl.bytes,
-            wl.block,
-            wl.word,
-            &self.ratios(key.intra_node),
-        );
+        } = model.choose_among_runs(allowed, runs, bytes, block, word, &ratios);
 
         match self.mode {
             TunerMode::Off => Decision {

@@ -355,10 +355,9 @@ impl Memory {
         Ok(self.slice(ptr, len)?.to_vec())
     }
 
-    /// [`Memory::peek`] into a caller-owned buffer (cleared first), so a
-    /// recycled buffer of sufficient capacity makes the read allocation-free.
+    /// [`Memory::peek`] appended to a caller-owned buffer, so a recycled
+    /// buffer of sufficient capacity makes the read allocation-free.
     pub fn peek_into(&self, ptr: GpuPtr, len: usize, out: &mut Vec<u8>) -> GpuResult<()> {
-        out.clear();
         out.extend_from_slice(self.slice(ptr, len)?);
         Ok(())
     }

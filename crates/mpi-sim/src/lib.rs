@@ -60,7 +60,9 @@ pub use fault::{
 };
 pub use net::{NetModel, Transport};
 pub use nonblocking::Request;
-pub use p2p::{payload_checksum, transfer_bytes, Message, PartInfo, ProbeInfo, Status};
+pub use p2p::{
+    check_item_offsets, payload_checksum, transfer_bytes, Message, PartInfo, ProbeInfo, Status,
+};
 pub use runtime::{RankCtx, World, WorldConfig};
 pub use sched::PAYLOAD_POOL_BYTES;
 pub use tempi_trace::{TraceLevel, Tracer};

@@ -13,7 +13,7 @@
 //! `completion = max(local now, depart + transfer_time)`. Message order per
 //! (source, destination) pair is preserved (MPI's non-overtaking rule).
 
-use gpu_sim::{GpuPtr, MemSpace, PackDir, SimTime};
+use gpu_sim::{GpuPtr, MemSpace, Memory, PackDir, SimTime};
 
 use crate::datatype::typemap::{segments, Segment};
 use crate::datatype::{Combiner, Datatype};
@@ -45,15 +45,19 @@ pub(crate) const TAG_AGREE_DECIDE: i32 = -113;
 /// Dissemination-barrier traffic on a (possibly shrunk) communicator.
 pub(crate) const TAG_BARRIER: i32 = -114;
 
-/// Chunk metadata for pipelined multi-part transfers (TEMPI's §8
-/// pipelining extension rides on the envelope, like a real rendezvous
-/// protocol header).
+/// Part metadata for multi-part transfers (TEMPI's §8 pipelining extension
+/// and its run cut ride on the envelope, like a real rendezvous protocol
+/// header).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartInfo {
-    /// Zero-based chunk index.
+    /// Zero-based index of the message's first part.
     pub index: u32,
-    /// Total number of chunks in this logical message.
+    /// Total number of parts in this logical message.
     pub total: u32,
+    /// Consecutive equal-length parts the message carries, priced on
+    /// delivery as that many messages: 1 for a chunk of the §8 pipeline,
+    /// `total` for a train of runs ([`RankCtx::send_bytes_runs`]).
+    pub runs: u32,
 }
 
 /// A message in flight.
@@ -170,6 +174,22 @@ pub fn transfer_bytes(size: usize, count: usize) -> MpiResult<usize> {
     })
 }
 
+/// Check that `count` items `extent` bytes apart, each reaching bytes
+/// `lo..hi` of its own origin, lie at offsets an `i64` names: the run
+/// walkers add `item × extent` to every offset, and a product that wraps
+/// addresses the wrong bytes.
+pub fn check_item_offsets(count: usize, extent: i64, (lo, hi): (i64, i64)) -> MpiResult<()> {
+    let base = i64::try_from(count.saturating_sub(1))
+        .ok()
+        .and_then(|k| k.checked_mul(extent));
+    let far = base.and_then(|b| b.checked_add(lo).and(b.checked_add(hi)));
+    far.map(drop).ok_or_else(|| {
+        MpiError::InvalidArg(format!(
+            "{count} items {extent} B apart pass a 64-bit offset"
+        ))
+    })
+}
+
 /// Everything the system MPI's pack/unpack and send/recv paths need to know
 /// about a datatype, computed once per call (the TEMPI layer caches its own
 /// richer plan instead).
@@ -178,9 +198,17 @@ pub(crate) struct WireType {
     pub extent: i64,
     pub size: usize,
     pub root_is_vector: bool,
+    /// `MPI_Type_get_true_extent`'s bounds of one item's data.
+    pub true_bounds: (i64, i64),
 }
 
 impl WireType {
+    /// The packed size of `count` items, once their offsets are known to fit.
+    fn transfer(&self, count: usize) -> MpiResult<usize> {
+        check_item_offsets(count, self.extent, self.true_bounds)?;
+        transfer_bytes(self.size, count)
+    }
+
     /// Are `count` items one contiguous run (so a plain copy moves them)?
     fn fully_contiguous(&self, count: usize) -> bool {
         is_contiguous(&self.segs) && (count <= 1 || self.size as i64 == self.extent)
@@ -201,6 +229,7 @@ impl RankCtx {
             extent: attrs.extent(),
             size: attrs.size as usize,
             root_is_vector,
+            true_bounds: (attrs.true_lb, attrs.true_ub),
         })
     }
 
@@ -318,7 +347,7 @@ impl RankCtx {
         position: &mut usize,
     ) -> MpiResult<()> {
         let wt = self.wire_type(dt)?;
-        let bytes = transfer_bytes(wt.size, count)?;
+        let bytes = wt.transfer(count)?;
         let end = self.packed_window(dt, *position, bytes, packed_size)?;
         self.wire_xfer(dir, &wt, typed, count, packed.add(*position))?;
         *position = end;
@@ -439,85 +468,58 @@ impl RankCtx {
         Ok(())
     }
 
-    /// Send-side gate: observes scheduled peer deaths, then retries
-    /// injected transient link faults with exponential backoff charged to
-    /// the virtual clock. Exhausting the retry budget surfaces
-    /// [`MpiError::CommFailed`].
+    /// Send-side gate: [`Self::fault_gate`] of the send site towards `dest`.
     fn fault_gate_send(&mut self, dest: usize) -> MpiResult<()> {
-        if self.faults.injector.is_none() {
-            return Ok(());
-        }
-        self.self_exit_check()?;
-        self.fault_check_peer(dest)?;
-        let max_retries = self.faults.injector.as_ref().expect("gated").max_retries();
-        for attempt in 0..=max_retries {
-            let failed = self
-                .faults
-                .injector
-                .as_mut()
-                .expect("gated")
-                .send_should_fail();
-            if !failed {
-                return Ok(());
-            }
-            self.faults.stats.send_faults += 1;
-            if attempt == max_retries {
-                break;
-            }
-            let backoff = self
-                .faults
-                .injector
-                .as_ref()
-                .expect("gated")
-                .backoff(attempt);
-            self.clock.advance(backoff);
-            self.faults.stats.retries += 1;
-            self.faults.stats.backoff_time += backoff;
-        }
-        Err(MpiError::CommFailed {
-            peer: dest,
-            attempts: max_retries + 1,
-        })
+        self.fault_gate(Some(dest), true)
     }
 
-    /// Receive-side gate, mirroring [`Self::fault_gate_send`]. Wildcard
-    /// receives (`src == None`) skip the peer-death check and report
-    /// `usize::MAX` as the peer on retry exhaustion.
+    /// Receive-side gate: [`Self::fault_gate`] of the receive site.
     pub(crate) fn fault_gate_recv(&mut self, src: Option<usize>) -> MpiResult<()> {
-        if self.faults.injector.is_none() {
+        self.fault_gate(src, false)
+    }
+
+    /// The gate of one p2p call towards `peer`: observes scheduled deaths
+    /// (a wildcard receive, `peer == None`, skips the peer's), then retries
+    /// the `send` (else receive) site's injected transient link faults with
+    /// exponential backoff charged to the virtual clock. Exhausting the
+    /// retry budget surfaces [`MpiError::CommFailed`] (a wildcard reports
+    /// `usize::MAX` as the peer).
+    fn fault_gate(&mut self, peer: Option<usize>, send: bool) -> MpiResult<()> {
+        let Some(max_retries) = self
+            .faults
+            .injector
+            .as_ref()
+            .map(FaultInjector::max_retries)
+        else {
             return Ok(());
-        }
+        };
         self.self_exit_check()?;
-        if let Some(s) = src {
-            self.fault_check_peer(s)?;
+        if let Some(p) = peer {
+            self.fault_check_peer(p)?;
         }
-        let max_retries = self.faults.injector.as_ref().expect("gated").max_retries();
         for attempt in 0..=max_retries {
-            let failed = self
-                .faults
-                .injector
-                .as_mut()
-                .expect("gated")
-                .recv_should_fail();
+            let (inj, stats) = (
+                self.faults.injector.as_mut().expect("gated"),
+                &mut self.faults.stats,
+            );
+            let (failed, faults) = match send {
+                true => (inj.send_should_fail(), &mut stats.send_faults),
+                false => (inj.recv_should_fail(), &mut stats.recv_faults),
+            };
             if !failed {
                 return Ok(());
             }
-            self.faults.stats.recv_faults += 1;
+            *faults += 1;
             if attempt == max_retries {
                 break;
             }
-            let backoff = self
-                .faults
-                .injector
-                .as_ref()
-                .expect("gated")
-                .backoff(attempt);
+            let backoff = inj.backoff(attempt);
             self.clock.advance(backoff);
-            self.faults.stats.retries += 1;
-            self.faults.stats.backoff_time += backoff;
+            stats.retries += 1;
+            stats.backoff_time += backoff;
         }
         Err(MpiError::CommFailed {
-            peer: src.unwrap_or(usize::MAX),
+            peer: peer.unwrap_or(usize::MAX),
             attempts: max_retries + 1,
         })
     }
@@ -533,7 +535,10 @@ impl RankCtx {
     /// starts serialising only once part `k-1`'s bytes are off the wire
     /// (`start = max(depart, link_free)`), so N parts never complete before
     /// `Σ bytes ÷ bandwidth` and each pays the latency floor on top of its
-    /// own start. A message that is not a part is priced as if alone.
+    /// own start. A message that is not a part is priced as if alone; one
+    /// that carries a train of `runs` parts is priced as that many, part `k`
+    /// departing `k` send overheads after the first and paying its own
+    /// receive overhead.
     ///
     /// The corruption model is receive-sided: the sender's pristine payload
     /// sits in the in-flight [`Message`], and this rank's seeded injector
@@ -551,22 +556,23 @@ impl RankCtx {
     ) -> MpiResult<Vec<u8>> {
         let bytes = msg.payload.len();
         let transport = Transport::for_spaces(msg.sender_space, dst_space);
-        let wire = self
-            .net
-            .transfer_time(bytes, transport, msg.src_world, self.world_rank);
-        let mut start = msg.depart;
-        if let Some(part) = msg.part {
-            if part.index > 0 {
-                start = start.max(self.part_link_free);
+        let (from, net) = (msg.src_world, &self.net);
+        let runs = msg.part.map_or(1, |p| p.runs.max(1));
+        let len = bytes / runs as usize;
+        let ser = net.serialization_time(len, transport, from, self.world_rank);
+        let latency = net.latency(transport, from, self.world_rank);
+        for k in 0..runs {
+            let mut start = msg.depart + self.net.send_overhead * u64::from(k);
+            if let Some(part) = msg.part {
+                if part.index + k > 0 {
+                    start = start.max(self.part_link_free);
+                }
+                self.part_link_free = start + ser;
             }
-            self.part_link_free = start
-                + self
-                    .net
-                    .serialization_time(bytes, transport, msg.src_world, self.world_rank);
+            self.clock.advance_to(start + latency + ser);
+            self.fault_extra_delay();
+            self.clock.advance(self.net.recv_overhead);
         }
-        self.clock.advance_to(start + wire);
-        self.fault_extra_delay();
-        self.clock.advance(self.net.recv_overhead);
         let max_retries = self
             .faults
             .injector
@@ -603,10 +609,9 @@ impl RankCtx {
             }
             // one NACK back to the sender plus one payload retransmit,
             // charged to this rank's virtual clock
-            let nack_wire =
-                self.net
-                    .transfer_time(1, Transport::Cpu, self.world_rank, msg.src_world);
-            let round_trip = nack_wire + wire;
+            let (me, net) = (self.world_rank, &self.net);
+            let nack_wire = net.transfer_time(1, Transport::Cpu, me, msg.src_world);
+            let round_trip = nack_wire + net.transfer_time(bytes, transport, msg.src_world, me);
             self.clock.advance(round_trip);
             self.faults.stats.nack_time += round_trip;
             self.faults.stats.retransmits += 1;
@@ -648,7 +653,7 @@ impl RankCtx {
                 }
             }
             received += len;
-            if part.is_none_or(|p| p.index + 1 >= p.total) {
+            if part.is_none_or(|p| p.index + p.runs >= p.total) {
                 break;
             }
             msg = self.match_message(Some(src), Some(tag))?;
@@ -732,6 +737,10 @@ impl RankCtx {
             part,
             checksum,
         };
+        // the later parts of a train are posted a send overhead apart
+        let later = part.map_or(0, |p| p.runs.saturating_sub(1));
+        self.clock
+            .advance(self.net.send_overhead * u64::from(later));
         // Stamped at the CPU's now (not the possibly-future departure
         // instant) so lane timestamps stay monotone; the actual departure
         // goes in the args.
@@ -786,6 +795,43 @@ impl RankCtx {
         let mut payload = self.router.take_payload(len);
         self.gpu.memory().peek_into(buf, len, &mut payload)?;
         self.post_at(dest, tag, payload, buf.space, ready_at, Some(part))
+    }
+
+    /// Send a train: the `n` runs of `run` bytes of the typed buffer `buf`
+    /// at the `n` offsets `runs` hands its sink, in that order, as the `n`
+    /// parts of one transfer — what sending each run straight from `buf`
+    /// costs ([`PartInfo::runs`]), in one pooled payload.
+    pub fn send_bytes_runs(
+        &mut self,
+        buf: GpuPtr,
+        (run, n): (usize, usize),
+        dest: usize,
+        tag: i32,
+        runs: impl FnOnce(&mut dyn FnMut(i64)),
+    ) -> MpiResult<()> {
+        self.check_comm()?;
+        self.check_rank(dest)?;
+        self.fault_gate_send(dest)?;
+        let (mut payload, mut read) = (self.router.take_payload(run * n), Ok(()));
+        let mem = self.gpu.memory();
+        runs(&mut |off| {
+            if read.is_ok() {
+                read =
+                    offset_ptr(buf, off).and_then(|at| Ok(mem.peek_into(at, run, &mut payload)?));
+            }
+        });
+        drop(mem);
+        if let Err(e) = read {
+            self.router.recycle_payload(payload);
+            return Err(e);
+        }
+        let (index, total) = (0, n as u32);
+        let part = PartInfo {
+            index,
+            total,
+            runs: total,
+        };
+        self.post_at(dest, tag, payload, buf.space, SimTime::ZERO, Some(part))
     }
 
     /// Classify one inbound message: absorb control-plane traffic (death
@@ -979,6 +1025,44 @@ impl RankCtx {
         src: Option<usize>,
         tag: Option<i32>,
     ) -> MpiResult<Status> {
+        self.recv_one(buf.space, maxlen, (src, tag), |mem, payload| {
+            Ok(mem.poke(buf, payload)?)
+        })
+    }
+
+    /// Receive exactly one message straight into the runs of a typed
+    /// buffer: its k-th `run` bytes land at the k-th offset `runs` hands
+    /// its sink — the mirror of [`RankCtx::send_bytes_runs`].
+    pub fn recv_bytes_runs(
+        &mut self,
+        buf: GpuPtr,
+        (run, maxlen): (usize, usize),
+        src: Option<usize>,
+        tag: Option<i32>,
+        runs: impl FnOnce(&mut dyn FnMut(i64)),
+    ) -> MpiResult<Status> {
+        self.recv_one(buf.space, maxlen, (src, tag), |mem, payload| {
+            let (mut landed, mut chunks) = (Ok(()), payload.chunks(run.max(1)));
+            runs(&mut |off| match chunks.next() {
+                Some(bytes) if landed.is_ok() => {
+                    landed = offset_ptr(buf, off).and_then(|at| Ok(mem.poke(at, bytes)?));
+                }
+                _ => {}
+            });
+            landed
+        })
+    }
+
+    /// Match and deliver one message of at most `maxlen` bytes into
+    /// `space`, handing its bytes to `land`; a part's payload goes back to
+    /// the free list.
+    fn recv_one(
+        &mut self,
+        space: MemSpace,
+        maxlen: usize,
+        (src, tag): (Option<usize>, Option<i32>),
+        land: impl FnOnce(&mut Memory, &[u8]) -> MpiResult<()>,
+    ) -> MpiResult<Status> {
         self.check_comm()?;
         self.fault_gate_recv(src)?;
         let msg = self.match_message(src, tag)?;
@@ -990,12 +1074,12 @@ impl RankCtx {
                 envelope: None,
             });
         }
-        let payload = self.deliver_payload(msg, buf.space)?;
-        let poked = self.gpu.memory().poke(buf, &payload);
+        let payload = self.deliver_payload(msg, space)?;
+        let landed = land(&mut self.gpu.memory(), &payload);
         if part.is_some() {
             self.router.recycle_payload(payload);
         }
-        poked?;
+        landed?;
         Ok(Status { source, tag, bytes })
     }
 
@@ -1016,7 +1100,7 @@ impl RankCtx {
         self.check_rank(dest)?;
         self.fault_gate_send(dest)?;
         let wt = self.wire_type(dt)?;
-        let bytes = transfer_bytes(wt.size, count)?;
+        let bytes = wt.transfer(count)?;
         let fully_contiguous = wt.fully_contiguous(count);
 
         if bytes == 0 {
@@ -1053,7 +1137,7 @@ impl RankCtx {
     ) -> MpiResult<Status> {
         self.check_comm()?;
         let wt = self.wire_type(dt)?;
-        let capacity = transfer_bytes(wt.size, count)?;
+        let capacity = wt.transfer(count)?;
         self.fault_gate_recv(src)?;
         let msg = self.match_message(src, tag)?;
         // One message is consumed as it is; the parts of a pipelined
@@ -1267,7 +1351,11 @@ mod tests {
     /// Rank 0 posts `n` parts of `len` bytes, all ready at once.
     fn post_parts(ctx: &mut RankCtx, buf: GpuPtr, len: usize, n: u32, tag: i32) -> MpiResult<()> {
         for index in 0..n {
-            let part = PartInfo { index, total: n };
+            let part = PartInfo {
+                index,
+                total: n,
+                runs: 1,
+            };
             ctx.send_bytes_part(buf, len, 1, tag, SimTime::ZERO, part)?;
         }
         Ok(())
@@ -1314,6 +1402,71 @@ mod tests {
     }
 
     #[test]
+    fn a_train_lands_when_its_parts_would_on_both_clocks() {
+        // n runs of 48 B, every other 48 B of a device buffer, sent as one
+        // train and as n parts one by one: the sender's clock after posting
+        // and the receiver's after landing agree to the picosecond, between
+        // two nodes, within one, and from a rank to itself
+        let run = 48;
+        for n in [1usize, 2, 16, 64, 1024] {
+            for (ranks, ranks_per_node) in [(2, 1), (2, 2), (1, 1)] {
+                let mut cfg = WorldConfig::summit(ranks);
+                cfg.net.ranks_per_node = ranks_per_node;
+                let clocks = |train: bool| {
+                    World::run(&cfg, |ctx| {
+                        let (from, to) =
+                            (ctx.gpu.malloc(2 * run * n)?, ctx.gpu.malloc(2 * run * n)?);
+                        let pattern: Vec<u8> = (0..2 * run * n).map(|i| i as u8 | 1).collect();
+                        ctx.gpu.memory().poke(from, &pattern)?;
+                        let (dest, total) = (ranks - 1, n as u32);
+                        let offsets = |sink: &mut dyn FnMut(i64)| {
+                            (0..n).for_each(|k| sink((2 * run * k) as i64))
+                        };
+                        ctx.barrier();
+                        ctx.reset_clock();
+                        let mut sent = SimTime::ZERO;
+                        if ctx.rank == 0 {
+                            if train {
+                                ctx.send_bytes_runs(from, (run, n), dest, 0, offsets)?;
+                            }
+                            for index in (0..total).filter(|_| !train) {
+                                let part = PartInfo {
+                                    index,
+                                    total,
+                                    runs: 1,
+                                };
+                                let at = from.add(2 * run * index as usize);
+                                ctx.send_bytes_part(at, run, dest, 0, SimTime::ZERO, part)?;
+                            }
+                            sent = ctx.clock.now();
+                        }
+                        if ctx.rank == dest {
+                            if train {
+                                ctx.recv_bytes_runs(to, (run, run * n), Some(0), Some(0), offsets)?;
+                            }
+                            for k in (0..n).filter(|_| !train) {
+                                ctx.recv_bytes_part(to.add(2 * run * k), run, Some(0), Some(0))?;
+                            }
+                            let got = ctx.gpu.memory().peek(to, 2 * run * n)?;
+                            let landed = (0..n).all(|k| {
+                                got[2 * run * k..][..run] == pattern[2 * run * k..][..run]
+                            });
+                            assert!(landed, "{n} runs: a run landed out of place");
+                        }
+                        Ok((sent, ctx.clock.now()))
+                    })
+                    .unwrap()
+                };
+                let (train, parts) = (clocks(true), clocks(false));
+                assert_eq!(
+                    train, parts,
+                    "{n} runs, {ranks} ranks, {ranks_per_node} per node"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn recv_bytes_reassembles_parts_and_consumes_an_oversized_transfer_whole() {
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
@@ -1325,7 +1478,11 @@ mod tests {
                     for index in 0..n {
                         let at = buf.add(index as usize * len);
                         ctx.gpu.memory().poke(at, &vec![index as u8 + 1; len])?;
-                        let part = PartInfo { index, total: n };
+                        let part = PartInfo {
+                            index,
+                            total: n,
+                            runs: 1,
+                        };
                         ctx.send_bytes_part(at, len, 1, tag, SimTime::ZERO, part)?;
                     }
                 }

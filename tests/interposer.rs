@@ -270,3 +270,48 @@ fn a_transfer_size_that_overflows_is_invalid_arg_on_every_entry_point() {
         assert_eq!(ctx.stream.stats().memcpys, 0, "{name}");
     }
 }
+
+#[test]
+fn item_offsets_that_overflow_are_invalid_arg_before_any_byte_moves() {
+    // four items of a type resized to an extent of 6,148,914,691,236,517,206
+    // bytes: the last item's offset, 3 × extent, wraps to 2 if multiplied
+    // unchecked — the run walkers panicked in debug and, in release, wrote
+    // item 0 before reporting OutOfBounds — so pack, unpack and send refuse
+    // it on both providers before a byte moves; so too two items an extent
+    // of i64::MAX - 1 apart, whose second item's last run is past any offset
+    let cases = [(6_148_914_691_236_517_206, 4), (i64::MAX - 1, 2)];
+    for ((name, factory), (extent, count)) in
+        providers().into_iter().flat_map(|p| cases.map(|c| (p, c)))
+    {
+        let mut ctx = ctx();
+        let mut mpi = factory();
+        let v = ctx.type_vector(2, 1, 2, MPI_BYTE).unwrap();
+        let dt = ctx.type_create_resized(v, 0, extent).unwrap();
+        mpi.type_commit(&mut ctx, dt).unwrap();
+        let (typed, packed) = (ctx.gpu.malloc(64).unwrap(), ctx.gpu.malloc(64).unwrap());
+        ctx.gpu.memory().poke(typed, &pattern(64)).unwrap();
+        ctx.gpu.memory().poke(packed, &[0; 64]).unwrap();
+        let refused = [
+            (
+                "pack",
+                mpi.pack(&mut ctx, typed, count, dt, packed, 64, &mut 0),
+            ),
+            (
+                "unpack",
+                mpi.unpack(&mut ctx, packed, 64, &mut 0, typed, count, dt),
+            ),
+            ("send", mpi.send(&mut ctx, typed, count, dt, 0, 0).map(drop)),
+        ];
+        for (entry, r) in refused {
+            assert!(
+                matches!(r, Err(MpiError::InvalidArg(_))),
+                "{name} / {entry}: {r:?}"
+            );
+        }
+        let mem = ctx.gpu.memory();
+        assert_eq!(mem.peek(packed, 64).unwrap(), [0; 64], "{name}: packed");
+        assert_eq!(mem.peek(typed, 64).unwrap(), pattern(64), "{name}: typed");
+        let s = ctx.stream.stats();
+        assert_eq!((s.memcpys, s.kernel_launches), (0, 0), "{name}");
+    }
+}

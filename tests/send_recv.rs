@@ -268,38 +268,43 @@ fn four_rank_ring_with_derived_types() {
 #[test]
 fn model_selected_methods_match_expectation_per_size() {
     // integration-level check of §5 and §8: a fine-strided 4 MiB object is
-    // pipelined, a fine-strided 64 KiB one (too small to cut) goes device,
-    // a coarse 256 KiB object goes one-shot
+    // pipelined, a fine-strided 64 KiB one (too small to cut into chunks,
+    // too many runs to ship as they lie) goes device, a coarse 256 KiB
+    // object of 64 runs of 4 KiB ships its runs unpacked (the device
+    // method cut at them), and one of 512 runs of 512 B, too many to ship
+    // as they lie, goes one-shot
     let results = World::run(&two_node_cfg(), |ctx| {
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         let fine = ctx.type_vector((4 << 20) / 16, 16, 32, MPI_BYTE)?;
         let small = ctx.type_vector((64 << 10) / 16, 16, 32, MPI_BYTE)?;
         let coarse = ctx.type_vector(64, 4096, 8192, MPI_BYTE)?;
-        mpi.type_commit(ctx, fine)?;
-        mpi.type_commit(ctx, small)?;
-        mpi.type_commit(ctx, coarse)?;
-        let buf_f = ctx.gpu.malloc((4 << 20) * 2 + 64)?;
-        let buf_c = ctx.gpu.malloc(64 * 8192 + 64)?;
-        if ctx.rank == 0 {
-            let m1 = mpi.tempi.send(ctx, buf_f, 1, fine, 1, 1)?;
-            let m2 = mpi.tempi.send(ctx, buf_f, 1, small, 1, 2)?;
-            let m3 = mpi.tempi.send(ctx, buf_c, 1, coarse, 1, 3)?;
-            Ok((m1, m2, m3))
-        } else {
-            let (_, m1) = mpi.tempi.recv(ctx, buf_f, 1, fine, Some(0), Some(1))?;
-            let (_, m2) = mpi.tempi.recv(ctx, buf_f, 1, small, Some(0), Some(2))?;
-            let (_, m3) = mpi.tempi.recv(ctx, buf_c, 1, coarse, Some(0), Some(3))?;
-            Ok((m1, m2, m3))
+        let medium = ctx.type_vector(512, 512, 1024, MPI_BYTE)?;
+        let types = [fine, small, coarse, medium];
+        let buf = ctx.gpu.malloc((4 << 20) * 2 + 64)?;
+        let mut methods = Vec::new();
+        for (tag, dt) in (0..).zip(types) {
+            mpi.type_commit(ctx, dt)?;
+            let m = match ctx.rank {
+                0 => mpi.tempi.send(ctx, buf, 1, dt, 1, tag)?,
+                _ => mpi.tempi.recv(ctx, buf, 1, dt, Some(0), Some(tag))?.1,
+            };
+            let cut = mpi.tempi.last_choice().and_then(|c| c.chunk);
+            methods.push((m, if dt == coarse { cut } else { None }));
         }
+        Ok(methods)
     })
     .unwrap();
-    let want = (
-        Some(Method::Pipelined),
-        Some(Method::Device),
-        Some(Method::OneShot),
-    );
+    let cut = |m, run| (Some(m), run);
+    let want = [
+        cut(Method::Pipelined, None),
+        cut(Method::Device, None),
+        cut(Method::Device, Some(4096)),
+        cut(Method::OneShot, None),
+    ];
     assert_eq!(results[0], want);
     // receiver inferred the same methods from the parts and the probed
-    // buffer spaces
-    assert_eq!(results[1], want);
+    // buffer spaces (its choice is the sender's business)
+    let received: Vec<_> = results[1].iter().map(|&(m, _)| m).collect();
+    let sent: Vec<_> = want.iter().map(|&(m, _)| m).collect();
+    assert_eq!(received, sent);
 }
