@@ -686,10 +686,12 @@ fn run_stencil_rank(
         excluded,
         epoch: ctx.epoch(),
         size: ctx.size,
-        checkpoints: mpi.tempi.stats.checkpoints,
-        restores: mpi.tempi.stats.restores,
+        checkpoints: ex.checkpoints,
+        restores: ex.restores,
     };
     mpi.publish_metrics(&ctx.tracer);
+    ctx.tracer.count("stencil.checkpoints", ex.checkpoints);
+    ctx.tracer.count("stencil.restores", ex.restores);
     ex.destroy(ctx)?;
     Ok(result)
 }

@@ -21,6 +21,9 @@
 //!   datatype-accelerated `MPI_Send`/`MPI_Recv` over intermediate pooled
 //!   buffers ([`buffers`]). What TEMPI does not cover it hands to the
 //!   system MPI unchanged (`mpi_sim::RankCtx::{pack, unpack, send, recv}`).
+//! * [`ladder`] — the degradation ladder as data: the rungs a transient
+//!   failure steps down from (the send methods, the kernel path), one
+//!   quarantine table over them, and the one body every step-down runs.
 //! * [`interpose`] — the Section-4 architecture: a symbol-resolution
 //!   table deciding, per MPI entry point, whether TEMPI or the system MPI
 //!   serves the call, with automatic fall-through.
@@ -58,6 +61,7 @@ pub mod config;
 pub mod interpose;
 pub mod ir;
 pub mod kernels;
+pub mod ladder;
 pub mod model;
 pub mod tempi;
 pub mod tuner;

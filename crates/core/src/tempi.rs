@@ -7,13 +7,13 @@
 //! selection (Alg. 8 + §3.3) — and caches the resulting [`TypePlan`].
 //! Pack/unpack and send/recv then dispatch on the cached plan.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use gpu_sim::{CopyKind, GpuPtr, MemSpace, PackDir, SimTime};
 use mpi_sim::{
-    check_item_offsets, transfer_bytes, Datatype, DegradeEvent, MpiError, MpiResult, PartInfo,
-    ProbeInfo, RankCtx, Status,
+    check_item_offsets, transfer_bytes, Datatype, MpiError, MpiResult, PartInfo, ProbeInfo,
+    RankCtx, Status,
 };
 use tempi_trace::{Tracer, LANE_CPU};
 
@@ -27,6 +27,7 @@ use crate::kernels::{
     execute_on_host, execute_range_async, for_each_run, member_blocks, reach, select_kernel,
     select_members, Engine, KernelKind, Typed,
 };
+use crate::ladder::{Quarantine, Rung};
 use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
 use crate::tuner::{BucketKey, Tuner, Workload};
 
@@ -39,13 +40,6 @@ const CANON_NODE_COST: SimTime = SimTime::from_ns(20);
 /// mvapich-specialized-vector cases show speedups slightly *below* 1
 /// (0.89×–0.98×): TEMPI does the same work plus this dispatch overhead.
 const TEMPI_DISPATCH_OVERHEAD: SimTime = SimTime::from_ns(300);
-
-/// How long (virtual time) a transiently-failed method stays off the
-/// degradation ladder for a datatype. Transient faults are load- and
-/// state-dependent; a permanent ban would pin a degraded method choice
-/// long after the fault cleared, so the rung is re-attempted once the
-/// quarantine expires (and re-quarantined if it fails again).
-pub const QUARANTINE_TTL: SimTime = SimTime::from_ms(50);
 
 /// Diagnostics from one `MPI_Type_commit` (drives Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,7 +181,7 @@ pub struct TempiStats {
     /// Operations that fell through to the system MPI.
     pub fallbacks: u64,
     /// Sends that were downgraded to a different method after a transient
-    /// failure (each also appends a [`DegradeEvent`] to the rank's log).
+    /// failure (each also appends a [`mpi_sim::DegradeEvent`] to the rank's log).
     pub degraded_sends: u64,
     /// Pack/unpack operations whose kernel path was downgraded to the CPU
     /// copy path after a transient failure.
@@ -197,10 +191,6 @@ pub struct TempiStats {
     /// no rung can route around a dead peer, so the error propagates to the
     /// caller, whose recovery path (revoke → agree → shrink) takes over.
     pub comm_failures: u64,
-    /// Coordinated checkpoint generations this rank committed.
-    pub checkpoints: u64,
-    /// Subdomain restores served from committed checkpoint frames.
-    pub restores: u64,
     /// Tuner decisions that were exploration probes (deliberately non-best
     /// methods run to refresh their calibration ratios).
     pub tuner_probes: u64,
@@ -223,25 +213,9 @@ pub struct TempiStats {
     pub launch_cache_hits: u64,
 }
 
-/// The packed side of an `MPI_Pack` / `MPI_Unpack`: `size` bytes at `buf`
-/// and the call's cursor into them.
-struct Packed<'a> {
-    buf: GpuPtr,
-    size: usize,
-    position: &'a mut usize,
-}
-
-/// Append one downgrade to the rank's degradation-event log.
-fn record_degrade(ctx: &mut RankCtx, dt: Datatype, from: &str, to: &str, err: &MpiError) {
-    let ev = DegradeEvent {
-        at: ctx.clock.now(),
-        datatype: ctx.describe(dt),
-        from: from.to_string(),
-        to: to.to_string(),
-        cause: err.to_string(),
-    };
-    ctx.faults.stats.record(ev);
-}
+/// The packed side of an `MPI_Pack` / `MPI_Unpack`: a buffer, its size in
+/// bytes, and the call's cursor into it.
+type Packed<'a> = (GpuPtr, usize, &'a mut usize);
 
 /// Per-rank TEMPI library state.
 pub struct Tempi {
@@ -260,13 +234,10 @@ pub struct Tempi {
     named_memo: NamedMemo,
     /// The pack/unpack engine: kernel dispatch over a committed plan.
     engine: Engine,
-    /// Send methods that failed transiently for a datatype, with the
-    /// virtual time their quarantine expires; until then, sends of that
-    /// type skip them (part of the degradation ladder).
-    quarantine: HashMap<(Datatype, Method), SimTime>,
-    /// Datatypes whose kernel pack/unpack path failed transiently;
-    /// subsequent pack/unpack calls go straight to the CPU copy path.
-    pack_quarantine: HashSet<Datatype>,
+    /// The rungs of the degradation ladder that failed transiently, per
+    /// datatype ([`crate::ladder`]): sends and packs of that type skip
+    /// them while the quarantine holds.
+    pub(crate) quarantine: Quarantine,
     /// What the last accelerated send decided (before any step-down).
     last_choice: Option<Choice>,
 }
@@ -289,8 +260,7 @@ impl Tempi {
             tuner,
             cache: HashMap::new(),
             named_memo: NamedMemo::default(),
-            quarantine: HashMap::new(),
-            pack_quarantine: HashSet::new(),
+            quarantine: Quarantine::default(),
             last_choice: None,
         }
     }
@@ -300,15 +270,6 @@ impl Tempi {
     /// without a trace.
     pub fn last_choice(&self) -> Option<Choice> {
         self.last_choice
-    }
-
-    /// Is `method` quarantined for `dt` at virtual time `now`? Entries
-    /// older than [`QUARANTINE_TTL`] no longer count: the rung is eligible
-    /// again and will be re-quarantined if it fails again.
-    pub fn is_quarantined(&self, dt: Datatype, method: Method, now: SimTime) -> bool {
-        self.quarantine
-            .get(&(dt, method))
-            .is_some_and(|&until| now < until)
     }
 
     /// Copy the pool's and the engine's counters into the stats snapshot
@@ -346,8 +307,6 @@ impl Tempi {
         tracer.count("tempi.degraded_sends", s.degraded_sends);
         tracer.count("tempi.degraded_xfers", s.degraded_xfers);
         tracer.count("tempi.comm_failures", s.comm_failures);
-        tracer.count("tempi.checkpoints", s.checkpoints);
-        tracer.count("tempi.restores", s.restores);
         tracer.count("tempi.tuner_probes", s.tuner_probes);
         tracer.count("tempi.tuner_bucket_hits", s.tuner_bucket_hits);
         tracer.count("tempi.tuner_method_switches", s.tuner_method_switches);
@@ -493,11 +452,7 @@ impl Tempi {
         outsize: usize,
         position: &mut usize,
     ) -> MpiResult<()> {
-        let packed = Packed {
-            buf: outbuf,
-            size: outsize,
-            position,
-        };
+        let packed = (outbuf, outsize, position);
         self.xfer(ctx, PackDir::Pack, inbuf, incount, dt, packed)
     }
 
@@ -515,11 +470,7 @@ impl Tempi {
         outcount: usize,
         dt: Datatype,
     ) -> MpiResult<()> {
-        let packed = Packed {
-            buf: inbuf,
-            size: insize,
-            position,
-        };
+        let packed = (inbuf, insize, position);
         self.xfer(ctx, PackDir::Unpack, outbuf, outcount, dt, packed)
     }
 
@@ -561,11 +512,7 @@ impl Tempi {
         packed: Packed<'_>,
     ) -> MpiResult<()> {
         let plan = self.plan_or_commit(ctx, dt)?;
-        let Packed {
-            buf,
-            size,
-            position,
-        } = packed;
+        let (buf, size, position) = packed;
         if let PlanKind::Fallback(_) = plan.kind {
             // the fall-through is the system MPI, its argument checks too
             self.stats.fallbacks += 1;
@@ -581,7 +528,8 @@ impl Tempi {
         }
         let at = buf.add(*position);
 
-        if strided.space.device_accessible() && !self.pack_quarantine.contains(&dt) {
+        let kernels = !self.quarantine.holds(dt, Rung::Kernel, ctx.clock.now());
+        if strided.space.device_accessible() && kernels {
             let r = if buf.space.device_accessible() {
                 self.engine.execute(ctx, &plan.kind, dir, x, at)
             } else {
@@ -592,13 +540,10 @@ impl Tempi {
                     *position = end;
                     return Ok(());
                 }
+                // the kernel path failed transiently: the CPU copy below
+                // touches no GPU resources
                 Err(e) if e.is_transient() => {
-                    // Kernel path hit an injected GPU fault: quarantine it
-                    // for this datatype and fall back to the CPU copy path,
-                    // which touches no GPU resources.
-                    self.pack_quarantine.insert(dt);
-                    self.stats.degraded_xfers += 1;
-                    record_degrade(ctx, dt, "Kernel", "HostCopy", &e);
+                    self.degrade(ctx, dt, Rung::Kernel, ("Kernel", "HostCopy"), &e);
                 }
                 Err(e) => return Err(e),
             }
@@ -778,7 +723,9 @@ impl Tempi {
         let mut allowed = Method::LADDER;
         let mut n = 0;
         for m in Method::LADDER {
-            if (m != Method::Pipelined || chunkable) && !self.is_quarantined(x.dt, m, now) {
+            if (m != Method::Pipelined || chunkable)
+                && !self.quarantine.holds(x.dt, Rung::Send(m), now)
+            {
                 allowed[n] = m;
                 n += 1;
             }
@@ -820,12 +767,6 @@ impl Tempi {
         }
     }
 
-    /// The first rung of [`Method::LADDER`] at or after index `from` that
-    /// is not quarantined for `dt`.
-    fn next_rung(&self, dt: Datatype, from: usize, now: SimTime) -> Option<usize> {
-        (from..Method::LADDER.len()).find(|&i| !self.is_quarantined(dt, Method::LADDER[i], now))
-    }
-
     fn send_inner(
         &mut self,
         ctx: &mut RankCtx,
@@ -865,7 +806,7 @@ impl Tempi {
         let mut rung = Method::LADDER
             .iter()
             .position(|&m| m == method)
-            .and_then(|i| self.next_rung(dt, i, now));
+            .and_then(|i| self.quarantine.next_rung(dt, i, now));
         loop {
             let Some(i) = rung else {
                 // Ladder exhausted (or every rung quarantined): system MPI.
@@ -895,12 +836,9 @@ impl Tempi {
                     return Ok(Some(current));
                 }
                 Err(e) if e.is_transient() && posted == 0 => {
-                    self.quarantine
-                        .insert((dt, current), ctx.clock.now() + QUARANTINE_TTL);
-                    self.stats.degraded_sends += 1;
-                    rung = self.next_rung(dt, i + 1, now);
+                    rung = self.quarantine.next_rung(dt, i + 1, now);
                     let to = rung.map_or("SystemMpi", |j| Method::LADDER[j].name());
-                    record_degrade(ctx, dt, current.name(), to, &e);
+                    self.degrade(ctx, dt, Rung::Send(current), (current.name(), to), &e);
                 }
                 // A failed peer or a revoked communicator is not a rung
                 // problem — stepping down the ladder cannot help. Surface
@@ -1138,15 +1076,15 @@ impl Tempi {
             _ => Method::Pipelined,
         };
         let recipe = method.recipe();
+        let (src, tag) = (Some(info.source), Some(info.tag));
+        // every part but the last has the first one's size: a transfer that
+        // cannot fit — one piece too large, or parts overflowing before the
+        // last — is the system MPI's to refuse, which consumes it whole and
+        // reports its full size
+        if info.bytes > capacity || (n > 1 && info.bytes * (n - 1) >= capacity) {
+            return Ok((ctx.recv(x.buf, x.count, x.dt, src, tag)?, method));
+        }
         if n == 1 {
-            // a single message that cannot fit is refused unread
-            if info.bytes > capacity {
-                return Err(MpiError::Truncated {
-                    sent: info.bytes,
-                    capacity,
-                    envelope: None,
-                });
-            }
             ctx.tracer.observe("tempi.recv.bytes", info.bytes as u64);
         }
         // a train of this receive's own runs lands straight in place
@@ -1154,7 +1092,6 @@ impl Tempi {
         if train > 1 && info.bytes == capacity && plan.run() == Some(run) {
             let t0 = ctx.clock.now();
             let runs = |sink: &mut dyn FnMut(i64)| for_each_run(&plan.kind, x, sink);
-            let (src, tag) = (Some(info.source), Some(info.tag));
             let st = ctx.recv_bytes_runs(x.buf, (run, capacity), src, tag, runs)?;
             phase(ctx, "wire", t0, || {
                 vec![
@@ -1211,7 +1148,7 @@ impl Tempi {
 
             let t0 = ctx.clock.now();
             let st = ctx
-                .recv_bytes_part(land.add(slot), room, Some(info.source), Some(info.tag))
+                .recv_bytes_part(land.add(slot), room, src, tag)
                 .map_err(|e| match e {
                     // report the transfer so far against the receive's capacity
                     MpiError::Truncated { sent, .. } => MpiError::Truncated {
@@ -1234,7 +1171,7 @@ impl Tempi {
                     .observe_wire(recipe.wire, intra, m.t_wire(recipe.wire, len), waited);
             }
 
-            let kernels = n > 1 || !self.pack_quarantine.contains(&x.dt);
+            let kernels = n > 1 || !self.quarantine.holds(x.dt, Rung::Kernel, ctx.clock.now());
             let mut copied = Ok(());
             if recipe.bounce && kernels {
                 copied = match dev {
@@ -1293,9 +1230,8 @@ impl Tempi {
                         Some(Err(e)) if !e.is_transient() => Err(e),
                         failed => {
                             if let Some(Err(e)) = failed {
-                                self.pack_quarantine.insert(x.dt);
-                                self.stats.degraded_xfers += 1;
-                                record_degrade(ctx, x.dt, method.name(), "HostCopy", &e);
+                                let step = (method.name(), "HostCopy");
+                                self.degrade(ctx, x.dt, Rung::Kernel, step, &e);
                             }
                             execute_on_host(ctx, &plan.kind, PackDir::Unpack, whole, land)
                         }
@@ -1366,7 +1302,7 @@ fn engine_copy(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::interpose::InterposedMpi;
     use crate::ir::strided_block::Member;
@@ -1376,18 +1312,25 @@ mod tests {
     use mpi_sim::datatype::Order;
     use mpi_sim::{Combiner, World, WorldConfig};
 
+    /// A library of the default configuration with `set` applied.
+    pub(crate) fn configured(set: impl FnOnce(&mut TempiConfig)) -> Tempi {
+        let mut config = TempiConfig::default();
+        set(&mut config);
+        Tempi::new(config)
+    }
+
     fn ctx() -> RankCtx {
         RankCtx::standalone(&WorldConfig::summit(1))
     }
 
-    fn fill(n: usize) -> Vec<u8> {
+    pub(crate) fn fill(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
     }
 
     #[test]
     fn commit_builds_strided_plan_for_vector() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
         let plan = tempi.type_commit(&mut ctx, dt).unwrap();
         match &plan.kind {
@@ -1408,7 +1351,7 @@ mod tests {
     #[test]
     fn commit_is_cached() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_contiguous(64, MPI_INT).unwrap();
         let a = tempi.type_commit(&mut ctx, dt).unwrap();
         let t = ctx.clock.now();
@@ -1423,7 +1366,7 @@ mod tests {
         // the heart of the paper: vector / hvector / subarray descriptions
         // of the same 2-D object must canonicalize to the same plan
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let v = ctx.type_vector(13, 100, 256, MPI_BYTE).unwrap();
         let row = ctx.type_contiguous(100, MPI_BYTE).unwrap();
         let h = ctx.type_create_hvector(13, 1, 256, row).unwrap();
@@ -1452,10 +1395,7 @@ mod tests {
     #[test]
     fn canonicalization_off_breaks_plan_parity() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::new(TempiConfig {
-            canonicalize: false,
-            ..TempiConfig::default()
-        });
+        let mut tempi = configured(|c| c.canonicalize = false);
         let v = ctx.type_vector(13, 100, 256, MPI_BYTE).unwrap();
         let row = ctx.type_contiguous(100, MPI_BYTE).unwrap();
         let h = ctx.type_create_hvector(13, 1, 256, row).unwrap();
@@ -1467,7 +1407,7 @@ mod tests {
     #[test]
     fn pack_matches_cpu_reference_for_subarray() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx
             .type_create_subarray(&[32, 64], &[5, 24], &[3, 8], Order::C, MPI_BYTE)
             .unwrap();
@@ -1495,7 +1435,7 @@ mod tests {
     #[test]
     fn unpack_roundtrips() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_vector(16, 8, 32, MPI_BYTE).unwrap();
         tempi.type_commit(&mut ctx, dt).unwrap();
         let span = 15 * 32 + 8;
@@ -1524,7 +1464,7 @@ mod tests {
     #[test]
     fn pack_of_uncommitted_type_fails() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_vector(4, 2, 8, MPI_BYTE).unwrap();
         let b = ctx.gpu.malloc(64).unwrap();
         let mut pos = 0;
@@ -1537,7 +1477,7 @@ mod tests {
     #[test]
     fn pack_detects_small_output() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_contiguous(64, MPI_BYTE).unwrap();
         tempi.type_commit(&mut ctx, dt).unwrap();
         let src = ctx.gpu.malloc(64).unwrap();
@@ -1552,7 +1492,7 @@ mod tests {
     #[test]
     fn contiguous_pack_is_single_memcpy() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_contiguous(4096, MPI_BYTE).unwrap();
         tempi.type_commit(&mut ctx, dt).unwrap();
         let src = ctx.gpu.malloc(4096).unwrap();
@@ -1568,7 +1508,7 @@ mod tests {
     #[test]
     fn incount_with_padding_uses_dynamic_2d_kernel() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         // contiguous 8 bytes but extent 8 — need padding: use a vector of
         // one block to force extent > size? vector(1,8,1) canonicalizes to
         // dense(8) with type extent 8 == size → single memcpy. Use resized.
@@ -1600,7 +1540,7 @@ mod tests {
     #[test]
     fn hindexed_uses_blocklist_kernel() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx
             .type_create_hindexed(&[4, 4], &[32, 0], MPI_BYTE)
             .unwrap();
@@ -1759,7 +1699,9 @@ mod tests {
                 };
                 assert!(name.starts_with(kernel), "{name} committed to {kernel}");
                 if route == Route::Quarantined {
-                    mpi.tempi.pack_quarantine.insert(dt);
+                    let e = MpiError::Internal("a kernel failed before".into());
+                    mpi.tempi
+                        .degrade(&mut ctx, dt, Rung::Kernel, ("Kernel", "HostCopy"), &e);
                 }
             }
             let attrs = ctx.attrs(dt).unwrap();
@@ -1925,10 +1867,8 @@ mod tests {
             }
             for (name, build, count) in MATRIX {
                 let results = World::run(&cfg, |ctx| {
-                    let mut tempi = Tempi::new(TempiConfig {
-                        force_method: forced,
-                        pipeline_chunk: Some(16 << 10),
-                        ..TempiConfig::default()
+                    let mut tempi = configured(|c| {
+                        (c.force_method, c.pipeline_chunk) = (forced, Some(16 << 10))
                     });
                     let dt = build(ctx)?;
                     let plan = tempi.type_commit(ctx, dt)?;
@@ -2028,7 +1968,7 @@ mod tests {
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::default();
+            let mut tempi = configured(|_| {});
             let dt = ctx.type_contiguous(1024, MPI_BYTE)?;
             tempi.type_commit(ctx, dt)?;
             let buf = ctx.gpu.malloc(1024)?;
@@ -2053,7 +1993,7 @@ mod tests {
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::default();
+            let mut tempi = configured(|_| {});
             // 4 MiB, 16-byte blocks
             let small_blocks = ctx.type_vector((4 << 20) / 16, 16, 32, MPI_BYTE)?;
             // 1 MiB, 4096-byte blocks
@@ -2078,7 +2018,7 @@ mod tests {
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::default();
+            let mut tempi = configured(|_| {});
             let dt = ctx.type_vector(64, 16, 64, MPI_BYTE)?;
             tempi.type_commit(ctx, dt)?;
             let span = 63 * 64 + 16;
@@ -2109,10 +2049,7 @@ mod tests {
 
         let run = |force: Option<Method>| -> (Vec<u8>, u64, SimTime) {
             let results = World::run(&cfg, |ctx| {
-                let mut tempi = Tempi::new(TempiConfig {
-                    force_method: force,
-                    ..TempiConfig::default()
-                });
+                let mut tempi = configured(|c| c.force_method = force);
                 let dt =
                     ctx.type_vector(count as i32, block as i32, (block * 2) as i32, MPI_BYTE)?;
                 tempi.type_commit(ctx, dt)?;
@@ -2162,10 +2099,8 @@ mod tests {
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::new(TempiConfig {
-                pipeline_chunk: Some(1 << 20),
-                force_method: Some(Method::Pipelined),
-                ..TempiConfig::default()
+            let mut tempi = configured(|c| {
+                (c.pipeline_chunk, c.force_method) = (Some(1 << 20), Some(Method::Pipelined))
             });
             // one chunk's worth of blocks -> degenerates to staged
             let dt = ctx.type_vector(16, 64, 128, MPI_BYTE)?;
@@ -2199,7 +2134,7 @@ mod tests {
     fn struct_builds_blocklist_and_packs() {
         // no knob: a struct takes the block-list kernel by default
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx
             .type_create_struct(&[2, 1], &[0, 16], &[MPI_INT, MPI_DOUBLE])
             .unwrap();
@@ -2223,7 +2158,7 @@ mod tests {
     #[test]
     fn struct_of_vectors_keeps_its_members_strided() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let v = ctx.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // blocks at 0,4
         let dt = ctx
             .type_create_struct(&[1, 2], &[32, 0], &[MPI_INT, v])
@@ -2282,7 +2217,7 @@ mod tests {
 
     #[test]
     fn a_member_is_priced_as_its_own_strided_plan_and_a_list_below_its_runs() {
-        let (mut ctx, mut tempi) = (ctx(), Tempi::default());
+        let (mut ctx, mut tempi) = (ctx(), configured(|_| {}));
         // a list of one member takes exactly the time of that member's plan
         let (sizes, sub) = ([16, 64, 256], [8, 32, 128]);
         let boxed = ctx
@@ -2344,7 +2279,7 @@ mod tests {
         // report counts priced calls, so a fresh type built on it costs
         // its own envelope and contents and nothing else
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let v = ctx.type_vector(4, 2, 8, MPI_BYTE).unwrap();
         let first = tempi.type_commit(&mut ctx, v).unwrap().report;
         // envelope + contents, then extent and envelope of MPI_BYTE once
@@ -2374,7 +2309,7 @@ mod tests {
         }
 
         // another rank's library state has learnt nothing yet
-        let mut other = Tempi::default();
+        let mut other = configured(|_| {});
         let v = ctx.type_vector(5, 3, 9, MPI_BYTE).unwrap();
         let report = other.type_commit(&mut ctx, v).unwrap().report;
         assert_eq!(report.introspection_calls, 4);
@@ -2383,7 +2318,7 @@ mod tests {
     #[test]
     fn indexed_block_gets_blocklist_plan() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx
             .type_create_indexed_block(2, &[8, 0, 4], MPI_INT)
             .unwrap();
@@ -2407,50 +2342,9 @@ mod tests {
     }
 
     #[test]
-    fn send_degrades_to_oneshot_on_device_oom() {
-        // a device too small for the intermediate buffer: the ladder must
-        // step Device -> OneShot (mapped host memory needs no device
-        // bytes), log exactly one downgrade, and quarantine Device so the
-        // second send goes straight to OneShot without a new event
-        let mut cfg = WorldConfig::summit(2);
-        cfg.net.ranks_per_node = 1;
-        cfg.device.global_mem_bytes = 160 << 10; // 160 KiB device
-        let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::new(TempiConfig {
-                force_method: Some(Method::Device), // needs a device buffer
-                ..TempiConfig::default()
-            });
-            let dt = ctx.type_vector(1024, 64, 128, MPI_BYTE)?; // 64 KiB data
-            tempi.type_commit(ctx, dt)?;
-            let buf = ctx.gpu.malloc(128 << 10)?; // leaves only 32 KiB free
-            if ctx.rank == 0 {
-                let m1 = tempi.send(ctx, buf, 1, dt, 1, 0)?;
-                let logged = ctx.faults.stats.events.len() == 1
-                    && ctx.faults.stats.events[0].from == "Device"
-                    && ctx.faults.stats.events[0].to == "OneShot";
-                let m2 = tempi.send(ctx, buf, 1, dt, 1, 1)?;
-                Ok(m1 == Some(Method::OneShot)
-                    && m2 == Some(Method::OneShot)
-                    && logged
-                    && ctx.faults.stats.events.len() == 1 // quarantine is silent
-                    && tempi.stats.degraded_sends == 1)
-            } else {
-                let (st1, m1) = tempi.recv(ctx, buf, 1, dt, Some(0), Some(0))?;
-                let (st2, _) = tempi.recv(ctx, buf, 1, dt, Some(0), Some(1))?;
-                Ok(st1.bytes == (64 << 10)
-                    && st2.bytes == (64 << 10)
-                    && m1 == Some(Method::OneShot))
-            }
-        })
-        .unwrap();
-        assert!(results[0], "rank 0 must degrade Device -> OneShot cleanly");
-        assert!(results[1], "rank 1 must receive both degraded sends");
-    }
-
-    #[test]
     fn pack_source_out_of_bounds_is_an_error_not_corruption() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_vector(16, 8, 16, MPI_BYTE).unwrap(); // needs 248 B
         tempi.type_commit(&mut ctx, dt).unwrap();
         let src = ctx.gpu.malloc(64).unwrap(); // too small
@@ -2468,7 +2362,7 @@ mod tests {
         // completes; TEMPI's cached plan keeps working for the handle it
         // already captured (the plan owns its layout).
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_vector(4, 4, 8, MPI_BYTE).unwrap();
         let plan = tempi.type_commit(&mut ctx, dt).unwrap();
         ctx.type_free(dt).unwrap();
@@ -2480,7 +2374,7 @@ mod tests {
     /// What a receive of `dt` into a zeroed `span`-byte buffer must hold
     /// after a sender sent `dt` from `data`: the CPU pack of the sender's
     /// bytes, unpacked over the receiver's type.
-    fn oracle(
+    pub(crate) fn oracle(
         ctx: &RankCtx,
         data: &[u8],
         send: (usize, Datatype),
@@ -2508,7 +2402,7 @@ mod tests {
         let span = 4096 * 512;
         let results = World::run(&cfg, |ctx| {
             let dt = ctx.type_vector(4096, 256, 512, MPI_BYTE)?;
-            let mut tempi = Tempi::default();
+            let mut tempi = configured(|_| {});
             tempi.type_commit(ctx, dt)?;
             let buf = ctx.gpu.malloc(span)?;
             let data = fill(span);
@@ -2558,10 +2452,8 @@ mod tests {
         cfg.net.ranks_per_node = 1;
         let (blocks, block, recv_block, chunk) = (1024usize, 256usize, 1024usize, 96usize << 10);
         let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::new(TempiConfig {
-                force_method: Some(Method::Pipelined),
-                pipeline_chunk: Some(chunk),
-                ..TempiConfig::default()
+            let mut tempi = configured(|c| {
+                (c.force_method, c.pipeline_chunk) = (Some(Method::Pipelined), Some(chunk))
             });
             let sdt = ctx.type_vector(blocks as i32, block as i32, 2 * block as i32, MPI_BYTE)?;
             let rblocks = blocks * block / recv_block;
@@ -2597,23 +2489,24 @@ mod tests {
 
     /// The struct-of-arrays object: eight 2 KiB fields 64 KiB apart, whose
     /// runs the model ships as they lie.
-    fn soa(c: &mut RankCtx) -> MpiResult<Datatype> {
+    pub(crate) fn soa(c: &mut RankCtx) -> MpiResult<Datatype> {
         let displs: Vec<i64> = (0..8).map(|i| i << 16).collect();
         c.type_create_struct(&[2048; 8], &displs, &[MPI_BYTE; 8])
     }
 
     #[test]
     fn a_train_lands_in_place_on_its_own_runs_and_is_unpacked_once_on_others() {
-        // four cut sends of the soa object, taken by a TEMPI receive of the
+        // five cut sends of the soa object, taken by a TEMPI receive of the
         // same type (run k straight into run k: no kernel on either rank),
         // of a type of the same signature but other runs (staged, one
         // unpack kernel), by the system MPI, and by a receive too small for
-        // the train (refused with the train's full size)
+        // the train (refused with the train's full size, and consumed: the
+        // next receive takes the fifth)
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let span = (7 << 16) + 2048;
         let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::default();
+            let mut tempi = configured(|_| {});
             let dt = soa(ctx)?;
             let other = ctx.type_vector(4, 4096, 8192, MPI_BYTE)?;
             let small = ctx.type_vector(2, 2048, 65536, MPI_BYTE)?;
@@ -2625,7 +2518,7 @@ mod tests {
             let launches = |ctx: &RankCtx| ctx.stream.stats().kernel_launches;
             if ctx.rank == 0 {
                 ctx.gpu.memory().poke(buf, &data)?;
-                for tag in 0..4 {
+                for tag in [0, 1, 2, 3, 3] {
                     assert_eq!(tempi.send(ctx, buf, 1, dt, 1, tag)?, Some(Method::Device));
                     assert_eq!(tempi.last_choice().and_then(|c| c.chunk), Some(2048));
                 }
@@ -2658,91 +2551,11 @@ mod tests {
                 envelope: ctx.registry().read().get_envelope(small).ok(),
             };
             assert_eq!(refused, Err(full));
+            take(ctx, &mut own, dt, 3)?;
+            assert_eq!(ctx.pending_messages(), 0);
             Ok(())
         });
         results.unwrap();
-    }
-
-    #[test]
-    fn a_send_fault_before_the_train_is_retried_and_the_cut_steps_down_with_its_rung() {
-        use mpi_sim::FaultPlan;
-        // a self-send of the soa object, which the model cuts
-        let run = |faults: &str, device_bytes: usize| {
-            let mut cfg = WorldConfig::summit(1).with_faults(FaultPlan::parse(faults).unwrap());
-            cfg.device.global_mem_bytes = device_bytes;
-            let mut ctx = RankCtx::standalone(&cfg);
-            let dt = soa(&mut ctx).unwrap();
-            let mut tempi = Tempi::default();
-            tempi.type_commit(&mut ctx, dt).unwrap();
-            let span = (7 << 16) + 2048;
-            let (src, dst) = (ctx.gpu.malloc(span).unwrap(), ctx.gpu.malloc(span).unwrap());
-            ctx.gpu.memory().poke(src, &fill(span)).unwrap();
-            (ctx, tempi, dt, src, dst, span)
-        };
-
-        // the train's one send call faults once: the link retries it, and
-        // the train lands whole one backoff later — no step-down
-        let (mut quiet, mut clean, dt, src, ..) = run("seed=1", 1 << 30);
-        clean.send(&mut quiet, src, 1, dt, 0, 0).unwrap();
-        let (mut ctx, mut tempi, dt, src, dst, span) = run("send@0,backoff=10us", 1 << 30);
-        assert_eq!(
-            tempi.send(&mut ctx, src, 1, dt, 0, 0),
-            Ok(Some(Method::Device))
-        );
-        assert_eq!(ctx.clock.now(), quiet.clock.now() + SimTime::from_us(10));
-        assert_eq!(
-            (ctx.faults.stats.send_faults, tempi.stats.degraded_sends),
-            (1, 0)
-        );
-        tempi.recv(&mut ctx, dst, 1, dt, Some(0), Some(0)).unwrap();
-        let want = oracle(&ctx, &fill(span), (1, dt), (1, dt), span);
-        assert_eq!(ctx.gpu.memory().peek(dst, span).unwrap(), want);
-        // one the retries cannot absorb fails the link: the recovery
-        // path's business, not the ladder's
-        let (mut ctx, mut tempi, dt, src, ..) = run("send=1.0,retries=0", 1 << 30);
-        let failed = tempi.send(&mut ctx, src, 1, dt, 0, 0);
-        assert!(
-            matches!(failed, Err(MpiError::CommFailed { .. })),
-            "{failed:?}"
-        );
-        assert_eq!(
-            (tempi.stats.comm_failures, tempi.stats.degraded_sends),
-            (1, 0)
-        );
-        assert!(!tempi.is_quarantined(dt, Method::Device, ctx.clock.now()));
-
-        // the cut is the device rung: a device too small for a packed
-        // send's lease degrades a forced Device to OneShot and quarantines
-        // the rung, so the type's cut steps down to OneShot with it — and,
-        // needing no device memory, is back once the quarantine lapses
-        let (mut ctx, mut tempi, dt, src, dst, span) = run("seed=1", 2 * span + (8 << 10));
-        tempi.config.force_method = Some(Method::Device);
-        assert_eq!(
-            tempi.send(&mut ctx, src, 1, dt, 0, 0),
-            Ok(Some(Method::OneShot))
-        );
-        tempi.config.force_method = None;
-        assert_eq!(
-            tempi.send(&mut ctx, src, 1, dt, 0, 1),
-            Ok(Some(Method::OneShot))
-        );
-        ctx.clock.advance(QUARANTINE_TTL);
-        assert_eq!(
-            tempi.send(&mut ctx, src, 1, dt, 0, 2),
-            Ok(Some(Method::Device))
-        );
-        assert_eq!(tempi.last_choice().and_then(|c| c.chunk), Some(2048));
-        for tag in 0..3 {
-            tempi
-                .recv(&mut ctx, dst, 1, dt, Some(0), Some(tag))
-                .unwrap();
-        }
-        let want = oracle(&ctx, &fill(span), (1, dt), (1, dt), span);
-        assert_eq!(ctx.gpu.memory().peek(dst, span).unwrap(), want);
-        assert_eq!(
-            (tempi.stats.degraded_sends, ctx.faults.stats.events.len()),
-            (1, 1)
-        );
     }
 
     #[test]
@@ -2756,10 +2569,9 @@ mod tests {
                 for chunk in crate::model::CHUNK_CANDIDATES {
                     let blocks = total / block;
                     let results = World::run(&cfg, |ctx| {
-                        let mut tempi = Tempi::new(TempiConfig {
-                            force_method: Some(Method::Pipelined),
-                            pipeline_chunk: Some(chunk),
-                            ..TempiConfig::default()
+                        let mut tempi = configured(|c| {
+                            (c.force_method, c.pipeline_chunk) =
+                                (Some(Method::Pipelined), Some(chunk))
                         });
                         let dt = ctx.type_vector(
                             blocks as i32,
@@ -2802,128 +2614,6 @@ mod tests {
     }
 
     #[test]
-    fn a_fault_before_the_first_part_steps_down_and_after_it_propagates() {
-        use mpi_sim::{FaultPlan, FaultSite, ScopedFault, PAYLOAD_POOL_BYTES};
-        // a self-send on one rank, so a transfer abandoned half-way leaves
-        // no peer waiting; kernel ordinal 0 is the first chunk's pack,
-        // ordinal 1 the second's
-        let run = |at_call: u64| {
-            let mut plan = FaultPlan::default();
-            plan.scoped.push(ScopedFault {
-                rank: 0,
-                site: FaultSite::Kernel,
-                at_call,
-            });
-            let mut ctx = RankCtx::standalone(&WorldConfig::summit(1).with_faults(plan));
-            // forced: to itself a rank would not pipeline
-            let mut tempi = Tempi::new(TempiConfig {
-                force_method: Some(Method::Pipelined),
-                ..TempiConfig::default()
-            });
-            let dt = ctx.type_vector(4096, 512, 1024, MPI_BYTE).unwrap(); // 2 MiB
-            tempi.type_commit(&mut ctx, dt).unwrap();
-            let span = 4096 * 1024;
-            let buf = ctx.gpu.malloc(span).unwrap();
-            ctx.gpu.memory().poke(buf, &fill(span)).unwrap();
-            let sent = tempi.send(&mut ctx, buf, 1, dt, 0, 0);
-            (ctx, tempi, sent, dt, buf, span)
-        };
-
-        let (mut ctx, mut tempi, sent, dt, buf, span) = run(0);
-        assert_eq!(sent, Ok(Some(Method::Device)), "Pipelined -> Device");
-        assert_eq!(tempi.stats.degraded_sends, 1);
-        assert_eq!(ctx.faults.stats.events.len(), 1);
-        assert_eq!(ctx.faults.stats.events[0].from, "Pipelined");
-        assert_eq!(ctx.faults.stats.events[0].to, "Device");
-        assert!(tempi.is_quarantined(dt, Method::Pipelined, ctx.clock.now()));
-        let dst = ctx.gpu.malloc(span).unwrap();
-        let (st, m) = tempi.recv(&mut ctx, dst, 1, dt, Some(0), Some(0)).unwrap();
-        assert_eq!((st.bytes, m), (2 << 20, Some(Method::Device)));
-        let got = ctx.gpu.memory().peek(dst, span).unwrap();
-        assert_eq!(got, oracle(&ctx, &fill(span), (1, dt), (1, dt), span));
-        assert_eq!(tempi.pool.outstanding(), 0);
-        assert!(ctx.pooled_payload_bytes() <= PAYLOAD_POOL_BYTES);
-
-        let (ctx, tempi, sent, ..) = run(1);
-        let err = sent.unwrap_err();
-        assert!(err.is_transient(), "{err}");
-        assert_eq!(tempi.stats.degraded_sends, 0, "no step-down mid-transfer");
-        assert!(ctx.faults.stats.events.is_empty());
-        assert_eq!(tempi.stats.pipelined_sends, 0);
-        assert_eq!(tempi.pool.outstanding(), 0);
-        assert!(ctx.pooled_payload_bytes() <= PAYLOAD_POOL_BYTES);
-        let _ = buf;
-    }
-
-    #[test]
-    fn a_communicator_failure_is_counted_once_whichever_stage_meets_it() {
-        use mpi_sim::{FaultPlan, RankExit};
-        let world = |exit_at: SimTime| {
-            let plan = FaultPlan {
-                rank_exits: vec![RankExit {
-                    rank: 0,
-                    at: exit_at,
-                }],
-                ..FaultPlan::default()
-            };
-            RankCtx::standalone(&WorldConfig::summit(1).with_faults(plan))
-        };
-
-        // the system-MPI fall-through: a contiguous send to a dead peer
-        let mut ctx = world(SimTime::from_us(5));
-        let mut tempi = Tempi::default();
-        let dt = ctx.type_contiguous(1024, MPI_BYTE).unwrap();
-        tempi.type_commit(&mut ctx, dt).unwrap();
-        let buf = ctx.gpu.malloc(1024).unwrap();
-        ctx.clock.advance(SimTime::from_us(10));
-        let sent = tempi.send(&mut ctx, buf, 1, dt, 0, 0);
-        assert_eq!(sent, Err(MpiError::PeerGone));
-        assert_eq!((tempi.stats.comm_failures, tempi.stats.fallbacks), (1, 1));
-        assert_eq!(tempi.pool.outstanding(), 0);
-
-        // a pipelined self-transfer whose sender exits while the parts are
-        // being received
-        let span = 4096 * 1024;
-        let run = |exit_at: SimTime| {
-            let mut ctx = world(exit_at);
-            let mut tempi = Tempi::new(TempiConfig {
-                force_method: Some(Method::Pipelined),
-                ..TempiConfig::default()
-            });
-            let dt = ctx.type_vector(4096, 512, 1024, MPI_BYTE).unwrap(); // 2 MiB
-            tempi.type_commit(&mut ctx, dt).unwrap();
-            let src = ctx.gpu.malloc(span).unwrap();
-            ctx.gpu.memory().poke(src, &fill(span)).unwrap();
-            let dst = ctx.gpu.malloc(span).unwrap();
-            ctx.gpu.memory().poke(dst, &vec![0u8; span]).unwrap();
-            let sent = tempi.send(&mut ctx, src, 1, dt, 0, 0);
-            assert_eq!(sent, Ok(Some(Method::Pipelined)));
-            let sent_at = ctx.clock.now();
-            let got = tempi.recv(&mut ctx, dst, 1, dt, Some(0), Some(0));
-            let landed = ctx.gpu.memory().peek(dst, span).unwrap();
-            (ctx, tempi, sent_at, got, landed, dt)
-        };
-        let (ctx, tempi, sent_at, got, whole, dt) = run(SimTime::from_ms(100));
-        assert_eq!(
-            got.map(|(st, m)| (st.bytes, m)),
-            Ok((2 << 20, Some(Method::Pipelined)))
-        );
-        assert_eq!(whole, oracle(&ctx, &fill(span), (1, dt), (1, dt), span));
-        assert_eq!(tempi.stats.comm_failures, 0);
-        let half_way = SimTime::from_ps((sent_at.as_ps() + ctx.clock.now().as_ps()) / 2);
-
-        let (ctx, tempi, _, got, landed, _) = run(half_way);
-        assert_eq!(got, Err(MpiError::PeerGone));
-        assert!(ctx.clock.now() >= half_way);
-        // between two parts: the first chunk was unpacked, the last never came
-        assert_eq!(landed[..512], whole[..512]);
-        assert!(landed[span - 1024..].iter().all(|&b| b == 0));
-        assert_eq!(tempi.stats.comm_failures, 1);
-        assert_eq!(tempi.stats.pipelined_recvs, 0);
-        assert_eq!(tempi.pool.outstanding(), 0);
-    }
-
-    #[test]
     fn phase_spans_are_disjoint_inside_their_call_and_in_recipe_order() {
         // a traced 2-rank transfer under every forced method, and one the
         // model cuts at its 16 runs: per rank the phase spans must not
@@ -2935,11 +2625,8 @@ mod tests {
             let mut cfg = WorldConfig::summit(2).with_tracer(tracer.clone());
             cfg.net.ranks_per_node = 1;
             World::run(&cfg, |ctx| {
-                let mut tempi = Tempi::new(TempiConfig {
-                    force_method: forced,
-                    pipeline_chunk: Some(16 << 10),
-                    ..TempiConfig::default()
-                });
+                let mut tempi =
+                    configured(|c| (c.force_method, c.pipeline_chunk) = (forced, Some(16 << 10)));
                 let dt = match forced {
                     Some(_) => ctx.type_vector(512, 128, 256, MPI_BYTE)?,
                     None => ctx.type_vector(16, 512, 1024, MPI_BYTE)?,
@@ -3026,11 +2713,7 @@ mod tests {
         cfg.net.ranks_per_node = 1;
         let run = |seed: u64| -> Vec<Option<Method>> {
             let results = World::run(&cfg, |ctx| {
-                let mut tempi = Tempi::new(TempiConfig {
-                    tuner: TunerMode::Online,
-                    tuner_seed: seed,
-                    ..TempiConfig::default()
-                });
+                let mut tempi = configured(|c| (c.tuner, c.tuner_seed) = (TunerMode::Online, seed));
                 let dt = ctx.type_vector(256, 64, 128, MPI_BYTE)?; // 16 KiB
                 tempi.type_commit(ctx, dt)?;
                 let buf = ctx.gpu.malloc(255 * 128 + 64)?;
@@ -3062,10 +2745,7 @@ mod tests {
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::new(TempiConfig {
-                tuner: TunerMode::Online,
-                ..TempiConfig::default()
-            });
+            let mut tempi = configured(|c| c.tuner = TunerMode::Online);
             let dt = ctx.type_vector(256, 64, 128, MPI_BYTE)?; // 16 KiB
             let plan = tempi.type_commit(ctx, dt)?;
             let buf = ctx.gpu.malloc(255 * 128 + 64)?;
@@ -3101,10 +2781,7 @@ mod tests {
         let count = (4usize << 20) / 4096;
         for tuner in [TunerMode::Off, TunerMode::Model, TunerMode::Online] {
             let results = World::run(&cfg, |ctx| {
-                let mut tempi = Tempi::new(TempiConfig {
-                    tuner,
-                    ..TempiConfig::default()
-                });
+                let mut tempi = configured(|c| c.tuner = tuner);
                 let dt = ctx.type_vector(count as i32, 4096, 8192, MPI_BYTE)?;
                 tempi.type_commit(ctx, dt)?;
                 let buf = ctx.gpu.malloc(count * 8192)?;
@@ -3122,42 +2799,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_expires_and_the_rung_is_retried() {
-        // Same OOM world as send_degrades_to_oneshot_on_device_oom, but
-        // after the quarantine TTL lapses the ladder must retry Device and
-        // log a *second* degradation when it fails again.
-        let mut cfg = WorldConfig::summit(2);
-        cfg.net.ranks_per_node = 1;
-        cfg.device.global_mem_bytes = 160 << 10;
-        let results = World::run(&cfg, |ctx| {
-            let mut tempi = Tempi::new(TempiConfig {
-                force_method: Some(Method::Device),
-                ..TempiConfig::default()
-            });
-            let dt = ctx.type_vector(1024, 64, 128, MPI_BYTE)?; // 64 KiB
-            tempi.type_commit(ctx, dt)?;
-            let buf = ctx.gpu.malloc(128 << 10)?;
-            if ctx.rank == 0 {
-                tempi.send(ctx, buf, 1, dt, 1, 0)?; // degrade + quarantine
-                let e1 = ctx.faults.stats.events.len();
-                tempi.send(ctx, buf, 1, dt, 1, 1)?; // silent: still banned
-                let e2 = ctx.faults.stats.events.len();
-                ctx.clock.advance(QUARANTINE_TTL + SimTime::from_ms(1));
-                tempi.send(ctx, buf, 1, dt, 1, 2)?; // retried, fails anew
-                let e3 = ctx.faults.stats.events.len();
-                Ok((e1, e2, e3, tempi.stats.degraded_sends))
-            } else {
-                tempi.recv(ctx, buf, 1, dt, Some(0), Some(0))?;
-                tempi.recv(ctx, buf, 1, dt, Some(0), Some(1))?;
-                tempi.recv(ctx, buf, 1, dt, Some(0), Some(2))?;
-                Ok((0, 0, 0, 0))
-            }
-        })
-        .unwrap();
-        assert_eq!(results[0], (1, 1, 2, 2));
-    }
-
-    #[test]
     fn steady_state_sends_allocate_nothing_with_a_tracer_attached_or_not() {
         // an attached tracer that is off costs one branch per call site and
         // records nothing; a full one records the rounds, and neither puts
@@ -3169,7 +2810,7 @@ mod tests {
             let mut cfg = WorldConfig::summit(2).with_tracer(tracer.clone());
             cfg.net.ranks_per_node = 1;
             let results = World::run(&cfg, |ctx| {
-                let mut tempi = Tempi::default();
+                let mut tempi = configured(|_| {});
                 // 64 runs of 16 B ship as a train; 256 of 8 B are packed
                 let cut = ctx.type_vector(64, 16, 64, MPI_BYTE)?;
                 let packed = ctx.type_vector(256, 8, 16, MPI_BYTE)?;
@@ -3235,7 +2876,7 @@ mod tests {
     #[test]
     fn empty_type_pack_is_noop() {
         let mut ctx = ctx();
-        let mut tempi = Tempi::default();
+        let mut tempi = configured(|_| {});
         let dt = ctx.type_contiguous(0, MPI_INT).unwrap();
         let plan = tempi.type_commit(&mut ctx, dt).unwrap();
         assert_eq!(plan.kind, PlanKind::Empty);

@@ -18,8 +18,6 @@ use crate::clock::{SimClock, SimTime};
 use crate::cost::{CopyKind, GpuCostModel};
 use crate::error::{GpuError, GpuResult};
 use crate::fault::GpuFaultSite;
-#[cfg(test)]
-use crate::kernel::Dim3;
 use crate::kernel::LaunchConfig;
 use crate::memory::{GpuContext, GpuPtr, MemSpace, Memory};
 
@@ -433,6 +431,7 @@ impl Stream {
 mod tests {
     use super::*;
     use crate::device::DeviceProps;
+    use crate::kernel::Dim3;
 
     fn setup() -> (GpuContext, Stream, SimClock) {
         let ctx = GpuContext::new(DeviceProps::v100());

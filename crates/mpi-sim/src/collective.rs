@@ -9,15 +9,15 @@
 //! same in a world of any size. Each receive completes at
 //! `max(now, depart_j + wire_j)`, whatever the wall-clock interleaving.
 //!
-//! Every collective is fault-aware: it fails fast with
-//! [`MpiError::PeerGone`] when any current member is already dead at entry
-//! (ULFM semantics — a collective cannot complete once a participant
-//! failed), its constituent sends/receives pass through the same
-//! fault-injection gates as user point-to-point traffic, and a revocation
-//! observed mid-collective surfaces as [`MpiError::Revoked`] instead of a
-//! hang.
+//! Every collective enters through the reliability layer's collective gate
+//! ([`crate::reliability`]): it fails fast with [`MpiError::PeerGone`] when
+//! any current member is already dead at entry (ULFM semantics — a
+//! collective cannot complete once a participant failed), its constituent
+//! sends/receives pass through the same gates as user point-to-point
+//! traffic, and a revocation observed mid-collective surfaces as
+//! [`MpiError::Revoked`] instead of a hang.
 
-use gpu_sim::{GpuPtr, SimTime};
+use gpu_sim::GpuPtr;
 use tempi_trace::LANE_CPU;
 
 use crate::error::{MpiError, MpiResult};
@@ -46,36 +46,6 @@ pub struct AlltoallvBlock {
 }
 
 impl RankCtx {
-    /// Common entry gate for collectives: a revoked communicator or an
-    /// already-dead member fails the operation before any traffic moves.
-    /// Purely clock-based (scheduled exits), so the decision replays
-    /// identically in virtual time. One branch when fault-free.
-    fn collective_entry(&mut self) -> MpiResult<()> {
-        self.check_comm()?;
-        if self.faults.injector.is_none() {
-            return Ok(());
-        }
-        self.self_exit_check()?;
-        let now = self.clock.now();
-        let mut dead: Option<(usize, SimTime)> = None;
-        if let Some(inj) = &self.faults.injector {
-            for w in self.comm_members.iter() {
-                if w != self.world_rank && inj.peer_dead(w, now) {
-                    if let Some(at) = inj.exit_time(w) {
-                        dead = Some((w, at));
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some((w, at)) = dead {
-            self.known_dead.entry(w).or_insert(at);
-            self.faults.stats.peer_gone += 1;
-            return Err(MpiError::PeerGone);
-        }
-        Ok(())
-    }
-
     /// `MPI_Alltoallv` on raw bytes (`MPI_BYTE` counts/displacements), the
     /// shape the paper's stencil uses after packing all halos into one
     /// buffer. Buffers may live in device or host memory (CUDA-aware).
@@ -121,7 +91,7 @@ impl RankCtx {
         recvcounts: &[usize],
         rdispls: &[usize],
     ) -> MpiResult<()> {
-        self.collective_entry()?;
+        self.collective_gate()?;
         let n = self.size;
         if [
             sendcounts.len(),
@@ -230,7 +200,7 @@ impl RankCtx {
         recvbuf: GpuPtr,
         recvs: &[AlltoallvBlock],
     ) -> MpiResult<()> {
-        self.collective_entry()?;
+        self.collective_gate()?;
         let n = self.size;
         for list in [sends, recvs] {
             for (i, b) in list.iter().enumerate() {
@@ -301,15 +271,14 @@ impl RankCtx {
     }
 
     fn gather_bytes_to_root_body(&mut self, data: &[u8]) -> MpiResult<Option<Vec<Vec<u8>>>> {
-        self.collective_entry()?;
+        self.collective_gate()?;
         if self.rank == 0 {
             let mut all = vec![Vec::new(); self.size];
             all[0] = data.to_vec();
             for _ in 1..self.size {
                 // The root consumes leaf messages directly, so it passes
-                // through the same receive-side fault sites and integrity
-                // verification as p2p.
-                self.fault_gate_recv(None)?;
+                // through the same receive gate and delivery as p2p.
+                self.recv_gate(None)?;
                 let msg = self.match_message(None, Some(TAG_GATHER))?;
                 let src = msg.src;
                 all[src] = self.deliver_payload(msg, gpu_sim::MemSpace::Host)?;
@@ -341,7 +310,7 @@ impl RankCtx {
     }
 
     fn bcast_bytes_body(&mut self, buf: GpuPtr, len: usize, root: usize) -> MpiResult<()> {
-        self.collective_entry()?;
+        self.collective_gate()?;
         self.check_rank(root)?;
         let n = self.size;
         if n == 1 {
@@ -392,7 +361,7 @@ impl RankCtx {
         op: fn(f64, f64) -> f64,
         root: usize,
     ) -> MpiResult<Option<Vec<f64>>> {
-        self.collective_entry()?;
+        self.collective_gate()?;
         self.check_rank(root)?;
         let bytes = values.len() * 8;
         let mut acc: Vec<f64> = values.to_vec();
@@ -457,7 +426,7 @@ impl RankCtx {
         values: &[f64],
         op: fn(f64, f64) -> f64,
     ) -> MpiResult<Vec<f64>> {
-        self.collective_entry()?;
+        self.collective_gate()?;
         let reduced = self.reduce_f64(values, op, 0)?;
         let bytes = values.len() * 8;
         let scratch = self.gpu.host_alloc(bytes.max(1))?;
@@ -495,6 +464,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::runtime::{World, WorldConfig};
+    use gpu_sim::SimTime;
 
     #[test]
     fn alltoallv_exchanges_rank_stamped_bytes() {

@@ -3,9 +3,9 @@
 //! The model follows MPI's User-Level Failure Mitigation chapter:
 //!
 //! * **Detection** — any operation against a dead rank returns
-//!   [`MpiError::PeerGone`] instead of hanging (clock-based fault gates,
-//!   plus death notices that wake receivers already blocked on the dying
-//!   rank; see `p2p.rs`).
+//!   [`MpiError::PeerGone`] instead of hanging (clock-based gates, plus
+//!   death notices that wake receivers already blocked on the dying rank;
+//!   see [`crate::reliability`]).
 //! * **Propagation** — [`RankCtx::revoke`] poisons the communicator on
 //!   every member: stragglers blocked in recv/wait observe the revocation
 //!   control message and error out with [`MpiError::Revoked`], and every
@@ -61,7 +61,8 @@ use gpu_sim::{MemSpace, SimTime};
 use tempi_trace::LANE_CPU;
 
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{Message, Sifted, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_BARRIER, TAG_REVOKE};
+use crate::p2p::{Message, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_BARRIER, TAG_REVOKE};
+use crate::reliability::Sifted;
 use crate::runtime::RankCtx;
 use crate::sched::ParkOp;
 
@@ -93,19 +94,10 @@ enum AgreeEvent {
 }
 
 impl RankCtx {
-    /// Fail fast when the current communicator epoch has been revoked.
-    /// A single branch on the fault-free hot path.
-    pub(crate) fn check_comm(&self) -> MpiResult<()> {
-        if self.revoked {
-            return Err(MpiError::Revoked);
-        }
-        Ok(())
-    }
-
     /// Is the current communicator revoked (locally observed)?
     #[must_use]
     pub fn is_revoked(&self) -> bool {
-        self.revoked
+        self.faults.revoked
     }
 
     /// The current communicator epoch (0 until the first shrink).
@@ -127,7 +119,7 @@ impl RankCtx {
     /// World ranks this rank currently knows to be dead (sorted).
     #[must_use]
     pub fn known_failures(&self) -> Vec<usize> {
-        self.known_dead.keys().copied().collect()
+        self.faults.known_dead.keys().copied().collect()
     }
 
     /// World ranks of every current member except this rank.
@@ -166,10 +158,10 @@ impl RankCtx {
     /// this rank's own scheduled death has passed.
     pub fn revoke(&mut self) -> MpiResult<()> {
         self.self_exit_check()?;
-        if self.revoked {
+        if self.faults.revoked {
             return Ok(());
         }
-        self.revoked = true;
+        self.faults.revoked = true;
         self.faults.stats.revocations += 1;
         let epoch = self.epoch;
         self.tracer.instant(
@@ -216,15 +208,14 @@ impl RankCtx {
                     return Ok(AgreeEvent::Gather(decode_ranks(&m.payload)));
                 }
             }
-            if self.known_dead.contains_key(&watch_world) {
+            if self.faults.known_dead.contains_key(&watch_world) {
                 return Ok(AgreeEvent::Dead);
             }
             let msg = self.blocking_recv(ParkOp::Agree { epoch })?;
-            match self.sift(msg) {
-                Sifted::Keep(m) => self.pending.push_back(m),
-                // Deaths update `known_dead` inside sift; revocations of a
-                // communicator already in recovery carry no new information.
-                Sifted::Death(..) | Sifted::Revoke | Sifted::Absorbed => {}
+            // Deaths update `known_dead` inside sift; revocations of a
+            // communicator already in recovery carry no new information.
+            if let Sifted::Keep(m) = self.sift(msg) {
+                self.pending.push_back(m);
             }
         }
     }
@@ -239,13 +230,8 @@ impl RankCtx {
             }
         }
         for &w in &decided {
-            let at = self
-                .faults
-                .injector
-                .as_ref()
-                .and_then(|i| i.exit_time(w))
-                .unwrap_or_else(|| self.clock.now());
-            self.known_dead.entry(w).or_insert(at);
+            let at = self.faults.exit_time(w).unwrap_or_else(|| self.clock.now());
+            self.faults.known_dead.entry(w).or_insert(at);
         }
         self.clock.advance(self.net.agree_cost());
         self.faults.stats.agreements += 1;
@@ -281,6 +267,7 @@ impl RankCtx {
                 // Coordinator: union every participant's set with my own.
                 let members: BTreeSet<usize> = self.comm_members.iter().collect();
                 let mut union: BTreeSet<usize> = self
+                    .faults
                     .known_dead
                     .keys()
                     .copied()
@@ -311,9 +298,9 @@ impl RankCtx {
             // it dead — a candidate whose clock lags its scheduled exit
             // still acts alive and must not wait on me forever.
             let cand_world = self.comm_members.world(k);
-            let payload = encode_ranks(self.known_dead.keys());
+            let payload = encode_ranks(self.faults.known_dead.keys());
             self.control_send(cand_world, TAG_AGREE_GATHER, payload);
-            if self.known_dead.contains_key(&cand_world) {
+            if self.faults.known_dead.contains_key(&cand_world) {
                 continue;
             }
             match self.agree_wait(epoch, None, cand_world)? {
@@ -357,7 +344,7 @@ impl RankCtx {
         self.rank = me;
         self.size = self.comm_members.len();
         self.epoch += 1;
-        self.revoked = false;
+        self.faults.revoked = false;
         let epoch = self.epoch;
         let before = self.pending.len();
         self.pending.retain(|m| m.epoch >= epoch);
@@ -426,17 +413,8 @@ impl RankCtx {
                 let m = self.pending.remove(i).expect("index valid");
                 return Ok(m.depart);
             }
-            let from_world = self.comm_members.world(from);
-            if let Some(&at) = self.known_dead.get(&from_world) {
-                self.clock.advance_to(at);
-                self.faults.stats.peer_gone += 1;
-                return Err(MpiError::PeerGone);
-            }
-            let msg = self.blocking_recv(ParkOp::CommBarrier { from, round })?;
-            match self.sift(msg) {
-                Sifted::Keep(m) => self.pending.push_back(m),
-                Sifted::Revoke => return Err(MpiError::Revoked),
-                Sifted::Death(..) | Sifted::Absorbed => {}
+            if let Some(m) = self.await_arrival(ParkOp::CommBarrier { from, round })? {
+                self.pending.push_back(m);
             }
         }
     }

@@ -11,11 +11,8 @@
 //! sites become a [`gpu_sim::GpuFaultInjector`] installed on that rank's
 //! device). [`FaultStats`] counts what actually fired and carries the
 //! [`DegradeEvent`] log that the TEMPI layer appends to when it downgrades
-//! a send path; both hang off `RankCtx` as a [`FaultState`].
-//!
-//! With no plan installed (`FaultState::disabled`, the default) every hook
-//! in the runtime is a single `Option`/bool check and neither behavior nor
-//! modeled time changes.
+//! a send path; both are consulted only by the reliability layer
+//! ([`crate::reliability`]), whose per-rank state holds them.
 
 use std::fmt;
 
@@ -107,6 +104,22 @@ pub enum FaultSite {
     Corrupt,
     /// Checkpoint spill-file I/O corruption.
     Spill,
+}
+
+impl FaultSite {
+    /// The site a `--faults` clause names (`"corrupt"` in `corrupt=0.1`).
+    fn named(key: &str) -> Option<FaultSite> {
+        Some(match key {
+            "alloc" => FaultSite::Alloc,
+            "kernel" => FaultSite::Kernel,
+            "copy" => FaultSite::Copy,
+            "send" => FaultSite::Send,
+            "recv" => FaultSite::Recv,
+            "corrupt" => FaultSite::Corrupt,
+            "spill" => FaultSite::Spill,
+            _ => return None,
+        })
+    }
 }
 
 /// The variant's name (`"Corrupt"`), as the chaos corpus spells it.
@@ -287,6 +300,20 @@ impl FaultPlan {
             || !self.scoped.is_empty()
     }
 
+    /// The spec of `site`: the one table from a site to the plan field
+    /// that schedules it.
+    pub(crate) fn site_mut(&mut self, site: FaultSite) -> &mut SiteSpec {
+        match site {
+            FaultSite::Alloc => &mut self.alloc_oom,
+            FaultSite::Kernel => &mut self.kernel_fault,
+            FaultSite::Copy => &mut self.copy_fault,
+            FaultSite::Send => &mut self.send_fail,
+            FaultSite::Recv => &mut self.recv_fail,
+            FaultSite::Corrupt => &mut self.corrupt,
+            FaultSite::Spill => &mut self.spill_corrupt,
+        }
+    }
+
     /// Parse the `--faults` mini-language: comma-separated clauses, e.g.
     /// `seed=42,alloc=0.1,kernel@3,send=0.05,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us`.
     ///
@@ -359,40 +386,23 @@ impl FaultPlan {
                         });
                     }
                     _ => {
-                        let spec = match key {
-                            "alloc" => &mut plan.alloc_oom,
-                            "kernel" => &mut plan.kernel_fault,
-                            "copy" => &mut plan.copy_fault,
-                            "send" => &mut plan.send_fail,
-                            "recv" => &mut plan.recv_fail,
-                            "corrupt" => &mut plan.corrupt,
-                            "spill" => &mut plan.spill_corrupt,
-                            _ => return Err(bad(clause, "unknown key")),
-                        };
+                        let site =
+                            FaultSite::named(key).ok_or_else(|| bad(clause, "unknown key"))?;
                         let p: f64 = val
                             .parse()
                             .map_err(|_| bad(clause, "probability must be a float"))?;
                         if !(0.0..=1.0).contains(&p) {
                             return Err(bad(clause, "probability must be in [0, 1]"));
                         }
-                        spec.probability = p;
+                        plan.site_mut(site).probability = p;
                     }
                 }
             } else if let Some((key, ord)) = clause.split_once('@') {
                 let n: u64 = ord
                     .parse()
                     .map_err(|_| bad(clause, "call ordinal must be an integer"))?;
-                let spec = match key {
-                    "alloc" => &mut plan.alloc_oom,
-                    "kernel" => &mut plan.kernel_fault,
-                    "copy" => &mut plan.copy_fault,
-                    "send" => &mut plan.send_fail,
-                    "recv" => &mut plan.recv_fail,
-                    "corrupt" => &mut plan.corrupt,
-                    "spill" => &mut plan.spill_corrupt,
-                    _ => return Err(bad(clause, "unknown site")),
-                };
-                spec.at_calls.push(n);
+                let site = FaultSite::named(key).ok_or_else(|| bad(clause, "unknown site"))?;
+                plan.site_mut(site).at_calls.push(n);
             } else {
                 return Err(bad(clause, "expected key=value or site@ordinal"));
             }
@@ -515,15 +525,7 @@ impl FaultInjector {
             if ev.rank != rank {
                 continue;
             }
-            let site = match ev.site {
-                FaultSite::Alloc => &mut plan.alloc_oom,
-                FaultSite::Kernel => &mut plan.kernel_fault,
-                FaultSite::Copy => &mut plan.copy_fault,
-                FaultSite::Send => &mut plan.send_fail,
-                FaultSite::Recv => &mut plan.recv_fail,
-                FaultSite::Corrupt => &mut plan.corrupt,
-                FaultSite::Spill => &mut plan.spill_corrupt,
-            };
+            let site = plan.site_mut(ev.site);
             if !site.at_calls.contains(&ev.at_call) {
                 site.at_calls.push(ev.at_call);
             }
@@ -625,14 +627,6 @@ impl FaultInjector {
         Some((h as usize % len, 1u8 << ((h >> 40) & 7)))
     }
 
-    /// Is `peer` scheduled as dead at virtual instant `now`?
-    pub fn peer_dead(&self, peer: usize, now: SimTime) -> bool {
-        self.plan
-            .rank_exits
-            .iter()
-            .any(|e| e.rank == peer && e.at <= now)
-    }
-
     /// The earliest scheduled exit time for `rank`, if any. Used by a rank
     /// to notice its *own* death and by the runtime to stamp death notices
     /// with the scheduled instant (not the observer's clock), so every
@@ -654,49 +648,6 @@ impl FaultInjector {
     /// Backoff before retry number `attempt` (0-based): base × 2^attempt.
     pub fn backoff(&self, attempt: u32) -> SimTime {
         self.plan.backoff_base * (1u64 << attempt.min(20))
-    }
-}
-
-/// The fault-related state hanging off each `RankCtx`: an optional
-/// injector plus the stats/degradation log (which is live even without an
-/// injector, so genuine — non-injected — degradations are recorded too).
-#[derive(Debug, Default)]
-pub struct FaultState {
-    /// Decision state; `None` means fault injection is disabled.
-    pub injector: Option<FaultInjector>,
-    /// What fired, what was retried, and which downgrades happened.
-    pub stats: FaultStats,
-}
-
-impl FaultState {
-    /// Fault injection disabled (the default).
-    #[must_use]
-    pub fn disabled() -> FaultState {
-        FaultState::default()
-    }
-
-    /// Instantiate `plan` for `rank`. Returns the state and the GPU-side
-    /// injector to install on the rank's device (when any GPU site is
-    /// active).
-    #[must_use]
-    pub fn from_plan(
-        plan: &FaultPlan,
-        rank: usize,
-    ) -> (FaultState, Option<std::sync::Arc<GpuFaultInjector>>) {
-        let (injector, gpu) = FaultInjector::new(plan.clone(), rank);
-        (
-            FaultState {
-                injector: Some(injector),
-                stats: FaultStats::default(),
-            },
-            gpu,
-        )
-    }
-
-    /// Is an injector installed?
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.injector.is_some()
     }
 }
 
@@ -801,12 +752,11 @@ mod tests {
     }
 
     #[test]
-    fn rank_exit_observed_after_deadline() {
+    fn a_rank_exit_is_scheduled_for_that_rank_only() {
         let plan = FaultPlan::parse("exit=1@10us").unwrap();
         let (inj, _) = FaultInjector::new(plan, 0);
-        assert!(!inj.peer_dead(1, SimTime::from_us(9)));
-        assert!(inj.peer_dead(1, SimTime::from_us(10)));
-        assert!(!inj.peer_dead(0, SimTime::from_us(99)));
+        assert_eq!(inj.exit_time(1), Some(SimTime::from_us(10)));
+        assert_eq!(inj.exit_time(0), None);
     }
 
     #[test]

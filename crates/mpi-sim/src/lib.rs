@@ -22,14 +22,14 @@
 //!   rules, `Alltoallv`, barriers, and ULFM-style communicator recovery ([`comm`]: revoke /
 //!   agree / shrink with epoch-stamped envelopes); and
 //! * a **deterministic fault-injection subsystem** ([`fault`]) — seeded,
-//!   replayable GPU/network fault schedules with bounded retry + backoff
-//!   in virtual time, and the degradation-event log the TEMPI layer
-//!   appends to when it downgrades a send path; and
-//! * an **end-to-end integrity envelope** — senders stamp payloads with a
-//!   content checksum ([`payload_checksum`]), the fault injector can flip
-//!   bytes in transit (`corrupt=` site), and receivers verify and run a
-//!   bounded NACK/retransmit handshake in virtual time before surfacing
-//!   [`MpiError::Corrupted`].
+//!   replayable GPU/network fault schedules, and the degradation-event log
+//!   the TEMPI layer appends to when it downgrades a send path — consulted
+//!   on the message path only through one **reliability layer**
+//!   ([`reliability`]): gates with bounded retry + backoff in virtual time,
+//!   death notices, and an end-to-end integrity envelope (senders stamp
+//!   payloads with a content checksum, [`payload_checksum`]; the injector
+//!   can flip bytes in transit; receivers verify and run a bounded
+//!   NACK/retransmit handshake before surfacing [`MpiError::Corrupted`]).
 //!
 //! All timing is virtual and deterministic; all data movement is real bytes
 //! verified against the typemap oracle.
@@ -46,6 +46,7 @@ pub mod fault;
 pub mod net;
 pub mod nonblocking;
 pub mod p2p;
+pub mod reliability;
 pub mod runtime;
 #[allow(unsafe_code)]
 pub mod sched;
@@ -55,14 +56,12 @@ pub use collective::AlltoallvBlock;
 pub use datatype::{consts, Combiner, Contents, Datatype, Envelope, Named, Order, TypeRegistry};
 pub use error::{MpiError, MpiResult};
 pub use fault::{
-    DegradeEvent, DelaySpec, FaultInjector, FaultPlan, FaultSite, FaultState, FaultStats, RankExit,
-    ScopedFault,
+    DegradeEvent, DelaySpec, FaultInjector, FaultPlan, FaultSite, FaultStats, RankExit, ScopedFault,
 };
 pub use net::{NetModel, Transport};
 pub use nonblocking::Request;
-pub use p2p::{
-    check_item_offsets, payload_checksum, transfer_bytes, Message, PartInfo, ProbeInfo, Status,
-};
+pub use p2p::{check_item_offsets, transfer_bytes, Message, PartInfo, ProbeInfo, Status};
+pub use reliability::{payload_checksum, FaultState};
 pub use runtime::{RankCtx, World, WorldConfig};
 pub use sched::PAYLOAD_POOL_BYTES;
 pub use tempi_trace::{TraceLevel, Tracer};

@@ -26,7 +26,8 @@ use gpu_sim::GpuPtr;
 
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{Sifted, Status};
+use crate::p2p::Status;
+use crate::reliability::Sifted;
 use crate::runtime::RankCtx;
 use crate::sched::ParkOp;
 
@@ -272,11 +273,8 @@ impl RankCtx {
                 }
             }
             // block for one more arrival, then re-scan
-            let m = self.blocking_recv(ParkOp::Waitany(reqs.len()))?;
-            match self.sift(m) {
-                Sifted::Keep(m) => self.pending.push_back(m),
-                Sifted::Revoke => return Err(MpiError::Revoked),
-                Sifted::Death(..) | Sifted::Absorbed => {}
+            if let Some(m) = self.await_arrival(ParkOp::Waitany(reqs.len()))? {
+                self.pending.push_back(m);
             }
         }
     }
@@ -331,22 +329,11 @@ impl RankCtx {
     /// a known-dead peer, or a wildcard while any current member is dead —
     /// ULFM `MPI_ANY_SOURCE` semantics.)
     fn recv_target_dead(&self, req: Request) -> bool {
-        let src = match self.requests.get(req.0).and_then(|o| o.as_ref()) {
-            Some(PendingOp::RecvBytes { src, .. } | PendingOp::RecvTyped { src, .. }) => *src,
-            _ => return false,
-        };
-        if self.known_dead.is_empty() {
-            return false;
-        }
-        match src {
-            Some(s) => self
-                .comm_members
-                .get(s)
-                .is_some_and(|w| self.known_dead.contains_key(&w)),
-            None => self
-                .comm_members
-                .iter()
-                .any(|w| self.known_dead.contains_key(&w)),
+        match self.requests.get(req.0).and_then(|o| o.as_ref()) {
+            Some(PendingOp::RecvBytes { src, .. } | PendingOp::RecvTyped { src, .. }) => {
+                self.dead_recv_target(*src).is_some()
+            }
+            _ => false,
         }
     }
 }
@@ -629,8 +616,9 @@ mod tests {
             let buf = ctx.gpu.host_alloc(4)?;
             let r = ctx.irecv_bytes(buf, 4, None, None)?;
             // poll until the death notice arrives: sift must absorb it
-            // into known_dead instead of leaving it in the matchable queue
-            while ctx.known_dead.is_empty() {
+            // into the known failures instead of leaving it in the
+            // matchable queue
+            while ctx.known_failures().is_empty() {
                 assert!(ctx.test(r)?.is_none());
                 std::thread::yield_now();
             }

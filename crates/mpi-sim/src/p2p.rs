@@ -18,7 +18,6 @@ use gpu_sim::{GpuPtr, MemSpace, Memory, PackDir, SimTime};
 use crate::datatype::typemap::{segments, Segment};
 use crate::datatype::{Combiner, Datatype};
 use crate::error::{MpiError, MpiResult};
-use crate::fault::FaultInjector;
 use crate::net::Transport;
 use crate::runtime::RankCtx;
 use crate::sched::ParkOp;
@@ -107,33 +106,6 @@ impl Message {
         };
         self.epoch == epoch && src_ok && tag_ok
     }
-}
-
-/// FNV-1a 64 over a payload: the content checksum integrity-enabled
-/// envelopes carry, and the same function checkpoint frames use — one
-/// checksum algorithm end to end so a frame verified at rest and a payload
-/// verified in flight agree byte-for-byte.
-#[must_use]
-pub fn payload_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Outcome of [`RankCtx::sift`]: what an inbound message means to the
-/// receiver's control plane before any data matching happens.
-pub(crate) enum Sifted {
-    /// A data (or agreement) message from the current/future epoch.
-    Keep(Message),
-    /// A death notice: `(world rank, scheduled exit instant)`.
-    Death(usize, SimTime),
-    /// A revocation of the current epoch that newly poisoned this rank.
-    Revoke,
-    /// Absorbed control traffic or a stale-epoch message; nothing to do.
-    Absorbed,
 }
 
 /// Completion information of a receive (`MPI_Status`).
@@ -399,137 +371,11 @@ impl RankCtx {
         Ok(())
     }
 
-    // ---- fault-injection gates -----------------------------------------
-    //
-    // Each gate is a single `Option` check when no fault plan is active, so
-    // the fault-free hot path pays nothing beyond a branch.
-
-    /// Fail the calling operation if this rank's *own* scheduled exit has
-    /// passed. The first observation broadcasts a death notice to every
-    /// world peer (stamped with the scheduled instant, and FIFO-ordered
-    /// after all real traffic already sent), so peers blocked on this rank
-    /// wake up deterministically instead of hanging.
-    pub(crate) fn self_exit_check(&mut self) -> MpiResult<()> {
-        let exit = match &self.faults.injector {
-            Some(inj) => inj
-                .exit_time(self.world_rank)
-                .filter(|&at| at <= self.clock.now()),
-            None => None,
-        };
-        if let Some(at) = exit {
-            self.announce_death(at);
-            self.faults.stats.peer_gone += 1;
-            return Err(MpiError::PeerGone);
-        }
-        Ok(())
-    }
-
-    /// Broadcast this rank's death notice once (idempotent). Raw router
-    /// pushes: no clock advance, no fault gating, no backpressure — a
-    /// dying rank always manages to tell the world when.
-    pub(crate) fn announce_death(&mut self, at: SimTime) {
-        if self.death_sent {
-            return;
-        }
-        self.death_sent = true;
-        let notice = Message {
-            src: self.rank,
-            src_world: self.world_rank,
-            epoch: self.epoch,
-            tag: TAG_DEATH,
-            payload: Vec::new(),
-            sender_space: MemSpace::Host,
-            depart: at,
-            part: None,
-            checksum: None,
-        };
-        for w in 0..self.world_size {
-            if w != self.world_rank {
-                self.router.push(w, notice.clone());
-            }
-        }
-    }
-
-    /// Fail with [`MpiError::PeerGone`] if `peer` (a rank in the current
-    /// communicator) is scheduled to have exited by the caller's current
-    /// virtual instant. Purely clock-based, so the decision replays
-    /// identically in virtual time.
-    fn fault_check_peer(&mut self, peer: usize) -> MpiResult<()> {
-        let peer_world = self.comm_members.get(peer).unwrap_or(peer);
-        let dead_at = match &self.faults.injector {
-            Some(inj) if inj.peer_dead(peer_world, self.clock.now()) => inj.exit_time(peer_world),
-            _ => None,
-        };
-        if let Some(at) = dead_at {
-            self.known_dead.entry(peer_world).or_insert(at);
-            self.faults.stats.peer_gone += 1;
-            return Err(MpiError::PeerGone);
-        }
-        Ok(())
-    }
-
-    /// Send-side gate: [`Self::fault_gate`] of the send site towards `dest`.
-    fn fault_gate_send(&mut self, dest: usize) -> MpiResult<()> {
-        self.fault_gate(Some(dest), true)
-    }
-
-    /// Receive-side gate: [`Self::fault_gate`] of the receive site.
-    pub(crate) fn fault_gate_recv(&mut self, src: Option<usize>) -> MpiResult<()> {
-        self.fault_gate(src, false)
-    }
-
-    /// The gate of one p2p call towards `peer`: observes scheduled deaths
-    /// (a wildcard receive, `peer == None`, skips the peer's), then retries
-    /// the `send` (else receive) site's injected transient link faults with
-    /// exponential backoff charged to the virtual clock. Exhausting the
-    /// retry budget surfaces [`MpiError::CommFailed`] (a wildcard reports
-    /// `usize::MAX` as the peer).
-    fn fault_gate(&mut self, peer: Option<usize>, send: bool) -> MpiResult<()> {
-        let Some(max_retries) = self
-            .faults
-            .injector
-            .as_ref()
-            .map(FaultInjector::max_retries)
-        else {
-            return Ok(());
-        };
-        self.self_exit_check()?;
-        if let Some(p) = peer {
-            self.fault_check_peer(p)?;
-        }
-        for attempt in 0..=max_retries {
-            let (inj, stats) = (
-                self.faults.injector.as_mut().expect("gated"),
-                &mut self.faults.stats,
-            );
-            let (failed, faults) = match send {
-                true => (inj.send_should_fail(), &mut stats.send_faults),
-                false => (inj.recv_should_fail(), &mut stats.recv_faults),
-            };
-            if !failed {
-                return Ok(());
-            }
-            *faults += 1;
-            if attempt == max_retries {
-                break;
-            }
-            let backoff = inj.backoff(attempt);
-            self.clock.advance(backoff);
-            stats.retries += 1;
-            stats.backoff_time += backoff;
-        }
-        Err(MpiError::CommFailed {
-            peer: peer.unwrap_or(usize::MAX),
-            attempts: max_retries + 1,
-        })
-    }
-
     /// Receive-side delivery of a matched message: charge the wire time
-    /// (`completion = max(now, depart + transfer)`), apply any injected
-    /// in-transit corruption, and — when the envelope carries a checksum —
-    /// verify it and run the bounded NACK/retransmit handshake, all in
-    /// virtual time on this rank's clock. Consumes the message and returns
-    /// the bytes that actually land in the receive buffer.
+    /// (`completion = max(now, depart + transfer)`) on this rank's clock,
+    /// then hand the message to the reliability layer
+    /// ([`RankCtx::verified`]), which returns the bytes that actually land
+    /// in the receive buffer.
     ///
     /// Parts of one pipelined transfer share the sender's link: part `k`
     /// starts serialising only once part `k-1`'s bytes are off the wire
@@ -539,16 +385,6 @@ impl RankCtx {
     /// that carries a train of `runs` parts is priced as that many, part `k`
     /// departing `k` send overheads after the first and paying its own
     /// receive overhead.
-    ///
-    /// The corruption model is receive-sided: the sender's pristine payload
-    /// sits in the in-flight [`Message`], and this rank's seeded injector
-    /// decides per *delivery attempt* whether the bytes that crossed the
-    /// wire got a bit flipped. A retransmit therefore re-reads the pristine
-    /// bytes and redraws the corruption coin; each round trip charges one
-    /// NACK wire plus one payload wire. Exhausting the budget surfaces
-    /// [`MpiError::Corrupted`]. Without a checksum (integrity disabled) a
-    /// flipped byte is delivered silently — the failure mode the integrity
-    /// envelope exists to close.
     pub(crate) fn deliver_payload(
         &mut self,
         msg: Message,
@@ -570,53 +406,10 @@ impl RankCtx {
                 self.part_link_free = start + ser;
             }
             self.clock.advance_to(start + latency + ser);
-            self.fault_extra_delay();
+            self.extra_delay();
             self.clock.advance(self.net.recv_overhead);
         }
-        let max_retries = self
-            .faults
-            .injector
-            .as_ref()
-            .map_or(0, FaultInjector::max_retries);
-        let mut payload = msg.payload;
-        let mut attempt: u32 = 0;
-        loop {
-            let flip = match self.faults.injector.as_mut() {
-                Some(inj) => inj.corrupt_delivery(bytes),
-                None => None,
-            };
-            if let Some((idx, mask)) = flip {
-                self.faults.stats.corruptions += 1;
-                payload[idx] ^= mask;
-            }
-            let Some(expect) = msg.checksum else {
-                return Ok(payload);
-            };
-            if payload_checksum(&payload) == expect {
-                return Ok(payload);
-            }
-            // the sender still holds the pristine bytes: undo this
-            // attempt's flip rather than keeping a second copy around
-            if let Some((idx, mask)) = flip {
-                payload[idx] ^= mask;
-            }
-            self.faults.stats.nacks += 1;
-            if attempt >= max_retries {
-                return Err(MpiError::Corrupted {
-                    peer: msg.src,
-                    attempts: attempt + 1,
-                });
-            }
-            // one NACK back to the sender plus one payload retransmit,
-            // charged to this rank's virtual clock
-            let (me, net) = (self.world_rank, &self.net);
-            let nack_wire = net.transfer_time(1, Transport::Cpu, me, msg.src_world);
-            let round_trip = nack_wire + net.transfer_time(bytes, transport, msg.src_world, me);
-            self.clock.advance(round_trip);
-            self.faults.stats.nack_time += round_trip;
-            self.faults.stats.retransmits += 1;
-            attempt += 1;
-        }
+        self.verified(msg, transport)
     }
 
     /// Deliver `first` and, when it is a part of a pipelined transfer,
@@ -627,7 +420,8 @@ impl RankCtx {
     /// rather than the first chunk. A transfer larger than `capacity` is
     /// consumed whole and reported as [`MpiError::Truncated`]. `land`
     /// returns the buffer it is done with (empty if it kept the bytes);
-    /// those of parts go back to the router's free list.
+    /// those of parts go back to the router's free list, as do the parts
+    /// consumed unread.
     pub(crate) fn deliver_transfer(
         &mut self,
         first: Message,
@@ -651,6 +445,9 @@ impl RankCtx {
                     Ok(_) => {}
                     Err(e) => failed = Some(e),
                 }
+            } else if part.is_some() {
+                // a part consumed unread goes back to the free list too
+                self.router.recycle_payload(msg.payload);
             }
             received += len;
             if part.is_none_or(|p| p.index + p.runs >= p.total) {
@@ -681,20 +478,6 @@ impl RankCtx {
         self.router.pooled_payload_bytes()
     }
 
-    /// Charge any injected extra delivery latency to the virtual clock
-    /// (called on the receive side once a message has arrived).
-    pub(crate) fn fault_extra_delay(&mut self) {
-        let d = match self.faults.injector.as_mut() {
-            Some(inj) => inj.extra_delay(),
-            None => None,
-        };
-        if let Some(d) = d {
-            self.clock.advance(d);
-            self.faults.stats.delays += 1;
-            self.faults.stats.delay_time += d;
-        }
-    }
-
     fn post(
         &mut self,
         dest: usize,
@@ -721,11 +504,7 @@ impl RankCtx {
         // `dest` is a rank in the *current* communicator; the router is
         // indexed by world rank.
         let dest_world = self.comm_members.get(dest).unwrap_or(dest);
-        let checksum = if self.integrity {
-            Some(payload_checksum(&payload))
-        } else {
-            None
-        };
+        let checksum = self.stamp(&payload);
         let msg = Message {
             src: self.rank,
             src_world: self.world_rank,
@@ -789,9 +568,7 @@ impl RankCtx {
         ready_at: SimTime,
         part: PartInfo,
     ) -> MpiResult<()> {
-        self.check_comm()?;
-        self.check_rank(dest)?;
-        self.fault_gate_send(dest)?;
+        self.send_gate(dest)?;
         let mut payload = self.router.take_payload(len);
         self.gpu.memory().peek_into(buf, len, &mut payload)?;
         self.post_at(dest, tag, payload, buf.space, ready_at, Some(part))
@@ -809,9 +586,7 @@ impl RankCtx {
         tag: i32,
         runs: impl FnOnce(&mut dyn FnMut(i64)),
     ) -> MpiResult<()> {
-        self.check_comm()?;
-        self.check_rank(dest)?;
-        self.fault_gate_send(dest)?;
+        self.send_gate(dest)?;
         let (mut payload, mut read) = (self.router.take_payload(run * n), Ok(()));
         let mem = self.gpu.memory();
         runs(&mut |off| {
@@ -834,59 +609,6 @@ impl RankCtx {
         self.post_at(dest, tag, payload, buf.space, SimTime::ZERO, Some(part))
     }
 
-    /// Classify one inbound message: absorb control-plane traffic (death
-    /// notices, revocations, stale epochs) and pass everything else on.
-    /// Control messages never enter the `pending` queue.
-    pub(crate) fn sift(&mut self, m: Message) -> Sifted {
-        match m.tag {
-            TAG_DEATH => {
-                let at = m.depart;
-                if let std::collections::btree_map::Entry::Vacant(e) =
-                    self.known_dead.entry(m.src_world)
-                {
-                    e.insert(at);
-                    self.faults.stats.death_notices += 1;
-                }
-                Sifted::Death(m.src_world, at)
-            }
-            TAG_REVOKE => {
-                if m.epoch == self.epoch && !self.revoked {
-                    self.revoked = true;
-                    self.faults.stats.revocations += 1;
-                    Sifted::Revoke
-                } else {
-                    Sifted::Absorbed
-                }
-            }
-            _ if m.epoch < self.epoch => {
-                self.faults.stats.stale_dropped += 1;
-                Sifted::Absorbed
-            }
-            _ => Sifted::Keep(m),
-        }
-    }
-
-    /// The scheduled exit instant of the peer a receive is directed at, if
-    /// that peer is already known dead — or, for a wildcard, the earliest
-    /// known death among current members (ULFM `MPI_ANY_SOURCE` semantics:
-    /// a wildcard cannot be guaranteed to complete once any member died).
-    fn dead_recv_target(&self, src: Option<usize>) -> Option<SimTime> {
-        if self.known_dead.is_empty() {
-            return None;
-        }
-        match src {
-            Some(s) => self
-                .comm_members
-                .get(s)
-                .and_then(|w| self.known_dead.get(&w).copied()),
-            None => self
-                .comm_members
-                .iter()
-                .filter_map(|w| self.known_dead.get(&w).copied())
-                .min(),
-        }
-    }
-
     /// Pull the next message from this rank's inbox, parking this rank's
     /// fiber on `op` until one arrives. A structural deadlock verdict
     /// unwinds it as [`MpiError::Deadlock`], with the clock moved to the
@@ -906,9 +628,9 @@ impl RankCtx {
     /// Blocking match of `(src, tag)`; `None` means wildcard
     /// (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`; wildcards never match internal
     /// collective traffic). Only messages from the current communicator
-    /// epoch match. A death notice from the awaited peer — or a revocation
-    /// of the communicator — terminates a blocked match with an error
-    /// instead of hanging.
+    /// epoch match. The awaited peer's death — or a revocation of the
+    /// communicator — terminates a blocked match with an error instead of
+    /// hanging ([`RankCtx::await_arrival`]).
     pub(crate) fn match_message(
         &mut self,
         src: Option<usize>,
@@ -919,36 +641,11 @@ impl RankCtx {
         if let Some(m) = found.and_then(|i| self.pending.remove(i)) {
             return Ok(m);
         }
-        // Nothing deliverable is queued; a receive aimed at a known-dead
-        // peer can never complete. The clock still converges on the
-        // scheduled exit instant, matching the blocked-then-notified path.
-        if let Some(at) = self.dead_recv_target(src) {
-            self.clock.advance_to(at);
-            self.faults.stats.peer_gone += 1;
-            return Err(MpiError::PeerGone);
-        }
         loop {
-            let msg = self.blocking_recv(ParkOp::Recv { src, tag })?;
-            match self.sift(msg) {
-                Sifted::Keep(m) => {
-                    if m.matches(epoch, src, tag) {
-                        return Ok(m);
-                    }
-                    self.pending.push_back(m);
-                }
-                Sifted::Death(w, at) => {
-                    let hit = match src {
-                        Some(s) => self.comm_members.get(s) == Some(w),
-                        None => self.comm_members.contains(w),
-                    };
-                    if hit {
-                        self.clock.advance_to(at);
-                        self.faults.stats.peer_gone += 1;
-                        return Err(MpiError::PeerGone);
-                    }
-                }
-                Sifted::Revoke => return Err(MpiError::Revoked),
-                Sifted::Absorbed => {}
+            match self.await_arrival(ParkOp::Recv { src, tag })? {
+                Some(m) if m.matches(epoch, src, tag) => return Ok(m),
+                Some(m) => self.pending.push_back(m),
+                None => {}
             }
         }
     }
@@ -969,16 +666,8 @@ impl RankCtx {
                     part: m.part,
                 });
             }
-            if let Some(at) = self.dead_recv_target(src) {
-                self.clock.advance_to(at);
-                self.faults.stats.peer_gone += 1;
-                return Err(MpiError::PeerGone);
-            }
-            let msg = self.blocking_recv(ParkOp::Probe { src, tag })?;
-            match self.sift(msg) {
-                Sifted::Keep(m) => self.pending.push_back(m),
-                Sifted::Revoke => return Err(MpiError::Revoked),
-                Sifted::Death(..) | Sifted::Absorbed => {}
+            if let Some(m) = self.await_arrival(ParkOp::Probe { src, tag })? {
+                self.pending.push_back(m);
             }
         }
     }
@@ -988,9 +677,7 @@ impl RankCtx {
     /// Send `len` raw bytes from `buf` (contiguous, like `MPI_Send` with
     /// `MPI_BYTE`). CUDA-aware: `buf` may be device memory.
     pub fn send_bytes(&mut self, buf: GpuPtr, len: usize, dest: usize, tag: i32) -> MpiResult<()> {
-        self.check_comm()?;
-        self.check_rank(dest)?;
-        self.fault_gate_send(dest)?;
+        self.send_gate(dest)?;
         let payload = self.gpu.memory().peek(buf, len)?;
         self.post(dest, tag, payload, buf.space)
     }
@@ -1005,8 +692,7 @@ impl RankCtx {
         src: Option<usize>,
         tag: Option<i32>,
     ) -> MpiResult<Status> {
-        self.check_comm()?;
-        self.fault_gate_recv(src)?;
+        self.recv_gate(src)?;
         let msg = self.match_message(src, tag)?;
         self.deliver_transfer(msg, maxlen, buf.space, |ctx, off, payload| {
             ctx.gpu.memory().poke(buf.add(off), &payload)?;
@@ -1063,11 +749,13 @@ impl RankCtx {
         (src, tag): (Option<usize>, Option<i32>),
         land: impl FnOnce(&mut Memory, &[u8]) -> MpiResult<()>,
     ) -> MpiResult<Status> {
-        self.check_comm()?;
-        self.fault_gate_recv(src)?;
+        self.recv_gate(src)?;
         let msg = self.match_message(src, tag)?;
         let (source, tag, part, bytes) = (msg.src, msg.tag, msg.part, msg.payload.len());
         if bytes > maxlen {
+            if part.is_some() {
+                self.router.recycle_payload(msg.payload);
+            }
             return Err(MpiError::Truncated {
                 sent: bytes,
                 capacity: maxlen,
@@ -1096,9 +784,7 @@ impl RankCtx {
         dest: usize,
         tag: i32,
     ) -> MpiResult<()> {
-        self.check_comm()?;
-        self.check_rank(dest)?;
-        self.fault_gate_send(dest)?;
+        self.send_gate(dest)?;
         let wt = self.wire_type(dt)?;
         let bytes = wt.transfer(count)?;
         let fully_contiguous = wt.fully_contiguous(count);
@@ -1138,7 +824,7 @@ impl RankCtx {
         self.check_comm()?;
         let wt = self.wire_type(dt)?;
         let capacity = wt.transfer(count)?;
-        self.fault_gate_recv(src)?;
+        self.recv_gate(src)?;
         let msg = self.match_message(src, tag)?;
         // One message is consumed as it is; the parts of a pipelined
         // transfer are gathered, in order, into one packed payload first.
@@ -1558,181 +1244,5 @@ mod tests {
         let total = SimTime::from_ps(results[0]).as_us_f64();
         // each direction: 2.2 µs floor + 1 MiB / 12.5 B/ns ≈ 84 µs → ~172 µs
         assert!(total > 160.0 && total < 200.0, "round trip {total} µs");
-    }
-
-    // ---- fault-injection gates -----------------------------------------
-
-    use crate::fault::FaultPlan;
-
-    fn faulty_ctx(spec: &str) -> crate::runtime::RankCtx {
-        let cfg = WorldConfig::summit(1).with_faults(FaultPlan::parse(spec).unwrap());
-        crate::runtime::RankCtx::standalone(&cfg)
-    }
-
-    #[test]
-    fn transient_send_fault_retries_and_succeeds() {
-        let mut ctx = faulty_ctx("send@0,backoff=10us");
-        let buf = ctx.gpu.host_alloc(8).unwrap();
-        // the scripted fault kills attempt 0; attempt 1 goes through
-        ctx.send_bytes(buf, 8, 0, 0).unwrap();
-        assert_eq!(ctx.faults.stats.send_faults, 1);
-        assert_eq!(ctx.faults.stats.retries, 1);
-        assert_eq!(ctx.faults.stats.backoff_time, SimTime::from_us(10));
-        // the backoff was charged to the virtual clock (plus send overhead)
-        assert_eq!(
-            ctx.clock.now(),
-            SimTime::from_us(10) + ctx.net.send_overhead
-        );
-        // the message really departed: it is receivable
-        let st = ctx.recv_bytes(buf, 8, Some(0), Some(0)).unwrap();
-        assert_eq!(st.bytes, 8);
-    }
-
-    #[test]
-    fn exhausted_retries_surface_comm_failed() {
-        let mut ctx = faulty_ctx("send=1.0,retries=2,backoff=10us");
-        let buf = ctx.gpu.host_alloc(8).unwrap();
-        let err = ctx.send_bytes(buf, 8, 0, 0).unwrap_err();
-        assert_eq!(
-            err,
-            MpiError::CommFailed {
-                peer: 0,
-                attempts: 3
-            }
-        );
-        assert!(!err.is_transient(), "an exhausted budget is fatal");
-        assert_eq!(ctx.faults.stats.send_faults, 3);
-        assert_eq!(ctx.faults.stats.retries, 2);
-        // backoff 10 + 20 µs charged before giving up
-        assert_eq!(ctx.faults.stats.backoff_time, SimTime::from_us(30));
-    }
-
-    #[test]
-    fn scheduled_rank_exit_reports_peer_gone() {
-        let mut ctx = faulty_ctx("exit=0@5us");
-        let buf = ctx.gpu.host_alloc(8).unwrap();
-        // before the exit instant the self-send works
-        ctx.send_bytes(buf, 8, 0, 0).unwrap();
-        ctx.clock.advance(SimTime::from_us(5));
-        assert_eq!(ctx.send_bytes(buf, 8, 0, 1), Err(MpiError::PeerGone));
-        assert_eq!(
-            ctx.recv_bytes(buf, 8, Some(0), Some(0)),
-            Err(MpiError::PeerGone)
-        );
-        assert_eq!(ctx.faults.stats.peer_gone, 2);
-    }
-
-    #[test]
-    fn injected_delay_charges_virtual_time() {
-        let mut ctx = faulty_ctx("delay=1.0:50us");
-        let buf = ctx.gpu.host_alloc(8).unwrap();
-        ctx.send_bytes(buf, 8, 0, 0).unwrap();
-        let before = ctx.clock.now();
-        ctx.recv_bytes(buf, 8, Some(0), Some(0)).unwrap();
-        assert_eq!(ctx.faults.stats.delays, 1);
-        assert_eq!(ctx.faults.stats.delay_time, SimTime::from_us(50));
-        assert!(ctx.clock.now() - before >= SimTime::from_us(50));
-    }
-
-    #[test]
-    fn corruption_without_integrity_is_silent() {
-        // corrupt site active but the integrity envelope explicitly off:
-        // the flipped byte is delivered — the blind spot the envelope closes
-        let mut cfg = WorldConfig::summit(1).with_faults(FaultPlan::parse("corrupt@0").unwrap());
-        cfg.integrity = false;
-        let mut ctx = crate::runtime::RankCtx::standalone(&cfg);
-        let buf = ctx.gpu.host_alloc(64).unwrap();
-        ctx.gpu.memory().poke(buf, &[0u8; 64]).unwrap();
-        ctx.send_bytes(buf, 64, 0, 0).unwrap();
-        let st = ctx.recv_bytes(buf, 64, Some(0), Some(0)).unwrap();
-        assert_eq!(st.bytes, 64);
-        let got = ctx.gpu.memory().peek(buf, 64).unwrap();
-        assert_ne!(got, vec![0u8; 64], "the corruption must land silently");
-        assert_eq!(got.iter().filter(|&&b| b != 0).count(), 1);
-        assert_eq!(ctx.faults.stats.corruptions, 1);
-        assert_eq!(ctx.faults.stats.nacks, 0);
-    }
-
-    #[test]
-    fn detected_corruption_retransmits_and_delivers_pristine_bytes() {
-        // with_faults auto-enables integrity for an active corrupt site:
-        // the first delivery attempt is corrupted, detected, NACKed, and
-        // the retransmit delivers the sender's pristine payload
-        let mut ctx = faulty_ctx("corrupt@0");
-        assert!(ctx.integrity, "an active corrupt site implies integrity");
-        let buf = ctx.gpu.host_alloc(64).unwrap();
-        ctx.gpu.memory().poke(buf, &[0xAB; 64]).unwrap();
-        ctx.send_bytes(buf, 64, 0, 0).unwrap();
-        let before = ctx.clock.now();
-        let st = ctx.recv_bytes(buf, 64, Some(0), Some(0)).unwrap();
-        assert_eq!(st.bytes, 64);
-        assert_eq!(ctx.gpu.memory().peek(buf, 64).unwrap(), vec![0xAB; 64]);
-        assert_eq!(ctx.faults.stats.corruptions, 1);
-        assert_eq!(ctx.faults.stats.nacks, 1);
-        assert_eq!(ctx.faults.stats.retransmits, 1);
-        assert!(!ctx.faults.stats.nack_time.is_zero());
-        assert!(
-            ctx.clock.now() - before >= ctx.faults.stats.nack_time,
-            "the NACK round trip must be charged to the virtual clock"
-        );
-    }
-
-    #[test]
-    fn exhausted_retransmits_surface_corrupted() {
-        let mut ctx = faulty_ctx("corrupt=1.0,retries=2");
-        let buf = ctx.gpu.host_alloc(32).unwrap();
-        ctx.send_bytes(buf, 32, 0, 0).unwrap();
-        let err = ctx.recv_bytes(buf, 32, Some(0), Some(0)).unwrap_err();
-        assert_eq!(
-            err,
-            MpiError::Corrupted {
-                peer: 0,
-                attempts: 3
-            }
-        );
-        assert!(err.is_comm_failure(), "corruption exhaustion is repairable");
-        assert!(!err.is_transient());
-        assert_eq!(ctx.faults.stats.corruptions, 3);
-        assert_eq!(ctx.faults.stats.nacks, 3);
-        assert_eq!(ctx.faults.stats.retransmits, 2);
-    }
-
-    #[test]
-    fn seeded_corruption_replays_identically() {
-        let run = || {
-            let mut ctx = faulty_ctx("seed=21,corrupt=0.3,retries=6");
-            let buf = ctx.gpu.host_alloc(128).unwrap();
-            ctx.gpu.memory().poke(buf, &[7u8; 128]).unwrap();
-            for tag in 0..8 {
-                ctx.send_bytes(buf, 128, 0, tag).unwrap();
-                ctx.recv_bytes(buf, 128, Some(0), Some(tag)).unwrap();
-            }
-            (
-                ctx.clock.now(),
-                ctx.faults.stats.corruptions,
-                ctx.faults.stats.nacks,
-                ctx.faults.stats.retransmits,
-                ctx.faults.stats.nack_time,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "seeded corruption schedule must replay exactly");
-        assert!(a.1 > 0, "the seeded plan must corrupt something");
-    }
-
-    #[test]
-    fn inactive_plan_leaves_timing_identical() {
-        // a plan with no active site must not perturb virtual time
-        let run = |cfg: &WorldConfig| {
-            let mut ctx = crate::runtime::RankCtx::standalone(cfg);
-            let buf = ctx.gpu.host_alloc(256).unwrap();
-            ctx.send_bytes(buf, 256, 0, 0).unwrap();
-            ctx.recv_bytes(buf, 256, Some(0), Some(0)).unwrap();
-            ctx.clock.now()
-        };
-        let plain = WorldConfig::summit(1);
-        let gated = WorldConfig::summit(1).with_faults(FaultPlan::parse("seed=9").unwrap());
-        assert_eq!(run(&plain), run(&gated));
     }
 }

@@ -14,7 +14,7 @@
 //! matching is deterministic for the directed (source-specified) receives
 //! used throughout the experiments.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
@@ -22,9 +22,10 @@ use tempi_trace::sync::{Mutex, RwLock};
 
 use crate::datatype::{Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
-use crate::fault::{FaultPlan, FaultState};
+use crate::fault::FaultPlan;
 use crate::net::NetModel;
 use crate::p2p::Message;
+use crate::reliability::FaultState;
 use crate::sched::{DeadlockInfo, ParkOp, Router, SchedCore, DEFAULT_INBOX_HWM};
 use crate::vendor::VendorProfile;
 
@@ -181,21 +182,6 @@ impl WorldConfig {
     }
 }
 
-/// Instantiate the per-rank fault state for `cfg`, installing the GPU-side
-/// injector on `gpu` when the plan has active GPU sites.
-fn init_faults(cfg: &WorldConfig, rank: usize, gpu: &GpuContext) -> FaultState {
-    match &cfg.faults {
-        None => FaultState::disabled(),
-        Some(plan) => {
-            let (state, gpu_inj) = FaultState::from_plan(plan, rank);
-            if gpu_inj.is_some() {
-                gpu.set_fault_injector(gpu_inj);
-            }
-            state
-        }
-    }
-}
-
 /// A barrier that also merges virtual clocks: every participant leaves at
 /// `max(arrival clocks) + barrier_cost`.
 pub(crate) struct ClockBarrier {
@@ -326,19 +312,6 @@ impl Members {
         self.get(i).expect("comm rank within communicator")
     }
 
-    /// Comm rank of world rank `w`, if a member.
-    pub(crate) fn position(&self, w: usize) -> Option<usize> {
-        match self {
-            Members::Identity(n) => (w < *n).then_some(w),
-            Members::Explicit(v) => v.iter().position(|&x| x == w),
-        }
-    }
-
-    /// Is world rank `w` a member?
-    pub(crate) fn contains(&self, w: usize) -> bool {
-        self.position(w).is_some()
-    }
-
     /// Iterate the members' world ranks in comm-rank order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(move |i| self.world(i))
@@ -377,12 +350,10 @@ pub struct RankCtx {
     /// estimators hold a handle to it, and cloning the model's tables on
     /// the hot path would dwarf the work being priced.
     pub net: Arc<NetModel>,
-    /// Fault-injection state for this rank: the (optional) injector plus
-    /// the statistics and degradation-event log accumulated so far.
+    /// The reliability layer's state for this rank ([`crate::reliability`]):
+    /// the (optional) injector, what it learnt of failures, and the
+    /// statistics and degradation-event log accumulated so far.
     pub faults: FaultState,
-    /// Are integrity envelopes enabled? When true, sends stamp payloads
-    /// with a content checksum and receives verify it, NACKing mismatches.
-    pub integrity: bool,
     /// Observability sink (cheap clone of the world's tracer; off by
     /// default). Layers above record spans against `world_rank`.
     pub tracer: Tracer,
@@ -400,13 +371,6 @@ pub struct RankCtx {
     /// Communicator generation; bumped by every shrink and stamped into
     /// message envelopes so late traffic from a prior epoch is rejected.
     pub(crate) epoch: u64,
-    /// Has the current epoch been revoked (locally observed)?
-    pub(crate) revoked: bool,
-    /// World ranks known dead, with their scheduled exit instants —
-    /// populated by clock-based fault gates and absorbed death notices.
-    pub(crate) known_dead: BTreeMap<usize, SimTime>,
-    /// Has this rank already broadcast its own death notice?
-    pub(crate) death_sent: bool,
     /// When the link finishes serialising the last part this rank took
     /// delivery of: the next part of the same transfer queues behind it.
     pub(crate) part_link_free: SimTime,
@@ -735,7 +699,7 @@ impl WorldShared {
     /// World rank `rank`'s context.
     fn ctx(&self, cfg: &WorldConfig, rank: usize) -> RankCtx {
         let gpu = GpuContext::new(cfg.device.clone());
-        let faults = init_faults(cfg, rank, &gpu);
+        let faults = FaultState::new(cfg, rank, &gpu);
         let mut stream = Stream::new(gpu.clone(), cfg.gpu_cost.clone());
         stream.set_tracer(cfg.tracer.clone(), rank as u32);
         RankCtx {
@@ -749,7 +713,6 @@ impl WorldShared {
             vendor: cfg.vendor.clone(),
             net: Arc::clone(&self.net),
             faults,
-            integrity: cfg.integrity,
             tracer: cfg.tracer.clone(),
             registry: Arc::clone(&self.registry),
             router: Arc::clone(&self.router),
@@ -759,9 +722,6 @@ impl WorldShared {
             board: Arc::clone(&self.board),
             comm_members: Members::Identity(self.size),
             epoch: 0,
-            revoked: false,
-            known_dead: BTreeMap::new(),
-            death_sent: false,
             part_link_free: SimTime::ZERO,
         }
     }
@@ -794,16 +754,7 @@ where
     };
     // A rank with a scheduled exit might return without ever tripping
     // over its own death (its clock never reached the instant).
-    // Broadcast the notice now so peers blocked on it are woken instead
-    // of hanging.
-    if let Some(at) = ctx
-        .faults
-        .injector
-        .as_ref()
-        .and_then(|i| i.exit_time(ctx.world_rank))
-    {
-        ctx.announce_death(at);
-    }
+    ctx.announce_scheduled_death();
     r
 }
 

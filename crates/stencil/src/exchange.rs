@@ -120,6 +120,12 @@ pub struct HaloExchanger {
     /// holding 10,000-entry count arrays on every rank.
     send_plan: Vec<AlltoallvBlock>,
     recv_plan: Vec<AlltoallvBlock>,
+    /// Checkpoint generations this rank committed (kept across recovery
+    /// rebuilds).
+    pub checkpoints: u64,
+    /// Subdomain restores served from committed checkpoint frames (kept
+    /// across recovery rebuilds).
+    pub restores: u64,
 }
 
 /// Bytes a plan moves.
@@ -226,6 +232,8 @@ impl HaloExchanger {
             recvbuf,
             send_plan,
             recv_plan,
+            checkpoints: 0,
+            restores: 0,
         })
     }
 
@@ -386,8 +394,8 @@ impl HaloExchanger {
             store.abort();
             return Err(e);
         }
-        store.commit_faulted(generation, ctx.faults.injector.as_mut())?;
-        mpi.tempi.stats.checkpoints += 1;
+        store.commit_faulted(generation, ctx.faults.injector_mut())?;
+        self.checkpoints += 1;
         Ok(generation)
     }
 
@@ -500,7 +508,7 @@ impl HaloExchanger {
                 Frame::decode(&enc)?
             }
             // owner and buddy both died: the disk copy is the last resort
-            None => store.load_spilled_faulted(agreed, owner, ctx.faults.injector.as_mut())?,
+            None => store.load_spilled_faulted(agreed, owner, ctx.faults.injector_mut())?,
         };
         if frame.generation != agreed || frame.world_rank != owner || frame.payload.len() != bytes {
             return Err(MpiError::Internal(
@@ -515,7 +523,7 @@ impl HaloExchanger {
         })();
         ctx.gpu.free(host)?;
         unpacked?;
-        mpi.tempi.stats.restores += 1;
+        self.restores += 1;
         Ok(agreed)
     }
 
@@ -593,12 +601,11 @@ impl HaloExchanger {
             // Re-decompose over the survivors and restore from the last
             // globally-consistent checkpoint generation. The restored
             // state is the periodic extension of the original grid, so
-            // `origin` survives the rebuild.
-            let cfg = self.cfg;
-            let origin = self.origin;
+            // `origin` survives the rebuild, as do the counters.
+            let kept = (self.origin, self.checkpoints, self.restores);
             self.release(ctx)?;
-            *self = HaloExchanger::new(ctx, mpi, cfg)?;
-            self.origin = origin;
+            *self = HaloExchanger::new(ctx, mpi, self.cfg)?;
+            (self.origin, self.checkpoints, self.restores) = kept;
             restored = Some(self.restore_from_checkpoint(ctx, mpi, store)?);
         }
         Err(MpiError::Internal(format!(
@@ -916,8 +923,7 @@ mod tests {
             assert_eq!(ex.verify_ghosts(ctx)?, 0, "rank {}", ctx.rank);
             let got = ctx.gpu.memory().peek(ex.grid, ex.cfg.alloc_bytes())?;
             assert_eq!(got, ex.expected_grid(ctx));
-            assert_eq!(mpi.tempi.stats.checkpoints, 1);
-            assert_eq!(mpi.tempi.stats.restores, 1);
+            assert_eq!((ex.checkpoints, ex.restores), (1, 1));
             ex.destroy(ctx)?;
             Ok(true)
         })

@@ -315,3 +315,48 @@ fn scheduled_rank_exit_fails_cleanly_not_by_hanging() {
     );
     assert_eq!(ctx.faults.stats.peer_gone, 2);
 }
+
+#[test]
+fn a_corrupted_train_is_nacked_and_retransmitted_and_lands_byte_exact() {
+    // the struct-of-arrays object, which TEMPI ships as one train of its
+    // eight runs, twice through a corrupting link with integrity on: each
+    // flipped delivery is caught by the checksum, NACKed and retransmitted,
+    // and both a TEMPI receive (the train lands in place) and the system
+    // MPI's (one message, unpacked) end with the sender's bytes
+    let plan = FaultPlan::parse("seed=11,corrupt=0.9,retries=32").unwrap();
+    let mut cfg = WorldConfig::summit(2).with_faults(plan).with_integrity();
+    cfg.net.ranks_per_node = 1;
+    let span = (7 << 16) + 2048;
+    let results = World::run(&cfg, |ctx| {
+        let displs: Vec<i64> = (0..8).map(|i| i << 16).collect();
+        let soa = ctx.type_create_struct(&[2048; 8], &displs, &[MPI_BYTE; 8])?;
+        let buf = ctx.gpu.malloc(span)?;
+        let mut tempi = InterposedMpi::new(TempiConfig::default());
+        tempi.type_commit(ctx, soa)?;
+        if ctx.rank == 0 {
+            ctx.gpu.memory().poke(buf, &pattern(span))?;
+            for tag in 0..2 {
+                tempi.send(ctx, buf, 1, soa, 1, tag)?;
+                let cut = tempi.tempi.last_choice().and_then(|c| c.chunk);
+                assert_eq!(cut, Some(2048), "not sent as a train");
+            }
+            return Ok(Vec::new());
+        }
+        let mut flips = Vec::new();
+        for (tag, mpi) in [(0, &mut tempi), (1, &mut InterposedMpi::system_only())] {
+            ctx.gpu.memory().poke(buf, &vec![0u8; span])?;
+            mpi.recv(ctx, buf, 1, soa, Some(0), Some(tag))?;
+            let (reg, raw) = (ctx.registry().clone(), ctx.gpu.memory().peek(buf, span)?);
+            let (mut got, mut want) = (vec![0u8; 16 << 10], vec![0u8; 16 << 10]);
+            pack_cpu::pack(&reg.read(), &raw, 0, 1, soa, &mut got, &mut 0)?;
+            pack_cpu::pack(&reg.read(), &pattern(span), 0, 1, soa, &mut want, &mut 0)?;
+            assert_eq!(got, want, "tag {tag}: the bytes differ from the sender's");
+            let s = &ctx.faults.stats;
+            flips.push((s.corruptions, s.nacks, s.retransmits));
+        }
+        Ok(flips)
+    })
+    .unwrap();
+    // every flip caught and repaired, on both receives
+    assert_eq!(results[1], [(2, 2, 2), (4, 4, 4)]);
+}

@@ -6,8 +6,9 @@ mod common;
 
 use common::pattern;
 use mpi_sim::consts::MPI_BYTE;
+use mpi_sim::datatype::TypeTree;
 use mpi_sim::{MpiError, RankCtx, World, WorldConfig};
-use tempi_core::config::TempiConfig;
+use tempi_core::config::{Method, TempiConfig};
 use tempi_core::interpose::{InterposedMpi, Linker, MpiSymbol, Provider};
 
 fn ctx() -> RankCtx {
@@ -177,34 +178,91 @@ fn invalid_rank_is_rejected_by_both_providers() {
 
 #[test]
 fn truncation_is_reported_by_both_providers() {
-    for (name, factory) in providers() {
-        let mut cfg = WorldConfig::summit(2);
-        cfg.net.ranks_per_node = 1;
-        let results = World::run(&cfg, move |ctx| {
-            let mut mpi = factory();
-            let big = ctx.type_vector(16, 8, 16, MPI_BYTE)?; // 128 data bytes
-            let small = ctx.type_vector(4, 8, 16, MPI_BYTE)?; // capacity 32
-            mpi.type_commit(ctx, big)?;
-            mpi.type_commit(ctx, small)?;
-            if ctx.rank == 0 {
-                let buf = ctx.gpu.malloc(16 * 16)?;
-                mpi.send(ctx, buf, 1, big, 1, 0)?;
-                Ok(true)
-            } else {
-                let buf = ctx.gpu.malloc(64)?;
-                let r = mpi.recv(ctx, buf, 1, small, Some(0), Some(0));
-                Ok(matches!(
-                    r,
-                    Err(MpiError::Truncated {
-                        sent: 128,
-                        capacity: 32,
-                        ..
-                    })
-                ))
-            }
-        })
-        .unwrap();
-        assert!(results[1], "{name}");
+    // a transfer too large for the receive is refused with its full size
+    // and consumed whole, so the next receive takes the next message and
+    // nothing is left queued — whether TEMPI shipped it in one piece, as a
+    // train of the object's runs, or pipelined — and the payloads of its
+    // parts go back to the free list
+    let soa = "struct([2048, 2048, 2048, 2048, 2048, 2048, 2048, 2048], \
+               [0, 65536, 131072, 196608, 262144, 327680, 393216, 458752], \
+               [byte, byte, byte, byte, byte, byte, byte, byte])";
+    let cases = [
+        (
+            "one piece",
+            Some(Method::Device),
+            "vector(16, 8, 16, byte)",
+            "vector(4, 8, 16, byte)",
+        ),
+        ("train", None, soa, "vector(2, 2048, 65536, byte)"),
+        (
+            "pipelined",
+            Some(Method::Pipelined),
+            "vector(1024, 128, 256, byte)",
+            "vector(4, 8, 16, byte)",
+        ),
+        // eight 16 KiB parts, of which only the last overflows
+        (
+            "pipelined",
+            Some(Method::Pipelined),
+            "vector(1024, 128, 256, byte)",
+            "vector(1000, 128, 256, byte)",
+        ),
+    ];
+    for (case, method, big, small) in cases {
+        for (name, factory) in providers() {
+            let at = format!("{case} / {name}");
+            let mut cfg = WorldConfig::summit(2);
+            cfg.net.ranks_per_node = 1;
+            World::run(&cfg, |ctx| {
+                let mut mpi = factory();
+                (
+                    mpi.tempi.config.force_method,
+                    mpi.tempi.config.pipeline_chunk,
+                ) = (method, Some(16 << 10));
+                let big = big.parse::<TypeTree>()?.build(ctx)?;
+                let small = small.parse::<TypeTree>()?.build(ctx)?;
+                let (mut span, mut size) = (0, [0; 2]);
+                for (i, dt) in [big, small].into_iter().enumerate() {
+                    mpi.type_commit(ctx, dt)?;
+                    let a = ctx.attrs(dt)?;
+                    (span, size[i]) = (span.max(a.true_ub as usize), a.size as usize);
+                }
+                let buf = ctx.gpu.malloc(span)?;
+                if ctx.rank == 0 {
+                    let m = mpi.send(ctx, buf, 1, big, 1, 0)?;
+                    if name == "tempi" {
+                        let cut = mpi.tempi.last_choice().and_then(|c| c.chunk).is_some();
+                        let want = Some(method.unwrap_or(Method::Device));
+                        assert_eq!((m, cut), (want, case != "one piece"), "{at}: sent");
+                    }
+                    mpi.send(ctx, buf, 1, small, 1, 0)?;
+                    ctx.barrier();
+                    return Ok(());
+                }
+                ctx.barrier();
+                let refused = mpi.recv(ctx, buf, 1, small, Some(0), Some(0));
+                assert!(
+                    matches!(refused, Err(MpiError::Truncated { sent, capacity, .. })
+                        if (sent, capacity) == (size[0], size[1])),
+                    "{at}: {refused:?}"
+                );
+                if name == "tempi" && case != "one piece" {
+                    assert!(
+                        ctx.pooled_payload_bytes() > 0,
+                        "{at}: a part payload was dropped"
+                    );
+                }
+                let next = mpi.recv(ctx, buf, 1, small, Some(0), Some(0))?;
+                assert_eq!(next.bytes, size[1], "{at}: the next message");
+                assert_eq!(
+                    (ctx.pending_messages(), ctx.inbox_backlog()),
+                    (0, 0),
+                    "{at}"
+                );
+                Ok(())
+            })
+            .unwrap();
+        }
     }
 }
 
