@@ -83,61 +83,6 @@ impl TypeRegistry {
             .ok_or(MpiError::InvalidDatatype)
     }
 
-    fn insert(&mut self, def: TypeDef, attrs: TypeAttrs) -> Datatype {
-        let handle = Datatype(self.slots.len() as u32);
-        let ascending = self.ascends(&def);
-        self.slots.push(Some(TypeInfo {
-            def,
-            attrs,
-            committed: false,
-            ascending,
-        }));
-        handle
-    }
-
-    /// [`TypeInfo::ascending`] of a construction over live children:
-    /// elements that ascend and tile, repeated at strides that do not step
-    /// back over each other. The indexed family and struct answer `false`
-    /// without looking at their displacements; for one that does ascend
-    /// that costs host time only — `typemap::segments` walks it block by
-    /// block and `push_seg` merges the touching runs into the same single
-    /// segment the fast path would have emitted.
-    fn ascends(&self, def: &TypeDef) -> bool {
-        // the element type, if its own typemap ascends and fills its extent
-        let tiling = |oldtype: &Datatype| {
-            self.get(*oldtype)
-                .ok()
-                .filter(|old| old.ascending && old.attrs.is_dense())
-        };
-        match def {
-            TypeDef::Named(_) => true,
-            TypeDef::Dup { oldtype } | TypeDef::Resized { oldtype, .. } => {
-                self.get(*oldtype).is_ok_and(|old| old.ascending)
-            }
-            TypeDef::Contiguous { oldtype, .. } | TypeDef::Subarray { oldtype, .. } => {
-                tiling(oldtype).is_some()
-            }
-            TypeDef::Vector {
-                count,
-                blocklength,
-                stride,
-                oldtype,
-            } => tiling(oldtype).is_some() && (*count <= 1 || stride >= blocklength),
-            TypeDef::Hvector {
-                count,
-                blocklength,
-                stride_bytes,
-                oldtype,
-            } => tiling(oldtype).is_some_and(|old| {
-                *count <= 1 || *stride_bytes >= *blocklength as i64 * old.attrs.extent()
-            }),
-            TypeDef::Indexed { .. }
-            | TypeDef::IndexedBlock { .. }
-            | TypeDef::Hindexed { .. }
-            | TypeDef::Struct { .. } => false,
-        }
-    }
-
     /// The full record for a handle.
     pub fn info(&self, dt: Datatype) -> MpiResult<&TypeInfo> {
         self.get(dt)
@@ -208,77 +153,186 @@ impl TypeRegistry {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    // ---- constructors -------------------------------------------------
+    // ---- construction --------------------------------------------------
+
+    /// Create (not commit) the type `def` describes over live children:
+    /// the one place a construction is checked and its attributes
+    /// computed. Each constructor's arm decides three things together —
+    /// the arguments MPI rejects, the [`TypeAttrs`], and
+    /// [`TypeInfo::ascending`]. A bad argument, a dead child, or a size or
+    /// bound that does not fit in 64 bits is [`MpiError::InvalidArg`] or
+    /// [`MpiError::InvalidDatatype`], and inserts nothing.
+    ///
+    /// The bounds are one checked fold over `(element attrs, blocklength,
+    /// byte displacement)` blocks: the indexed family and struct pass every
+    /// block; contiguous, vector and hvector only their first and last, so
+    /// they stay O(1); subarray (whose extent spans the full array) and
+    /// resized keep their own formulas, checked too. `ascending` is
+    /// conservative: elements that ascend and tile, repeated at strides
+    /// that do not step back over each other. The indexed family and struct
+    /// answer `false` without looking at their displacements; for one that
+    /// does ascend that costs host time only — `typemap::segments` walks it
+    /// block by block and merges the touching runs into the one segment
+    /// the fast path would have emitted.
+    pub fn create(&mut self, def: TypeDef) -> MpiResult<Datatype> {
+        // an element type whose own typemap ascends and fills its extent
+        let tiles = |old: &TypeInfo| old.ascending && old.attrs.is_dense();
+        let (attrs, ascending) = match &def {
+            TypeDef::Named(_) => {
+                return Err(MpiError::InvalidArg("named types are predefined".into()))
+            }
+            TypeDef::Dup { oldtype } => self.get(*oldtype).map(|old| (old.attrs, old.ascending))?,
+            TypeDef::Contiguous { count, oldtype } => {
+                check_args(&[], &[*count])?;
+                let old = self.get(*oldtype)?;
+                // one block of `count` elements
+                (strided(old.attrs, 1, *count, || Ok(0))?, tiles(old))
+            }
+            TypeDef::Vector {
+                count,
+                blocklength,
+                stride,
+                oldtype,
+            } => {
+                check_args(&[], &[*count, *blocklength])?;
+                let old = self.get(*oldtype)?;
+                // two `i32`s multiply without overflow in an `i64`
+                let last = || mul((*count - 1) as i64 * *stride as i64, old.attrs.extent());
+                let attrs = strided(old.attrs, *count, *blocklength, last)?;
+                (attrs, tiles(old) && (*count <= 1 || stride >= blocklength))
+            }
+            TypeDef::Hvector {
+                count,
+                blocklength,
+                stride_bytes,
+                oldtype,
+            } => {
+                check_args(&[], &[*count, *blocklength])?;
+                let old = self.get(*oldtype)?;
+                let last = || mul((*count - 1) as i64, *stride_bytes);
+                let attrs = strided(old.attrs, *count, *blocklength, last)?;
+                let block = (*blocklength as i64).saturating_mul(old.attrs.extent());
+                (attrs, tiles(old) && (*count <= 1 || *stride_bytes >= block))
+            }
+            TypeDef::Indexed {
+                blocklengths,
+                displacements,
+                oldtype,
+            } => {
+                check_args(&[blocklengths.len(), displacements.len()], blocklengths)?;
+                let old = self.get(*oldtype)?.attrs;
+                let blocks = (blocklengths.iter().zip(displacements))
+                    .map(|(&n, &d)| Ok((old, n as i64, mul(d as i64, old.extent())?)));
+                (span(blocks)?, false)
+            }
+            TypeDef::IndexedBlock {
+                blocklength,
+                displacements,
+                oldtype,
+            } => {
+                check_args(&[], &[*blocklength])?;
+                let old = self.get(*oldtype)?.attrs;
+                let blocks = (displacements.iter())
+                    .map(|&d| Ok((old, *blocklength as i64, mul(d as i64, old.extent())?)));
+                (span(blocks)?, false)
+            }
+            TypeDef::Hindexed {
+                blocklengths,
+                displacements_bytes,
+                oldtype,
+            } => {
+                let lens = [blocklengths.len(), displacements_bytes.len()];
+                check_args(&lens, blocklengths)?;
+                let old = self.get(*oldtype)?.attrs;
+                let blocks = blocklengths.iter().zip(displacements_bytes);
+                (span(blocks.map(|(&n, &d)| Ok((old, n as i64, d))))?, false)
+            }
+            TypeDef::Subarray {
+                sizes,
+                subsizes,
+                starts,
+                order,
+                oldtype,
+            } => {
+                let ndims = sizes.len();
+                check_args(&[ndims, subsizes.len(), starts.len()], &[])?;
+                if ndims == 0 {
+                    return Err(MpiError::InvalidArg("subarray needs ndims >= 1".into()));
+                }
+                for i in 0..ndims {
+                    let (size, sub, start) = (sizes[i], subsizes[i], starts[i]);
+                    if size < 1 || sub < 1 || sub > size || start < 0 || start > size - sub {
+                        return Err(MpiError::InvalidArg(format!(
+                            "dimension {i}: size {size}, subsize {sub}, start {start} \
+                             (need 1 <= subsize <= size, 0 <= start <= size - subsize)"
+                        )));
+                    }
+                }
+                let old = self.get(*oldtype)?;
+                let ex = old.attrs.extent();
+                // elements in the full array: when it fits, so does every
+                // stride and every offset inside it
+                let full = sizes.iter().try_fold(1, |n, &s| mul(n, s as i64))?;
+                let strides = subarray_elem_strides(sizes, *order);
+                let first: i64 = (0..ndims).map(|i| starts[i] as i64 * strides[i]).sum();
+                let last: i64 = (0..ndims)
+                    .map(|i| (starts[i] + subsizes[i] - 1) as i64 * strides[i])
+                    .sum();
+                let nsub: u64 = subsizes.iter().map(|&s| s as u64).product();
+                let attrs = TypeAttrs {
+                    size: mul_size(nsub, old.attrs.size)?,
+                    // per MPI, a subarray's extent spans the *full* array
+                    lb: 0,
+                    ub: mul(full, ex)?,
+                    true_lb: add(mul(first, ex)?, old.attrs.true_lb)?,
+                    true_ub: add(mul(last, ex)?, old.attrs.true_ub)?,
+                };
+                (attrs, tiles(old))
+            }
+            TypeDef::Struct {
+                blocklengths,
+                displacements_bytes,
+                types,
+            } => {
+                let lens = [blocklengths.len(), displacements_bytes.len(), types.len()];
+                check_args(&lens, blocklengths)?;
+                let blocks = (blocklengths.iter().zip(displacements_bytes).zip(types))
+                    .map(|((&n, &d), &t)| Ok((self.get(t)?.attrs, n as i64, d)));
+                (span(blocks)?, false)
+            }
+            TypeDef::Resized {
+                lb,
+                extent,
+                oldtype,
+            } => {
+                let old = self.get(*oldtype)?;
+                let mut attrs = old.attrs;
+                (attrs.lb, attrs.ub) = (*lb, add(*lb, *extent)?);
+                (attrs, old.ascending)
+            }
+        };
+        // every reader of a type takes `ub - lb` and `true_ub - true_lb`
+        (attrs.ub.checked_sub(attrs.lb))
+            .and(attrs.true_ub.checked_sub(attrs.true_lb))
+            .ok_or_else(bounds_overflow)?;
+        let handle = Datatype(self.slots.len() as u32);
+        self.slots.push(Some(TypeInfo {
+            def,
+            attrs,
+            committed: false,
+            ascending,
+        }));
+        Ok(handle)
+    }
 
     /// `MPI_Type_dup`.
     pub fn type_dup(&mut self, oldtype: Datatype) -> MpiResult<Datatype> {
-        let attrs = self.get(oldtype)?.attrs;
-        Ok(self.insert(TypeDef::Dup { oldtype }, attrs))
+        self.create(TypeDef::Dup { oldtype })
     }
 
     /// `MPI_Type_contiguous`.
     pub fn type_contiguous(&mut self, count: i32, oldtype: Datatype) -> MpiResult<Datatype> {
-        if count < 0 {
-            return Err(MpiError::InvalidArg(format!("negative count {count}")));
-        }
-        let old = self.get(oldtype)?.attrs;
-        let attrs = if count == 0 {
-            TypeAttrs::EMPTY
-        } else {
-            // where the last element starts, relative to the first
-            let last = mul(count as i64 - 1, old.extent())?;
-            let size = (count as u64).checked_mul(old.size);
-            TypeAttrs {
-                size: size.ok_or_else(bounds_overflow)?,
-                lb: add(old.lb, last.min(0))?,
-                ub: add(old.ub, last.max(0))?,
-                true_lb: add(old.true_lb, last.min(0))?,
-                true_ub: add(old.true_ub, last.max(0))?,
-            }
-        };
-        Ok(self.insert(TypeDef::Contiguous { count, oldtype }, attrs))
-    }
-
-    /// Shared bound math for vector-like constructions: blocks start at the
-    /// byte displacements in `block_disps`; within a block, elements are
-    /// `extent(old)` apart, `blocklength` per block.
-    fn block_attrs(
-        old: TypeAttrs,
-        block_disps: impl Iterator<Item = i64>,
-        blocklength: i64,
-        total_blocks: u64,
-    ) -> MpiResult<TypeAttrs> {
-        let last = mul(blocklength - 1, old.extent())?;
-        let mut lb = i64::MAX;
-        let mut ub = i64::MIN;
-        let mut tlb = i64::MAX;
-        let mut tub = i64::MIN;
-        let mut any = false;
-        for d in block_disps {
-            any = true;
-            let (lo, hi) = if last >= 0 {
-                (d, add(d, last)?)
-            } else {
-                (add(d, last)?, d)
-            };
-            lb = lb.min(add(lo, old.lb)?);
-            ub = ub.max(add(hi, old.ub)?);
-            tlb = tlb.min(add(lo, old.true_lb)?);
-            tub = tub.max(add(hi, old.true_ub)?);
-        }
-        if !any || blocklength == 0 {
-            return Ok(TypeAttrs::EMPTY);
-        }
-        let size = total_blocks
-            .checked_mul(blocklength as u64)
-            .and_then(|n| n.checked_mul(old.size));
-        Ok(TypeAttrs {
-            size: size.ok_or_else(bounds_overflow)?,
-            lb,
-            ub,
-            true_lb: tlb,
-            true_ub: tub,
-        })
+        self.create(TypeDef::Contiguous { count, oldtype })
     }
 
     /// `MPI_Type_vector` (stride in elements).
@@ -289,33 +343,12 @@ impl TypeRegistry {
         stride: i32,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        if count < 0 || blocklength < 0 {
-            return Err(MpiError::InvalidArg(format!(
-                "negative count/blocklength ({count}, {blocklength})"
-            )));
-        }
-        let old = self.get(oldtype)?.attrs;
-        let attrs = if count == 0 || blocklength == 0 {
-            TypeAttrs::EMPTY
-        } else {
-            // two `i32`s multiply without overflow in an `i64`
-            let last_block = mul((count - 1) as i64 * stride as i64, old.extent())?;
-            Self::block_attrs(
-                old,
-                [0, last_block].into_iter(),
-                blocklength as i64,
-                count as u64,
-            )?
-        };
-        Ok(self.insert(
-            TypeDef::Vector {
-                count,
-                blocklength,
-                stride,
-                oldtype,
-            },
-            attrs,
-        ))
+        self.create(TypeDef::Vector {
+            count,
+            blocklength,
+            stride,
+            oldtype,
+        })
     }
 
     /// `MPI_Type_create_hvector` (stride in bytes).
@@ -326,31 +359,12 @@ impl TypeRegistry {
         stride_bytes: i64,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        if count < 0 || blocklength < 0 {
-            return Err(MpiError::InvalidArg(format!(
-                "negative count/blocklength ({count}, {blocklength})"
-            )));
-        }
-        let old = self.get(oldtype)?.attrs;
-        let attrs = if count == 0 || blocklength == 0 {
-            TypeAttrs::EMPTY
-        } else {
-            Self::block_attrs(
-                old,
-                [0, mul((count - 1) as i64, stride_bytes)?].into_iter(),
-                blocklength as i64,
-                count as u64,
-            )?
-        };
-        Ok(self.insert(
-            TypeDef::Hvector {
-                count,
-                blocklength,
-                stride_bytes,
-                oldtype,
-            },
-            attrs,
-        ))
+        self.create(TypeDef::Hvector {
+            count,
+            blocklength,
+            stride_bytes,
+            oldtype,
+        })
     }
 
     /// `MPI_Type_indexed` (displacements in elements).
@@ -360,31 +374,11 @@ impl TypeRegistry {
         displacements: &[i32],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        if blocklengths.len() != displacements.len() {
-            return Err(MpiError::InvalidArg(
-                "blocklengths and displacements differ in length".to_string(),
-            ));
-        }
-        if blocklengths.iter().any(|&b| b < 0) {
-            return Err(MpiError::InvalidArg("negative blocklength".to_string()));
-        }
-        let old = self.get(oldtype)?.attrs;
-        let ex = old.extent();
-        let attrs = Self::indexed_attrs(
-            old,
-            blocklengths
-                .iter()
-                .zip(displacements)
-                .map(|(&b, &d)| (b as i64, d as i64 * ex)),
-        );
-        Ok(self.insert(
-            TypeDef::Indexed {
-                blocklengths: blocklengths.to_vec(),
-                displacements: displacements.to_vec(),
-                oldtype,
-            },
-            attrs,
-        ))
+        self.create(TypeDef::Indexed {
+            blocklengths: blocklengths.to_vec(),
+            displacements: displacements.to_vec(),
+            oldtype,
+        })
     }
 
     /// `MPI_Type_create_indexed_block` (equal blocks, displacements in
@@ -395,25 +389,11 @@ impl TypeRegistry {
         displacements: &[i32],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        if blocklength < 0 {
-            return Err(MpiError::InvalidArg("negative blocklength".to_string()));
-        }
-        let old = self.get(oldtype)?.attrs;
-        let ex = old.extent();
-        let attrs = Self::indexed_attrs(
-            old,
-            displacements
-                .iter()
-                .map(|&d| (blocklength as i64, d as i64 * ex)),
-        );
-        Ok(self.insert(
-            TypeDef::IndexedBlock {
-                blocklength,
-                displacements: displacements.to_vec(),
-                oldtype,
-            },
-            attrs,
-        ))
+        self.create(TypeDef::IndexedBlock {
+            blocklength,
+            displacements: displacements.to_vec(),
+            oldtype,
+        })
     }
 
     /// `MPI_Type_create_hindexed` (displacements in bytes).
@@ -423,69 +403,11 @@ impl TypeRegistry {
         displacements_bytes: &[i64],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        if blocklengths.len() != displacements_bytes.len() {
-            return Err(MpiError::InvalidArg(
-                "blocklengths and displacements differ in length".to_string(),
-            ));
-        }
-        if blocklengths.iter().any(|&b| b < 0) {
-            return Err(MpiError::InvalidArg("negative blocklength".to_string()));
-        }
-        let old = self.get(oldtype)?.attrs;
-        let attrs = Self::indexed_attrs(
-            old,
-            blocklengths
-                .iter()
-                .zip(displacements_bytes)
-                .map(|(&b, &d)| (b as i64, d)),
-        );
-        Ok(self.insert(
-            TypeDef::Hindexed {
-                blocklengths: blocklengths.to_vec(),
-                displacements_bytes: displacements_bytes.to_vec(),
-                oldtype,
-            },
-            attrs,
-        ))
-    }
-
-    /// Bound math for indexed-like constructions with per-block
-    /// `(blocklength, byte displacement)` pairs.
-    fn indexed_attrs(old: TypeAttrs, blocks: impl Iterator<Item = (i64, i64)>) -> TypeAttrs {
-        let ex = old.extent();
-        let mut lb = i64::MAX;
-        let mut ub = i64::MIN;
-        let mut tlb = i64::MAX;
-        let mut tub = i64::MIN;
-        let mut size = 0u64;
-        let mut any = false;
-        for (bl, d) in blocks {
-            if bl == 0 {
-                continue;
-            }
-            any = true;
-            size += bl as u64 * old.size;
-            let last = (bl - 1) * ex;
-            let (lo, hi) = if last >= 0 {
-                (d, d + last)
-            } else {
-                (d + last, d)
-            };
-            lb = lb.min(lo + old.lb);
-            ub = ub.max(hi + old.ub);
-            tlb = tlb.min(lo + old.true_lb);
-            tub = tub.max(hi + old.true_ub);
-        }
-        if !any {
-            return TypeAttrs::EMPTY;
-        }
-        TypeAttrs {
-            size,
-            lb,
-            ub,
-            true_lb: tlb,
-            true_ub: tub,
-        }
+        self.create(TypeDef::Hindexed {
+            blocklengths: blocklengths.to_vec(),
+            displacements_bytes: displacements_bytes.to_vec(),
+            oldtype,
+        })
     }
 
     /// `MPI_Type_create_subarray`.
@@ -497,63 +419,13 @@ impl TypeRegistry {
         order: Order,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        let ndims = sizes.len();
-        if ndims == 0 {
-            return Err(MpiError::InvalidArg(
-                "subarray needs ndims >= 1".to_string(),
-            ));
-        }
-        if subsizes.len() != ndims || starts.len() != ndims {
-            return Err(MpiError::InvalidArg(
-                "sizes/subsizes/starts differ in length".to_string(),
-            ));
-        }
-        for i in 0..ndims {
-            if sizes[i] < 1 {
-                return Err(MpiError::InvalidArg(format!("sizes[{i}] < 1")));
-            }
-            if subsizes[i] < 1 || subsizes[i] > sizes[i] {
-                return Err(MpiError::InvalidArg(format!(
-                    "subsizes[{i}] = {} out of range [1, {}]",
-                    subsizes[i], sizes[i]
-                )));
-            }
-            if starts[i] < 0 || starts[i] > sizes[i] - subsizes[i] {
-                return Err(MpiError::InvalidArg(format!(
-                    "starts[{i}] = {} out of range [0, {}]",
-                    starts[i],
-                    sizes[i] - subsizes[i]
-                )));
-            }
-        }
-        let old = self.get(oldtype)?.attrs;
-        let ex = old.extent();
-        // Element strides per dimension, in elements of oldtype.
-        let strides = subarray_elem_strides(sizes, order);
-        let full: i64 = sizes.iter().map(|&s| s as i64).product();
-        let nsub: u64 = subsizes.iter().map(|&s| s as u64).product();
-        let first: i64 = (0..ndims).map(|i| starts[i] as i64 * strides[i]).sum();
-        let last: i64 = (0..ndims)
-            .map(|i| (starts[i] + subsizes[i] - 1) as i64 * strides[i])
-            .sum();
-        let attrs = TypeAttrs {
-            size: nsub * old.size,
-            // Per MPI, a subarray's extent spans the *full* array.
-            lb: 0,
-            ub: full * ex,
-            true_lb: first * ex + old.true_lb,
-            true_ub: last * ex + old.true_ub,
-        };
-        Ok(self.insert(
-            TypeDef::Subarray {
-                sizes: sizes.to_vec(),
-                subsizes: subsizes.to_vec(),
-                starts: starts.to_vec(),
-                order,
-                oldtype,
-            },
-            attrs,
-        ))
+        self.create(TypeDef::Subarray {
+            sizes: sizes.to_vec(),
+            subsizes: subsizes.to_vec(),
+            starts: starts.to_vec(),
+            order,
+            oldtype,
+        })
     }
 
     /// `MPI_Type_create_struct`.
@@ -563,62 +435,11 @@ impl TypeRegistry {
         displacements_bytes: &[i64],
         types: &[Datatype],
     ) -> MpiResult<Datatype> {
-        if blocklengths.len() != displacements_bytes.len() || blocklengths.len() != types.len() {
-            return Err(MpiError::InvalidArg(
-                "struct argument arrays differ in length".to_string(),
-            ));
-        }
-        if blocklengths.iter().any(|&b| b < 0) {
-            return Err(MpiError::InvalidArg("negative blocklength".to_string()));
-        }
-        let mut lb = i64::MAX;
-        let mut ub = i64::MIN;
-        let mut tlb = i64::MAX;
-        let mut tub = i64::MIN;
-        let mut size = 0u64;
-        let mut any = false;
-        for i in 0..types.len() {
-            let old = self.get(types[i])?.attrs;
-            let bl = blocklengths[i] as i64;
-            if bl == 0 || old.size == 0 && old.extent() == 0 {
-                // zero-length block contributes nothing
-                if bl == 0 {
-                    continue;
-                }
-            }
-            any = true;
-            size += bl as u64 * old.size;
-            let d = displacements_bytes[i];
-            let last = (bl - 1) * old.extent();
-            let (lo, hi) = if last >= 0 {
-                (d, d + last)
-            } else {
-                (d + last, d)
-            };
-            lb = lb.min(lo + old.lb);
-            ub = ub.max(hi + old.ub);
-            tlb = tlb.min(lo + old.true_lb);
-            tub = tub.max(hi + old.true_ub);
-        }
-        let attrs = if any {
-            TypeAttrs {
-                size,
-                lb,
-                ub,
-                true_lb: tlb,
-                true_ub: tub,
-            }
-        } else {
-            TypeAttrs::EMPTY
-        };
-        Ok(self.insert(
-            TypeDef::Struct {
-                blocklengths: blocklengths.to_vec(),
-                displacements_bytes: displacements_bytes.to_vec(),
-                types: types.to_vec(),
-            },
-            attrs,
-        ))
+        self.create(TypeDef::Struct {
+            blocklengths: blocklengths.to_vec(),
+            displacements_bytes: displacements_bytes.to_vec(),
+            types: types.to_vec(),
+        })
     }
 
     /// `MPI_Type_create_resized`.
@@ -628,22 +449,11 @@ impl TypeRegistry {
         lb: i64,
         extent: i64,
     ) -> MpiResult<Datatype> {
-        let old = self.get(oldtype)?.attrs;
-        let attrs = TypeAttrs {
-            size: old.size,
+        self.create(TypeDef::Resized {
             lb,
-            ub: lb + extent,
-            true_lb: old.true_lb,
-            true_ub: old.true_ub,
-        };
-        Ok(self.insert(
-            TypeDef::Resized {
-                lb,
-                extent,
-                oldtype,
-            },
-            attrs,
-        ))
+            extent,
+            oldtype,
+        })
     }
 
     // ---- introspection -------------------------------------------------
@@ -789,72 +599,80 @@ impl TypeRegistry {
         );
         Ok(c)
     }
+}
 
-    /// A compact human-readable rendering of a type construction, for
-    /// diagnostics and figure labels.
-    pub fn describe(&self, dt: Datatype) -> String {
-        match self.get(dt) {
-            Err(_) => format!("<dead #{}>", dt.0),
-            Ok(info) => match &info.def {
-                TypeDef::Named(n) => n.mpi_name().to_string(),
-                TypeDef::Dup { oldtype } => format!("dup({})", self.describe(*oldtype)),
-                TypeDef::Contiguous { count, oldtype } => {
-                    format!("contiguous({count}, {})", self.describe(*oldtype))
-                }
-                TypeDef::Vector {
-                    count,
-                    blocklength,
-                    stride,
-                    oldtype,
-                } => format!(
-                    "vector({count}, {blocklength}, {stride}, {})",
-                    self.describe(*oldtype)
-                ),
-                TypeDef::Hvector {
-                    count,
-                    blocklength,
-                    stride_bytes,
-                    oldtype,
-                } => format!(
-                    "hvector({count}, {blocklength}, {stride_bytes}B, {})",
-                    self.describe(*oldtype)
-                ),
-                TypeDef::Indexed { blocklengths, .. } => {
-                    format!("indexed({} blocks)", blocklengths.len())
-                }
-                TypeDef::IndexedBlock {
-                    blocklength,
-                    displacements,
-                    ..
-                } => format!(
-                    "indexed_block({} x {blocklength} elems)",
-                    displacements.len()
-                ),
-                TypeDef::Hindexed { blocklengths, .. } => {
-                    format!("hindexed({} blocks)", blocklengths.len())
-                }
-                TypeDef::Subarray {
-                    sizes,
-                    subsizes,
-                    starts,
-                    oldtype,
-                    ..
-                } => format!(
-                    "subarray(sizes={sizes:?}, subsizes={subsizes:?}, starts={starts:?}, {})",
-                    self.describe(*oldtype)
-                ),
-                TypeDef::Struct { types, .. } => format!("struct({} blocks)", types.len()),
-                TypeDef::Resized {
-                    lb,
-                    extent,
-                    oldtype,
-                } => format!(
-                    "resized(lb={lb}, extent={extent}, {})",
-                    self.describe(*oldtype)
-                ),
-            },
+/// `(old, n, disp)`: `n` elements of a type with attributes `old`,
+/// `extent(old)` apart, the first at byte `disp`.
+type Block = (TypeAttrs, i64, i64);
+
+/// The attributes of a typemap made of `blocks`, in any order. A
+/// zero-length block adds nothing, and a block of elements without data
+/// nothing to the true bounds, which cover data only: a type of no data
+/// has true bounds `(0, 0)`, a type of no blocks is empty. A block its
+/// caller could not place is passed on as its error.
+fn span(blocks: impl IntoIterator<Item = MpiResult<Block>>) -> MpiResult<TypeAttrs> {
+    let (mut size, mut bounds, mut data) = (0, None, None);
+    for block in blocks {
+        let (old, n, disp) = block?;
+        if n == 0 {
+            continue;
+        }
+        // where the last element starts, relative to the first
+        let last = mul(n - 1, old.extent())?;
+        let (lo, hi) = (add(disp, last.min(0))?, add(disp, last.max(0))?);
+        let bytes = mul_size(n as u64, old.size)?;
+        size = bytes.checked_add(size).ok_or_else(bounds_overflow)?;
+        bounds = hull(bounds, (add(lo, old.lb)?, add(hi, old.ub)?));
+        if bytes > 0 {
+            data = hull(data, (add(lo, old.true_lb)?, add(hi, old.true_ub)?));
         }
     }
+    let ((lb, ub), (true_lb, true_ub)) = (bounds.unwrap_or((0, 0)), data.unwrap_or((0, 0)));
+    Ok(TypeAttrs {
+        size,
+        lb,
+        ub,
+        true_lb,
+        true_ub,
+    })
+}
+
+/// The smallest interval holding `a` (if any) and `lo..hi`.
+fn hull(a: Option<(i64, i64)>, (lo, hi): (i64, i64)) -> Option<(i64, i64)> {
+    Some(a.map_or((lo, hi), |(l, h)| (l.min(lo), h.max(hi))))
+}
+
+/// [`span`] of `count` blocks of `blocklength` elements of `old`, the first
+/// at byte 0 and the last at byte `last()`: the blocks between reach no
+/// bound of their own, so only the two ends are folded, and the size is
+/// counted for all `count`.
+fn strided(
+    old: TypeAttrs,
+    count: i32,
+    blocklength: i32,
+    last: impl FnOnce() -> MpiResult<i64>,
+) -> MpiResult<TypeAttrs> {
+    let end = (count > 1 && blocklength > 0).then(last);
+    let ends = [0, end.transpose()?.unwrap_or(0)];
+    let blocks = ends[..count.min(2) as usize].iter();
+    let size = mul_size(count as u64 * blocklength as u64, old.size)?;
+    Ok(TypeAttrs {
+        size,
+        ..span(blocks.map(|&at| Ok((old, blocklength as i64, at))))?
+    })
+}
+
+/// What every constructor's integer arguments must satisfy: its lists
+/// equally long, its counts and blocklengths not negative.
+fn check_args(lens: &[usize], counts: &[i32]) -> MpiResult<()> {
+    let bad = if lens.windows(2).any(|w| w[0] != w[1]) {
+        format!("argument lists differ in length: {lens:?}")
+    } else if let Some(c) = counts.iter().find(|&&c| c < 0) {
+        format!("negative count or blocklength {c}")
+    } else {
+        return Ok(());
+    };
+    Err(MpiError::InvalidArg(bad))
 }
 
 /// What a constructor returns when a size or bound of the new type does
@@ -869,6 +687,10 @@ fn add(a: i64, b: i64) -> MpiResult<i64> {
 }
 
 fn mul(a: i64, b: i64) -> MpiResult<i64> {
+    a.checked_mul(b).ok_or_else(bounds_overflow)
+}
+
+fn mul_size(a: u64, b: u64) -> MpiResult<u64> {
     a.checked_mul(b).ok_or_else(bounds_overflow)
 }
 
@@ -897,7 +719,8 @@ pub(crate) fn subarray_elem_strides(sizes: &[i32], order: Order) -> Vec<i64> {
 mod tests {
     use super::consts::*;
     use super::*;
-    use crate::datatype::Combiner;
+    use crate::datatype::{Combiner, TypeTree};
+    use crate::{RankCtx, WorldConfig};
 
     #[test]
     fn named_types_preregistered() {
@@ -1032,7 +855,8 @@ mod tests {
         let c = r.get_contents(t).unwrap();
         assert_eq!(c.integers, vec![3, 2, 8, 0, 4]);
         assert_eq!(c.datatypes, vec![MPI_INT]);
-        assert!(r.describe(t).contains("indexed_block"));
+        let tree = TypeTree::of(&r, t).unwrap();
+        assert_eq!(tree.to_string(), "indexed_block(2, [8, 0, 4], int)");
         assert!(r.type_create_indexed_block(-1, &[0], MPI_INT).is_err());
     }
 
@@ -1166,10 +990,12 @@ mod tests {
 
     #[test]
     fn describe_renders_nested() {
-        let mut r = TypeRegistry::new();
-        let row = r.type_contiguous(4, MPI_FLOAT).unwrap();
-        let v = r.type_vector(2, 1, 3, row).unwrap();
-        assert_eq!(r.describe(v), "vector(2, 1, 3, contiguous(4, MPI_FLOAT))");
+        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+        let row = ctx.type_contiguous(4, MPI_FLOAT).unwrap();
+        let v = ctx.type_vector(2, 1, 3, row).unwrap();
+        assert_eq!(ctx.describe(v), "vector(2, 1, 3, contiguous(4, float))");
+        ctx.type_free(v).unwrap();
+        assert_eq!(ctx.describe(v), format!("<dead #{}>", v.0));
     }
 
     #[test]
@@ -1180,6 +1006,8 @@ mod tests {
         assert!(r.type_vector(1, -1, 1, MPI_INT).is_err());
         assert!(r.type_indexed(&[1], &[0, 1], MPI_INT).is_err());
         assert!(r.type_indexed(&[-1], &[0], MPI_INT).is_err());
+        // the named types are predefined, never created
+        assert!(r.create(TypeDef::Named(Named::Int)).is_err());
     }
 
     /// Bounds that do not fit are an argument error in debug and release
@@ -1191,6 +1019,7 @@ mod tests {
         let a = r.type_contiguous(i32::MAX, MPI_BYTE).unwrap();
         let b = r.type_contiguous(i32::MAX, a).unwrap();
         assert_eq!(r.size(b).unwrap(), (i32::MAX as u64).pow(2));
+        let half = r.type_create_resized(MPI_BYTE, 0, i64::MAX / 2).unwrap();
         let live = r.live();
         let rejected = |res: MpiResult<Datatype>| matches!(res, Err(MpiError::InvalidArg(_)));
         // contiguous nested three deep: size and upper bound pass 2^64
@@ -1206,6 +1035,29 @@ mod tests {
         assert!(rejected(r.type_create_hvector(3, 1, i64::MIN, MPI_INT)));
         // blocks * blocklength * size
         assert!(rejected(r.type_create_hvector(4, i32::MAX, 0, b)));
+        // a block's last byte past i64::MAX, in bytes and in elements
+        assert!(rejected(r.type_create_hindexed(&[2], &[i64::MAX], MPI_INT)));
+        assert!(rejected(r.type_create_struct(
+            &[2],
+            &[i64::MAX],
+            &[MPI_INT]
+        )));
+        assert!(rejected(r.type_indexed(&[1], &[4], half)));
+        assert!(rejected(r.type_create_indexed_block(1, &[4], half)));
+        // the full array's extent, and an upper bound one past
+        let huge = [i32::MAX; 3];
+        let sub = r.type_create_subarray(&huge, &[1; 3], &[0; 3], Order::C, MPI_BYTE);
+        assert!(rejected(sub));
+        assert!(rejected(r.type_create_resized(MPI_BYTE, i64::MAX, 1)));
+        // members of (2^31 - 1)^3 bytes each
+        assert!(rejected(r.type_create_struct(
+            &[i32::MAX; 2],
+            &[0, 0],
+            &[b, b]
+        )));
+        // bounds that each fit, with an extent between them that does not
+        let ends = [i64::MIN, i64::MAX - 1];
+        assert!(rejected(r.type_create_hindexed(&[1, 1], &ends, MPI_BYTE)));
         assert_eq!(r.live(), live, "a rejected constructor inserted a handle");
         // the largest bounds that do fit are still accepted
         let edge = r.type_create_hvector(2, 1, i64::MAX - 1, MPI_BYTE).unwrap();

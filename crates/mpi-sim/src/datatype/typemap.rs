@@ -300,7 +300,8 @@ mod tests {
         );
         let want = vec![Segment { off: 0, len: 400 }];
         for t in builds {
-            assert_eq!(segments(&r, t).unwrap(), want, "{}", r.describe(t));
+            let tree = super::super::TypeTree::of(&r, t);
+            assert_eq!(segments(&r, t).unwrap(), want, "{tree:?}");
         }
     }
 

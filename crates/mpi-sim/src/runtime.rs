@@ -20,7 +20,9 @@ use std::sync::Arc;
 use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
 use tempi_trace::sync::{Mutex, RwLock};
 
-use crate::datatype::{Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeRegistry};
+use crate::datatype::{
+    Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeRegistry, TypeTree,
+};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::FaultPlan;
 use crate::net::NetModel;
@@ -661,9 +663,12 @@ impl RankCtx {
         &self.registry
     }
 
-    /// A human-readable description of a type (figure labels).
+    /// A type's construction as a spec `tempi-cli describe` accepts (see
+    /// [`TypeTree`]); a handle that is dead, or built over one that is,
+    /// prints as `<dead #n>`.
     pub fn describe(&self, dt: Datatype) -> String {
-        self.registry.read().describe(dt)
+        TypeTree::of(&self.registry.read(), dt)
+            .map_or_else(|_| format!("<dead #{}>", dt.0), |tree| tree.to_string())
     }
 }
 

@@ -107,7 +107,7 @@ fn generate(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> (TypeTree, Type
 }
 
 /// One draw in four stops early at a named type, so shallow and deep trees
-/// both occur; above a leaf the eight constructors are equally likely.
+/// both occur; above a leaf the ten constructors are equally likely.
 fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
     if depth == 0 || rng.below(4) == 0 {
         let leaves = [
@@ -121,7 +121,7 @@ fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
     }
     // uniform in `lo..lo + n`
     let pick = |rng: &mut Rng, lo: i32, n: i32| lo + rng.below(n as u64) as i32;
-    let kind = rng.below(8);
+    let kind = rng.below(10);
     // one to three of anything listed
     let some = |rng: &mut Rng| 1 + rng.below(3) as usize;
     if kind == 6 {
@@ -195,11 +195,29 @@ fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
                 oldtype,
             }
         }
-        _ => TypeDef::Resized {
+        7 => TypeDef::Resized {
             lb: a.lb,
             extent: a.extent() + pick(rng, 0, 8) as i64,
             oldtype,
         },
+        8 => {
+            // increasing element displacements, 0..4 elements between blocks
+            let blocklengths: Vec<i32> = (0..some(rng)).map(|_| pick(rng, 1, 3)).collect();
+            let mut at = 0;
+            let displacements = (blocklengths.iter())
+                .map(|&bl| {
+                    let here = at;
+                    at += bl + pick(rng, 0, 4);
+                    here
+                })
+                .collect();
+            TypeDef::Indexed {
+                blocklengths,
+                displacements,
+                oldtype,
+            }
+        }
+        _ => TypeDef::Dup { oldtype },
     }
 }
 

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use common::{arb_typetree, for_each_case, for_each_tree, pattern, struct_zoo, Rng};
-use mpi_sim::datatype::typemap::segments;
+use mpi_sim::datatype::typemap::{data_bytes, segments};
 use mpi_sim::datatype::{pack_cpu, TypeDef, TypeTree};
 use mpi_sim::{payload_checksum, Combiner, RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
@@ -262,7 +262,7 @@ fn the_generator_covers_every_constructor_and_repeats_per_seed() {
     let cases = draw(0xe2);
     let mut seen = HashSet::new();
     let deepest = cases.iter().map(|d| survey(d, &mut seen)).max();
-    assert_eq!(seen.len(), 8, "constructors generated: {seen:?}");
+    assert_eq!(seen.len(), 10, "constructors generated: {seen:?}");
     assert_eq!(deepest, Some(3));
     assert_eq!(cases, draw(0xe2), "one seed, one sequence");
     assert_ne!(cases, draw(0xe3), "another seed, another sequence");
@@ -270,7 +270,8 @@ fn the_generator_covers_every_constructor_and_repeats_per_seed() {
 
 /// A tree is one description three ways: built into a registry it reads
 /// back out as itself (so `get_contents` encodes every constructor's
-/// arguments losslessly), and what it prints parses back to itself.
+/// arguments losslessly), and what it prints parses back to itself — and
+/// is what `describe` prints for the handle.
 #[test]
 fn trees_round_trip_through_the_registry_and_the_grammar() {
     let round_trip = |tree: &TypeTree| {
@@ -278,11 +279,36 @@ fn trees_round_trip_through_the_registry_and_the_grammar() {
         let dt = tree.build(&mut ctx).unwrap();
         assert_eq!(&TypeTree::of(&ctx.registry().read(), dt).unwrap(), tree);
         assert_eq!(&tree.to_string().parse::<TypeTree>().unwrap(), tree);
+        assert_eq!(ctx.describe(dt), tree.to_string());
     };
     for (_, tree) in struct_zoo() {
         round_trip(&tree);
     }
     for_each_tree(0xb6, 256, round_trip);
+}
+
+/// The bounds the registry records for a type — one checked fold over its
+/// blocks — agree with the typemap oracle, which walks every element: the
+/// size is the bytes the typemap covers, the true bounds its lowest byte
+/// and one past its highest.
+#[test]
+fn registry_attributes_match_the_typemap_oracle() {
+    let check = |tree: &TypeTree| {
+        let mut ctx = ctx();
+        let dt = tree.build(&mut ctx).unwrap();
+        let reg = ctx.registry().read();
+        let (attrs, segs) = (reg.attrs(dt).unwrap(), segments(&reg, dt).unwrap());
+        assert_eq!(attrs.size, data_bytes(&segs));
+        if attrs.size > 0 {
+            let lowest = segs.iter().map(|s| s.off).min();
+            let end = segs.iter().map(|s| s.off + s.len as i64).max();
+            assert_eq!((lowest, end), (Some(attrs.true_lb), Some(attrs.true_ub)));
+        }
+    };
+    for (_, tree) in struct_zoo() {
+        check(&tree);
+    }
+    for_each_tree(0xb7, 256, check);
 }
 
 /// What a failing property leaves behind: the seed, the case index and
