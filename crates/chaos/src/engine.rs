@@ -148,7 +148,6 @@ fn run_rank(
         rep.error = Some(e.to_string());
     }
     rep.pool_outstanding = mpi.tempi.pool.outstanding();
-    rep.undrained_requests = ctx.undrained_requests();
     // Everything the workload allocated must be freed, except the scratch
     // buffers the pool deliberately retains for reuse.
     let live = ctx.gpu.memory().live_allocations();
@@ -371,7 +370,7 @@ fn checkpoint_cycle(
             Ok(frame) => {
                 // An undetected spill flip would surface here as a frame
                 // that decodes fine but carries the wrong interior.
-                if rep.bytes_mismatch.is_none() && frame.payload != pack_interior(ctx, mpi, &ex)? {
+                if rep.bytes_mismatch.is_none() && frame.payload != ex.pack_interior(ctx, mpi)? {
                     rep.bytes_mismatch = Some(format!(
                         "cycle {cycle}: spilled frame diverges from the interior it snapshots"
                     ));
@@ -384,30 +383,6 @@ fn checkpoint_cycle(
         }
     }
     ex.destroy(ctx)
-}
-
-/// Pack the exchanger's interior exactly the way a checkpoint does, so a
-/// decoded frame can be compared byte-for-byte.
-fn pack_interior(
-    ctx: &mut RankCtx,
-    mpi: &mut InterposedMpi,
-    ex: &HaloExchanger,
-) -> MpiResult<Vec<u8>> {
-    let bytes = ex.cfg.local[0] * ex.cfg.local[1] * ex.cfg.local[2] * 4;
-    let stage = ctx.gpu.malloc(bytes)?;
-    let host = ctx.gpu.host_alloc(bytes)?;
-    let packed = (|| {
-        let mut pos = 0usize;
-        mpi.pack(ctx, ex.grid, 1, ex.interior_dt, stage, bytes, &mut pos)?;
-        ctx.stream
-            .memcpy_async(&mut ctx.clock, host, stage, bytes)
-            .map_err(MpiError::Gpu)?;
-        ctx.stream.synchronize(&mut ctx.clock);
-        Ok(ctx.gpu.memory().peek(host, bytes)?)
-    })();
-    ctx.gpu.free(stage)?;
-    ctx.gpu.free(host)?;
-    packed
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ pub mod oracle {
     /// epoch.
     pub const EPOCH_MONOTONE: &str = "epoch-monotone";
     /// At teardown nothing is leaked: no outstanding pooled buffers, no
-    /// undrained nonblocking requests, no live device allocations.
+    /// live device allocations.
     pub const NO_LEAK: &str = "no-leak";
     /// The harness itself must complete (a failure here is a simulator
     /// bug, not an application one).
@@ -115,8 +115,6 @@ pub struct RankReport {
     pub epochs: Vec<u64>,
     /// `BufferPool::outstanding()` at teardown.
     pub pool_outstanding: u64,
-    /// Undrained nonblocking requests at teardown.
-    pub undrained_requests: usize,
     /// Live device/host allocations at teardown (after workload cleanup).
     pub live_allocations: usize,
 }
@@ -165,13 +163,6 @@ fn check_ranks(reports: &[RankReport], out: &mut Vec<Violation>) {
                     oracle::NO_LEAK,
                     r.rank,
                     format!("{} pooled buffers never returned", r.pool_outstanding),
-                ));
-            }
-            if r.undrained_requests != 0 {
-                out.push(Violation::on_rank(
-                    oracle::NO_LEAK,
-                    r.rank,
-                    format!("{} nonblocking requests undrained", r.undrained_requests),
                 ));
             }
             if r.live_allocations != 0 {

@@ -74,11 +74,25 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parse a `--faults` plan. User input must never panic the CLI: a
-/// malformed spec becomes an error message naming the offending clause
-/// (the library error already quotes it).
+/// Malformed user input: print what is wrong and exit 2. User input must
+/// never panic the CLI.
+fn bad_usage(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// Parse a `--faults` plan: a malformed spec becomes an error message
+/// naming the offending clause (the library error already quotes it).
 fn parse_faults(spec: &str) -> Result<FaultPlan, String> {
     FaultPlan::parse(spec).map_err(|e| format!("invalid --faults plan: {e}"))
+}
+
+/// The `--faults` plan, if given, installed on `cfg`.
+fn with_faults_arg(cfg: WorldConfig, args: &[String]) -> WorldConfig {
+    match flag_value(args, "--faults") {
+        Some(spec) => cfg.with_faults(parse_faults(&spec).unwrap_or_else(|e| bad_usage(e))),
+        None => cfg,
+    }
 }
 
 fn platform_arg(args: &[String]) -> Platform {
@@ -99,26 +113,32 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Parse an integer-valued flag. User input must never panic the CLI:
-/// a malformed value exits with a message naming the flag and what it got.
+/// Parse an integer-valued flag: a malformed value exits with a message
+/// naming the flag and what it got.
 fn int_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
     match flag_value(args, flag) {
         None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {flag} takes an integer, got `{v}`");
-            std::process::exit(2);
-        }),
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| bad_usage(format!("{flag} takes an integer, got `{v}`"))),
     }
 }
 
-/// Parse a `<spec>` argument. User input must never panic the CLI: a
-/// malformed spec exits 2 with the parser's message, which says what is
-/// wrong and where.
+/// Parse a flag spelled as the `TEMPI_*` variable of the same setting is
+/// (the type's `FromStr` is the one spelling table); `None` when absent.
+fn named_flag<T: std::str::FromStr<Err = String>>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|v| v.parse().map_err(|e| format!("{flag}: {e}")))
+        .transpose()
+}
+
+/// Parse a `<spec>` argument: a malformed spec exits 2 with the parser's
+/// message, which says what is wrong and where.
 fn spec_arg(input: &str) -> TypeTree {
-    input.parse().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+    input.parse().unwrap_or_else(|e| bad_usage(e))
 }
 
 /// Terminal error path for library failures with no user-facing recovery:
@@ -139,10 +159,7 @@ fn trace_setup(args: &[String]) -> (Tracer, Option<String>) {
     let env_level = match std::env::var("TEMPI_TRACE") {
         Ok(v) => match TraceLevel::parse(&v) {
             Ok(level) => Some(level),
-            Err(e) => {
-                eprintln!("error: TEMPI_TRACE: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => bad_usage(format!("TEMPI_TRACE: {e}")),
         },
         Err(_) => None,
     };
@@ -380,10 +397,8 @@ fn model(args: &[String]) {
         usage()
     };
     let parse_size = |name: &str, v: &str| -> usize {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {name} must be an integer, got `{v}`");
-            std::process::exit(2);
-        })
+        v.parse()
+            .unwrap_or_else(|_| bad_usage(format!("{name} must be an integer, got `{v}`")))
     };
     let bytes = parse_size("bytes", bytes);
     let block = parse_size("block", block);
@@ -405,10 +420,7 @@ fn model(args: &[String]) {
     }
     // the pipeline at the given chunk size, else at the model's best one
     let chunk = match flag_value(args, "--chunk") {
-        Some(chunk) => Some(chunk.parse().unwrap_or_else(|_| {
-            eprintln!("error: --chunk takes an integer, got `{chunk}`");
-            std::process::exit(2);
-        })),
+        Some(_) => Some(int_flag(args, "--chunk", 0)),
         None => {
             m.choose_among(&[Method::Pipelined], bytes, block, word, &Calibration::NONE)
                 .chunk
@@ -472,39 +484,14 @@ fn send(args: &[String]) {
     let Some(input) = args.first() else { usage() };
     let tree = spec_arg(input);
     let incount: usize = int_flag(args, "--incount", 1);
-    let method = match flag_value(args, "--method").as_deref() {
-        None => None,
-        Some("device") => Some(Method::Device),
-        Some("oneshot") | Some("one-shot") => Some(Method::OneShot),
-        Some("staged") => Some(Method::Staged),
-        Some("pipelined") => Some(Method::Pipelined),
-        Some(other) => {
-            eprintln!("unknown method `{other}` (use device, oneshot, staged or pipelined)");
-            std::process::exit(2);
-        }
-    };
-    let tuner = match flag_value(args, "--tuner").as_deref() {
-        None => TunerMode::default(),
-        Some("off") => TunerMode::Off,
-        Some("model") => TunerMode::Model,
-        Some("online") => TunerMode::Online,
-        Some(other) => {
-            eprintln!("unknown tuner mode `{other}` (use off, model or online)");
-            std::process::exit(2);
-        }
-    };
+    let method: Option<Method> = named_flag(args, "--method").unwrap_or_else(|e| bad_usage(e));
+    let tuner: TunerMode = named_flag(args, "--tuner")
+        .unwrap_or_else(|e| bad_usage(e))
+        .unwrap_or_default();
     let rounds: usize = int_flag(args, "--rounds", 1).max(1);
     let mut cfg = WorldConfig::summit(2);
     cfg.net.ranks_per_node = 1;
-    if let Some(spec) = flag_value(args, "--faults") {
-        match parse_faults(&spec) {
-            Ok(plan) => cfg = cfg.with_faults(plan),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    cfg = with_faults_arg(cfg, args);
     let (tracer, trace_path) = trace_setup(args);
     cfg = cfg.with_tracer(tracer.clone());
     let results = World::run(&cfg, |ctx| {
@@ -704,24 +691,13 @@ fn stencil(args: &[String]) {
     let checkpoint_every: Option<usize> =
         flag_value(args, "--checkpoint-every").map(|v| match v.parse() {
             Ok(every) if every > 0 => every,
-            _ => {
-                eprintln!("error: --checkpoint-every takes a positive integer, got `{v}`");
-                std::process::exit(2);
-            }
+            _ => bad_usage(format!(
+                "--checkpoint-every takes a positive integer, got `{v}`"
+            )),
         });
-    let mut cfg = WorldConfig::summit(ranks);
-    if let Some(spec) = flag_value(args, "--faults") {
-        match parse_faults(&spec) {
-            Ok(plan) => cfg = cfg.with_faults(plan),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let mut cfg = with_faults_arg(WorldConfig::summit(ranks), args);
     if recover && checkpoint_every.is_none() {
-        eprintln!("error: --recover needs --checkpoint-every N: restores only rebuild from committed checkpoint generations");
-        std::process::exit(2);
+        bad_usage("--recover needs --checkpoint-every N: restores only rebuild from committed checkpoint generations");
     }
     let (tracer, trace_path) = trace_setup(args);
     cfg = cfg.with_tracer(tracer.clone());
@@ -910,7 +886,23 @@ fn chaos_replay(dir: &str) {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_faults;
+    use super::{named_flag, parse_faults, Method, TempiConfig, TunerMode};
+
+    #[test]
+    fn method_and_tuner_flags_accept_and_reject_what_the_environment_does() {
+        let spellings = "device oneshot one-shot staged pipelined Device ONE-SHOT \
+                         off model online Online warp-drive one_shot clairvoyant";
+        for s in spellings.split_whitespace().chain([""]) {
+            let args = ["--method", s, "--tuner", s].map(String::from);
+            let env = |var: &str| TempiConfig::from_vars(|name| (name == var).then(|| s.into()));
+            let flag_method = named_flag::<Method>(&args, "--method").ok().flatten();
+            let env_method = env("TEMPI_METHOD").ok().and_then(|c| c.force_method);
+            assert_eq!(flag_method, env_method, "`{s}`");
+            let flag_tuner = named_flag::<TunerMode>(&args, "--tuner");
+            let env_tuner = env("TEMPI_TUNER").map(|c| c.tuner);
+            assert_eq!(flag_tuner.ok().flatten(), env_tuner.ok(), "`{s}`");
+        }
+    }
 
     #[test]
     fn well_formed_fault_plans_parse() {
@@ -931,6 +923,8 @@ mod tests {
             ("exit=1", "exit=1"),
             ("exit=one@5ms", "exit=one@5ms"),
             ("delay=0.2", "delay=0.2"),
+            ("delay=1.5:20us", "delay=1.5:20us"),
+            ("seed=1,delay=-0.5:20us", "delay=-0.5:20us"),
             ("backoff=10lightyears", "backoff=10lightyears"),
             ("kernel@soon", "kernel@soon"),
             ("justnoise", "justnoise"),

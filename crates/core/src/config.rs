@@ -73,6 +73,24 @@ impl Method {
     }
 }
 
+/// The one spelling table of `TEMPI_METHOD` and `tempi-cli send --method`:
+/// `device`, `oneshot` (or `one-shot`), `staged`, `pipelined`, in any case.
+impl std::str::FromStr for Method {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Method, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "device" => Ok(Method::Device),
+            "oneshot" | "one-shot" => Ok(Method::OneShot),
+            "staged" => Ok(Method::Staged),
+            "pipelined" => Ok(Method::Pipelined),
+            _ => Err(format!(
+                "expected device, oneshot, one-shot, staged or pipelined, got `{s}`"
+            )),
+        }
+    }
+}
+
 /// A send method as data ([`Method::recipe`] is the table): the one
 /// description the send and receive executors ([`crate::tempi`]) walk stage
 /// by stage and the §5 model ([`crate::model::SendModel::terms`]) prices
@@ -113,9 +131,10 @@ pub enum TunerMode {
     /// Legacy behavior: evaluate the §5 analytical model from scratch on
     /// every send. No memoization, no measurement.
     Off,
-    /// Memoize the analytical model's decision per (shape, size, peer)
-    /// bucket. Identical choices to `Off`, amortized lookup cost. The
-    /// default.
+    /// Record the analytical model's decision per (shape, size, peer)
+    /// bucket. The model is still evaluated on every send, so the choices
+    /// and their cost are `Off`'s; the buckets only feed the
+    /// `tuner_bucket_hits` / `tuner_method_switches` counters. The default.
     #[default]
     Model,
     /// Full online calibration: virtual-time measurements of pack, copy
@@ -123,6 +142,21 @@ pub enum TunerMode {
     /// the memoized choice is revisited epsilon-greedily under a seeded
     /// RNG. The candidate set is the same as in the other modes.
     Online,
+}
+
+/// The one spelling table of `TEMPI_TUNER` and `tempi-cli send --tuner`:
+/// `off`, `model`, `online`, in any case.
+impl std::str::FromStr for TunerMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<TunerMode, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "off" => Ok(TunerMode::Off),
+            "model" => Ok(TunerMode::Model),
+            "online" => Ok(TunerMode::Online),
+            _ => Err(format!("expected off, model or online, got `{s}`")),
+        }
+    }
 }
 
 /// TEMPI configuration switches.
@@ -146,9 +180,9 @@ pub struct TempiConfig {
     /// pipelined transfer arrives as tagged parts; any matching receive
     /// reassembles them, TEMPI's own overlaps the unpack with the wire.
     pub pipeline_chunk: Option<usize>,
-    /// How the per-send method decision is made: fresh model evaluation
-    /// (`Off`), memoized model decision (`Model`, default), or online
-    /// calibration with epsilon-greedy re-probing (`Online`).
+    /// How the per-send method decision is made: model evaluation alone
+    /// (`Off`), the same with per-bucket bookkeeping (`Model`, default),
+    /// or online calibration with epsilon-greedy re-probing (`Online`).
     pub tuner: TunerMode,
     /// Seed for the tuner's exploration RNG. Same seed + same fault-free
     /// world ⇒ identical method sequence, so tuned runs replay exactly.
@@ -206,17 +240,7 @@ impl TempiConfig {
             cfg.force_word = Some(w);
         }
         if let Some(v) = var("TEMPI_METHOD") {
-            cfg.force_method = Some(match v.to_ascii_lowercase().as_str() {
-                "device" => Method::Device,
-                "oneshot" | "one-shot" => Method::OneShot,
-                "staged" => Method::Staged,
-                "pipelined" => Method::Pipelined,
-                other => {
-                    return Err(format!(
-                        "TEMPI_METHOD must be device/oneshot/staged/pipelined, got `{other}`"
-                    ))
-                }
-            });
+            cfg.force_method = Some(v.parse().map_err(|e| format!("TEMPI_METHOD: {e}"))?);
         }
         if let Some(v) = var("TEMPI_PIPELINE_CHUNK") {
             let c: usize = v
@@ -228,16 +252,7 @@ impl TempiConfig {
             cfg.pipeline_chunk = Some(c);
         }
         if let Some(v) = var("TEMPI_TUNER") {
-            cfg.tuner = match v.to_ascii_lowercase().as_str() {
-                "off" => TunerMode::Off,
-                "model" => TunerMode::Model,
-                "online" => TunerMode::Online,
-                other => {
-                    return Err(format!(
-                        "TEMPI_TUNER must be off/model/online, got `{other}`"
-                    ))
-                }
-            };
+            cfg.tuner = v.parse().map_err(|e| format!("TEMPI_TUNER: {e}"))?;
         }
         if let Some(v) = var("TEMPI_TUNER_SEED") {
             cfg.tuner_seed = v

@@ -2395,7 +2395,7 @@ pub(crate) mod tests {
         // a strided 1 MiB send the default configuration pipelines, taken
         // by receivers that know nothing about parts: TEMPI's own
         // fall-through (a contiguous MPI_BYTE receive), the system MPI's
-        // typed receive, and a nonblocking raw receive
+        // typed receive, and a raw receive into host memory
         let mut cfg = WorldConfig::summit(2);
         cfg.net.ranks_per_node = 1;
         let bytes = 1usize << 20;
@@ -2429,14 +2429,13 @@ pub(crate) mod tests {
             let want_typed = oracle(ctx, &data, (1, dt), (1, dt), span);
 
             let host = ctx.gpu.host_alloc(bytes)?;
-            let req = ctx.irecv_bytes(host, bytes, Some(0), Some(2))?;
-            let sts = ctx.waitall(&[req])?;
+            let st_host = ctx.recv_bytes(host, bytes, Some(0), Some(2))?;
             let got_host = ctx.gpu.memory().peek(host, bytes)?;
             Ok(fell_through
                 && got_flat == packed
                 && st.bytes == bytes
                 && got_typed == want_typed
-                && sts[0].bytes == bytes
+                && st_host.bytes == bytes
                 && got_host == packed)
         })
         .unwrap();

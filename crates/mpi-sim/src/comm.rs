@@ -7,7 +7,7 @@
 //!   death notices that wake receivers already blocked on the dying rank;
 //!   see [`crate::reliability`]).
 //! * **Propagation** — [`RankCtx::revoke`] poisons the communicator on
-//!   every member: stragglers blocked in recv/wait observe the revocation
+//!   every member: stragglers blocked in a receive observe the revocation
 //!   control message and error out with [`MpiError::Revoked`], and every
 //!   new operation fails fast at entry.
 //! * **Agreement** — [`RankCtx::agree_on_failures`] runs a
@@ -15,8 +15,8 @@
 //!   failure set on every surviving member, tolerating coordinator death
 //!   mid-protocol.
 //! * **Recovery** — [`RankCtx::shrink`] densely renumbers the survivors
-//!   into a new communicator epoch on which all p2p, collective and
-//!   nonblocking operations work again.
+//!   into a new communicator epoch on which all p2p and collective
+//!   operations work again.
 //!
 //! # The agreement protocol
 //!

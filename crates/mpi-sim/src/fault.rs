@@ -324,7 +324,7 @@ impl FaultPlan {
     /// * `alloc|kernel|copy|send|recv|corrupt|spill@N` — scripted 0-based
     ///   call ordinal (repeatable)
     /// * `delay=P:DUR` — receive-side extra latency `DUR` with probability
-    ///   `P`
+    ///   `P` in `[0, 1]`
     /// * `exit=R@DUR` — rank `R` exits at virtual time `DUR` (repeatable)
     /// * `retries=N` — transient-fault retry budget (default 3)
     /// * `backoff=DUR` — first retry backoff, doubling per retry
@@ -349,6 +349,15 @@ impl FaultPlan {
                 _ => Err(bad(clause, "duration needs an ns/us/ms/s suffix")),
             }
         }
+        fn parse_probability(s: &str, clause: &str) -> MpiResult<f64> {
+            let p: f64 = s
+                .parse()
+                .map_err(|_| bad(clause, "probability must be a float"))?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(bad(clause, "probability must be in [0, 1]"));
+            }
+            Ok(p)
+        }
 
         let mut plan = FaultPlan::default();
         for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
@@ -369,9 +378,7 @@ impl FaultPlan {
                         let (p, dur) = val
                             .split_once(':')
                             .ok_or_else(|| bad(clause, "expected delay=P:DUR"))?;
-                        plan.delay.probability = p
-                            .parse()
-                            .map_err(|_| bad(clause, "delay probability must be a float"))?;
+                        plan.delay.probability = parse_probability(p, clause)?;
                         plan.delay.latency = parse_time(dur, clause)?;
                     }
                     "exit" => {
@@ -388,13 +395,7 @@ impl FaultPlan {
                     _ => {
                         let site =
                             FaultSite::named(key).ok_or_else(|| bad(clause, "unknown key"))?;
-                        let p: f64 = val
-                            .parse()
-                            .map_err(|_| bad(clause, "probability must be a float"))?;
-                        if !(0.0..=1.0).contains(&p) {
-                            return Err(bad(clause, "probability must be in [0, 1]"));
-                        }
-                        plan.site_mut(site).probability = p;
+                        plan.site_mut(site).probability = parse_probability(val, clause)?;
                     }
                 }
             } else if let Some((key, ord)) = clause.split_once('@') {
@@ -692,6 +693,12 @@ mod tests {
         let err = FaultPlan::parse("send=1.5").unwrap_err();
         assert!(err.to_string().contains("send=1.5"), "{err}");
         assert!(FaultPlan::parse("corrupt=-0.1").is_err());
+        // the delay clause's probability too: above 1 it would always fire,
+        // below 0 never
+        for spec in ["delay=1.5:20us", "delay=-0.5:20us"] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.to_string().contains(spec), "{err}");
+        }
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod datatype;
 pub mod error;
 pub mod fault;
 pub mod net;
-pub mod nonblocking;
 pub mod p2p;
 pub mod reliability;
 pub mod runtime;
@@ -59,7 +58,6 @@ pub use fault::{
     DegradeEvent, DelaySpec, FaultInjector, FaultPlan, FaultSite, FaultStats, RankExit, ScopedFault,
 };
 pub use net::{NetModel, Transport};
-pub use nonblocking::Request;
 pub use p2p::{check_item_offsets, transfer_bytes, Message, PartInfo, ProbeInfo, Status};
 pub use reliability::{payload_checksum, FaultState};
 pub use runtime::{RankCtx, World, WorldConfig};

@@ -1206,6 +1206,8 @@ mod tests {
         let t = ctx.type_vector(2, 1, 2, MPI_BYTE).unwrap();
         let buf = ctx.gpu.host_alloc(16).unwrap();
         assert_eq!(ctx.send(buf, 1, t, 0, 0), Err(MpiError::NotCommitted));
+        // refused before matching: nothing is queued, so no deadlock either
+        assert_eq!(ctx.recv(buf, 1, t, None, None), Err(MpiError::NotCommitted));
     }
 
     #[test]

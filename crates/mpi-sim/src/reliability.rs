@@ -4,8 +4,8 @@
 //! interface and has no fault model; this reproduction adds one — seeded
 //! fault plans ([`crate::fault`]), ULFM-style recovery ([`crate::comm`]),
 //! an integrity envelope — and this module is where the message path
-//! meets it. Point-to-point, collectives and nonblocking completion call
-//! the layer at fixed points and read none of its state:
+//! meets it. Point-to-point and collectives call the layer at fixed
+//! points and read none of its state:
 //!
 //! * **Gates**, one per direction, in a fixed order: revocation
 //!   (`check_comm`), then — only with a plan installed — this
@@ -404,8 +404,7 @@ impl RankCtx {
     /// sender it awaits is known dead (the clock converges on the
     /// scheduled exit instant), else park for the next arrival and sift
     /// it — data comes back to the caller, which queues what it does not
-    /// take, and a revocation fails the wait. A waitany checks its
-    /// requests' senders itself.
+    /// take, and a revocation fails the wait.
     pub(crate) fn await_arrival(&mut self, op: ParkOp) -> MpiResult<Option<Message>> {
         let awaited = match op {
             ParkOp::Recv { src, .. } | ParkOp::Probe { src, .. } => Some(src),
@@ -651,17 +650,14 @@ mod tests {
 
     #[test]
     fn a_world_without_a_plan_counts_nothing() {
-        // send, probe, recv, waitany and a collective on a fault-free
-        // world: the layer draws nothing and its counters stay at rest
+        // send, probe, recv and a collective on a fault-free world: the
+        // layer draws nothing and its counters stay at rest
         let stats = World::run(&WorldConfig::summit(2), |ctx| {
             let buf = ctx.gpu.host_alloc(64)?;
             let peer = 1 - ctx.rank;
             ctx.send_bytes(buf, 64, peer, 1)?;
             ctx.probe(Some(peer), Some(1))?;
             ctx.recv_bytes(buf, 64, Some(peer), Some(1))?;
-            ctx.send_bytes(buf, 8, peer, 2)?;
-            let r = ctx.irecv_bytes(buf, 8, Some(peer), Some(2))?;
-            ctx.waitany(&[r])?;
             ctx.gather_bytes_to_root(&[ctx.rank as u8])?;
             Ok((ctx.faults.enabled(), ctx.faults.stats.clone()))
         })
@@ -673,11 +669,36 @@ mod tests {
     }
 
     #[test]
+    fn a_death_notice_is_sifted_and_fails_the_waits_on_the_dead() {
+        // rank 1 is scheduled to exit at 5 µs and returns at once, so the
+        // runtime floods its death notice; rank 0, still at 0 µs, passes the
+        // clock-based gate and parks. The notice must be absorbed into the
+        // known failures, never queued as matchable data, and end the
+        // blocked receive — then a wildcard probe — at the exit instant
+        let cfg = WorldConfig::summit(2).with_faults(FaultPlan::parse("exit=1@5us").unwrap());
+        World::run(&cfg, |ctx| {
+            if ctx.rank == 1 {
+                return Ok(());
+            }
+            let buf = ctx.gpu.host_alloc(4)?;
+            let got = ctx.recv_bytes(buf, 4, Some(1), Some(0));
+            assert_eq!(got, Err(MpiError::PeerGone));
+            assert_eq!(ctx.clock.now(), SimTime::from_us(5));
+            assert_eq!(ctx.probe(None, None), Err(MpiError::PeerGone));
+            assert_eq!(ctx.known_failures(), vec![1]);
+            assert_eq!(ctx.faults.stats.death_notices, 1);
+            assert_eq!(ctx.pending_messages(), 0);
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
     fn a_rank_context_carries_no_copy_of_the_plan() {
         // the layer's state is a pointer, counters and a map of deaths, so
         // a 10,000-rank world pays for it once per rank, not per plan
         let (ctx, state) = (size_of::<RankCtx>(), size_of::<FaultState>());
-        assert!(ctx <= 600, "RankCtx is {ctx} bytes");
+        assert!(ctx <= 552, "RankCtx is {ctx} bytes");
         assert!(state <= 200, "FaultState is {state} bytes");
     }
 }

@@ -364,7 +364,6 @@ pub struct RankCtx {
     /// scheduler this rank's blocking points park on.
     pub(crate) router: Arc<Router>,
     pub(crate) pending: VecDeque<Message>,
-    pub(crate) requests: Vec<Option<crate::nonblocking::PendingOp>>,
     pub(crate) barrier: Arc<ClockBarrier>,
     pub(crate) board: Arc<Board>,
     /// Current communicator membership (world rank per comm rank). Starts
@@ -445,13 +444,6 @@ impl RankCtx {
         if let Some(release) = release {
             self.clock.advance_to(release);
         }
-    }
-
-    /// Number of nonblocking requests posted and never completed by a
-    /// wait/test (a teardown invariant: a clean run drains every request).
-    #[must_use]
-    pub fn undrained_requests(&self) -> usize {
-        self.requests.iter().filter(|r| r.is_some()).count()
     }
 
     /// Depth of the unexpected-message queue: messages pulled from the
@@ -722,7 +714,6 @@ impl WorldShared {
             registry: Arc::clone(&self.registry),
             router: Arc::clone(&self.router),
             pending: VecDeque::new(),
-            requests: Vec::new(),
             barrier: Arc::clone(&self.barrier),
             board: Arc::clone(&self.board),
             comm_members: Members::Identity(self.size),

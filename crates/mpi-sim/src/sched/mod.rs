@@ -11,16 +11,13 @@
 //!
 //! Runnable tasks sit in one global heap ordered by `(virtual_time, seq)`
 //! where `seq` is a global monotonic enqueue counter: the task with the
-//! earliest virtual clock runs first, FIFO among equals. (The design
-//! issue proposed `(virtual_time, rank, seq)`; rank-before-seq is *not*
-//! used because it starves spin-polling tasks — a low rank polling
-//! `test()` at a constant virtual time would always outrank the sender it
-//! is waiting on, livelocking an M=1 world. With `seq` in the middle, a
-//! yielded spinner goes to the back of its virtual instant and its peers
-//! run.) Results are *byte-identical* across M because all timing is
-//! virtual and Lamport-composed at receives, matching is deterministic,
-//! and per-pair delivery order is FIFO; the heap order affects wall-clock
-//! interleaving only.
+//! earliest virtual clock runs first, FIFO among equals — a task woken at
+//! an instant runs after those already queued there, and a fresh world,
+//! enqueued in rank order at time zero, starts in rank order. Results are
+//! *byte-identical* across M because all timing is virtual and
+//! Lamport-composed at receives, matching is deterministic, and per-pair
+//! delivery order is FIFO; the heap order affects wall-clock interleaving
+//! only.
 //!
 //! ## Structural deadlock detection
 //!
@@ -84,8 +81,6 @@ pub(crate) enum ParkOp {
         src: Option<usize>,
         tag: Option<i32>,
     },
-    /// `MPI_Waitany` over this many requests.
-    Waitany(usize),
     /// The world barrier.
     Barrier,
     /// A send held back by `dest`'s full inbox.
@@ -108,7 +103,6 @@ impl fmt::Display for ParkOp {
                 write!(f, "recv(src={}, tag={})", or_star(src), or_star(tag))
             }
             ParkOp::Probe { src, tag } => write!(f, "probe(src={src:?}, tag={tag:?})"),
-            ParkOp::Waitany(n) => write!(f, "waitany({n} requests)"),
             ParkOp::Barrier => f.write_str("barrier"),
             ParkOp::Backpressure { dest } => write!(f, "send backpressure(dest={dest})"),
             ParkOp::Agree { epoch } => write!(f, "agree(epoch={epoch})"),
@@ -140,9 +134,6 @@ enum TaskState {
     Ready,
     /// Executing on some worker.
     Running,
-    /// Suspending to go to the back of its virtual instant; its worker
-    /// re-enqueues it as soon as the switch completes.
-    Yielding,
     /// Announced intent to park; its worker has not yet completed the
     /// handoff (the fiber may still be switching out).
     Parking,
@@ -160,7 +151,7 @@ struct TaskInner {
     /// What the task is blocked on (rendered only into a deadlock
     /// verdict's `ops`).
     park_desc: Option<ParkOp>,
-    /// The task's virtual clock when it last parked or yielded: keys its
+    /// The task's virtual clock when it last parked: keys its
     /// next ready-heap entry and feeds the verdict's `at`.
     clock: SimTime,
 }
@@ -276,7 +267,7 @@ impl SchedCore {
     }
 
     /// One worker's life: pop the earliest runnable task, run its fiber
-    /// until it parks/yields/finishes, repeat. When the heap runs dry
+    /// until it parks or finishes, repeat. When the heap runs dry
     /// with nothing running and tasks still unfinished, the world is
     /// structurally deadlocked (see module docs).
     fn worker_loop(&self) {
@@ -357,13 +348,8 @@ impl SchedCore {
             s.parked += 1;
             return;
         }
-        debug_assert!(matches!(
-            inner.state,
-            TaskState::Parking | TaskState::Yielding
-        ));
-        if inner.state == TaskState::Parking {
-            inner.wake_pending = false;
-        }
+        debug_assert_eq!(inner.state, TaskState::Parking);
+        inner.wake_pending = false;
         inner.state = TaskState::Ready;
         drop(inner);
         let mut s = self.state.lock();
@@ -402,22 +388,6 @@ impl SchedCore {
         }
     }
 
-    /// Fiber-side cooperative yield: go to the back of the ready heap at
-    /// the current virtual instant so peers can run. This is what keeps
-    /// spin-polling (`test()` loops) live on a single worker.
-    pub(crate) fn yield_now(&self, rank: usize, now: SimTime) {
-        let Some(task) = self.tasks.get(rank) else {
-            return; // a standalone caller has no peers to yield to
-        };
-        {
-            let mut inner = task.inner.lock();
-            inner.state = TaskState::Yielding;
-            inner.clock = now;
-        }
-        // SAFETY: as in `park_switch`.
-        unsafe { task.fiber.suspend() };
-    }
-
     /// Make `rank` runnable again (message delivered, barrier released,
     /// inbox drained, verdict declared). Safe to call redundantly and
     /// from any state: a wake racing a park is latched via
@@ -438,7 +408,7 @@ impl SchedCore {
                 drop(s);
                 self.cv.notify_one();
             }
-            TaskState::Parking | TaskState::Running | TaskState::Yielding => {
+            TaskState::Parking | TaskState::Running => {
                 inner.wake_pending = true;
             }
             TaskState::Ready | TaskState::Finished => {}
@@ -521,7 +491,6 @@ mod tests {
             (RECV_1_7, "recv(src=1, tag=7)"),
             (any, "recv(src=*, tag=*)"),
             (probe, "probe(src=Some(1), tag=None)"),
-            (ParkOp::Waitany(3), "waitany(3 requests)"),
             (ParkOp::Barrier, "barrier"),
             (
                 ParkOp::Backpressure { dest: 9 },
@@ -561,21 +530,19 @@ mod tests {
         core.run(
             2,
             (0..4usize).map(|rank| -> Box<dyn FnOnce() + Send + '_> {
-                let (core, hits) = (&core, &hits);
+                let hits = &hits;
                 Box::new(move || {
-                    core.yield_now(rank, SimTime::from_us(rank as u64));
-                    hits.fetch_add(1, Ordering::SeqCst);
+                    hits.fetch_add(rank as u64 + 1, Ordering::SeqCst);
                 })
             }),
         );
-        assert_eq!(hits.load(Ordering::SeqCst), 4);
+        assert_eq!(hits.load(Ordering::SeqCst), 1 + 2 + 3 + 4);
         assert_eq!(core.verdict(), None);
     }
 
     #[test]
     fn a_standalone_park_is_the_verdict_and_returns_at_once() {
         let core = SchedCore::new(0, SimTime::from_ms(1));
-        core.yield_now(0, SimTime::ZERO); // nobody to yield to: a no-op
         assert_eq!(core.verdict(), None);
         park(&core, 0, SimTime::from_us(2), RECV_1_7);
         let v = core

@@ -162,21 +162,6 @@ impl Router {
         self.push(dest, msg);
     }
 
-    /// Non-blocking pop of `me`'s inbox. An empty inbox also yields the
-    /// fiber: poll loops (`test()` spinning) must let peers run on a
-    /// single worker, or the world would livelock.
-    pub(crate) fn try_recv(&self, me: usize, now: SimTime) -> Option<Message> {
-        let mut q = self.slots[me].lock();
-        let msg = q.msgs.pop_front();
-        if msg.is_some() {
-            self.after_pop(q);
-        } else {
-            drop(q);
-            self.sched.yield_now(me, now);
-        }
-        msg
-    }
-
     /// After a pop: once the queue drops below the high-water mark, wake
     /// every backpressured sender (each re-checks and re-parks if the
     /// mark is hit again). Unbounded inboxes (mark 0) never park a sender.

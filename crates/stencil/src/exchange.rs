@@ -343,13 +343,9 @@ impl HaloExchanger {
         })
     }
 
-    fn checkpoint_body(
-        &mut self,
-        ctx: &mut RankCtx,
-        mpi: &mut InterposedMpi,
-        store: &mut CheckpointStore,
-    ) -> MpiResult<u64> {
-        let generation = store.next_generation();
+    /// This rank's interior as a checkpoint frame carries it: packed on
+    /// the device with the interposed `MPI_Pack`, then staged to the host.
+    pub fn pack_interior(&self, ctx: &mut RankCtx, mpi: &mut InterposedMpi) -> MpiResult<Vec<u8>> {
         let bytes = self.cfg.local[0] * self.cfg.local[1] * self.cfg.local[2] * 4;
         let stage = ctx.gpu.malloc(bytes)?;
         let host = ctx.gpu.host_alloc(bytes)?;
@@ -364,6 +360,16 @@ impl HaloExchanger {
         })();
         ctx.gpu.free(stage)?;
         ctx.gpu.free(host)?;
+        packed
+    }
+
+    fn checkpoint_body(
+        &mut self,
+        ctx: &mut RankCtx,
+        mpi: &mut InterposedMpi,
+        store: &mut CheckpointStore,
+    ) -> MpiResult<u64> {
+        let generation = store.next_generation();
         let own = Frame {
             generation,
             epoch: ctx.epoch(),
@@ -371,7 +377,7 @@ impl HaloExchanger {
             world_rank: ctx.world_rank,
             dims: self.decomp.dims,
             local: self.cfg.local,
-            payload: packed?,
+            payload: self.pack_interior(ctx, mpi)?,
         };
         let record = GenRecord {
             members: ctx.comm_members(),
