@@ -241,6 +241,18 @@ fn scale(out: &Path) -> Result<(), String> {
             "stencil exchange grows with the world: {lo:.0} ns to {hi:.0} ns from 64 ranks up"
         ));
     }
+    // The dense exchange walks the sparse call's pairwise-exchange order:
+    // no rank queues behind rank 0, so from 64 ranks up each peer costs
+    // the same.
+    let dense = rows
+        .iter()
+        .filter(|r| r.workload == "alltoallv" && r.ranks >= 64);
+    let (lo, hi) = range(dense.map(|r| r.exchange_ns / r.ranks as f64));
+    if hi > lo * 1.05 {
+        return Err(format!(
+            "dense alltoallv costs more per peer as the world grows: {lo:.0} ns to {hi:.0} ns from 64 ranks up"
+        ));
+    }
     emit(out, "BENCH_scale.json", &rows)
 }
 

@@ -2824,11 +2824,17 @@ pub(crate) mod tests {
                             _ => tempi.recv(ctx, buf, 1, dt, Some(0), Some(i)).map(drop),
                         }
                     };
+                    // the world's list, read once the payload in flight has
+                    // been received and handed back
+                    let settled = |ctx: &mut RankCtx| {
+                        ctx.barrier();
+                        ctx.pooled_payload_bytes()
+                    };
                     // warm-up: allocates the intermediates
                     for i in 0..2 {
                         round(&mut tempi, ctx, i)?;
                     }
-                    let (warm, payloads) = (tempi.stats, ctx.pooled_payload_bytes());
+                    let (warm, payloads) = (tempi.stats, settled(ctx));
                     for i in 2..12 {
                         round(&mut tempi, ctx, i)?;
                     }
@@ -2837,7 +2843,7 @@ pub(crate) mod tests {
                     out.push((
                         s.pool_fresh_allocs - warm.pool_fresh_allocs,
                         s.pool_hits - warm.pool_hits,
-                        ctx.pooled_payload_bytes() == payloads,
+                        settled(ctx) == payloads,
                         ctx.rank == 1 || cut_sent == (dt == cut),
                     ));
                 }

@@ -2,12 +2,14 @@
 //! primitive of the paper's Section 6.4), plus small gather/bcast/reduce
 //! helpers for harnesses.
 //!
-//! Both `alltoallv` calls post eager sends and receive peer by peer, sends
-//! a small window ahead of receives so in-flight traffic stays bounded.
-//! The dense call walks rank indices; the sparse call walks outward from
-//! the caller (pairwise-exchange order), so a neighbor exchange costs the
-//! same in a world of any size. Each receive completes at
-//! `max(now, depart_j + wire_j)`, whatever the wall-clock interleaving.
+//! Both `alltoallv` calls run one schedule: eager sends and peer-by-peer
+//! receives, both walking outward from the caller (pairwise-exchange
+//! order), sends a small window ahead of receives so in-flight traffic
+//! stays bounded. The dense call feeds it its non-zero entries, the sparse
+//! call its block lists, so the same exchange costs the same either way and
+//! a neighbor exchange costs the same in a world of any size. Each receive
+//! completes at `max(now, depart_j + wire_j)`, whatever the wall-clock
+//! interleaving.
 //!
 //! Every collective enters through the reliability layer's collective gate
 //! ([`crate::reliability`]): it fails fast with [`MpiError::PeerGone`] when
@@ -45,6 +47,26 @@ pub struct AlltoallvBlock {
     pub displ: usize,
 }
 
+/// The checks every block of either `alltoallv` call passes before any
+/// traffic moves, so an invalid call leaves no peer waiting: a peer of the
+/// `n`-rank communicator, a non-zero count, and bytes at `buf + displ`
+/// that end at an offset a `usize` names — a sum that wraps would address
+/// bytes before the buffer.
+fn check_block(buf: GpuPtr, b: &AlltoallvBlock, n: usize) -> MpiResult<()> {
+    let AlltoallvBlock { peer, count, displ } = *b;
+    let reach = usize::checked_add(buf.offset, displ).and_then(|at| at.checked_add(count));
+    let bad = if peer >= n {
+        format!("alltoallv block names peer {peer} in a {n}-rank communicator")
+    } else if count == 0 {
+        "alltoallv blocks must have non-zero counts (omit the peer)".to_string()
+    } else if reach.is_none() {
+        format!("alltoallv block for peer {peer}: {count} B at displacement {displ} wrap")
+    } else {
+        return Ok(());
+    };
+    Err(MpiError::InvalidArg(bad))
+}
+
 impl RankCtx {
     /// `MPI_Alltoallv` on raw bytes (`MPI_BYTE` counts/displacements), the
     /// shape the paper's stencil uses after packing all halos into one
@@ -52,7 +74,9 @@ impl RankCtx {
     ///
     /// `sendcounts[j]` bytes at `sendbuf + sdispls[j]` go to rank `j`;
     /// `recvcounts[j]` bytes arriving from rank `j` land at
-    /// `recvbuf + rdispls[j]`.
+    /// `recvbuf + rdispls[j]`. The non-zero entries run the schedule of
+    /// [`RankCtx::alltoallv_sparse_bytes`], so the two calls cost the same
+    /// on the same exchange.
     pub fn alltoallv_bytes(
         &mut self,
         sendbuf: GpuPtr,
@@ -62,107 +86,49 @@ impl RankCtx {
         recvcounts: &[usize],
         rdispls: &[usize],
     ) -> MpiResult<()> {
-        if self.tracer.enabled() {
-            let tracer = self.tracer.clone();
-            let pid = self.world_rank as u32;
-            tracer.begin(pid, LANE_CPU, "mpi", "alltoallv", self.clock.now().as_ps());
-            let r = self
-                .alltoallv_bytes_body(sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls);
-            tracer.end_args(pid, LANE_CPU, self.clock.now().as_ps(), || {
-                vec![
-                    ("send_bytes", sendcounts.iter().sum::<usize>().into()),
-                    ("recv_bytes", recvcounts.iter().sum::<usize>().into()),
-                    ("ok", r.is_ok().into()),
-                ]
-            });
-            return r;
-        }
-        self.alltoallv_bytes_body(sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls)
-    }
-
-    /// The untraced `alltoallv` schedule (validation + windowed exchange).
-    #[allow(clippy::too_many_arguments)]
-    fn alltoallv_bytes_body(
-        &mut self,
-        sendbuf: GpuPtr,
-        sendcounts: &[usize],
-        sdispls: &[usize],
-        recvbuf: GpuPtr,
-        recvcounts: &[usize],
-        rdispls: &[usize],
-    ) -> MpiResult<()> {
-        self.collective_gate()?;
-        let n = self.size;
-        if [
-            sendcounts.len(),
-            sdispls.len(),
-            recvcounts.len(),
-            rdispls.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-        {
-            return Err(MpiError::InvalidArg(
-                "alltoallv argument arrays must have one entry per rank".to_string(),
-            ));
-        }
-        // Sends are eager (unbounded channels), so pure post-all-then-recv
-        // would leave O(size) unconsumed messages per pair. Interleaving the
-        // rank-ordered receives behind a fixed window keeps the in-flight
-        // volume bounded; the send→recv dependency chain strictly decreases
-        // rank indices, so the schedule is deadlock-free for any window ≥ 1.
-        let mut next_recv = 0usize;
-        for j in 0..n {
-            if sendcounts[j] > 0 {
-                self.send_bytes(sendbuf.add(sdispls[j]), sendcounts[j], j, TAG_ALLTOALLV)?;
+        let sum = |counts: &[usize]| counts.iter().sum();
+        let bytes = || (sum(sendcounts), sum(recvcounts));
+        self.alltoallv_span(bytes, |ctx| {
+            ctx.collective_gate()?;
+            let (n, me) = (ctx.size, ctx.rank);
+            if [sendcounts, sdispls, recvcounts, rdispls]
+                .iter()
+                .any(|l| l.len() != n)
+            {
+                return Err(MpiError::InvalidArg(
+                    "alltoallv argument arrays must have one entry per rank".to_string(),
+                ));
             }
-            if j >= ALLTOALLV_WINDOW {
-                self.alltoallv_recv_one(recvbuf, recvcounts, rdispls, next_recv)?;
-                next_recv += 1;
+            // rank `peer`'s block, if it moves any bytes
+            let block = |counts: &[usize], displs: &[usize], peer: usize| {
+                let (count, displ) = (counts[peer], displs[peer]);
+                (count > 0).then_some(AlltoallvBlock { peer, count, displ })
+            };
+            for (buf, counts, displs) in [
+                (sendbuf, sendcounts, sdispls),
+                (recvbuf, recvcounts, rdispls),
+            ] {
+                for b in (0..n).filter_map(|j| block(counts, displs, j)) {
+                    check_block(buf, &b, n)?;
+                }
             }
-        }
-        while next_recv < n {
-            self.alltoallv_recv_one(recvbuf, recvcounts, rdispls, next_recv)?;
-            next_recv += 1;
-        }
-        Ok(())
-    }
-
-    /// One rank-ordered `alltoallv` receive (self-messages included; they
-    /// were posted eagerly and cost only a local copy).
-    fn alltoallv_recv_one(
-        &mut self,
-        recvbuf: GpuPtr,
-        recvcounts: &[usize],
-        rdispls: &[usize],
-        j: usize,
-    ) -> MpiResult<()> {
-        if recvcounts[j] == 0 {
-            return Ok(());
-        }
-        let st = self.recv_bytes(
-            recvbuf.add(rdispls[j]),
-            recvcounts[j],
-            Some(j),
-            Some(TAG_ALLTOALLV),
-        )?;
-        if st.bytes != recvcounts[j] {
-            return Err(MpiError::Internal(format!(
-                "alltoallv count mismatch from rank {j}: got {}, expected {}",
-                st.bytes, recvcounts[j]
-            )));
-        }
-        Ok(())
+            // ascending send distance, then ascending receive distance
+            let sends = (0..=me).rev().chain((me + 1..n).rev());
+            let recvs = (me..n).chain(0..me);
+            ctx.alltoallv_schedule(
+                (sendbuf, sends.filter_map(|j| block(sendcounts, sdispls, j))),
+                (recvbuf, recvs.filter_map(|j| block(recvcounts, rdispls, j))),
+            )
+        })
     }
 
     /// `MPI_Alltoallv` over the peers that actually exchange data:
     /// `sends`/`recvs` list the non-zero blocks in strictly ascending peer
-    /// order. Same bytes as [`RankCtx::alltoallv_bytes`] on the blocks
-    /// scattered into zero-padded arrays, O(degree) per rank, and in
-    /// pairwise-exchange order (see the body), so a 26-neighbor exchange
-    /// takes the same virtual time at 64 ranks and at 10,000. The dense
-    /// call keeps rank-index order: rotated, every push lands in a
-    /// cache-cold inbox and its host time rises 20–28 %.
+    /// order. Same bytes, schedule and clocks as
+    /// [`RankCtx::alltoallv_bytes`] on the blocks scattered into
+    /// zero-padded arrays, at O(degree) per rank instead of O(size): a
+    /// 26-neighbor exchange takes the same virtual time at 64 ranks and at
+    /// 10,000.
     pub fn alltoallv_sparse_bytes(
         &mut self,
         sendbuf: GpuPtr,
@@ -170,74 +136,76 @@ impl RankCtx {
         recvbuf: GpuPtr,
         recvs: &[AlltoallvBlock],
     ) -> MpiResult<()> {
-        if self.tracer.enabled() {
-            let tracer = self.tracer.clone();
-            let pid = self.world_rank as u32;
-            tracer.begin(pid, LANE_CPU, "mpi", "alltoallv", self.clock.now().as_ps());
-            let r = self.alltoallv_sparse_body(sendbuf, sends, recvbuf, recvs);
-            tracer.end_args(pid, LANE_CPU, self.clock.now().as_ps(), || {
-                vec![
-                    (
-                        "send_bytes",
-                        sends.iter().map(|b| b.count).sum::<usize>().into(),
-                    ),
-                    (
-                        "recv_bytes",
-                        recvs.iter().map(|b| b.count).sum::<usize>().into(),
-                    ),
-                    ("ok", r.is_ok().into()),
-                ]
-            });
-            return r;
-        }
-        self.alltoallv_sparse_body(sendbuf, sends, recvbuf, recvs)
-    }
-
-    fn alltoallv_sparse_body(
-        &mut self,
-        sendbuf: GpuPtr,
-        sends: &[AlltoallvBlock],
-        recvbuf: GpuPtr,
-        recvs: &[AlltoallvBlock],
-    ) -> MpiResult<()> {
-        self.collective_gate()?;
-        let n = self.size;
-        for list in [sends, recvs] {
-            for (i, b) in list.iter().enumerate() {
-                if b.peer >= n {
-                    return Err(MpiError::InvalidArg(format!(
-                        "sparse alltoallv block names peer {} in a {n}-rank communicator",
-                        b.peer
-                    )));
-                }
-                if b.count == 0 {
-                    return Err(MpiError::InvalidArg(
-                        "sparse alltoallv blocks must have non-zero counts (omit the peer)"
-                            .to_string(),
-                    ));
-                }
-                if i > 0 && list[i - 1].peer >= b.peer {
-                    return Err(MpiError::InvalidArg(
-                        "sparse alltoallv blocks must be in strictly ascending peer order"
-                            .to_string(),
-                    ));
+        let sum = |list: &[AlltoallvBlock]| list.iter().map(|b| b.count).sum();
+        let bytes = || (sum(sends), sum(recvs));
+        self.alltoallv_span(bytes, |ctx| {
+            ctx.collective_gate()?;
+            let n = ctx.size;
+            for (buf, list) in [(sendbuf, sends), (recvbuf, recvs)] {
+                for (i, b) in list.iter().enumerate() {
+                    check_block(buf, b, n)?;
+                    if i > 0 && list[i - 1].peer >= b.peer {
+                        return Err(MpiError::InvalidArg(
+                            "sparse alltoallv blocks must be in strictly ascending peer order"
+                                .to_string(),
+                        ));
+                    }
                 }
             }
+            let me = ctx.rank;
+            let (below, above) = sends.split_at(sends.partition_point(|b| b.peer <= me));
+            let sends = below.iter().rev().chain(above.iter().rev());
+            let (below, above) = recvs.split_at(recvs.partition_point(|b| b.peer < me));
+            let recvs = above.iter().chain(below);
+            ctx.alltoallv_schedule((sendbuf, sends.copied()), (recvbuf, recvs.copied()))
+        })
+    }
+
+    /// Run an `alltoallv` body inside its trace span, whose end records
+    /// the bytes each way (`bytes` is called only when tracing).
+    fn alltoallv_span(
+        &mut self,
+        bytes: impl FnOnce() -> (usize, usize),
+        body: impl FnOnce(&mut RankCtx) -> MpiResult<()>,
+    ) -> MpiResult<()> {
+        if !self.tracer.enabled() {
+            return body(self);
         }
-        // Pairwise-exchange order. A message p → i has distance
-        // (p − i) mod n at both ends; sends walk downward from this rank
-        // and receives upward, both in ascending distance. Before blocking
-        // on a receive of distance m every send of distance ≤ m is posted;
-        // beyond that, sends run at most the window ahead. The first rule
-        // alone rules out deadlock for any lists: a rank blocked at m
-        // waits on a peer whose distance-m send is unposted, so that peer
-        // is blocked at a distance < m, and no wait-for chain can close.
-        let me = self.rank;
-        let (below, above) = sends.split_at(sends.partition_point(|b| b.peer <= me));
-        let mut to_send = below.iter().rev().chain(above.iter().rev()).peekable();
-        let (below, above) = recvs.split_at(recvs.partition_point(|b| b.peer < me));
+        let tracer = self.tracer.clone();
+        let pid = self.world_rank as u32;
+        tracer.begin(pid, LANE_CPU, "mpi", "alltoallv", self.clock.now().as_ps());
+        let r = body(self);
+        tracer.end_args(pid, LANE_CPU, self.clock.now().as_ps(), || {
+            let (sent, received) = bytes();
+            vec![
+                ("send_bytes", sent.into()),
+                ("recv_bytes", received.into()),
+                ("ok", r.is_ok().into()),
+            ]
+        });
+        r
+    }
+
+    /// The one `alltoallv` schedule: `sends` in ascending send distance
+    /// `(me − peer) mod n`, `recvs` in ascending receive distance
+    /// `(peer − me) mod n` — pairwise-exchange order, walking outward from
+    /// this rank — every block already validated.
+    ///
+    /// A message p → i has the same distance at both ends. Before
+    /// blocking on a receive of distance m every send of distance ≤ m is
+    /// posted; beyond that, sends run at most the window ahead. The first
+    /// rule alone rules out deadlock for any lists: a rank blocked at m
+    /// waits on a peer whose distance-m send is unposted, so that peer is
+    /// blocked at a distance < m, and no wait-for chain can close.
+    fn alltoallv_schedule(
+        &mut self,
+        (sendbuf, sends): (GpuPtr, impl Iterator<Item = AlltoallvBlock>),
+        (recvbuf, recvs): (GpuPtr, impl Iterator<Item = AlltoallvBlock>),
+    ) -> MpiResult<()> {
+        let (n, me) = (self.size, self.rank);
+        let mut to_send = sends.peekable();
         let mut posted = 0;
-        for (ri, r) in above.iter().chain(below).enumerate() {
+        for (ri, r) in recvs.enumerate() {
             let m = (r.peer + n - me) % n;
             while let Some(s) =
                 to_send.next_if(|s| (me + n - s.peer) % n <= m || posted < ri + ALLTOALLV_WINDOW)
@@ -650,13 +618,18 @@ mod tests {
         .unwrap()
     }
 
-    /// The sparse call delivers what the dense call delivers, and that is
-    /// the right data: peer `p`'s slice on rank `me` carries `p → me`.
+    /// The sparse call delivers what the dense call delivers, at the same
+    /// instant on every rank — one schedule — and that is the right data:
+    /// peer `p`'s slice on rank `me` carries `p → me`.
     fn assert_sparse_delivers_dense_bytes(n: usize, edges: &Edges, rounds: usize) {
         let sparse = exchange(n, edges, true, rounds);
         let dense = exchange(n, edges, false, rounds);
-        for (me, ((got, _), (want, _))) in sparse.iter().zip(&dense).enumerate() {
+        for (me, ((got, took), (want, dense_took))) in sparse.iter().zip(&dense).enumerate() {
             assert_eq!(got, want, "rank {me}: sparse and dense bytes differ");
+            assert_eq!(
+                took, dense_took,
+                "rank {me}: sparse and dense clocks differ"
+            );
             let (_, recvs) = blocks_of(edges, me);
             let per_round = got.len() / rounds;
             for round in 0..rounds {
@@ -740,6 +713,40 @@ mod tests {
             }
         }
         assert_sparse_delivers_dense_bytes(n, &edges, 1);
+    }
+
+    #[test]
+    fn a_dense_all_pairs_exchange_runs_the_sparse_schedule() {
+        // every rank to every rank, itself included: the dense call is the
+        // natural spelling, and it costs what the same blocks listed
+        // sparsely cost
+        let n = 64;
+        let edges: Edges = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d, 8)))
+            .collect();
+        assert_sparse_delivers_dense_bytes(n, &edges, 1);
+    }
+
+    #[test]
+    fn both_calls_reject_a_displacement_that_wraps_before_any_traffic() {
+        // `buf + 8 + (usize::MAX - 3)` wraps to bytes 4..8 of the
+        // allocation, which lie before the send buffer
+        let results = World::run(&WorldConfig::summit(1), |ctx| {
+            let buf = ctx.gpu.host_alloc(16)?;
+            let recv = ctx.gpu.host_alloc(4)?;
+            let wraps = usize::MAX - 3;
+            let dense = ctx.alltoallv_bytes(buf.add(8), &[4], &[wraps], recv, &[4], &[0]);
+            let block = |displ| AlltoallvBlock {
+                peer: 0,
+                count: 4,
+                displ,
+            };
+            let sparse = ctx.alltoallv_sparse_bytes(buf.add(8), &[block(wraps)], recv, &[block(0)]);
+            Ok([dense, sparse]
+                .map(|r| matches!(r, Err(MpiError::InvalidArg(m)) if m.contains("peer 0"))))
+        })
+        .unwrap();
+        assert_eq!(results, vec![[true, true]]);
     }
 
     /// The 26-neighbor pattern of a periodic `side`³ decomposition.

@@ -23,6 +23,10 @@ use crate::runtime::RankCtx;
 use crate::sched::ParkOp;
 use crate::vendor::{baseline_gpu_xfer, for_each_segment, is_contiguous, offset_ptr};
 
+/// Most bytes of capacity a payload may have to be kept as a rank's spare
+/// ([`RankCtx::spend`]): an exchange's messages, not a bulk transfer's parts.
+const SPARE_BYTES: usize = 4 << 10;
+
 /// Tags below this value are reserved for internal collectives.
 pub(crate) const MIN_USER_TAG: i32 = 0;
 /// Internal tag used by `alltoallv`.
@@ -420,8 +424,8 @@ impl RankCtx {
     /// rather than the first chunk. A transfer larger than `capacity` is
     /// consumed whole and reported as [`MpiError::Truncated`]. `land`
     /// returns the buffer it is done with (empty if it kept the bytes);
-    /// those of parts go back to the router's free list, as do the parts
-    /// consumed unread.
+    /// every spent buffer goes back to the router's free list, as do the
+    /// parts consumed unread.
     pub(crate) fn deliver_transfer(
         &mut self,
         first: Message,
@@ -441,13 +445,12 @@ impl RankCtx {
                     .deliver_payload(msg, dst_space)
                     .and_then(|payload| land(self, received, payload));
                 match landed {
-                    Ok(spent) if part.is_some() => self.router.recycle_payload(spent),
-                    Ok(_) => {}
+                    Ok(spent) => self.spend(spent),
                     Err(e) => failed = Some(e),
                 }
-            } else if part.is_some() {
+            } else {
                 // a part consumed unread goes back to the free list too
-                self.router.recycle_payload(msg.payload);
+                self.spend(msg.payload);
             }
             received += len;
             if part.is_none_or(|p| p.index + p.runs >= p.total) {
@@ -472,7 +475,7 @@ impl RankCtx {
         })
     }
 
-    /// Bytes of buffer capacity the world's part-payload free list holds
+    /// Bytes of buffer capacity the world's payload free list holds
     /// (never more than [`crate::PAYLOAD_POOL_BYTES`]).
     pub fn pooled_payload_bytes(&self) -> usize {
         self.router.pooled_payload_bytes()
@@ -569,9 +572,30 @@ impl RankCtx {
         part: PartInfo,
     ) -> MpiResult<()> {
         self.send_gate(dest)?;
-        let mut payload = self.router.take_payload(len);
+        let mut payload = self.take_payload(len);
         self.gpu.memory().peek_into(buf, len, &mut payload)?;
         self.post_at(dest, tag, payload, buf.space, ready_at, Some(part))
+    }
+
+    /// An empty buffer with room for `len` bytes to send: this rank's
+    /// spare when it fits, else one off the world's free list.
+    fn take_payload(&mut self, len: usize) -> Vec<u8> {
+        match len > 0 && self.spare.capacity() >= len {
+            true => std::mem::take(&mut self.spare),
+            false => self.router.take_payload(len),
+        }
+    }
+
+    /// Hand back a payload this rank is done with: kept as its spare when
+    /// that is free and the buffer small, else to the world's free list.
+    /// Sends and receives alternate in an exchange, so most payloads go
+    /// round one rank without touching the shared list.
+    fn spend(&mut self, mut buf: Vec<u8>) {
+        if self.spare.capacity() > 0 || buf.capacity() > SPARE_BYTES {
+            return self.router.recycle_payload(buf);
+        }
+        buf.clear();
+        self.spare = buf;
     }
 
     /// Send a train: the `n` runs of `run` bytes of the typed buffer `buf`
@@ -587,7 +611,7 @@ impl RankCtx {
         runs: impl FnOnce(&mut dyn FnMut(i64)),
     ) -> MpiResult<()> {
         self.send_gate(dest)?;
-        let (mut payload, mut read) = (self.router.take_payload(run * n), Ok(()));
+        let (mut payload, mut read) = (self.take_payload(run * n), Ok(()));
         let mem = self.gpu.memory();
         runs(&mut |off| {
             if read.is_ok() {
@@ -597,7 +621,7 @@ impl RankCtx {
         });
         drop(mem);
         if let Err(e) = read {
-            self.router.recycle_payload(payload);
+            self.spend(payload);
             return Err(e);
         }
         let (index, total) = (0, n as u32);
@@ -678,7 +702,8 @@ impl RankCtx {
     /// `MPI_BYTE`). CUDA-aware: `buf` may be device memory.
     pub fn send_bytes(&mut self, buf: GpuPtr, len: usize, dest: usize, tag: i32) -> MpiResult<()> {
         self.send_gate(dest)?;
-        let payload = self.gpu.memory().peek(buf, len)?;
+        let mut payload = self.take_payload(len);
+        self.gpu.memory().peek_into(buf, len, &mut payload)?;
         self.post(dest, tag, payload, buf.space)
     }
 
@@ -740,8 +765,8 @@ impl RankCtx {
     }
 
     /// Match and deliver one message of at most `maxlen` bytes into
-    /// `space`, handing its bytes to `land`; a part's payload goes back to
-    /// the free list.
+    /// `space`, handing its bytes to `land`; the payload goes back to the
+    /// free list.
     fn recv_one(
         &mut self,
         space: MemSpace,
@@ -751,11 +776,9 @@ impl RankCtx {
     ) -> MpiResult<Status> {
         self.recv_gate(src)?;
         let msg = self.match_message(src, tag)?;
-        let (source, tag, part, bytes) = (msg.src, msg.tag, msg.part, msg.payload.len());
+        let (source, tag, bytes) = (msg.src, msg.tag, msg.payload.len());
         if bytes > maxlen {
-            if part.is_some() {
-                self.router.recycle_payload(msg.payload);
-            }
+            self.spend(msg.payload);
             return Err(MpiError::Truncated {
                 sent: bytes,
                 capacity: maxlen,
@@ -764,9 +787,7 @@ impl RankCtx {
         }
         let payload = self.deliver_payload(msg, space)?;
         let landed = land(&mut self.gpu.memory(), &payload);
-        if part.is_some() {
-            self.router.recycle_payload(payload);
-        }
+        self.spend(payload);
         landed?;
         Ok(Status { source, tag, bytes })
     }
@@ -1197,6 +1218,37 @@ mod tests {
         })
         .unwrap();
         assert!(results[1]);
+    }
+
+    #[test]
+    fn a_ping_pong_of_mixed_sizes_recycles_every_payload() {
+        // each round both ranks send and receive every size, large and
+        // small: after the first, no payload is allocated or dropped, so
+        // the world's free list holds the same bytes at every round's end
+        // (read by rank 0 after its last receive, rank 1 then parked)
+        let sizes = [64usize, 8 << 10, 100, 1 << 20, 8];
+        let results = World::run(&WorldConfig::summit(2), |ctx| {
+            let buf = ctx.gpu.host_alloc(1 << 20)?;
+            let peer = 1 - ctx.rank;
+            let mut pooled = Vec::new();
+            for _ in 0..4 {
+                for &len in &sizes {
+                    if ctx.rank == 1 {
+                        ctx.recv_bytes(buf, len, Some(peer), Some(0))?;
+                    }
+                    ctx.send_bytes(buf, len, peer, 0)?;
+                    if ctx.rank == 0 {
+                        ctx.recv_bytes(buf, len, Some(peer), Some(0))?;
+                    }
+                }
+                pooled.push(ctx.pooled_payload_bytes());
+            }
+            Ok(pooled)
+        })
+        .unwrap();
+        let rounds = &results[0];
+        assert!(rounds[0] > 0, "{rounds:?}");
+        assert!(rounds.iter().all(|&b| b == rounds[0]), "{rounds:?}");
     }
 
     #[test]

@@ -696,9 +696,10 @@ mod tests {
     #[test]
     fn a_rank_context_carries_no_copy_of_the_plan() {
         // the layer's state is a pointer, counters and a map of deaths, so
-        // a 10,000-rank world pays for it once per rank, not per plan
+        // a 10,000-rank world pays for it once per rank, not per plan (the
+        // context's last 24 bytes are its spare payload)
         let (ctx, state) = (size_of::<RankCtx>(), size_of::<FaultState>());
-        assert!(ctx <= 552, "RankCtx is {ctx} bytes");
+        assert!(ctx <= 576, "RankCtx is {ctx} bytes");
         assert!(state <= 200, "FaultState is {state} bytes");
     }
 }

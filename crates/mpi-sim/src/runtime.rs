@@ -375,6 +375,9 @@ pub struct RankCtx {
     /// When the link finishes serialising the last part this rank took
     /// delivery of: the next part of the same transfer queues behind it.
     pub(crate) part_link_free: SimTime,
+    /// A small spent payload kept for this rank's next send
+    /// ([`RankCtx::spend`]).
+    pub(crate) spare: Vec<u8>,
 }
 
 impl RankCtx {
@@ -719,6 +722,7 @@ impl WorldShared {
             comm_members: Members::Identity(self.size),
             epoch: 0,
             part_link_free: SimTime::ZERO,
+            spare: Vec::new(),
         }
     }
 }
@@ -751,6 +755,7 @@ where
     // A rank with a scheduled exit might return without ever tripping
     // over its own death (its clock never reached the instant).
     ctx.announce_scheduled_death();
+    ctx.router.rank_done();
     r
 }
 

@@ -22,6 +22,7 @@
 //! owner being finished rather than parked, never masks a deadlock).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gpu_sim::SimTime;
 use tempi_trace::sync::{Mutex, MutexGuard};
@@ -32,17 +33,67 @@ use crate::p2p::Message;
 /// Default per-rank inbox high-water mark, in messages.
 pub(crate) const DEFAULT_INBOX_HWM: usize = 8192;
 
-/// Most bytes of buffer capacity the part-payload free list retains. One
-/// pipelined transfer has at most its own size in flight, and the model
-/// only pipelines objects of a few MiB, so this recycles every part of the
-/// sends that use it while a world of any size holds at most this much.
+/// Most bytes of buffer capacity the payload free list retains. Every
+/// eager payload — a one-piece message, a part of a pipelined transfer, a
+/// train — is taken from it by the sender and handed back by the receiver,
+/// except that each rank keeps one spent payload of at most 4 KiB aside
+/// for its own next send (`RankCtx::spend`). One pipelined transfer has
+/// at most its own size in flight, and the model only pipelines objects
+/// of a few MiB, so this recycles the steady-state traffic of a send while
+/// a world of any size holds at most this much, plus 4 KiB per rank.
 pub const PAYLOAD_POOL_BYTES: usize = 8 << 20;
 
-/// Spent part payloads awaiting reuse, with their total capacity.
+/// Spent payloads awaiting reuse, binned by capacity class: `bins[k]`
+/// holds the buffers of `2^k ..< 2^(k+1)` bytes (the last bin, all from
+/// 2 GiB up), largest first, so a take or a recycle of a class's usual
+/// size is a pop or push at its end.
 #[derive(Default)]
 struct PayloadPool {
-    bufs: Vec<Vec<u8>>,
+    bins: [Vec<Vec<u8>>; 32],
+    /// Their total capacity.
     bytes: usize,
+}
+
+/// The capacity class of a non-empty buffer.
+fn class(cap: usize) -> usize {
+    cap.ilog2().min(31) as usize
+}
+
+impl PayloadPool {
+    /// The smallest pooled buffer with room for `len > 0` bytes: the
+    /// smallest fit in `len`'s own class, else the smallest buffer of the
+    /// next non-empty class (all of which fit).
+    fn take(&mut self, len: usize) -> Option<Vec<u8>> {
+        let own = &mut self.bins[class(len)];
+        // largest first: the buffers that fit are a prefix
+        let fits = match own.last() {
+            Some(b) if b.capacity() >= len => own.len(),
+            _ => own.partition_point(|b| b.capacity() >= len),
+        };
+        let buf = match fits {
+            0 => self.bins[class(len) + 1..].iter_mut().find_map(Vec::pop)?,
+            _ => own.remove(fits - 1),
+        };
+        self.bytes -= buf.capacity();
+        Some(buf)
+    }
+
+    /// Keep `buf` unless it is empty or would pass
+    /// [`PAYLOAD_POOL_BYTES`].
+    fn put(&mut self, mut buf: Vec<u8>) {
+        let cap = buf.capacity();
+        if cap == 0 || self.bytes + cap > PAYLOAD_POOL_BYTES {
+            return;
+        }
+        self.bytes += cap;
+        buf.clear();
+        let bin = &mut self.bins[class(cap)];
+        let at = match bin.last() {
+            Some(b) if b.capacity() < cap => bin.partition_point(|b| b.capacity() >= cap),
+            _ => bin.len(),
+        };
+        bin.insert(at, buf);
+    }
 }
 
 #[derive(Default)]
@@ -60,9 +111,11 @@ pub(crate) struct Router {
     slots: Vec<Mutex<InboxQ>>,
     hwm: usize,
     sched: SchedCore,
-    /// Part payloads are allocated by the sender and freed by the
-    /// receiver, so only a list both can reach recycles them.
+    /// Payloads are taken by the sender and spent by the receiver, so
+    /// only a list both can reach recycles them.
     payloads: Mutex<PayloadPool>,
+    /// Ranks whose body has not yet returned ([`Router::rank_done`]).
+    running: AtomicUsize,
 }
 
 impl Router {
@@ -73,7 +126,8 @@ impl Router {
             slots: (0..n).map(|_| Mutex::new(InboxQ::default())).collect(),
             hwm,
             sched,
-            payloads: Mutex::new(PayloadPool::default()),
+            payloads: Mutex::default(),
+            running: AtomicUsize::new(n),
         }
     }
 
@@ -85,28 +139,23 @@ impl Router {
     /// An empty buffer with room for `len` bytes: the smallest pooled one
     /// that is large enough, else a fresh allocation.
     pub(crate) fn take_payload(&self, len: usize) -> Vec<u8> {
-        let mut pool = self.payloads.lock();
-        let fit = (0..pool.bufs.len())
-            .filter(|&i| pool.bufs[i].capacity() >= len)
-            .min_by_key(|&i| pool.bufs[i].capacity());
-        match fit {
-            Some(i) => {
-                let buf = pool.bufs.swap_remove(i);
-                pool.bytes -= buf.capacity();
-                buf
-            }
-            None => Vec::with_capacity(len),
-        }
+        let pooled = (len > 0).then(|| self.payloads.lock().take(len));
+        pooled.flatten().unwrap_or_else(|| Vec::with_capacity(len))
     }
 
-    /// Hand a delivered part payload back for reuse; dropped instead when
-    /// the list already holds [`PAYLOAD_POOL_BYTES`].
-    pub(crate) fn recycle_payload(&self, mut buf: Vec<u8>) {
-        let mut pool = self.payloads.lock();
-        if buf.capacity() > 0 && pool.bytes + buf.capacity() <= PAYLOAD_POOL_BYTES {
-            buf.clear();
-            pool.bytes += buf.capacity();
-            pool.bufs.push(buf);
+    /// Hand a spent payload back for reuse; dropped instead when the list
+    /// already holds [`PAYLOAD_POOL_BYTES`].
+    pub(crate) fn recycle_payload(&self, buf: Vec<u8>) {
+        self.payloads.lock().put(buf);
+    }
+
+    /// A rank's body returned. The last one frees the pooled payloads, on
+    /// the worker thread that allocated most of them: freed by the caller's
+    /// thread as the world drops, they leave the allocator unable to hand
+    /// their pages back, and the next world starts that much larger.
+    pub(crate) fn rank_done(&self) {
+        if self.running.fetch_sub(1, Ordering::SeqCst) == 1 {
+            *self.payloads.lock() = PayloadPool::default();
         }
     }
 
@@ -211,5 +260,50 @@ impl Router {
     /// accounting).
     pub(crate) fn inbox_depth(&self, rank: usize) -> usize {
         self.slots[rank].lock().msgs.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A router with no ranks to deliver to: its free list alone.
+    fn free_list() -> Router {
+        Router::new(0, 0, SchedCore::new(0, SimTime::ZERO))
+    }
+
+    #[test]
+    fn take_payload_returns_the_smallest_pooled_buffer_that_fits() {
+        let list = free_list();
+        for cap in [64, 100, 96, 4096, 200] {
+            list.recycle_payload(Vec::with_capacity(cap));
+        }
+        // 64, 96 and 100 share a capacity class; 101 and 1 find nothing
+        // that fits in their own and take the next class's smallest
+        let got = [65, 97, 64, 101, 1].map(|len| list.take_payload(len).capacity());
+        assert_eq!(got, [96, 100, 64, 200, 4096]);
+        assert_eq!(list.pooled_payload_bytes(), 0);
+        assert_eq!(list.take_payload(8).capacity(), 8, "empty: a fresh buffer");
+        assert_eq!(list.take_payload(0).capacity(), 0, "nothing to hold");
+    }
+
+    #[test]
+    fn recycle_payload_keeps_at_most_the_world_cap() {
+        let list = free_list();
+        let quarter = PAYLOAD_POOL_BYTES / 4;
+        for _ in 0..5 {
+            list.recycle_payload(Vec::with_capacity(quarter));
+        }
+        assert_eq!(list.pooled_payload_bytes(), PAYLOAD_POOL_BYTES);
+        list.recycle_payload(Vec::with_capacity(1));
+        assert_eq!(list.pooled_payload_bytes(), PAYLOAD_POOL_BYTES);
+        let taken = list.take_payload(quarter);
+        assert_eq!(list.pooled_payload_bytes(), PAYLOAD_POOL_BYTES - quarter);
+        list.recycle_payload(Vec::with_capacity(1));
+        list.recycle_payload(taken);
+        assert_eq!(
+            list.pooled_payload_bytes(),
+            PAYLOAD_POOL_BYTES - quarter + 1
+        );
     }
 }
