@@ -4,7 +4,9 @@
 //!
 //! Both `alltoallv` calls run one schedule: eager sends and peer-by-peer
 //! receives, both walking outward from the caller (pairwise-exchange
-//! order), sends a small window ahead of receives so in-flight traffic
+//! order). A call of at most 32 sends posts them all before its first
+//! receive, so a neighbourhood exchange pays one latency; a larger one keeps
+//! its sends a small window ahead of its receives, so in-flight traffic
 //! stays bounded. The dense call feeds it its non-zero entries, the sparse
 //! call its block lists, so the same exchange costs the same either way and
 //! a neighbor exchange costs the same in a world of any size. Each receive
@@ -26,10 +28,15 @@ use crate::error::{MpiError, MpiResult};
 use crate::p2p::{TAG_ALLTOALLV, TAG_GATHER};
 use crate::runtime::RankCtx;
 
-/// How many sends an `alltoallv` posts ahead of its receives. Bounds
-/// posted-but-unconsumed eager messages at roughly `window` per rank
-/// instead of `size`.
+/// How many sends an `alltoallv` of more than [`ALLTOALLV_POST_ALL`] sends
+/// posts ahead of its receives. Bounds posted-but-unconsumed eager
+/// messages at roughly `window` per rank instead of `size`.
 const ALLTOALLV_WINDOW: usize = 8;
+
+/// An `alltoallv` with at most this many sends posts every one before its
+/// first receive, as a linear `MPI_Alltoallv` does: a neighbourhood
+/// exchange (26 peers in 3-D) then costs one latency, not one per window.
+const ALLTOALLV_POST_ALL: usize = 32;
 
 /// One peer's slice of a sparse `alltoallv`: `count` bytes at
 /// `buf + displ` exchanged with communicator rank `peer`. See
@@ -115,7 +122,9 @@ impl RankCtx {
             // ascending send distance, then ascending receive distance
             let sends = (0..=me).rev().chain((me + 1..n).rev());
             let recvs = (me..n).chain(0..me);
+            let nsends = sendcounts.iter().filter(|&&count| count > 0).count();
             ctx.alltoallv_schedule(
+                nsends,
                 (sendbuf, sends.filter_map(|j| block(sendcounts, sdispls, j))),
                 (recvbuf, recvs.filter_map(|j| block(recvcounts, rdispls, j))),
             )
@@ -152,12 +161,12 @@ impl RankCtx {
                     }
                 }
             }
-            let me = ctx.rank;
+            let (me, nsends) = (ctx.rank, sends.len());
             let (below, above) = sends.split_at(sends.partition_point(|b| b.peer <= me));
             let sends = below.iter().rev().chain(above.iter().rev());
             let (below, above) = recvs.split_at(recvs.partition_point(|b| b.peer < me));
             let recvs = above.iter().chain(below);
-            ctx.alltoallv_schedule((sendbuf, sends.copied()), (recvbuf, recvs.copied()))
+            ctx.alltoallv_schedule(nsends, (sendbuf, sends.copied()), (recvbuf, recvs.copied()))
         })
     }
 
@@ -189,26 +198,33 @@ impl RankCtx {
     /// The one `alltoallv` schedule: `sends` in ascending send distance
     /// `(me − peer) mod n`, `recvs` in ascending receive distance
     /// `(peer − me) mod n` — pairwise-exchange order, walking outward from
-    /// this rank — every block already validated.
+    /// this rank — every block already validated; `nsends` is the length of
+    /// `sends`.
     ///
     /// A message p → i has the same distance at both ends. Before
     /// blocking on a receive of distance m every send of distance ≤ m is
-    /// posted; beyond that, sends run at most the window ahead. The first
-    /// rule alone rules out deadlock for any lists: a rank blocked at m
-    /// waits on a peer whose distance-m send is unposted, so that peer is
-    /// blocked at a distance < m, and no wait-for chain can close.
+    /// posted; beyond that, sends run at most the window ahead — every send,
+    /// when there are at most [`ALLTOALLV_POST_ALL`]. The first rule alone
+    /// rules out deadlock for any lists: a rank blocked at m waits on a peer
+    /// whose distance-m send is unposted, so that peer is blocked at a
+    /// distance < m, and no wait-for chain can close.
     fn alltoallv_schedule(
         &mut self,
+        nsends: usize,
         (sendbuf, sends): (GpuPtr, impl Iterator<Item = AlltoallvBlock>),
         (recvbuf, recvs): (GpuPtr, impl Iterator<Item = AlltoallvBlock>),
     ) -> MpiResult<()> {
         let (n, me) = (self.size, self.rank);
+        let window = match nsends <= ALLTOALLV_POST_ALL {
+            true => nsends,
+            false => ALLTOALLV_WINDOW,
+        };
         let mut to_send = sends.peekable();
         let mut posted = 0;
         for (ri, r) in recvs.enumerate() {
             let m = (r.peer + n - me) % n;
             while let Some(s) =
-                to_send.next_if(|s| (me + n - s.peer) % n <= m || posted < ri + ALLTOALLV_WINDOW)
+                to_send.next_if(|s| (me + n - s.peer) % n <= m || posted < ri + window)
             {
                 self.send_bytes(sendbuf.add(s.displ), s.count, s.peer, TAG_ALLTOALLV)?;
                 posted += 1;
@@ -785,6 +801,61 @@ mod tests {
             at_512.as_ps() <= 5 * floor.as_ps(),
             "{at_512:?} for a 26-neighbor exchange of 64-byte messages"
         );
+    }
+
+    /// The latest a rank finishes an exchange of `peers` device messages of
+    /// `bytes` each when every rank posts all its sends before its first
+    /// receive: its last peer's message departs at most `peers` send
+    /// overheads in, pays the slower floor and its own serialisation, and
+    /// waits behind at most `peers` receive overheads.
+    fn one_latency_round(peers: u64, bytes: usize) -> SimTime {
+        let net = WorldConfig::summit(1).net;
+        let far = net.ranks_per_node;
+        net.gpu_latency_inter.max(net.gpu_latency_intra)
+            + (net.send_overhead + net.recv_overhead) * peers
+            + net.serialization_time(bytes, crate::net::Transport::Gpu, 0, far)
+    }
+
+    #[test]
+    fn a_26_peer_exchange_takes_one_latency_round() {
+        // a window of 8 pays ⌈26 / 8⌉ back-to-back latencies instead
+        let run = exchange(64, &torus_pattern(4), true, 1);
+        let bound = one_latency_round(26, 64);
+        for (rank, (_, took)) in run.iter().enumerate() {
+            assert!(*took <= bound, "rank {rank}: {took:?} > {bound:?}");
+        }
+    }
+
+    /// Rank 0 exchanges `peers` messages of 64 bytes with each of ranks
+    /// `1..=peers`, which exchange with nobody else.
+    fn star_pattern(peers: usize) -> Edges {
+        (1..=peers).flat_map(|p| [(0, p, 64), (p, 0, 64)]).collect()
+    }
+
+    #[test]
+    fn a_33_peer_call_keeps_a_window_of_8_sends_ahead_of_its_receives() {
+        // The hub sends to ranks 33, 32, …, 1 and first receives from rank
+        // 1, whose message takes at least one floor to land. With 8 sends
+        // ahead, exactly those to 33..=26 leave before it does; every later
+        // one lands at least two floors in. Posting all 33 would land each
+        // within 33 send overheads and one floor, short of two.
+        let net = WorldConfig::summit(1).net;
+        let two_floors = net.gpu_latency_intra.min(net.gpu_latency_inter) * 2;
+        let run = exchange(34, &star_pattern(33), true, 1);
+        let late: Vec<usize> = (1..=33).filter(|&p| run[p].1 >= two_floors).collect();
+        assert_eq!(late, (1..=33 - ALLTOALLV_WINDOW).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dense_and_sparse_calls_agree_either_side_of_the_post_all_limit() {
+        for peers in [ALLTOALLV_POST_ALL, ALLTOALLV_POST_ALL + 1] {
+            let n = peers + 8;
+            let shifted: Edges = (0..n)
+                .flat_map(|me| (1..=peers).map(move |d| (me, (me + d) % n, 4)))
+                .collect();
+            assert_sparse_delivers_dense_bytes(n, &shifted, 2);
+            assert_sparse_delivers_dense_bytes(peers + 1, &star_pattern(peers), 1);
+        }
     }
 
     #[test]

@@ -54,6 +54,44 @@ pub enum Order {
     Fortran,
 }
 
+/// One dimension of a subarray, in elements of its `oldtype`: what
+/// `MPI_Type_create_subarray` lists at one index of its `sizes`,
+/// `subsizes` and `starts`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dim {
+    /// Full array extent.
+    pub size: i32,
+    /// Subarray extent.
+    pub subsize: i32,
+    /// Subarray origin.
+    pub start: i32,
+}
+
+impl Dim {
+    /// The field each of MPI's three lists holds: `sizes`, `subsizes`,
+    /// `starts`.
+    pub(crate) const COLUMNS: [fn(&Dim) -> i32; 3] = [|d| d.size, |d| d.subsize, |d| d.start];
+
+    /// The dimensions MPI's three parallel lists describe; lists of
+    /// different lengths describe none, and the error says so.
+    pub fn from_lists(sizes: &[i32], subsizes: &[i32], starts: &[i32]) -> Result<Vec<Dim>, String> {
+        let lens = [sizes.len(), subsizes.len(), starts.len()];
+        if lens != [lens[0]; 3] {
+            return Err(format!(
+                "subarray argument lists differ in length: {lens:?}"
+            ));
+        }
+        let dims = sizes.iter().zip(subsizes).zip(starts);
+        Ok(dims
+            .map(|((&size, &subsize), &start)| Dim {
+                size,
+                subsize,
+                start,
+            })
+            .collect())
+    }
+}
+
 /// The construction of a datatype — the persistent record of *how* it was
 /// built, which is what `MPI_Type_get_contents` reports back. The registry
 /// stores it over child handles; over child constructions it is a
@@ -130,12 +168,8 @@ pub enum TypeDef<C = Datatype> {
     /// `MPI_Type_create_subarray`: an n-dimensional subarray of an
     /// n-dimensional array.
     Subarray {
-        /// Full array extent per dimension, in elements.
-        sizes: Vec<i32>,
-        /// Subarray extent per dimension, in elements.
-        subsizes: Vec<i32>,
-        /// Subarray origin per dimension, in elements.
-        starts: Vec<i32>,
+        /// Array and subarray per dimension, in MPI's argument order.
+        dims: Vec<Dim>,
         /// Storage order.
         order: Order,
         /// Element type.

@@ -6,7 +6,7 @@
 //! The named types occupy fixed handles (see [`consts`]).
 
 use super::named::Named;
-use super::{Contents, Datatype, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
+use super::{Contents, Datatype, Dim, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
 use crate::error::{MpiError, MpiResult};
 
 /// Well-known handles for the named types, in [`Named::ALL`] order.
@@ -248,19 +248,15 @@ impl TypeRegistry {
                 (span(blocks.map(|(&n, &d)| Ok((old, n as i64, d))))?, false)
             }
             TypeDef::Subarray {
-                sizes,
-                subsizes,
-                starts,
+                dims,
                 order,
                 oldtype,
             } => {
-                let ndims = sizes.len();
-                check_args(&[ndims, subsizes.len(), starts.len()], &[])?;
-                if ndims == 0 {
+                if dims.is_empty() {
                     return Err(MpiError::InvalidArg("subarray needs ndims >= 1".into()));
                 }
-                for i in 0..ndims {
-                    let (size, sub, start) = (sizes[i], subsizes[i], starts[i]);
+                for (i, d) in dims.iter().enumerate() {
+                    let (size, sub, start) = (d.size, d.subsize, d.start);
                     if size < 1 || sub < 1 || sub > size || start < 0 || start > size - sub {
                         return Err(MpiError::InvalidArg(format!(
                             "dimension {i}: size {size}, subsize {sub}, start {start} \
@@ -272,13 +268,17 @@ impl TypeRegistry {
                 let ex = old.attrs.extent();
                 // elements in the full array: when it fits, so does every
                 // stride and every offset inside it
-                let full = sizes.iter().try_fold(1, |n, &s| mul(n, s as i64))?;
-                let strides = subarray_elem_strides(sizes, *order);
-                let first: i64 = (0..ndims).map(|i| starts[i] as i64 * strides[i]).sum();
-                let last: i64 = (0..ndims)
-                    .map(|i| (starts[i] + subsizes[i] - 1) as i64 * strides[i])
-                    .sum();
-                let nsub: u64 = subsizes.iter().map(|&s| s as u64).product();
+                let full = dims.iter().try_fold(1, |n, d| mul(n, d.size as i64))?;
+                let strides = subarray_elem_strides(dims, *order);
+                let at = |pick: fn(&Dim) -> i32| -> i64 {
+                    dims.iter()
+                        .zip(&strides)
+                        .map(|(d, &s)| pick(d) as i64 * s)
+                        .sum()
+                };
+                let first = at(|d| d.start);
+                let last = at(|d| d.start + d.subsize - 1);
+                let nsub: u64 = dims.iter().map(|d| d.subsize as u64).product();
                 let attrs = TypeAttrs {
                     size: mul_size(nsub, old.attrs.size)?,
                     // per MPI, a subarray's extent spans the *full* array
@@ -420,9 +420,7 @@ impl TypeRegistry {
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
         self.create(TypeDef::Subarray {
-            sizes: sizes.to_vec(),
-            subsizes: subsizes.to_vec(),
-            starts: starts.to_vec(),
+            dims: Dim::from_lists(sizes, subsizes, starts).map_err(MpiError::InvalidArg)?,
             order,
             oldtype,
         })
@@ -472,7 +470,7 @@ impl TypeRegistry {
             TypeDef::Hindexed { blocklengths, .. } => {
                 (blocklengths.len() + 1, blocklengths.len(), 1)
             }
-            TypeDef::Subarray { sizes, .. } => (3 * sizes.len() + 2, 0, 1),
+            TypeDef::Subarray { dims, .. } => (3 * dims.len() + 2, 0, 1),
             TypeDef::Struct { types, .. } => (types.len() + 1, types.len(), types.len()),
             TypeDef::Resized { .. } => (0, 2, 1),
         };
@@ -557,16 +555,14 @@ impl TypeRegistry {
                 c.datatypes.push(*oldtype);
             }
             TypeDef::Subarray {
-                sizes,
-                subsizes,
-                starts,
+                dims,
                 order,
                 oldtype,
             } => {
-                c.integers.push(sizes.len() as i64);
-                c.integers.extend(sizes.iter().map(|&v| v as i64));
-                c.integers.extend(subsizes.iter().map(|&v| v as i64));
-                c.integers.extend(starts.iter().map(|&v| v as i64));
+                c.integers.push(dims.len() as i64);
+                for pick in Dim::COLUMNS {
+                    c.integers.extend(dims.iter().map(|d| pick(d) as i64));
+                }
                 c.integers.push(match order {
                     Order::C => 0,
                     Order::Fortran => 1,
@@ -695,20 +691,20 @@ fn mul_size(a: u64, b: u64) -> MpiResult<u64> {
 }
 
 /// Element strides (in elements of `oldtype`) per subarray dimension.
-pub(crate) fn subarray_elem_strides(sizes: &[i32], order: Order) -> Vec<i64> {
-    let n = sizes.len();
+pub(crate) fn subarray_elem_strides(dims: &[Dim], order: Order) -> Vec<i64> {
+    let n = dims.len();
     let mut strides = vec![1i64; n];
     match order {
         Order::C => {
             // dimension 0 slowest: stride[i] = prod(sizes[i+1..])
             for i in (0..n.saturating_sub(1)).rev() {
-                strides[i] = strides[i + 1] * sizes[i + 1] as i64;
+                strides[i] = strides[i + 1] * dims[i + 1].size as i64;
             }
         }
         Order::Fortran => {
             // dimension 0 fastest: stride[i] = prod(sizes[..i])
             for i in 1..n {
-                strides[i] = strides[i - 1] * sizes[i - 1] as i64;
+                strides[i] = strides[i - 1] * dims[i - 1].size as i64;
             }
         }
     }
@@ -806,9 +802,10 @@ mod tests {
 
     #[test]
     fn subarray_fortran_order_reverses_strides() {
-        let strides_c = subarray_elem_strides(&[4, 6, 8], Order::C);
+        let dims = Dim::from_lists(&[4, 6, 8], &[1; 3], &[0; 3]).unwrap();
+        let strides_c = subarray_elem_strides(&dims, Order::C);
         assert_eq!(strides_c, vec![48, 8, 1]);
-        let strides_f = subarray_elem_strides(&[4, 6, 8], Order::Fortran);
+        let strides_f = subarray_elem_strides(&dims, Order::Fortran);
         assert_eq!(strides_f, vec![1, 4, 24]);
     }
 
@@ -827,9 +824,16 @@ mod tests {
         assert!(r
             .type_create_subarray(&[4], &[0], &[0], Order::C, MPI_BYTE)
             .is_err());
-        assert!(r
-            .type_create_subarray(&[4, 4], &[2], &[0], Order::C, MPI_BYTE)
-            .is_err());
+        // lists of different lengths describe no dimensions
+        let live = r.live();
+        for (sizes, subsizes, starts) in [
+            (&[4, 4][..], &[2][..], &[0][..]),
+            (&[4][..], &[2][..], &[0, 0][..]),
+        ] {
+            let res = r.type_create_subarray(sizes, subsizes, starts, Order::C, MPI_BYTE);
+            assert!(matches!(res, Err(MpiError::InvalidArg(m)) if m.contains("differ in length")));
+        }
+        assert_eq!(r.live(), live, "a rejected constructor inserted a handle");
     }
 
     #[test]

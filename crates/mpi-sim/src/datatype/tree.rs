@@ -28,7 +28,7 @@ use std::any::type_name;
 use std::fmt;
 use std::str::FromStr;
 
-use super::{Combiner, Contents, Datatype, Named, Order, TypeDef, TypeRegistry};
+use super::{Combiner, Contents, Datatype, Dim, Named, Order, TypeDef, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::runtime::RankCtx;
 
@@ -43,8 +43,10 @@ impl TypeTree {
     /// Create (not commit) the datatype in the rank's registry: one priced
     /// `RankCtx::type_*` call per constructor, children before the type
     /// over them and struct members in order — the calls a hand-written
-    /// construction makes. Freeing a child invalidates its parents (see
-    /// [`TypeRegistry::free`]), so the intermediate types stay live.
+    /// construction makes (a subarray's dimensions go in as they are, not
+    /// split into MPI's three lists and zipped back). Freeing a child
+    /// invalidates its parents (see [`TypeRegistry::free`]), so the
+    /// intermediate types stay live.
     pub fn build(&self, ctx: &mut RankCtx) -> MpiResult<Datatype> {
         let built = (self.0.children().iter())
             .map(|child| child.build(ctx))
@@ -82,13 +84,13 @@ impl TypeTree {
                 displacements_bytes,
                 ..
             } => ctx.type_create_hindexed(blocklengths, displacements_bytes, old()),
-            TypeDef::Subarray {
-                sizes,
-                subsizes,
-                starts,
-                order,
-                ..
-            } => ctx.type_create_subarray(sizes, subsizes, starts, *order, old()),
+            TypeDef::Subarray { dims, order, .. } => ctx.create_priced(|r| {
+                r.create(TypeDef::Subarray {
+                    dims: dims.clone(),
+                    order: *order,
+                    oldtype: old(),
+                })
+            }),
             TypeDef::Struct {
                 blocklengths,
                 displacements_bytes,
@@ -154,9 +156,13 @@ impl TypeTree {
                 oldtype: oldtype(),
             },
             Combiner::Subarray => TypeDef::Subarray {
-                sizes: ints(0),
-                subsizes: ints(1),
-                starts: ints(2),
+                dims: (1..=n)
+                    .map(|i| Dim {
+                        size: int(i),
+                        subsize: int(i + n),
+                        start: int(i + 2 * n),
+                    })
+                    .collect(),
                 order: match int(1 + 3 * n) {
                     0 => Order::C,
                     _ => Order::Fortran,
@@ -211,9 +217,7 @@ impl fmt::Display for TypeTree {
                 oldtype,
             } => write!(f, "hindexed({blocklengths:?}, {displs:?}, {oldtype})"),
             TypeDef::Subarray {
-                sizes,
-                subsizes,
-                starts,
+                dims,
                 order,
                 oldtype,
             } => {
@@ -221,6 +225,7 @@ impl fmt::Display for TypeTree {
                     Order::C => "subarray",
                     Order::Fortran => "subarray_fortran",
                 };
+                let [sizes, subsizes, starts] = Dim::COLUMNS.map(|pick| Column(dims, pick));
                 write!(f, "{name}({sizes:?}, {subsizes:?}, {starts:?}, {oldtype})")
             }
             TypeDef::Struct {
@@ -234,6 +239,15 @@ impl fmt::Display for TypeTree {
                 oldtype,
             } => write!(f, "resized({lb}, {extent}, {oldtype})"),
         }
+    }
+}
+
+/// One of a subarray's three argument lists, printed as a list is.
+struct Column<'a>(&'a [Dim], fn(&Dim) -> i32);
+
+impl fmt::Debug for Column<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter().map(self.1)).finish()
     }
 }
 
@@ -396,16 +410,23 @@ impl Parser<'_> {
                 displacements_bytes: self.args("displacements_bytes")?,
                 oldtype: self.spec(inner)?,
             },
-            "subarray" | "subarray_fortran" => TypeDef::Subarray {
-                sizes: self.args("sizes")?,
-                subsizes: self.args("subsizes")?,
-                starts: self.args("starts")?,
-                order: match name.as_str() {
-                    "subarray" => Order::C,
-                    _ => Order::Fortran,
-                },
-                oldtype: self.spec(inner)?,
-            },
+            "subarray" | "subarray_fortran" => {
+                let at = self.pos;
+                let (sizes, subsizes, starts) = (
+                    self.args("sizes")?,
+                    self.args("subsizes")?,
+                    self.args("starts")?,
+                );
+                TypeDef::Subarray {
+                    dims: Dim::from_lists(&sizes, &subsizes, &starts)
+                        .map_err(|e| format!("{e} at byte {at}"))?,
+                    order: match name.as_str() {
+                        "subarray" => Order::C,
+                        _ => Order::Fortran,
+                    },
+                    oldtype: self.spec(inner)?,
+                }
+            }
             "struct" => TypeDef::Struct {
                 blocklengths: self.args("blocklengths")?,
                 displacements_bytes: self.args("displacements_bytes")?,
@@ -481,8 +502,9 @@ mod tests {
     fn parses_lists() {
         let s = parse("subarray([1024,512,256],[47,13,100],[0,0,0],byte)").unwrap();
         match &*s.0 {
-            TypeDef::Subarray { sizes, order, .. } => {
-                assert_eq!(sizes, &[1024, 512, 256]);
+            TypeDef::Subarray { dims, order, .. } => {
+                let sizes: Vec<i32> = dims.iter().map(|d| d.size).collect();
+                assert_eq!(sizes, [1024, 512, 256]);
                 assert_eq!(*order, Order::C);
             }
             other => panic!("{other:?}"),
@@ -582,6 +604,11 @@ mod tests {
             (
                 "subarray([8],[2],[-2147483649],byte)",
                 "starts = -2147483649",
+            ),
+            // a subarray's lists name one dimension each per index
+            (
+                "subarray([4,4],[2],[0,0],byte)",
+                "lists differ in length: [2, 1, 2] at byte 9",
             ),
         ] {
             match parse(s) {

@@ -144,20 +144,18 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
             }
         }
         TypeDef::Subarray {
-            sizes,
-            subsizes,
-            starts,
+            dims,
             order,
             oldtype,
         } => {
             let ex = reg.attrs(*oldtype)?.extent();
-            let strides = subarray_elem_strides(sizes, *order);
+            let strides = subarray_elem_strides(dims, *order);
             // Odometer over the subarray indices; for C order dimension 0
             // is slowest (varies last), for Fortran dimension 0 is fastest.
             // We iterate so that the fastest-varying dimension is innermost
             // — i.e., in increasing memory order for non-pathological
             // layouts, which is also the typemap order.
-            let ndims = sizes.len();
+            let ndims = dims.len();
             let dim_order: Vec<usize> = match order {
                 super::Order::C => (0..ndims).collect(), // idx[0] outermost
                 super::Order::Fortran => (0..ndims).rev().collect(),
@@ -165,7 +163,7 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
             let mut idx = vec![0i64; ndims];
             loop {
                 let off: i64 = (0..ndims)
-                    .map(|k| (starts[k] as i64 + idx[k]) * strides[k])
+                    .map(|k| (dims[k].start as i64 + idx[k]) * strides[k])
                     .sum();
                 emit(reg, *oldtype, base + off * ex, out)?;
                 // increment odometer: last entry of dim_order fastest
@@ -177,7 +175,7 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
                     k -= 1;
                     let d = dim_order[k];
                     idx[d] += 1;
-                    if idx[d] < subsizes[d] as i64 {
+                    if idx[d] < dims[d].subsize as i64 {
                         break;
                     }
                     idx[d] = 0;

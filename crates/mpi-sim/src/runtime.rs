@@ -494,7 +494,7 @@ impl RankCtx {
 
     /// Run `f` with write access to the shared type registry, charging one
     /// type-constructor call's CPU cost.
-    fn create_priced<T>(
+    pub(crate) fn create_priced<T>(
         &mut self,
         f: impl FnOnce(&mut TypeRegistry) -> MpiResult<T>,
     ) -> MpiResult<T> {

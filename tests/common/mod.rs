@@ -9,7 +9,7 @@
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mpi_sim::datatype::{Named, Order, TypeAttrs, TypeDef, TypeTree};
+use mpi_sim::datatype::{Dim, Named, Order, TypeAttrs, TypeDef, TypeTree};
 use mpi_sim::{Datatype, RankCtx, WorldConfig};
 pub use tempi_chaos::Rng;
 
@@ -154,9 +154,7 @@ fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
             let subsizes = sizes.map(|size| pick(rng, 1, size));
             let starts = [0, 1].map(|d| pick(rng, 0, sizes[d] - subsizes[d] + 1));
             TypeDef::Subarray {
-                sizes: sizes.to_vec(),
-                subsizes: subsizes.to_vec(),
-                starts: starts.to_vec(),
+                dims: Dim::from_lists(&sizes, &subsizes, &starts).expect("equal lengths"),
                 order: [Order::C, Order::Fortran][rng.below(2) as usize],
                 oldtype,
             }
