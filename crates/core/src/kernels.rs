@@ -30,8 +30,8 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
 use gpu_sim::{
-    div_ceil, next_pow2, Dim3, GpuError, GpuPtr, GpuResult, LaunchConfig, MemSpace, Memory,
-    PackDir, PackTarget, SimClock, SimTime, Stream,
+    div_ceil, next_pow2, CopyRule, Dim3, GpuError, GpuPtr, GpuResult, LaunchConfig, MemSpace,
+    Memory, PackDir, PackTarget, SimClock, SimTime, Stream,
 };
 use mpi_sim::{Combiner, Datatype, MpiError, MpiResult, RankCtx};
 
@@ -363,21 +363,24 @@ impl Runs for BlockRange<'_> {
 
 /// The one run-walking body every pack/unpack shares: a cursor through the
 /// packed bytes from `packed`, advanced run by run of the typed buffer
-/// `strided`. Which side of a run is the source is `dir`'s business, a run
-/// that reaches before the typed buffer is out of bounds, and the first
-/// fault ends the walk (the run visitors cannot stop early, so later runs
-/// are skipped, not moved). `ON_HOST` copies with host code, which no
-/// address space refuses, instead of a kernel's device code. Returns the
-/// number of runs.
-fn walk<const ON_HOST: bool>(
+/// `strided`, the two allocations looked up once for the whole walk. Which
+/// side of a run is the source is `dir`'s business, a run that reaches
+/// before the typed buffer is out of bounds, and the first fault ends the
+/// walk (the run visitors cannot stop early, so later runs are counted and
+/// skipped, not moved). `rule` is a kernel's device code, or the host
+/// code's that no address space refuses. Returns the number of runs.
+fn walk(
     mem: &mut Memory,
+    rule: CopyRule,
     dir: PackDir,
     strided: GpuPtr,
     packed: GpuPtr,
     runs: &impl Runs,
 ) -> GpuResult<usize> {
+    let (dst, src) = dir.ends(strided, packed);
+    let mut copier = mem.copier(rule, dst, src);
     let mut fault = Ok(());
-    let (mut pos, mut n) = (0, 0);
+    let (mut pos, mut n) = (packed.offset, 0);
     runs.for_each(|off, len| {
         n += 1;
         if fault.is_err() {
@@ -392,14 +395,8 @@ fn walk<const ON_HOST: bool>(
             });
             return;
         };
-        let (dst, src) = dir.ends(s, packed.add(pos));
-        let moved = match ON_HOST {
-            true => mem.peek(src, len).and_then(|data| mem.poke(dst, &data)),
-            false => mem.dev_copy(dst, src, len),
-        };
-        if moved.is_err() {
-            fault = moved;
-        }
+        let (dst, src) = dir.ends(s.offset, pos);
+        fault = copier.copy(dst, src, len);
         pos += len;
     });
     fault.map(|()| n)
@@ -441,7 +438,7 @@ fn launch(
     packed: GpuPtr,
     runs: &impl Runs,
 ) -> MpiResult<()> {
-    let body = |mem: &mut Memory| walk::<false>(mem, dir, strided, packed, runs).map(drop);
+    let body = |mem: &mut Memory| walk(mem, CopyRule::Kernel, dir, strided, packed, runs).map(drop);
     stream
         .launch_args(clock, l.name, l.cfg, l.cost, l.args, body)
         .map_err(MpiError::Gpu)
@@ -572,11 +569,11 @@ pub(crate) fn execute_on_host(
     x: Typed,
     packed: GpuPtr,
 ) -> MpiResult<()> {
-    let mut mem = ctx.gpu.memory();
+    let (mut mem, host) = (ctx.gpu.memory(), CopyRule::Backdoor);
     let runs = match plan {
-        PlanKind::Strided(kp) => walk::<true>(&mut mem, dir, x.buf, packed, &x.items(&kp.sb))?,
-        PlanKind::Blocks(bl) => walk::<true>(&mut mem, dir, x.buf, packed, &x.items(bl))?,
-        PlanKind::Multi(members) => walk::<true>(&mut mem, dir, x.buf, packed, &x.items(members))?,
+        PlanKind::Strided(kp) => walk(&mut mem, host, dir, x.buf, packed, &x.items(&kp.sb))?,
+        PlanKind::Blocks(bl) => walk(&mut mem, host, dir, x.buf, packed, &x.items(bl))?,
+        PlanKind::Multi(members) => walk(&mut mem, host, dir, x.buf, packed, &x.items(members))?,
         PlanKind::Empty => 0,
         PlanKind::Fallback(_) => return Err(no_kernel()),
     };
@@ -1081,6 +1078,126 @@ mod tests {
         assert_eq!(n, 6);
         assert_eq!(ctx.memory().peek(dst, 6).unwrap(), vec![8, 9, 0, 1, 2, 3]);
         assert_eq!(stream.stats().kernel_launches, 1);
+    }
+
+    /// `count` items of `layout`, packed one after another.
+    fn x_items<L>(layout: &L, count: usize) -> Items<'_, L> {
+        Items {
+            layout,
+            extent: 0,
+            count,
+        }
+    }
+
+    #[test]
+    fn a_walk_of_no_runs_succeeds_even_over_a_freed_buffer() {
+        let ctx = GpuContext::new(DeviceProps::v100());
+        let (freed, live) = (ctx.malloc(64).unwrap(), ctx.malloc(4096).unwrap());
+        ctx.free(freed).unwrap();
+        let sb = sb2d();
+        let (none, one) = (x_items(&sb, 0), x_items(&sb, 1));
+        let invalid = GpuError::InvalidPointer {
+            alloc: freed.alloc_id(),
+        };
+        for rule in [CopyRule::Kernel, CopyRule::Backdoor] {
+            for dir in [PackDir::Pack, PackDir::Unpack] {
+                let mut mem = ctx.memory();
+                assert_eq!(walk(&mut mem, rule, dir, freed, live, &none), Ok(0));
+                assert_eq!(walk(&mut mem, rule, dir, live, freed, &none), Ok(0));
+                let one_run = walk(&mut mem, rule, dir, freed, live, &one);
+                assert_eq!(one_run, Err(invalid.clone()));
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_fault_ends_the_copies_and_every_run_counts() {
+        let ctx = GpuContext::new(DeviceProps::v100());
+        let (typed, packed) = (ctx.malloc(16).unwrap(), ctx.malloc(24).unwrap());
+        let data: Vec<u8> = (0..16).collect();
+        ctx.memory().poke(typed, &data).unwrap();
+        let runs = |blocks: &[(i64, u64)]| BlockList {
+            blocks: blocks.to_vec(),
+        };
+        // three runs of 4 B, the middle one past either end of the buffer
+        let past_end = runs(&[(0, 4), (14, 4), (8, 4)]);
+        let before_start = runs(&[(0, 4), (-4, 4), (8, 4)]);
+        let oob = |offset, size| GpuError::OutOfBounds {
+            alloc: typed.alloc_id(),
+            offset,
+            len: 4,
+            size,
+        };
+        let pack = PackDir::Pack;
+        for rule in [CopyRule::Kernel, CopyRule::Backdoor] {
+            for (bl, fault) in [(&past_end, oob(14, 16)), (&before_start, oob(0, 0))] {
+                ctx.memory().poke(packed, &[0xEE; 24]).unwrap();
+                let got = walk(
+                    &mut ctx.memory(),
+                    rule,
+                    pack,
+                    typed,
+                    packed,
+                    &x_items(bl, 1),
+                );
+                assert_eq!(got, Err(fault));
+                // the run before the fault moved; the one after it did not
+                let mut want = vec![0, 1, 2, 3];
+                want.resize(24, 0xEE);
+                assert_eq!(ctx.memory().peek(packed, 24).unwrap(), want);
+            }
+            // without a fault every run counts, one of no bytes too: the
+            // CPU rung prices its transfer by that count
+            let whole = runs(&[(0, 4), (4, 0), (12, 4), (8, 4)]);
+            let got = walk(
+                &mut ctx.memory(),
+                rule,
+                pack,
+                typed,
+                packed,
+                &x_items(&whole, 2),
+            );
+            assert_eq!(got, Ok(8));
+        }
+    }
+
+    #[test]
+    fn the_cpu_rung_moves_overlapping_ranges_of_one_allocation_as_memmove() {
+        let ctx = GpuContext::new(DeviceProps::v100());
+        let buf = ctx.malloc(32).unwrap();
+        let data: Vec<u8> = (0..32).collect();
+        ctx.memory().poke(buf, &data).unwrap();
+        // runs of 4 B at 0 and 8, packed from byte 2 of the same
+        // allocation: each run overlaps where it lands
+        let sb = StridedBlock {
+            start: 0,
+            counts: vec![4, 2],
+            strides: vec![1, 8],
+        };
+        let (pack, packed, runs) = (PackDir::Pack, buf.add(2), x_items(&sb, 1));
+        let kernel = walk(
+            &mut ctx.memory(),
+            CopyRule::Kernel,
+            pack,
+            buf,
+            packed,
+            &runs,
+        );
+        assert_eq!(kernel, Err(GpuError::OverlappingBuffers));
+        assert_eq!(ctx.memory().peek(buf, 32).unwrap(), data);
+        let host = walk(
+            &mut ctx.memory(),
+            CopyRule::Backdoor,
+            pack,
+            buf,
+            packed,
+            &runs,
+        );
+        assert_eq!(host, Ok(2));
+        let mut want = data;
+        want.copy_within(0..4, 2);
+        want.copy_within(8..12, 6);
+        assert_eq!(ctx.memory().peek(buf, 32).unwrap(), want);
     }
 
     #[test]

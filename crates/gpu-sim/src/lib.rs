@@ -55,6 +55,6 @@ pub use device::DeviceProps;
 pub use error::{GpuError, GpuResult};
 pub use fault::{GpuFaultInjector, GpuFaultSite, GpuFaultSpec, SiteSpec};
 pub use kernel::{div_ceil, next_pow2, Dim3, LaunchConfig};
-pub use memory::{GpuContext, GpuPtr, MemSpace, Memory};
+pub use memory::{Copier, CopyRule, GpuContext, GpuPtr, MemSpace, Memory, Region};
 pub use stream::{Event, Stream, StreamStats};
 pub use tempi_trace::{TraceLevel, Tracer};

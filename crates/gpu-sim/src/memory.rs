@@ -17,6 +17,7 @@
 //!   the buffer class the paper's *one-shot* method packs into.
 
 use std::collections::HashMap;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use tempi_trace::sync::{Mutex, MutexGuard};
@@ -127,6 +128,141 @@ struct Alloc {
     space: MemSpace,
 }
 
+/// How a [`Copier`] treats address spaces and two runs of one allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CopyRule {
+    /// Device code, as in a kernel's body ([`Memory::dev_copy`]): both ends
+    /// device-accessible, a run of no bytes checked for nothing else, and a
+    /// copy within one allocation only between disjoint ranges.
+    Kernel,
+    /// The copy engine, whose caller checks the transfer kind itself:
+    /// [`CopyRule::Kernel`] without the space rule.
+    Dma,
+    /// Host code through the debug backdoor, as [`Memory::peek`] then
+    /// [`Memory::poke`]: no space rule, a run of no bytes still held to its
+    /// bounds, and overlapping ranges of one allocation moved as by
+    /// `memmove`.
+    Backdoor,
+}
+
+impl CopyRule {
+    /// `found`, allocation `alloc`'s entry, as an end of a copy under this
+    /// rule: live, and in a space the rule may touch.
+    fn end<A: Deref<Target = Alloc>>(self, alloc: u64, found: Option<A>) -> GpuResult<A> {
+        let a = found.ok_or(GpuError::InvalidPointer { alloc })?;
+        if self == CopyRule::Kernel && !a.space.device_accessible() {
+            return Err(GpuError::NotDeviceAccessible { space: a.space });
+        }
+        Ok(a)
+    }
+}
+
+/// The one bounds rule of every accessor: the `len` bytes at `at` of
+/// allocation `alloc`, which is `size` bytes long.
+#[inline]
+fn span(alloc: u64, size: usize, at: usize, len: usize) -> GpuResult<Range<usize>> {
+    match at.checked_add(len) {
+        Some(end) if end <= size => Ok(at..end),
+        _ => Err(GpuError::OutOfBounds {
+            alloc,
+            offset: at,
+            len,
+            size,
+        }),
+    }
+}
+
+/// One allocation looked up once, for any number of accesses: its bytes,
+/// or why they cannot be touched, reported at the first access — a region
+/// never accessed never fails. Offsets are from the allocation base.
+pub struct Region<B> {
+    alloc: u64,
+    bytes: GpuResult<B>,
+}
+
+impl<B: AsRef<[u8]>> Region<B> {
+    /// The `len` bytes at offset `at`.
+    #[inline]
+    pub fn read(&self, at: usize, len: usize) -> GpuResult<&[u8]> {
+        let bytes = self.bytes.as_ref().map_err(GpuError::clone)?.as_ref();
+        Ok(&bytes[span(self.alloc, bytes.len(), at, len)?])
+    }
+}
+
+impl<B: AsMut<[u8]>> Region<B> {
+    /// The `len` bytes at offset `at`, to overwrite.
+    #[inline]
+    fn run_mut(&mut self, at: usize, len: usize) -> GpuResult<&mut [u8]> {
+        let bytes = self.bytes.as_mut().map_err(|e| e.clone())?.as_mut();
+        let run = span(self.alloc, bytes.len(), at, len)?;
+        Ok(&mut bytes[run])
+    }
+
+    /// Overwrite the bytes at offset `at` with `data`.
+    #[inline]
+    pub fn write(&mut self, at: usize, data: &[u8]) -> GpuResult<()> {
+        self.run_mut(at, data.len())?.copy_from_slice(data);
+        Ok(())
+    }
+}
+
+/// Copies between two allocations looked up and checked under one
+/// [`CopyRule`] once, for any number of runs — a kernel launch's: each run
+/// then pays only its bounds check, and the overlap rule when both ends
+/// are one allocation. Every run fails as the same copy made alone would,
+/// with the same error. Made by [`Memory::copier`].
+pub struct Copier<'m> {
+    rule: CopyRule,
+    ends: Ends<'m>,
+}
+
+/// A [`Copier`]'s allocations.
+enum Ends<'m> {
+    /// Two allocations: the destination, then the source.
+    Apart(Region<&'m mut [u8]>, Region<&'m [u8]>),
+    /// Both ends in one allocation.
+    Shared(Region<&'m mut [u8]>),
+}
+
+impl Copier<'_> {
+    /// Copy the `len` bytes at offset `src` of the source allocation to
+    /// offset `dst` of the destination. Under [`CopyRule::Kernel`] and
+    /// [`CopyRule::Dma`], each end's lookup and space check (source first)
+    /// come before the overlap rule, and that before the bounds (source
+    /// first); under [`CopyRule::Backdoor`], the source's lookup and bounds
+    /// come before the destination's.
+    #[inline]
+    pub fn copy(&mut self, dst: usize, src: usize, len: usize) -> GpuResult<()> {
+        let checked = self.rule != CopyRule::Backdoor;
+        match &mut self.ends {
+            Ends::Apart(to, from) => {
+                if checked {
+                    from.bytes.as_ref().map_err(GpuError::clone)?;
+                    to.bytes.as_ref().map_err(GpuError::clone)?;
+                    if len == 0 {
+                        return Ok(());
+                    }
+                }
+                let run = from.read(src, len)?;
+                to.run_mut(dst, len)?.copy_from_slice(run);
+            }
+            Ends::Shared(one) => {
+                let bytes = one.bytes.as_mut().map_err(|e| e.clone())?;
+                if checked && len == 0 {
+                    return Ok(());
+                }
+                if checked && src.abs_diff(dst) < len {
+                    return Err(GpuError::OverlappingBuffers);
+                }
+                let run = span(one.alloc, bytes.len(), src, len)?;
+                span(one.alloc, bytes.len(), dst, len)?;
+                bytes.copy_within(run, dst);
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The memory state of one simulated device + its host process.
 ///
 /// Obtained from [`GpuContext::memory`]; kernels receive `&mut Memory` and
@@ -197,35 +333,61 @@ impl Memory {
         }
     }
 
-    fn slice(&self, ptr: GpuPtr, len: usize) -> GpuResult<&[u8]> {
-        let a = self
-            .allocs
-            .get(&ptr.alloc)
-            .ok_or(GpuError::InvalidPointer { alloc: ptr.alloc })?;
-        a.data
-            .get(ptr.offset..ptr.offset + len)
-            .ok_or(GpuError::OutOfBounds {
-                alloc: ptr.alloc,
-                offset: ptr.offset,
-                len,
-                size: a.data.len(),
-            })
+    /// `ptr`'s allocation, for any number of reads through the debug
+    /// backdoor ([`Memory::peek`] looked up once): no space rule, no
+    /// virtual time.
+    pub fn region(&self, ptr: GpuPtr) -> Region<&[u8]> {
+        let found = CopyRule::Backdoor.end(ptr.alloc, self.allocs.get(&ptr.alloc));
+        Region {
+            alloc: ptr.alloc,
+            bytes: found.map(|a| &a.data[..]),
+        }
     }
 
-    fn slice_mut(&mut self, ptr: GpuPtr, len: usize) -> GpuResult<&mut [u8]> {
-        let a = self
-            .allocs
-            .get_mut(&ptr.alloc)
-            .ok_or(GpuError::InvalidPointer { alloc: ptr.alloc })?;
-        let size = a.data.len();
-        a.data
-            .get_mut(ptr.offset..ptr.offset + len)
-            .ok_or(GpuError::OutOfBounds {
-                alloc: ptr.alloc,
-                offset: ptr.offset,
-                len,
-                size,
-            })
+    /// [`Memory::region`] to write ([`Memory::poke`] looked up once).
+    pub fn region_mut(&mut self, ptr: GpuPtr) -> Region<&mut [u8]> {
+        let found = CopyRule::Backdoor.end(ptr.alloc, self.allocs.get_mut(&ptr.alloc));
+        Region {
+            alloc: ptr.alloc,
+            bytes: found.map(|a| &mut a.data[..]),
+        }
+    }
+
+    /// Copies from `src`'s allocation to `dst`'s under `rule`, both looked
+    /// up and checked once here; an error is reported at the first run.
+    /// The kernels' byte mover: one per launch.
+    pub fn copier(&mut self, rule: CopyRule, dst: GpuPtr, src: GpuPtr) -> Copier<'_> {
+        if dst.alloc == src.alloc {
+            let found = rule.end(dst.alloc, self.allocs.get_mut(&dst.alloc));
+            let one = Region {
+                alloc: dst.alloc,
+                bytes: found.map(|a| &mut a.data[..]),
+            };
+            return Copier {
+                rule,
+                ends: Ends::Shared(one),
+            };
+        }
+        let from = rule.end(src.alloc, self.allocs.get(&src.alloc));
+        let from = from.map(|a| &a.data[..] as *const [u8]);
+        let to = rule.end(dst.alloc, self.allocs.get_mut(&dst.alloc));
+        // SAFETY: `src.alloc != dst.alloc`, so the source slice is another
+        // `Vec<u8>`'s buffer than the destination's and cannot alias it;
+        // the copier borrows `self` mutably for as long as it holds both,
+        // so neither buffer can be freed or reallocated meanwhile. (HashMap
+        // has no two-key `get_mut` at the workspace's minimum Rust.)
+        let from = from.map(|s| unsafe { &*s });
+        let ends = Ends::Apart(
+            Region {
+                alloc: dst.alloc,
+                bytes: to.map(|a| &mut a.data[..]),
+            },
+            Region {
+                alloc: src.alloc,
+                bytes: from,
+            },
+        );
+        Copier { rule, ends }
     }
 
     /// The address space an allocation actually lives in (authoritative,
@@ -251,7 +413,7 @@ impl Memory {
         if !space.device_accessible() {
             return Err(GpuError::NotDeviceAccessible { space });
         }
-        out.copy_from_slice(self.slice(ptr, out.len())?);
+        out.copy_from_slice(self.region(ptr).read(ptr.offset, out.len())?);
         Ok(())
     }
 
@@ -261,72 +423,15 @@ impl Memory {
         if !space.device_accessible() {
             return Err(GpuError::NotDeviceAccessible { space });
         }
-        self.slice_mut(ptr, data.len())?.copy_from_slice(data);
-        Ok(())
+        self.region_mut(ptr).write(ptr.offset, data)
     }
 
-    /// Device-side copy of `len` bytes between device-accessible locations,
-    /// the primitive used by packing kernels. Handles the common
-    /// different-allocation case without an intermediate buffer; an aliasing
-    /// same-allocation copy is allowed only when the ranges are disjoint.
+    /// Device-side copy of `len` bytes between device-accessible locations:
+    /// one run of a [`CopyRule::Kernel`] copier. A same-allocation copy is
+    /// allowed only when the ranges are disjoint.
     pub fn dev_copy(&mut self, dst: GpuPtr, src: GpuPtr, len: usize) -> GpuResult<()> {
-        let s_space = self.space_of(src)?;
-        if !s_space.device_accessible() {
-            return Err(GpuError::NotDeviceAccessible { space: s_space });
-        }
-        let d_space = self.space_of(dst)?;
-        if !d_space.device_accessible() {
-            return Err(GpuError::NotDeviceAccessible { space: d_space });
-        }
-        self.raw_copy(dst, src, len)
-    }
-
-    /// Copy with no space checks (used by the DMA/memcpy machinery, which
-    /// performs its own kind-specific validation).
-    pub(crate) fn raw_copy(&mut self, dst: GpuPtr, src: GpuPtr, len: usize) -> GpuResult<()> {
-        if len == 0 {
-            return Ok(());
-        }
-        if dst.alloc == src.alloc {
-            // Same allocation: permit only non-overlapping ranges.
-            let lo = src.offset.min(dst.offset);
-            let hi_start = src.offset.max(dst.offset);
-            if hi_start < lo + len {
-                return Err(GpuError::OverlappingBuffers);
-            }
-            let a = self
-                .allocs
-                .get_mut(&src.alloc)
-                .ok_or(GpuError::InvalidPointer { alloc: src.alloc })?;
-            let size = a.data.len();
-            if src.offset + len > size || dst.offset + len > size {
-                let (offset, _) = if src.offset + len > size {
-                    (src.offset, len)
-                } else {
-                    (dst.offset, len)
-                };
-                return Err(GpuError::OutOfBounds {
-                    alloc: src.alloc,
-                    offset,
-                    len,
-                    size,
-                });
-            }
-            a.data.copy_within(src.offset..src.offset + len, dst.offset);
-            return Ok(());
-        }
-        // Distinct allocations: split-borrow via two map lookups.
-        // (HashMap has no get_two_mut on stable; go through raw pointers
-        // guarded by the distinct-key check above.)
-        let src_slice: *const [u8] = self.slice(src, len)?;
-        let dst_slice: *mut [u8] = self.slice_mut(dst, len)?;
-        // SAFETY: `src.alloc != dst.alloc`, so the two slices belong to
-        // different `Vec<u8>` buffers and cannot alias; both were bounds-
-        // checked by `slice`/`slice_mut`.
-        unsafe {
-            (*dst_slice).copy_from_slice(&*src_slice);
-        }
-        Ok(())
+        self.copier(CopyRule::Kernel, dst, src)
+            .copy(dst.offset, src.offset, len)
     }
 
     /// Host-side read: source must be host-accessible.
@@ -335,7 +440,7 @@ impl Memory {
         if !space.host_accessible() {
             return Err(GpuError::NotHostAccessible);
         }
-        out.copy_from_slice(self.slice(ptr, out.len())?);
+        out.copy_from_slice(self.region(ptr).read(ptr.offset, out.len())?);
         Ok(())
     }
 
@@ -345,28 +450,26 @@ impl Memory {
         if !space.host_accessible() {
             return Err(GpuError::NotHostAccessible);
         }
-        self.slice_mut(ptr, data.len())?.copy_from_slice(data);
-        Ok(())
+        self.region_mut(ptr).write(ptr.offset, data)
     }
 
     /// Debug backdoor read ignoring space rules (like a debugger). Costs no
     /// virtual time; intended for test setup and verification only.
     pub fn peek(&self, ptr: GpuPtr, len: usize) -> GpuResult<Vec<u8>> {
-        Ok(self.slice(ptr, len)?.to_vec())
+        Ok(self.region(ptr).read(ptr.offset, len)?.to_vec())
     }
 
     /// [`Memory::peek`] appended to a caller-owned buffer, so a recycled
     /// buffer of sufficient capacity makes the read allocation-free.
     pub fn peek_into(&self, ptr: GpuPtr, len: usize, out: &mut Vec<u8>) -> GpuResult<()> {
-        out.extend_from_slice(self.slice(ptr, len)?);
+        out.extend_from_slice(self.region(ptr).read(ptr.offset, len)?);
         Ok(())
     }
 
     /// Debug backdoor write ignoring space rules. Costs no virtual time;
     /// intended for test setup only.
     pub fn poke(&mut self, ptr: GpuPtr, data: &[u8]) -> GpuResult<()> {
-        self.slice_mut(ptr, data.len())?.copy_from_slice(data);
-        Ok(())
+        self.region_mut(ptr).write(ptr.offset, data)
     }
 
     /// FNV-1a 64 checksum over `len` bytes at `ptr`, ignoring space rules
@@ -374,7 +477,8 @@ impl Memory {
     /// and integrity checks need to summarize device bytes without staging
     /// them through a host copy). Costs no virtual time.
     pub fn checksum_region(&self, ptr: GpuPtr, len: usize) -> GpuResult<u64> {
-        let bytes = self.slice(ptr, len)?;
+        let region = self.region(ptr);
+        let bytes = region.read(ptr.offset, len)?;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in bytes {
             h ^= b as u64;
@@ -481,6 +585,37 @@ mod tests {
         GpuContext::new(DeviceProps::v100())
     }
 
+    /// Every allocation's bytes, by id.
+    fn bytes_of(mem: &Memory) -> Vec<(u64, Vec<u8>)> {
+        let mut all: Vec<_> = mem
+            .allocs
+            .iter()
+            .map(|(&id, a)| (id, a.data.clone()))
+            .collect();
+        all.sort();
+        all
+    }
+
+    /// `dev_copy(dst, src, len)`, then — from the same bytes — the same run
+    /// twice through one copier resolved beforehand, as a launch makes it:
+    /// every run must leave the same bytes and fail with the same error,
+    /// variant and fields. Returns that result.
+    fn both_ways(c: &GpuContext, dst: GpuPtr, src: GpuPtr, len: usize) -> GpuResult<()> {
+        let mut mem = c.memory();
+        let before = bytes_of(&mem);
+        let alone = mem.dev_copy(dst, src, len);
+        let after = bytes_of(&mem);
+        for (id, data) in before {
+            mem.allocs.get_mut(&id).unwrap().data = data;
+        }
+        let mut copier = mem.copier(CopyRule::Kernel, dst, src);
+        for _ in 0..2 {
+            assert_eq!(copier.copy(dst.offset, src.offset, len), alone);
+        }
+        assert_eq!(bytes_of(&mem), after);
+        alone
+    }
+
     #[test]
     fn alloc_and_backdoor_roundtrip() {
         let c = ctx();
@@ -515,10 +650,13 @@ mod tests {
             c.memory().dev_read(h, &mut buf),
             Err(GpuError::NotDeviceAccessible { .. })
         ));
-        assert!(matches!(
-            c.memory().dev_copy(d, h, 4),
-            Err(GpuError::NotDeviceAccessible { .. })
-        ));
+        let host = Err(GpuError::NotDeviceAccessible {
+            space: MemSpace::Host,
+        });
+        assert_eq!(both_ways(&c, d, h, 4), host);
+        assert_eq!(both_ways(&c, h, d, 4), host);
+        // the space rule holds for a run of no bytes too
+        assert_eq!(both_ways(&c, d, h, 0), host);
     }
 
     #[test]
@@ -540,15 +678,25 @@ mod tests {
         let c = ctx();
         let p = c.malloc(8).unwrap();
         let err = c.memory().peek(p.add(4), 8).unwrap_err();
-        assert!(matches!(
-            err,
-            GpuError::OutOfBounds {
-                offset: 4,
-                len: 8,
-                size: 8,
-                ..
-            }
-        ));
+        let past_p = GpuError::OutOfBounds {
+            alloc: p.alloc_id(),
+            offset: 4,
+            len: 8,
+            size: 8,
+        };
+        assert_eq!(err, past_p);
+        // a copy runs past its source first, then its destination
+        let q = c.malloc(8).unwrap();
+        assert_eq!(both_ways(&c, q, p.add(4), 8), Err(past_p.clone()));
+        assert_eq!(both_ways(&c, p.add(4), q, 8), Err(past_p));
+        let past = |offset, len| GpuError::OutOfBounds {
+            alloc: p.alloc_id(),
+            offset,
+            len,
+            size: 8,
+        };
+        assert_eq!(both_ways(&c, p.add(4), p.add(12), 8), Err(past(12, 8)));
+        assert_eq!(both_ways(&c, p.add(12), p, 4), Err(past(12, 4)));
     }
 
     #[test]
@@ -556,11 +704,17 @@ mod tests {
         let c = ctx();
         let p = c.malloc(8).unwrap();
         c.free(p).unwrap();
-        assert!(matches!(
-            c.memory().peek(p, 1),
-            Err(GpuError::InvalidPointer { .. })
-        ));
-        assert!(matches!(c.free(p), Err(GpuError::InvalidPointer { .. })));
+        let freed = Err(GpuError::InvalidPointer {
+            alloc: p.alloc_id(),
+        });
+        assert_eq!(c.memory().peek(p, 1), freed.clone().map(|()| vec![]));
+        let q = c.malloc(8).unwrap();
+        assert_eq!(both_ways(&c, q, p, 1), freed);
+        assert_eq!(both_ways(&c, p, q, 1), freed);
+        assert_eq!(both_ways(&c, p, p.add(4), 1), freed);
+        // a device copy of no bytes still checks both ends are live
+        assert_eq!(both_ways(&c, q, p, 0), freed);
+        assert_eq!(c.free(p), freed);
     }
 
     #[test]
@@ -622,12 +776,13 @@ mod tests {
         c.memory()
             .poke(p, &(0..32).map(|b| b as u8).collect::<Vec<_>>())
             .unwrap();
-        c.memory().dev_copy(p.add(16), p, 16).unwrap();
+        both_ways(&c, p.add(16), p, 16).unwrap();
         assert_eq!(c.memory().peek(p.add(16), 4).unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(
-            c.memory().dev_copy(p.add(8), p, 16),
-            Err(GpuError::OverlappingBuffers)
-        );
+        let overlap = Err(GpuError::OverlappingBuffers);
+        assert_eq!(both_ways(&c, p.add(8), p, 16), overlap);
+        assert_eq!(both_ways(&c, p, p.add(8), 16), overlap);
+        // the overlap rule comes before the bounds
+        assert_eq!(both_ways(&c, p.add(24), p.add(20), 16), overlap);
     }
 
     #[test]
@@ -646,8 +801,51 @@ mod tests {
         let c = ctx();
         let a = c.malloc(0).unwrap();
         let b = c.malloc(0).unwrap();
-        c.memory().dev_copy(a, b, 0).unwrap();
+        both_ways(&c, a, b, 0).unwrap();
+        both_ways(&c, a, a, 0).unwrap();
+        // a device run of no bytes is not held to its bounds
+        both_ways(&c, a.add(5), b.add(9), 0).unwrap();
         assert_eq!(c.memory().peek(a, 0).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn a_backdoor_copier_is_peek_then_poke() {
+        let c = ctx();
+        let h = c.host_alloc(16).unwrap();
+        let d = c.malloc(16).unwrap();
+        let data: Vec<u8> = (0..16).collect();
+        c.memory().poke(h, &data).unwrap();
+        let mut mem = c.memory();
+        // no space rule: pageable host memory to device memory
+        let mut copier = mem.copier(CopyRule::Backdoor, d, h);
+        copier.copy(4, 0, 8).unwrap();
+        // a run of no bytes is still held to its bounds, as `peek` is
+        let past = |alloc, offset, len| GpuError::OutOfBounds {
+            alloc,
+            offset,
+            len,
+            size: 16,
+        };
+        assert_eq!(copier.copy(0, 17, 0), Err(past(h.alloc_id(), 17, 0)));
+        assert_eq!(copier.copy(17, 0, 0), Err(past(d.alloc_id(), 17, 0)));
+        drop(copier);
+        assert_eq!(mem.peek(d.add(4), 8).unwrap(), data[..8]);
+        // overlapping ranges of one allocation move as by memmove
+        mem.copier(CopyRule::Backdoor, h, h).copy(2, 0, 8).unwrap();
+        let mut want = data.clone();
+        want.copy_within(0..8, 2);
+        assert_eq!(mem.peek(h, 16).unwrap(), want);
+        // the source's bounds come before the destination's lookup
+        drop(mem);
+        let gone = c.malloc(4).unwrap();
+        c.free(gone).unwrap();
+        let mut mem = c.memory();
+        let mut copier = mem.copier(CopyRule::Backdoor, gone, h);
+        assert_eq!(copier.copy(0, 12, 8), Err(past(h.alloc_id(), 12, 8)));
+        let freed = GpuError::InvalidPointer {
+            alloc: gone.alloc_id(),
+        };
+        assert_eq!(copier.copy(0, 0, 8), Err(freed));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::cost::{CopyKind, GpuCostModel};
 use crate::error::{GpuError, GpuResult};
 use crate::fault::GpuFaultSite;
 use crate::kernel::LaunchConfig;
-use crate::memory::{GpuContext, GpuPtr, MemSpace, Memory};
+use crate::memory::{CopyRule, GpuContext, GpuPtr, MemSpace, Memory};
 
 /// Cumulative counters of work submitted to a stream, for tests and
 /// reporting (e.g. the baseline copy-per-block implementations are verified
@@ -170,7 +170,8 @@ impl Stream {
             let d_space = mem.space_of(dst)?;
             let s_space = mem.space_of(src)?;
             Self::injected_fault(&mem, GpuFaultSite::CopyFault, "memcpy_async")?;
-            mem.raw_copy(dst, src, len)?;
+            mem.copier(CopyRule::Dma, dst, src)
+                .copy(dst.offset, src.offset, len)?;
             CopyKind::infer(d_space, s_space)
         };
         clock.advance(self.cost.memcpy_async_overhead);
@@ -211,8 +212,10 @@ impl Stream {
             let d_space = mem.space_of(dst)?;
             let s_space = mem.space_of(src)?;
             Self::injected_fault(&mem, GpuFaultSite::CopyFault, "memcpy_2d_async")?;
+            let mut rows = mem.copier(CopyRule::Dma, dst, src);
             for row in 0..height {
-                mem.raw_copy(dst.add(row * dpitch), src.add(row * spitch), width)?;
+                let (d, s) = (dst.offset + row * dpitch, src.offset + row * spitch);
+                rows.copy(d, s, width)?;
             }
             CopyKind::infer(d_space, s_space)
         };

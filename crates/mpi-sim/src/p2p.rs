@@ -218,9 +218,9 @@ impl RankCtx {
         wt: &WireType,
     ) -> MpiResult<Vec<u8>> {
         let mem = self.gpu.memory();
-        let mut out = Vec::with_capacity(wt.size * count);
+        let (from, mut out) = (mem.region(buf), Vec::with_capacity(wt.size * count));
         for_each_segment(&wt.segs, wt.extent, count, |off, len, _| {
-            out.extend_from_slice(&mem.peek(offset_ptr(buf, off)?, len)?);
+            out.extend_from_slice(from.read(offset_ptr(buf, off)?.offset, len)?);
             Ok(())
         })?;
         Ok(out)
@@ -236,8 +236,9 @@ impl RankCtx {
         payload: &[u8],
     ) -> MpiResult<()> {
         let mut mem = self.gpu.memory();
+        let mut to = mem.region_mut(buf);
         for_each_segment(&wt.segs, wt.extent, count, |off, len, pos| {
-            Ok(mem.poke(offset_ptr(buf, off)?, &payload[pos..pos + len])?)
+            Ok(to.write(offset_ptr(buf, off)?.offset, &payload[pos..pos + len])?)
         })
     }
 
@@ -613,10 +614,13 @@ impl RankCtx {
         self.send_gate(dest)?;
         let (mut payload, mut read) = (self.take_payload(run * n), Ok(()));
         let mem = self.gpu.memory();
+        let from = mem.region(buf);
         runs(&mut |off| {
             if read.is_ok() {
-                read =
-                    offset_ptr(buf, off).and_then(|at| Ok(mem.peek_into(at, run, &mut payload)?));
+                read = offset_ptr(buf, off).and_then(|at| {
+                    payload.extend_from_slice(from.read(at.offset, run)?);
+                    Ok(())
+                });
             }
         });
         drop(mem);
@@ -754,9 +758,10 @@ impl RankCtx {
     ) -> MpiResult<Status> {
         self.recv_one(buf.space, maxlen, (src, tag), |mem, payload| {
             let (mut landed, mut chunks) = (Ok(()), payload.chunks(run.max(1)));
+            let mut to = mem.region_mut(buf);
             runs(&mut |off| match chunks.next() {
                 Some(bytes) if landed.is_ok() => {
-                    landed = offset_ptr(buf, off).and_then(|at| Ok(mem.poke(at, bytes)?));
+                    landed = offset_ptr(buf, off).and_then(|at| Ok(to.write(at.offset, bytes)?));
                 }
                 _ => {}
             });

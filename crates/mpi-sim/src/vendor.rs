@@ -19,7 +19,9 @@
 //!   multiple chunked copies.
 //! * **OpenMPI** sits between.
 
-use gpu_sim::{Dim3, GpuPtr, LaunchConfig, PackDir, PackTarget, SimClock, SimTime, Stream};
+use gpu_sim::{
+    CopyRule, Dim3, GpuPtr, LaunchConfig, PackDir, PackTarget, SimClock, SimTime, Stream,
+};
 
 use crate::datatype::typemap::{max_block, Segment};
 use crate::error::{MpiError, MpiResult};
@@ -231,9 +233,11 @@ pub fn baseline_gpu_xfer(
         // geometry and cost
         let gpu = stream.context().clone();
         let mut mem = gpu.memory();
+        let (dst, src) = dir.ends(strided, packed);
+        let mut copier = mem.copier(CopyRule::Kernel, dst, src);
         for_each_segment(segs, extent, incount, |off, len, pos| {
-            let (dst, src) = dir.ends(offset_ptr(strided, off)?, packed.add(pos));
-            Ok(mem.dev_copy(dst, src, len)?)
+            let (dst, src) = dir.ends(offset_ptr(strided, off)?.offset, packed.offset + pos);
+            Ok(copier.copy(dst, src, len)?)
         })?;
         drop(mem);
         let cost = stream.cost_model().pack_kernel_time(
