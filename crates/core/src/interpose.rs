@@ -26,6 +26,7 @@ use crate::tempi::Tempi;
 #[allow(missing_docs)]
 pub enum MpiSymbol {
     TypeCommit,
+    TypeFree,
     Pack,
     Unpack,
     PackSize,
@@ -60,6 +61,7 @@ impl Linker {
         Linker {
             overrides: [
                 MpiSymbol::TypeCommit,
+                MpiSymbol::TypeFree,
                 MpiSymbol::Pack,
                 MpiSymbol::Unpack,
                 MpiSymbol::PackSize,
@@ -169,6 +171,17 @@ impl InterposedMpi {
                 Ok(())
             }
             Provider::System => ctx.type_commit_native(dt),
+        }
+    }
+
+    /// `MPI_Type_free`. TEMPI's version forwards to the system free and
+    /// drops the type's plan at once; a free that bypasses it
+    /// ([`RankCtx::type_free`]) leaves the plan until the slot's next
+    /// occupant commits.
+    pub fn type_free(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<()> {
+        match self.resolve(MpiSymbol::TypeFree) {
+            Provider::Tempi => self.tempi.type_free(ctx, dt),
+            Provider::System => ctx.type_free(dt),
         }
     }
 
@@ -368,6 +381,22 @@ mod tests {
         assert_eq!(mpi.log, vec![(MpiSymbol::TypeCommit, Provider::Tempi)]);
         // and the system registry saw the commit too (native commit ran)
         assert!(ctx.is_committed(dt).unwrap());
+    }
+
+    #[test]
+    fn interposed_free_drops_the_plan_at_once() {
+        let mut ctx = ctx();
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let dt = ctx.type_vector(4, 2, 8, MPI_FLOAT).unwrap();
+        mpi.type_commit(&mut ctx, dt).unwrap();
+        mpi.type_free(&mut ctx, dt).unwrap();
+        assert!(mpi.tempi.plan(dt).is_none());
+        assert_eq!(mpi.tempi.cached_plans(), 0);
+        assert_eq!(mpi.log[1], (MpiSymbol::TypeFree, Provider::Tempi));
+        // the system free ran: the handle is dead, a second free an error
+        assert_eq!(ctx.attrs(dt), Err(mpi_sim::MpiError::InvalidDatatype));
+        let again = mpi.type_free(&mut ctx, dt);
+        assert_eq!(again, Err(mpi_sim::MpiError::InvalidDatatype));
     }
 
     #[test]

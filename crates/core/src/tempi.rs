@@ -228,7 +228,10 @@ pub struct Tempi {
     /// Online send-method autotuner: component calibration plus per-bucket
     /// memoized decisions (see [`crate::tuner`]).
     pub tuner: Tuner,
-    cache: HashMap<Datatype, Arc<TypePlan>>,
+    /// Committed plans, one per registry slot: the handle that committed
+    /// it and its plan. A slot's next occupant has another generation, so
+    /// its handle misses here and its commit replaces the dead plan.
+    cache: HashMap<usize, (Datatype, Arc<TypePlan>)>,
     /// What translation has already paid MPI to learn about the predefined
     /// handles; a commit asks only about the derived types it is given.
     named_memo: NamedMemo,
@@ -280,9 +283,27 @@ impl Tempi {
         self.stats.launch_cache_hits = self.engine.reshape_hits;
     }
 
-    /// The cached plan for a committed type, if any.
+    /// The cached plan for a committed type, if any: its slot's entry, if
+    /// `dt` itself committed it.
     pub fn plan(&self, dt: Datatype) -> Option<Arc<TypePlan>> {
-        self.cache.get(&dt).cloned()
+        let (held, plan) = self.cache.get(&dt.slot())?;
+        (*held == dt).then(|| Arc::clone(plan))
+    }
+
+    /// Plans held: at most one per registry slot a commit has used.
+    pub fn cached_plans(&self) -> usize {
+        self.cache.len()
+    }
+
+    /// TEMPI's `MPI_Type_free`: the system free, then `dt`'s plan goes at
+    /// once. A free that bypasses the library leaves the plan in place
+    /// until the slot's next occupant commits.
+    pub fn type_free(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<()> {
+        ctx.type_free(dt)?;
+        if self.plan(dt).is_some() {
+            self.cache.remove(&dt.slot());
+        }
+        Ok(())
     }
 
     /// Publish every [`TempiStats`] counter into `tracer`'s metrics
@@ -318,9 +339,9 @@ impl Tempi {
     /// TEMPI's `MPI_Type_commit` (paper §3): native commit, then
     /// translation → transformation → kernel selection, cached per type.
     pub fn type_commit(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<Arc<TypePlan>> {
-        if let Some(p) = self.cache.get(&dt) {
+        if let Some(p) = self.plan(dt) {
             self.stats.commit_cache_hits += 1;
-            return Ok(Arc::clone(p));
+            return Ok(p);
         }
         ctx.with_span("tempi", "type_commit", |ctx| self.type_commit_body(ctx, dt))
     }
@@ -410,7 +431,7 @@ impl Tempi {
                 commit_time: ctx.clock.now() - t0,
             },
         });
-        self.cache.insert(dt, Arc::clone(&plan));
+        self.cache.insert(dt.slot(), (dt, Arc::clone(&plan)));
         self.stats.commits += 1;
         Ok(plan)
     }
@@ -418,8 +439,8 @@ impl Tempi {
     /// Fetch the plan, lazily committing if the type was committed through
     /// the system MPI before TEMPI was interposed.
     fn plan_or_commit(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<Arc<TypePlan>> {
-        if let Some(p) = self.cache.get(&dt) {
-            return Ok(Arc::clone(p));
+        if let Some(p) = self.plan(dt) {
+            return Ok(p);
         }
         if !ctx.is_committed(dt)? {
             return Err(MpiError::NotCommitted);
@@ -1690,7 +1711,7 @@ pub(crate) mod tests {
                             kind,
                             ..(*plan).clone()
                         };
-                        mpi.tempi.cache.insert(dt, Arc::new(fallback));
+                        mpi.tempi.cache.insert(dt.slot(), (dt, Arc::new(fallback)));
                         "Fallback"
                     }
                     PlanKind::Blocks(_) => "Blocks",
@@ -2201,7 +2222,7 @@ pub(crate) mod tests {
                 kind,
                 ..(*plan).clone()
             };
-            tempi.cache.insert(dt, Arc::new(swapped));
+            tempi.cache.insert(dt.slot(), (dt, Arc::new(swapped)));
         }
         let size = plan.size as usize;
         let typed = ctx.gpu.malloc(plan.extent as usize + 64).unwrap();
@@ -2369,6 +2390,84 @@ pub(crate) mod tests {
         // the cached Arc is still valid
         assert_eq!(plan.size, 16);
         assert!(tempi.plan(dt).is_some());
+    }
+
+    #[test]
+    fn a_reused_slot_is_never_served_its_dead_occupants_plans() {
+        // A and B are each one run inside a longer extent, so 4 items
+        // reshape to a 2-D plan; B takes A's slot with another layout
+        let (mut ctx, count, span) = (ctx(), 4, 4 * 128);
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let a = ctx
+            .type_create_subarray(&[128], &[64], &[0], Order::C, MPI_BYTE)
+            .unwrap();
+        mpi.type_commit(&mut ctx, a).unwrap();
+        let src = ctx.gpu.malloc(span).unwrap();
+        ctx.gpu.memory().poke(src, &fill(span)).unwrap();
+        let packed = ctx.gpu.malloc(span).unwrap();
+        mpi.pack(&mut ctx, src, count, a, packed, span, &mut 0)
+            .unwrap();
+        let e = MpiError::Internal("a kernel failed before".into());
+        let step = ("Kernel", "HostCopy");
+        mpi.tempi.degrade(&mut ctx, a, Rung::Kernel, step, &e);
+        // freed behind the library's back: A's plan, its reshaped plan and
+        // its quarantined kernel rung all stay
+        ctx.type_free(a).unwrap();
+        let b = ctx
+            .type_create_subarray(&[96], &[32], &[16], Order::C, MPI_BYTE)
+            .unwrap();
+        assert_eq!((b.slot(), b.generation()), (a.slot(), 1));
+
+        let before = mpi.tempi.stats;
+        let launches = ctx.stream.stats().kernel_launches;
+        mpi.type_commit(&mut ctx, b).unwrap();
+        let s = mpi.tempi.stats;
+        assert_eq!(
+            s.commit_cache_hits, before.commit_cache_hits,
+            "B hit A's plan"
+        );
+        assert_eq!(s.commits, before.commits + 1);
+        assert_eq!(mpi.tempi.cached_plans(), 1, "B's plan replaced A's");
+        assert!(mpi.tempi.plan(a).is_none());
+        assert!(!mpi.tempi.quarantine.holds(b, Rung::Kernel, ctx.clock.now()));
+
+        // the pack is a kernel's, not the CPU copy's, and moves B's bytes,
+        // not the rows of A's reshaped plan
+        let mut pos = 0;
+        mpi.pack(&mut ctx, src, count, b, packed, span, &mut pos)
+            .unwrap();
+        let mut want = vec![0u8; count * 32];
+        let reg = ctx.registry().read();
+        pack_cpu::pack(&reg, &fill(span), 0, count, b, &mut want, &mut 0).unwrap();
+        drop(reg);
+        assert_eq!(ctx.gpu.memory().peek(packed, pos).unwrap(), want);
+        let s = mpi.tempi.stats;
+        assert_eq!(s.launch_cache_hits, before.launch_cache_hits);
+        assert_eq!(s.degraded_xfers, before.degraded_xfers);
+        assert!(ctx.stream.stats().kernel_launches > launches);
+
+        // and a send of B lands the typemap oracle's bytes
+        let dst = ctx.gpu.malloc(span).unwrap();
+        ctx.gpu.memory().poke(dst, &vec![0u8; span]).unwrap();
+        mpi.send(&mut ctx, src, count, b, 0, 0).unwrap();
+        mpi.recv(&mut ctx, dst, count, b, Some(0), Some(0)).unwrap();
+        let want = oracle(&ctx, &fill(span), (count, b), (count, b), span);
+        assert_eq!(ctx.gpu.memory().peek(dst, span).unwrap(), want);
+        assert_eq!(mpi.stats().commit_cache_hits, before.commit_cache_hits);
+    }
+
+    #[test]
+    fn a_type_over_a_freed_child_stays_uncommittable_after_its_slot_is_reused() {
+        let mut ctx = ctx();
+        let mut tempi = configured(|_| {});
+        let row = ctx.type_contiguous(4, MPI_INT).unwrap();
+        let plane = ctx.type_vector(3, 1, 2, row).unwrap();
+        ctx.type_free(row).unwrap();
+        let other = ctx.type_create_hvector(2, 1, 64, MPI_DOUBLE).unwrap();
+        assert_eq!(other.slot(), row.slot());
+        let commit = tempi.type_commit(&mut ctx, plane);
+        assert_eq!(commit.unwrap_err(), MpiError::InvalidDatatype);
+        assert!(tempi.plan(plane).is_none());
     }
 
     /// What a receive of `dt` into a zeroed `span`-byte buffer must hold

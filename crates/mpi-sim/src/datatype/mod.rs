@@ -29,12 +29,42 @@ pub use registry::{consts, TypeRegistry};
 pub use tree::TypeTree;
 pub use typemap::Segment;
 
-/// An opaque MPI datatype handle. Handles index into a [`TypeRegistry`];
-/// the named types have fixed well-known handles (see [`registry::consts`]).
+/// An opaque MPI datatype handle: a [`TypeRegistry`] slot in the low
+/// [`Datatype::SLOT_BITS`] bits and the slot's generation in the high
+/// eight. Freeing a type bumps its slot's generation before the slot is
+/// reused, so a handle kept past its free never names the slot's next
+/// occupant. A slot's first occupant has generation 0, so its handle is
+/// the slot index itself; the named types have fixed well-known handles
+/// (see [`registry::consts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Datatype(pub u32);
 
 impl Datatype {
+    /// Bits of a handle that index its registry slot.
+    pub const SLOT_BITS: u32 = 24;
+
+    /// The handle of `slot`'s occupant of generation `generation`, or
+    /// [`MpiError::HandlesExhausted`](crate::MpiError::HandlesExhausted)
+    /// when `slot` does not fit in [`Datatype::SLOT_BITS`].
+    pub(crate) fn new(slot: usize, generation: u8) -> crate::MpiResult<Datatype> {
+        match u32::try_from(slot) {
+            Ok(s) if s >> Self::SLOT_BITS == 0 => {
+                Ok(Datatype(s | (generation as u32) << Self::SLOT_BITS))
+            }
+            _ => Err(crate::MpiError::HandlesExhausted),
+        }
+    }
+
+    /// The registry slot this handle names.
+    pub fn slot(self) -> usize {
+        (self.0 & ((1 << Self::SLOT_BITS) - 1)) as usize
+    }
+
+    /// Which occupant of its slot this handle names.
+    pub fn generation(self) -> u8 {
+        (self.0 >> Self::SLOT_BITS) as u8
+    }
+
     /// Position in [`Named::ALL`] if this is one of the predefined handles
     /// ([`registry::consts`]), as a library compares a handle to `MPI_BYTE`.
     /// `MPI_Type_free` refuses exactly these, so each names the same type

@@ -3,7 +3,8 @@
 //! One [`TypeRegistry`] is shared by all ranks of a simulated world (MPI
 //! datatypes are per-process, but the constructions in all experiments are
 //! identical across ranks; sharing keeps handles comparable in tests).
-//! The named types occupy fixed handles (see [`consts`]).
+//! The named types occupy fixed handles (see [`consts`]); a freed slot is
+//! reused under the next generation (see [`Datatype`]).
 
 use super::named::Named;
 use super::{Contents, Datatype, Dim, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
@@ -39,10 +40,28 @@ pub mod consts {
     pub const MPI_DOUBLE: Datatype = Datatype(11);
 }
 
+/// One registry slot, with the generation of the handle that names, or
+/// will next name, its occupant.
+#[derive(Debug)]
+enum Slot {
+    /// A live type.
+    Live(u8, TypeInfo),
+    /// A freed slot on the free list; the link is the slot freed before
+    /// it. The list lives in the vacant slots, so it allocates nothing.
+    Free(u8, Option<u32>),
+    /// Freed at the last generation: never reused, so no handle wraps
+    /// around to name a later occupant.
+    Retired,
+}
+
 /// The registry of live datatypes.
 #[derive(Debug)]
 pub struct TypeRegistry {
-    slots: Vec<Option<TypeInfo>>,
+    slots: Vec<Slot>,
+    /// The slot freed last: the head of the free list, which `create`
+    /// pops before it grows `slots`. Last in, first out, so a seeded run
+    /// hands out the same handles every time.
+    free: Option<u32>,
 }
 
 impl Default for TypeRegistry {
@@ -59,7 +78,7 @@ impl TypeRegistry {
             .iter()
             .map(|&n| {
                 let size = n.size() as i64;
-                Some(TypeInfo {
+                TypeInfo {
                     def: TypeDef::Named(n),
                     attrs: TypeAttrs {
                         size: n.size() as u64,
@@ -70,17 +89,20 @@ impl TypeRegistry {
                     },
                     committed: true, // named types are always committed
                     ascending: true,
-                })
+                }
             })
+            .map(|info| Slot::Live(0, info))
             .collect();
-        TypeRegistry { slots }
+        TypeRegistry { slots, free: None }
     }
 
+    /// The live type `dt` names: its slot's occupant, if the generations
+    /// agree.
     fn get(&self, dt: Datatype) -> MpiResult<&TypeInfo> {
-        self.slots
-            .get(dt.0 as usize)
-            .and_then(|s| s.as_ref())
-            .ok_or(MpiError::InvalidDatatype)
+        match self.slots.get(dt.slot()) {
+            Some(Slot::Live(g, info)) if *g == dt.generation() => Ok(info),
+            _ => Err(MpiError::InvalidDatatype),
+        }
     }
 
     /// The full record for a handle.
@@ -112,13 +134,13 @@ impl TypeRegistry {
 
     /// `MPI_Type_commit`. Idempotent, as in MPI.
     pub fn commit(&mut self, dt: Datatype) -> MpiResult<()> {
-        let slot = self
-            .slots
-            .get_mut(dt.0 as usize)
-            .and_then(|s| s.as_mut())
-            .ok_or(MpiError::InvalidDatatype)?;
-        slot.committed = true;
-        Ok(())
+        match self.slots.get_mut(dt.slot()) {
+            Some(Slot::Live(g, info)) if *g == dt.generation() => {
+                info.committed = true;
+                Ok(())
+            }
+            _ => Err(MpiError::InvalidDatatype),
+        }
     }
 
     /// Is the type committed?
@@ -132,25 +154,36 @@ impl TypeRegistry {
     /// `free(row)` both `typemap::segments(plane)` and a TEMPI commit of
     /// `plane` return `InvalidDatatype`. [`TypeTree::build`](super::TypeTree::build)
     /// therefore leaves every intermediate type live.
+    ///
+    /// The slot goes on the free list under the next generation, so `dt`
+    /// and every other copy of it stay dead — `InvalidDatatype` everywhere,
+    /// a second free included — after `create` reuses the slot. A slot
+    /// freed at generation 255 is retired instead: never reused.
     pub fn free(&mut self, dt: Datatype) -> MpiResult<()> {
         if dt.named_index().is_some() {
             return Err(MpiError::InvalidArg(
                 "cannot free a named datatype".to_string(),
             ));
         }
-        let slot = self
-            .slots
-            .get_mut(dt.0 as usize)
-            .ok_or(MpiError::InvalidDatatype)?;
-        if slot.take().is_none() {
-            return Err(MpiError::InvalidDatatype);
-        }
+        self.get(dt)?;
+        let slot = dt.slot();
+        self.slots[slot] = match dt.generation().checked_add(1) {
+            Some(next) => Slot::Free(next, self.free.replace(slot as u32)),
+            None => Slot::Retired,
+        };
         Ok(())
     }
 
     /// Number of live handles (named + derived).
     pub fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        (self.slots.iter())
+            .filter(|s| matches!(s, Slot::Live(..)))
+            .count()
+    }
+
+    /// Number of slots, live, free or retired: what the registry holds.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     // ---- construction --------------------------------------------------
@@ -315,13 +348,24 @@ impl TypeRegistry {
         (attrs.ub.checked_sub(attrs.lb))
             .and(attrs.true_ub.checked_sub(attrs.true_lb))
             .ok_or_else(bounds_overflow)?;
-        let handle = Datatype(self.slots.len() as u32);
-        self.slots.push(Some(TypeInfo {
+        // the free list's head, else a new slot
+        let head = self.free.map(|s| s as usize);
+        let (slot, generation, next) = match head.map(|s| (s, &self.slots[s])) {
+            Some((s, &Slot::Free(g, next))) => (s, g, next),
+            _ => (self.slots.len(), 0, None),
+        };
+        let handle = Datatype::new(slot, generation)?;
+        let info = TypeInfo {
             def,
             attrs,
             committed: false,
             ascending,
-        }));
+        };
+        if slot < self.slots.len() {
+            (self.slots[slot], self.free) = (Slot::Live(generation, info), next);
+        } else {
+            self.slots.push(Slot::Live(generation, info));
+        }
         Ok(handle)
     }
 
@@ -940,6 +984,81 @@ mod tests {
         assert_eq!(r.size(t), Err(MpiError::InvalidDatatype));
         assert_eq!(r.free(t), Err(MpiError::InvalidDatatype));
         assert!(r.free(MPI_INT).is_err());
+    }
+
+    #[test]
+    fn a_freed_handle_stays_dead_after_its_slot_is_reused() {
+        use super::super::typemap::segments;
+        let mut r = TypeRegistry::new();
+        let row = r.type_contiguous(4, MPI_INT).unwrap();
+        let plane = r.type_vector(3, 1, 2, row).unwrap();
+        // a slot's first occupant is named by the slot index itself
+        assert_eq!((row, plane), (Datatype(12), Datatype(13)));
+        r.free(row).unwrap();
+        // an unrelated type takes the child's slot, one generation on
+        let other = r.type_create_hvector(2, 1, 64, MPI_DOUBLE).unwrap();
+        assert_eq!((other.slot(), other.generation()), (row.slot(), 1));
+        assert_eq!(r.slot_count(), 14, "the freed slot was reused");
+        let dead = MpiError::InvalidDatatype;
+        assert_eq!(segments(&r, plane).unwrap_err(), dead);
+        assert_eq!(r.size(row).unwrap_err(), dead);
+        assert_eq!(r.extent(row).unwrap_err(), dead);
+        assert_eq!(r.commit(row).unwrap_err(), dead);
+        assert_eq!(r.get_envelope(row).unwrap_err(), dead);
+        assert_eq!(r.free(row).unwrap_err(), dead, "a double free is an error");
+        // none of which touched the slot's new occupant
+        assert_eq!(r.size(other), Ok(16));
+        assert!(!r.is_committed(other).unwrap());
+        assert_eq!(r.live(), 14);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_last_in_first_out() {
+        let mut r = TypeRegistry::new();
+        let ts: Vec<_> = (0..3).map(|_| r.type_dup(MPI_INT).unwrap()).collect();
+        for &t in &ts {
+            r.free(t).unwrap();
+        }
+        let again: Vec<_> = (0..4)
+            .map(|_| r.type_dup(MPI_INT).unwrap().slot())
+            .collect();
+        assert_eq!(again, [ts[2].slot(), ts[1].slot(), ts[0].slot(), 15]);
+    }
+
+    #[test]
+    fn a_slot_cycles_through_every_generation_then_retires() {
+        let mut r = TypeRegistry::new();
+        let first = r.type_contiguous(2, MPI_BYTE).unwrap();
+        let mut t = first;
+        let mut dead = Vec::new();
+        for g in 0..=u8::MAX {
+            assert_eq!((t.slot(), t.generation()), (first.slot(), g));
+            r.free(t).unwrap();
+            dead.push(t);
+            t = r.type_contiguous(2, MPI_BYTE).unwrap();
+        }
+        // freed at generation 255, the slot is retired: no handle wraps
+        // around to generation 0, and the next type takes a new slot
+        assert_eq!((t.slot(), t.generation()), (first.slot() + 1, 0));
+        assert!(dead
+            .iter()
+            .all(|&d| r.size(d) == Err(MpiError::InvalidDatatype)));
+        assert_eq!((r.live(), r.slot_count()), (13, 14));
+        r.free(t).unwrap();
+        assert_eq!(r.type_dup(MPI_BYTE).unwrap().slot(), t.slot());
+    }
+
+    #[test]
+    fn a_slot_past_the_handle_bits_is_an_error_not_a_wrapped_handle() {
+        let last = (1 << Datatype::SLOT_BITS) - 1;
+        let h = Datatype::new(last, u8::MAX).unwrap();
+        assert_eq!((h.slot(), h.generation()), (last, u8::MAX));
+        for slot in [last + 1, u32::MAX as usize + 1] {
+            assert_eq!(Datatype::new(slot, 0), Err(MpiError::HandlesExhausted));
+        }
+        // named handles are generation 0 of their slots
+        assert_eq!((MPI_DOUBLE.slot(), MPI_DOUBLE.generation()), (11, 0));
+        assert_eq!(Datatype::new(5, 1).unwrap().named_index(), None);
     }
 
     #[test]

@@ -115,6 +115,10 @@ pub enum MpiError {
         /// `"<non-string panic payload>"` otherwise.
         message: String,
     },
+    /// Every datatype handle is taken: the registry's slots are all live
+    /// or retired, and one more would not fit in a handle's slot bits
+    /// (`MPI_ERR_INTERN`).
+    HandlesExhausted,
     /// Internal invariant violation (a bug in the simulator, not the
     /// application).
     Internal(String),
@@ -247,6 +251,7 @@ impl fmt::Display for MpiError {
             MpiError::RankPanicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
+            MpiError::HandlesExhausted => write!(f, "no datatype handle left to create"),
             MpiError::Internal(s) => write!(f, "internal simulator error: {s}"),
         }
     }

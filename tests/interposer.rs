@@ -373,3 +373,47 @@ fn item_offsets_that_overflow_are_invalid_arg_before_any_byte_moves() {
         assert_eq!((s.memcpys, s.kernel_launches), (0, 0), "{name}");
     }
 }
+
+#[test]
+fn create_commit_free_churn_keeps_the_registry_and_the_plan_cache_bounded() {
+    // frees that bypass the interposer, as a partial interposer must
+    // expect: the registry reuses each slot, and each new occupant's
+    // commit replaces the dead plan
+    const CYCLES: usize = 100_000;
+    let mut ctx = ctx();
+    let mut mpi = InterposedMpi::new(TempiConfig::default());
+    let keep = ctx.type_vector(13, 100, 256, MPI_BYTE).unwrap();
+    mpi.type_commit(&mut ctx, keep).unwrap();
+    for i in 0..CYCLES {
+        let n = 1 + i as i32 % 7;
+        let row = ctx.type_contiguous(n, MPI_BYTE).unwrap();
+        let dt = ctx.type_create_hvector(3, 1, 64, row).unwrap();
+        mpi.type_commit(&mut ctx, dt).unwrap();
+        assert_eq!(mpi.tempi.plan(dt).unwrap().size, 3 * n as u64);
+        ctx.type_free(dt).unwrap();
+        ctx.type_free(row).unwrap();
+    }
+    let (live, slots) = {
+        let reg = ctx.registry().read();
+        (reg.live(), reg.slot_count())
+    };
+    assert_eq!(live, 13, "the named types and `keep`");
+    // each cycle reuses the same two slots; a slot serves 256 occupants,
+    // one per generation, and then retires, so no handle ever aliases
+    let retired = 2 * (CYCLES / 256);
+    assert!(
+        slots <= live + 2 + retired,
+        "{slots} slots for {live} live types"
+    );
+    // one plan per slot the loop committed in: the current one, and the
+    // last occupant of each retired slot, which no commit replaces
+    let plans = mpi.tempi.cached_plans();
+    assert!(plans <= 2 + retired / 2, "{plans} plans held");
+    let hits = mpi.stats().commit_cache_hits;
+    mpi.type_commit(&mut ctx, keep).unwrap();
+    assert_eq!(
+        mpi.stats().commit_cache_hits,
+        hits + 1,
+        "`keep` lost its plan"
+    );
+}
