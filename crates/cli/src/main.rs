@@ -909,7 +909,7 @@ mod tests {
         let plan = parse_faults("seed=42,send=0.05,corrupt=0.1,exit=1@5ms,retries=4,backoff=10us")
             .unwrap();
         assert_eq!(plan.seed, 42);
-        assert!(plan.corrupt.is_active());
+        assert!(plan.site(mpi_sim::FaultSite::Corrupt).is_active());
         assert_eq!(plan.rank_exits.len(), 1);
     }
 

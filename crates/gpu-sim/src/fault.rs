@@ -1,18 +1,24 @@
-//! Deterministic fault injection for the simulated GPU runtime.
+//! Deterministic fault injection: the one table of injection sites and the
+//! seeded injector that decides them.
 //!
-//! A [`GpuFaultInjector`] decides, per call site, whether a given GPU
-//! operation fails. Decisions are pure functions of a configured seed, the
-//! site, and that site's call ordinal — no wall clock and no global RNG —
-//! so a fault schedule replays identically run after run.
+//! Seven sites can fail: three on the device (allocation, kernel launch,
+//! async copy) and four on a rank's message path and checkpoint I/O (send,
+//! receive, in-transit corruption, spill-file corruption). [`FaultSite`]'s
+//! table gives each site its names — the variant the chaos corpus spells,
+//! the `--faults` clause key, the fault-plan JSON field — and the salt its
+//! coin is drawn under. A [`SiteInjector`] holds every site's [`SiteSpec`]
+//! and counters and decides: a pure function of a seed, the site and that
+//! site's call ordinal — no wall clock and no global RNG — so a fault
+//! schedule replays identically run after run.
 //!
-//! The injector is installed on a [`crate::Memory`] (and therefore shared
-//! by every clone of the owning [`crate::GpuContext`] and every
-//! [`crate::Stream`] bound to it). When no injector is installed, each
-//! hook is a single `Option` check and the simulator behaves exactly as it
-//! did before fault injection existed.
+//! The MPI layer builds one injector per rank and, when a device site is
+//! active, installs the same `Arc` on that rank's [`crate::Memory`], so
+//! every clone of the owning [`crate::GpuContext`] and every
+//! [`crate::Stream`] bound to it draws from the one set of counters.
+//! Without one, each device hook is a single `Option` check and the
+//! simulator behaves exactly as it did before fault injection existed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use tempi_trace::json::{self, FromJson, ToJson, Value};
 
@@ -69,12 +75,6 @@ impl FromJson for SiteSpec {
 }
 
 impl SiteSpec {
-    /// A site that never fires (the default).
-    #[must_use]
-    pub fn never() -> Self {
-        SiteSpec::default()
-    }
-
     /// Fire on each call with probability `p`.
     #[must_use]
     pub fn with_probability(p: f64) -> Self {
@@ -100,8 +100,8 @@ impl SiteSpec {
     }
 
     /// Deterministic decision for call ordinal `n` under `seed` and the
-    /// site's `salt`. Public so higher layers (the MPI fault plan) flip
-    /// the same coin for their own sites.
+    /// site's `salt`. Public so higher layers flip the same coin for a
+    /// site outside the table (the MPI plan's delay).
     pub fn decide(&self, seed: u64, salt: u64, n: u64) -> bool {
         if self.at_calls.contains(&n) {
             return true;
@@ -111,126 +111,204 @@ impl SiteSpec {
     }
 }
 
-/// The GPU operations a fault can target.
+/// The operations a fault can target: the rows of the site table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GpuFaultSite {
+pub enum FaultSite {
     /// Device allocation: fires as [`crate::GpuError::OutOfMemory`].
-    AllocOom,
+    Alloc,
     /// Kernel launch: fires as [`crate::GpuError::StreamFault`].
-    KernelFault,
+    Kernel,
     /// Async copy (1-D, 2-D or 3-D): fires as
     /// [`crate::GpuError::StreamFault`].
-    CopyFault,
+    Copy,
+    /// Transient p2p send failure (per send attempt).
+    Send,
+    /// Transient p2p receive failure (per receive attempt).
+    Recv,
+    /// In-transit payload corruption (per delivery attempt): a
+    /// deterministic bit of the arriving payload flips. With integrity on
+    /// the receiver detects it and runs the NACK/retransmit handshake;
+    /// without it the corruption is silent.
+    Corrupt,
+    /// Checkpoint spill-file corruption (per spill read or write): a
+    /// deterministic bit of the frame flips on its way to or from disk, and
+    /// the frame checksum turns it into a typed error on decode.
+    Spill,
 }
 
-/// Full fault configuration for one simulated GPU.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GpuFaultSpec {
-    /// Seed mixed into every probabilistic decision.
-    pub seed: u64,
-    /// Device-allocation out-of-memory site.
-    pub alloc_oom: SiteSpec,
-    /// Kernel-launch failure site.
-    pub kernel_fault: SiteSpec,
-    /// Async-copy failure site.
-    pub copy_fault: SiteSpec,
-}
+impl FaultSite {
+    /// How many sites the table has.
+    pub const COUNT: usize = 7;
 
-impl GpuFaultSpec {
-    /// Does any site ever fire?
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.alloc_oom.is_active() || self.kernel_fault.is_active() || self.copy_fault.is_active()
-    }
-}
-
-/// Per-device injector: a [`GpuFaultSpec`] plus per-site call counters.
-///
-/// Shared via `Arc` between the memory system and the streams of one
-/// simulated device. Counters are atomics only because [`crate::Memory`]
-/// sits behind a mutex shared across context clones; the simulator drives
-/// each rank single-threaded, so call ordinals — and therefore every
-/// decision — are deterministic.
-#[derive(Debug)]
-pub struct GpuFaultInjector {
-    spec: GpuFaultSpec,
-    calls: [AtomicU64; 3],
-    injected: [AtomicU64; 3],
-}
-
-impl GpuFaultInjector {
-    /// Per-site hash salts so the same ordinal at different sites draws
-    /// independent coins.
-    const SALTS: [u64; 3] = [
-        0x616c_6c6f_635f_6f6d, // "alloc_om"
-        0x6b65_726e_5f66_6c74, // "kern_flt"
-        0x636f_7079_5f66_6c74, // "copy_flt"
+    /// Every site, in table order — the order of a fault plan's JSON
+    /// fields.
+    pub const ALL: [FaultSite; FaultSite::COUNT] = [
+        FaultSite::Alloc,
+        FaultSite::Kernel,
+        FaultSite::Copy,
+        FaultSite::Send,
+        FaultSite::Recv,
+        FaultSite::Corrupt,
+        FaultSite::Spill,
     ];
 
-    /// Build a shareable injector from a spec.
+    /// The site table, one row per site in [`FaultSite::ALL`] order:
+    /// variant spelling, `--faults` clause key, fault-plan JSON field, and
+    /// the salt that keeps the same ordinal at two sites from drawing the
+    /// same coin.
+    const TABLE: [(&'static str, &'static str, &'static str, u64); FaultSite::COUNT] = [
+        ("Alloc", "alloc", "alloc_oom", 0x616c_6c6f_635f_6f6d), // "alloc_om"
+        ("Kernel", "kernel", "kernel_fault", 0x6b65_726e_5f66_6c74), // "kern_flt"
+        ("Copy", "copy", "copy_fault", 0x636f_7079_5f66_6c74),  // "copy_flt"
+        ("Send", "send", "send_fail", 0x7365_6e64_5f66_6c74),   // "send_flt"
+        ("Recv", "recv", "recv_fail", 0x7265_6376_5f66_6c74),   // "recv_flt"
+        ("Corrupt", "corrupt", "corrupt", 0x636f_7272_5f66_6c74), // "corr_flt"
+        ("Spill", "spill", "spill_corrupt", 0x7370_696c_5f66_6c74), // "spil_flt"
+    ];
+
+    /// The variant's name (`"Corrupt"`), as the chaos corpus spells it.
     #[must_use]
-    pub fn new(spec: GpuFaultSpec) -> Arc<Self> {
-        Arc::new(GpuFaultInjector {
-            spec,
-            calls: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            injected: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-        })
+    pub fn name(self) -> &'static str {
+        Self::TABLE[self as usize].0
     }
 
-    fn idx(site: GpuFaultSite) -> usize {
-        match site {
-            GpuFaultSite::AllocOom => 0,
-            GpuFaultSite::KernelFault => 1,
-            GpuFaultSite::CopyFault => 2,
+    /// The key a `--faults` clause names the site by (`corrupt` in
+    /// `corrupt=0.1`).
+    #[must_use]
+    pub fn key(self) -> &'static str {
+        Self::TABLE[self as usize].1
+    }
+
+    /// The fault-plan JSON field holding the site's [`SiteSpec`].
+    #[must_use]
+    pub fn field(self) -> &'static str {
+        Self::TABLE[self as usize].2
+    }
+
+    /// The salt the site's coin is drawn under.
+    #[must_use]
+    pub fn salt(self) -> u64 {
+        Self::TABLE[self as usize].3
+    }
+
+    /// Does the site fire on the device (and so need the injector
+    /// installed on the rank's [`crate::GpuContext`])?
+    #[must_use]
+    pub fn on_device(self) -> bool {
+        matches!(self, FaultSite::Alloc | FaultSite::Kernel | FaultSite::Copy)
+    }
+
+    /// The site a `--faults` clause key names.
+    #[must_use]
+    pub fn from_key(key: &str) -> Option<FaultSite> {
+        FaultSite::ALL.into_iter().find(|s| s.key() == key)
+    }
+}
+
+impl ToJson for FaultSite {
+    fn to_json(&self) -> Value {
+        self.name().to_json()
+    }
+}
+
+impl FromJson for FaultSite {
+    fn from_json(v: &Value) -> Result<FaultSite, json::Error> {
+        let name = v.variant()?.0;
+        FaultSite::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| json::Error(format!("unknown fault site `{name}`")))
+    }
+}
+
+/// One seeded injector over every site: each site's [`SiteSpec`] and its
+/// call and injected counters.
+///
+/// A rank's message path and its device share one via `Arc`. Counters are
+/// atomics because [`crate::Memory`] sits behind a mutex shared across
+/// context clones; the simulator drives each rank single-threaded, so call
+/// ordinals — and therefore every decision — are deterministic.
+#[derive(Debug)]
+pub struct SiteInjector {
+    seed: u64,
+    specs: [SiteSpec; FaultSite::COUNT],
+    calls: [AtomicU64; FaultSite::COUNT],
+    injected: [AtomicU64; FaultSite::COUNT],
+}
+
+impl SiteInjector {
+    /// An injector drawing every coin under `seed`, `specs` indexed by
+    /// [`FaultSite`].
+    #[must_use]
+    pub fn new(seed: u64, specs: [SiteSpec; FaultSite::COUNT]) -> Self {
+        SiteInjector {
+            seed,
+            specs,
+            calls: Default::default(),
+            injected: Default::default(),
         }
     }
 
-    fn site_spec(&self, site: GpuFaultSite) -> &SiteSpec {
-        match site {
-            GpuFaultSite::AllocOom => &self.spec.alloc_oom,
-            GpuFaultSite::KernelFault => &self.spec.kernel_fault,
-            GpuFaultSite::CopyFault => &self.spec.copy_fault,
+    /// The spec `site` runs.
+    #[must_use]
+    pub fn spec(&self, site: FaultSite) -> &SiteSpec {
+        &self.specs[site as usize]
+    }
+
+    /// Count one call at `site` and flip its coin: the call's ordinal when
+    /// it fails. An inactive site neither counts nor fires, so enabling one
+    /// site does not shift another site's schedule.
+    fn draw(&self, site: FaultSite) -> Option<u64> {
+        let i = site as usize;
+        if !self.specs[i].is_active() {
+            return None;
         }
+        let n = self.calls[i].fetch_add(1, Ordering::Relaxed);
+        if !self.specs[i].decide(self.seed, site.salt(), n) {
+            return None;
+        }
+        self.injected[i].fetch_add(1, Ordering::Relaxed);
+        Some(n)
     }
 
     /// Record one call at `site` and decide whether it fails.
-    ///
-    /// Inactive sites return `false` without consuming an ordinal, so
-    /// enabling one site does not shift another site's schedule.
-    pub fn should_fail(&self, site: GpuFaultSite) -> bool {
-        let spec = self.site_spec(site);
-        if !spec.is_active() {
-            return false;
-        }
-        let i = Self::idx(site);
-        let n = self.calls[i].fetch_add(1, Ordering::Relaxed);
-        let fire = spec.decide(self.spec.seed, Self::SALTS[i], n);
-        if fire {
-            self.injected[i].fetch_add(1, Ordering::Relaxed);
-        }
-        fire
+    pub fn should_fail(&self, site: FaultSite) -> bool {
+        self.draw(site).is_some()
+    }
+
+    /// Record one call at `site` over a `len`-byte buffer and, when it
+    /// fails, return the (byte index, one-bit mask) to flip — derived from
+    /// the same seeded draw, so a given call always flips the same bit. An
+    /// empty buffer has nothing to flip.
+    pub fn flip(&self, site: FaultSite, len: usize) -> Option<(usize, u8)> {
+        let n = self.draw(site).filter(|_| len > 0)?;
+        let h = splitmix64(self.seed ^ site.salt() ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        Some((h as usize % len, 1u8 << ((h >> 40) & 7)))
     }
 
     /// Calls observed at `site` so far (counted only while the site is
     /// active).
-    pub fn calls(&self, site: GpuFaultSite) -> u64 {
-        self.calls[Self::idx(site)].load(Ordering::Relaxed)
+    pub fn calls(&self, site: FaultSite) -> u64 {
+        self.calls[site as usize].load(Ordering::Relaxed)
     }
 
     /// Faults injected at `site` so far.
-    pub fn injected(&self, site: GpuFaultSite) -> u64 {
-        self.injected[Self::idx(site)].load(Ordering::Relaxed)
-    }
-
-    /// The spec this injector runs.
-    pub fn spec(&self) -> &GpuFaultSpec {
-        &self.spec
+    pub fn injected(&self, site: FaultSite) -> u64 {
+        self.injected[site as usize].load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An injector under `seed` with `site` running `spec`, every other
+    /// site inactive.
+    fn one_site(seed: u64, site: FaultSite, spec: SiteSpec) -> SiteInjector {
+        let mut specs: [SiteSpec; FaultSite::COUNT] = Default::default();
+        specs[site as usize] = spec;
+        SiteInjector::new(seed, specs)
+    }
 
     #[test]
     fn splitmix_is_deterministic_and_mixes() {
@@ -239,53 +317,46 @@ mod tests {
     }
 
     #[test]
+    fn the_table_round_trips_every_name() {
+        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
+            assert_eq!(site as usize, i, "ALL is in table order");
+            assert_eq!(site.name(), format!("{site:?}"));
+            assert_eq!(FaultSite::from_key(site.key()), Some(site));
+            let back: FaultSite = json::from_str(&site.to_json().to_string()).unwrap();
+            assert_eq!(back, site);
+        }
+        assert_eq!(FaultSite::from_key("delay"), None);
+        let salts: std::collections::HashSet<u64> =
+            FaultSite::ALL.iter().map(|s| s.salt()).collect();
+        assert_eq!(salts.len(), FaultSite::COUNT, "salts are distinct");
+    }
+
+    #[test]
     fn scripted_ordinals_fire_exactly() {
-        let inj = GpuFaultInjector::new(GpuFaultSpec {
-            seed: 7,
-            alloc_oom: SiteSpec::at(&[1, 3]),
-            ..GpuFaultSpec::default()
-        });
-        let fired: Vec<bool> = (0..5)
-            .map(|_| inj.should_fail(GpuFaultSite::AllocOom))
-            .collect();
+        let inj = one_site(7, FaultSite::Alloc, SiteSpec::at(&[1, 3]));
+        let fired: Vec<bool> = (0..5).map(|_| inj.should_fail(FaultSite::Alloc)).collect();
         assert_eq!(fired, vec![false, true, false, true, false]);
-        assert_eq!(inj.injected(GpuFaultSite::AllocOom), 2);
-        assert_eq!(inj.calls(GpuFaultSite::AllocOom), 5);
+        assert_eq!(inj.injected(FaultSite::Alloc), 2);
+        assert_eq!(inj.calls(FaultSite::Alloc), 5);
     }
 
     #[test]
     fn probability_extremes() {
-        let always = GpuFaultInjector::new(GpuFaultSpec {
-            seed: 1,
-            kernel_fault: SiteSpec::with_probability(1.0),
-            ..GpuFaultSpec::default()
-        });
-        let never = GpuFaultInjector::new(GpuFaultSpec {
-            seed: 1,
-            kernel_fault: SiteSpec::with_probability(0.0),
-            ..GpuFaultSpec::default()
-        });
+        let always = one_site(1, FaultSite::Kernel, SiteSpec::with_probability(1.0));
+        let never = one_site(1, FaultSite::Kernel, SiteSpec::with_probability(0.0));
         for _ in 0..32 {
-            assert!(always.should_fail(GpuFaultSite::KernelFault));
-            assert!(!never.should_fail(GpuFaultSite::KernelFault));
+            assert!(always.should_fail(FaultSite::Kernel));
+            assert!(!never.should_fail(FaultSite::Kernel));
         }
     }
 
     #[test]
     fn same_seed_same_schedule() {
-        let spec = GpuFaultSpec {
-            seed: 20260805,
-            copy_fault: SiteSpec::with_probability(0.3),
-            ..GpuFaultSpec::default()
-        };
-        let a = GpuFaultInjector::new(spec.clone());
-        let b = GpuFaultInjector::new(spec);
-        let sa: Vec<bool> = (0..64)
-            .map(|_| a.should_fail(GpuFaultSite::CopyFault))
-            .collect();
-        let sb: Vec<bool> = (0..64)
-            .map(|_| b.should_fail(GpuFaultSite::CopyFault))
-            .collect();
+        let spec = SiteSpec::with_probability(0.3);
+        let a = one_site(20260805, FaultSite::Copy, spec.clone());
+        let b = one_site(20260805, FaultSite::Copy, spec);
+        let sa: Vec<bool> = (0..64).map(|_| a.should_fail(FaultSite::Copy)).collect();
+        let sb: Vec<bool> = (0..64).map(|_| b.should_fail(FaultSite::Copy)).collect();
         assert_eq!(sa, sb);
         assert!(sa.iter().any(|&f| f), "p=0.3 over 64 draws should fire");
         assert!(!sa.iter().all(|&f| f), "p=0.3 should not always fire");
@@ -293,26 +364,33 @@ mod tests {
 
     #[test]
     fn different_sites_draw_independent_coins() {
-        let spec = GpuFaultSpec {
-            seed: 99,
-            alloc_oom: SiteSpec::with_probability(0.5),
-            kernel_fault: SiteSpec::with_probability(0.5),
-            ..GpuFaultSpec::default()
-        };
-        let inj = GpuFaultInjector::new(spec);
-        let a: Vec<bool> = (0..64)
-            .map(|_| inj.should_fail(GpuFaultSite::AllocOom))
-            .collect();
+        let mut specs: [SiteSpec; FaultSite::COUNT] = Default::default();
+        specs[FaultSite::Alloc as usize] = SiteSpec::with_probability(0.5);
+        specs[FaultSite::Kernel as usize] = SiteSpec::with_probability(0.5);
+        let inj = SiteInjector::new(99, specs);
+        let a: Vec<bool> = (0..64).map(|_| inj.should_fail(FaultSite::Alloc)).collect();
         let k: Vec<bool> = (0..64)
-            .map(|_| inj.should_fail(GpuFaultSite::KernelFault))
+            .map(|_| inj.should_fail(FaultSite::Kernel))
             .collect();
         assert_ne!(a, k);
     }
 
     #[test]
     fn inactive_sites_do_not_count_calls() {
-        let inj = GpuFaultInjector::new(GpuFaultSpec::default());
-        assert!(!inj.should_fail(GpuFaultSite::AllocOom));
-        assert_eq!(inj.calls(GpuFaultSite::AllocOom), 0);
+        let inj = SiteInjector::new(0, Default::default());
+        assert!(!inj.should_fail(FaultSite::Alloc));
+        assert_eq!(inj.flip(FaultSite::Corrupt, 64), None);
+        assert_eq!(inj.calls(FaultSite::Alloc), 0);
+        assert_eq!(inj.calls(FaultSite::Corrupt), 0);
+    }
+
+    #[test]
+    fn an_empty_buffer_spends_its_ordinal_and_flips_nothing() {
+        let inj = one_site(3, FaultSite::Spill, SiteSpec::at(&[0, 1]));
+        assert_eq!(inj.flip(FaultSite::Spill, 0), None);
+        let (idx, mask) = inj.flip(FaultSite::Spill, 96).unwrap();
+        assert!(idx < 96);
+        assert_eq!(mask.count_ones(), 1, "exactly one bit flips");
+        assert_eq!(inj.calls(FaultSite::Spill), 2);
     }
 }

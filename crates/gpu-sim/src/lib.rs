@@ -53,8 +53,8 @@ pub use clock::{SimClock, SimStopwatch, SimTime};
 pub use cost::{CopyKind, GpuCostModel, PackDir, PackTarget};
 pub use device::DeviceProps;
 pub use error::{GpuError, GpuResult};
-pub use fault::{GpuFaultInjector, GpuFaultSite, GpuFaultSpec, SiteSpec};
+pub use fault::{FaultSite, SiteInjector, SiteSpec};
 pub use kernel::{div_ceil, next_pow2, Dim3, LaunchConfig};
-pub use memory::{Copier, CopyRule, GpuContext, GpuPtr, MemSpace, Memory, Region};
+pub use memory::{fnv1a64, Copier, CopyRule, GpuContext, GpuPtr, MemSpace, Memory, Region};
 pub use stream::{Event, Stream, StreamStats};
 pub use tempi_trace::{TraceLevel, Tracer};

@@ -24,7 +24,7 @@ use tempi_trace::sync::{Mutex, MutexGuard};
 
 use crate::device::DeviceProps;
 use crate::error::{GpuError, GpuResult};
-use crate::fault::{GpuFaultInjector, GpuFaultSite};
+use crate::fault::{FaultSite, SiteInjector};
 
 /// Address space of an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -263,6 +263,17 @@ impl Copier<'_> {
     }
 }
 
+/// FNV-1a 64 over `bytes`: the one content checksum of the workspace —
+/// device regions ([`Memory::checksum_region`]), integrity-enveloped
+/// payloads in flight and checkpoint frames at rest all sum with it, so a
+/// region, the payload packed from it and a frame holding it agree.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// The memory state of one simulated device + its host process.
 ///
 /// Obtained from [`GpuContext::memory`]; kernels receive `&mut Memory` and
@@ -272,7 +283,7 @@ pub struct Memory {
     next_id: u64,
     device_capacity: usize,
     device_used: usize,
-    faults: Option<Arc<GpuFaultInjector>>,
+    faults: Option<Arc<SiteInjector>>,
 }
 
 impl Memory {
@@ -289,15 +300,8 @@ impl Memory {
     fn alloc(&mut self, len: usize, space: MemSpace) -> GpuResult<GpuPtr> {
         if space == MemSpace::Device {
             let available = self.device_capacity - self.device_used;
-            if let Some(f) = &self.faults {
-                if f.should_fail(GpuFaultSite::AllocOom) {
-                    return Err(GpuError::OutOfMemory {
-                        requested: len,
-                        available,
-                    });
-                }
-            }
-            if len > available {
+            let injected = self.fault_injector();
+            if injected.is_some_and(|f| f.should_fail(FaultSite::Alloc)) || len > available {
                 return Err(GpuError::OutOfMemory {
                     requested: len,
                     available,
@@ -472,31 +476,24 @@ impl Memory {
         self.region_mut(ptr).write(ptr.offset, data)
     }
 
-    /// FNV-1a 64 checksum over `len` bytes at `ptr`, ignoring space rules
-    /// (the verification analogue of the `peek` backdoor: snapshot framing
-    /// and integrity checks need to summarize device bytes without staging
+    /// [`fnv1a64`] over `len` bytes at `ptr`, ignoring space rules (the
+    /// verification analogue of the `peek` backdoor: snapshot framing and
+    /// integrity checks need to summarize device bytes without staging
     /// them through a host copy). Costs no virtual time.
     pub fn checksum_region(&self, ptr: GpuPtr, len: usize) -> GpuResult<u64> {
-        let region = self.region(ptr);
-        let bytes = region.read(ptr.offset, len)?;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        Ok(h)
+        Ok(fnv1a64(self.region(ptr).read(ptr.offset, len)?))
     }
 
     /// Install (or, with `None`, remove) a deterministic fault injector.
     /// Every clone of the owning [`GpuContext`] and every stream bound to
     /// it observes the change, since they all share this `Memory`.
-    pub fn set_fault_injector(&mut self, inj: Option<Arc<GpuFaultInjector>>) {
+    pub fn set_fault_injector(&mut self, inj: Option<Arc<SiteInjector>>) {
         self.faults = inj;
     }
 
     /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<Arc<GpuFaultInjector>> {
-        self.faults.clone()
+    pub fn fault_injector(&self) -> Option<&SiteInjector> {
+        self.faults.as_deref()
     }
 
     /// Bytes of device memory currently allocated.
@@ -567,13 +564,8 @@ impl GpuContext {
 
     /// Install (or, with `None`, remove) a deterministic fault injector on
     /// this device. Convenience for [`Memory::set_fault_injector`].
-    pub fn set_fault_injector(&self, inj: Option<Arc<GpuFaultInjector>>) {
+    pub fn set_fault_injector(&self, inj: Option<Arc<SiteInjector>>) {
         self.memory().set_fault_injector(inj);
-    }
-
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<Arc<GpuFaultInjector>> {
-        self.memory().fault_injector()
     }
 }
 
@@ -736,13 +728,11 @@ mod tests {
 
     #[test]
     fn injected_alloc_oom_is_scripted_and_reported() {
-        use crate::fault::{GpuFaultInjector, GpuFaultSite, GpuFaultSpec, SiteSpec};
+        use crate::fault::{FaultSite, SiteInjector, SiteSpec};
         let c = ctx();
-        c.set_fault_injector(Some(GpuFaultInjector::new(GpuFaultSpec {
-            seed: 42,
-            alloc_oom: SiteSpec::at(&[0]),
-            ..GpuFaultSpec::default()
-        })));
+        let mut specs: [SiteSpec; FaultSite::COUNT] = Default::default();
+        specs[FaultSite::Alloc as usize] = SiteSpec::at(&[0]);
+        c.set_fault_injector(Some(Arc::new(SiteInjector::new(42, specs))));
         // plenty of capacity, but the script kills the first device alloc
         let err = c.malloc(64).unwrap_err();
         assert!(matches!(err, GpuError::OutOfMemory { requested: 64, .. }));
@@ -750,12 +740,14 @@ mod tests {
         // the very next device alloc succeeds; host allocs are never hit
         assert!(c.malloc(64).is_ok());
         assert!(c.host_alloc(64).is_ok());
-        let inj = c.fault_injector().unwrap();
-        assert_eq!(inj.injected(GpuFaultSite::AllocOom), 1);
-        assert_eq!(inj.calls(GpuFaultSite::AllocOom), 2);
+        let mem = c.memory();
+        let inj = mem.fault_injector().unwrap();
+        assert_eq!(inj.injected(FaultSite::Alloc), 1);
+        assert_eq!(inj.calls(FaultSite::Alloc), 2);
+        drop(mem);
         // uninstalling restores the happy path
         c.set_fault_injector(None);
-        assert!(c.fault_injector().is_none());
+        assert!(c.memory().fault_injector().is_none());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use tempi_trace::{Tracer, LANE_GPU};
 use crate::clock::{SimClock, SimTime};
 use crate::cost::{CopyKind, GpuCostModel};
 use crate::error::{GpuError, GpuResult};
-use crate::fault::GpuFaultSite;
+use crate::fault::FaultSite;
 use crate::kernel::LaunchConfig;
 use crate::memory::{CopyRule, GpuContext, GpuPtr, MemSpace, Memory};
 
@@ -142,11 +142,9 @@ impl Stream {
     /// memory lock the caller already holds. Like a real failed submission,
     /// an injected fault leaves the clock, the stream timeline and the
     /// stats untouched.
-    fn injected_fault(mem: &Memory, site: GpuFaultSite, op: &str) -> GpuResult<()> {
-        if let Some(f) = mem.fault_injector() {
-            if f.should_fail(site) {
-                return Err(GpuError::StreamFault { op: op.to_string() });
-            }
+    fn injected_fault(mem: &Memory, site: FaultSite, op: &str) -> GpuResult<()> {
+        if mem.fault_injector().is_some_and(|f| f.should_fail(site)) {
+            return Err(GpuError::StreamFault { op: op.to_string() });
         }
         Ok(())
     }
@@ -169,7 +167,7 @@ impl Stream {
             let mut mem = self.ctx.memory();
             let d_space = mem.space_of(dst)?;
             let s_space = mem.space_of(src)?;
-            Self::injected_fault(&mem, GpuFaultSite::CopyFault, "memcpy_async")?;
+            Self::injected_fault(&mem, FaultSite::Copy, "memcpy_async")?;
             mem.copier(CopyRule::Dma, dst, src)
                 .copy(dst.offset, src.offset, len)?;
             CopyKind::infer(d_space, s_space)
@@ -211,7 +209,7 @@ impl Stream {
             let mut mem = self.ctx.memory();
             let d_space = mem.space_of(dst)?;
             let s_space = mem.space_of(src)?;
-            Self::injected_fault(&mem, GpuFaultSite::CopyFault, "memcpy_2d_async")?;
+            Self::injected_fault(&mem, FaultSite::Copy, "memcpy_2d_async")?;
             let mut rows = mem.copier(CopyRule::Dma, dst, src);
             for row in 0..height {
                 let (d, s) = (dst.offset + row * dpitch, src.offset + row * spitch);
@@ -280,7 +278,7 @@ impl Stream {
             .map_err(|reason| GpuError::InvalidLaunch { reason })?;
         {
             let mut mem = self.ctx.memory();
-            Self::injected_fault(&mem, GpuFaultSite::KernelFault, name)?;
+            Self::injected_fault(&mem, FaultSite::Kernel, name)?;
             body(&mut mem).map_err(|e| GpuError::KernelFault {
                 kernel: name.to_string(),
                 source: Box::new(e),
@@ -545,16 +543,14 @@ mod tests {
 
     #[test]
     fn injected_stream_faults_leave_clock_and_stats_untouched() {
-        use crate::fault::{GpuFaultInjector, GpuFaultSpec, SiteSpec};
+        use crate::fault::{FaultSite, SiteInjector, SiteSpec};
         let (ctx, mut s, mut clock) = setup();
         let a = ctx.malloc(64).unwrap();
         let b = ctx.malloc(64).unwrap();
-        ctx.set_fault_injector(Some(GpuFaultInjector::new(GpuFaultSpec {
-            seed: 5,
-            kernel_fault: SiteSpec::at(&[0]),
-            copy_fault: SiteSpec::at(&[0]),
-            ..GpuFaultSpec::default()
-        })));
+        let mut specs: [SiteSpec; FaultSite::COUNT] = Default::default();
+        specs[FaultSite::Kernel as usize] = SiteSpec::at(&[0]);
+        specs[FaultSite::Copy as usize] = SiteSpec::at(&[0]);
+        ctx.set_fault_injector(Some(Arc::new(SiteInjector::new(5, specs))));
         let cfg = LaunchConfig {
             grid: Dim3::ONE,
             block: Dim3::new(32, 1, 1),

@@ -1,23 +1,29 @@
 //! Deterministic fault plans, per-rank injectors, and the degradation log.
 //!
-//! A [`FaultPlan`] describes *what can go wrong* in a run: GPU allocation
-//! OOM, kernel/copy stream faults, transient send/recv failures, extra
-//! network latency, and ranks exiting at chosen virtual times. Every
-//! decision is a pure function of the plan's seed, the rank, the site, and
-//! that site's call ordinal — never the wall clock or a global RNG — so a
-//! schedule replays identically for a fixed seed.
+//! A [`FaultPlan`] describes *what can go wrong* in a run: one
+//! [`SiteSpec`] per row of the site table ([`FaultSite`]: GPU allocation
+//! OOM, kernel/copy stream faults, transient send/recv failures, in-transit
+//! and spill-file corruption), extra network latency, and ranks exiting at
+//! chosen virtual times. Every decision is a pure function of the plan's
+//! seed, the rank, the site, and that site's call ordinal — never the wall
+//! clock or a global RNG — so a schedule replays identically for a fixed
+//! seed.
 //!
-//! A [`FaultInjector`] is the per-rank instantiation of a plan (the GPU
-//! sites become a [`gpu_sim::GpuFaultInjector`] installed on that rank's
-//! device). [`FaultStats`] counts what actually fired and carries the
-//! [`DegradeEvent`] log that the TEMPI layer appends to when it downgrades
-//! a send path; both are consulted only by the reliability layer
-//! ([`crate::reliability`]), whose per-rank state holds them.
+//! A [`FaultInjector`] is the per-rank instantiation of a plan: one seeded
+//! [`SiteInjector`] decides every site, shared with the rank's device when
+//! a GPU site is active, and the injector keeps the rank exits, the retry
+//! budget and backoff, and the delay coin. [`FaultStats`] counts what
+//! actually fired and carries the [`DegradeEvent`] log that the TEMPI layer
+//! appends to when it downgrades a send path; both are consulted only by
+//! the reliability layer ([`crate::reliability`]), whose per-rank state
+//! holds them.
 
 use std::fmt;
+use std::sync::Arc;
 
 use gpu_sim::fault::splitmix64;
-use gpu_sim::{GpuFaultInjector, GpuFaultSpec, SimTime, SiteSpec};
+pub use gpu_sim::FaultSite;
+use gpu_sim::{SimTime, SiteInjector, SiteSpec};
 use tempi_trace::json::{self, FromJson, ToJson, Value};
 
 use crate::error::{MpiError, MpiResult};
@@ -83,67 +89,6 @@ impl FromJson for RankExit {
     }
 }
 
-/// The injection sites a [`ScopedFault`] can script.
-///
-/// Mirrors the global [`SiteSpec`] fields of a [`FaultPlan`] but names one
-/// site symbolically, so a single scripted event (rank × site × ordinal)
-/// can be serialized, shuffled and delta-debugged by the chaos engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultSite {
-    /// Device-allocation OOM.
-    Alloc,
-    /// Kernel-launch failure.
-    Kernel,
-    /// Async-copy failure.
-    Copy,
-    /// Transient p2p send failure.
-    Send,
-    /// Transient p2p receive failure.
-    Recv,
-    /// In-transit payload corruption.
-    Corrupt,
-    /// Checkpoint spill-file I/O corruption.
-    Spill,
-}
-
-impl FaultSite {
-    /// The site a `--faults` clause names (`"corrupt"` in `corrupt=0.1`).
-    fn named(key: &str) -> Option<FaultSite> {
-        Some(match key {
-            "alloc" => FaultSite::Alloc,
-            "kernel" => FaultSite::Kernel,
-            "copy" => FaultSite::Copy,
-            "send" => FaultSite::Send,
-            "recv" => FaultSite::Recv,
-            "corrupt" => FaultSite::Corrupt,
-            "spill" => FaultSite::Spill,
-            _ => return None,
-        })
-    }
-}
-
-/// The variant's name (`"Corrupt"`), as the chaos corpus spells it.
-impl ToJson for FaultSite {
-    fn to_json(&self) -> Value {
-        format!("{self:?}").to_json()
-    }
-}
-
-impl FromJson for FaultSite {
-    fn from_json(v: &Value) -> Result<FaultSite, json::Error> {
-        Ok(match v.variant()?.0 {
-            "Alloc" => FaultSite::Alloc,
-            "Kernel" => FaultSite::Kernel,
-            "Copy" => FaultSite::Copy,
-            "Send" => FaultSite::Send,
-            "Recv" => FaultSite::Recv,
-            "Corrupt" => FaultSite::Corrupt,
-            "Spill" => FaultSite::Spill,
-            other => return Err(json::Error(format!("unknown fault site `{other}`"))),
-        })
-    }
-}
-
 /// One scripted fault event targeting a single rank: "on rank `rank`, call
 /// ordinal `at_call` of site `site` fails". The unit of minimization for
 /// the chaos shrinker — unlike the plan-wide probabilistic sites, scoped
@@ -188,26 +133,9 @@ impl FromJson for ScopedFault {
 pub struct FaultPlan {
     /// Seed mixed (with the rank) into every probabilistic decision.
     pub seed: u64,
-    /// Device-allocation OOM site (see [`gpu_sim::GpuFaultSite::AllocOom`]).
-    pub alloc_oom: SiteSpec,
-    /// Kernel-launch failure site.
-    pub kernel_fault: SiteSpec,
-    /// Async-copy failure site.
-    pub copy_fault: SiteSpec,
-    /// Transient send failure site (per p2p send call).
-    pub send_fail: SiteSpec,
-    /// Transient receive failure site (per p2p receive call).
-    pub recv_fail: SiteSpec,
-    /// In-transit payload corruption site (per delivery attempt): when it
-    /// fires, a deterministic byte of the arriving payload is flipped.
-    /// With integrity enabled the receiver detects the flip and runs the
-    /// NACK/retransmit handshake; without it the corruption is silent.
-    pub corrupt: SiteSpec,
-    /// Checkpoint spill-file I/O corruption site (per spill read/write):
-    /// when it fires, a deterministic byte of the frame flips on its way
-    /// to or from disk. The frame checksum catches it on decode, so a
-    /// corrupted spill surfaces as a typed error rather than bad data.
-    pub spill_corrupt: SiteSpec,
+    /// Every injection site's schedule, indexed by [`FaultSite`]; read
+    /// through [`FaultPlan::site`] and [`FaultPlan::site_mut`].
+    pub sites: [SiteSpec; FaultSite::COUNT],
     /// Extra-latency site (per p2p receive call).
     pub delay: DelaySpec,
     /// Scheduled rank deaths.
@@ -222,23 +150,23 @@ pub struct FaultPlan {
     pub backoff_base: SimTime,
 }
 
+/// Keys in a fixed order: `seed`, one field per site in table order, then
+/// the rest.
 impl ToJson for FaultPlan {
     fn to_json(&self) -> Value {
-        Value::object([
-            ("seed", self.seed.to_json()),
-            ("alloc_oom", self.alloc_oom.to_json()),
-            ("kernel_fault", self.kernel_fault.to_json()),
-            ("copy_fault", self.copy_fault.to_json()),
-            ("send_fail", self.send_fail.to_json()),
-            ("recv_fail", self.recv_fail.to_json()),
-            ("corrupt", self.corrupt.to_json()),
-            ("spill_corrupt", self.spill_corrupt.to_json()),
+        let sites = FaultSite::ALL.map(|site| (site.field(), self.site(site).to_json()));
+        let rest = [
             ("delay", self.delay.to_json()),
             ("rank_exits", self.rank_exits.to_json()),
             ("scoped", self.scoped.to_json()),
             ("max_retries", self.max_retries.to_json()),
             ("backoff_base", self.backoff_base.to_json()),
-        ])
+        ];
+        let members = [("seed", self.seed.to_json())]
+            .into_iter()
+            .chain(sites)
+            .chain(rest);
+        Value::Object(members.map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
 
@@ -246,15 +174,13 @@ impl ToJson for FaultPlan {
 /// retries, no backoff): a sparse plan injects nothing.
 impl FromJson for FaultPlan {
     fn from_json(v: &Value) -> Result<FaultPlan, json::Error> {
+        let mut sites: [SiteSpec; FaultSite::COUNT] = Default::default();
+        for site in FaultSite::ALL {
+            sites[site as usize] = v.field_or_default(site.field())?;
+        }
         Ok(FaultPlan {
             seed: v.field_or_default("seed")?,
-            alloc_oom: v.field_or_default("alloc_oom")?,
-            kernel_fault: v.field_or_default("kernel_fault")?,
-            copy_fault: v.field_or_default("copy_fault")?,
-            send_fail: v.field_or_default("send_fail")?,
-            recv_fail: v.field_or_default("recv_fail")?,
-            corrupt: v.field_or_default("corrupt")?,
-            spill_corrupt: v.field_or_default("spill_corrupt")?,
+            sites,
             delay: v.field_or_default("delay")?,
             rank_exits: v.field_or_default("rank_exits")?,
             scoped: v.field_or_default("scoped")?,
@@ -268,13 +194,7 @@ impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
             seed: 0,
-            alloc_oom: SiteSpec::never(),
-            kernel_fault: SiteSpec::never(),
-            copy_fault: SiteSpec::never(),
-            send_fail: SiteSpec::never(),
-            recv_fail: SiteSpec::never(),
-            corrupt: SiteSpec::never(),
-            spill_corrupt: SiteSpec::never(),
+            sites: Default::default(),
             delay: DelaySpec::default(),
             rank_exits: Vec::new(),
             scoped: Vec::new(),
@@ -288,30 +208,21 @@ impl FaultPlan {
     /// Does any site ever fire?
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.alloc_oom.is_active()
-            || self.kernel_fault.is_active()
-            || self.copy_fault.is_active()
-            || self.send_fail.is_active()
-            || self.recv_fail.is_active()
-            || self.corrupt.is_active()
-            || self.spill_corrupt.is_active()
+        self.sites.iter().any(SiteSpec::is_active)
             || self.delay.is_active()
             || !self.rank_exits.is_empty()
             || !self.scoped.is_empty()
     }
 
-    /// The spec of `site`: the one table from a site to the plan field
-    /// that schedules it.
-    pub(crate) fn site_mut(&mut self, site: FaultSite) -> &mut SiteSpec {
-        match site {
-            FaultSite::Alloc => &mut self.alloc_oom,
-            FaultSite::Kernel => &mut self.kernel_fault,
-            FaultSite::Copy => &mut self.copy_fault,
-            FaultSite::Send => &mut self.send_fail,
-            FaultSite::Recv => &mut self.recv_fail,
-            FaultSite::Corrupt => &mut self.corrupt,
-            FaultSite::Spill => &mut self.spill_corrupt,
-        }
+    /// The schedule of `site`.
+    #[must_use]
+    pub fn site(&self, site: FaultSite) -> &SiteSpec {
+        &self.sites[site as usize]
+    }
+
+    /// The schedule of `site`, to edit.
+    pub fn site_mut(&mut self, site: FaultSite) -> &mut SiteSpec {
+        &mut self.sites[site as usize]
     }
 
     /// Parse the `--faults` mini-language: comma-separated clauses, e.g.
@@ -394,7 +305,7 @@ impl FaultPlan {
                     }
                     _ => {
                         let site =
-                            FaultSite::named(key).ok_or_else(|| bad(clause, "unknown key"))?;
+                            FaultSite::from_key(key).ok_or_else(|| bad(clause, "unknown key"))?;
                         plan.site_mut(site).probability = parse_probability(val, clause)?;
                     }
                 }
@@ -402,7 +313,7 @@ impl FaultPlan {
                 let n: u64 = ord
                     .parse()
                     .map_err(|_| bad(clause, "call ordinal must be an integer"))?;
-                let site = FaultSite::named(key).ok_or_else(|| bad(clause, "unknown site"))?;
+                let site = FaultSite::from_key(key).ok_or_else(|| bad(clause, "unknown site"))?;
                 plan.site_mut(site).at_calls.push(n);
             } else {
                 return Err(bad(clause, "expected key=value or site@ordinal"));
@@ -490,142 +401,80 @@ impl FaultStats {
     }
 }
 
-/// Per-rank fault decision state: deterministic counters over the plan.
+/// One rank's instance of a [`FaultPlan`]: the seeded [`SiteInjector`]
+/// that decides every site, plus what the message path keeps for itself —
+/// the rank exits, the retry budget and backoff, and the delay coin (which
+/// carries a latency and has no `@N` form, so it is not a table row).
 #[derive(Debug)]
 pub struct FaultInjector {
-    plan: FaultPlan,
+    sites: Arc<SiteInjector>,
     rank_seed: u64,
-    send_calls: u64,
-    recv_calls: u64,
+    delay: DelaySpec,
     delay_calls: u64,
-    corrupt_calls: u64,
-    spill_calls: u64,
+    rank_exits: Vec<RankExit>,
+    max_retries: u32,
+    backoff_base: SimTime,
 }
 
-/// Site salts for the network-level coins (distinct from the GPU salts in
-/// [`gpu_sim::GpuFaultInjector`]).
-const SALT_SEND: u64 = 0x7365_6e64_5f66_6c74; // "send_flt"
-const SALT_RECV: u64 = 0x7265_6376_5f66_6c74; // "recv_flt"
-const SALT_DELAY: u64 = 0x6465_6c61_795f_6e74; // "delay_nt"
-const SALT_CORRUPT: u64 = 0x636f_7272_5f66_6c74; // "corr_flt"
-const SALT_SPILL: u64 = 0x7370_696c_5f66_6c74; // "spil_flt"
-
 impl FaultInjector {
-    /// Instantiate a plan for one rank. The returned GPU injector (if the
-    /// plan has active GPU sites) must be installed on that rank's
-    /// [`gpu_sim::GpuContext`] by the caller.
-    pub fn new(
-        plan: FaultPlan,
-        rank: usize,
-    ) -> (FaultInjector, Option<std::sync::Arc<GpuFaultInjector>>) {
-        let mut plan = plan;
-        // Merge scripted per-rank events into this rank's site ordinals.
-        // The plan is cloned per rank, so mutating the clone is safe and
-        // other ranks never see events scoped to this one.
-        for ev in std::mem::take(&mut plan.scoped) {
-            if ev.rank != rank {
-                continue;
-            }
-            let site = plan.site_mut(ev.site);
-            if !site.at_calls.contains(&ev.at_call) {
-                site.at_calls.push(ev.at_call);
+    /// Instantiate `plan` for world rank `rank`: its scoped events merge
+    /// into this rank's site ordinals, and every coin is drawn under a
+    /// seed mixed from the plan's and the rank.
+    #[must_use]
+    pub fn new(plan: &FaultPlan, rank: usize) -> FaultInjector {
+        let mut sites = plan.sites.clone();
+        for ev in plan.scoped.iter().filter(|ev| ev.rank == rank) {
+            let spec = &mut sites[ev.site as usize];
+            if !spec.at_calls.contains(&ev.at_call) {
+                spec.at_calls.push(ev.at_call);
             }
         }
         let rank_seed = splitmix64(plan.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let gpu_spec = GpuFaultSpec {
-            seed: rank_seed,
-            alloc_oom: plan.alloc_oom.clone(),
-            kernel_fault: plan.kernel_fault.clone(),
-            copy_fault: plan.copy_fault.clone(),
-        };
-        let gpu = if gpu_spec.is_active() {
-            Some(GpuFaultInjector::new(gpu_spec))
-        } else {
-            None
-        };
-        (
-            FaultInjector {
-                plan,
-                rank_seed,
-                send_calls: 0,
-                recv_calls: 0,
-                delay_calls: 0,
-                corrupt_calls: 0,
-                spill_calls: 0,
-            },
-            gpu,
-        )
+        FaultInjector {
+            sites: Arc::new(SiteInjector::new(rank_seed, sites)),
+            rank_seed,
+            delay: plan.delay.clone(),
+            delay_calls: 0,
+            rank_exits: plan.rank_exits.clone(),
+            max_retries: plan.max_retries,
+            backoff_base: plan.backoff_base,
+        }
     }
 
-    /// The plan this injector runs.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+    /// The injector to install on the rank's device — the same one this
+    /// rank draws from — if a GPU site is active.
+    #[must_use]
+    pub fn device_sites(&self) -> Option<&Arc<SiteInjector>> {
+        let active = FaultSite::ALL
+            .into_iter()
+            .any(|site| site.on_device() && self.sites.spec(site).is_active());
+        active.then_some(&self.sites)
     }
 
-    /// Record one p2p send attempt and decide whether it transiently fails.
-    pub fn send_should_fail(&mut self) -> bool {
-        let n = self.send_calls;
-        self.send_calls += 1;
-        self.plan.send_fail.decide(self.rank_seed, SALT_SEND, n)
+    /// Record one call at `site` and decide whether it fails.
+    pub fn should_fail(&self, site: FaultSite) -> bool {
+        self.sites.should_fail(site)
     }
 
-    /// Record one p2p receive attempt and decide whether it transiently
-    /// fails.
-    pub fn recv_should_fail(&mut self) -> bool {
-        let n = self.recv_calls;
-        self.recv_calls += 1;
-        self.plan.recv_fail.decide(self.rank_seed, SALT_RECV, n)
+    /// Record one call at `site` over a `len`-byte buffer and, when it
+    /// fails, return the (byte index, flip mask) to apply — see
+    /// [`SiteInjector::flip`]. Serves in-transit corruption and spill I/O.
+    pub fn flip(&self, site: FaultSite, len: usize) -> Option<(usize, u8)> {
+        self.sites.flip(site, len)
     }
 
     /// Record one delivery and return the extra latency to charge, if the
     /// delay site fires.
     pub fn extra_delay(&mut self) -> Option<SimTime> {
-        if !self.plan.delay.is_active() {
+        if !self.delay.is_active() {
             return None;
         }
         let n = self.delay_calls;
         self.delay_calls += 1;
-        let coin = SiteSpec::with_probability(self.plan.delay.probability);
-        if coin.decide(self.rank_seed, SALT_DELAY, n) {
-            Some(self.plan.delay.latency)
-        } else {
-            None
-        }
-    }
-
-    /// Record one delivery attempt and decide whether its payload is
-    /// corrupted in transit. Returns the (byte index, flip mask) to apply,
-    /// derived deterministically from the same seeded draw, so a given
-    /// delivery attempt always corrupts the same bit. `len == 0` payloads
-    /// are never corrupted (nothing to flip).
-    pub fn corrupt_delivery(&mut self, len: usize) -> Option<(usize, u8)> {
-        let n = self.corrupt_calls;
-        self.corrupt_calls += 1;
-        if len == 0 || !self.plan.corrupt.decide(self.rank_seed, SALT_CORRUPT, n) {
-            return None;
-        }
-        let h = splitmix64(self.rank_seed ^ SALT_CORRUPT ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        Some((h as usize % len, 1u8 << ((h >> 40) & 7)))
-    }
-
-    /// Record one checkpoint spill read/write and decide whether the frame
-    /// is corrupted on its way to or from disk. Returns the (byte index,
-    /// flip mask) to apply to the encoded frame, derived deterministically
-    /// from the seeded draw — the disk-side analogue of
-    /// [`FaultInjector::corrupt_delivery`].
-    pub fn spill_corrupt_io(&mut self, len: usize) -> Option<(usize, u8)> {
-        let n = self.spill_calls;
-        self.spill_calls += 1;
-        if len == 0
-            || !self
-                .plan
-                .spill_corrupt
-                .decide(self.rank_seed, SALT_SPILL, n)
-        {
-            return None;
-        }
-        let h = splitmix64(self.rank_seed ^ SALT_SPILL ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        Some((h as usize % len, 1u8 << ((h >> 40) & 7)))
+        let coin = SiteSpec::with_probability(self.delay.probability);
+        // the delay coin's salt: "delay_nt"
+        let fire = coin.decide(self.rank_seed, 0x6465_6c61_795f_6e74, n);
+        fire.then_some(self.delay.latency)
     }
 
     /// The earliest scheduled exit time for `rank`, if any. Used by a rank
@@ -633,8 +482,7 @@ impl FaultInjector {
     /// with the scheduled instant (not the observer's clock), so every
     /// observer converges on the same virtual time.
     pub fn exit_time(&self, rank: usize) -> Option<SimTime> {
-        self.plan
-            .rank_exits
+        self.rank_exits
             .iter()
             .filter(|e| e.rank == rank)
             .map(|e| e.at)
@@ -643,12 +491,12 @@ impl FaultInjector {
 
     /// Retry budget for transient p2p faults.
     pub fn max_retries(&self) -> u32 {
-        self.plan.max_retries
+        self.max_retries
     }
 
     /// Backoff before retry number `attempt` (0-based): base × 2^attempt.
     pub fn backoff(&self, attempt: u32) -> SimTime {
-        self.plan.backoff_base * (1u64 << attempt.min(20))
+        self.backoff_base * (1u64 << attempt.min(20))
     }
 }
 
@@ -663,11 +511,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.seed, 42);
-        assert!((p.alloc_oom.probability - 0.25).abs() < 1e-12);
-        assert_eq!(p.kernel_fault.at_calls, vec![3]);
-        assert_eq!(p.copy_fault.at_calls, vec![0]);
-        assert!((p.send_fail.probability - 0.5).abs() < 1e-12);
-        assert!((p.recv_fail.probability - 0.125).abs() < 1e-12);
+        assert!((p.site(FaultSite::Alloc).probability - 0.25).abs() < 1e-12);
+        assert_eq!(p.site(FaultSite::Kernel).at_calls, vec![3]);
+        assert_eq!(p.site(FaultSite::Copy).at_calls, vec![0]);
+        assert!((p.site(FaultSite::Send).probability - 0.5).abs() < 1e-12);
+        assert!((p.site(FaultSite::Recv).probability - 0.125).abs() < 1e-12);
         assert!((p.delay.probability - 0.2).abs() < 1e-12);
         assert_eq!(p.delay.latency, SimTime::from_us(20));
         assert_eq!(
@@ -680,6 +528,26 @@ mod tests {
         assert_eq!(p.max_retries, 4);
         assert_eq!(p.backoff_base, SimTime::from_us(7));
         assert!(p.is_active());
+        // every site's clause key reaches that site's spec and no other
+        let keys: Vec<&str> = FaultSite::ALL.iter().map(|s| s.key()).collect();
+        assert_eq!(
+            keys,
+            ["alloc", "kernel", "copy", "send", "recv", "corrupt", "spill"]
+        );
+        for site in FaultSite::ALL {
+            let key = site.key();
+            let p = FaultPlan::parse(&format!("{key}=0.5,{key}@7,{key}@9")).unwrap();
+            assert_eq!(
+                p.site(site),
+                &SiteSpec {
+                    probability: 0.5,
+                    at_calls: vec![7, 9]
+                }
+            );
+            for other in FaultSite::ALL.into_iter().filter(|&o| o != site) {
+                assert!(!p.site(other).is_active(), "{key} reached {other:?}");
+            }
+        }
     }
 
     #[test]
@@ -704,20 +572,19 @@ mod tests {
     #[test]
     fn parse_corrupt_site() {
         let p = FaultPlan::parse("corrupt=0.25").unwrap();
-        assert!((p.corrupt.probability - 0.25).abs() < 1e-12);
+        assert!((p.site(FaultSite::Corrupt).probability - 0.25).abs() < 1e-12);
         assert!(p.is_active());
         let p = FaultPlan::parse("corrupt@2").unwrap();
-        assert_eq!(p.corrupt.at_calls, vec![2]);
+        assert_eq!(p.site(FaultSite::Corrupt).at_calls, vec![2]);
         assert!(p.is_active());
     }
 
     #[test]
-    fn corrupt_delivery_is_scripted_and_deterministic() {
+    fn corrupt_flips_are_scripted_and_deterministic() {
         let plan = FaultPlan::parse("corrupt@0,corrupt@2").unwrap();
-        let (mut a, _) = FaultInjector::new(plan.clone(), 1);
-        let (mut b, _) = FaultInjector::new(plan, 1);
-        let da: Vec<_> = (0..4).map(|_| a.corrupt_delivery(64)).collect();
-        let db: Vec<_> = (0..4).map(|_| b.corrupt_delivery(64)).collect();
+        let (a, b) = (FaultInjector::new(&plan, 1), FaultInjector::new(&plan, 1));
+        let da: Vec<_> = (0..4).map(|_| a.flip(FaultSite::Corrupt, 64)).collect();
+        let db: Vec<_> = (0..4).map(|_| b.flip(FaultSite::Corrupt, 64)).collect();
         assert_eq!(da, db, "same rank, same seed, same flips");
         assert!(da[0].is_some() && da[2].is_some());
         assert!(da[1].is_none() && da[3].is_none());
@@ -725,8 +592,8 @@ mod tests {
         assert!(idx < 64);
         assert_eq!(mask.count_ones(), 1, "exactly one bit flips");
         // zero-length payloads are never corrupted
-        let (mut c, _) = FaultInjector::new(FaultPlan::parse("corrupt=1.0").unwrap(), 0);
-        assert_eq!(c.corrupt_delivery(0), None);
+        let c = FaultInjector::new(&FaultPlan::parse("corrupt=1.0").unwrap(), 0);
+        assert_eq!(c.flip(FaultSite::Corrupt, 0), None);
     }
 
     #[test]
@@ -739,66 +606,107 @@ mod tests {
     #[test]
     fn injector_decisions_replay_per_rank() {
         let plan = FaultPlan::parse("seed=7,send=0.4,recv=0.4").unwrap();
-        let (mut a, _) = FaultInjector::new(plan.clone(), 1);
-        let (mut b, _) = FaultInjector::new(plan.clone(), 1);
-        let (mut c, _) = FaultInjector::new(plan, 2);
-        let sa: Vec<bool> = (0..64).map(|_| a.send_should_fail()).collect();
-        let sb: Vec<bool> = (0..64).map(|_| b.send_should_fail()).collect();
-        let sc: Vec<bool> = (0..64).map(|_| c.send_should_fail()).collect();
+        let a = FaultInjector::new(&plan, 1);
+        let b = FaultInjector::new(&plan, 1);
+        let c = FaultInjector::new(&plan, 2);
+        let sa: Vec<bool> = (0..64).map(|_| a.should_fail(FaultSite::Send)).collect();
+        let sb: Vec<bool> = (0..64).map(|_| b.should_fail(FaultSite::Send)).collect();
+        let sc: Vec<bool> = (0..64).map(|_| c.should_fail(FaultSite::Send)).collect();
         assert_eq!(sa, sb, "same rank, same seed, same schedule");
         assert_ne!(sa, sc, "different ranks draw different coins");
+
+        // Every coin pinned: the first 64 decisions of each site, bit `n`
+        // set when call `n` fires, and the (byte index, mask) of the first
+        // flip of each flipping site over a 64-byte buffer.
+        let plan = FaultPlan::parse(
+            "seed=42,alloc=0.5,kernel=0.5,copy=0.5,send=0.5,recv=0.5,corrupt=0.5,spill=0.5,delay=0.5:1us",
+        )
+        .unwrap();
+        let mut inj = FaultInjector::new(&plan, 3);
+        fn mask(mut fires: impl FnMut() -> bool) -> u64 {
+            (0..64).fold(0, |m, n| m | (u64::from(fires()) << n))
+        }
+        let pinned = [
+            (FaultSite::Alloc, 0x7f92_3ad4_1713_d9fd),
+            (FaultSite::Kernel, 0x9f79_38f9_e597_022f),
+            (FaultSite::Copy, 0x1da1_e9cc_2e62_0f6b),
+            (FaultSite::Send, 0x6c5d_e017_d3cf_c01f),
+            (FaultSite::Recv, 0x18d7_de3b_ad29_4bab),
+        ];
+        for (site, want) in pinned {
+            let got = mask(|| inj.should_fail(site));
+            assert_eq!(got, want, "{site:?}: {got:#x}");
+        }
+        let got = mask(|| inj.extra_delay().is_some());
+        assert_eq!(got, 0xced4_ccff_2be6_7024, "delay: {got:#x}");
+        for (site, want, first) in [
+            (FaultSite::Corrupt, 0x10a4_0b14_a384_1888, (28, 64)),
+            (FaultSite::Spill, 0xae76_8232_8781_8814, (31, 128)),
+        ] {
+            let mut flips = Vec::new();
+            let got = mask(|| {
+                let flip = inj.flip(site, 64);
+                flips.extend(flip);
+                flip.is_some()
+            });
+            assert_eq!(got, want, "{site:?}: {got:#x}");
+            assert_eq!(flips.first(), Some(&first), "{site:?}");
+        }
     }
 
     #[test]
     fn scripted_send_ordinals() {
-        let plan = FaultPlan::parse("send@0,send@2").unwrap();
-        let (mut inj, gpu) = FaultInjector::new(plan, 0);
-        assert!(gpu.is_none(), "no GPU site active");
-        let fired: Vec<bool> = (0..4).map(|_| inj.send_should_fail()).collect();
+        let inj = FaultInjector::new(&FaultPlan::parse("send@0,send@2").unwrap(), 0);
+        assert!(inj.device_sites().is_none(), "no GPU site active");
+        let fired: Vec<bool> = (0..4).map(|_| inj.should_fail(FaultSite::Send)).collect();
         assert_eq!(fired, vec![true, false, true, false]);
     }
 
     #[test]
     fn a_rank_exit_is_scheduled_for_that_rank_only() {
-        let plan = FaultPlan::parse("exit=1@10us").unwrap();
-        let (inj, _) = FaultInjector::new(plan, 0);
+        let inj = FaultInjector::new(&FaultPlan::parse("exit=1@10us").unwrap(), 0);
         assert_eq!(inj.exit_time(1), Some(SimTime::from_us(10)));
         assert_eq!(inj.exit_time(0), None);
     }
 
     #[test]
     fn backoff_doubles() {
-        let plan = FaultPlan::parse("backoff=10us").unwrap();
-        let (inj, _) = FaultInjector::new(plan, 0);
+        let inj = FaultInjector::new(&FaultPlan::parse("backoff=10us").unwrap(), 0);
         assert_eq!(inj.backoff(0), SimTime::from_us(10));
         assert_eq!(inj.backoff(1), SimTime::from_us(20));
         assert_eq!(inj.backoff(3), SimTime::from_us(80));
     }
 
     #[test]
-    fn gpu_injector_created_only_when_needed() {
-        let (_, gpu) = FaultInjector::new(FaultPlan::parse("alloc@0").unwrap(), 0);
-        assert!(gpu.is_some());
-        let (_, gpu) = FaultInjector::new(FaultPlan::parse("send=1.0").unwrap(), 0);
-        assert!(gpu.is_none());
+    fn the_device_gets_the_rank_injector_only_when_needed() {
+        let inj = FaultInjector::new(&FaultPlan::parse("alloc@0,send@1").unwrap(), 0);
+        let device = inj.device_sites().expect("a GPU site is active");
+        // one injector: the device and the message path count together
+        assert!(device.should_fail(FaultSite::Alloc));
+        assert!(!inj.should_fail(FaultSite::Send));
+        assert!(
+            device.should_fail(FaultSite::Send),
+            "call 1 follows the rank's call 0"
+        );
+        let inj = FaultInjector::new(&FaultPlan::parse("send=1.0").unwrap(), 0);
+        assert!(inj.device_sites().is_none());
     }
 
     #[test]
     fn parse_spill_site() {
         let p = FaultPlan::parse("spill=0.5").unwrap();
-        assert!((p.spill_corrupt.probability - 0.5).abs() < 1e-12);
+        assert!((p.site(FaultSite::Spill).probability - 0.5).abs() < 1e-12);
         assert!(p.is_active());
         let p = FaultPlan::parse("spill@1").unwrap();
-        assert_eq!(p.spill_corrupt.at_calls, vec![1]);
+        assert_eq!(p.site(FaultSite::Spill).at_calls, vec![1]);
     }
 
     #[test]
-    fn spill_corrupt_io_is_scripted_and_deterministic() {
+    fn spill_flips_are_scripted_and_deterministic() {
         let plan = FaultPlan::parse("spill@1").unwrap();
-        let (mut a, _) = FaultInjector::new(plan.clone(), 0);
-        let (mut b, _) = FaultInjector::new(plan, 0);
-        let da: Vec<_> = (0..3).map(|_| a.spill_corrupt_io(96)).collect();
-        let db: Vec<_> = (0..3).map(|_| b.spill_corrupt_io(96)).collect();
+        let (a, b) = (FaultInjector::new(&plan, 0), FaultInjector::new(&plan, 0));
+        let da: Vec<_> = (0..3).map(|_| a.flip(FaultSite::Spill, 96)).collect();
+        let db: Vec<_> = (0..3).map(|_| b.flip(FaultSite::Spill, 96)).collect();
         assert_eq!(da, db);
         assert!(da[0].is_none() && da[2].is_none());
         let (idx, mask) = da[1].unwrap();
@@ -820,43 +728,72 @@ mod tests {
             at_call: 0,
         });
         assert!(plan.is_active());
-        let (mut r0, _) = FaultInjector::new(plan.clone(), 0);
-        let (mut r1, _) = FaultInjector::new(plan, 1);
-        let s0: Vec<bool> = (0..4).map(|_| r0.send_should_fail()).collect();
-        let s1: Vec<bool> = (0..4).map(|_| r1.send_should_fail()).collect();
+        let (r0, r1) = (FaultInjector::new(&plan, 0), FaultInjector::new(&plan, 1));
+        let s0: Vec<bool> = (0..4).map(|_| r0.should_fail(FaultSite::Send)).collect();
+        let s1: Vec<bool> = (0..4).map(|_| r1.should_fail(FaultSite::Send)).collect();
         assert_eq!(s0, vec![false; 4], "send event is scoped to rank 1");
         assert_eq!(s1, vec![false, false, true, false]);
-        assert!(r0.recv_should_fail(), "recv event is scoped to rank 0");
-        assert!(!r1.recv_should_fail());
+        assert!(
+            r0.should_fail(FaultSite::Recv),
+            "recv event is scoped to rank 0"
+        );
+        assert!(!r1.should_fail(FaultSite::Recv));
     }
 
     #[test]
-    fn scoped_gpu_events_reach_the_gpu_injector() {
+    fn scoped_gpu_events_reach_the_device() {
         let mut plan = FaultPlan::default();
         plan.scoped.push(ScopedFault {
             rank: 0,
             site: FaultSite::Alloc,
             at_call: 0,
         });
-        let (_, gpu) = FaultInjector::new(plan.clone(), 0);
-        assert!(gpu.is_some(), "scoped alloc event activates the GPU side");
-        let (_, gpu) = FaultInjector::new(plan, 1);
-        assert!(gpu.is_none(), "other ranks stay clean");
+        let inj = FaultInjector::new(&plan, 0);
+        assert!(
+            inj.device_sites().is_some(),
+            "scoped alloc event activates the GPU side"
+        );
+        assert!(
+            FaultInjector::new(&plan, 1).device_sites().is_none(),
+            "other ranks stay clean"
+        );
     }
 
     #[test]
     fn plan_roundtrips_through_json() {
-        let plan = FaultPlan::parse(
+        let mut plan = FaultPlan::parse(
             "seed=9,alloc=0.1,send@3,corrupt=0.2,spill@0,delay=0.5:30us,exit=2@1ms,retries=5,backoff=2us",
         )
         .unwrap();
-        let mut plan = plan;
         plan.scoped.push(ScopedFault {
             rank: 1,
             site: FaultSite::Corrupt,
             at_call: 4,
         });
-        let back: FaultPlan = json::from_str(&plan.to_json().to_string()).unwrap();
+        let json = plan.to_json();
+        let Value::Object(members) = &json else {
+            panic!("a plan is an object: {json}");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "seed",
+                "alloc_oom",
+                "kernel_fault",
+                "copy_fault",
+                "send_fail",
+                "recv_fail",
+                "corrupt",
+                "spill_corrupt",
+                "delay",
+                "rank_exits",
+                "scoped",
+                "max_retries",
+                "backoff_base",
+            ]
+        );
+        let back: FaultPlan = json::from_str(&json.to_string()).unwrap();
         assert_eq!(back, plan);
         // Missing fields deserialize to type defaults; the engine always
         // serializes complete plans, so sparse JSON only occurs when a

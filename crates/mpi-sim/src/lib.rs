@@ -22,7 +22,9 @@
 //!   rules, `Alltoallv`, barriers, and ULFM-style communicator recovery ([`comm`]: revoke /
 //!   agree / shrink with epoch-stamped envelopes); and
 //! * a **deterministic fault-injection subsystem** ([`fault`]) — seeded,
-//!   replayable GPU/network fault schedules, and the degradation-event log
+//!   replayable fault schedules over one table of injection sites
+//!   ([`FaultSite`], defined in `gpu-sim` so the device draws from the same
+//!   per-rank injector as the message path), and the degradation-event log
 //!   the TEMPI layer appends to when it downgrades a send path — consulted
 //!   on the message path only through one **reliability layer**
 //!   ([`reliability`]): gates with bounded retry + backoff in virtual time,

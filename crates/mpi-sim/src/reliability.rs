@@ -26,11 +26,12 @@
 //! the communicator's matching key and live with it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gpu_sim::{GpuContext, MemSpace, SimTime};
 
 use crate::error::{MpiError, MpiResult};
-use crate::fault::{FaultInjector, FaultStats};
+use crate::fault::{FaultInjector, FaultSite, FaultStats};
 use crate::net::Transport;
 use crate::p2p::{Message, TAG_DEATH, TAG_REVOKE};
 use crate::runtime::{RankCtx, WorldConfig};
@@ -61,9 +62,9 @@ impl FaultState {
     /// installed on its device `gpu`.
     pub(crate) fn new(cfg: &WorldConfig, rank: usize, gpu: &GpuContext) -> FaultState {
         let injector = cfg.faults.as_ref().map(|plan| {
-            let (injector, gpu_sites) = FaultInjector::new(plan.clone(), rank);
-            if gpu_sites.is_some() {
-                gpu.set_fault_injector(gpu_sites);
+            let injector = FaultInjector::new(plan, rank);
+            if let Some(sites) = injector.device_sites() {
+                gpu.set_fault_injector(Some(Arc::clone(sites)));
             }
             Box::new(injector)
         });
@@ -82,8 +83,8 @@ impl FaultState {
 
     /// The rank's injector, for the sites an application draws itself
     /// (checkpoint spill I/O).
-    pub fn injector_mut(&mut self) -> Option<&mut FaultInjector> {
-        self.injector.as_deref_mut()
+    pub fn injector(&self) -> Option<&FaultInjector> {
+        self.injector.as_deref()
     }
 
     /// World rank `w`'s scheduled exit instant under the plan, if any.
@@ -92,19 +93,10 @@ impl FaultState {
     }
 }
 
-/// FNV-1a 64 over a payload: the content checksum integrity-enabled
-/// envelopes carry, and the same function checkpoint frames use — one
-/// checksum algorithm end to end so a frame verified at rest and a payload
-/// verified in flight agree byte-for-byte.
-#[must_use]
-pub fn payload_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// The content checksum integrity-enabled envelopes carry:
+/// [`gpu_sim::fnv1a64`], the one checksum of device regions and
+/// checkpoint frames too.
+pub use gpu_sim::fnv1a64 as payload_checksum;
 
 /// Outcome of [`RankCtx::sift`]: what an inbound message means to the
 /// receiver's control plane before any data matching happens.
@@ -246,14 +238,14 @@ impl RankCtx {
         }
         for attempt in 0..=max_retries {
             let (inj, stats) = (
-                self.faults.injector.as_mut().expect("gated"),
+                self.faults.injector.as_ref().expect("gated"),
                 &mut self.faults.stats,
             );
-            let (failed, faults) = match send {
-                true => (inj.send_should_fail(), &mut stats.send_faults),
-                false => (inj.recv_should_fail(), &mut stats.recv_faults),
+            let (site, faults) = match send {
+                true => (FaultSite::Send, &mut stats.send_faults),
+                false => (FaultSite::Recv, &mut stats.recv_faults),
             };
-            if !failed {
+            if !inj.should_fail(site) {
                 return Ok(());
             }
             *faults += 1;
@@ -313,10 +305,10 @@ impl RankCtx {
         let mut payload = msg.payload;
         let mut attempt: u32 = 0;
         loop {
-            let flip = match self.faults.injector.as_mut() {
-                Some(inj) => inj.corrupt_delivery(bytes),
-                None => None,
-            };
+            let flip = self
+                .faults
+                .injector()
+                .and_then(|inj| inj.flip(FaultSite::Corrupt, bytes));
             if let Some((idx, mask)) = flip {
                 self.faults.stats.corruptions += 1;
                 payload[idx] ^= mask;

@@ -24,7 +24,7 @@ use crate::datatype::{
     Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeRegistry, TypeTree,
 };
 use crate::error::{MpiError, MpiResult};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultSite};
 use crate::net::NetModel;
 use crate::p2p::Message;
 use crate::reliability::FaultState;
@@ -113,7 +113,7 @@ impl WorldConfig {
     /// can detect it (override by clearing `integrity` afterwards).
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.integrity |= plan.corrupt.is_active();
+        self.integrity |= plan.site(FaultSite::Corrupt).is_active();
         self.faults = Some(plan);
         self
     }

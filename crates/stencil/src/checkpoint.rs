@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use mpi_sim::{FaultInjector, MpiError, MpiResult};
+use mpi_sim::{payload_checksum, FaultInjector, FaultSite, MpiError, MpiResult};
 
 /// Frame magic: `b"TPCKPT1\0"` as a little-endian u64.
 pub const FRAME_MAGIC: u64 = u64::from_le_bytes(*b"TPCKPT1\0");
@@ -49,20 +49,8 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// FNV-1a 64 over `bytes` — the same algorithm as
-/// [`mpi_sim::payload_checksum`], restated here so a frame read back from
-/// disk verifies without a live runtime.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 impl Frame {
-    /// Serialize: header, payload, then an FNV-1a checksum over both.
+    /// Serialize: header, payload, then a [`payload_checksum`] over both.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 8);
         for word in [
@@ -82,7 +70,7 @@ impl Frame {
             out.extend_from_slice(&word.to_le_bytes());
         }
         out.extend_from_slice(&self.payload);
-        let sum = fnv1a(&out);
+        let sum = payload_checksum(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -112,7 +100,7 @@ impl Frame {
         let stored: [u8; 8] = bytes[HEADER_LEN + payload_len..]
             .try_into()
             .map_err(|_| bad("trailer is malformed"))?;
-        if fnv1a(body) != u64::from_le_bytes(stored) {
+        if payload_checksum(body) != u64::from_le_bytes(stored) {
             return Err(bad("failed checksum verification"));
         }
         Ok(Frame {
@@ -223,7 +211,7 @@ impl CheckpointStore {
     pub fn commit_faulted(
         &mut self,
         generation: u64,
-        mut faults: Option<&mut FaultInjector>,
+        faults: Option<&FaultInjector>,
     ) -> MpiResult<()> {
         match self.pending.take() {
             Some((g, entry)) if g == generation => {
@@ -233,10 +221,9 @@ impl CheckpointStore {
                     for frame in entry.frames.values() {
                         let path = Self::spill_path(dir, g, frame.world_rank);
                         let mut bytes = frame.encode();
-                        if let Some(inj) = faults.as_deref_mut() {
-                            if let Some((idx, mask)) = inj.spill_corrupt_io(bytes.len()) {
-                                bytes[idx] ^= mask;
-                            }
+                        let flip = faults.and_then(|inj| inj.flip(FaultSite::Spill, bytes.len()));
+                        if let Some((idx, mask)) = flip {
+                            bytes[idx] ^= mask;
                         }
                         std::fs::write(&path, bytes).map_err(|e| {
                             MpiError::Internal(format!("checkpoint spill {}: {e}", path.display()))
@@ -286,7 +273,7 @@ impl CheckpointStore {
         &self,
         generation: u64,
         world_rank: usize,
-        faults: Option<&mut FaultInjector>,
+        faults: Option<&FaultInjector>,
     ) -> MpiResult<Frame> {
         let dir = self.spill_dir.as_ref().ok_or_else(|| {
             MpiError::Internal("no spill directory configured for checkpoint restore".into())
@@ -294,10 +281,8 @@ impl CheckpointStore {
         let path = Self::spill_path(dir, generation, world_rank);
         let mut bytes = std::fs::read(&path)
             .map_err(|e| MpiError::Internal(format!("checkpoint read {}: {e}", path.display())))?;
-        if let Some(inj) = faults {
-            if let Some((idx, mask)) = inj.spill_corrupt_io(bytes.len()) {
-                bytes[idx] ^= mask;
-            }
+        if let Some((idx, mask)) = faults.and_then(|inj| inj.flip(FaultSite::Spill, bytes.len())) {
+            bytes[idx] ^= mask;
         }
         Frame::decode(&bytes)
     }
@@ -422,10 +407,10 @@ mod tests {
         // Two frames spill in world-rank order (BTreeMap), so spill call
         // 0 writes rank 1's frame and call 1 writes rank 2's; the plan
         // corrupts only call 1.
-        let (mut inj, _) = FaultInjector::new(FaultPlan::parse("spill@1").unwrap(), 0);
+        let inj = FaultInjector::new(&FaultPlan::parse("spill@1").unwrap(), 0);
         let mut store = CheckpointStore::with_spill(&dir);
         store.stage(0, record(), vec![frame(0, 1, 1), frame(0, 2, 2)]);
-        store.commit_faulted(0, Some(&mut inj)).unwrap();
+        store.commit_faulted(0, Some(&inj)).unwrap();
 
         assert_eq!(store.load_spilled(0, 1).unwrap(), frame(0, 1, 1));
         let err = store.load_spilled(0, 2).unwrap_err();
@@ -446,14 +431,12 @@ mod tests {
         let mut store = CheckpointStore::with_spill(&dir);
         store.stage(0, record(), vec![frame(0, 3, 7)]);
         store.commit(0).unwrap(); // clean write: spill call 0 is the read
-        let (mut inj, _) = FaultInjector::new(FaultPlan::parse("spill@0").unwrap(), 0);
-        let err = store
-            .load_spilled_faulted(0, 3, Some(&mut inj))
-            .unwrap_err();
+        let inj = FaultInjector::new(&FaultPlan::parse("spill@0").unwrap(), 0);
+        let err = store.load_spilled_faulted(0, 3, Some(&inj)).unwrap_err();
         assert!(err.to_string().contains("checkpoint frame"), "got: {err}");
         // the next read (spill call 1) is clean and verifies again
         assert_eq!(
-            store.load_spilled_faulted(0, 3, Some(&mut inj)).unwrap(),
+            store.load_spilled_faulted(0, 3, Some(&inj)).unwrap(),
             frame(0, 3, 7)
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -400,7 +400,7 @@ impl HaloExchanger {
             store.abort();
             return Err(e);
         }
-        store.commit_faulted(generation, ctx.faults.injector_mut())?;
+        store.commit_faulted(generation, ctx.faults.injector())?;
         self.checkpoints += 1;
         Ok(generation)
     }
@@ -514,7 +514,7 @@ impl HaloExchanger {
                 Frame::decode(&enc)?
             }
             // owner and buddy both died: the disk copy is the last resort
-            None => store.load_spilled_faulted(agreed, owner, ctx.faults.injector_mut())?,
+            None => store.load_spilled_faulted(agreed, owner, ctx.faults.injector())?,
         };
         if frame.generation != agreed || frame.world_rank != owner || frame.payload.len() != bytes {
             return Err(MpiError::Internal(
