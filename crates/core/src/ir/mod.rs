@@ -39,7 +39,8 @@ pub struct DenseData {
 pub struct StreamData {
     /// Bytes between the lower bound and the first element.
     pub off: i64,
-    /// Bytes between consecutive elements.
+    /// Bytes between consecutive elements; 0 in a one-element stream
+    /// whose element's extent translation never asked MPI for.
     pub stride: i64,
     /// Number of elements.
     pub count: i64,

@@ -194,19 +194,22 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             let c = intro.contents(dt)?;
             let count = c.integers[0];
             let old = c.datatypes[0];
-            let (_, ex) = intro.extent(old)?;
+            let ex = stride_extent(intro, old, count > 1)?;
             wrap_stream(intro, old, &[(0, ex, count)])
         }
         // Algorithm 3: vector/hvector become two nested streams (blocks,
         // then elements within a block), the blocks a stride in elements
-        // or in bytes apart.
+        // or in bytes apart. A vector forms `extent × stride` only for more
+        // than one block, as the registry does.
         Combiner::Vector | Combiner::Hvector => {
             let c = intro.contents(dt)?;
             let (count, blocklength) = (c.integers[0], c.integers[1]);
             let old = c.datatypes[0];
-            let (_, ex) = intro.extent(old)?;
+            let vector = env.combiner == Combiner::Vector;
+            let ex = stride_extent(intro, old, blocklength > 1 || (vector && count > 1))?;
             let apart = match env.combiner {
-                Combiner::Vector => at(0, ex, c.integers[2])?,
+                Combiner::Vector if count > 1 => at(0, ex, c.integers[2])?,
+                Combiner::Vector => 0,
                 _ => c.addresses[0],
             };
             wrap_stream(intro, old, &[(0, ex, blocklength), (0, apart, count)])
@@ -484,6 +487,13 @@ fn overflow() -> MpiError {
     MpiError::InvalidArg("datatype displacements overflow a 64-bit address".to_string())
 }
 
+/// The extent of `old` when a stream of more than one element steps by it,
+/// asked of MPI only then; 0 when no stream does, as one element steps
+/// nowhere.
+fn stride_extent<I: Introspect>(intro: &mut I, old: Datatype, steps: bool) -> MpiResult<i64> {
+    Ok(if steps { intro.extent(old)?.1 } else { 0 })
+}
+
 /// `base + i × stride`, checked.
 fn at(base: i64, i: i64, stride: i64) -> MpiResult<i64> {
     i.checked_mul(stride)
@@ -553,10 +563,13 @@ mod tests {
         let mut r = reg();
         let dt = r.type_create_hvector(13, 1, 256, MPI_BYTE).unwrap();
         let t = translate_strided(&mut r, dt).unwrap();
+        // a block of one element steps nowhere: MPI_BYTE's extent is not
+        // asked for, and the stream's stride is 0
         assert_eq!(
             t,
-            Type::stream(0, 256, 13, Type::stream(0, 1, 1, Type::dense(0, 1)))
+            Type::stream(0, 256, 13, Type::stream(0, 0, 1, Type::dense(0, 1)))
         );
+        assert_eq!(simplify(t).0, Type::stream(0, 256, 13, Type::dense(0, 1)));
     }
 
     #[test]
@@ -604,7 +617,7 @@ mod tests {
                 47,
                 Type::stream(
                     0,
-                    3172, // extent(plane) = 12*256 + 100
+                    0, // one plane: extent(plane) is never asked for
                     1,
                     Type::stream(
                         0,
@@ -612,7 +625,7 @@ mod tests {
                         13,
                         Type::stream(
                             0,
-                            100, // extent(row)
+                            0, // one row: nor is extent(row)
                             1,
                             Type::stream(0, 1, 100, Type::stream(0, 1, 1, Type::dense(0, 1)))
                         )
@@ -620,6 +633,10 @@ mod tests {
                 )
             )
         );
+        // canonicalization elides the one-element streams unread: Fig. 2's
+        // canonical form
+        let want = Type::stream(0, 131072, 47, Type::stream(0, 256, 13, Type::dense(0, 100)));
+        assert_eq!(simplify(t).0, want);
     }
 
     #[test]
@@ -1035,18 +1052,20 @@ mod tests {
         assert_overflow(subarray(big, 0));
         assert_overflow(subarray(1 << 30, i64::MAX >> 32));
         assert!(matches!(subarray(4, 3), Ok(Translated::Strided(_))));
-        // extent × stride
-        let vector = |stride| {
+        // extent × stride, formed only where more than one block steps by it
+        let vector = |count, stride| {
             let mut source = Hostile::named(BIG).with(
                 TOP,
                 Combiner::Vector,
-                (&[2, 1, stride], &[], &[MPI_BYTE]),
+                (&[count, 2, stride], &[], &[MPI_BYTE]),
                 0,
             );
             translate(&mut source, TOP)
         };
-        assert_overflow(vector(3));
-        assert!(matches!(vector(1), Ok(Translated::Strided(_))));
+        assert_overflow(vector(2, 3));
+        assert!(matches!(vector(2, 1), Ok(Translated::Strided(_))));
+        let one = Type::stream(0, 0, 1, Type::stream(0, BIG, 2, Type::dense(0, BIG)));
+        assert_eq!(vector(1, 3).unwrap(), Translated::Strided(one));
     }
 
     #[test]

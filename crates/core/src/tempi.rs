@@ -1330,7 +1330,7 @@ pub(crate) mod tests {
     use crate::ir::BlockList;
     use mpi_sim::consts::*;
     use mpi_sim::datatype::pack_cpu;
-    use mpi_sim::datatype::Order;
+    use mpi_sim::datatype::{Order, TypeTree};
     use mpi_sim::{Combiner, World, WorldConfig};
 
     /// A library of the default configuration with `set` applied.
@@ -2334,6 +2334,41 @@ pub(crate) mod tests {
         let v = ctx.type_vector(5, 3, 9, MPI_BYTE).unwrap();
         let report = other.type_commit(&mut ctx, v).unwrap().report;
         assert_eq!(report.introspection_calls, 4);
+
+        // a derived child's extent is asked for only when a stream of more
+        // than one element steps by it: a block of one element, or one
+        // element in all, leaves it to the child's envelope and contents
+        let rows = "hvector(13,1,256,contiguous(100,byte))";
+        let plane = "subarray([512,256],[13,100],[0,0],byte)";
+        for (spec, calls) in [
+            (rows, 4),
+            (&format!("hvector(47,1,65536,{rows})"), 6),
+            ("contiguous(1,vector(4,2,8,byte))", 4),
+            (&format!("vector(47,1,1,{plane})"), 5),
+            ("vector(4,2,8,contiguous(3,byte))", 5),
+        ] {
+            let dt = spec.parse::<TypeTree>().unwrap().build(&mut ctx).unwrap();
+            let report = tempi.type_commit(&mut ctx, dt).unwrap().report;
+            assert_eq!(report.introspection_calls, calls, "{spec}");
+        }
+    }
+
+    #[test]
+    fn a_stride_no_stream_steps_by_is_never_formed() {
+        // one block of one element: the system MPI accepts the type, whose
+        // stride × extent leaves 64 bits, and so does TEMPI
+        let mut ctx = ctx();
+        let mut tempi = configured(|_| {});
+        let spec = "vector(1,1,2147483647,contiguous(2147483647,double))";
+        let dt = spec.parse::<TypeTree>().unwrap().build(&mut ctx).unwrap();
+        let plan = tempi.type_commit(&mut ctx, dt).unwrap();
+        let PlanKind::Strided(kp) = &plan.kind else {
+            panic!("{spec} is one run, got {:?}", plan.kind);
+        };
+        assert_eq!(kp.kind, KernelKind::Memcpy1D);
+        assert_eq!(kp.sb.block_count(), 1);
+        assert_eq!(kp.sb.block_bytes(), 17_179_869_176);
+        assert_eq!(plan.size, 17_179_869_176);
     }
 
     #[test]
