@@ -197,8 +197,11 @@ struct BarrierState {
     max_time: SimTime,
     release: SimTime,
     generation: u64,
-    /// Ranks whose fibers are parked in this barrier; the releaser drains
-    /// the list under the barrier lock and wakes each.
+    /// Ranks whose fibers are parked in this barrier. The releaser wakes
+    /// each and empties the list under the barrier lock (the park
+    /// protocol's order: barrier lock, then task lock), so the list keeps
+    /// its capacity and a barrier allocates only until it has seen a full
+    /// world.
     waiters: Vec<usize>,
 }
 
@@ -234,13 +237,10 @@ impl ClockBarrier {
             s.release = s.max_time + self.cost;
             s.max_time = SimTime::ZERO;
             s.generation += 1;
-            let waiters = std::mem::take(&mut s.waiters);
-            let release = s.release;
-            drop(s);
-            for w in waiters {
+            for w in s.waiters.drain(..) {
                 sched.wake(w);
             }
-            return Some(release);
+            return Some(s.release);
         }
         if sched.verdict().is_some() {
             // Arrived into an already-condemned world: withdraw

@@ -12,13 +12,15 @@
 //!
 //! * `asm` — x86_64 (SysV: Linux, macOS, BSDs) and aarch64 (AAPCS64): a
 //!   heap-allocated stack and a handful of instructions per switch (push
-//!   the callee-saved registers, swap stack pointers, pop, return). Stacks
-//!   are allocated uninitialized, so a 2 MiB stack costs only the pages
-//!   actually touched and 10,000 fibers coexist. There is no guard page:
-//!   a canary pattern at the low end is checked when the body returns, so
-//!   an overflow is detected after the fact (and the scheduler aborts);
-//!   the default size is deliberately generous and tunable via
-//!   `TEMPI_SCHED_STACK_KIB`.
+//!   the callee-saved registers, swap stack pointers, pop, return). Each
+//!   stack is one page-aligned 256 KiB block from the global allocator, so
+//!   a heap counter sees every byte of it, left uninitialized, so only the
+//!   pages a rank touches become resident. Its lowest page is a
+//!   `PROT_NONE` guard: an overflow faults at the overflowing access
+//!   (SIGSEGV, or SIGBUS on macOS) instead of writing over the heap. The
+//!   guard splits the block's mapping, so a live fiber costs about two
+//!   memory mappings, and Linux's default `vm.max_map_count` of 65,530
+//!   bounds one process to about 30,000 live fibers.
 //! * `baton` — everywhere else (Windows pins stack bounds in the TEB, so
 //!   the switch above is not valid there): one OS thread per fiber and a
 //!   baton that exactly one of {worker, fiber thread} holds at a time, so
@@ -45,11 +47,7 @@ pub(crate) enum Resumed {
     /// The body called [`Fiber::suspend`]; resume it again later.
     Suspended,
     /// The body returned; the fiber must not be resumed again.
-    /// `stack_intact` is false when the body overran its stack.
-    Finished {
-        /// Did the stack's canary survive the run?
-        stack_intact: bool,
-    },
+    Finished,
 }
 
 #[cfg(all(
@@ -70,23 +68,27 @@ pub(crate) use baton::Fiber;
 mod asm {
     use std::alloc::{alloc, dealloc, Layout};
     use std::cell::UnsafeCell;
+    use std::ffi::{c_int, c_void};
     use std::ptr::{addr_of_mut, NonNull};
 
     use super::{Entry, Resumed};
 
-    /// Pattern stamped into the lowest words of every stack; checked when
-    /// the body returns to detect (after the fact) that the stack overflowed.
-    const CANARY: u64 = 0x5AFE_57AC_F1BE_F00D;
-    const CANARY_WORDS: usize = 8;
+    extern "C" {
+        // Declared by hand: the crate takes no `libc`. POSIX signatures.
+        fn getpagesize() -> c_int;
+        fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    }
 
-    /// A heap-allocated fiber stack.
-    ///
-    /// The allocation is uninitialized on purpose: for megabyte-class sizes
-    /// the allocator serves it from fresh `mmap`ed pages, so physical memory
-    /// is committed lazily as the fiber actually recurses into it.
+    /// `PROT_NONE` and `PROT_READ | PROT_WRITE` of `<sys/mman.h>`, the same
+    /// on Linux, macOS and the BSDs.
+    const PROT_NONE: c_int = 0;
+    const PROT_READ_WRITE: c_int = 3;
+
+    /// A fiber stack: one page-aligned block from the global allocator
+    /// whose lowest page (`layout.align()` bytes) is the `PROT_NONE` guard.
     struct FiberStack {
         ptr: NonNull<u8>,
-        size: usize,
+        layout: Layout,
     }
 
     // SAFETY: the stack is plain owned memory; it is only touched by
@@ -94,51 +96,49 @@ mod asm {
     unsafe impl Send for FiberStack {}
 
     impl FiberStack {
-        /// Allocate a stack of (at least) `size` bytes, 16-aligned, with the
-        /// canary pattern written at its low end.
+        /// Allocate a stack of `size` bytes, rounded up to whole pages (at
+        /// least the guard and one more), and guard its lowest page.
         fn new(size: usize) -> FiberStack {
-            let size = size.max(16 * 1024) & !15;
-            let layout = Self::layout(size);
+            // SAFETY: `getpagesize` has no preconditions.
+            let page = unsafe { getpagesize() } as usize;
+            let layout = Layout::from_size_align(size.max(2 * page).next_multiple_of(page), page)
+                .expect("fiber stack layout");
             // SAFETY: `layout` has non-zero size.
             let raw = unsafe { alloc(layout) };
             let ptr = NonNull::new(raw).unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
-            // SAFETY: the allocation is at least 16 KiB and 16-aligned, so
-            // its first CANARY_WORDS u64s are in bounds and aligned.
-            unsafe {
-                let words = ptr.as_ptr() as *mut u64;
-                for i in 0..CANARY_WORDS {
-                    words.add(i).write(CANARY);
-                }
+            // SAFETY: the block's first page is ours and page-aligned.
+            if unsafe { mprotect(raw.cast(), page, PROT_NONE) } != 0 {
+                // As for an allocation that fails: there is no world to
+                // return an error to yet, and an unguarded stack is no option.
+                eprintln!(
+                    "fatal: cannot guard a fiber stack ({}); each live fiber \
+                     costs about two memory mappings, see vm.max_map_count",
+                    std::io::Error::last_os_error()
+                );
+                std::process::abort();
             }
-            FiberStack { ptr, size }
+            FiberStack { ptr, layout }
         }
 
-        fn layout(size: usize) -> Layout {
-            // 16 is a power of two and `size` (a multiple of 16 no larger
-            // than an existing allocation request) cannot overflow isize.
-            Layout::from_size_align(size, 16).expect("fiber stack layout")
-        }
-
-        /// Highest address of the stack, rounded down to 16 bytes (stacks
-        /// grow downward from here).
+        /// Highest address of the stack (stacks grow downward from here);
+        /// page-aligned, so 16-aligned.
         fn top(&self) -> usize {
-            (self.ptr.as_ptr() as usize + self.size) & !15
-        }
-
-        /// Is the low-end canary pattern still intact?
-        fn canary_intact(&self) -> bool {
-            // SAFETY: same bounds as the writes in `new`.
-            unsafe {
-                let words = self.ptr.as_ptr() as *const u64;
-                (0..CANARY_WORDS).all(|i| words.add(i).read() == CANARY)
-            }
+            self.ptr.as_ptr() as usize + self.layout.size()
         }
     }
 
     impl Drop for FiberStack {
         fn drop(&mut self) {
-            // SAFETY: `ptr` came from `alloc` with this same layout.
-            unsafe { dealloc(self.ptr.as_ptr(), Self::layout(self.size)) };
+            // SAFETY: the guard page is ours, and the allocator may write its
+            // bookkeeping there once the block is freed, so it is made
+            // writable first (a block whose guard cannot be lifted is leaked,
+            // not freed); `ptr` came from `alloc` with `layout`.
+            unsafe {
+                let guard = self.ptr.as_ptr();
+                if mprotect(guard.cast(), self.layout.align(), PROT_READ_WRITE) == 0 {
+                    dealloc(guard, self.layout);
+                }
+            }
         }
     }
 
@@ -358,10 +358,8 @@ mod asm {
             if !(*inner).finished {
                 return Resumed::Suspended;
             }
-            let stack = (*inner).stack.take();
-            Resumed::Finished {
-                stack_intact: stack.is_none_or(|s| s.canary_intact()),
-            }
+            (*inner).stack = None;
+            Resumed::Finished
         }
 
         /// Fiber side: hand control back to the worker; returns at the next
@@ -374,15 +372,6 @@ mod asm {
             let inner = self.0.get();
             tempi_fiber_switch(addr_of_mut!((*inner).sp), (*inner).worker_sp);
         }
-    }
-
-    #[cfg(test)]
-    #[test]
-    fn canary_detects_scribbles() {
-        let stack = FiberStack::new(32 * 1024);
-        assert!(stack.canary_intact());
-        unsafe { (stack.ptr.as_ptr() as *mut u64).write(0) };
-        assert!(!stack.canary_intact());
     }
 }
 
@@ -487,11 +476,11 @@ mod baton {
             // Joined, so the body and everything it borrowed are gone
             // before anyone is told the fiber finished. The body cannot
             // have panicked (see the module contract); an overrun stack
-            // faults on the OS guard page instead of being reported here.
+            // faults on the OS guard page, as the asm one does on its own.
             if let Some(thread) = self.thread.lock().take() {
                 let _ = thread.join();
             }
-            Resumed::Finished { stack_intact: true }
+            Resumed::Finished
         }
 
         /// Fiber side: hand control back to the worker; returns at the next
@@ -547,10 +536,7 @@ mod tests {
                         assert_eq!(unsafe { fiber.resume() }, Resumed::Suspended);
                         assert_eq!(steps.load(SeqCst), expect);
                     }
-                    assert_eq!(
-                        unsafe { fiber.resume() },
-                        Resumed::Finished { stack_intact: true }
-                    );
+                    assert_eq!(unsafe { fiber.resume() }, Resumed::Finished);
                     assert_eq!(steps.load(SeqCst), 103, "locals survived the switches");
                 }
 
@@ -568,10 +554,7 @@ mod tests {
                             }
                         }
                         assert_eq!(outcomes.len() as u32, n + 1, "one resume per suspend + 1");
-                        assert_eq!(
-                            outcomes.last(),
-                            Some(&Resumed::Finished { stack_intact: true })
-                        );
+                        assert_eq!(outcomes.last(), Some(&Resumed::Finished));
                         assert_eq!(steps.load(SeqCst), n + 100, "the body's tail ran once");
                     }
                 }

@@ -113,20 +113,11 @@ impl fmt::Display for ParkOp {
     }
 }
 
-/// Default fiber stack size; override with `TEMPI_SCHED_STACK_KIB`.
-/// Generous because there is no guard page — but lazily committed, so an
-/// idle fiber only pays for the pages it has actually touched.
-const DEFAULT_STACK_KIB: usize = 2048;
-
-/// Fiber stack size in bytes, after the environment override.
-fn stack_bytes() -> usize {
-    std::env::var("TEMPI_SCHED_STACK_KIB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(DEFAULT_STACK_KIB)
-        * 1024
-}
+/// Every fiber's stack, guard page included: five times the deepest one
+/// measured (49 KiB in a debug test of recovery; under 8 KiB in
+/// release workloads). Lazily committed, so a fiber pays only for the
+/// pages it touches; an overflow faults on the guard page.
+const STACK_KIB: usize = 256;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
@@ -236,7 +227,6 @@ impl SchedCore {
         workers: usize,
         bodies: impl Iterator<Item = Box<dyn FnOnce() + Send + 'env>>,
     ) {
-        let stack_bytes = stack_bytes();
         let mut armed = 0;
         for (rank, (task, body)) in self.tasks.iter().zip(bodies).enumerate() {
             // SAFETY: a fiber stores its body as `'static`, but the body is
@@ -251,7 +241,7 @@ impl SchedCore {
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Entry>(body) };
             // SAFETY: no worker exists yet, so nothing else touches the
             // fiber; `tasks` is never resized, so the fiber never moves.
-            unsafe { task.fiber.arm(stack_bytes, body) };
+            unsafe { task.fiber.arm(STACK_KIB * 1024, body) };
             armed += 1;
             // In rank order, so a fresh world starts in rank order.
             self.state.lock().enqueue(0, rank);
@@ -307,17 +297,7 @@ impl SchedCore {
         // SAFETY: `run` armed the fiber; popping it from the ready heap
         // made this worker its only runner until the transition below
         // re-publishes it, and a `Finished` task is never re-enqueued.
-        let resumed = unsafe { task.fiber.resume() };
-        if let Resumed::Finished { stack_intact } = resumed {
-            if !stack_intact {
-                // The overflow already scribbled on the heap; continuing
-                // (or unwinding) would only smear the evidence.
-                eprintln!(
-                    "fatal: fiber stack overflow on rank {rank} \
-                     (raise TEMPI_SCHED_STACK_KIB, default {DEFAULT_STACK_KIB})"
-                );
-                std::process::abort();
-            }
+        if unsafe { task.fiber.resume() } == Resumed::Finished {
             task.inner.lock().state = TaskState::Finished;
             let mut s = self.state.lock();
             s.running -= 1;
