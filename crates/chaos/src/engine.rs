@@ -69,8 +69,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
     }
     let spill = spill_dir(sc);
     let dead = sc.scheduled_dead();
-    let last_exit = sc.last_exit_us();
-    let run = World::run(&cfg, |ctx| Ok(run_rank(ctx, sc, &spill, &dead, last_exit)));
+    let run = World::run(&cfg, |ctx| Ok(run_rank(ctx, sc, &spill, &dead)));
     let _ = std::fs::remove_dir_all(&spill);
     match run {
         Ok(reports) => Outcome {
@@ -116,15 +115,9 @@ pub fn dump_failure(
 }
 
 /// One rank's whole life under the scenario, folded into a report.
-fn run_rank(
-    ctx: &mut RankCtx,
-    sc: &Scenario,
-    spill: &Path,
-    dead: &[usize],
-    last_exit: Option<u64>,
-) -> RankReport {
+fn run_rank(ctx: &mut RankCtx, sc: &Scenario, spill: &Path, dead: &[usize]) -> RankReport {
     let mut rep = RankReport {
-        rank: ctx.rank,
+        rank: ctx.world_rank,
         ..RankReport::default()
     };
     rep.epochs.push(ctx.epoch());
@@ -134,9 +127,7 @@ fn run_rank(
     let baseline = ctx.gpu.memory().live_allocations();
     let result = match sc.workload {
         Workload::SendStorm { messages } => send_storm(ctx, &mut mpi, sc, messages, &mut rep),
-        Workload::StencilRecovery { n } => {
-            stencil_recovery(ctx, &mut mpi, n, spill, dead, last_exit, &mut rep)
-        }
+        Workload::StencilRecovery { n } => stencil_recovery(ctx, &mut mpi, n, spill, &mut rep),
         Workload::CheckpointCycle { cycles } => {
             checkpoint_cycle(ctx, &mut mpi, cycles, spill, &mut rep)
         }
@@ -144,7 +135,7 @@ fn run_rank(
     rep.epochs.push(ctx.epoch());
     if let Err(e) = result {
         rep.deadlock = matches!(e, MpiError::Deadlock { .. });
-        rep.died = dead.contains(&ctx.rank) && e.is_comm_failure();
+        rep.died = dead.contains(&ctx.world_rank) && e.is_comm_failure();
         rep.error = Some(e.to_string());
     }
     rep.pool_outstanding = mpi.tempi.pool.outstanding();
@@ -153,18 +144,6 @@ fn run_rank(
     let live = ctx.gpu.memory().live_allocations();
     rep.live_allocations = live.saturating_sub(baseline + mpi.tempi.pool.pooled());
     rep
-}
-
-/// Block until `peer`'s death notice arrives (a receive on a tag nobody
-/// sends — the sift of the notice turns it into `PeerGone`). Pins failure
-/// knowledge deterministically before collective recovery starts; on a
-/// rank that is itself scheduled dead, the receive is what observes the
-/// death, and the error is equally swallowed.
-fn await_death_notice(ctx: &mut RankCtx, peer: usize) {
-    if let Ok(buf) = ctx.gpu.host_alloc(1) {
-        let _ = ctx.recv_bytes(buf, 1, Some(peer), Some(913));
-        let _ = ctx.gpu.free(buf);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -295,38 +274,23 @@ fn send_storm(
 // Workload: StencilRecovery
 // ---------------------------------------------------------------------
 
-/// Fill → checkpoint → scheduled deaths → halo exchange with ULFM-style
-/// recovery; survivors byte-check the recovered grid against the serial
-/// oracle.
+/// Fill, then two iterations of checkpoint + halo exchange with ULFM-style
+/// recovery, wherever the scheduled deaths land; survivors byte-check the
+/// recovered grid against the serial oracle.
 fn stencil_recovery(
     ctx: &mut RankCtx,
     mpi: &mut InterposedMpi,
     n: usize,
     spill: &Path,
-    dead: &[usize],
-    last_exit: Option<u64>,
     rep: &mut RankReport,
 ) -> MpiResult<()> {
     let mut ex = HaloExchanger::new(ctx, mpi, HaloConfig::small(n))?;
     ex.fill(ctx)?;
     let mut store = CheckpointStore::with_spill(spill);
-    ex.checkpoint(ctx, mpi, &mut store)?;
-    // Shared-memory barrier between the checkpoint and the fault window:
-    // a survivor that detects the deaths early must not revoke while a
-    // slower rank is still inside the checkpoint's message-based commit
-    // barrier (the revoke would abort its commit and leave no commonly
-    // committed generation to restore from).
-    ctx.barrier();
-    if let Some(us) = last_exit {
-        ctx.clock.advance(SimTime::from_us(us + 2_000));
-        for &d in dead {
-            if d != ctx.rank {
-                await_death_notice(ctx, d);
-            }
-        }
+    for _ in 0..2 {
+        ex.exchange_with_recovery(ctx, mpi, &mut store, true)?;
+        rep.epochs.push(ctx.epoch());
     }
-    ex.exchange_with_recovery(ctx, mpi, &store, 4)?;
-    rep.epochs.push(ctx.epoch());
     let got = ctx.gpu.memory().peek(ex.grid, ex.cfg.alloc_bytes())?;
     let want = ex.expected_grid(ctx);
     if got != want {
@@ -342,9 +306,10 @@ fn stencil_recovery(
 // Workload: CheckpointCycle
 // ---------------------------------------------------------------------
 
-/// Repeated exchange → checkpoint commits; every cycle re-reads this
-/// rank's spilled frame, requiring spill corruption (if injected) to
-/// surface as a typed decode error and never as silently different bytes.
+/// Repeated checkpoint + exchange rounds, each committing a generation;
+/// every cycle re-reads this rank's spilled frame, requiring spill
+/// corruption (if injected) to surface as a typed decode error and never
+/// as silently different bytes.
 fn checkpoint_cycle(
     ctx: &mut RankCtx,
     mpi: &mut InterposedMpi,
@@ -356,7 +321,7 @@ fn checkpoint_cycle(
     let mut store = CheckpointStore::with_spill(spill);
     ex.fill(ctx)?;
     for cycle in 0..cycles {
-        ex.exchange(ctx, mpi)?;
+        ex.exchange_with_recovery(ctx, mpi, &mut store, true)?;
         if rep.bytes_mismatch.is_none() {
             let got = ctx.gpu.memory().peek(ex.grid, ex.cfg.alloc_bytes())?;
             if got != ex.expected_grid(ctx) {
@@ -365,7 +330,8 @@ fn checkpoint_cycle(
                 ));
             }
         }
-        let generation = ex.checkpoint(ctx, mpi, &mut store)?;
+        let generation = (store.latest_committed())
+            .ok_or_else(|| MpiError::Internal(format!("cycle {cycle} committed no checkpoint")))?;
         match store.load_spilled(generation, ctx.world_rank) {
             Ok(frame) => {
                 // An undetected spill flip would surface here as a frame
@@ -459,11 +425,11 @@ mod tests {
             events: vec![
                 ChaosEvent::Exit {
                     rank: 4,
-                    at_us: 10_000,
+                    at_us: 250,
                 },
                 ChaosEvent::Exit {
                     rank: 5,
-                    at_us: 10_000,
+                    at_us: 250,
                 },
                 ChaosEvent::Fault(ScopedFault {
                     rank: 1,

@@ -15,8 +15,8 @@ use tempi_trace::json::{self, FromJson, ToJson, Value};
 /// Each workload exercises a different slice of the stack and therefore a
 /// different set of invariants: `SendStorm` the datatype/method ladder and
 /// the integrity envelope, `StencilRecovery` the ULFM
-/// revoke/agree/shrink/restore machinery, `CheckpointCycle` the two-phase
-/// commit and the spill path.
+/// revoke/agree/shrink/restore machinery, `CheckpointCycle` the
+/// agreement-gated commit and the spill path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// A ring of datatype-accelerated sends: every rank sends `messages`
@@ -26,16 +26,17 @@ pub enum Workload {
         /// Rounds of the full zoo per rank.
         messages: u32,
     },
-    /// Fill → checkpoint → (scheduled deaths) → halo exchange with
-    /// ULFM-style recovery; survivors byte-check the recovered grid
-    /// against the serial oracle.
+    /// Fill, then two iterations of checkpoint + halo exchange with
+    /// ULFM-style recovery around the scheduled deaths; survivors
+    /// byte-check the recovered grid against the serial oracle.
     StencilRecovery {
         /// Local interior cells per dimension.
         n: usize,
     },
-    /// Repeated fill → exchange → checkpoint commits with a spill
-    /// directory; every cycle re-reads this rank's spilled frame and
-    /// requires corruption, if injected, to surface as a typed error.
+    /// Repeated checkpoint + exchange rounds, each committing a generation
+    /// with a spill directory; every cycle re-reads this rank's spilled
+    /// frame and requires corruption, if injected, to surface as a typed
+    /// error.
     CheckpointCycle {
         /// Number of checkpoint generations committed.
         cycles: u32,
@@ -97,7 +98,7 @@ pub enum ChaosEvent {
     },
 }
 
-/// Externally tagged: `{"Fault": {..}}` or `{"Exit": {"rank": 4, "at_us": 10000}}`.
+/// Externally tagged: `{"Fault": {..}}` or `{"Exit": {"rank": 4, "at_us": 250}}`.
 impl ToJson for ChaosEvent {
     fn to_json(&self) -> Value {
         match *self {
@@ -122,6 +123,11 @@ impl FromJson for ChaosEvent {
         })
     }
 }
+
+/// Virtual microseconds that bound a `StencilRecovery` run's deaths: a
+/// fault-free run lasts 313 µs at 4 to 8 ranks, so exits drawn below this
+/// cover all of it and a little past its end.
+const STENCIL_RUN_US: u64 = 400;
 
 /// A complete, reproducible chaos run description.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,17 +210,6 @@ impl Scenario {
         dead
     }
 
-    /// Latest scheduled death time, if any rank dies.
-    pub fn last_exit_us(&self) -> Option<u64> {
-        self.events
-            .iter()
-            .filter_map(|ev| match ev {
-                ChaosEvent::Exit { at_us, .. } => Some(*at_us),
-                _ => None,
-            })
-            .max()
-    }
-
     /// A fresh scenario with the same configuration but a different event
     /// list — how the shrinker re-instantiates candidates.
     pub fn with_events(&self, events: Vec<ChaosEvent>) -> Scenario {
@@ -266,13 +261,13 @@ impl Scenario {
                         dead.push(r);
                     }
                 }
-                // Deaths land well after the checkpoint commits (the
-                // virtual clock is advanced past them before the
-                // recovery exchange, so a death always fires).
+                // Deaths land anywhere in the run — set-up, snapshot,
+                // exchange, agreement, restore — or just past its end,
+                // where they never fire.
                 for rank in dead {
                     events.push(ChaosEvent::Exit {
                         rank,
-                        at_us: 10_000 + rng.below(5_000),
+                        at_us: rng.below(STENCIL_RUN_US),
                     });
                 }
             }
@@ -387,7 +382,6 @@ mod tests {
         assert_eq!(plan.rank_exits[0].at, SimTime::from_us(7_500));
         assert!(plan.is_active());
         assert_eq!(sc.scheduled_dead(), vec![5]);
-        assert_eq!(sc.last_exit_us(), Some(7_500));
     }
 
     #[test]
@@ -402,8 +396,9 @@ mod tests {
                 dead.len()
             );
             for ev in &sc.events {
-                if let ChaosEvent::Fault(f) = ev {
-                    assert!(f.rank < sc.ranks);
+                match *ev {
+                    ChaosEvent::Fault(f) => assert!(f.rank < sc.ranks),
+                    ChaosEvent::Exit { at_us, .. } => assert!(at_us < STENCIL_RUN_US),
                 }
             }
         }

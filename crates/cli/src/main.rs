@@ -22,12 +22,18 @@
 //!                [--checkpoint-every N]
 //!                [--trace out.json]
 //!                                              multi-rank halo exchange;
-//!                                              with --recover, survivors
-//!                                              revoke/agree/shrink around
-//!                                              killed ranks and rebuild the
-//!                                              dead subdomains from the
-//!                                              last committed checkpoint
-//!                                              generation
+//!                                              with --recover, every
+//!                                              iteration ends in one
+//!                                              agreement, and survivors
+//!                                              shrink around killed ranks
+//!                                              and rebuild the dead
+//!                                              subdomains from the last
+//!                                              committed checkpoint
+//!                                              generation (or restart from
+//!                                              the initial condition when
+//!                                              none committed);
+//!                                              --checkpoint-every needs
+//!                                              --recover
 //! tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR]
 //!                                              seeded chaos campaign:
 //!                                              random workload × fault
@@ -69,7 +75,7 @@ use tempi_stencil::{CheckpointStore, Decomp, HaloConfig, HaloExchanger};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  tempi-cli describe \"<spec>\"\n  tempi-cli pack \"<spec>\" [--incount N] [--platform mv|op|sp] [--unpack]\n  tempi-cli commit \"<spec>\" [--platform mv|op|sp]\n  tempi-cli model <bytes> <block> [--word W] [--chunk C]\n  tempi-cli send \"<spec>\" [--incount N] [--method device|oneshot|staged|pipelined] [--tuner off|model|online] [--rounds R] [--faults \"<plan>\"] [--trace out.json]\n  tempi-cli stencil [--ranks P] [--n N] [--iters I] [--faults \"<plan>\"] [--recover] [--checkpoint-every N] [--trace out.json]\n  tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR] | --replay DIR\n  tempi-cli spec-help\n\nfault plan: comma-separated clauses, e.g.\n  \"seed=42,kernel=1.0,send=0.05,corrupt=0.1,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us\""
+        "usage:\n  tempi-cli describe \"<spec>\"\n  tempi-cli pack \"<spec>\" [--incount N] [--platform mv|op|sp] [--unpack]\n  tempi-cli commit \"<spec>\" [--platform mv|op|sp]\n  tempi-cli model <bytes> <block> [--word W] [--chunk C]\n  tempi-cli send \"<spec>\" [--incount N] [--method device|oneshot|staged|pipelined] [--tuner off|model|online] [--rounds R] [--faults \"<plan>\"] [--trace out.json]\n  tempi-cli stencil [--ranks P] [--n N] [--iters I] [--faults \"<plan>\"] [--recover [--checkpoint-every N]] [--trace out.json]\n  tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR] | --replay DIR\n  tempi-cli spec-help\n\nfault plan: comma-separated clauses, e.g.\n  \"seed=42,kernel=1.0,send=0.05,corrupt=0.1,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us\""
     );
     std::process::exit(2);
 }
@@ -612,7 +618,7 @@ fn send(args: &[String]) {
 struct StencilOutcome {
     /// Full local grid matched the serial oracle byte-for-byte.
     ok: bool,
-    /// Revoke/agree/shrink rounds across all iterations.
+    /// Shrinks across all iterations.
     shrinks: u64,
     /// World ranks excluded across all shrinks.
     excluded: Vec<usize>,
@@ -627,9 +633,9 @@ struct StencilOutcome {
 }
 
 /// One rank's share of the `stencil` subcommand: build the exchanger, run
-/// `iters` halo exchanges (with ULFM-style recovery when asked), taking a
-/// coordinated checkpoint every `checkpoint_every` iterations, then verify
-/// the whole local grid against the serial oracle.
+/// `iters` halo exchanges (with ULFM-style recovery when asked, taking a
+/// coordinated checkpoint every `checkpoint_every` iterations), then
+/// verify the whole local grid against the serial oracle.
 fn run_stencil_rank(
     ctx: &mut RankCtx,
     n: usize,
@@ -644,17 +650,9 @@ fn run_stencil_rank(
     let mut shrinks = 0u64;
     let mut excluded: Vec<usize> = Vec::new();
     for iter in 0..iters {
-        // Checkpoints are only taken at the original decomposition: after
-        // a shrink the restored state is the periodic extension of the
-        // *origin* grid, and re-checkpointing at the new geometry would
-        // break that provenance.
-        if let Some(every) = checkpoint_every {
-            if shrinks == 0 && iter % every == 0 {
-                ex.checkpoint(ctx, &mut mpi, &mut store)?;
-            }
-        }
         if recover {
-            let out = ex.exchange_with_recovery(ctx, &mut mpi, &store, 4)?;
+            let checkpoint = checkpoint_every.is_some_and(|every| iter % every == 0);
+            let out = ex.exchange_with_recovery(ctx, &mut mpi, &mut store, checkpoint)?;
             shrinks += out.shrinks;
             for w in out.excluded {
                 if !excluded.contains(&w) {
@@ -696,8 +694,8 @@ fn stencil(args: &[String]) {
             )),
         });
     let mut cfg = with_faults_arg(WorldConfig::summit(ranks), args);
-    if recover && checkpoint_every.is_none() {
-        bad_usage("--recover needs --checkpoint-every N: restores only rebuild from committed checkpoint generations");
+    if checkpoint_every.is_some() && !recover {
+        bad_usage("--checkpoint-every needs --recover: a checkpoint commits through the agreement that ends a recovering round");
     }
     let (tracer, trace_path) = trace_setup(args);
     cfg = cfg.with_tracer(tracer.clone());

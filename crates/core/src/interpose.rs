@@ -33,7 +33,6 @@ pub enum MpiSymbol {
     Send,
     Recv,
     Alltoallv,
-    Barrier,
     CommRevoke,
     CommShrink,
     CommAgree,
@@ -310,15 +309,6 @@ impl InterposedMpi {
         ctx.alltoallv_sparse_bytes(sendbuf, sends, recvbuf, recvs)
     }
 
-    /// `MPI_Barrier` over the *current* communicator members. TEMPI does
-    /// not override this symbol — the checkpoint two-phase commit uses it
-    /// as the snapshot barrier, and it falls through to the system MPI's
-    /// dissemination barrier (which is shrink-safe).
-    pub fn barrier(&mut self, ctx: &mut RankCtx) -> MpiResult<()> {
-        let _ = self.resolve(MpiSymbol::Barrier);
-        ctx.comm_barrier()
-    }
-
     /// `MPIX_Comm_revoke` (ULFM). Fault-tolerance entry points are not
     /// datatype symbols, so TEMPI never exports them — they always fall
     /// through to the system MPI, and the log records that.
@@ -327,20 +317,20 @@ impl InterposedMpi {
         ctx.revoke()
     }
 
-    /// `MPIX_Comm_shrink` (ULFM): agree on the failed set, renumber the
-    /// survivors densely, bump the communicator epoch. Returns the world
-    /// ranks that were excluded. Always the system implementation.
-    pub fn comm_shrink(&mut self, ctx: &mut RankCtx) -> MpiResult<Vec<usize>> {
+    /// `MPIX_Comm_shrink` (ULFM) over an agreed dead set: renumber the
+    /// survivors densely and bump the communicator epoch, locally. Always
+    /// the system implementation.
+    pub fn comm_shrink(&mut self, ctx: &mut RankCtx, dead: &[usize]) -> MpiResult<()> {
         let _ = self.resolve(MpiSymbol::CommShrink);
-        ctx.shrink()
+        ctx.shrink(dead)
     }
 
-    /// `MPIX_Comm_agree` (ULFM, specialized to failure detection): every
-    /// survivor returns the identical set of failed world ranks. Always
-    /// the system implementation.
-    pub fn comm_agree(&mut self, ctx: &mut RankCtx) -> MpiResult<Vec<usize>> {
+    /// `MPIX_Comm_agree` (ULFM), carrying a value: every survivor returns
+    /// the identical set of failed world ranks and the minimum of the
+    /// members' values. Always the system implementation.
+    pub fn comm_agree(&mut self, ctx: &mut RankCtx, value: u64) -> MpiResult<(Vec<usize>, u64)> {
         let _ = self.resolve(MpiSymbol::CommAgree);
-        ctx.agree_on_failures()
+        ctx.agree(value)
     }
 }
 
@@ -469,8 +459,9 @@ mod tests {
         let mut ctx = ctx();
         let mut mpi = InterposedMpi::new(TempiConfig::default());
         // single-rank world: agree finds nothing, shrink keeps everyone
-        assert_eq!(mpi.comm_agree(&mut ctx).unwrap(), Vec::<usize>::new());
-        assert_eq!(mpi.comm_shrink(&mut ctx).unwrap(), Vec::<usize>::new());
+        assert_eq!(mpi.comm_agree(&mut ctx, 7).unwrap(), (Vec::new(), 7));
+        mpi.comm_shrink(&mut ctx, &[]).unwrap();
+        assert_eq!(ctx.size, 1);
         mpi.comm_revoke(&mut ctx).unwrap();
         assert!(ctx.is_revoked());
         assert_eq!(

@@ -10,34 +10,42 @@
 //!   every member: stragglers blocked in a receive observe the revocation
 //!   control message and error out with [`MpiError::Revoked`], and every
 //!   new operation fails fast at entry.
-//! * **Agreement** — [`RankCtx::agree_on_failures`] runs a
-//!   coordinator-based two-phase protocol that returns the *identical*
-//!   failure set on every surviving member, tolerating coordinator death
-//!   mid-protocol.
-//! * **Recovery** — [`RankCtx::shrink`] densely renumbers the survivors
-//!   into a new communicator epoch on which all p2p and collective
-//!   operations work again.
+//! * **Agreement** — [`RankCtx::agree`] is the one collective decision:
+//!   every surviving member contributes a `u64` and gets back the
+//!   *identical* pair (dead set, minimum value), tolerating failures —
+//!   the coordinator's included — mid-protocol. An application ends each
+//!   round of work in one agreement and reads everything it must decide
+//!   together from that pair: whether the round failed, whom to exclude,
+//!   and which state to roll back to.
+//! * **Recovery** — [`RankCtx::shrink`] drops an agreed dead set and
+//!   densely renumbers the survivors into a new communicator epoch, on
+//!   which all p2p and collective operations work again. It is local: the
+//!   agreement before it already synchronized the survivors.
 //!
 //! # The agreement protocol
 //!
 //! Members try coordinator candidates in communicator-rank order. In round
-//! `k` every participant ships its locally-known failure set to candidate
-//! `k` (`AGREE_GATHER`) — *even when it already believes the candidate
-//! dead*, because a candidate whose virtual clock lags its scheduled exit
-//! still acts alive and would otherwise wait forever on the skipping
-//! participant. The candidate unions every gathered set with its own
-//! observations (a member's death mid-collection contributes that member),
-//! then **floods** the decision (`AGREE_DECIDE`) to all members in one
-//! uninterruptible burst before returning. Flooding is what makes the
-//! decision unique: a candidate either floods to everyone or to no one,
-//! and per-channel FIFO guarantees any member that later observes the
-//! candidate's death has already seen its decision. A participant that
-//! observes candidate `k`'s death moves to candidate `k + 1` and re-ships
-//! its gather; a decision from *any* source ends its wait.
+//! `k` every participant ships its value and locally-known failure set to
+//! candidate `k` (`AGREE_GATHER`) — *even when it already believes the
+//! candidate dead*, because a candidate whose virtual clock lags its
+//! scheduled exit still acts alive and would otherwise wait forever on the
+//! skipping participant. The candidate takes the minimum of every gathered
+//! value and the union of every gathered set with its own observations (a
+//! member's death mid-collection contributes that member), then **floods**
+//! the decision (`AGREE_DECIDE`) to all members in one uninterruptible
+//! burst before returning. Flooding is what makes the decision unique: a
+//! candidate either floods to everyone or to no one, and per-channel FIFO
+//! guarantees any member that later observes the candidate's death has
+//! already seen its decision. A participant that observes candidate `k`'s
+//! death moves to candidate `k + 1` and re-ships its gather; a decision
+//! from *any* source ends its wait.
 //!
-//! Every completed agreement charges one fixed [`agree_cost`](crate::net::NetModel::agree_cost)
-//! to the virtual clock — never a per-round cost — so virtual time stays
-//! independent of how many wall-clock-racy protocol steps were executed.
+//! No member leaves an agreement before the last live member entered it:
+//! the coordinator's clock advances to the latest gather's departure
+//! before it floods, every participant's to the decision's, and each then
+//! charges one fixed [`agree_cost`](crate::net::NetModel::agree_cost) —
+//! never a per-round cost — so virtual time stays independent of how many
+//! protocol steps were executed.
 //!
 //! # Epochs
 //!
@@ -50,10 +58,12 @@
 //!
 //! # Contract
 //!
-//! `agree_on_failures` and `shrink` are collective over the current
-//! members: every live member must call them. Call [`RankCtx::revoke`]
-//! first unless every member independently enters recovery — revocation is
-//! what unblocks members still parked in data receives.
+//! `agree` is collective over the current members: every live member must
+//! call it, once per round. Call [`RankCtx::revoke`] first when a round
+//! failed locally — revocation is what unblocks members still parked in
+//! data receives. A member the agreement decides dead gets
+//! [`MpiError::PeerGone`] and must stand down; every other member passes
+//! the agreed dead set to `shrink` when it is not empty.
 
 use std::collections::BTreeSet;
 
@@ -61,34 +71,43 @@ use gpu_sim::{MemSpace, SimTime};
 use tempi_trace::LANE_CPU;
 
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{Message, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_BARRIER, TAG_REVOKE};
+use crate::p2p::{Message, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_REVOKE};
 use crate::reliability::Sifted;
 use crate::runtime::RankCtx;
 use crate::sched::ParkOp;
 
-/// Encode a set of world ranks as little-endian `u64`s.
-fn encode_ranks<'a>(ranks: impl IntoIterator<Item = &'a usize>) -> Vec<u8> {
-    let mut out = Vec::new();
-    for &r in ranks {
-        out.extend_from_slice(&(r as u64).to_le_bytes());
-    }
-    out
+/// One agreement message's body: a member's value and the failure set it
+/// knows (a gather), or the agreed minimum and dead set (a decision).
+#[derive(Debug, PartialEq, Eq)]
+struct Ballot {
+    value: u64,
+    dead: Vec<usize>,
 }
 
-/// Decode a rank set encoded by [`encode_ranks`].
-fn decode_ranks(bytes: &[u8]) -> Vec<usize> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")) as usize)
-        .collect()
+impl Ballot {
+    /// Little-endian `u64`s: the value, then the world ranks.
+    fn encode(&self) -> Vec<u8> {
+        let words = std::iter::once(self.value).chain(self.dead.iter().map(|&r| r as u64));
+        words.flat_map(u64::to_le_bytes).collect()
+    }
+
+    fn decode(bytes: &[u8]) -> Ballot {
+        let mut words = bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        Ballot {
+            value: words.next().unwrap_or(u64::MAX),
+            dead: words.map(|w| w as usize).collect(),
+        }
+    }
 }
 
 /// What ended one wait step of the agreement protocol.
 enum AgreeEvent {
-    /// A participant's failure set arrived (already decoded).
-    Gather(Vec<usize>),
-    /// A decision arrived (from any member).
-    Decide(Vec<usize>),
+    /// A participant's ballot arrived, departing at the instant given.
+    Gather(Ballot, SimTime),
+    /// A decision arrived (from any member), departing at the instant given.
+    Decide(Ballot, SimTime),
     /// The watched world rank is dead.
     Dead,
 }
@@ -196,7 +215,7 @@ impl RankCtx {
                 .position(|m| m.epoch == epoch && m.tag == TAG_AGREE_DECIDE)
             {
                 let m = self.pending.remove(i).expect("index valid");
-                return Ok(AgreeEvent::Decide(decode_ranks(&m.payload)));
+                return Ok(AgreeEvent::Decide(Ballot::decode(&m.payload), m.depart));
             }
             if let Some(j) = gather_from {
                 if let Some(i) = self
@@ -205,7 +224,7 @@ impl RankCtx {
                     .position(|m| m.epoch == epoch && m.tag == TAG_AGREE_GATHER && m.src == j)
                 {
                     let m = self.pending.remove(i).expect("index valid");
-                    return Ok(AgreeEvent::Gather(decode_ranks(&m.payload)));
+                    return Ok(AgreeEvent::Gather(Ballot::decode(&m.payload), m.depart));
                 }
             }
             if self.faults.known_dead.contains_key(&watch_world) {
@@ -220,51 +239,72 @@ impl RankCtx {
         }
     }
 
-    /// Flood a decision to every member (except self) in one
-    /// uninterruptible burst, then adopt it locally.
-    fn adopt_decision(&mut self, decided: Vec<usize>, flood: bool) -> MpiResult<Vec<usize>> {
+    /// Adopt a decision made at instant `at`: flood it to every member
+    /// (except self) in one uninterruptible burst when this rank
+    /// coordinated it, learn its dead set, and charge the agreement. A rank
+    /// in the dead set stands down.
+    fn adopt_decision(
+        &mut self,
+        decided: Ballot,
+        at: SimTime,
+        flood: bool,
+    ) -> MpiResult<(Vec<usize>, u64)> {
+        self.clock.advance_to(at);
         if flood {
-            let payload = encode_ranks(decided.iter());
+            let payload = decided.encode();
             for w in self.other_members() {
                 self.control_send(w, TAG_AGREE_DECIDE, payload.clone());
             }
         }
-        for &w in &decided {
+        for &w in &decided.dead {
             let at = self.faults.exit_time(w).unwrap_or_else(|| self.clock.now());
             self.faults.known_dead.entry(w).or_insert(at);
         }
         self.clock.advance(self.net.agree_cost());
         self.faults.stats.agreements += 1;
-        let epoch = self.epoch;
+        let (epoch, dead, value) = (self.epoch, decided.dead.len(), decided.value);
         self.tracer.instant(
             self.world_rank as u32,
             LANE_CPU,
             "mpi",
             "comm.agree",
             self.clock.now().as_ps(),
-            || vec![("epoch", epoch.into()), ("dead", decided.len().into())],
+            || {
+                vec![
+                    ("epoch", epoch.into()),
+                    ("dead", dead.into()),
+                    ("value", value.into()),
+                ]
+            },
         );
-        Ok(decided)
+        if decided.dead.contains(&self.world_rank) {
+            self.faults.stats.peer_gone += 1;
+            return Err(MpiError::PeerGone);
+        }
+        Ok((decided.dead, decided.value))
     }
 
-    /// ULFM `MPI_Comm_agree` over failures: collective over the current
-    /// members; returns the identical sorted set of dead world ranks on
-    /// every surviving member, tolerating failures (including coordinator
-    /// death) mid-protocol. Charges one fixed [`crate::NetModel`] agreement
-    /// cost to the virtual clock regardless of rounds executed.
+    /// ULFM `MPI_Comm_agree`, carrying a value: collective over the current
+    /// members; returns the identical sorted set of dead world ranks and
+    /// the minimum of the values the members passed on every surviving
+    /// member, tolerating failures (including coordinator death)
+    /// mid-protocol. No member returns before the last live member
+    /// entered; each then charges one fixed [`crate::NetModel`] agreement
+    /// cost, regardless of rounds executed.
     ///
     /// A rank whose own scheduled death has passed broadcasts its notice
-    /// and returns [`MpiError::PeerGone`]; a rank the group decides is dead
-    /// (its exit passed in the survivors' frame while its own clock lagged)
-    /// receives the decision like everyone else and sees itself in the set.
-    pub fn agree_on_failures(&mut self) -> MpiResult<Vec<usize>> {
+    /// and returns [`MpiError::PeerGone`], and so does a rank the group
+    /// decides is dead (its exit passed in the survivors' frame while its
+    /// own clock lagged) once it has received — or flooded — the decision.
+    pub fn agree(&mut self, value: u64) -> MpiResult<(Vec<usize>, u64)> {
         self.self_exit_check()?;
         let epoch = self.epoch;
         let n = self.size;
         let me = self.rank;
         for k in 0..n {
             if k == me {
-                // Coordinator: union every participant's set with my own.
+                // Coordinator: the minimum of every participant's value,
+                // the union of their sets with my own.
                 let members: BTreeSet<usize> = self.comm_members.iter().collect();
                 let mut union: BTreeSet<usize> = self
                     .faults
@@ -273,6 +313,7 @@ impl RankCtx {
                     .copied()
                     .filter(|w| members.contains(w))
                     .collect();
+                let (mut min, mut last) = (value, self.clock.now());
                 for j in 0..n {
                     if j == me {
                         continue;
@@ -282,31 +323,39 @@ impl RankCtx {
                         continue;
                     }
                     match self.agree_wait(epoch, Some(j), jw)? {
-                        AgreeEvent::Gather(set) => {
-                            union.extend(set.into_iter().filter(|w| members.contains(w)));
+                        AgreeEvent::Gather(ballot, depart) => {
+                            union.extend(ballot.dead.into_iter().filter(|w| members.contains(w)));
+                            min = min.min(ballot.value);
+                            last = last.max(depart);
                         }
-                        AgreeEvent::Decide(d) => return self.adopt_decision(d, false),
+                        AgreeEvent::Decide(d, at) => return self.adopt_decision(d, at, false),
                         AgreeEvent::Dead => {
                             union.insert(jw);
                         }
                     }
                 }
-                let decided: Vec<usize> = union.into_iter().collect();
-                return self.adopt_decision(decided, true);
+                let decided = Ballot {
+                    value: min,
+                    dead: union.into_iter().collect(),
+                };
+                return self.adopt_decision(decided, last, true);
             }
-            // Participant: ship my set to candidate k even when I believe
-            // it dead — a candidate whose clock lags its scheduled exit
-            // still acts alive and must not wait on me forever.
+            // Participant: ship my ballot to candidate k even when I
+            // believe it dead — a candidate whose clock lags its scheduled
+            // exit still acts alive and must not wait on me forever.
             let cand_world = self.comm_members.world(k);
-            let payload = encode_ranks(self.faults.known_dead.keys());
-            self.control_send(cand_world, TAG_AGREE_GATHER, payload);
+            let ballot = Ballot {
+                value,
+                dead: self.known_failures(),
+            };
+            self.control_send(cand_world, TAG_AGREE_GATHER, ballot.encode());
             if self.faults.known_dead.contains_key(&cand_world) {
                 continue;
             }
             match self.agree_wait(epoch, None, cand_world)? {
-                AgreeEvent::Decide(d) => return self.adopt_decision(d, false),
+                AgreeEvent::Decide(d, at) => return self.adopt_decision(d, at, false),
                 AgreeEvent::Dead => continue,
-                AgreeEvent::Gather(_) => {
+                AgreeEvent::Gather(..) => {
                     return Err(MpiError::Internal(
                         "agreement participant matched a gather".into(),
                     ))
@@ -318,19 +367,13 @@ impl RankCtx {
         ))
     }
 
-    /// ULFM `MPI_Comm_shrink`: agree on the failure set, densely renumber
-    /// the survivors, bump the communicator epoch, un-revoke, and purge
-    /// late traffic from the old epoch. Returns the agreed dead set.
-    ///
-    /// Errors [`MpiError::PeerGone`] when the group's decision includes
-    /// this rank itself (it is scheduled dead in the survivors' frame and
-    /// must stand down).
-    pub fn shrink(&mut self) -> MpiResult<Vec<usize>> {
-        let dead = self.agree_on_failures()?;
-        if dead.contains(&self.world_rank) {
-            self.faults.stats.peer_gone += 1;
-            return Err(MpiError::PeerGone);
-        }
+    /// ULFM `MPI_Comm_shrink` over an agreed dead set ([`RankCtx::agree`]):
+    /// densely renumber the survivors, bump the communicator epoch,
+    /// un-revoke, and purge late traffic from the old epoch. Local — the
+    /// agreement that produced `dead` already synchronized the survivors,
+    /// and traffic from a member that shrank first waits in the queue as a
+    /// future epoch's.
+    pub fn shrink(&mut self, dead: &[usize]) -> MpiResult<()> {
         let survivors: Vec<usize> = self
             .comm_members
             .iter()
@@ -364,59 +407,7 @@ impl RankCtx {
                 ]
             },
         );
-        // Synchronize the survivors on the new epoch (also a smoke test of
-        // p2p on the shrunk communicator).
-        self.comm_barrier()?;
-        Ok(dead)
-    }
-
-    /// A fault-aware dissemination barrier over the *current* communicator.
-    ///
-    /// Unlike [`RankCtx::barrier`] (which synchronizes the full world
-    /// through a shared in-process barrier and cannot tolerate dead or
-    /// shrunk membership), this one runs on epoch-stamped messages: it
-    /// works after a shrink, and a member death or revocation mid-barrier
-    /// surfaces as an error instead of a hang. Virtual clocks converge to
-    /// at least the max of all participants' entry instants plus one
-    /// [`crate::NetModel`] barrier cost.
-    pub fn comm_barrier(&mut self) -> MpiResult<()> {
-        self.check_comm()?;
-        self.self_exit_check()?;
-        let n = self.size;
-        if n > 1 {
-            let epoch = self.epoch;
-            let me = self.rank;
-            let mut round: u32 = 0;
-            let mut dist = 1usize;
-            while dist < n {
-                let to = self.comm_members.world((me + dist) % n);
-                let from = (me + n - dist) % n;
-                self.control_send(to, TAG_BARRIER, round.to_le_bytes().to_vec());
-                let depart = self.barrier_recv(epoch, from, round)?;
-                self.clock.advance_to(depart);
-                dist <<= 1;
-                round += 1;
-            }
-        }
-        self.clock.advance(self.net.barrier_cost);
         Ok(())
-    }
-
-    /// Wait for the round-`round` barrier message from comm rank `from`;
-    /// returns its departure instant for the max-merge.
-    fn barrier_recv(&mut self, epoch: u64, from: usize, round: u32) -> MpiResult<SimTime> {
-        let want = round.to_le_bytes();
-        loop {
-            if let Some(i) = self.pending.iter().position(|m| {
-                m.epoch == epoch && m.tag == TAG_BARRIER && m.src == from && m.payload == want
-            }) {
-                let m = self.pending.remove(i).expect("index valid");
-                return Ok(m.depart);
-            }
-            if let Some(m) = self.await_arrival(ParkOp::CommBarrier { from, round })? {
-                self.pending.push_back(m);
-            }
-        }
     }
 }
 
@@ -424,14 +415,21 @@ impl RankCtx {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::net::NetModel;
     use crate::runtime::{World, WorldConfig};
 
     #[test]
-    fn rank_codec_roundtrips() {
-        let set: BTreeSet<usize> = [3usize, 0, 7].into_iter().collect();
-        let enc = encode_ranks(set.iter());
-        assert_eq!(decode_ranks(&enc), vec![0, 3, 7]);
-        assert!(decode_ranks(&[]).is_empty());
+    fn ballot_codec_roundtrips() {
+        let ballot = Ballot {
+            value: 41,
+            dead: vec![0, 3, 7],
+        };
+        assert_eq!(Ballot::decode(&ballot.encode()), ballot);
+        let empty = Ballot {
+            value: u64::MAX,
+            dead: Vec::new(),
+        };
+        assert_eq!(Ballot::decode(&empty.encode()), empty);
     }
 
     #[test]
@@ -456,10 +454,10 @@ mod tests {
     fn fault_free_agree_and_shrink_keep_everyone() {
         let cfg = WorldConfig::summit(4);
         let results = World::run(&cfg, |ctx| {
-            let dead = ctx.agree_on_failures()?;
+            let (dead, min) = ctx.agree(10 + ctx.rank as u64)?;
             assert!(dead.is_empty(), "{dead:?}");
-            let dead = ctx.shrink()?;
-            assert!(dead.is_empty());
+            assert_eq!(min, 10, "the minimum of every member's value");
+            ctx.shrink(&dead)?;
             assert_eq!(ctx.size, 4);
             assert_eq!(ctx.epoch(), 1);
             assert!(!ctx.is_revoked());
@@ -484,10 +482,12 @@ mod tests {
             if ctx.rank == 1 {
                 // the dead rank: every recovery call reports its own death
                 assert_eq!(ctx.revoke(), Err(MpiError::PeerGone));
+                assert_eq!(ctx.agree(0), Err(MpiError::PeerGone));
                 return Ok((usize::MAX, vec![]));
             }
             ctx.revoke()?;
-            let dead = ctx.shrink()?;
+            let (dead, _) = ctx.agree(0)?;
+            ctx.shrink(&dead)?;
             assert_eq!(ctx.size, 2);
             assert_eq!(ctx.epoch(), 1);
             Ok((ctx.rank, dead))
@@ -499,22 +499,15 @@ mod tests {
     }
 
     #[test]
-    fn comm_barrier_merges_clocks_without_world_barrier() {
+    fn agree_leaves_every_clock_at_the_last_entry_plus_its_cost() {
         let cfg = WorldConfig::summit(4);
         let results = World::run(&cfg, |ctx| {
             ctx.clock.advance(SimTime::from_us(ctx.rank as u64 * 10));
-            ctx.comm_barrier()?;
+            ctx.agree(0)?;
             Ok(ctx.clock.now())
         })
         .unwrap();
-        let floor = SimTime::from_us(30);
-        assert!(
-            results.iter().all(|&t| t >= floor),
-            "all clocks reach the max entry instant: {results:?}"
-        );
-        assert!(
-            results.iter().all(|&t| t == results[0]),
-            "dissemination barrier converges clocks: {results:?}"
-        );
+        let want = SimTime::from_us(30) + NetModel::summit().agree_cost();
+        assert_eq!(results, vec![want; 4], "{results:?}");
     }
 }

@@ -59,7 +59,7 @@ pub enum MpiError {
     /// The communicator was revoked (ULFM `MPI_Comm_revoke`): a rank that
     /// observed a failure poisoned the communicator so every member blocked
     /// in an operation errors out instead of hanging. Only
-    /// `agree_on_failures` and `shrink` are legal until recovery completes.
+    /// `agree` and `shrink` are legal until recovery completes.
     Revoked,
     /// A transient communication failure on the link to `peer` — the
     /// retryable condition the fault injector produces. Callers normally

@@ -380,7 +380,8 @@ pub struct FaultStats {
     /// epoch older than the current one (late traffic from before a
     /// shrink; rejected rather than misdelivered).
     pub stale_dropped: u64,
-    /// Completed `agree_on_failures` rounds on this rank.
+    /// Completed agreements ([`RankCtx::agree`](crate::RankCtx::agree)) on
+    /// this rank.
     pub agreements: u64,
     /// Payload corruptions injected on delivery attempts (detected or not).
     pub corruptions: u64,

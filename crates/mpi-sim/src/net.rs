@@ -130,9 +130,10 @@ impl NetModel {
         self.node_of(a) == self.node_of(b)
     }
 
-    /// Fixed virtual-time cost of one completed failure agreement
-    /// (`agree_on_failures`): two barrier-equivalents, one to gather the
-    /// locally-known failure sets and one to flood the decision. Charged
+    /// Fixed virtual-time cost of one completed agreement
+    /// ([`RankCtx::agree`](crate::RankCtx::agree)): two barrier-equivalents,
+    /// one to gather the members' values and failure sets and one to flood
+    /// the decision. Charged
     /// once per agreement regardless of how many coordinator candidates
     /// were tried, so virtual time stays independent of wall-clock races
     /// in the protocol.

@@ -45,8 +45,6 @@ pub(crate) const TAG_REVOKE: i32 = -111;
 pub(crate) const TAG_AGREE_GATHER: i32 = -112;
 /// Agreement protocol: the decided failure set, flooded to every member.
 pub(crate) const TAG_AGREE_DECIDE: i32 = -113;
-/// Dissemination-barrier traffic on a (possibly shrunk) communicator.
-pub(crate) const TAG_BARRIER: i32 = -114;
 
 /// Part metadata for multi-part transfers (TEMPI's §8 pipelining extension
 /// and its run cut ride on the envelope, like a real rendezvous protocol

@@ -400,7 +400,6 @@ impl RankCtx {
     pub(crate) fn await_arrival(&mut self, op: ParkOp) -> MpiResult<Option<Message>> {
         let awaited = match op {
             ParkOp::Recv { src, .. } | ParkOp::Probe { src, .. } => Some(src),
-            ParkOp::CommBarrier { from, .. } => Some(Some(from)),
             _ => None,
         };
         if let Some(at) = awaited.and_then(|src| self.dead_recv_target(src)) {

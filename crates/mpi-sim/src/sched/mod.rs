@@ -85,10 +85,8 @@ pub(crate) enum ParkOp {
     Barrier,
     /// A send held back by `dest`'s full inbox.
     Backpressure { dest: usize },
-    /// One wait step of the failure-agreement protocol.
+    /// One wait step of the agreement protocol.
     Agree { epoch: u64 },
-    /// One round of the dissemination barrier on a communicator.
-    CommBarrier { from: usize, round: u32 },
 }
 
 /// `Some(v)` as `v`, a wildcard as `*`.
@@ -106,9 +104,6 @@ impl fmt::Display for ParkOp {
             ParkOp::Barrier => f.write_str("barrier"),
             ParkOp::Backpressure { dest } => write!(f, "send backpressure(dest={dest})"),
             ParkOp::Agree { epoch } => write!(f, "agree(epoch={epoch})"),
-            ParkOp::CommBarrier { from, round } => {
-                write!(f, "comm_barrier(from={from}, round={round})")
-            }
         }
     }
 }
@@ -477,10 +472,6 @@ mod tests {
                 "send backpressure(dest=9)",
             ),
             (ParkOp::Agree { epoch: 2 }, "agree(epoch=2)"),
-            (
-                ParkOp::CommBarrier { from: 4, round: 1 },
-                "comm_barrier(from=4, round=1)",
-            ),
         ];
         for (op, want) in rendered {
             assert_eq!(op.to_string(), want);

@@ -4,17 +4,18 @@
 //! snapshot: each rank packs its interior (through the interposed
 //! `MPI_Pack`, so the same kernels that accelerate the halo exchange also
 //! accelerate the snapshot), stages the bytes to the host, frames them
-//! with a content checksum, and mirrors the frame at a *buddy* rank. A
-//! two-phase commit on the generation number — stage, barrier, commit —
-//! guarantees that a rank dying mid-snapshot never yields a torn restore:
-//! either every survivor committed the generation, or nobody did and
-//! recovery uses the previous one.
+//! with a content checksum, and mirrors the frame at a *buddy* rank. The
+//! snapshot is part of a round of work that ends in one agreement
+//! ([`mpi_sim::RankCtx::agree`]), and a rank commits the generation only
+//! when that agreement finds nobody dead and every round clean — so every
+//! survivor holds the same committed generations, and a rank dying
+//! mid-snapshot never yields a torn restore.
 //!
-//! After a revoke/agree/shrink, survivors re-decompose the grid and
-//! rebuild every subdomain from the newest generation *all* survivors
-//! committed (a p2p min-agreement over the shrunken communicator), served
-//! by a deterministic provider rule: the frame's owner if it survived,
-//! else its buddy, else the spill directory on disk.
+//! After the agreement of a failed round, survivors shrink, re-decompose
+//! the grid and rebuild every subdomain from the generation the agreement
+//! carried (the minimum newest generation over the members), served by a
+//! deterministic provider rule: the frame's owner if it survived, else
+//! its buddy, else the spill directory on disk.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -130,31 +131,27 @@ pub struct GenRecord {
     pub local: [usize; 3],
 }
 
-/// One committed generation: the record plus the frames this rank holds
-/// (its own and its buddy's).
-#[derive(Debug, Clone)]
-struct GenEntry {
-    record: GenRecord,
-    /// Frames held in memory, keyed by owner world rank.
-    frames: BTreeMap<usize, Frame>,
+/// One rank's share of a checkpoint generation: the frames it holds (its
+/// own and its buddy's) and the communicator they were taken on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Snapshot {
+    /// The generation the frames belong to.
+    pub generation: u64,
+    /// The communicator at snapshot time.
+    pub record: GenRecord,
+    /// This rank's own frame and its ring predecessor's mirror (in
+    /// world-rank order once committed).
+    pub frames: Vec<Frame>,
 }
 
-/// Per-rank checkpoint storage with two-phase generation commit.
-///
-/// `stage` parks a generation as *pending*; `commit` — called only after
-/// the snapshot barrier succeeded on every member — promotes it to
-/// *committed* (and spills it to disk when a spill directory is set).
-/// A failure between the two leaves the pending generation to be dropped
-/// by [`CheckpointStore::abort`], so [`CheckpointStore::latest_committed`]
-/// never names a generation some survivor lacks... unless the failure hit
-/// exactly between two `commit` calls, which the restore-time
-/// min-agreement over survivors absorbs.
+/// Per-rank checkpoint storage: the committed generations, each spilled
+/// to disk as it commits when a spill directory is set. Callers commit
+/// only after a clean agreement, so [`CheckpointStore::latest_committed`]
+/// names the same generation on every survivor.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
-    pending: Option<(u64, GenEntry)>,
-    committed: BTreeMap<u64, GenEntry>,
+    committed: BTreeMap<u64, Snapshot>,
     spill_dir: Option<PathBuf>,
-    next_generation: u64,
 }
 
 impl CheckpointStore {
@@ -178,69 +175,41 @@ impl CheckpointStore {
         self.spill_dir.as_deref()
     }
 
-    /// The generation number the next snapshot will use. Deterministic and
-    /// identical on every rank because snapshots are collective.
+    /// The generation number the next snapshot will use: identical on
+    /// every survivor, because they all commit the same generations.
     pub fn next_generation(&self) -> u64 {
-        self.next_generation
+        self.latest_committed().map_or(0, |g| g + 1)
     }
 
-    /// Phase one: park `frames` (this rank's own and its buddy's) for
-    /// `generation` as pending. Nothing is visible to restore yet.
-    pub fn stage(&mut self, generation: u64, record: GenRecord, frames: Vec<Frame>) {
-        let frames = frames.into_iter().map(|f| (f.world_rank, f)).collect();
-        self.pending = Some((generation, GenEntry { record, frames }));
-    }
-
-    /// Drop a pending generation (the snapshot barrier failed — some rank
-    /// died mid-snapshot, so *nobody* commits).
-    pub fn abort(&mut self) {
-        self.pending = None;
-    }
-
-    /// Phase two: promote the pending `generation` to committed and spill
-    /// it if configured. Errors if no matching generation is pending.
-    pub fn commit(&mut self, generation: u64) -> MpiResult<()> {
-        self.commit_faulted(generation, None)
-    }
-
-    /// [`CheckpointStore::commit`] under fault injection: when the plan's
-    /// `spill` site fires for a write, one deterministic byte of the frame
-    /// flips on its way to disk. The in-memory copy stays intact — only a
-    /// later [`CheckpointStore::load_spilled`] of that file notices, via
-    /// the frame checksum, exactly like real silent disk corruption.
-    pub fn commit_faulted(
+    /// Commit a snapshot's generation and spill its frames if configured,
+    /// in world-rank order. When the plan's `spill` site fires for a write,
+    /// one deterministic byte of the frame flips on its way to disk. The
+    /// in-memory copy stays intact — only a later
+    /// [`CheckpointStore::load_spilled`] of that file notices, via the
+    /// frame checksum, exactly like real silent disk corruption.
+    pub fn commit(
         &mut self,
-        generation: u64,
+        mut snapshot: Snapshot,
         faults: Option<&FaultInjector>,
     ) -> MpiResult<()> {
-        match self.pending.take() {
-            Some((g, entry)) if g == generation => {
-                if let Some(dir) = &self.spill_dir {
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| MpiError::Internal(format!("checkpoint spill dir: {e}")))?;
-                    for frame in entry.frames.values() {
-                        let path = Self::spill_path(dir, g, frame.world_rank);
-                        let mut bytes = frame.encode();
-                        let flip = faults.and_then(|inj| inj.flip(FaultSite::Spill, bytes.len()));
-                        if let Some((idx, mask)) = flip {
-                            bytes[idx] ^= mask;
-                        }
-                        std::fs::write(&path, bytes).map_err(|e| {
-                            MpiError::Internal(format!("checkpoint spill {}: {e}", path.display()))
-                        })?;
-                    }
+        snapshot.frames.sort_by_key(|f| f.world_rank);
+        if let Some(dir) = &self.spill_dir {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| MpiError::Internal(format!("checkpoint spill dir: {e}")))?;
+            for frame in &snapshot.frames {
+                let path = Self::spill_path(dir, snapshot.generation, frame.world_rank);
+                let mut bytes = frame.encode();
+                let flip = faults.and_then(|inj| inj.flip(FaultSite::Spill, bytes.len()));
+                if let Some((idx, mask)) = flip {
+                    bytes[idx] ^= mask;
                 }
-                self.committed.insert(g, entry);
-                self.next_generation = self.next_generation.max(g + 1);
-                Ok(())
-            }
-            other => {
-                self.pending = other;
-                Err(MpiError::Internal(format!(
-                    "commit of generation {generation} without a matching stage"
-                )))
+                std::fs::write(&path, bytes).map_err(|e| {
+                    MpiError::Internal(format!("checkpoint spill {}: {e}", path.display()))
+                })?;
             }
         }
+        self.committed.insert(snapshot.generation, snapshot);
+        Ok(())
     }
 
     /// The newest committed generation, if any.
@@ -250,14 +219,13 @@ impl CheckpointStore {
 
     /// The communicator record of a committed generation.
     pub fn record(&self, generation: u64) -> Option<&GenRecord> {
-        self.committed.get(&generation).map(|e| &e.record)
+        self.committed.get(&generation).map(|s| &s.record)
     }
 
     /// An in-memory frame of a committed generation, by owner world rank.
     pub fn frame(&self, generation: u64, world_rank: usize) -> Option<&Frame> {
-        self.committed
-            .get(&generation)
-            .and_then(|e| e.frames.get(&world_rank))
+        let frames = &self.committed.get(&generation)?.frames;
+        frames.iter().find(|f| f.world_rank == world_rank)
     }
 
     /// Read a spilled frame back from disk, re-verifying its checksum.
@@ -331,6 +299,14 @@ mod tests {
         }
     }
 
+    fn snapshot(generation: u64, frames: Vec<Frame>) -> Snapshot {
+        Snapshot {
+            generation,
+            record: record(),
+            frames,
+        }
+    }
+
     #[test]
     fn frame_roundtrips_byte_exactly() {
         let f = frame(3, 5, 0xAB);
@@ -353,29 +329,28 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_commit_is_atomic() {
+    fn commit_makes_a_generation_and_its_frames_visible() {
         let mut store = CheckpointStore::new();
         assert_eq!(store.latest_committed(), None);
         assert_eq!(store.next_generation(), 0);
 
-        store.stage(0, record(), vec![frame(0, 1, 1), frame(0, 2, 2)]);
-        // staged ≠ visible
-        assert_eq!(store.latest_committed(), None);
-        assert!(store.frame(0, 1).is_none());
-
-        store.commit(0).unwrap();
+        let frames = vec![frame(0, 1, 1), frame(0, 2, 2)];
+        store.commit(snapshot(0, frames), None).unwrap();
         assert_eq!(store.latest_committed(), Some(0));
         assert_eq!(store.next_generation(), 1);
+        assert_eq!(store.record(0), Some(&record()));
         assert_eq!(store.frame(0, 1).unwrap().payload[0], 1);
         assert_eq!(store.frame(0, 2).unwrap().payload[0], 2);
         assert!(store.frame(0, 3).is_none());
+        assert!(store.record(1).is_none());
 
-        // a mid-snapshot failure: stage then abort → prior generation wins
-        store.stage(1, record(), vec![frame(1, 1, 9)]);
-        store.abort();
-        assert_eq!(store.latest_committed(), Some(0));
-        // committing an aborted generation is an error
-        assert!(store.commit(1).is_err());
+        // a newer generation leaves the older one restorable
+        store
+            .commit(snapshot(1, vec![frame(1, 1, 9)]), None)
+            .unwrap();
+        assert_eq!(store.latest_committed(), Some(1));
+        assert_eq!(store.frame(0, 1).unwrap().payload[0], 1);
+        assert_eq!(store.frame(1, 1).unwrap().payload[0], 9);
     }
 
     #[test]
@@ -383,8 +358,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tempi-ckpt-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = CheckpointStore::with_spill(&dir);
-        store.stage(2, record(), vec![frame(2, 4, 0x5A)]);
-        store.commit(2).unwrap();
+        store
+            .commit(snapshot(2, vec![frame(2, 4, 0x5A)]), None)
+            .unwrap();
 
         let loaded = store.load_spilled(2, 4).unwrap();
         assert_eq!(loaded, frame(2, 4, 0x5A));
@@ -409,8 +385,8 @@ mod tests {
         // corrupts only call 1.
         let inj = FaultInjector::new(&FaultPlan::parse("spill@1").unwrap(), 0);
         let mut store = CheckpointStore::with_spill(&dir);
-        store.stage(0, record(), vec![frame(0, 1, 1), frame(0, 2, 2)]);
-        store.commit_faulted(0, Some(&inj)).unwrap();
+        let frames = vec![frame(0, 1, 1), frame(0, 2, 2)];
+        store.commit(snapshot(0, frames), Some(&inj)).unwrap();
 
         assert_eq!(store.load_spilled(0, 1).unwrap(), frame(0, 1, 1));
         let err = store.load_spilled(0, 2).unwrap_err();
@@ -429,8 +405,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tempi-ckpt-rfault-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = CheckpointStore::with_spill(&dir);
-        store.stage(0, record(), vec![frame(0, 3, 7)]);
-        store.commit(0).unwrap(); // clean write: spill call 0 is the read
+        // clean write: spill call 0 is the read
+        store
+            .commit(snapshot(0, vec![frame(0, 3, 7)]), None)
+            .unwrap();
         let inj = FaultInjector::new(&FaultPlan::parse("spill@0").unwrap(), 0);
         let err = store.load_spilled_faulted(0, 3, Some(&inj)).unwrap_err();
         assert!(err.to_string().contains("checkpoint frame"), "got: {err}");

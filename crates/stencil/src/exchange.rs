@@ -12,16 +12,33 @@ use gpu_sim::{GpuPtr, SimTime};
 use mpi_sim::{AlltoallvBlock, Datatype, MpiError, MpiResult, RankCtx};
 use tempi_core::interpose::InterposedMpi;
 
-use crate::checkpoint::{provider_for, CheckpointStore, Frame, GenRecord, HEADER_LEN};
+use crate::checkpoint::{provider_for, CheckpointStore, Frame, GenRecord, Snapshot, HEADER_LEN};
 use crate::decomp::{dir_index, opposite, Decomp, DIRS};
 use crate::halo::{region_type, HaloConfig, HaloTypes};
 
 /// User tag for mirroring a checkpoint frame at the buddy rank.
 const TAG_CKPT_MIRROR: i32 = 2_000;
-/// User tag for the restore-time generation min-agreement.
-const TAG_CKPT_GEN: i32 = 2_001;
 /// User tag for serving a checkpoint frame to a rebuilding rank.
 const TAG_CKPT_FETCH: i32 = 2_002;
+
+/// Rounds one [`HaloExchanger::exchange_with_recovery`] call runs before
+/// it gives up.
+pub const MAX_ROUNDS: usize = 4;
+
+/// What a rank contributes to its round's agreement: its newest committed
+/// generation plus one (0 for none), above a low bit that says whether its
+/// round went through. Every survivor commits the same generations, so
+/// the minimum over the members carries the generation they all hold and
+/// whether every round went through ([`read_vote`]).
+fn round_vote(newest: Option<u64>, through: bool) -> u64 {
+    (newest.map_or(0, |g| g + 1) << 1) | u64::from(through)
+}
+
+/// The newest generation and the all-through bit of an agreed
+/// [`round_vote`] minimum.
+fn read_vote(min: u64) -> (Option<u64>, bool) {
+    ((min >> 1).checked_sub(1), min & 1 == 1)
+}
 
 /// Outcome of a fault-tolerant exchange
 /// ([`HaloExchanger::exchange_with_recovery`]).
@@ -35,8 +52,8 @@ pub struct RecoveryOutcome {
     pub excluded: Vec<usize>,
     /// Communicator epoch after the successful exchange.
     pub epoch: u64,
-    /// The checkpoint generation the last rebuild restored from (`None`
-    /// when no recovery round was needed).
+    /// The checkpoint generation the successful round rebuilt from (`None`
+    /// when no rebuild was needed or none had been committed).
     pub restored: Option<u64>,
 }
 
@@ -143,11 +160,6 @@ impl HaloExchanger {
         cfg: HaloConfig,
     ) -> MpiResult<HaloExchanger> {
         let decomp = Decomp::new(ctx.size);
-        let origin = [
-            cfg.local[0] * decomp.dims[0],
-            cfg.local[1] * decomp.dims[1],
-            cfg.local[2] * decomp.dims[2],
-        ];
         let me = ctx.rank;
 
         // Both plans are derived purely from this rank's own 26 neighbor
@@ -221,12 +233,12 @@ impl HaloExchanger {
         let sendbuf = ctx.gpu.malloc(plan_bytes(&send_plan).max(1))?;
         let recvbuf = ctx.gpu.malloc(plan_bytes(&recv_plan).max(1))?;
 
-        Ok(HaloExchanger {
+        let mut ex = HaloExchanger {
             cfg,
             decomp,
             types,
             interior_dt,
-            origin,
+            origin: [0; 3],
             grid,
             sendbuf,
             recvbuf,
@@ -234,7 +246,9 @@ impl HaloExchanger {
             recv_plan,
             checkpoints: 0,
             restores: 0,
-        })
+        };
+        ex.origin = ex.global();
+        Ok(ex)
     }
 
     /// Total bytes this rank packs per exchange.
@@ -325,21 +339,48 @@ impl HaloExchanger {
         self.release(ctx)
     }
 
-    /// Take one coordinated checkpoint generation: pack the interior with
-    /// the interposed `MPI_Pack`, stage it to the host, frame it with a
-    /// content checksum, mirror it at the buddy rank `(rank + 1) % size`,
-    /// and run the two-phase commit — stage, snapshot barrier, commit. A
-    /// rank dying mid-snapshot fails the barrier on every survivor, so the
-    /// generation is aborted everywhere and restore falls back to the
-    /// previous one: a torn generation is never visible.
-    pub fn checkpoint(
-        &mut self,
+    /// This rank's share of checkpoint generation `generation`: its
+    /// interior packed with the interposed `MPI_Pack`, staged to the host
+    /// and framed with a content checksum, mirrored at the buddy rank
+    /// `(rank + 1) % size`, plus the mirror of its ring predecessor's
+    /// frame. Nothing is committed here: the round's agreement decides.
+    fn snapshot(
+        &self,
         ctx: &mut RankCtx,
         mpi: &mut InterposedMpi,
-        store: &mut CheckpointStore,
-    ) -> MpiResult<u64> {
+        generation: u64,
+    ) -> MpiResult<Snapshot> {
         ctx.with_span("stencil", "checkpoint", |ctx| {
-            self.checkpoint_body(ctx, mpi, store)
+            let own = Frame {
+                generation,
+                epoch: ctx.epoch(),
+                comm_rank: ctx.rank,
+                world_rank: ctx.world_rank,
+                dims: self.decomp.dims,
+                local: self.cfg.local,
+                payload: self.pack_interior(ctx, mpi)?,
+            };
+            let record = GenRecord {
+                members: ctx.comm_members(),
+                dims: self.decomp.dims,
+                local: self.cfg.local,
+            };
+            // Mirror around the ring: my frame to (rank+1), (rank-1)'s to
+            // me. Sends are eager, so send-before-receive cannot deadlock.
+            let enc = own.encode();
+            let mut frames = vec![own];
+            if ctx.size > 1 {
+                let dest = (ctx.rank + 1) % ctx.size;
+                let src = (ctx.rank + ctx.size - 1) % ctx.size;
+                send_blob(ctx, &enc, dest, TAG_CKPT_MIRROR)?;
+                let got = recv_blob(ctx, enc.len(), src, TAG_CKPT_MIRROR)?;
+                frames.push(Frame::decode(&got)?);
+            }
+            Ok(Snapshot {
+                generation,
+                record,
+                frames,
+            })
         })
     }
 
@@ -363,67 +404,25 @@ impl HaloExchanger {
         packed
     }
 
-    fn checkpoint_body(
-        &mut self,
-        ctx: &mut RankCtx,
-        mpi: &mut InterposedMpi,
-        store: &mut CheckpointStore,
-    ) -> MpiResult<u64> {
-        let generation = store.next_generation();
-        let own = Frame {
-            generation,
-            epoch: ctx.epoch(),
-            comm_rank: ctx.rank,
-            world_rank: ctx.world_rank,
-            dims: self.decomp.dims,
-            local: self.cfg.local,
-            payload: self.pack_interior(ctx, mpi)?,
-        };
-        let record = GenRecord {
-            members: ctx.comm_members(),
-            dims: self.decomp.dims,
-            local: self.cfg.local,
-        };
-        // Mirror around the ring: my frame to (rank+1), (rank-1)'s to me.
-        // Sends are eager, so send-before-receive cannot deadlock.
-        let enc = own.encode();
-        let mut frames = vec![own];
-        if ctx.size > 1 {
-            let dest = (ctx.rank + 1) % ctx.size;
-            let src = (ctx.rank + ctx.size - 1) % ctx.size;
-            send_blob(ctx, &enc, dest, TAG_CKPT_MIRROR)?;
-            let got = recv_blob(ctx, enc.len(), src, TAG_CKPT_MIRROR)?;
-            frames.push(Frame::decode(&got)?);
-        }
-        store.stage(generation, record, frames);
-        if let Err(e) = mpi.barrier(ctx) {
-            store.abort();
-            return Err(e);
-        }
-        store.commit_faulted(generation, ctx.faults.injector())?;
-        self.checkpoints += 1;
-        Ok(generation)
-    }
-
-    /// Rebuild this rank's subdomain from the newest checkpoint generation
-    /// *every* current member committed. Runs after a shrink has already
-    /// re-decomposed the grid (or any time the in-memory grid is suspect).
+    /// Rebuild this rank's subdomain from committed checkpoint
+    /// `generation` — the one its round's agreement carried, which every
+    /// current member holds. Runs after a shrink has re-decomposed the
+    /// grid (or any time the in-memory grid is suspect).
     ///
     /// Uniform local blocks mean each post-shrink interior is exactly one
     /// pre-shrink block — the one at this rank's coordinates wrapped into
-    /// the old process grid — so restore is: agree on the generation
-    /// (p2p min over the shrunken communicator; the full-world allgather
-    /// board is unusable once ranks are gone), fetch that one frame from
-    /// its deterministic provider (owner, else buddy, else spill), verify
-    /// its checksum, and unpack it with the interposed `MPI_Unpack`.
+    /// the old process grid — so restore is: fetch that one frame from its
+    /// deterministic provider (owner, else buddy, else spill), verify its
+    /// checksum, and unpack it with the interposed `MPI_Unpack`.
     pub fn restore_from_checkpoint(
         &mut self,
         ctx: &mut RankCtx,
         mpi: &mut InterposedMpi,
         store: &CheckpointStore,
-    ) -> MpiResult<u64> {
+        generation: u64,
+    ) -> MpiResult<()> {
         ctx.with_span("stencil", "restore", |ctx| {
-            self.restore_from_checkpoint_body(ctx, mpi, store)
+            self.restore_from_checkpoint_body(ctx, mpi, store, generation)
         })
     }
 
@@ -432,29 +431,8 @@ impl HaloExchanger {
         ctx: &mut RankCtx,
         mpi: &mut InterposedMpi,
         store: &CheckpointStore,
-    ) -> MpiResult<u64> {
-        const NONE: u64 = u64::MAX;
-        let mine = store.latest_committed().unwrap_or(NONE);
-        let mut agreed = mine;
-        for peer in 0..ctx.size {
-            if peer != ctx.rank {
-                send_blob(ctx, &mine.to_le_bytes(), peer, TAG_CKPT_GEN)?;
-            }
-        }
-        for peer in 0..ctx.size {
-            if peer != ctx.rank {
-                let got = recv_blob(ctx, 8, peer, TAG_CKPT_GEN)?;
-                let theirs = u64::from_le_bytes(got.try_into().map_err(|_| {
-                    MpiError::Internal("generation agreement message not 8 bytes".into())
-                })?);
-                agreed = agreed.min(theirs);
-            }
-        }
-        if agreed == NONE {
-            return Err(MpiError::Internal(
-                "no committed checkpoint generation to restore from".to_string(),
-            ));
-        }
+        agreed: u64,
+    ) -> MpiResult<()> {
         let record = store
             .record(agreed)
             .ok_or_else(|| {
@@ -530,64 +508,76 @@ impl HaloExchanger {
         ctx.gpu.free(host)?;
         unpacked?;
         self.restores += 1;
-        Ok(agreed)
+        Ok(())
     }
 
-    /// One halo exchange with ULFM-style recovery: on a communicator
-    /// failure, revoke the communicator (so stragglers blocked in the
-    /// exchange error out instead of hanging), agree on and shrink away
-    /// the failed ranks, re-decompose the grid over the survivors, rebuild
-    /// every subdomain — including the dead ranks' — from the newest
-    /// checkpoint generation all survivors committed, and try again.
-    /// Checkpoints are the *only* source of restored state: a world that
-    /// never called [`HaloExchanger::checkpoint`] cannot recover.
+    /// One halo exchange with ULFM-style recovery, in rounds. A round is
+    /// the work — a restore when the previous round failed, a checkpoint
+    /// snapshot when `checkpoint` is set, the exchange — followed by
+    /// exactly one agreement ([`RankCtx::agree`]) over the newest committed
+    /// generation, which is also the happy path's failure detection: a
+    /// survivor whose traffic never touched a dead rank learns of the
+    /// death there, with everyone else. A rank whose round failed revokes
+    /// first, so stragglers blocked in the exchange error out instead of
+    /// hanging. The agreement decides three things on every survivor:
     ///
-    /// The happy path adds one `comm_barrier` per round: without it, a
-    /// survivor whose `Alltoallv` traffic never touched the dead rank
-    /// would return success while its peers enter recovery. The barrier
-    /// makes failure detection collective — it either completes on every
-    /// member or errors on every member.
+    /// * a clean round (nobody dead, every round through) commits its
+    ///   snapshot and returns;
+    /// * a failed round shrinks away the agreed dead set, re-decomposes
+    ///   the grid over the survivors and runs again;
+    /// * the next round rebuilds every subdomain — including the dead
+    ///   ranks' — from the agreed generation, the newest every member
+    ///   holds. When none was ever committed, the survivors restart from
+    ///   the initial condition on the shrunk communicator (a fresh
+    ///   [`HaloExchanger::new`] and [`HaloExchanger::fill`]), as a job
+    ///   restarted without a checkpoint would.
     ///
-    /// Returns `Err(PeerGone)` on a rank that is itself scheduled dead
-    /// (its caller should stop using the communicator), and
-    /// `Err(Internal)` if `max_rounds` recovery rounds were not enough.
+    /// Snapshots are taken only at the original decomposition: after a
+    /// shrink the restored state is the periodic extension of the
+    /// *origin* grid, which a snapshot of the smaller grid cannot carry.
+    ///
+    /// Returns `Err(PeerGone)` on a rank that is itself dead (its caller
+    /// should stop using the communicator), and `Err(Internal)` if
+    /// [`MAX_ROUNDS`] rounds were not enough.
     pub fn exchange_with_recovery(
         &mut self,
         ctx: &mut RankCtx,
         mpi: &mut InterposedMpi,
-        store: &CheckpointStore,
-        max_rounds: usize,
+        store: &mut CheckpointStore,
+        checkpoint: bool,
     ) -> MpiResult<RecoveryOutcome> {
-        let mut shrinks = 0u64;
         let mut excluded = Vec::new();
-        let mut restored = None;
-        let mut rounds = 0;
-        while rounds < max_rounds {
-            rounds += 1;
-            let failed = match self.exchange(ctx, mpi) {
-                Ok(timing) => match ctx.comm_barrier() {
-                    Ok(()) => {
-                        return Ok(RecoveryOutcome {
-                            timing,
-                            shrinks,
-                            excluded,
-                            epoch: ctx.epoch(),
-                            restored,
-                        })
-                    }
-                    Err(e) => e,
-                },
-                Err(e) => e,
+        let mut restore = None;
+        // every round before this one failed and shrank
+        for shrinks in 0..MAX_ROUNDS as u64 {
+            let round = match self.round(ctx, mpi, store, restore, checkpoint) {
+                Err(e) if !e.is_comm_failure() => return Err(e),
+                round => round,
             };
-            if !failed.is_comm_failure() {
-                return Err(failed);
+            if round.is_err() {
+                // revoke() may itself report this rank dead — the
+                // agreement repeats the verdict, so its error is the one
+                // we surface.
+                let _ = mpi.comm_revoke(ctx);
             }
-            // Propagate the failure to every member, then agree + shrink.
-            // revoke() may itself report this rank dead — shrink repeats
-            // the verdict, so its error is the one we surface.
-            let _ = mpi.comm_revoke(ctx);
-            let dead = mpi.comm_shrink(ctx)?;
-            shrinks += 1;
+            let vote = round_vote(store.latest_committed(), round.is_ok());
+            let (dead, agreed) = mpi.comm_agree(ctx, vote)?;
+            let (newest, clean) = read_vote(agreed);
+            if dead.is_empty() && clean {
+                let (timing, snapshot) = round?;
+                if let Some(snapshot) = snapshot {
+                    store.commit(snapshot, ctx.faults.injector())?;
+                    self.checkpoints += 1;
+                }
+                return Ok(RecoveryOutcome {
+                    timing,
+                    shrinks,
+                    excluded,
+                    epoch: ctx.epoch(),
+                    restored: restore,
+                });
+            }
+            mpi.comm_shrink(ctx, &dead)?;
             let epoch = ctx.epoch();
             ctx.tracer.instant(
                 ctx.world_rank as u32,
@@ -597,26 +587,56 @@ impl HaloExchanger {
                 ctx.clock.now().as_ps(),
                 || {
                     vec![
-                        ("shrinks", shrinks.into()),
+                        ("shrinks", (shrinks + 1).into()),
                         ("dead", dead.len().into()),
                         ("epoch", epoch.into()),
                     ]
                 },
             );
             excluded.extend(dead);
-            // Re-decompose over the survivors and restore from the last
-            // globally-consistent checkpoint generation. The restored
-            // state is the periodic extension of the original grid, so
-            // `origin` survives the rebuild, as do the counters.
+            // Re-decompose over the survivors, keeping the counters.
             let kept = (self.origin, self.checkpoints, self.restores);
             self.release(ctx)?;
             *self = HaloExchanger::new(ctx, mpi, self.cfg)?;
-            (self.origin, self.checkpoints, self.restores) = kept;
-            restored = Some(self.restore_from_checkpoint(ctx, mpi, store)?);
+            (self.checkpoints, self.restores) = (kept.1, kept.2);
+            restore = newest;
+            match newest {
+                // restored state is the periodic extension of the
+                // original grid, so `origin` survives the rebuild
+                Some(_) => self.origin = kept.0,
+                None => self.fill(ctx)?,
+            }
         }
         Err(MpiError::Internal(format!(
-            "halo exchange still failing after {max_rounds} recovery rounds"
+            "halo exchange still failing after {MAX_ROUNDS} recovery rounds"
         )))
+    }
+
+    /// A round's work before its agreement: rebuild from generation
+    /// `restore` if given, snapshot the next generation when asked at the
+    /// original decomposition, then exchange.
+    fn round(
+        &mut self,
+        ctx: &mut RankCtx,
+        mpi: &mut InterposedMpi,
+        store: &CheckpointStore,
+        restore: Option<u64>,
+        checkpoint: bool,
+    ) -> MpiResult<(ExchangeTiming, Option<Snapshot>)> {
+        if let Some(generation) = restore {
+            self.restore_from_checkpoint(ctx, mpi, store, generation)?;
+        }
+        let snapshot = match checkpoint && self.global() == self.origin {
+            true => Some(self.snapshot(ctx, mpi, store.next_generation())?),
+            false => None,
+        };
+        Ok((self.exchange(ctx, mpi)?, snapshot))
+    }
+
+    /// Global extents of the grid at the current decomposition.
+    fn global(&self) -> [usize; 3] {
+        let (l, d) = (self.cfg.local, self.decomp.dims);
+        [l[0] * d[0], l[1] * d[1], l[2] * d[2]]
     }
 
     /// The full grid this rank should hold after a successful exchange —
@@ -628,11 +648,7 @@ impl HaloExchanger {
         let r = self.cfg.radius;
         let l = self.cfg.local;
         let c = self.decomp.coords(ctx.rank);
-        let global = [
-            l[0] * self.decomp.dims[0],
-            l[1] * self.decomp.dims[1],
-            l[2] * self.decomp.dims[2],
-        ];
+        let global = self.global();
         let mut data = vec![0u8; self.cfg.alloc_bytes()];
         for z in 0..a[2] {
             for y in 0..a[1] {
@@ -663,11 +679,7 @@ impl HaloExchanger {
         let r = self.cfg.radius;
         let l = self.cfg.local;
         let c = self.decomp.coords(ctx.rank);
-        let global = [
-            l[0] * self.decomp.dims[0],
-            l[1] * self.decomp.dims[1],
-            l[2] * self.decomp.dims[2],
-        ];
+        let global = self.global();
         let data = ctx.gpu.memory().peek(self.grid, self.cfg.alloc_bytes())?;
         let mut bad = 0usize;
         for z in 0..a[2] {
@@ -890,8 +902,8 @@ mod tests {
             let mut mpi = InterposedMpi::new(TempiConfig::default());
             let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
             ex.fill(ctx)?;
-            let store = CheckpointStore::new();
-            let out = ex.exchange_with_recovery(ctx, &mut mpi, &store, 3)?;
+            let mut store = CheckpointStore::new();
+            let out = ex.exchange_with_recovery(ctx, &mut mpi, &mut store, false)?;
             assert_eq!(out.shrinks, 0);
             assert!(out.excluded.is_empty());
             assert_eq!(out.epoch, 0);
@@ -915,14 +927,13 @@ mod tests {
             let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
             ex.fill(ctx)?;
             let mut store = CheckpointStore::new();
-            let gen = ex.checkpoint(ctx, &mut mpi, &mut store)?;
-            assert_eq!(gen, 0);
+            ex.exchange_with_recovery(ctx, &mut mpi, &mut store, true)?;
+            assert_eq!(store.latest_committed(), Some(0));
             // scribble over the whole allocation — interior and ghosts
             ctx.gpu
                 .memory()
                 .poke(ex.grid, &vec![0xEE; ex.cfg.alloc_bytes()])?;
-            let restored = ex.restore_from_checkpoint(ctx, &mut mpi, &store)?;
-            assert_eq!(restored, 0);
+            ex.restore_from_checkpoint(ctx, &mut mpi, &store, 0)?;
             // the interior is back; one exchange rebuilds the ghosts and
             // the grid is byte-identical to the serial oracle
             ex.exchange(ctx, &mut mpi)?;

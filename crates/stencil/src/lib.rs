@@ -37,7 +37,7 @@ pub mod decomp;
 pub mod exchange;
 pub mod halo;
 
-pub use checkpoint::{CheckpointStore, Frame, GenRecord};
+pub use checkpoint::{CheckpointStore, Frame, GenRecord, Snapshot};
 pub use compute::apply_stencil;
 pub use decomp::{dir_index, opposite, Decomp, DIRS};
 pub use exchange::{cell_value, ExchangeTiming, HaloExchanger, RecoveryOutcome};

@@ -216,10 +216,10 @@ fn regenerate_corpus() {
     .unwrap();
 
     // 3. The revoke-vs-checkpoint schedule: killing a checkpoint block's
-    //    owner *and* buddy forces the spill fallback, and early death
-    //    detection once raced the checkpoint's commit barrier into a
-    //    recovery deadlock. Green since the workload pinned a
-    //    shared-memory barrier between the two phases.
+    //    owner *and* buddy in the second round forces the spill fallback,
+    //    and early death detection once raced the checkpoint's commit
+    //    barrier into a recovery deadlock. Green since one agreement per
+    //    round decides the commit, the shrink and the restored generation.
     let recovery = Scenario {
         seed: 31,
         ranks: 8,
@@ -227,11 +227,11 @@ fn regenerate_corpus() {
         events: vec![
             ChaosEvent::Exit {
                 rank: 4,
-                at_us: 10_000,
+                at_us: 250,
             },
             ChaosEvent::Exit {
                 rank: 5,
-                at_us: 10_000,
+                at_us: 250,
             },
         ],
         integrity: true,

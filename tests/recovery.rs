@@ -1,88 +1,281 @@
 //! ULFM-style communicator recovery, end to end.
 //!
-//! The contract under test: (1) after a scheduled rank death, the
-//! survivors revoke, agree, shrink, re-decompose the stencil grid and the
-//! resulting halo exchange is byte-for-byte identical to the serial
-//! oracle; (2) agreement returns the *identical* failure set on every
-//! survivor even when the first coordinator candidate is the one that
-//! died; (3) a revoked communicator errors blocked ranks out
-//! deterministically instead of hanging, and a shrink restores service;
-//! (4) messages from a pre-shrink epoch can never match a post-shrink
-//! receive; (5) the whole kill → agree → shrink → resume schedule replays
-//! exactly under the same seed.
+//! The contract under test: (1) a rank death at *any* instant of the
+//! recovering stencil demo — every whole microsecond of the run and every
+//! span edge of its trace, on every rank — leaves the victim alone with
+//! `PeerGone` and every survivor's grid byte-for-byte identical to the
+//! serial oracle, never a deadlock; (2) agreement returns the *identical*
+//! dead set and minimum value on every survivor even when the first
+//! coordinator candidate is the one that died; (3) a revoked communicator
+//! errors blocked ranks out deterministically instead of hanging, and a
+//! shrink restores service; (4) messages from a pre-shrink epoch can never
+//! match a post-shrink receive; (5) the whole kill → agree → shrink →
+//! resume schedule replays exactly under the same seed.
 
 use gpu_sim::SimTime;
 use mpi_sim::{
-    FaultPlan, FaultSite, MpiError, MpiResult, RankCtx, ScopedFault, World, WorldConfig,
+    FaultPlan, FaultSite, FaultStats, MpiError, MpiResult, RankCtx, RankExit, ScopedFault, World,
+    WorldConfig,
 };
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
-use tempi_stencil::{CheckpointStore, HaloConfig, HaloExchanger, RecoveryOutcome};
+use tempi_core::{TraceLevel, Tracer};
+use tempi_stencil::{CheckpointStore, HaloConfig, HaloExchanger};
+use tempi_trace::EventPhase;
 
-/// One rank's share of a recovering stencil run: build the exchanger,
-/// commit checkpoint generation 0 while everyone is still alive, advance
-/// past any scheduled exit instant, then exchange with recovery — the
-/// restore path rebuilds dead ranks' subdomains from the checkpoint
-/// frames alone. Returns the outcome, the full local grid bytes, the
-/// serial-oracle expectation, and the final communicator size. A rank the
-/// group decides is dead surfaces `PeerGone` to the caller.
-fn recovering_rank(
-    ctx: &mut RankCtx,
-    n: usize,
-) -> MpiResult<(RecoveryOutcome, Vec<u8>, Vec<u8>, usize)> {
+/// What one rank of a recovering stencil run ends with.
+#[derive(Debug, Clone, PartialEq)]
+struct Recovered {
+    /// Shrinks over both iterations.
+    shrinks: u64,
+    /// World ranks excluded, in exclusion order.
+    excluded: Vec<usize>,
+    /// The generation the last rebuild restored from, if any.
+    restored: Option<u64>,
+    /// Final communicator epoch and size.
+    epoch: u64,
+    size: usize,
+    /// The full local grid is byte-for-byte what the serial oracle says.
+    verified: bool,
+    /// Final virtual clock and fault counters (for replay comparisons).
+    clock: SimTime,
+    stats: FaultStats,
+}
+
+/// One rank's share of the README's recovering demo: build the exchanger,
+/// fill it, then two iterations that each checkpoint and exchange with
+/// recovery. A rank the group decides is dead surfaces `PeerGone`.
+fn recovering_rank(ctx: &mut RankCtx, mut store: CheckpointStore) -> MpiResult<Recovered> {
     let mut mpi = InterposedMpi::new(TempiConfig::default());
-    let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(n))?;
+    let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
     ex.fill(ctx)?;
-    let mut store = CheckpointStore::new();
-    ex.checkpoint(ctx, &mut mpi, &mut store)?;
-    // Scheduled exits are late (10ms) so the snapshot above commits on
-    // every rank first; the clock barrier makes that "first" hold in real
-    // thread order too, not just on the virtual timeline. Without it a
-    // fast survivor that already observed the death could revoke while a
-    // slow rank is still inside the checkpoint's message barrier, making
-    // that rank abort its commit — leaving no commonly-committed
-    // generation and deadlocking the later agreement (a rare but real
-    // schedule this suite used to hang on). The advance then carries each
-    // rank past its exit instant so the death is observed *inside* the
-    // recovered exchange.
-    ctx.barrier();
-    ctx.clock.advance(SimTime::from_ms(20));
-    let out = ex.exchange_with_recovery(ctx, &mut mpi, &store, 4)?;
-    let got = { ctx.gpu.memory().peek(ex.grid, ex.cfg.alloc_bytes())? };
-    let want = ex.expected_grid(ctx);
-    Ok((out, got, want, ctx.size))
+    let (mut shrinks, mut excluded, mut restored) = (0, Vec::new(), None);
+    for _ in 0..2 {
+        let out = ex.exchange_with_recovery(ctx, &mut mpi, &mut store, true)?;
+        shrinks += out.shrinks;
+        excluded.extend(out.excluded);
+        restored = out.restored.or(restored);
+    }
+    Ok(Recovered {
+        shrinks,
+        excluded,
+        restored,
+        epoch: ctx.epoch(),
+        size: ctx.size,
+        verified: ctx.gpu.memory().peek(ex.grid, ex.cfg.alloc_bytes())? == ex.expected_grid(ctx),
+        clock: ctx.clock.now(),
+        stats: ctx.faults.stats.clone(),
+    })
+}
+
+/// Run the demo on 8 ranks under `cfg`; every rank's outcome, errors
+/// included, comes back as a value, unless the world itself fails (a
+/// deadlock is the world's error).
+fn demo_world(cfg: &WorldConfig) -> MpiResult<Vec<MpiResult<Recovered>>> {
+    World::run(cfg, |ctx| Ok(recovering_rank(ctx, CheckpointStore::new())))
+}
+
+/// [`demo_world`], which must run.
+fn run_demo(cfg: &WorldConfig) -> Vec<MpiResult<Recovered>> {
+    demo_world(cfg).expect("the world must run")
+}
+
+/// `spec` with every rank in `victims` scheduled to exit at `at`.
+fn with_exits(spec: &str, victims: &[usize], at: SimTime) -> FaultPlan {
+    let mut plan = FaultPlan::parse(spec).unwrap();
+    for &rank in victims {
+        plan.rank_exits.push(RankExit { rank, at });
+    }
+    plan
+}
+
+/// The instant every rank of an 8-rank world under `plan` leaves the
+/// first round's agreement — the agreement merges every clock — so a
+/// death scheduled there fires at the victim's first operation after
+/// checkpoint generation 0 committed everywhere.
+fn after_first_commit(plan: &FaultPlan) -> SimTime {
+    let cfg = WorldConfig::summit(8).with_faults(plan.clone());
+    let ends = World::run(&cfg, |ctx| {
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
+        ex.fill(ctx)?;
+        ex.exchange_with_recovery(ctx, &mut mpi, &mut CheckpointStore::new(), true)?;
+        Ok(ctx.clock.now())
+    })
+    .unwrap();
+    assert!(ends.iter().all(|&t| t == ends[0]), "{ends:?}");
+    ends[0]
+}
+
+/// Survivors of a run whose victims are `victims`: check the victims
+/// stood down and every other rank matches the serial oracle.
+fn survivors(results: &[MpiResult<Recovered>], victims: &[usize]) -> Vec<Recovered> {
+    let mut out = Vec::new();
+    for (rank, r) in results.iter().enumerate() {
+        if victims.contains(&rank) {
+            assert_eq!(r.as_ref().err(), Some(&MpiError::PeerGone), "rank {rank}");
+            continue;
+        }
+        let r = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("rank {rank} must recover: {e}"));
+        assert!(
+            r.verified,
+            "rank {rank} grid diverged from the serial oracle"
+        );
+        out.push(r.clone());
+    }
+    out
+}
+
+#[test]
+fn every_victim_at_every_instant_recovers_byte_exactly() {
+    // The fault space of the README demo is finite: enumerate it. The
+    // instants are every whole microsecond of a fault-free run plus every
+    // distinct span edge of its trace, where each phase hands over to the
+    // next.
+    let tracer = Tracer::new(TraceLevel::Spans);
+    let cfg = WorldConfig::summit(8)
+        .with_sched_workers(1)
+        .with_tracer(tracer.clone());
+    let clean = run_demo(&cfg);
+    let end = (clean.iter())
+        .map(|r| r.as_ref().expect("the fault-free run must succeed").clock)
+        .max()
+        .unwrap();
+    let mut edges: Vec<u64> = (tracer.events().iter())
+        .filter(|e| {
+            matches!(
+                e.ph,
+                EventPhase::Begin | EventPhase::End | EventPhase::Complete
+            )
+        })
+        .flat_map(|e| [e.ts_ps, e.ts_ps + e.dur_ps])
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut instants: Vec<SimTime> = (0..=end.as_ps() / 1_000_000)
+        .map(SimTime::from_us)
+        .chain(edges.iter().map(|&ps| SimTime::from_ps(ps)))
+        .collect();
+    instants.sort_unstable();
+    instants.dedup();
+
+    // Victims split over a few threads; each world runs on one worker.
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|first| {
+                let instants = &instants;
+                s.spawn(move || {
+                    let mut failures = Vec::new();
+                    for victim in (first..8).step_by(threads) {
+                        for &at in instants {
+                            let cfg = WorldConfig::summit(8)
+                                .with_faults(with_exits("", &[victim], at))
+                                .with_sched_workers(1);
+                            if let Err(why) = judge(demo_world(&cfg), victim) {
+                                failures.push(format!("(victim {victim}, T = {at}): {why}"));
+                            }
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let runs = 8 * instants.len();
+    assert!(runs >= 2_568, "only {runs} runs enumerated");
+    assert!(
+        failures.is_empty(),
+        "{} of {runs} (victim, instant) pairs failed; the first:\n{}",
+        failures.len(),
+        failures[..failures.len().min(20)].join("\n")
+    );
+}
+
+/// The verdict on one enumerated run: the world ran, the victim alone
+/// returns `PeerGone` and the 7 survivors shrank around it, or — the
+/// death came after the run ended — all 8 verify on the whole world; every
+/// grid that comes back matches the serial oracle.
+fn judge(run: MpiResult<Vec<MpiResult<Recovered>>>, victim: usize) -> Result<(), String> {
+    let results = run.map_err(|e| format!("the world: {e}"))?;
+    let died = matches!(results[victim], Err(MpiError::PeerGone));
+    for (rank, r) in results.iter().enumerate() {
+        match r {
+            Err(MpiError::PeerGone) if rank == victim => {}
+            Err(e) => return Err(format!("rank {rank}: {e}")),
+            Ok(r) if !r.verified => {
+                return Err(format!("rank {rank} diverged from the serial oracle"))
+            }
+            Ok(r) if died && (r.size, &r.excluded[..]) != (7, &[victim][..]) => {
+                return Err(format!(
+                    "rank {rank} ended at size {}, excluded {:?}",
+                    r.size, r.excluded
+                ))
+            }
+            Ok(r) if !died && r.size != 8 => {
+                return Err(format!("rank {rank} shrank around a victim that lived"))
+            }
+            Ok(_) => {}
+        }
+    }
+    Ok(())
 }
 
 #[test]
 fn shrink_after_kill_matches_serial_oracle_byte_for_byte() {
-    // 8 ranks, rank 3 scheduled dead before the exchange: the survivors
-    // must detect, shrink to 7, re-decompose, restore every subdomain from
-    // checkpoint generation 0, and end up with exactly the grid a serial
-    // computation of the 7-rank problem predicts.
-    let plan = FaultPlan::parse("exit=3@10ms").unwrap();
-    let cfg = WorldConfig::summit(8).with_faults(plan);
-    let results = World::run(&cfg, |ctx| match recovering_rank(ctx, 4) {
-        Ok(r) => Ok(Some(r)),
-        Err(e) if e.is_comm_failure() => Ok(None),
-        Err(e) => Err(e),
-    })
-    .unwrap();
-    assert!(results[3].is_none(), "the killed rank must stand down");
-    for (rank, r) in results.iter().enumerate() {
-        if rank == 3 {
-            continue;
-        }
-        let (out, got, want, size) = r.as_ref().expect("survivors must recover");
-        assert_eq!(out.shrinks, 1, "rank {rank}");
-        assert_eq!(out.excluded, vec![3], "rank {rank}");
-        assert_eq!(out.epoch, 1, "rank {rank}");
-        assert_eq!(out.restored, Some(0), "rank {rank} restores generation 0");
-        assert_eq!(*size, 7, "rank {rank}");
-        assert_eq!(
-            got, want,
-            "rank {rank} grid diverged from the serial oracle"
-        );
+    // Rank 3 dies right after generation 0 committed everywhere: the
+    // survivors must detect it, shrink to 7, re-decompose, restore every
+    // subdomain from generation 0, and end up with exactly the grid a
+    // serial computation of the 7-rank problem predicts.
+    let at = after_first_commit(&FaultPlan::default());
+    let cfg = WorldConfig::summit(8).with_faults(with_exits("", &[3], at));
+    for (rank, r) in survivors(&run_demo(&cfg), &[3]).iter().enumerate() {
+        assert_eq!(r.shrinks, 1, "survivor {rank}");
+        assert_eq!(r.excluded, vec![3], "survivor {rank}");
+        assert_eq!(r.epoch, 1, "survivor {rank}");
+        assert_eq!(r.restored, Some(0), "survivor {rank} restores generation 0");
+        assert_eq!(r.size, 7, "survivor {rank}");
     }
+}
+
+#[test]
+fn a_death_before_the_first_commit_restarts_from_the_initial_condition() {
+    // Nothing was ever committed when rank 6 dies at 0: the survivors
+    // restart the run on 7 ranks from its initial condition, as a job
+    // restarted without a checkpoint would, and still verify.
+    let cfg = WorldConfig::summit(8).with_faults(with_exits("", &[6], SimTime::ZERO));
+    for r in survivors(&run_demo(&cfg), &[6]) {
+        assert_eq!((r.shrinks, r.size, r.restored), (1, 7, None));
+        assert_eq!(r.excluded, vec![6]);
+    }
+}
+
+#[test]
+fn a_round_that_fails_without_a_death_fails_on_every_rank() {
+    // Rank 2's first send exhausts a zero retry budget: a communicator
+    // failure with nobody dead. The agreement still tells every rank the
+    // round failed, so all 8 shrink to a new epoch together (no one
+    // excluded), restart from the initial condition — nothing had
+    // committed — and verify.
+    let mut plan = FaultPlan::parse("retries=0").unwrap();
+    plan.scoped.push(ScopedFault {
+        rank: 2,
+        site: FaultSite::Send,
+        at_call: 0,
+    });
+    let cfg = WorldConfig::summit(8).with_faults(plan);
+    let ranks = survivors(&run_demo(&cfg), &[]);
+    for r in &ranks {
+        assert_eq!((r.shrinks, r.epoch, r.size, r.restored), (1, 1, 8, None));
+        assert!(r.excluded.is_empty());
+    }
+    assert_eq!(ranks.iter().map(|r| r.stats.send_faults).sum::<u64>(), 1);
 }
 
 #[test]
@@ -90,25 +283,26 @@ fn agreement_is_identical_on_all_survivors_despite_coordinator_death() {
     // Rank 0 — the *first* coordinator candidate — is the dead one, and
     // the survivors' clocks are skewed so they observe the death at
     // different virtual instants. Every survivor must still decide the
-    // same set, and a second agreement must reproduce it.
+    // same set and the same minimum, and a second agreement must
+    // reproduce them.
     let plan = FaultPlan::parse("exit=0@5us").unwrap();
     let cfg = WorldConfig::summit(4).with_faults(plan);
     let results = World::run(&cfg, |ctx| {
         ctx.clock
             .advance(SimTime::from_us(10 + 7 * ctx.rank as u64));
         if ctx.rank == 0 {
-            assert_eq!(ctx.agree_on_failures(), Err(MpiError::PeerGone));
-            return Ok(vec![usize::MAX]);
+            assert_eq!(ctx.agree(0), Err(MpiError::PeerGone));
+            return Ok((vec![usize::MAX], 0));
         }
-        let first = ctx.agree_on_failures()?;
-        let second = ctx.agree_on_failures()?;
+        let first = ctx.agree(10 * ctx.rank as u64)?;
+        let second = ctx.agree(10 * ctx.rank as u64)?;
         assert_eq!(first, second, "agreement must be stable");
         Ok(first)
     })
     .unwrap();
-    assert_eq!(results[0], vec![usize::MAX]);
-    for (rank, set) in results.iter().enumerate().skip(1) {
-        assert_eq!(set, &vec![0], "rank {rank} must decide the same set");
+    assert_eq!(results[0], (vec![usize::MAX], 0));
+    for (rank, decided) in results.iter().enumerate().skip(1) {
+        assert_eq!(decided, &(vec![0], 10), "rank {rank} must decide the same");
     }
 }
 
@@ -116,8 +310,8 @@ fn agreement_is_identical_on_all_survivors_despite_coordinator_death() {
 fn revoked_comm_errors_blocked_ranks_then_shrink_restores_service() {
     // Ranks 1–3 park in receives that can never be satisfied; rank 0
     // revokes. The revocation must error the blocked ranks out (no hang),
-    // poison new operations, and a collective shrink must then restore
-    // full service on the next epoch.
+    // poison new operations, and an agreement plus a shrink must then
+    // restore full service on the next epoch.
     let cfg = WorldConfig::summit(4);
     let results = World::run(&cfg, |ctx| {
         let buf = ctx.gpu.host_alloc(8)?;
@@ -131,8 +325,9 @@ fn revoked_comm_errors_blocked_ranks_then_shrink_restores_service() {
             );
             assert!(ctx.is_revoked());
         }
-        let dead = ctx.shrink()?;
+        let (dead, _) = ctx.agree(0)?;
         assert!(dead.is_empty(), "nobody actually died");
+        ctx.shrink(&dead)?;
         assert_eq!(ctx.epoch(), 1);
         assert!(!ctx.is_revoked());
         // service restored: a ring exchange on the new epoch
@@ -158,8 +353,8 @@ fn stale_prior_epoch_messages_are_rejected_after_shrink() {
             ctx.gpu.memory().poke(buf, &[0xAA; 8])?;
             ctx.send_bytes(buf, 8, 1, 7)?;
         }
-        let dead = ctx.shrink()?;
-        assert!(dead.is_empty());
+        let (dead, _) = ctx.agree(0)?;
+        ctx.shrink(&dead)?;
         assert_eq!(ctx.epoch(), 1);
         if ctx.rank == 0 {
             ctx.gpu.memory().poke(buf, &[0xBB; 8])?;
@@ -188,31 +383,17 @@ fn stale_prior_epoch_messages_are_rejected_after_shrink() {
 fn seeded_recovery_replays_identically() {
     // Transient link faults *and* a scheduled death, all seeded: two runs
     // must agree on the recovery outcome, the final grid bytes, the
-    // virtual clock, and every injection counter.
-    let run = |seed: u64| {
-        let cfg = WorldConfig::summit(8).with_faults(
-            FaultPlan::parse(&format!(
-                "seed={seed},send=0.1,recv=0.05,retries=8,backoff=10us,exit=5@10ms"
-            ))
-            .unwrap(),
-        );
-        World::run(&cfg, |ctx| match recovering_rank(ctx, 4) {
-            Ok((out, got, want, size)) => {
-                assert_eq!(got, want, "recovered grid must match the serial oracle");
-                Ok(Some((
-                    out,
-                    got,
-                    size,
-                    ctx.clock.now().as_ps(),
-                    ctx.faults.stats.send_faults,
-                    ctx.faults.stats.recv_faults,
-                    ctx.faults.stats.retries,
-                )))
-            }
-            Err(e) if e.is_comm_failure() => Ok(None),
-            Err(e) => Err(e),
-        })
-        .unwrap()
+    // virtual clock, and every fault counter. Rank 5 dies as generation 0
+    // commits. Replay is pinned on one scheduler worker: on more, the
+    // wall-clock order in which revocations and death notices are sifted
+    // still moves counters and clocks (ROADMAP item 2).
+    let replay = |seed: u64| {
+        let spec = format!("seed={seed},send=0.1,recv=0.05,retries=8,backoff=10us");
+        let at = after_first_commit(&FaultPlan::parse(&spec).unwrap());
+        let cfg = WorldConfig::summit(8)
+            .with_faults(with_exits(&spec, &[5], at))
+            .with_sched_workers(1);
+        survivors(&run_demo(&cfg), &[5])
     };
     // CI varies TEMPI_FAULT_SEED so replay holds for every seed, not one
     // lucky one
@@ -220,23 +401,19 @@ fn seeded_recovery_replays_identically() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1337);
-    let a = run(seed);
-    let b = run(seed);
+    let a = replay(seed);
     assert_eq!(
-        a, b,
+        a,
+        replay(seed),
         "same seed must replay the identical recovery schedule"
     );
-    assert!(a[5].is_none(), "rank 5 is the scheduled death");
-    let survivors: Vec<_> = a.iter().flatten().collect();
-    assert_eq!(survivors.len(), 7);
-    for s in &survivors {
-        assert!(s.0.excluded.contains(&5));
-        assert!(s.0.epoch >= 1 && s.0.shrinks >= 1);
+    assert_eq!(a.len(), 7);
+    for s in &a {
+        assert_eq!(s.excluded, vec![5]);
+        assert_eq!((s.epoch, s.shrinks, s.restored), (1, 1, Some(0)));
     }
     // a different seed must still recover (the schedule may differ)
-    let c = run(seed.wrapping_add(687));
-    assert!(c[5].is_none());
-    assert_eq!(c.iter().flatten().count(), 7);
+    assert_eq!(replay(seed.wrapping_add(687)).len(), 7);
 }
 
 #[test]
@@ -248,75 +425,40 @@ fn kill_plus_corruption_restores_from_checkpoints_and_replays() {
     // recovery path), the final grid matches the serial oracle
     // byte-for-byte, and the whole schedule — fault counters, degradation
     // log, restored state, virtual clocks — replays identically under the
-    // same seed.
-    let run = |seed: u64| {
-        // The scheduler turns any residual hang in this schedule into a
-        // structured Deadlock error naming the stuck ranks — this test
-        // used to wedge rarely (see the barrier note in
-        // `recovering_rank`), and a silent hang is the one outcome a CI
-        // run can't diagnose.
+    // same seed. Rank 2 dies as generation 0 commits; replay is pinned on
+    // one scheduler worker, as above.
+    let spec = "seed=424242,corrupt=0.2,retries=8,backoff=10us";
+    let at = after_first_commit(&FaultPlan::parse(spec).unwrap());
+    let replay = || {
+        // The scheduler turns any residual hang into a structured Deadlock
+        // error naming the stuck ranks: a silent hang is the one outcome a
+        // CI run can't diagnose.
         let cfg = WorldConfig::summit(8)
-            .with_faults(
-                FaultPlan::parse(&format!(
-                    "seed={seed},corrupt=0.2,retries=8,backoff=10us,exit=2@10ms"
-                ))
-                .unwrap(),
-            )
-            .with_deadlock_budget(SimTime::from_ms(100));
+            .with_faults(with_exits(spec, &[2], at))
+            .with_deadlock_budget(SimTime::from_ms(100))
+            .with_sched_workers(1);
         assert!(cfg.integrity, "an active corrupt site enables integrity");
-        World::run(&cfg, |ctx| match recovering_rank(ctx, 4) {
-            Ok((out, got, want, size)) => {
-                assert_eq!(
-                    got, want,
-                    "rank {}: restored grid must match the serial oracle",
-                    ctx.rank
-                );
-                Ok(Some((
-                    out,
-                    got,
-                    size,
-                    ctx.clock.now().as_ps(),
-                    ctx.faults.stats.clone(),
-                )))
-            }
-            Err(e) if e.is_comm_failure() => Ok(None),
-            Err(e) => Err(e),
-        })
-        .unwrap()
+        survivors(&run_demo(&cfg), &[2])
     };
-    let a = run(424_242);
-    let b = run(424_242);
+    let a = replay();
     assert_eq!(
-        a, b,
+        a,
+        replay(),
         "same seed must replay the identical event log and restored state"
     );
-    assert!(a[2].is_none(), "rank 2 is the scheduled death");
-    let survivors: Vec<_> = a.iter().flatten().collect();
-    assert_eq!(survivors.len(), 7);
-    for s in &survivors {
-        assert_eq!(s.0.shrinks, 1);
-        assert_eq!(s.0.excluded, vec![2]);
-        assert_eq!(s.0.restored, Some(0), "rebuilt from checkpoints alone");
+    assert_eq!(a.len(), 7);
+    for s in &a {
+        assert_eq!(s.shrinks, 1);
+        assert_eq!(s.excluded, vec![2]);
+        assert_eq!(s.restored, Some(0), "rebuilt from checkpoints alone");
     }
     // corruption actually happened somewhere and was absorbed by the
     // NACK/retransmit protocol, never surfacing to the application
-    let corruptions: u64 = survivors.iter().map(|s| s.4.corruptions).sum();
-    let nacks: u64 = survivors.iter().map(|s| s.4.nacks).sum();
-    let retransmits: u64 = survivors.iter().map(|s| s.4.retransmits).sum();
+    let corruptions: u64 = a.iter().map(|s| s.stats.corruptions).sum();
+    let nacks: u64 = a.iter().map(|s| s.stats.nacks).sum();
+    let retransmits: u64 = a.iter().map(|s| s.stats.retransmits).sum();
     assert!(corruptions >= 1, "the corrupt site never fired");
     assert!(nacks >= 1 && retransmits >= 1, "corruption must be NACKed");
-}
-
-/// Block until `peer`'s death notice (or this rank's own scheduled exit)
-/// has been sifted locally: receive on a tag nobody ever sends, which can
-/// only end in an error once the death is known. Pinning failure
-/// knowledge down *before* agreement runs makes a multi-death schedule
-/// shrink in a single deterministic round on every thread interleaving.
-fn await_death_notice(ctx: &mut RankCtx, peer: usize) {
-    if let Ok(buf) = ctx.gpu.host_alloc(1) {
-        let _ = ctx.recv_bytes(buf, 1, Some(peer), Some(913));
-        let _ = ctx.gpu.free(buf);
-    }
 }
 
 #[test]
@@ -329,54 +471,24 @@ fn restore_falls_back_to_spill_when_owner_and_buddy_both_die() {
     // resort. A byte-exact final grid therefore proves the disk path.
     let dir = std::env::temp_dir().join(format!("tempi-spill-fb-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let plan = FaultPlan::parse("exit=4@10ms,exit=5@10ms").unwrap();
+    let at = after_first_commit(&FaultPlan::default());
     let cfg = WorldConfig::summit(8)
-        .with_faults(plan)
+        .with_faults(with_exits("", &[4, 5], at))
         .with_deadlock_budget(SimTime::from_ms(100));
     let spill = dir.clone();
     let results = World::run(&cfg, move |ctx| {
-        let mut mpi = InterposedMpi::new(TempiConfig::default());
-        let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
-        ex.fill(ctx)?;
-        let mut store = CheckpointStore::with_spill(spill.clone());
-        ex.checkpoint(ctx, &mut mpi, &mut store)?;
-        // Clock barrier: no rank may announce its death (at its first
-        // post-exit operation below) before EVERY rank has committed the
-        // snapshot — otherwise a fast survivor's revoke can reach a slow
-        // rank still inside the checkpoint's message barrier, abort its
-        // commit, and leave the world without a common generation.
-        ctx.barrier();
-        ctx.clock.advance(SimTime::from_ms(20));
-        await_death_notice(ctx, 4);
-        await_death_notice(ctx, 5);
-        match ex.exchange_with_recovery(ctx, &mut mpi, &store, 4) {
-            Ok(out) => {
-                let got = ctx.gpu.memory().peek(ex.grid, ex.cfg.alloc_bytes())?;
-                let want = ex.expected_grid(ctx);
-                Ok(Some((out, got, want, ctx.size)))
-            }
-            Err(e) if e.is_comm_failure() => Ok(None),
-            Err(e) => Err(e),
-        }
+        Ok(recovering_rank(
+            ctx,
+            CheckpointStore::with_spill(spill.clone()),
+        ))
     })
     .unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(results[4].is_none() && results[5].is_none());
-    for (rank, r) in results.iter().enumerate() {
-        if rank == 4 || rank == 5 {
-            continue;
-        }
-        let (out, got, want, size) = r.as_ref().expect("survivors must recover");
-        assert_eq!(out.shrinks, 1, "rank {rank}: both deaths in one round");
-        let mut excluded = out.excluded.clone();
-        excluded.sort_unstable();
-        assert_eq!(excluded, vec![4, 5], "rank {rank}");
-        assert_eq!(out.restored, Some(0), "rank {rank}");
-        assert_eq!(*size, 6, "rank {rank}");
-        assert_eq!(
-            got, want,
-            "rank {rank} grid diverged from the serial oracle"
-        );
+    for (rank, r) in survivors(&results, &[4, 5]).iter().enumerate() {
+        assert_eq!(r.shrinks, 1, "survivor {rank}: both deaths in one round");
+        assert_eq!(r.excluded, vec![4, 5], "survivor {rank}");
+        assert_eq!(r.restored, Some(0), "survivor {rank}");
+        assert_eq!(r.size, 6, "survivor {rank}");
     }
 }
 
@@ -391,7 +503,8 @@ fn corrupted_spill_surfaces_a_typed_error_instead_of_bad_data() {
     // never touches the bad file.
     let dir = std::env::temp_dir().join(format!("tempi-spill-bad-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut plan = FaultPlan::parse("exit=4@10ms,exit=5@10ms").unwrap();
+    let at = after_first_commit(&FaultPlan::default());
+    let mut plan = with_exits("", &[4, 5], at);
     plan.scoped.push(ScopedFault {
         rank: 4,
         site: FaultSite::Spill,
@@ -411,31 +524,23 @@ fn corrupted_spill_surfaces_a_typed_error_instead_of_bad_data() {
         let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
         ex.fill(ctx)?;
         let mut store = CheckpointStore::with_spill(spill.clone());
-        ex.checkpoint(ctx, &mut mpi, &mut store)?;
-        ctx.barrier(); // commits must all land before any death announces
-        ctx.clock.advance(SimTime::from_ms(20));
-        await_death_notice(ctx, 4);
-        await_death_notice(ctx, 5);
-        let _ = mpi.comm_revoke(ctx);
-        let mut dead = match mpi.comm_shrink(ctx) {
-            Ok(d) => d,
+        ex.exchange_with_recovery(ctx, &mut mpi, &mut store, true)?;
+        // ranks 4 and 5 die entering this agreement
+        let (dead, _) = match mpi.comm_agree(ctx, 0) {
+            Ok(decided) => decided,
             Err(e) if e.is_comm_failure() => return Ok(None),
             Err(e) => return Err(e),
         };
-        dead.sort_unstable();
         assert_eq!(dead, vec![4, 5], "rank {}", ctx.rank);
+        mpi.comm_shrink(ctx, &dead)?;
         // Re-decompose over the survivors; the restore is the step under
         // test. (The first exchanger's buffers are intentionally left
         // allocated — this world tears down right after the restore.)
         let origin = ex.origin;
         let mut ex2 = HaloExchanger::new(ctx, &mut mpi, ex.cfg)?;
         ex2.origin = origin;
-        Ok(Some(
-            match ex2.restore_from_checkpoint(ctx, &mut mpi, &store) {
-                Ok(generation) => Ok(generation),
-                Err(e) => Err(e.to_string()),
-            },
-        ))
+        let restored = ex2.restore_from_checkpoint(ctx, &mut mpi, &store, 0);
+        Ok(Some(restored.map_err(|e| e.to_string())))
     })
     .unwrap();
     let _ = std::fs::remove_dir_all(&dir);
@@ -446,7 +551,7 @@ fn corrupted_spill_surfaces_a_typed_error_instead_of_bad_data() {
                 msg.contains("checkpoint frame"),
                 "rank 2 must surface the frame verification failure, got: {msg}"
             ),
-            (_, Some(Ok(generation))) => assert_eq!(*generation, 0, "rank {rank}"),
+            (_, Some(Ok(()))) => {}
             other => panic!("unexpected outcome for rank {rank}: {other:?}"),
         }
     }
@@ -469,8 +574,8 @@ fn stale_epoch_drop_and_corruption_nack_compose() {
             ctx.gpu.memory().poke(buf, &[0xAA; 8])?;
             ctx.send_bytes(buf, 8, 1, 7)?;
         }
-        let dead = ctx.shrink()?;
-        assert!(dead.is_empty());
+        let (dead, _) = ctx.agree(0)?;
+        ctx.shrink(&dead)?;
         assert_eq!(ctx.epoch(), 1);
         if ctx.rank == 0 {
             ctx.gpu.memory().poke(buf, &[0xBB; 8])?;

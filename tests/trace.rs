@@ -48,8 +48,8 @@ fn traced_stencil(seed: u64) -> Tracer {
         let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
         ex.fill(ctx)?;
         ex.exchange(ctx, &mut mpi)?;
-        ex.exchange(ctx, &mut mpi)?;
-        ex.checkpoint(ctx, &mut mpi, &mut CheckpointStore::new())?;
+        // the second iteration checkpoints, then exchanges
+        ex.exchange_with_recovery(ctx, &mut mpi, &mut CheckpointStore::new(), true)?;
         mpi.publish_metrics(&ctx.tracer);
         Ok(())
     })
