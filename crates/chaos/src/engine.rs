@@ -354,8 +354,40 @@ fn checkpoint_cycle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ChaosEvent;
+    use crate::scenario::{ChaosEvent, STENCIL_RUN_US};
     use mpi_sim::{FaultSite, ScopedFault};
+    use tempi_trace::ArgValue;
+
+    /// A run of `sc` without its exits: the instant its first agreement
+    /// released every rank (checkpoint generation 0 committed) and the
+    /// instant its last event ended, in virtual picoseconds.
+    fn fault_free_timeline(sc: &Scenario) -> (u64, u64) {
+        let faults = sc
+            .events
+            .iter()
+            .filter(|ev| matches!(ev, ChaosEvent::Fault(_)));
+        let out = run_scenario(&sc.with_events(faults.cloned().collect()));
+        assert!(out.ok(), "violations: {:?}", out.violations);
+        let events = out.tracer.events();
+        let agreed = events.iter().filter(|e| e.name == "comm.agree");
+        let committed = agreed.map(|e| e.ts_ps).min().expect("the run agrees");
+        let end = events.iter().map(|e| e.ts_ps + e.dur_ps).max();
+        (committed, end.expect("the run is traced"))
+    }
+
+    /// `(world rank, generation, owner)` of every restore that read a
+    /// spilled frame.
+    fn spill_reads(out: &Outcome) -> Vec<(u32, u64, u64)> {
+        let arg = |args: &[(&str, ArgValue)], key| match args.iter().find(|(k, _)| *k == key) {
+            Some((_, ArgValue::U64(v))) => *v,
+            other => panic!("restore.spill {key}: {other:?}"),
+        };
+        let events = out.tracer.events();
+        let reads = events.iter().filter(|e| e.name == "restore.spill");
+        reads
+            .map(|e| (e.pid, arg(&e.args, "generation"), arg(&e.args, "owner")))
+            .collect()
+    }
 
     fn storm(seed: u64, integrity: bool, events: Vec<ChaosEvent>) -> Scenario {
         Scenario {
@@ -418,28 +450,24 @@ mod tests {
 
     #[test]
     fn stencil_recovery_with_deaths_holds_every_oracle() {
-        let sc = Scenario {
+        let mut sc = Scenario {
             seed: 31,
             ranks: 8,
             workload: Workload::StencilRecovery { n: 6 },
-            events: vec![
-                ChaosEvent::Exit {
-                    rank: 4,
-                    at_us: 250,
-                },
-                ChaosEvent::Exit {
-                    rank: 5,
-                    at_us: 250,
-                },
-                ChaosEvent::Fault(ScopedFault {
-                    rank: 1,
-                    site: FaultSite::Kernel,
-                    at_call: 2,
-                }),
-            ],
+            events: vec![ChaosEvent::Fault(ScopedFault {
+                rank: 1,
+                site: FaultSite::Kernel,
+                at_call: 2,
+            })],
             integrity: true,
             max_retries: 3,
         };
+        // ranks 4 and 5 die at their first operation after generation 0
+        // committed everywhere
+        let at_us = fault_free_timeline(&sc).0.div_ceil(1_000_000);
+        for rank in [4, 5] {
+            sc.events.push(ChaosEvent::Exit { rank, at_us });
+        }
         let out = run_scenario(&sc);
         assert!(out.ok(), "violations: {:?}", out.violations);
         let died: Vec<usize> = out
@@ -452,6 +480,31 @@ mod tests {
         // survivors moved to a later epoch after the shrink
         let survivor = &out.reports[0];
         assert!(survivor.epochs.last().unwrap() > &0);
+        // block 4 lost its owner and its buddy: world rank 2 rebuilt it
+        // from generation 0's spill file
+        assert_eq!(spill_reads(&out), vec![(2, 0, 4)]);
+    }
+
+    #[test]
+    fn generated_exits_cover_a_whole_stencil_run() {
+        // the generator schedules deaths at 6 and 8 ranks only; most
+        // draws must land inside the run
+        let end = [6, 8].map(|ranks| {
+            let sc = Scenario {
+                seed: 1,
+                ranks,
+                workload: Workload::StencilRecovery { n: 6 },
+                events: Vec::new(),
+                integrity: true,
+                max_retries: 3,
+            };
+            fault_free_timeline(&sc).1.div_ceil(1_000_000)
+        });
+        let end_us = end[0].max(end[1]);
+        assert!(
+            end_us < STENCIL_RUN_US && STENCIL_RUN_US <= end_us + end_us / 8,
+            "fault-free runs end at {end:?} µs"
+        );
     }
 
     #[test]

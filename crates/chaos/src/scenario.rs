@@ -124,10 +124,11 @@ impl FromJson for ChaosEvent {
     }
 }
 
-/// Virtual microseconds that bound a `StencilRecovery` run's deaths: a
-/// fault-free run lasts 313 µs at 4 to 8 ranks, so exits drawn below this
-/// cover all of it and a little past its end.
-const STENCIL_RUN_US: u64 = 400;
+/// Virtual microseconds that bound a generated `StencilRecovery` run's
+/// deaths: a fault-free `n = 6` run ends at 314 µs at 6 and at 8 ranks (the
+/// engine's tests measure it), so exits drawn below this cover all of it
+/// and 8 % past its end, where a death never fires.
+pub(crate) const STENCIL_RUN_US: u64 = 340;
 
 /// A complete, reproducible chaos run description.
 #[derive(Debug, Clone, PartialEq)]

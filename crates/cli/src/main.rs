@@ -31,9 +31,7 @@
 //!                                              committed checkpoint
 //!                                              generation (or restart from
 //!                                              the initial condition when
-//!                                              none committed);
-//!                                              --checkpoint-every needs
-//!                                              --recover
+//!                                              none committed)
 //! tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR]
 //!                                              seeded chaos campaign:
 //!                                              random workload × fault
@@ -75,7 +73,7 @@ use tempi_stencil::{CheckpointStore, Decomp, HaloConfig, HaloExchanger};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  tempi-cli describe \"<spec>\"\n  tempi-cli pack \"<spec>\" [--incount N] [--platform mv|op|sp] [--unpack]\n  tempi-cli commit \"<spec>\" [--platform mv|op|sp]\n  tempi-cli model <bytes> <block> [--word W] [--chunk C]\n  tempi-cli send \"<spec>\" [--incount N] [--method device|oneshot|staged|pipelined] [--tuner off|model|online] [--rounds R] [--faults \"<plan>\"] [--trace out.json]\n  tempi-cli stencil [--ranks P] [--n N] [--iters I] [--faults \"<plan>\"] [--recover [--checkpoint-every N]] [--trace out.json]\n  tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR] | --replay DIR\n  tempi-cli spec-help\n\nfault plan: comma-separated clauses, e.g.\n  \"seed=42,kernel=1.0,send=0.05,corrupt=0.1,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us\""
+        "usage:\n  tempi-cli describe \"<spec>\"\n  tempi-cli pack \"<spec>\" [--incount N] [--platform mv|op|sp] [--unpack]\n  tempi-cli commit \"<spec>\" [--platform mv|op|sp]\n  tempi-cli model <bytes> <block> [--word W] [--chunk C]\n  tempi-cli send \"<spec>\" [--incount N] [--method device|oneshot|staged|pipelined] [--tuner off|model|online] [--rounds R] [--faults \"<plan>\"] [--trace out.json]\n  tempi-cli stencil [--ranks P] [--n N] [--iters I] [--faults \"<plan>\"] [--recover] [--checkpoint-every N] [--trace out.json]\n  tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR] | --replay DIR\n  tempi-cli spec-help\n\nfault plan: comma-separated clauses, e.g.\n  \"seed=42,kernel=1.0,send=0.05,corrupt=0.1,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us\""
     );
     std::process::exit(2);
 }
@@ -633,9 +631,9 @@ struct StencilOutcome {
 }
 
 /// One rank's share of the `stencil` subcommand: build the exchanger, run
-/// `iters` halo exchanges (with ULFM-style recovery when asked, taking a
-/// coordinated checkpoint every `checkpoint_every` iterations), then
-/// verify the whole local grid against the serial oracle.
+/// `iters` halo exchanges (with ULFM-style recovery when asked), taking a
+/// coordinated checkpoint every `checkpoint_every` iterations, then verify
+/// the whole local grid against the serial oracle.
 fn run_stencil_rank(
     ctx: &mut RankCtx,
     n: usize,
@@ -650,8 +648,8 @@ fn run_stencil_rank(
     let mut shrinks = 0u64;
     let mut excluded: Vec<usize> = Vec::new();
     for iter in 0..iters {
+        let checkpoint = checkpoint_every.is_some_and(|every| iter % every == 0);
         if recover {
-            let checkpoint = checkpoint_every.is_some_and(|every| iter % every == 0);
             let out = ex.exchange_with_recovery(ctx, &mut mpi, &mut store, checkpoint)?;
             shrinks += out.shrinks;
             for w in out.excluded {
@@ -659,6 +657,8 @@ fn run_stencil_rank(
                     excluded.push(w);
                 }
             }
+        } else if checkpoint {
+            ex.exchange_and_checkpoint(ctx, &mut mpi, &mut store)?;
         } else {
             ex.exchange(ctx, &mut mpi)?;
         }
@@ -694,9 +694,6 @@ fn stencil(args: &[String]) {
             )),
         });
     let mut cfg = with_faults_arg(WorldConfig::summit(ranks), args);
-    if checkpoint_every.is_some() && !recover {
-        bad_usage("--checkpoint-every needs --recover: a checkpoint commits through the agreement that ends a recovering round");
-    }
     let (tracer, trace_path) = trace_setup(args);
     cfg = cfg.with_tracer(tracer.clone());
     let results = World::run(&cfg, |ctx| {

@@ -36,7 +36,10 @@
 //! burst before returning. Flooding is what makes the decision unique: a
 //! candidate either floods to everyone or to no one, and per-channel FIFO
 //! guarantees any member that later observes the candidate's death has
-//! already seen its decision. A participant that observes candidate `k`'s
+//! already seen its decision. The burst lands in every inbox as one step
+//! (revocations too), so whatever a fast member does after the decision —
+//! revoke its next round, announce its own death — queues behind the
+//! decision on every other member, at any worker count. A participant that observes candidate `k`'s
 //! death moves to candidate `k + 1` and re-ships its gather; a decision
 //! from *any* source ends its wait.
 //!
@@ -149,11 +152,12 @@ impl RankCtx {
             .collect()
     }
 
-    /// Raw control-plane send: no clock advance, no fault gating, errors
-    /// ignored (an unreachable peer is exactly what the control plane is
-    /// there to survive).
-    pub(crate) fn control_send(&mut self, dest_world: usize, tag: i32, payload: Vec<u8>) {
-        let msg = Message {
+    /// A control-plane message from this rank, departing now: no clock
+    /// advance, no fault gating, and no integrity envelope (control traffic
+    /// is consumed by the control plane, not delivered through
+    /// `deliver_payload`).
+    fn control_message(&self, tag: i32, payload: Vec<u8>) -> Message {
+        Message {
             src: self.rank,
             src_world: self.world_rank,
             epoch: self.epoch,
@@ -162,14 +166,27 @@ impl RankCtx {
             sender_space: MemSpace::Host,
             depart: self.clock.now(),
             part: None,
-            // control traffic never carries an integrity envelope: it is
-            // consumed by the control plane, not delivered through
-            // `deliver_payload`
             checksum: None,
-        };
-        // Control traffic is exempt from backpressure: the recovery
-        // protocol's progress guarantees are built on it.
+        }
+    }
+
+    /// Raw control-plane send, exempt from backpressure (the recovery
+    /// protocol's progress guarantees are built on it) and never failing
+    /// (an unreachable peer is exactly what the control plane is there to
+    /// survive).
+    pub(crate) fn control_send(&mut self, dest_world: usize, tag: i32, payload: Vec<u8>) {
+        let msg = self.control_message(tag, payload);
         self.router.push(dest_world, msg);
+    }
+
+    /// [`RankCtx::control_send`] to every other member in one step: no
+    /// member can react to its copy before every member holds one, so
+    /// what a member sends in reaction — a later round's revocation, a
+    /// death notice — queues behind the copy on every member, whatever
+    /// the worker threads' timing.
+    fn control_flood(&mut self, tag: i32, payload: Vec<u8>) {
+        let msg = self.control_message(tag, payload);
+        self.router.push_all(&self.other_members(), &msg);
     }
 
     /// ULFM `MPI_Comm_revoke`: poison the current communicator epoch on
@@ -191,9 +208,7 @@ impl RankCtx {
             self.clock.now().as_ps(),
             || vec![("epoch", epoch.into())],
         );
-        for w in self.other_members() {
-            self.control_send(w, TAG_REVOKE, Vec::new());
-        }
+        self.control_flood(TAG_REVOKE, Vec::new());
         Ok(())
     }
 
@@ -251,10 +266,7 @@ impl RankCtx {
     ) -> MpiResult<(Vec<usize>, u64)> {
         self.clock.advance_to(at);
         if flood {
-            let payload = decided.encode();
-            for w in self.other_members() {
-                self.control_send(w, TAG_AGREE_DECIDE, payload.clone());
-            }
+            self.control_flood(TAG_AGREE_DECIDE, decided.encode());
         }
         for &w in &decided.dead {
             let at = self.faults.exit_time(w).unwrap_or_else(|| self.clock.now());

@@ -492,7 +492,17 @@ impl HaloExchanger {
                 Frame::decode(&enc)?
             }
             // owner and buddy both died: the disk copy is the last resort
-            None => store.load_spilled_faulted(agreed, owner, ctx.faults.injector())?,
+            None => {
+                ctx.tracer.instant(
+                    me as u32,
+                    tempi_trace::LANE_CPU,
+                    "stencil",
+                    "restore.spill",
+                    ctx.clock.now().as_ps(),
+                    || vec![("generation", agreed.into()), ("owner", owner.into())],
+                );
+                store.load_spilled_faulted(agreed, owner, ctx.faults.injector())?
+            }
         };
         if frame.generation != agreed || frame.world_rank != owner || frame.payload.len() != bytes {
             return Err(MpiError::Internal(
@@ -512,8 +522,8 @@ impl HaloExchanger {
     }
 
     /// One halo exchange with ULFM-style recovery, in rounds. A round is
-    /// the work — a restore when the previous round failed, a checkpoint
-    /// snapshot when `checkpoint` is set, the exchange — followed by
+    /// the work — a restore when the previous round failed, the exchange,
+    /// a checkpoint snapshot when `checkpoint` is set — followed by
     /// exactly one agreement ([`RankCtx::agree`]) over the newest committed
     /// generation, which is also the happy path's failure detection: a
     /// survivor whose traffic never touched a dead rank learns of the
@@ -546,6 +556,34 @@ impl HaloExchanger {
         store: &mut CheckpointStore,
         checkpoint: bool,
     ) -> MpiResult<RecoveryOutcome> {
+        self.rounds(ctx, mpi, store, checkpoint, true)
+    }
+
+    /// One checkpointing halo exchange without recovery: a single round of
+    /// [`HaloExchanger::exchange_with_recovery`], whose agreement commits
+    /// the snapshot when it comes back clean. A failed round fails every
+    /// member instead of shrinking: a rank whose own round failed returns
+    /// its error, every other member [`MpiError::Revoked`].
+    pub fn exchange_and_checkpoint(
+        &mut self,
+        ctx: &mut RankCtx,
+        mpi: &mut InterposedMpi,
+        store: &mut CheckpointStore,
+    ) -> MpiResult<ExchangeTiming> {
+        self.rounds(ctx, mpi, store, true, false)
+            .map(|out| out.timing)
+    }
+
+    /// The rounds of [`HaloExchanger::exchange_with_recovery`]; without
+    /// `recover`, a failed round ends the call instead of shrinking.
+    fn rounds(
+        &mut self,
+        ctx: &mut RankCtx,
+        mpi: &mut InterposedMpi,
+        store: &mut CheckpointStore,
+        checkpoint: bool,
+        recover: bool,
+    ) -> MpiResult<RecoveryOutcome> {
         let mut excluded = Vec::new();
         let mut restore = None;
         // every round before this one failed and shrank
@@ -576,6 +614,9 @@ impl HaloExchanger {
                     epoch: ctx.epoch(),
                     restored: restore,
                 });
+            }
+            if !recover {
+                return Err(round.err().unwrap_or(MpiError::Revoked));
             }
             mpi.comm_shrink(ctx, &dead)?;
             let epoch = ctx.epoch();
@@ -613,8 +654,13 @@ impl HaloExchanger {
     }
 
     /// A round's work before its agreement: rebuild from generation
-    /// `restore` if given, snapshot the next generation when asked at the
-    /// original decomposition, then exchange.
+    /// `restore` if given, exchange, then snapshot the next generation when
+    /// asked at the original decomposition. The exchange goes first because
+    /// its collective gate checks every member's scheduled exit before any
+    /// traffic moves: a death that passed before the round began fails
+    /// every survivor there, by virtual clock alone. (The exchange writes
+    /// ghost cells only, so the snapshot of the interior is the same on
+    /// either side of it.)
     fn round(
         &mut self,
         ctx: &mut RankCtx,
@@ -626,11 +672,12 @@ impl HaloExchanger {
         if let Some(generation) = restore {
             self.restore_from_checkpoint(ctx, mpi, store, generation)?;
         }
+        let timing = self.exchange(ctx, mpi)?;
         let snapshot = match checkpoint && self.global() == self.origin {
             true => Some(self.snapshot(ctx, mpi, store.next_generation())?),
             false => None,
         };
-        Ok((self.exchange(ctx, mpi)?, snapshot))
+        Ok((timing, snapshot))
     }
 
     /// Global extents of the grid at the current decomposition.
@@ -946,6 +993,29 @@ mod tests {
         })
         .unwrap();
         assert_eq!(results, vec![true; 8]);
+    }
+
+    #[test]
+    fn a_checkpointing_exchange_without_recovery_commits_or_fails_everywhere() {
+        // rank 3 dies inside the second round: nobody shrinks, every rank
+        // fails, and only the first round's generation committed
+        let plan = mpi_sim::FaultPlan::parse("exit=3@285us").unwrap();
+        let cfg = WorldConfig::summit(8).with_faults(plan);
+        let results = World::run(&cfg, |ctx| {
+            let mut mpi = InterposedMpi::new(TempiConfig::default());
+            let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
+            ex.fill(ctx)?;
+            let mut store = CheckpointStore::new();
+            ex.exchange_and_checkpoint(ctx, &mut mpi, &mut store)?;
+            let second = ex.exchange_and_checkpoint(ctx, &mut mpi, &mut store);
+            Ok((second.err(), store.latest_committed(), ctx.epoch()))
+        })
+        .unwrap();
+        for (rank, (err, committed, epoch)) in results.into_iter().enumerate() {
+            let err = err.unwrap_or_else(|| panic!("rank {rank} went through"));
+            assert!(err.is_comm_failure(), "rank {rank}: {err}");
+            assert_eq!((committed, epoch), (Some(0), 0), "rank {rank}");
+        }
     }
 
     #[test]

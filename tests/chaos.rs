@@ -111,6 +111,25 @@ fn every_corpus_entry_replays_true() {
 }
 
 #[test]
+fn the_owner_and_buddy_entry_restores_generation_0_from_the_spill() {
+    // Ranks 4 and 5 die just after generation 0 commits (245.95 µs), so
+    // the survivors restore it, and world rank 2 must read block 4 — both
+    // of whose in-memory copies died — from the spill file.
+    let path = corpus_dir().join("recovery-kill-owner-and-buddy.json");
+    let entry = corpus::load(&path).expect("the entry must load");
+    let outcome = run_scenario(&entry.scenario);
+    assert!(outcome.ok(), "{:?}", outcome.violations);
+    let events = outcome.tracer.events();
+    let spill: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "restore.spill")
+        .map(|e| (e.pid, e.args.clone()))
+        .collect();
+    let want = vec![("generation", 0u64.into()), ("owner", 4u64.into())];
+    assert_eq!(spill, vec![(2, want)]);
+}
+
+#[test]
 fn shrinker_minimizes_buried_corruption_to_one_event() {
     let sc = buried_corruption();
     assert!(sc.events.len() >= 12, "the demo needs a big haystack");
@@ -216,10 +235,11 @@ fn regenerate_corpus() {
     .unwrap();
 
     // 3. The revoke-vs-checkpoint schedule: killing a checkpoint block's
-    //    owner *and* buddy in the second round forces the spill fallback,
-    //    and early death detection once raced the checkpoint's commit
-    //    barrier into a recovery deadlock. Green since one agreement per
-    //    round decides the commit, the shrink and the restored generation.
+    //    owner *and* buddy at the first operation after generation 0
+    //    commits (245.95 µs) forces the spill fallback, and early death
+    //    detection once raced the checkpoint's commit barrier into a
+    //    recovery deadlock. Green since one agreement per round decides
+    //    the commit, the shrink and the restored generation.
     let recovery = Scenario {
         seed: 31,
         ranks: 8,
@@ -227,11 +247,11 @@ fn regenerate_corpus() {
         events: vec![
             ChaosEvent::Exit {
                 rank: 4,
-                at_us: 250,
+                at_us: 246,
             },
             ChaosEvent::Exit {
                 rank: 5,
-                at_us: 250,
+                at_us: 246,
             },
         ],
         integrity: true,

@@ -383,16 +383,13 @@ fn stale_prior_epoch_messages_are_rejected_after_shrink() {
 fn seeded_recovery_replays_identically() {
     // Transient link faults *and* a scheduled death, all seeded: two runs
     // must agree on the recovery outcome, the final grid bytes, the
-    // virtual clock, and every fault counter. Rank 5 dies as generation 0
-    // commits. Replay is pinned on one scheduler worker: on more, the
-    // wall-clock order in which revocations and death notices are sifted
-    // still moves counters and clocks (ROADMAP item 2).
+    // virtual clock, and every fault counter, at the default worker count.
+    // Rank 5 dies as generation 0 commits, so every survivor learns of it
+    // at the next round's first gate, by virtual clock alone.
     let replay = |seed: u64| {
         let spec = format!("seed={seed},send=0.1,recv=0.05,retries=8,backoff=10us");
         let at = after_first_commit(&FaultPlan::parse(&spec).unwrap());
-        let cfg = WorldConfig::summit(8)
-            .with_faults(with_exits(&spec, &[5], at))
-            .with_sched_workers(1);
+        let cfg = WorldConfig::summit(8).with_faults(with_exits(&spec, &[5], at));
         survivors(&run_demo(&cfg), &[5])
     };
     // CI varies TEMPI_FAULT_SEED so replay holds for every seed, not one
@@ -425,8 +422,8 @@ fn kill_plus_corruption_restores_from_checkpoints_and_replays() {
     // recovery path), the final grid matches the serial oracle
     // byte-for-byte, and the whole schedule — fault counters, degradation
     // log, restored state, virtual clocks — replays identically under the
-    // same seed. Rank 2 dies as generation 0 commits; replay is pinned on
-    // one scheduler worker, as above.
+    // same seed, at the default worker count. Rank 2 dies as generation 0
+    // commits, as above.
     let spec = "seed=424242,corrupt=0.2,retries=8,backoff=10us";
     let at = after_first_commit(&FaultPlan::parse(spec).unwrap());
     let replay = || {
@@ -435,8 +432,7 @@ fn kill_plus_corruption_restores_from_checkpoints_and_replays() {
         // CI run can't diagnose.
         let cfg = WorldConfig::summit(8)
             .with_faults(with_exits(spec, &[2], at))
-            .with_deadlock_budget(SimTime::from_ms(100))
-            .with_sched_workers(1);
+            .with_deadlock_budget(SimTime::from_ms(100));
         assert!(cfg.integrity, "an active corrupt site enables integrity");
         survivors(&run_demo(&cfg), &[2])
     };

@@ -48,7 +48,7 @@ fn traced_stencil(seed: u64) -> Tracer {
         let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
         ex.fill(ctx)?;
         ex.exchange(ctx, &mut mpi)?;
-        // the second iteration checkpoints, then exchanges
+        // the second iteration exchanges, then checkpoints
         ex.exchange_with_recovery(ctx, &mut mpi, &mut CheckpointStore::new(), true)?;
         mpi.publish_metrics(&ctx.tracer);
         Ok(())
