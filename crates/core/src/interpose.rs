@@ -97,24 +97,34 @@ impl Linker {
     }
 }
 
+/// How many of the latest resolutions [`InterposedMpi::log`] keeps.
+pub const LOG_LEN: usize = 32;
+
+/// The last [`LOG_LEN`] resolutions, oldest first, held inline: a run of
+/// any length logs without allocating, in 64 bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Resolutions([Option<(MpiSymbol, Provider)>; LOG_LEN]);
+
+impl Resolutions {
+    fn push(&mut self, entry: (MpiSymbol, Provider)) {
+        self.0.copy_within(1.., 0);
+        self.0[LOG_LEN - 1] = Some(entry);
+    }
+}
+
 /// The application-facing MPI: TEMPI state + the resolution table, over a
 /// system-MPI rank context.
 pub struct InterposedMpi {
     /// The interposed library's state.
     pub tempi: Tempi,
     linker: Linker,
-    /// Resolution log: which provider served each call, in order.
-    pub log: Vec<(MpiSymbol, Provider)>,
+    log: Resolutions,
 }
 
 impl InterposedMpi {
     /// Build with TEMPI interposed (the normal deployment).
     pub fn new(config: TempiConfig) -> Self {
-        InterposedMpi {
-            tempi: Tempi::new(config),
-            linker: Linker::with_tempi(),
-            log: Vec::new(),
-        }
+        Self::with_linker(config, Linker::with_tempi())
     }
 
     /// Build with TEMPI interposed, configured from `TEMPI_*` environment
@@ -126,11 +136,7 @@ impl InterposedMpi {
 
     /// Build without TEMPI in the link order (pure system MPI baseline).
     pub fn system_only() -> Self {
-        InterposedMpi {
-            tempi: Tempi::new(TempiConfig::default()),
-            linker: Linker::system_only(),
-            log: Vec::new(),
-        }
+        Self::with_linker(TempiConfig::default(), Linker::system_only())
     }
 
     /// Build with a custom linker.
@@ -138,7 +144,7 @@ impl InterposedMpi {
         InterposedMpi {
             tempi: Tempi::new(config),
             linker,
-            log: Vec::new(),
+            log: Resolutions::default(),
         }
     }
 
@@ -146,6 +152,12 @@ impl InterposedMpi {
         let p = self.linker.resolve(sym);
         self.log.push((sym, p));
         p
+    }
+
+    /// Which provider served each of the last [`LOG_LEN`] calls, oldest
+    /// first.
+    pub fn log(&self) -> impl Iterator<Item = (MpiSymbol, Provider)> + '_ {
+        self.log.0.iter().flatten().copied()
     }
 
     /// TEMPI's counters (plan-cache hits, tuner probes/bucket hits,
@@ -368,7 +380,7 @@ mod tests {
         let dt = ctx.type_vector(4, 2, 8, MPI_FLOAT).unwrap();
         mpi.type_commit(&mut ctx, dt).unwrap();
         assert!(mpi.tempi.plan(dt).is_some());
-        assert_eq!(mpi.log, vec![(MpiSymbol::TypeCommit, Provider::Tempi)]);
+        assert!(mpi.log().eq([(MpiSymbol::TypeCommit, Provider::Tempi)]));
         // and the system registry saw the commit too (native commit ran)
         assert!(ctx.is_committed(dt).unwrap());
     }
@@ -382,7 +394,10 @@ mod tests {
         mpi.type_free(&mut ctx, dt).unwrap();
         assert!(mpi.tempi.plan(dt).is_none());
         assert_eq!(mpi.tempi.cached_plans(), 0);
-        assert_eq!(mpi.log[1], (MpiSymbol::TypeFree, Provider::Tempi));
+        assert_eq!(
+            mpi.log().nth(1),
+            Some((MpiSymbol::TypeFree, Provider::Tempi))
+        );
         // the system free ran: the handle is dead, a second free an error
         assert_eq!(ctx.attrs(dt), Err(mpi_sim::MpiError::InvalidDatatype));
         let again = mpi.type_free(&mut ctx, dt);
@@ -397,7 +412,7 @@ mod tests {
         mpi.type_commit(&mut ctx, dt).unwrap();
         assert!(mpi.tempi.plan(dt).is_none());
         assert!(ctx.is_committed(dt).unwrap());
-        assert_eq!(mpi.log, vec![(MpiSymbol::TypeCommit, Provider::System)]);
+        assert!(mpi.log().eq([(MpiSymbol::TypeCommit, Provider::System)]));
     }
 
     #[test]
@@ -444,8 +459,8 @@ mod tests {
             .unwrap();
         assert_eq!(ctx.gpu.memory().peek(recv, 8).unwrap(), vec![9u8; 8]);
         assert_eq!(
-            mpi.log.last(),
-            Some(&(MpiSymbol::Alltoallv, Provider::System))
+            mpi.log().last(),
+            Some((MpiSymbol::Alltoallv, Provider::System))
         );
     }
 
@@ -464,14 +479,34 @@ mod tests {
         assert_eq!(ctx.size, 1);
         mpi.comm_revoke(&mut ctx).unwrap();
         assert!(ctx.is_revoked());
-        assert_eq!(
-            mpi.log,
-            vec![
-                (MpiSymbol::CommAgree, Provider::System),
-                (MpiSymbol::CommShrink, Provider::System),
-                (MpiSymbol::CommRevoke, Provider::System),
-            ]
-        );
+        assert!(mpi.log().eq([
+            (MpiSymbol::CommAgree, Provider::System),
+            (MpiSymbol::CommShrink, Provider::System),
+            (MpiSymbol::CommRevoke, Provider::System),
+        ]));
+    }
+
+    #[test]
+    fn the_log_keeps_the_last_resolutions_inline_oldest_first() {
+        assert!(std::mem::size_of::<Resolutions>() <= 64);
+        let mut ctx = ctx();
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let dt = ctx.type_vector(4, 2, 8, MPI_FLOAT).unwrap();
+        mpi.type_commit(&mut ctx, dt).unwrap();
+        for _ in 0..LOG_LEN - 2 {
+            mpi.pack_size(&mut ctx, 1, dt).unwrap();
+        }
+        mpi.comm_revoke(&mut ctx).unwrap();
+        let log: Vec<_> = mpi.log().collect();
+        assert_eq!(log.len(), LOG_LEN);
+        assert_eq!(log[0], (MpiSymbol::TypeCommit, Provider::Tempi));
+        // one more call pushes the oldest out
+        mpi.pack_size(&mut ctx, 1, dt).unwrap();
+        let log: Vec<_> = mpi.log().collect();
+        assert_eq!(log.len(), LOG_LEN);
+        assert_eq!(log[0], (MpiSymbol::PackSize, Provider::Tempi));
+        assert_eq!(log[LOG_LEN - 2], (MpiSymbol::CommRevoke, Provider::System));
+        assert_eq!(log[LOG_LEN - 1], (MpiSymbol::PackSize, Provider::Tempi));
     }
 
     #[test]

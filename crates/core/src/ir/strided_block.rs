@@ -50,43 +50,59 @@ impl StridedBlock {
         self.counts[1..].iter().product()
     }
 
-    /// Byte offset (from the type origin) of the `i`-th contiguous block
-    /// in layout order — the mixed-radix decomposition of `i` over
-    /// `counts[1..]` (dimension 1 fastest). Used by the pipelined path to
+    /// A row — dimension 1, the kernel's Y — as its number of blocks and
+    /// the stride between them: `(1, 0)` for a 1-D object.
+    pub fn row(&self) -> (i64, i64) {
+        match self.ndims() {
+            1 => (1, 0),
+            _ => (self.counts[1], self.strides[1]),
+        }
+    }
+
+    /// Byte offset (from the type origin) of the first block of the `r`-th
+    /// row in layout order — the mixed-radix decomposition of `r` over
+    /// `counts[2..]` (dimension 2 fastest). Used by the pipelined path to
     /// address block sub-ranges.
-    pub fn block_offset(&self, i: i64) -> i64 {
+    pub fn row_offset(&self, r: i64) -> i64 {
         let mut off = self.start;
-        let mut rest = i;
-        for d in 1..self.ndims() {
+        let mut rest = r;
+        for d in 2..self.ndims() {
             off += (rest % self.counts[d]) * self.strides[d];
             rest /= self.counts[d];
         }
-        debug_assert_eq!(rest, 0, "block index {i} out of range");
+        debug_assert_eq!(rest, 0, "row index {r} out of range");
         off
     }
 
-    /// Visit the byte offset (from the type origin) of every contiguous
-    /// innermost run, in layout order — the loop structure the packing
-    /// kernels execute.
-    pub fn for_each_block(&self, mut f: impl FnMut(i64)) {
-        self.visit_blocks(self.ndims() - 1, self.start, &mut f);
+    /// Visit the byte offset (from the type origin) of every row's first
+    /// block, in layout order — the loop structure the packing kernels
+    /// execute around their rows.
+    pub fn for_each_row(&self, mut f: impl FnMut(i64)) {
+        self.visit_rows(self.ndims() - 1, self.start, &mut f);
     }
 
-    /// Dimension `d`'s loop of [`StridedBlock::for_each_block`]: the loop
-    /// nest is the call stack, so dimension 1 runs fastest (as a plain
-    /// loop the compiler can see through) and nothing is allocated per
-    /// traversal.
-    fn visit_blocks<F: FnMut(i64)>(&self, d: usize, off: i64, f: &mut F) {
+    /// Visit the byte offset (from the type origin) of every contiguous
+    /// innermost run, in layout order: each row's blocks in turn.
+    pub fn for_each_block(&self, mut f: impl FnMut(i64)) {
+        let (n, stride) = self.row();
+        self.for_each_row(|off| (0..n).for_each(|i| f(off + i * stride)));
+    }
+
+    /// Dimension `d`'s loop of [`StridedBlock::for_each_row`]: the loop
+    /// nest over dimensions 2 and up is the call stack, so dimension 2 runs
+    /// fastest (as a plain loop the compiler can see through) and nothing
+    /// is allocated per traversal.
+    fn visit_rows<F: FnMut(i64)>(&self, d: usize, off: i64, f: &mut F) {
         match d {
-            0 => f(off),
-            1 => {
-                for i in 0..self.counts[1] {
-                    f(off + i * self.strides[1]);
+            0 | 1 => f(off),
+            2 => {
+                for i in 0..self.counts[2] {
+                    f(off + i * self.strides[2]);
                 }
             }
             _ => {
                 for i in 0..self.counts[d] {
-                    self.visit_blocks(d - 1, off + i * self.strides[d], f);
+                    self.visit_rows(d - 1, off + i * self.strides[d], f);
                 }
             }
         }
@@ -169,16 +185,20 @@ impl Member {
         self.counts.iter().product()
     }
 
-    /// As [`StridedBlock::for_each_block`], each with its length.
-    pub fn for_each_block(&self, mut f: impl FnMut(i64, usize)) {
+    /// As [`StridedBlock::for_each_row`].
+    pub fn for_each_row(&self, mut f: impl FnMut(i64)) {
         let (c, s) = (&self.counts, &self.strides);
         for k in 0..c[3] {
             for j in 0..c[2] {
-                for i in 0..c[1] {
-                    f(self.start + k * s[3] + j * s[2] + i * s[1], c[0] as usize);
-                }
+                f(self.start + k * s[3] + j * s[2]);
             }
         }
+    }
+
+    /// As [`StridedBlock::for_each_block`], each with its length.
+    pub fn for_each_block(&self, mut f: impl FnMut(i64, usize)) {
+        let (len, n, stride) = (self.counts[0] as usize, self.counts[1], self.strides[1]);
+        self.for_each_row(|off| (0..n).for_each(|i| f(off + i * stride, len)));
     }
 }
 
@@ -283,18 +303,26 @@ mod tests {
     }
 
     #[test]
-    fn block_offset_matches_for_each_block() {
+    fn row_offset_matches_for_each_row_and_rows_hold_the_blocks() {
         let sb = StridedBlock {
             start: 7,
-            counts: vec![16, 3, 4],
-            strides: vec![1, 100, 1000],
+            counts: vec![16, 3, 4, 2],
+            strides: vec![1, 100, 1000, -5000],
         };
-        let mut seq = Vec::new();
-        sb.for_each_block(|o| seq.push(o));
-        assert_eq!(seq.len(), 12);
-        for (i, &o) in seq.iter().enumerate() {
-            assert_eq!(sb.block_offset(i as i64), o, "block {i}");
+        let mut rows = Vec::new();
+        sb.for_each_row(|o| rows.push(o));
+        assert_eq!(rows.len(), 8);
+        for (r, &o) in rows.iter().enumerate() {
+            assert_eq!(sb.row_offset(r as i64), o, "row {r}");
         }
+        let mut blocks = Vec::new();
+        sb.for_each_block(|o| blocks.push(o));
+        let (n, stride) = sb.row();
+        let expanded: Vec<i64> = (rows.iter())
+            .flat_map(|&o| (0..n).map(move |i| o + i * stride))
+            .collect();
+        assert_eq!(blocks, expanded);
+        assert_eq!(blocks[..4], [7, 107, 207, 1007]);
     }
 
     #[test]

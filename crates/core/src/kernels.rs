@@ -22,9 +22,9 @@
 //! the block-list kernel or the member-list kernel. Every kernel — those
 //! three, and the block-range kernel of the pipelined path
 //! (`execute_range_async`) — is the same walk of the typed buffer's runs
-//! against a packed cursor (`walk`); a kernel supplies its runs, its price
-//! and its launch geometry. The CPU copy path (`execute_on_host`) is that
-//! walk again, in host code.
+//! against a packed cursor (`walk`); a kernel supplies its runs as rows of
+//! equal runs (its Y dimension), its price and its launch geometry. The CPU
+//! copy path (`execute_on_host`) is that walk again, in host code.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
@@ -256,10 +256,38 @@ fn ptr_at(p: GpuPtr, off: i64) -> MpiResult<GpuPtr> {
     })
 }
 
-/// The contiguous runs of a typed buffer, in packed order.
+/// `count` runs of `len` bytes of a typed buffer, the first at offset
+/// `off`, each `stride` bytes after the one before: a row of the kernels'
+/// Y dimension (paper §3.3), the unit every byte-moving walk hands over.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    off: i64,
+    len: usize,
+    count: usize,
+    stride: i64,
+}
+
+impl Row {
+    /// A row of `n` runs of `len` bytes from `off`, `stride` apart.
+    fn of(off: i64, len: i64, (n, stride): (i64, i64)) -> Row {
+        Row {
+            off,
+            len: len as usize,
+            count: n as usize,
+            stride,
+        }
+    }
+
+    /// Its runs' offsets, in order.
+    fn offsets(self) -> impl Iterator<Item = i64> {
+        (0..self.count as i64).map(move |k| self.off + k * self.stride)
+    }
+}
+
+/// The contiguous runs of a typed buffer, in packed order, as rows.
 trait Runs {
-    /// Hand `sink` every run: its offset into the typed buffer, its length.
-    fn for_each(&self, sink: impl FnMut(i64, usize));
+    /// Hand `sink` every row, in packed order.
+    fn for_each_row(&self, sink: impl FnMut(Row));
 }
 
 /// `count` objects of one layout, `extent` bytes apart.
@@ -270,21 +298,22 @@ struct Items<'a, L> {
 }
 
 impl Runs for Items<'_, StridedBlock> {
-    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
-        let len = self.layout.block_bytes() as usize;
+    fn for_each_row(&self, mut sink: impl FnMut(Row)) {
+        let (len, row) = (self.layout.block_bytes(), self.layout.row());
         for item in 0..self.count {
             let base = item as i64 * self.extent;
-            self.layout.for_each_block(|off| sink(base + off, len));
+            self.layout
+                .for_each_row(|off| sink(Row::of(base + off, len, row)));
         }
     }
 }
 
 impl Runs for Items<'_, BlockList> {
-    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
+    fn for_each_row(&self, mut sink: impl FnMut(Row)) {
         for item in 0..self.count {
             let base = item as i64 * self.extent;
             for &(off, len) in &self.layout.blocks {
-                sink(base + off, len as usize);
+                sink(Row::of(base + off, len as i64, (1, 0)));
             }
         }
     }
@@ -296,11 +325,12 @@ pub(crate) fn member_blocks(members: &[Member]) -> usize {
 }
 
 impl Runs for Items<'_, Vec<Member>> {
-    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
+    fn for_each_row(&self, mut sink: impl FnMut(Row)) {
         for item in 0..self.count {
             let base = item as i64 * self.extent;
             for m in self.layout {
-                m.for_each_block(|off, len| sink(base + off, len));
+                let (len, row) = (m.counts[0], (m.counts[1], m.strides[1]));
+                m.for_each_row(|off| sink(Row::of(base + off, len, row)));
             }
         }
     }
@@ -309,11 +339,11 @@ impl Runs for Items<'_, Vec<Member>> {
 /// Hand `sink` the offset of every run of `x` under `plan`, in packed order:
 /// what the run cut ships (a plan with no kernel has no runs to hand).
 pub(crate) fn for_each_run(plan: &PlanKind, x: Typed, mut sink: impl FnMut(i64)) {
-    let mut at = |off: i64, _: usize| sink(off);
+    let mut at = |row: Row| row.offsets().for_each(&mut sink);
     match plan {
-        PlanKind::Strided(kp) => x.items(&kp.sb).for_each(&mut at),
-        PlanKind::Blocks(bl) => x.items(bl).for_each(&mut at),
-        PlanKind::Multi(members) => x.items(members).for_each(&mut at),
+        PlanKind::Strided(kp) => x.items(&kp.sb).for_each_row(&mut at),
+        PlanKind::Blocks(bl) => x.items(bl).for_each_row(&mut at),
+        PlanKind::Multi(members) => x.items(members).for_each_row(&mut at),
         PlanKind::Empty | PlanKind::Fallback(_) => {}
     }
 }
@@ -352,23 +382,37 @@ struct BlockRange<'a> {
 }
 
 impl Runs for BlockRange<'_> {
-    fn for_each(&self, mut sink: impl FnMut(i64, usize)) {
-        let (len, per_item) = (self.sb.block_bytes() as usize, self.sb.block_count());
-        for b in self.blocks.clone() {
-            let item = (b / per_item) * self.extent;
-            sink(item + self.sb.block_offset(b % per_item), len);
+    /// The range cut at row edges: the first and last rows may be partial,
+    /// and each row's place is one mixed-radix decomposition of its index.
+    fn for_each_row(&self, mut sink: impl FnMut(Row)) {
+        let (len, (per_row, stride)) = (self.sb.block_bytes(), self.sb.row());
+        let Range { start: mut b, end } = self.blocks;
+        if b >= end {
+            return;
+        }
+        let rows_per_item = self.sb.block_count() / per_row;
+        while b < end {
+            let (row, first) = (b / per_row, b % per_row);
+            let (item, r) = (row / rows_per_item, row % rows_per_item);
+            let off = item * self.extent + self.sb.row_offset(r) + first * stride;
+            let n = (per_row - first).min(end - b);
+            sink(Row::of(off, len, (n, stride)));
+            b += n;
         }
     }
 }
 
 /// The one run-walking body every pack/unpack shares: a cursor through the
-/// packed bytes from `packed`, advanced run by run of the typed buffer
-/// `strided`, the two allocations looked up once for the whole walk. Which
-/// side of a run is the source is `dir`'s business, a run that reaches
-/// before the typed buffer is out of bounds, and the first fault ends the
-/// walk (the run visitors cannot stop early, so later runs are counted and
-/// skipped, not moved). `rule` is a kernel's device code, or the host
-/// code's that no address space refuses. Returns the number of runs.
+/// packed bytes from `packed`, advanced row by row of the typed buffer
+/// `strided`, the two allocations looked up once for the whole walk. A row
+/// of several runs that fits wholly moves under one check
+/// (`Copier::copy_row`); any other row moves run by run (a lone run costs
+/// less so than under a row's check), so which side of a run is the
+/// source is `dir`'s business, a run that reaches before the typed buffer
+/// is out of bounds, and the first fault ends the walk (the run visitors
+/// cannot stop early, so later runs are counted and skipped, not moved).
+/// `rule` is a kernel's device code, or the host code's that no address
+/// space refuses. Returns the number of runs.
 fn walk(
     mem: &mut Memory,
     rule: CopyRule,
@@ -381,23 +425,34 @@ fn walk(
     let mut copier = mem.copier(rule, dst, src);
     let mut fault = Ok(());
     let (mut pos, mut n) = (packed.offset, 0);
-    runs.for_each(|off, len| {
-        n += 1;
+    runs.for_each_row(|row| {
+        n += row.count;
         if fault.is_err() {
             return;
         }
-        let Some(s) = strided.offset_by(off) else {
-            fault = Err(GpuError::OutOfBounds {
-                alloc: strided.alloc_id(),
-                offset: 0,
-                len,
-                size: 0,
-            });
+        let at = strided.offset as i64 + row.off;
+        let (dst, src) = dir.ends((at, row.stride), (pos as i64, row.len as i64));
+        if row.count > 1 && copier.copy_row(dst, src, row.len, row.count) {
+            pos += row.len * row.count;
             return;
-        };
-        let (dst, src) = dir.ends(s.offset, pos);
-        fault = copier.copy(dst, src, len);
-        pos += len;
+        }
+        for off in row.offsets() {
+            let Some(s) = strided.offset_by(off) else {
+                fault = Err(GpuError::OutOfBounds {
+                    alloc: strided.alloc_id(),
+                    offset: 0,
+                    len: row.len,
+                    size: 0,
+                });
+                return;
+            };
+            let (dst, src) = dir.ends(s.offset, pos);
+            fault = copier.copy(dst, src, row.len);
+            if fault.is_err() {
+                return;
+            }
+            pos += row.len;
+        }
     });
     fault.map(|()| n)
 }
@@ -1198,6 +1253,282 @@ mod tests {
         want.copy_within(0..4, 2);
         want.copy_within(8..12, 6);
         assert_eq!(ctx.memory().peek(buf, 32).unwrap(), want);
+    }
+
+    /// Every run a visitor's rows hold, enumerated without rows: the
+    /// per-run walk the row walk must match.
+    trait PerRun {
+        fn runs(&self) -> Vec<(i64, usize)>;
+    }
+
+    impl PerRun for BlockRange<'_> {
+        /// Each block numbered globally, decomposed over its item and all
+        /// of `counts[1..]`, dimension 1 fastest.
+        fn runs(&self) -> Vec<(i64, usize)> {
+            let (sb, per_item) = (self.sb, self.sb.block_count());
+            let block = |b: i64| {
+                let (mut off, mut rest) = ((b / per_item) * self.extent + sb.start, b % per_item);
+                for d in 1..sb.ndims() {
+                    off += (rest % sb.counts[d]) * sb.strides[d];
+                    rest /= sb.counts[d];
+                }
+                (off, sb.block_bytes() as usize)
+            };
+            self.blocks.clone().map(block).collect()
+        }
+    }
+
+    impl PerRun for Items<'_, StridedBlock> {
+        fn runs(&self) -> Vec<(i64, usize)> {
+            let all = self.count as i64 * self.layout.block_count();
+            let (sb, extent) = (self.layout, self.extent);
+            BlockRange {
+                sb,
+                extent,
+                blocks: 0..all,
+            }
+            .runs()
+        }
+    }
+
+    impl PerRun for Items<'_, BlockList> {
+        fn runs(&self) -> Vec<(i64, usize)> {
+            let item = |i: i64| {
+                self.layout
+                    .blocks
+                    .iter()
+                    .map(move |&(o, l)| (i + o, l as usize))
+            };
+            (0..self.count as i64)
+                .flat_map(|i| item(i * self.extent))
+                .collect()
+        }
+    }
+
+    impl PerRun for Items<'_, Vec<Member>> {
+        fn runs(&self) -> Vec<(i64, usize)> {
+            let mut runs = Vec::new();
+            for item in 0..self.count as i64 {
+                for m in self.layout {
+                    let (c, s, base) = (m.counts, m.strides, item * self.extent + m.start);
+                    for k in 0..c[3] {
+                        for j in 0..c[2] {
+                            for i in 0..c[1] {
+                                let off = base + k * s[3] + j * s[2] + i * s[1];
+                                runs.push((off, c[0] as usize));
+                            }
+                        }
+                    }
+                }
+            }
+            runs
+        }
+    }
+
+    /// The reference walk: one `Copier::copy` per run.
+    fn walk_per_run(
+        mem: &mut Memory,
+        rule: CopyRule,
+        dir: PackDir,
+        strided: GpuPtr,
+        packed: GpuPtr,
+        runs: &[(i64, usize)],
+    ) -> GpuResult<usize> {
+        let (dst, src) = dir.ends(strided, packed);
+        let mut copier = mem.copier(rule, dst, src);
+        let mut pos = packed.offset;
+        for &(off, len) in runs {
+            let Some(s) = strided.offset_by(off) else {
+                return Err(GpuError::OutOfBounds {
+                    alloc: strided.alloc_id(),
+                    offset: 0,
+                    len,
+                    size: 0,
+                });
+            };
+            let (dst, src) = dir.ends(s.offset, pos);
+            copier.copy(dst, src, len)?;
+            pos += len;
+        }
+        Ok(runs.len())
+    }
+
+    /// A seeded stream of draws.
+    struct Draws(u64, u64);
+
+    impl Draws {
+        /// Uniform in `lo..=hi`.
+        fn int(&mut self, lo: i64, hi: i64) -> i64 {
+            self.1 += 1;
+            let h = gpu_sim::fault::splitmix64(self.0 ^ self.1.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            lo + (h % (hi - lo + 1) as u64) as i64
+        }
+
+        fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+            of[self.int(0, of.len() as i64 - 1) as usize]
+        }
+
+        /// A run length: a word size, a small multiple of one, any, or none.
+        fn len(&mut self) -> i64 {
+            match self.int(0, 7) {
+                0..=2 => self.pick(&[1, 2, 4, 8, 16]),
+                3..=4 => self.pick(&[24, 32, 48, 64, 96, 128]),
+                5 => 0,
+                _ => self.int(1, 40),
+            }
+        }
+
+        /// A stride, often negative, sometimes overlapping.
+        fn stride(&mut self, span: i64) -> i64 {
+            let s = span + self.int(-span / 2, 24);
+            if self.int(0, 3) == 0 {
+                -s
+            } else {
+                s
+            }
+        }
+
+        fn strided_block(&mut self) -> StridedBlock {
+            let mut sb = StridedBlock {
+                start: self.int(-16, 32),
+                counts: vec![self.len()],
+                strides: vec![1],
+            };
+            let mut span = sb.counts[0];
+            for _ in 1..self.int(1, 4) {
+                let (count, stride) = (self.pick(&[1, 1, 2, 3, 5]), self.stride(span));
+                sb.counts.push(count);
+                sb.strides.push(stride);
+                span = count * stride.abs();
+            }
+            sb
+        }
+
+        fn member(&mut self) -> Member {
+            let mut m = Member::run(self.int(-8, 64), self.len());
+            m.ndims = self.int(1, 4) as u8;
+            let mut span = m.counts[0];
+            for d in 1..m.ndims as usize {
+                (m.counts[d], m.strides[d]) = (self.pick(&[1, 2, 3]), self.stride(span));
+                span = m.counts[d] * m.strides[d].abs();
+            }
+            m
+        }
+    }
+
+    /// Walk `runs` by rows in one world and run by run in a twin of it,
+    /// over buffers `d` draws — sized to hold every run or cut short,
+    /// sometimes one allocation for both ends, sometimes freed or in a
+    /// space a kernel may not touch — and demand equal results (the run
+    /// count or the first fault) and equal bytes everywhere.
+    fn rows_match_runs(d: &mut Draws, runs: &(impl Runs + PerRun), case: &str) {
+        let each = runs.runs();
+        let lo = each.iter().map(|r| r.0).min().unwrap_or(0).min(0);
+        let hi = each
+            .iter()
+            .map(|r| r.0 + r.1 as i64)
+            .max()
+            .unwrap_or(0)
+            .max(0);
+        let total: usize = each.iter().map(|r| r.1).sum();
+        let (shift, size) = match d.int(0, 5) {
+            0 => (-lo - d.int(0, 8), hi - lo), // some runs before the buffer
+            1 => (-lo, (hi - lo) - d.int(1, 12)), // cut short, mid-row as likely as not
+            _ => (-lo, hi - lo + d.int(0, 8)),
+        };
+        let packed_size = match d.int(0, 7) {
+            0 => total.saturating_sub(d.int(1, 8) as usize),
+            _ => total + d.int(0, 8) as usize,
+        };
+        let shared = d.int(0, 4) == 0;
+        let (rule, dir) = (
+            d.pick(&[CopyRule::Kernel, CopyRule::Dma, CopyRule::Backdoor]),
+            d.pick(&[PackDir::Pack, PackDir::Unpack]),
+        );
+        let (space, gap) = (d.pick(&[0, 0, 0, 1, 2, 3]), d.int(-8, 16));
+        let world = || {
+            let ctx = GpuContext::new(DeviceProps::v100());
+            let alloc = |n: usize| match space {
+                1 => ctx.mapped_alloc(n),
+                2 => ctx.host_alloc(n),
+                _ => ctx.malloc(n),
+            };
+            let typed_len = size.max(0) as usize + if shared { packed_size + 16 } else { 0 };
+            let typed = alloc(typed_len).unwrap();
+            let packed = match shared {
+                true => typed.add((size.max(0) + gap) as usize),
+                false => ctx.malloc(packed_size).unwrap(),
+            };
+            let fill: Vec<u8> = (0..typed_len).map(|i| (i * 7 + 3) as u8).collect();
+            ctx.memory().poke(typed, &fill).unwrap();
+            if !shared {
+                let fill: Vec<u8> = (0..packed_size).map(|i| (i * 13 + 5) as u8).collect();
+                ctx.memory().poke(packed, &fill).unwrap();
+            }
+            if space == 3 {
+                ctx.free(packed).unwrap();
+            }
+            (ctx, typed, packed, typed_len)
+        };
+        let (rows, typed, packed, typed_len) = world();
+        let strided = typed.add(shift.max(0) as usize);
+        let (per_run, ..) = world();
+        let got = walk(&mut rows.memory(), rule, dir, strided, packed, runs);
+        let want = walk_per_run(&mut per_run.memory(), rule, dir, strided, packed, &each);
+        let at = format!("{case}, {rule:?} {dir:?}, shared {shared}, space {space}");
+        assert_eq!(got, want, "{at}: {} runs", each.len());
+        let bytes = |c: &GpuContext| {
+            let mem = c.memory();
+            (
+                mem.peek(typed, typed_len).ok(),
+                mem.peek(packed, packed_size).ok(),
+            )
+        };
+        assert_eq!(bytes(&rows), bytes(&per_run), "{at}");
+    }
+
+    #[test]
+    fn the_row_walk_moves_what_the_per_run_walk_moves() {
+        for seed in [1, 7, 0x5EED] {
+            let d = &mut Draws(seed, 0);
+            for case in 0..400 {
+                let sb = d.strided_block();
+                let (count, extent) = (d.int(1, 3) as usize, d.int(-64, 256));
+                let items = Items {
+                    layout: &sb,
+                    extent,
+                    count,
+                };
+                let at = format!("seed {seed} case {case}: {count} x {sb:?} every {extent}");
+                rows_match_runs(d, &items, &at);
+                let all = count as i64 * sb.block_count();
+                let (a, b) = (d.int(0, all), d.int(0, all));
+                let range = BlockRange {
+                    sb: &sb,
+                    extent,
+                    blocks: a.min(b)..a.max(b),
+                };
+                rows_match_runs(d, &range, &format!("{at}, blocks {:?}", range.blocks));
+                let members: Vec<Member> = (0..d.int(1, 3)).map(|_| d.member()).collect();
+                let items = Items {
+                    layout: &members,
+                    extent,
+                    count,
+                };
+                rows_match_runs(d, &items, &format!("seed {seed} case {case}: {members:?}"));
+                let bl = BlockList {
+                    blocks: (0..d.int(1, 6))
+                        .map(|_| (d.int(-32, 200), d.len() as u64))
+                        .collect(),
+                };
+                let items = Items {
+                    layout: &bl,
+                    extent,
+                    count,
+                };
+                rows_match_runs(d, &items, &format!("seed {seed} case {case}: {bl:?}"));
+            }
+        }
     }
 
     #[test]

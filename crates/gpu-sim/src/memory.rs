@@ -209,8 +209,9 @@ impl<B: AsMut<[u8]>> Region<B> {
 /// Copies between two allocations looked up and checked under one
 /// [`CopyRule`] once, for any number of runs — a kernel launch's: each run
 /// then pays only its bounds check, and the overlap rule when both ends
-/// are one allocation. Every run fails as the same copy made alone would,
-/// with the same error. Made by [`Memory::copier`].
+/// are one allocation, and a row of equal runs one check for all of them
+/// ([`Copier::copy_row`]). Every run fails as the same copy made alone
+/// would, with the same error. Made by [`Memory::copier`].
 pub struct Copier<'m> {
     rule: CopyRule,
     ends: Ends<'m>,
@@ -260,6 +261,90 @@ impl Copier<'_> {
             }
         }
         Ok(())
+    }
+
+    /// Copy a row of `count` runs of `len` bytes: the `k`-th at offset
+    /// `src.0 + k * src.1` of the source to `dst.0 + k * dst.1` of the
+    /// destination (each end its first run and its step, which may be
+    /// negative). One check covers the row: both ends resolved, and each
+    /// end's lowest and highest byte inside its allocation. `false`, with
+    /// nothing moved, when the row needs [`Copier::copy`]'s rules run by
+    /// run instead: an end that failed its lookup or space check, a row
+    /// that does not fit wholly, both ends in one allocation, or runs of
+    /// no bytes — so a fault is still the one its run alone reports.
+    pub fn copy_row(&mut self, dst: (i64, i64), src: (i64, i64), len: usize, count: usize) -> bool {
+        let Ends::Apart(to, from) = &mut self.ends else {
+            return false;
+        };
+        let (Ok(to), Ok(from)) = (to.bytes.as_mut(), from.bytes.as_ref()) else {
+            return false;
+        };
+        let fit = |end, size: usize| inside(end, len, count, size);
+        match (len, fit(dst, to.len()), fit(src, from.len())) {
+            (1.., Some(d), Some(s)) => move_runs(to, from, d, s, len, count),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// A row end's first run and step as offsets, if each of its `count` runs
+/// of `len` bytes lies wholly inside an allocation of `size` bytes.
+fn inside((at, step): (i64, i64), len: usize, count: usize, size: usize) -> Option<(usize, usize)> {
+    let far = step.checked_mul(i64::try_from(count.checked_sub(1)?).ok()?)?;
+    let lo = at.checked_add(far.min(0))?;
+    let hi = at
+        .checked_add(far.max(0))?
+        .checked_add(i64::try_from(len).ok()?)?;
+    // a negative step as its two's complement: added wrapping, it steps down
+    (lo >= 0 && hi <= i64::try_from(size).ok()?).then_some((at as usize, step as usize))
+}
+
+/// The runs of a row that fits: a run of up to four words of 1–16 B is
+/// that many fixed-size moves, a longer one one `memcpy`.
+fn move_runs(
+    to: &mut [u8],
+    from: &[u8],
+    d: (usize, usize),
+    s: (usize, usize),
+    len: usize,
+    count: usize,
+) {
+    let log_word = len.trailing_zeros().min(4);
+    match (1 << log_word, len >> log_word) {
+        // longer: one `memcpy` a run
+        (_, 5..) => row_of::<1>(to, from, d, s, count, len),
+        (16, words) => row_of::<16>(to, from, d, s, count, words),
+        (8, words) => row_of::<8>(to, from, d, s, count, words),
+        (4, words) => row_of::<4>(to, from, d, s, count, words),
+        (2, words) => row_of::<2>(to, from, d, s, count, words),
+        (_, words) => row_of::<1>(to, from, d, s, count, words),
+    }
+}
+
+/// `count` runs of `words` words of `W` bytes, each end stepping by its
+/// own stride after every run.
+#[inline(always)]
+fn row_of<const W: usize>(
+    to: &mut [u8],
+    from: &[u8],
+    (mut d, d_step): (usize, usize),
+    (mut s, s_step): (usize, usize),
+    count: usize,
+    words: usize,
+) {
+    let len = W * words;
+    for _ in 0..count {
+        if words > 4 {
+            to[d..d + len].copy_from_slice(&from[s..s + len]);
+        } else {
+            for w in 0..words {
+                let (dw, sw) = (d + w * W, s + w * W);
+                to[dw..dw + W].copy_from_slice(&from[sw..sw + W]);
+            }
+        }
+        d = d.wrapping_add(d_step);
+        s = s.wrapping_add(s_step);
     }
 }
 
@@ -838,6 +923,33 @@ mod tests {
             alloc: gone.alloc_id(),
         };
         assert_eq!(copier.copy(0, 0, 8), Err(freed));
+    }
+
+    #[test]
+    fn a_row_moves_whole_or_not_at_all() {
+        let c = ctx();
+        let (d, h) = (c.malloc(16).unwrap(), c.host_alloc(32).unwrap());
+        let data: Vec<u8> = (0..32).collect();
+        c.memory().poke(h, &data).unwrap();
+        let mut mem = c.memory();
+        let mut copier = mem.copier(CopyRule::Backdoor, d, h);
+        // three runs of 4 B from 24 down to 8 of the source, packed
+        assert!(copier.copy_row((0, 4), (24, -8), 4, 3));
+        // past either end, or runs of no bytes: left to `copy`, run by run
+        assert!(!copier.copy_row((8, 4), (24, -8), 4, 3));
+        assert!(!copier.copy_row((0, 4), (8, -8), 4, 3));
+        assert!(!copier.copy_row((0, 0), (0, 8), 0, 3));
+        drop(copier);
+        assert!(!mem
+            .copier(CopyRule::Backdoor, h, h)
+            .copy_row((0, 4), (8, 8), 4, 2));
+        // a kernel may not touch pageable memory: that end never resolved
+        assert!(!mem
+            .copier(CopyRule::Kernel, d, h)
+            .copy_row((0, 4), (0, 8), 4, 2));
+        let want: Vec<u8> = [24..28, 16..20, 8..12].into_iter().flatten().collect();
+        assert_eq!(mem.peek(d, 12).unwrap(), want);
+        assert_eq!(mem.peek(d.add(12), 4).unwrap(), [0; 4]);
     }
 
     #[test]

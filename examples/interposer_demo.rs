@@ -50,7 +50,7 @@ fn main() -> MpiResult<()> {
         let elapsed = ctx.clock.now() - t0;
         println!("=== {name} ===");
         println!("symbol resolution:");
-        for (sym, provider) in &mpi.log {
+        for (sym, provider) in mpi.log() {
             println!("  {sym:?} -> {provider:?}");
         }
         println!("virtual time: {elapsed}\n");
