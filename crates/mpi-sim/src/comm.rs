@@ -39,9 +39,9 @@
 //! already seen its decision. The burst lands in every inbox as one step
 //! (revocations too), so whatever a fast member does after the decision —
 //! revoke its next round, announce its own death — queues behind the
-//! decision on every other member, at any worker count. A participant that observes candidate `k`'s
-//! death moves to candidate `k + 1` and re-ships its gather; a decision
-//! from *any* source ends its wait.
+//! decision on every other member. A participant that observes candidate
+//! `k`'s death moves to candidate `k + 1` and re-ships its gather; a
+//! decision from *any* source ends its wait.
 //!
 //! No member leaves an agreement before the last live member entered it:
 //! the coordinator's clock advances to the latest gather's departure
@@ -179,14 +179,16 @@ impl RankCtx {
         self.router.push(dest_world, msg);
     }
 
-    /// [`RankCtx::control_send`] to every other member in one step: no
-    /// member can react to its copy before every member holds one, so
-    /// what a member sends in reaction — a later round's revocation, a
-    /// death notice — queues behind the copy on every member, whatever
-    /// the worker threads' timing.
+    /// [`RankCtx::control_send`] to every other member in one step: a
+    /// push never parks, so no member can react to its copy before every
+    /// member holds one, and what a member sends in reaction — a later
+    /// round's revocation, a death notice — queues behind the copy on
+    /// every member.
     fn control_flood(&mut self, tag: i32, payload: Vec<u8>) {
         let msg = self.control_message(tag, payload);
-        self.router.push_all(&self.other_members(), &msg);
+        for dest in self.other_members() {
+            self.router.push(dest, msg.clone());
+        }
     }
 
     /// ULFM `MPI_Comm_revoke`: poison the current communicator epoch on

@@ -8,11 +8,10 @@
 //! instant, and a receive completes at `max(local now, departure + wire
 //! time)`.
 //!
-//! Ranks run as cooperatively-yielding fibers on an M-worker pool (M ≈
-//! cores; see [`crate::sched`]), which scales past 10,000 ranks. Wall-clock
-//! scheduling never affects results: all reported times are virtual, and
-//! matching is deterministic for the directed (source-specified) receives
-//! used throughout the experiments.
+//! Ranks run as cooperatively-yielding fibers, one at a time, on one
+//! worker thread per world (see [`crate::sched`]), which scales past
+//! 10,000 ranks. The order they run in follows from virtual time and the
+//! program alone, so a world replays byte for byte on any machine.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -62,10 +61,6 @@ pub struct WorldConfig {
     /// moves the instant ranks unwinding with [`MpiError::Deadlock`] find
     /// themselves at (default zero).
     pub deadlock_budget: SimTime,
-    /// Worker threads for the scheduler; `None` (the default) uses
-    /// `TEMPI_SCHED_WORKERS` or the machine's available parallelism.
-    /// Results are byte-identical regardless of this value.
-    pub sched_workers: Option<usize>,
     /// Per-rank inbox high-water mark in messages; `None` uses
     /// `TEMPI_INBOX_HWM` or the default (8192). `Some(0)` disables
     /// backpressure entirely (unbounded inboxes, the old behavior).
@@ -85,7 +80,6 @@ impl WorldConfig {
             integrity: false,
             tracer: Tracer::off(),
             deadlock_budget: SimTime::ZERO,
-            sched_workers: None,
             inbox_hwm: None,
         }
     }
@@ -103,7 +97,6 @@ impl WorldConfig {
             integrity: false,
             tracer: Tracer::off(),
             deadlock_budget: SimTime::ZERO,
-            sched_workers: None,
             inbox_hwm: None,
         }
     }
@@ -143,11 +136,10 @@ impl WorldConfig {
         self
     }
 
-    /// Builder-style: pin the scheduler's worker-pool size (the
-    /// determinism tests run the same world at `M=1` and `M=8`).
+    /// A no-op, kept for callers written when the scheduler ran a pool of
+    /// worker threads: every world now runs on one worker.
     #[must_use]
-    pub fn with_sched_workers(mut self, workers: usize) -> Self {
-        self.sched_workers = Some(workers.max(1));
+    pub fn with_sched_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -169,19 +161,6 @@ impl WorldConfig {
             })
             .unwrap_or(DEFAULT_INBOX_HWM)
     }
-
-    /// The scheduler's worker count after environment fallback,
-    /// clamped to `[1, size]` (more workers than ranks is pure waste).
-    fn resolve_workers(&self) -> usize {
-        self.sched_workers
-            .or_else(|| {
-                std::env::var("TEMPI_SCHED_WORKERS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .clamp(1, self.size.max(1))
-    }
 }
 
 /// A barrier that also merges virtual clocks: every participant leaves at
@@ -198,10 +177,8 @@ struct BarrierState {
     release: SimTime,
     generation: u64,
     /// Ranks whose fibers are parked in this barrier. The releaser wakes
-    /// each and empties the list under the barrier lock (the park
-    /// protocol's order: barrier lock, then task lock), so the list keeps
-    /// its capacity and a barrier allocates only until it has seen a full
-    /// world.
+    /// each and empties the list in place, so the list keeps its capacity
+    /// and a barrier allocates only until it has seen a full world.
     waiters: Vec<usize>,
 }
 
@@ -250,13 +227,8 @@ impl ClockBarrier {
         }
         s.waiters.push(rank);
         loop {
-            // Park protocol: announce Parking before dropping the barrier
-            // lock, so the releaser (which drains `waiters` under that
-            // lock) always finds this task in Parking/Parked and its wake
-            // is latched rather than lost.
-            sched.begin_park(rank, now, ParkOp::Barrier);
             drop(s);
-            sched.park_switch(rank);
+            sched.park(rank, now, ParkOp::Barrier);
             s = self.state.lock();
             if s.generation != gen {
                 return Some(s.release);
@@ -266,8 +238,7 @@ impl ClockBarrier {
                 s.waiters.retain(|&w| w != rank);
                 return None;
             }
-            // Spurious wake (e.g. a verdict raced with a release that
-            // then happened anyway): loop and re-park.
+            // A wake meant for another blocking point: loop and re-park.
         }
     }
 }
@@ -387,7 +358,7 @@ impl RankCtx {
     /// with nothing deliverable can never be satisfied, so it returns
     /// [`MpiError::Deadlock`] at once instead of hanging.
     pub fn standalone(cfg: &WorldConfig) -> RankCtx {
-        // No tasks, no workers: the caller's thread is the rank.
+        // No tasks and never run: the caller's thread is the rank.
         WorldShared::new(cfg, 1, SchedCore::new(0, cfg.deadlock_budget)).ctx(cfg, 0)
     }
 
@@ -789,11 +760,12 @@ fn merge_results<T>(
 
 impl World {
     /// Run `body` on every rank of a world configured by `cfg`; returns the
-    /// per-rank results in rank order. Every rank is a fiber on an M-worker
-    /// pool; blocking points park the fiber and deadlocks are detected
-    /// structurally (see [`crate::sched`]). A panicking rank surfaces as
-    /// [`MpiError::RankPanicked`] naming it (peers see it die like a
-    /// fault-injected exit); an empty world is [`MpiError::InvalidArg`].
+    /// per-rank results in rank order. Every rank is a fiber on the world's
+    /// one worker thread; blocking points park the fiber and deadlocks are
+    /// detected structurally (see [`crate::sched`]). A panicking rank
+    /// surfaces as [`MpiError::RankPanicked`] naming it (peers see it die
+    /// like a fault-injected exit); an empty world is
+    /// [`MpiError::InvalidArg`].
     pub fn run<F, T>(cfg: &WorldConfig, body: F) -> MpiResult<Vec<T>>
     where
         F: Fn(&mut RankCtx) -> MpiResult<T> + Sync,
@@ -809,13 +781,10 @@ impl World {
         let slots: Vec<Mutex<Option<MpiResult<T>>>> =
             (0..cfg.size).map(|_| Mutex::new(None)).collect();
         let (body, out) = (&body, &slots);
-        sched.run(
-            cfg.resolve_workers(),
-            (0..cfg.size).map(|rank| -> Box<dyn FnOnce() + Send + '_> {
-                let mut ctx = world.ctx(cfg, rank);
-                Box::new(move || *out[rank].lock() = Some(run_rank(body, &mut ctx)))
-            }),
-        );
+        sched.run((0..cfg.size).map(|rank| -> Box<dyn FnOnce() + Send + '_> {
+            let mut ctx = world.ctx(cfg, rank);
+            Box::new(move || *out[rank].lock() = Some(run_rank(body, &mut ctx)))
+        }));
         let results = slots
             .into_iter()
             .map(|slot| {

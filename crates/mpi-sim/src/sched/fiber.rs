@@ -29,9 +29,9 @@
 //!
 //! Contract shared by both (the `# Safety` sections below):
 //!
-//! * a fiber is only ever resumed by one worker at a time, and only
-//!   suspended from inside its own body — the scheduler's task state
-//!   machine guarantees this;
+//! * a fiber is only ever resumed by the scheduler's one worker, never
+//!   while it runs, and only suspended from inside its own body — the
+//!   scheduler's ready heap guarantees this;
 //! * unwinding never crosses a switch: the runtime wraps every body in
 //!   `catch_unwind`, so a panic is a value before control returns to the
 //!   worker.
@@ -315,9 +315,9 @@ mod asm {
     pub(crate) struct Fiber(UnsafeCell<Inner>);
 
     // SAFETY: every access to the cell goes through `arm`/`resume`/
-    // `suspend`, whose contracts make the callers mutually exclusive (one
-    // worker at a time, or the fiber itself while that worker is switched
-    // out); `Inner`'s fields are all `Send` (stack above, `Entry` by bound).
+    // `suspend`, whose contracts make the callers mutually exclusive (the
+    // worker, or the fiber itself while the worker is switched out);
+    // `Inner`'s fields are all `Send` (stack above, `Entry` by bound).
     unsafe impl Sync for Fiber {}
 
     impl Fiber {

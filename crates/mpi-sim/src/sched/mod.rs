@@ -1,40 +1,41 @@
-//! Event-driven virtual-time scheduler: ranks as fibers on an M-worker pool.
+//! Event-driven virtual-time scheduler: ranks as fibers on one worker.
 //!
 //! This is the only runtime. Every rank is a cooperatively-yielding
-//! *fiber* (see the `fiber` submodule) multiplexed onto M worker threads
-//! (M ≈ cores), so a 10,000-rank world costs 10,000 lazily-committed
-//! stacks and M threads. Blocking points — receive waits, barrier entry,
-//! send backpressure — park the fiber; delivery of a message (or a barrier
-//! release) wakes it.
+//! *fiber* (see the `fiber` submodule), and one worker thread per world
+//! runs them one at a time, so a 10,000-rank world costs 10,000
+//! lazily-committed stacks and one thread. Blocking points — receive
+//! waits, barrier entry, send backpressure — park the fiber; delivery of
+//! a message (or a barrier release) wakes it.
 //!
 //! ## Ready ordering and determinism
 //!
-//! Runnable tasks sit in one global heap ordered by `(virtual_time, seq)`
-//! where `seq` is a global monotonic enqueue counter: the task with the
-//! earliest virtual clock runs first, FIFO among equals — a task woken at
-//! an instant runs after those already queued there, and a fresh world,
-//! enqueued in rank order at time zero, starts in rank order. Results are
-//! *byte-identical* across M because all timing is virtual and
-//! Lamport-composed at receives, matching is deterministic, and per-pair
-//! delivery order is FIFO; the heap order affects wall-clock interleaving
-//! only.
+//! Runnable tasks sit in one heap ordered by `(virtual_time, seq)` where
+//! `seq` is a monotonic enqueue counter: the task with the earliest
+//! virtual clock runs first, FIFO among equals — a task woken at an
+//! instant runs after those already queued there, and a fresh world,
+//! enqueued in rank order at time zero, starts in rank order. A fiber runs
+//! until it parks or returns and nothing runs beside it, so which fiber
+//! runs next, and with it the order in which every message lands in every
+//! inbox, follows from the program, its seed and the heap alone: a world
+//! replays byte for byte on any machine. Worlds share nothing, so
+//! parallelism belongs at the world level, one world per thread.
 //!
 //! ## Structural deadlock detection
 //!
 //! The scheduler *knows* when a world is wedged: every unfinished task is
-//! ready, running, or parked, so when a worker finds the ready heap empty
-//! with nothing running and not everything finished, every live rank is
-//! parked with no wake in flight — a deadlock, by construction, with zero
-//! false positives and zero polling. The verdict (ranks, operations,
-//! virtual instant) is stamped once, sticky, and every parked task is
-//! woken to unwind: receives return a structured
+//! ready, running or parked, and only the worker runs tasks, so when the
+//! worker finds the heap run dry before every task has finished, every
+//! live rank is parked with nothing left to wake it — a deadlock, by
+//! construction, with zero false positives and zero polling. The verdict
+//! (ranks, operations, virtual instant) is stamped once, sticky, and every
+//! parked task is woken to unwind: receives return a structured
 //! [`Deadlock`](crate::MpiError::Deadlock) error, barriers withdraw, and
 //! backpressured senders proceed — so the world always drains and the
 //! process never hangs.
 //!
 //! A [`RankCtx::standalone`](crate::RankCtx::standalone) context is the
-//! same machinery with nothing in it — a scheduler of zero tasks and zero
-//! workers. Its one rank is the caller's own thread, which is no task of
+//! same machinery with nothing in it — a scheduler of zero tasks that is
+//! never run. Its one rank is the caller's own thread, which is no task of
 //! the scheduler's: it cannot be suspended and nothing could wake it, so
 //! its park *is* the verdict, stamped on the spot.
 
@@ -51,7 +52,7 @@ use std::sync::OnceLock;
 
 use fiber::{Entry, Fiber, Resumed};
 use gpu_sim::SimTime;
-use tempi_trace::sync::{Condvar, Mutex};
+use tempi_trace::sync::Mutex;
 
 /// The structural deadlock verdict: which ranks were parked with nothing
 /// left to wake them, on what, and when (in virtual time).
@@ -100,7 +101,9 @@ impl fmt::Display for ParkOp {
             ParkOp::Recv { src, tag } => {
                 write!(f, "recv(src={}, tag={})", or_star(src), or_star(tag))
             }
-            ParkOp::Probe { src, tag } => write!(f, "probe(src={src:?}, tag={tag:?})"),
+            ParkOp::Probe { src, tag } => {
+                write!(f, "probe(src={}, tag={})", or_star(src), or_star(tag))
+            }
             ParkOp::Barrier => f.write_str("barrier"),
             ParkOp::Backpressure { dest } => write!(f, "send backpressure(dest={dest})"),
             ParkOp::Agree { epoch } => write!(f, "agree(epoch={epoch})"),
@@ -114,38 +117,14 @@ impl fmt::Display for ParkOp {
 /// pages it touches; an overflow faults on the guard page.
 const STACK_KIB: usize = 256;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskState {
-    /// In the ready heap (or being pushed to it).
-    Ready,
-    /// Executing on some worker.
-    Running,
-    /// Announced intent to park; its worker has not yet completed the
-    /// handoff (the fiber may still be switching out).
-    Parking,
-    /// Parked; only a [`SchedCore::wake`] can make it runnable again.
-    Parked,
-    /// Its body returned; its stack has been freed.
-    Finished,
-}
-
-struct TaskInner {
-    state: TaskState,
-    /// A wake arrived while the task was on a worker: consume it at the
-    /// next park-handoff instead of losing it.
-    wake_pending: bool,
-    /// What the task is blocked on (rendered only into a deadlock
-    /// verdict's `ops`).
-    park_desc: Option<ParkOp>,
-    /// The task's virtual clock when it last parked: keys its
-    /// next ready-heap entry and feeds the verdict's `at`.
-    clock: SimTime,
-}
-
 struct Task {
-    inner: Mutex<TaskInner>,
-    /// Touched only by whichever thread currently *is* the task or runs
-    /// it; the [`TaskState`] machine makes those mutually exclusive.
+    /// The task's virtual clock when it parked (its ready-heap key once
+    /// woken, and the verdict's `at`) and what it is blocked on; `None`
+    /// while it is ready, running or finished.
+    parked: Mutex<Option<(SimTime, ParkOp)>>,
+    /// Touched only by the worker and by the task itself while the worker
+    /// runs it: a task sits in the ready heap at most once, and never
+    /// while it runs.
     fiber: Fiber,
 }
 
@@ -154,11 +133,6 @@ struct RunState {
     ready: BinaryHeap<Reverse<(u64, u64, usize)>>,
     /// Monotonic enqueue counter: FIFO among equal virtual times.
     seq: u64,
-    /// Tasks currently executing on workers (includes `Parking` tasks
-    /// whose handoff is not yet complete — crucial: `running == 0`
-    /// implies every park has fully settled and nobody can be mid-wake).
-    running: usize,
-    parked: usize,
     finished: usize,
 }
 
@@ -171,11 +145,15 @@ impl RunState {
     }
 }
 
-/// The scheduler shared by every rank and worker of one world run.
+/// The scheduler shared by every rank of one world run.
+///
+/// Its state stays behind locks although one fiber runs at a time: the
+/// `baton` fiber backend runs each fiber on an OS thread of its own, so
+/// the scheduler must be `Sync`, and one at a time the locks are never
+/// contended.
 pub(crate) struct SchedCore {
     tasks: Vec<Task>,
     state: Mutex<RunState>,
-    cv: Condvar,
     /// Stamped at most once; sticky.
     verdict: OnceLock<DeadlockInfo>,
     /// Virtual-time offset folded into the verdict's `at` stamp.
@@ -190,52 +168,41 @@ impl SchedCore {
         SchedCore {
             tasks: (0..total)
                 .map(|_| Task {
-                    inner: Mutex::new(TaskInner {
-                        state: TaskState::Ready,
-                        wake_pending: false,
-                        park_desc: None,
-                        clock: SimTime::ZERO,
-                    }),
+                    parked: Mutex::new(None),
                     fiber: Fiber::new(),
                 })
                 .collect(),
             state: Mutex::new(RunState {
                 ready: BinaryHeap::with_capacity(total),
                 seq: 0,
-                running: 0,
-                parked: 0,
                 finished: 0,
             }),
-            cv: Condvar::new(),
             verdict: OnceLock::new(),
             budget,
         }
     }
 
-    /// Run `bodies` — one per rank, in rank order — as fibers on `workers`
-    /// threads, and return once every one of them has returned.
+    /// Run `bodies` — one per rank, in rank order — as fibers on one
+    /// worker thread, and return once every one of them has returned.
     ///
     /// The bodies may borrow from the caller's frame (`'env`): this is the
     /// scoped-spawn entry point, and the loop below is what upholds it.
-    pub(crate) fn run<'env>(
-        &self,
-        workers: usize,
-        bodies: impl Iterator<Item = Box<dyn FnOnce() + Send + 'env>>,
-    ) {
+    pub(crate) fn run<'env>(&self, bodies: impl Iterator<Item = Box<dyn FnOnce() + Send + 'env>>) {
         let mut armed = 0;
         for (rank, (task, body)) in self.tasks.iter().zip(bodies).enumerate() {
             // SAFETY: a fiber stores its body as `'static`, but the body is
             // consumed (called by value, its captures dropped) by the time
-            // its task is `Finished`; workers only leave `worker_loop` once
-            // *every* task is `Finished` — a deadlock verdict wakes every
+            // its fiber finishes; the worker only leaves `worker_loop` once
+            // *every* fiber has finished — a deadlock verdict wakes every
             // parked fiber so blocking points unwind and bodies return —
-            // and the thread scope below only ends once every worker has
+            // and the thread scope below only ends once the worker has
             // left. So no body, and nothing borrowed by one, outlives this
             // call.
             let body =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Entry>(body) };
-            // SAFETY: no worker exists yet, so nothing else touches the
-            // fiber; `tasks` is never resized, so the fiber never moves.
+            // SAFETY: the worker does not exist yet, so nothing else
+            // touches the fiber; `tasks` is never resized, so the fiber
+            // never moves.
             unsafe { task.fiber.arm(STACK_KIB * 1024, body) };
             armed += 1;
             // In rank order, so a fresh world starts in rank order.
@@ -244,149 +211,65 @@ impl SchedCore {
         // A task given no body has nothing to run: count it finished, so
         // the loop's exit condition (and the argument above) still holds.
         self.state.lock().finished = self.tasks.len() - armed;
+        // A thread of its own, not the caller's: run on the caller's
+        // thread, the 4,096-rank halo's resident set more than doubled.
         std::thread::scope(|scope| {
-            for _ in 0..workers.max(1) {
-                scope.spawn(|| self.worker_loop());
-            }
+            scope.spawn(|| self.worker_loop());
         });
     }
 
-    /// One worker's life: pop the earliest runnable task, run its fiber
-    /// until it parks or finishes, repeat. When the heap runs dry
-    /// with nothing running and tasks still unfinished, the world is
-    /// structurally deadlocked (see module docs).
+    /// The worker's life: pop the earliest runnable task, run its fiber
+    /// until it parks or finishes, repeat. A heap that runs dry before
+    /// every task has finished is a structural deadlock (see module docs).
     fn worker_loop(&self) {
         loop {
-            let rank = {
-                let mut s = self.state.lock();
-                loop {
-                    if let Some(Reverse((_, _, r))) = s.ready.pop() {
-                        s.running += 1;
-                        break r;
-                    }
-                    if s.finished == self.tasks.len() {
-                        return;
-                    }
-                    if s.running == 0 {
-                        drop(s);
-                        self.declare_deadlock();
-                        s = self.state.lock();
-                        continue;
-                    }
-                    self.cv.wait(&mut s);
+            let mut s = self.state.lock();
+            if let Some(Reverse((_, _, rank))) = s.ready.pop() {
+                drop(s);
+                // SAFETY: `run` armed the fiber, and this worker is its
+                // only runner. It is not running and has not finished: a
+                // task is in the heap at most once (a wake enqueues only a
+                // parked task, and clears its park), never while it runs,
+                // and never once finished (a finished task parks no more).
+                if unsafe { self.tasks[rank].fiber.resume() } == Resumed::Finished {
+                    self.state.lock().finished += 1;
                 }
-            };
-            self.run_task(rank);
-        }
-    }
-
-    /// Resume `rank`'s fiber and complete whatever transition it exits
-    /// with.
-    fn run_task(&self, rank: usize) {
-        let task = &self.tasks[rank];
-        {
-            let mut inner = task.inner.lock();
-            debug_assert_eq!(inner.state, TaskState::Ready);
-            inner.state = TaskState::Running;
-        }
-        // SAFETY: `run` armed the fiber; popping it from the ready heap
-        // made this worker its only runner until the transition below
-        // re-publishes it, and a `Finished` task is never re-enqueued.
-        if unsafe { task.fiber.resume() } == Resumed::Finished {
-            task.inner.lock().state = TaskState::Finished;
-            let mut s = self.state.lock();
-            s.running -= 1;
-            s.finished += 1;
-            let all_done = s.finished == self.tasks.len();
-            drop(s);
-            if all_done {
-                self.cv.notify_all();
+            } else if s.finished == self.tasks.len() {
+                return;
+            } else {
+                drop(s);
+                self.declare_deadlock();
             }
-            return;
         }
-        let mut inner = task.inner.lock();
-        let vtime = inner.clock.as_ps();
-        // Complete the Parking -> Parked handoff. A wake that raced in
-        // while the fiber was switching out left `wake_pending`; honor it
-        // by re-enqueueing instead of parking — this is what makes a
-        // deliver-vs-park race lose no wakeups and never run one fiber on
-        // two workers.
-        if inner.state == TaskState::Parking && !inner.wake_pending {
-            inner.state = TaskState::Parked;
-            // Count the park before it becomes visible: a wake that sees
-            // `Parked` decrements `parked`, and if it got in ahead of the
-            // increment the counter would underflow (a panic in debug
-            // builds that leaves the woken task out of the ready heap).
-            let mut s = self.state.lock();
-            drop(inner);
-            s.running -= 1;
-            s.parked += 1;
-            return;
-        }
-        debug_assert_eq!(inner.state, TaskState::Parking);
-        inner.wake_pending = false;
-        inner.state = TaskState::Ready;
-        drop(inner);
-        let mut s = self.state.lock();
-        s.running -= 1;
-        s.enqueue(vtime, rank);
-        drop(s);
-        self.cv.notify_one();
     }
 
-    /// Fiber-side: announce intent to park on `op`, with the caller's
-    /// virtual clock at `now`. The caller then publishes its wake
-    /// condition (e.g. an inbox "receiver parked" flag) and calls
-    /// [`SchedCore::park_switch`].
-    pub(crate) fn begin_park(&self, rank: usize, now: SimTime, op: ParkOp) {
+    /// Fiber-side: park `rank` on `op` with its virtual clock at `now`,
+    /// and return when woken. Call it after publishing the wake condition
+    /// (e.g. an inbox's "receiver parked" flag) and with every lock
+    /// released: nothing else runs until this fiber switches out, so no
+    /// wake can come in between.
+    pub(crate) fn park(&self, rank: usize, now: SimTime, op: ParkOp) {
         let Some(task) = self.tasks.get(rank) else {
             // A standalone caller: nothing can wake it, so this is final.
             self.condemn(vec![rank], vec![op.to_string()], now);
             return;
         };
-        let mut inner = task.inner.lock();
-        debug_assert!(matches!(
-            inner.state,
-            TaskState::Running | TaskState::Parking
-        ));
-        inner.state = TaskState::Parking;
-        inner.park_desc = Some(op);
-        inner.clock = now;
-    }
-
-    /// Fiber-side: hand control to the worker; returns when woken.
-    pub(crate) fn park_switch(&self, rank: usize) {
-        if let Some(task) = self.tasks.get(rank) {
-            // SAFETY: only rank `rank`'s own body reaches its blocking
-            // points, so this runs on that rank's fiber.
-            unsafe { task.fiber.suspend() };
-        }
+        *task.parked.lock() = Some((now, op));
+        // SAFETY: only rank `rank`'s own body reaches its blocking points,
+        // so this runs on that rank's fiber.
+        unsafe { task.fiber.suspend() };
     }
 
     /// Make `rank` runnable again (message delivered, barrier released,
-    /// inbox drained, verdict declared). Safe to call redundantly and
-    /// from any state: a wake racing a park is latched via
-    /// `wake_pending`, a wake of a ready/finished task is a no-op.
+    /// inbox drained, verdict declared). Safe to call redundantly: a wake
+    /// of a task that is not parked is a no-op.
     pub(crate) fn wake(&self, rank: usize) {
         let Some(task) = self.tasks.get(rank) else {
             return; // a standalone caller never parks
         };
-        let mut inner = task.inner.lock();
-        match inner.state {
-            TaskState::Parked => {
-                inner.state = TaskState::Ready;
-                let vtime = inner.clock.as_ps();
-                drop(inner);
-                let mut s = self.state.lock();
-                s.parked -= 1;
-                s.enqueue(vtime, rank);
-                drop(s);
-                self.cv.notify_one();
-            }
-            TaskState::Parking | TaskState::Running => {
-                inner.wake_pending = true;
-            }
-            TaskState::Ready | TaskState::Finished => {}
+        let parked = task.parked.lock().take();
+        if let Some((clock, _)) = parked {
+            self.state.lock().enqueue(clock.as_ps(), rank);
         }
     }
 
@@ -407,26 +290,17 @@ impl SchedCore {
 
     /// Declare the world deadlocked: stamp the verdict from the parked
     /// tasks' descriptions and clocks, then wake everything so blocking
-    /// points unwind and the run drains. Called only when `running == 0`
-    /// and the ready heap is empty, so the parked set is stable.
+    /// points unwind and the run drains.
     fn declare_deadlock(&self) {
         let mut ranks = Vec::new();
         let mut ops = Vec::new();
         let mut latest = SimTime::ZERO;
         for (rank, task) in self.tasks.iter().enumerate() {
-            let inner = task.inner.lock();
-            if inner.state == TaskState::Parked {
+            if let Some((clock, op)) = *task.parked.lock() {
                 ranks.push(rank);
-                ops.push(
-                    inner
-                        .park_desc
-                        .map_or_else(|| "blocked".to_string(), |op| op.to_string()),
-                );
-                latest = latest.max(inner.clock);
+                ops.push(op.to_string());
+                latest = latest.max(clock);
             }
-        }
-        if ranks.is_empty() {
-            return;
         }
         self.condemn(ranks, ops, latest);
         for rank in 0..self.tasks.len() {
@@ -440,12 +314,6 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use super::*;
-
-    /// Park `rank` of `core` once, as a blocking point would.
-    fn park(core: &SchedCore, rank: usize, at: SimTime, op: ParkOp) {
-        core.begin_park(rank, at, op);
-        core.park_switch(rank);
-    }
 
     const RECV_1_7: ParkOp = ParkOp::Recv {
         src: Some(1),
@@ -465,7 +333,7 @@ mod tests {
         let rendered = [
             (RECV_1_7, "recv(src=1, tag=7)"),
             (any, "recv(src=*, tag=*)"),
-            (probe, "probe(src=Some(1), tag=None)"),
+            (probe, "probe(src=1, tag=*)"),
             (ParkOp::Barrier, "barrier"),
             (
                 ParkOp::Backpressure { dest: 9 },
@@ -483,11 +351,11 @@ mod tests {
         let budget = SimTime::from_ms(100);
         let core = SchedCore::new(3, budget);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| park(&core, 0, SimTime::from_us(3), RECV_1_7)),
-            Box::new(|| park(&core, 1, SimTime::from_us(5), ParkOp::Barrier)),
+            Box::new(|| core.park(0, SimTime::from_us(3), RECV_1_7)),
+            Box::new(|| core.park(1, SimTime::from_us(5), ParkOp::Barrier)),
             Box::new(|| {}), // returns at once: done, not stuck
         ];
-        core.run(2, bodies.into_iter());
+        core.run(bodies.into_iter());
         let v = core.verdict().expect("two ranks parked for good");
         assert_eq!(v.ranks, vec![0, 1]);
         assert_eq!(v.ops, vec!["recv(src=1, tag=7)", "barrier"]);
@@ -498,15 +366,12 @@ mod tests {
     fn a_world_whose_ranks_all_return_has_no_verdict_and_bodies_may_borrow() {
         let hits = AtomicU64::new(0);
         let core = SchedCore::new(4, SimTime::ZERO);
-        core.run(
-            2,
-            (0..4usize).map(|rank| -> Box<dyn FnOnce() + Send + '_> {
-                let hits = &hits;
-                Box::new(move || {
-                    hits.fetch_add(rank as u64 + 1, Ordering::SeqCst);
-                })
-            }),
-        );
+        core.run((0..4usize).map(|rank| -> Box<dyn FnOnce() + Send + '_> {
+            let hits = &hits;
+            Box::new(move || {
+                hits.fetch_add(rank as u64 + 1, Ordering::SeqCst);
+            })
+        }));
         assert_eq!(hits.load(Ordering::SeqCst), 1 + 2 + 3 + 4);
         assert_eq!(core.verdict(), None);
     }
@@ -515,7 +380,7 @@ mod tests {
     fn a_standalone_park_is_the_verdict_and_returns_at_once() {
         let core = SchedCore::new(0, SimTime::from_ms(1));
         assert_eq!(core.verdict(), None);
-        park(&core, 0, SimTime::from_us(2), RECV_1_7);
+        core.park(0, SimTime::from_us(2), RECV_1_7);
         let v = core
             .verdict()
             .expect("nothing can wake a standalone caller");
@@ -523,7 +388,7 @@ mod tests {
         assert_eq!(v.ops, vec!["recv(src=1, tag=7)"]);
         assert_eq!(v.at, SimTime::from_us(2) + SimTime::from_ms(1));
         let first = v.clone();
-        park(&core, 0, SimTime::from_us(9), ParkOp::Barrier);
+        core.park(0, SimTime::from_us(9), ParkOp::Barrier);
         assert_eq!(core.verdict(), Some(&first), "the verdict is sticky");
     }
 }

@@ -186,27 +186,6 @@ impl Router {
         self.deliver_locked(dest, q, msg);
     }
 
-    /// Deliver `msg` unconditionally to every rank of `dests` (ascending,
-    /// so two floods never lock in opposite orders) as one step: every
-    /// inbox is locked before the first copy lands, so no receiver can act
-    /// on its copy while another inbox still lacks one, and whatever a
-    /// receiver sends in reaction queues behind the copy everywhere.
-    pub(crate) fn push_all(&self, dests: &[usize], msg: &Message) {
-        debug_assert!(dests.windows(2).all(|w| w[0] < w[1]), "{dests:?}");
-        let mut queues: Vec<_> = dests.iter().map(|&d| self.slots[d].lock()).collect();
-        let mut woken = Vec::new();
-        for (q, &dest) in queues.iter_mut().zip(dests) {
-            q.msgs.push_back(msg.clone());
-            if std::mem::take(&mut q.recv_parked) {
-                woken.push(dest);
-            }
-        }
-        drop(queues);
-        for dest in woken {
-            self.sched.wake(dest);
-        }
-    }
-
     /// Deliver subject to the high-water mark: while `dest`'s inbox is
     /// full, park the sending fiber. Once a deadlock verdict exists the
     /// message is force-delivered so the world can drain.
@@ -223,11 +202,9 @@ impl Router {
                 self.deliver_locked(dest, q, msg);
                 return;
             }
-            self.sched
-                .begin_park(me, now, ParkOp::Backpressure { dest });
             q.send_parked.push(me);
             drop(q);
-            self.sched.park_switch(me);
+            self.sched.park(me, now, ParkOp::Backpressure { dest });
         }
         self.push(dest, msg);
     }
@@ -260,20 +237,15 @@ impl Router {
                 return Err(verdict.clone());
             }
             let mut q = self.slots[me].lock();
-            // Clear a stale flag from a verdict wake or a racing push.
+            // Clear a flag a verdict wake left behind.
             q.recv_parked = false;
             if let Some(m) = q.msgs.pop_front() {
                 self.after_pop(q);
                 return Ok(m);
             }
-            // Order matters: announce Parking *before* publishing the
-            // parked flag, so a deliverer that observes the flag always
-            // finds the task in Parking/Parked and its wake is never
-            // lost (a racing wake latches `wake_pending`).
-            self.sched.begin_park(me, now, op);
             q.recv_parked = true;
             drop(q);
-            self.sched.park_switch(me);
+            self.sched.park(me, now, op);
         }
     }
 

@@ -85,9 +85,9 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         out.push(metadata(pid, tid, "thread_sort_index", "sort_index", index));
     }
 
-    // Canonical event order: the shared buffer interleaves ranks in
-    // wall-clock arrival order, which varies run to run (and with the
-    // event scheduler's worker count). A stable sort by (pid, tid, ts)
+    // Canonical event order: the shared buffer interleaves ranks in the
+    // order they ran (and a tracer shared by worlds on several threads,
+    // those in wall-clock order). A stable sort by (pid, tid, ts)
     // makes the export a pure function of the recorded events: same-lane
     // ties keep their per-rank program order (appends within one rank are
     // sequential), so B/E nesting survives.

@@ -135,9 +135,7 @@ fn every_victim_at_every_instant_recovers_byte_exactly() {
     // distinct span edge of its trace, where each phase hands over to the
     // next.
     let tracer = Tracer::new(TraceLevel::Spans);
-    let cfg = WorldConfig::summit(8)
-        .with_sched_workers(1)
-        .with_tracer(tracer.clone());
+    let cfg = WorldConfig::summit(8).with_tracer(tracer.clone());
     let clean = run_demo(&cfg);
     let end = (clean.iter())
         .map(|r| r.as_ref().expect("the fault-free run must succeed").clock)
@@ -161,7 +159,7 @@ fn every_victim_at_every_instant_recovers_byte_exactly() {
     instants.sort_unstable();
     instants.dedup();
 
-    // Victims split over a few threads; each world runs on one worker.
+    // Victims split over a few threads, one world per thread at a time.
     let threads = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
     let failures: Vec<String> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -171,9 +169,8 @@ fn every_victim_at_every_instant_recovers_byte_exactly() {
                     let mut failures = Vec::new();
                     for victim in (first..8).step_by(threads) {
                         for &at in instants {
-                            let cfg = WorldConfig::summit(8)
-                                .with_faults(with_exits("", &[victim], at))
-                                .with_sched_workers(1);
+                            let cfg =
+                                WorldConfig::summit(8).with_faults(with_exits("", &[victim], at));
                             if let Err(why) = judge(demo_world(&cfg), victim) {
                                 failures.push(format!("(victim {victim}, T = {at}): {why}"));
                             }
@@ -380,10 +377,35 @@ fn stale_prior_epoch_messages_are_rejected_after_shrink() {
 }
 
 #[test]
+fn a_death_inside_a_round_replays_exactly() {
+    // The README demo: rank 3 dies at 285 µs, inside the second round
+    // (generation 0 commits at 245.9 µs, the fault-free run ends at
+    // 313.6 µs), so its death notice and the revocations land among the
+    // round's traffic. Eight runs must agree on every rank's clock, result
+    // and fault counter, the victim's included.
+    let cfg = WorldConfig::summit(8).with_faults(FaultPlan::parse("exit=3@285us").unwrap());
+    let run = || {
+        World::run(&cfg, |ctx| {
+            let r = recovering_rank(ctx, CheckpointStore::new());
+            Ok((r, ctx.clock.now(), ctx.faults.stats.clone()))
+        })
+        .expect("the world must run")
+    };
+    let first = run();
+    let results: Vec<_> = first.iter().map(|(r, ..)| r.clone()).collect();
+    for r in survivors(&results, &[3]) {
+        assert_eq!((r.size, r.restored), (7, Some(0)));
+    }
+    for i in 1..8 {
+        assert_eq!(run(), first, "run {i} differs from the first");
+    }
+}
+
+#[test]
 fn seeded_recovery_replays_identically() {
     // Transient link faults *and* a scheduled death, all seeded: two runs
     // must agree on the recovery outcome, the final grid bytes, the
-    // virtual clock, and every fault counter, at the default worker count.
+    // virtual clock, and every fault counter.
     // Rank 5 dies as generation 0 commits, so every survivor learns of it
     // at the next round's first gate, by virtual clock alone.
     let replay = |seed: u64| {
@@ -422,7 +444,7 @@ fn kill_plus_corruption_restores_from_checkpoints_and_replays() {
     // recovery path), the final grid matches the serial oracle
     // byte-for-byte, and the whole schedule — fault counters, degradation
     // log, restored state, virtual clocks — replays identically under the
-    // same seed, at the default worker count. Rank 2 dies as generation 0
+    // same seed. Rank 2 dies as generation 0
     // commits, as above.
     let spec = "seed=424242,corrupt=0.2,retries=8,backoff=10us";
     let at = after_first_commit(&FaultPlan::parse(spec).unwrap());

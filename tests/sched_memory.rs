@@ -123,7 +123,7 @@ fn a_rank_that_overflows_its_stack_dies_of_a_fault_at_the_guard_page() {
 
 #[test]
 fn spawning_a_rank_allocates_its_stack_and_little_more() {
-    // The calling thread builds the world and arms every stack before a
+    // The calling thread builds the world and arms every stack before the
     // worker starts, so its count is what spawning costs.
     let before = counts().1;
     World::run(&WorldConfig::summit(64), |_| Ok(())).expect("an empty world");
@@ -139,8 +139,7 @@ fn spawning_a_rank_allocates_its_stack_and_little_more() {
 fn a_warm_barrier_allocates_nothing() {
     // One worker runs every rank, so its thread's count covers all of them
     // between a rank's two reads, and nothing but barriers runs there.
-    let cfg = WorldConfig::summit(64).with_sched_workers(1);
-    let allocs = World::run(&cfg, |ctx| {
+    let allocs = World::run(&WorldConfig::summit(64), |ctx| {
         for _ in 0..3 {
             ctx.barrier();
         }

