@@ -160,13 +160,10 @@ fn fail(what: &str, e: impl std::fmt::Display) -> ! {
 /// records — useful with `TEMPI_TRACE_FILE` for a metrics-only dump.
 fn trace_setup(args: &[String]) -> (Tracer, Option<String>) {
     let path = flag_value(args, "--trace");
-    let env_level = match std::env::var("TEMPI_TRACE") {
-        Ok(v) => match TraceLevel::parse(&v) {
-            Ok(level) => Some(level),
-            Err(e) => bad_usage(format!("TEMPI_TRACE: {e}")),
-        },
-        Err(_) => None,
-    };
+    // the parser's message already names the variable
+    let env_level = std::env::var("TEMPI_TRACE")
+        .ok()
+        .map(|v| TraceLevel::parse(&v).unwrap_or_else(|e| bad_usage(e)));
     let level = match (env_level, &path) {
         (Some(level), _) => level,
         (None, Some(_)) => TraceLevel::Full,

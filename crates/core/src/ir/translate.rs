@@ -200,7 +200,7 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
         // Algorithm 3: vector/hvector become two nested streams (blocks,
         // then elements within a block), the blocks a stride in elements
         // or in bytes apart. A vector forms `extent × stride` only for more
-        // than one block, as the registry does.
+        // than one block of elements, as the registry does.
         Combiner::Vector | Combiner::Hvector => {
             let c = intro.contents(dt)?;
             let (count, blocklength) = (c.integers[0], c.integers[1]);
@@ -208,7 +208,7 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
             let vector = env.combiner == Combiner::Vector;
             let ex = stride_extent(intro, old, blocklength > 1 || (vector && count > 1))?;
             let apart = match env.combiner {
-                Combiner::Vector if count > 1 => at(0, ex, c.integers[2])?,
+                Combiner::Vector if count > 1 && blocklength > 0 => at(0, ex, c.integers[2])?,
                 Combiner::Vector => 0,
                 _ => c.addresses[0],
             };

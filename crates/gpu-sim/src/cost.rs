@@ -134,8 +134,6 @@ pub struct GpuCostModel {
     /// CPU cost of a fresh `cudaMalloc`/`cudaHostAlloc` (why TEMPI pools
     /// its intermediate buffers).
     pub alloc_overhead: SimTime,
-    /// CPU cost of `cudaEventRecord` / `cudaStreamWaitEvent`.
-    pub event_overhead: SimTime,
 }
 
 impl GpuCostModel {
@@ -161,7 +159,6 @@ impl GpuCostModel {
             half_utilization_bytes: 128 << 10,
             kernel_min_exec: SimTime::from_us(2),
             alloc_overhead: SimTime::from_us(100),
-            event_overhead: SimTime::from_ns(800),
         }
     }
 
@@ -188,7 +185,6 @@ impl GpuCostModel {
             half_utilization_bytes: 64 << 10,
             kernel_min_exec: SimTime::from_us(2),
             alloc_overhead: SimTime::from_us(80),
-            event_overhead: SimTime::from_ns(600),
         }
     }
 
@@ -322,22 +318,6 @@ impl GpuCostModel {
             })
             .sum();
         self.kernel_min_exec.max(SimTime::from_ns_f64(ns))
-    }
-
-    /// Effective end-to-end bandwidth (bytes/ns) of a pack operation
-    /// including launch + synchronize overhead, for reporting.
-    pub fn pack_effective_bpns(
-        &self,
-        dir: PackDir,
-        target: PackTarget,
-        total_bytes: usize,
-        block_bytes: usize,
-        word_bytes: usize,
-    ) -> f64 {
-        let t = self.kernel_launch_overhead
-            + self.pack_kernel_time(dir, target, total_bytes, block_bytes, word_bytes)
-            + self.stream_sync_overhead;
-        total_bytes as f64 / t.as_ns_f64()
     }
 }
 
@@ -502,14 +482,5 @@ mod tests {
         // but the x86 driver stack has lower call overheads
         assert!(ws.memcpy_async_overhead < summit.memcpy_async_overhead);
         assert!(ws.kernel_launch_overhead < summit.kernel_launch_overhead);
-    }
-
-    #[test]
-    fn effective_bandwidth_includes_overheads() {
-        let m = m();
-        // A tiny pack is dominated by launch+sync, so effective bw is far
-        // below peak.
-        let eff = m.pack_effective_bpns(PackDir::Pack, PackTarget::Device, 64, 64, 8);
-        assert!(eff < 0.01, "eff = {eff}");
     }
 }

@@ -137,7 +137,7 @@ mod tests {
     fn launch_validation_rejects_oversized_block() {
         let d = DeviceProps::v100();
         let err = d
-            .validate_launch(Dim3::xyz(1, 1, 1), Dim3::new(1024, 2, 1))
+            .validate_launch(Dim3::new(1, 1, 1), Dim3::new(1024, 2, 1))
             .unwrap_err();
         assert!(err.contains("2048 threads"), "{err}");
     }
@@ -146,10 +146,10 @@ mod tests {
     fn launch_validation_rejects_zero_dims() {
         let d = DeviceProps::v100();
         assert!(d
-            .validate_launch(Dim3::xyz(0, 1, 1), Dim3::xyz(32, 1, 1))
+            .validate_launch(Dim3::new(0, 1, 1), Dim3::new(32, 1, 1))
             .is_err());
         assert!(d
-            .validate_launch(Dim3::xyz(1, 1, 1), Dim3::xyz(0, 1, 1))
+            .validate_launch(Dim3::new(1, 1, 1), Dim3::new(0, 1, 1))
             .is_err());
     }
 
@@ -158,7 +158,7 @@ mod tests {
         let d = DeviceProps::v100();
         // z block dimension limit is 64
         assert!(d
-            .validate_launch(Dim3::xyz(1, 1, 1), Dim3::new(1, 1, 128))
+            .validate_launch(Dim3::new(1, 1, 1), Dim3::new(1, 1, 128))
             .is_err());
     }
 

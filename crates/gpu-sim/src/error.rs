@@ -34,8 +34,6 @@ pub enum GpuError {
         /// The space that was illegally accessed.
         space: MemSpace,
     },
-    /// Host code touched device memory directly without a copy.
-    NotHostAccessible,
     /// Kernel launch geometry violates device limits.
     InvalidLaunch {
         /// Human-readable description of the violated limit.
@@ -112,9 +110,6 @@ impl fmt::Display for GpuError {
                     f,
                     "device access to non-device-accessible memory ({space:?})"
                 )
-            }
-            GpuError::NotHostAccessible => {
-                write!(f, "host access to device memory without a copy")
             }
             GpuError::InvalidLaunch { reason } => write!(f, "invalid kernel launch: {reason}"),
             GpuError::OutOfMemory {

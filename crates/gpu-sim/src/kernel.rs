@@ -28,12 +28,6 @@ impl Dim3 {
         Dim3 { x, y, z }
     }
 
-    /// Alias of [`Dim3::new`] reading naturally at call sites that spell
-    /// out all three dims.
-    pub const fn xyz(x: u32, y: u32, z: u32) -> Self {
-        Dim3 { x, y, z }
-    }
-
     /// Total number of elements (`x * y * z`).
     pub fn count(self) -> u64 {
         self.x as u64 * self.y as u64 * self.z as u64
@@ -53,13 +47,6 @@ pub struct LaunchConfig {
     pub grid: Dim3,
     /// Threads per block in each dimension.
     pub block: Dim3,
-}
-
-impl LaunchConfig {
-    /// Total threads across the launch.
-    pub fn total_threads(self) -> u64 {
-        self.grid.count() * self.block.count()
-    }
 }
 
 impl fmt::Display for LaunchConfig {
@@ -89,15 +76,6 @@ mod tests {
     fn dim3_count() {
         assert_eq!(Dim3::new(4, 3, 2).count(), 24);
         assert_eq!(Dim3::ONE.count(), 1);
-    }
-
-    #[test]
-    fn launch_total_threads() {
-        let cfg = LaunchConfig {
-            grid: Dim3::new(10, 2, 1),
-            block: Dim3::new(256, 2, 1),
-        };
-        assert_eq!(cfg.total_threads(), 10 * 2 * 256 * 2);
     }
 
     #[test]

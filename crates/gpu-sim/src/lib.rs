@@ -1,14 +1,14 @@
 //! # gpu-sim — a functional, virtual-time simulated CUDA runtime
 //!
 //! This crate is the GPU substrate for the TEMPI reproduction. It provides
-//! a CUDA-shaped API — devices, address-spaced memory, streams, events,
-//! async copies (including strided 2D DMA), and kernel launches — with two
+//! a CUDA-shaped API — devices, address-spaced memory, streams, async
+//! copies (including strided 2D DMA), and kernel launches — with two
 //! properties the reproduction needs:
 //!
 //! 1. **Functional fidelity.** Allocations are real byte buffers; copies and
-//!    kernel bodies move real bytes, and the space rules of CUDA (device
-//!    code cannot touch pageable host memory; host code cannot touch device
-//!    memory) are *enforced* rather than merely crash-prone.
+//!    kernel bodies move real bytes, and CUDA's space rule (device code
+//!    cannot touch pageable host memory) is *enforced* rather than merely
+//!    crash-prone.
 //! 2. **Virtual timing.** Every operation advances a deterministic virtual
 //!    clock according to an analytic cost model ([`cost::GpuCostModel`])
 //!    calibrated to the paper's published Summit measurements (11 µs
@@ -56,5 +56,5 @@ pub use error::{GpuError, GpuResult};
 pub use fault::{FaultSite, SiteInjector, SiteSpec};
 pub use kernel::{div_ceil, next_pow2, Dim3, LaunchConfig};
 pub use memory::{fnv1a64, Copier, CopyRule, GpuContext, GpuPtr, MemSpace, Memory, Region};
-pub use stream::{Event, Stream, StreamStats};
+pub use stream::{Stream, StreamStats};
 pub use tempi_trace::{TraceLevel, Tracer};

@@ -47,12 +47,6 @@ impl MemSpace {
         matches!(self, MemSpace::Device | MemSpace::Mapped)
     }
 
-    /// Can host code dereference pointers in this space?
-    #[inline]
-    pub fn host_accessible(self) -> bool {
-        !matches!(self, MemSpace::Device)
-    }
-
     /// Is this space on the host side of the interconnect (so device access
     /// pays interconnect bandwidth rather than HBM bandwidth)?
     #[inline]
@@ -131,7 +125,7 @@ struct Alloc {
 /// How a [`Copier`] treats address spaces and two runs of one allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyRule {
-    /// Device code, as in a kernel's body ([`Memory::dev_copy`]): both ends
+    /// Device code, as in a kernel's body: both ends
     /// device-accessible, a run of no bytes checked for nothing else, and a
     /// copy within one allocation only between disjoint ranges.
     Kernel,
@@ -496,48 +490,11 @@ impl Memory {
             .ok_or(GpuError::InvalidPointer { alloc: ptr.alloc })
     }
 
-    /// Device-side read (as from a kernel): source must be device-accessible.
-    pub fn dev_read(&self, ptr: GpuPtr, out: &mut [u8]) -> GpuResult<()> {
-        let space = self.space_of(ptr)?;
-        if !space.device_accessible() {
-            return Err(GpuError::NotDeviceAccessible { space });
-        }
-        out.copy_from_slice(self.region(ptr).read(ptr.offset, out.len())?);
-        Ok(())
-    }
-
     /// Device-side write (as from a kernel): target must be device-accessible.
     pub fn dev_write(&mut self, ptr: GpuPtr, data: &[u8]) -> GpuResult<()> {
         let space = self.space_of(ptr)?;
         if !space.device_accessible() {
             return Err(GpuError::NotDeviceAccessible { space });
-        }
-        self.region_mut(ptr).write(ptr.offset, data)
-    }
-
-    /// Device-side copy of `len` bytes between device-accessible locations:
-    /// one run of a [`CopyRule::Kernel`] copier. A same-allocation copy is
-    /// allowed only when the ranges are disjoint.
-    pub fn dev_copy(&mut self, dst: GpuPtr, src: GpuPtr, len: usize) -> GpuResult<()> {
-        self.copier(CopyRule::Kernel, dst, src)
-            .copy(dst.offset, src.offset, len)
-    }
-
-    /// Host-side read: source must be host-accessible.
-    pub fn host_read(&self, ptr: GpuPtr, out: &mut [u8]) -> GpuResult<()> {
-        let space = self.space_of(ptr)?;
-        if !space.host_accessible() {
-            return Err(GpuError::NotHostAccessible);
-        }
-        out.copy_from_slice(self.region(ptr).read(ptr.offset, out.len())?);
-        Ok(())
-    }
-
-    /// Host-side write: target must be host-accessible.
-    pub fn host_write(&mut self, ptr: GpuPtr, data: &[u8]) -> GpuResult<()> {
-        let space = self.space_of(ptr)?;
-        if !space.host_accessible() {
-            return Err(GpuError::NotHostAccessible);
         }
         self.region_mut(ptr).write(ptr.offset, data)
     }
@@ -673,14 +630,21 @@ mod tests {
         all
     }
 
-    /// `dev_copy(dst, src, len)`, then — from the same bytes — the same run
+    /// One run of a fresh [`CopyRule::Kernel`] copier, as device code
+    /// makes it.
+    fn kernel_copy(mem: &mut Memory, dst: GpuPtr, src: GpuPtr, len: usize) -> GpuResult<()> {
+        mem.copier(CopyRule::Kernel, dst, src)
+            .copy(dst.offset, src.offset, len)
+    }
+
+    /// `kernel_copy(dst, src, len)`, then — from the same bytes — the same run
     /// twice through one copier resolved beforehand, as a launch makes it:
     /// every run must leave the same bytes and fail with the same error,
     /// variant and fields. Returns that result.
     fn both_ways(c: &GpuContext, dst: GpuPtr, src: GpuPtr, len: usize) -> GpuResult<()> {
         let mut mem = c.memory();
         let before = bytes_of(&mem);
-        let alone = mem.dev_copy(dst, src, len);
+        let alone = kernel_copy(&mut mem, dst, src, len);
         let after = bytes_of(&mem);
         for (id, data) in before {
             mem.allocs.get_mut(&id).unwrap().data = data;
@@ -703,33 +667,14 @@ mod tests {
     }
 
     #[test]
-    fn host_cannot_touch_device_memory() {
-        let c = ctx();
-        let p = c.malloc(16).unwrap();
-        let mut buf = [0u8; 4];
-        assert_eq!(
-            c.memory().host_read(p, &mut buf),
-            Err(GpuError::NotHostAccessible)
-        );
-        assert_eq!(
-            c.memory().host_write(p, &buf),
-            Err(GpuError::NotHostAccessible)
-        );
-    }
-
-    #[test]
     fn device_cannot_touch_pageable_host_memory() {
         let c = ctx();
         let h = c.host_alloc(16).unwrap();
         let d = c.malloc(16).unwrap();
-        let mut buf = [0u8; 4];
-        assert!(matches!(
-            c.memory().dev_read(h, &mut buf),
-            Err(GpuError::NotDeviceAccessible { .. })
-        ));
         let host = Err(GpuError::NotDeviceAccessible {
             space: MemSpace::Host,
         });
+        assert_eq!(c.memory().dev_write(h, &[0u8; 4]), host);
         assert_eq!(both_ways(&c, d, h, 4), host);
         assert_eq!(both_ways(&c, h, d, 4), host);
         // the space rule holds for a run of no bytes too
@@ -742,12 +687,8 @@ mod tests {
         let m = c.mapped_alloc(16).unwrap();
         let d = c.malloc(16).unwrap();
         c.memory().poke(d, &[3u8; 16]).unwrap();
-        c.memory().dev_copy(m, d, 16).unwrap();
+        kernel_copy(&mut c.memory(), m, d, 16).unwrap();
         assert_eq!(c.memory().peek(m, 16).unwrap(), vec![3u8; 16]);
-        // and host can read mapped memory directly
-        let mut out = [0u8; 16];
-        c.memory().host_read(m, &mut out).unwrap();
-        assert_eq!(out, [3u8; 16]);
     }
 
     #[test]
@@ -996,7 +937,6 @@ mod tests {
         assert_eq!(mem.space_of(m).unwrap(), MemSpace::Mapped);
         assert!(MemSpace::Mapped.device_accessible());
         assert!(!MemSpace::Pinned.device_accessible());
-        assert!(MemSpace::Pinned.host_accessible());
         assert!(!MemSpace::Device.on_host());
     }
 }

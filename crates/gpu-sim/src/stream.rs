@@ -3,7 +3,9 @@
 //! A [`Stream`] models one CUDA stream. Submitting work costs the *calling
 //! CPU* its API overhead immediately (advancing the caller's [`SimClock`]);
 //! the work itself occupies the *GPU timeline*, tracked as the stream's
-//! `busy_until` instant. [`Stream::synchronize`] joins the two timelines.
+//! `busy_until` instant. [`Stream::synchronize`] is the one join of the
+//! two timelines: there are no events, since no caller orders one stream
+//! after another or times a span on the GPU lane alone.
 //!
 //! The functional side effect of an operation (bytes actually moving) is
 //! applied at submission time. This is sound because the simulator executes
@@ -308,12 +310,6 @@ impl Stream {
         self.stats.syncs += 1;
     }
 
-    /// `cudaStreamQuery`: has all submitted work completed by the caller's
-    /// current instant?
-    pub fn query(&self, clock: &SimClock) -> bool {
-        self.busy_until <= clock.now()
-    }
-
     /// Convenience: synchronous `cudaMemcpy` (async + synchronize).
     pub fn memcpy(
         &mut self,
@@ -380,54 +376,6 @@ impl Stream {
     }
 }
 
-/// A recorded point on a stream's timeline (`cudaEvent`-style), for
-/// measuring GPU-side durations and for cross-stream ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    at: SimTime,
-}
-
-impl Event {
-    /// Record the stream's completion frontier at the caller's now
-    /// (free-function form kept for harness ergonomics; the priced API is
-    /// [`Stream::record_event`]).
-    pub fn record(stream: &Stream, clock: &SimClock) -> Event {
-        Event {
-            at: stream.busy_until().max(clock.now()),
-        }
-    }
-
-    /// The instant the event fires on the virtual timeline.
-    pub fn at(&self) -> SimTime {
-        self.at
-    }
-
-    /// Virtual time between two events (`cudaEventElapsedTime`).
-    pub fn elapsed_since(&self, earlier: Event) -> SimTime {
-        self.at.saturating_sub(earlier.at)
-    }
-}
-
-impl Stream {
-    /// `cudaEventRecord`: mark the stream's current completion frontier,
-    /// paying the event-record CPU overhead.
-    pub fn record_event(&mut self, clock: &mut SimClock) -> Event {
-        clock.advance(self.cost.event_overhead);
-        Event {
-            at: self.busy_until.max(clock.now()),
-        }
-    }
-
-    /// `cudaStreamWaitEvent`: all work submitted to this stream *after*
-    /// this call executes only once `event` has fired — the cross-stream
-    /// ordering primitive. Costs the caller the event overhead; the wait
-    /// itself happens on the GPU timeline, not the CPU.
-    pub fn wait_event(&mut self, clock: &mut SimClock, event: Event) {
-        clock.advance(self.cost.event_overhead);
-        self.busy_until = self.busy_until.max(event.at);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,7 +428,7 @@ mod tests {
         let (_ctx, mut s, mut clock) = setup();
         s.synchronize(&mut clock);
         assert_eq!(clock.now(), SimTime::from_us(5));
-        assert!(s.query(&clock));
+        assert!(s.busy_until() <= clock.now());
     }
 
     #[test]
@@ -613,7 +561,9 @@ mod tests {
     }
 
     #[test]
-    fn two_streams_overlap_and_wait_event_orders_them() {
+    fn two_streams_overlap() {
+        // two independent copies on two streams overlap: the joint
+        // completion is far less than the serial sum
         let ctx = GpuContext::new(DeviceProps::v100());
         let cost = GpuCostModel::summit_v100();
         let mut s1 = Stream::new(ctx.clone(), cost.clone());
@@ -622,44 +572,10 @@ mod tests {
         let a = ctx.malloc(8 << 20).unwrap();
         let b = ctx.malloc(8 << 20).unwrap();
         let c = ctx.malloc(8 << 20).unwrap();
-
-        // two independent copies on two streams overlap: the joint
-        // completion is far less than the serial sum
         s1.memcpy_async(&mut clock, b, a, 8 << 20).unwrap();
         s2.memcpy_async(&mut clock, c, a, 8 << 20).unwrap();
         let serial = cost.copy_engine_time(CopyKind::D2D, 8 << 20) * 2;
         let joint = s1.busy_until().max(s2.busy_until());
         assert!(joint < clock.now() + serial);
-
-        // wait_event makes s2's next work start after s1's frontier
-        let e = s1.record_event(&mut clock);
-        s2.wait_event(&mut clock, e);
-        assert!(s2.busy_until() >= e.at());
-        s2.memcpy_async(&mut clock, c, b, 1024).unwrap();
-        assert!(s2.busy_until() > e.at());
-    }
-
-    #[test]
-    fn record_and_wait_charge_cpu_overhead() {
-        let ctx = GpuContext::new(DeviceProps::v100());
-        let cost = GpuCostModel::summit_v100();
-        let mut s = Stream::new(ctx, cost.clone());
-        let mut clock = SimClock::new();
-        let e = s.record_event(&mut clock);
-        s.wait_event(&mut clock, e);
-        assert_eq!(clock.now(), cost.event_overhead * 2);
-    }
-
-    #[test]
-    fn events_measure_gpu_spans() {
-        let (ctx, mut s, mut clock) = setup();
-        let a = ctx.malloc(1 << 20).unwrap();
-        let b = ctx.malloc(1 << 20).unwrap();
-        let e0 = Event::record(&s, &clock);
-        s.memcpy_async(&mut clock, b, a, 1 << 20).unwrap();
-        s.synchronize(&mut clock);
-        let e1 = Event::record(&s, &clock);
-        assert!(e1.elapsed_since(e0) > SimTime::ZERO);
-        assert_eq!(e0.elapsed_since(e1), SimTime::ZERO); // saturates
     }
 }

@@ -1,6 +1,7 @@
-//! Collectives built over point-to-point: `Alltoallv` (the halo-exchange
-//! primitive of the paper's Section 6.4), plus small gather/bcast/reduce
-//! helpers for harnesses.
+//! `Alltoallv`, the one data-moving collective (the halo-exchange
+//! primitive of the paper's Section 6.4), built over point-to-point and
+//! spelled two ways: dense per-rank arrays and sparse block lists.
+//! `MPI_Barrier` is [`RankCtx::barrier`]; agreement lives in [`crate::comm`].
 //!
 //! Both `alltoallv` calls run one schedule: eager sends and peer-by-peer
 //! receives, both walking outward from the caller (pairwise-exchange
@@ -13,7 +14,7 @@
 //! completes at `max(now, depart_j + wire_j)`, whatever the wall-clock
 //! interleaving.
 //!
-//! Every collective enters through the reliability layer's collective gate
+//! Both calls enter through the reliability layer's collective gate
 //! ([`crate::reliability`]): it fails fast with [`MpiError::PeerGone`] when
 //! any current member is already dead at entry (ULFM semantics — a
 //! collective cannot complete once a participant failed), its constituent
@@ -25,7 +26,7 @@ use gpu_sim::GpuPtr;
 use tempi_trace::LANE_CPU;
 
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{TAG_ALLTOALLV, TAG_GATHER};
+use crate::p2p::TAG_ALLTOALLV;
 use crate::runtime::RankCtx;
 
 /// How many sends an `alltoallv` of more than [`ALLTOALLV_POST_ALL`] sends
@@ -247,201 +248,7 @@ impl RankCtx {
         }
         Ok(())
     }
-
-    /// Gather each rank's byte buffer to rank 0 (harness helper). Returns
-    /// `Some(per-rank payloads)` on rank 0, `None` elsewhere.
-    pub fn gather_bytes_to_root(&mut self, data: &[u8]) -> MpiResult<Option<Vec<Vec<u8>>>> {
-        self.with_span("mpi", "gather", |ctx| ctx.gather_bytes_to_root_body(data))
-    }
-
-    fn gather_bytes_to_root_body(&mut self, data: &[u8]) -> MpiResult<Option<Vec<Vec<u8>>>> {
-        self.collective_gate()?;
-        if self.rank == 0 {
-            let mut all = vec![Vec::new(); self.size];
-            all[0] = data.to_vec();
-            for _ in 1..self.size {
-                // The root consumes leaf messages directly, so it passes
-                // through the same receive gate and delivery as p2p.
-                self.recv_gate(None)?;
-                let msg = self.match_message(None, Some(TAG_GATHER))?;
-                let src = msg.src;
-                all[src] = self.deliver_payload(msg, gpu_sim::MemSpace::Host)?;
-            }
-            Ok(Some(all))
-        } else {
-            // stage through a host scratch buffer to reuse send_bytes
-            let buf = self.gpu.host_alloc(data.len().max(1))?;
-            let poked = { self.gpu.memory().poke(buf, data) };
-            let r = match poked {
-                Ok(()) => self.send_bytes(buf, data.len(), 0, TAG_GATHER),
-                Err(e) => Err(e.into()),
-            };
-            self.gpu.free(buf)?;
-            r?;
-            Ok(None)
-        }
-    }
 }
-
-/// Internal tag for tree collectives.
-const TAG_TREE: i32 = -102;
-
-impl RankCtx {
-    /// `MPI_Bcast` on raw bytes, binomial tree rooted at `root`. Buffers
-    /// may be device or host memory.
-    pub fn bcast_bytes(&mut self, buf: GpuPtr, len: usize, root: usize) -> MpiResult<()> {
-        self.with_span("mpi", "bcast", |ctx| ctx.bcast_bytes_body(buf, len, root))
-    }
-
-    fn bcast_bytes_body(&mut self, buf: GpuPtr, len: usize, root: usize) -> MpiResult<()> {
-        self.collective_gate()?;
-        self.check_rank(root)?;
-        let n = self.size;
-        if n == 1 {
-            return Ok(());
-        }
-        // virtual rank so the tree is rooted at `root`
-        let vrank = (self.rank + n - root) % n;
-        let mut mask = 1usize;
-        // receive from parent
-        while mask < n {
-            if vrank & mask != 0 {
-                let parent = (vrank - mask + root) % n;
-                self.recv_bytes(buf, len, Some(parent), Some(TAG_TREE))?;
-                break;
-            }
-            mask <<= 1;
-        }
-        // forward to children
-        let mut child_mask = mask >> 1;
-        if vrank == 0 {
-            child_mask = n.next_power_of_two() >> 1;
-        }
-        while child_mask > 0 {
-            let vchild = vrank | child_mask;
-            if vchild < n && vchild != vrank {
-                let child = (vchild + root) % n;
-                self.send_bytes(buf, len, child, TAG_TREE)?;
-            }
-            child_mask >>= 1;
-        }
-        Ok(())
-    }
-
-    /// `MPI_Reduce` of `f64` values (elementwise `op`), binomial tree to
-    /// `root`. Returns the reduced vector on the root, `None` elsewhere.
-    pub fn reduce_f64(
-        &mut self,
-        values: &[f64],
-        op: fn(f64, f64) -> f64,
-        root: usize,
-    ) -> MpiResult<Option<Vec<f64>>> {
-        self.with_span("mpi", "reduce", |ctx| ctx.reduce_f64_body(values, op, root))
-    }
-
-    fn reduce_f64_body(
-        &mut self,
-        values: &[f64],
-        op: fn(f64, f64) -> f64,
-        root: usize,
-    ) -> MpiResult<Option<Vec<f64>>> {
-        self.collective_gate()?;
-        self.check_rank(root)?;
-        let bytes = values.len() * 8;
-        let mut acc: Vec<f64> = values.to_vec();
-        if self.size > 1 {
-            let scratch = self.gpu.host_alloc(bytes.max(1))?;
-            // the scratch buffer goes back even when the tree errors out
-            let r = self.reduce_tree(&mut acc, op, root, bytes, scratch);
-            self.gpu.free(scratch)?;
-            r?;
-        }
-        Ok(if self.rank == root { Some(acc) } else { None })
-    }
-
-    /// The binomial combining tree of [`RankCtx::reduce_f64`].
-    fn reduce_tree(
-        &mut self,
-        acc: &mut [f64],
-        op: fn(f64, f64) -> f64,
-        root: usize,
-        bytes: usize,
-        scratch: GpuPtr,
-    ) -> MpiResult<()> {
-        let n = self.size;
-        let vrank = (self.rank + n - root) % n;
-        let mut mask = 1usize;
-        while mask < n {
-            if vrank & mask == 0 {
-                let vpeer = vrank | mask;
-                if vpeer < n {
-                    let peer = (vpeer + root) % n;
-                    self.recv_bytes(scratch, bytes, Some(peer), Some(TAG_TREE))?;
-                    let raw = self.gpu.memory().peek(scratch, bytes)?;
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        let v =
-                            f64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-                        *a = op(*a, v);
-                    }
-                }
-            } else {
-                let parent = (vrank - mask + root) % n;
-                let raw: Vec<u8> = acc.iter().flat_map(|v| v.to_le_bytes()).collect();
-                self.gpu.memory().poke(scratch, &raw)?;
-                self.send_bytes(scratch, bytes, parent, TAG_TREE)?;
-                break;
-            }
-            mask <<= 1;
-        }
-        Ok(())
-    }
-
-    /// `MPI_Allreduce` of `f64` values: reduce to rank 0 then broadcast.
-    pub fn allreduce_f64(
-        &mut self,
-        values: &[f64],
-        op: fn(f64, f64) -> f64,
-    ) -> MpiResult<Vec<f64>> {
-        self.with_span("mpi", "allreduce", |ctx| ctx.allreduce_f64_body(values, op))
-    }
-
-    fn allreduce_f64_body(
-        &mut self,
-        values: &[f64],
-        op: fn(f64, f64) -> f64,
-    ) -> MpiResult<Vec<f64>> {
-        self.collective_gate()?;
-        let reduced = self.reduce_f64(values, op, 0)?;
-        let bytes = values.len() * 8;
-        let scratch = self.gpu.host_alloc(bytes.max(1))?;
-        let r = self.allreduce_bcast_body(&reduced, bytes, scratch);
-        self.gpu.free(scratch)?;
-        let raw = r?;
-        Ok((0..values.len())
-            .map(|i| f64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    /// Broadcast half of [`RankCtx::allreduce_f64`], split out so the
-    /// scratch buffer is returned to the GPU on every error path.
-    fn allreduce_bcast_body(
-        &mut self,
-        reduced: &Option<Vec<f64>>,
-        bytes: usize,
-        scratch: GpuPtr,
-    ) -> MpiResult<Vec<u8>> {
-        if let Some(r) = reduced {
-            let raw: Vec<u8> = r.iter().flat_map(|v| v.to_le_bytes()).collect();
-            self.gpu.memory().poke(scratch, &raw)?;
-        }
-        self.bcast_bytes(scratch, bytes, 0)?;
-        let raw = { self.gpu.memory().peek(scratch, bytes) };
-        raw.map_err(Into::into)
-    }
-}
-
-// `match_message` is pub(crate) on RankCtx in p2p.rs; collective gather
-// uses an internal tag so wildcard user receives never see this traffic.
 
 #[cfg(test)]
 mod tests {
@@ -899,106 +706,6 @@ mod tests {
         assert!(results.iter().all(|&b| b));
     }
 
-    #[test]
-    fn bcast_reaches_all_ranks_from_any_root() {
-        for root in [0usize, 3, 6] {
-            let cfg = WorldConfig::summit(7);
-            let results = World::run(&cfg, |ctx| {
-                let buf = ctx.gpu.host_alloc(16)?;
-                if ctx.rank == root {
-                    ctx.gpu.memory().poke(buf, &[root as u8 + 1; 16])?;
-                }
-                ctx.bcast_bytes(buf, 16, root)?;
-                let got = ctx.gpu.memory().peek(buf, 16)?;
-                Ok(got[0])
-            })
-            .unwrap();
-            assert!(
-                results.iter().all(|&b| b == root as u8 + 1),
-                "root {root}: {results:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn bcast_device_buffers() {
-        let cfg = WorldConfig::summit(4);
-        let results = World::run(&cfg, |ctx| {
-            let buf = ctx.gpu.malloc(8)?;
-            if ctx.rank == 0 {
-                ctx.gpu.memory().poke(buf, &[42u8; 8])?;
-            }
-            ctx.bcast_bytes(buf, 8, 0)?;
-            Ok(ctx.gpu.memory().peek(buf, 8)?[0])
-        })
-        .unwrap();
-        assert_eq!(results, vec![42; 4]);
-    }
-
-    #[test]
-    fn reduce_and_allreduce() {
-        let cfg = WorldConfig::summit(5);
-        let results = World::run(&cfg, |ctx| {
-            let mine = [ctx.rank as f64, 10.0 * ctx.rank as f64];
-            let sum = ctx.reduce_f64(&mine, |a, b| a + b, 2)?;
-            let max = ctx.allreduce_f64(&mine, f64::max)?;
-            Ok((sum, max))
-        })
-        .unwrap();
-        for (r, (sum, max)) in results.iter().enumerate() {
-            if r == 2 {
-                assert_eq!(sum.as_deref(), Some(&[10.0, 100.0][..]));
-            } else {
-                assert!(sum.is_none());
-            }
-            assert_eq!(max, &vec![4.0, 40.0]);
-        }
-    }
-
-    #[test]
-    fn single_rank_collectives_are_noops() {
-        let cfg = WorldConfig::summit(1);
-        let mut ctx = crate::runtime::RankCtx::standalone(&cfg);
-        let buf = ctx.gpu.host_alloc(4).unwrap();
-        ctx.bcast_bytes(buf, 4, 0).unwrap();
-        assert_eq!(ctx.allreduce_f64(&[7.5], f64::max).unwrap(), vec![7.5]);
-        assert_eq!(
-            ctx.reduce_f64(&[1.0], |a, b| a + b, 0).unwrap(),
-            Some(vec![1.0])
-        );
-    }
-
-    #[test]
-    fn collectives_advance_virtual_time() {
-        let cfg = WorldConfig::summit(8);
-        let results = World::run(&cfg, |ctx| {
-            let buf = ctx.gpu.host_alloc(1 << 20)?;
-            ctx.bcast_bytes(buf, 1 << 20, 0)?;
-            Ok(ctx.clock.now().as_ps())
-        })
-        .unwrap();
-        // leaves of the binomial tree finish latest; everyone non-root
-        // waited on at least one 1 MiB transfer
-        for (r, &t) in results.iter().enumerate().skip(1) {
-            assert!(t > 20_000_000, "rank {r} finished too fast: {t} ps");
-        }
-    }
-
-    #[test]
-    fn gather_to_root_collects() {
-        let cfg = WorldConfig::summit(3);
-        let results = World::run(&cfg, |ctx| {
-            let mine = vec![ctx.rank as u8; 3];
-            ctx.gather_bytes_to_root(&mine)
-        })
-        .unwrap();
-        let root = results[0].as_ref().unwrap();
-        assert_eq!(root[0], vec![0, 0, 0]);
-        assert_eq!(root[1], vec![1, 1, 1]);
-        assert_eq!(root[2], vec![2, 2, 2]);
-        assert!(results[1].is_none());
-    }
-
     // ---- fault awareness ------------------------------------------------
 
     #[test]
@@ -1011,16 +718,10 @@ mod tests {
         let results = World::run(&cfg, |ctx| {
             ctx.clock.advance(SimTime::from_us(10));
             let buf = ctx.gpu.host_alloc(8)?;
-            let r = ctx.bcast_bytes(buf, 8, 0);
-            assert_eq!(r, Err(MpiError::PeerGone), "rank {}", ctx.rank);
-            let r = ctx.allreduce_f64(&[1.0], f64::max);
-            assert_eq!(r, Err(MpiError::PeerGone), "rank {}", ctx.rank);
-            let r = ctx.gather_bytes_to_root(&[1, 2]);
-            assert_eq!(r, Err(MpiError::PeerGone), "rank {}", ctx.rank);
             let counts = vec![0usize; 4];
             let r = ctx.alltoallv_bytes(buf, &counts, &counts, buf, &counts, &counts);
             assert_eq!(r, Err(MpiError::PeerGone), "rank {}", ctx.rank);
-            let r = ctx.reduce_f64(&[1.0], |a, b| a + b, 0);
+            let r = ctx.alltoallv_sparse_bytes(buf, &[], buf, &[]);
             assert_eq!(r, Err(MpiError::PeerGone), "rank {}", ctx.rank);
             Ok(true)
         })
@@ -1034,36 +735,24 @@ mod tests {
         let mut ctx = crate::runtime::RankCtx::standalone(&cfg);
         ctx.revoke().unwrap();
         let buf = ctx.gpu.host_alloc(8).unwrap();
-        assert_eq!(ctx.bcast_bytes(buf, 8, 0), Err(MpiError::Revoked));
-        assert_eq!(ctx.reduce_f64(&[1.0], f64::max, 0), Err(MpiError::Revoked));
-        assert_eq!(ctx.allreduce_f64(&[1.0], f64::max), Err(MpiError::Revoked));
-        assert_eq!(ctx.gather_bytes_to_root(&[1]), Err(MpiError::Revoked));
         assert_eq!(
             ctx.alltoallv_bytes(buf, &[0], &[0], buf, &[0], &[0]),
+            Err(MpiError::Revoked)
+        );
+        assert_eq!(
+            ctx.alltoallv_sparse_bytes(buf, &[], buf, &[]),
             Err(MpiError::Revoked)
         );
     }
 
     #[test]
     fn injected_faults_reach_collective_sites() {
-        // a transient-fault plan with a generous retry budget: collectives
-        // must exercise the same gates as p2p (faults observed, results
-        // still exact)
+        // a transient-fault plan with a generous retry budget: both
+        // collectives must exercise the same gates as p2p (faults
+        // observed, results still exact)
         let plan = FaultPlan::parse("seed=11,send=0.2,recv=0.2,retries=12,backoff=5us").unwrap();
         let cfg = WorldConfig::summit(4).with_faults(plan);
         let results = World::run(&cfg, |ctx| {
-            let buf = ctx.gpu.host_alloc(16)?;
-            if ctx.rank == 0 {
-                ctx.gpu.memory().poke(buf, &[9u8; 16])?;
-            }
-            ctx.bcast_bytes(buf, 16, 0)?;
-            assert_eq!(ctx.gpu.memory().peek(buf, 16)?, vec![9u8; 16]);
-            let sum = ctx.allreduce_f64(&[ctx.rank as f64], |a, b| a + b)?;
-            assert_eq!(sum, vec![6.0]);
-            let gathered = ctx.gather_bytes_to_root(&[ctx.rank as u8])?;
-            if let Some(all) = gathered {
-                assert_eq!(all, vec![vec![0], vec![1], vec![2], vec![3]]);
-            }
             let counts = vec![1usize; 4];
             let displs: Vec<usize> = (0..4).collect();
             let send = ctx.gpu.host_alloc(4)?;
@@ -1071,6 +760,16 @@ mod tests {
             ctx.gpu.memory().poke(send, &[ctx.rank as u8; 4])?;
             ctx.alltoallv_bytes(send, &counts, &displs, recv, &counts, &displs)?;
             assert_eq!(ctx.gpu.memory().peek(recv, 4)?, vec![0, 1, 2, 3]);
+            let blocks: Vec<AlltoallvBlock> = (0..4)
+                .map(|peer| AlltoallvBlock {
+                    peer,
+                    count: 1,
+                    displ: peer,
+                })
+                .collect();
+            ctx.gpu.memory().poke(send, &[ctx.rank as u8 + 10; 4])?;
+            ctx.alltoallv_sparse_bytes(send, &blocks, recv, &blocks)?;
+            assert_eq!(ctx.gpu.memory().peek(recv, 4)?, vec![10, 11, 12, 13]);
             Ok(ctx.faults.stats.send_faults + ctx.faults.stats.recv_faults)
         })
         .unwrap();

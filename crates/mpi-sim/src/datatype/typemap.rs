@@ -63,8 +63,14 @@ fn push_seg(out: &mut Vec<Segment>, off: i64, len: u64) {
 
 fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> MpiResult<()> {
     let info = reg.info(dt)?;
+    // A subtree of no data emits nothing; return before placing its
+    // blocks, as the registry never did (a block of no elements may lie a
+    // stride apart that no offset arithmetic survives).
+    if info.attrs.size == 0 {
+        return Ok(());
+    }
     // Fast path: a dense subtree visited in address order is one segment.
-    if info.attrs.size > 0 && info.attrs.is_dense() && info.ascending {
+    if info.attrs.is_dense() && info.ascending {
         push_seg(out, base + info.attrs.lb, info.attrs.size);
         return Ok(());
     }

@@ -288,7 +288,7 @@ mod tests {
         })
         .is_transient());
         assert!(MpiError::Gpu(GpuError::StreamFault { op: "pack".into() }).is_transient());
-        assert!(!MpiError::Gpu(GpuError::NotHostAccessible).is_transient());
+        assert!(!MpiError::Gpu(GpuError::OverlappingBuffers).is_transient());
         assert!(!MpiError::CommFailed {
             peer: 1,
             attempts: 4

@@ -31,8 +31,6 @@ const SPARE_BYTES: usize = 4 << 10;
 pub(crate) const MIN_USER_TAG: i32 = 0;
 /// Internal tag used by `alltoallv`.
 pub(crate) const TAG_ALLTOALLV: i32 = -100;
-/// Internal tag used by gather-style helpers.
-pub(crate) const TAG_GATHER: i32 = -101;
 /// Control message: the sender observed its own scheduled death. Sent to
 /// every world rank exactly once; `depart` carries the *scheduled* exit
 /// instant so every observer converges on the same virtual time.
@@ -888,22 +886,6 @@ impl RankCtx {
             }
         }
         Ok(st)
-    }
-
-    /// `MPI_Sendrecv` on raw bytes (used by ping-pong harnesses).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv_bytes(
-        &mut self,
-        sendbuf: GpuPtr,
-        sendlen: usize,
-        dest: usize,
-        recvbuf: GpuPtr,
-        recvcap: usize,
-        src: Option<usize>,
-        tag: i32,
-    ) -> MpiResult<Status> {
-        self.send_bytes(sendbuf, sendlen, dest, tag)?;
-        self.recv_bytes(recvbuf, recvcap, src, Some(tag))
     }
 }
 

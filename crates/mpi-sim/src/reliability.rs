@@ -649,7 +649,8 @@ mod tests {
             ctx.send_bytes(buf, 64, peer, 1)?;
             ctx.probe(Some(peer), Some(1))?;
             ctx.recv_bytes(buf, 64, Some(peer), Some(1))?;
-            ctx.gather_bytes_to_root(&[ctx.rank as u8])?;
+            let (ones, displs) = ([1; 2], [0, 1]);
+            ctx.alltoallv_bytes(buf, &ones, &displs, buf.add(2), &ones, &displs)?;
             Ok((ctx.faults.enabled(), ctx.faults.stats.clone()))
         })
         .unwrap();

@@ -61,9 +61,9 @@ pub struct WorldConfig {
     /// moves the instant ranks unwinding with [`MpiError::Deadlock`] find
     /// themselves at (default zero).
     pub deadlock_budget: SimTime,
-    /// Per-rank inbox high-water mark in messages; `None` uses
-    /// `TEMPI_INBOX_HWM` or the default (8192). `Some(0)` disables
-    /// backpressure entirely (unbounded inboxes, the old behavior).
+    /// Per-rank inbox high-water mark in messages; `None` uses the default
+    /// (8192). `Some(0)` disables backpressure entirely (unbounded inboxes,
+    /// the old behavior).
     pub inbox_hwm: Option<usize>,
 }
 
@@ -150,17 +150,6 @@ impl WorldConfig {
         self.inbox_hwm = Some(hwm);
         self
     }
-
-    /// The inbox high-water mark after environment fallback.
-    fn resolve_hwm(&self) -> usize {
-        self.inbox_hwm
-            .or_else(|| {
-                std::env::var("TEMPI_INBOX_HWM")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(DEFAULT_INBOX_HWM)
-    }
 }
 
 /// A barrier that also merges virtual clocks: every participant leaves at
@@ -241,11 +230,6 @@ impl ClockBarrier {
             // A wake meant for another blocking point: loop and re-park.
         }
     }
-}
-
-/// Shared all-gather board (see [`RankCtx::allgather_u64`]).
-pub(crate) struct Board {
-    slots: Mutex<Vec<u64>>,
 }
 
 /// Communicator membership map: position `i` holds the world rank sitting
@@ -336,7 +320,6 @@ pub struct RankCtx {
     pub(crate) router: Arc<Router>,
     pub(crate) pending: VecDeque<Message>,
     pub(crate) barrier: Arc<ClockBarrier>,
-    pub(crate) board: Arc<Board>,
     /// Current communicator membership (world rank per comm rank). Starts
     /// as the (symbolic) identity map.
     pub(crate) comm_members: Members,
@@ -441,16 +424,6 @@ impl RankCtx {
     #[must_use]
     pub fn inbox_hwm(&self) -> usize {
         self.router.hwm()
-    }
-
-    /// All-gather one `u64` per rank (harness utility for collecting
-    /// per-rank timings; costs a barrier's worth of synchronization).
-    pub fn allgather_u64(&mut self, v: u64) -> Vec<u64> {
-        self.board.slots.lock()[self.rank] = v;
-        self.barrier();
-        let all = self.board.slots.lock().clone();
-        self.barrier();
-        all
     }
 
     /// Reset this rank's virtual clock *and its GPU stream timeline*
@@ -648,22 +621,19 @@ struct WorldShared {
     net: Arc<NetModel>,
     router: Arc<Router>,
     barrier: Arc<ClockBarrier>,
-    board: Arc<Board>,
 }
 
 impl WorldShared {
     /// The shared state of a `size`-rank world whose blocking points park
     /// on `sched`.
     fn new(cfg: &WorldConfig, size: usize, sched: SchedCore) -> WorldShared {
+        let hwm = cfg.inbox_hwm.unwrap_or(DEFAULT_INBOX_HWM);
         WorldShared {
             size,
             registry: Arc::new(RwLock::new(TypeRegistry::new())),
             net: Arc::new(cfg.net.clone()),
-            router: Arc::new(Router::new(size, cfg.resolve_hwm(), sched)),
+            router: Arc::new(Router::new(size, hwm, sched)),
             barrier: Arc::new(ClockBarrier::new(size, cfg.net.barrier_cost)),
-            board: Arc::new(Board {
-                slots: Mutex::new(vec![0; size]),
-            }),
         }
     }
 
@@ -689,7 +659,6 @@ impl WorldShared {
             router: Arc::clone(&self.router),
             pending: VecDeque::new(),
             barrier: Arc::clone(&self.barrier),
-            board: Arc::clone(&self.board),
             comm_members: Members::Identity(self.size),
             epoch: 0,
             part_link_free: SimTime::ZERO,
@@ -851,15 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_collects_values() {
-        let cfg = WorldConfig::summit(4);
-        let results = World::run(&cfg, |ctx| Ok(ctx.allgather_u64(ctx.rank as u64 * 7))).unwrap();
-        for r in results {
-            assert_eq!(r, vec![0, 7, 14, 21]);
-        }
-    }
-
-    #[test]
     fn shared_registry_across_ranks() {
         // all ranks create the same type concurrently; handles may differ
         // but each rank's own handle must be valid
@@ -926,9 +886,12 @@ mod tests {
         let body = |ctx: &mut RankCtx| {
             ctx.clock.advance(SimTime::from_us(ctx.rank as u64 * 3));
             ctx.barrier();
-            let all = ctx.allgather_u64(ctx.rank as u64 + 1);
+            let (send, recv) = (ctx.gpu.host_alloc(3)?, ctx.gpu.host_alloc(3)?);
+            ctx.gpu.memory().poke(send, &[ctx.rank as u8 + 1; 3])?;
+            let (ones, displs) = ([1; 3], [0, 1, 2]);
+            ctx.alltoallv_bytes(send, &ones, &displs, recv, &ones, &displs)?;
             ctx.barrier();
-            Ok((ctx.clock.now(), all))
+            Ok((ctx.clock.now(), ctx.gpu.memory().peek(recv, 3)?))
         };
         let plain = World::run(&WorldConfig::summit(3), body).unwrap();
         let budgeted =

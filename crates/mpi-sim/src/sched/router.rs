@@ -8,11 +8,11 @@
 //! * **receiver wakes**: a push wakes the destination's parked fiber;
 //! * **backpressure**: user-payload traffic to a remote rank parks the
 //!   *sender* while the destination inbox sits at its high-water mark
-//!   (default [`DEFAULT_INBOX_HWM`], tunable via `TEMPI_INBOX_HWM`, 0 =
-//!   unbounded), so a 4,096-rank send storm holds O(ranks · HWM) messages
-//!   instead of growing forever. Control traffic (negative tags: death
-//!   notices, revocations, agreement, barriers, collective protocol) and
-//!   self-sends are exempt — their progress guarantees are what recovery
+//!   (default [`DEFAULT_INBOX_HWM`], set per world by
+//!   `WorldConfig::with_inbox_hwm`, 0 = unbounded), so a 4,096-rank send
+//!   storm holds O(ranks · HWM) messages instead of growing forever.
+//!   Internal traffic (negative tags: death notices, revocations,
+//!   agreement, `alltoallv`) and self-sends are exempt — their progress guarantees are what recovery
 //!   correctness is built on. A world that wedges on full inboxes is a
 //!   real deadlock under finite buffering and is reported as one
 //!   (`send backpressure(dest=N)` ops in the verdict).

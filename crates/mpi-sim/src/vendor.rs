@@ -559,7 +559,7 @@ mod tests {
         .unwrap();
         // the bug: no synchronize issued, stream still busy at return
         assert_eq!(stream.stats().syncs, 0);
-        assert!(!stream.query(&clock));
+        assert!(stream.busy_until() > clock.now());
     }
 
     #[test]

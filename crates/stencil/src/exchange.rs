@@ -270,11 +270,7 @@ impl HaloExchanger {
                         && (r..r + self.cfg.local[1]).contains(&y)
                         && (r..r + self.cfg.local[2]).contains(&z);
                     let v: f32 = if interior {
-                        cell_value(
-                            c[0] * self.cfg.local[0] + (x - r),
-                            c[1] * self.cfg.local[1] + (y - r),
-                            c[2] * self.cfg.local[2] + (z - r),
-                        )
+                        self.oracle(c, [x, y, z])
                     } else {
                         -1.0
                     };
@@ -686,31 +682,33 @@ impl HaloExchanger {
         [l[0] * d[0], l[1] * d[1], l[2] * d[2]]
     }
 
+    /// The oracle value of allocation cell `cell` on the rank at process
+    /// coordinates `c`: [`cell_value`] of the cell's periodic global
+    /// gridpoint, wrapped into the original grid (restored state after
+    /// shrinks is the periodic extension of it). On the interior the
+    /// mapping is the identity.
+    fn oracle(&self, c: [usize; 3], cell: [usize; 3]) -> f32 {
+        let (l, r, global) = (self.cfg.local, self.cfg.radius, self.global());
+        let g = |i: usize| (c[i] * l[i] + cell[i]).wrapping_add(global[i] - r) % global[i];
+        cell_value(
+            g(0) % self.origin[0],
+            g(1) % self.origin[1],
+            g(2) % self.origin[2],
+        )
+    }
+
     /// The full grid this rank should hold after a successful exchange —
     /// interior *and* ghosts at their (periodic) oracle values — computed
     /// serially from [`cell_value`] without any communication. Byte-exact
     /// comparison against this is the recovery acceptance check.
     pub fn expected_grid(&self, ctx: &RankCtx) -> Vec<u8> {
         let a = self.cfg.alloc_dims();
-        let r = self.cfg.radius;
-        let l = self.cfg.local;
         let c = self.decomp.coords(ctx.rank);
-        let global = self.global();
         let mut data = vec![0u8; self.cfg.alloc_bytes()];
         for z in 0..a[2] {
             for y in 0..a[1] {
                 for x in 0..a[0] {
-                    // the wrapped mapping is the identity on the interior
-                    let gx = (c[0] * l[0] + x).wrapping_add(global[0] - r) % global[0];
-                    let gy = (c[1] * l[1] + y).wrapping_add(global[1] - r) % global[1];
-                    let gz = (c[2] * l[2] + z).wrapping_add(global[2] - r) % global[2];
-                    // restored state after shrinks is the periodic
-                    // extension of the *original* grid
-                    let v = cell_value(
-                        gx % self.origin[0],
-                        gy % self.origin[1],
-                        gz % self.origin[2],
-                    );
+                    let v = self.oracle(c, [x, y, z]);
                     let i = self.cfg.cell_index(x, y, z) * 4;
                     data[i..i + 4].copy_from_slice(&v.to_le_bytes());
                 }
@@ -726,7 +724,6 @@ impl HaloExchanger {
         let r = self.cfg.radius;
         let l = self.cfg.local;
         let c = self.decomp.coords(ctx.rank);
-        let global = self.global();
         let data = ctx.gpu.memory().peek(self.grid, self.cfg.alloc_bytes())?;
         let mut bad = 0usize;
         for z in 0..a[2] {
@@ -741,14 +738,7 @@ impl HaloExchanger {
                     // corner/edge ghosts touching more than one wrapped
                     // axis are only exchanged by the diagonal directions;
                     // all 26 are exchanged here, so every ghost is covered.
-                    let gx = (c[0] * l[0] + x).wrapping_add(global[0] - r) % global[0];
-                    let gy = (c[1] * l[1] + y).wrapping_add(global[1] - r) % global[1];
-                    let gz = (c[2] * l[2] + z).wrapping_add(global[2] - r) % global[2];
-                    let want = cell_value(
-                        gx % self.origin[0],
-                        gy % self.origin[1],
-                        gz % self.origin[2],
-                    );
+                    let want = self.oracle(c, [x, y, z]);
                     let i = self.cfg.cell_index(x, y, z) * 4;
                     let got = data
                         .get(i..i + 4)

@@ -188,7 +188,6 @@ fn transient_taxonomy_is_exhaustive_over_every_error_variant() {
             },
             false,
         ),
-        (GpuError::NotHostAccessible, false),
         (
             GpuError::InvalidLaunch {
                 reason: "grid too large".into(),
@@ -216,7 +215,7 @@ fn transient_taxonomy_is_exhaustive_over_every_error_variant() {
         (
             GpuError::KernelFault {
                 kernel: "pack_2d".into(),
-                source: Box::new(GpuError::NotHostAccessible),
+                source: Box::new(GpuError::OverlappingBuffers),
             },
             false,
         ),
@@ -295,7 +294,7 @@ fn transient_taxonomy_is_exhaustive_over_every_error_variant() {
             "{err:?} cannot be both transient and a communicator failure"
         );
     }
-    assert_eq!(cases.len(), 12 + 10, "one row per variant (plus GPU split)");
+    assert_eq!(cases.len(), 12 + 9, "one row per variant (plus GPU split)");
 }
 
 #[test]

@@ -372,6 +372,36 @@ fn item_offsets_that_overflow_are_invalid_arg_before_any_byte_moves() {
 }
 
 #[test]
+fn a_zero_blocklength_type_with_a_far_stride_packs_and_sends_nothing() {
+    // blocks of no elements, a stride apart that no offset arithmetic
+    // survives: the registry accepts these (it never places an empty
+    // block), so pack, send and receive must move no bytes on both
+    // providers, not multiply the stride by the block index
+    let specs = [
+        "vector(4, 0, 2147483647, contiguous(2147483647, double))",
+        "hvector(4, 0, 4611686018427387904, byte)",
+    ];
+    for ((name, factory), spec) in providers().into_iter().flat_map(|p| specs.map(|s| (p, s))) {
+        let results = World::run(&WorldConfig::summit(2), |ctx| {
+            let mut mpi = factory();
+            let dt = spec.parse::<TypeTree>()?.build(ctx)?;
+            mpi.type_commit(ctx, dt)?;
+            let buf = ctx.gpu.malloc(64)?;
+            let mut pos = 0;
+            mpi.pack(ctx, buf, 1, dt, buf, 64, &mut pos)?;
+            let got = if ctx.rank == 0 {
+                mpi.send(ctx, buf, 1, dt, 1, 0)?;
+                0
+            } else {
+                mpi.recv(ctx, buf, 1, dt, Some(0), Some(0))?.bytes
+            };
+            Ok((pos, got))
+        });
+        assert_eq!(results, Ok(vec![(0, 0); 2]), "{name} / {spec}");
+    }
+}
+
+#[test]
 fn create_commit_free_churn_keeps_the_registry_and_the_plan_cache_bounded() {
     // frees that bypass the interposer, as a partial interposer must
     // expect: the registry reuses each slot, and each new occupant's
