@@ -571,13 +571,12 @@ fn send(args: &[String]) {
     );
     let ts = &results[0].5;
     println!(
-        "tuner         : mode {tuner:?} — probes {}, bucket hits {}, method switches {}, pool reuse {}/{}, reshaped-plan hits {}",
+        "tuner         : mode {tuner:?} — probes {}, bucket hits {}, method switches {}, pool reuse {}/{}",
         ts.tuner_probes,
         ts.tuner_bucket_hits,
         ts.tuner_method_switches,
         ts.pool_hits,
-        ts.pool_hits + ts.pool_fresh_allocs,
-        ts.launch_cache_hits
+        ts.pool_hits + ts.pool_fresh_allocs
     );
     println!(
         "payload       : {} packed bytes — {}",

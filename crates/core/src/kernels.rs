@@ -16,17 +16,18 @@
 //! * no object metadata is stored on the GPU — kernel parameters are the
 //!   scalar values of the [`StridedBlock`].
 //!
-//! Execution has one entry, `Engine::execute`: the dispatch from what a
-//! type committed to ([`PlanKind`]) to the plain copy, the strided kernel
-//! (whole object, or a contiguous-with-padding transfer reshaped to 2-D),
-//! the block-list kernel or the member-list kernel. Every kernel — those
-//! three, and the block-range kernel of the pipelined path
-//! (`execute_range_async`) — is the same walk of the typed buffer's runs
-//! against a packed cursor (`walk`); a kernel supplies its runs as rows of
-//! equal runs (its Y dimension), its price and its launch geometry. The CPU
-//! copy path (`execute_on_host`) is that walk again, in host code.
+//! Execution has one entry, `execute`: the dispatch from what a type
+//! committed to ([`PlanKind`]) to the plain copy, the strided kernel, the
+//! block-list kernel or the member-list kernel. It keeps nothing between
+//! calls: several contiguous items with padding are one more stride
+//! dimension, worked out per call as one inline [`Member`] for the
+//! member-list kernel. Every kernel — those three, and the block-range
+//! kernel of the pipelined path (`execute_range_async`) — is the same walk
+//! of the typed buffer's runs against a packed cursor (`walk`); a kernel
+//! supplies its runs as rows of equal runs (its Y dimension), its price
+//! and its launch geometry. The CPU copy path (`execute_on_host`) is that
+//! walk again, in host code.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
 use gpu_sim::{
@@ -101,7 +102,7 @@ pub(crate) struct Typed {
 
 impl Typed {
     /// This buffer's items, each laid out as `layout`.
-    fn items<L>(self, layout: &L) -> Items<'_, L> {
+    fn items<L: ?Sized>(self, layout: &L) -> Items<'_, L> {
         Items {
             layout,
             extent: self.extent,
@@ -129,14 +130,13 @@ fn widest_word(aligned: i64, strides: &[i64]) -> usize {
 /// widest its strided side allows that its place among the packed bytes —
 /// after the members before it, in every item of a transfer — is aligned
 /// to as well.
-pub fn select_members(mut members: Vec<Member>, force_word: Option<usize>) -> Vec<Member> {
+pub fn select_members(members: &mut [Member], force_word: Option<usize>) {
     let (size, mut packed): (i64, i64) = (members.iter().map(Member::data_bytes).sum(), 0);
-    for m in &mut members {
+    for m in members {
         let word = widest_word(m.start | m.counts[0] | packed | size, &m.strides[1..]);
         m.word = force_word.unwrap_or(word) as u8;
         packed += m.data_bytes();
     }
-    members
 }
 
 /// Paper §3.3 block-dimension rule: fill X→Z with covering powers of two
@@ -291,7 +291,7 @@ trait Runs {
 }
 
 /// `count` objects of one layout, `extent` bytes apart.
-struct Items<'a, L> {
+struct Items<'a, L: ?Sized> {
     layout: &'a L,
     extent: i64,
     count: usize,
@@ -324,7 +324,7 @@ pub(crate) fn member_blocks(members: &[Member]) -> usize {
     members.iter().map(Member::block_count).sum::<i64>() as usize
 }
 
-impl Runs for Items<'_, Vec<Member>> {
+impl Runs for Items<'_, [Member]> {
     fn for_each_row(&self, mut sink: impl FnMut(Row)) {
         for item in 0..self.count {
             let base = item as i64 * self.extent;
@@ -343,7 +343,7 @@ pub(crate) fn for_each_run(plan: &PlanKind, x: Typed, mut sink: impl FnMut(i64))
     match plan {
         PlanKind::Strided(kp) => x.items(&kp.sb).for_each_row(&mut at),
         PlanKind::Blocks(bl) => x.items(bl).for_each_row(&mut at),
-        PlanKind::Multi(members) => x.items(members).for_each_row(&mut at),
+        PlanKind::Multi(members) => x.items(members.as_slice()).for_each_row(&mut at),
         PlanKind::Empty | PlanKind::Fallback(_) => {}
     }
 }
@@ -628,7 +628,7 @@ pub(crate) fn execute_on_host(
     let runs = match plan {
         PlanKind::Strided(kp) => walk(&mut mem, host, dir, x.buf, packed, &x.items(&kp.sb))?,
         PlanKind::Blocks(bl) => walk(&mut mem, host, dir, x.buf, packed, &x.items(bl))?,
-        PlanKind::Multi(members) => walk(&mut mem, host, dir, x.buf, packed, &x.items(members))?,
+        PlanKind::Multi(ms) => walk(&mut mem, host, dir, x.buf, packed, &x.items(ms.as_slice()))?,
         PlanKind::Empty => 0,
         PlanKind::Fallback(_) => return Err(no_kernel()),
     };
@@ -639,110 +639,77 @@ pub(crate) fn execute_on_host(
 }
 
 /// A `Fallback` plan is the system MPI's: the library hands it over before
-/// it reaches the engine.
+/// it reaches a kernel.
 fn no_kernel() -> MpiError {
     MpiError::Internal("a fallback plan has no kernel to execute".to_string())
 }
 
-/// One rank's pack/unpack engine: the dispatch from a committed plan to
-/// the kernel that moves it, and the plans derived on the way.
-pub(crate) struct Engine {
-    /// Forced word size of derived plans (the word-size ablation).
+/// Kernel-path pack/unpack of `x` under `plan` between device-accessible
+/// buffers, the packed bytes at `packed`: the whole object in one
+/// synchronous launch-and-join. `force_word` as in [`select_kernel`], for
+/// the one member derived here.
+pub(crate) fn execute(
+    ctx: &mut RankCtx,
+    plan: &PlanKind,
+    dir: PackDir,
+    x: Typed,
+    packed: GpuPtr,
     force_word: Option<usize>,
-    /// The 2-D plans contiguous-with-padding transfers are reshaped to,
-    /// per (datatype, count): a reshape allocates stride vectors, so the
-    /// hot path builds it once, not per send.
-    reshaped: HashMap<(Datatype, usize), KernelPlan>,
-    /// Transfers whose reshaped plan was served from that cache.
-    pub(crate) reshape_hits: u64,
-}
-
-impl Engine {
-    /// A fresh engine; `force_word` as in [`select_kernel`].
-    pub(crate) fn new(force_word: Option<usize>) -> Self {
-        Engine {
-            force_word,
-            reshaped: HashMap::new(),
-            reshape_hits: 0,
-        }
-    }
-
-    /// Kernel-path pack/unpack of `x` under `plan` between
-    /// device-accessible buffers, the packed bytes at `packed`: the whole
-    /// object in one synchronous launch-and-join.
-    pub(crate) fn execute(
-        &mut self,
-        ctx: &mut RankCtx,
-        plan: &PlanKind,
-        dir: PackDir,
-        x: Typed,
-        packed: GpuPtr,
-    ) -> MpiResult<()> {
-        let (stream, clock) = (&mut ctx.stream, &mut ctx.clock);
-        let (buf, extent) = (x.buf, x.extent);
-        match plan {
-            PlanKind::Empty => {}
-            PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D => {
-                // A contiguous object: "issue a single cudaMemcpyAsync …
-                // followed by a cudaStreamSynchronize" (§3.3).
-                let size = kp.sb.block_bytes();
-                if x.count <= 1 || size == extent {
-                    let (dst, src) = dir.ends(ptr_at(buf, kp.sb.start)?, packed);
-                    stream
-                        .memcpy_async(clock, dst, src, x.bytes)
-                        .map_err(MpiError::Gpu)?;
-                    stream.synchronize(clock);
-                    return Ok(());
-                }
-                // Several items with padding: incount acts as an extra
-                // stride dimension, handled dynamically (§3.3) — view as
-                // 2-D and launch once.
-                let kp = match self.reshaped.entry((x.dt, x.count)) {
-                    Entry::Occupied(hit) => {
-                        self.reshape_hits += 1;
-                        hit.into_mut()
-                    }
-                    Entry::Vacant(slot) => {
-                        let sb = StridedBlock {
-                            start: kp.sb.start,
-                            counts: vec![size, x.count as i64],
-                            strides: vec![1, extent],
-                        };
-                        slot.insert(select_kernel(sb, self.force_word))
-                    }
-                };
-                execute_strided(kp, stream, clock, dir, buf, extent, 1, packed, 0)?;
-            }
-            PlanKind::Strided(kp) => {
-                execute_strided(kp, stream, clock, dir, buf, extent, x.count, packed, 0)?;
-            }
-            PlanKind::Blocks(bl) => {
-                execute_blocklist(bl, stream, clock, dir, buf, extent, x.count, packed, 0)?;
-            }
-            PlanKind::Multi(members) => {
-                // One kernel whose parameters are the list: every member
-                // moves at the rate its own block length, word and rank
-                // give it, the machine as full as the whole transfer makes it.
-                let parts = members.iter().map(|m| {
-                    let word = effective_word(m.word as usize, buf, packed);
-                    let bytes = m.data_bytes() as usize * x.count;
-                    (bytes, m.counts[0] as usize, word, m.ndims as usize)
-                });
-                let target = target_for(buf.space, packed.space);
-                let cost = stream.cost_model();
-                let l = Launch {
-                    name: by_dir(dir, "tempi_pack_multi", "tempi_unpack_multi"),
-                    cfg: warp_per_block((member_blocks(members) * x.count) as u64),
-                    cost: cost.pack_kernel_time_parts(dir, target, x.bytes, parts),
-                    args: &[("members", members.len() as u64), ("bytes", x.bytes as u64)],
-                };
-                launch(stream, clock, dir, l, buf, packed, &x.items(members))?;
+) -> MpiResult<()> {
+    let (stream, clock) = (&mut ctx.stream, &mut ctx.clock);
+    let (buf, extent) = (x.buf, x.extent);
+    let mut padded = [Member::run(0, 0)];
+    let (members, x) = match plan {
+        PlanKind::Empty => return Ok(()),
+        PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D => {
+            // A contiguous object: "issue a single cudaMemcpyAsync …
+            // followed by a cudaStreamSynchronize" (§3.3).
+            if x.count <= 1 || kp.sb.block_bytes() == extent {
+                let (dst, src) = dir.ends(ptr_at(buf, kp.sb.start)?, packed);
+                stream
+                    .memcpy_async(clock, dst, src, x.bytes)
+                    .map_err(MpiError::Gpu)?;
                 stream.synchronize(clock);
+                return Ok(());
             }
-            PlanKind::Fallback(_) => return Err(no_kernel()),
+            // Several items with padding: incount acts as an extra stride
+            // dimension, handled dynamically (§3.3) — one member of `count`
+            // runs `extent` apart, moved as one item.
+            padded[0] = Member::of(&kp.sb, x.count as i64, extent, 0)
+                .ok_or_else(|| MpiError::InvalidArg("item offsets overflow".to_string()))?;
+            select_members(&mut padded, force_word);
+            (&padded[..], Typed { count: 1, ..x })
         }
-        Ok(())
-    }
+        PlanKind::Strided(kp) => {
+            return execute_strided(kp, stream, clock, dir, buf, extent, x.count, packed, 0)
+                .map(drop);
+        }
+        PlanKind::Blocks(bl) => {
+            return execute_blocklist(bl, stream, clock, dir, buf, extent, x.count, packed, 0)
+                .map(drop);
+        }
+        PlanKind::Multi(members) => (members.as_slice(), x),
+        PlanKind::Fallback(_) => return Err(no_kernel()),
+    };
+    // One kernel whose parameters are the list: every member moves at the
+    // rate its own block length, word and rank give it, the machine as
+    // full as the whole transfer makes it.
+    let parts = members.iter().map(|m| {
+        let word = effective_word(m.word as usize, buf, packed);
+        let bytes = m.data_bytes() as usize * x.count;
+        (bytes, m.counts[0] as usize, word, m.ndims as usize)
+    });
+    let target = target_for(buf.space, packed.space);
+    let cost = stream.cost_model();
+    let l = Launch {
+        name: by_dir(dir, "tempi_pack_multi", "tempi_unpack_multi"),
+        cfg: warp_per_block((member_blocks(members) * x.count) as u64),
+        cost: cost.pack_kernel_time_parts(dir, target, x.bytes, parts),
+        args: &[("members", members.len() as u64), ("bytes", x.bytes as u64)],
+    };
+    launch(stream, clock, dir, l, buf, packed, &x.items(members))?;
+    stream.synchronize(clock);
+    Ok(())
 }
 
 /// The future-work DMA path (paper §8): pack a 2-D object with
@@ -1136,7 +1103,7 @@ mod tests {
     }
 
     /// `count` items of `layout`, packed one after another.
-    fn x_items<L>(layout: &L, count: usize) -> Items<'_, L> {
+    fn x_items<L: ?Sized>(layout: &L, count: usize) -> Items<'_, L> {
         Items {
             layout,
             extent: 0,
@@ -1305,7 +1272,7 @@ mod tests {
         }
     }
 
-    impl PerRun for Items<'_, Vec<Member>> {
+    impl PerRun for Items<'_, [Member]> {
         fn runs(&self) -> Vec<(i64, usize)> {
             let mut runs = Vec::new();
             for item in 0..self.count as i64 {
@@ -1511,7 +1478,7 @@ mod tests {
                 rows_match_runs(d, &range, &format!("{at}, blocks {:?}", range.blocks));
                 let members: Vec<Member> = (0..d.int(1, 3)).map(|_| d.member()).collect();
                 let items = Items {
-                    layout: &members,
+                    layout: members.as_slice(),
                     extent,
                     count,
                 };
