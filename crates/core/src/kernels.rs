@@ -22,11 +22,11 @@
 //! calls: several contiguous items with padding are one more stride
 //! dimension, worked out per call as one inline [`Member`] for the
 //! member-list kernel. Every kernel — those three, and the block-range
-//! kernel of the pipelined path (`execute_range_async`) — is the same walk
+//! kernel of the pipelined path (`execute_range`) — is the same walk
 //! of the typed buffer's runs against a packed cursor (`walk`); a kernel
 //! supplies its runs as rows of equal runs (its Y dimension), its price
-//! and its launch geometry. The CPU copy path (`execute_on_host`) is that
-//! walk again, in host code.
+//! and its launch geometry. The CPU copy path (`execute_on_host`, and
+//! `execute_range` under a host rule) is that walk again, in host code.
 
 use std::ops::Range;
 
@@ -50,8 +50,6 @@ pub enum KernelKind {
     Pack3D,
     /// Higher-dimensional objects: the 3-D kernel with outer loops.
     PackND,
-    /// Irregular block list (indexed-family extension).
-    BlockList,
 }
 
 /// A committed type's kernel parameterization.
@@ -537,31 +535,40 @@ pub fn execute_strided(
     Ok(total)
 }
 
-/// Execute one *asynchronous* pack/unpack kernel over the contiguous range
-/// `blocks` of block indices of `x`'s object stream (blocks of all its
-/// items numbered globally), against the packed bytes at `packed`. Does
-/// **not** synchronize — the pipelined send path (paper §8) overlaps these
-/// launches with wire transfers and joins at the end.
-pub(crate) fn execute_range_async(
+/// Move the contiguous range `blocks` of block indices of `x`'s object
+/// stream (blocks of all its items numbered globally) against the packed
+/// bytes at `packed`, under `rule`: [`CopyRule::Kernel`] launches one
+/// *asynchronous* kernel and does **not** synchronize — the pipelined send
+/// path (paper §8) overlaps these launches with wire transfers and joins at
+/// the end; any other rule is host code, priced like the system MPI's host
+/// pack, what a started pipelined transfer finishes its chunks on, on
+/// either side, once a GPU fault took its kernels away.
+pub(crate) fn execute_range(
     plan: &KernelPlan,
     ctx: &mut RankCtx,
     dir: PackDir,
     x: Typed,
     packed: GpuPtr,
     blocks: Range<i64>,
+    rule: CopyRule,
 ) -> MpiResult<()> {
     let nblocks = (blocks.end - blocks.start) as u64;
     let total = plan.sb.block_bytes() as usize * nblocks as usize;
+    let runs = BlockRange {
+        sb: &plan.sb,
+        extent: x.extent,
+        blocks,
+    };
+    if rule != CopyRule::Kernel {
+        let n = walk(&mut ctx.gpu.memory(), rule, dir, x.buf, packed, &runs)?;
+        ctx.clock.advance(ctx.vendor.host_pack_time(total, n));
+        return Ok(());
+    }
     let l = Launch {
         name: by_dir(dir, "tempi_pack_range", "tempi_unpack_range"),
         cfg: warp_per_block(nblocks),
         cost: plan.price(&ctx.stream, dir, x.buf, packed, total),
         args: &[],
-    };
-    let runs = BlockRange {
-        sb: &plan.sb,
-        extent: x.extent,
-        blocks,
     };
     let (stream, clock) = (&mut ctx.stream, &mut ctx.clock);
     launch(stream, clock, dir, l, x.buf, packed, &runs)

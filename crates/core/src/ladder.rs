@@ -5,9 +5,11 @@
 //! A send steps down [`Method::LADDER`] — most GPU-dependent first — and,
 //! past its last rung, falls through to the system MPI, which needs no
 //! TEMPI resources; a pack or unpack steps from the kernel path to the CPU
-//! copy. A rung that failed transiently is quarantined for its datatype: a
-//! send rung for [`QUARANTINE_TTL`] of virtual time, the kernel rung for
-//! good. Every step-down is counted and appended to the rank's
+//! copy, and so does a started pipelined transfer, on either side, for its
+//! remaining chunks. A rung that failed transiently is quarantined for its
+//! datatype: a send rung for [`QUARANTINE_TTL`] of virtual time, the kernel
+//! rung until the interposed `MPI_Type_free` releases every rung of the
+//! type. Every step-down is counted and appended to the rank's
 //! [`DegradeEvent`] log. A failed peer or a revoked communicator is no
 //! rung's problem: those errors propagate to the recovery path.
 
@@ -52,6 +54,11 @@ impl Quarantine {
         let held = |i: usize| self.holds(dt, Rung::Send(Method::LADDER[i]), now);
         (from..Method::LADDER.len()).find(|&i| !held(i))
     }
+
+    /// Forget every rung quarantined for `dt`, whose handle is being freed.
+    pub(crate) fn release(&mut self, dt: Datatype) {
+        self.0.retain(|&(held, _), _| held != dt);
+    }
 }
 
 impl Tempi {
@@ -85,6 +92,8 @@ impl Tempi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TempiConfig;
+    use crate::interpose::InterposedMpi;
     use crate::tempi::tests::{configured, fill, oracle, soa};
     use mpi_sim::consts::MPI_BYTE;
     use mpi_sim::PAYLOAD_POOL_BYTES;
@@ -239,10 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn a_fault_before_the_first_part_steps_down_and_after_it_propagates() {
-        // a self-send on one rank, so a transfer abandoned half-way leaves
-        // no peer waiting; kernel ordinal 0 is the first chunk's pack,
-        // ordinal 1 the second's
+    fn a_fault_before_the_first_part_steps_down_and_after_it_finishes_on_the_cpu_copy() {
+        // a self-send on one rank; kernel ordinal 0 is the first chunk's
+        // pack, ordinal 1 the second's
         let run = |at_call: u64| {
             let mut plan = FaultPlan::default();
             plan.scoped.push(ScopedFault {
@@ -259,10 +267,10 @@ mod tests {
             let buf = ctx.gpu.malloc(span).unwrap();
             ctx.gpu.memory().poke(buf, &fill(span)).unwrap();
             let sent = tempi.send(&mut ctx, buf, 1, dt, 0, 0);
-            (ctx, tempi, sent, dt, buf, span)
+            (ctx, tempi, sent, dt, span)
         };
 
-        let (mut ctx, mut tempi, sent, dt, buf, span) = run(0);
+        let (mut ctx, mut tempi, sent, dt, span) = run(0);
         assert_eq!(sent, Ok(Some(Method::Device)), "Pipelined -> Device");
         assert_eq!(tempi.stats.degraded_sends, 1);
         assert_eq!(ctx.faults.stats.events.len(), 1);
@@ -279,15 +287,126 @@ mod tests {
         assert_eq!(tempi.pool.outstanding(), 0);
         assert!(ctx.pooled_payload_bytes() <= PAYLOAD_POOL_BYTES);
 
-        let (ctx, tempi, sent, ..) = run(1);
-        let err = sent.unwrap_err();
-        assert!(err.is_transient(), "{err}");
+        // mid-transfer there is no stepping down: the chunks left are
+        // packed by host code, and the receiver gets the whole transfer
+        let (mut ctx, mut tempi, sent, dt, span) = run(1);
+        assert_eq!(sent, Ok(Some(Method::Pipelined)));
         assert_eq!(tempi.stats.degraded_sends, 0, "no step-down mid-transfer");
-        assert!(ctx.faults.stats.events.is_empty());
-        assert_eq!(tempi.stats.pipelined_sends, 0);
+        let (steps, s) = (&ctx.faults.stats.events, tempi.stats);
+        assert_eq!(
+            (steps.len(), &*steps[0].from, &*steps[0].to),
+            (1, "Pipelined", "HostCopy")
+        );
+        assert_eq!((s.degraded_xfers, s.pipelined_sends), (1, 1));
+        assert!(tempi.quarantine.holds(dt, Rung::Kernel, ctx.clock.now()));
+        let dst = ctx.gpu.malloc(span).unwrap();
+        let (st, m) = tempi.recv(&mut ctx, dst, 1, dt, Some(0), Some(0)).unwrap();
+        assert_eq!((st.bytes, m), (2 << 20, Some(Method::Pipelined)));
+        let got = ctx.gpu.memory().peek(dst, span).unwrap();
+        assert_eq!(got, oracle(&ctx, &fill(span), (1, dt), (1, dt), span));
+        assert_eq!(ctx.pending_messages() + ctx.inbox_backlog(), 0);
         assert_eq!(tempi.pool.outstanding(), 0);
         assert!(ctx.pooled_payload_bytes() <= PAYLOAD_POOL_BYTES);
-        let _ = buf;
+    }
+
+    /// Two pipelined transfers of the same 4 MiB object in 16 parts, rank 0
+    /// to rank 1 with tag 7, under the one-shot `fault`. Per rank: whether
+    /// each receive returned the oracle's bytes as one pipelined transfer,
+    /// the messages left unreceived, the step-downs logged and whether the
+    /// kernel rung is quarantined at the end.
+    fn two_pipelined_transfers(fault: ScopedFault) -> Vec<(Vec<bool>, usize, Vec<String>, bool)> {
+        let mut plan = FaultPlan::default();
+        plan.scoped.push(fault);
+        let cfg = WorldConfig::summit(2).with_faults(plan);
+        World::run(&cfg, |ctx| {
+            let mut tempi = configured(|c| {
+                c.force_method = Some(Method::Pipelined);
+                c.pipeline_chunk = Some(256 << 10);
+            });
+            let dt = ctx.type_vector(1024, 4096, 8192, MPI_BYTE)?;
+            tempi.type_commit(ctx, dt)?;
+            let span = 1023 * 8192 + 4096;
+            let buf = ctx.gpu.malloc(span)?;
+            let mut received = vec![];
+            for _ in 0..2 {
+                if ctx.rank == 0 {
+                    ctx.gpu.memory().poke(buf, &fill(span))?;
+                    tempi.send(ctx, buf, 1, dt, 1, 7)?;
+                } else {
+                    ctx.gpu.memory().poke(buf, &vec![0; span])?;
+                    let (st, m) = tempi.recv(ctx, buf, 1, dt, Some(0), Some(7))?;
+                    let want = oracle(ctx, &fill(span), (1, dt), (1, dt), span);
+                    received.push(
+                        (st.bytes, m) == (4 << 20, Some(Method::Pipelined))
+                            && ctx.gpu.memory().peek(buf, span)? == want,
+                    );
+                }
+            }
+            let left = ctx.pending_messages() + ctx.inbox_backlog();
+            let steps = ctx.faults.stats.events.iter();
+            let steps = steps.map(|e| format!("{} -> {}", e.from, e.to)).collect();
+            let held = tempi.quarantine.holds(dt, Rung::Kernel, ctx.clock.now());
+            Ok((received, left, steps, held))
+        })
+        .unwrap()
+    }
+
+    /// [`two_pipelined_transfers`] with `site`'s third call failing on
+    /// `rank`: both receives land the oracle's bytes, nothing is left in
+    /// the inbox, and the faulted rank alone steps to the CPU copy once.
+    fn a_fault_part_way_through_finishes_on_the_cpu_copy(rank: usize, site: FaultSite) {
+        let fault = ScopedFault {
+            rank,
+            site,
+            at_call: 2,
+        };
+        let ranks = two_pipelined_transfers(fault);
+        assert_eq!(ranks[1].0, [true, true], "{fault:?}");
+        assert_eq!(ranks[1].1, 0, "{fault:?}: parts left behind");
+        for (r, (_, _, steps, held)) in ranks.iter().enumerate() {
+            let want: &[&str] = if r == rank {
+                &["Pipelined -> HostCopy"]
+            } else {
+                &[]
+            };
+            assert_eq!(*steps, want, "{fault:?}: rank {r}");
+            assert_eq!(*held, r == rank, "{fault:?}: rank {r}");
+        }
+    }
+
+    #[test]
+    fn a_receiver_kernel_fault_part_way_through_a_pipeline_finishes_on_the_cpu_copy() {
+        a_fault_part_way_through_finishes_on_the_cpu_copy(1, FaultSite::Kernel);
+    }
+
+    #[test]
+    fn a_receiver_copy_fault_part_way_through_a_pipeline_finishes_on_the_cpu_copy() {
+        a_fault_part_way_through_finishes_on_the_cpu_copy(1, FaultSite::Copy);
+    }
+
+    #[test]
+    fn a_sender_kernel_fault_part_way_through_a_pipeline_finishes_on_the_cpu_copy() {
+        a_fault_part_way_through_finishes_on_the_cpu_copy(0, FaultSite::Kernel);
+    }
+
+    #[test]
+    fn the_interposed_free_releases_every_rung_of_the_type() {
+        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let dt = ctx.type_vector(4, 4, 8, MPI_BYTE).unwrap();
+        let kept = ctx.type_vector(4, 4, 8, MPI_BYTE).unwrap();
+        let err = MpiError::Internal("injected".into());
+        for t in [dt, kept] {
+            mpi.type_commit(&mut ctx, t).unwrap();
+            mpi.tempi
+                .degrade(&mut ctx, t, Rung::Kernel, ("Kernel", "HostCopy"), &err);
+            let device = Rung::Send(Method::Device);
+            mpi.tempi
+                .degrade(&mut ctx, t, device, ("Device", "OneShot"), &err);
+        }
+        mpi.type_free(&mut ctx, dt).unwrap();
+        let held = |t: Datatype| mpi.tempi.quarantine.0.keys().filter(|k| k.0 == t).count();
+        assert_eq!((held(dt), held(kept)), (0, 2));
     }
 
     #[test]

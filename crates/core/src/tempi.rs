@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpu_sim::{CopyKind, GpuPtr, MemSpace, PackDir, SimTime};
+use gpu_sim::{CopyKind, CopyRule, GpuPtr, MemSpace, PackDir, SimTime};
 use mpi_sim::{
     check_item_offsets, transfer_bytes, Datatype, MpiError, MpiResult, PartInfo, ProbeInfo,
     RankCtx, Status,
@@ -24,8 +24,8 @@ use crate::ir::transform::simplify;
 use crate::ir::translate::{translate, MemoIntrospect, NamedMemo, Translated};
 pub use crate::kernels::PlanKind;
 use crate::kernels::{
-    execute, execute_on_host, execute_range_async, for_each_run, member_blocks, reach,
-    select_kernel, select_members, KernelKind, Typed,
+    execute, execute_on_host, execute_range, for_each_run, member_blocks, reach, select_kernel,
+    select_members, KernelKind, Typed,
 };
 use crate::ladder::{Quarantine, Rung};
 use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
@@ -290,14 +290,15 @@ impl Tempi {
         self.cache.len()
     }
 
-    /// TEMPI's `MPI_Type_free`: the system free, then `dt`'s plan goes at
-    /// once. A free that bypasses the library leaves the plan in place
-    /// until the slot's next occupant commits.
+    /// TEMPI's `MPI_Type_free`: the system free, then `dt`'s plan and its
+    /// quarantined rungs go at once. A free that bypasses the library
+    /// leaves the plan in place until the slot's next occupant commits.
     pub fn type_free(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<()> {
         ctx.type_free(dt)?;
         if self.plan(dt).is_some() {
             self.cache.remove(&dt.slot());
         }
+        self.quarantine.release(dt);
         Ok(())
     }
 
@@ -938,39 +939,55 @@ impl Tempi {
         let online = self.online_model(ctx, dest, n);
         let (block, word) = (plan.block_bytes(), plan.word());
         let force_word = self.config.force_word;
+        let mut rule = CopyRule::Kernel;
         for k in 0..n {
             let at = k * chunk;
             let len = chunk.min(bytes - at);
             let slot = (k % RING_SLOTS) * chunk;
 
-            let t0 = ctx.clock.now();
-            match ranged {
-                None => execute(ctx, &plan.kind, PackDir::Pack, x, stage, force_word)?,
-                Some(kp) => {
-                    let first = (at / block) as i64;
-                    let blocks = first..first + (len / block) as i64;
-                    execute_range_async(kp, ctx, PackDir::Pack, x, stage.add(slot), blocks)?;
-                }
-            }
-            let t1 = ctx.clock.now();
-            phase(ctx, "pack", t0, || vec![("bytes", len.into())]);
-            if let Some(m) = &online {
-                let modeled = m.t_pack(PackDir::Pack, recipe.pack, len, block, word);
-                self.tuner.observe_pack(recipe.pack, modeled, t1 - t0);
-            }
-
-            if recipe.bounce {
-                // queues behind this chunk's pack kernel
-                engine_copy(ctx, out.add(slot), stage.add(slot), len, n == 1)?;
-                phase(ctx, "copy", t1, || {
-                    vec![("bytes", len.into()), ("kind", "D2H".into())]
+            // pack → [D2H]; once parts are on the wire, which commits the
+            // receiver to the rest, a transient GPU fault moves this chunk
+            // and the rest to host code, straight into their pinned slots
+            loop {
+                let (t0, host) = (ctx.clock.now(), rule == CopyRule::Backdoor);
+                let packed = match ranged {
+                    None => execute(ctx, &plan.kind, PackDir::Pack, x, stage, force_word),
+                    Some(kp) => {
+                        let first = (at / block) as i64;
+                        let blocks = first..first + (len / block) as i64;
+                        let to = if host { out } else { stage }.add(slot);
+                        execute_range(kp, ctx, PackDir::Pack, x, to, blocks, rule)
+                    }
+                };
+                let staged = packed.and_then(|()| {
+                    let t1 = ctx.clock.now();
+                    phase(ctx, "pack", t0, || vec![("bytes", len.into())]);
+                    if let Some(m) = &online {
+                        let modeled = m.t_pack(PackDir::Pack, recipe.pack, len, block, word);
+                        self.tuner.observe_pack(recipe.pack, modeled, t1 - t0);
+                    }
+                    if recipe.bounce && !host {
+                        // queues behind this chunk's pack kernel
+                        engine_copy(ctx, out.add(slot), stage.add(slot), len, n == 1)?;
+                        phase(ctx, "copy", t1, || {
+                            vec![("bytes", len.into()), ("kind", "D2H".into())]
+                        });
+                        if let Some(m) = &online {
+                            let (modeled, took) =
+                                (m.t_copy(CopyKind::D2H, len), ctx.clock.now() - t1);
+                            self.tuner.observe_copy(CopyKind::D2H, modeled, took);
+                        }
+                    }
+                    Ok(())
                 });
-                if let Some(m) = &online {
-                    self.tuner.observe_copy(
-                        CopyKind::D2H,
-                        m.t_copy(CopyKind::D2H, len),
-                        ctx.clock.now() - t1,
-                    );
+                match staged {
+                    Err(e) if e.is_transient() && *posted > 0 && !host => {
+                        self.degrade(ctx, x.dt, Rung::Kernel, ("Pipelined", "HostCopy"), &e);
+                        // the chunks in flight still fill pinned slots
+                        ctx.stream.synchronize(&mut ctx.clock);
+                        rule = CopyRule::Backdoor;
+                    }
+                    staged => break staged?,
                 }
             }
 
@@ -1063,7 +1080,8 @@ impl Tempi {
     /// other parts, and every one-piece message, land back to back. A GPU
     /// fault in the loop is carried, not returned: the later parts still
     /// land, so the transfer is consumed whole before the fault is
-    /// reported.
+    /// reported, and after a transient one a ring unpacks the faulted part
+    /// and the rest by host code from their pinned slots.
     ///
     /// Then one finish: the ring's join, or one whole-object unpack through
     /// the ladder — the plan's kernel, or, when the kernel rung is
@@ -1142,7 +1160,7 @@ impl Tempi {
         let online = self.online_model(ctx, info.source, parts);
         // the kernel rung's quarantine does not lapse with time: asked
         // once, it answers as it would at every part
-        let kernels = n > 1 || !self.quarantine.holds(x.dt, Rung::Kernel, ctx.clock.now());
+        let mut kernels = n > 1 || !self.quarantine.holds(x.dt, Rung::Kernel, ctx.clock.now());
         let mut received = 0usize;
         let mut drained = [SimTime::ZERO; RING_SLOTS];
         // the loop's first GPU fault, carried to the finish
@@ -1208,10 +1226,23 @@ impl Tempi {
                 let first = (received / block) as i64;
                 let blocks = first..first + (len / block) as i64;
                 let t2 = ctx.clock.now();
+                let unpack = |ctx: &mut RankCtx, from: GpuPtr, rule| {
+                    let (to, blocks) = (from.add(slot), blocks.clone());
+                    execute_range(kp, ctx, PackDir::Unpack, x, to, blocks, rule).err()
+                };
                 if fault.is_none() {
                     drained[k % RING_SLOTS] = ctx.stream.busy_until();
-                    let from = dev.unwrap_or(land).add(slot);
-                    fault = execute_range_async(kp, ctx, PackDir::Unpack, x, from, blocks).err();
+                    fault = match kernels {
+                        true => unpack(ctx, dev.unwrap_or(land), CopyRule::Kernel),
+                        false => unpack(ctx, land, CopyRule::Backdoor),
+                    };
+                }
+                if let Some(e) = fault.take_if(|e| e.is_transient()) {
+                    // this part and the rest: host code, from the pinned
+                    // slots they land in
+                    self.degrade(ctx, x.dt, Rung::Kernel, (method.name(), "HostCopy"), &e);
+                    kernels = false;
+                    fault = unpack(ctx, land, CopyRule::Backdoor);
                 }
                 if fault.is_none() {
                     phase(ctx, "unpack", t2, || vec![("bytes", len.into())]);
@@ -1243,8 +1274,7 @@ impl Tempi {
                 }
                 Ok(())
             }
-            // a ring's slots no longer hold the parts it unpacked
-            Some(e) if ring.is_some() || !e.is_transient() => Err(e),
+            Some(e) if !e.is_transient() => Err(e),
             fault => {
                 if let Some(e) = fault {
                     self.degrade(ctx, x.dt, Rung::Kernel, (method.name(), "HostCopy"), &e);

@@ -21,7 +21,7 @@ use crate::cost::{CopyKind, GpuCostModel};
 use crate::error::{GpuError, GpuResult};
 use crate::fault::FaultSite;
 use crate::kernel::LaunchConfig;
-use crate::memory::{CopyRule, GpuContext, GpuPtr, MemSpace, Memory};
+use crate::memory::{CopyRule, GpuContext, GpuPtr, Memory};
 
 /// Cumulative counters of work submitted to a stream, for tests and
 /// reporting (e.g. the baseline copy-per-block implementations are verified
@@ -322,58 +322,6 @@ impl Stream {
         self.synchronize(clock);
         Ok(kind)
     }
-
-    /// Upload host bytes into any allocation through the copy engine
-    /// (models `cudaMemcpyAsync` from an implicit pinned staging source,
-    /// then sync). Convenience for tests and workload setup where the
-    /// source is a Rust slice rather than simulated memory.
-    pub fn upload(&mut self, clock: &mut SimClock, dst: GpuPtr, data: &[u8]) -> GpuResult<()> {
-        {
-            let mut mem = self.ctx.memory();
-            let _ = mem.space_of(dst)?;
-            mem.poke(dst, data)?;
-        }
-        clock.advance(self.cost.memcpy_async_overhead);
-        let kind = if dst.space == MemSpace::Device {
-            CopyKind::H2D
-        } else {
-            CopyKind::H2H
-        };
-        let dur = self.cost.copy_engine_time(kind, data.len());
-        let start = self.enqueue(clock, dur);
-        self.trace_gpu("upload", start, dur, || vec![("bytes", data.len().into())]);
-        self.stats.memcpys += 1;
-        self.stats.copy_bytes += data.len() as u64;
-        self.synchronize(clock);
-        Ok(())
-    }
-
-    /// Download bytes from any allocation through the copy engine into a
-    /// Rust buffer (symmetric with [`Stream::upload`]).
-    pub fn download(
-        &mut self,
-        clock: &mut SimClock,
-        src: GpuPtr,
-        len: usize,
-    ) -> GpuResult<Vec<u8>> {
-        let data = {
-            let mem = self.ctx.memory();
-            mem.peek(src, len)?
-        };
-        clock.advance(self.cost.memcpy_async_overhead);
-        let kind = if src.space == MemSpace::Device {
-            CopyKind::D2H
-        } else {
-            CopyKind::H2H
-        };
-        let dur = self.cost.copy_engine_time(kind, len);
-        let start = self.enqueue(clock, dur);
-        self.trace_gpu("download", start, dur, || vec![("bytes", len.into())]);
-        self.stats.memcpys += 1;
-        self.stats.copy_bytes += len as u64;
-        self.synchronize(clock);
-        Ok(data)
-    }
 }
 
 #[cfg(test)]
@@ -548,16 +496,6 @@ mod tests {
             s.memcpy_2d_async(&mut clock, a, 4, b, 8, 6, 4),
             Err(GpuError::InvalidLaunch { .. })
         ));
-    }
-
-    #[test]
-    fn upload_download_roundtrip() {
-        let (ctx, mut s, mut clock) = setup();
-        let d = ctx.malloc(16).unwrap();
-        s.upload(&mut clock, d, &[42u8; 16]).unwrap();
-        let got = s.download(&mut clock, d, 16).unwrap();
-        assert_eq!(got, vec![42u8; 16]);
-        let _ = ctx;
     }
 
     #[test]
