@@ -188,7 +188,7 @@ impl InterposedMpi {
     /// `MPI_Type_free`. TEMPI's version forwards to the system free and
     /// drops the type's plan at once; a free that bypasses it
     /// ([`RankCtx::type_free`]) leaves the plan until the slot's next
-    /// occupant commits.
+    /// occupant commits ([`Tempi::type_free`]).
     pub fn type_free(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<()> {
         match self.resolve(MpiSymbol::TypeFree) {
             Provider::Tempi => self.tempi.type_free(ctx, dt),

@@ -25,7 +25,7 @@ pub mod translate;
 use std::fmt;
 
 /// A contiguous run of bytes (paper §3.1, "DenseData").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DenseData {
     /// Bytes between the lower bound and the first byte of the run.
     pub off: i64,
@@ -47,7 +47,7 @@ pub struct StreamData {
 }
 
 /// The IR of one datatype: a dense leaf under zero or more streams.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Type {
     /// The contiguous run at the bottom of the chain.
     pub leaf: DenseData,

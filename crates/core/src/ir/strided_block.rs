@@ -9,10 +9,10 @@
 //! apart. It exists only to parameterize kernel selection: no tree or
 //! metadata ever reaches the (simulated) GPU, just these scalars.
 
-use super::Type;
+use super::{DenseData, StreamData, Type};
 
 /// The canonical N-dimensional strided object (paper §3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct StridedBlock {
     /// Byte offset between the type's lower bound and the first byte.
     pub start: i64,
@@ -120,7 +120,7 @@ pub const MAX_MEMBERS: usize = 4096 / std::mem::size_of::<Member>();
 /// [`MEMBER_DIMS`] dimensions, from the struct's origin, held inline — so a
 /// list of members is one allocation, and a few dozen scalars per member
 /// however large the member is (§3.3: no object metadata on the GPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Member {
     /// As [`StridedBlock::start`].
     pub start: i64,
@@ -170,9 +170,24 @@ impl Member {
 
     /// The member as a canonical chain.
     pub fn chain(&self) -> Type {
-        (1..self.ndims as usize).fold(Type::dense(self.start, self.counts[0]), |ty, d| {
-            Type::stream(0, self.strides[d], self.counts[d], ty)
-        })
+        let mut ty = Type::default();
+        self.chain_into(&mut ty);
+        ty
+    }
+
+    /// [`Member::chain`] written over `ty`, whose list is reused.
+    pub fn chain_into(&self, ty: &mut Type) {
+        ty.leaf = DenseData {
+            off: self.start,
+            extent: self.counts[0],
+        };
+        ty.streams.clear();
+        ty.streams
+            .extend((1..self.ndims as usize).map(|d| StreamData {
+                off: 0,
+                stride: self.strides[d],
+                count: self.counts[d],
+            }));
     }
 
     /// As [`StridedBlock::block_count`].
@@ -208,21 +223,31 @@ impl Member {
 /// offsets do not sum to a representable `start`, and the type falls back
 /// to other handling.
 pub fn strided_block(ty: &Type) -> Option<StridedBlock> {
+    let mut sb = StridedBlock::default();
+    strided_block_into(ty, &mut sb).then_some(sb)
+}
+
+/// [`strided_block`] written over `sb`, whose arrays are reused: `false`
+/// where that is `None`, with `sb` left partly written.
+pub fn strided_block_into(ty: &Type, sb: &mut StridedBlock) -> bool {
     let ndims = ty.node_count();
-    let mut sb = StridedBlock {
-        start: ty.leaf.off,
-        counts: Vec::with_capacity(ndims),
-        strides: Vec::with_capacity(ndims),
-    };
+    for list in [&mut sb.counts, &mut sb.strides] {
+        list.clear();
+        list.reserve_exact(ndims);
+    }
     // dimension 0 is the dense leaf, the rest the streams above it
+    sb.start = ty.leaf.off;
     sb.counts.push(ty.leaf.extent);
     sb.strides.push(1);
     for s in &ty.streams {
-        sb.start = sb.start.checked_add(s.off)?;
+        let Some(start) = sb.start.checked_add(s.off) else {
+            return false;
+        };
+        sb.start = start;
         sb.counts.push(s.count);
         sb.strides.push(s.stride);
     }
-    Some(sb)
+    true
 }
 
 #[cfg(test)]

@@ -7,22 +7,34 @@
 //! [`mpi_sim::RankCtx`] the calls are priced with the vendor's
 //! introspection cost — which is why Fig. 6's commit overhead differs
 //! across implementations even though TEMPI does identical work.
+//!
+//! It works in a `Scratch` that its owner keeps from one translation to
+//! the next: each level reads its constructor arguments into the scratch's
+//! argument stacks, the form in which `MPI_Type_get_contents` fills arrays
+//! its caller owns, and builds its chain, block list or member list on
+//! the scratch's lists. A translation of a shape the scratch has held
+//! before allocates nothing, and the recursive frames hold indices only.
 
-use std::num::NonZeroU8;
-
-use mpi_sim::datatype::{Combiner, Contents, Datatype, Envelope, Named};
+use mpi_sim::datatype::{Combiner, Datatype, Envelope};
 use mpi_sim::{MpiError, MpiResult, RankCtx, TypeRegistry};
 
-use super::strided_block::{strided_block, Member, StridedBlock, MAX_MEMBERS};
+use super::strided_block::{strided_block_into, Member, StridedBlock, MAX_MEMBERS};
 use super::transform::simplify;
-use super::{BlockList, StreamData, Type};
+use super::{BlockList, DenseData, StreamData, Type};
 
 /// The introspection face of MPI that translation consumes.
 pub trait Introspect {
     /// `MPI_Type_get_envelope`.
     fn envelope(&mut self, dt: Datatype) -> MpiResult<Envelope>;
-    /// `MPI_Type_get_contents`.
-    fn contents(&mut self, dt: Datatype) -> MpiResult<Contents>;
+    /// `MPI_Type_get_contents`, into the caller's arrays, which hold at
+    /// least the envelope's counts.
+    fn contents(
+        &mut self,
+        dt: Datatype,
+        integers: &mut [i64],
+        addresses: &mut [i64],
+        datatypes: &mut [Datatype],
+    ) -> MpiResult<()>;
     /// `MPI_Type_get_extent` → `(lb, extent)`.
     fn extent(&mut self, dt: Datatype) -> MpiResult<(i64, i64)>;
     /// `MPI_Type_size`.
@@ -33,8 +45,14 @@ impl Introspect for RankCtx {
     fn envelope(&mut self, dt: Datatype) -> MpiResult<Envelope> {
         self.get_envelope(dt)
     }
-    fn contents(&mut self, dt: Datatype) -> MpiResult<Contents> {
-        self.get_contents(dt)
+    fn contents(
+        &mut self,
+        dt: Datatype,
+        integers: &mut [i64],
+        addresses: &mut [i64],
+        datatypes: &mut [Datatype],
+    ) -> MpiResult<()> {
+        self.get_contents(dt, integers, addresses, datatypes)
     }
     fn extent(&mut self, dt: Datatype) -> MpiResult<(i64, i64)> {
         self.get_extent(dt)
@@ -48,101 +66,20 @@ impl Introspect for TypeRegistry {
     fn envelope(&mut self, dt: Datatype) -> MpiResult<Envelope> {
         self.get_envelope(dt)
     }
-    fn contents(&mut self, dt: Datatype) -> MpiResult<Contents> {
-        self.get_contents(dt)
+    fn contents(
+        &mut self,
+        dt: Datatype,
+        integers: &mut [i64],
+        addresses: &mut [i64],
+        datatypes: &mut [Datatype],
+    ) -> MpiResult<()> {
+        self.get_contents(dt, integers, addresses, datatypes)
     }
     fn extent(&mut self, dt: Datatype) -> MpiResult<(i64, i64)> {
         TypeRegistry::extent(self, dt)
     }
     fn type_size(&mut self, dt: Datatype) -> MpiResult<u64> {
         self.size(dt)
-    }
-}
-
-/// `MPI_Type_get_envelope` of a predefined type, as the standard fixes it:
-/// nothing to ask `MPI_Type_get_contents` for.
-const NAMED_ENVELOPE: Envelope = Envelope {
-    num_integers: 0,
-    num_addresses: 0,
-    num_datatypes: 0,
-    combiner: Combiner::Named,
-};
-
-/// What introspection calls have taught one process about the predefined
-/// (named) handles: an array over those handles, filled by the first call
-/// that asks and never by looking the answer up behind MPI's back. It is
-/// held by value in per-rank state, so it is kept to a flag and a byte per
-/// handle — a predefined type's envelope is [`NAMED_ENVELOPE`], its lower
-/// bound 0 and its extent a few bytes; an answer of any other form is not
-/// remembered and the call is made again. Which handles are predefined is
-/// MPI's to say ([`Datatype::named_index`], the rule `MPI_Type_free`
-/// refuses a handle by), so an entry cannot go stale: it names the same
-/// type for the life of the process. Derived handles are not remembered —
-/// the application may free one, and reuse its number, through a call the
-/// interposer does not see.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NamedMemo {
-    /// A call has returned [`NAMED_ENVELOPE`] for the handle.
-    envelope_seen: [bool; Named::ALL.len()],
-    /// The extent a call has returned for the handle.
-    extent: [Option<NonZeroU8>; Named::ALL.len()],
-}
-
-/// The introspection source `MPI_Type_commit` translates through. It
-/// answers `envelope` / `extent` of a predefined handle from the
-/// [`NamedMemo`] once a call has paid for the answer, and counts the calls
-/// it does forward — the vendor-priced ones, which is the number of MPI
-/// calls Fig. 6 reports for TEMPI's commit.
-pub(crate) struct MemoIntrospect<'a, I: Introspect> {
-    inner: &'a mut I,
-    memo: &'a mut NamedMemo,
-    /// Introspection calls forwarded to the wrapped source.
-    pub(crate) calls: u64,
-}
-
-impl<'a, I: Introspect> MemoIntrospect<'a, I> {
-    /// Wrap an introspection source.
-    pub(crate) fn new(inner: &'a mut I, memo: &'a mut NamedMemo) -> Self {
-        MemoIntrospect {
-            inner,
-            memo,
-            calls: 0,
-        }
-    }
-}
-
-impl<I: Introspect> Introspect for MemoIntrospect<'_, I> {
-    fn envelope(&mut self, dt: Datatype) -> MpiResult<Envelope> {
-        let named = dt.named_index();
-        if named.is_some_and(|i| self.memo.envelope_seen[i]) {
-            return Ok(NAMED_ENVELOPE);
-        }
-        self.calls += 1;
-        let env = self.inner.envelope(dt)?;
-        if let Some(i) = named {
-            self.memo.envelope_seen[i] = env == NAMED_ENVELOPE;
-        }
-        Ok(env)
-    }
-    fn contents(&mut self, dt: Datatype) -> MpiResult<Contents> {
-        self.calls += 1;
-        self.inner.contents(dt)
-    }
-    fn extent(&mut self, dt: Datatype) -> MpiResult<(i64, i64)> {
-        let named = dt.named_index();
-        if let Some(extent) = named.and_then(|i| self.memo.extent[i]) {
-            return Ok((0, extent.get().into()));
-        }
-        self.calls += 1;
-        let (lb, extent) = self.inner.extent(dt)?;
-        if let (Some(i), 0) = (named, lb) {
-            self.memo.extent[i] = u8::try_from(extent).ok().and_then(NonZeroU8::new);
-        }
-        Ok((lb, extent))
-    }
-    fn type_size(&mut self, dt: Datatype) -> MpiResult<u64> {
-        self.calls += 1;
-        self.inner.type_size(dt)
     }
 }
 
@@ -169,96 +106,257 @@ pub enum Translated {
     Unsupported(Combiner),
 }
 
+/// A [`Translated`] left in a [`Scratch`]: the variant, with its data in
+/// the scratch — the chain, or the list from the index given to the end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// As [`Translated::Empty`].
+    Empty,
+    /// As [`Translated::Strided`]: [`Scratch::chain`].
+    Strided,
+    /// As [`Translated::Blocks`]: `Scratch::blocks[from..]`.
+    Blocks(usize),
+    /// As [`Translated::Multi`]: `Scratch::members[from..]`.
+    Multi(usize),
+    /// As [`Translated::Unsupported`].
+    Unsupported(Combiner),
+}
+
 /// One stream level to wrap a child in: `(off, stride, count)`.
 type Spec = (i64, i64, i64);
 
+/// Where one level's constructor arguments start in the scratch's three
+/// argument stacks.
+#[derive(Debug, Clone, Copy)]
+struct Args {
+    ints: usize,
+    addrs: usize,
+    types: usize,
+}
+
+/// The storage translation reuses from one datatype to the next. Every
+/// list is a stack: a level's arguments, stream levels, runs and members
+/// lie above those of the levels that are translating it, and a level's
+/// result is the top of its list. Only one chain is ever being built —
+/// a level consumes each child's before it asks for the next — so the
+/// chain, the canonical object and one element's runs are single values.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    ints: Vec<i64>,
+    addrs: Vec<i64>,
+    types: Vec<Datatype>,
+    specs: Vec<Spec>,
+    /// The chain of a [`Shape::Strided`] result.
+    pub(crate) chain: Type,
+    /// The runs of [`Shape::Blocks`] results.
+    pub(crate) blocks: Vec<(i64, u64)>,
+    /// The members of [`Shape::Multi`] results.
+    pub(crate) members: Vec<Member>,
+    /// The runs of one element of an indexed-family or struct type.
+    element: Vec<(i64, u64)>,
+    /// The canonical strided object of an element, or of a commit's chain.
+    pub(crate) sb: StridedBlock,
+}
+
+impl Scratch {
+    /// Translate `dt` into the IR (Algorithms 1–4, plus the hvector,
+    /// resized, indexed-family and struct cases), leaving the result here.
+    pub(crate) fn translate<I: Introspect>(
+        &mut self,
+        intro: &mut I,
+        dt: Datatype,
+    ) -> MpiResult<Shape> {
+        // a translation that failed part-way left its levels behind
+        self.ints.clear();
+        self.addrs.clear();
+        self.types.clear();
+        self.specs.clear();
+        self.blocks.clear();
+        self.members.clear();
+        translate_in(intro, self, dt)
+    }
+
+    /// Canonicalize [`Scratch::chain`] in place (Algorithm 5), returning
+    /// the passes taken.
+    pub(crate) fn simplify_chain(&mut self) -> usize {
+        let (canon, passes) = simplify(std::mem::take(&mut self.chain));
+        self.chain = canon;
+        passes
+    }
+
+    /// The result `shape` names, copied out.
+    fn to_translated(&self, shape: Shape) -> Translated {
+        match shape {
+            Shape::Empty => Translated::Empty,
+            Shape::Strided => Translated::Strided(self.chain.clone()),
+            Shape::Blocks(from) => Translated::Blocks(BlockList {
+                blocks: self.blocks[from..].to_vec(),
+            }),
+            Shape::Multi(from) => Translated::Multi(self.members[from..].to_vec()),
+            Shape::Unsupported(c) => Translated::Unsupported(c),
+        }
+    }
+
+    /// Read `dt`'s constructor arguments onto the argument stacks: a
+    /// derived type's, which `env` sizes; a named type has none to ask for.
+    fn push_args<I: Introspect>(
+        &mut self,
+        intro: &mut I,
+        dt: Datatype,
+        env: &Envelope,
+    ) -> MpiResult<Args> {
+        let at = Args {
+            ints: self.ints.len(),
+            addrs: self.addrs.len(),
+            types: self.types.len(),
+        };
+        if env.combiner != Combiner::Named {
+            self.ints.resize(at.ints + env.num_integers, 0);
+            self.addrs.resize(at.addrs + env.num_addresses, 0);
+            self.types.resize(at.types + env.num_datatypes, Datatype(0));
+            let (ints, addrs) = (&mut self.ints[at.ints..], &mut self.addrs[at.addrs..]);
+            intro.contents(dt, ints, addrs, &mut self.types[at.types..])?;
+        }
+        Ok(at)
+    }
+
+    /// Move the runs of the member list at `members[from..]` onto the top
+    /// of `blocks`.
+    fn flatten(&mut self, from: usize) {
+        let Scratch {
+            members, blocks, ..
+        } = self;
+        for m in &members[from..] {
+            m.for_each_block(|off, len| blocks.push((off, len as u64)));
+        }
+        members.truncate(from);
+    }
+
+    /// The block list at `blocks[from..]`, or `Empty` when there is none.
+    fn blocks_or_empty(&self, from: usize) -> Shape {
+        match self.blocks.len() > from {
+            true => Shape::Blocks(from),
+            false => Shape::Empty,
+        }
+    }
+}
+
 /// Translate `dt` into the IR (Algorithms 1–4, plus the hvector, resized,
-/// indexed-family and struct cases).
+/// indexed-family and struct cases), in a scratch of its own.
 pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Translated> {
+    let mut scratch = Scratch::default();
+    let shape = scratch.translate(intro, dt)?;
+    Ok(scratch.to_translated(shape))
+}
+
+/// One level of [`Scratch::translate`]: its arguments and stream levels
+/// leave the stacks when it returns, its result stays.
+fn translate_in<I: Introspect>(intro: &mut I, s: &mut Scratch, dt: Datatype) -> MpiResult<Shape> {
     let env = intro.envelope(dt)?;
-    match env.combiner {
+    let (args, specs) = (s.push_args(intro, dt, &env)?, s.specs.len());
+    let shape = translate_level(intro, s, dt, env.combiner, args, specs);
+    s.ints.truncate(args.ints);
+    s.addrs.truncate(args.addrs);
+    s.types.truncate(args.types);
+    s.specs.truncate(specs);
+    shape
+}
+
+/// The body of [`translate_in`]: `args` locates `dt`'s arguments, and its
+/// stream levels go on the stack from `specs`.
+fn translate_level<I: Introspect>(
+    intro: &mut I,
+    s: &mut Scratch,
+    dt: Datatype,
+    combiner: Combiner,
+    c: Args,
+    specs: usize,
+) -> MpiResult<Shape> {
+    match combiner {
         // Algorithm 1: named types are dense, offset 0.
         Combiner::Named => {
             let (_, extent) = intro.extent(dt)?;
-            Ok(Translated::Strided(Type::dense(0, extent)))
+            s.chain.leaf = DenseData { off: 0, extent };
+            s.chain.streams.clear();
+            Ok(Shape::Strided)
         }
         // Neither changes where the data lies; a parent asks MPI for the
         // (possibly resized) extent itself.
-        Combiner::Dup | Combiner::Resized => {
-            let c = intro.contents(dt)?;
-            translate(intro, c.datatypes[0])
-        }
+        Combiner::Dup | Combiner::Resized => translate_in(intro, s, s.types[c.types]),
         // Algorithm 2: a contiguous type is a stream whose stride is the
         // element extent.
         Combiner::Contiguous => {
-            let c = intro.contents(dt)?;
-            let count = c.integers[0];
-            let old = c.datatypes[0];
+            let (count, old) = (s.ints[c.ints], s.types[c.types]);
             let ex = stride_extent(intro, old, count > 1)?;
-            wrap_stream(intro, old, &[(0, ex, count)])
+            s.specs.push((0, ex, count));
+            wrap_stream(intro, s, old, specs)
         }
         // Algorithm 3: vector/hvector become two nested streams (blocks,
         // then elements within a block), the blocks a stride in elements
         // or in bytes apart. A vector forms `extent × stride` only for more
         // than one block of elements, as the registry does.
         Combiner::Vector | Combiner::Hvector => {
-            let c = intro.contents(dt)?;
-            let (count, blocklength) = (c.integers[0], c.integers[1]);
-            let old = c.datatypes[0];
-            let vector = env.combiner == Combiner::Vector;
+            let (count, blocklength) = (s.ints[c.ints], s.ints[c.ints + 1]);
+            let old = s.types[c.types];
+            let vector = combiner == Combiner::Vector;
             let ex = stride_extent(intro, old, blocklength > 1 || (vector && count > 1))?;
-            let apart = match env.combiner {
-                Combiner::Vector if count > 1 && blocklength > 0 => at(0, ex, c.integers[2])?,
+            let apart = match combiner {
+                Combiner::Vector if count > 1 && blocklength > 0 => at(0, ex, s.ints[c.ints + 2])?,
                 Combiner::Vector => 0,
-                _ => c.addresses[0],
+                _ => s.addrs[c.addrs],
             };
-            wrap_stream(intro, old, &[(0, ex, blocklength), (0, apart, count)])
+            s.specs.extend([(0, ex, blocklength), (0, apart, count)]);
+            wrap_stream(intro, s, old, specs)
         }
         // Algorithm 4: each subarray dimension is a nested stream;
         // dimension strides are products of the faster dimensions' sizes.
         Combiner::Subarray => {
-            let c = intro.contents(dt)?;
-            let ndims = c.integers[0] as usize;
-            let sizes = &c.integers[1..1 + ndims];
-            let subsizes = &c.integers[1 + ndims..1 + 2 * ndims];
-            let starts = &c.integers[1 + 2 * ndims..1 + 3 * ndims];
-            let c_order = c.integers[1 + 3 * ndims] == 0;
-            let old = c.datatypes[0];
+            // sizes, subsizes and starts, each `ndims` long, then the order
+            let ndims = s.ints[c.ints] as usize;
+            let (sizes, subsizes) = (c.ints + 1, c.ints + 1 + ndims);
+            let (starts, c_order) = (subsizes + ndims, s.ints[subsizes + 2 * ndims] == 0);
+            let old = s.types[c.types];
             let (_, ex) = intro.extent(old)?;
             // innermost (fastest-varying) dimension first: the last in C
             // order, the first in Fortran order
             let mut stride = ex;
-            let mut specs: Vec<Spec> = Vec::with_capacity(ndims);
             for i in 0..ndims {
                 let d = if c_order { ndims - 1 - i } else { i };
-                specs.push((at(0, starts[d], stride)?, stride, subsizes[d]));
-                stride = stride.checked_mul(sizes[d]).ok_or_else(overflow)?;
+                let spec = (
+                    at(0, s.ints[starts + d], stride)?,
+                    stride,
+                    s.ints[subsizes + d],
+                );
+                s.specs.push(spec);
+                stride = stride.checked_mul(s.ints[sizes + d]).ok_or_else(overflow)?;
             }
-            wrap_stream(intro, old, &specs)
+            wrap_stream(intro, s, old, specs)
         }
         // Indexed-family extension: flatten to a block list when the
         // element type itself reduces to a block list or dense run.
-        // displacements in elements, or (hindexed) in bytes
-        Combiner::Indexed | Combiner::Hindexed => {
-            let c = intro.contents(dt)?;
-            let count = c.integers[0] as usize;
-            let old = c.datatypes[0];
+        Combiner::Indexed | Combiner::Hindexed | Combiner::IndexedBlock => {
+            let old = s.types[c.types];
             let (_, ex) = intro.extent(old)?;
-            let (displs, unit) = match env.combiner {
-                Combiner::Indexed => (&c.integers[1 + count..1 + 2 * count], ex),
-                _ => (&c.addresses[..], 1),
+            let element = translate_in(intro, s, old)?;
+            let runs = match ElementRuns::of(s, element, ex) {
+                Ok(runs) => runs,
+                Err(c) => return Ok(Shape::Unsupported(c)),
             };
-            let blocks = displs.iter().zip(&c.integers[1..1 + count]);
-            indexed_blocks(intro, old, ex, unit, blocks.map(|(&d, &bl)| (d, bl)))
-        }
-        Combiner::IndexedBlock => {
-            let c = intro.contents(dt)?;
-            let count = c.integers[0] as usize;
-            let bl = c.integers[1];
-            let displs = &c.integers[2..2 + count];
-            let old = c.datatypes[0];
-            let (_, ex) = intro.extent(old)?;
-            indexed_blocks(intro, old, ex, ex, displs.iter().map(|&d| (d, bl)))
+            let (count, from) = (s.ints[c.ints] as usize, s.blocks.len());
+            s.blocks.reserve(count);
+            for k in 0..count {
+                // displacements in elements, or (hindexed) in bytes
+                let (disp, bl) = match combiner {
+                    Combiner::Indexed => (
+                        at(0, s.ints[c.ints + 1 + count + k], ex)?,
+                        s.ints[c.ints + 1 + k],
+                    ),
+                    Combiner::Hindexed => (s.addrs[c.addrs + k], s.ints[c.ints + 1 + k]),
+                    _ => (at(0, s.ints[c.ints + 2 + k], ex)?, s.ints[c.ints + 1]),
+                };
+                runs.append(s, ex, disp, bl)?;
+            }
+            Ok(s.blocks_or_empty(from))
         }
         // Struct extension (paper §8): every member is an indexed block of
         // its own element type. While each is one run they are appended to
@@ -266,181 +364,199 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
         // turns the runs before it into a list of strided members, and one
         // that is no strided object at all turns that back into its runs.
         Combiner::Struct => {
-            let c = intro.contents(dt)?;
-            let count = c.integers[0] as usize;
-            let bls = &c.integers[1..1 + count];
-            let mut out = Vec::with_capacity(count);
-            let mut members: Vec<Member> = Vec::new();
+            let count = s.ints[c.ints] as usize;
+            let (out, first) = (s.blocks.len(), s.members.len());
             let mut strided = true;
-            for ((&bl, &disp), &old) in bls.iter().zip(&c.addresses).zip(&c.datatypes) {
+            for k in 0..count {
+                let bl = s.ints[c.ints + 1 + k];
+                let (disp, old) = (s.addrs[c.addrs + k], s.types[c.types + k]);
                 if bl <= 0 {
                     continue;
                 }
                 let (_, ex) = intro.extent(old)?;
-                let runs = match ElementRuns::of(translate(intro, old)?, ex) {
-                    Ok(ElementRuns::List(none)) if none.is_empty() => continue,
+                let element = translate_in(intro, s, old)?;
+                let runs = match ElementRuns::of(s, element, ex) {
+                    Ok(ElementRuns::List) if s.element.is_empty() => continue,
                     Ok(runs) => runs,
-                    Err(c) => return Ok(Translated::Unsupported(c)),
+                    Err(c) => return Ok(Shape::Unsupported(c)),
                 };
-                let room = strided && members.len() + out.len() < MAX_MEMBERS;
-                let member = runs.member(ex, disp, bl).filter(|_| room);
+                // one of the two lists is empty
+                let held = s.members.len() - first + s.blocks.len() - out;
+                let room = strided && held < MAX_MEMBERS;
+                let member = runs.member(s, ex, disp, bl).filter(|_| room);
                 if member.is_none() {
                     strided = false;
-                    out.extend(flatten(&std::mem::take(&mut members)));
+                    s.flatten(first);
                 }
                 match member {
-                    Some(m) if m.ndims > 1 || !members.is_empty() => {
-                        if members.is_empty() {
+                    Some(m) if m.ndims > 1 || s.members.len() > first => {
+                        if s.members.len() == first {
+                            let Scratch {
+                                members, blocks, ..
+                            } = s;
                             let run = |(off, len): (i64, u64)| Member::run(off, len as i64);
-                            members.reserve_exact(count);
-                            members.extend(out.drain(..).map(run));
+                            members.reserve(count);
+                            members.extend(blocks.drain(out..).map(run));
                         }
-                        members.push(m);
+                        s.members.push(m);
                     }
-                    _ => runs.append(ex, disp, bl, &mut out)?,
+                    _ => runs.append(s, ex, disp, bl)?,
                 }
             }
-            Ok(match members.len() {
-                0 => blocks_or_empty(out),
-                1 => Translated::Strided(members[0].chain()),
-                _ => Translated::Multi(members),
+            Ok(match s.members.len() - first {
+                0 => s.blocks_or_empty(out),
+                1 => {
+                    let Scratch { members, chain, .. } = s;
+                    members[first].chain_into(chain);
+                    members.truncate(first);
+                    Shape::Strided
+                }
+                _ => Shape::Multi(first),
             })
         }
     }
 }
 
-/// The runs of a list of strided members, in member order.
-fn flatten(members: &[Member]) -> Vec<(i64, u64)> {
-    let mut runs = Vec::new();
-    members
-        .iter()
-        .for_each(|m| m.for_each_block(|off, len| runs.push((off, len as u64))));
-    runs
-}
-
-/// Wrap the translation of `old` in a chain of streams, innermost first.
-/// Handles empty and block-list children; passes unsupported ones on.
+/// Wrap the translation of `old` in a chain of the streams at
+/// `specs..` of the stack, innermost first. Handles empty and block-list
+/// children; passes unsupported ones on.
 fn wrap_stream<I: Introspect>(
     intro: &mut I,
+    s: &mut Scratch,
     old: Datatype,
-    specs: &[Spec],
-) -> MpiResult<Translated> {
-    if specs.iter().any(|&(_, _, count)| count == 0) {
-        return Ok(Translated::Empty);
+    specs: usize,
+) -> MpiResult<Shape> {
+    if s.specs[specs..].iter().any(|&(_, _, count)| count == 0) {
+        return Ok(Shape::Empty);
     }
     // one element where it lies: the wrapper changes nothing, and a member
     // list stays one
-    let in_place = specs.iter().all(|&(off, _, n)| (off, n) == (0, 1));
-    let mut blocks = match translate(intro, old)? {
-        Translated::Strided(mut ty) => {
-            ty.streams
-                .extend(specs.iter().map(|&(off, stride, count)| StreamData {
-                    off,
-                    stride,
-                    count,
-                }));
-            return Ok(Translated::Strided(ty));
+    let in_place = s.specs[specs..]
+        .iter()
+        .all(|&(off, _, n)| (off, n) == (0, 1));
+    let from = match translate_in(intro, s, old)? {
+        Shape::Strided => {
+            let Scratch {
+                specs: levels,
+                chain,
+                ..
+            } = s;
+            chain.streams.extend(
+                levels[specs..]
+                    .iter()
+                    .map(|&(off, stride, count)| StreamData { off, stride, count }),
+            );
+            return Ok(Shape::Strided);
         }
-        Translated::Blocks(inner) => inner.blocks,
-        Translated::Multi(members) if !in_place => flatten(&members),
+        Shape::Blocks(from) => from,
+        Shape::Multi(first) if !in_place => {
+            let from = s.blocks.len();
+            s.flatten(first);
+            from
+        }
         none => return Ok(none),
     };
-    // replicate the block list through each stream level
-    for &(off, stride, count) in specs {
-        let mut next = Vec::new();
-        reserve_runs(&mut next, blocks.len(), count)?;
+    // replicate the block list through each stream level, each level's
+    // copies pushed above the list and the list then dropped from under them
+    for level in specs..s.specs.len() {
+        let (off, stride, count) = s.specs[level];
+        let len = s.blocks.len() - from;
+        reserve_runs(&mut s.blocks, len, count)?;
         for i in 0..count {
             let base = at(off, i, stride)?;
-            for &(o, l) in &blocks {
-                next.push((base.checked_add(o).ok_or_else(overflow)?, l));
+            for j in from..from + len {
+                let (o, l) = s.blocks[j];
+                s.blocks
+                    .push((base.checked_add(o).ok_or_else(overflow)?, l));
             }
         }
-        blocks = next;
+        s.blocks.drain(from..from + len);
     }
-    Ok(Translated::Blocks(BlockList { blocks }))
-}
-
-/// Build the block list of an indexed-family type: `(displacement, element
-/// count)` blocks of element type `old`, whose extent is `ex` bytes; a
-/// displacement is in units of `disp_unit` bytes.
-fn indexed_blocks<I: Introspect>(
-    intro: &mut I,
-    old: Datatype,
-    ex: i64,
-    disp_unit: i64,
-    blocks: impl ExactSizeIterator<Item = (i64, i64)>,
-) -> MpiResult<Translated> {
-    let runs = match ElementRuns::of(translate(intro, old)?, ex) {
-        Ok(runs) => runs,
-        Err(c) => return Ok(Translated::Unsupported(c)),
-    };
-    let mut out = Vec::with_capacity(blocks.len());
-    for (disp, bl) in blocks {
-        runs.append(ex, at(0, disp, disp_unit)?, bl, &mut out)?;
-    }
-    Ok(blocks_or_empty(out))
+    Ok(Shape::Blocks(from))
 }
 
 /// The byte runs of one element of an indexed-family or struct member
-/// type, from the element's origin.
+/// type, from the element's origin; the data lies in the [`Scratch`].
+#[derive(Debug, Clone, Copy)]
 enum ElementRuns {
     /// One dense run, `start` bytes in, as long as the element's extent:
     /// consecutive elements tile into one run per block.
     Tile(i64),
-    /// The blocks of a canonical strided pattern.
-    Strided(StridedBlock),
-    /// An explicit list; none for an element that denotes no bytes.
-    List(Vec<(i64, u64)>),
+    /// The blocks of the canonical strided pattern [`Scratch::sb`].
+    Strided,
+    /// The explicit list `Scratch::element`; none for an element that
+    /// denotes no bytes.
+    List,
 }
 
 impl ElementRuns {
-    /// The runs of an element type of extent `ex` from its translation, or
-    /// the combiner that keeps the IR from expressing it.
-    fn of(element: Translated, ex: i64) -> Result<ElementRuns, Combiner> {
+    /// The runs of an element type of extent `ex` from its translation
+    /// `element`, or the combiner that keeps the IR from expressing it.
+    fn of(s: &mut Scratch, element: Shape, ex: i64) -> Result<ElementRuns, Combiner> {
+        s.element.clear();
         match element {
-            Translated::Empty => Ok(ElementRuns::List(Vec::new())),
-            Translated::Blocks(inner) => Ok(ElementRuns::List(inner.blocks)),
-            Translated::Multi(members) => Ok(ElementRuns::List(flatten(&members))),
-            Translated::Strided(ty) => {
+            Shape::Empty => Ok(ElementRuns::List),
+            Shape::Blocks(from) => {
+                s.element.extend_from_slice(&s.blocks[from..]);
+                s.blocks.truncate(from);
+                Ok(ElementRuns::List)
+            }
+            Shape::Multi(first) => {
+                let Scratch {
+                    members, element, ..
+                } = s;
+                for m in &members[first..] {
+                    m.for_each_block(|off, len| element.push((off, len as u64)));
+                }
+                members.truncate(first);
+                Ok(ElementRuns::List)
+            }
+            Shape::Strided => {
                 // Canonicalize the child, then enumerate its contiguous runs
                 // per block element (prior work reduces *all* types this way;
                 // TEMPI only does it for the indexed family and struct).
-                let canon = simplify(ty).0;
-                if canon.is_dense() && canon.leaf.extent == ex {
-                    Ok(ElementRuns::Tile(canon.leaf.off))
+                s.simplify_chain();
+                if s.chain.is_dense() && s.chain.leaf.extent == ex {
+                    Ok(ElementRuns::Tile(s.chain.leaf.off))
+                } else if strided_block_into(&s.chain, &mut s.sb) {
+                    Ok(ElementRuns::Strided)
                 } else {
-                    strided_block(&canon)
-                        .map(ElementRuns::Strided)
-                        .ok_or(Combiner::Indexed)
+                    Err(Combiner::Indexed)
                 }
             }
-            Translated::Unsupported(c) => Err(c),
+            Shape::Unsupported(c) => Err(c),
         }
     }
 
     /// A block of `bl` elements, `ex` bytes apart from byte displacement
     /// `disp`, as one strided member — if it is one.
-    fn member(&self, ex: i64, disp: i64, bl: i64) -> Option<Member> {
+    fn member(self, s: &Scratch, ex: i64, disp: i64, bl: i64) -> Option<Member> {
         match self {
-            Self::Tile(start) => Some(Member::run(disp.checked_add(*start)?, bl.checked_mul(ex)?)),
-            Self::Strided(sb) => Member::of(sb, bl, ex, disp),
-            Self::List(_) => None,
+            Self::Tile(start) => Some(Member::run(disp.checked_add(start)?, bl.checked_mul(ex)?)),
+            Self::Strided => Member::of(&s.sb, bl, ex, disp),
+            Self::List => None,
         }
     }
 
-    /// Append the runs of a block of `bl` elements, `ex` bytes apart from
-    /// byte displacement `disp`, to `out`.
-    fn append(&self, ex: i64, disp: i64, bl: i64, out: &mut Vec<(i64, u64)>) -> MpiResult<()> {
+    /// Push the runs of a block of `bl` elements, `ex` bytes apart from
+    /// byte displacement `disp`, onto `Scratch::blocks`.
+    fn append(self, s: &mut Scratch, ex: i64, disp: i64, bl: i64) -> MpiResult<()> {
         if bl <= 0 {
             return Ok(());
         }
+        let Scratch {
+            blocks: out,
+            element,
+            sb,
+            ..
+        } = s;
         match self {
             ElementRuns::Tile(start) => {
-                let first = disp.checked_add(*start).ok_or_else(overflow)?;
+                let first = disp.checked_add(start).ok_or_else(overflow)?;
                 let len = bl.checked_mul(ex).and_then(|l| u64::try_from(l).ok());
                 out.push((first, len.ok_or_else(overflow)?));
             }
-            ElementRuns::Strided(sb) => {
+            ElementRuns::Strided => {
                 let per_element = usize::try_from(sb.block_count()).unwrap_or(usize::MAX);
                 reserve_runs(out, per_element, bl)?;
                 let len = sb.block_bytes() as u64;
@@ -456,29 +572,20 @@ impl ElementRuns {
                     }
                 }
             }
-            ElementRuns::List(runs) => {
-                if runs.is_empty() {
+            ElementRuns::List => {
+                if element.is_empty() {
                     return Ok(());
                 }
-                reserve_runs(out, runs.len(), bl)?;
+                reserve_runs(out, element.len(), bl)?;
                 for j in 0..bl {
                     let elem_base = at(disp, j, ex)?;
-                    for &(o, l) in runs {
+                    for &(o, l) in element.iter() {
                         out.push((elem_base.checked_add(o).ok_or_else(overflow)?, l));
                     }
                 }
             }
         }
         Ok(())
-    }
-}
-
-/// A block list, or `Empty` when there is nothing in it.
-fn blocks_or_empty(blocks: Vec<(i64, u64)>) -> Translated {
-    if blocks.is_empty() {
-        Translated::Empty
-    } else {
-        Translated::Blocks(BlockList { blocks })
     }
 }
 
@@ -525,7 +632,7 @@ pub fn translate_strided<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResul
 mod tests {
     use super::*;
     use mpi_sim::consts::*;
-    use mpi_sim::datatype::Order;
+    use mpi_sim::datatype::{Contents, Order};
 
     fn reg() -> TypeRegistry {
         TypeRegistry::new()
@@ -815,11 +922,15 @@ mod tests {
         assert_eq!(members[..], list);
         assert_eq!(
             members.capacity(),
-            4,
-            "one allocation, sized by the member count"
+            3,
+            "copied out of the scratch at its length"
         );
-        let flat = vec![(40, 4), (0, 2), (4, 2), (6, 2), (10, 2), (32, 2)];
-        assert_eq!(flatten(&members), flat);
+        let flat = [(40, 4), (0, 2), (4, 2), (6, 2), (10, 2), (32, 2)];
+        let mut runs = vec![];
+        for m in &members {
+            m.for_each_block(|off, len| runs.push((off, len as u64)));
+        }
+        assert_eq!(runs, flat);
 
         // a wrapper that changes nothing changes nothing; any other combiner
         // over the list has its runs
@@ -896,32 +1007,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn memo_counts_only_the_calls_it_forwards() {
-        let mut r = reg();
-        let mut memo = NamedMemo::default();
-        let dt = r.type_vector(4, 2, 8, MPI_FLOAT).unwrap();
-        let mut m = MemoIntrospect::new(&mut r, &mut memo);
-        let first = translate(&mut m, dt).unwrap();
-        // vector: envelope + contents + extent(old); child: envelope, and
-        // its extent is already known
-        assert_eq!(m.calls, 4);
-        // a second translation asks about the vector only, and sees the
-        // same type
-        let mut m = MemoIntrospect::new(&mut r, &mut memo);
-        assert_eq!(translate(&mut m, dt).unwrap(), first);
-        assert_eq!(m.calls, 2);
-        // what was learnt about MPI_FLOAT says nothing about MPI_DOUBLE
-        let mut m = MemoIntrospect::new(&mut r, &mut memo);
-        assert_eq!(m.extent(MPI_DOUBLE).unwrap(), (0, 8));
-        assert_eq!(m.extent(MPI_DOUBLE).unwrap(), (0, 8));
-        assert_eq!(m.envelope(MPI_DOUBLE).unwrap().combiner, Combiner::Named);
-        assert_eq!(m.calls, 2);
-        // a derived handle is asked about every time
-        assert_eq!(m.extent(dt).unwrap(), m.extent(dt).unwrap());
-        assert_eq!(m.calls, 4);
-    }
-
     /// An introspection source that answers with whatever the test wrote
     /// down: a handle not in `derived` is a named type of `named_extent`
     /// bytes.
@@ -963,15 +1048,28 @@ mod tests {
 
     impl Introspect for Hostile {
         fn envelope(&mut self, dt: Datatype) -> MpiResult<Envelope> {
+            let (combiner, c) = self
+                .find(dt)
+                .map_or((Combiner::Named, None), |d| (d.1, Some(&d.2)));
             Ok(Envelope {
-                combiner: self.find(dt).map_or(Combiner::Named, |d| d.1),
-                ..NAMED_ENVELOPE
+                num_integers: c.map_or(0, |c| c.integers.len()),
+                num_addresses: c.map_or(0, |c| c.addresses.len()),
+                num_datatypes: c.map_or(0, |c| c.datatypes.len()),
+                combiner,
             })
         }
-        fn contents(&mut self, dt: Datatype) -> MpiResult<Contents> {
-            self.find(dt)
-                .map(|d| d.2.clone())
-                .ok_or(MpiError::InvalidDatatype)
+        fn contents(
+            &mut self,
+            dt: Datatype,
+            integers: &mut [i64],
+            addresses: &mut [i64],
+            datatypes: &mut [Datatype],
+        ) -> MpiResult<()> {
+            let c = &self.find(dt).ok_or(MpiError::InvalidDatatype)?.2;
+            integers[..c.integers.len()].copy_from_slice(&c.integers);
+            addresses[..c.addresses.len()].copy_from_slice(&c.addresses);
+            datatypes[..c.datatypes.len()].copy_from_slice(&c.datatypes);
+            Ok(())
         }
         fn extent(&mut self, dt: Datatype) -> MpiResult<(i64, i64)> {
             Ok((0, self.find(dt).map_or(self.named_extent, |d| d.3)))

@@ -66,7 +66,7 @@ pub struct KernelPlan {
 }
 
 /// What a committed type resolved to.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanKind {
     /// The type denotes no bytes.
     Empty,

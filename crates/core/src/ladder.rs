@@ -390,6 +390,74 @@ mod tests {
     }
 
     #[test]
+    fn a_quarantined_kernel_rung_moves_no_kernel_until_the_type_is_freed() {
+        // kernel@2 on both ranks: round 1 finishes each side's transfer on
+        // the CPU copy part-way through; round 2, with the rung held, packs
+        // and unpacks every chunk by host code; the interposed free releases
+        // the rung, and a type built again after it runs the kernels
+        let mut plan = FaultPlan::default();
+        for rank in 0..2 {
+            let site = FaultSite::Kernel;
+            plan.scoped.push(ScopedFault {
+                rank,
+                site,
+                at_call: 2,
+            });
+        }
+        let cfg = WorldConfig::summit(2).with_faults(plan);
+        let ranks = World::run(&cfg, |ctx| {
+            let mut mpi = InterposedMpi::new(TempiConfig::default());
+            mpi.tempi.config.force_method = Some(Method::Pipelined);
+            mpi.tempi.config.pipeline_chunk = Some(256 << 10);
+            let span = 1023 * 8192 + 4096;
+            let buf = ctx.gpu.malloc(span)?;
+            let mut dt = ctx.type_vector(1024, 4096, 8192, MPI_BYTE)?;
+            mpi.type_commit(ctx, dt)?;
+            let mut rounds = vec![];
+            for round in 0..3 {
+                if round == 2 {
+                    mpi.type_free(ctx, dt)?;
+                    dt = ctx.type_vector(1024, 4096, 8192, MPI_BYTE)?;
+                    mpi.type_commit(ctx, dt)?;
+                }
+                let launches = ctx.stream.stats().kernel_launches;
+                let landed = if ctx.rank == 0 {
+                    ctx.gpu.memory().poke(buf, &fill(span))?;
+                    mpi.send(ctx, buf, 1, dt, 1, 7)?;
+                    true
+                } else {
+                    ctx.gpu.memory().poke(buf, &vec![0; span])?;
+                    mpi.recv(ctx, buf, 1, dt, Some(0), Some(7))?;
+                    let want = oracle(ctx, &fill(span), (1, dt), (1, dt), span);
+                    ctx.gpu.memory().peek(buf, span)? == want
+                };
+                let held = mpi
+                    .tempi
+                    .quarantine
+                    .holds(dt, Rung::Kernel, ctx.clock.now());
+                rounds.push((ctx.stream.stats().kernel_launches - launches, landed, held));
+            }
+            Ok(rounds)
+        })
+        .unwrap();
+        for (rank, rounds) in ranks.iter().enumerate() {
+            let [(first, ..), second, (third, ..)] = rounds[..] else {
+                panic!("rank {rank}: three rounds");
+            };
+            assert!(
+                (1..16).contains(&first),
+                "rank {rank}: {first} launches, then host code"
+            );
+            assert_eq!(second, (0, true, true), "rank {rank}: held, no kernel");
+            assert_eq!(third, 16, "rank {rank}: a kernel per chunk again");
+            assert!(
+                rounds.iter().all(|r| r.1),
+                "rank {rank}: every round lands the oracle"
+            );
+        }
+    }
+
+    #[test]
     fn the_interposed_free_releases_every_rung_of_the_type() {
         let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
         let mut mpi = InterposedMpi::new(TempiConfig::default());

@@ -16,8 +16,9 @@
 //! * [`model`] — the Section-5 performance model (`T_device`,
 //!   `T_oneshot`, `T_staged`) and the per-send method choice, priced from
 //!   the same per-method [`config::Recipe`] the send engine executes.
-//! * [`tempi`] — the library state: the `MPI_Type_commit` pipeline with
-//!   its per-type plan cache, interposed `MPI_Pack`/`MPI_Unpack`, and
+//! * [`commit`] — the `MPI_Type_commit` pipeline, its per-type plan
+//!   cache and the plans it keeps, interned by value.
+//! * [`tempi`] — the library state: interposed `MPI_Pack`/`MPI_Unpack`, and
 //!   datatype-accelerated `MPI_Send`/`MPI_Recv` over intermediate pooled
 //!   buffers ([`buffers`]). What TEMPI does not cover it hands to the
 //!   system MPI unchanged (`mpi_sim::RankCtx::{pack, unpack, send, recv}`).
@@ -57,6 +58,7 @@
 #![forbid(unsafe_code)]
 
 pub mod buffers;
+pub mod commit;
 pub mod config;
 pub mod interpose;
 pub mod ir;

@@ -4,158 +4,32 @@
 //! One [`Tempi`] instance lives per rank (per process in the real library).
 //! `MPI_Type_commit` runs the paper's three-step pipeline — translation
 //! (Algs. 1–4), transformation to canonical form (Algs. 5–7), kernel
-//! selection (Alg. 8 + §3.3) — and caches the resulting [`TypePlan`].
-//! Pack/unpack and send/recv then dispatch on the cached plan.
+//! selection (Alg. 8 + §3.3) — in [`crate::commit`], which keeps the
+//! resulting [`TypePlan`]. Pack/unpack and send/recv then dispatch on it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gpu_sim::{CopyKind, CopyRule, GpuPtr, MemSpace, PackDir, SimTime};
 use mpi_sim::{
-    check_item_offsets, transfer_bytes, Datatype, MpiError, MpiResult, PartInfo, ProbeInfo,
-    RankCtx, Status,
+    transfer_bytes, Datatype, MpiError, MpiResult, PartInfo, ProbeInfo, RankCtx, Status,
 };
 use tempi_trace::{Tracer, LANE_CPU};
 
 use crate::buffers::{BufferPool, Lease};
+use crate::commit::Commits;
+pub use crate::commit::{CommitReport, TypePlan};
 use crate::config::{Method, TempiConfig, TunerMode};
-use crate::ir::strided_block::strided_block;
-use crate::ir::transform::simplify;
-use crate::ir::translate::{translate, MemoIntrospect, NamedMemo, Translated};
 pub use crate::kernels::PlanKind;
-use crate::kernels::{
-    execute, execute_on_host, execute_range, for_each_run, member_blocks, reach, select_kernel,
-    select_members, KernelKind, Typed,
-};
+use crate::kernels::{execute, execute_on_host, execute_range, for_each_run, KernelKind, Typed};
 use crate::ladder::{Quarantine, Rung};
 use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
 use crate::tuner::{BucketKey, Tuner, Workload};
-
-/// CPU cost per IR node per canonicalization pass (tiny; Fig. 6's commit
-/// overhead is dominated by the vendor-priced introspection calls).
-const CANON_NODE_COST: SimTime = SimTime::from_ns(20);
 
 /// Per-call cost of going through the interposed entry point (plan-cache
 /// lookup, buffer bookkeeping). This is why the paper's contiguous and
 /// mvapich-specialized-vector cases show speedups slightly *below* 1
 /// (0.89×–0.98×): TEMPI does the same work plus this dispatch overhead.
 const TEMPI_DISPATCH_OVERHEAD: SimTime = SimTime::from_ns(300);
-
-/// Diagnostics from one `MPI_Type_commit` (drives Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitReport {
-    /// Vendor-priced MPI introspection calls the translation made (what it
-    /// already knew of the predefined handles cost no call).
-    pub introspection_calls: u64,
-    /// Fixed-point passes of Alg. 5.
-    pub simplify_passes: usize,
-    /// IR nodes before canonicalization.
-    pub nodes_before: usize,
-    /// IR nodes after canonicalization.
-    pub nodes_after: usize,
-    /// Total virtual time of the commit (native + TEMPI work).
-    pub commit_time: SimTime,
-}
-
-/// The cached result of committing one datatype.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TypePlan {
-    /// Selected handling.
-    pub kind: PlanKind,
-    /// `MPI_Type_size` in bytes.
-    pub size: u64,
-    /// `MPI_Type_get_extent` extent in bytes (item spacing for `incount`).
-    pub extent: i64,
-    /// Commit diagnostics.
-    pub report: CommitReport,
-}
-
-impl TypePlan {
-    /// Byte length of the innermost contiguous run (drives the cost model
-    /// and the method choice).
-    pub fn block_bytes(&self) -> usize {
-        let runs = match &self.kind {
-            PlanKind::Empty => return 0,
-            PlanKind::Strided(kp) => return kp.sb.block_bytes() as usize,
-            PlanKind::Fallback(_) => return self.size as usize,
-            // the mean run length, as the block-list kernel is priced; of
-            // a member list it is what the §5 model prices, exactly so
-            // for members of one block length and word
-            PlanKind::Blocks(bl) => bl.blocks.len(),
-            PlanKind::Multi(members) => member_blocks(members),
-        };
-        (self.size as usize / runs.max(1)).max(1)
-    }
-
-    /// The length all of this plan's contiguous runs share, if they share
-    /// one: every strided plan's, a block or member list's of equal runs.
-    /// The run cut ships them as they lie.
-    pub(crate) fn run(&self) -> Option<usize> {
-        /// The one length `len` gives every run, if there is one.
-        fn shared<T>(runs: &[T], len: impl Fn(&T) -> i64) -> Option<i64> {
-            let first = len(runs.first()?);
-            runs.iter().all(|r| len(r) == first).then_some(first)
-        }
-        let len = match &self.kind {
-            PlanKind::Strided(kp) => kp.sb.block_bytes(),
-            PlanKind::Blocks(bl) => shared(&bl.blocks, |b| b.1 as i64)?,
-            PlanKind::Multi(members) => shared(members, |m| m.counts[0])?,
-            PlanKind::Empty | PlanKind::Fallback(_) => return None,
-        };
-        usize::try_from(len).ok().filter(|&len| len > 0)
-    }
-
-    /// Selected word size (the narrowest of a member list's; 1 for other
-    /// non-strided plans).
-    pub fn word(&self) -> usize {
-        match &self.kind {
-            PlanKind::Strided(kp) => kp.word,
-            PlanKind::Multi(members) => members.iter().map(|m| m.word as usize).min().unwrap_or(1),
-            _ => 1,
-        }
-    }
-
-    /// Is this plan handled by a single plain copy?
-    pub fn is_contiguous(&self) -> bool {
-        matches!(&self.kind, PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D)
-    }
-
-    /// `count` items at `buf` of `dt`, the datatype this plan was committed
-    /// for, as the kernels take them. The transfer's size and its last
-    /// item's offsets are checked here, once: the count is the caller's,
-    /// and a number that does not fit is an [`MpiError::InvalidArg`] before
-    /// any byte moves, never a wrapped one.
-    fn typed(&self, buf: GpuPtr, count: usize, dt: Datatype) -> MpiResult<Typed> {
-        check_item_offsets(count, self.extent, reach(&self.kind))?;
-        Ok(Typed {
-            buf,
-            count,
-            dt,
-            extent: self.extent,
-            bytes: transfer_bytes(self.size as usize, count)?,
-        })
-    }
-
-    /// The whole items among the first `len` packed bytes of `x`.
-    fn items_of(&self, x: Typed, len: usize) -> Typed {
-        let count = len.checked_div(self.size as usize).unwrap_or(0);
-        Typed {
-            count,
-            bytes: count * self.size as usize,
-            ..x
-        }
-    }
-
-    /// Does TEMPI move `x` itself rather than hand it to the system MPI?
-    /// Only non-empty, non-contiguous device data with a kernel plan: the
-    /// system MPI already sends contiguous bytes well.
-    fn accelerates(&self, x: Typed) -> bool {
-        x.buf.space == MemSpace::Device
-            && x.bytes > 0
-            && !matches!(self.kind, PlanKind::Empty | PlanKind::Fallback(_))
-            && !(self.is_contiguous() && (x.count <= 1 || self.size as i64 == self.extent))
-    }
-}
 
 /// Operation counters (tests + reporting).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -227,13 +101,8 @@ pub struct Tempi {
     /// Online send-method autotuner: component calibration plus per-bucket
     /// memoized decisions (see [`crate::tuner`]).
     pub tuner: Tuner,
-    /// Committed plans, one per registry slot: the handle that committed
-    /// it and its plan. A slot's next occupant has another generation, so
-    /// its handle misses here and its commit replaces the dead plan.
-    cache: HashMap<usize, (Datatype, Arc<TypePlan>)>,
-    /// What translation has already paid MPI to learn about the predefined
-    /// handles; a commit asks only about the derived types it is given.
-    named_memo: NamedMemo,
+    /// The plans committed types hold, and what committing reuses.
+    commits: Commits,
     /// The rungs of the degradation ladder that failed transiently, per
     /// datatype ([`crate::ladder`]): sends and packs of that type skip
     /// them while the quarantine holds.
@@ -257,8 +126,7 @@ impl Tempi {
             pool: BufferPool::new(),
             stats: TempiStats::default(),
             tuner,
-            cache: HashMap::new(),
-            named_memo: NamedMemo::default(),
+            commits: Commits::default(),
             quarantine: Quarantine::default(),
             last_choice: None,
         }
@@ -281,23 +149,26 @@ impl Tempi {
     /// The cached plan for a committed type, if any: its slot's entry, if
     /// `dt` itself committed it.
     pub fn plan(&self, dt: Datatype) -> Option<Arc<TypePlan>> {
-        let (held, plan) = self.cache.get(&dt.slot())?;
-        (*held == dt).then(|| Arc::clone(plan))
+        self.commits.plan(dt)
     }
 
     /// Plans held: at most one per registry slot a commit has used.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
+        self.commits.cached()
+    }
+
+    /// Distinct plans held: equal plans of several types are one.
+    pub fn interned_plans(&self) -> usize {
+        self.commits.interned()
     }
 
     /// TEMPI's `MPI_Type_free`: the system free, then `dt`'s plan and its
     /// quarantined rungs go at once. A free that bypasses the library
-    /// leaves the plan in place until the slot's next occupant commits.
+    /// leaves the plan in place until the slot's next occupant commits, or
+    /// a commit sweeps the slot table ([`crate::commit`]).
     pub fn type_free(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<()> {
         ctx.type_free(dt)?;
-        if self.plan(dt).is_some() {
-            self.cache.remove(&dt.slot());
-        }
+        self.commits.free(dt);
         self.quarantine.release(dt);
         Ok(())
     }
@@ -332,101 +203,17 @@ impl Tempi {
     }
 
     /// TEMPI's `MPI_Type_commit` (paper §3): native commit, then
-    /// translation → transformation → kernel selection, cached per type.
+    /// translation → transformation → kernel selection, cached per type
+    /// and interned by value ([`crate::commit`]).
     pub fn type_commit(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<Arc<TypePlan>> {
         if let Some(p) = self.plan(dt) {
             self.stats.commit_cache_hits += 1;
             return Ok(p);
         }
-        ctx.with_span("tempi", "type_commit", |ctx| self.type_commit_body(ctx, dt))
-    }
-
-    /// The traced body of [`Tempi::type_commit`], with nested spans for
-    /// the translation and canonicalization pipeline stages.
-    fn type_commit_body(&mut self, ctx: &mut RankCtx, dt: Datatype) -> MpiResult<Arc<TypePlan>> {
-        let pid = ctx.world_rank as u32;
-        let t0 = ctx.clock.now();
-        ctx.type_commit_native(dt)?;
-
-        let t_tr = ctx.clock.now();
-        let mut intro = MemoIntrospect::new(ctx, &mut self.named_memo);
-        let translated = translate(&mut intro, dt)?;
-        let introspection_calls = intro.calls;
-        phase(ctx, "translate", t_tr, || {
-            vec![("introspection_calls", introspection_calls.into())]
-        });
-
-        let (kind, passes, nodes_before, nodes_after) = match translated {
-            Translated::Empty => (PlanKind::Empty, 0, 0, 0),
-            Translated::Blocks(bl) => {
-                let n = bl.blocks.len();
-                (PlanKind::Blocks(bl), 0, n, n)
-            }
-            Translated::Multi(mut members) => {
-                select_members(&mut members, self.config.force_word);
-                let n = members.len();
-                (PlanKind::Multi(members), 0, n, n)
-            }
-            Translated::Unsupported(c) => (PlanKind::Fallback(c), 0, 0, 0),
-            Translated::Strided(tree) => {
-                let nodes_before = tree.node_count();
-                let t_canon = ctx.clock.now();
-                let (canon, passes) = if self.config.canonicalize {
-                    simplify(tree)
-                } else {
-                    (tree, 0)
-                };
-                let nodes_after = canon.node_count();
-                ctx.clock
-                    .advance(CANON_NODE_COST * (nodes_before * (passes + 1)) as u64);
-                phase(ctx, "canonicalize", t_canon, || {
-                    vec![
-                        ("passes", passes.into()),
-                        ("nodes_before", nodes_before.into()),
-                        ("nodes_after", nodes_after.into()),
-                    ]
-                });
-                match strided_block(&canon) {
-                    Some(sb) => {
-                        let kp = select_kernel(sb, self.config.force_word);
-                        ctx.tracer.debug_instant(
-                            pid,
-                            LANE_CPU,
-                            "tempi",
-                            "kernel_select",
-                            ctx.clock.now().as_ps(),
-                            || {
-                                vec![
-                                    ("kind", format!("{:?}", kp.kind).into()),
-                                    ("word", kp.word.into()),
-                                ]
-                            },
-                        );
-                        (PlanKind::Strided(kp), passes, nodes_before, nodes_after)
-                    }
-                    None => (
-                        PlanKind::Fallback(ctx.combiner(dt)?),
-                        passes,
-                        nodes_before,
-                        nodes_after,
-                    ),
-                }
-            }
-        };
-        let attrs = ctx.attrs(dt)?;
-        let plan = Arc::new(TypePlan {
-            kind,
-            size: attrs.size,
-            extent: attrs.extent(),
-            report: CommitReport {
-                introspection_calls,
-                simplify_passes: passes,
-                nodes_before,
-                nodes_after,
-                commit_time: ctx.clock.now() - t0,
-            },
-        });
-        self.cache.insert(dt.slot(), (dt, Arc::clone(&plan)));
+        let (commits, config) = (&mut self.commits, &self.config);
+        let plan = ctx.with_span("tempi", "type_commit", |ctx| {
+            commits.commit(ctx, dt, config)
+        })?;
         self.stats.commits += 1;
         Ok(plan)
     }
@@ -939,7 +726,12 @@ impl Tempi {
         let online = self.online_model(ctx, dest, n);
         let (block, word) = (plan.block_bytes(), plan.word());
         let force_word = self.config.force_word;
-        let mut rule = CopyRule::Kernel;
+        // the kernel rung's quarantine does not lapse with time: while it
+        // holds, every chunk is packed by host code into its wire slot
+        let mut rule = match self.quarantine.holds(x.dt, Rung::Kernel, ctx.clock.now()) {
+            true => CopyRule::Backdoor,
+            false => CopyRule::Kernel,
+        };
         for k in 0..n {
             let at = k * chunk;
             let len = chunk.min(bytes - at);
@@ -950,19 +742,20 @@ impl Tempi {
             // and the rest to host code, straight into their pinned slots
             loop {
                 let (t0, host) = (ctx.clock.now(), rule == CopyRule::Backdoor);
+                let to = if host { out } else { stage }.add(slot);
                 let packed = match ranged {
-                    None => execute(ctx, &plan.kind, PackDir::Pack, x, stage, force_word),
+                    None if host => execute_on_host(ctx, &plan.kind, PackDir::Pack, x, to),
+                    None => execute(ctx, &plan.kind, PackDir::Pack, x, to, force_word),
                     Some(kp) => {
                         let first = (at / block) as i64;
                         let blocks = first..first + (len / block) as i64;
-                        let to = if host { out } else { stage }.add(slot);
                         execute_range(kp, ctx, PackDir::Pack, x, to, blocks, rule)
                     }
                 };
                 let staged = packed.and_then(|()| {
                     let t1 = ctx.clock.now();
                     phase(ctx, "pack", t0, || vec![("bytes", len.into())]);
-                    if let Some(m) = &online {
+                    if let (Some(m), false) = (&online, host) {
                         let modeled = m.t_pack(PackDir::Pack, recipe.pack, len, block, word);
                         self.tuner.observe_pack(recipe.pack, modeled, t1 - t0);
                     }
@@ -1150,17 +943,17 @@ impl Tempi {
             (None, _) => capacity,
         };
         let land = lease.take(&mut self.pool, ctx, recipe.wire_space(), staging)?;
-        // a bouncing recipe unpacks from a device buffer, any other from
-        // where the bytes landed; one piece takes that buffer only after
-        // the wire wait
-        let mut dev = match recipe.bounce && n > 1 {
+        // the kernel rung's quarantine does not lapse with time: asked
+        // once, it answers as it would at every part
+        let mut kernels = !self.quarantine.holds(x.dt, Rung::Kernel, ctx.clock.now());
+        // a bouncing recipe unpacks by kernel from a device buffer, any
+        // other from where the bytes landed; one piece takes that buffer
+        // only after the wire wait
+        let mut dev = match recipe.bounce && n > 1 && kernels {
             true => Some(lease.take(&mut self.pool, ctx, MemSpace::Device, staging)?),
             false => None,
         };
         let online = self.online_model(ctx, info.source, parts);
-        // the kernel rung's quarantine does not lapse with time: asked
-        // once, it answers as it would at every part
-        let mut kernels = n > 1 || !self.quarantine.holds(x.dt, Rung::Kernel, ctx.clock.now());
         let mut received = 0usize;
         let mut drained = [SimTime::ZERO; RING_SLOTS];
         // the loop's first GPU fault, carried to the finish
@@ -1302,7 +1095,12 @@ impl Tempi {
 
 /// Record one phase of a commit, send or receive as a complete span on the
 /// rank's CPU lane, from `t0` to now.
-fn phase(ctx: &RankCtx, name: &'static str, t0: SimTime, args: impl FnOnce() -> tempi_trace::Args) {
+pub(crate) fn phase(
+    ctx: &RankCtx,
+    name: &'static str,
+    t0: SimTime,
+    args: impl FnOnce() -> tempi_trace::Args,
+) {
     ctx.tracer.complete(
         ctx.world_rank as u32,
         LANE_CPU,
@@ -1725,7 +1523,7 @@ pub(crate) mod tests {
                             kind,
                             ..(*plan).clone()
                         };
-                        mpi.tempi.cache.insert(dt.slot(), (dt, Arc::new(fallback)));
+                        mpi.tempi.commits.hold(dt, fallback);
                         "Fallback"
                     }
                     PlanKind::Blocks(_) => "Blocks",
@@ -2236,7 +2034,7 @@ pub(crate) mod tests {
                 kind,
                 ..(*plan).clone()
             };
-            tempi.cache.insert(dt.slot(), (dt, Arc::new(swapped)));
+            tempi.commits.hold(dt, swapped);
         }
         let size = plan.size as usize;
         let typed = ctx.gpu.malloc(plan.extent as usize + 64).unwrap();

@@ -526,27 +526,38 @@ impl TypeRegistry {
         })
     }
 
-    /// `MPI_Type_get_contents`: the constructor arguments, encoded in the
-    /// standard's layout. As in the C API, where the caller sizes the three
-    /// arrays from the envelope, each is allocated once at its final length.
-    pub fn get_contents(&self, dt: Datatype) -> MpiResult<Contents> {
+    /// `MPI_Type_get_contents` in the C API's form: the constructor
+    /// arguments, encoded in the standard's layout, written to the front of
+    /// the caller's three arrays, which the caller sized from the envelope.
+    /// An array shorter than the envelope says is an
+    /// [`MpiError::InvalidArg`]; nothing is allocated.
+    pub fn get_contents(
+        &self,
+        dt: Datatype,
+        integers: &mut [i64],
+        addresses: &mut [i64],
+        datatypes: &mut [Datatype],
+    ) -> MpiResult<()> {
         let env = self.get_envelope(dt)?;
         let info = self.get(dt)?;
-        let mut c = Contents {
-            integers: Vec::with_capacity(env.num_integers),
-            addresses: Vec::with_capacity(env.num_addresses),
-            datatypes: Vec::with_capacity(env.num_datatypes),
-        };
+        let lens = (integers.len(), addresses.len(), datatypes.len());
+        if lens.0 < env.num_integers || lens.1 < env.num_addresses || lens.2 < env.num_datatypes {
+            return Err(MpiError::InvalidArg(format!(
+                "MPI_Type_get_contents: arrays of {lens:?} elements are smaller than the envelope"
+            )));
+        }
+        let (mut ints, mut addrs) = (Fill::new(integers), Fill::new(addresses));
+        let mut dts = Fill::new(datatypes);
         match &info.def {
             TypeDef::Named(_) => {
                 return Err(MpiError::InvalidArg(
                     "MPI_Type_get_contents is invalid on a named type".to_string(),
                 ))
             }
-            TypeDef::Dup { oldtype } => c.datatypes.push(*oldtype),
+            TypeDef::Dup { oldtype } => dts.push(*oldtype),
             TypeDef::Contiguous { count, oldtype } => {
-                c.integers.push(*count as i64);
-                c.datatypes.push(*oldtype);
+                ints.push(*count as i64);
+                dts.push(*oldtype);
             }
             TypeDef::Vector {
                 count,
@@ -554,9 +565,8 @@ impl TypeRegistry {
                 stride,
                 oldtype,
             } => {
-                c.integers
-                    .extend([*count as i64, *blocklength as i64, *stride as i64]);
-                c.datatypes.push(*oldtype);
+                ints.extend([*count as i64, *blocklength as i64, *stride as i64]);
+                dts.push(*oldtype);
             }
             TypeDef::Hvector {
                 count,
@@ -564,80 +574,115 @@ impl TypeRegistry {
                 stride_bytes,
                 oldtype,
             } => {
-                c.integers.extend([*count as i64, *blocklength as i64]);
-                c.addresses.push(*stride_bytes);
-                c.datatypes.push(*oldtype);
+                ints.extend([*count as i64, *blocklength as i64]);
+                addrs.push(*stride_bytes);
+                dts.push(*oldtype);
             }
             TypeDef::Indexed {
                 blocklengths,
                 displacements,
                 oldtype,
             } => {
-                c.integers.push(blocklengths.len() as i64);
-                c.integers.extend(blocklengths.iter().map(|&b| b as i64));
-                c.integers.extend(displacements.iter().map(|&d| d as i64));
-                c.datatypes.push(*oldtype);
+                ints.push(blocklengths.len() as i64);
+                ints.extend(blocklengths.iter().map(|&b| b as i64));
+                ints.extend(displacements.iter().map(|&d| d as i64));
+                dts.push(*oldtype);
             }
             TypeDef::IndexedBlock {
                 blocklength,
                 displacements,
                 oldtype,
             } => {
-                c.integers.push(displacements.len() as i64);
-                c.integers.push(*blocklength as i64);
-                c.integers.extend(displacements.iter().map(|&d| d as i64));
-                c.datatypes.push(*oldtype);
+                ints.push(displacements.len() as i64);
+                ints.push(*blocklength as i64);
+                ints.extend(displacements.iter().map(|&d| d as i64));
+                dts.push(*oldtype);
             }
             TypeDef::Hindexed {
                 blocklengths,
                 displacements_bytes,
                 oldtype,
             } => {
-                c.integers.push(blocklengths.len() as i64);
-                c.integers.extend(blocklengths.iter().map(|&b| b as i64));
-                c.addresses.extend(displacements_bytes.iter().copied());
-                c.datatypes.push(*oldtype);
+                ints.push(blocklengths.len() as i64);
+                ints.extend(blocklengths.iter().map(|&b| b as i64));
+                addrs.extend(displacements_bytes.iter().copied());
+                dts.push(*oldtype);
             }
             TypeDef::Subarray {
                 dims,
                 order,
                 oldtype,
             } => {
-                c.integers.push(dims.len() as i64);
+                ints.push(dims.len() as i64);
                 for pick in Dim::COLUMNS {
-                    c.integers.extend(dims.iter().map(|d| pick(d) as i64));
+                    ints.extend(dims.iter().map(|d| pick(d) as i64));
                 }
-                c.integers.push(match order {
+                ints.push(match order {
                     Order::C => 0,
                     Order::Fortran => 1,
                 });
-                c.datatypes.push(*oldtype);
+                dts.push(*oldtype);
             }
             TypeDef::Struct {
                 blocklengths,
                 displacements_bytes,
                 types,
             } => {
-                c.integers.push(blocklengths.len() as i64);
-                c.integers.extend(blocklengths.iter().map(|&b| b as i64));
-                c.addresses.extend(displacements_bytes.iter().copied());
-                c.datatypes.extend(types.iter().copied());
+                ints.push(blocklengths.len() as i64);
+                ints.extend(blocklengths.iter().map(|&b| b as i64));
+                addrs.extend(displacements_bytes.iter().copied());
+                dts.extend(types.iter().copied());
             }
             TypeDef::Resized {
                 lb,
                 extent,
                 oldtype,
             } => {
-                c.addresses.extend([*lb, *extent]);
-                c.datatypes.push(*oldtype);
+                addrs.extend([*lb, *extent]);
+                dts.push(*oldtype);
             }
         }
         debug_assert_eq!(
-            (c.integers.len(), c.addresses.len(), c.datatypes.len()),
+            (ints.len, addrs.len, dts.len),
             (env.num_integers, env.num_addresses, env.num_datatypes),
             "contents disagree with the envelope"
         );
+        Ok(())
+    }
+
+    /// [`TypeRegistry::get_contents`] into three arrays of the envelope's
+    /// sizes, allocated here: the owned form, for tools and tests.
+    pub fn contents(&self, dt: Datatype) -> MpiResult<Contents> {
+        let env = self.get_envelope(dt)?;
+        let mut c = Contents {
+            integers: vec![0; env.num_integers],
+            addresses: vec![0; env.num_addresses],
+            datatypes: vec![Datatype(0); env.num_datatypes],
+        };
+        self.get_contents(dt, &mut c.integers, &mut c.addresses, &mut c.datatypes)?;
         Ok(c)
+    }
+}
+
+/// One of `MPI_Type_get_contents`' caller-owned arrays, written from the
+/// front; the envelope has been checked to fit it.
+struct Fill<'a, T> {
+    out: &'a mut [T],
+    len: usize,
+}
+
+impl<'a, T> Fill<'a, T> {
+    fn new(out: &'a mut [T]) -> Self {
+        Fill { out, len: 0 }
+    }
+
+    fn push(&mut self, v: T) {
+        self.out[self.len] = v;
+        self.len += 1;
+    }
+
+    fn extend(&mut self, vs: impl IntoIterator<Item = T>) {
+        vs.into_iter().for_each(|v| self.push(v));
     }
 }
 
@@ -900,7 +945,7 @@ mod tests {
         assert_eq!(e.combiner, Combiner::IndexedBlock);
         assert_eq!(e.num_integers, 5); // count + blocklength + 3 displs
         assert_eq!(e.num_datatypes, 1);
-        let c = r.get_contents(t).unwrap();
+        let c = r.contents(t).unwrap();
         assert_eq!(c.integers, vec![3, 2, 8, 0, 4]);
         assert_eq!(c.datatypes, vec![MPI_INT]);
         let tree = TypeTree::of(&r, t).unwrap();
@@ -1088,7 +1133,7 @@ mod tests {
     fn contents_roundtrip_vector() {
         let mut r = TypeRegistry::new();
         let v = r.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
-        let c = r.get_contents(v).unwrap();
+        let c = r.contents(v).unwrap();
         assert_eq!(c.integers, vec![13, 100, 128]);
         assert_eq!(c.datatypes, vec![MPI_FLOAT]);
         assert!(c.addresses.is_empty());
@@ -1100,7 +1145,7 @@ mod tests {
         let s = r
             .type_create_subarray(&[256, 512], &[13, 100], &[1, 2], Order::C, MPI_BYTE)
             .unwrap();
-        let c = r.get_contents(s).unwrap();
+        let c = r.contents(s).unwrap();
         assert_eq!(c.integers, vec![2, 256, 512, 13, 100, 1, 2, 0]);
         assert_eq!(c.datatypes, vec![MPI_BYTE]);
     }
@@ -1108,7 +1153,7 @@ mod tests {
     #[test]
     fn contents_on_named_is_an_error() {
         let r = TypeRegistry::new();
-        assert!(r.get_contents(MPI_INT).is_err());
+        assert!(r.contents(MPI_INT).is_err());
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl TypeTree {
         let c = match combiner {
             // a named type has no contents to get
             Combiner::Named => Contents::default(),
-            _ => reg.get_contents(dt)?,
+            _ => reg.contents(dt)?,
         };
         let int = |i: usize| c.integers[i] as i32;
         // the `k`-th run of `n` integers after the leading count

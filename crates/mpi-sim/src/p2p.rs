@@ -166,7 +166,10 @@ pub fn check_item_offsets(count: usize, extent: i64, (lo, hi): (i64, i64)) -> Mp
 /// about a datatype, computed once per call (the TEMPI layer caches its own
 /// richer plan instead).
 pub(crate) struct WireType {
-    pub segs: Vec<Segment>,
+    /// The segments of a type that is not one run ([`WireType::segs`]).
+    list: Vec<Segment>,
+    /// The one segment of a type that is one run, kept out of any list.
+    run: Option<Segment>,
     pub extent: i64,
     pub size: usize,
     pub root_is_vector: bool,
@@ -175,6 +178,14 @@ pub(crate) struct WireType {
 }
 
 impl WireType {
+    /// One item's segments, in typemap order.
+    pub fn segs(&self) -> &[Segment] {
+        match &self.run {
+            Some(run) => std::slice::from_ref(run),
+            None => &self.list,
+        }
+    }
+
     /// The packed size of `count` items, once their offsets are known to fit.
     fn transfer(&self, count: usize) -> MpiResult<usize> {
         check_item_offsets(count, self.extent, self.true_bounds)?;
@@ -183,7 +194,7 @@ impl WireType {
 
     /// Are `count` items one contiguous run (so a plain copy moves them)?
     fn fully_contiguous(&self, count: usize) -> bool {
-        is_contiguous(&self.segs) && (count <= 1 || self.size as i64 == self.extent)
+        is_contiguous(self.segs()) && (count <= 1 || self.size as i64 == self.extent)
     }
 }
 
@@ -193,11 +204,24 @@ impl RankCtx {
             return Err(MpiError::NotCommitted);
         }
         let reg = self.registry().read();
-        let segs = segments(&reg, dt)?;
-        let attrs = reg.attrs(dt)?;
+        let info = reg.info(dt)?;
+        let attrs = info.attrs;
+        // a dense type visited in address order is the one segment
+        // `segments` would find, and needs no list
+        let (list, run) = match attrs.size > 0 && attrs.is_dense() && info.ascending {
+            true => (
+                Vec::new(),
+                Some(Segment {
+                    off: attrs.lb,
+                    len: attrs.size,
+                }),
+            ),
+            false => (segments(&reg, dt)?, None),
+        };
         let root_is_vector = matches!(reg.get_envelope(dt)?.combiner, Combiner::Vector);
         Ok(WireType {
-            segs,
+            list,
+            run,
             extent: attrs.extent(),
             size: attrs.size as usize,
             root_is_vector,
@@ -205,17 +229,19 @@ impl RankCtx {
         })
     }
 
-    /// Gather the bytes a datatype covers (functional effect only; callers
-    /// charge the timing appropriate to their path).
+    /// Gather the bytes a datatype covers into a payload off the free list
+    /// (functional effect only; callers charge the timing appropriate to
+    /// their path).
     pub(crate) fn gather_payload(
-        &self,
+        &mut self,
         buf: GpuPtr,
         count: usize,
         wt: &WireType,
     ) -> MpiResult<Vec<u8>> {
+        let mut out = self.take_payload(wt.size * count);
         let mem = self.gpu.memory();
-        let (from, mut out) = (mem.region(buf), Vec::with_capacity(wt.size * count));
-        for_each_segment(&wt.segs, wt.extent, count, |off, len, _| {
+        let from = mem.region(buf);
+        for_each_segment(wt.segs(), wt.extent, count, |off, len, _| {
             out.extend_from_slice(from.read(offset_ptr(buf, off)?.offset, len)?);
             Ok(())
         })?;
@@ -233,7 +259,7 @@ impl RankCtx {
     ) -> MpiResult<()> {
         let mut mem = self.gpu.memory();
         let mut to = mem.region_mut(buf);
-        for_each_segment(&wt.segs, wt.extent, count, |off, len, pos| {
+        for_each_segment(wt.segs(), wt.extent, count, |off, len, pos| {
             Ok(to.write(offset_ptr(buf, off)?.offset, &payload[pos..pos + len])?)
         })
     }
@@ -346,7 +372,7 @@ impl RankCtx {
                 &self.vendor,
                 &mut self.stream,
                 &mut self.clock,
-                &wt.segs,
+                wt.segs(),
                 wt.extent,
                 wt.root_is_vector,
                 typed,
@@ -360,14 +386,16 @@ impl RankCtx {
         match dir {
             PackDir::Pack => {
                 let payload = self.gather_payload(typed, count, wt)?;
-                self.gpu.memory().poke(packed, &payload)?;
+                let put = self.gpu.memory().poke(packed, &payload);
+                self.spend(payload);
+                put?;
             }
             PackDir::Unpack => {
                 let payload = self.gpu.memory().peek(packed, bytes)?;
                 self.scatter_payload(typed, count, wt, &payload)?;
             }
         }
-        let t = self.vendor.host_pack_time(bytes, wt.segs.len() * count);
+        let t = self.vendor.host_pack_time(bytes, wt.segs().len() * count);
         self.clock.advance(t);
         Ok(())
     }
@@ -820,7 +848,8 @@ impl RankCtx {
             // temporary device buffer, then CUDA-aware transfer.
             let tmp = self.gpu.malloc(bytes)?;
             self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp)?;
-            let payload = self.gpu.memory().peek(tmp, bytes)?;
+            let mut payload = self.take_payload(bytes);
+            self.gpu.memory().peek_into(tmp, bytes, &mut payload)?;
             self.gpu.free(tmp)?;
             return self.post(dest, tag, payload, MemSpace::Device);
         }
@@ -828,7 +857,7 @@ impl RankCtx {
         // Contiguous device data, or host data (packed on the CPU).
         let payload = self.gather_payload(buf, count, &wt)?;
         if buf.space != MemSpace::Device && !fully_contiguous {
-            let t = self.vendor.host_pack_time(bytes, wt.segs.len() * count);
+            let t = self.vendor.host_pack_time(bytes, wt.segs().len() * count);
             self.clock.advance(t);
         }
         self.post(dest, tag, payload, buf.space)
@@ -876,12 +905,14 @@ impl RankCtx {
             // block-by-block.
             let tmp = self.gpu.malloc(bytes)?;
             self.gpu.memory().poke(tmp, &payload)?;
+            self.spend(payload);
             self.wire_xfer(PackDir::Unpack, &wt, buf, items, tmp)?;
             self.gpu.free(tmp)?;
         } else {
             self.scatter_payload(buf, items, &wt, &payload)?;
+            self.spend(payload);
             if buf.space != MemSpace::Device && !fully_contiguous {
-                let t = self.vendor.host_pack_time(bytes, wt.segs.len() * items);
+                let t = self.vendor.host_pack_time(bytes, wt.segs().len() * items);
                 self.clock.advance(t);
             }
         }

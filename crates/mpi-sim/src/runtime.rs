@@ -19,9 +19,7 @@ use std::sync::Arc;
 use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
 use tempi_trace::sync::{Mutex, RwLock};
 
-use crate::datatype::{
-    Combiner, Contents, Datatype, Envelope, Order, TypeAttrs, TypeRegistry, TypeTree,
-};
+use crate::datatype::{Combiner, Datatype, Envelope, Order, TypeAttrs, TypeRegistry, TypeTree};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::net::NetModel;
@@ -560,10 +558,17 @@ impl RankCtx {
         self.registry.read().get_envelope(dt)
     }
 
-    /// `MPI_Type_get_contents`, priced per the vendor.
-    pub fn get_contents(&mut self, dt: Datatype) -> MpiResult<Contents> {
+    /// `MPI_Type_get_contents`, priced per the vendor: the C API's form,
+    /// into the caller's arrays (see [`TypeRegistry::get_contents`]).
+    pub fn get_contents(
+        &mut self,
+        dt: Datatype,
+        integers: &mut [i64],
+        addresses: &mut [i64],
+        datatypes: &mut [Datatype],
+    ) -> MpiResult<()> {
         self.clock.advance(self.vendor.introspection_call_cost);
-        self.registry.read().get_contents(dt)
+        (self.registry.read()).get_contents(dt, integers, addresses, datatypes)
     }
 
     /// `MPI_Type_get_extent`, priced per the vendor.
@@ -789,7 +794,9 @@ mod tests {
         let before = ctx.clock.now();
         let env = ctx.get_envelope(t).unwrap();
         assert_eq!(env.combiner, Combiner::Contiguous);
-        let _ = ctx.get_contents(t).unwrap();
+        let (mut ints, mut dts) = ([0; 1], [MPI_INT; 1]);
+        ctx.get_contents(t, &mut ints, &mut [], &mut dts).unwrap();
+        assert_eq!((ints, dts), ([8], [MPI_INT]));
         let _ = ctx.get_extent(t).unwrap();
         let _ = ctx.type_size(t).unwrap();
         assert_eq!(

@@ -804,8 +804,9 @@ mod tests {
                 let at = format!("{p} ranks, n = {n}, TEMPI {interposed}, rank {}", ctx.rank);
                 let (size, span) = (ex.send_bytes(), ex.cfg.alloc_bytes());
                 // the schedules, as MPI holds them
-                let send = ctx.get_contents(ex.types.fused_send)?.datatypes;
-                let recv = ctx.get_contents(ex.types.fused_recv)?.datatypes;
+                let contents = |dt| ctx.registry().read().contents(dt);
+                let send = contents(ex.types.fused_send)?.datatypes;
+                let recv = contents(ex.types.fused_recv)?.datatypes;
                 for (members, of) in [(&send, &ex.types.send), (&recv, &ex.types.recv)] {
                     let mut sorted = members.clone();
                     sorted.sort();

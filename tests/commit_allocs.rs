@@ -1,0 +1,172 @@
+//! What `MPI_Type_commit` allocates: nothing for a shape the rank already
+//! holds a plan of, a small fixed number for the fused halo pair on a fresh
+//! library, and an intern table that holds no plan no type uses. The
+//! allocator counts per thread, so the tests may run side by side.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mpi_sim::consts::MPI_BYTE;
+use mpi_sim::datatype::TypeTree;
+use mpi_sim::{Datatype, RankCtx, WorldConfig};
+use tempi_core::config::TempiConfig;
+use tempi_core::interpose::InterposedMpi;
+use tempi_stencil::{HaloConfig, HaloTypes};
+
+/// The system allocator, counting the allocations each thread asks for.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is the system allocator's, beside a counter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// The allocations `f` makes on this thread.
+fn allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn a_recreated_shape_commits_without_the_heap() {
+    for spec in [
+        "vector(13, 100, 256, byte)",
+        "hvector(13, 100, 256, float)",
+        "subarray([256, 256], [64, 64], [3, 5], byte)",
+        "hvector(47, 1, 65536, hvector(13, 1, 256, contiguous(100, byte)))",
+        "indexed_block(2, [8, 0, 4], int)",
+        "struct([64, 64, 64], [0, 1024, 2048], [float, float, float])",
+        "struct([1, 1], [0, 0], [subarray([8, 8, 8], [4, 4, 2], [2, 2, 4], float), \
+         subarray([8, 8, 8], [2, 2, 2], [4, 4, 4], float)])",
+        "vector(4, 1, 3, hindexed([2, 1], [0, 16], vector(2, 2, 4, short)))",
+    ] {
+        let tree: TypeTree = spec.parse().unwrap();
+        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        // the first commit pays MPI for what the named types are, so its
+        // report differs; the second is the shape's plan from then on, and
+        // stays live
+        for _ in 0..2 {
+            let dt = tree.build(&mut ctx).unwrap();
+            mpi.type_commit(&mut ctx, dt).unwrap();
+        }
+        let plans = mpi.tempi.interned_plans();
+        // re-created types, freed through the library and behind its back:
+        // from the second cycle on, each one commits in a slot a commit has
+        // used before
+        for cycle in 0..4 {
+            let dt = tree.build(&mut ctx).unwrap();
+            let n = allocs(|| mpi.type_commit(&mut ctx, dt).unwrap());
+            assert!(
+                cycle == 0 || n == 0,
+                "{spec}: cycle {cycle} allocated {n} times"
+            );
+            assert_eq!(
+                mpi.tempi.interned_plans(),
+                plans,
+                "{spec}: one plan, shared"
+            );
+            free_all(&mut ctx, &mut mpi, dt, cycle % 2 == 0);
+        }
+    }
+}
+
+/// Free `dt`, through the library or behind its back, then the
+/// intermediate types its construction left live, so that the next build
+/// of the same tree takes the same slots.
+fn free_all(ctx: &mut RankCtx, mpi: &mut InterposedMpi, dt: Datatype, through_the_library: bool) {
+    if dt.named_index().is_some() {
+        return;
+    }
+    let children = ctx.registry().read().contents(dt).unwrap().datatypes;
+    match through_the_library {
+        true => mpi.type_free(ctx, dt).unwrap(),
+        false => ctx.type_free(dt).unwrap(),
+    }
+    for child in children {
+        free_all(ctx, mpi, child, false);
+    }
+}
+
+#[test]
+fn the_fused_halo_pair_commits_on_a_fresh_library_in_a_few_allocations() {
+    let order: Vec<usize> = (0..26).collect();
+    for cfg in [HaloConfig::small(4), HaloConfig::paper()] {
+        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+        let types = HaloTypes::create(&mut ctx, &cfg, &order, &order).unwrap();
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let send = allocs(|| mpi.type_commit(&mut ctx, types.fused_send).unwrap());
+        let recv = allocs(|| mpi.type_commit(&mut ctx, types.fused_recv).unwrap());
+        // the first grows the translation's storage once; the second
+        // allocates only the plan it keeps: the member list and its handle
+        assert!(
+            send <= 16,
+            "{cfg:?}: the send type's commit allocated {send} times"
+        );
+        assert!(
+            recv <= 2,
+            "{cfg:?}: the receive type's commit allocated {recv} times"
+        );
+    }
+}
+
+/// Commit 10,000 distinct shapes beside a few live types and free each,
+/// through the library or behind its back: the intern table never holds
+/// more plans than types hold slots, and those are the live types and at
+/// most as many dead ones.
+fn distinct_shapes_leave_no_plan_behind(through_the_library: bool) {
+    let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+    let mut mpi = InterposedMpi::new(TempiConfig::default());
+    let live = [4, 8, 16].map(|n| ctx.type_vector(n, 1, 2, MPI_BYTE).unwrap());
+    for &dt in &live {
+        mpi.type_commit(&mut ctx, dt).unwrap();
+    }
+    // a free behind the library's back leaves the dead type's plan until
+    // its slot's next commit, and MPI retires a slot after 256 occupants:
+    // those are swept before the table grows, never more than it has room
+    let most = match through_the_library {
+        true => live.len() + 1,
+        false => 2 * (live.len() + 1),
+    };
+    for k in 0..10_000 {
+        let dt = ctx.type_vector(2, 1, 3 + k, MPI_BYTE).unwrap();
+        mpi.type_commit(&mut ctx, dt).unwrap();
+        let (plans, held) = (mpi.tempi.interned_plans(), mpi.tempi.cached_plans());
+        assert!(
+            plans <= held && held <= most,
+            "shape {k}: {plans} plans, {held} held"
+        );
+        match through_the_library {
+            true => mpi.type_free(&mut ctx, dt).unwrap(),
+            false => ctx.type_free(dt).unwrap(),
+        }
+    }
+    if through_the_library {
+        assert_eq!(mpi.tempi.cached_plans(), live.len());
+        assert_eq!(mpi.tempi.interned_plans(), live.len());
+    }
+}
+
+#[test]
+fn distinct_shapes_freed_through_the_library_leave_no_plan_behind() {
+    distinct_shapes_leave_no_plan_behind(true);
+}
+
+#[test]
+fn distinct_shapes_freed_behind_its_back_leave_no_plan_behind() {
+    distinct_shapes_leave_no_plan_behind(false);
+}
