@@ -610,6 +610,7 @@ impl Tempi {
             .iter()
             .position(|&m| m == method)
             .and_then(|i| self.quarantine.next_rung(dt, i, now));
+        let to = (dest, tag);
         loop {
             let Some(i) = rung else {
                 // Ladder exhausted (or every rung quarantined): system MPI.
@@ -624,7 +625,7 @@ impl Tempi {
             let mut posted = 0u32;
             let cut = cut.filter(|_| current == method);
             let sent = self.with_lease(ctx, |t, ctx, lease| {
-                t.send_stages(ctx, lease, current, &plan, x, dest, tag, cut, &mut posted)
+                t.send_stages(ctx, lease, (current, cut), (&plan, x), to, &mut posted)
             });
             match sent {
                 Ok(()) => {
@@ -677,17 +678,13 @@ impl Tempi {
     /// runs in order, and the system MPI has taken a part's bytes by the
     /// time the copy refilling its pinned slot can start. `posted` counts
     /// the messages handed to the system MPI.
-    #[allow(clippy::too_many_arguments)]
     fn send_stages(
         &mut self,
         ctx: &mut RankCtx,
         lease: &mut Lease,
-        method: Method,
-        plan: &TypePlan,
-        x: Typed,
-        dest: usize,
-        tag: i32,
-        cut: Option<(usize, usize)>,
+        (method, cut): (Method, Option<(usize, usize)>),
+        (plan, x): (&TypePlan, Typed),
+        (dest, tag): (usize, i32),
         posted: &mut u32,
     ) -> MpiResult<()> {
         let (recipe, bytes) = (method.recipe(), x.bytes);

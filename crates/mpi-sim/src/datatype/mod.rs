@@ -24,6 +24,8 @@ pub mod registry;
 pub mod tree;
 pub mod typemap;
 
+use std::fmt;
+
 pub use named::Named;
 pub use registry::{consts, TypeRegistry};
 pub use tree::TypeTree;
@@ -84,10 +86,26 @@ pub enum Order {
     Fortran,
 }
 
+impl Order {
+    /// A subarray's `dims` from the fastest-varying to the slowest; the
+    /// element stride of each is the running product of the sizes before
+    /// it.
+    pub(crate) fn fastest_first(
+        self,
+        dims: &[Dim],
+    ) -> impl DoubleEndedIterator<Item = &Dim> + Clone {
+        let n = dims.len();
+        (0..n).map(move |i| match self {
+            Order::C => &dims[n - 1 - i],
+            Order::Fortran => &dims[i],
+        })
+    }
+}
+
 /// One dimension of a subarray, in elements of its `oldtype`: what
 /// `MPI_Type_create_subarray` lists at one index of its `sizes`,
 /// `subsizes` and `starts`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Dim {
     /// Full array extent.
     pub size: i32,
@@ -104,21 +122,65 @@ impl Dim {
 
     /// The dimensions MPI's three parallel lists describe; lists of
     /// different lengths describe none, and the error says so.
-    pub fn from_lists(sizes: &[i32], subsizes: &[i32], starts: &[i32]) -> Result<Vec<Dim>, String> {
+    pub fn from_lists(sizes: &[i32], subsizes: &[i32], starts: &[i32]) -> Result<Dims, String> {
         let lens = [sizes.len(), subsizes.len(), starts.len()];
         if lens != [lens[0]; 3] {
             return Err(format!(
                 "subarray argument lists differ in length: {lens:?}"
             ));
         }
-        let dims = sizes.iter().zip(subsizes).zip(starts);
-        Ok(dims
-            .map(|((&size, &subsize), &start)| Dim {
-                size,
-                subsize,
-                start,
-            })
-            .collect())
+        Ok(Dims::from_fn(lens[0], |i| Dim {
+            size: sizes[i],
+            subsize: subsizes[i],
+            start: starts[i],
+        }))
+    }
+}
+
+/// A subarray's dimensions: up to four in place, so creating or copying
+/// the common subarray allocates nothing, and more on the heap. Reads as
+/// a `&[Dim]`.
+#[derive(Clone, PartialEq)]
+pub struct Dims(DimStore);
+
+/// Made only by [`Dims::from_fn`], which zeroes the unused places: equal
+/// dimensions are equal values.
+#[derive(Clone, PartialEq)]
+enum DimStore {
+    Inline(u8, [Dim; 4]),
+    Spilled(Box<[Dim]>),
+}
+
+impl Dims {
+    /// The `n` dimensions `dim(0)`, `dim(1)`, ….
+    fn from_fn(n: usize, dim: impl Fn(usize) -> Dim) -> Dims {
+        Dims(match n {
+            0..=4 => DimStore::Inline(
+                n as u8,
+                std::array::from_fn(|i| match i < n {
+                    true => dim(i),
+                    false => Dim::default(),
+                }),
+            ),
+            _ => DimStore::Spilled((0..n).map(dim).collect()),
+        })
+    }
+}
+
+impl std::ops::Deref for Dims {
+    type Target = [Dim];
+
+    fn deref(&self) -> &[Dim] {
+        match &self.0 {
+            DimStore::Inline(n, dims) => &dims[..*n as usize],
+            DimStore::Spilled(dims) => dims,
+        }
+    }
+}
+
+impl fmt::Debug for Dims {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -199,7 +261,7 @@ pub enum TypeDef<C = Datatype> {
     /// n-dimensional array.
     Subarray {
         /// Array and subarray per dimension, in MPI's argument order.
-        dims: Vec<Dim>,
+        dims: Dims,
         /// Storage order.
         order: Order,
         /// Element type.

@@ -302,12 +302,13 @@ impl TypeRegistry {
                 // elements in the full array: when it fits, so does every
                 // stride and every offset inside it
                 let full = dims.iter().try_fold(1, |n, d| mul(n, d.size as i64))?;
-                let strides = subarray_elem_strides(dims, *order);
+                // an element's offset: each index times its dimension's
+                // stride, the running product of the faster sizes
                 let at = |pick: fn(&Dim) -> i32| -> i64 {
-                    dims.iter()
-                        .zip(&strides)
-                        .map(|(d, &s)| pick(d) as i64 * s)
-                        .sum()
+                    let step = |(at, stride): (i64, i64), d: &Dim| {
+                        (at + pick(d) as i64 * stride, stride * d.size as i64)
+                    };
+                    order.fastest_first(dims).fold((0, 1), step).0
                 };
                 let first = at(|d| d.start);
                 let last = at(|d| d.start + d.subsize - 1);
@@ -779,27 +780,6 @@ fn mul_size(a: u64, b: u64) -> MpiResult<u64> {
     a.checked_mul(b).ok_or_else(bounds_overflow)
 }
 
-/// Element strides (in elements of `oldtype`) per subarray dimension.
-pub(crate) fn subarray_elem_strides(dims: &[Dim], order: Order) -> Vec<i64> {
-    let n = dims.len();
-    let mut strides = vec![1i64; n];
-    match order {
-        Order::C => {
-            // dimension 0 slowest: stride[i] = prod(sizes[i+1..])
-            for i in (0..n.saturating_sub(1)).rev() {
-                strides[i] = strides[i + 1] * dims[i + 1].size as i64;
-            }
-        }
-        Order::Fortran => {
-            // dimension 0 fastest: stride[i] = prod(sizes[..i])
-            for i in 1..n {
-                strides[i] = strides[i - 1] * dims[i - 1].size as i64;
-            }
-        }
-    }
-    strides
-}
-
 #[cfg(test)]
 mod tests {
     use super::consts::*;
@@ -891,11 +871,18 @@ mod tests {
 
     #[test]
     fn subarray_fortran_order_reverses_strides() {
-        let dims = Dim::from_lists(&[4, 6, 8], &[1; 3], &[0; 3]).unwrap();
-        let strides_c = subarray_elem_strides(&dims, Order::C);
-        assert_eq!(strides_c, vec![48, 8, 1]);
-        let strides_f = subarray_elem_strides(&dims, Order::Fortran);
-        assert_eq!(strides_f, vec![1, 4, 24]);
+        // a 4 x 6 x 8 array steps (48, 8, 1) elements per index in C
+        // order, (1, 4, 24) in Fortran: its 2 x 2 x 2 block at (1, 1, 1)
+        // starts and ends there
+        let mut r = TypeRegistry::new();
+        for (order, at) in [(Order::C, 48 + 8 + 1), (Order::Fortran, 1 + 4 + 24)] {
+            let t = r.type_create_subarray(&[4, 6, 8], &[2; 3], &[1; 3], order, MPI_BYTE);
+            assert_eq!(
+                r.true_extent(t.unwrap()).unwrap(),
+                (at, at + 1),
+                "{order:?}"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::any::type_name;
 use std::fmt;
 use std::str::FromStr;
 
-use super::{Combiner, Contents, Datatype, Dim, Named, Order, TypeDef, TypeRegistry};
+use super::{Combiner, Contents, Datatype, Dim, Dims, Named, Order, TypeDef, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::runtime::RankCtx;
 
@@ -156,13 +156,11 @@ impl TypeTree {
                 oldtype: oldtype(),
             },
             Combiner::Subarray => TypeDef::Subarray {
-                dims: (1..=n)
-                    .map(|i| Dim {
-                        size: int(i),
-                        subsize: int(i + n),
-                        start: int(i + 2 * n),
-                    })
-                    .collect(),
+                dims: Dims::from_fn(n, |i| Dim {
+                    size: int(1 + i),
+                    subsize: int(1 + i + n),
+                    start: int(1 + i + 2 * n),
+                }),
                 order: match int(1 + 3 * n) {
                     0 => Order::C,
                     _ => Order::Fortran,

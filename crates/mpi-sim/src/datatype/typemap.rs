@@ -12,8 +12,8 @@
 //!   `cudaMemcpyAsync` per segment — whose cost TEMPI's speedups are
 //!   measured against (Section 6.2 of the paper).
 
-use super::registry::{subarray_elem_strides, TypeRegistry};
-use super::{Datatype, TypeDef};
+use super::registry::TypeRegistry;
+use super::{Datatype, Dim, TypeDef};
 use crate::error::MpiResult;
 
 /// A maximal run of contiguous bytes within a datatype's layout, relative
@@ -154,39 +154,9 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
             order,
             oldtype,
         } => {
-            let ex = reg.attrs(*oldtype)?.extent();
-            let strides = subarray_elem_strides(dims, *order);
-            // Odometer over the subarray indices; for C order dimension 0
-            // is slowest (varies last), for Fortran dimension 0 is fastest.
-            // We iterate so that the fastest-varying dimension is innermost
-            // — i.e., in increasing memory order for non-pathological
-            // layouts, which is also the typemap order.
-            let ndims = dims.len();
-            let dim_order: Vec<usize> = match order {
-                super::Order::C => (0..ndims).collect(), // idx[0] outermost
-                super::Order::Fortran => (0..ndims).rev().collect(),
-            };
-            let mut idx = vec![0i64; ndims];
-            loop {
-                let off: i64 = (0..ndims)
-                    .map(|k| (dims[k].start as i64 + idx[k]) * strides[k])
-                    .sum();
-                emit(reg, *oldtype, base + off * ex, out)?;
-                // increment odometer: last entry of dim_order fastest
-                let mut k = ndims;
-                loop {
-                    if k == 0 {
-                        return Ok(());
-                    }
-                    k -= 1;
-                    let d = dim_order[k];
-                    idx[d] += 1;
-                    if idx[d] < dims[d].subsize as i64 {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
-            }
+            // typemap order visits the fastest-varying dimension innermost
+            let slowest_first = order.fastest_first(dims).rev();
+            emit_subarray(reg, *oldtype, slowest_first, info.attrs.extent(), base, out)?
         }
         TypeDef::Struct {
             blocklengths,
@@ -201,6 +171,28 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
             }
         }
         TypeDef::Resized { oldtype, .. } => emit(reg, *oldtype, base, out)?,
+    }
+    Ok(())
+}
+
+/// Emit the elements of a subarray's `dims`, slowest first, that lie in
+/// the `span` bytes of the full array those dimensions cover at `base`.
+/// The slowest dimension steps `span` over its size, the next one that
+/// step over its own size, down to the element: no list of strides.
+fn emit_subarray<'a>(
+    reg: &TypeRegistry,
+    oldtype: Datatype,
+    mut dims: impl Iterator<Item = &'a Dim> + Clone,
+    span: i64,
+    base: i64,
+    out: &mut Vec<Segment>,
+) -> MpiResult<()> {
+    let Some(d) = dims.next() else {
+        return emit(reg, oldtype, base, out);
+    };
+    let stride = span / d.size as i64;
+    for i in d.start as i64..(d.start + d.subsize) as i64 {
+        emit_subarray(reg, oldtype, dims.clone(), stride, base + i * stride, out)?;
     }
     Ok(())
 }

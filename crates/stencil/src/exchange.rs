@@ -168,13 +168,20 @@ impl HaloExchanger {
         // (peer, direction index) reproduces the dense ordering exactly:
         // peers ascending, directions ascending within a peer. The recv
         // side uses the torus symmetry `neighbor(src, d) == me  ⇔
-        // src == neighbor(me, opposite(d))`.
-        let grouped = |pairs: &mut Vec<(usize, usize)>| -> (Vec<AlltoallvBlock>, Vec<usize>) {
+        // src == neighbor(me, opposite(d))`. Each list is made at its final
+        // size, a plan's at one block per distinct peer, and both sides
+        // sort in one pair list.
+        let mut pairs = Vec::with_capacity(DIRS.len());
+        let mut grouped = |toward: fn([i32; 3]) -> [i32; 3]| {
+            pairs.clear();
+            let pair = |(k, &d): (usize, &[i32; 3])| (decomp.neighbor(me, toward(d)), k);
+            pairs.extend(DIRS.iter().enumerate().map(pair));
             pairs.sort_unstable();
-            let mut plan: Vec<AlltoallvBlock> = Vec::new();
-            let mut schedule = Vec::with_capacity(26);
+            let peers = 1 + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+            let mut plan: Vec<AlltoallvBlock> = Vec::with_capacity(peers);
+            let mut schedule = Vec::with_capacity(pairs.len());
             let mut displ = 0usize;
-            for &(peer, k) in pairs.iter() {
+            for &(peer, k) in &pairs {
                 schedule.push(k);
                 let count = cfg.send_bytes(DIRS[k]);
                 match plan.last_mut() {
@@ -185,19 +192,9 @@ impl HaloExchanger {
             }
             (plan, schedule)
         };
-        let mut send_pairs: Vec<(usize, usize)> = DIRS
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| (decomp.neighbor(me, d), k))
-            .collect();
         // directions in pack order: grouped by ascending dest
-        let (send_plan, pack_schedule) = grouped(&mut send_pairs);
-        let mut recv_pairs: Vec<(usize, usize)> = DIRS
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| (decomp.neighbor(me, opposite(d)), k))
-            .collect();
-        let (recv_plan, recv_dirs) = grouped(&mut recv_pairs);
+        let (send_plan, pack_schedule) = grouped(|d| d);
+        let (recv_plan, recv_dirs) = grouped(opposite);
         // recv directions in unpack order (grouped by ascending src, the
         // sender's direction order within a group): src's region for
         // direction d fills my ghost shell on my `opposite(d)` side

@@ -1,17 +1,19 @@
-//! What `MPI_Type_commit` allocates: nothing for a shape the rank already
-//! holds a plan of, a small fixed number for the fused halo pair on a fresh
-//! library, and an intern table that holds no plan no type uses. The
+//! What creating and committing a datatype allocates: nothing for a
+//! subarray of up to four dimensions in a freed slot, nothing for a commit
+//! of a shape the rank already holds a plan of, a small fixed number for
+//! the fused halo pair on a fresh library and for a halo exchanger's whole
+//! set-up, and an intern table that holds no plan no type uses. The
 //! allocator counts per thread, so the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mpi_sim::consts::MPI_BYTE;
-use mpi_sim::datatype::TypeTree;
-use mpi_sim::{Datatype, RankCtx, WorldConfig};
+use mpi_sim::consts::{MPI_BYTE, MPI_FLOAT};
+use mpi_sim::datatype::{TypeInfo, TypeTree};
+use mpi_sim::{Datatype, Order, RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
-use tempi_stencil::{HaloConfig, HaloTypes};
+use tempi_stencil::{HaloConfig, HaloExchanger, HaloTypes};
 
 /// The system allocator, counting the allocations each thread asks for.
 struct Counting;
@@ -39,6 +41,51 @@ fn allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn a_subarray_of_up_to_four_dimensions_is_created_without_the_heap() {
+    let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+    let (sizes, subsizes, starts) = ([9, 8, 7, 6], [4, 3, 2, 1], [5, 4, 3, 2]);
+    for n in 1..=4 {
+        for order in [Order::C, Order::Fortran] {
+            let create = |ctx: &mut RankCtx| {
+                ctx.type_create_subarray(
+                    &sizes[..n],
+                    &subsizes[..n],
+                    &starts[..n],
+                    order,
+                    MPI_FLOAT,
+                )
+            };
+            // the first may grow the slot table; its freed slot takes the
+            // next
+            let dt = create(&mut ctx).unwrap();
+            ctx.type_free(dt).unwrap();
+            let mut again = None;
+            let n_allocs = allocs(|| again = Some(create(&mut ctx).unwrap()));
+            assert_eq!(n_allocs, 0, "{n} dimensions, {order:?}");
+            ctx.type_free(again.unwrap()).unwrap();
+        }
+    }
+}
+
+#[test]
+fn a_type_record_keeps_a_subarrays_dimensions_within_120_bytes() {
+    assert!(std::mem::size_of::<TypeInfo>() <= 120);
+}
+
+#[test]
+fn a_halo_exchanger_is_set_up_in_a_pinned_number_of_allocations() {
+    for cfg in [HaloConfig::small(4), HaloConfig::paper()] {
+        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let n = allocs(|| drop(HaloExchanger::new(&mut ctx, &mut mpi, cfg).unwrap()));
+        // the plans and schedules at their final sizes, the 53 subarrays
+        // in their slots, the fused pair's member lists and the three
+        // commits: 39 (146 while each subarray allocated twice)
+        assert!(n <= 39, "{cfg:?}: set-up allocated {n} times");
+    }
 }
 
 #[test]

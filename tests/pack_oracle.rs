@@ -7,8 +7,9 @@ mod common;
 use common::{
     arb_struct, arb_typetree, for_each_case, for_each_tree, pattern, span_of, struct_zoo,
 };
-use mpi_sim::datatype::{pack_cpu, TypeTree};
-use mpi_sim::{RankCtx, WorldConfig};
+use mpi_sim::consts::MPI_SHORT;
+use mpi_sim::datatype::{pack_cpu, typemap, TypeTree};
+use mpi_sim::{Order, RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::PlanKind;
@@ -199,4 +200,93 @@ fn tempi_and_the_system_mpi_pack_the_same_bytes() {
         };
         assert_eq!(run(true, desc), run(false, desc));
     });
+}
+
+/// The elements of a subarray in typemap order, as offsets in elements:
+/// every index tuple, the slowest dimension outermost, each index times
+/// the product of the sizes of the dimensions faster than its own.
+fn subarray_oracle(sizes: &[i32], subsizes: &[i32], starts: &[i32], order: Order) -> Vec<i64> {
+    let n = sizes.len();
+    let slowest_first: Vec<usize> = match order {
+        Order::C => (0..n).collect(),
+        Order::Fortran => (0..n).rev().collect(),
+    };
+    let faster = |i: usize| match order {
+        Order::C => &sizes[i + 1..],
+        Order::Fortran => &sizes[..i],
+    };
+    let mut offsets = vec![0i64];
+    for &i in &slowest_first {
+        let stride: i64 = faster(i).iter().map(|&s| s as i64).product();
+        offsets = (offsets.iter())
+            .flat_map(|&o| (0..subsizes[i]).map(move |j| o + (starts[i] + j) as i64 * stride))
+            .collect();
+    }
+    offsets
+}
+
+/// Subarrays of five and six dimensions, more than a type keeps in place,
+/// in both orders: `get_contents` gives back the constructor's lists, the
+/// spec reads back as the same tree, the typemap covers the oracle's
+/// elements in its order, and TEMPI and the system MPI both pack the
+/// oracle's bytes.
+#[test]
+fn subarrays_of_five_and_six_dimensions_match_the_oracle() {
+    let shapes: [(&[i32], &[i32], &[i32]); 2] = [
+        (&[3, 4, 2, 5, 3], &[2, 3, 1, 2, 2], &[1, 0, 1, 3, 0]),
+        (
+            &[2, 3, 4, 2, 3, 4],
+            &[1, 2, 3, 2, 2, 1],
+            &[1, 1, 0, 0, 1, 2],
+        ),
+    ];
+    for (sizes, subsizes, starts) in shapes {
+        for (order, flag) in [(Order::C, 0), (Order::Fortran, 1)] {
+            let what = format!("{sizes:?} {subsizes:?} {starts:?} {order:?}");
+            let mut ctx = ctx();
+            let dt = (ctx.type_create_subarray(sizes, subsizes, starts, order, MPI_SHORT)).unwrap();
+            let elems = subarray_oracle(sizes, subsizes, starts, order);
+
+            let reg = ctx.registry().read();
+            let c = reg.contents(dt).unwrap();
+            let lists = [sizes, subsizes, starts].concat();
+            let ints = [&[sizes.len() as i32][..], &lists, &[flag]].concat();
+            let ints: Vec<i64> = ints.iter().map(|&i| i as i64).collect();
+            assert_eq!(c.integers, ints, "{what}");
+            assert_eq!(c.datatypes, [MPI_SHORT], "{what}");
+            let tree = TypeTree::of(&reg, dt).unwrap();
+            assert_eq!(
+                tree.to_string().parse::<TypeTree>().unwrap(),
+                tree,
+                "{what}"
+            );
+
+            let covered: Vec<i64> = (typemap::segments(&reg, dt).unwrap().iter())
+                .flat_map(|s| (s.off..s.off + s.len as i64).step_by(2))
+                .collect();
+            let want: Vec<i64> = elems.iter().map(|e| 2 * e).collect();
+            assert_eq!(covered, want, "{what}");
+            drop(reg);
+
+            let span = span_of(&ctx, dt, 1);
+            let data = pattern(span);
+            let want: Vec<u8> = (want.iter())
+                .flat_map(|&b| data[b as usize..b as usize + 2].iter().copied())
+                .collect();
+            for mut mpi in [
+                InterposedMpi::new(TempiConfig::default()),
+                InterposedMpi::system_only(),
+            ] {
+                mpi.type_commit(&mut ctx, dt).unwrap();
+                let src = ctx.gpu.malloc(span).unwrap();
+                ctx.gpu.memory().poke(src, &data).unwrap();
+                let dst = ctx.gpu.malloc(want.len()).unwrap();
+                let mut pos = 0;
+                mpi.pack(&mut ctx, src, 1, dt, dst, want.len(), &mut pos)
+                    .unwrap();
+                let packed = ctx.gpu.memory().peek(dst, want.len()).unwrap();
+                assert_eq!(packed, want, "{what}");
+            }
+        }
+    }
 }
