@@ -71,6 +71,23 @@ use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_core::{TraceLevel, Tracer};
 use tempi_stencil::{CheckpointStore, Decomp, HaloConfig, HaloExchanger};
 
+/// `println!` for what the subcommands print: once standard output is
+/// closed (`tempi-cli describe … | head -1`), the process ends quietly
+/// with exit 0 where `println!` would panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))
+    };
+}
+
+fn print_line(line: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write};
+    match writeln!(std::io::stdout(), "{line}") {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        printed => printed.expect("failed printing to stdout"),
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  tempi-cli describe \"<spec>\"\n  tempi-cli pack \"<spec>\" [--incount N] [--platform mv|op|sp] [--unpack]\n  tempi-cli commit \"<spec>\" [--platform mv|op|sp]\n  tempi-cli model <bytes> <block> [--word W] [--chunk C]\n  tempi-cli send \"<spec>\" [--incount N] [--method device|oneshot|staged|pipelined] [--tuner off|model|online] [--rounds R] [--faults \"<plan>\"] [--trace out.json]\n  tempi-cli stencil [--ranks P] [--n N] [--iters I] [--faults \"<plan>\"] [--recover] [--checkpoint-every N] [--trace out.json]\n  tempi-cli chaos [--seed S] [--iters N] [--shrink] [--out DIR] | --replay DIR\n  tempi-cli spec-help\n\nfault plan: comma-separated clauses, e.g.\n  \"seed=42,kernel=1.0,send=0.05,corrupt=0.1,delay=0.2:20us,exit=1@5ms,retries=4,backoff=10us\""
@@ -177,24 +194,18 @@ fn trace_setup(args: &[String]) -> (Tracer, Option<String>) {
 fn trace_export(tracer: &Tracer, path: Option<&String>) {
     if let Some(p) = path {
         match tracer.write_chrome_trace(p) {
-            Ok(()) => println!(
+            Ok(()) => out!(
                 "trace         : {} events -> {p} (open in chrome://tracing)",
                 tracer.event_count()
             ),
-            Err(e) => {
-                eprintln!("error: writing trace file `{p}`: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&format!("writing trace file `{p}`"), e),
         }
     }
     if let Ok(mp) = std::env::var("TEMPI_TRACE_FILE") {
         if tracer.enabled() {
             match tracer.write_metrics_jsonl(&mp) {
-                Ok(()) => println!("metrics       : -> {mp}"),
-                Err(e) => {
-                    eprintln!("error: writing metrics file `{mp}`: {e}");
-                    std::process::exit(1);
-                }
+                Ok(()) => out!("metrics       : -> {mp}"),
+                Err(e) => fail(&format!("writing metrics file `{mp}`"), e),
             }
         }
     }
@@ -212,7 +223,7 @@ fn main() {
         "stencil" => stencil(&args[1..]),
         "chaos" => chaos(&args[1..]),
         "spec-help" => {
-            println!("{}", SPEC_HELP);
+            out!("{}", SPEC_HELP);
         }
         _ => usage(),
     }
@@ -253,8 +264,8 @@ fn describe(args: &[String]) {
     let attrs = ctx
         .attrs(dt)
         .unwrap_or_else(|e| fail("datatype attributes", e));
-    println!("construction : {}", ctx.describe(dt));
-    println!(
+    out!("construction : {}", ctx.describe(dt));
+    out!(
         "size         : {} bytes   extent: {} bytes   true extent: {} bytes (lb {})",
         attrs.size,
         attrs.extent(),
@@ -268,38 +279,40 @@ fn describe(args: &[String]) {
     };
     match translated {
         Translated::Strided(tree) => {
-            println!("\ntranslated IR ({} nodes):\n{tree}", tree.node_count());
+            out!("\ntranslated IR ({} nodes):\n{tree}", tree.node_count());
             let (canon, passes) = simplify(tree);
-            println!(
+            out!(
                 "canonical after {passes} pass(es) ({} nodes):\n{canon}",
                 canon.node_count()
             );
             if let Some(sb) = strided_block(&canon) {
-                println!(
+                out!(
                     "StridedBlock : start={} counts={:?} strides={:?}",
-                    sb.start, sb.counts, sb.strides
+                    sb.start,
+                    sb.counts,
+                    sb.strides
                 );
             }
         }
         Translated::Blocks(bl) => {
-            println!(
+            out!(
                 "\nblock list ({} blocks, largest {} B):",
                 bl.blocks.len(),
                 bl.max_block()
             );
             for (off, len) in bl.blocks.iter().take(16) {
-                println!("  {off:>8} +{len}");
+                out!("  {off:>8} +{len}");
             }
             if bl.blocks.len() > 16 {
-                println!("  ... {} more", bl.blocks.len() - 16);
+                out!("  ... {} more", bl.blocks.len() - 16);
             }
         }
         Translated::Multi(members) => {
-            println!("\nmember list ({} strided members)", members.len())
+            out!("\nmember list ({} strided members)", members.len())
         }
-        Translated::Empty => println!("\n(empty type: no bytes)"),
+        Translated::Empty => out!("\n(empty type: no bytes)"),
         Translated::Unsupported(c) => {
-            println!("\nnot accelerated (combiner {c:?}): falls through to the system MPI")
+            out!("\nnot accelerated (combiner {c:?}): falls through to the system MPI")
         }
     }
     // committed plan
@@ -308,7 +321,7 @@ fn describe(args: &[String]) {
         .type_commit(&mut ctx, dt)
         .unwrap_or_else(|e| fail("type commit", e));
     match &plan.kind {
-        PlanKind::Strided(kp) => println!(
+        PlanKind::Strided(kp) => out!(
             "\nkernel plan  : {:?}, word W={}, block dims {}, grid(x1)={}",
             kp.kind,
             kp.word,
@@ -316,10 +329,10 @@ fn describe(args: &[String]) {
             kp.grid_for(1)
         ),
         PlanKind::Multi(members) => {
-            println!("\nkernel plan  : {} members in one launch", members.len());
+            out!("\nkernel plan  : {} members in one launch", members.len());
             for (i, m) in members.iter().enumerate() {
                 let n = m.ndims as usize;
-                println!(
+                out!(
                     "  {i:>2}: start={} counts={:?} strides={:?} W={}",
                     m.start,
                     &m.counts[..n],
@@ -329,14 +342,14 @@ fn describe(args: &[String]) {
             }
             let pack =
                 Cell::of(Platform::Summit, tree, 1).and_then(|cell| cell.pack(&Side::tempi()));
-            println!(
+            out!(
                 "modelled pack: {}",
                 pack.unwrap_or_else(|e| fail("pack model", e))
             );
         }
-        other => println!("\nkernel plan  : {other:?}"),
+        other => out!("\nkernel plan  : {other:?}"),
     }
-    println!(
+    out!(
         "commit       : {} introspection calls, {} -> {} IR nodes, {} virtual time",
         plan.report.introspection_calls,
         plan.report.nodes_before,
@@ -366,10 +379,10 @@ fn pack(args: &[String]) {
     let t = measure(Side::tempi());
     let s = measure(Side::System);
     let what = if unpack { "unpack" } else { "pack" };
-    println!("platform      : {}", platform.label());
-    println!("TEMPI {what}  : {t}");
-    println!("system {what} : {s}");
-    println!(
+    out!("platform      : {}", platform.label());
+    out!("TEMPI {what}  : {t}");
+    out!("system {what} : {s}");
+    out!(
         "speedup       : {}",
         fmt_speedup(s.as_ns_f64() / t.as_ns_f64())
     );
@@ -382,11 +395,11 @@ fn commit(args: &[String]) {
     let b = Cell::of(platform, tree, 1)
         .and_then(|cell| cell.commit())
         .unwrap_or_else(|e| fail("commit breakdown", e));
-    println!("platform       : {}", platform.label());
-    println!("create         : {}", b.create);
-    println!("commit (system): {}", b.commit_system);
-    println!("commit (TEMPI) : {}", b.commit_tempi);
-    println!(
+    out!("platform       : {}", platform.label());
+    out!("create         : {}", b.create);
+    out!("commit (system): {}", b.commit_system);
+    out!("commit (TEMPI) : {}", b.commit_tempi);
+    out!(
         "slowdown       : {:.1}x over {} introspection calls",
         b.slowdown(),
         b.introspection_calls
@@ -405,13 +418,13 @@ fn model(args: &[String]) {
     let block = parse_size("block", block);
     let word: usize = int_flag(args, "--word", 4);
     let m = SendModel::summit_internode();
-    println!("object {bytes} B, contiguous blocks {block} B, word W={word}\n");
+    out!("object {bytes} B, contiguous blocks {block} B, word W={word}\n");
     for (name, b) in [
         ("device  ", m.t_device(bytes, block, word)),
         ("one-shot", m.t_oneshot(bytes, block, word)),
         ("staged  ", m.t_staged(bytes, block, word)),
     ] {
-        println!(
+        out!(
             "{name}: pack {:>12} + transfer {:>12} + unpack {:>12} = {}",
             format!("{}", b.pack),
             format!("{}", b.transfer),
@@ -428,7 +441,7 @@ fn model(args: &[String]) {
         }
     };
     if let Some(chunk) = chunk {
-        println!(
+        out!(
             "pipelined({} B chunks): {}",
             chunk,
             m.t_pipelined(bytes, block, word, chunk)
@@ -438,7 +451,7 @@ fn model(args: &[String]) {
     let runs = block > 0 && bytes % block == 0 && bytes / block >= 2;
     if runs {
         let n = bytes / block;
-        println!(
+        out!(
             "run cut ({n} parts of {block} B, no pack): {}",
             m.t_cut(bytes, block)
         );
@@ -452,16 +465,16 @@ fn model(args: &[String]) {
         &Calibration::NONE,
     );
     match (choice.method, choice.chunk) {
-        (Method::Device, Some(run)) => println!("\nmodel choice: {}", cut_label(bytes, run)),
-        (method, Some(chunk)) => println!("\nmodel choice: {method:?} ({chunk} B chunks)"),
-        (method, None) => println!("\nmodel choice: {method:?}"),
+        (Method::Device, Some(run)) => out!("\nmodel choice: {}", cut_label(bytes, run)),
+        (method, Some(chunk)) => out!("\nmodel choice: {method:?} ({chunk} B chunks)"),
+        (method, None) => out!("\nmodel choice: {method:?}"),
     }
     // a tiny visual of the pack-direction cost curve
-    println!("\npack-kernel time vs block size (device target, this object size):");
+    out!("\npack-kernel time vs block size (device target, this object size):");
     for b in [4usize, 16, 64, 256, 1024, 4096] {
         let t = m.t_pack(PackDir::Pack, gpu_sim::PackTarget::Device, bytes, b, word);
         let bar = "#".repeat(((t.as_us_f64().log10().max(0.0)) * 12.0) as usize);
-        println!("  {b:>5} B  {t:>12}  {bar}");
+        out!("  {b:>5} B  {t:>12}  {bar}");
     }
 }
 
@@ -557,7 +570,7 @@ fn send(args: &[String]) {
             std::process::exit(1);
         }
     };
-    println!(
+    out!(
         "world         : 2 ranks, rank 0 -> rank 1, {}",
         if cfg.faults.is_some() {
             "fault plan active"
@@ -565,12 +578,12 @@ fn send(args: &[String]) {
             "fault-free"
         }
     );
-    println!(
+    out!(
         "send method   : {} (last of {rounds} round(s))",
         results[0].0
     );
     let ts = &results[0].5;
-    println!(
+    out!(
         "tuner         : mode {tuner:?} — probes {}, bucket hits {}, method switches {}, pool reuse {}/{}",
         ts.tuner_probes,
         ts.tuner_bucket_hits,
@@ -578,7 +591,7 @@ fn send(args: &[String]) {
         ts.pool_hits,
         ts.pool_hits + ts.pool_fresh_allocs
     );
-    println!(
+    out!(
         "payload       : {} packed bytes — {}",
         results[1].2,
         if results[1].1 {
@@ -588,7 +601,7 @@ fn send(args: &[String]) {
         }
     );
     for (rank, (_, _, _, clock, stats, _)) in results.iter().enumerate() {
-        println!(
+        out!(
             "rank {rank}        : clock {clock}, send faults {}, recv faults {}, retries {} (backoff {}), delays {} (+{}), peer-gone {}",
             stats.send_faults,
             stats.recv_faults,
@@ -599,7 +612,7 @@ fn send(args: &[String]) {
             stats.peer_gone
         );
         for ev in &stats.events {
-            println!("  degrade     : {ev}");
+            out!("  degrade     : {ev}");
         }
     }
     trace_export(&tracer, trace_path.as_ref());
@@ -704,7 +717,7 @@ fn stencil(args: &[String]) {
         }
     };
     let d = Decomp::new(ranks);
-    println!(
+    out!(
         "world       : {ranks} ranks ({}x{}x{}), {n}^3 interior per rank (radius 2), {iters} iteration(s), {}, recovery {}",
         d.dims[0],
         d.dims[1],
@@ -720,7 +733,7 @@ fn stencil(args: &[String]) {
     for (rank, (outcome, clock, stats)) in results.iter().enumerate() {
         match outcome {
             Ok(o) => {
-                println!(
+                out!(
                     "rank {rank}      : {} — epoch {}, comm size {}, shrinks {}, excluded {:?}, checkpoints {}, restores {}, clock {clock}",
                     if o.ok { "verified" } else { "MISMATCH vs oracle" },
                     o.epoch,
@@ -737,13 +750,13 @@ fn stencil(args: &[String]) {
             Err(e) => {
                 // a killed rank (or an unrecovered survivor) lands here;
                 // with --recover only the dead ranks should
-                println!("rank {rank}      : failed ({e}), clock {clock}");
+                out!("rank {rank}      : failed ({e}), clock {clock}");
                 if !matches!(e, MpiError::PeerGone) {
                     failed = true;
                 }
             }
         }
-        println!(
+        out!(
             "  faults    : send {}, recv {}, retries {}, peer-gone {}, death notices {}, revocations {}, stale dropped {}, corruptions {}, nacks {}, retransmits {}",
             stats.send_faults,
             stats.recv_faults,
@@ -757,7 +770,7 @@ fn stencil(args: &[String]) {
             stats.retransmits
         );
         for ev in &stats.events {
-            println!("  degrade   : {ev}");
+            out!("  degrade   : {ev}");
         }
     }
     trace_export(&tracer, trace_path.as_ref());
@@ -779,7 +792,7 @@ fn chaos(args: &[String]) {
     let iters: u64 = int_flag(args, "--iters", 20);
     let do_shrink = args.iter().any(|a| a == "--shrink");
     let out_dir = flag_value(args, "--out").unwrap_or_else(|| "chaos/out".to_string());
-    println!(
+    out!(
         "campaign    : seed {seed}, {iters} scenario(s), shrink {}",
         if do_shrink { "on" } else { "off" }
     );
@@ -795,23 +808,23 @@ fn chaos(args: &[String]) {
             sc.events.len()
         );
         if outcome.ok() {
-            println!("{label}: ok");
+            out!("{label}: ok");
             continue;
         }
         failures += 1;
         for v in &outcome.violations {
-            println!("{label}: VIOLATION {v}");
+            out!("{label}: VIOLATION {v}");
         }
         if !do_shrink {
             continue;
         }
         let Some(shrunk) = tempi_chaos::shrink(&sc) else {
-            println!(
+            out!(
                 "{label}: violation did not reproduce under shrink — flaky scenario, please report"
             );
             continue;
         };
-        println!(
+        out!(
             "{label}: shrunk {} -> {} event(s) in {} run(s)",
             sc.events.len(),
             shrunk.scenario.events.len(),
@@ -825,18 +838,15 @@ fn chaos(args: &[String]) {
             std::path::Path::new(&out_dir),
             &name,
         ) {
-            Ok((sc_path, trace_path)) => println!(
+            Ok((sc_path, trace_path)) => out!(
                 "{label}: reproducer -> {} (trace {})",
                 sc_path.display(),
                 trace_path.display()
             ),
-            Err(e) => {
-                eprintln!("error: writing reproducer: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail("writing reproducer", e),
         }
     }
-    println!(
+    out!(
         "verdict     : {}/{iters} scenario(s) held every invariant",
         iters - failures
     );
@@ -856,15 +866,15 @@ fn chaos_replay(dir: &str) {
         }
     };
     if entries.is_empty() {
-        println!("corpus      : no entries under {dir}");
+        out!("corpus      : no entries under {dir}");
         return;
     }
     let mut failed = false;
     for (path, entry) in &entries {
         match tempi_chaos::corpus::replay(entry) {
-            Ok(()) => println!("{} ({}): ok", entry.name, entry.status),
+            Ok(()) => out!("{} ({}): ok", entry.name, entry.status),
             Err(e) => {
-                println!("{} ({}): FAILED — {e}", entry.name, entry.status);
+                out!("{} ({}): FAILED — {e}", entry.name, entry.status);
                 let _ = path;
                 failed = true;
             }

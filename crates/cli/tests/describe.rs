@@ -1,7 +1,7 @@
 //! `tempi-cli describe` exit codes: a spec that does not parse is a usage
 //! error (exit 2); one that parses but the registry rejects exits 1.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn describe(spec: &str) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tempi-cli"))
@@ -35,4 +35,26 @@ fn a_subarray_the_registry_rejects_exits_1_and_a_valid_one_pastes_back() {
         stdout.contains(&format!("construction : {spec}\n")),
         "{stdout}"
     );
+}
+
+/// A reader that stops early ends every subcommand quietly: exit 0 and
+/// nothing on standard error, where a print to a closed pipe would panic.
+#[test]
+fn a_closed_standard_output_ends_the_process_quietly() {
+    for args in [
+        &["describe", "vector(13, 100, 256, byte)"][..],
+        &["model", "4194304", "32"],
+        &["spec-help"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_tempi-cli"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("tempi-cli runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("tempi-cli ends");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!((out.status.code(), &*err), (Some(0), ""), "{args:?}");
+    }
 }

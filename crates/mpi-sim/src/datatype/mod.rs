@@ -13,10 +13,11 @@
 //!   `get_extent` / `size`), which TEMPI's translation phase walks to build
 //!   its IR, exactly as the real interposer must since it only sees opaque
 //!   handles; and
-//! * the **semantics face** ([`typemap::segments`]), the ground-truth list
-//!   of `(offset, length)` contiguous byte ranges in typemap order, which
-//!   defines pack/unpack meaning and is what baseline vendor
-//!   implementations iterate copy-by-copy.
+//! * the **semantics face** ([`typemap::for_each_block`]), the ground-truth
+//!   walk of `(offset, length)` contiguous byte ranges in typemap order,
+//!   which defines pack/unpack meaning ([`typemap::segments`] collects it
+//!   as the oracle's list) and hands the baseline vendor implementations
+//!   the blocks they copy one by one.
 
 pub mod named;
 pub mod pack_cpu;

@@ -204,9 +204,9 @@ impl TypeRegistry {
     /// conservative: elements that ascend and tile, repeated at strides
     /// that do not step back over each other. The indexed family and struct
     /// answer `false` without looking at their displacements; for one that
-    /// does ascend that costs host time only — `typemap::segments` walks it
-    /// block by block and merges the touching runs into the one segment
-    /// the fast path would have emitted.
+    /// does ascend that costs host time only — `typemap::for_each_block`
+    /// walks it piece by piece and merges the touching runs into the one
+    /// block the fast path would have found.
     pub fn create(&mut self, def: TypeDef) -> MpiResult<Datatype> {
         // an element type whose own typemap ascends and fills its extent
         let tiles = |old: &TypeInfo| old.ascending && old.attrs.is_dense();

@@ -2,14 +2,14 @@
 //!
 //! Every MPI datatype denotes a *typemap* — a sequence of (offset, named
 //! type) pairs. For pack/unpack purposes only the byte coverage and its
-//! order matter, so this module flattens a datatype into an ordered list of
-//! contiguous [`Segment`]s (merging adjacent ranges as it goes). This list
-//! is:
+//! order matter, so this module walks a datatype as its contiguous
+//! [`Segment`]s, merging adjacent ranges as it goes
+//! ([`for_each_block`], which stores nothing). That walk is:
 //!
 //! * the **reference semantics** against which TEMPI's canonicalized
-//!   GPU kernels are verified, and
-//! * the loop the **baseline vendor implementations** execute — one
-//!   `cudaMemcpyAsync` per segment — whose cost TEMPI's speedups are
+//!   GPU kernels are verified ([`segments`] collects it as a list), and
+//! * the blocks the **baseline vendor implementations** move — one
+//!   `cudaMemcpyAsync` per block — whose cost TEMPI's speedups are
 //!   measured against (Section 6.2 of the paper).
 
 use super::registry::TypeRegistry;
@@ -27,15 +27,35 @@ pub struct Segment {
     pub len: u64,
 }
 
-/// Flatten `dt` into contiguous segments in typemap order.
+/// Flatten `dt` into contiguous segments in typemap order: the blocks
+/// [`for_each_block`] visits, as a list.
 ///
 /// Adjacent-in-order segments that touch in memory are merged, so a
 /// contiguous construction of any depth collapses to a single segment.
 /// (Segments are *not* sorted: MPI pack order is typemap order.)
 pub fn segments(reg: &TypeRegistry, dt: Datatype) -> MpiResult<Vec<Segment>> {
     let mut out = Vec::new();
-    emit(reg, dt, 0, &mut out)?;
+    for_each_block(reg, dt, |s| {
+        out.push(s);
+        Ok(())
+    })?;
     Ok(out)
+}
+
+/// Hand `sink` each contiguous block of one item of `dt`, in typemap
+/// order, with no allocation: the pieces the walk finds, merged where one
+/// starts at the byte the previous one ends. A dense subtree visited in
+/// address order is one block, found without visiting its elements. A
+/// dead handle anywhere in the tree, or an error from `sink`, ends the
+/// walk with that error.
+pub fn for_each_block(
+    reg: &TypeRegistry,
+    dt: Datatype,
+    sink: impl FnMut(Segment) -> MpiResult<()>,
+) -> MpiResult<()> {
+    let mut out = Blocks { open: None, sink };
+    emit(reg, dt, 0, &mut out)?;
+    out.open.map_or(Ok(()), out.sink)
 }
 
 /// Total bytes of data (sum of segment lengths — equals `MPI_Type_size`).
@@ -43,25 +63,34 @@ pub fn data_bytes(segs: &[Segment]) -> u64 {
     segs.iter().map(|s| s.len).sum()
 }
 
-/// Byte length of the largest contiguous segment.
-pub fn max_block(segs: &[Segment]) -> u64 {
-    segs.iter().map(|s| s.len).max().unwrap_or(0)
+/// The walk's merge rule: the block still growing, and where finished
+/// blocks go.
+struct Blocks<F> {
+    open: Option<Segment>,
+    sink: F,
 }
 
-fn push_seg(out: &mut Vec<Segment>, off: i64, len: u64) {
-    if len == 0 {
-        return;
-    }
-    if let Some(last) = out.last_mut() {
-        if last.off + last.len as i64 == off {
-            last.len += len;
-            return;
+impl<F: FnMut(Segment) -> MpiResult<()>> Blocks<F> {
+    /// Extend the open block by `len` bytes at `off` if they touch its
+    /// end; else finish it and open one there.
+    fn push(&mut self, off: i64, len: u64) -> MpiResult<()> {
+        match &mut self.open {
+            _ if len == 0 => {}
+            Some(last) if last.off + last.len as i64 == off => last.len += len,
+            open => {
+                if let Some(done) = open.replace(Segment { off, len }) {
+                    (self.sink)(done)?;
+                }
+            }
         }
+        Ok(())
     }
-    out.push(Segment { off, len });
 }
 
-fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> MpiResult<()> {
+fn emit<F>(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Blocks<F>) -> MpiResult<()>
+where
+    F: FnMut(Segment) -> MpiResult<()>,
+{
     let info = reg.info(dt)?;
     // A subtree of no data emits nothing; return before placing its
     // blocks, as the registry never did (a block of no elements may lie a
@@ -71,17 +100,13 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
     }
     // Fast path: a dense subtree visited in address order is one segment.
     if info.attrs.is_dense() && info.ascending {
-        push_seg(out, base + info.attrs.lb, info.attrs.size);
-        return Ok(());
+        return out.push(base + info.attrs.lb, info.attrs.size);
     }
     match &info.def {
-        TypeDef::Named(n) => push_seg(out, base, n.size() as u64),
+        TypeDef::Named(n) => out.push(base, n.size() as u64)?,
         TypeDef::Dup { oldtype } => emit(reg, *oldtype, base, out)?,
         TypeDef::Contiguous { count, oldtype } => {
-            let ex = reg.attrs(*oldtype)?.extent();
-            for i in 0..*count as i64 {
-                emit(reg, *oldtype, base + i * ex, out)?;
-            }
+            emit_elements(reg, *oldtype, (base, 0), *count as i64, out)?
         }
         TypeDef::Vector {
             count,
@@ -91,10 +116,8 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
         } => {
             let ex = reg.attrs(*oldtype)?.extent();
             for i in 0..*count as i64 {
-                let block = base + i * *stride as i64 * ex;
-                for j in 0..*blocklength as i64 {
-                    emit(reg, *oldtype, block + j * ex, out)?;
-                }
+                let disp = i * *stride as i64 * ex;
+                emit_elements(reg, *oldtype, (base, disp), *blocklength as i64, out)?;
             }
         }
         TypeDef::Hvector {
@@ -103,12 +126,9 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
             stride_bytes,
             oldtype,
         } => {
-            let ex = reg.attrs(*oldtype)?.extent();
             for i in 0..*count as i64 {
-                let block = base + i * stride_bytes;
-                for j in 0..*blocklength as i64 {
-                    emit(reg, *oldtype, block + j * ex, out)?;
-                }
+                let disp = i * stride_bytes;
+                emit_elements(reg, *oldtype, (base, disp), *blocklength as i64, out)?;
             }
         }
         TypeDef::Indexed {
@@ -118,10 +138,7 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
         } => {
             let ex = reg.attrs(*oldtype)?.extent();
             for (bl, d) in blocklengths.iter().zip(displacements) {
-                let block = base + *d as i64 * ex;
-                for j in 0..*bl as i64 {
-                    emit(reg, *oldtype, block + j * ex, out)?;
-                }
+                emit_elements(reg, *oldtype, (base, *d as i64 * ex), *bl as i64, out)?;
             }
         }
         TypeDef::IndexedBlock {
@@ -131,10 +148,8 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
         } => {
             let ex = reg.attrs(*oldtype)?.extent();
             for d in displacements {
-                let block = base + *d as i64 * ex;
-                for j in 0..*blocklength as i64 {
-                    emit(reg, *oldtype, block + j * ex, out)?;
-                }
+                let disp = *d as i64 * ex;
+                emit_elements(reg, *oldtype, (base, disp), *blocklength as i64, out)?;
             }
         }
         TypeDef::Hindexed {
@@ -142,11 +157,8 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
             displacements_bytes,
             oldtype,
         } => {
-            let ex = reg.attrs(*oldtype)?.extent();
             for (bl, d) in blocklengths.iter().zip(displacements_bytes) {
-                for j in 0..*bl as i64 {
-                    emit(reg, *oldtype, base + d + j * ex, out)?;
-                }
+                emit_elements(reg, *oldtype, (base, *d), *bl as i64, out)?;
             }
         }
         TypeDef::Subarray {
@@ -164,10 +176,8 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
             types,
         } => {
             for i in 0..types.len() {
-                let ex = reg.attrs(types[i])?.extent();
-                for j in 0..blocklengths[i] as i64 {
-                    emit(reg, types[i], base + displacements_bytes[i] + j * ex, out)?;
-                }
+                let (disp, n) = (displacements_bytes[i], blocklengths[i] as i64);
+                emit_elements(reg, types[i], (base, disp), n, out)?;
             }
         }
         TypeDef::Resized { oldtype, .. } => emit(reg, *oldtype, base, out)?,
@@ -175,23 +185,55 @@ fn emit(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Vec<Segment>) -> 
     Ok(())
 }
 
+/// Emit `n` elements of `old` one extent apart from `base + disp`.
+/// Elements that tile (dense, visited in address order) are one piece of
+/// `n` times their size: the pieces the fast path would find one by one,
+/// already merged. No elements add nothing, not even their displacement,
+/// which may lie where no offset arithmetic survives.
+fn emit_elements<F>(
+    reg: &TypeRegistry,
+    old: Datatype,
+    (base, disp): (i64, i64),
+    n: i64,
+    out: &mut Blocks<F>,
+) -> MpiResult<()>
+where
+    F: FnMut(Segment) -> MpiResult<()>,
+{
+    let info = reg.info(old)?;
+    if n > 0 && info.attrs.is_dense() && info.ascending {
+        return out.push(base + disp + info.attrs.lb, n as u64 * info.attrs.size);
+    }
+    let ex = info.attrs.extent();
+    (0..n).try_for_each(|j| emit(reg, old, base + disp + j * ex, out))
+}
+
 /// Emit the elements of a subarray's `dims`, slowest first, that lie in
 /// the `span` bytes of the full array those dimensions cover at `base`.
 /// The slowest dimension steps `span` over its size, the next one that
-/// step over its own size, down to the element: no list of strides.
-fn emit_subarray<'a>(
+/// step over its own size, down to the fastest one's run of elements: no
+/// list of strides.
+fn emit_subarray<'a, F>(
     reg: &TypeRegistry,
     oldtype: Datatype,
     mut dims: impl Iterator<Item = &'a Dim> + Clone,
     span: i64,
     base: i64,
-    out: &mut Vec<Segment>,
-) -> MpiResult<()> {
+    out: &mut Blocks<F>,
+) -> MpiResult<()>
+where
+    F: FnMut(Segment) -> MpiResult<()>,
+{
     let Some(d) = dims.next() else {
         return emit(reg, oldtype, base, out);
     };
     let stride = span / d.size as i64;
-    for i in d.start as i64..(d.start + d.subsize) as i64 {
+    let (start, n) = (d.start as i64, d.subsize as i64);
+    // the fastest dimension's elements lie one element extent apart
+    if dims.clone().next().is_none() {
+        return emit_elements(reg, oldtype, (base, start * stride), n, out);
+    }
+    for i in start..start + n {
         emit_subarray(reg, oldtype, dims.clone(), stride, base + i * stride, out)?;
     }
     Ok(())
@@ -235,7 +277,7 @@ mod tests {
         assert_eq!(segs[0], Segment { off: 0, len: 400 });
         assert_eq!(segs[1], Segment { off: 512, len: 400 });
         assert_eq!(data_bytes(&segs), 5200);
-        assert_eq!(max_block(&segs), 400);
+        assert!(segs.iter().all(|s| s.len == 400));
     }
 
     #[test]
@@ -404,11 +446,51 @@ mod tests {
     }
 
     #[test]
+    fn elements_that_do_not_tile_are_walked_one_by_one() {
+        let mut r = reg();
+        let seg = |off, len| Segment { off, len };
+        // a padded element: each is its own block, a stride apart or not
+        let padded = r.type_contiguous(2, MPI_BYTE).unwrap();
+        let padded = r.type_create_resized(padded, 0, 4).unwrap();
+        let h = r.type_create_hvector(2, 3, 20, padded).unwrap();
+        let want = [0, 4, 8, 20, 24, 28].map(|off| seg(off, 2));
+        assert_eq!(segments(&r, h).unwrap(), want);
+        // a subarray's fastest dimension of holey elements (extent 3):
+        // elements 1 and 2 cover bytes 3, 5 and 6, 8, the middle two touch
+        let holey = r.type_vector(2, 1, 2, MPI_BYTE).unwrap();
+        let sub = (r.type_create_subarray(&[4], &[2], &[1], Order::C, holey)).unwrap();
+        assert_eq!(
+            segments(&r, sub).unwrap(),
+            [seg(3, 1), seg(5, 2), seg(8, 1)]
+        );
+        // in two dimensions, padded elements stay ten blocks and elements
+        // that tile are one block per row
+        let sub = (r.type_create_subarray(&[4, 8], &[2, 5], &[1, 3], Order::C, padded)).unwrap();
+        assert_eq!(segments(&r, sub).unwrap().len(), 10);
+        let dense = r.type_contiguous(4, MPI_BYTE).unwrap();
+        let sub = (r.type_create_subarray(&[4, 8], &[2, 5], &[1, 3], Order::C, dense)).unwrap();
+        assert_eq!(segments(&r, sub).unwrap(), [seg(44, 20), seg(76, 20)]);
+    }
+
+    #[test]
+    fn a_block_of_no_elements_adds_no_displacement() {
+        // the far block holds nothing, so the second item's walk never
+        // adds its displacement to that item's base
+        let mut r = reg();
+        let far = [i64::MAX, 0];
+        let h = r.type_create_hindexed(&[0, 1], &far, MPI_INT).unwrap();
+        let s = (r.type_create_struct(&[0, 1], &far, &[MPI_INT, MPI_INT])).unwrap();
+        for t in [h, s] {
+            let v = r.type_vector(2, 1, 1, t).unwrap();
+            assert_eq!(segments(&r, v).unwrap(), [Segment { off: 0, len: 8 }]);
+        }
+    }
+
+    #[test]
     fn zero_size_type_has_no_segments() {
         let mut r = reg();
         let t = r.type_contiguous(0, MPI_INT).unwrap();
         assert!(segments(&r, t).unwrap().is_empty());
-        assert_eq!(max_block(&[]), 0);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   vector / hvector / indexed / hindexed / subarray / struct / resized
 //!   types with MPI-standard attribute semantics (size, extent, true
 //!   extent), full `get_envelope`/`get_contents` introspection (the face
-//!   TEMPI's translation consumes), typemap flattening to contiguous
-//!   segments (the semantics oracle), and reference CPU pack/unpack;
+//!   TEMPI's translation consumes), an allocation-free walk of the
+//!   typemap's contiguous blocks (the semantics oracle, and what the
+//!   baselines copy), and reference CPU pack/unpack;
 //! * **vendor profiles** ([`vendor`]) reproducing the baseline GPU datatype
 //!   behavior of Spectrum MPI 10.3.1.2, OpenMPI 4.0.5 and MVAPICH2 2.3.4 —
 //!   copy-per-block packing, MVAPICH's specialized root-vector kernel and

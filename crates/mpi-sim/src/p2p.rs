@@ -13,15 +13,17 @@
 //! `completion = max(local now, depart + transfer_time)`. Message order per
 //! (source, destination) pair is preserved (MPI's non-overtaking rule).
 
-use gpu_sim::{GpuPtr, MemSpace, Memory, PackDir, SimTime};
+use std::sync::Arc;
 
-use crate::datatype::typemap::{segments, Segment};
-use crate::datatype::{Combiner, Datatype};
+use gpu_sim::{GpuPtr, MemSpace, Memory, PackDir, SimTime};
+use tempi_trace::sync::RwLock;
+
+use crate::datatype::{typemap, Combiner, Datatype, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::net::Transport;
 use crate::runtime::RankCtx;
 use crate::sched::ParkOp;
-use crate::vendor::{baseline_gpu_xfer, for_each_segment, is_contiguous, offset_ptr};
+use crate::vendor::{baseline_gpu_xfer, offset_ptr};
 
 /// Most bytes of capacity a payload may have to be kept as a rank's spare
 /// ([`RankCtx::spend`]): an exchange's messages, not a bulk transfer's parts.
@@ -163,13 +165,18 @@ pub fn check_item_offsets(count: usize, extent: i64, (lo, hi): (i64, i64)) -> Mp
 }
 
 /// Everything the system MPI's pack/unpack and send/recv paths need to know
-/// about a datatype, computed once per call (the TEMPI layer caches its own
-/// richer plan instead).
+/// about a datatype, taken by one walk of its typemap per call (the TEMPI
+/// layer caches its own richer plan instead). The blocks themselves are
+/// walked again where they move ([`WireType::for_each_block`]).
 pub(crate) struct WireType {
-    /// The segments of a type that is not one run ([`WireType::segs`]).
-    list: Vec<Segment>,
-    /// The one segment of a type that is one run, kept out of any list.
-    run: Option<Segment>,
+    registry: Arc<RwLock<TypeRegistry>>,
+    dt: Datatype,
+    /// Contiguous blocks in one item.
+    pub blocks: usize,
+    /// Bytes of one item's largest block.
+    pub max_block: usize,
+    /// Offset of one item's first block (0 for a type of no data).
+    pub first: i64,
     pub extent: i64,
     pub size: usize,
     pub root_is_vector: bool,
@@ -178,12 +185,52 @@ pub(crate) struct WireType {
 }
 
 impl WireType {
-    /// One item's segments, in typemap order.
-    pub fn segs(&self) -> &[Segment] {
-        match &self.run {
-            Some(run) => std::slice::from_ref(run),
-            None => &self.list,
+    /// The summary of committed `dt`, checked from root to leaves: a
+    /// dead handle anywhere in the tree fails here, before any byte moves.
+    pub fn new(registry: &Arc<RwLock<TypeRegistry>>, dt: Datatype) -> MpiResult<WireType> {
+        let reg = registry.read();
+        if !reg.is_committed(dt)? {
+            return Err(MpiError::NotCommitted);
         }
+        let (info, mut blocks, mut max_block, mut first) = (reg.info(dt)?, 0, 0, None);
+        typemap::for_each_block(&reg, dt, |b| {
+            blocks += 1;
+            max_block = max_block.max(b.len as usize);
+            first.get_or_insert(b.off);
+            Ok(())
+        })?;
+        Ok(WireType {
+            registry: Arc::clone(registry),
+            dt,
+            blocks,
+            max_block,
+            first: first.unwrap_or(0),
+            extent: info.attrs.extent(),
+            size: info.attrs.size as usize,
+            root_is_vector: info.def.combiner() == Combiner::Vector,
+            true_bounds: (info.attrs.true_lb, info.attrs.true_ub),
+        })
+    }
+
+    /// Hand `block` each block of `count` items `extent` apart, in typemap
+    /// order: its offset in the typed buffer, its length, and where its
+    /// bytes sit in the packed stream. The registry stays read-locked
+    /// across the walk, so `block` must never park the fiber.
+    pub fn for_each_block(
+        &self,
+        count: usize,
+        mut block: impl FnMut(i64, usize, usize) -> MpiResult<()>,
+    ) -> MpiResult<()> {
+        let reg = self.registry.read();
+        let mut pos = 0;
+        for item in 0..count {
+            typemap::for_each_block(&reg, self.dt, |b| {
+                block(item as i64 * self.extent + b.off, b.len as usize, pos)?;
+                pos += b.len as usize;
+                Ok(())
+            })?;
+        }
+        Ok(())
     }
 
     /// The packed size of `count` items, once their offsets are known to fit.
@@ -193,42 +240,12 @@ impl WireType {
     }
 
     /// Are `count` items one contiguous run (so a plain copy moves them)?
-    fn fully_contiguous(&self, count: usize) -> bool {
-        is_contiguous(self.segs()) && (count <= 1 || self.size as i64 == self.extent)
+    pub fn fully_contiguous(&self, count: usize) -> bool {
+        self.blocks <= 1 && (count <= 1 || self.size as i64 == self.extent)
     }
 }
 
 impl RankCtx {
-    pub(crate) fn wire_type(&self, dt: Datatype) -> MpiResult<WireType> {
-        if !self.is_committed(dt)? {
-            return Err(MpiError::NotCommitted);
-        }
-        let reg = self.registry().read();
-        let info = reg.info(dt)?;
-        let attrs = info.attrs;
-        // a dense type visited in address order is the one segment
-        // `segments` would find, and needs no list
-        let (list, run) = match attrs.size > 0 && attrs.is_dense() && info.ascending {
-            true => (
-                Vec::new(),
-                Some(Segment {
-                    off: attrs.lb,
-                    len: attrs.size,
-                }),
-            ),
-            false => (segments(&reg, dt)?, None),
-        };
-        let root_is_vector = matches!(reg.get_envelope(dt)?.combiner, Combiner::Vector);
-        Ok(WireType {
-            list,
-            run,
-            extent: attrs.extent(),
-            size: attrs.size as usize,
-            root_is_vector,
-            true_bounds: (attrs.true_lb, attrs.true_ub),
-        })
-    }
-
     /// Gather the bytes a datatype covers into a payload off the free list
     /// (functional effect only; callers charge the timing appropriate to
     /// their path).
@@ -241,7 +258,7 @@ impl RankCtx {
         let mut out = self.take_payload(wt.size * count);
         let mem = self.gpu.memory();
         let from = mem.region(buf);
-        for_each_segment(wt.segs(), wt.extent, count, |off, len, _| {
+        wt.for_each_block(count, |off, len, _| {
             out.extend_from_slice(from.read(offset_ptr(buf, off)?.offset, len)?);
             Ok(())
         })?;
@@ -259,7 +276,7 @@ impl RankCtx {
     ) -> MpiResult<()> {
         let mut mem = self.gpu.memory();
         let mut to = mem.region_mut(buf);
-        for_each_segment(wt.segs(), wt.extent, count, |off, len, pos| {
+        wt.for_each_block(count, |off, len, pos| {
             Ok(to.write(offset_ptr(buf, off)?.offset, &payload[pos..pos + len])?)
         })
     }
@@ -345,7 +362,7 @@ impl RankCtx {
         packed_size: usize,
         position: &mut usize,
     ) -> MpiResult<()> {
-        let wt = self.wire_type(dt)?;
+        let wt = WireType::new(&self.registry, dt)?;
         let bytes = wt.transfer(count)?;
         let end = self.packed_window(dt, *position, bytes, packed_size)?;
         self.wire_xfer(dir, &wt, typed, count, packed.add(*position))?;
@@ -368,19 +385,8 @@ impl RankCtx {
         packed: GpuPtr,
     ) -> MpiResult<()> {
         if typed.space.device_accessible() && packed.space.device_accessible() {
-            baseline_gpu_xfer(
-                &self.vendor,
-                &mut self.stream,
-                &mut self.clock,
-                wt.segs(),
-                wt.extent,
-                wt.root_is_vector,
-                typed,
-                count,
-                packed,
-                dir,
-            )?;
-            return Ok(());
+            let on = (&mut self.stream, &mut self.clock);
+            return baseline_gpu_xfer(&self.vendor, on, wt, typed, count, packed, dir).map(drop);
         }
         let bytes = wt.size * count;
         match dir {
@@ -391,11 +397,14 @@ impl RankCtx {
                 put?;
             }
             PackDir::Unpack => {
-                let payload = self.gpu.memory().peek(packed, bytes)?;
-                self.scatter_payload(typed, count, wt, &payload)?;
+                let mut payload = self.take_payload(bytes);
+                self.gpu.memory().peek_into(packed, bytes, &mut payload)?;
+                let landed = self.scatter_payload(typed, count, wt, &payload);
+                self.spend(payload);
+                landed?;
             }
         }
-        let t = self.vendor.host_pack_time(bytes, wt.segs().len() * count);
+        let t = self.vendor.host_pack_time(bytes, wt.blocks * count);
         self.clock.advance(t);
         Ok(())
     }
@@ -835,7 +844,7 @@ impl RankCtx {
         tag: i32,
     ) -> MpiResult<()> {
         self.send_gate(dest)?;
-        let wt = self.wire_type(dt)?;
+        let wt = WireType::new(&self.registry, dt)?;
         let bytes = wt.transfer(count)?;
         let fully_contiguous = wt.fully_contiguous(count);
 
@@ -857,7 +866,7 @@ impl RankCtx {
         // Contiguous device data, or host data (packed on the CPU).
         let payload = self.gather_payload(buf, count, &wt)?;
         if buf.space != MemSpace::Device && !fully_contiguous {
-            let t = self.vendor.host_pack_time(bytes, wt.segs().len() * count);
+            let t = self.vendor.host_pack_time(bytes, wt.blocks * count);
             self.clock.advance(t);
         }
         self.post(dest, tag, payload, buf.space)
@@ -873,7 +882,7 @@ impl RankCtx {
         tag: Option<i32>,
     ) -> MpiResult<Status> {
         self.check_comm()?;
-        let wt = self.wire_type(dt)?;
+        let wt = WireType::new(&self.registry, dt)?;
         let capacity = wt.transfer(count)?;
         self.recv_gate(src)?;
         let msg = self.match_message(src, tag)?;
@@ -912,7 +921,7 @@ impl RankCtx {
             self.scatter_payload(buf, items, &wt, &payload)?;
             self.spend(payload);
             if buf.space != MemSpace::Device && !fully_contiguous {
-                let t = self.vendor.host_pack_time(bytes, wt.segs().len() * items);
+                let t = self.vendor.host_pack_time(bytes, wt.blocks * items);
                 self.clock.advance(t);
             }
         }

@@ -23,8 +23,8 @@ use gpu_sim::{
     CopyRule, Dim3, GpuPtr, LaunchConfig, PackDir, PackTarget, SimClock, SimTime, Stream,
 };
 
-use crate::datatype::typemap::{max_block, Segment};
 use crate::error::{MpiError, MpiResult};
+use crate::p2p::WireType;
 
 /// Which system MPI a simulated world emulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,41 +166,27 @@ impl VendorProfile {
     }
 }
 
-/// Is the segment list a single contiguous run (so the baseline can use one
-/// plain copy)?
-pub fn is_contiguous(segs: &[Segment]) -> bool {
-    segs.len() <= 1
-}
-
 /// Baseline vendor `MPI_Pack` / `MPI_Unpack` on GPU buffers: the behavior
 /// TEMPI's speedups are measured against, one body for both directions.
 ///
-/// `segs` is the type's segment list, `extent` its extent (items of a
-/// repeated pack are `extent` apart), `root_is_vector` whether the
-/// outermost combiner is `MPI_Type_vector` (MVAPICH's fast-path trigger).
-/// Moves `incount` items between the typed buffer `strided` and the packed
-/// bytes starting at `packed`: `strided` is the source for `Pack`, the
-/// destination for `Unpack`. Returns which method was used.
-#[allow(clippy::too_many_arguments)]
-pub fn baseline_gpu_xfer(
+/// Moves `incount` items of `wt` (repeated `wt.extent` apart) between the
+/// typed buffer `strided` and the packed bytes starting at `packed`:
+/// `strided` is the source for `Pack`, the destination for `Unpack`, on
+/// `stream` and `clock`. Returns which method was used.
+pub(crate) fn baseline_gpu_xfer(
     profile: &VendorProfile,
-    stream: &mut Stream,
-    clock: &mut SimClock,
-    segs: &[Segment],
-    extent: i64,
-    root_is_vector: bool,
+    (stream, clock): (&mut Stream, &mut SimClock),
+    wt: &WireType,
     strided: GpuPtr,
     incount: usize,
     packed: GpuPtr,
     dir: PackDir,
 ) -> MpiResult<BaselineMethod> {
-    let item_bytes: u64 = segs.iter().map(|s| s.len).sum();
-    let total = item_bytes as usize * incount;
+    let total = wt.size * incount;
 
     // Contiguous fast path: one (possibly chunked) plain copy.
-    if is_contiguous(segs) && (incount <= 1 || item_bytes as i64 == extent) {
-        let base_off = segs.first().map(|s| s.off).unwrap_or(0);
-        let (dst, src) = dir.ends(offset_ptr(strided, base_off)?, packed);
+    if wt.fully_contiguous(incount) {
+        let (dst, src) = dir.ends(offset_ptr(strided, wt.first)?, packed);
         match profile.contiguous_chunk_bytes {
             Some(chunk) if total > chunk => {
                 let mut done = 0;
@@ -228,14 +214,14 @@ pub fn baseline_gpu_xfer(
     // MVAPICH specialized vector kernel: only when the root combiner is a
     // vector; hvector/subarray descriptions of the same object fall through
     // to copy-per-block (the fragility Fig. 7 highlights).
-    if profile.specialized_vector_kernel && root_is_vector {
+    if profile.specialized_vector_kernel && wt.root_is_vector {
         // the bytes move here, in one go; the launch below carries only
         // geometry and cost
         let gpu = stream.context().clone();
         let mut mem = gpu.memory();
         let (dst, src) = dir.ends(strided, packed);
         let mut copier = mem.copier(CopyRule::Kernel, dst, src);
-        for_each_segment(segs, extent, incount, |off, len, pos| {
+        wt.for_each_block(incount, |off, len, pos| {
             let (dst, src) = dir.ends(offset_ptr(strided, off)?.offset, packed.offset + pos);
             Ok(copier.copy(dst, src, len)?)
         })?;
@@ -244,15 +230,12 @@ pub fn baseline_gpu_xfer(
             dir,
             PackTarget::Device,
             total,
-            max_block(segs) as usize,
-            kernel_word(segs, strided, packed),
+            wt.max_block,
+            kernel_word(wt.max_block, strided, packed),
         );
+        let grid = gpu_sim::div_ceil(total as u64, 256).clamp(1, 65_535) as u32;
         let cfg = LaunchConfig {
-            grid: Dim3::new(
-                gpu_sim::div_ceil(total as u64, 256).clamp(1, 65_535) as u32,
-                1,
-                1,
-            ),
+            grid: Dim3::new(grid, 1, 1),
             block: Dim3::new(256, 1, 1),
         };
         stream.launch(clock, "mvapich_vector_kernel", cfg, cost, |_| Ok(()))?;
@@ -261,7 +244,7 @@ pub fn baseline_gpu_xfer(
     }
 
     // Copy-per-block: the universal baseline.
-    for_each_segment(segs, extent, incount, |off, len, pos| {
+    wt.for_each_block(incount, |off, len, pos| {
         let (dst, src) = dir.ends(offset_ptr(strided, off)?, packed.add(pos));
         stream.memcpy_async(clock, dst, src, len)?;
         clock.advance(profile.per_block_extra);
@@ -274,36 +257,12 @@ pub fn baseline_gpu_xfer(
     Ok(BaselineMethod::CopyPerBlock)
 }
 
-/// The segment walk of `incount` items `extent` apart: hands `run` each
-/// contiguous run's offset in the typed buffer, its length, and where its
-/// bytes sit in the packed stream.
-pub(crate) fn for_each_segment(
-    segs: &[Segment],
-    extent: i64,
-    incount: usize,
-    mut run: impl FnMut(i64, usize, usize) -> MpiResult<()>,
-) -> MpiResult<()> {
-    let mut pos = 0;
-    for item in 0..incount {
-        let base = item as i64 * extent;
-        for seg in segs {
-            run(base + seg.off, seg.len as usize, pos)?;
-            pos += seg.len as usize;
-        }
-    }
-    Ok(())
-}
-
 /// Word size heuristic for the specialized kernel's cost (same rule as
-/// TEMPI's, applied to the baseline kernel for fairness).
-fn kernel_word(segs: &[Segment], a: GpuPtr, b: GpuPtr) -> usize {
-    let block = max_block(segs) as usize;
-    for w in [16usize, 8, 4, 2] {
-        if block % w == 0 && a.alignment() % w == 0 && b.alignment() % w == 0 {
-            return w;
-        }
-    }
-    1
+/// TEMPI's, applied to the baseline kernel for fairness): the widest word
+/// that divides the largest `block` and both buffers' alignment.
+fn kernel_word(block: usize, a: GpuPtr, b: GpuPtr) -> usize {
+    let fits = |w: usize| block % w == 0 && a.alignment() % w == 0 && b.alignment() % w == 0;
+    [16, 8, 4, 2].into_iter().find(|&w| fits(w)).unwrap_or(1)
 }
 
 pub(crate) fn offset_ptr(p: GpuPtr, off: i64) -> MpiResult<GpuPtr> {
@@ -316,16 +275,26 @@ pub(crate) fn offset_ptr(p: GpuPtr, off: i64) -> MpiResult<GpuPtr> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::datatype::registry::consts::*;
-    use crate::datatype::typemap::segments;
-    use crate::datatype::TypeRegistry;
+    use crate::datatype::{Datatype, TypeRegistry};
     use gpu_sim::{DeviceProps, GpuContext, GpuCostModel};
+    use tempi_trace::sync::RwLock;
 
-    fn setup() -> (GpuContext, Stream, SimClock, TypeRegistry) {
+    fn setup() -> (GpuContext, Stream, SimClock) {
         let ctx = GpuContext::new(DeviceProps::v100());
         let stream = Stream::new(ctx.clone(), GpuCostModel::summit_v100());
-        (ctx, stream, SimClock::new(), TypeRegistry::new())
+        (ctx, stream, SimClock::new())
+    }
+
+    /// The committed type `build` makes in a registry of its own.
+    fn wire(build: impl FnOnce(&mut TypeRegistry) -> MpiResult<Datatype>) -> WireType {
+        let mut reg = TypeRegistry::new();
+        let dt = build(&mut reg).unwrap();
+        reg.commit(dt).unwrap();
+        WireType::new(&Arc::new(RwLock::new(reg)), dt).unwrap()
     }
 
     fn filled_device(ctx: &GpuContext, n: usize) -> GpuPtr {
@@ -337,19 +306,15 @@ mod tests {
 
     #[test]
     fn copy_per_block_is_functionally_correct() {
-        let (ctx, mut stream, mut clock, mut reg) = setup();
-        let t = reg.type_vector(3, 2, 4, MPI_BYTE).unwrap();
-        let segs = segments(&reg, t).unwrap();
-        let (_, extent) = reg.extent(t).unwrap();
+        let (ctx, mut stream, mut clock) = setup();
+        let wt = wire(|r| r.type_vector(3, 2, 4, MPI_BYTE));
         let src = filled_device(&ctx, 12);
         let dst = ctx.malloc(6).unwrap();
+        let p = VendorProfile::openmpi();
         let method = baseline_gpu_xfer(
-            &VendorProfile::openmpi(),
-            &mut stream,
-            &mut clock,
-            &segs,
-            extent,
-            false,
+            &p,
+            (&mut stream, &mut clock),
+            &wt,
             src,
             1,
             dst,
@@ -364,64 +329,36 @@ mod tests {
 
     #[test]
     fn unpack_inverts_pack() {
-        let (ctx, mut stream, mut clock, mut reg) = setup();
-        let t = reg.type_vector(4, 8, 16, MPI_BYTE).unwrap();
-        let segs = segments(&reg, t).unwrap();
-        let (_, extent) = reg.extent(t).unwrap();
+        let (ctx, mut stream, mut clock) = setup();
+        let wt = wire(|r| r.type_vector(4, 8, 16, MPI_BYTE));
         let src = filled_device(&ctx, 64);
         let packed = ctx.malloc(32).unwrap();
         let out = ctx.malloc(64).unwrap();
         let p = VendorProfile::openmpi();
-        baseline_gpu_xfer(
-            &p,
-            &mut stream,
-            &mut clock,
-            &segs,
-            extent,
-            false,
-            src,
-            1,
-            packed,
-            PackDir::Pack,
-        )
-        .unwrap();
-        baseline_gpu_xfer(
-            &p,
-            &mut stream,
-            &mut clock,
-            &segs,
-            extent,
-            false,
-            out,
-            1,
-            packed,
-            PackDir::Unpack,
-        )
-        .unwrap();
+        let on = (&mut stream, &mut clock);
+        baseline_gpu_xfer(&p, on, &wt, src, 1, packed, PackDir::Pack).unwrap();
+        let on = (&mut stream, &mut clock);
+        baseline_gpu_xfer(&p, on, &wt, out, 1, packed, PackDir::Unpack).unwrap();
         // every byte covered by the type matches the source
         let want = ctx.memory().peek(src, 64).unwrap();
         let got = ctx.memory().peek(out, 64).unwrap();
-        for seg in &segs {
-            let o = seg.off as usize;
-            assert_eq!(
-                &got[o..o + seg.len as usize],
-                &want[o..o + seg.len as usize]
-            );
-        }
+        wt.for_each_block(1, |off, len, _| {
+            let o = off as usize;
+            assert_eq!(&got[o..o + len], &want[o..o + len]);
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]
     fn spectrum_is_slower_than_mvapich_per_block() {
-        let (ctx, _, _, mut reg) = setup();
-        let t = reg.type_vector(64, 4, 64, MPI_BYTE).unwrap();
-        let segs = segments(&reg, t).unwrap();
-        let (_, extent) = reg.extent(t).unwrap();
+        let (ctx, _, _) = setup();
+        // an hvector, so mvapich also takes copy-per-block
+        let wt = wire(|r| r.type_create_hvector(64, 4, 64, MPI_BYTE));
         let src = filled_device(&ctx, 64 * 64);
         let dst = ctx.malloc(256).unwrap();
 
         let mut times = Vec::new();
-        // use hvector-equivalent flag (root_is_vector = false) so mvapich
-        // also takes copy-per-block
         for p in [
             VendorProfile::mvapich(),
             VendorProfile::openmpi(),
@@ -429,19 +366,8 @@ mod tests {
         ] {
             let mut stream = Stream::new(ctx.clone(), GpuCostModel::summit_v100());
             let mut clock = SimClock::new();
-            baseline_gpu_xfer(
-                &p,
-                &mut stream,
-                &mut clock,
-                &segs,
-                extent,
-                false,
-                src,
-                1,
-                dst,
-                PackDir::Pack,
-            )
-            .unwrap();
+            let on = (&mut stream, &mut clock);
+            baseline_gpu_xfer(&p, on, &wt, src, 1, dst, PackDir::Pack).unwrap();
             times.push(clock.now());
         }
         assert!(
@@ -460,19 +386,16 @@ mod tests {
 
     #[test]
     fn mvapich_vector_uses_specialized_kernel() {
-        let (ctx, mut stream, mut clock, mut reg) = setup();
-        let t = reg.type_vector(256, 4, 64, MPI_BYTE).unwrap();
-        let segs = segments(&reg, t).unwrap();
-        let (_, extent) = reg.extent(t).unwrap();
+        let (ctx, mut stream, mut clock) = setup();
+        // the root is a vector
+        let wt = wire(|r| r.type_vector(256, 4, 64, MPI_BYTE));
         let src = filled_device(&ctx, 64 * 256);
         let dst = ctx.malloc(1024).unwrap();
+        let p = VendorProfile::mvapich();
         let method = baseline_gpu_xfer(
-            &VendorProfile::mvapich(),
-            &mut stream,
-            &mut clock,
-            &segs,
-            extent,
-            true, // root is a vector
+            &p,
+            (&mut stream, &mut clock),
+            &wt,
             src,
             1,
             dst,
@@ -490,46 +413,24 @@ mod tests {
 
     #[test]
     fn contiguous_single_copy_and_spectrum_chunks() {
-        let (ctx, _, _, mut reg) = setup();
-        let t = reg.type_contiguous(1 << 20, MPI_BYTE).unwrap();
-        let segs = segments(&reg, t).unwrap();
-        let (_, extent) = reg.extent(t).unwrap();
+        let (ctx, _, _) = setup();
+        let wt = wire(|r| r.type_contiguous(1 << 20, MPI_BYTE));
         let src = filled_device(&ctx, 1 << 20);
         let dst = ctx.malloc(1 << 20).unwrap();
 
         let mut stream = Stream::new(ctx.clone(), GpuCostModel::summit_v100());
         let mut clock = SimClock::new();
-        let m = baseline_gpu_xfer(
-            &VendorProfile::openmpi(),
-            &mut stream,
-            &mut clock,
-            &segs,
-            extent,
-            false,
-            src,
-            1,
-            dst,
-            PackDir::Pack,
-        )
-        .unwrap();
+        let p = VendorProfile::openmpi();
+        let on = (&mut stream, &mut clock);
+        let m = baseline_gpu_xfer(&p, on, &wt, src, 1, dst, PackDir::Pack).unwrap();
         assert_eq!(m, BaselineMethod::Contiguous);
         assert_eq!(stream.stats().memcpys, 1);
 
         let mut stream = Stream::new(ctx.clone(), GpuCostModel::summit_v100());
         let mut clock2 = SimClock::new();
-        baseline_gpu_xfer(
-            &VendorProfile::spectrum(),
-            &mut stream,
-            &mut clock2,
-            &segs,
-            extent,
-            false,
-            src,
-            1,
-            dst,
-            PackDir::Pack,
-        )
-        .unwrap();
+        let p = VendorProfile::spectrum();
+        let on = (&mut stream, &mut clock2);
+        baseline_gpu_xfer(&p, on, &wt, src, 1, dst, PackDir::Pack).unwrap();
         // 1 MiB / 128 KiB chunks = 8 copies, each synchronized
         assert_eq!(stream.stats().memcpys, 8);
         assert_eq!(stream.stats().syncs, 8);
@@ -538,19 +439,15 @@ mod tests {
 
     #[test]
     fn mvapich_contiguous_pack_returns_early() {
-        let (ctx, mut stream, mut clock, mut reg) = setup();
-        let t = reg.type_contiguous(4096, MPI_BYTE).unwrap();
-        let segs = segments(&reg, t).unwrap();
-        let (_, extent) = reg.extent(t).unwrap();
+        let (ctx, mut stream, mut clock) = setup();
+        let wt = wire(|r| r.type_contiguous(4096, MPI_BYTE));
         let src = filled_device(&ctx, 4096);
         let dst = ctx.malloc(4096).unwrap();
+        let p = VendorProfile::mvapich();
         baseline_gpu_xfer(
-            &VendorProfile::mvapich(),
-            &mut stream,
-            &mut clock,
-            &segs,
-            extent,
-            false,
+            &p,
+            (&mut stream, &mut clock),
+            &wt,
             src,
             1,
             dst,
@@ -564,20 +461,16 @@ mod tests {
 
     #[test]
     fn incount_repeats_at_extent() {
-        let (ctx, mut stream, mut clock, mut reg) = setup();
-        let t = reg.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // extent 6
-        let segs = segments(&reg, t).unwrap();
-        let (_, extent) = reg.extent(t).unwrap();
-        assert_eq!(extent, 6);
+        let (ctx, mut stream, mut clock) = setup();
+        let wt = wire(|r| r.type_vector(2, 2, 4, MPI_BYTE));
+        assert_eq!(wt.extent, 6);
         let src = filled_device(&ctx, 16);
         let dst = ctx.malloc(8).unwrap();
+        let p = VendorProfile::openmpi();
         baseline_gpu_xfer(
-            &VendorProfile::openmpi(),
-            &mut stream,
-            &mut clock,
-            &segs,
-            extent,
-            false,
+            &p,
+            (&mut stream, &mut clock),
+            &wt,
             src,
             2,
             dst,

@@ -2,15 +2,19 @@
 //! subarray of up to four dimensions in a freed slot, nothing for a commit
 //! of a shape the rank already holds a plan of, a small fixed number for
 //! the fused halo pair on a fresh library and for a halo exchanger's whole
-//! set-up, and an intern table that holds no plan no type uses. The
-//! allocator counts per thread, so the tests may run side by side.
+//! set-up, and an intern table that holds no plan no type uses; and the
+//! system MPI packing and unpacking a non-dense type it has moved before,
+//! nothing. The allocator counts per thread, so the tests may run side by
+//! side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use gpu_sim::MemSpace;
+
 use mpi_sim::consts::{MPI_BYTE, MPI_FLOAT};
 use mpi_sim::datatype::{TypeInfo, TypeTree};
-use mpi_sim::{Datatype, Order, RankCtx, WorldConfig};
+use mpi_sim::{Datatype, Order, RankCtx, VendorProfile, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_stencil::{HaloConfig, HaloExchanger, HaloTypes};
@@ -216,4 +220,48 @@ fn distinct_shapes_freed_through_the_library_leave_no_plan_behind() {
 #[test]
 fn distinct_shapes_freed_behind_its_back_leave_no_plan_behind() {
     distinct_shapes_leave_no_plan_behind(false);
+}
+
+/// The system MPI's `MPI_Pack` and `MPI_Unpack` of a vector, a 3-D
+/// subarray and an hindexed type, on device buffers (every vendor's
+/// baseline: MVAPICH's vector kernel and copy-per-block) and on host
+/// buffers (the CPU pack): after one warm-up call, neither allocates.
+#[test]
+fn the_system_mpi_packs_and_unpacks_a_warm_type_without_the_heap() {
+    for vendor in VendorProfile::all() {
+        let label = vendor.id.label();
+        let mut ctx = RankCtx::standalone(&WorldConfig {
+            vendor,
+            ..WorldConfig::summit(1)
+        });
+        for spec in [
+            "vector(13, 100, 256, byte)",
+            "subarray([16, 16, 16], [4, 5, 6], [1, 2, 3], float)",
+            "hindexed([3, 5, 2], [40, 0, 200], int)",
+        ] {
+            let dt = spec.parse::<TypeTree>().unwrap().build(&mut ctx).unwrap();
+            ctx.type_commit_native(dt).unwrap();
+            let attrs = ctx.attrs(dt).unwrap();
+            let (span, size) = (attrs.true_ub as usize, attrs.size as usize);
+            for space in [MemSpace::Device, MemSpace::Host] {
+                let alloc = |ctx: &RankCtx, n| match space {
+                    MemSpace::Device => ctx.gpu.malloc(n).unwrap(),
+                    _ => ctx.gpu.host_alloc(n).unwrap(),
+                };
+                let (typed, packed) = (alloc(&ctx, span), alloc(&ctx, size));
+                for warm in [false, true] {
+                    let pack = allocs(|| {
+                        (ctx.pack(typed, 1, dt, packed, size, &mut 0)).unwrap();
+                    });
+                    let unpack = allocs(|| {
+                        (ctx.unpack(packed, size, &mut 0, typed, 1, dt)).unwrap();
+                    });
+                    assert!(
+                        !warm || (pack, unpack) == (0, 0),
+                        "{label}, {spec}, {space:?}: pack {pack}, unpack {unpack} allocations"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -7,9 +7,10 @@ mod common;
 use common::{
     arb_struct, arb_typetree, for_each_case, for_each_tree, pattern, span_of, struct_zoo,
 };
+use gpu_sim::MemSpace;
 use mpi_sim::consts::MPI_SHORT;
 use mpi_sim::datatype::{pack_cpu, typemap, TypeTree};
-use mpi_sim::{Order, RankCtx, WorldConfig};
+use mpi_sim::{Order, RankCtx, VendorProfile, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::PlanKind;
@@ -170,35 +171,57 @@ fn unpack_inverts_pack() {
     });
 }
 
-/// The system-MPI pack (copy-per-block baseline) and TEMPI's pack are
-/// byte-identical — speed differs, semantics must not.
+/// The system MPI (each vendor's baseline on device buffers, the CPU pack
+/// on host buffers) and TEMPI pack the CPU oracle's bytes and unpack them
+/// where the oracle does, for one item and for three — speed differs,
+/// semantics must not.
 #[test]
 fn tempi_and_the_system_mpi_pack_the_same_bytes() {
     for_each_tree(0xa3, 96, |desc| {
-        let run = |interposed: bool, desc: &TypeTree| -> Option<Vec<u8>> {
-            let mut ctx = ctx();
-            let mut mpi = if interposed {
-                InterposedMpi::new(TempiConfig::default())
-            } else {
-                InterposedMpi::system_only()
-            };
+        for (vendor, incount) in VendorProfile::all()
+            .into_iter()
+            .flat_map(|v| [(v.clone(), 1), (v, 3)])
+        {
+            let label = vendor.id.label();
+            let mut ctx = RankCtx::standalone(&WorldConfig {
+                vendor,
+                ..WorldConfig::summit(1)
+            });
             let dt = desc.build(&mut ctx).unwrap();
-            mpi.type_commit(&mut ctx, dt).unwrap();
-            let size = ctx.attrs(dt).unwrap().size as usize;
+            let size = ctx.attrs(dt).unwrap().size as usize * incount;
             if size == 0 || size >= 1 << 20 {
-                return None;
+                continue;
             }
-            let span = span_of(&ctx, dt, 1);
+            let span = span_of(&ctx, dt, incount);
             let data = pattern(span);
-            let src = ctx.gpu.malloc(span).unwrap();
-            ctx.gpu.memory().poke(src, &data).unwrap();
-            let dst = ctx.gpu.malloc(size).unwrap();
-            let mut pos = 0;
-            mpi.pack(&mut ctx, src, 1, dt, dst, size, &mut pos).unwrap();
-            let out = ctx.gpu.memory().peek(dst, size).unwrap();
-            Some(out)
-        };
-        assert_eq!(run(true, desc), run(false, desc));
+            let (mut want, mut restored) = (vec![0u8; size], vec![0u8; span]);
+            let reg = ctx.registry().read();
+            pack_cpu::pack(&reg, &data, 0, incount, dt, &mut want, &mut 0).unwrap();
+            pack_cpu::unpack(&reg, &want, &mut 0, &mut restored, 0, incount, dt).unwrap();
+            drop(reg);
+            for (which, mut mpi) in [
+                ("TEMPI", InterposedMpi::new(TempiConfig::default())),
+                ("system", InterposedMpi::system_only()),
+            ] {
+                mpi.type_commit(&mut ctx, dt).unwrap();
+                for space in [MemSpace::Device, MemSpace::Host] {
+                    let what = format!("{which}, {label}, {incount} items, {space:?}");
+                    let alloc = |ctx: &RankCtx, n| match space {
+                        MemSpace::Device => ctx.gpu.malloc(n).unwrap(),
+                        _ => ctx.gpu.host_alloc(n).unwrap(),
+                    };
+                    let (src, dst, out) = (alloc(&ctx, span), alloc(&ctx, size), alloc(&ctx, span));
+                    ctx.gpu.memory().poke(src, &data).unwrap();
+                    mpi.pack(&mut ctx, src, incount, dt, dst, size, &mut 0)
+                        .unwrap();
+                    assert_eq!(ctx.gpu.memory().peek(dst, size).unwrap(), want, "{what}");
+                    mpi.unpack(&mut ctx, dst, size, &mut 0, out, incount, dt)
+                        .unwrap();
+                    let got = ctx.gpu.memory().peek(out, span).unwrap();
+                    assert_eq!(got, restored, "{what}");
+                }
+            }
+        }
     });
 }
 

@@ -7,9 +7,9 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use common::{arb_typetree, for_each_case, for_each_tree, pattern, struct_zoo, Rng};
-use mpi_sim::datatype::typemap::{data_bytes, segments};
+use mpi_sim::datatype::typemap::{data_bytes, for_each_block, segments};
 use mpi_sim::datatype::{pack_cpu, TypeDef, TypeTree};
-use mpi_sim::{payload_checksum, Combiner, RankCtx, WorldConfig};
+use mpi_sim::{payload_checksum, Combiner, MpiError, RankCtx, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::ir::strided_block::MAX_MEMBERS;
 use tempi_core::tempi::{PlanKind, Tempi};
@@ -299,6 +299,19 @@ fn registry_attributes_match_the_typemap_oracle() {
         let reg = ctx.registry().read();
         let (attrs, segs) = (reg.attrs(dt).unwrap(), segments(&reg, dt).unwrap());
         assert_eq!(attrs.size, data_bytes(&segs));
+        // the block walk visits the list, in order, and a sink's error
+        // ends it there
+        let mut visited = Vec::new();
+        let stop = segs.len() / 2;
+        let walked = for_each_block(&reg, dt, |b| {
+            visited.push(b);
+            match visited.len() > stop {
+                true => Err(MpiError::InvalidArg("stop".into())),
+                false => Ok(()),
+            }
+        });
+        assert_eq!(visited, segs[..segs.len().min(stop + 1)]);
+        assert_eq!(walked.is_err(), !segs.is_empty());
         if attrs.size > 0 {
             let lowest = segs.iter().map(|s| s.off).min();
             let end = segs.iter().map(|s| s.off + s.len as i64).max();
