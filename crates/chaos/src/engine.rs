@@ -12,8 +12,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gpu_sim::{GpuPtr, SimTime};
-use mpi_sim::consts::MPI_BYTE;
-use mpi_sim::datatype::Order;
+use mpi_sim::datatype::{typemap, TypeTree};
 use mpi_sim::{Datatype, MpiError, MpiResult, RankCtx, World, WorldConfig};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
@@ -160,41 +159,28 @@ struct ZooEntry {
 
 /// The datatype zoo: one dense, one strided, one 2-D subarray — the three
 /// canonical shapes of the paper's datatype taxonomy.
+const ZOO: [&str; 3] = [
+    "contiguous(512, byte)",
+    "vector(16, 8, 32, byte)",
+    "subarray([32, 32], [16, 8], [4, 4], byte)",
+];
+
+/// Build and commit [`ZOO`] in order; each entry's span is the type's
+/// extent and its blocks the typemap's, both read unpriced.
 fn build_zoo(ctx: &mut RankCtx, mpi: &mut InterposedMpi) -> MpiResult<Vec<ZooEntry>> {
-    let mut zoo = Vec::new();
-
-    let dt = ctx.type_contiguous(512, MPI_BYTE)?;
-    mpi.type_commit(ctx, dt)?;
-    zoo.push(ZooEntry {
-        dt,
-        span: 512,
-        blocks: vec![(0, 512)],
-    });
-
-    let (count, blocklen, stride) = (16usize, 8usize, 32usize);
-    let dt = ctx.type_vector(count as i32, blocklen as i32, stride as i32, MPI_BYTE)?;
-    mpi.type_commit(ctx, dt)?;
-    zoo.push(ZooEntry {
-        dt,
-        span: (count - 1) * stride + blocklen,
-        blocks: (0..count).map(|i| (i * stride, blocklen)).collect(),
-    });
-
-    let (rows, cols, sub_r, sub_c, r0, c0) = (32usize, 32usize, 16usize, 8usize, 4usize, 4usize);
-    let dt = ctx.type_create_subarray(
-        &[rows as i32, cols as i32],
-        &[sub_r as i32, sub_c as i32],
-        &[r0 as i32, c0 as i32],
-        Order::C,
-        MPI_BYTE,
-    )?;
-    mpi.type_commit(ctx, dt)?;
-    zoo.push(ZooEntry {
-        dt,
-        span: rows * cols,
-        blocks: (0..sub_r).map(|r| ((r0 + r) * cols + c0, sub_c)).collect(),
-    });
-    Ok(zoo)
+    ZOO.iter()
+        .map(|spec| {
+            let dt = spec.parse::<TypeTree>()?.build(ctx)?;
+            mpi.type_commit(ctx, dt)?;
+            let reg = ctx.registry().read();
+            let blocks = typemap::segments(&reg, dt)?.into_iter();
+            Ok(ZooEntry {
+                dt,
+                span: reg.extent(dt)?.1 as usize,
+                blocks: blocks.map(|s| (s.off as usize, s.len as usize)).collect(),
+            })
+        })
+        .collect()
 }
 
 /// Deterministic payload for `(sender, round, zoo index)`.

@@ -23,7 +23,7 @@ pub use crate::kernels::PlanKind;
 use crate::kernels::{execute, execute_on_host, execute_range, for_each_run, KernelKind, Typed};
 use crate::ladder::{Quarantine, Rung};
 use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
-use crate::tuner::{BucketKey, Tuner, Workload};
+use crate::tuner::{BucketKey, Term, Tuner, Workload};
 
 /// Per-call cost of going through the interposed entry point (plan-cache
 /// lookup, buffer bookkeeping). This is why the paper's contiguous and
@@ -754,7 +754,7 @@ impl Tempi {
                     phase(ctx, "pack", t0, || vec![("bytes", len.into())]);
                     if let (Some(m), false) = (&online, host) {
                         let modeled = m.t_pack(PackDir::Pack, recipe.pack, len, block, word);
-                        self.tuner.observe_pack(recipe.pack, modeled, t1 - t0);
+                        (self.tuner).observe(Term::Pack(recipe.pack), modeled, t1 - t0);
                     }
                     if recipe.bounce && !host {
                         // queues behind this chunk's pack kernel
@@ -765,7 +765,7 @@ impl Tempi {
                         if let Some(m) = &online {
                             let (modeled, took) =
                                 (m.t_copy(CopyKind::D2H, len), ctx.clock.now() - t1);
-                            self.tuner.observe_copy(CopyKind::D2H, modeled, took);
+                            self.tuner.observe(Term::Copy(CopyKind::D2H), modeled, took);
                         }
                     }
                     Ok(())
@@ -987,8 +987,8 @@ impl Tempi {
             if let Some(m) = &online {
                 let intra = ctx.net.same_node(ctx.rank, info.source);
                 let waited = ctx.clock.now() - t0;
-                self.tuner
-                    .observe_wire(recipe.wire, intra, m.t_wire(recipe.wire, len), waited);
+                let modeled = m.t_wire(recipe.wire, len);
+                (self.tuner).observe(Term::Wire(recipe.wire, intra), modeled, waited);
             }
 
             if recipe.bounce && kernels && fault.is_none() {
@@ -1005,7 +1005,7 @@ impl Tempi {
                     });
                     if let Some(m) = &online {
                         let (modeled, took) = (m.t_copy(CopyKind::H2D, len), ctx.clock.now() - t1);
-                        self.tuner.observe_copy(CopyKind::H2D, modeled, took);
+                        self.tuner.observe(Term::Copy(CopyKind::H2D), modeled, took);
                     }
                     Ok(())
                 });
@@ -1059,8 +1059,8 @@ impl Tempi {
                 if let (Some(m), true) = (&online, recipe.bounce) {
                     let modeled =
                         m.t_pack(PackDir::Unpack, recipe.pack, received, block, plan.word());
-                    self.tuner
-                        .observe_pack(recipe.pack, modeled, ctx.clock.now() - t2);
+                    let took = ctx.clock.now() - t2;
+                    self.tuner.observe(Term::Pack(recipe.pack), modeled, took);
                 }
                 Ok(())
             }

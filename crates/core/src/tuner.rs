@@ -16,8 +16,8 @@
 //!   Component ratios — not per-bucket totals — let one measured pack on a
 //!   misaligned layout re-rank *every* bucket that shares the component.
 //! - The per-bucket choice is the **argmin of the calibrated model**
-//!   ([`SendModel::choose_among`], the same ranking every mode uses, fed
-//!   the observed ratios) and is memoized; with probability ε (decaying
+//!   ([`SendModel::choose_among_runs`], the same ranking every mode uses,
+//!   fed the observed ratios) and is memoized; with probability ε (decaying
 //!   per bucket visit) or after a virtual-time re-probe interval, a
 //!   non-best method is chosen instead so its component ratios stay fresh.
 //!
@@ -115,50 +115,32 @@ impl Ewma {
     }
 }
 
-/// Component calibration state: one EWMA ratio per model term family.
-/// Indexed arrays rather than maps — the hot path reads these per send.
-#[derive(Debug, Clone)]
-struct Calibration {
-    /// Pack/unpack kernel ratio per [`PackTarget`]: [Device, MappedHost].
-    pack: [Ewma; 2],
-    /// Copy-engine ratio per direction: [D2H, H2D].
-    copy: [Ewma; 2],
-    /// Wire ratio per ([`Transport`], peer class):
-    /// [(Cpu, intra), (Cpu, inter), (Gpu, intra), (Gpu, inter)].
-    wire: [Ewma; 4],
+/// One calibrated term of the §5 model: the pack and unpack kernels per
+/// [`PackTarget`], the copy engine per [`CopyKind`], or the wire per
+/// ([`Transport`], peer shares this rank's node).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Term {
+    /// Pack and unpack kernels against a target.
+    Pack(PackTarget),
+    /// Copy-engine transfers in one direction.
+    Copy(CopyKind),
+    /// Wire transfers over a transport to a peer class.
+    Wire(Transport, bool),
 }
 
-impl Calibration {
-    fn new() -> Self {
-        Calibration {
-            pack: [Ewma::new(); 2],
-            copy: [Ewma::new(); 2],
-            wire: [Ewma::new(); 4],
-        }
-    }
-
-    fn pack_idx(target: PackTarget) -> usize {
-        match target {
-            PackTarget::Device => 0,
-            PackTarget::MappedHost => 1,
-        }
-    }
-
-    /// D2D/H2H copies are not staged-path components; fold them onto the
-    /// nearest engine direction so an observation is never dropped.
-    fn copy_idx(kind: CopyKind) -> usize {
-        match kind {
-            CopyKind::D2H | CopyKind::D2D => 0,
-            CopyKind::H2D | CopyKind::H2H => 1,
-        }
-    }
-
-    fn wire_idx(transport: Transport, intra: bool) -> usize {
-        match (transport, intra) {
-            (Transport::Cpu, true) => 0,
-            (Transport::Cpu, false) => 1,
-            (Transport::Gpu, true) => 2,
-            (Transport::Gpu, false) => 3,
+impl Term {
+    /// The term's slot in the tuner's ratio array. D2D/H2H copies are not
+    /// staged-path components; they fold onto the nearest engine direction
+    /// so an observation is never dropped.
+    fn index(self) -> usize {
+        match self {
+            Term::Pack(PackTarget::Device) => 0,
+            Term::Pack(PackTarget::MappedHost) => 1,
+            Term::Copy(CopyKind::D2H | CopyKind::D2D) => 2,
+            Term::Copy(CopyKind::H2D | CopyKind::H2H) => 3,
+            Term::Wire(transport, intra) => {
+                4 + 2 * (transport == Transport::Gpu) as usize + !intra as usize
+            }
         }
     }
 }
@@ -237,8 +219,7 @@ impl Decision {
 
 #[derive(Debug, Clone)]
 struct Bucket {
-    chosen: Method,
-    chunk: Option<usize>,
+    memo: Choice,
     visits: u64,
     last_probe: SimTime,
 }
@@ -249,7 +230,9 @@ struct Bucket {
 pub struct Tuner {
     mode: TunerMode,
     rng: XorShift64Star,
-    calib: Calibration,
+    /// One EWMA ratio per [`Term`], at [`Term::index`]: indexed rather
+    /// than mapped, as the hot path reads them per send.
+    calib: [Ewma; 8],
     buckets: HashMap<BucketKey, Bucket>,
 }
 
@@ -259,7 +242,7 @@ impl Tuner {
         Tuner {
             mode,
             rng: XorShift64Star::new(seed),
-            calib: Calibration::new(),
+            calib: [Ewma::new(); 8],
             buckets: HashMap::new(),
         }
     }
@@ -276,68 +259,24 @@ impl Tuner {
 
     /// The memoized (method, chunk) for a bucket, if it is warm.
     pub fn memoized(&self, key: &BucketKey) -> Option<(Method, Option<usize>)> {
-        self.buckets.get(key).map(|b| (b.chosen, b.chunk))
+        self.buckets.get(key).map(|b| (b.memo.method, b.memo.chunk))
     }
 
-    /// Current calibration ratio for a pack/unpack target.
-    pub fn pack_ratio(&self, target: PackTarget) -> f64 {
-        self.calib.pack[Calibration::pack_idx(target)].value
+    /// Current calibration ratio (measured ÷ modelled) of a model term.
+    pub fn ratio(&self, term: Term) -> f64 {
+        self.calib[term.index()].value
     }
 
-    /// Current calibration ratio for a copy-engine direction.
-    pub fn copy_ratio(&self, kind: CopyKind) -> f64 {
-        self.calib.copy[Calibration::copy_idx(kind)].value
-    }
-
-    /// Current calibration ratio for a wire (transport, peer-class) pair.
-    pub fn wire_ratio(&self, transport: Transport, intra: bool) -> f64 {
-        self.calib.wire[Calibration::wire_idx(transport, intra)].value
-    }
-
-    /// Record a measured pack or unpack against its modeled duration.
-    /// No-op unless the tuner is in [`TunerMode::Online`].
-    pub fn observe_pack(&mut self, target: PackTarget, modeled: SimTime, measured: SimTime) {
-        if self.mode != TunerMode::Online {
-            return;
-        }
-        let idx = Calibration::pack_idx(target);
-        Self::feed(&mut self.calib.pack[idx], modeled, measured);
-    }
-
-    /// Record a measured copy-engine transfer against its modeled duration.
-    /// No-op unless the tuner is in [`TunerMode::Online`].
-    pub fn observe_copy(&mut self, kind: CopyKind, modeled: SimTime, measured: SimTime) {
-        if self.mode != TunerMode::Online {
-            return;
-        }
-        let idx = Calibration::copy_idx(kind);
-        Self::feed(&mut self.calib.copy[idx], modeled, measured);
-    }
-
-    /// Record a measured wire transfer against its modeled duration. Wire
-    /// time is only visible on the *receiving* clock in the simulator
-    /// (senders pay just the send overhead), so this is fed from the
-    /// receive path and calibrates this rank's future sends — exact under
-    /// the symmetric traffic of ping-pong workloads, a prior elsewhere.
-    /// No-op unless the tuner is in [`TunerMode::Online`].
-    pub fn observe_wire(
-        &mut self,
-        transport: Transport,
-        intra: bool,
-        modeled: SimTime,
-        measured: SimTime,
-    ) {
-        if self.mode != TunerMode::Online {
-            return;
-        }
-        let idx = Calibration::wire_idx(transport, intra);
-        Self::feed(&mut self.calib.wire[idx], modeled, measured);
-    }
-
-    fn feed(ewma: &mut Ewma, modeled: SimTime, measured: SimTime) {
+    /// Record a measured duration of a model term against its modelled
+    /// one. Wire time is only visible on the *receiving* clock in the
+    /// simulator (senders pay just the send overhead), so a wire term is
+    /// fed from the receive path and calibrates this rank's future sends —
+    /// exact under the symmetric traffic of ping-pong workloads, a prior
+    /// elsewhere. No-op unless the tuner is in [`TunerMode::Online`].
+    pub fn observe(&mut self, term: Term, modeled: SimTime, measured: SimTime) {
         let m = modeled.as_ns_f64();
-        if m > 0.0 {
-            ewma.observe(measured.as_ns_f64() / m);
+        if self.mode == TunerMode::Online && m > 0.0 {
+            self.calib[term.index()].observe(measured.as_ns_f64() / m);
         }
     }
 
@@ -361,6 +300,10 @@ impl Tuner {
     /// [`Tuner::choose`] with the run cut among the candidates when `runs`
     /// says every run of the object is `wl.block` bytes long (see
     /// [`SendModel::choose_among_runs`]).
+    ///
+    /// Every mode decides by one rule: the calibrated argmin. `Off`
+    /// returns it; `Model` and `Online` memoize it per bucket, and only
+    /// `Online` may turn a warm visit into a probe of another method.
     pub(crate) fn choose_runs(
         &mut self,
         key: BucketKey,
@@ -372,132 +315,63 @@ impl Tuner {
     ) -> Decision {
         debug_assert!(!allowed.is_empty());
         let (Workload { bytes, block, word }, ratios) = (wl, self.ratios(key.intra_node));
-        let Choice {
-            method: best,
-            chunk: best_chunk,
-        } = model.choose_among_runs(allowed, runs, bytes, block, word, &ratios);
-
-        match self.mode {
-            TunerMode::Off => Decision {
-                method: best,
-                chunk: best_chunk,
-                probe: false,
-                bucket_hit: false,
-                switched: false,
-            },
-            TunerMode::Model => {
-                // Memoized analytical decision: no RNG, no re-probe, so a
-                // warm bucket replays the model's choice verbatim.
-                let (hit, switched) = match self.buckets.get_mut(&key) {
-                    Some(b) => {
-                        let switched = b.chosen != best;
-                        b.chosen = best;
-                        b.chunk = best_chunk;
-                        b.visits += 1;
-                        (true, switched)
-                    }
-                    None => {
-                        self.buckets.insert(
-                            key,
-                            Bucket {
-                                chosen: best,
-                                chunk: best_chunk,
-                                visits: 1,
-                                last_probe: now,
-                            },
-                        );
-                        (false, false)
-                    }
+        let best = model.choose_among_runs(allowed, runs, bytes, block, word, &ratios);
+        let mut d = Decision {
+            method: best.method,
+            chunk: best.chunk,
+            probe: false,
+            bucket_hit: false,
+            switched: false,
+        };
+        if self.mode == TunerMode::Off {
+            return d;
+        }
+        let Some(b) = self.buckets.get_mut(&key) else {
+            // Cold bucket: the ratios are 1.0 (or whatever other buckets
+            // already taught us), so this is the analytical model's
+            // choice. No exploration on first contact.
+            let bucket = Bucket {
+                memo: best,
+                visits: 1,
+                last_probe: now,
+            };
+            self.buckets.insert(key, bucket);
+            return d;
+        };
+        b.visits += 1;
+        d.bucket_hit = true;
+        if self.mode == TunerMode::Online {
+            // ε decays with visits and a re-probe falls due on the
+            // virtual clock; the RNG is drawn only if another method is
+            // allowed, and for ε only if no re-probe is due
+            let mut others = allowed.iter().copied().filter(|&m| m != best.method);
+            let n = others.clone().count();
+            let eps = EPSILON_0 / (1.0 + b.visits as f64 / EPSILON_DECAY);
+            let reprobe_due = now.saturating_sub(b.last_probe) >= REPROBE_INTERVAL;
+            let explore = n > 0 && (reprobe_due || self.rng.next_f64() < eps);
+            if let Some(method) = explore
+                .then(|| self.rng.below(n))
+                .and_then(|i| others.nth(i))
+            {
+                // a probe leaves the memo alone; one of the pipelined
+                // method runs at the chunk the model would give it, so the
+                // observation is representative
+                b.last_probe = now;
+                let only = [Method::Pipelined];
+                let chunk = (method == Method::Pipelined)
+                    .then(|| model.choose_among(&only, bytes, block, word, &ratios).chunk)
+                    .flatten();
+                return Decision {
+                    method,
+                    chunk,
+                    probe: true,
+                    ..d
                 };
-                Decision {
-                    method: best,
-                    chunk: best_chunk,
-                    probe: false,
-                    bucket_hit: hit,
-                    switched,
-                }
-            }
-            TunerMode::Online => {
-                let mut d = self.choose_online(key, best, best_chunk, allowed, now);
-                if d.method == Method::Pipelined && d.chunk.is_none() {
-                    // a probe of the pipelined method runs at the chunk
-                    // the model would give it, so the observation is
-                    // representative
-                    d.chunk = model
-                        .choose_among(
-                            &[Method::Pipelined],
-                            wl.bytes,
-                            wl.block,
-                            wl.word,
-                            &self.ratios(key.intra_node),
-                        )
-                        .chunk;
-                }
-                d
             }
         }
-    }
-
-    fn choose_online(
-        &mut self,
-        key: BucketKey,
-        best: Method,
-        best_chunk: Option<usize>,
-        allowed: &[Method],
-        now: SimTime,
-    ) -> Decision {
-        let others: Vec<Method> = allowed.iter().copied().filter(|m| *m != best).collect();
-        match self.buckets.get_mut(&key) {
-            Some(b) => {
-                b.visits += 1;
-                let eps = EPSILON_0 / (1.0 + b.visits as f64 / EPSILON_DECAY);
-                let reprobe_due = now.saturating_sub(b.last_probe) >= REPROBE_INTERVAL;
-                let explore = !others.is_empty() && (reprobe_due || self.rng.next_f64() < eps);
-                if explore {
-                    let pick = others[self.rng.below(others.len())];
-                    b.last_probe = now;
-                    Decision {
-                        method: pick,
-                        chunk: None,
-                        probe: true,
-                        bucket_hit: true,
-                        switched: false,
-                    }
-                } else {
-                    let switched = b.chosen != best;
-                    b.chosen = best;
-                    b.chunk = best_chunk;
-                    Decision {
-                        method: best,
-                        chunk: best_chunk,
-                        probe: false,
-                        bucket_hit: true,
-                        switched,
-                    }
-                }
-            }
-            None => {
-                // Cold bucket: the ratios are 1.0 (or whatever other
-                // buckets already taught us), so this is the analytical
-                // model's choice. No exploration on first contact.
-                self.buckets.insert(
-                    key,
-                    Bucket {
-                        chosen: best,
-                        chunk: best_chunk,
-                        visits: 1,
-                        last_probe: now,
-                    },
-                );
-                Decision {
-                    method: best,
-                    chunk: best_chunk,
-                    probe: false,
-                    bucket_hit: false,
-                    switched: false,
-                }
-            }
-        }
+        d.switched = b.memo.method != best.method;
+        b.memo = best;
+        d
     }
 
     /// The observed measured ÷ modelled ratios for a peer class, in the
@@ -505,12 +379,12 @@ impl Tuner {
     /// ratio is 1.0 and the calibrated argmin *is* the §5 model's.
     fn ratios(&self, intra: bool) -> Ratios {
         Ratios {
-            pack_device: self.pack_ratio(PackTarget::Device),
-            pack_mapped: self.pack_ratio(PackTarget::MappedHost),
-            d2h: self.copy_ratio(CopyKind::D2H),
-            h2d: self.copy_ratio(CopyKind::H2D),
-            wire_cpu: self.wire_ratio(Transport::Cpu, intra),
-            wire_gpu: self.wire_ratio(Transport::Gpu, intra),
+            pack_device: self.ratio(Term::Pack(PackTarget::Device)),
+            pack_mapped: self.ratio(Term::Pack(PackTarget::MappedHost)),
+            d2h: self.ratio(Term::Copy(CopyKind::D2H)),
+            h2d: self.ratio(Term::Copy(CopyKind::H2D)),
+            wire_cpu: self.ratio(Term::Wire(Transport::Cpu, intra)),
+            wire_gpu: self.ratio(Term::Wire(Transport::Gpu, intra)),
         }
     }
 }
@@ -630,9 +504,10 @@ mod tests {
         let mut t = Tuner::new(TunerMode::Online, 9);
         let modeled = SimTime::from_us(10);
         for _ in 0..8 {
-            t.observe_pack(PackTarget::MappedHost, modeled, SimTime::from_us(60));
+            let measured = SimTime::from_us(60);
+            t.observe(Term::Pack(PackTarget::MappedHost), modeled, measured);
         }
-        assert!(t.pack_ratio(PackTarget::MappedHost) > 5.0);
+        assert!(t.ratio(Term::Pack(PackTarget::MappedHost)) > 5.0);
         let d = t.choose(
             KEY,
             wl(bytes, 4096, 8),
@@ -682,12 +557,8 @@ mod tests {
         // overheads matter less, so the chunk must not grow.
         let mut slow = Tuner::new(TunerMode::Online, 3);
         for _ in 0..8 {
-            slow.observe_wire(
-                Transport::Cpu,
-                false,
-                SimTime::from_us(10),
-                SimTime::from_us(40),
-            );
+            let wire = Term::Wire(Transport::Cpu, false);
+            slow.observe(wire, SimTime::from_us(10), SimTime::from_us(40));
         }
         let ds = slow.choose(KEY, wl(4 << 20, 4096, 8), &m, &only, SimTime::ZERO);
         assert!(ds.chunk.unwrap() <= c, "{:?} vs {c}", ds.chunk);
@@ -713,5 +584,35 @@ mod tests {
             assert_eq!(d.method, Method::OneShot);
             assert!(!d.probe);
         }
+    }
+
+    #[test]
+    fn online_replays_its_recorded_decision_sequence() {
+        // Recorded from an earlier build, not this one: a change in what
+        // `Online` draws from its RNG, or when, moves it.
+        // Each token is the method's initial, `?` for a probe, the chunk
+        // and `xN` for N visits in a row.
+        const RECORDED: &str = "P131072x1 O?x1 D?x1 P131072x12 O?x1 P131072x80 D?x1 \
+            P131072x12 D?x1 P131072x76 S?x1 P131072x38 D?x1 P131072x14 S?x1 P131072x15 \
+            O?x1 D?x1 S?x2 O?x1 S?x2 D?x1";
+        let m = model();
+        let mut t = Tuner::new(TunerMode::Online, 42);
+        let late = (1..=8).map(|i| SimTime::from_us(2550) + SimTime::from_ms(i * 300));
+        let mut runs: Vec<(String, usize)> = Vec::new();
+        for now in (0..256).map(|i| SimTime::from_us(i * 10)).chain(late) {
+            let d = t.choose(KEY, wl(1 << 20, 64, 4), &m, &Method::LADDER, now);
+            let chunk = d.chunk.map_or(String::new(), |c| c.to_string());
+            let tok = format!(
+                "{}{}{chunk}",
+                &d.method.name()[..1],
+                ["", "?"][d.probe as usize]
+            );
+            match runs.last_mut() {
+                Some((last, k)) if *last == tok => *k += 1,
+                _ => runs.push((tok, 1)),
+            }
+        }
+        let got: Vec<String> = runs.iter().map(|(tok, k)| format!("{tok}x{k}")).collect();
+        assert_eq!(got.join(" "), RECORDED);
     }
 }

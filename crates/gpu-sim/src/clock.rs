@@ -14,8 +14,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use tempi_trace::json::{self, FromJson, ToJson, Value};
-
 /// A duration or instant on the virtual timeline, in picoseconds.
 ///
 /// `SimTime` is used both as a point in time (e.g. "the stream is busy until
@@ -24,19 +22,6 @@ use tempi_trace::json::{self, FromJson, ToJson, Value};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime {
     ps: u64,
-}
-
-/// `{"ps": N}` — the form fault plans persist their latencies in.
-impl ToJson for SimTime {
-    fn to_json(&self) -> Value {
-        Value::object([("ps", self.ps.to_json())])
-    }
-}
-
-impl FromJson for SimTime {
-    fn from_json(v: &Value) -> Result<SimTime, json::Error> {
-        Ok(SimTime { ps: v.field("ps")? })
-    }
 }
 
 impl SimTime {

@@ -4,12 +4,12 @@
 //! Seven sites can fail: three on the device (allocation, kernel launch,
 //! async copy) and four on a rank's message path and checkpoint I/O (send,
 //! receive, in-transit corruption, spill-file corruption). [`FaultSite`]'s
-//! table gives each site its names — the variant the chaos corpus spells,
-//! the `--faults` clause key, the fault-plan JSON field — and the salt its
-//! coin is drawn under. A [`SiteInjector`] holds every site's [`SiteSpec`]
-//! and counters and decides: a pure function of a seed, the site and that
-//! site's call ordinal — no wall clock and no global RNG — so a fault
-//! schedule replays identically run after run.
+//! table gives each site its names — the variant the chaos corpus spells
+//! and the `--faults` clause key — and the salt its coin is drawn under. A
+//! [`SiteInjector`] holds every site's [`SiteSpec`] and counters and
+//! decides: a pure function of a seed, the site and that site's call
+//! ordinal — no wall clock and no global RNG — so a fault schedule replays
+//! identically run after run.
 //!
 //! The MPI layer builds one injector per rank and, when a device site is
 //! active, installs the same `Arc` on that rank's [`crate::Memory`], so
@@ -43,9 +43,6 @@ fn unit_f64(h: u64) -> f64 {
 
 /// When one injection site fires: a per-call probability, an explicit list
 /// of scripted call ordinals, or both.
-///
-/// Serializable so higher layers (the chaos engine) can persist and replay
-/// minimized fault plans byte-for-byte.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SiteSpec {
     /// Probability in `[0, 1]` that any given call at this site fails.
@@ -53,25 +50,6 @@ pub struct SiteSpec {
     /// Call ordinals (0-based, counted per site) that always fail,
     /// independent of `probability`.
     pub at_calls: Vec<u64>,
-}
-
-impl ToJson for SiteSpec {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("probability", self.probability.to_json()),
-            ("at_calls", self.at_calls.to_json()),
-        ])
-    }
-}
-
-/// A missing field reads as its default: a sparse spec never fires.
-impl FromJson for SiteSpec {
-    fn from_json(v: &Value) -> Result<SiteSpec, json::Error> {
-        Ok(SiteSpec {
-            probability: v.field_or_default("probability")?,
-            at_calls: v.field_or_default("at_calls")?,
-        })
-    }
 }
 
 impl SiteSpec {
@@ -140,8 +118,7 @@ impl FaultSite {
     /// How many sites the table has.
     pub const COUNT: usize = 7;
 
-    /// Every site, in table order — the order of a fault plan's JSON
-    /// fields.
+    /// Every site, in table order.
     pub const ALL: [FaultSite; FaultSite::COUNT] = [
         FaultSite::Alloc,
         FaultSite::Kernel,
@@ -153,17 +130,16 @@ impl FaultSite {
     ];
 
     /// The site table, one row per site in [`FaultSite::ALL`] order:
-    /// variant spelling, `--faults` clause key, fault-plan JSON field, and
-    /// the salt that keeps the same ordinal at two sites from drawing the
-    /// same coin.
-    const TABLE: [(&'static str, &'static str, &'static str, u64); FaultSite::COUNT] = [
-        ("Alloc", "alloc", "alloc_oom", 0x616c_6c6f_635f_6f6d), // "alloc_om"
-        ("Kernel", "kernel", "kernel_fault", 0x6b65_726e_5f66_6c74), // "kern_flt"
-        ("Copy", "copy", "copy_fault", 0x636f_7079_5f66_6c74),  // "copy_flt"
-        ("Send", "send", "send_fail", 0x7365_6e64_5f66_6c74),   // "send_flt"
-        ("Recv", "recv", "recv_fail", 0x7265_6376_5f66_6c74),   // "recv_flt"
-        ("Corrupt", "corrupt", "corrupt", 0x636f_7272_5f66_6c74), // "corr_flt"
-        ("Spill", "spill", "spill_corrupt", 0x7370_696c_5f66_6c74), // "spil_flt"
+    /// variant spelling, `--faults` clause key, and the salt that keeps
+    /// the same ordinal at two sites from drawing the same coin.
+    const TABLE: [(&'static str, &'static str, u64); FaultSite::COUNT] = [
+        ("Alloc", "alloc", 0x616c_6c6f_635f_6f6d),     // "alloc_om"
+        ("Kernel", "kernel", 0x6b65_726e_5f66_6c74),   // "kern_flt"
+        ("Copy", "copy", 0x636f_7079_5f66_6c74),       // "copy_flt"
+        ("Send", "send", 0x7365_6e64_5f66_6c74),       // "send_flt"
+        ("Recv", "recv", 0x7265_6376_5f66_6c74),       // "recv_flt"
+        ("Corrupt", "corrupt", 0x636f_7272_5f66_6c74), // "corr_flt"
+        ("Spill", "spill", 0x7370_696c_5f66_6c74),     // "spil_flt"
     ];
 
     /// The variant's name (`"Corrupt"`), as the chaos corpus spells it.
@@ -179,16 +155,10 @@ impl FaultSite {
         Self::TABLE[self as usize].1
     }
 
-    /// The fault-plan JSON field holding the site's [`SiteSpec`].
-    #[must_use]
-    pub fn field(self) -> &'static str {
-        Self::TABLE[self as usize].2
-    }
-
     /// The salt the site's coin is drawn under.
     #[must_use]
     pub fn salt(self) -> u64 {
-        Self::TABLE[self as usize].3
+        Self::TABLE[self as usize].2
     }
 
     /// Does the site fire on the device (and so need the injector

@@ -753,7 +753,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_alloc_oom_is_scripted_and_reported() {
+    fn an_injected_alloc_fault_is_scripted_and_reported() {
         use crate::fault::{FaultSite, SiteInjector, SiteSpec};
         let c = ctx();
         let mut specs: [SiteSpec; FaultSite::COUNT] = Default::default();

@@ -38,24 +38,6 @@ pub struct DelaySpec {
     pub latency: SimTime,
 }
 
-impl ToJson for DelaySpec {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("probability", self.probability.to_json()),
-            ("latency", self.latency.to_json()),
-        ])
-    }
-}
-
-impl FromJson for DelaySpec {
-    fn from_json(v: &Value) -> Result<DelaySpec, json::Error> {
-        Ok(DelaySpec {
-            probability: v.field("probability")?,
-            latency: v.field("latency")?,
-        })
-    }
-}
-
 impl DelaySpec {
     /// Does this spec ever fire?
     #[must_use]
@@ -72,21 +54,6 @@ pub struct RankExit {
     pub rank: usize,
     /// The virtual instant of the exit.
     pub at: SimTime,
-}
-
-impl ToJson for RankExit {
-    fn to_json(&self) -> Value {
-        Value::object([("rank", self.rank.to_json()), ("at", self.at.to_json())])
-    }
-}
-
-impl FromJson for RankExit {
-    fn from_json(v: &Value) -> Result<RankExit, json::Error> {
-        Ok(RankExit {
-            rank: v.field("rank")?,
-            at: v.field("at")?,
-        })
-    }
 }
 
 /// One scripted fault event targeting a single rank: "on rank `rank`, call
@@ -126,9 +93,8 @@ impl FromJson for ScopedFault {
 
 /// A complete, reproducible description of the faults in one run.
 ///
-/// Serializable (missing fields deserialize to their defaults) so the
-/// chaos engine can persist failing plans, shrink them offline, and replay
-/// committed reproducers byte-for-byte.
+/// Written as a `--faults` spec ([`FaultPlan::parse`]) or lowered from a
+/// chaos scenario, which is what the chaos engine persists and replays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed mixed (with the rank) into every probabilistic decision.
@@ -148,46 +114,6 @@ pub struct FaultPlan {
     pub max_retries: u32,
     /// First backoff; doubles per retry (charged to the virtual clock).
     pub backoff_base: SimTime,
-}
-
-/// Keys in a fixed order: `seed`, one field per site in table order, then
-/// the rest.
-impl ToJson for FaultPlan {
-    fn to_json(&self) -> Value {
-        let sites = FaultSite::ALL.map(|site| (site.field(), self.site(site).to_json()));
-        let rest = [
-            ("delay", self.delay.to_json()),
-            ("rank_exits", self.rank_exits.to_json()),
-            ("scoped", self.scoped.to_json()),
-            ("max_retries", self.max_retries.to_json()),
-            ("backoff_base", self.backoff_base.to_json()),
-        ];
-        let members = [("seed", self.seed.to_json())]
-            .into_iter()
-            .chain(sites)
-            .chain(rest);
-        Value::Object(members.map(|(k, v)| (k.to_string(), v)).collect())
-    }
-}
-
-/// A missing field reads as its *type's* default, not the plan's (no
-/// retries, no backoff): a sparse plan injects nothing.
-impl FromJson for FaultPlan {
-    fn from_json(v: &Value) -> Result<FaultPlan, json::Error> {
-        let mut sites: [SiteSpec; FaultSite::COUNT] = Default::default();
-        for site in FaultSite::ALL {
-            sites[site as usize] = v.field_or_default(site.field())?;
-        }
-        Ok(FaultPlan {
-            seed: v.field_or_default("seed")?,
-            sites,
-            delay: v.field_or_default("delay")?,
-            rank_exits: v.field_or_default("rank_exits")?,
-            scoped: v.field_or_default("scoped")?,
-            max_retries: v.field_or_default("max_retries")?,
-            backoff_base: v.field_or_default("backoff_base")?,
-        })
-    }
 }
 
 impl Default for FaultPlan {
@@ -758,50 +684,6 @@ mod tests {
             FaultInjector::new(&plan, 1).device_sites().is_none(),
             "other ranks stay clean"
         );
-    }
-
-    #[test]
-    fn plan_roundtrips_through_json() {
-        let mut plan = FaultPlan::parse(
-            "seed=9,alloc=0.1,send@3,corrupt=0.2,spill@0,delay=0.5:30us,exit=2@1ms,retries=5,backoff=2us",
-        )
-        .unwrap();
-        plan.scoped.push(ScopedFault {
-            rank: 1,
-            site: FaultSite::Corrupt,
-            at_call: 4,
-        });
-        let json = plan.to_json();
-        let Value::Object(members) = &json else {
-            panic!("a plan is an object: {json}");
-        };
-        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "seed",
-                "alloc_oom",
-                "kernel_fault",
-                "copy_fault",
-                "send_fail",
-                "recv_fail",
-                "corrupt",
-                "spill_corrupt",
-                "delay",
-                "rank_exits",
-                "scoped",
-                "max_retries",
-                "backoff_base",
-            ]
-        );
-        let back: FaultPlan = json::from_str(&json.to_string()).unwrap();
-        assert_eq!(back, plan);
-        // Missing fields deserialize to type defaults; the engine always
-        // serializes complete plans, so sparse JSON only occurs when a
-        // reproducer is hand-edited -- and a sparse plan injects nothing.
-        let sparse: FaultPlan = json::from_str(r#"{"seed": 3}"#).unwrap();
-        assert_eq!(sparse.seed, 3);
-        assert!(!sparse.is_active());
     }
 
     #[test]

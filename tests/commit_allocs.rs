@@ -4,19 +4,21 @@
 //! the fused halo pair on a fresh library and for a halo exchanger's whole
 //! set-up, and an intern table that holds no plan no type uses; and the
 //! system MPI packing and unpacking a non-dense type it has moved before,
-//! nothing. The allocator counts per thread, so the tests may run side by
-//! side.
+//! nothing. A warm tuner decides a send without the heap in every mode,
+//! probes included. The allocator counts per thread, so the tests may run
+//! side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gpu_sim::MemSpace;
+use gpu_sim::{MemSpace, SimTime};
 
 use mpi_sim::consts::{MPI_BYTE, MPI_FLOAT};
 use mpi_sim::datatype::{TypeInfo, TypeTree};
 use mpi_sim::{Datatype, Order, RankCtx, VendorProfile, WorldConfig};
-use tempi_core::config::TempiConfig;
+use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
+use tempi_core::{BucketKey, SendModel, Tuner, Workload};
 use tempi_stencil::{HaloConfig, HaloExchanger, HaloTypes};
 
 /// The system allocator, counting the allocations each thread asks for.
@@ -263,5 +265,40 @@ fn the_system_mpi_packs_and_unpacks_a_warm_type_without_the_heap() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn a_warm_tuner_decides_without_the_heap_in_every_mode() {
+    let model = SendModel::summit_internode();
+    let (bytes, block) = (1 << 20, 64);
+    let (key, wl) = (
+        BucketKey::new(1, block, bytes, false),
+        Workload {
+            bytes,
+            block,
+            word: 4,
+        },
+    );
+    for mode in [TunerMode::Off, TunerMode::Model, TunerMode::Online] {
+        let mut tuner = Tuner::new(mode, 42);
+        // 100 ms apart: a re-probe falls due every third visit, and
+        // ε-probes land between them
+        let mut choose =
+            |i: u64| tuner.choose(key, wl, &model, &Method::LADDER, SimTime::from_ms(100 * i));
+        choose(0);
+        let mut probes = 0;
+        let n_allocs = allocs(|| (1..=512).for_each(|i| probes += choose(i).probe as u32));
+        assert_eq!(n_allocs, 0, "{mode:?}");
+        assert_eq!(
+            probes > 0,
+            mode == TunerMode::Online,
+            "{mode:?}: {probes} probes"
+        );
+        assert_eq!(
+            tuner.bucket_count(),
+            (mode != TunerMode::Off) as usize,
+            "{mode:?}"
+        );
     }
 }
