@@ -12,9 +12,13 @@
 //! the next: each level reads its constructor arguments into the scratch's
 //! argument stacks, the form in which `MPI_Type_get_contents` fills arrays
 //! its caller owns, and builds its chain, block list or member list on
-//! the scratch's lists. A translation of a shape the scratch has held
-//! before allocates nothing, and the recursive frames hold indices only.
+//! the scratch's lists. The levels waiting on a child's translation wait
+//! on a [`WalkPath`] of frames — the first few in place, the rest in the
+//! scratch — not in a recursion, so a type of any nesting depth translates
+//! in constant call-stack space. A translation of a shape the scratch has
+//! held before allocates nothing.
 
+use mpi_sim::datatype::walk::WalkPath;
 use mpi_sim::datatype::{Combiner, Datatype, Envelope};
 use mpi_sim::{MpiError, MpiResult, RankCtx, TypeRegistry};
 
@@ -127,21 +131,75 @@ type Spec = (i64, i64, i64);
 
 /// Where one level's constructor arguments start in the scratch's three
 /// argument stacks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Args {
     ints: usize,
     addrs: usize,
     types: usize,
 }
 
+/// A level waiting on the translation of one of its children: where its
+/// arguments and stream levels start on the stacks, and what it does with
+/// the child's result.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
+    args: Args,
+    specs: usize,
+    wait: Wait,
+}
+
+/// What a waiting level does with its child's result.
+#[derive(Debug, Clone, Copy, Default)]
+enum Wait {
+    /// A dup or resized type: the result is the level's.
+    #[default]
+    Same,
+    /// A contiguous, vector or subarray type: wrap the result in the
+    /// level's streams, which are all one element at offset 0 when
+    /// `in_place`.
+    Streams { in_place: bool },
+    /// An indexed-family type of `combiner` over elements `ex` bytes apart.
+    Indexed { combiner: Combiner, ex: i64 },
+    /// A struct, at the member [`StructAt`] says.
+    Struct(StructAt),
+}
+
+/// How far a struct's translation has come: at member `k`, whose elements
+/// lie `ex` bytes apart. Its runs start at `blocks[out]`, its members at
+/// `members[first]`, and `strided` holds while every member so far was one
+/// strided object.
+#[derive(Debug, Clone, Copy)]
+struct StructAt {
+    k: usize,
+    ex: i64,
+    out: usize,
+    first: usize,
+    strided: bool,
+}
+
+/// The levels of a translation waiting on a child, innermost on top.
+type Path = WalkPath<Frame>;
+
+/// Where a level's translation stands after one step.
+enum Step {
+    /// The level is done: its result.
+    Done(Shape),
+    /// The level waits on a frame for this child's translation.
+    Child(Datatype),
+}
+
 /// The storage translation reuses from one datatype to the next. Every
-/// list is a stack: a level's arguments, stream levels, runs and members
-/// lie above those of the levels that are translating it, and a level's
-/// result is the top of its list. Only one chain is ever being built —
-/// a level consumes each child's before it asks for the next — so the
-/// chain, the canonical object and one element's runs are single values.
+/// list is a stack: a level's frame, arguments, stream levels, runs and
+/// members lie above those of the levels that are translating it, and a
+/// level's result is the top of its list. Only one chain is ever being
+/// built — a level consumes each child's before it asks for the next — so
+/// the chain, the canonical object and one element's runs are single
+/// values.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
+    /// The frames of a translation's levels past the ones its
+    /// [`WalkPath`] holds in place.
+    frames: Vec<Frame>,
     ints: Vec<i64>,
     addrs: Vec<i64>,
     types: Vec<Datatype>,
@@ -173,7 +231,10 @@ impl Scratch {
         self.specs.clear();
         self.blocks.clear();
         self.members.clear();
-        translate_in(intro, self, dt)
+        let mut path = WalkPath::new(Frame::default(), std::mem::take(&mut self.frames));
+        let shape = translate_in(intro, self, &mut path, dt);
+        self.frames = path.into_spill();
+        shape
     }
 
     /// Canonicalize [`Scratch::chain`] in place (Algorithm 5), returning
@@ -239,6 +300,16 @@ impl Scratch {
             false => Shape::Empty,
         }
     }
+
+    /// The level `frame` describes is done with result `shape`: its
+    /// arguments and stream levels leave the stacks, its result stays.
+    fn finish(&mut self, frame: Frame, shape: Shape) -> Step {
+        self.ints.truncate(frame.args.ints);
+        self.addrs.truncate(frame.args.addrs);
+        self.types.truncate(frame.args.types);
+        self.specs.truncate(frame.specs);
+        Step::Done(shape)
+    }
 }
 
 /// Translate `dt` into the IR (Algorithms 1–4, plus the hvector, resized,
@@ -249,47 +320,64 @@ pub fn translate<I: Introspect>(intro: &mut I, dt: Datatype) -> MpiResult<Transl
     Ok(scratch.to_translated(shape))
 }
 
-/// One level of [`Scratch::translate`]: its arguments and stream levels
-/// leave the stacks when it returns, its result stays.
-fn translate_in<I: Introspect>(intro: &mut I, s: &mut Scratch, dt: Datatype) -> MpiResult<Shape> {
-    let env = intro.envelope(dt)?;
-    let (args, specs) = (s.push_args(intro, dt, &env)?, s.specs.len());
-    let shape = translate_level(intro, s, dt, env.combiner, args, specs);
-    s.ints.truncate(args.ints);
-    s.addrs.truncate(args.addrs);
-    s.types.truncate(args.types);
-    s.specs.truncate(specs);
-    shape
-}
-
-/// The body of [`translate_in`]: `args` locates `dt`'s arguments, and its
-/// stream levels go on the stack from `specs`.
-fn translate_level<I: Introspect>(
+/// Translate `dt` in `s` (see [`Scratch::translate`]). A level is entered
+/// once and then resumed once per child it waits on, waiting in between
+/// on a frame on `path`, so the call stack stays as deep as one level.
+fn translate_in<I: Introspect>(
     intro: &mut I,
     s: &mut Scratch,
+    path: &mut Path,
     dt: Datatype,
-    combiner: Combiner,
-    c: Args,
-    specs: usize,
 ) -> MpiResult<Shape> {
+    let mut step = enter(intro, s, path, dt)?;
+    loop {
+        step = match step {
+            Step::Child(child) => enter(intro, s, path, child)?,
+            Step::Done(shape) => match path.pop() {
+                None => return Ok(shape),
+                Some(frame) => resume(intro, s, path, frame, shape)?,
+            },
+        };
+    }
+}
+
+/// Start translating `dt`: read its arguments, then finish it at once or
+/// leave it waiting on a frame for the child it names.
+fn enter<I: Introspect>(
+    intro: &mut I,
+    s: &mut Scratch,
+    path: &mut Path,
+    dt: Datatype,
+) -> MpiResult<Step> {
+    let env = intro.envelope(dt)?;
+    let (c, specs) = (s.push_args(intro, dt, &env)?, s.specs.len());
+    let frame = Frame {
+        args: c,
+        specs,
+        wait: Wait::Same,
+    };
+    let combiner = env.combiner;
     match combiner {
         // Algorithm 1: named types are dense, offset 0.
         Combiner::Named => {
             let (_, extent) = intro.extent(dt)?;
             s.chain.leaf = DenseData { off: 0, extent };
             s.chain.streams.clear();
-            Ok(Shape::Strided)
+            Ok(Step::Done(Shape::Strided))
         }
         // Neither changes where the data lies; a parent asks MPI for the
         // (possibly resized) extent itself.
-        Combiner::Dup | Combiner::Resized => translate_in(intro, s, s.types[c.types]),
+        Combiner::Dup | Combiner::Resized => {
+            path.push(frame);
+            Ok(Step::Child(s.types[c.types]))
+        }
         // Algorithm 2: a contiguous type is a stream whose stride is the
         // element extent.
         Combiner::Contiguous => {
             let (count, old) = (s.ints[c.ints], s.types[c.types]);
             let ex = stride_extent(intro, old, count > 1)?;
             s.specs.push((0, ex, count));
-            wrap_stream(intro, s, old, specs)
+            Ok(wrap_streams(s, path, frame, old))
         }
         // Algorithm 3: vector/hvector become two nested streams (blocks,
         // then elements within a block), the blocks a stride in elements
@@ -306,7 +394,7 @@ fn translate_level<I: Introspect>(
                 _ => s.addrs[c.addrs],
             };
             s.specs.extend([(0, ex, blocklength), (0, apart, count)]);
-            wrap_stream(intro, s, old, specs)
+            Ok(wrap_streams(s, path, frame, old))
         }
         // Algorithm 4: each subarray dimension is a nested stream;
         // dimension strides are products of the faster dimensions' sizes.
@@ -330,111 +418,80 @@ fn translate_level<I: Introspect>(
                 s.specs.push(spec);
                 stride = stride.checked_mul(s.ints[sizes + d]).ok_or_else(overflow)?;
             }
-            wrap_stream(intro, s, old, specs)
+            Ok(wrap_streams(s, path, frame, old))
         }
         // Indexed-family extension: flatten to a block list when the
         // element type itself reduces to a block list or dense run.
         Combiner::Indexed | Combiner::Hindexed | Combiner::IndexedBlock => {
             let old = s.types[c.types];
             let (_, ex) = intro.extent(old)?;
-            let element = translate_in(intro, s, old)?;
-            let runs = match ElementRuns::of(s, element, ex) {
-                Ok(runs) => runs,
-                Err(c) => return Ok(Shape::Unsupported(c)),
-            };
-            let (count, from) = (s.ints[c.ints] as usize, s.blocks.len());
-            s.blocks.reserve(count);
-            for k in 0..count {
-                // displacements in elements, or (hindexed) in bytes
-                let (disp, bl) = match combiner {
-                    Combiner::Indexed => (
-                        at(0, s.ints[c.ints + 1 + count + k], ex)?,
-                        s.ints[c.ints + 1 + k],
-                    ),
-                    Combiner::Hindexed => (s.addrs[c.addrs + k], s.ints[c.ints + 1 + k]),
-                    _ => (at(0, s.ints[c.ints + 2 + k], ex)?, s.ints[c.ints + 1]),
-                };
-                runs.append(s, ex, disp, bl)?;
-            }
-            Ok(s.blocks_or_empty(from))
+            path.push(Frame {
+                wait: Wait::Indexed { combiner, ex },
+                ..frame
+            });
+            Ok(Step::Child(old))
         }
-        // Struct extension (paper §8): every member is an indexed block of
-        // its own element type. While each is one run they are appended to
-        // one list in member order; a member of several strided dimensions
-        // turns the runs before it into a list of strided members, and one
-        // that is no strided object at all turns that back into its runs.
+        // Struct extension (paper §8): see `add_member`.
         Combiner::Struct => {
-            let count = s.ints[c.ints] as usize;
-            let (out, first) = (s.blocks.len(), s.members.len());
-            let mut strided = true;
-            for k in 0..count {
-                let bl = s.ints[c.ints + 1 + k];
-                let (disp, old) = (s.addrs[c.addrs + k], s.types[c.types + k]);
-                if bl <= 0 {
-                    continue;
-                }
-                let (_, ex) = intro.extent(old)?;
-                let element = translate_in(intro, s, old)?;
-                let runs = match ElementRuns::of(s, element, ex) {
-                    Ok(ElementRuns::List) if s.element.is_empty() => continue,
-                    Ok(runs) => runs,
-                    Err(c) => return Ok(Shape::Unsupported(c)),
-                };
-                // one of the two lists is empty
-                let held = s.members.len() - first + s.blocks.len() - out;
-                let room = strided && held < MAX_MEMBERS;
-                let member = runs.member(s, ex, disp, bl).filter(|_| room);
-                if member.is_none() {
-                    strided = false;
-                    s.flatten(first);
-                }
-                match member {
-                    Some(m) if m.ndims > 1 || s.members.len() > first => {
-                        if s.members.len() == first {
-                            let Scratch {
-                                members, blocks, ..
-                            } = s;
-                            let run = |(off, len): (i64, u64)| Member::run(off, len as i64);
-                            members.reserve(count);
-                            members.extend(blocks.drain(out..).map(run));
-                        }
-                        s.members.push(m);
-                    }
-                    _ => runs.append(s, ex, disp, bl)?,
-                }
-            }
-            Ok(match s.members.len() - first {
-                0 => s.blocks_or_empty(out),
-                1 => {
-                    let Scratch { members, chain, .. } = s;
-                    members[first].chain_into(chain);
-                    members.truncate(first);
-                    Shape::Strided
-                }
-                _ => Shape::Multi(first),
-            })
+            let at = StructAt {
+                k: 0,
+                ex: 0,
+                out: s.blocks.len(),
+                first: s.members.len(),
+                strided: true,
+            };
+            next_member(intro, s, path, frame, at)
         }
     }
 }
 
-/// Wrap the translation of `old` in a chain of the streams at
-/// `specs..` of the stack, innermost first. Handles empty and block-list
-/// children; passes unsupported ones on.
-fn wrap_stream<I: Introspect>(
+/// Hand the level waiting on `frame` its child's result `child`: the
+/// level is done, or waits on its next child.
+fn resume<I: Introspect>(
     intro: &mut I,
     s: &mut Scratch,
-    old: Datatype,
-    specs: usize,
-) -> MpiResult<Shape> {
-    if s.specs[specs..].iter().any(|&(_, _, count)| count == 0) {
-        return Ok(Shape::Empty);
+    path: &mut Path,
+    frame: Frame,
+    child: Shape,
+) -> MpiResult<Step> {
+    let shape = match frame.wait {
+        Wait::Same => child,
+        Wait::Streams { in_place } => wrap(s, frame.specs, in_place, child)?,
+        Wait::Indexed { combiner, ex } => indexed(s, frame.args, combiner, ex, child)?,
+        Wait::Struct(mut at) => match add_member(s, frame.args, &mut at, child)? {
+            Err(c) => Shape::Unsupported(c),
+            Ok(()) => {
+                at.k += 1;
+                return next_member(intro, s, path, frame, at);
+            }
+        },
+    };
+    Ok(s.finish(frame, shape))
+}
+
+/// Wait on the translation of `old` to wrap it in the chain of streams at
+/// `frame.specs..` of the stack, innermost first; a level with a stream
+/// of no elements is done at once, empty, and `old` is never translated.
+fn wrap_streams(s: &mut Scratch, path: &mut Path, frame: Frame, old: Datatype) -> Step {
+    let levels = &s.specs[frame.specs..];
+    if levels.iter().any(|&(_, _, count)| count == 0) {
+        return s.finish(frame, Shape::Empty);
     }
     // one element where it lies: the wrapper changes nothing, and a member
     // list stays one
-    let in_place = s.specs[specs..]
-        .iter()
-        .all(|&(off, _, n)| (off, n) == (0, 1));
-    let from = match translate_in(intro, s, old)? {
+    let in_place = levels.iter().all(|&(off, _, n)| (off, n) == (0, 1));
+    path.push(Frame {
+        wait: Wait::Streams { in_place },
+        ..frame
+    });
+    Step::Child(old)
+}
+
+/// Wrap the translation `child` in the chain of streams at `specs..` of
+/// the stack, innermost first. Handles block-list children; passes empty
+/// and unsupported ones on.
+fn wrap(s: &mut Scratch, specs: usize, in_place: bool, child: Shape) -> MpiResult<Shape> {
+    let from = match child {
         Shape::Strided => {
             let Scratch {
                 specs: levels,
@@ -473,6 +530,123 @@ fn wrap_stream<I: Introspect>(
         s.blocks.drain(from..from + len);
     }
     Ok(Shape::Blocks(from))
+}
+
+/// An indexed-family level of `combiner` whose arguments `c` locates, over
+/// elements `ex` bytes apart that translate to `element`: its block list.
+fn indexed(
+    s: &mut Scratch,
+    c: Args,
+    combiner: Combiner,
+    ex: i64,
+    element: Shape,
+) -> MpiResult<Shape> {
+    let runs = match ElementRuns::of(s, element, ex) {
+        Ok(runs) => runs,
+        Err(c) => return Ok(Shape::Unsupported(c)),
+    };
+    let (count, from) = (s.ints[c.ints] as usize, s.blocks.len());
+    s.blocks.reserve(count);
+    for k in 0..count {
+        // displacements in elements, or (hindexed) in bytes
+        let (disp, bl) = match combiner {
+            Combiner::Indexed => (
+                at(0, s.ints[c.ints + 1 + count + k], ex)?,
+                s.ints[c.ints + 1 + k],
+            ),
+            Combiner::Hindexed => (s.addrs[c.addrs + k], s.ints[c.ints + 1 + k]),
+            _ => (at(0, s.ints[c.ints + 2 + k], ex)?, s.ints[c.ints + 1]),
+        };
+        runs.append(s, ex, disp, bl)?;
+    }
+    Ok(s.blocks_or_empty(from))
+}
+
+/// Wait on the translation of the first member of the struct `frame`
+/// describes, from `at.k` on, that holds elements, having asked MPI for
+/// its extent; with none left, the struct is done.
+fn next_member<I: Introspect>(
+    intro: &mut I,
+    s: &mut Scratch,
+    path: &mut Path,
+    frame: Frame,
+    mut at: StructAt,
+) -> MpiResult<Step> {
+    let c = frame.args;
+    let count = s.ints[c.ints] as usize;
+    while at.k < count {
+        let (bl, old) = (s.ints[c.ints + 1 + at.k], s.types[c.types + at.k]);
+        if bl > 0 {
+            at.ex = intro.extent(old)?.1;
+            path.push(Frame {
+                wait: Wait::Struct(at),
+                ..frame
+            });
+            return Ok(Step::Child(old));
+        }
+        at.k += 1;
+    }
+    let first = at.first;
+    let shape = match s.members.len() - first {
+        0 => s.blocks_or_empty(at.out),
+        1 => {
+            let Scratch { members, chain, .. } = s;
+            members[first].chain_into(chain);
+            members.truncate(first);
+            Shape::Strided
+        }
+        _ => Shape::Multi(first),
+    };
+    Ok(s.finish(frame, shape))
+}
+
+/// Add member `at.k` of the struct whose arguments `c` locates, of
+/// elements `at.ex` bytes apart that translate to `element`, to the
+/// struct's runs or members — or `Err` with the combiner that keeps the IR
+/// from expressing it.
+///
+/// Struct extension (paper §8): every member is an indexed block of its
+/// own element type. While each is one run they are appended to one list
+/// in member order; a member of several strided dimensions turns the runs
+/// before it into a list of strided members, and one that is no strided
+/// object at all turns that back into its runs.
+fn add_member(
+    s: &mut Scratch,
+    c: Args,
+    at: &mut StructAt,
+    element: Shape,
+) -> MpiResult<Result<(), Combiner>> {
+    let (count, k, ex) = (s.ints[c.ints] as usize, at.k, at.ex);
+    let (bl, disp) = (s.ints[c.ints + 1 + k], s.addrs[c.addrs + k]);
+    let (out, first) = (at.out, at.first);
+    let runs = match ElementRuns::of(s, element, ex) {
+        Ok(ElementRuns::List) if s.element.is_empty() => return Ok(Ok(())),
+        Ok(runs) => runs,
+        Err(c) => return Ok(Err(c)),
+    };
+    // one of the two lists is empty
+    let held = s.members.len() - first + s.blocks.len() - out;
+    let room = at.strided && held < MAX_MEMBERS;
+    let member = runs.member(s, ex, disp, bl).filter(|_| room);
+    if member.is_none() {
+        at.strided = false;
+        s.flatten(first);
+    }
+    match member {
+        Some(m) if m.ndims > 1 || s.members.len() > first => {
+            if s.members.len() == first {
+                let Scratch {
+                    members, blocks, ..
+                } = s;
+                let run = |(off, len): (i64, u64)| Member::run(off, len as i64);
+                members.reserve(count);
+                members.extend(blocks.drain(out..).map(run));
+            }
+            s.members.push(m);
+        }
+        _ => runs.append(s, ex, disp, bl)?,
+    }
+    Ok(Ok(()))
 }
 
 /// The byte runs of one element of an indexed-family or struct member

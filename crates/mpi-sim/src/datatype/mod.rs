@@ -24,6 +24,7 @@ pub mod pack_cpu;
 pub mod registry;
 pub mod tree;
 pub mod typemap;
+pub mod walk;
 
 use std::fmt;
 

@@ -47,10 +47,32 @@ impl TypeTree {
     /// split into MPI's three lists and zipped back). Freeing a child
     /// invalidates its parents (see [`TypeRegistry::free`]), so the
     /// intermediate types stay live.
+    ///
+    /// The constructors waiting on their children wait on a stack of this
+    /// call's own, not on the call stack, so a tree of any depth builds in
+    /// constant call-stack space.
     pub fn build(&self, ctx: &mut RankCtx) -> MpiResult<Datatype> {
-        let built = (self.0.children().iter())
-            .map(|child| child.build(ctx))
-            .collect::<MpiResult<Vec<Datatype>>>()?;
+        // each tree being built with how many of its children are, and
+        // the handles of the children built, the latest on top
+        let (mut path, mut built) = (vec![(self, 0)], Vec::new());
+        while let Some((tree, next)) = path.last_mut() {
+            let children = tree.0.children();
+            if let Some(child) = children.get(*next) {
+                *next += 1;
+                path.push((child, 0));
+                continue;
+            }
+            let from = built.len() - children.len();
+            let dt = tree.create(ctx, &built[from..])?;
+            built.truncate(from);
+            built.push(dt);
+            path.pop();
+        }
+        Ok(built[0])
+    }
+
+    /// Create this tree's root over its children's handles, `built`.
+    fn create(&self, ctx: &mut RankCtx, built: &[Datatype]) -> MpiResult<Datatype> {
         let old = || built[0];
         match &*self.0 {
             // the registry preregisters the named types in declaration order
@@ -95,7 +117,7 @@ impl TypeTree {
                 blocklengths,
                 displacements_bytes,
                 ..
-            } => ctx.type_create_struct(blocklengths, displacements_bytes, &built),
+            } => ctx.type_create_struct(blocklengths, displacements_bytes, built),
             TypeDef::Resized { lb, extent, .. } => ctx.type_create_resized(old(), *lb, *extent),
         }
     }
@@ -183,61 +205,99 @@ impl TypeTree {
 
 impl fmt::Display for TypeTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self.0 {
-            TypeDef::Named(n) => f.write_str(&n.keyword()),
-            TypeDef::Dup { oldtype } => write!(f, "dup({oldtype})"),
-            TypeDef::Contiguous { count, oldtype } => write!(f, "contiguous({count}, {oldtype})"),
+        write_spec(f, &self.0, |child| Ok(&*child.0))
+    }
+}
+
+/// A piece of a spec [`write_spec`] has still to write.
+enum Piece<'a, C> {
+    /// A construction, whole.
+    Def(&'a TypeDef<C>),
+    /// Punctuation between or after a construction's type arguments.
+    Text(&'static str),
+}
+
+/// Write the spec of the construction `root` to `out`, reaching each
+/// child's construction through `def`, whose error ends the writing. The
+/// pieces still to write wait on a stack of this call's own, not on the
+/// call stack, so a construction of any depth prints in constant stack —
+/// as it must on a rank, whose degrade ladder describes the datatype of a
+/// send that steps down.
+pub(crate) fn write_spec<'a, C>(
+    out: &mut impl fmt::Write,
+    root: &'a TypeDef<C>,
+    def: impl Fn(&'a C) -> Result<&'a TypeDef<C>, fmt::Error>,
+) -> fmt::Result {
+    let mut todo = vec![Piece::Def(root)];
+    while let Some(piece) = todo.pop() {
+        let at = match piece {
+            Piece::Def(at) => at,
+            Piece::Text(text) => {
+                out.write_str(text)?;
+                continue;
+            }
+        };
+        // the constructor and its arguments up to its first type argument
+        match at {
+            TypeDef::Named(n) => out.write_str(&n.keyword())?,
+            TypeDef::Dup { .. } => out.write_str("dup(")?,
+            TypeDef::Contiguous { count, .. } => write!(out, "contiguous({count}, ")?,
             TypeDef::Vector {
                 count,
                 blocklength,
                 stride,
-                oldtype,
-            } => write!(f, "vector({count}, {blocklength}, {stride}, {oldtype})"),
+                ..
+            } => write!(out, "vector({count}, {blocklength}, {stride}, ")?,
             TypeDef::Hvector {
                 count,
                 blocklength: bl,
                 stride_bytes,
-                oldtype,
-            } => write!(f, "hvector({count}, {bl}, {stride_bytes}, {oldtype})"),
+                ..
+            } => write!(out, "hvector({count}, {bl}, {stride_bytes}, ")?,
             TypeDef::Indexed {
                 blocklengths,
                 displacements,
-                oldtype,
-            } => write!(f, "indexed({blocklengths:?}, {displacements:?}, {oldtype})"),
+                ..
+            } => write!(out, "indexed({blocklengths:?}, {displacements:?}, ")?,
             TypeDef::IndexedBlock {
                 blocklength: bl,
                 displacements,
-                oldtype,
-            } => write!(f, "indexed_block({bl}, {displacements:?}, {oldtype})"),
+                ..
+            } => write!(out, "indexed_block({bl}, {displacements:?}, ")?,
             TypeDef::Hindexed {
                 blocklengths,
                 displacements_bytes: displs,
-                oldtype,
-            } => write!(f, "hindexed({blocklengths:?}, {displs:?}, {oldtype})"),
-            TypeDef::Subarray {
-                dims,
-                order,
-                oldtype,
-            } => {
+                ..
+            } => write!(out, "hindexed({blocklengths:?}, {displs:?}, ")?,
+            TypeDef::Subarray { dims, order, .. } => {
                 let name = match order {
                     Order::C => "subarray",
                     Order::Fortran => "subarray_fortran",
                 };
                 let [sizes, subsizes, starts] = Dim::COLUMNS.map(|pick| Column(dims, pick));
-                write!(f, "{name}({sizes:?}, {subsizes:?}, {starts:?}, {oldtype})")
+                write!(out, "{name}({sizes:?}, {subsizes:?}, {starts:?}, ")?
             }
             TypeDef::Struct {
                 blocklengths,
                 displacements_bytes: displs,
-                types,
-            } => write!(f, "struct({blocklengths:?}, {displs:?}, {types:?})"),
-            TypeDef::Resized {
-                lb,
-                extent,
-                oldtype,
-            } => write!(f, "resized({lb}, {extent}, {oldtype})"),
+                ..
+            } => write!(out, "struct({blocklengths:?}, {displs:?}, [")?,
+            TypeDef::Resized { lb, extent, .. } => write!(out, "resized({lb}, {extent}, ")?,
+        }
+        // then its type arguments, comma-separated, and its close
+        todo.push(Piece::Text(match at {
+            TypeDef::Named(_) => continue,
+            TypeDef::Struct { .. } => "])",
+            _ => ")",
+        }));
+        for (k, child) in at.children().iter().enumerate().rev() {
+            todo.push(Piece::Def(def(child)?));
+            if k > 0 {
+                todo.push(Piece::Text(", "));
+            }
         }
     }
+    Ok(())
 }
 
 /// One of a subarray's three argument lists, printed as a list is.
@@ -256,8 +316,12 @@ impl fmt::Debug for TypeTree {
 }
 
 /// The deepest constructor nesting a spec may have. The parser recurses
-/// once per level over input from outside the program; nothing in the
-/// paper, the zoo or the tests nests past five.
+/// once per level over input from outside the program, so this bounds it;
+/// parse a spec on the thread that calls `World::run`, not on a rank. The
+/// walks a rank makes over a datatype — [`TypeTree::build`], the typemap
+/// walk and TEMPI's translation — loop instead, in constant stack, and
+/// `tests/deep_types.rs` moves a type this deep on a rank. Nothing in the
+/// paper or the zoo nests past five.
 pub const MAX_DEPTH: usize = 64;
 
 impl FromStr for TypeTree {

@@ -4,7 +4,7 @@
 //! type) pairs. For pack/unpack purposes only the byte coverage and its
 //! order matter, so this module walks a datatype as its contiguous
 //! [`Segment`]s, merging adjacent ranges as it goes
-//! ([`for_each_block`], which stores nothing). That walk is:
+//! ([`for_each_block`], which builds no list). That walk is:
 //!
 //! * the **reference semantics** against which TEMPI's canonicalized
 //!   GPU kernels are verified ([`segments`] collects it as a list), and
@@ -12,8 +12,11 @@
 //!   `cudaMemcpyAsync` per block — whose cost TEMPI's speedups are
 //!   measured against (Section 6.2 of the paper).
 
+use std::cell::Cell;
+
 use super::registry::TypeRegistry;
-use super::{Datatype, Dim, TypeDef};
+use super::walk::WalkPath;
+use super::{Datatype, Dim, Order, TypeDef, TypeInfo};
 use crate::error::MpiResult;
 
 /// A maximal run of contiguous bytes within a datatype's layout, relative
@@ -43,18 +46,32 @@ pub fn segments(reg: &TypeRegistry, dt: Datatype) -> MpiResult<Vec<Segment>> {
 }
 
 /// Hand `sink` each contiguous block of one item of `dt`, in typemap
-/// order, with no allocation: the pieces the walk finds, merged where one
-/// starts at the byte the previous one ends. A dense subtree visited in
-/// address order is one block, found without visiting its elements. A
-/// dead handle anywhere in the tree, or an error from `sink`, ends the
-/// walk with that error.
+/// order, with no allocation once this thread has walked a type as deep:
+/// the pieces the walk finds, merged where one starts at the byte the
+/// previous one ends. A dense subtree visited in address order is one
+/// block, found without visiting its elements. A dead handle anywhere in
+/// the tree, or an error from `sink`, ends the walk with that error.
+///
+/// The levels being walked wait on a [`WalkPath`] — the first few in
+/// place, the rest in storage the thread keeps from one walk to the next —
+/// not in a recursion, so a type of any nesting depth is walked in
+/// constant call-stack space.
 pub fn for_each_block(
     reg: &TypeRegistry,
     dt: Datatype,
     sink: impl FnMut(Segment) -> MpiResult<()>,
 ) -> MpiResult<()> {
+    thread_local! {
+        /// The levels of the deepest walks, kept for the thread's next. A
+        /// walk takes them and puts them back, so one begun inside
+        /// another's `sink` spills to storage of its own.
+        static SPILL: Cell<Vec<Frame>> = const { Cell::new(Vec::new()) };
+    }
     let mut out = Blocks { open: None, sink };
-    emit(reg, dt, 0, &mut out)?;
+    let mut path = WalkPath::new(Frame::new(dt, 0), SPILL.take());
+    let walked = walk(reg, dt, &mut path, &mut out);
+    SPILL.set(path.into_spill());
+    walked?;
     out.open.map_or(Ok(()), out.sink)
 }
 
@@ -87,156 +104,248 @@ impl<F: FnMut(Segment) -> MpiResult<()>> Blocks<F> {
     }
 }
 
-fn emit<F>(reg: &TypeRegistry, dt: Datatype, base: i64, out: &mut Blocks<F>) -> MpiResult<()>
+/// One level of the walk: a derived type `dt` at `base`, whose blocks of
+/// elements it visits in typemap order. The block it walks element by
+/// element is `n` elements of `old`, `ex` bytes apart from `at`, of which
+/// `next` is the next; `block` is the block after it.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    dt: Datatype,
+    base: i64,
+    block: usize,
+    old: Datatype,
+    at: i64,
+    ex: i64,
+    n: i64,
+    next: i64,
+}
+
+impl Frame {
+    /// The level of `dt` at `base`, before its first block.
+    fn new(dt: Datatype, base: i64) -> Frame {
+        Frame {
+            dt,
+            base,
+            block: 0,
+            old: dt,
+            at: base,
+            ex: 0,
+            n: 0,
+            next: 0,
+        }
+    }
+}
+
+/// Walk `dt`'s typemap at offset 0: visit it, then step the deepest level
+/// on `path` to its next element and visit that, until no level is left.
+fn walk<F>(
+    reg: &TypeRegistry,
+    dt: Datatype,
+    path: &mut WalkPath<Frame>,
+    out: &mut Blocks<F>,
+) -> MpiResult<()>
 where
     F: FnMut(Segment) -> MpiResult<()>,
 {
-    let info = reg.info(dt)?;
-    // A subtree of no data emits nothing; return before placing its
-    // blocks, as the registry never did (a block of no elements may lie a
-    // stride apart that no offset arithmetic survives).
-    if info.attrs.size == 0 {
-        return Ok(());
+    visit(reg, dt, 0, path, out)?;
+    while let Some(level) = path.last_mut() {
+        match next_element(reg, level, out)? {
+            Some((old, base)) => visit(reg, old, base, path, out)?,
+            None => {
+                path.pop();
+            }
+        }
     }
-    // Fast path: a dense subtree visited in address order is one segment.
-    if info.attrs.is_dense() && info.ascending {
-        return out.push(base + info.attrs.lb, info.attrs.size);
+    Ok(())
+}
+
+/// Emit what one element of `dt` at `base` can emit at once — nothing for
+/// no data, one piece for a dense subtree in address order or a named
+/// type — or else put it on `path` to walk its blocks.
+fn visit<F>(
+    reg: &TypeRegistry,
+    mut dt: Datatype,
+    base: i64,
+    path: &mut WalkPath<Frame>,
+    out: &mut Blocks<F>,
+) -> MpiResult<()>
+where
+    F: FnMut(Segment) -> MpiResult<()>,
+{
+    loop {
+        let info = reg.info(dt)?;
+        // A subtree of no data emits nothing; return before placing its
+        // blocks, as the registry never did (a block of no elements may lie
+        // a stride apart that no offset arithmetic survives).
+        if info.attrs.size == 0 {
+            return Ok(());
+        }
+        // Fast path: a dense subtree visited in address order is one
+        // segment.
+        if info.attrs.is_dense() && info.ascending {
+            return out.push(base + info.attrs.lb, info.attrs.size);
+        }
+        match &info.def {
+            TypeDef::Named(n) => return out.push(base, n.size() as u64),
+            TypeDef::Dup { oldtype } | TypeDef::Resized { oldtype, .. } => dt = *oldtype,
+            _ => {
+                path.push(Frame::new(dt, base));
+                return Ok(());
+            }
+        }
     }
-    match &info.def {
-        TypeDef::Named(n) => out.push(base, n.size() as u64)?,
-        TypeDef::Dup { oldtype } => emit(reg, *oldtype, base, out)?,
+}
+
+/// The next element the level `f` visits, as its type and offset, or
+/// `None` when it has none left. A block whose elements tile (dense,
+/// visited in address order) is emitted on the way as one piece of its
+/// elements' total size: the pieces the fast path would find one by one,
+/// already merged. A block of no elements adds nothing, not even its
+/// displacement, which may lie where no offset arithmetic survives.
+fn next_element<F>(
+    reg: &TypeRegistry,
+    f: &mut Frame,
+    out: &mut Blocks<F>,
+) -> MpiResult<Option<(Datatype, i64)>>
+where
+    F: FnMut(Segment) -> MpiResult<()>,
+{
+    while f.next == f.n {
+        let Some((old, base, disp, n)) = block(reg, reg.info(f.dt)?, f.base, f.block)? else {
+            return Ok(None);
+        };
+        f.block += 1;
+        let info = reg.info(old)?;
+        if n > 0 && info.attrs.is_dense() && info.ascending {
+            out.push(base + disp + info.attrs.lb, n as u64 * info.attrs.size)?;
+        } else if n > 0 {
+            (f.old, f.at, f.ex) = (old, base + disp, info.attrs.extent());
+            (f.n, f.next) = (n, 0);
+        }
+    }
+    let j = f.next;
+    f.next += 1;
+    Ok(Some((f.old, f.at + j * f.ex)))
+}
+
+/// Block `k` of the derived type `info` describes at `base`, in typemap
+/// order: `n` elements of `old` one extent apart from `base + disp`.
+fn block(
+    reg: &TypeRegistry,
+    info: &TypeInfo,
+    base: i64,
+    k: usize,
+) -> MpiResult<Option<(Datatype, i64, i64, i64)>> {
+    let i = k as i64;
+    Ok(match &info.def {
         TypeDef::Contiguous { count, oldtype } => {
-            emit_elements(reg, *oldtype, (base, 0), *count as i64, out)?
+            (k == 0).then_some((*oldtype, base, 0, *count as i64))
         }
         TypeDef::Vector {
             count,
             blocklength,
             stride,
             oldtype,
-        } => {
+        } if i < *count as i64 => {
             let ex = reg.attrs(*oldtype)?.extent();
-            for i in 0..*count as i64 {
-                let disp = i * *stride as i64 * ex;
-                emit_elements(reg, *oldtype, (base, disp), *blocklength as i64, out)?;
-            }
+            Some((*oldtype, base, i * *stride as i64 * ex, *blocklength as i64))
         }
         TypeDef::Hvector {
             count,
             blocklength,
             stride_bytes,
             oldtype,
-        } => {
-            for i in 0..*count as i64 {
-                let disp = i * stride_bytes;
-                emit_elements(reg, *oldtype, (base, disp), *blocklength as i64, out)?;
-            }
-        }
+        } if i < *count as i64 => Some((*oldtype, base, i * stride_bytes, *blocklength as i64)),
         TypeDef::Indexed {
             blocklengths,
             displacements,
             oldtype,
-        } => {
+        } if k < blocklengths.len().min(displacements.len()) => {
             let ex = reg.attrs(*oldtype)?.extent();
-            for (bl, d) in blocklengths.iter().zip(displacements) {
-                emit_elements(reg, *oldtype, (base, *d as i64 * ex), *bl as i64, out)?;
-            }
+            let (bl, d) = (blocklengths[k], displacements[k]);
+            Some((*oldtype, base, d as i64 * ex, bl as i64))
         }
         TypeDef::IndexedBlock {
             blocklength,
             displacements,
             oldtype,
-        } => {
+        } if k < displacements.len() => {
             let ex = reg.attrs(*oldtype)?.extent();
-            for d in displacements {
-                let disp = *d as i64 * ex;
-                emit_elements(reg, *oldtype, (base, disp), *blocklength as i64, out)?;
-            }
+            Some((
+                *oldtype,
+                base,
+                displacements[k] as i64 * ex,
+                *blocklength as i64,
+            ))
         }
         TypeDef::Hindexed {
             blocklengths,
             displacements_bytes,
             oldtype,
-        } => {
-            for (bl, d) in blocklengths.iter().zip(displacements_bytes) {
-                emit_elements(reg, *oldtype, (base, *d), *bl as i64, out)?;
-            }
-        }
+        } if k < blocklengths.len().min(displacements_bytes.len()) => Some((
+            *oldtype,
+            base,
+            displacements_bytes[k],
+            blocklengths[k] as i64,
+        )),
         TypeDef::Subarray {
             dims,
             order,
             oldtype,
-        } => {
-            // typemap order visits the fastest-varying dimension innermost
-            let slowest_first = order.fastest_first(dims).rev();
-            emit_subarray(reg, *oldtype, slowest_first, info.attrs.extent(), base, out)?
-        }
+        } => subarray_block(*oldtype, (dims, *order), info.attrs.extent(), base, k),
         TypeDef::Struct {
             blocklengths,
             displacements_bytes,
             types,
-        } => {
-            for i in 0..types.len() {
-                let (disp, n) = (displacements_bytes[i], blocklengths[i] as i64);
-                emit_elements(reg, types[i], (base, disp), n, out)?;
-            }
-        }
-        TypeDef::Resized { oldtype, .. } => emit(reg, *oldtype, base, out)?,
-    }
-    Ok(())
+        } if k < types.len() => Some((
+            types[k],
+            base,
+            displacements_bytes[k],
+            blocklengths[k] as i64,
+        )),
+        _ => None,
+    })
 }
 
-/// Emit `n` elements of `old` one extent apart from `base + disp`.
-/// Elements that tile (dense, visited in address order) are one piece of
-/// `n` times their size: the pieces the fast path would find one by one,
-/// already merged. No elements add nothing, not even their displacement,
-/// which may lie where no offset arithmetic survives.
-fn emit_elements<F>(
-    reg: &TypeRegistry,
-    old: Datatype,
-    (base, disp): (i64, i64),
-    n: i64,
-    out: &mut Blocks<F>,
-) -> MpiResult<()>
-where
-    F: FnMut(Segment) -> MpiResult<()>,
-{
-    let info = reg.info(old)?;
-    if n > 0 && info.attrs.is_dense() && info.ascending {
-        return out.push(base + disp + info.attrs.lb, n as u64 * info.attrs.size);
-    }
-    let ex = info.attrs.extent();
-    (0..n).try_for_each(|j| emit(reg, old, base + disp + j * ex, out))
-}
-
-/// Emit the elements of a subarray's `dims`, slowest first, that lie in
-/// the `span` bytes of the full array those dimensions cover at `base`.
+/// Block `k` of a subarray of `oldtype` whose `dims`, slowest first, cover
+/// `span` bytes of the full array at `base`: one run of the fastest
+/// dimension, the blocks in the order the slower dimensions nest them.
 /// The slowest dimension steps `span` over its size, the next one that
 /// step over its own size, down to the fastest one's run of elements: no
 /// list of strides.
-fn emit_subarray<'a, F>(
-    reg: &TypeRegistry,
+fn subarray_block(
     oldtype: Datatype,
-    mut dims: impl Iterator<Item = &'a Dim> + Clone,
-    span: i64,
-    base: i64,
-    out: &mut Blocks<F>,
-) -> MpiResult<()>
-where
-    F: FnMut(Segment) -> MpiResult<()>,
-{
-    let Some(d) = dims.next() else {
-        return emit(reg, oldtype, base, out);
+    (dims, order): (&[Dim], Order),
+    mut span: i64,
+    mut base: i64,
+    k: usize,
+) -> Option<(Datatype, i64, i64, i64)> {
+    let Some(slower) = dims.len().checked_sub(1) else {
+        return (k == 0).then_some((oldtype, base, 0, 1));
     };
-    let stride = span / d.size as i64;
-    let (start, n) = (d.start as i64, d.subsize as i64);
-    // the fastest dimension's elements lie one element extent apart
-    if dims.clone().next().is_none() {
-        return emit_elements(reg, oldtype, (base, start * stride), n, out);
+    let dims = order.fastest_first(dims).rev();
+    // one block per index of the slower dimensions together
+    let mut rest: usize = dims
+        .clone()
+        .take(slower)
+        .map(|d| d.subsize as usize)
+        .product();
+    if k >= rest {
+        return None;
     }
-    for i in start..start + n {
-        emit_subarray(reg, oldtype, dims.clone(), stride, base + i * stride, out)?;
+    let mut k = k;
+    for (t, d) in dims.enumerate() {
+        let stride = span / d.size as i64;
+        let (start, n) = (d.start as i64, d.subsize as i64);
+        // the fastest dimension's elements lie one element extent apart
+        if t == slower {
+            return Some((oldtype, base, start * stride, n));
+        }
+        rest /= d.subsize as usize;
+        base += (start + (k / rest) as i64) * stride;
+        (k, span) = (k % rest, stride);
     }
-    Ok(())
+    None
 }
 
 #[cfg(test)]

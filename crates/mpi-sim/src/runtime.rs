@@ -14,12 +14,14 @@
 //! program alone, so a world replays byte for byte on any machine.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
 use tempi_trace::sync::{Mutex, RwLock};
 
-use crate::datatype::{Combiner, Datatype, Envelope, Order, TypeAttrs, TypeRegistry, TypeTree};
+use crate::datatype::tree::write_spec;
+use crate::datatype::{Combiner, Datatype, Envelope, Order, TypeAttrs, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::net::NetModel;
@@ -608,11 +610,18 @@ impl RankCtx {
     }
 
     /// A type's construction as a spec `tempi-cli describe` accepts (see
-    /// [`TypeTree`]); a handle that is dead, or built over one that is,
-    /// prints as `<dead #n>`.
+    /// [`TypeTree`](crate::datatype::TypeTree)), written from the registry
+    /// in constant stack; a handle that is dead, or built over one that
+    /// is, prints as `<dead #n>`.
     pub fn describe(&self, dt: Datatype) -> String {
-        TypeTree::of(&self.registry.read(), dt)
-            .map_or_else(|_| format!("<dead #{}>", dt.0), |tree| tree.to_string())
+        let reg = self.registry.read();
+        // a handle's construction; writing into a `String` fails only here
+        let def = |dt: &Datatype| reg.info(*dt).map(|info| &info.def).map_err(|_| fmt::Error);
+        let mut spec = String::new();
+        match def(&dt).and_then(|root| write_spec(&mut spec, root, def)) {
+            Ok(()) => spec,
+            Err(fmt::Error) => format!("<dead #{}>", dt.0),
+        }
     }
 }
 

@@ -13,14 +13,18 @@
 //! * `asm` — x86_64 (SysV: Linux, macOS, BSDs) and aarch64 (AAPCS64): a
 //!   heap-allocated stack and a handful of instructions per switch (push
 //!   the callee-saved registers, swap stack pointers, pop, return). Each
-//!   stack is one page-aligned 256 KiB block from the global allocator, so
+//!   stack is one page-aligned 128 KiB block from the global allocator, so
 //!   a heap counter sees every byte of it, left uninitialized, so only the
-//!   pages a rank touches become resident. Its lowest page is a
-//!   `PROT_NONE` guard: an overflow faults at the overflowing access
-//!   (SIGSEGV, or SIGBUS on macOS) instead of writing over the heap. The
-//!   guard splits the block's mapping, so a live fiber costs about two
-//!   memory mappings, and Linux's default `vm.max_map_count` of 65,530
-//!   bounds one process to about 30,000 live fibers.
+//!   pages a rank touches become resident. The size is measured, not
+//!   guessed (see `STACK_KIB`): at least 2.5 times the deepest stack of a
+//!   debug test run, 10 times the deepest of a release workload, and no
+//!   input makes a rank's stack grow, as no walk over a datatype recurses.
+//!   Its lowest page is a `PROT_NONE` guard: an overflow faults at the
+//!   overflowing access (SIGSEGV, or SIGBUS on macOS) instead of writing
+//!   over the heap. The guard splits the block's mapping, so a live fiber
+//!   costs about two memory mappings, and Linux's default
+//!   `vm.max_map_count` of 65,530 bounds one process to about 30,000 live
+//!   fibers.
 //! * `baton` — everywhere else (Windows pins stack bounds in the TEB, so
 //!   the switch above is not valid there): one OS thread per fiber and a
 //!   baton that exactly one of {worker, fiber thread} holds at a time, so

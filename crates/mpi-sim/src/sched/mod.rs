@@ -111,11 +111,13 @@ impl fmt::Display for ParkOp {
     }
 }
 
-/// Every fiber's stack, guard page included: five times the deepest one
-/// measured (49 KiB in a debug test of recovery; under 8 KiB in
-/// release workloads). Lazily committed, so a fiber pays only for the
-/// pages it touches; an overflow faults on the guard page.
-const STACK_KIB: usize = 256;
+/// Every fiber's stack, guard page included, sized by a rule: at least 2.5
+/// times the deepest one measured in a debug test run (38.8 KiB, in
+/// `tests/deep_types.rs`) and 10 times the deepest in a release workload
+/// (8.0 KiB, `send_latency`), with nothing an input can make grow — no
+/// walk over a datatype recurses. Lazily committed, so a fiber pays only
+/// for the pages it touches; an overflow faults on the guard page.
+const STACK_KIB: usize = 128;
 
 struct Task {
     /// The task's virtual clock when it parked (its ready-heap key once

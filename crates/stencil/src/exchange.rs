@@ -254,12 +254,13 @@ impl HaloExchanger {
     }
 
     /// Fill the interior with the global oracle values and the ghosts with
-    /// a poison value (untimed setup).
+    /// a poison value (untimed setup), written into the grid in place.
     pub fn fill(&self, ctx: &mut RankCtx) -> MpiResult<()> {
         let a = self.cfg.alloc_dims();
         let r = self.cfg.radius;
         let c = self.decomp.coords(ctx.rank);
-        let mut data = vec![0u8; self.cfg.alloc_bytes()];
+        let mut mem = ctx.gpu.memory();
+        let mut grid = mem.region_mut(self.grid);
         for z in 0..a[2] {
             for y in 0..a[1] {
                 for x in 0..a[0] {
@@ -271,12 +272,11 @@ impl HaloExchanger {
                     } else {
                         -1.0
                     };
-                    let i = self.cfg.cell_index(x, y, z) * 4;
-                    data[i..i + 4].copy_from_slice(&v.to_le_bytes());
+                    let i = self.grid.offset + self.cfg.cell_index(x, y, z) * 4;
+                    grid.write(i, &v.to_le_bytes())?;
                 }
             }
         }
-        ctx.gpu.memory().poke(self.grid, &data)?;
         Ok(())
     }
 

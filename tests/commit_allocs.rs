@@ -2,7 +2,7 @@
 //! subarray of up to four dimensions in a freed slot, nothing for a commit
 //! of a shape the rank already holds a plan of, a small fixed number for
 //! the fused halo pair on a fresh library and for a halo exchanger's whole
-//! set-up, and an intern table that holds no plan no type uses; and the
+//! set-up, nothing for filling its grid, and an intern table that holds no plan no type uses; and the
 //! system MPI packing and unpacking a non-dense type it has moved before,
 //! nothing. A warm tuner decides a send without the heap in every mode,
 //! probes included. The allocator counts per thread, so the tests may run
@@ -86,11 +86,19 @@ fn a_halo_exchanger_is_set_up_in_a_pinned_number_of_allocations() {
     for cfg in [HaloConfig::small(4), HaloConfig::paper()] {
         let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
         let mut mpi = InterposedMpi::new(TempiConfig::default());
-        let n = allocs(|| drop(HaloExchanger::new(&mut ctx, &mut mpi, cfg).unwrap()));
+        let mut ex = None;
+        let n = allocs(|| ex = Some(HaloExchanger::new(&mut ctx, &mut mpi, cfg).unwrap()));
         // the plans and schedules at their final sizes, the 53 subarrays
         // in their slots, the fused pair's member lists and the three
         // commits: 39 (146 while each subarray allocated twice)
         assert!(n <= 39, "{cfg:?}: set-up allocated {n} times");
+        // the grid is filled where it lies, with no host copy of it (the
+        // small grid only: a debug build fills the paper's for seconds)
+        if cfg.local == HaloConfig::small(4).local {
+            let ex = ex.unwrap();
+            let n = allocs(|| ex.fill(&mut ctx).unwrap());
+            assert_eq!(n, 0, "{cfg:?}: fill allocated {n} times");
+        }
     }
 }
 
