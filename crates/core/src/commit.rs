@@ -327,7 +327,22 @@ impl Commits {
         phase(ctx, "translate", t_tr, || {
             vec![("introspection_calls", introspection_calls.into())]
         });
+        self.plan_of(ctx, dt, shape, config, t0, introspection_calls)
+    }
 
+    /// The rest of [`Commits::commit`], begun at `t0`, once `dt` translated
+    /// to `shape` with `introspection_calls`: canonicalization and kernel
+    /// selection, then the plan, held. (Out of the frame the translation
+    /// runs beneath, which is a rank's fiber stack.)
+    fn plan_of(
+        &mut self,
+        ctx: &mut RankCtx,
+        dt: Datatype,
+        shape: Shape,
+        config: &TempiConfig,
+        t0: SimTime,
+        introspection_calls: u64,
+    ) -> MpiResult<Arc<TypePlan>> {
         // the plan is built on the scratch's lists: a whole translation
         // lies from their start
         let (s, force_word) = (&mut self.scratch, config.force_word);

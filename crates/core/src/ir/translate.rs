@@ -342,7 +342,10 @@ fn translate_in<I: Introspect>(
 }
 
 /// Start translating `dt`: read its arguments, then finish it at once or
-/// leave it waiting on a frame for the child it names.
+/// leave it waiting on a frame for the child it names. Each constructor's
+/// case is a function of its own, so a level's stack frame is the one
+/// case it takes (a debug build gives every temporary of a function a
+/// slot of its own, on a rank's fiber stack).
 fn enter<I: Introspect>(
     intro: &mut I,
     s: &mut Scratch,
@@ -356,73 +359,21 @@ fn enter<I: Introspect>(
         specs,
         wait: Wait::Same,
     };
-    let combiner = env.combiner;
-    match combiner {
-        // Algorithm 1: named types are dense, offset 0.
-        Combiner::Named => {
-            let (_, extent) = intro.extent(dt)?;
-            s.chain.leaf = DenseData { off: 0, extent };
-            s.chain.streams.clear();
-            Ok(Step::Done(Shape::Strided))
-        }
+    match env.combiner {
+        Combiner::Named => enter_named(intro, s, dt),
         // Neither changes where the data lies; a parent asks MPI for the
         // (possibly resized) extent itself.
         Combiner::Dup | Combiner::Resized => {
             path.push(frame);
             Ok(Step::Child(s.types[c.types]))
         }
-        // Algorithm 2: a contiguous type is a stream whose stride is the
-        // element extent.
-        Combiner::Contiguous => {
-            let (count, old) = (s.ints[c.ints], s.types[c.types]);
-            let ex = stride_extent(intro, old, count > 1)?;
-            s.specs.push((0, ex, count));
-            Ok(wrap_streams(s, path, frame, old))
-        }
-        // Algorithm 3: vector/hvector become two nested streams (blocks,
-        // then elements within a block), the blocks a stride in elements
-        // or in bytes apart. A vector forms `extent × stride` only for more
-        // than one block of elements, as the registry does.
-        Combiner::Vector | Combiner::Hvector => {
-            let (count, blocklength) = (s.ints[c.ints], s.ints[c.ints + 1]);
-            let old = s.types[c.types];
-            let vector = combiner == Combiner::Vector;
-            let ex = stride_extent(intro, old, blocklength > 1 || (vector && count > 1))?;
-            let apart = match combiner {
-                Combiner::Vector if count > 1 && blocklength > 0 => at(0, ex, s.ints[c.ints + 2])?,
-                Combiner::Vector => 0,
-                _ => s.addrs[c.addrs],
-            };
-            s.specs.extend([(0, ex, blocklength), (0, apart, count)]);
-            Ok(wrap_streams(s, path, frame, old))
-        }
-        // Algorithm 4: each subarray dimension is a nested stream;
-        // dimension strides are products of the faster dimensions' sizes.
-        Combiner::Subarray => {
-            // sizes, subsizes and starts, each `ndims` long, then the order
-            let ndims = s.ints[c.ints] as usize;
-            let (sizes, subsizes) = (c.ints + 1, c.ints + 1 + ndims);
-            let (starts, c_order) = (subsizes + ndims, s.ints[subsizes + 2 * ndims] == 0);
-            let old = s.types[c.types];
-            let (_, ex) = intro.extent(old)?;
-            // innermost (fastest-varying) dimension first: the last in C
-            // order, the first in Fortran order
-            let mut stride = ex;
-            for i in 0..ndims {
-                let d = if c_order { ndims - 1 - i } else { i };
-                let spec = (
-                    at(0, s.ints[starts + d], stride)?,
-                    stride,
-                    s.ints[subsizes + d],
-                );
-                s.specs.push(spec);
-                stride = stride.checked_mul(s.ints[sizes + d]).ok_or_else(overflow)?;
-            }
-            Ok(wrap_streams(s, path, frame, old))
-        }
+        Combiner::Contiguous => enter_contiguous(intro, s, path, frame),
+        Combiner::Vector => enter_vector(intro, s, path, frame, true),
+        Combiner::Hvector => enter_vector(intro, s, path, frame, false),
+        Combiner::Subarray => enter_subarray(intro, s, path, frame),
         // Indexed-family extension: flatten to a block list when the
         // element type itself reduces to a block list or dense run.
-        Combiner::Indexed | Combiner::Hindexed | Combiner::IndexedBlock => {
+        combiner @ (Combiner::Indexed | Combiner::Hindexed | Combiner::IndexedBlock) => {
             let old = s.types[c.types];
             let (_, ex) = intro.extent(old)?;
             path.push(Frame {
@@ -443,6 +394,84 @@ fn enter<I: Introspect>(
             next_member(intro, s, path, frame, at)
         }
     }
+}
+
+/// Algorithm 1: named types are dense, offset 0.
+fn enter_named<I: Introspect>(intro: &mut I, s: &mut Scratch, dt: Datatype) -> MpiResult<Step> {
+    let (_, extent) = intro.extent(dt)?;
+    s.chain.leaf = DenseData { off: 0, extent };
+    s.chain.streams.clear();
+    Ok(Step::Done(Shape::Strided))
+}
+
+/// Algorithm 2: a contiguous type is a stream whose stride is the element
+/// extent.
+fn enter_contiguous<I: Introspect>(
+    intro: &mut I,
+    s: &mut Scratch,
+    path: &mut Path,
+    frame: Frame,
+) -> MpiResult<Step> {
+    let c = frame.args;
+    let (count, old) = (s.ints[c.ints], s.types[c.types]);
+    let ex = stride_extent(intro, old, count > 1)?;
+    s.specs.push((0, ex, count));
+    Ok(wrap_streams(s, path, frame, old))
+}
+
+/// Algorithm 3: vector/hvector become two nested streams (blocks, then
+/// elements within a block), the blocks a stride in elements or in bytes
+/// apart. A vector forms `extent × stride` only for more than one block of
+/// elements, as the registry does.
+fn enter_vector<I: Introspect>(
+    intro: &mut I,
+    s: &mut Scratch,
+    path: &mut Path,
+    frame: Frame,
+    vector: bool,
+) -> MpiResult<Step> {
+    let c = frame.args;
+    let (count, blocklength) = (s.ints[c.ints], s.ints[c.ints + 1]);
+    let old = s.types[c.types];
+    let ex = stride_extent(intro, old, blocklength > 1 || (vector && count > 1))?;
+    let apart = match vector {
+        true if count > 1 && blocklength > 0 => at(0, ex, s.ints[c.ints + 2])?,
+        true => 0,
+        false => s.addrs[c.addrs],
+    };
+    s.specs.extend([(0, ex, blocklength), (0, apart, count)]);
+    Ok(wrap_streams(s, path, frame, old))
+}
+
+/// Algorithm 4: each subarray dimension is a nested stream; dimension
+/// strides are products of the faster dimensions' sizes.
+fn enter_subarray<I: Introspect>(
+    intro: &mut I,
+    s: &mut Scratch,
+    path: &mut Path,
+    frame: Frame,
+) -> MpiResult<Step> {
+    let c = frame.args;
+    // sizes, subsizes and starts, each `ndims` long, then the order
+    let ndims = s.ints[c.ints] as usize;
+    let (sizes, subsizes) = (c.ints + 1, c.ints + 1 + ndims);
+    let (starts, c_order) = (subsizes + ndims, s.ints[subsizes + 2 * ndims] == 0);
+    let old = s.types[c.types];
+    let (_, ex) = intro.extent(old)?;
+    // innermost (fastest-varying) dimension first: the last in C order,
+    // the first in Fortran order
+    let mut stride = ex;
+    for i in 0..ndims {
+        let d = if c_order { ndims - 1 - i } else { i };
+        let spec = (
+            at(0, s.ints[starts + d], stride)?,
+            stride,
+            s.ints[subsizes + d],
+        );
+        s.specs.push(spec);
+        stride = stride.checked_mul(s.ints[sizes + d]).ok_or_else(overflow)?;
+    }
+    Ok(wrap_streams(s, path, frame, old))
 }
 
 /// Hand the level waiting on `frame` its child's result `child`: the

@@ -655,6 +655,9 @@ fn no_kernel() -> MpiError {
 /// buffers, the packed bytes at `packed`: the whole object in one
 /// synchronous launch-and-join. `force_word` as in [`select_kernel`], for
 /// the one member derived here.
+///
+/// Only a dispatch: ranks pack on their fiber stacks, so each kind's
+/// launch is a frame of its own, and none carries another's beneath it.
 pub(crate) fn execute(
     ctx: &mut RankCtx,
     plan: &PlanKind,
@@ -665,42 +668,64 @@ pub(crate) fn execute(
 ) -> MpiResult<()> {
     let (stream, clock) = (&mut ctx.stream, &mut ctx.clock);
     let (buf, extent) = (x.buf, x.extent);
-    let mut padded = [Member::run(0, 0)];
-    let (members, x) = match plan {
-        PlanKind::Empty => return Ok(()),
+    match plan {
+        PlanKind::Empty => Ok(()),
         PlanKind::Strided(kp) if kp.kind == KernelKind::Memcpy1D => {
-            // A contiguous object: "issue a single cudaMemcpyAsync …
-            // followed by a cudaStreamSynchronize" (§3.3).
-            if x.count <= 1 || kp.sb.block_bytes() == extent {
-                let (dst, src) = dir.ends(ptr_at(buf, kp.sb.start)?, packed);
-                stream
-                    .memcpy_async(clock, dst, src, x.bytes)
-                    .map_err(MpiError::Gpu)?;
-                stream.synchronize(clock);
-                return Ok(());
-            }
-            // Several items with padding: incount acts as an extra stride
-            // dimension, handled dynamically (§3.3) — one member of `count`
-            // runs `extent` apart, moved as one item.
-            padded[0] = Member::of(&kp.sb, x.count as i64, extent, 0)
-                .ok_or_else(|| MpiError::InvalidArg("item offsets overflow".to_string()))?;
-            select_members(&mut padded, force_word);
-            (&padded[..], Typed { count: 1, ..x })
+            execute_memcpy(kp, stream, clock, dir, x, packed, force_word)
         }
         PlanKind::Strided(kp) => {
-            return execute_strided(kp, stream, clock, dir, buf, extent, x.count, packed, 0)
-                .map(drop);
+            execute_strided(kp, stream, clock, dir, buf, extent, x.count, packed, 0).map(drop)
         }
         PlanKind::Blocks(bl) => {
-            return execute_blocklist(bl, stream, clock, dir, buf, extent, x.count, packed, 0)
-                .map(drop);
+            execute_blocklist(bl, stream, clock, dir, buf, extent, x.count, packed, 0).map(drop)
         }
-        PlanKind::Multi(members) => (members.as_slice(), x),
-        PlanKind::Fallback(_) => return Err(no_kernel()),
-    };
-    // One kernel whose parameters are the list: every member moves at the
-    // rate its own block length, word and rank give it, the machine as
-    // full as the whole transfer makes it.
+        PlanKind::Multi(members) => execute_members(stream, clock, dir, members, x, packed),
+        PlanKind::Fallback(_) => Err(no_kernel()),
+    }
+}
+
+/// [`execute`] of a contiguous layout: "issue a single cudaMemcpyAsync …
+/// followed by a cudaStreamSynchronize" (§3.3).
+#[inline(never)]
+fn execute_memcpy(
+    kp: &KernelPlan,
+    stream: &mut Stream,
+    clock: &mut SimClock,
+    dir: PackDir,
+    x: Typed,
+    packed: GpuPtr,
+    force_word: Option<usize>,
+) -> MpiResult<()> {
+    if x.count <= 1 || kp.sb.block_bytes() == x.extent {
+        let (dst, src) = dir.ends(ptr_at(x.buf, kp.sb.start)?, packed);
+        stream
+            .memcpy_async(clock, dst, src, x.bytes)
+            .map_err(MpiError::Gpu)?;
+        stream.synchronize(clock);
+        return Ok(());
+    }
+    // Several items with padding: incount acts as an extra stride
+    // dimension, handled dynamically (§3.3) — one member of `count` runs
+    // `extent` apart, moved as one item.
+    let mut padded = [Member::of(&kp.sb, x.count as i64, x.extent, 0)
+        .ok_or_else(|| MpiError::InvalidArg("item offsets overflow".to_string()))?];
+    select_members(&mut padded, force_word);
+    execute_members(stream, clock, dir, &padded, Typed { count: 1, ..x }, packed)
+}
+
+/// [`execute`] of a member list: one kernel whose parameters are the list,
+/// every member moving at the rate its own block length, word and rank
+/// give it, the machine as full as the whole transfer makes it.
+#[inline(never)]
+fn execute_members(
+    stream: &mut Stream,
+    clock: &mut SimClock,
+    dir: PackDir,
+    members: &[Member],
+    x: Typed,
+    packed: GpuPtr,
+) -> MpiResult<()> {
+    let buf = x.buf;
     let parts = members.iter().map(|m| {
         let word = effective_word(m.word as usize, buf, packed);
         let bytes = m.data_bytes() as usize * x.count;

@@ -317,8 +317,10 @@ fn move_runs(
 }
 
 /// `count` runs of `words` words of `W` bytes, each end stepping by its
-/// own stride after every run.
-#[inline(always)]
+/// own stride after every run. Each width is called once, so an optimized
+/// build inlines it; a debug build keeps it out of line, where six inlined
+/// copies cost every pack kernel 4 KiB of a rank's fiber stack.
+#[inline]
 fn row_of<const W: usize>(
     to: &mut [u8],
     from: &[u8],

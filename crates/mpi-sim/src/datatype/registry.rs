@@ -207,167 +207,219 @@ impl TypeRegistry {
     /// does ascend that costs host time only — `typemap::for_each_block`
     /// walks it piece by piece and merges the touching runs into the one
     /// block the fast path would have found.
+    ///
+    /// Ranks create types on their fiber stacks, so each arm is a function
+    /// of its own: a debug build gives every temporary of a function its
+    /// own stack slot, so one function holding every arm would cost each
+    /// type a rank builds the frames of all of them.
     pub fn create(&mut self, def: TypeDef) -> MpiResult<Datatype> {
-        // an element type whose own typemap ascends and fills its extent
-        let tiles = |old: &TypeInfo| old.ascending && old.attrs.is_dense();
-        let (attrs, ascending) = match &def {
-            TypeDef::Named(_) => {
-                return Err(MpiError::InvalidArg("named types are predefined".into()))
-            }
-            TypeDef::Dup { oldtype } => self.get(*oldtype).map(|old| (old.attrs, old.ascending))?,
-            TypeDef::Contiguous { count, oldtype } => {
-                check_args(&[], &[*count])?;
-                let old = self.get(*oldtype)?;
-                // one block of `count` elements
-                (strided(old.attrs, 1, *count, || Ok(0))?, tiles(old))
-            }
-            TypeDef::Vector {
-                count,
-                blocklength,
-                stride,
-                oldtype,
-            } => {
-                check_args(&[], &[*count, *blocklength])?;
-                let old = self.get(*oldtype)?;
-                // two `i32`s multiply without overflow in an `i64`
-                let last = || mul((*count - 1) as i64 * *stride as i64, old.attrs.extent());
-                let attrs = strided(old.attrs, *count, *blocklength, last)?;
-                (attrs, tiles(old) && (*count <= 1 || stride >= blocklength))
-            }
-            TypeDef::Hvector {
-                count,
-                blocklength,
-                stride_bytes,
-                oldtype,
-            } => {
-                check_args(&[], &[*count, *blocklength])?;
-                let old = self.get(*oldtype)?;
-                let last = || mul((*count - 1) as i64, *stride_bytes);
-                let attrs = strided(old.attrs, *count, *blocklength, last)?;
-                let block = (*blocklength as i64).saturating_mul(old.attrs.extent());
-                (attrs, tiles(old) && (*count <= 1 || *stride_bytes >= block))
-            }
-            TypeDef::Indexed {
-                blocklengths,
-                displacements,
-                oldtype,
-            } => {
-                check_args(&[blocklengths.len(), displacements.len()], blocklengths)?;
-                let old = self.get(*oldtype)?.attrs;
-                let blocks = (blocklengths.iter().zip(displacements))
-                    .map(|(&n, &d)| Ok((old, n as i64, mul(d as i64, old.extent())?)));
-                (span(blocks)?, false)
-            }
-            TypeDef::IndexedBlock {
-                blocklength,
-                displacements,
-                oldtype,
-            } => {
-                check_args(&[], &[*blocklength])?;
-                let old = self.get(*oldtype)?.attrs;
-                let blocks = (displacements.iter())
-                    .map(|&d| Ok((old, *blocklength as i64, mul(d as i64, old.extent())?)));
-                (span(blocks)?, false)
-            }
-            TypeDef::Hindexed {
-                blocklengths,
-                displacements_bytes,
-                oldtype,
-            } => {
-                let lens = [blocklengths.len(), displacements_bytes.len()];
-                check_args(&lens, blocklengths)?;
-                let old = self.get(*oldtype)?.attrs;
-                let blocks = blocklengths.iter().zip(displacements_bytes);
-                (span(blocks.map(|(&n, &d)| Ok((old, n as i64, d))))?, false)
-            }
-            TypeDef::Subarray {
-                dims,
-                order,
-                oldtype,
-            } => {
-                if dims.is_empty() {
-                    return Err(MpiError::InvalidArg("subarray needs ndims >= 1".into()));
-                }
-                for (i, d) in dims.iter().enumerate() {
-                    let (size, sub, start) = (d.size, d.subsize, d.start);
-                    if size < 1 || sub < 1 || sub > size || start < 0 || start > size - sub {
-                        return Err(MpiError::InvalidArg(format!(
-                            "dimension {i}: size {size}, subsize {sub}, start {start} \
-                             (need 1 <= subsize <= size, 0 <= start <= size - subsize)"
-                        )));
-                    }
-                }
-                let old = self.get(*oldtype)?;
-                let ex = old.attrs.extent();
-                // elements in the full array: when it fits, so does every
-                // stride and every offset inside it
-                let full = dims.iter().try_fold(1, |n, d| mul(n, d.size as i64))?;
-                // an element's offset: each index times its dimension's
-                // stride, the running product of the faster sizes
-                let at = |pick: fn(&Dim) -> i32| -> i64 {
-                    let step = |(at, stride): (i64, i64), d: &Dim| {
-                        (at + pick(d) as i64 * stride, stride * d.size as i64)
-                    };
-                    order.fastest_first(dims).fold((0, 1), step).0
-                };
-                let first = at(|d| d.start);
-                let last = at(|d| d.start + d.subsize - 1);
-                let nsub: u64 = dims.iter().map(|d| d.subsize as u64).product();
-                let attrs = TypeAttrs {
-                    size: mul_size(nsub, old.attrs.size)?,
-                    // per MPI, a subarray's extent spans the *full* array
-                    lb: 0,
-                    ub: mul(full, ex)?,
-                    true_lb: add(mul(first, ex)?, old.attrs.true_lb)?,
-                    true_ub: add(mul(last, ex)?, old.attrs.true_ub)?,
-                };
-                (attrs, tiles(old))
-            }
-            TypeDef::Struct {
-                blocklengths,
-                displacements_bytes,
-                types,
-            } => {
-                let lens = [blocklengths.len(), displacements_bytes.len(), types.len()];
-                check_args(&lens, blocklengths)?;
-                let blocks = (blocklengths.iter().zip(displacements_bytes).zip(types))
-                    .map(|((&n, &d), &t)| Ok((self.get(t)?.attrs, n as i64, d)));
-                (span(blocks)?, false)
-            }
-            TypeDef::Resized {
-                lb,
-                extent,
-                oldtype,
-            } => {
-                let old = self.get(*oldtype)?;
-                let mut attrs = old.attrs;
-                (attrs.lb, attrs.ub) = (*lb, add(*lb, *extent)?);
-                (attrs, old.ascending)
-            }
-        };
+        let (attrs, ascending) = self.derive(&def)?;
         // every reader of a type takes `ub - lb` and `true_ub - true_lb`
         (attrs.ub.checked_sub(attrs.lb))
             .and(attrs.true_ub.checked_sub(attrs.true_lb))
             .ok_or_else(bounds_overflow)?;
-        // the free list's head, else a new slot
+        self.insert(TypeInfo {
+            def,
+            attrs,
+            committed: false,
+            ascending,
+        })
+    }
+
+    /// Store `info` in the free list's head, else in a new slot.
+    fn insert(&mut self, info: TypeInfo) -> MpiResult<Datatype> {
         let head = self.free.map(|s| s as usize);
         let (slot, generation, next) = match head.map(|s| (s, &self.slots[s])) {
             Some((s, &Slot::Free(g, next))) => (s, g, next),
             _ => (self.slots.len(), 0, None),
         };
         let handle = Datatype::new(slot, generation)?;
-        let info = TypeInfo {
-            def,
-            attrs,
-            committed: false,
-            ascending,
-        };
         if slot < self.slots.len() {
             (self.slots[slot], self.free) = (Slot::Live(generation, info), next);
         } else {
             self.slots.push(Slot::Live(generation, info));
         }
         Ok(handle)
+    }
+
+    /// [`TypeRegistry::create`]'s arms: the checked attributes of `def`
+    /// and whether its typemap ascends.
+    fn derive(&self, def: &TypeDef) -> MpiResult<(TypeAttrs, bool)> {
+        match *def {
+            TypeDef::Named(_) => Err(MpiError::InvalidArg("named types are predefined".into())),
+            TypeDef::Dup { oldtype } => self.get(oldtype).map(|old| (old.attrs, old.ascending)),
+            TypeDef::Contiguous { count, oldtype } => self.contiguous(count, oldtype),
+            TypeDef::Vector {
+                count,
+                blocklength,
+                stride,
+                oldtype,
+            } => self.vector(count, blocklength, stride, oldtype),
+            TypeDef::Hvector {
+                count,
+                blocklength,
+                stride_bytes,
+                oldtype,
+            } => self.hvector(count, blocklength, stride_bytes, oldtype),
+            TypeDef::Indexed {
+                ref blocklengths,
+                ref displacements,
+                oldtype,
+            } => self.indexed(blocklengths, displacements, oldtype),
+            TypeDef::IndexedBlock {
+                blocklength,
+                ref displacements,
+                oldtype,
+            } => self.indexed_block(blocklength, displacements, oldtype),
+            TypeDef::Hindexed {
+                ref blocklengths,
+                ref displacements_bytes,
+                oldtype,
+            } => self.hindexed(blocklengths, displacements_bytes, oldtype),
+            TypeDef::Subarray {
+                ref dims,
+                order,
+                oldtype,
+            } => self.subarray(dims, order, oldtype),
+            TypeDef::Struct {
+                ref blocklengths,
+                ref displacements_bytes,
+                ref types,
+            } => self.struct_of(blocklengths, displacements_bytes, types),
+            TypeDef::Resized {
+                lb,
+                extent,
+                oldtype,
+            } => {
+                let old = self.get(oldtype)?;
+                let mut attrs = old.attrs;
+                (attrs.lb, attrs.ub) = (lb, add(lb, extent)?);
+                Ok((attrs, old.ascending))
+            }
+        }
+    }
+
+    fn contiguous(&self, count: i32, oldtype: Datatype) -> MpiResult<(TypeAttrs, bool)> {
+        check_args(&[], &[count])?;
+        let old = self.get(oldtype)?;
+        // one block of `count` elements
+        Ok((strided(old.attrs, 1, count, || Ok(0))?, tiles(old)))
+    }
+
+    fn vector(
+        &self,
+        count: i32,
+        blocklength: i32,
+        stride: i32,
+        oldtype: Datatype,
+    ) -> MpiResult<(TypeAttrs, bool)> {
+        check_args(&[], &[count, blocklength])?;
+        let old = self.get(oldtype)?;
+        // two `i32`s multiply without overflow in an `i64`
+        let last = || mul((count - 1) as i64 * stride as i64, old.attrs.extent());
+        let attrs = strided(old.attrs, count, blocklength, last)?;
+        Ok((attrs, tiles(old) && (count <= 1 || stride >= blocklength)))
+    }
+
+    fn hvector(
+        &self,
+        count: i32,
+        blocklength: i32,
+        stride_bytes: i64,
+        oldtype: Datatype,
+    ) -> MpiResult<(TypeAttrs, bool)> {
+        check_args(&[], &[count, blocklength])?;
+        let old = self.get(oldtype)?;
+        let last = || mul((count - 1) as i64, stride_bytes);
+        let attrs = strided(old.attrs, count, blocklength, last)?;
+        let block = (blocklength as i64).saturating_mul(old.attrs.extent());
+        Ok((attrs, tiles(old) && (count <= 1 || stride_bytes >= block)))
+    }
+
+    fn indexed(
+        &self,
+        blocklengths: &[i32],
+        displacements: &[i32],
+        oldtype: Datatype,
+    ) -> MpiResult<(TypeAttrs, bool)> {
+        check_args(&[blocklengths.len(), displacements.len()], blocklengths)?;
+        let old = self.get(oldtype)?.attrs;
+        let blocks = (blocklengths.iter().zip(displacements))
+            .map(|(&n, &d)| Ok((old, n as i64, mul(d as i64, old.extent())?)));
+        Ok((span(blocks)?, false))
+    }
+
+    fn indexed_block(
+        &self,
+        blocklength: i32,
+        displacements: &[i32],
+        oldtype: Datatype,
+    ) -> MpiResult<(TypeAttrs, bool)> {
+        check_args(&[], &[blocklength])?;
+        let old = self.get(oldtype)?.attrs;
+        let blocks = (displacements.iter())
+            .map(|&d| Ok((old, blocklength as i64, mul(d as i64, old.extent())?)));
+        Ok((span(blocks)?, false))
+    }
+
+    fn hindexed(
+        &self,
+        blocklengths: &[i32],
+        displacements_bytes: &[i64],
+        oldtype: Datatype,
+    ) -> MpiResult<(TypeAttrs, bool)> {
+        let lens = [blocklengths.len(), displacements_bytes.len()];
+        check_args(&lens, blocklengths)?;
+        let old = self.get(oldtype)?.attrs;
+        let blocks = blocklengths.iter().zip(displacements_bytes);
+        Ok((span(blocks.map(|(&n, &d)| Ok((old, n as i64, d))))?, false))
+    }
+
+    fn subarray(
+        &self,
+        dims: &[Dim],
+        order: Order,
+        oldtype: Datatype,
+    ) -> MpiResult<(TypeAttrs, bool)> {
+        check_dims(dims)?;
+        let old = self.get(oldtype)?;
+        let ex = old.attrs.extent();
+        // elements in the full array: when it fits, so does every
+        // stride and every offset inside it
+        let full = dims.iter().try_fold(1, |n, d| mul(n, d.size as i64))?;
+        // an element's offset: each index times its dimension's
+        // stride, the running product of the faster sizes
+        let at = |pick: fn(&Dim) -> i32| -> i64 {
+            let step = |(at, stride): (i64, i64), d: &Dim| {
+                (at + pick(d) as i64 * stride, stride * d.size as i64)
+            };
+            order.fastest_first(dims).fold((0, 1), step).0
+        };
+        let first = at(|d| d.start);
+        let last = at(|d| d.start + d.subsize - 1);
+        let nsub: u64 = dims.iter().map(|d| d.subsize as u64).product();
+        let attrs = TypeAttrs {
+            size: mul_size(nsub, old.attrs.size)?,
+            // per MPI, a subarray's extent spans the *full* array
+            lb: 0,
+            ub: mul(full, ex)?,
+            true_lb: add(mul(first, ex)?, old.attrs.true_lb)?,
+            true_ub: add(mul(last, ex)?, old.attrs.true_ub)?,
+        };
+        Ok((attrs, tiles(old)))
+    }
+
+    fn struct_of(
+        &self,
+        blocklengths: &[i32],
+        displacements_bytes: &[i64],
+        types: &[Datatype],
+    ) -> MpiResult<(TypeAttrs, bool)> {
+        let lens = [blocklengths.len(), displacements_bytes.len(), types.len()];
+        check_args(&lens, blocklengths)?;
+        let blocks = (blocklengths.iter().zip(displacements_bytes).zip(types))
+            .map(|((&n, &d), &t)| Ok((self.get(t)?.attrs, n as i64, d)));
+        Ok((span(blocks)?, false))
     }
 
     /// `MPI_Type_dup`.
@@ -696,31 +748,65 @@ type Block = (TypeAttrs, i64, i64);
 /// nothing to the true bounds, which cover data only: a type of no data
 /// has true bounds `(0, 0)`, a type of no blocks is empty. A block its
 /// caller could not place is passed on as its error.
+///
+/// Generic over each caller's iterator, so it is only the loop: the fold
+/// is [`Span`]'s, compiled once.
 fn span(blocks: impl IntoIterator<Item = MpiResult<Block>>) -> MpiResult<TypeAttrs> {
-    let (mut size, mut bounds, mut data) = (0, None, None);
+    let mut span = Span::default();
     for block in blocks {
-        let (old, n, disp) = block?;
+        span.add(block?)?;
+    }
+    Ok(span.attrs())
+}
+
+/// [`span`]'s running fold: bytes of data, the hull of the blocks' bounds
+/// and the hull of their data's true bounds.
+#[derive(Default)]
+struct Span {
+    size: u64,
+    bounds: Option<(i64, i64)>,
+    data: Option<(i64, i64)>,
+}
+
+impl Span {
+    fn add(&mut self, (old, n, disp): Block) -> MpiResult<()> {
         if n == 0 {
-            continue;
+            return Ok(());
         }
+        self.fold(old, n, disp).ok_or_else(bounds_overflow)
+    }
+
+    /// [`Span::add`] of a block of `n > 0` elements; `None` when a size or
+    /// bound overflows.
+    fn fold(&mut self, old: TypeAttrs, n: i64, disp: i64) -> Option<()> {
         // where the last element starts, relative to the first
-        let last = mul(n - 1, old.extent())?;
-        let (lo, hi) = (add(disp, last.min(0))?, add(disp, last.max(0))?);
-        let bytes = mul_size(n as u64, old.size)?;
-        size = bytes.checked_add(size).ok_or_else(bounds_overflow)?;
-        bounds = hull(bounds, (add(lo, old.lb)?, add(hi, old.ub)?));
+        let last = (n - 1).checked_mul(old.extent())?;
+        let (lo, hi) = (
+            disp.checked_add(last.min(0))?,
+            disp.checked_add(last.max(0))?,
+        );
+        let bytes = (n as u64).checked_mul(old.size)?;
+        self.size = bytes.checked_add(self.size)?;
+        let bounds = (lo.checked_add(old.lb)?, hi.checked_add(old.ub)?);
+        self.bounds = hull(self.bounds, bounds);
         if bytes > 0 {
-            data = hull(data, (add(lo, old.true_lb)?, add(hi, old.true_ub)?));
+            let data = (lo.checked_add(old.true_lb)?, hi.checked_add(old.true_ub)?);
+            self.data = hull(self.data, data);
+        }
+        Some(())
+    }
+
+    fn attrs(self) -> TypeAttrs {
+        let ((lb, ub), (true_lb, true_ub)) =
+            (self.bounds.unwrap_or((0, 0)), self.data.unwrap_or((0, 0)));
+        TypeAttrs {
+            size: self.size,
+            lb,
+            ub,
+            true_lb,
+            true_ub,
         }
     }
-    let ((lb, ub), (true_lb, true_ub)) = (bounds.unwrap_or((0, 0)), data.unwrap_or((0, 0)));
-    Ok(TypeAttrs {
-        size,
-        lb,
-        ub,
-        true_lb,
-        true_ub,
-    })
 }
 
 /// The smallest interval holding `a` (if any) and `lo..hi`.
@@ -746,6 +832,29 @@ fn strided(
         size,
         ..span(blocks.map(|&at| Ok((old, blocklength as i64, at))))?
     })
+}
+
+/// An element type whose own typemap ascends and fills its extent.
+fn tiles(old: &TypeInfo) -> bool {
+    old.ascending && old.attrs.is_dense()
+}
+
+/// What a subarray's dimensions must satisfy: at least one, each with
+/// `1 <= subsize <= size` and `0 <= start <= size - subsize`.
+fn check_dims(dims: &[Dim]) -> MpiResult<()> {
+    if dims.is_empty() {
+        return Err(MpiError::InvalidArg("subarray needs ndims >= 1".into()));
+    }
+    for (i, d) in dims.iter().enumerate() {
+        let (size, sub, start) = (d.size, d.subsize, d.start);
+        if size < 1 || sub < 1 || sub > size || start < 0 || start > size - sub {
+            return Err(MpiError::InvalidArg(format!(
+                "dimension {i}: size {size}, subsize {sub}, start {start} \
+                 (need 1 <= subsize <= size, 0 <= start <= size - subsize)"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// What every constructor's integer arguments must satisfy: its lists

@@ -11,8 +11,10 @@
 //! and the rest in a `Vec` its owner keeps from one walk to the next.
 
 /// Levels a [`WalkPath`] holds without its spill vector: the paper's
-/// types, the benchmark zoo and the tests' generated types all nest fewer.
-pub const INLINE_LEVELS: usize = 8;
+/// types, the benchmark zoo and the tests' generated types nest at most
+/// three deep. Each level is a slot of the walk's frame on a rank's fiber
+/// stack, so no more are held than those types use.
+pub const INLINE_LEVELS: usize = 4;
 
 /// A stack of walk levels: the bottom [`INLINE_LEVELS`] in place, the rest
 /// in a spill vector whose capacity outlives the walk ([`WalkPath::new`],

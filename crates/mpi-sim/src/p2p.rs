@@ -863,10 +863,25 @@ impl RankCtx {
             return self.post(dest, tag, payload, MemSpace::Device);
         }
 
-        // Contiguous device data, or host data (packed on the CPU).
-        let payload = self.gather_payload(buf, count, &wt)?;
-        if buf.space != MemSpace::Device && !fully_contiguous {
-            let t = self.vendor.host_pack_time(bytes, wt.blocks * count);
+        self.send_gathered(buf, count, &wt, dest, tag)
+    }
+
+    /// [`RankCtx::send`] of contiguous device data, or of host data
+    /// (packed on the CPU). (Out of the frame the vendor's device pack
+    /// runs beneath, on a rank's fiber stack.)
+    fn send_gathered(
+        &mut self,
+        buf: GpuPtr,
+        count: usize,
+        wt: &WireType,
+        dest: usize,
+        tag: i32,
+    ) -> MpiResult<()> {
+        let payload = self.gather_payload(buf, count, wt)?;
+        if buf.space != MemSpace::Device && !wt.fully_contiguous(count) {
+            let t = self
+                .vendor
+                .host_pack_time(wt.size * count, wt.blocks * count);
             self.clock.advance(t);
         }
         self.post(dest, tag, payload, buf.space)
@@ -886,19 +901,7 @@ impl RankCtx {
         let capacity = wt.transfer(count)?;
         self.recv_gate(src)?;
         let msg = self.match_message(src, tag)?;
-        // One message is consumed as it is; the parts of a pipelined
-        // transfer are gathered, in order, into one packed payload first.
-        let mut payload = Vec::new();
-        let st = self
-            .deliver_transfer(msg, capacity, buf.space, |_, off, part| {
-                if off == 0 {
-                    payload = part;
-                    return Ok(Vec::new());
-                }
-                payload.extend_from_slice(&part);
-                Ok(part)
-            })
-            .map_err(|e| e.with_envelope(|| self.registry().read().get_envelope(dt).ok()))?;
+        let (st, payload) = self.recv_payload(msg, capacity, buf.space, dt)?;
         let bytes = st.bytes;
 
         let items = bytes.checked_div(wt.size).unwrap_or(0);
@@ -926,6 +929,32 @@ impl RankCtx {
             }
         }
         Ok(st)
+    }
+
+    /// [`RankCtx::recv`]'s delivery of `msg`, received into `space` as
+    /// `capacity` bytes of `dt`: its status and packed payload. One message
+    /// is consumed as it is; the parts of a pipelined transfer are
+    /// gathered, in order, into one payload first. (Out of the frame the
+    /// landing's unpack runs beneath, on a rank's fiber stack.)
+    fn recv_payload(
+        &mut self,
+        msg: Message,
+        capacity: usize,
+        space: MemSpace,
+        dt: Datatype,
+    ) -> MpiResult<(Status, Vec<u8>)> {
+        let mut payload = Vec::new();
+        let st = self
+            .deliver_transfer(msg, capacity, space, |_, off, part| {
+                if off == 0 {
+                    payload = part;
+                    return Ok(Vec::new());
+                }
+                payload.extend_from_slice(&part);
+                Ok(part)
+            })
+            .map_err(|e| e.with_envelope(|| self.registry().read().get_envelope(dt).ok()))?;
+        Ok((st, payload))
     }
 }
 

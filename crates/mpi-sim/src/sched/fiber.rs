@@ -13,12 +13,16 @@
 //! * `asm` — x86_64 (SysV: Linux, macOS, BSDs) and aarch64 (AAPCS64): a
 //!   heap-allocated stack and a handful of instructions per switch (push
 //!   the callee-saved registers, swap stack pointers, pop, return). Each
-//!   stack is one page-aligned 128 KiB block from the global allocator, so
+//!   stack is one page-aligned 80 KiB block from the global allocator, so
 //!   a heap counter sees every byte of it, left uninitialized, so only the
 //!   pages a rank touches become resident. The size is measured, not
 //!   guessed (see `STACK_KIB`): at least 2.5 times the deepest stack of a
 //!   debug test run, 10 times the deepest of a release workload, and no
 //!   input makes a rank's stack grow, as no walk over a datatype recurses.
+//!   What sets the debug half is frame size, not depth: code that runs on
+//!   a rank keeps each case of a large `match` and each off-path branch in
+//!   a function of its own, as a debug build gives every temporary of a
+//!   function its own stack slot.
 //!   Its lowest page is a `PROT_NONE` guard: an overflow faults at the
 //!   overflowing access (SIGSEGV, or SIGBUS on macOS) instead of writing
 //!   over the heap. The guard splits the block's mapping, so a live fiber
@@ -81,12 +85,15 @@ mod asm {
         // Declared by hand: the crate takes no `libc`. POSIX signatures.
         fn getpagesize() -> c_int;
         fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     /// `PROT_NONE` and `PROT_READ | PROT_WRITE` of `<sys/mman.h>`, the same
     /// on Linux, macOS and the BSDs.
     const PROT_NONE: c_int = 0;
     const PROT_READ_WRITE: c_int = 3;
+    /// `MADV_DONTNEED`, the same on Linux, macOS and the BSDs.
+    const MADV_DONTNEED: c_int = 4;
 
     /// A fiber stack: one page-aligned block from the global allocator
     /// whose lowest page (`layout.align()` bytes) is the `PROT_NONE` guard.
@@ -136,10 +143,15 @@ mod asm {
             // SAFETY: the guard page is ours, and the allocator may write its
             // bookkeeping there once the block is freed, so it is made
             // writable first (a block whose guard cannot be lifted is leaked,
-            // not freed); `ptr` came from `alloc` with `layout`.
+            // not freed); `ptr` came from `alloc` with `layout`. The pages
+            // the fiber touched go back to the OS first: a stack this small
+            // comes from the heap, not from a mapping of its own, and a
+            // block handed out again at another offset would otherwise keep
+            // them resident in the middle of the next stack.
             unsafe {
                 let guard = self.ptr.as_ptr();
                 if mprotect(guard.cast(), self.layout.align(), PROT_READ_WRITE) == 0 {
+                    madvise(guard.cast(), self.layout.size(), MADV_DONTNEED);
                     dealloc(guard, self.layout);
                 }
             }

@@ -112,12 +112,15 @@ impl fmt::Display for ParkOp {
 }
 
 /// Every fiber's stack, guard page included, sized by a rule: at least 2.5
-/// times the deepest one measured in a debug test run (38.8 KiB, in
-/// `tests/deep_types.rs`) and 10 times the deepest in a release workload
-/// (8.0 KiB, `send_latency`), with nothing an input can make grow — no
-/// walk over a datatype recurses. Lazily committed, so a fiber pays only
-/// for the pages it touches; an overflow faults on the guard page.
-const STACK_KIB: usize = 128;
+/// times the deepest one measured in a debug test run (28.1 KiB, in
+/// `tempi-core`'s unit tests) and 10 times the deepest in a release
+/// workload (7.5 KiB, `halo_scale` traced), with nothing an input can make
+/// grow — no walk over a datatype recurses. `tests/deep_types.rs` checks
+/// the debug half on every test run: the deepest bodies it knows must run
+/// on a rank that has spent all but `STACK_KIB / 2.5` of its stack.
+/// Lazily committed, so a fiber pays only for the pages it touches; an
+/// overflow faults on the guard page. Public for that test; not a knob.
+pub const STACK_KIB: usize = 80;
 
 struct Task {
     /// The task's virtual clock when it parked (its ready-heap key once

@@ -182,67 +182,12 @@ pub(crate) fn baseline_gpu_xfer(
     packed: GpuPtr,
     dir: PackDir,
 ) -> MpiResult<BaselineMethod> {
-    let total = wt.size * incount;
-
-    // Contiguous fast path: one (possibly chunked) plain copy.
     if wt.fully_contiguous(incount) {
-        let (dst, src) = dir.ends(offset_ptr(strided, wt.first)?, packed);
-        match profile.contiguous_chunk_bytes {
-            Some(chunk) if total > chunk => {
-                let mut done = 0;
-                while done < total {
-                    let n = chunk.min(total - done);
-                    stream.memcpy_async(clock, dst.add(done), src.add(done), n)?;
-                    stream.synchronize(clock);
-                    done += n;
-                }
-            }
-            _ => {
-                stream.memcpy_async(clock, dst, src, total)?;
-                // MVAPICH's bug: MPI_Pack returns without synchronizing.
-                // (Functionally the simulator has already moved the bytes;
-                // the *timing* reflects the early return, which is exactly
-                // the hazard the paper describes.)
-                if !(dir == PackDir::Pack && profile.contiguous_pack_skips_sync) {
-                    stream.synchronize(clock);
-                }
-            }
-        }
-        return Ok(BaselineMethod::Contiguous);
+        return contiguous_xfer(profile, (stream, clock), wt, strided, incount, packed, dir);
     }
-
-    // MVAPICH specialized vector kernel: only when the root combiner is a
-    // vector; hvector/subarray descriptions of the same object fall through
-    // to copy-per-block (the fragility Fig. 7 highlights).
     if profile.specialized_vector_kernel && wt.root_is_vector {
-        // the bytes move here, in one go; the launch below carries only
-        // geometry and cost
-        let gpu = stream.context().clone();
-        let mut mem = gpu.memory();
-        let (dst, src) = dir.ends(strided, packed);
-        let mut copier = mem.copier(CopyRule::Kernel, dst, src);
-        wt.for_each_block(incount, |off, len, pos| {
-            let (dst, src) = dir.ends(offset_ptr(strided, off)?.offset, packed.offset + pos);
-            Ok(copier.copy(dst, src, len)?)
-        })?;
-        drop(mem);
-        let cost = stream.cost_model().pack_kernel_time(
-            dir,
-            PackTarget::Device,
-            total,
-            wt.max_block,
-            kernel_word(wt.max_block, strided, packed),
-        );
-        let grid = gpu_sim::div_ceil(total as u64, 256).clamp(1, 65_535) as u32;
-        let cfg = LaunchConfig {
-            grid: Dim3::new(grid, 1, 1),
-            block: Dim3::new(256, 1, 1),
-        };
-        stream.launch(clock, "mvapich_vector_kernel", cfg, cost, |_| Ok(()))?;
-        stream.synchronize(clock);
-        return Ok(BaselineMethod::SpecializedVector);
+        return vector_kernel_xfer((stream, clock), wt, strided, incount, packed, dir);
     }
-
     // Copy-per-block: the universal baseline.
     wt.for_each_block(incount, |off, len, pos| {
         let (dst, src) = dir.ends(offset_ptr(strided, off)?, packed.add(pos));
@@ -255,6 +200,84 @@ pub(crate) fn baseline_gpu_xfer(
     })?;
     stream.synchronize(clock);
     Ok(BaselineMethod::CopyPerBlock)
+}
+
+/// [`baseline_gpu_xfer`]'s contiguous fast path: one (possibly chunked)
+/// plain copy.
+fn contiguous_xfer(
+    profile: &VendorProfile,
+    (stream, clock): (&mut Stream, &mut SimClock),
+    wt: &WireType,
+    strided: GpuPtr,
+    incount: usize,
+    packed: GpuPtr,
+    dir: PackDir,
+) -> MpiResult<BaselineMethod> {
+    let total = wt.size * incount;
+    let (dst, src) = dir.ends(offset_ptr(strided, wt.first)?, packed);
+    match profile.contiguous_chunk_bytes {
+        Some(chunk) if total > chunk => {
+            let mut done = 0;
+            while done < total {
+                let n = chunk.min(total - done);
+                stream.memcpy_async(clock, dst.add(done), src.add(done), n)?;
+                stream.synchronize(clock);
+                done += n;
+            }
+        }
+        _ => {
+            stream.memcpy_async(clock, dst, src, total)?;
+            // MVAPICH's bug: MPI_Pack returns without synchronizing.
+            // (Functionally the simulator has already moved the bytes;
+            // the *timing* reflects the early return, which is exactly
+            // the hazard the paper describes.)
+            if !(dir == PackDir::Pack && profile.contiguous_pack_skips_sync) {
+                stream.synchronize(clock);
+            }
+        }
+    }
+    Ok(BaselineMethod::Contiguous)
+}
+
+/// [`baseline_gpu_xfer`]'s MVAPICH specialized vector kernel: only when
+/// the root combiner is a vector; hvector/subarray descriptions of the
+/// same object fall through to copy-per-block (the fragility Fig. 7
+/// highlights).
+fn vector_kernel_xfer(
+    (stream, clock): (&mut Stream, &mut SimClock),
+    wt: &WireType,
+    strided: GpuPtr,
+    incount: usize,
+    packed: GpuPtr,
+    dir: PackDir,
+) -> MpiResult<BaselineMethod> {
+    let total = wt.size * incount;
+    // the bytes move here, in one go; the launch below carries only
+    // geometry and cost
+    let gpu = stream.context().clone();
+    let mut mem = gpu.memory();
+    let (dst, src) = dir.ends(strided, packed);
+    let mut copier = mem.copier(CopyRule::Kernel, dst, src);
+    wt.for_each_block(incount, |off, len, pos| {
+        let (dst, src) = dir.ends(offset_ptr(strided, off)?.offset, packed.offset + pos);
+        Ok(copier.copy(dst, src, len)?)
+    })?;
+    drop(mem);
+    let cost = stream.cost_model().pack_kernel_time(
+        dir,
+        PackTarget::Device,
+        total,
+        wt.max_block,
+        kernel_word(wt.max_block, strided, packed),
+    );
+    let grid = gpu_sim::div_ceil(total as u64, 256).clamp(1, 65_535) as u32;
+    let cfg = LaunchConfig {
+        grid: Dim3::new(grid, 1, 1),
+        block: Dim3::new(256, 1, 1),
+    };
+    stream.launch(clock, "mvapich_vector_kernel", cfg, cost, |_| Ok(()))?;
+    stream.synchronize(clock);
+    Ok(BaselineMethod::SpecializedVector)
 }
 
 /// Word size heuristic for the specialized kernel's cost (same rule as

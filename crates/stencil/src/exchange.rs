@@ -150,6 +150,78 @@ fn plan_bytes(plan: &[AlltoallvBlock]) -> usize {
     plan.iter().map(|b| b.count).sum()
 }
 
+/// A sparse `alltoallv` plan and the order of the directions it moves.
+type Side = (Vec<AlltoallvBlock>, Vec<usize>);
+
+/// Rank `me`'s two sides: the send plan in pack order, and the recv plan
+/// in unpack order.
+///
+/// Both plans are derived purely from this rank's own 26 neighbor lookups
+/// — O(1) in the world size, where the former dense construction walked
+/// every rank times every direction. Sorting by (peer, direction index)
+/// reproduces the dense ordering exactly: peers ascending, directions
+/// ascending within a peer. The recv side uses the torus symmetry
+/// `neighbor(src, d) == me  ⇔  src == neighbor(me, opposite(d))`. Each
+/// list is made at its final size, a plan's at one block per distinct
+/// peer, and both sides sort in one pair list.
+fn exchange_plans(decomp: &Decomp, me: usize, cfg: &HaloConfig) -> MpiResult<(Side, Side)> {
+    let mut pairs = Vec::with_capacity(DIRS.len());
+    let mut grouped = |toward: fn([i32; 3]) -> [i32; 3]| {
+        pairs.clear();
+        let pair = |(k, &d): (usize, &[i32; 3])| (decomp.neighbor(me, toward(d)), k);
+        pairs.extend(DIRS.iter().enumerate().map(pair));
+        pairs.sort_unstable();
+        let peers = 1 + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        let mut plan: Vec<AlltoallvBlock> = Vec::with_capacity(peers);
+        let mut schedule = Vec::with_capacity(pairs.len());
+        let mut displ = 0usize;
+        for &(peer, k) in &pairs {
+            schedule.push(k);
+            let count = cfg.send_bytes(DIRS[k]);
+            match plan.last_mut() {
+                Some(b) if b.peer == peer => b.count += count,
+                _ => plan.push(AlltoallvBlock { peer, count, displ }),
+            }
+            displ += count;
+        }
+        (plan, schedule)
+    };
+    // directions in pack order: grouped by ascending dest
+    let (send_plan, pack_schedule) = grouped(|d| d);
+    let (recv_plan, recv_dirs) = grouped(opposite);
+    // recv directions in unpack order (grouped by ascending src, the
+    // sender's direction order within a group): src's region for
+    // direction d fills my ghost shell on my `opposite(d)` side
+    let unpack_schedule = recv_dirs
+        .into_iter()
+        .map(|k| {
+            dir_index(opposite(DIRS[k]))
+                .ok_or_else(|| MpiError::Internal(format!("{:?} is not a halo direction", DIRS[k])))
+        })
+        .collect::<MpiResult<Vec<usize>>>()?;
+    Ok(((send_plan, pack_schedule), (recv_plan, unpack_schedule)))
+}
+
+/// A fused type that packs to another size than its plan ships would
+/// exchange short buffers.
+fn check_fused(
+    ctx: &mut RankCtx,
+    mpi: &mut InterposedMpi,
+    types: &HaloTypes,
+    send_plan: &[AlltoallvBlock],
+    recv_plan: &[AlltoallvBlock],
+) -> MpiResult<()> {
+    for (dt, plan) in [(types.fused_send, send_plan), (types.fused_recv, recv_plan)] {
+        let (packs, ships) = (mpi.pack_size(ctx, 1, dt)?, plan_bytes(plan));
+        if packs != ships {
+            return Err(MpiError::Internal(format!(
+                "a fused halo type packs {packs} bytes, its plan ships {ships}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 impl HaloExchanger {
     /// Allocate the grid and buffers, precompute the exchange plans, create
     /// the datatypes in their order and commit the ones communicated with
@@ -160,71 +232,14 @@ impl HaloExchanger {
         cfg: HaloConfig,
     ) -> MpiResult<HaloExchanger> {
         let decomp = Decomp::new(ctx.size);
-        let me = ctx.rank;
-
-        // Both plans are derived purely from this rank's own 26 neighbor
-        // lookups — O(1) in the world size, where the former dense
-        // construction walked every rank times every direction. Sorting by
-        // (peer, direction index) reproduces the dense ordering exactly:
-        // peers ascending, directions ascending within a peer. The recv
-        // side uses the torus symmetry `neighbor(src, d) == me  ⇔
-        // src == neighbor(me, opposite(d))`. Each list is made at its final
-        // size, a plan's at one block per distinct peer, and both sides
-        // sort in one pair list.
-        let mut pairs = Vec::with_capacity(DIRS.len());
-        let mut grouped = |toward: fn([i32; 3]) -> [i32; 3]| {
-            pairs.clear();
-            let pair = |(k, &d): (usize, &[i32; 3])| (decomp.neighbor(me, toward(d)), k);
-            pairs.extend(DIRS.iter().enumerate().map(pair));
-            pairs.sort_unstable();
-            let peers = 1 + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
-            let mut plan: Vec<AlltoallvBlock> = Vec::with_capacity(peers);
-            let mut schedule = Vec::with_capacity(pairs.len());
-            let mut displ = 0usize;
-            for &(peer, k) in &pairs {
-                schedule.push(k);
-                let count = cfg.send_bytes(DIRS[k]);
-                match plan.last_mut() {
-                    Some(b) if b.peer == peer => b.count += count,
-                    _ => plan.push(AlltoallvBlock { peer, count, displ }),
-                }
-                displ += count;
-            }
-            (plan, schedule)
-        };
-        // directions in pack order: grouped by ascending dest
-        let (send_plan, pack_schedule) = grouped(|d| d);
-        let (recv_plan, recv_dirs) = grouped(opposite);
-        // recv directions in unpack order (grouped by ascending src, the
-        // sender's direction order within a group): src's region for
-        // direction d fills my ghost shell on my `opposite(d)` side
-        let unpack_schedule = recv_dirs
-            .into_iter()
-            .map(|k| {
-                dir_index(opposite(DIRS[k])).ok_or_else(|| {
-                    MpiError::Internal(format!("{:?} is not a halo direction", DIRS[k]))
-                })
-            })
-            .collect::<MpiResult<Vec<usize>>>()?;
-
+        let ((send_plan, pack_schedule), (recv_plan, unpack_schedule)) =
+            exchange_plans(&decomp, ctx.rank, &cfg)?;
         let types = HaloTypes::create(ctx, &cfg, &pack_schedule, &unpack_schedule)?;
         let interior_dt = region_type(ctx, &cfg, cfg.interior_region())?;
         for dt in [types.fused_send, types.fused_recv, interior_dt] {
             mpi.type_commit(ctx, dt)?;
         }
-        // a type that packs to another size than its plan ships would
-        // exchange short buffers
-        for (dt, plan) in [
-            (types.fused_send, &send_plan),
-            (types.fused_recv, &recv_plan),
-        ] {
-            let (packs, ships) = (mpi.pack_size(ctx, 1, dt)?, plan_bytes(plan));
-            if packs != ships {
-                return Err(MpiError::Internal(format!(
-                    "a fused halo type packs {packs} bytes, its plan ships {ships}"
-                )));
-            }
-        }
+        check_fused(ctx, mpi, &types, &send_plan, &recv_plan)?;
 
         let grid = ctx.gpu.malloc(cfg.alloc_bytes())?;
         let sendbuf = ctx.gpu.malloc(plan_bytes(&send_plan).max(1))?;
@@ -344,36 +359,43 @@ impl HaloExchanger {
         generation: u64,
     ) -> MpiResult<Snapshot> {
         ctx.with_span("stencil", "checkpoint", |ctx| {
-            let own = Frame {
-                generation,
-                epoch: ctx.epoch(),
-                comm_rank: ctx.rank,
-                world_rank: ctx.world_rank,
-                dims: self.decomp.dims,
-                local: self.cfg.local,
-                payload: self.pack_interior(ctx, mpi)?,
-            };
-            let record = GenRecord {
-                members: ctx.comm_members(),
-                dims: self.decomp.dims,
-                local: self.cfg.local,
-            };
-            // Mirror around the ring: my frame to (rank+1), (rank-1)'s to
-            // me. Sends are eager, so send-before-receive cannot deadlock.
-            let enc = own.encode();
-            let mut frames = vec![own];
-            if ctx.size > 1 {
-                let dest = (ctx.rank + 1) % ctx.size;
-                let src = (ctx.rank + ctx.size - 1) % ctx.size;
-                send_blob(ctx, &enc, dest, TAG_CKPT_MIRROR)?;
-                let got = recv_blob(ctx, enc.len(), src, TAG_CKPT_MIRROR)?;
-                frames.push(Frame::decode(&got)?);
-            }
-            Ok(Snapshot {
-                generation,
-                record,
-                frames,
-            })
+            let payload = self.pack_interior(ctx, mpi)?;
+            self.mirror(ctx, generation, payload)
+        })
+    }
+
+    /// [`HaloExchanger::snapshot`] once the interior is packed into
+    /// `payload`: this rank's frame, mirrored around the ring — my frame
+    /// to (rank+1), (rank-1)'s to me. Sends are eager, so
+    /// send-before-receive cannot deadlock.
+    fn mirror(&self, ctx: &mut RankCtx, generation: u64, payload: Vec<u8>) -> MpiResult<Snapshot> {
+        let own = Frame {
+            generation,
+            epoch: ctx.epoch(),
+            comm_rank: ctx.rank,
+            world_rank: ctx.world_rank,
+            dims: self.decomp.dims,
+            local: self.cfg.local,
+            payload,
+        };
+        let record = GenRecord {
+            members: ctx.comm_members(),
+            dims: self.decomp.dims,
+            local: self.cfg.local,
+        };
+        let enc = own.encode();
+        let mut frames = vec![own];
+        if ctx.size > 1 {
+            let dest = (ctx.rank + 1) % ctx.size;
+            let src = (ctx.rank + ctx.size - 1) % ctx.size;
+            send_blob(ctx, &enc, dest, TAG_CKPT_MIRROR)?;
+            let got = recv_blob(ctx, enc.len(), src, TAG_CKPT_MIRROR)?;
+            frames.push(Frame::decode(&got)?);
+        }
+        Ok(Snapshot {
+            generation,
+            record,
+            frames,
         })
     }
 
@@ -426,6 +448,29 @@ impl HaloExchanger {
         store: &CheckpointStore,
         agreed: u64,
     ) -> MpiResult<()> {
+        let frame = self.fetch_frame(ctx, store, agreed)?;
+        let bytes = frame.payload.len();
+        let host = ctx.gpu.host_alloc(bytes)?;
+        let unpacked = (|| -> MpiResult<()> {
+            ctx.gpu.memory().poke(host, &frame.payload)?;
+            let mut pos = 0usize;
+            mpi.unpack(ctx, host, bytes, &mut pos, self.grid, 1, self.interior_dt)
+        })();
+        ctx.gpu.free(host)?;
+        unpacked?;
+        self.restores += 1;
+        Ok(())
+    }
+
+    /// The frame of generation `agreed` this rank's subdomain is rebuilt
+    /// from, checked against the generation, its owner and the geometry.
+    /// Every rank also serves the frames it is the provider of here.
+    fn fetch_frame(
+        &self,
+        ctx: &mut RankCtx,
+        store: &CheckpointStore,
+        agreed: u64,
+    ) -> MpiResult<Frame> {
         let record = store
             .record(agreed)
             .ok_or_else(|| {
@@ -502,16 +547,7 @@ impl HaloExchanger {
                 "restored frame does not match the agreed generation".to_string(),
             ));
         }
-        let host = ctx.gpu.host_alloc(bytes)?;
-        let unpacked = (|| -> MpiResult<()> {
-            ctx.gpu.memory().poke(host, &frame.payload)?;
-            let mut pos = 0usize;
-            mpi.unpack(ctx, host, bytes, &mut pos, self.grid, 1, self.interior_dt)
-        })();
-        ctx.gpu.free(host)?;
-        unpacked?;
-        self.restores += 1;
-        Ok(())
+        Ok(frame)
     }
 
     /// One halo exchange with ULFM-style recovery, in rounds. A round is
@@ -595,11 +631,7 @@ impl HaloExchanger {
             let (dead, agreed) = mpi.comm_agree(ctx, vote)?;
             let (newest, clean) = read_vote(agreed);
             if dead.is_empty() && clean {
-                let (timing, snapshot) = round?;
-                if let Some(snapshot) = snapshot {
-                    store.commit(snapshot, ctx.faults.injector())?;
-                    self.checkpoints += 1;
-                }
+                let timing = self.commit_round(ctx, store, round)?;
                 return Ok(RecoveryOutcome {
                     timing,
                     shrinks,
@@ -611,39 +643,71 @@ impl HaloExchanger {
             if !recover {
                 return Err(round.err().unwrap_or(MpiError::Revoked));
             }
-            mpi.comm_shrink(ctx, &dead)?;
-            let epoch = ctx.epoch();
-            ctx.tracer.instant(
-                ctx.world_rank as u32,
-                tempi_trace::LANE_CPU,
-                "stencil",
-                "recovery.round",
-                ctx.clock.now().as_ps(),
-                || {
-                    vec![
-                        ("shrinks", (shrinks + 1).into()),
-                        ("dead", dead.len().into()),
-                        ("epoch", epoch.into()),
-                    ]
-                },
-            );
+            self.shrink(ctx, mpi, &dead, shrinks, newest)?;
             excluded.extend(dead);
-            // Re-decompose over the survivors, keeping the counters.
-            let kept = (self.origin, self.checkpoints, self.restores);
-            self.release(ctx)?;
-            *self = HaloExchanger::new(ctx, mpi, self.cfg)?;
-            (self.checkpoints, self.restores) = (kept.1, kept.2);
             restore = newest;
-            match newest {
-                // restored state is the periodic extension of the
-                // original grid, so `origin` survives the rebuild
-                Some(_) => self.origin = kept.0,
-                None => self.fill(ctx)?,
-            }
         }
         Err(MpiError::Internal(format!(
             "halo exchange still failing after {MAX_ROUNDS} recovery rounds"
         )))
+    }
+
+    /// A clean round's end: commit the snapshot it took, if any.
+    fn commit_round(
+        &mut self,
+        ctx: &mut RankCtx,
+        store: &mut CheckpointStore,
+        round: MpiResult<(ExchangeTiming, Option<Snapshot>)>,
+    ) -> MpiResult<ExchangeTiming> {
+        let (timing, snapshot) = round?;
+        if let Some(snapshot) = snapshot {
+            store.commit(snapshot, ctx.faults.injector())?;
+            self.checkpoints += 1;
+        }
+        Ok(timing)
+    }
+
+    /// A failed round's end, the `shrinks`-th: shrink `dead` away and
+    /// re-decompose over the survivors, keeping the counters, and the
+    /// origin when generation `newest` is to be restored. Out of line: a
+    /// whole exchanger by value would otherwise sit in the frame of
+    /// [`HaloExchanger::rounds`], beneath every round's exchange.
+    #[inline(never)]
+    fn shrink(
+        &mut self,
+        ctx: &mut RankCtx,
+        mpi: &mut InterposedMpi,
+        dead: &[usize],
+        shrinks: u64,
+        newest: Option<u64>,
+    ) -> MpiResult<()> {
+        mpi.comm_shrink(ctx, dead)?;
+        let epoch = ctx.epoch();
+        ctx.tracer.instant(
+            ctx.world_rank as u32,
+            tempi_trace::LANE_CPU,
+            "stencil",
+            "recovery.round",
+            ctx.clock.now().as_ps(),
+            || {
+                vec![
+                    ("shrinks", (shrinks + 1).into()),
+                    ("dead", dead.len().into()),
+                    ("epoch", epoch.into()),
+                ]
+            },
+        );
+        let kept = (self.origin, self.checkpoints, self.restores);
+        self.release(ctx)?;
+        *self = HaloExchanger::new(ctx, mpi, self.cfg)?;
+        (self.checkpoints, self.restores) = (kept.1, kept.2);
+        match newest {
+            // restored state is the periodic extension of the original
+            // grid, so `origin` survives the rebuild
+            Some(_) => self.origin = kept.0,
+            None => self.fill(ctx)?,
+        }
+        Ok(())
     }
 
     /// A round's work before its agreement: rebuild from generation

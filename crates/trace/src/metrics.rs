@@ -67,7 +67,10 @@ impl Histogram {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    /// Boxed: a traced rank observes on its fiber stack, and inserting a
+    /// 528-byte histogram by value would cost every caller's frame its
+    /// copies.
+    histograms: BTreeMap<String, Box<Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -111,7 +114,7 @@ impl MetricsRegistry {
 
     /// The named histogram, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histograms.get(name).map(|h| &**h)
     }
 
     /// Render as compact JSONL: one metric per line, sorted by name within

@@ -7,6 +7,7 @@
 #![allow(dead_code)]
 
 use std::fmt::Debug;
+use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mpi_sim::datatype::{Dim, Named, Order, TypeAttrs, TypeDef, TypeTree};
@@ -264,4 +265,35 @@ pub fn span_of(ctx: &RankCtx, dt: Datatype, incount: usize) -> usize {
 /// Deterministic fill pattern.
 pub fn pattern(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i % 249) as u8 ^ 0x3C).collect()
+}
+
+/// Recurse in frames of at least 1 KiB until `want` bytes of stack lie
+/// between `top` and the current frame, telling `at` each frame's depth,
+/// then run `bottom` there; returns the depth reached in frames.
+pub fn descend(top: usize, want: usize, at: fn(usize), bottom: &mut dyn FnMut()) -> usize {
+    let mut frame = [0u8; 1024];
+    black_box(&mut frame);
+    let used = top - frame.as_ptr() as usize;
+    at(used);
+    // Read the frame after the call, so the recursion cannot become a loop.
+    let deeper = if used >= want {
+        bottom();
+        0
+    } else {
+        descend(top, want, at, bottom)
+    };
+    1 + deeper + usize::from(black_box(&frame)[0])
+}
+
+/// `body`, run beneath `spent` bytes of this thread's stack used up (by
+/// [`descend`], from this call's frame down); with `spent` 0, run at once.
+pub fn on_spent_stack<R>(spent: usize, body: impl FnOnce() -> R) -> R {
+    if spent == 0 {
+        return body();
+    }
+    let top = 0u8;
+    let (mut body, mut out) = (Some(body), None);
+    let top = black_box(&top) as *const u8 as usize;
+    descend(top, spent, |_| {}, &mut || out = body.take().map(|b| b()));
+    out.expect("the body ran at the bottom")
 }

@@ -1,17 +1,20 @@
 //! What a rank's fiber costs in memory, and what happens at its edge: a
-//! stack of 128 KiB whose lowest page is a guard, so a rank may use most
-//! of it, a rank that overruns it dies of a memory fault at the overrun,
-//! and spawning a world costs the stacks and little more. The size is
-//! measured: at least 2.5 times the deepest stack a debug test run uses
-//! and 10 times the deepest a release workload uses, and no input can
-//! make a rank's stack grow, as no walk over a datatype recurses (see
-//! `tests/deep_types.rs`). Allocations are counted per thread, so tests
+//! stack of 80 KiB whose lowest page is a guard, so a rank may use three
+//! quarters of it, a rank that overruns it dies of a memory fault between
+//! half the stack and all of it, and spawning a world costs the stacks and
+//! little more (80 to 84 KiB a rank). The size is measured: at least 2.5
+//! times the deepest stack a debug test run uses and 10 times the deepest
+//! a release workload uses, and no input can make a rank's stack grow, as
+//! no walk over a datatype recurses (see `tests/deep_types.rs`, which also
+//! checks the debug half). Allocations are counted per thread, so tests
 //! running beside each other do not see one another's.
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::hint::black_box;
 
+use common::descend;
 use mpi_sim::{World, WorldConfig};
 
 /// The system allocator, counting what it serves to each thread.
@@ -44,29 +47,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Recurse in frames of at least 4 KiB until `want` bytes of stack lie
-/// between `top` and the current frame, telling `at` each frame's depth;
-/// returns the depth reached in frames.
-fn descend(top: usize, want: usize, at: fn(usize)) -> usize {
-    let mut frame = [0u8; 4096];
-    black_box(&mut frame);
-    let used = top - frame.as_ptr() as usize;
-    at(used);
-    // Read the frame after the call, so the recursion cannot become a loop.
-    let deeper = if used >= want {
-        0
-    } else {
-        descend(top, want, at)
-    };
-    1 + deeper + usize::from(black_box(&frame)[0])
-}
-
 /// Rank 0 recurses until it has used `want` bytes of its stack.
 fn deep_rank(want: usize, at: fn(usize)) -> Vec<usize> {
     World::run(&WorldConfig::summit(2), |ctx| {
         let top = 0u8;
         Ok(if ctx.rank == 0 {
-            descend(&top as *const u8 as usize, want, at)
+            descend(&top as *const u8 as usize, want, at, &mut || {})
         } else {
             0
         })
@@ -75,8 +61,8 @@ fn deep_rank(want: usize, at: fn(usize)) -> Vec<usize> {
 }
 
 #[test]
-fn a_rank_can_use_96_kib_of_its_stack() {
-    let frames = deep_rank(96 << 10, |_| {})[0];
+fn a_rank_can_use_60_kib_of_its_stack() {
+    let frames = deep_rank(60 << 10, |_| {})[0];
     assert!(frames >= 2, "{frames} frames");
 }
 
@@ -119,7 +105,7 @@ fn a_rank_that_overflows_its_stack_dies_of_a_fault_at_the_guard_page() {
     // And the fault came at the guard, not after the rank wrote past it.
     let deepest = stderr.lines().filter_map(|l| l.parse::<usize>().ok()).max();
     assert!(
-        deepest.is_some_and(|d| d > 64 << 10 && d < 128 << 10),
+        deepest.is_some_and(|d| d > 40 << 10 && d < 80 << 10),
         "deepest frame before the fault: {deepest:?} bytes"
     );
 }
@@ -131,11 +117,8 @@ fn spawning_a_rank_allocates_its_stack_and_little_more() {
     let before = counts().1;
     World::run(&WorldConfig::summit(64), |_| Ok(())).expect("an empty world");
     let kib_per_rank = (counts().1 - before) as f64 / 1024.0 / 64.0;
-    assert!(
-        kib_per_rank >= 128.0,
-        "{kib_per_rank:.1} KiB: a stack is 128"
-    );
-    assert!(kib_per_rank <= 132.0, "{kib_per_rank:.1} KiB per rank");
+    assert!(kib_per_rank >= 80.0, "{kib_per_rank:.1} KiB: a stack is 80");
+    assert!(kib_per_rank <= 84.0, "{kib_per_rank:.1} KiB per rank");
 }
 
 #[test]
