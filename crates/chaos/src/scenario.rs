@@ -6,6 +6,7 @@
 //! is what makes a committed reproducer a regression test rather than a
 //! flake.
 
+use gpu_sim::fault::splitmix64;
 use gpu_sim::SimTime;
 use mpi_sim::{FaultPlan, FaultSite, RankExit, ScopedFault};
 use tempi_trace::json::{self, FromJson, ToJson, Value};
@@ -318,11 +319,9 @@ impl Rng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform in `0..bound` (`bound` > 0).

@@ -66,7 +66,7 @@ use tempi_core::interpose::InterposedMpi;
 use tempi_core::ir::strided_block::strided_block;
 use tempi_core::ir::transform::simplify;
 use tempi_core::ir::translate::{translate, Translated};
-use tempi_core::model::{Calibration, SendModel};
+use tempi_core::model::SendModel;
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_core::{TraceLevel, Tracer};
 use tempi_stencil::{CheckpointStore, Decomp, HaloConfig, HaloExchanger};
@@ -436,7 +436,7 @@ fn model(args: &[String]) {
     let chunk = match flag_value(args, "--chunk") {
         Some(_) => Some(int_flag(args, "--chunk", 0)),
         None => {
-            m.choose_among(&[Method::Pipelined], bytes, block, word, &Calibration::NONE)
+            m.choose_among(&[Method::Pipelined], bytes, block, word, &|_| 1.0)
                 .chunk
         }
     };
@@ -456,14 +456,7 @@ fn model(args: &[String]) {
             m.t_cut(bytes, block)
         );
     }
-    let choice = m.choose_among_runs(
-        &Method::LADDER,
-        runs,
-        bytes,
-        block,
-        word,
-        &Calibration::NONE,
-    );
+    let choice = m.choose_among_runs(&Method::LADDER, runs, bytes, block, word, &|_| 1.0);
     match (choice.method, choice.chunk) {
         (Method::Device, Some(run)) => out!("\nmodel choice: {}", cut_label(bytes, run)),
         (method, Some(chunk)) => out!("\nmodel choice: {method:?} ({chunk} B chunks)"),

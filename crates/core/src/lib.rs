@@ -28,8 +28,8 @@
 //! * [`interpose`] — the Section-4 architecture: a symbol-resolution
 //!   table deciding, per MPI entry point, whether TEMPI or the system MPI
 //!   serves the call, with automatic fall-through.
-//! * [`tuner`] — the online calibration layer: per-bucket EWMA ratios of
-//!   measured to modeled component times, epsilon-greedy re-probing, and
+//! * [`tuner`] — the online calibration layer: EWMA ratios of measured to
+//!   modeled time per model [`Term`], epsilon-greedy re-probing, and
 //!   memoized per-(shape, size, peer) method decisions feeding [`tempi`]'s
 //!   zero-allocation hot send path.
 //!
@@ -70,7 +70,7 @@ pub mod tuner;
 
 pub use config::{Method, Recipe, TempiConfig, TunerMode};
 pub use interpose::{InterposedMpi, Linker, MpiSymbol, Provider};
-pub use model::{Breakdown, Calibration, Choice, SendModel};
+pub use model::{Breakdown, Choice, SendModel, Term};
 pub use tempi::{CommitReport, PlanKind, Tempi, TempiStats, TypePlan};
 pub use tempi_trace::{TraceLevel, Tracer};
 pub use tuner::{BucketKey, Decision, Tuner, Workload};

@@ -88,49 +88,37 @@ pub fn pipeline_chunks(bytes: usize, block: usize, chunk: usize) -> Option<(usiz
     (chunk < bytes).then(|| (chunk, bytes.div_ceil(chunk)))
 }
 
-/// Measured ÷ modelled correction of each model term. All ones
-/// ([`Calibration::NONE`]) is the analytical model; the online tuner
-/// substitutes the ratios it has observed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Calibration {
-    /// Pack and unpack kernels against a device buffer.
-    pub pack_device: f64,
-    /// Pack and unpack kernels against mapped host memory.
-    pub pack_mapped: f64,
-    /// Device-to-host engine copies.
-    pub d2h: f64,
-    /// Host-to-device engine copies.
-    pub h2d: f64,
-    /// CPU-path wire transfers to this peer class.
-    pub wire_cpu: f64,
-    /// CUDA-aware wire transfers to this peer class.
-    pub wire_gpu: f64,
+/// One calibrated term of the §5 model: the pack and unpack kernels per
+/// [`PackTarget`], the copy engine per [`CopyKind`], or the wire per
+/// ([`Transport`], peer shares the sender's node). The model scales each
+/// term it prices by a ratio (measured ÷ modelled) looked up by its
+/// `Term`: `&|_| 1.0` is the analytical model, the online tuner's
+/// [`Tuner::ratio`](crate::tuner::Tuner::ratio) the calibrated one. A
+/// wire term's peer class is the model's own: whether `src` and `dst`
+/// share a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Term {
+    /// Pack and unpack kernels against a target.
+    Pack(PackTarget),
+    /// Copy-engine transfers in one direction.
+    Copy(CopyKind),
+    /// Wire transfers over a transport to a peer class.
+    Wire(Transport, bool),
 }
 
-impl Calibration {
-    /// Trust the model as it is.
-    pub const NONE: Calibration = Calibration {
-        pack_device: 1.0,
-        pack_mapped: 1.0,
-        d2h: 1.0,
-        h2d: 1.0,
-        wire_cpu: 1.0,
-        wire_gpu: 1.0,
-    };
-
-    /// The ratio of pack and unpack kernels against `target`.
-    pub fn pack(&self, target: PackTarget) -> f64 {
-        match target {
-            PackTarget::Device => self.pack_device,
-            PackTarget::MappedHost => self.pack_mapped,
-        }
-    }
-
-    /// The ratio of wire transfers over `transport`.
-    pub fn wire(&self, transport: Transport) -> f64 {
-        match transport {
-            Transport::Cpu => self.wire_cpu,
-            Transport::Gpu => self.wire_gpu,
+impl Term {
+    /// The term's slot in the tuner's ratio array. D2D/H2H copies are not
+    /// staged-path components; they fold onto the nearest engine direction
+    /// so an observation is never dropped.
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Term::Pack(PackTarget::Device) => 0,
+            Term::Pack(PackTarget::MappedHost) => 1,
+            Term::Copy(CopyKind::D2H | CopyKind::D2D) => 2,
+            Term::Copy(CopyKind::H2D | CopyKind::H2H) => 3,
+            Term::Wire(transport, intra) => {
+                4 + 2 * (transport == Transport::Gpu) as usize + !intra as usize
+            }
         }
     }
 }
@@ -168,14 +156,16 @@ pub struct StageTerms {
 }
 
 impl StageTerms {
-    fn scaled(self, r: Recipe, c: &Calibration) -> StageTerms {
-        let scale = |t: SimTime, r: f64| SimTime::from_ns_f64(t.as_ns_f64() * r);
+    /// Each stage of recipe `r` scaled by its [`Term`]'s ratio, the wire's
+    /// to the peer class `intra`.
+    fn scaled(self, r: Recipe, intra: bool, ratio: &impl Fn(Term) -> f64) -> StageTerms {
+        let scale = |t: SimTime, term| SimTime::from_ns_f64(t.as_ns_f64() * ratio(term));
         StageTerms {
-            pack: scale(self.pack, c.pack(r.pack)),
-            d2h: scale(self.d2h, c.d2h),
-            wire: scale(self.wire, c.wire(r.wire)),
-            h2d: scale(self.h2d, c.h2d),
-            unpack: scale(self.unpack, c.pack(r.pack)),
+            pack: scale(self.pack, Term::Pack(r.pack)),
+            d2h: scale(self.d2h, Term::Copy(CopyKind::D2H)),
+            wire: scale(self.wire, Term::Wire(r.wire, intra)),
+            h2d: scale(self.h2d, Term::Copy(CopyKind::H2D)),
+            unpack: scale(self.unpack, Term::Pack(r.pack)),
         }
     }
 }
@@ -206,13 +196,16 @@ pub struct PipelineTerms {
 }
 
 impl PipelineTerms {
-    /// The terms with each stage scaled by its measured ÷ modelled ratio.
-    pub fn scaled(self, c: &Calibration) -> PipelineTerms {
+    /// The terms with each stage scaled by its [`Term`]'s ratio, the
+    /// wire's (latency included) to the peer class `intra`.
+    pub fn scaled(self, intra: bool, ratio: &impl Fn(Term) -> f64) -> PipelineTerms {
         let r = Method::Pipelined.recipe();
         PipelineTerms {
-            chunk: self.chunk.scaled(r, c),
-            last: self.last.scaled(r, c),
-            latency: SimTime::from_ns_f64(self.latency.as_ns_f64() * c.wire(r.wire)),
+            chunk: self.chunk.scaled(r, intra, ratio),
+            last: self.last.scaled(r, intra, ratio),
+            latency: SimTime::from_ns_f64(
+                self.latency.as_ns_f64() * ratio(Term::Wire(r.wire, intra)),
+            ),
             ..self
         }
     }
@@ -268,6 +261,12 @@ impl SendModel {
             src: 0,
             dst: 6, // different node (6 ranks/node)
         }
+    }
+
+    /// Whether `src` and `dst` share a node: the peer class of this
+    /// model's wire [`Term`]s.
+    pub fn intra_node(&self) -> bool {
+        self.net.same_node(self.src, self.dst)
     }
 
     /// One pack or unpack operation: launch + kernel + synchronize.
@@ -435,58 +434,61 @@ impl SendModel {
         bytes: usize,
         block: usize,
         word: usize,
-        cal: &Calibration,
+        ratio: &impl Fn(Term) -> f64,
     ) -> Option<(f64, usize)> {
+        let intra = self.intra_node();
         CHUNK_CANDIDATES
             .iter()
             .filter_map(|&chunk| {
                 let t = self.pipeline_terms(bytes, block, word, chunk)?;
-                (t.n >= 2 * RING_SLOTS as u64).then(|| (t.scaled(cal).total().as_ns_f64(), chunk))
+                (t.n >= 2 * RING_SLOTS as u64)
+                    .then(|| (t.scaled(intra, ratio).total().as_ns_f64(), chunk))
             })
             .min_by(|a, b| a.0.total_cmp(&b.0))
     }
 
     /// Calibrated estimate (ns) of a method run as one piece: each of its
-    /// [`SendModel::terms`] times the ratio measured for that stage, so
-    /// with [`Calibration::NONE`] this *is* Eqs. 1–3.
+    /// [`SendModel::terms`] times the ratio of its [`Term`], so with the
+    /// unit ratio `&|_| 1.0` this *is* Eqs. 1–3.
     fn estimate(
         &self,
         method: Method,
         bytes: usize,
         block: usize,
         word: usize,
-        cal: &Calibration,
+        ratio: &impl Fn(Term) -> f64,
     ) -> f64 {
         let (r, t) = (method.recipe(), self.terms(method, bytes, block, word));
-        (t.pack + t.unpack).as_ns_f64() * cal.pack(r.pack)
-            + t.d2h.as_ns_f64() * cal.d2h
-            + t.wire.as_ns_f64() * cal.wire(r.wire)
-            + t.h2d.as_ns_f64() * cal.h2d
+        (t.pack + t.unpack).as_ns_f64() * ratio(Term::Pack(r.pack))
+            + t.d2h.as_ns_f64() * ratio(Term::Copy(CopyKind::D2H))
+            + t.wire.as_ns_f64() * ratio(Term::Wire(r.wire, self.intra_node()))
+            + t.h2d.as_ns_f64() * ratio(Term::Copy(CopyKind::H2D))
     }
 
     /// The per-send decision: whichever of device, one-shot, staged and
     /// pipelined (at its best chunk) the model says is fastest.
     pub fn choose(&self, bytes: usize, block: usize, word: usize) -> Choice {
-        self.choose_among(&Method::LADDER, bytes, block, word, &Calibration::NONE)
+        self.choose_among(&Method::LADDER, bytes, block, word, &|_| 1.0)
     }
 
     /// [`SendModel::choose`] over the candidates in `allowed` only (the
     /// caller drops quarantined methods and, for plans that cannot be cut,
-    /// the pipelined one), with every term scaled by `cal`. Ties go to the
-    /// earlier candidate; an empty `allowed` yields the device method.
+    /// the pipelined one), with every term scaled by its [`Term`]'s
+    /// `ratio`. Ties go to the earlier candidate; an empty `allowed` yields
+    /// the device method.
     pub fn choose_among(
         &self,
         allowed: &[Method],
         bytes: usize,
         block: usize,
         word: usize,
-        cal: &Calibration,
+        ratio: &impl Fn(Term) -> f64,
     ) -> Choice {
-        self.choose_among_runs(allowed, false, bytes, block, word, cal)
+        self.choose_among_runs(allowed, false, bytes, block, word, ratio)
     }
 
     /// [`SendModel::choose_among`] with the run cut ([`SendModel::t_cut`],
-    /// its wire scaled by `cal`) one more candidate — the last, so ties go
+    /// its wire scaled by `ratio`) one more candidate — the last, so ties go
     /// to the paper's methods — when `runs` says every run of the object is
     /// `block` bytes long, there are at least two, and the device method is
     /// allowed: the cut is that method's recipe, and its choice is
@@ -498,7 +500,7 @@ impl SendModel {
         bytes: usize,
         block: usize,
         word: usize,
-        cal: &Calibration,
+        ratio: &impl Fn(Term) -> f64,
     ) -> Choice {
         let mut best = Choice {
             method: allowed.first().copied().unwrap_or(Method::Device),
@@ -507,11 +509,11 @@ impl SendModel {
         let mut best_ns = f64::INFINITY;
         for &method in allowed {
             let (ns, chunk) = match method {
-                Method::Pipelined => match self.best_pipelined(bytes, block, word, cal) {
+                Method::Pipelined => match self.best_pipelined(bytes, block, word, ratio) {
                     Some((ns, chunk)) => (ns, Some(chunk)),
                     None => continue,
                 },
-                _ => (self.estimate(method, bytes, block, word, cal), None),
+                _ => (self.estimate(method, bytes, block, word, ratio), None),
             };
             if ns < best_ns {
                 best_ns = ns;
@@ -519,7 +521,8 @@ impl SendModel {
             }
         }
         let cut = runs && block > 0 && bytes / block >= 2 && allowed.contains(&Method::Device);
-        if cut && self.t_cut(bytes, block).as_ns_f64() * cal.wire_gpu < best_ns {
+        let cut_wire = Term::Wire(Transport::Gpu, self.intra_node());
+        if cut && self.t_cut(bytes, block).as_ns_f64() * ratio(cut_wire) < best_ns {
             best = Choice {
                 method: Method::Device,
                 chunk: Some(block),
@@ -541,7 +544,7 @@ mod tests {
     const SECTION5: [Method; 3] = [Method::Device, Method::OneShot, Method::Staged];
 
     fn section5(m: &SendModel, bytes: usize, block: usize, word: usize) -> Method {
-        m.choose_among(&SECTION5, bytes, block, word, &Calibration::NONE)
+        m.choose_among(&SECTION5, bytes, block, word, &|_| 1.0)
             .method
     }
 
@@ -636,7 +639,7 @@ mod tests {
         for method in Method::LADDER {
             // uncalibrated, the estimate is the breakdown
             let total = m.breakdown(method, bytes, block, word).total();
-            let est = m.estimate(method, bytes, block, word, &Calibration::NONE);
+            let est = m.estimate(method, bytes, block, word, &|_| 1.0);
             assert!((est - total.as_ns_f64()).abs() < 1e-6, "{method:?}");
         }
         // a pipeline of one chunk is the staged method
@@ -686,9 +689,8 @@ mod tests {
         let m = m();
         let (bytes, run) = (16usize << 10, 2048);
         assert_eq!(section5(&m, bytes, run, 8), Method::OneShot);
-        let ranked = |allowed: &[Method], runs| {
-            m.choose_among_runs(allowed, runs, bytes, run, 8, &Calibration::NONE)
-        };
+        let ranked =
+            |allowed: &[Method], runs| m.choose_among_runs(allowed, runs, bytes, run, 8, &|_| 1.0);
         let cut = Choice {
             method: Method::Device,
             chunk: Some(run),
@@ -700,11 +702,11 @@ mod tests {
         assert!(m.t_cut(bytes, run) < m.t_oneshot(bytes, run, 8).total());
         // one run is no cut; 2,048 runs of 8 B pack
         assert_eq!(
-            m.choose_among_runs(&SECTION5, true, 64, 64, 8, &Calibration::NONE)
+            m.choose_among_runs(&SECTION5, true, 64, 64, 8, &|_| 1.0)
                 .chunk,
             None
         );
-        let fine = m.choose_among_runs(&SECTION5, true, bytes, 8, 8, &Calibration::NONE);
+        let fine = m.choose_among_runs(&SECTION5, true, bytes, 8, 8, &|_| 1.0);
         assert_eq!(fine.chunk, None);
     }
 

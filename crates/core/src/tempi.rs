@@ -22,8 +22,8 @@ use crate::config::{Method, TempiConfig, TunerMode};
 pub use crate::kernels::PlanKind;
 use crate::kernels::{execute, execute_on_host, execute_range, for_each_run, KernelKind, Typed};
 use crate::ladder::{Quarantine, Rung};
-use crate::model::{pipeline_chunks, Calibration, Choice, SendModel, RING_SLOTS};
-use crate::tuner::{BucketKey, Term, Tuner, Workload};
+use crate::model::{pipeline_chunks, Choice, SendModel, Term, RING_SLOTS};
+use crate::tuner::{BucketKey, Tuner, Workload};
 
 /// Per-call cost of going through the interposed entry point (plan-cache
 /// lookup, buffer bookkeeping). This is why the paper's contiguous and
@@ -427,23 +427,22 @@ impl Tempi {
         body: impl FnOnce(&mut Self, &mut RankCtx) -> MpiResult<T>,
         args: impl FnOnce(&T) -> tempi_trace::Args,
     ) -> MpiResult<T> {
-        let tracer = ctx.tracer.clone();
-        let pid = ctx.world_rank as u32;
-        tracer.begin(pid, LANE_CPU, "tempi", name, ctx.clock.now().as_ps());
-        let r = body(self, ctx);
-        if r.as_ref().is_err_and(MpiError::is_comm_failure) {
-            self.stats.comm_failures += 1;
-        }
-        self.sync_stats();
-        tracer.end_args(pid, LANE_CPU, ctx.clock.now().as_ps(), || match &r {
+        let body = |ctx: &mut RankCtx| {
+            let r = body(self, ctx);
+            if r.as_ref().is_err_and(MpiError::is_comm_failure) {
+                self.stats.comm_failures += 1;
+            }
+            self.sync_stats();
+            r
+        };
+        ctx.with_span_args("tempi", name, body, |r| match r {
             Ok(out) => {
                 let mut args = args(out);
                 args.push(("ok", true.into()));
                 args
             }
             Err(_) => vec![("ok", false.into())],
-        });
-        r
+        })
     }
 
     /// TEMPI's `MPI_Send`. Non-contiguous device data is packed with the
@@ -509,7 +508,7 @@ impl Tempi {
             let chunk = if forced == Method::Pipelined && chunkable {
                 self.config.pipeline_chunk.or_else(|| {
                     self.send_model(ctx, dest)
-                        .choose_among(&[forced], bytes, wl.block, wl.word, &Calibration::NONE)
+                        .choose_among(&[forced], bytes, wl.block, wl.word, &|_| 1.0)
                         .chunk
                 })
             } else {
@@ -521,8 +520,7 @@ impl Tempi {
             };
         }
         let model = self.send_model(ctx, dest);
-        let intra = ctx.net.same_node(ctx.rank, dest);
-        let key = BucketKey::new(shape, wl.block, bytes, intra);
+        let key = BucketKey::new(shape, wl.block, bytes, model.intra_node());
         let mut allowed = Method::LADDER;
         let mut n = 0;
         for m in Method::LADDER {
@@ -1717,7 +1715,7 @@ pub(crate) mod tests {
                             let model = tempi.send_model(ctx, 1 - ctx.rank);
                             let (block, word) = (plan.block_bytes(), plan.word());
                             model
-                                .choose_among(&three, bytes, block, word, &Calibration::NONE)
+                                .choose_among(&three, bytes, block, word, &|_| 1.0)
                                 .method
                         }
                     };
@@ -1834,7 +1832,7 @@ pub(crate) mod tests {
             let three = [Method::Device, Method::OneShot, Method::Staged];
             let pick = |p: &TypePlan| {
                 let (bytes, block) = (p.size as usize, p.block_bytes());
-                m.choose_among(&three, bytes, block, p.word(), &Calibration::NONE)
+                m.choose_among(&three, bytes, block, p.word(), &|_| 1.0)
                     .method
             };
             Ok((pick(&p1), pick(&p2)))

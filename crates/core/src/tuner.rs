@@ -11,13 +11,13 @@
 //!   size, peer class). Shape class folds the plan kind and log₂ block
 //!   bytes so "same layout, different count" sends share observations.
 //! - Per GPU **component ratios** (measured ÷ modeled, EWMA-smoothed)
-//!   calibrate each model term separately: pack/unpack per [`PackTarget`],
-//!   copy-engine per [`CopyKind`], wire per ([`Transport`], peer class).
+//!   calibrate each model [`Term`] separately: pack/unpack per target,
+//!   copy-engine per direction, wire per (transport, peer class).
 //!   Component ratios — not per-bucket totals — let one measured pack on a
 //!   misaligned layout re-rank *every* bucket that shares the component.
 //! - The per-bucket choice is the **argmin of the calibrated model**
 //!   ([`SendModel::choose_among_runs`], the same ranking every mode uses,
-//!   fed the observed ratios) and is memoized; with probability ε (decaying
+//!   fed [`Tuner::ratio`]) and is memoized; with probability ε (decaying
 //!   per bucket visit) or after a virtual-time re-probe interval, a
 //!   non-best method is chosen instead so its component ratios stay fresh.
 //!
@@ -27,11 +27,10 @@
 
 use std::collections::HashMap;
 
-use gpu_sim::{CopyKind, PackTarget, SimTime};
-use mpi_sim::Transport;
+use gpu_sim::SimTime;
 
 use crate::config::{Method, TunerMode};
-use crate::model::{Calibration as Ratios, Choice, SendModel};
+use crate::model::{Choice, SendModel, Term};
 
 /// Initial exploration probability for a warm bucket.
 pub const EPSILON_0: f64 = 0.10;
@@ -112,36 +111,6 @@ impl Ewma {
             self.value = (1.0 - Self::ALPHA) * self.value + Self::ALPHA * ratio;
         }
         self.samples = self.samples.saturating_add(1);
-    }
-}
-
-/// One calibrated term of the §5 model: the pack and unpack kernels per
-/// [`PackTarget`], the copy engine per [`CopyKind`], or the wire per
-/// ([`Transport`], peer shares this rank's node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Term {
-    /// Pack and unpack kernels against a target.
-    Pack(PackTarget),
-    /// Copy-engine transfers in one direction.
-    Copy(CopyKind),
-    /// Wire transfers over a transport to a peer class.
-    Wire(Transport, bool),
-}
-
-impl Term {
-    /// The term's slot in the tuner's ratio array. D2D/H2H copies are not
-    /// staged-path components; they fold onto the nearest engine direction
-    /// so an observation is never dropped.
-    fn index(self) -> usize {
-        match self {
-            Term::Pack(PackTarget::Device) => 0,
-            Term::Pack(PackTarget::MappedHost) => 1,
-            Term::Copy(CopyKind::D2H | CopyKind::D2D) => 2,
-            Term::Copy(CopyKind::H2D | CopyKind::H2H) => 3,
-            Term::Wire(transport, intra) => {
-                4 + 2 * (transport == Transport::Gpu) as usize + !intra as usize
-            }
-        }
     }
 }
 
@@ -314,8 +283,10 @@ impl Tuner {
         now: SimTime,
     ) -> Decision {
         debug_assert!(!allowed.is_empty());
-        let (Workload { bytes, block, word }, ratios) = (wl, self.ratios(key.intra_node));
-        let best = model.choose_among_runs(allowed, runs, bytes, block, word, &ratios);
+        let Workload { bytes, block, word } = wl;
+        let calib = &self.calib;
+        let ratio = |term: Term| calib[term.index()].value;
+        let best = model.choose_among_runs(allowed, runs, bytes, block, word, &ratio);
         let mut d = Decision {
             method: best.method,
             chunk: best.chunk,
@@ -359,7 +330,7 @@ impl Tuner {
                 b.last_probe = now;
                 let only = [Method::Pipelined];
                 let chunk = (method == Method::Pipelined)
-                    .then(|| model.choose_among(&only, bytes, block, word, &ratios).chunk)
+                    .then(|| model.choose_among(&only, bytes, block, word, &ratio).chunk)
                     .flatten();
                 return Decision {
                     method,
@@ -373,26 +344,14 @@ impl Tuner {
         b.memo = best;
         d
     }
-
-    /// The observed measured ÷ modelled ratios for a peer class, in the
-    /// shape the model scales its terms by. With no observations every
-    /// ratio is 1.0 and the calibrated argmin *is* the §5 model's.
-    fn ratios(&self, intra: bool) -> Ratios {
-        Ratios {
-            pack_device: self.ratio(Term::Pack(PackTarget::Device)),
-            pack_mapped: self.ratio(Term::Pack(PackTarget::MappedHost)),
-            d2h: self.ratio(Term::Copy(CopyKind::D2H)),
-            h2d: self.ratio(Term::Copy(CopyKind::H2D)),
-            wire_cpu: self.ratio(Term::Wire(Transport::Cpu, intra)),
-            wire_gpu: self.ratio(Term::Wire(Transport::Gpu, intra)),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::CHUNK_CANDIDATES;
+    use gpu_sim::PackTarget;
+    use mpi_sim::Transport;
 
     fn model() -> SendModel {
         SendModel::summit_internode()
@@ -412,8 +371,7 @@ mod tests {
     /// The uncalibrated model's pick among the paper's three methods.
     fn section5(m: &SendModel, bytes: usize, block: usize, word: usize) -> Method {
         let three = [Method::Device, Method::OneShot, Method::Staged];
-        m.choose_among(&three, bytes, block, word, &Ratios::NONE)
-            .method
+        m.choose_among(&three, bytes, block, word, &|_| 1.0).method
     }
 
     #[test]
@@ -516,6 +474,40 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(d.method, Method::Device);
+    }
+
+    #[test]
+    fn a_slow_intra_node_wire_moves_only_the_intra_node_decision() {
+        // Two Summit placements (6 ranks per node): rank 1 shares rank 0's
+        // node, rank 6 does not. At 64 KiB in 4 KiB blocks both send over
+        // the CPU wire; eight slow intra-node CPU-wire observations must
+        // move the intra-node send off it and leave the inter-node one.
+        let (intra, inter) = (SendModel { dst: 1, ..model() }, model());
+        let (bytes, block, word) = (64 << 10, 4096, 8);
+        let key = |intra_node| BucketKey::new(1, block, bytes, intra_node);
+        let decide = |t: &mut Tuner, m: &SendModel, intra_node| {
+            let d = t.choose(
+                key(intra_node),
+                wl(bytes, block, word),
+                m,
+                &Method::LADDER,
+                SimTime::ZERO,
+            );
+            (d.method, d.chunk)
+        };
+        let mut t = Tuner::new(TunerMode::Model, 13);
+        let before = (decide(&mut t, &intra, true), decide(&mut t, &inter, false));
+        for (method, _) in [before.0, before.1] {
+            assert_eq!(method.recipe().wire, Transport::Cpu, "{method:?}");
+        }
+        let mut t = Tuner::new(TunerMode::Online, 13);
+        for _ in 0..8 {
+            let wire = Term::Wire(Transport::Cpu, true);
+            t.observe(wire, SimTime::from_us(10), SimTime::from_us(100));
+        }
+        let after = decide(&mut t, &intra, true);
+        assert_eq!(after.0.recipe().wire, Transport::Gpu, "{after:?}");
+        assert_eq!(decide(&mut t, &inter, false), before.1);
     }
 
     #[test]

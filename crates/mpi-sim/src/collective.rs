@@ -23,7 +23,6 @@
 //! [`MpiError::Revoked`] instead of a hang.
 
 use gpu_sim::GpuPtr;
-use tempi_trace::LANE_CPU;
 
 use crate::error::{MpiError, MpiResult};
 use crate::p2p::TAG_ALLTOALLV;
@@ -178,22 +177,14 @@ impl RankCtx {
         bytes: impl FnOnce() -> (usize, usize),
         body: impl FnOnce(&mut RankCtx) -> MpiResult<()>,
     ) -> MpiResult<()> {
-        if !self.tracer.enabled() {
-            return body(self);
-        }
-        let tracer = self.tracer.clone();
-        let pid = self.world_rank as u32;
-        tracer.begin(pid, LANE_CPU, "mpi", "alltoallv", self.clock.now().as_ps());
-        let r = body(self);
-        tracer.end_args(pid, LANE_CPU, self.clock.now().as_ps(), || {
+        self.with_span_args("mpi", "alltoallv", body, |r| {
             let (sent, received) = bytes();
             vec![
                 ("send_bytes", sent.into()),
                 ("recv_bytes", received.into()),
                 ("ok", r.is_ok().into()),
             ]
-        });
-        r
+        })
     }
 
     /// The one `alltoallv` schedule: `sends` in ascending send distance

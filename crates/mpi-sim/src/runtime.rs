@@ -355,6 +355,18 @@ impl RankCtx {
         name: &str,
         body: impl FnOnce(&mut Self) -> MpiResult<T>,
     ) -> MpiResult<T> {
+        self.with_span_args(cat, name, body, |r| vec![("ok", r.is_ok().into())])
+    }
+
+    /// [`RankCtx::with_span`] whose span closes with `args` of the outcome
+    /// (called only when tracing).
+    pub fn with_span_args<T>(
+        &mut self,
+        cat: &'static str,
+        name: &str,
+        body: impl FnOnce(&mut Self) -> MpiResult<T>,
+        args: impl FnOnce(&MpiResult<T>) -> tempi_trace::Args,
+    ) -> MpiResult<T> {
         if !self.tracer.enabled() {
             return body(self);
         }
@@ -369,7 +381,7 @@ impl RankCtx {
         );
         let r = body(self);
         tracer.end_args(pid, tempi_trace::LANE_CPU, self.clock.now().as_ps(), || {
-            vec![("ok", r.is_ok().into())]
+            args(&r)
         });
         r
     }

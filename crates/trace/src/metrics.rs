@@ -62,15 +62,17 @@ impl Histogram {
     }
 }
 
-/// A named collection of counters, gauges and histograms.
+/// A named collection of counters, gauges and histograms. Names are
+/// `'static`, as every [`Tracer`](crate::Tracer) hook takes them, so a
+/// metric that exists records without the heap.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
+    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, f64>,
     /// Boxed: a traced rank observes on its fiber stack, and inserting a
     /// 528-byte histogram by value would cost every caller's frame its
     /// copies.
-    histograms: BTreeMap<String, Box<Histogram>>,
+    histograms: BTreeMap<&'static str, Box<Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -85,21 +87,18 @@ impl MetricsRegistry {
     }
 
     /// Add `delta` to the named counter (created at zero).
-    pub fn count(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    pub fn count(&mut self, name: &'static str, delta: u64) {
+        *self.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Set the named gauge to `value`.
-    pub fn gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+    pub fn gauge(&mut self, name: &'static str, value: f64) {
+        self.gauges.insert(name, value);
     }
 
     /// Record one observation into the named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+    pub fn observe(&mut self, name: &'static str, value: u64) {
+        self.histograms.entry(name).or_default().observe(value);
     }
 
     /// The named counter's value (0 when absent).
@@ -121,7 +120,7 @@ impl MetricsRegistry {
     /// each kind so dumps diff cleanly. Histogram buckets are emitted
     /// sparsely as `[upper_bound, count]` pairs.
     pub fn to_jsonl(&self) -> String {
-        let scalar = |kind: &str, name: &String, value: Value| {
+        let scalar = |kind: &str, name: &str, value: Value| {
             Value::object([
                 ("kind", kind.to_json()),
                 ("name", name.to_json()),

@@ -5,8 +5,8 @@
 //! set-up, nothing for filling its grid, and an intern table that holds no plan no type uses; and the
 //! system MPI packing and unpacking a non-dense type it has moved before,
 //! nothing. A warm tuner decides a send without the heap in every mode,
-//! probes included. The allocator counts per thread, so the tests may run
-//! side by side.
+//! probes included, and a traced metric that exists records without it.
+//! The allocator counts per thread, so the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,7 +18,7 @@ use mpi_sim::datatype::{TypeInfo, TypeTree};
 use mpi_sim::{Datatype, Order, RankCtx, VendorProfile, WorldConfig};
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
-use tempi_core::{BucketKey, SendModel, Tuner, Workload};
+use tempi_core::{BucketKey, SendModel, TraceLevel, Tracer, Tuner, Workload};
 use tempi_stencil::{HaloConfig, HaloExchanger, HaloTypes};
 
 /// The system allocator, counting the allocations each thread asks for.
@@ -309,4 +309,20 @@ fn a_warm_tuner_decides_without_the_heap_in_every_mode() {
             "{mode:?}"
         );
     }
+}
+
+#[test]
+fn a_warm_metric_records_without_the_heap() {
+    let tracer = Tracer::new(TraceLevel::Full);
+    let record = |i: u64| {
+        tracer.observe("tempi.send.bytes", 4096 * i);
+        tracer.count("tempi.sends", 1);
+    };
+    // the first of each inserts its metric
+    record(0);
+    let n_allocs = allocs(|| (1..=256).for_each(record));
+    assert_eq!(n_allocs, 0);
+    let metrics = tracer.metrics();
+    assert_eq!(metrics.histogram("tempi.send.bytes").unwrap().count, 257);
+    assert_eq!(metrics.counter("tempi.sends"), 257);
 }

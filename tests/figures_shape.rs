@@ -7,7 +7,7 @@ mod common;
 use mpi_sim::MpiResult;
 use tempi_bench::{Construction, Obj2d, Platform, Side};
 use tempi_core::config::{Method, TempiConfig};
-use tempi_core::model::{Calibration, SendModel};
+use tempi_core::model::SendModel;
 
 // ---- Fig. 6 shapes -------------------------------------------------------
 
@@ -131,10 +131,7 @@ fn fig10_crossover_oneshot_1mib_device_4mib() {
     let m = SendModel::summit_internode();
     // the figure ranks the paper's three one-piece methods
     let three = [Method::Device, Method::OneShot, Method::Staged];
-    let pick = |bytes, block, word| {
-        m.choose_among(&three, bytes, block, word, &Calibration::NONE)
-            .method
-    };
+    let pick = |bytes, block, word| m.choose_among(&three, bytes, block, word, &|_| 1.0).method;
     // large blocks (the regime the paper's figure sweeps)
     assert_eq!(pick(1 << 20, 4096, 8), Method::OneShot);
     assert_eq!(pick(4 << 20, 4096, 8), Method::Device);
