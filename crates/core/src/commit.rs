@@ -495,25 +495,25 @@ mod tests {
     use super::*;
     use crate::ir::translate::translate;
     use mpi_sim::consts::*;
-    use mpi_sim::TypeRegistry;
+    use mpi_sim::WorldConfig;
 
     #[test]
     fn memo_counts_only_the_calls_it_forwards() {
-        let mut r = TypeRegistry::new();
+        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
         let mut memo = NamedMemo::default();
-        let dt = r.type_vector(4, 2, 8, MPI_FLOAT).unwrap();
-        let mut m = MemoIntrospect::new(&mut r, &mut memo);
+        let dt = ctx.type_vector(4, 2, 8, MPI_FLOAT).unwrap();
+        let mut m = MemoIntrospect::new(&mut ctx, &mut memo);
         let first = translate(&mut m, dt).unwrap();
         // vector: envelope + contents + extent(old); child: envelope, and
         // its extent is already known
         assert_eq!(m.calls, 4);
         // a second translation asks about the vector only, and sees the
         // same type
-        let mut m = MemoIntrospect::new(&mut r, &mut memo);
+        let mut m = MemoIntrospect::new(&mut ctx, &mut memo);
         assert_eq!(translate(&mut m, dt).unwrap(), first);
         assert_eq!(m.calls, 2);
         // what was learnt about MPI_FLOAT says nothing about MPI_DOUBLE
-        let mut m = MemoIntrospect::new(&mut r, &mut memo);
+        let mut m = MemoIntrospect::new(&mut ctx, &mut memo);
         assert_eq!(m.extent(MPI_DOUBLE).unwrap(), (0, 8));
         assert_eq!(m.extent(MPI_DOUBLE).unwrap(), (0, 8));
         assert_eq!(m.envelope(MPI_DOUBLE).unwrap().combiner, Combiner::Named);

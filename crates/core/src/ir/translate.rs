@@ -836,32 +836,34 @@ mod tests {
     use super::*;
     use mpi_sim::consts::*;
     use mpi_sim::datatype::{Contents, Order};
+    use mpi_sim::WorldConfig;
 
-    fn reg() -> TypeRegistry {
-        TypeRegistry::new()
+    /// A rank to build types through and translate them on.
+    fn rank() -> RankCtx {
+        RankCtx::standalone(&WorldConfig::summit(1))
     }
 
     #[test]
     fn named_translates_to_dense() {
-        let mut r = reg();
-        let t = translate_strided(&mut r, MPI_FLOAT).unwrap();
+        let mut ctx = rank();
+        let t = translate_strided(&mut ctx, MPI_FLOAT).unwrap();
         assert_eq!(t, Type::dense(0, 4));
     }
 
     #[test]
     fn contiguous_translates_to_stream_of_dense() {
-        let mut r = reg();
-        let dt = r.type_contiguous(100, MPI_FLOAT).unwrap();
-        let t = translate_strided(&mut r, dt).unwrap();
+        let mut ctx = rank();
+        let dt = ctx.type_contiguous(100, MPI_FLOAT).unwrap();
+        let t = translate_strided(&mut ctx, dt).unwrap();
         assert_eq!(t, Type::stream(0, 4, 100, Type::dense(0, 4)));
     }
 
     #[test]
     fn vector_translates_to_two_streams() {
-        let mut r = reg();
+        let mut ctx = rank();
         // Algorithm 3: outer stride = extent × stride
-        let dt = r.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
-        let t = translate_strided(&mut r, dt).unwrap();
+        let dt = ctx.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
+        let t = translate_strided(&mut ctx, dt).unwrap();
         assert_eq!(
             t,
             Type::stream(0, 4 * 128, 13, Type::stream(0, 4, 100, Type::dense(0, 4)))
@@ -870,9 +872,9 @@ mod tests {
 
     #[test]
     fn hvector_stride_taken_verbatim() {
-        let mut r = reg();
-        let dt = r.type_create_hvector(13, 1, 256, MPI_BYTE).unwrap();
-        let t = translate_strided(&mut r, dt).unwrap();
+        let mut ctx = rank();
+        let dt = ctx.type_create_hvector(13, 1, 256, MPI_BYTE).unwrap();
+        let t = translate_strided(&mut ctx, dt).unwrap();
         // a block of one element steps nowhere: MPI_BYTE's extent is not
         // asked for, and the stream's stride is 0
         assert_eq!(
@@ -887,12 +889,12 @@ mod tests {
         // subarray{sizes:[512,256]→(256,512 in paper's (A0,A1) order),
         // subsizes 13,100} then vector(47,1,1,plane): the paper's first
         // fragment. Expect the exact IR of Fig. 2 (top right).
-        let mut r = reg();
-        let plane = r
+        let mut ctx = rank();
+        let plane = ctx
             .type_create_subarray(&[512, 256], &[13, 100], &[0, 0], Order::C, MPI_BYTE)
             .unwrap();
-        let cuboid = r.type_vector(47, 1, 1, plane).unwrap();
-        let t = translate_strided(&mut r, cuboid).unwrap();
+        let cuboid = ctx.type_vector(47, 1, 1, plane).unwrap();
+        let t = translate_strided(&mut ctx, cuboid).unwrap();
         // vector over plane: extent(plane) = 512*256 = 131072
         assert_eq!(
             t,
@@ -914,11 +916,11 @@ mod tests {
     fn fig2_middle_construction() {
         // row = vector(100,1,1,BYTE); plane = hvector(13,1,256,row);
         // cuboid = hvector(47,1,131072,plane)
-        let mut r = reg();
-        let row = r.type_vector(100, 1, 1, MPI_BYTE).unwrap();
-        let plane = r.type_create_hvector(13, 1, 256, row).unwrap();
-        let cuboid = r.type_create_hvector(47, 1, 256 * 512, plane).unwrap();
-        let t = translate_strided(&mut r, cuboid).unwrap();
+        let mut ctx = rank();
+        let row = ctx.type_vector(100, 1, 1, MPI_BYTE).unwrap();
+        let plane = ctx.type_create_hvector(13, 1, 256, row).unwrap();
+        let cuboid = ctx.type_create_hvector(47, 1, 256 * 512, plane).unwrap();
+        let t = translate_strided(&mut ctx, cuboid).unwrap();
         assert_eq!(
             t,
             Type::stream(
@@ -952,8 +954,8 @@ mod tests {
     #[test]
     fn fig2_bottom_construction() {
         // single 3D subarray
-        let mut r = reg();
-        let cuboid = r
+        let mut ctx = rank();
+        let cuboid = ctx
             .type_create_subarray(
                 &[1024, 512, 256],
                 &[47, 13, 100],
@@ -962,7 +964,7 @@ mod tests {
                 MPI_BYTE,
             )
             .unwrap();
-        let t = translate_strided(&mut r, cuboid).unwrap();
+        let t = translate_strided(&mut ctx, cuboid).unwrap();
         assert_eq!(
             t,
             Type::stream(
@@ -976,11 +978,11 @@ mod tests {
 
     #[test]
     fn subarray_starts_become_offsets() {
-        let mut r = reg();
-        let dt = r
+        let mut ctx = rank();
+        let dt = ctx
             .type_create_subarray(&[8, 16], &[2, 4], &[3, 5], Order::C, MPI_FLOAT)
             .unwrap();
-        let t = translate_strided(&mut r, dt).unwrap();
+        let t = translate_strided(&mut ctx, dt).unwrap();
         // inner dim (fastest): stride 4, count 4, off 5*4=20
         // outer dim: stride 16*4=64, count 2, off 3*64=192
         assert_eq!(
@@ -991,46 +993,48 @@ mod tests {
 
     #[test]
     fn fortran_subarray_reverses_dims() {
-        let mut r = reg();
-        let c_dt = r
+        let mut ctx = rank();
+        let c_dt = ctx
             .type_create_subarray(&[16, 8], &[4, 2], &[0, 0], Order::C, MPI_BYTE)
             .unwrap();
-        let f_dt = r
+        let f_dt = ctx
             .type_create_subarray(&[8, 16], &[2, 4], &[0, 0], Order::Fortran, MPI_BYTE)
             .unwrap();
         assert_eq!(
-            translate_strided(&mut r, c_dt).unwrap(),
-            translate_strided(&mut r, f_dt).unwrap()
+            translate_strided(&mut ctx, c_dt).unwrap(),
+            translate_strided(&mut ctx, f_dt).unwrap()
         );
     }
 
     #[test]
     fn zero_count_translates_to_empty() {
-        let mut r = reg();
-        let dt = r.type_contiguous(0, MPI_INT).unwrap();
-        assert_eq!(translate(&mut r, dt).unwrap(), Translated::Empty);
-        let dt = r.type_vector(0, 4, 8, MPI_INT).unwrap();
-        assert_eq!(translate(&mut r, dt).unwrap(), Translated::Empty);
-        let dt = r.type_vector(4, 0, 8, MPI_INT).unwrap();
-        assert_eq!(translate(&mut r, dt).unwrap(), Translated::Empty);
+        let mut ctx = rank();
+        let dt = ctx.type_contiguous(0, MPI_INT).unwrap();
+        assert_eq!(translate(&mut ctx, dt).unwrap(), Translated::Empty);
+        let dt = ctx.type_vector(0, 4, 8, MPI_INT).unwrap();
+        assert_eq!(translate(&mut ctx, dt).unwrap(), Translated::Empty);
+        let dt = ctx.type_vector(4, 0, 8, MPI_INT).unwrap();
+        assert_eq!(translate(&mut ctx, dt).unwrap(), Translated::Empty);
     }
 
     #[test]
     fn dup_and_resized_are_transparent() {
-        let mut r = reg();
-        let v = r.type_vector(4, 2, 8, MPI_INT).unwrap();
-        let d = r.type_dup(v).unwrap();
-        let rz = r.type_create_resized(v, -8, 999).unwrap();
-        let tv = translate(&mut r, v).unwrap();
-        assert_eq!(translate(&mut r, d).unwrap(), tv);
-        assert_eq!(translate(&mut r, rz).unwrap(), tv);
+        let mut ctx = rank();
+        let v = ctx.type_vector(4, 2, 8, MPI_INT).unwrap();
+        let d = ctx.type_dup(v).unwrap();
+        let rz = ctx.type_create_resized(v, -8, 999).unwrap();
+        let tv = translate(&mut ctx, v).unwrap();
+        assert_eq!(translate(&mut ctx, d).unwrap(), tv);
+        assert_eq!(translate(&mut ctx, rz).unwrap(), tv);
     }
 
     #[test]
     fn hindexed_becomes_blocklist() {
-        let mut r = reg();
-        let dt = r.type_create_hindexed(&[2, 3], &[100, 0], MPI_INT).unwrap();
-        match translate(&mut r, dt).unwrap() {
+        let mut ctx = rank();
+        let dt = ctx
+            .type_create_hindexed(&[2, 3], &[100, 0], MPI_INT)
+            .unwrap();
+        match translate(&mut ctx, dt).unwrap() {
             Translated::Blocks(b) => {
                 assert_eq!(b.blocks, vec![(100, 8), (0, 12)]);
             }
@@ -1040,11 +1044,11 @@ mod tests {
 
     #[test]
     fn indexed_with_strided_child_flattens_per_element() {
-        let mut r = reg();
+        let mut ctx = rank();
         // element type: vector with a hole (extent 12, data 8)
-        let v = r.type_vector(2, 1, 2, MPI_FLOAT).unwrap();
-        let dt = r.type_indexed(&[2], &[1], v).unwrap();
-        match translate(&mut r, dt).unwrap() {
+        let v = ctx.type_vector(2, 1, 2, MPI_FLOAT).unwrap();
+        let dt = ctx.type_indexed(&[2], &[1], v).unwrap();
+        match translate(&mut ctx, dt).unwrap() {
             Translated::Blocks(b) => {
                 // displacement 1 element = extent(v) = 12 bytes; 2 elements,
                 // each contributing dense leaves at +0 and +8
@@ -1054,8 +1058,8 @@ mod tests {
         }
     }
 
-    fn blocks_of(r: &mut TypeRegistry, dt: Datatype) -> Vec<(i64, u64)> {
-        match translate(r, dt).unwrap() {
+    fn blocks_of(ctx: &mut RankCtx, dt: Datatype) -> Vec<(i64, u64)> {
+        match translate(ctx, dt).unwrap() {
             Translated::Blocks(b) => b.blocks,
             other => panic!("expected blocks, got {other:?}"),
         }
@@ -1063,33 +1067,35 @@ mod tests {
 
     #[test]
     fn struct_translates_to_member_runs() {
-        let mut r = reg();
+        let mut ctx = rank();
         // padding after the int, a zero-length member, displacements that
         // run backwards: one run per member, in member order
-        let dt = r
+        let dt = ctx
             .type_create_struct(
                 &[1, 0, 3, 2],
                 &[32, 99, 8, 0],
                 &[MPI_INT, MPI_DOUBLE, MPI_SHORT, MPI_BYTE],
             )
             .unwrap();
-        assert_eq!(blocks_of(&mut r, dt), vec![(32, 4), (8, 6), (0, 2)]);
+        assert_eq!(blocks_of(&mut ctx, dt), vec![(32, 4), (8, 6), (0, 2)]);
         // nothing but zero-length members denotes no bytes
-        let empty = r.type_create_struct(&[0], &[0], &[MPI_INT]).unwrap();
-        assert_eq!(translate(&mut r, empty).unwrap(), Translated::Empty);
+        let empty = ctx.type_create_struct(&[0], &[0], &[MPI_INT]).unwrap();
+        assert_eq!(translate(&mut ctx, empty).unwrap(), Translated::Empty);
     }
 
     #[test]
     fn struct_members_may_be_any_construction() {
-        let mut r = reg();
-        let v = r.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // runs at 0, 4; extent 6
-        let wide = r.type_create_resized(MPI_INT, 0, 16).unwrap();
-        let h = r.type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE).unwrap();
-        let dt = r
+        let mut ctx = rank();
+        let v = ctx.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // runs at 0, 4; extent 6
+        let wide = ctx.type_create_resized(MPI_INT, 0, 16).unwrap();
+        let h = ctx
+            .type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE)
+            .unwrap();
+        let dt = ctx
             .type_create_struct(&[2, 2, 1], &[100, 0, 50], &[v, wide, h])
             .unwrap();
         assert_eq!(
-            blocks_of(&mut r, dt),
+            blocks_of(&mut ctx, dt),
             vec![
                 (100, 2), // two vectors, 6 bytes apart
                 (104, 2),
@@ -1105,12 +1111,12 @@ mod tests {
 
     #[test]
     fn struct_of_strided_members_is_a_member_list_until_it_cannot_be() {
-        let mut r = reg();
-        let v = r.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // runs at 0, 4; extent 6
-        let s = r
+        let mut ctx = rank();
+        let v = ctx.type_vector(2, 2, 4, MPI_BYTE).unwrap(); // runs at 0, 4; extent 6
+        let s = ctx
             .type_create_struct(&[1, 2, 0, 1], &[40, 0, 7, 32], &[MPI_INT, v, v, MPI_SHORT])
             .unwrap();
-        let Translated::Multi(members) = translate(&mut r, s).unwrap() else {
+        let Translated::Multi(members) = translate(&mut ctx, s).unwrap() else {
             panic!("a strided member among runs makes a member list");
         };
         // the run before it, the two vectors as one entry, the run after it;
@@ -1137,72 +1143,79 @@ mod tests {
 
         // a wrapper that changes nothing changes nothing; any other combiner
         // over the list has its runs
-        let same = r.type_contiguous(1, s).unwrap();
-        assert_eq!(translate(&mut r, same).unwrap(), Translated::Multi(members));
-        let twice = r.type_create_hvector(2, 1, 100, s).unwrap();
+        let same = ctx.type_contiguous(1, s).unwrap();
+        assert_eq!(
+            translate(&mut ctx, same).unwrap(),
+            Translated::Multi(members)
+        );
+        let twice = ctx.type_create_hvector(2, 1, 100, s).unwrap();
         let shifted = flat.iter().map(|&(off, len)| (off + 100, len));
         let both: Vec<_> = flat.iter().copied().chain(shifted).collect();
-        assert_eq!(blocks_of(&mut r, twice), both);
+        assert_eq!(blocks_of(&mut ctx, twice), both);
 
         // a member that is itself a list turns the members before it back
         // into runs; so does a 52nd member, and a fifth dimension
-        let h = r.type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE).unwrap();
-        let with_list = r.type_create_struct(&[1, 1, 1], &[0, 20, 30], &[v, h, v]);
-        let runs = blocks_of(&mut r, with_list.unwrap());
+        let h = ctx
+            .type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE)
+            .unwrap();
+        let with_list = ctx.type_create_struct(&[1, 1, 1], &[0, 20, 30], &[v, h, v]);
+        let runs = blocks_of(&mut ctx, with_list.unwrap());
         assert_eq!(
             runs,
             vec![(0, 2), (4, 2), (24, 1), (20, 1), (30, 2), (34, 2)]
         );
         let many = |n: usize| {
-            let mut r = reg();
-            let v = r.type_vector(2, 1, 2, MPI_BYTE).unwrap();
+            let mut ctx = rank();
+            let v = ctx.type_vector(2, 1, 2, MPI_BYTE).unwrap();
             let displs: Vec<i64> = (0..n as i64).map(|i| 4 * i).collect();
-            let s = r.type_create_struct(&vec![1; n], &displs, &vec![v; n]);
-            translate(&mut r, s.unwrap()).unwrap()
+            let s = ctx.type_create_struct(&vec![1; n], &displs, &vec![v; n]);
+            translate(&mut ctx, s.unwrap()).unwrap()
         };
         assert!(matches!(many(MAX_MEMBERS), Translated::Multi(m) if m.len() == MAX_MEMBERS));
         assert!(matches!(many(MAX_MEMBERS + 1), Translated::Blocks(b) if b.blocks.len() == 104));
-        let deep = r
+        let deep = ctx
             .type_create_subarray(&[4; 4], &[2; 4], &[1; 4], Order::C, MPI_SHORT)
             .unwrap();
-        let fifth = r.type_create_struct(&[2, 1], &[0, 2000], &[deep, MPI_INT]);
-        assert_eq!(blocks_of(&mut r, fifth.unwrap()).len(), 2 * 8 + 1);
+        let fifth = ctx.type_create_struct(&[2, 1], &[0, 2000], &[deep, MPI_INT]);
+        assert_eq!(blocks_of(&mut ctx, fifth.unwrap()).len(), 2 * 8 + 1);
     }
 
     #[test]
     fn struct_under_every_strided_combiner_replicates_its_runs() {
-        let mut r = reg();
-        let s = r
+        let mut ctx = rank();
+        let s = ctx
             .type_create_struct(&[1, 1], &[8, 0], &[MPI_SHORT, MPI_INT])
             .unwrap(); // runs (8, 2), (0, 4); extent 10
         let runs = |base: i64| [(base + 8, 2), (base, 4)];
         let cat =
             |bases: &[i64]| -> Vec<(i64, u64)> { bases.iter().flat_map(|&b| runs(b)).collect() };
 
-        let c = r.type_contiguous(3, s).unwrap();
-        assert_eq!(blocks_of(&mut r, c), cat(&[0, 10, 20]));
-        let v = r.type_vector(2, 2, 3, s).unwrap();
-        assert_eq!(blocks_of(&mut r, v), cat(&[0, 10, 30, 40]));
-        let h = r.type_create_hvector(2, 1, 64, s).unwrap();
-        assert_eq!(blocks_of(&mut r, h), cat(&[0, 64]));
-        let sub = r
+        let c = ctx.type_contiguous(3, s).unwrap();
+        assert_eq!(blocks_of(&mut ctx, c), cat(&[0, 10, 20]));
+        let v = ctx.type_vector(2, 2, 3, s).unwrap();
+        assert_eq!(blocks_of(&mut ctx, v), cat(&[0, 10, 30, 40]));
+        let h = ctx.type_create_hvector(2, 1, 64, s).unwrap();
+        assert_eq!(blocks_of(&mut ctx, h), cat(&[0, 64]));
+        let sub = ctx
             .type_create_subarray(&[3, 4], &[2, 2], &[1, 1], Order::C, s)
             .unwrap();
-        assert_eq!(blocks_of(&mut r, sub), cat(&[50, 60, 90, 100]));
-        let ib = r.type_create_indexed_block(1, &[2, 0], s).unwrap();
-        assert_eq!(blocks_of(&mut r, ib), cat(&[20, 0]));
+        assert_eq!(blocks_of(&mut ctx, sub), cat(&[50, 60, 90, 100]));
+        let ib = ctx.type_create_indexed_block(1, &[2, 0], s).unwrap();
+        assert_eq!(blocks_of(&mut ctx, ib), cat(&[20, 0]));
         // and a struct of structs
-        let ss = r.type_create_struct(&[1, 2], &[100, 0], &[s, s]).unwrap();
-        assert_eq!(blocks_of(&mut r, ss), cat(&[100, 0, 10]));
+        let ss = ctx.type_create_struct(&[1, 2], &[100, 0], &[s, s]).unwrap();
+        assert_eq!(blocks_of(&mut ctx, ss), cat(&[100, 0, 10]));
     }
 
     #[test]
     fn vector_of_hindexed_replicates_blocks() {
-        let mut r = reg();
-        let h = r.type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE).unwrap();
+        let mut ctx = rank();
+        let h = ctx
+            .type_create_hindexed(&[1, 1], &[4, 0], MPI_BYTE)
+            .unwrap();
         // extent(h) = 5
-        let v = r.type_vector(2, 1, 2, h).unwrap(); // stride 2 elements = 10 B
-        match translate(&mut r, v).unwrap() {
+        let v = ctx.type_vector(2, 1, 2, h).unwrap(); // stride 2 elements = 10 B
+        match translate(&mut ctx, v).unwrap() {
             Translated::Blocks(b) => {
                 assert_eq!(b.blocks, vec![(4, 1), (0, 1), (14, 1), (10, 1)]);
             }

@@ -484,14 +484,6 @@ impl Memory {
             .ok_or(GpuError::InvalidPointer { alloc: ptr.alloc })
     }
 
-    /// Size in bytes of the allocation `ptr` points into.
-    pub fn size_of(&self, ptr: GpuPtr) -> GpuResult<usize> {
-        self.allocs
-            .get(&ptr.alloc)
-            .map(|a| a.data.len())
-            .ok_or(GpuError::InvalidPointer { alloc: ptr.alloc })
-    }
-
     /// Device-side write (as from a kernel): target must be device-accessible.
     pub fn dev_write(&mut self, ptr: GpuPtr, data: &[u8]) -> GpuResult<()> {
         let space = self.space_of(ptr)?;
@@ -538,11 +530,6 @@ impl Memory {
     /// The installed fault injector, if any.
     pub fn fault_injector(&self) -> Option<&SiteInjector> {
         self.faults.as_deref()
-    }
-
-    /// Bytes of device memory currently allocated.
-    pub fn device_used(&self) -> usize {
-        self.device_used
     }
 
     /// Number of live allocations across all spaces.

@@ -143,6 +143,12 @@ mod tests {
     use super::super::registry::consts::*;
     use super::super::Order;
     use super::*;
+    use crate::{RankCtx, WorldConfig};
+
+    /// A rank to build types through.
+    fn rank() -> RankCtx {
+        RankCtx::standalone(&WorldConfig::summit(1))
+    }
 
     fn fill(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
@@ -150,8 +156,9 @@ mod tests {
 
     #[test]
     fn pack_contiguous_is_memcpy() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_contiguous(16, MPI_BYTE).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(16, MPI_BYTE).unwrap();
+        let r = ctx.registry().read();
         let src = fill(16);
         let mut dst = vec![0u8; 16];
         let mut pos = 0;
@@ -162,9 +169,10 @@ mod tests {
 
     #[test]
     fn pack_vector_gathers_blocks() {
-        let mut r = TypeRegistry::new();
+        let mut ctx = rank();
         // 3 blocks of 2 bytes, stride 4 bytes
-        let t = r.type_vector(3, 2, 4, MPI_BYTE).unwrap();
+        let t = ctx.type_vector(3, 2, 4, MPI_BYTE).unwrap();
+        let r = ctx.registry().read();
         let src = fill(12);
         let mut dst = vec![0u8; 6];
         let mut pos = 0;
@@ -174,10 +182,11 @@ mod tests {
 
     #[test]
     fn unpack_inverts_pack() {
-        let mut r = TypeRegistry::new();
-        let t = r
+        let mut ctx = rank();
+        let t = ctx
             .type_create_subarray(&[8, 8], &[3, 4], &[2, 1], Order::C, MPI_BYTE)
             .unwrap();
+        let r = ctx.registry().read();
         let src = fill(64);
         let size = pack_size(&r, 1, t).unwrap();
         let mut packed = vec![0u8; size];
@@ -201,9 +210,10 @@ mod tests {
 
     #[test]
     fn incount_packs_repeated_items_at_extent() {
-        let mut r = TypeRegistry::new();
+        let mut ctx = rank();
         // vector extent: (2-1)*4+2 = 6 bytes
-        let t = r.type_vector(2, 2, 4, MPI_BYTE).unwrap();
+        let t = ctx.type_vector(2, 2, 4, MPI_BYTE).unwrap();
+        let r = ctx.registry().read();
         let src = fill(32);
         let mut dst = vec![0u8; 16];
         let mut pos = 0;
@@ -215,8 +225,9 @@ mod tests {
 
     #[test]
     fn position_appends() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_contiguous(4, MPI_BYTE).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(4, MPI_BYTE).unwrap();
+        let r = ctx.registry().read();
         let src = fill(4);
         let mut dst = vec![0u8; 12];
         let mut pos = 4;
@@ -228,8 +239,9 @@ mod tests {
 
     #[test]
     fn buffer_too_small_detected() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_contiguous(16, MPI_BYTE).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(16, MPI_BYTE).unwrap();
+        let r = ctx.registry().read();
         let src = fill(16);
         let mut dst = vec![0u8; 8];
         let mut pos = 0;
@@ -252,8 +264,9 @@ mod tests {
 
     #[test]
     fn negative_reach_detected() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_create_hindexed(&[1], &[-4], MPI_INT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_create_hindexed(&[1], &[-4], MPI_INT).unwrap();
+        let r = ctx.registry().read();
         let src = fill(16);
         let mut dst = vec![0u8; 4];
         let mut pos = 0;
@@ -269,15 +282,19 @@ mod tests {
 
     #[test]
     fn pack_size_matches_type_size() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(pack_size(&r, 3, t).unwrap(), 3 * 5200);
     }
 
     #[test]
     fn hindexed_packs_in_typemap_order() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_create_hindexed(&[2, 2], &[8, 0], MPI_BYTE).unwrap();
+        let mut ctx = rank();
+        let t = ctx
+            .type_create_hindexed(&[2, 2], &[8, 0], MPI_BYTE)
+            .unwrap();
+        let r = ctx.registry().read();
         let src = fill(16);
         let mut dst = vec![0u8; 4];
         let mut pos = 0;

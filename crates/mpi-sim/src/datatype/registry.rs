@@ -422,135 +422,6 @@ impl TypeRegistry {
         Ok((span(blocks)?, false))
     }
 
-    /// `MPI_Type_dup`.
-    pub fn type_dup(&mut self, oldtype: Datatype) -> MpiResult<Datatype> {
-        self.create(TypeDef::Dup { oldtype })
-    }
-
-    /// `MPI_Type_contiguous`.
-    pub fn type_contiguous(&mut self, count: i32, oldtype: Datatype) -> MpiResult<Datatype> {
-        self.create(TypeDef::Contiguous { count, oldtype })
-    }
-
-    /// `MPI_Type_vector` (stride in elements).
-    pub fn type_vector(
-        &mut self,
-        count: i32,
-        blocklength: i32,
-        stride: i32,
-        oldtype: Datatype,
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::Vector {
-            count,
-            blocklength,
-            stride,
-            oldtype,
-        })
-    }
-
-    /// `MPI_Type_create_hvector` (stride in bytes).
-    pub fn type_create_hvector(
-        &mut self,
-        count: i32,
-        blocklength: i32,
-        stride_bytes: i64,
-        oldtype: Datatype,
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::Hvector {
-            count,
-            blocklength,
-            stride_bytes,
-            oldtype,
-        })
-    }
-
-    /// `MPI_Type_indexed` (displacements in elements).
-    pub fn type_indexed(
-        &mut self,
-        blocklengths: &[i32],
-        displacements: &[i32],
-        oldtype: Datatype,
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::Indexed {
-            blocklengths: blocklengths.to_vec(),
-            displacements: displacements.to_vec(),
-            oldtype,
-        })
-    }
-
-    /// `MPI_Type_create_indexed_block` (equal blocks, displacements in
-    /// elements).
-    pub fn type_create_indexed_block(
-        &mut self,
-        blocklength: i32,
-        displacements: &[i32],
-        oldtype: Datatype,
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::IndexedBlock {
-            blocklength,
-            displacements: displacements.to_vec(),
-            oldtype,
-        })
-    }
-
-    /// `MPI_Type_create_hindexed` (displacements in bytes).
-    pub fn type_create_hindexed(
-        &mut self,
-        blocklengths: &[i32],
-        displacements_bytes: &[i64],
-        oldtype: Datatype,
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::Hindexed {
-            blocklengths: blocklengths.to_vec(),
-            displacements_bytes: displacements_bytes.to_vec(),
-            oldtype,
-        })
-    }
-
-    /// `MPI_Type_create_subarray`.
-    pub fn type_create_subarray(
-        &mut self,
-        sizes: &[i32],
-        subsizes: &[i32],
-        starts: &[i32],
-        order: Order,
-        oldtype: Datatype,
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::Subarray {
-            dims: Dim::from_lists(sizes, subsizes, starts).map_err(MpiError::InvalidArg)?,
-            order,
-            oldtype,
-        })
-    }
-
-    /// `MPI_Type_create_struct`.
-    pub fn type_create_struct(
-        &mut self,
-        blocklengths: &[i32],
-        displacements_bytes: &[i64],
-        types: &[Datatype],
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::Struct {
-            blocklengths: blocklengths.to_vec(),
-            displacements_bytes: displacements_bytes.to_vec(),
-            types: types.to_vec(),
-        })
-    }
-
-    /// `MPI_Type_create_resized`.
-    pub fn type_create_resized(
-        &mut self,
-        oldtype: Datatype,
-        lb: i64,
-        extent: i64,
-    ) -> MpiResult<Datatype> {
-        self.create(TypeDef::Resized {
-            lb,
-            extent,
-            oldtype,
-        })
-    }
-
     // ---- introspection -------------------------------------------------
 
     /// `MPI_Type_get_envelope`.
@@ -896,6 +767,12 @@ mod tests {
     use crate::datatype::{Combiner, TypeTree};
     use crate::{RankCtx, WorldConfig};
 
+    /// A rank to build types through: its constructors are the only way
+    /// into a registry besides [`TypeRegistry::create`].
+    fn rank() -> RankCtx {
+        RankCtx::standalone(&WorldConfig::summit(1))
+    }
+
     #[test]
     fn named_types_preregistered() {
         let r = TypeRegistry::new();
@@ -907,8 +784,9 @@ mod tests {
 
     #[test]
     fn contiguous_attrs() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_contiguous(100, MPI_FLOAT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(100, MPI_FLOAT).unwrap();
+        let mut r = ctx.registry().write();
         assert_eq!(r.size(t).unwrap(), 400);
         assert_eq!(r.extent(t).unwrap(), (0, 400));
         assert!(!r.is_committed(t).unwrap());
@@ -918,17 +796,19 @@ mod tests {
 
     #[test]
     fn contiguous_zero_count_is_empty() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_contiguous(0, MPI_INT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(0, MPI_INT).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.size(t).unwrap(), 0);
         assert_eq!(r.extent(t).unwrap(), (0, 0));
     }
 
     #[test]
     fn vector_extent_spans_first_to_last_byte() {
-        let mut r = TypeRegistry::new();
+        let mut ctx = rank();
         // 13 blocks of 100 floats, stride 128 elements
-        let t = r.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
+        let t = ctx.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.size(t).unwrap(), 13 * 100 * 4);
         // extent: (12*128 + 100) * 4 = 6544
         assert_eq!(r.extent(t).unwrap(), (0, (12 * 128 + 100) * 4));
@@ -936,28 +816,30 @@ mod tests {
 
     #[test]
     fn vector_negative_stride_bounds() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_vector(3, 2, -4, MPI_INT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_vector(3, 2, -4, MPI_INT).unwrap();
         // blocks at element offsets 0, -4, -8; elements at {0,1} within
-        let (lb, extent) = r.extent(t).unwrap();
+        let (lb, extent) = ctx.registry().read().extent(t).unwrap();
         assert_eq!(lb, -8 * 4);
         assert_eq!(extent, (-8 * 4..2 * 4).len() as i64);
     }
 
     #[test]
     fn hvector_stride_is_bytes() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_create_hvector(13, 1, 256, MPI_BYTE).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_create_hvector(13, 1, 256, MPI_BYTE).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.size(t).unwrap(), 13);
         assert_eq!(r.extent(t).unwrap(), (0, 12 * 256 + 1));
     }
 
     #[test]
     fn subarray_extent_is_full_array() {
-        let mut r = TypeRegistry::new();
-        let t = r
+        let mut ctx = rank();
+        let t = ctx
             .type_create_subarray(&[256, 512], &[13, 100], &[0, 0], Order::C, MPI_BYTE)
             .unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.size(t).unwrap(), 13 * 100);
         // Per MPI: lb = 0, extent = full array
         assert_eq!(r.extent(t).unwrap(), (0, 256 * 512));
@@ -969,10 +851,11 @@ mod tests {
 
     #[test]
     fn subarray_with_starts_offsets_true_lb() {
-        let mut r = TypeRegistry::new();
-        let t = r
+        let mut ctx = rank();
+        let t = ctx
             .type_create_subarray(&[8, 16], &[2, 4], &[3, 5], Order::C, MPI_FLOAT)
             .unwrap();
+        let r = ctx.registry().read();
         let (tlb, _) = r.true_extent(t).unwrap();
         assert_eq!(tlb, (3 * 16 + 5) * 4);
         assert_eq!(r.extent(t).unwrap(), (0, 8 * 16 * 4));
@@ -983,11 +866,11 @@ mod tests {
         // a 4 x 6 x 8 array steps (48, 8, 1) elements per index in C
         // order, (1, 4, 24) in Fortran: its 2 x 2 x 2 block at (1, 1, 1)
         // starts and ends there
-        let mut r = TypeRegistry::new();
+        let mut ctx = rank();
         for (order, at) in [(Order::C, 48 + 8 + 1), (Order::Fortran, 1 + 4 + 24)] {
-            let t = r.type_create_subarray(&[4, 6, 8], &[2; 3], &[1; 3], order, MPI_BYTE);
+            let t = ctx.type_create_subarray(&[4, 6, 8], &[2; 3], &[1; 3], order, MPI_BYTE);
             assert_eq!(
-                r.true_extent(t.unwrap()).unwrap(),
+                ctx.registry().read().true_extent(t.unwrap()).unwrap(),
                 (at, at + 1),
                 "{order:?}"
             );
@@ -996,35 +879,37 @@ mod tests {
 
     #[test]
     fn subarray_validation() {
-        let mut r = TypeRegistry::new();
-        assert!(r
+        let mut ctx = rank();
+        assert!(ctx
             .type_create_subarray(&[], &[], &[], Order::C, MPI_BYTE)
             .is_err());
-        assert!(r
+        assert!(ctx
             .type_create_subarray(&[4], &[5], &[0], Order::C, MPI_BYTE)
             .is_err());
-        assert!(r
+        assert!(ctx
             .type_create_subarray(&[4], &[2], &[3], Order::C, MPI_BYTE)
             .is_err());
-        assert!(r
+        assert!(ctx
             .type_create_subarray(&[4], &[0], &[0], Order::C, MPI_BYTE)
             .is_err());
         // lists of different lengths describe no dimensions
-        let live = r.live();
+        let live = ctx.registry().read().live();
         for (sizes, subsizes, starts) in [
             (&[4, 4][..], &[2][..], &[0][..]),
             (&[4][..], &[2][..], &[0, 0][..]),
         ] {
-            let res = r.type_create_subarray(sizes, subsizes, starts, Order::C, MPI_BYTE);
+            let res = ctx.type_create_subarray(sizes, subsizes, starts, Order::C, MPI_BYTE);
             assert!(matches!(res, Err(MpiError::InvalidArg(m)) if m.contains("differ in length")));
         }
-        assert_eq!(r.live(), live, "a rejected constructor inserted a handle");
+        let live_after = ctx.registry().read().live();
+        assert_eq!(live_after, live, "a rejected constructor inserted a handle");
     }
 
     #[test]
     fn indexed_attrs_and_size() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_indexed(&[2, 0, 3], &[10, 99, 0], MPI_INT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_indexed(&[2, 0, 3], &[10, 99, 0], MPI_INT).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.size(t).unwrap(), 5 * 4);
         // blocks: [40..48), [0..12); zero-length block ignored
         assert_eq!(r.extent(t).unwrap(), (0, 48));
@@ -1032,8 +917,11 @@ mod tests {
 
     #[test]
     fn indexed_block_attrs_and_introspection() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_create_indexed_block(2, &[8, 0, 4], MPI_INT).unwrap();
+        let mut ctx = rank();
+        let t = ctx
+            .type_create_indexed_block(2, &[8, 0, 4], MPI_INT)
+            .unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.size(t).unwrap(), 3 * 2 * 4);
         // blocks at elements 8, 0, 4 of 2 ints each: bytes [0, 40)
         assert_eq!(r.extent(t).unwrap(), (0, 40));
@@ -1046,14 +934,18 @@ mod tests {
         assert_eq!(c.datatypes, vec![MPI_INT]);
         let tree = TypeTree::of(&r, t).unwrap();
         assert_eq!(tree.to_string(), "indexed_block(2, [8, 0, 4], int)");
-        assert!(r.type_create_indexed_block(-1, &[0], MPI_INT).is_err());
+        drop(r);
+        assert!(ctx.type_create_indexed_block(-1, &[0], MPI_INT).is_err());
     }
 
     #[test]
     fn indexed_block_matches_equivalent_indexed() {
-        let mut r = TypeRegistry::new();
-        let ib = r.type_create_indexed_block(2, &[6, 0], MPI_FLOAT).unwrap();
-        let ix = r.type_indexed(&[2, 2], &[6, 0], MPI_FLOAT).unwrap();
+        let mut ctx = rank();
+        let ib = ctx
+            .type_create_indexed_block(2, &[6, 0], MPI_FLOAT)
+            .unwrap();
+        let ix = ctx.type_indexed(&[2, 2], &[6, 0], MPI_FLOAT).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.attrs(ib).unwrap(), r.attrs(ix).unwrap());
         assert_eq!(
             super::super::typemap::segments(&r, ib).unwrap(),
@@ -1063,28 +955,30 @@ mod tests {
 
     #[test]
     fn hindexed_displacements_are_bytes() {
-        let mut r = TypeRegistry::new();
-        let t = r
+        let mut ctx = rank();
+        let t = ctx
             .type_create_hindexed(&[1, 1], &[100, 0], MPI_DOUBLE)
             .unwrap();
-        assert_eq!(r.extent(t).unwrap(), (0, 108));
+        assert_eq!(ctx.registry().read().extent(t).unwrap(), (0, 108));
     }
 
     #[test]
     fn struct_mixed_types() {
-        let mut r = TypeRegistry::new();
-        let t = r
+        let mut ctx = rank();
+        let t = ctx
             .type_create_struct(&[2, 1], &[0, 16], &[MPI_INT, MPI_DOUBLE])
             .unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.size(t).unwrap(), 16);
         assert_eq!(r.extent(t).unwrap(), (0, 24));
     }
 
     #[test]
     fn resized_overrides_bounds() {
-        let mut r = TypeRegistry::new();
-        let v = r.type_vector(2, 1, 4, MPI_FLOAT).unwrap();
-        let t = r.type_create_resized(v, -4, 64).unwrap();
+        let mut ctx = rank();
+        let v = ctx.type_vector(2, 1, 4, MPI_FLOAT).unwrap();
+        let t = ctx.type_create_resized(v, -4, 64).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.extent(t).unwrap(), (-4, 64));
         // true extent unchanged
         assert_eq!(r.true_extent(t).unwrap(), (0, 20));
@@ -1093,23 +987,25 @@ mod tests {
 
     #[test]
     fn dup_copies_attrs() {
-        let mut r = TypeRegistry::new();
-        let v = r.type_vector(3, 2, 5, MPI_INT).unwrap();
-        let d = r.type_dup(v).unwrap();
+        let mut ctx = rank();
+        let v = ctx.type_vector(3, 2, 5, MPI_INT).unwrap();
+        let d = ctx.type_dup(v).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.attrs(d).unwrap(), r.attrs(v).unwrap());
     }
 
     #[test]
     fn nested_type_attrs_compose() {
-        let mut r = TypeRegistry::new();
+        let mut ctx = rank();
         // Fig. 2 middle construction: row = vector(100,1,1,BYTE);
         // plane = hvector(13,1,256,row); cuboid = hvector(47,1,131072,plane)
-        let row = r.type_vector(100, 1, 1, MPI_BYTE).unwrap();
+        let row = ctx.type_vector(100, 1, 1, MPI_BYTE).unwrap();
+        let plane = ctx.type_create_hvector(13, 1, 256, row).unwrap();
+        let cuboid = ctx.type_create_hvector(47, 1, 256 * 512, plane).unwrap();
+        let r = ctx.registry().read();
         assert_eq!(r.extent(row).unwrap(), (0, 100));
-        let plane = r.type_create_hvector(13, 1, 256, row).unwrap();
         assert_eq!(r.size(plane).unwrap(), 1300);
         assert_eq!(r.extent(plane).unwrap(), (0, 12 * 256 + 100));
-        let cuboid = r.type_create_hvector(47, 1, 256 * 512, plane).unwrap();
         assert_eq!(r.size(cuboid).unwrap(), 47 * 13 * 100);
         assert_eq!(
             r.extent(cuboid).unwrap(),
@@ -1119,8 +1015,9 @@ mod tests {
 
     #[test]
     fn free_and_use_after_free() {
-        let mut r = TypeRegistry::new();
-        let t = r.type_contiguous(4, MPI_INT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(4, MPI_INT).unwrap();
+        let mut r = ctx.registry().write();
         r.free(t).unwrap();
         assert_eq!(r.size(t), Err(MpiError::InvalidDatatype));
         assert_eq!(r.free(t), Err(MpiError::InvalidDatatype));
@@ -1130,15 +1027,16 @@ mod tests {
     #[test]
     fn a_freed_handle_stays_dead_after_its_slot_is_reused() {
         use super::super::typemap::segments;
-        let mut r = TypeRegistry::new();
-        let row = r.type_contiguous(4, MPI_INT).unwrap();
-        let plane = r.type_vector(3, 1, 2, row).unwrap();
+        let mut ctx = rank();
+        let row = ctx.type_contiguous(4, MPI_INT).unwrap();
+        let plane = ctx.type_vector(3, 1, 2, row).unwrap();
         // a slot's first occupant is named by the slot index itself
         assert_eq!((row, plane), (Datatype(12), Datatype(13)));
-        r.free(row).unwrap();
+        ctx.type_free(row).unwrap();
         // an unrelated type takes the child's slot, one generation on
-        let other = r.type_create_hvector(2, 1, 64, MPI_DOUBLE).unwrap();
+        let other = ctx.type_create_hvector(2, 1, 64, MPI_DOUBLE).unwrap();
         assert_eq!((other.slot(), other.generation()), (row.slot(), 1));
+        let mut r = ctx.registry().write();
         assert_eq!(r.slot_count(), 14, "the freed slot was reused");
         let dead = MpiError::InvalidDatatype;
         assert_eq!(segments(&r, plane).unwrap_err(), dead);
@@ -1155,38 +1053,41 @@ mod tests {
 
     #[test]
     fn freed_slots_are_reused_last_in_first_out() {
-        let mut r = TypeRegistry::new();
-        let ts: Vec<_> = (0..3).map(|_| r.type_dup(MPI_INT).unwrap()).collect();
+        let mut ctx = rank();
+        let ts: Vec<_> = (0..3).map(|_| ctx.type_dup(MPI_INT).unwrap()).collect();
         for &t in &ts {
-            r.free(t).unwrap();
+            ctx.type_free(t).unwrap();
         }
         let again: Vec<_> = (0..4)
-            .map(|_| r.type_dup(MPI_INT).unwrap().slot())
+            .map(|_| ctx.type_dup(MPI_INT).unwrap().slot())
             .collect();
         assert_eq!(again, [ts[2].slot(), ts[1].slot(), ts[0].slot(), 15]);
     }
 
     #[test]
     fn a_slot_cycles_through_every_generation_then_retires() {
-        let mut r = TypeRegistry::new();
-        let first = r.type_contiguous(2, MPI_BYTE).unwrap();
+        let mut ctx = rank();
+        let first = ctx.type_contiguous(2, MPI_BYTE).unwrap();
         let mut t = first;
         let mut dead = Vec::new();
         for g in 0..=u8::MAX {
             assert_eq!((t.slot(), t.generation()), (first.slot(), g));
-            r.free(t).unwrap();
+            ctx.type_free(t).unwrap();
             dead.push(t);
-            t = r.type_contiguous(2, MPI_BYTE).unwrap();
+            t = ctx.type_contiguous(2, MPI_BYTE).unwrap();
         }
         // freed at generation 255, the slot is retired: no handle wraps
         // around to generation 0, and the next type takes a new slot
         assert_eq!((t.slot(), t.generation()), (first.slot() + 1, 0));
-        assert!(dead
-            .iter()
-            .all(|&d| r.size(d) == Err(MpiError::InvalidDatatype)));
-        assert_eq!((r.live(), r.slot_count()), (13, 14));
-        r.free(t).unwrap();
-        assert_eq!(r.type_dup(MPI_BYTE).unwrap().slot(), t.slot());
+        {
+            let r = ctx.registry().read();
+            assert!(dead
+                .iter()
+                .all(|&d| r.size(d) == Err(MpiError::InvalidDatatype)));
+            assert_eq!((r.live(), r.slot_count()), (13, 14));
+        }
+        ctx.type_free(t).unwrap();
+        assert_eq!(ctx.type_dup(MPI_BYTE).unwrap().slot(), t.slot());
     }
 
     #[test]
@@ -1204,8 +1105,12 @@ mod tests {
 
     #[test]
     fn envelope_shapes() {
-        let mut r = TypeRegistry::new();
-        let v = r.type_vector(2, 3, 4, MPI_INT).unwrap();
+        let mut ctx = rank();
+        let v = ctx.type_vector(2, 3, 4, MPI_INT).unwrap();
+        let s = ctx
+            .type_create_subarray(&[4, 4], &[2, 2], &[0, 0], Order::C, MPI_INT)
+            .unwrap();
+        let r = ctx.registry().read();
         let e = r.get_envelope(v).unwrap();
         assert_eq!(
             e,
@@ -1216,9 +1121,6 @@ mod tests {
                 combiner: Combiner::Vector
             }
         );
-        let s = r
-            .type_create_subarray(&[4, 4], &[2, 2], &[0, 0], Order::C, MPI_INT)
-            .unwrap();
         let e = r.get_envelope(s).unwrap();
         assert_eq!(e.num_integers, 8);
         assert_eq!(e.combiner, Combiner::Subarray);
@@ -1227,9 +1129,9 @@ mod tests {
 
     #[test]
     fn contents_roundtrip_vector() {
-        let mut r = TypeRegistry::new();
-        let v = r.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
-        let c = r.contents(v).unwrap();
+        let mut ctx = rank();
+        let v = ctx.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
+        let c = ctx.registry().read().contents(v).unwrap();
         assert_eq!(c.integers, vec![13, 100, 128]);
         assert_eq!(c.datatypes, vec![MPI_FLOAT]);
         assert!(c.addresses.is_empty());
@@ -1237,11 +1139,11 @@ mod tests {
 
     #[test]
     fn contents_roundtrip_subarray() {
-        let mut r = TypeRegistry::new();
-        let s = r
+        let mut ctx = rank();
+        let s = ctx
             .type_create_subarray(&[256, 512], &[13, 100], &[1, 2], Order::C, MPI_BYTE)
             .unwrap();
-        let c = r.contents(s).unwrap();
+        let c = ctx.registry().read().contents(s).unwrap();
         assert_eq!(c.integers, vec![2, 256, 512, 13, 100, 1, 2, 0]);
         assert_eq!(c.datatypes, vec![MPI_BYTE]);
     }
@@ -1254,7 +1156,7 @@ mod tests {
 
     #[test]
     fn describe_renders_nested() {
-        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+        let mut ctx = rank();
         let row = ctx.type_contiguous(4, MPI_FLOAT).unwrap();
         let v = ctx.type_vector(2, 1, 3, row).unwrap();
         assert_eq!(ctx.describe(v), "vector(2, 1, 3, contiguous(4, float))");
@@ -1264,14 +1166,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_negatives() {
-        let mut r = TypeRegistry::new();
-        assert!(r.type_contiguous(-1, MPI_INT).is_err());
-        assert!(r.type_vector(-1, 1, 1, MPI_INT).is_err());
-        assert!(r.type_vector(1, -1, 1, MPI_INT).is_err());
-        assert!(r.type_indexed(&[1], &[0, 1], MPI_INT).is_err());
-        assert!(r.type_indexed(&[-1], &[0], MPI_INT).is_err());
+        let mut ctx = rank();
+        assert!(ctx.type_contiguous(-1, MPI_INT).is_err());
+        assert!(ctx.type_vector(-1, 1, 1, MPI_INT).is_err());
+        assert!(ctx.type_vector(1, -1, 1, MPI_INT).is_err());
+        assert!(ctx.type_indexed(&[1], &[0, 1], MPI_INT).is_err());
+        assert!(ctx.type_indexed(&[-1], &[0], MPI_INT).is_err());
         // the named types are predefined, never created
-        assert!(r.create(TypeDef::Named(Named::Int)).is_err());
+        let named = ctx.registry().write().create(TypeDef::Named(Named::Int));
+        assert!(named.is_err());
     }
 
     /// Bounds that do not fit are an argument error in debug and release
@@ -1279,53 +1182,63 @@ mod tests {
     /// behind.
     #[test]
     fn overflowing_bounds_are_invalid_arguments_and_insert_nothing() {
-        let mut r = TypeRegistry::new();
-        let a = r.type_contiguous(i32::MAX, MPI_BYTE).unwrap();
-        let b = r.type_contiguous(i32::MAX, a).unwrap();
-        assert_eq!(r.size(b).unwrap(), (i32::MAX as u64).pow(2));
-        let half = r.type_create_resized(MPI_BYTE, 0, i64::MAX / 2).unwrap();
-        let live = r.live();
+        let mut ctx = rank();
+        let a = ctx.type_contiguous(i32::MAX, MPI_BYTE).unwrap();
+        let b = ctx.type_contiguous(i32::MAX, a).unwrap();
+        assert_eq!(
+            ctx.registry().read().size(b).unwrap(),
+            (i32::MAX as u64).pow(2)
+        );
+        let half = ctx.type_create_resized(MPI_BYTE, 0, i64::MAX / 2).unwrap();
+        let live = ctx.registry().read().live();
         let rejected = |res: MpiResult<Datatype>| matches!(res, Err(MpiError::InvalidArg(_)));
         // contiguous nested three deep: size and upper bound pass 2^64
-        assert!(rejected(r.type_contiguous(i32::MAX, b)));
+        assert!(rejected(ctx.type_contiguous(i32::MAX, b)));
         // one block whose last element reaches past i64::MAX
-        assert!(rejected(r.type_vector(1, i32::MAX, 1, b)));
+        assert!(rejected(ctx.type_vector(1, i32::MAX, 1, b)));
         // (count - 1) * stride * extent
-        assert!(rejected(r.type_vector(i32::MAX, 1, i32::MAX, b)));
-        assert!(rejected(r.type_vector(3, 1, i32::MIN, b)));
+        assert!(rejected(ctx.type_vector(i32::MAX, 1, i32::MAX, b)));
+        assert!(rejected(ctx.type_vector(3, 1, i32::MIN, b)));
         // the second block starts at i64::MAX: its upper bound is one past
-        assert!(rejected(r.type_create_hvector(2, 1, i64::MAX, MPI_BYTE)));
-        assert!(rejected(r.type_create_hvector(3, 1, i64::MAX, MPI_BYTE)));
-        assert!(rejected(r.type_create_hvector(3, 1, i64::MIN, MPI_INT)));
+        assert!(rejected(ctx.type_create_hvector(2, 1, i64::MAX, MPI_BYTE)));
+        assert!(rejected(ctx.type_create_hvector(3, 1, i64::MAX, MPI_BYTE)));
+        assert!(rejected(ctx.type_create_hvector(3, 1, i64::MIN, MPI_INT)));
         // blocks * blocklength * size
-        assert!(rejected(r.type_create_hvector(4, i32::MAX, 0, b)));
+        assert!(rejected(ctx.type_create_hvector(4, i32::MAX, 0, b)));
         // a block's last byte past i64::MAX, in bytes and in elements
-        assert!(rejected(r.type_create_hindexed(&[2], &[i64::MAX], MPI_INT)));
-        assert!(rejected(r.type_create_struct(
+        assert!(rejected(ctx.type_create_hindexed(
+            &[2],
+            &[i64::MAX],
+            MPI_INT
+        )));
+        assert!(rejected(ctx.type_create_struct(
             &[2],
             &[i64::MAX],
             &[MPI_INT]
         )));
-        assert!(rejected(r.type_indexed(&[1], &[4], half)));
-        assert!(rejected(r.type_create_indexed_block(1, &[4], half)));
+        assert!(rejected(ctx.type_indexed(&[1], &[4], half)));
+        assert!(rejected(ctx.type_create_indexed_block(1, &[4], half)));
         // the full array's extent, and an upper bound one past
         let huge = [i32::MAX; 3];
-        let sub = r.type_create_subarray(&huge, &[1; 3], &[0; 3], Order::C, MPI_BYTE);
+        let sub = ctx.type_create_subarray(&huge, &[1; 3], &[0; 3], Order::C, MPI_BYTE);
         assert!(rejected(sub));
-        assert!(rejected(r.type_create_resized(MPI_BYTE, i64::MAX, 1)));
+        assert!(rejected(ctx.type_create_resized(MPI_BYTE, i64::MAX, 1)));
         // members of (2^31 - 1)^3 bytes each
-        assert!(rejected(r.type_create_struct(
+        assert!(rejected(ctx.type_create_struct(
             &[i32::MAX; 2],
             &[0, 0],
             &[b, b]
         )));
         // bounds that each fit, with an extent between them that does not
         let ends = [i64::MIN, i64::MAX - 1];
-        assert!(rejected(r.type_create_hindexed(&[1, 1], &ends, MPI_BYTE)));
-        assert_eq!(r.live(), live, "a rejected constructor inserted a handle");
+        assert!(rejected(ctx.type_create_hindexed(&[1, 1], &ends, MPI_BYTE)));
+        let live_after = ctx.registry().read().live();
+        assert_eq!(live_after, live, "a rejected constructor inserted a handle");
         // the largest bounds that do fit are still accepted
-        let edge = r.type_create_hvector(2, 1, i64::MAX - 1, MPI_BYTE).unwrap();
-        assert_eq!(r.extent(edge).unwrap(), (0, i64::MAX));
+        let edge = ctx
+            .type_create_hvector(2, 1, i64::MAX - 1, MPI_BYTE)
+            .unwrap();
+        assert_eq!(ctx.registry().read().extent(edge).unwrap(), (0, i64::MAX));
     }
 
     #[test]

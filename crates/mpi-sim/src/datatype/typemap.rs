@@ -353,14 +353,21 @@ mod tests {
     use super::super::registry::consts::*;
     use super::super::Order;
     use super::*;
+    use crate::{RankCtx, WorldConfig};
 
-    fn reg() -> TypeRegistry {
-        TypeRegistry::new()
+    /// A rank to build types through.
+    fn rank() -> RankCtx {
+        RankCtx::standalone(&WorldConfig::summit(1))
+    }
+
+    /// The segments of `dt` in `ctx`'s registry.
+    fn segments_of(ctx: &RankCtx, dt: Datatype) -> MpiResult<Vec<Segment>> {
+        segments(&ctx.registry().read(), dt)
     }
 
     #[test]
     fn named_is_one_segment() {
-        let r = reg();
+        let r = TypeRegistry::new();
         assert_eq!(
             segments(&r, MPI_DOUBLE).unwrap(),
             vec![Segment { off: 0, len: 8 }]
@@ -369,19 +376,19 @@ mod tests {
 
     #[test]
     fn contiguous_merges_to_one_segment() {
-        let mut r = reg();
-        let t = r.type_contiguous(1000, MPI_FLOAT).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(1000, MPI_FLOAT).unwrap();
         assert_eq!(
-            segments(&r, t).unwrap(),
+            segments_of(&ctx, t).unwrap(),
             vec![Segment { off: 0, len: 4000 }]
         );
     }
 
     #[test]
     fn vector_produces_count_segments() {
-        let mut r = reg();
-        let t = r.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
-        let segs = segments(&r, t).unwrap();
+        let mut ctx = rank();
+        let t = ctx.type_vector(13, 100, 128, MPI_FLOAT).unwrap();
+        let segs = segments_of(&ctx, t).unwrap();
         assert_eq!(segs.len(), 13);
         assert_eq!(segs[0], Segment { off: 0, len: 400 });
         assert_eq!(segs[1], Segment { off: 512, len: 400 });
@@ -391,64 +398,74 @@ mod tests {
 
     #[test]
     fn dense_but_out_of_order_keeps_typemap_order() {
-        let mut r = reg();
+        let mut ctx = rank();
         // a struct that covers [0, 6) from its last member back: dense, and
         // still packed in member order
-        let s = r
+        let s = ctx
             .type_create_struct(&[1, 2], &[2, 0], &[MPI_FLOAT, MPI_BYTE])
             .unwrap();
         let want = vec![Segment { off: 2, len: 4 }, Segment { off: 0, len: 2 }];
-        assert_eq!(segments(&r, s).unwrap(), want);
+        assert_eq!(segments_of(&ctx, s).unwrap(), want);
         // and so is anything built of it
-        let c = r.type_contiguous(2, s).unwrap();
-        let segs = segments(&r, c).unwrap();
+        let c = ctx.type_contiguous(2, s).unwrap();
+        let segs = segments_of(&ctx, c).unwrap();
         assert_eq!(segs.len(), 4);
         assert_eq!(segs[2], Segment { off: 8, len: 4 });
         // two interleaved vectors cover [0, 4) as bytes 0, 2, 1, 3
-        let v = r.type_vector(2, 1, 2, MPI_BYTE).unwrap();
-        let h = r.type_create_hvector(2, 1, 1, v).unwrap();
-        let offs: Vec<i64> = segments(&r, h).unwrap().iter().map(|s| s.off).collect();
+        let v = ctx.type_vector(2, 1, 2, MPI_BYTE).unwrap();
+        let h = ctx.type_create_hvector(2, 1, 1, v).unwrap();
+        let offs: Vec<i64> = segments_of(&ctx, h)
+            .unwrap()
+            .iter()
+            .map(|s| s.off)
+            .collect();
         assert_eq!(offs, vec![0, 2, 1, 3]);
         // the same bytes in order are one segment, whatever builds them
-        let i = r.type_indexed(&[2, 4], &[0, 2], MPI_BYTE).unwrap();
-        assert_eq!(segments(&r, i).unwrap(), vec![Segment { off: 0, len: 6 }]);
+        let i = ctx.type_indexed(&[2, 4], &[0, 2], MPI_BYTE).unwrap();
+        assert_eq!(
+            segments_of(&ctx, i).unwrap(),
+            vec![Segment { off: 0, len: 6 }]
+        );
     }
 
     #[test]
     fn vector_with_touching_blocks_merges() {
-        let mut r = reg();
+        let mut ctx = rank();
         // stride == blocklength: fully contiguous
-        let t = r.type_vector(8, 16, 16, MPI_BYTE).unwrap();
-        assert_eq!(segments(&r, t).unwrap(), vec![Segment { off: 0, len: 128 }]);
+        let t = ctx.type_vector(8, 16, 16, MPI_BYTE).unwrap();
+        assert_eq!(
+            segments_of(&ctx, t).unwrap(),
+            vec![Segment { off: 0, len: 128 }]
+        );
     }
 
     #[test]
     fn equivalent_constructions_have_equal_segments() {
         // The paper's Section 2 equivalence list for one row of E0=100
         // floats in an A0=256-float allocation.
-        let mut r = reg();
+        let mut ctx = rank();
         let e0 = 100;
         let mut builds: Vec<Datatype> = vec![
-            r.type_contiguous(e0, MPI_FLOAT).unwrap(),
-            r.type_contiguous(e0 * 4, MPI_BYTE).unwrap(),
+            ctx.type_contiguous(e0, MPI_FLOAT).unwrap(),
+            ctx.type_contiguous(e0 * 4, MPI_BYTE).unwrap(),
         ];
-        builds.push(r.type_vector(e0, 1, 1, MPI_FLOAT).unwrap());
-        builds.push(r.type_vector(1, e0, 1, MPI_FLOAT).unwrap());
-        builds.push(r.type_vector(e0, 4, 4, MPI_BYTE).unwrap());
-        builds.push(r.type_vector(1, e0 * 4, e0 * 4, MPI_BYTE).unwrap());
-        builds.push(r.type_create_hvector(e0 * 4, 1, 1, MPI_BYTE).unwrap());
+        builds.push(ctx.type_vector(e0, 1, 1, MPI_FLOAT).unwrap());
+        builds.push(ctx.type_vector(1, e0, 1, MPI_FLOAT).unwrap());
+        builds.push(ctx.type_vector(e0, 4, 4, MPI_BYTE).unwrap());
+        builds.push(ctx.type_vector(1, e0 * 4, e0 * 4, MPI_BYTE).unwrap());
+        builds.push(ctx.type_create_hvector(e0 * 4, 1, 1, MPI_BYTE).unwrap());
         builds.push(
-            r.type_create_subarray(&[256], &[e0], &[0], Order::C, MPI_FLOAT)
+            ctx.type_create_subarray(&[256], &[e0], &[0], Order::C, MPI_FLOAT)
                 .unwrap(),
         );
         builds.push(
-            r.type_create_subarray(&[256 * 4], &[e0 * 4], &[0], Order::C, MPI_BYTE)
+            ctx.type_create_subarray(&[256 * 4], &[e0 * 4], &[0], Order::C, MPI_BYTE)
                 .unwrap(),
         );
         let want = vec![Segment { off: 0, len: 400 }];
         for t in builds {
-            let tree = super::super::TypeTree::of(&r, t);
-            assert_eq!(segments(&r, t).unwrap(), want, "{tree:?}");
+            let tree = super::super::TypeTree::of(&ctx.registry().read(), t);
+            assert_eq!(segments_of(&ctx, t).unwrap(), want, "{tree:?}");
         }
     }
 
@@ -456,18 +473,18 @@ mod tests {
     fn fig2_constructions_agree() {
         // The three Fig. 2 constructions of the same 3D object:
         // A=(256,512,1024) bytes, E=(100,13,47).
-        let mut r = reg();
+        let mut ctx = rank();
         // (a) subarray plane + vector of planes
-        let plane_a = r
+        let plane_a = ctx
             .type_create_subarray(&[512, 256], &[13, 100], &[0, 0], Order::C, MPI_BYTE)
             .unwrap();
-        let cuboid_a = r.type_vector(47, 1, 1, plane_a).unwrap();
+        let cuboid_a = ctx.type_vector(47, 1, 1, plane_a).unwrap();
         // (b) nested hvectors
-        let row_b = r.type_vector(100, 1, 1, MPI_BYTE).unwrap();
-        let plane_b = r.type_create_hvector(13, 1, 256, row_b).unwrap();
-        let cuboid_b = r.type_create_hvector(47, 1, 256 * 512, plane_b).unwrap();
+        let row_b = ctx.type_vector(100, 1, 1, MPI_BYTE).unwrap();
+        let plane_b = ctx.type_create_hvector(13, 1, 256, row_b).unwrap();
+        let cuboid_b = ctx.type_create_hvector(47, 1, 256 * 512, plane_b).unwrap();
         // (c) single 3D subarray
-        let cuboid_c = r
+        let cuboid_c = ctx
             .type_create_subarray(
                 &[1024, 512, 256],
                 &[47, 13, 100],
@@ -476,9 +493,9 @@ mod tests {
                 MPI_BYTE,
             )
             .unwrap();
-        let sa = segments(&r, cuboid_a).unwrap();
-        let sb = segments(&r, cuboid_b).unwrap();
-        let sc = segments(&r, cuboid_c).unwrap();
+        let sa = segments_of(&ctx, cuboid_a).unwrap();
+        let sb = segments_of(&ctx, cuboid_b).unwrap();
+        let sc = segments_of(&ctx, cuboid_c).unwrap();
         assert_eq!(sa, sb);
         assert_eq!(sb, sc);
         assert_eq!(sa.len(), 13 * 47);
@@ -491,33 +508,35 @@ mod tests {
 
     #[test]
     fn subarray_vector_equivalence_2d() {
-        let mut r = reg();
-        let v = r.type_vector(13, 100, 256, MPI_BYTE).unwrap();
-        let s = r
+        let mut ctx = rank();
+        let v = ctx.type_vector(13, 100, 256, MPI_BYTE).unwrap();
+        let s = ctx
             .type_create_subarray(&[13, 256], &[13, 100], &[0, 0], Order::C, MPI_BYTE)
             .unwrap();
-        assert_eq!(segments(&r, v).unwrap(), segments(&r, s).unwrap());
+        assert_eq!(segments_of(&ctx, v).unwrap(), segments_of(&ctx, s).unwrap());
     }
 
     #[test]
     fn fortran_order_subarray_matches_transposed_c() {
-        let mut r = reg();
+        let mut ctx = rank();
         // Fortran (dim0 fastest): sizes=[256, 512], subsizes=[100, 13]
-        let f = r
+        let f = ctx
             .type_create_subarray(&[256, 512], &[100, 13], &[0, 0], Order::Fortran, MPI_BYTE)
             .unwrap();
         // C (dim0 slowest): sizes=[512, 256], subsizes=[13, 100]
-        let c = r
+        let c = ctx
             .type_create_subarray(&[512, 256], &[13, 100], &[0, 0], Order::C, MPI_BYTE)
             .unwrap();
-        assert_eq!(segments(&r, f).unwrap(), segments(&r, c).unwrap());
+        assert_eq!(segments_of(&ctx, f).unwrap(), segments_of(&ctx, c).unwrap());
     }
 
     #[test]
     fn hindexed_segments_in_typemap_order() {
-        let mut r = reg();
-        let t = r.type_create_hindexed(&[2, 1], &[100, 0], MPI_INT).unwrap();
-        let segs = segments(&r, t).unwrap();
+        let mut ctx = rank();
+        let t = ctx
+            .type_create_hindexed(&[2, 1], &[100, 0], MPI_INT)
+            .unwrap();
+        let segs = segments_of(&ctx, t).unwrap();
         // typemap order: block at 100 first, then block at 0 — NOT sorted
         assert_eq!(
             segs,
@@ -527,25 +546,25 @@ mod tests {
 
     #[test]
     fn struct_segments() {
-        let mut r = reg();
-        let t = r
+        let mut ctx = rank();
+        let t = ctx
             .type_create_struct(&[2, 3], &[0, 32], &[MPI_INT, MPI_BYTE])
             .unwrap();
         assert_eq!(
-            segments(&r, t).unwrap(),
+            segments_of(&ctx, t).unwrap(),
             vec![Segment { off: 0, len: 8 }, Segment { off: 32, len: 3 }]
         );
     }
 
     #[test]
     fn vector_of_subarray_composes() {
-        let mut r = reg();
+        let mut ctx = rank();
         // subarray with nonzero start inside a vector
-        let sub = r
+        let sub = ctx
             .type_create_subarray(&[8, 8], &[2, 4], &[1, 2], Order::C, MPI_BYTE)
             .unwrap();
-        let v = r.type_vector(3, 1, 1, sub).unwrap();
-        let segs = segments(&r, v).unwrap();
+        let v = ctx.type_vector(3, 1, 1, sub).unwrap();
+        let segs = segments_of(&ctx, v).unwrap();
         // each subarray: rows at (1*8+2)=10 and 18, len 4; vector stride =
         // extent = 64 bytes
         assert_eq!(segs.len(), 6);
@@ -556,57 +575,57 @@ mod tests {
 
     #[test]
     fn elements_that_do_not_tile_are_walked_one_by_one() {
-        let mut r = reg();
+        let mut ctx = rank();
         let seg = |off, len| Segment { off, len };
         // a padded element: each is its own block, a stride apart or not
-        let padded = r.type_contiguous(2, MPI_BYTE).unwrap();
-        let padded = r.type_create_resized(padded, 0, 4).unwrap();
-        let h = r.type_create_hvector(2, 3, 20, padded).unwrap();
+        let padded = ctx.type_contiguous(2, MPI_BYTE).unwrap();
+        let padded = ctx.type_create_resized(padded, 0, 4).unwrap();
+        let h = ctx.type_create_hvector(2, 3, 20, padded).unwrap();
         let want = [0, 4, 8, 20, 24, 28].map(|off| seg(off, 2));
-        assert_eq!(segments(&r, h).unwrap(), want);
+        assert_eq!(segments_of(&ctx, h).unwrap(), want);
         // a subarray's fastest dimension of holey elements (extent 3):
         // elements 1 and 2 cover bytes 3, 5 and 6, 8, the middle two touch
-        let holey = r.type_vector(2, 1, 2, MPI_BYTE).unwrap();
-        let sub = (r.type_create_subarray(&[4], &[2], &[1], Order::C, holey)).unwrap();
+        let holey = ctx.type_vector(2, 1, 2, MPI_BYTE).unwrap();
+        let sub = (ctx.type_create_subarray(&[4], &[2], &[1], Order::C, holey)).unwrap();
         assert_eq!(
-            segments(&r, sub).unwrap(),
+            segments_of(&ctx, sub).unwrap(),
             [seg(3, 1), seg(5, 2), seg(8, 1)]
         );
         // in two dimensions, padded elements stay ten blocks and elements
         // that tile are one block per row
-        let sub = (r.type_create_subarray(&[4, 8], &[2, 5], &[1, 3], Order::C, padded)).unwrap();
-        assert_eq!(segments(&r, sub).unwrap().len(), 10);
-        let dense = r.type_contiguous(4, MPI_BYTE).unwrap();
-        let sub = (r.type_create_subarray(&[4, 8], &[2, 5], &[1, 3], Order::C, dense)).unwrap();
-        assert_eq!(segments(&r, sub).unwrap(), [seg(44, 20), seg(76, 20)]);
+        let sub = (ctx.type_create_subarray(&[4, 8], &[2, 5], &[1, 3], Order::C, padded)).unwrap();
+        assert_eq!(segments_of(&ctx, sub).unwrap().len(), 10);
+        let dense = ctx.type_contiguous(4, MPI_BYTE).unwrap();
+        let sub = (ctx.type_create_subarray(&[4, 8], &[2, 5], &[1, 3], Order::C, dense)).unwrap();
+        assert_eq!(segments_of(&ctx, sub).unwrap(), [seg(44, 20), seg(76, 20)]);
     }
 
     #[test]
     fn a_block_of_no_elements_adds_no_displacement() {
         // the far block holds nothing, so the second item's walk never
         // adds its displacement to that item's base
-        let mut r = reg();
+        let mut ctx = rank();
         let far = [i64::MAX, 0];
-        let h = r.type_create_hindexed(&[0, 1], &far, MPI_INT).unwrap();
-        let s = (r.type_create_struct(&[0, 1], &far, &[MPI_INT, MPI_INT])).unwrap();
+        let h = ctx.type_create_hindexed(&[0, 1], &far, MPI_INT).unwrap();
+        let s = (ctx.type_create_struct(&[0, 1], &far, &[MPI_INT, MPI_INT])).unwrap();
         for t in [h, s] {
-            let v = r.type_vector(2, 1, 1, t).unwrap();
-            assert_eq!(segments(&r, v).unwrap(), [Segment { off: 0, len: 8 }]);
+            let v = ctx.type_vector(2, 1, 1, t).unwrap();
+            assert_eq!(segments_of(&ctx, v).unwrap(), [Segment { off: 0, len: 8 }]);
         }
     }
 
     #[test]
     fn zero_size_type_has_no_segments() {
-        let mut r = reg();
-        let t = r.type_contiguous(0, MPI_INT).unwrap();
-        assert!(segments(&r, t).unwrap().is_empty());
+        let mut ctx = rank();
+        let t = ctx.type_contiguous(0, MPI_INT).unwrap();
+        assert!(segments_of(&ctx, t).unwrap().is_empty());
     }
 
     #[test]
     fn resized_does_not_change_data() {
-        let mut r = reg();
-        let v = r.type_vector(2, 1, 4, MPI_FLOAT).unwrap();
-        let t = r.type_create_resized(v, -100, 500).unwrap();
-        assert_eq!(segments(&r, t).unwrap(), segments(&r, v).unwrap());
+        let mut ctx = rank();
+        let v = ctx.type_vector(2, 1, 4, MPI_FLOAT).unwrap();
+        let t = ctx.type_create_resized(v, -100, 500).unwrap();
+        assert_eq!(segments_of(&ctx, t).unwrap(), segments_of(&ctx, v).unwrap());
     }
 }

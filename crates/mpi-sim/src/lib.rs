@@ -64,6 +64,6 @@ pub use net::{NetModel, Transport};
 pub use p2p::{check_item_offsets, transfer_bytes, Message, PartInfo, ProbeInfo, Status};
 pub use reliability::{payload_checksum, FaultState};
 pub use runtime::{RankCtx, World, WorldConfig};
-pub use sched::PAYLOAD_POOL_BYTES;
+pub use sched::{INBOX_HWM, PAYLOAD_POOL_BYTES};
 pub use tempi_trace::{TraceLevel, Tracer};
 pub use vendor::{BaselineMethod, VendorId, VendorProfile};

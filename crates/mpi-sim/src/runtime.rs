@@ -21,13 +21,13 @@ use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, 
 use tempi_trace::sync::{Mutex, RwLock};
 
 use crate::datatype::tree::write_spec;
-use crate::datatype::{Combiner, Datatype, Envelope, Order, TypeAttrs, TypeRegistry};
+use crate::datatype::{Combiner, Datatype, Dim, Envelope, Order, TypeAttrs, TypeDef, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::net::NetModel;
 use crate::p2p::Message;
 use crate::reliability::FaultState;
-use crate::sched::{DeadlockInfo, ParkOp, Router, SchedCore, DEFAULT_INBOX_HWM};
+use crate::sched::{DeadlockInfo, ParkOp, Router, SchedCore};
 use crate::vendor::VendorProfile;
 
 /// Everything that parameterizes a simulated platform.
@@ -61,10 +61,6 @@ pub struct WorldConfig {
     /// moves the instant ranks unwinding with [`MpiError::Deadlock`] find
     /// themselves at (default zero).
     pub deadlock_budget: SimTime,
-    /// Per-rank inbox high-water mark in messages; `None` uses the default
-    /// (8192). `Some(0)` disables backpressure entirely (unbounded inboxes,
-    /// the old behavior).
-    pub inbox_hwm: Option<usize>,
 }
 
 impl WorldConfig {
@@ -80,7 +76,6 @@ impl WorldConfig {
             integrity: false,
             tracer: Tracer::off(),
             deadlock_budget: SimTime::ZERO,
-            inbox_hwm: None,
         }
     }
 
@@ -97,7 +92,6 @@ impl WorldConfig {
             integrity: false,
             tracer: Tracer::off(),
             deadlock_budget: SimTime::ZERO,
-            inbox_hwm: None,
         }
     }
 
@@ -140,14 +134,6 @@ impl WorldConfig {
     /// worker threads: every world now runs on one worker.
     #[must_use]
     pub fn with_sched_workers(self, _workers: usize) -> Self {
-        self
-    }
-
-    /// Builder-style: set the per-rank inbox high-water mark (0 =
-    /// unbounded).
-    #[must_use]
-    pub fn with_inbox_hwm(mut self, hwm: usize) -> Self {
-        self.inbox_hwm = Some(hwm);
         self
     }
 }
@@ -431,13 +417,6 @@ impl RankCtx {
         self.router.inbox_depth(self.world_rank)
     }
 
-    /// The world's per-rank inbox high-water mark in messages (0 =
-    /// unbounded; see [`WorldConfig::with_inbox_hwm`]).
-    #[must_use]
-    pub fn inbox_hwm(&self) -> usize {
-        self.router.hwm()
-    }
-
     /// Reset this rank's virtual clock *and its GPU stream timeline*
     /// (between benchmark repetitions; in multi-rank worlds pair it with a
     /// barrier so no in-flight message carries a pre-reset timestamp).
@@ -448,22 +427,21 @@ impl RankCtx {
 
     // ---- datatype API (vendor-priced wrappers over the registry) -------
 
-    /// Run `f` with write access to the shared type registry, charging one
-    /// type-constructor call's CPU cost.
-    pub(crate) fn create_priced<T>(
-        &mut self,
-        f: impl FnOnce(&mut TypeRegistry) -> MpiResult<T>,
-    ) -> MpiResult<T> {
+    /// Create the type `def` spells, charging one type-constructor call's
+    /// CPU cost first, so a call whose arguments do not even spell a type
+    /// (`def` is an error) is charged too: every `MPI_Type_*` constructor
+    /// below is this one call.
+    pub(crate) fn type_create(&mut self, def: MpiResult<TypeDef>) -> MpiResult<Datatype> {
         self.clock.advance(self.vendor.type_create_cost);
-        f(&mut self.registry.write())
+        self.registry.write().create(def?)
     }
 
     /// `MPI_Type_contiguous`.
     pub fn type_contiguous(&mut self, count: i32, oldtype: Datatype) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_contiguous(count, oldtype))
+        self.type_create(Ok(TypeDef::Contiguous { count, oldtype }))
     }
 
-    /// `MPI_Type_vector`.
+    /// `MPI_Type_vector` (stride in elements).
     pub fn type_vector(
         &mut self,
         count: i32,
@@ -471,10 +449,15 @@ impl RankCtx {
         stride: i32,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_vector(count, blocklength, stride, oldtype))
+        self.type_create(Ok(TypeDef::Vector {
+            count,
+            blocklength,
+            stride,
+            oldtype,
+        }))
     }
 
-    /// `MPI_Type_create_hvector`.
+    /// `MPI_Type_create_hvector` (stride in bytes).
     pub fn type_create_hvector(
         &mut self,
         count: i32,
@@ -482,10 +465,16 @@ impl RankCtx {
         stride_bytes: i64,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_create_hvector(count, blocklength, stride_bytes, oldtype))
+        self.type_create(Ok(TypeDef::Hvector {
+            count,
+            blocklength,
+            stride_bytes,
+            oldtype,
+        }))
     }
 
-    /// `MPI_Type_create_subarray`.
+    /// `MPI_Type_create_subarray`; lists of different lengths are
+    /// [`MpiError::InvalidArg`].
     pub fn type_create_subarray(
         &mut self,
         sizes: &[i32],
@@ -494,37 +483,55 @@ impl RankCtx {
         order: Order,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_create_subarray(sizes, subsizes, starts, order, oldtype))
+        let dims = Dim::from_lists(sizes, subsizes, starts).map_err(MpiError::InvalidArg);
+        self.type_create(dims.map(|dims| TypeDef::Subarray {
+            dims,
+            order,
+            oldtype,
+        }))
     }
 
-    /// `MPI_Type_indexed`.
+    /// `MPI_Type_indexed` (displacements in elements).
     pub fn type_indexed(
         &mut self,
         blocklengths: &[i32],
         displacements: &[i32],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_indexed(blocklengths, displacements, oldtype))
+        self.type_create(Ok(TypeDef::Indexed {
+            blocklengths: blocklengths.to_vec(),
+            displacements: displacements.to_vec(),
+            oldtype,
+        }))
     }
 
-    /// `MPI_Type_create_indexed_block`.
+    /// `MPI_Type_create_indexed_block` (equal blocks, displacements in
+    /// elements).
     pub fn type_create_indexed_block(
         &mut self,
         blocklength: i32,
         displacements: &[i32],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_create_indexed_block(blocklength, displacements, oldtype))
+        self.type_create(Ok(TypeDef::IndexedBlock {
+            blocklength,
+            displacements: displacements.to_vec(),
+            oldtype,
+        }))
     }
 
-    /// `MPI_Type_create_hindexed`.
+    /// `MPI_Type_create_hindexed` (displacements in bytes).
     pub fn type_create_hindexed(
         &mut self,
         blocklengths: &[i32],
         displacements_bytes: &[i64],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_create_hindexed(blocklengths, displacements_bytes, oldtype))
+        self.type_create(Ok(TypeDef::Hindexed {
+            blocklengths: blocklengths.to_vec(),
+            displacements_bytes: displacements_bytes.to_vec(),
+            oldtype,
+        }))
     }
 
     /// `MPI_Type_create_struct`.
@@ -534,7 +541,11 @@ impl RankCtx {
         displacements_bytes: &[i64],
         types: &[Datatype],
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_create_struct(blocklengths, displacements_bytes, types))
+        self.type_create(Ok(TypeDef::Struct {
+            blocklengths: blocklengths.to_vec(),
+            displacements_bytes: displacements_bytes.to_vec(),
+            types: types.to_vec(),
+        }))
     }
 
     /// `MPI_Type_create_resized`.
@@ -544,12 +555,16 @@ impl RankCtx {
         lb: i64,
         extent: i64,
     ) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_create_resized(oldtype, lb, extent))
+        self.type_create(Ok(TypeDef::Resized {
+            lb,
+            extent,
+            oldtype,
+        }))
     }
 
     /// `MPI_Type_dup`.
     pub fn type_dup(&mut self, oldtype: Datatype) -> MpiResult<Datatype> {
-        self.create_priced(|r| r.type_dup(oldtype))
+        self.type_create(Ok(TypeDef::Dup { oldtype }))
     }
 
     /// `MPI_Type_free`.
@@ -653,12 +668,11 @@ impl WorldShared {
     /// The shared state of a `size`-rank world whose blocking points park
     /// on `sched`.
     fn new(cfg: &WorldConfig, size: usize, sched: SchedCore) -> WorldShared {
-        let hwm = cfg.inbox_hwm.unwrap_or(DEFAULT_INBOX_HWM);
         WorldShared {
             size,
             registry: Arc::new(RwLock::new(TypeRegistry::new())),
             net: Arc::new(cfg.net.clone()),
-            router: Arc::new(Router::new(size, hwm, sched)),
+            router: Arc::new(Router::new(size, sched)),
             barrier: Arc::new(ClockBarrier::new(size, cfg.net.barrier_cost)),
         }
     }
@@ -806,6 +820,104 @@ mod tests {
         // create + commit charged virtual time
         let expect = ctx.vendor.type_create_cost + ctx.vendor.type_commit_cost;
         assert_eq!(ctx.clock.now(), expect);
+
+        // every MPI-named constructor is one priced create of the
+        // `TypeDef` its arguments spell
+        let cost = ctx.vendor.type_create_cost;
+        type Ctor = fn(&mut RankCtx) -> MpiResult<Datatype>;
+        let cases: [(Ctor, TypeDef); 10] = [
+            (|c| c.type_dup(MPI_INT), TypeDef::Dup { oldtype: MPI_INT }),
+            (
+                |c| c.type_contiguous(3, MPI_INT),
+                TypeDef::Contiguous {
+                    count: 3,
+                    oldtype: MPI_INT,
+                },
+            ),
+            (
+                |c| c.type_vector(4, 2, 8, MPI_FLOAT),
+                TypeDef::Vector {
+                    count: 4,
+                    blocklength: 2,
+                    stride: 8,
+                    oldtype: MPI_FLOAT,
+                },
+            ),
+            (
+                |c| c.type_create_hvector(2, 3, 40, MPI_DOUBLE),
+                TypeDef::Hvector {
+                    count: 2,
+                    blocklength: 3,
+                    stride_bytes: 40,
+                    oldtype: MPI_DOUBLE,
+                },
+            ),
+            (
+                |c| c.type_indexed(&[1, 2], &[0, 5], MPI_INT),
+                TypeDef::Indexed {
+                    blocklengths: vec![1, 2],
+                    displacements: vec![0, 5],
+                    oldtype: MPI_INT,
+                },
+            ),
+            (
+                |c| c.type_create_indexed_block(2, &[0, 4, 9], MPI_SHORT),
+                TypeDef::IndexedBlock {
+                    blocklength: 2,
+                    displacements: vec![0, 4, 9],
+                    oldtype: MPI_SHORT,
+                },
+            ),
+            (
+                |c| c.type_create_hindexed(&[2, 1], &[0, 24], MPI_INT),
+                TypeDef::Hindexed {
+                    blocklengths: vec![2, 1],
+                    displacements_bytes: vec![0, 24],
+                    oldtype: MPI_INT,
+                },
+            ),
+            (
+                |c| c.type_create_subarray(&[8, 6], &[4, 2], &[1, 3], Order::Fortran, MPI_BYTE),
+                TypeDef::Subarray {
+                    dims: Dim::from_lists(&[8, 6], &[4, 2], &[1, 3]).unwrap(),
+                    order: Order::Fortran,
+                    oldtype: MPI_BYTE,
+                },
+            ),
+            (
+                |c| c.type_create_struct(&[1, 2], &[0, 8], &[MPI_INT, MPI_DOUBLE]),
+                TypeDef::Struct {
+                    blocklengths: vec![1, 2],
+                    displacements_bytes: vec![0, 8],
+                    types: vec![MPI_INT, MPI_DOUBLE],
+                },
+            ),
+            (
+                |c| c.type_create_resized(MPI_INT, -4, 16),
+                TypeDef::Resized {
+                    lb: -4,
+                    extent: 16,
+                    oldtype: MPI_INT,
+                },
+            ),
+        ];
+        for (ctor, def) in cases {
+            let before = ctx.clock.now();
+            let dt = ctor(&mut ctx).unwrap();
+            assert_eq!(ctx.clock.now() - before, cost, "{def:?}");
+            assert_eq!(ctx.registry().read().info(dt).unwrap().def, def);
+        }
+        // a bad argument is still one priced call, and inserts nothing
+        let bad: [Ctor; 2] = [
+            |c| c.type_create_subarray(&[8, 6], &[4], &[1, 3], Order::C, MPI_BYTE),
+            |c| c.type_contiguous(-1, MPI_INT),
+        ];
+        for ctor in bad {
+            let (before, live) = (ctx.clock.now(), ctx.registry().read().live());
+            assert!(matches!(ctor(&mut ctx), Err(MpiError::InvalidArg(_))));
+            assert_eq!(ctx.clock.now() - before, cost);
+            assert_eq!(ctx.registry().read().live(), live);
+        }
     }
 
     #[test]

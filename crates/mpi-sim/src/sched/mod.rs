@@ -42,8 +42,8 @@
 mod fiber;
 mod router;
 
-pub use router::PAYLOAD_POOL_BYTES;
-pub(crate) use router::{Router, DEFAULT_INBOX_HWM};
+pub(crate) use router::Router;
+pub use router::{INBOX_HWM, PAYLOAD_POOL_BYTES};
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

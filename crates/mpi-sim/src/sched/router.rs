@@ -7,9 +7,8 @@
 //!   the destination's lock, so MPI's non-overtaking guarantee holds;
 //! * **receiver wakes**: a push wakes the destination's parked fiber;
 //! * **backpressure**: user-payload traffic to a remote rank parks the
-//!   *sender* while the destination inbox sits at its high-water mark
-//!   (default [`DEFAULT_INBOX_HWM`], set per world by
-//!   `WorldConfig::with_inbox_hwm`, 0 = unbounded), so a 4,096-rank send
+//!   *sender* while the destination inbox sits at the high-water mark,
+//!   a fixed [`INBOX_HWM`] messages in every world, so a 4,096-rank send
 //!   storm holds O(ranks · HWM) messages instead of growing forever.
 //!   Internal traffic (negative tags: death notices, revocations,
 //!   agreement, `alltoallv`) and self-sends are exempt — their progress guarantees are what recovery
@@ -30,8 +29,9 @@ use tempi_trace::sync::{Mutex, MutexGuard};
 use super::{DeadlockInfo, ParkOp, SchedCore};
 use crate::p2p::Message;
 
-/// Default per-rank inbox high-water mark, in messages.
-pub(crate) const DEFAULT_INBOX_HWM: usize = 8192;
+/// The per-rank inbox high-water mark, in messages: a remote user send
+/// to an inbox holding this many parks its sender.
+pub const INBOX_HWM: usize = 8192;
 
 /// Most bytes of buffer capacity the payload free list retains. Every
 /// eager payload — a one-piece message, a part of a pipelined transfer, a
@@ -109,7 +109,6 @@ struct InboxQ {
 /// and the scheduler whose fibers park on (and are woken through) them.
 pub(crate) struct Router {
     slots: Vec<Mutex<InboxQ>>,
-    hwm: usize,
     sched: SchedCore,
     /// Payloads are taken by the sender and spent by the receiver, so
     /// only a list both can reach recycles them.
@@ -119,12 +118,10 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    /// A router for `n` ranks scheduled by `sched`, with the given
-    /// high-water mark (0 = unbounded).
-    pub(crate) fn new(n: usize, hwm: usize, sched: SchedCore) -> Router {
+    /// A router for `n` ranks scheduled by `sched`.
+    pub(crate) fn new(n: usize, sched: SchedCore) -> Router {
         Router {
             slots: (0..n).map(|_| Mutex::new(InboxQ::default())).collect(),
-            hwm,
             sched,
             payloads: Mutex::default(),
             running: AtomicUsize::new(n),
@@ -164,11 +161,6 @@ impl Router {
         self.payloads.lock().bytes
     }
 
-    /// The configured high-water mark (0 = unbounded).
-    pub(crate) fn hwm(&self) -> usize {
-        self.hwm
-    }
-
     /// Push under the queue lock and wake the receiver.
     fn deliver_locked(&self, dest: usize, mut q: MutexGuard<'_, InboxQ>, msg: Message) {
         q.msgs.push_back(msg);
@@ -194,11 +186,11 @@ impl Router {
     /// is wall-clock machinery only — virtual time is never advanced by
     /// backpressure).
     pub(crate) fn push_bounded(&self, me: usize, dest: usize, msg: Message, now: SimTime) {
-        while self.hwm != 0 && self.sched.verdict().is_none() {
+        while self.sched.verdict().is_none() {
             let mut q = self.slots[dest].lock();
             // A spurious wake can leave this sender still registered.
             q.send_parked.retain(|&r| r != me);
-            if q.msgs.len() < self.hwm {
+            if q.msgs.len() < INBOX_HWM {
                 self.deliver_locked(dest, q, msg);
                 return;
             }
@@ -211,9 +203,9 @@ impl Router {
 
     /// After a pop: once the queue drops below the high-water mark, wake
     /// every backpressured sender (each re-checks and re-parks if the
-    /// mark is hit again). Unbounded inboxes (mark 0) never park a sender.
+    /// mark is hit again).
     fn after_pop(&self, mut q: MutexGuard<'_, InboxQ>) {
-        if q.msgs.len() >= self.hwm || q.send_parked.is_empty() {
+        if q.msgs.len() >= INBOX_HWM || q.send_parked.is_empty() {
             return;
         }
         let to_wake = std::mem::take(&mut q.send_parked);
@@ -262,7 +254,7 @@ mod tests {
 
     /// A router with no ranks to deliver to: its free list alone.
     fn free_list() -> Router {
-        Router::new(0, 0, SchedCore::new(0, SimTime::ZERO))
+        Router::new(0, SchedCore::new(0, SimTime::ZERO))
     }
 
     #[test]

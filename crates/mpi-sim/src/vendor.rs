@@ -298,13 +298,11 @@ pub(crate) fn offset_ptr(p: GpuPtr, off: i64) -> MpiResult<GpuPtr> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::datatype::registry::consts::*;
-    use crate::datatype::{Datatype, TypeRegistry};
+    use crate::datatype::Datatype;
+    use crate::{RankCtx, WorldConfig};
     use gpu_sim::{DeviceProps, GpuContext, GpuCostModel};
-    use tempi_trace::sync::RwLock;
 
     fn setup() -> (GpuContext, Stream, SimClock) {
         let ctx = GpuContext::new(DeviceProps::v100());
@@ -312,12 +310,12 @@ mod tests {
         (ctx, stream, SimClock::new())
     }
 
-    /// The committed type `build` makes in a registry of its own.
-    fn wire(build: impl FnOnce(&mut TypeRegistry) -> MpiResult<Datatype>) -> WireType {
-        let mut reg = TypeRegistry::new();
-        let dt = build(&mut reg).unwrap();
-        reg.commit(dt).unwrap();
-        WireType::new(&Arc::new(RwLock::new(reg)), dt).unwrap()
+    /// The committed type `build` makes on a rank of its own.
+    fn wire(build: impl FnOnce(&mut RankCtx) -> MpiResult<Datatype>) -> WireType {
+        let mut rank = RankCtx::standalone(&WorldConfig::summit(1));
+        let dt = build(&mut rank).unwrap();
+        rank.registry().write().commit(dt).unwrap();
+        WireType::new(rank.registry(), dt).unwrap()
     }
 
     fn filled_device(ctx: &GpuContext, n: usize) -> GpuPtr {

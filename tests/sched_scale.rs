@@ -5,7 +5,7 @@
 //! the bounded-inbox high-water mark — parking senders instead of growing
 //! memory, and reporting a *genuine* buffer-cycle deadlock structurally.
 
-use mpi_sim::{MpiError, World, WorldConfig};
+use mpi_sim::{MpiError, World, WorldConfig, INBOX_HWM};
 use tempi_core::config::TempiConfig;
 use tempi_core::interpose::InterposedMpi;
 use tempi_stencil::{HaloConfig, HaloExchanger};
@@ -69,13 +69,11 @@ fn one_rank_panic_reports_the_rank() {
 
 #[test]
 fn send_storm_stays_inside_the_inbox_high_water_mark() {
-    // Rank 0 fires 64 sends at a receiver that drains slowly; with the
-    // high-water mark at 4 the sender must park instead of queueing, so
-    // the receiver never observes a backlog past the mark.
-    const HWM: usize = 4;
-    const STORM: usize = 64;
-    let cfg = WorldConfig::summit(2).with_inbox_hwm(HWM);
-    let results = World::run(&cfg, |ctx| {
+    // Rank 0 fires twice the high-water mark's sends at a receiver that
+    // drains slowly; the sender must park instead of queueing, so the
+    // receiver never observes a backlog past the mark.
+    const STORM: usize = 2 * INBOX_HWM;
+    let results = World::run(&WorldConfig::summit(2), |ctx| {
         let buf = ctx.gpu.host_alloc(8)?;
         if ctx.rank == 0 {
             for i in 0..STORM {
@@ -93,8 +91,8 @@ fn send_storm_stays_inside_the_inbox_high_water_mark() {
     })
     .expect("bounded storm world");
     assert!(
-        results[1] <= HWM,
-        "receiver saw a backlog of {} past the high-water mark {HWM}",
+        results[1] <= INBOX_HWM,
+        "receiver saw a backlog of {} past the high-water mark {INBOX_HWM}",
         results[1]
     );
 }
@@ -106,11 +104,10 @@ fn mutual_storms_past_the_mark_are_a_structural_deadlock() {
     // only the other's receive could create). The scheduler sees it
     // structurally — every fiber parked, event heap empty — and names the
     // backpressure parks in the verdict.
-    let cfg = WorldConfig::summit(2).with_inbox_hwm(2);
-    let err = World::run(&cfg, |ctx| {
+    let err = World::run(&WorldConfig::summit(2), |ctx| {
         let buf = ctx.gpu.host_alloc(8)?;
         let peer = 1 - ctx.rank;
-        for _ in 0..8 {
+        for _ in 0..INBOX_HWM + 1 {
             ctx.send_bytes(buf, 8, peer, 7)?;
         }
         Ok(())
