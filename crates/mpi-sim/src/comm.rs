@@ -75,9 +75,8 @@ use tempi_trace::LANE_CPU;
 
 use crate::error::{MpiError, MpiResult};
 use crate::p2p::{Message, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_REVOKE};
-use crate::reliability::Sifted;
 use crate::runtime::RankCtx;
-use crate::sched::ParkOp;
+use crate::sched::{Examined, ParkOp};
 
 /// One agreement message's body: a member's value and the failure set it
 /// knows (a gather), or the agreed minimum and dead set (a decision).
@@ -224,34 +223,30 @@ impl RankCtx {
         gather_from: Option<usize>,
         watch_world: usize,
     ) -> MpiResult<AgreeEvent> {
+        let me = self.world_rank;
+        let decide = |m: &Message| m.epoch == epoch && m.tag == TAG_AGREE_DECIDE;
+        let gather = |m: &Message| {
+            m.epoch == epoch && m.tag == TAG_AGREE_GATHER && Some(m.src) == gather_from
+        };
+        let event = |m: Message| match decide(&m) {
+            true => AgreeEvent::Decide(Ballot::decode(&m.payload), m.depart),
+            false => AgreeEvent::Gather(Ballot::decode(&m.payload), m.depart),
+        };
         loop {
             // Decisions take priority: once one exists, it is *the* answer.
-            if let Some(i) = self
-                .pending
-                .iter()
-                .position(|m| m.epoch == epoch && m.tag == TAG_AGREE_DECIDE)
-            {
-                let m = self.pending.remove(i).expect("index valid");
-                return Ok(AgreeEvent::Decide(Ballot::decode(&m.payload), m.depart));
-            }
-            if let Some(j) = gather_from {
-                if let Some(i) = self
-                    .pending
-                    .iter()
-                    .position(|m| m.epoch == epoch && m.tag == TAG_AGREE_GATHER && m.src == j)
-                {
-                    let m = self.pending.remove(i).expect("index valid");
-                    return Ok(AgreeEvent::Gather(Ballot::decode(&m.payload), m.depart));
-                }
+            let kept = (self.router.kept(me, |m| Examined::take_if(decide(m))))
+                .or_else(|| self.router.kept(me, |m| Examined::take_if(gather(m))));
+            if let Some(m) = kept {
+                return Ok(event(m));
             }
             if self.faults.known_dead.contains_key(&watch_world) {
                 return Ok(AgreeEvent::Dead);
             }
-            let msg = self.blocking_recv(ParkOp::Agree { epoch })?;
             // Deaths update `known_dead` inside sift; revocations of a
             // communicator already in recovery carry no new information.
-            if let Sifted::Keep(m) = self.sift(msg) {
-                self.pending.push_back(m);
+            let m = self.next_arrival(ParkOp::Agree { epoch }, &|m| decide(m) || gather(m))?;
+            if decide(&m) || gather(&m) {
+                return Ok(event(m));
             }
         }
     }
@@ -403,9 +398,16 @@ impl RankCtx {
         self.epoch += 1;
         self.faults.revoked = false;
         let epoch = self.epoch;
-        let before = self.pending.len();
-        self.pending.retain(|m| m.epoch >= epoch);
-        self.faults.stats.stale_dropped += (before - self.pending.len()) as u64;
+        let mut stale = 0;
+        self.router
+            .kept(self.world_rank, |m| match m.epoch < epoch {
+                true => {
+                    stale += 1;
+                    Examined::Drop
+                }
+                false => Examined::Keep,
+            });
+        self.faults.stats.stale_dropped += stale;
         let new_size = self.size;
         self.tracer.instant(
             self.world_rank as u32,

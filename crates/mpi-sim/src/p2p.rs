@@ -22,11 +22,13 @@ use crate::datatype::{typemap, Combiner, Datatype, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::net::Transport;
 use crate::runtime::RankCtx;
-use crate::sched::ParkOp;
+use crate::sched::{payload_class, Examined, ParkOp};
 use crate::vendor::{baseline_gpu_xfer, offset_ptr};
 
 /// Most bytes of capacity a payload may have to be kept as a rank's spare
 /// ([`RankCtx::spend`]): an exchange's messages, not a bulk transfer's parts.
+/// The spare carries only a send of its own capacity class
+/// ([`RankCtx::take_payload`]).
 const SPARE_BYTES: usize = 4 << 10;
 
 /// Tags below this value are reserved for internal collectives.
@@ -612,9 +614,12 @@ impl RankCtx {
     }
 
     /// An empty buffer with room for `len` bytes to send: this rank's
-    /// spare when it fits, else one off the world's free list.
+    /// spare when it fits and `len` is of its capacity class, the rule the
+    /// world's free list picks by, else one off that list. A spare of a
+    /// larger class stays for the sends of its own size.
     fn take_payload(&mut self, len: usize) -> Vec<u8> {
-        match len > 0 && self.spare.capacity() >= len {
+        let cap = self.spare.capacity();
+        match len > 0 && cap >= len && payload_class(cap) == payload_class(len) {
             true => std::mem::take(&mut self.spare),
             false => self.router.take_payload(len),
         }
@@ -670,44 +675,27 @@ impl RankCtx {
         self.post_at(dest, tag, payload, buf.space, SimTime::ZERO, Some(part))
     }
 
-    /// Pull the next message from this rank's inbox, parking this rank's
-    /// fiber on `op` until one arrives. A structural deadlock verdict
-    /// unwinds it as [`MpiError::Deadlock`], with the clock moved to the
-    /// verdict's instant.
-    pub(crate) fn blocking_recv(&mut self, op: ParkOp) -> MpiResult<Message> {
-        self.router
-            .recv(self.world_rank, self.clock.now(), op)
-            .map_err(|v| {
-                self.clock.advance_to(v.at);
-                MpiError::Deadlock {
-                    ranks: v.ranks,
-                    ops: v.ops,
-                }
-            })
-    }
-
     /// Blocking match of `(src, tag)`; `None` means wildcard
     /// (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`; wildcards never match internal
-    /// collective traffic). Only messages from the current communicator
-    /// epoch match. The awaited peer's death — or a revocation of the
-    /// communicator — terminates a blocked match with an error instead of
-    /// hanging ([`RankCtx::await_arrival`]).
+    /// collective traffic): the first match among the messages earlier
+    /// receives passed over, else the first new arrival that matches. Only
+    /// messages from the current communicator epoch match. The awaited
+    /// peer's death — or a revocation of the communicator — terminates a
+    /// blocked match with an error instead of hanging
+    /// ([`RankCtx::await_arrival`]).
     pub(crate) fn match_message(
         &mut self,
         src: Option<usize>,
         tag: Option<i32>,
     ) -> MpiResult<Message> {
         let epoch = self.epoch;
-        let found = self.pending.iter().position(|m| m.matches(epoch, src, tag));
-        if let Some(m) = found.and_then(|i| self.pending.remove(i)) {
-            return Ok(m);
-        }
-        loop {
-            match self.await_arrival(ParkOp::Recv { src, tag })? {
-                Some(m) if m.matches(epoch, src, tag) => return Ok(m),
-                Some(m) => self.pending.push_back(m),
-                None => {}
-            }
+        let want = |m: &Message| m.matches(epoch, src, tag);
+        match self
+            .router
+            .kept(self.world_rank, |m| Examined::take_if(want(m)))
+        {
+            Some(m) => Ok(m),
+            None => self.await_arrival(ParkOp::Recv { src, tag }, want),
         }
     }
 
@@ -716,21 +704,28 @@ impl RankCtx {
     /// which TEMPI's receive path uses to pick the matching unpack method.
     pub fn probe(&mut self, src: Option<usize>, tag: Option<i32>) -> MpiResult<ProbeInfo> {
         self.check_comm()?;
-        let epoch = self.epoch;
-        loop {
-            if let Some(m) = self.pending.iter().find(|m| m.matches(epoch, src, tag)) {
-                return Ok(ProbeInfo {
-                    source: m.src,
-                    tag: m.tag,
-                    bytes: m.payload.len(),
-                    sender_space: m.sender_space,
-                    part: m.part,
-                });
-            }
-            if let Some(m) = self.await_arrival(ParkOp::Probe { src, tag })? {
-                self.pending.push_back(m);
-            }
+        let (epoch, me) = (self.epoch, self.world_rank);
+        let want = |m: &Message| m.matches(epoch, src, tag);
+        let info = |m: &Message| ProbeInfo {
+            source: m.src,
+            tag: m.tag,
+            bytes: m.payload.len(),
+            sender_space: m.sender_space,
+            part: m.part,
+        };
+        let mut found = None;
+        self.router.kept(me, |m| {
+            found = found.or_else(|| want(m).then(|| info(m)));
+            Examined::Keep
+        });
+        if let Some(found) = found {
+            return Ok(found);
         }
+        // examined, and left for the receive that follows
+        let m = self.await_arrival(ParkOp::Probe { src, tag }, want)?;
+        let found = info(&m);
+        self.router.keep(me, m);
+        Ok(found)
     }
 
     // ---- raw-bytes entry points (what an interposer can target) --------

@@ -17,10 +17,11 @@
 //!   extra delay per part a delivery carries, and the corrupt → verify →
 //!   NACK → retransmit loop that decides which bytes land.
 //! * **Control traffic**: `sift` absorbs death notices,
-//!   revocations and stale-epoch messages, and one blocking step
-//!   (`await_arrival`) serves every receive-side wait: fail if
-//!   the awaited sender is known dead, else park for the next arrival and
-//!   hand data back — a revocation fails the wait.
+//!   revocations and stale-epoch messages as a receive examines them, and
+//!   one step (`next_arrival`) serves every receive-side wait: fail if
+//!   the awaited sender is known dead, else examine new arrivals in place
+//!   until one is wanted, a revocation or a death notice — a revocation
+//!   fails a receive or probe (`await_arrival`).
 //!
 //! The per-rank state is a [`FaultState`]. Epochs are not in it: they are
 //! the communicator's matching key and live with it.
@@ -35,7 +36,7 @@ use crate::fault::{FaultInjector, FaultSite, FaultStats};
 use crate::net::Transport;
 use crate::p2p::{Message, TAG_DEATH, TAG_REVOKE};
 use crate::runtime::{RankCtx, WorldConfig};
-use crate::sched::ParkOp;
+use crate::sched::{Examined, ParkOp};
 
 /// One rank's reliability state. A fault-free rank carries a null
 /// injector pointer, zeroed counters and an empty death map.
@@ -102,7 +103,7 @@ pub use gpu_sim::fnv1a64 as payload_checksum;
 /// receiver's control plane before any data matching happens.
 pub(crate) enum Sifted {
     /// A data (or agreement) message from the current/future epoch.
-    Keep(Message),
+    Keep,
     /// A revocation of the current epoch that newly poisoned this rank.
     Revoke,
     /// A death notice, other absorbed control traffic or a stale-epoch
@@ -345,10 +346,11 @@ impl RankCtx {
 
     // ---- control traffic -------------------------------------------------
 
-    /// Classify one inbound message: absorb control-plane traffic (death
-    /// notices, revocations, stale epochs) and pass everything else on.
-    /// Control messages never enter the `pending` queue.
-    pub(crate) fn sift(&mut self, m: Message) -> Sifted {
+    /// Classify one inbound message as a receive first examines it: absorb
+    /// control-plane traffic (death notices, revocations, stale epochs) and
+    /// pass everything else on. Control messages never join the kept
+    /// prefix of the rank's inbox.
+    pub(crate) fn sift(&mut self, m: &Message) -> Sifted {
         match m.tag {
             TAG_DEATH => {
                 if let std::collections::btree_map::Entry::Vacant(e) =
@@ -369,7 +371,7 @@ impl RankCtx {
                 self.faults.stats.stale_dropped += 1;
                 Sifted::Absorbed
             }
-            _ => Sifted::Keep(m),
+            _ => Sifted::Keep,
         }
     }
 
@@ -392,12 +394,19 @@ impl RankCtx {
         }
     }
 
-    /// One blocking step of a receive-side wait on `op`: fail if the
-    /// sender it awaits is known dead (the clock converges on the
-    /// scheduled exit instant), else park for the next arrival and sift
-    /// it — data comes back to the caller, which queues what it does not
-    /// take, and a revocation fails the wait.
-    pub(crate) fn await_arrival(&mut self, op: ParkOp) -> MpiResult<Option<Message>> {
+    /// One step of a receive-side wait on `op`: fail if the sender it
+    /// awaits is known dead (the clock converges on the scheduled exit
+    /// instant), else examine new arrivals in place, sifting each, until
+    /// one ends the step: data `want` picks, a revocation that newly
+    /// poisoned this rank, or a death notice, after which the caller checks
+    /// again. Other data is kept and other control traffic dropped. A
+    /// deadlock verdict unwinds the wait as [`MpiError::Deadlock`], with
+    /// the clock moved to the verdict's instant.
+    pub(crate) fn next_arrival(
+        &mut self,
+        op: ParkOp,
+        want: &impl Fn(&Message) -> bool,
+    ) -> MpiResult<Message> {
         let awaited = match op {
             ParkOp::Recv { src, .. } | ParkOp::Probe { src, .. } => Some(src),
             _ => None,
@@ -407,11 +416,37 @@ impl RankCtx {
             self.faults.stats.peer_gone += 1;
             return Err(MpiError::PeerGone);
         }
-        let msg = self.blocking_recv(op)?;
-        match self.sift(msg) {
-            Sifted::Keep(m) => Ok(Some(m)),
-            Sifted::Revoke => Err(MpiError::Revoked),
-            Sifted::Absorbed => Ok(None),
+        let (me, now, router) = (self.world_rank, self.clock.now(), Arc::clone(&self.router));
+        let step = |m: &Message| match self.sift(m) {
+            Sifted::Keep if want(m) => Examined::Take,
+            Sifted::Keep => Examined::Keep,
+            Sifted::Absorbed if m.tag != TAG_DEATH => Examined::Drop,
+            Sifted::Absorbed | Sifted::Revoke => Examined::Take,
+        };
+        router.examine(me, now, op, step).map_err(|v| {
+            self.clock.advance_to(v.at);
+            MpiError::Deadlock {
+                ranks: v.ranks,
+                ops: v.ops,
+            }
+        })
+    }
+
+    /// Wait on a receive or probe `op` for the first new arrival `want`
+    /// picks ([`RankCtx::next_arrival`]); a revocation fails the wait.
+    pub(crate) fn await_arrival(
+        &mut self,
+        op: ParkOp,
+        want: impl Fn(&Message) -> bool,
+    ) -> MpiResult<Message> {
+        loop {
+            let m = self.next_arrival(op, &want)?;
+            if want(&m) {
+                return Ok(m);
+            }
+            if m.tag == TAG_REVOKE {
+                return Err(MpiError::Revoked);
+            }
         }
     }
 }

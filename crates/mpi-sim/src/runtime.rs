@@ -13,7 +13,6 @@
 //! 10,000 ranks. The order they run in follows from virtual time and the
 //! program alone, so a world replays byte for byte on any machine.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -25,7 +24,6 @@ use crate::datatype::{Combiner, Datatype, Dim, Envelope, Order, TypeAttrs, TypeD
 use crate::error::{MpiError, MpiResult};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::net::NetModel;
-use crate::p2p::Message;
 use crate::reliability::FaultState;
 use crate::sched::{DeadlockInfo, ParkOp, Router, SchedCore};
 use crate::vendor::VendorProfile;
@@ -304,7 +302,6 @@ pub struct RankCtx {
     /// Shared delivery fabric: one bounded FIFO inbox per rank, and the
     /// scheduler this rank's blocking points park on.
     pub(crate) router: Arc<Router>,
-    pub(crate) pending: VecDeque<Message>,
     pub(crate) barrier: Arc<ClockBarrier>,
     /// Current communicator membership (world rank per comm rank). Starts
     /// as the (symbolic) identity map.
@@ -401,20 +398,20 @@ impl RankCtx {
         }
     }
 
-    /// Depth of the unexpected-message queue: messages pulled from the
-    /// inbox that no receive ever matched (a teardown invariant for
-    /// quiescent protocols).
+    /// Unexpected messages a receive examined and left: the kept prefix
+    /// of this rank's inbox, which no receive has matched yet (a teardown
+    /// invariant for quiescent protocols).
     #[must_use]
     pub fn pending_messages(&self) -> usize {
-        self.pending.len()
+        self.router.depths(self.world_rank).0
     }
 
-    /// Messages sitting in this rank's router inbox, delivered but never
-    /// pulled (the companion teardown invariant to
+    /// Messages in this rank's inbox that no receive has examined yet,
+    /// delivered but never looked at (the companion teardown invariant to
     /// [`RankCtx::pending_messages`]).
     #[must_use]
     pub fn inbox_backlog(&self) -> usize {
-        self.router.inbox_depth(self.world_rank)
+        self.router.depths(self.world_rank).1
     }
 
     /// Reset this rank's virtual clock *and its GPU stream timeline*
@@ -697,7 +694,6 @@ impl WorldShared {
             tracer: cfg.tracer.clone(),
             registry: Arc::clone(&self.registry),
             router: Arc::clone(&self.router),
-            pending: VecDeque::new(),
             barrier: Arc::clone(&self.barrier),
             comm_members: Members::Identity(self.size),
             epoch: 0,

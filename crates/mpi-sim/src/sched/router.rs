@@ -1,15 +1,24 @@
 //! Message delivery with bounded inboxes.
 //!
 //! One locked FIFO inbox per rank — O(N) state for an N-rank world, where
-//! a sender handle per pair would be O(N²):
+//! a sender handle per pair would be O(N²) — and the rank's only queue of
+//! unexpected messages:
 //!
 //! * **per-pair FIFO**: a rank's sends are sequential and each push takes
 //!   the destination's lock, so MPI's non-overtaking guarantee holds;
+//! * **matching in place**: a receive examines the messages it has not
+//!   seen yet where they lie, under the inbox lock ([`Router::examine`]).
+//!   Those it passes over stay, as the *kept prefix*: the first `kept`
+//!   messages, in arrival order, which the next receive scans first
+//!   ([`Router::kept`]). The rest are the unexamined tail;
 //! * **receiver wakes**: a push wakes the destination's parked fiber;
 //! * **backpressure**: user-payload traffic to a remote rank parks the
-//!   *sender* while the destination inbox sits at the high-water mark,
-//!   a fixed [`INBOX_HWM`] messages in every world, so a 4,096-rank send
-//!   storm holds O(ranks · HWM) messages instead of growing forever.
+//!   *sender* while the destination's unexamined tail sits at the
+//!   high-water mark, a fixed [`INBOX_HWM`] messages in every world, so a
+//!   4,096-rank send storm holds O(ranks · HWM) unexamined messages
+//!   instead of growing forever. The mark counts only the tail: a receive
+//!   that passes over a full inbox looking for one sender's message
+//!   releases the others, which may be that very sender.
 //!   Internal traffic (negative tags: death notices, revocations,
 //!   agreement, `alltoallv`) and self-sends are exempt — their progress guarantees are what recovery
 //!   correctness is built on. A world that wedges on full inboxes is a
@@ -37,7 +46,8 @@ pub const INBOX_HWM: usize = 8192;
 /// eager payload — a one-piece message, a part of a pipelined transfer, a
 /// train — is taken from it by the sender and handed back by the receiver,
 /// except that each rank keeps one spent payload of at most 4 KiB aside
-/// for its own next send (`RankCtx::spend`). One pipelined transfer has
+/// for its own next send of a length in that payload's capacity class
+/// (`RankCtx::spend`, `RankCtx::take_payload`). One pipelined transfer has
 /// at most its own size in flight, and the model only pipelines objects
 /// of a few MiB, so this recycles the steady-state traffic of a send while
 /// a world of any size holds at most this much, plus 4 KiB per rank.
@@ -55,7 +65,7 @@ struct PayloadPool {
 }
 
 /// The capacity class of a non-empty buffer.
-fn class(cap: usize) -> usize {
+pub(crate) fn class(cap: usize) -> usize {
     cap.ilog2().min(31) as usize
 }
 
@@ -96,13 +106,67 @@ impl PayloadPool {
     }
 }
 
+/// What a receive makes of one message it examines.
+pub(crate) enum Examined {
+    /// Remove it and hand it to the receive: the walk ends.
+    Take,
+    /// Leave it where it is, kept, and go on.
+    Keep,
+    /// Remove and discard it, and go on.
+    Drop,
+}
+
+impl Examined {
+    /// Take the message when `pick`, else keep it.
+    pub(crate) fn take_if(pick: bool) -> Examined {
+        match pick {
+            true => Examined::Take,
+            false => Examined::Keep,
+        }
+    }
+}
+
 #[derive(Default)]
 struct InboxQ {
+    /// Every message delivered and not taken, in arrival order: the first
+    /// `kept` were examined and left, the rest are unexamined.
     msgs: VecDeque<Message>,
+    /// A `u32` beside `recv_parked` keeps a rank's inbox at 64 bytes.
+    kept: u32,
     /// The owning fiber is parked waiting for a push.
     recv_parked: bool,
     /// Sender ranks parked on this inbox's high-water mark.
     send_parked: Vec<usize>,
+}
+
+impl InboxQ {
+    /// Messages no receive has examined yet: what the high-water mark
+    /// counts.
+    fn unexamined(&self) -> usize {
+        self.msgs.len() - self.kept as usize
+    }
+
+    /// Walk the kept prefix, or with `fresh` the unexamined tail, in
+    /// arrival order, until `f` takes a message. A message of the tail that
+    /// `f` keeps joins the prefix.
+    fn walk(&mut self, fresh: bool, f: &mut impl FnMut(&Message) -> Examined) -> Option<Message> {
+        let end = |q: &Self| if fresh { q.msgs.len() } else { q.kept as usize };
+        let mut at = if fresh { self.kept as usize } else { 0 };
+        while at < end(self) {
+            match f(&self.msgs[at]) {
+                // in the tail, `at` is the prefix's end
+                Examined::Keep => (at, self.kept) = (at + 1, self.kept + u32::from(fresh)),
+                step => {
+                    let m = self.msgs.remove(at);
+                    self.kept -= u32::from(!fresh);
+                    if let Examined::Take = step {
+                        return m;
+                    }
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Shared delivery fabric for one world: a bounded FIFO inbox per rank,
@@ -178,9 +242,9 @@ impl Router {
         self.deliver_locked(dest, q, msg);
     }
 
-    /// Deliver subject to the high-water mark: while `dest`'s inbox is
-    /// full, park the sending fiber. Once a deadlock verdict exists the
-    /// message is force-delivered so the world can drain.
+    /// Deliver subject to the high-water mark: while `dest`'s unexamined
+    /// tail is full, park the sending fiber. Once a deadlock verdict exists
+    /// the message is force-delivered so the world can drain.
     ///
     /// `me` is the sending world rank, `now` its virtual clock (the wait
     /// is wall-clock machinery only — virtual time is never advanced by
@@ -190,7 +254,7 @@ impl Router {
             let mut q = self.slots[dest].lock();
             // A spurious wake can leave this sender still registered.
             q.send_parked.retain(|&r| r != me);
-            if q.msgs.len() < INBOX_HWM {
+            if q.unexamined() < INBOX_HWM {
                 self.deliver_locked(dest, q, msg);
                 return;
             }
@@ -201,11 +265,11 @@ impl Router {
         self.push(dest, msg);
     }
 
-    /// After a pop: once the queue drops below the high-water mark, wake
-    /// every backpressured sender (each re-checks and re-parks if the
-    /// mark is hit again).
-    fn after_pop(&self, mut q: MutexGuard<'_, InboxQ>) {
-        if q.msgs.len() >= INBOX_HWM || q.send_parked.is_empty() {
+    /// After a receive examined messages: once the unexamined tail drops
+    /// below the high-water mark, wake every backpressured sender (each
+    /// re-checks and re-parks if the mark is hit again).
+    fn after_examine(&self, mut q: MutexGuard<'_, InboxQ>) {
+        if q.unexamined() >= INBOX_HWM || q.send_parked.is_empty() {
             return;
         }
         let to_wake = std::mem::take(&mut q.send_parked);
@@ -215,14 +279,26 @@ impl Router {
         }
     }
 
-    /// Pop `me`'s inbox, parking the fiber on `op` while it is empty.
-    /// Fails only when the world was declared deadlocked while (or before)
-    /// this receiver was parked.
-    pub(crate) fn recv(
+    /// Walk `me`'s kept prefix with `f`, in arrival order, until it takes
+    /// a message. Never parks.
+    pub(crate) fn kept(
+        &self,
+        me: usize,
+        mut f: impl FnMut(&Message) -> Examined,
+    ) -> Option<Message> {
+        self.slots[me].lock().walk(false, &mut f)
+    }
+
+    /// Examine `me`'s unexamined messages in place, in arrival order,
+    /// until `f` takes one, parking the fiber on `op` whenever none is
+    /// left. Fails only when the world was declared deadlocked while (or
+    /// before) this receiver was parked.
+    pub(crate) fn examine(
         &self,
         me: usize,
         now: SimTime,
         op: ParkOp,
+        mut f: impl FnMut(&Message) -> Examined,
     ) -> Result<Message, DeadlockInfo> {
         loop {
             if let Some(verdict) = self.sched.verdict() {
@@ -231,9 +307,13 @@ impl Router {
             let mut q = self.slots[me].lock();
             // Clear a flag a verdict wake left behind.
             q.recv_parked = false;
-            if let Some(m) = q.msgs.pop_front() {
-                self.after_pop(q);
-                return Ok(m);
+            if q.unexamined() > 0 {
+                let taken = q.walk(true, &mut f);
+                self.after_examine(q);
+                match taken {
+                    Some(m) => return Ok(m),
+                    None => continue,
+                }
             }
             q.recv_parked = true;
             drop(q);
@@ -241,10 +321,19 @@ impl Router {
         }
     }
 
-    /// Messages currently queued in `rank`'s inbox (teardown/test
+    /// Put back a message [`Router::examine`] took, at the end of `me`'s
+    /// kept prefix, where keeping it would have left it.
+    pub(crate) fn keep(&self, me: usize, m: Message) {
+        let q = &mut *self.slots[me].lock();
+        q.msgs.insert(q.kept as usize, m);
+        q.kept += 1;
+    }
+
+    /// `rank`'s kept messages and its unexamined ones (teardown and test
     /// accounting).
-    pub(crate) fn inbox_depth(&self, rank: usize) -> usize {
-        self.slots[rank].lock().msgs.len()
+    pub(crate) fn depths(&self, rank: usize) -> (usize, usize) {
+        let q = self.slots[rank].lock();
+        (q.kept as usize, q.unexamined())
     }
 }
 
@@ -270,6 +359,11 @@ mod tests {
         assert_eq!(list.pooled_payload_bytes(), 0);
         assert_eq!(list.take_payload(8).capacity(), 8, "empty: a fresh buffer");
         assert_eq!(list.take_payload(0).capacity(), 0, "nothing to hold");
+    }
+
+    #[test]
+    fn a_ranks_inbox_record_is_64_bytes() {
+        assert_eq!(size_of::<InboxQ>(), 64);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! set-up, nothing for filling its grid, and an intern table that holds no plan no type uses; and the
 //! system MPI packing and unpacking a non-dense type it has moved before,
 //! nothing. A warm tuner decides a send without the heap in every mode,
-//! probes included, and a traced metric that exists records without it.
+//! probes included, a traced metric that exists records without it, and
+//! a warm 26-peer sparse `alltoallv` moves its messages without it.
 //! The allocator counts per thread, so the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,7 +16,7 @@ use gpu_sim::{MemSpace, SimTime};
 
 use mpi_sim::consts::{MPI_BYTE, MPI_FLOAT};
 use mpi_sim::datatype::{TypeInfo, TypeTree};
-use mpi_sim::{Datatype, Order, RankCtx, VendorProfile, WorldConfig};
+use mpi_sim::{AlltoallvBlock, Datatype, Order, RankCtx, VendorProfile, World, WorldConfig};
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
 use tempi_core::{BucketKey, SendModel, TraceLevel, Tracer, Tuner, Workload};
@@ -325,4 +326,57 @@ fn a_warm_metric_records_without_the_heap() {
     let metrics = tracer.metrics();
     assert_eq!(metrics.histogram("tempi.send.bytes").unwrap().count, 257);
     assert_eq!(metrics.counter("tempi.sends"), 257);
+}
+
+/// A warm 26-peer sparse `alltoallv` on a 64-rank 4×4×4 torus allocates
+/// nothing: payloads come from the free list or the rank's spare, and
+/// unexpected messages wait in the inbox they arrived in. The faces, edges
+/// and corners of a halo are 512, 128 and 32 bytes, three capacity
+/// classes. Before the inbox was the rank's one unexpected-message queue,
+/// and while a 128-byte spare could carry a 32-byte corner, this call made
+/// 30 allocations.
+#[test]
+fn a_warm_sparse_alltoallv_on_a_torus_moves_its_messages_without_the_heap() {
+    const SIDE: usize = 4;
+    let counted = World::run(&WorldConfig::summit(SIDE.pow(3)), |ctx| {
+        let at = |r: usize, d: usize| (r / SIDE.pow(d as u32)) % SIDE;
+        let mut blocks: Vec<AlltoallvBlock> = (0..27)
+            .filter(|&dir| dir != 13)
+            .map(|dir| {
+                let step = |d: usize| (dir / 3usize.pow(d as u32)) % 3;
+                let peer = (0..3)
+                    .map(|d| (at(ctx.rank, d) + SIDE - 1 + step(d)) % SIDE * SIDE.pow(d as u32))
+                    .sum();
+                let axes = (0..3).filter(|&d| step(d) != 1).count();
+                let count = 2048 >> (2 * axes);
+                AlltoallvBlock {
+                    peer,
+                    count,
+                    displ: 0,
+                }
+            })
+            .collect();
+        blocks.sort_by_key(|b| b.peer);
+        let mut end = 0;
+        for b in &mut blocks {
+            (b.displ, end) = (end, end + b.count);
+        }
+        let (send, recv) = (ctx.gpu.malloc(end)?, ctx.gpu.malloc(end)?);
+        // the warm-up enters without a barrier, as a timed loop's first
+        // exchange does
+        ctx.alltoallv_sparse_bytes(send, &blocks, recv, &blocks)?;
+        ctx.barrier();
+        let before = ALLOCS.with(Cell::get);
+        ctx.barrier();
+        ctx.alltoallv_sparse_bytes(send, &blocks, recv, &blocks)?;
+        ctx.barrier();
+        // every fiber runs on the world's one worker thread
+        Ok(ALLOCS.with(Cell::get) - before)
+    })
+    .unwrap();
+    assert_eq!(
+        counted[0], 0,
+        "the warm alltoallv allocated {} times",
+        counted[0]
+    );
 }

@@ -126,3 +126,44 @@ fn mutual_storms_past_the_mark_are_a_structural_deadlock() {
         other => panic!("expected Deadlock, got {other:?}"),
     }
 }
+
+#[test]
+fn messages_a_receive_passes_over_leave_the_high_water_mark() {
+    // Rank 1 fills rank 0's inbox past the mark with tag-1 messages and
+    // parks; rank 2's one tag-2 message then finds the inbox full and
+    // parks too. Rank 0, whose clock is ahead so both senders run first,
+    // receives rank 2's message: it passes over every message of rank 1's
+    // on the way, and keeps them. The mark counts only the messages no
+    // receive has examined yet, so passing over them releases both
+    // senders and rank 2's message gets through. Then the kept messages
+    // drain in the order they were sent.
+    const MORE: usize = INBOX_HWM + 64;
+    let results = World::run(&WorldConfig::summit(3), |ctx| {
+        let buf = ctx.gpu.host_alloc(8)?;
+        let mut order = Vec::new();
+        match ctx.rank {
+            0 => {
+                ctx.clock.advance(gpu_sim::SimTime::from_us(1_000));
+                ctx.recv_bytes(buf, 8, Some(2), Some(2))?;
+                for _ in 0..MORE {
+                    ctx.recv_bytes(buf, 8, Some(1), Some(1))?;
+                    let seq = ctx.gpu.memory().peek(buf, 8)?;
+                    order.push(u64::from_le_bytes(seq.try_into().unwrap()));
+                }
+            }
+            1 => {
+                for seq in 0..MORE as u64 {
+                    ctx.gpu.memory().poke(buf, &seq.to_le_bytes())?;
+                    ctx.send_bytes(buf, 8, 0, 1)?;
+                }
+            }
+            _ => ctx.send_bytes(buf, 8, 0, 2)?,
+        }
+        Ok(order)
+    })
+    .expect("a receiver that passes over a full inbox must release its senders");
+    assert!(
+        results[0].iter().copied().eq(0..MORE as u64),
+        "kept messages out of send order"
+    );
+}
