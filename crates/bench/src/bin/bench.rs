@@ -1,11 +1,13 @@
-//! `bench`: produce the rows `check_bench` gates.
+//! `bench`: record the committed `BENCH_<suite>.json` rows.
 //!
 //! `bench SUITE… [--out DIR]` runs the named suites ([`SUITES`]: `send`,
 //! `scale`, `guidelines`), prints each one's table, and writes its rows to
-//! `BENCH_<suite>.json` in `DIR` (default: the repository root, where
-//! `check_bench` reads them). A suite whose own assertion fails, or whose
-//! rows cannot be written, exits non-zero, so CI never gates on stale rows.
-//! All gated times are virtual nanoseconds.
+//! `BENCH_<suite>.json` in `DIR` (default: the repository root, where the
+//! committed copies live). A suite whose own assertion fails, or whose
+//! rows cannot be written, exits non-zero. Every recorded time is virtual
+//! nanoseconds, so a rerun writes the same bytes: CI reruns the suites and
+//! fails on any `git diff`, and a change that moves a row commits the
+//! regenerated file.
 //!
 //! Run: `cargo run --release -p tempi-bench --bin bench -- send scale [--out DIR]`
 
@@ -118,8 +120,8 @@ fn send(out: &Path) -> Result<(), String> {
     // slack: its choice is the argmin of the *calibrated* model, so on
     // rows where two methods are within the model's error (device vs
     // pipelined at a few blocks, say) it may pick the one that measures a
-    // hair slower one-way. A real mis-selection is far outside 2%; the
-    // baseline gate still catches regressions against the committed rows.
+    // hair slower one-way. A real mis-selection is far outside 2%, and
+    // any row that moves at all shows as a diff of the committed file.
     // And the static model must find at least one one-shot → pipelined
     // crossover worth ≥ 1.2× — the bar EXPERIMENTS.md quotes.
     const NEAR_TIE: f64 = 0.98;
@@ -187,8 +189,8 @@ fn alltoallv_exchange_ns(ranks: usize) -> Result<f64, String> {
 /// 26-direction 3-D halo exchange from 8 ranks through 4,096 plus a
 /// 10,000-rank row, and the dense all-pairs `MPI_Alltoallv`, where the
 /// O(size) argument arrays are the workload's own cost. `exchange_ns` is
-/// virtual and gated; `wall_ms`, the host time of the whole world run, is
-/// the scaling headline and the one noisy column, never gated.
+/// virtual and recorded; the host time of each world run, the scaling
+/// headline, is printed and never recorded, since it differs between runs.
 fn scale(out: &Path) -> Result<(), String> {
     /// One sweep: workload label, rank counts, measurement entry point.
     type Sweep = (
@@ -201,39 +203,40 @@ fn scale(out: &Path) -> Result<(), String> {
         ("alltoallv", &ALLTOALLV_RANKS, alltoallv_exchange_ns),
     ];
     let mut rows: Vec<ScaleRow> = Vec::new();
+    let mut headline_wall_s = 0.0;
     let mut t = Table::new(["workload", "ranks", "exchange(virt)", "wall"]);
     for (workload, sizes, run) in sweeps {
         for &ranks in sizes {
             let wall = Instant::now();
             let exchange_ns = run(ranks)?;
-            let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
+            let wall_s = wall.elapsed().as_secs_f64();
+            if (workload, ranks) == ("stencil", 10_000) {
+                headline_wall_s = wall_s;
+            }
             t.row(&[
                 &workload,
                 &ranks,
                 &format!("{:.1} µs", exchange_ns / 1e3),
-                &format!("{wall_ms:.0} ms"),
+                &format!("{:.0} ms", wall_s * 1e3),
             ]);
             rows.push(ScaleRow {
                 workload: workload.to_string(),
                 ranks,
                 exchange_ns,
-                wall_ms,
             });
         }
     }
     print!("{t}");
 
-    let stencil = |r: &&ScaleRow| r.workload == "stencil";
-    let headline = rows.iter().filter(stencil).find(|r| r.ranks == 10_000);
-    let wall_s = headline.expect("10k stencil row").wall_ms / 1e3;
-    println!("\n10,000-rank stencil exchange: {wall_s:.1} s wall-clock");
-    if wall_s >= 60.0 {
+    println!("\n10,000-rank stencil exchange: {headline_wall_s:.1} s wall-clock");
+    if headline_wall_s >= 60.0 {
         return Err(format!(
-            "10,000-rank stencil exchange took {wall_s:.1} s — the acceptance bar is 60 s"
+            "10,000-rank stencil exchange took {headline_wall_s:.1} s — the acceptance bar is 60 s"
         ));
     }
     // A nearest-neighbor exchange weak-scales flat: from 64 ranks up every
     // rank has 26 distinct neighbors, and the exchange costs the same.
+    let stencil = |r: &&ScaleRow| r.workload == "stencil";
     let flat = rows.iter().filter(stencil).filter(|r| r.ranks >= 64);
     let (lo, hi) = range(flat.map(|r| r.exchange_ns));
     if hi > lo * 1.01 {
@@ -263,8 +266,8 @@ fn scale(out: &Path) -> Result<(), String> {
 /// (TEMPI-on breaking a guideline TEMPI-off satisfies — the regression the
 /// paper's thesis forbids). Off-side violations (a vendor quirk breaking
 /// G1/G2 without TEMPI) are reported but do not fail the run: they are the
-/// status quo the harness documents, and the `check_bench` verdict gate
-/// pins them against silent drift.
+/// status quo the harness documents, and the committed rows and report
+/// pin them against silent drift.
 fn guidelines(out: &Path) -> Result<(), String> {
     let rows =
         run_zoo(&Platform::ALL, GUIDELINE_TOL).map_err(|e| format!("measurement failed: {e}"))?;

@@ -25,8 +25,8 @@
 //! All times are virtual nanoseconds from the simulator clock, measured
 //! receiver-side with the same barrier-per-round, minimum-over-rounds
 //! protocol as [`Cell::one_way`] ([`timed_rounds`] under both) — fully
-//! deterministic, so verdicts are exact and the baseline gate needs no
-//! flake budget. The gate's tolerance is [`GUIDELINE_TOL`].
+//! deterministic, so verdicts are exact and the committed rows regenerate
+//! byte for byte. The guidelines' tolerance is [`GUIDELINE_TOL`].
 
 use gpu_sim::SimTime;
 use mpi_sim::consts::MPI_BYTE;
@@ -37,7 +37,6 @@ use tempi_core::config::TempiConfig;
 use tempi_core::tempi::{PlanKind, Tempi};
 use tempi_trace::json::{self, FromJson, ToJson, Value};
 
-use crate::baseline::GatedSuite;
 use crate::measure::{timed_rounds, Cell, Platform, Side};
 use crate::workloads::zoo;
 
@@ -244,28 +243,10 @@ impl FromJson for GuidelineRow {
     }
 }
 
-impl GatedSuite for GuidelineRow {
-    const SUITE: &'static str = "guidelines";
-    const TOLERANCE: f64 = crate::baseline::TOLERANCE;
-
-    fn row_key(&self) -> String {
+impl GuidelineRow {
+    /// The cell's name in reports: `"pattern [vendor]"`.
+    pub fn row_key(&self) -> String {
         format!("{} [{}]", self.pattern, self.vendor)
-    }
-
-    fn timings(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("off_ddt_ns", self.off.ddt_ns),
-            ("off_pack_send_ns", self.off.pack_send_ns),
-            ("off_naive_ns", self.off.naive_ns),
-            ("on_ddt_ns", self.on.ddt_ns),
-            ("on_pack_send_ns", self.on.pack_send_ns),
-            ("on_naive_ns", self.on.naive_ns),
-            ("on_nocanon_ddt_ns", self.on_nocanon_ddt_ns),
-        ]
-    }
-
-    fn verdicts(&self) -> Vec<(&'static str, bool)> {
-        self.eval.verdicts().into()
     }
 }
 
@@ -488,8 +469,8 @@ pub fn run_cell(
 }
 
 /// Run the whole zoo on the given platforms at tolerance `tol`; all three
-/// ([`Platform::ALL`]) is what `bench guidelines` and the committed baseline
-/// cover.
+/// ([`Platform::ALL`]) is what `bench guidelines` runs and
+/// `BENCH_guidelines.json` records.
 pub fn run_zoo(platforms: &[Platform], tol: f64) -> MpiResult<Vec<GuidelineRow>> {
     let mut rows = Vec::new();
     for &platform in platforms {
@@ -626,8 +607,7 @@ mod tests {
         let r = row("nested/32@8192x16x64@256", "openmpi");
         let back: Vec<GuidelineRow> = json::from_str(&[r].to_json().to_string()).unwrap();
         assert_eq!(back[0].row_key(), "nested/32@8192x16x64@256 [openmpi]");
-        assert_eq!(back[0].timings().len(), 7);
-        assert_eq!(back[0].verdicts().len(), 6);
+        assert_eq!(back[0].eval.verdicts().len(), 6);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Table rendering for the figures and JSON emission for the gated suites.
+//! Table rendering for the figures and JSON emission for the `bench` suites.
 //!
 //! A figure is a `String`: titles and notes around [`Table`]s, which
 //! render through `Display` (`results/logs/*.txt` are the recorded runs the
-//! figures are compared with). The three gated suites also write their rows
-//! as `BENCH_<suite>.json`.
+//! figures are compared with). The three `bench` suites also write their
+//! rows as `BENCH_<suite>.json`.
 
 use std::fmt::{self, Display};
 use std::fs;
@@ -62,9 +62,9 @@ pub fn range(values: impl IntoIterator<Item = f64>) -> (f64, f64) {
 }
 
 /// Write `rows` as pretty JSON to `dir/name`, creating `dir` if needed.
-/// These are gate inputs, where a silent write failure would let CI pass
-/// on stale rows — so failures are returned for the binary to exit
-/// non-zero on, not swallowed.
+/// CI diffs these files against the committed ones, where a silent write
+/// failure would pass on the stale rows — so failures are returned for
+/// the binary to exit non-zero on, not swallowed.
 pub fn write_rows<T: ToJson>(
     dir: &std::path::Path,
     name: &str,

@@ -482,7 +482,7 @@ mod tests {
                 "{label}: {nblocks} blocks — the naive reference loop budget is 1024"
             );
         }
-        // labels are unique — they key baseline rows across runs
+        // labels are unique — they name the cells of the guidelines report
         let mut labels: Vec<&str> = zoo.iter().map(|(label, _)| *label).collect();
         labels.sort();
         labels.dedup();

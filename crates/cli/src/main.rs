@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! tempi-cli describe "<spec>"                  inspect a datatype end to end
-//! tempi-cli pack "<spec>" [--incount N] [--platform mv|op|sp]
-//!                                              virtual pack time, TEMPI vs system
+//! tempi-cli pack "<spec>" [--incount N] [--platform mv|op|sp] [--unpack]
+//!                                              virtual pack (or unpack) time,
+//!                                              TEMPI vs system
 //! tempi-cli commit "<spec>" [--platform mv|op|sp]
 //!                                              Fig. 6-style create/commit breakdown
 //! tempi-cli model <bytes> <block> [--word W] [--chunk C]

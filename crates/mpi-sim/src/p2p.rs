@@ -849,12 +849,19 @@ impl RankCtx {
 
         if buf.space == MemSpace::Device && !fully_contiguous {
             // Vendor baseline: pack on the GPU block-by-block into a
-            // temporary device buffer, then CUDA-aware transfer.
+            // temporary device buffer, then CUDA-aware transfer. The
+            // buffer is freed, and a payload taken is spent, on every exit.
             let tmp = self.gpu.malloc(bytes)?;
-            self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp)?;
-            let mut payload = self.take_payload(bytes);
-            self.gpu.memory().peek_into(tmp, bytes, &mut payload)?;
-            self.gpu.free(tmp)?;
+            let mut payload = Vec::new();
+            let packed = (self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp)).and_then(|()| {
+                payload = self.take_payload(bytes);
+                Ok(self.gpu.memory().peek_into(tmp, bytes, &mut payload)?)
+            });
+            let freed = self.gpu.free(tmp).map_err(MpiError::from);
+            if let Err(e) = packed.and(freed) {
+                self.spend(payload);
+                return Err(e);
+            }
             return self.post(dest, tag, payload, MemSpace::Device);
         }
 
@@ -909,12 +916,25 @@ impl RankCtx {
         if buf.space == MemSpace::Device && !fully_contiguous {
             // Vendor baseline: stage packed bytes in a temporary device
             // buffer (delivery covered by the transfer), then unpack
-            // block-by-block.
-            let tmp = self.gpu.malloc(bytes)?;
-            self.gpu.memory().poke(tmp, &payload)?;
+            // block-by-block. The payload is spent, and the buffer freed,
+            // on every exit.
+            let tmp = match self.gpu.malloc(bytes) {
+                Ok(tmp) => tmp,
+                Err(e) => {
+                    self.spend(payload);
+                    return Err(e.into());
+                }
+            };
+            let poked = self
+                .gpu
+                .memory()
+                .poke(tmp, &payload)
+                .map_err(MpiError::from);
             self.spend(payload);
-            self.wire_xfer(PackDir::Unpack, &wt, buf, items, tmp)?;
-            self.gpu.free(tmp)?;
+            let unpacked =
+                poked.and_then(|()| self.wire_xfer(PackDir::Unpack, &wt, buf, items, tmp));
+            let freed = self.gpu.free(tmp).map_err(MpiError::from);
+            unpacked.and(freed)?;
         } else {
             self.scatter_payload(buf, items, &wt, &payload)?;
             self.spend(payload);

@@ -3,8 +3,8 @@
 //! types implement by hand.
 //!
 //! The text format is pinned by committed files this module did not
-//! write (`BENCH_*.json`, the baselines under `results/`, the chaos corpus
-//! — all from the registry crate it replaced): objects keep the order
+//! first write (`BENCH_*.json` and the chaos corpus, from the registry
+//! crate it replaced): objects keep the order
 //! their fields were pushed in, floats print their shortest round-trip
 //! digits in ryu's layout (`2.0`, `1e-7`, never `0.0000001`), and
 //! [`Value::pretty`] indents by two spaces. `tests/json_artifacts.rs`

@@ -10,10 +10,11 @@
 mod common;
 
 use common::pattern;
+use gpu_sim::GpuError;
 use gpu_sim::SimTime;
 use mpi_sim::consts::MPI_BYTE;
-use mpi_sim::datatype::pack_cpu;
-use mpi_sim::{FaultPlan, MpiError, World, WorldConfig};
+use mpi_sim::datatype::{pack_cpu, TypeTree};
+use mpi_sim::{FaultPlan, MpiError, RankCtx, World, WorldConfig};
 use tempi_core::config::{Method, TempiConfig};
 use tempi_core::interpose::InterposedMpi;
 use tempi_stencil::{HaloConfig, HaloExchanger};
@@ -313,6 +314,33 @@ fn scheduled_rank_exit_fails_cleanly_not_by_hanging() {
         Err(MpiError::PeerGone)
     );
     assert_eq!(ctx.faults.stats.peer_gone, 2);
+}
+
+#[test]
+fn a_failed_system_mpi_device_send_or_recv_frees_its_staging_buffer() {
+    // The system MPI packs a strided device buffer into a device buffer of
+    // its own before it sends, and lands a received one there before it
+    // unpacks. With every stream copy failing, both calls fail, and
+    // neither may keep that buffer.
+    let cfg = WorldConfig::summit(1).with_faults(FaultPlan::parse("seed=1,copy=1.0").unwrap());
+    let mut ctx = RankCtx::standalone(&cfg);
+    let dt = "vector(13, 100, 256, byte)".parse::<TypeTree>().unwrap();
+    let dt = dt.build(&mut ctx).unwrap();
+    ctx.type_commit_native(dt).unwrap();
+    let buf = ctx.gpu.malloc(12 * 256 + 100).unwrap();
+    let live = |ctx: &RankCtx| ctx.gpu.memory().live_allocations();
+    let stream_fault =
+        |r: Result<_, MpiError>| matches!(r, Err(MpiError::Gpu(GpuError::StreamFault { .. })));
+    assert_eq!(live(&ctx), 1);
+    assert!(stream_fault(ctx.send(buf, 1, dt, 0, 0).map(drop)));
+    assert_eq!(live(&ctx), 1, "the failed send kept its staging buffer");
+
+    let packed = ctx.gpu.host_alloc(1300).unwrap();
+    ctx.send_bytes(packed, 1300, 0, 0).unwrap();
+    assert!(stream_fault(
+        ctx.recv(buf, 1, dt, Some(0), Some(0)).map(drop)
+    ));
+    assert_eq!(live(&ctx), 2, "the failed receive kept its staging buffer");
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! End-to-end test of the DDT performance-guidelines harness: runs the
 //! expanded zoo on the Summit (Spectrum MPI) profile and pins the
 //! verdict set the seed produces — the same facts the committed
-//! `results/BENCH_guidelines.baseline.json` gates at full vendor
-//! coverage in CI.
+//! `BENCH_guidelines.json` records at full vendor coverage, which CI
+//! regenerates and diffs byte for byte.
 
 use tempi_bench::guidelines::{render_report, run_cell, run_zoo, violations, GUIDELINE_TOL as TOL};
-use tempi_bench::{zoo, GatedSuite, Platform};
+use tempi_bench::{zoo, Platform};
 use tempi_trace::json::ToJson;
 
 #[test]

@@ -1,6 +1,6 @@
-//! Every JSON file the repository commits was written by the registry
-//! crate the in-tree module replaced; the module must read each one and
-//! write the same bytes back. That pins, against files this code did not
+//! Every JSON file the repository commits was first written by the
+//! registry crate the in-tree module replaced; the module must read each
+//! one and write the same bytes back. That pins, against files this code did not
 //! produce, the float text (`96.58628399999999`, `1.0`), the field order
 //! of every persisted type, `null` for an absent violation, and the pretty
 //! layout.
@@ -30,13 +30,10 @@ fn reemits<T: FromJson + ToJson>(path: &str) {
 }
 
 #[test]
-fn bench_rows_and_their_baselines_reemit_byte_for_byte() {
+fn bench_rows_reemit_byte_for_byte() {
     reemits::<Vec<BenchRow>>("BENCH_send.json");
-    reemits::<Vec<BenchRow>>("results/BENCH_send.baseline.json");
     reemits::<Vec<ScaleRow>>("BENCH_scale.json");
-    reemits::<Vec<ScaleRow>>("results/BENCH_scale.baseline.json");
     reemits::<Vec<GuidelineRow>>("BENCH_guidelines.json");
-    reemits::<Vec<GuidelineRow>>("results/BENCH_guidelines.baseline.json");
 }
 
 #[test]
