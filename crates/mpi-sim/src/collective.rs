@@ -5,11 +5,12 @@
 //!
 //! Both `alltoallv` calls run one schedule: eager sends and peer-by-peer
 //! receives, both walking outward from the caller (pairwise-exchange
-//! order). A call of at most 32 sends posts them all before its first
-//! receive, so a neighbourhood exchange pays one latency; a larger one keeps
-//! its sends a small window ahead of its receives, so in-flight traffic
-//! stays bounded. The dense call feeds it its non-zero entries, the sparse
-//! call its block lists, so the same exchange costs the same either way and
+//! order), the sends at most a window of 32 ahead of the receives. A call
+//! of at most 32 sends thus posts them all before its first receive, so a
+//! neighbourhood exchange pays one latency, and a larger one keeps enough
+//! messages in flight to hide the link latency behind its overheads. The
+//! dense call feeds it its non-zero entries, the sparse call its block
+//! lists, so the same exchange costs the same either way and
 //! a neighbor exchange costs the same in a world of any size. Each receive
 //! completes at `max(now, depart_j + wire_j)`, whatever the wall-clock
 //! interleaving.
@@ -28,15 +29,13 @@ use crate::error::{MpiError, MpiResult};
 use crate::p2p::TAG_ALLTOALLV;
 use crate::runtime::RankCtx;
 
-/// How many sends an `alltoallv` of more than [`ALLTOALLV_POST_ALL`] sends
-/// posts ahead of its receives. Bounds posted-but-unconsumed eager
-/// messages at roughly `window` per rank instead of `size`.
-const ALLTOALLV_WINDOW: usize = 8;
-
-/// An `alltoallv` with at most this many sends posts every one before its
-/// first receive, as a linear `MPI_Alltoallv` does: a neighbourhood
-/// exchange (26 peers in 3-D) then costs one latency, not one per window.
-const ALLTOALLV_POST_ALL: usize = 32;
+/// How many sends an `alltoallv` posts ahead of its receives, MPICH's
+/// default alltoall throttle. Hiding an inter-node CUDA-aware latency
+/// behind the 0.4 µs of send and receive overhead each message costs
+/// takes about 28 messages in flight per rank, and a neighbourhood
+/// exchange (26 peers in 3-D) posts all its sends before its first
+/// receive, as a linear `MPI_Alltoallv` does, paying one latency.
+const ALLTOALLV_WINDOW: usize = 32;
 
 /// One peer's slice of a sparse `alltoallv`: `count` bytes at
 /// `buf + displ` exchanged with communicator rank `peer`. See
@@ -122,9 +121,7 @@ impl RankCtx {
             // ascending send distance, then ascending receive distance
             let sends = (0..=me).rev().chain((me + 1..n).rev());
             let recvs = (me..n).chain(0..me);
-            let nsends = sendcounts.iter().filter(|&&count| count > 0).count();
             ctx.alltoallv_schedule(
-                nsends,
                 (sendbuf, sends.filter_map(|j| block(sendcounts, sdispls, j))),
                 (recvbuf, recvs.filter_map(|j| block(recvcounts, rdispls, j))),
             )
@@ -161,12 +158,12 @@ impl RankCtx {
                     }
                 }
             }
-            let (me, nsends) = (ctx.rank, sends.len());
+            let me = ctx.rank;
             let (below, above) = sends.split_at(sends.partition_point(|b| b.peer <= me));
             let sends = below.iter().rev().chain(above.iter().rev());
             let (below, above) = recvs.split_at(recvs.partition_point(|b| b.peer < me));
             let recvs = above.iter().chain(below);
-            ctx.alltoallv_schedule(nsends, (sendbuf, sends.copied()), (recvbuf, recvs.copied()))
+            ctx.alltoallv_schedule((sendbuf, sends.copied()), (recvbuf, recvs.copied()))
         })
     }
 
@@ -190,33 +187,27 @@ impl RankCtx {
     /// The one `alltoallv` schedule: `sends` in ascending send distance
     /// `(me − peer) mod n`, `recvs` in ascending receive distance
     /// `(peer − me) mod n` — pairwise-exchange order, walking outward from
-    /// this rank — every block already validated; `nsends` is the length of
-    /// `sends`.
+    /// this rank — every block already validated.
     ///
     /// A message p → i has the same distance at both ends. Before
     /// blocking on a receive of distance m every send of distance ≤ m is
-    /// posted; beyond that, sends run at most the window ahead — every send,
-    /// when there are at most [`ALLTOALLV_POST_ALL`]. The first rule alone
-    /// rules out deadlock for any lists: a rank blocked at m waits on a peer
-    /// whose distance-m send is unposted, so that peer is blocked at a
-    /// distance < m, and no wait-for chain can close.
+    /// posted; beyond that, sends run at most [`ALLTOALLV_WINDOW`] ahead.
+    /// The first rule alone rules out deadlock for any lists: a rank
+    /// blocked at m waits on a peer whose distance-m send is unposted, so
+    /// that peer is blocked at a distance < m, and no wait-for chain can
+    /// close.
     fn alltoallv_schedule(
         &mut self,
-        nsends: usize,
         (sendbuf, sends): (GpuPtr, impl Iterator<Item = AlltoallvBlock>),
         (recvbuf, recvs): (GpuPtr, impl Iterator<Item = AlltoallvBlock>),
     ) -> MpiResult<()> {
         let (n, me) = (self.size, self.rank);
-        let window = match nsends <= ALLTOALLV_POST_ALL {
-            true => nsends,
-            false => ALLTOALLV_WINDOW,
-        };
         let mut to_send = sends.peekable();
         let mut posted = 0;
         for (ri, r) in recvs.enumerate() {
             let m = (r.peer + n - me) % n;
             while let Some(s) =
-                to_send.next_if(|s| (me + n - s.peer) % n <= m || posted < ri + window)
+                to_send.next_if(|s| (me + n - s.peer) % n <= m || posted < ri + ALLTOALLV_WINDOW)
             {
                 self.send_bytes(sendbuf.add(s.displ), s.count, s.peer, TAG_ALLTOALLV)?;
                 posted += 1;
@@ -631,11 +622,11 @@ mod tests {
     }
 
     #[test]
-    fn a_33_peer_call_keeps_a_window_of_8_sends_ahead_of_its_receives() {
+    fn a_33_peer_call_keeps_a_window_of_sends_ahead_of_its_receives() {
         // The hub sends to ranks 33, 32, …, 1 and first receives from rank
-        // 1, whose message takes at least one floor to land. With 8 sends
-        // ahead, exactly those to 33..=26 leave before it does; every later
-        // one lands at least two floors in. Posting all 33 would land each
+        // 1, whose message takes at least one floor to land. With 32 sends
+        // ahead, exactly those to 33..=2 leave before it does; the last one
+        // lands at least two floors in. Posting all 33 would land each
         // within 33 send overheads and one floor, short of two.
         let net = WorldConfig::summit(1).net;
         let two_floors = net.gpu_latency_intra.min(net.gpu_latency_inter) * 2;
@@ -645,14 +636,33 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_calls_agree_either_side_of_the_post_all_limit() {
-        for peers in [ALLTOALLV_POST_ALL, ALLTOALLV_POST_ALL + 1] {
+    fn dense_and_sparse_calls_agree_either_side_of_the_window() {
+        for peers in [ALLTOALLV_WINDOW, ALLTOALLV_WINDOW + 1] {
             let n = peers + 8;
             let shifted: Edges = (0..n)
                 .flat_map(|me| (1..=peers).map(move |d| (me, (me + d) % n, 4)))
                 .collect();
             assert_sparse_delivers_dense_bytes(n, &shifted, 2);
             assert_sparse_delivers_dense_bytes(peers + 1, &star_pattern(peers), 1);
+        }
+    }
+
+    #[test]
+    fn a_dense_exchange_hides_the_link_latency() {
+        // 128 ranks, 64 bytes to every rank: with a window of sends in
+        // flight, a rank is busy with its own send and receive overheads
+        // while the link latency passes, so it finishes within one latency
+        // of paying them back to back. A window of 8 waits out a latency
+        // every 8 peers instead.
+        let n = 128;
+        let edges: Edges = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d, 64)))
+            .collect();
+        let net = WorldConfig::summit(n).net;
+        let bound =
+            (net.send_overhead + net.recv_overhead) * (n as u64 - 1) + net.gpu_latency_inter;
+        for (rank, (_, took)) in exchange(n, &edges, false, 1).iter().enumerate() {
+            assert!(*took <= bound, "rank {rank}: {took:?} > {bound:?}");
         }
     }
 

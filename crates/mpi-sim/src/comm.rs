@@ -74,7 +74,7 @@ use gpu_sim::{MemSpace, SimTime};
 use tempi_trace::LANE_CPU;
 
 use crate::error::{MpiError, MpiResult};
-use crate::p2p::{Message, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_REVOKE};
+use crate::p2p::{Message, Payload, TAG_AGREE_DECIDE, TAG_AGREE_GATHER, TAG_REVOKE};
 use crate::runtime::RankCtx;
 use crate::sched::{Examined, ParkOp};
 
@@ -124,7 +124,7 @@ impl RankCtx {
     /// The current communicator epoch (0 until the first shrink).
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.epoch.into()
     }
 
     /// Current membership: `comm_members()[comm_rank]` is the world rank at
@@ -157,15 +157,14 @@ impl RankCtx {
     /// `deliver_payload`).
     fn control_message(&self, tag: i32, payload: Vec<u8>) -> Message {
         Message {
-            src: self.rank,
-            src_world: self.world_rank,
+            src_world: self.world_rank as u32,
             epoch: self.epoch,
             tag,
-            payload,
+            payload: Payload::Pooled(payload),
             sender_space: MemSpace::Host,
             depart: self.clock.now(),
             part: None,
-            checksum: None,
+            checksum: 0,
         }
     }
 
@@ -214,19 +213,21 @@ impl RankCtx {
     }
 
     /// One wait step of the agreement protocol at `epoch`: block until a
-    /// gather from comm rank `gather_from` arrives (when requested), a
+    /// gather from world rank `gather_from` arrives (when requested), a
     /// decision arrives from anyone, or world rank `watch_world` is known
     /// dead. Control traffic is absorbed; unrelated data is queued.
     fn agree_wait(
         &mut self,
-        epoch: u64,
+        epoch: u32,
         gather_from: Option<usize>,
         watch_world: usize,
     ) -> MpiResult<AgreeEvent> {
         let me = self.world_rank;
         let decide = |m: &Message| m.epoch == epoch && m.tag == TAG_AGREE_DECIDE;
         let gather = |m: &Message| {
-            m.epoch == epoch && m.tag == TAG_AGREE_GATHER && Some(m.src) == gather_from
+            m.epoch == epoch
+                && m.tag == TAG_AGREE_GATHER
+                && Some(m.src_world as usize) == gather_from
         };
         let event = |m: Message| match decide(&m) {
             true => AgreeEvent::Decide(Ballot::decode(&m.payload), m.depart),
@@ -331,7 +332,7 @@ impl RankCtx {
                     if union.contains(&jw) {
                         continue;
                     }
-                    match self.agree_wait(epoch, Some(j), jw)? {
+                    match self.agree_wait(epoch, Some(jw), jw)? {
                         AgreeEvent::Gather(ballot, depart) => {
                             union.extend(ballot.dead.into_iter().filter(|w| members.contains(w)));
                             min = min.min(ballot.value);

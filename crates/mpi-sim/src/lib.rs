@@ -61,7 +61,10 @@ pub use fault::{
     DegradeEvent, DelaySpec, FaultInjector, FaultPlan, FaultSite, FaultStats, RankExit, ScopedFault,
 };
 pub use net::{NetModel, Transport};
-pub use p2p::{check_item_offsets, transfer_bytes, Message, PartInfo, ProbeInfo, Status};
+pub use p2p::{
+    check_item_offsets, transfer_bytes, Message, PartInfo, Payload, ProbeInfo, Status,
+    INLINE_PAYLOAD_BYTES,
+};
 pub use reliability::{payload_checksum, FaultState};
 pub use runtime::{RankCtx, World, WorldConfig};
 pub use sched::{INBOX_HWM, PAYLOAD_POOL_BYTES};

@@ -21,7 +21,7 @@ use tempi_trace::sync::RwLock;
 use crate::datatype::{typemap, Combiner, Datatype, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::net::Transport;
-use crate::runtime::RankCtx;
+use crate::runtime::{Members, RankCtx};
 use crate::sched::{payload_class, Examined, ParkOp};
 use crate::vendor::{baseline_gpu_xfer, offset_ptr};
 
@@ -63,45 +63,110 @@ pub struct PartInfo {
     pub runs: u32,
 }
 
-/// A message in flight.
+/// Most bytes a payload carries inside its message ([`Payload::Inline`]):
+/// an exchange's small messages move without a buffer of their own.
+pub const INLINE_PAYLOAD_BYTES: usize = 64;
+
+/// The bytes a message carries: at most [`INLINE_PAYLOAD_BYTES`] in the
+/// message itself, more in a buffer off the router's free list.
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// Bytes carried in the message itself.
+    Inline {
+        /// How many of `bytes` are the payload.
+        len: u8,
+        /// The payload, then unused bytes.
+        bytes: [u8; INLINE_PAYLOAD_BYTES],
+    },
+    /// A pooled buffer ([`crate::PAYLOAD_POOL_BYTES`]).
+    Pooled(Vec<u8>),
+}
+
+impl Payload {
+    /// No bytes, in the message.
+    pub const EMPTY: Payload = Payload::Inline {
+        len: 0,
+        bytes: [0; INLINE_PAYLOAD_BYTES],
+    };
+
+    /// Append `more`; inline bytes that would pass
+    /// [`INLINE_PAYLOAD_BYTES`] move to a buffer of their own first.
+    pub fn extend_from_slice(&mut self, more: &[u8]) {
+        if let Payload::Inline { len, bytes } = self {
+            let (at, end) = (*len as usize, *len as usize + more.len());
+            if end <= INLINE_PAYLOAD_BYTES {
+                bytes[at..end].copy_from_slice(more);
+                *len = end as u8;
+                return;
+            }
+            *self = Payload::Pooled(bytes[..at].to_vec());
+        }
+        if let Payload::Pooled(buf) = self {
+            buf.extend_from_slice(more);
+        }
+    }
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Inline { len, bytes } => &bytes[..*len as usize],
+            Payload::Pooled(buf) => buf,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Payload {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match self {
+            Payload::Inline { len, bytes } => &mut bytes[..*len as usize],
+            Payload::Pooled(buf) => buf,
+        }
+    }
+}
+
+/// A message in flight: 120 bytes, most of a slot of the router's store.
+/// Ranks and epochs are `u32`s, as MPI's ranks are `int`s.
 #[derive(Debug, Clone)]
 pub struct Message {
-    /// Sending rank (in the sender's communicator at send time).
-    pub src: usize,
     /// Sending rank in the original world — stable across shrinks; drives
-    /// the network model's node-locality decisions.
-    pub src_world: usize,
+    /// the network model's node-locality decisions. Its rank in the
+    /// communicator is its place among the members, on which every member
+    /// of the message's epoch agrees.
+    pub src_world: u32,
     /// Communicator epoch the message was sent under. Receivers only match
     /// traffic from their current epoch; anything older is late traffic
     /// from before a shrink and is dropped, not misdelivered.
-    pub epoch: u64,
+    pub epoch: u32,
     /// Message tag.
     pub tag: i32,
     /// The packed payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
     /// Address space of the sender's buffer (drives CUDA-aware routing).
     pub sender_space: MemSpace,
     /// Sender's virtual clock at departure.
     pub depart: SimTime,
     /// Chunk metadata when this is one part of a pipelined transfer.
     pub part: Option<PartInfo>,
-    /// FNV-1a 64 of `payload`, stamped by integrity-enabled senders.
-    /// Receivers verify it against the bytes that crossed the (possibly
-    /// corrupting) wire; `None` means the envelope carries no integrity
-    /// information and corruption is delivered silently.
-    pub checksum: Option<u64>,
+    /// FNV-1a 64 of `payload`, stamped by senders in a world with
+    /// integrity on (0 otherwise) and verified by its receivers against
+    /// the bytes that crossed the (possibly corrupting) wire; without
+    /// integrity, corruption is delivered silently.
+    pub checksum: u64,
 }
 
 impl Message {
     /// Does this message satisfy a receive of `(src, tag)` posted under
-    /// `epoch`? `None` is a wildcard (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`).
+    /// `epoch`, `src` named by its world rank? `None` is a wildcard
+    /// (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`).
     /// Only current-epoch traffic matches, and wildcards only see user
     /// traffic (tag >= 0) — except that an explicit internal tag
     /// (collectives) may match wildcard-source.
-    pub(crate) fn matches(&self, epoch: u64, src: Option<usize>, tag: Option<i32>) -> bool {
+    pub(crate) fn matches(&self, epoch: u32, src: Option<usize>, tag: Option<i32>) -> bool {
         let user = self.tag >= MIN_USER_TAG;
         let src_ok = match src {
-            Some(s) => self.src == s,
+            Some(s) => self.src_world as usize == s,
             None => user || tag.is_some_and(|t| t < MIN_USER_TAG),
         };
         let tag_ok = match tag {
@@ -256,7 +321,7 @@ impl RankCtx {
         buf: GpuPtr,
         count: usize,
         wt: &WireType,
-    ) -> MpiResult<Vec<u8>> {
+    ) -> MpiResult<Payload> {
         let mut out = self.take_payload(wt.size * count);
         let mem = self.gpu.memory();
         let from = mem.region(buf);
@@ -400,7 +465,7 @@ impl RankCtx {
             }
             PackDir::Unpack => {
                 let mut payload = self.take_payload(bytes);
-                self.gpu.memory().peek_into(packed, bytes, &mut payload)?;
+                self.peek_payload(packed, bytes, &mut payload)?;
                 let landed = self.scatter_payload(typed, count, wt, &payload);
                 self.spend(payload);
                 landed?;
@@ -429,10 +494,10 @@ impl RankCtx {
         &mut self,
         msg: Message,
         dst_space: MemSpace,
-    ) -> MpiResult<Vec<u8>> {
+    ) -> MpiResult<Payload> {
         let bytes = msg.payload.len();
         let transport = Transport::for_spaces(msg.sender_space, dst_space);
-        let (from, net) = (msg.src_world, &self.net);
+        let (from, net) = (msg.src_world as usize, &self.net);
         let runs = msg.part.map_or(1, |p| p.runs.max(1));
         let len = bytes / runs as usize;
         let ser = net.serialization_time(len, transport, from, self.world_rank);
@@ -467,9 +532,9 @@ impl RankCtx {
         first: Message,
         capacity: usize,
         dst_space: MemSpace,
-        mut land: impl FnMut(&mut RankCtx, usize, Vec<u8>) -> MpiResult<Vec<u8>>,
+        mut land: impl FnMut(&mut RankCtx, usize, Payload) -> MpiResult<Payload>,
     ) -> MpiResult<Status> {
-        let (src, tag) = (first.src, first.tag);
+        let (src, tag) = (self.comm_members.rank_of(first.src_world), first.tag);
         let mut received = 0usize;
         let mut failed = None;
         let mut msg = first;
@@ -521,7 +586,7 @@ impl RankCtx {
         &mut self,
         dest: usize,
         tag: i32,
-        payload: Vec<u8>,
+        payload: Payload,
         sender_space: MemSpace,
     ) -> MpiResult<()> {
         self.post_at(dest, tag, payload, sender_space, SimTime::ZERO, None)
@@ -534,7 +599,7 @@ impl RankCtx {
         &mut self,
         dest: usize,
         tag: i32,
-        payload: Vec<u8>,
+        payload: Payload,
         sender_space: MemSpace,
         ready_at: SimTime,
         part: Option<PartInfo>,
@@ -545,8 +610,7 @@ impl RankCtx {
         let dest_world = self.comm_members.get(dest).unwrap_or(dest);
         let checksum = self.stamp(&payload);
         let msg = Message {
-            src: self.rank,
-            src_world: self.world_rank,
+            src_world: self.world_rank as u32,
             epoch: self.epoch,
             tag,
             payload,
@@ -609,27 +673,43 @@ impl RankCtx {
     ) -> MpiResult<()> {
         self.send_gate(dest)?;
         let mut payload = self.take_payload(len);
-        self.gpu.memory().peek_into(buf, len, &mut payload)?;
+        self.peek_payload(buf, len, &mut payload)?;
         self.post_at(dest, tag, payload, buf.space, ready_at, Some(part))
     }
 
-    /// An empty buffer with room for `len` bytes to send: this rank's
-    /// spare when it fits and `len` is of its capacity class, the rule the
-    /// world's free list picks by, else one off that list. A spare of a
-    /// larger class stays for the sends of its own size.
-    fn take_payload(&mut self, len: usize) -> Vec<u8> {
+    /// An empty payload with room for `len` bytes to send: inline up to
+    /// [`INLINE_PAYLOAD_BYTES`]; past that, this rank's spare when it fits
+    /// and `len` is of its capacity class, the rule the world's free list
+    /// picks by, else one off that list. A spare of a larger class stays
+    /// for the sends of its own size.
+    fn take_payload(&mut self, len: usize) -> Payload {
+        if len <= INLINE_PAYLOAD_BYTES {
+            return Payload::EMPTY;
+        }
         let cap = self.spare.capacity();
-        match len > 0 && cap >= len && payload_class(cap) == payload_class(len) {
+        let buf = match cap >= len && payload_class(cap) == payload_class(len) {
             true => std::mem::take(&mut self.spare),
             false => self.router.take_payload(len),
-        }
+        };
+        Payload::Pooled(buf)
     }
 
-    /// Hand back a payload this rank is done with: kept as its spare when
-    /// that is free and the buffer small, else to the world's free list.
-    /// Sends and receives alternate in an exchange, so most payloads go
-    /// round one rank without touching the shared list.
-    fn spend(&mut self, mut buf: Vec<u8>) {
+    /// Append the `len` bytes at `buf` to `payload`.
+    fn peek_payload(&self, buf: GpuPtr, len: usize, payload: &mut Payload) -> MpiResult<()> {
+        let mem = self.gpu.memory();
+        payload.extend_from_slice(mem.region(buf).read(buf.offset, len)?);
+        Ok(())
+    }
+
+    /// Hand back a payload this rank is done with: an inline one is simply
+    /// dropped; a buffer is kept as its spare when that is free and the
+    /// buffer small, else goes to the world's free list. Sends and
+    /// receives alternate in an exchange, so most payloads go round one
+    /// rank without touching the shared list.
+    fn spend(&mut self, payload: Payload) {
+        let Payload::Pooled(mut buf) = payload else {
+            return;
+        };
         if self.spare.capacity() > 0 || buf.capacity() > SPARE_BYTES {
             return self.router.recycle_payload(buf);
         }
@@ -688,8 +768,7 @@ impl RankCtx {
         src: Option<usize>,
         tag: Option<i32>,
     ) -> MpiResult<Message> {
-        let epoch = self.epoch;
-        let want = |m: &Message| m.matches(epoch, src, tag);
+        let want = self.wanted(src, tag);
         match self
             .router
             .kept(self.world_rank, |m| Examined::take_if(want(m)))
@@ -704,10 +783,9 @@ impl RankCtx {
     /// which TEMPI's receive path uses to pick the matching unpack method.
     pub fn probe(&mut self, src: Option<usize>, tag: Option<i32>) -> MpiResult<ProbeInfo> {
         self.check_comm()?;
-        let (epoch, me) = (self.epoch, self.world_rank);
-        let want = |m: &Message| m.matches(epoch, src, tag);
-        let info = |m: &Message| ProbeInfo {
-            source: m.src,
+        let (me, want) = (self.world_rank, self.wanted(src, tag));
+        let info = |members: &Members, m: &Message| ProbeInfo {
+            source: members.rank_of(m.src_world),
             tag: m.tag,
             bytes: m.payload.len(),
             sender_space: m.sender_space,
@@ -715,7 +793,7 @@ impl RankCtx {
         };
         let mut found = None;
         self.router.kept(me, |m| {
-            found = found.or_else(|| want(m).then(|| info(m)));
+            found = found.or_else(|| want(m).then(|| info(&self.comm_members, m)));
             Examined::Keep
         });
         if let Some(found) = found {
@@ -723,9 +801,18 @@ impl RankCtx {
         }
         // examined, and left for the receive that follows
         let m = self.await_arrival(ParkOp::Probe { src, tag }, want)?;
-        let found = info(&m);
+        let found = info(&self.comm_members, &m);
         self.router.keep(me, m);
         Ok(found)
+    }
+
+    /// What a receive of `(src, tag)` on this rank takes
+    /// ([`Message::matches`]); a `src` outside the communicator names no
+    /// world rank, and matches nothing.
+    fn wanted(&self, src: Option<usize>, tag: Option<i32>) -> impl Fn(&Message) -> bool {
+        let epoch = self.epoch;
+        let from = src.map(|s| self.comm_members.get(s).unwrap_or(usize::MAX));
+        move |m| m.matches(epoch, from, tag)
     }
 
     // ---- raw-bytes entry points (what an interposer can target) --------
@@ -735,7 +822,7 @@ impl RankCtx {
     pub fn send_bytes(&mut self, buf: GpuPtr, len: usize, dest: usize, tag: i32) -> MpiResult<()> {
         self.send_gate(dest)?;
         let mut payload = self.take_payload(len);
-        self.gpu.memory().peek_into(buf, len, &mut payload)?;
+        self.peek_payload(buf, len, &mut payload)?;
         self.post(dest, tag, payload, buf.space)
     }
 
@@ -809,7 +896,8 @@ impl RankCtx {
     ) -> MpiResult<Status> {
         self.recv_gate(src)?;
         let msg = self.match_message(src, tag)?;
-        let (source, tag, bytes) = (msg.src, msg.tag, msg.payload.len());
+        let source = self.comm_members.rank_of(msg.src_world);
+        let (tag, bytes) = (msg.tag, msg.payload.len());
         if bytes > maxlen {
             self.spend(msg.payload);
             return Err(MpiError::Truncated {
@@ -844,7 +932,7 @@ impl RankCtx {
         let fully_contiguous = wt.fully_contiguous(count);
 
         if bytes == 0 {
-            return self.post(dest, tag, Vec::new(), buf.space);
+            return self.post(dest, tag, Payload::EMPTY, buf.space);
         }
 
         if buf.space == MemSpace::Device && !fully_contiguous {
@@ -852,10 +940,10 @@ impl RankCtx {
             // temporary device buffer, then CUDA-aware transfer. The
             // buffer is freed, and a payload taken is spent, on every exit.
             let tmp = self.gpu.malloc(bytes)?;
-            let mut payload = Vec::new();
+            let mut payload = Payload::EMPTY;
             let packed = (self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp)).and_then(|()| {
                 payload = self.take_payload(bytes);
-                Ok(self.gpu.memory().peek_into(tmp, bytes, &mut payload)?)
+                self.peek_payload(tmp, bytes, &mut payload)
             });
             let freed = self.gpu.free(tmp).map_err(MpiError::from);
             if let Err(e) = packed.and(freed) {
@@ -957,13 +1045,13 @@ impl RankCtx {
         capacity: usize,
         space: MemSpace,
         dt: Datatype,
-    ) -> MpiResult<(Status, Vec<u8>)> {
-        let mut payload = Vec::new();
+    ) -> MpiResult<(Status, Payload)> {
+        let mut payload = Payload::EMPTY;
         let st = self
             .deliver_transfer(msg, capacity, space, |_, off, part| {
                 if off == 0 {
                     payload = part;
-                    return Ok(Vec::new());
+                    return Ok(Payload::EMPTY);
                 }
                 payload.extend_from_slice(&part);
                 Ok(part)
@@ -1240,6 +1328,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_typed_recv_gathers_small_parts_past_the_inline_bytes() {
+        // three 40-byte parts: the first travels inline, and the typed
+        // receive that gathers all three into one payload outgrows it
+        let (len, n) = (40usize, 3u32);
+        let results = World::run(&WorldConfig::summit(2), |ctx| {
+            let buf = ctx.gpu.host_alloc(len * n as usize)?;
+            if ctx.rank == 0 {
+                let data: Vec<u8> = (0..len * n as usize).map(|i| i as u8).collect();
+                ctx.gpu.memory().poke(buf, &data)?;
+                for index in 0..n {
+                    let part = PartInfo {
+                        index,
+                        total: n,
+                        runs: 1,
+                    };
+                    let at = buf.add(index as usize * len);
+                    ctx.send_bytes_part(at, len, 1, 0, SimTime::ZERO, part)?;
+                }
+                return Ok(vec![]);
+            }
+            let st = ctx.recv(buf, len * n as usize, MPI_BYTE, Some(0), Some(0))?;
+            assert_eq!(st.bytes, len * n as usize);
+            Ok(ctx.gpu.memory().peek(buf, len * n as usize)?)
+        })
+        .unwrap();
+        let want: Vec<u8> = (0..len * n as usize).map(|i| i as u8).collect();
+        assert_eq!(results[1], want);
     }
 
     #[test]

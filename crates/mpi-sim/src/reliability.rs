@@ -34,7 +34,7 @@ use gpu_sim::{GpuContext, MemSpace, SimTime};
 use crate::error::{MpiError, MpiResult};
 use crate::fault::{FaultInjector, FaultSite, FaultStats};
 use crate::net::Transport;
-use crate::p2p::{Message, TAG_DEATH, TAG_REVOKE};
+use crate::p2p::{Message, Payload, TAG_DEATH, TAG_REVOKE};
 use crate::runtime::{RankCtx, WorldConfig};
 use crate::sched::{Examined, ParkOp};
 
@@ -184,15 +184,14 @@ impl RankCtx {
         }
         self.faults.death_sent = true;
         let notice = Message {
-            src: self.rank,
-            src_world: self.world_rank,
+            src_world: self.world_rank as u32,
             epoch: self.epoch,
             tag: TAG_DEATH,
-            payload: Vec::new(),
+            payload: Payload::EMPTY,
             sender_space: MemSpace::Host,
             depart: at,
             part: None,
-            checksum: None,
+            checksum: 0,
         };
         for w in 0..self.world_size {
             if w != self.world_rank {
@@ -267,9 +266,12 @@ impl RankCtx {
     // ---- delivery --------------------------------------------------------
 
     /// The checksum an envelope of `payload` carries: with integrity on,
-    /// the payload's; without, none.
-    pub(crate) fn stamp(&self, payload: &[u8]) -> Option<u64> {
-        self.faults.integrity.then(|| payload_checksum(payload))
+    /// the payload's; without, 0, which no receiver reads.
+    pub(crate) fn stamp(&self, payload: &[u8]) -> u64 {
+        match self.faults.integrity {
+            true => payload_checksum(payload),
+            false => 0,
+        }
     }
 
     /// Charge any injected extra delivery latency to the virtual clock —
@@ -287,9 +289,9 @@ impl RankCtx {
     }
 
     /// The bytes of a priced delivery that land: apply any injected
-    /// in-transit corruption and — when the envelope carries a checksum —
-    /// verify it and run the bounded NACK/retransmit handshake, all in
-    /// virtual time on this rank's clock.
+    /// in-transit corruption and — in a world with integrity on — verify
+    /// the envelope's checksum and run the bounded NACK/retransmit
+    /// handshake, all in virtual time on this rank's clock.
     ///
     /// The corruption model is receive-sided: the sender's pristine payload
     /// sits in the in-flight [`Message`], and this rank's seeded injector
@@ -297,10 +299,10 @@ impl RankCtx {
     /// wire got a bit flipped. A retransmit therefore re-reads the pristine
     /// bytes and redraws the corruption coin; each round trip charges one
     /// NACK wire plus one payload wire. Exhausting the budget surfaces
-    /// [`MpiError::Corrupted`]. Without a checksum (integrity disabled) a
-    /// flipped byte is delivered silently — the failure mode the integrity
-    /// envelope exists to close.
-    pub(crate) fn verified(&mut self, msg: Message, transport: Transport) -> MpiResult<Vec<u8>> {
+    /// [`MpiError::Corrupted`]. With integrity disabled a flipped byte is
+    /// delivered silently — the failure mode the integrity envelope exists
+    /// to close.
+    pub(crate) fn verified(&mut self, msg: Message, transport: Transport) -> MpiResult<Payload> {
         let max_retries = self.faults.injector.as_ref().map_or(0, |i| i.max_retries());
         let bytes = msg.payload.len();
         let mut payload = msg.payload;
@@ -314,10 +316,7 @@ impl RankCtx {
                 self.faults.stats.corruptions += 1;
                 payload[idx] ^= mask;
             }
-            let Some(expect) = msg.checksum else {
-                return Ok(payload);
-            };
-            if payload_checksum(&payload) == expect {
+            if !self.faults.integrity || payload_checksum(&payload) == msg.checksum {
                 return Ok(payload);
             }
             // the sender still holds the pristine bytes: undo this
@@ -328,15 +327,15 @@ impl RankCtx {
             self.faults.stats.nacks += 1;
             if attempt >= max_retries {
                 return Err(MpiError::Corrupted {
-                    peer: msg.src,
+                    peer: self.comm_members.rank_of(msg.src_world),
                     attempts: attempt + 1,
                 });
             }
             // one NACK back to the sender plus one payload retransmit,
             // charged to this rank's virtual clock
-            let (me, net) = (self.world_rank, &self.net);
-            let nack_wire = net.transfer_time(1, Transport::Cpu, me, msg.src_world);
-            let round_trip = nack_wire + net.transfer_time(bytes, transport, msg.src_world, me);
+            let (me, from, net) = (self.world_rank, msg.src_world as usize, &self.net);
+            let nack_wire = net.transfer_time(1, Transport::Cpu, me, from);
+            let round_trip = nack_wire + net.transfer_time(bytes, transport, from, me);
             self.clock.advance(round_trip);
             self.faults.stats.nack_time += round_trip;
             self.faults.stats.retransmits += 1;
@@ -354,7 +353,7 @@ impl RankCtx {
         match m.tag {
             TAG_DEATH => {
                 if let std::collections::btree_map::Entry::Vacant(e) =
-                    self.faults.known_dead.entry(m.src_world)
+                    self.faults.known_dead.entry(m.src_world as usize)
                 {
                     e.insert(m.depart);
                     self.faults.stats.death_notices += 1;

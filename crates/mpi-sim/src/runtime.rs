@@ -248,6 +248,16 @@ impl Members {
         }
     }
 
+    /// The comm rank of member `world`; panics when it is no member.
+    pub(crate) fn rank_of(&self, world: u32) -> usize {
+        let world = world as usize;
+        match self {
+            Members::Identity(_) => world,
+            // survivors keep their world order
+            Members::Explicit(v) => v.binary_search(&world).expect("a member's world rank"),
+        }
+    }
+
     /// World rank at comm rank `i`; panics when out of range.
     pub(crate) fn world(&self, i: usize) -> usize {
         self.get(i).expect("comm rank within communicator")
@@ -308,7 +318,7 @@ pub struct RankCtx {
     pub(crate) comm_members: Members,
     /// Communicator generation; bumped by every shrink and stamped into
     /// message envelopes so late traffic from a prior epoch is rejected.
-    pub(crate) epoch: u64,
+    pub(crate) epoch: u32,
     /// When the link finishes serialising the last part this rank took
     /// delivery of: the next part of the same transfer queues behind it.
     pub(crate) part_link_free: SimTime,

@@ -87,7 +87,7 @@ pub(crate) enum ParkOp {
     /// A send held back by `dest`'s full inbox.
     Backpressure { dest: usize },
     /// One wait step of the agreement protocol.
-    Agree { epoch: u64 },
+    Agree { epoch: u32 },
 }
 
 /// `Some(v)` as `v`, a wildcard as `*`.

@@ -1,16 +1,22 @@
 //! Message delivery with bounded inboxes.
 //!
-//! One locked FIFO inbox per rank — O(N) state for an N-rank world, where
-//! a sender handle per pair would be O(N²) — and the rank's only queue of
+//! One world-wide store of message slots, and per rank one inbox threading
+//! a list through it — O(N) state for an N-rank world, where a sender
+//! handle per pair would be O(N²). The inbox is the rank's only queue of
 //! unexpected messages:
 //!
-//! * **per-pair FIFO**: a rank's sends are sequential and each push takes
-//!   the destination's lock, so MPI's non-overtaking guarantee holds;
+//! * **one store**: every waiting message sits in a slot of the world's
+//!   store, fixed-size chunks whose free slots wait on a free list, so the
+//!   world holds slots for what it has in flight at once, not for the sum
+//!   of every rank's deepest inbox;
+//! * **per-pair FIFO**: a rank's sends are sequential and each push
+//!   appends to the destination's list under the world's inbox lock, so
+//!   MPI's non-overtaking guarantee holds;
 //! * **matching in place**: a receive examines the messages it has not
-//!   seen yet where they lie, under the inbox lock ([`Router::examine`]).
-//!   Those it passes over stay, as the *kept prefix*: the first `kept`
-//!   messages, in arrival order, which the next receive scans first
-//!   ([`Router::kept`]). The rest are the unexamined tail;
+//!   seen yet where they lie ([`Router::examine`]). Those it passes over
+//!   stay, as the *kept prefix*: the first `kept` messages, in arrival
+//!   order, which the next receive scans first ([`Router::kept`]). The
+//!   rest are the unexamined tail;
 //! * **receiver wakes**: a push wakes the destination's parked fiber;
 //! * **backpressure**: user-payload traffic to a remote rank parks the
 //!   *sender* while the destination's unexamined tail sits at the
@@ -29,7 +35,6 @@
 //! a rank whose body already returned simply sits in its queue (and, its
 //! owner being finished rather than parked, never masks a deadlock).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gpu_sim::SimTime;
@@ -126,13 +131,83 @@ impl Examined {
     }
 }
 
-#[derive(Default)]
+/// Slots per chunk of the world's message store.
+const CHUNK_SLOTS: usize = 256;
+
+/// The end of a list of slots.
+const NIL: u32 = u32::MAX;
+
+/// A message waiting in the store, or a free slot.
+struct Slot {
+    msg: Option<Message>,
+    /// The next slot of the inbox or the free list holding this one.
+    next: u32,
+}
+
+/// Every message delivered and not yet taken, world-wide: chunks of
+/// [`CHUNK_SLOTS`] slots, so the store grows to what the world has in
+/// flight at once, and a taken slot is the next one filled.
+struct Store {
+    chunks: Vec<Box<[Slot]>>,
+    /// The first free slot.
+    free: u32,
+}
+
+impl Store {
+    const EMPTY: Store = Store {
+        chunks: Vec::new(),
+        free: NIL,
+    };
+
+    fn slot(&self, i: u32) -> &Slot {
+        let i = i as usize;
+        &self.chunks[i / CHUNK_SLOTS][i % CHUNK_SLOTS]
+    }
+
+    fn slot_mut(&mut self, i: u32) -> &mut Slot {
+        let i = i as usize;
+        &mut self.chunks[i / CHUNK_SLOTS][i % CHUNK_SLOTS]
+    }
+
+    /// Place `msg` in a free slot, a fresh chunk's first when none is
+    /// free, and return the slot.
+    fn put(&mut self, msg: Message) -> u32 {
+        if self.free == NIL {
+            let first = u32::try_from(self.chunks.len() * CHUNK_SLOTS)
+                .expect("fewer than 2^32 waiting messages");
+            let free = (first + 1..).take(CHUNK_SLOTS - 1).chain([NIL]);
+            let chunk = free.map(|next| Slot { msg: None, next });
+            self.chunks.push(chunk.collect());
+            self.free = first;
+        }
+        let i = self.free;
+        let slot = self.slot_mut(i);
+        slot.msg = Some(msg);
+        self.free = slot.next;
+        i
+    }
+
+    /// Empty slot `i` onto the free list and return its message.
+    fn take(&mut self, i: u32) -> Message {
+        let free = self.free;
+        let slot = self.slot_mut(i);
+        let msg = slot.msg.take().expect("an inbox lists occupied slots only");
+        slot.next = free;
+        self.free = i;
+        msg
+    }
+}
+
+/// One rank's inbox: a list through the store's slots.
 struct InboxQ {
     /// Every message delivered and not taken, in arrival order: the first
     /// `kept` were examined and left, the rest are unexamined.
-    msgs: VecDeque<Message>,
-    /// A `u32` beside `recv_parked` keeps a rank's inbox at 64 bytes.
+    head: u32,
+    tail: u32,
+    /// The kept prefix's last slot ([`NIL`] while it is empty).
+    kept_last: u32,
     kept: u32,
+    len: u32,
     /// The owning fiber is parked waiting for a push.
     recv_parked: bool,
     /// Sender ranks parked on this inbox's high-water mark.
@@ -140,39 +215,109 @@ struct InboxQ {
 }
 
 impl InboxQ {
+    const EMPTY: InboxQ = InboxQ {
+        head: NIL,
+        tail: NIL,
+        kept_last: NIL,
+        kept: 0,
+        len: 0,
+        recv_parked: false,
+        send_parked: Vec::new(),
+    };
+
     /// Messages no receive has examined yet: what the high-water mark
     /// counts.
     fn unexamined(&self) -> usize {
-        self.msgs.len() - self.kept as usize
+        (self.len - self.kept) as usize
+    }
+
+    /// The slot after `i` in this list, where `NIL` stands before the head.
+    fn after(&self, store: &Store, i: u32) -> u32 {
+        match i {
+            NIL => self.head,
+            _ => store.slot(i).next,
+        }
+    }
+
+    /// Make `i` the slot after `prev`.
+    fn set_after(&mut self, store: &mut Store, prev: u32, i: u32) {
+        match prev {
+            NIL => self.head = i,
+            _ => store.slot_mut(prev).next = i,
+        }
+    }
+
+    /// Link `i` in after `prev` ([`NIL`]: at the head).
+    fn link(&mut self, store: &mut Store, prev: u32, i: u32) {
+        let next = self.after(store, prev);
+        store.slot_mut(i).next = next;
+        self.set_after(store, prev, i);
+        if next == NIL {
+            self.tail = i;
+        }
+        self.len += 1;
     }
 
     /// Walk the kept prefix, or with `fresh` the unexamined tail, in
     /// arrival order, until `f` takes a message. A message of the tail that
     /// `f` keeps joins the prefix.
-    fn walk(&mut self, fresh: bool, f: &mut impl FnMut(&Message) -> Examined) -> Option<Message> {
-        let end = |q: &Self| if fresh { q.msgs.len() } else { q.kept as usize };
-        let mut at = if fresh { self.kept as usize } else { 0 };
-        while at < end(self) {
-            match f(&self.msgs[at]) {
-                // in the tail, `at` is the prefix's end
-                Examined::Keep => (at, self.kept) = (at + 1, self.kept + u32::from(fresh)),
+    fn walk(
+        &mut self,
+        store: &mut Store,
+        fresh: bool,
+        f: &mut impl FnMut(&Message) -> Examined,
+    ) -> Option<Message> {
+        let (mut prev, mut left) = match fresh {
+            true => (self.kept_last, self.unexamined()),
+            false => (NIL, self.kept as usize),
+        };
+        let mut at = self.after(store, prev);
+        while left > 0 {
+            left -= 1;
+            let Slot { msg, next } = store.slot(at);
+            let next = *next;
+            match f(msg.as_ref().expect("an inbox lists occupied slots only")) {
+                Examined::Keep => {
+                    if fresh {
+                        (self.kept_last, self.kept) = (at, self.kept + 1);
+                    }
+                    prev = at;
+                }
                 step => {
-                    let m = self.msgs.remove(at);
+                    self.set_after(store, prev, next);
+                    if self.tail == at {
+                        self.tail = prev;
+                    }
+                    if self.kept_last == at {
+                        self.kept_last = prev;
+                    }
+                    self.len -= 1;
                     self.kept -= u32::from(!fresh);
+                    let m = store.take(at);
                     if let Examined::Take = step {
-                        return m;
+                        return Some(m);
                     }
                 }
             }
+            at = next;
         }
         None
     }
 }
 
-/// Shared delivery fabric for one world: a bounded FIFO inbox per rank,
-/// and the scheduler whose fibers park on (and are woken through) them.
+/// The world's waiting messages and the inboxes listing them.
+struct Inboxes {
+    store: Store,
+    ranks: Vec<InboxQ>,
+}
+
+/// Shared delivery fabric for one world: one store of waiting messages, a
+/// bounded FIFO inbox per rank through it, and the scheduler whose fibers
+/// park on (and are woken through) them.
 pub(crate) struct Router {
-    slots: Vec<Mutex<InboxQ>>,
+    /// One lock for the store and every inbox: a push links a slot into
+    /// the destination's list, and only one fiber runs at a time.
+    inboxes: Mutex<Inboxes>,
     sched: SchedCore,
     /// Payloads are taken by the sender and spent by the receiver, so
     /// only a list both can reach recycles them.
@@ -184,8 +329,15 @@ pub(crate) struct Router {
 impl Router {
     /// A router for `n` ranks scheduled by `sched`.
     pub(crate) fn new(n: usize, sched: SchedCore) -> Router {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a message names its sender by a u32 rank"
+        );
         Router {
-            slots: (0..n).map(|_| Mutex::new(InboxQ::default())).collect(),
+            inboxes: Mutex::new(Inboxes {
+                store: Store::EMPTY,
+                ranks: (0..n).map(|_| InboxQ::EMPTY).collect(),
+            }),
             sched,
             payloads: Mutex::default(),
             running: AtomicUsize::new(n),
@@ -210,13 +362,19 @@ impl Router {
         self.payloads.lock().put(buf);
     }
 
-    /// A rank's body returned. The last one frees the pooled payloads, on
-    /// the worker thread that allocated most of them: freed by the caller's
-    /// thread as the world drops, they leave the allocator unable to hand
-    /// their pages back, and the next world starts that much larger.
+    /// A rank's body returned. The last one frees the pooled payloads and
+    /// the message store, on the worker thread that allocated most of
+    /// them: freed by the caller's thread as the world drops, they leave
+    /// the allocator unable to hand their pages back, and the next world
+    /// starts that much larger.
     pub(crate) fn rank_done(&self) {
         if self.running.fetch_sub(1, Ordering::SeqCst) == 1 {
             *self.payloads.lock() = PayloadPool::default();
+            let Inboxes { store, ranks } = &mut *self.inboxes.lock();
+            *store = Store::EMPTY;
+            for q in ranks {
+                *q = InboxQ::EMPTY;
+            }
         }
     }
 
@@ -225,11 +383,13 @@ impl Router {
         self.payloads.lock().bytes
     }
 
-    /// Push under the queue lock and wake the receiver.
-    fn deliver_locked(&self, dest: usize, mut q: MutexGuard<'_, InboxQ>, msg: Message) {
-        q.msgs.push_back(msg);
+    /// Append to `dest`'s inbox under the lock and wake its owner.
+    fn deliver_locked(&self, dest: usize, mut inboxes: MutexGuard<'_, Inboxes>, msg: Message) {
+        let Inboxes { store, ranks } = &mut *inboxes;
+        let (q, i) = (&mut ranks[dest], store.put(msg));
+        q.link(store, q.tail, i);
         let wake = std::mem::take(&mut q.recv_parked);
-        drop(q);
+        drop(inboxes);
         if wake {
             self.sched.wake(dest);
         }
@@ -238,8 +398,7 @@ impl Router {
     /// Deliver unconditionally (control traffic, self-sends): never
     /// blocks, never fails.
     pub(crate) fn push(&self, dest: usize, msg: Message) {
-        let q = self.slots[dest].lock();
-        self.deliver_locked(dest, q, msg);
+        self.deliver_locked(dest, self.inboxes.lock(), msg);
     }
 
     /// Deliver subject to the high-water mark: while `dest`'s unexamined
@@ -251,29 +410,31 @@ impl Router {
     /// backpressure).
     pub(crate) fn push_bounded(&self, me: usize, dest: usize, msg: Message, now: SimTime) {
         while self.sched.verdict().is_none() {
-            let mut q = self.slots[dest].lock();
+            let mut inboxes = self.inboxes.lock();
+            let q = &mut inboxes.ranks[dest];
             // A spurious wake can leave this sender still registered.
             q.send_parked.retain(|&r| r != me);
             if q.unexamined() < INBOX_HWM {
-                self.deliver_locked(dest, q, msg);
+                self.deliver_locked(dest, inboxes, msg);
                 return;
             }
             q.send_parked.push(me);
-            drop(q);
+            drop(inboxes);
             self.sched.park(me, now, ParkOp::Backpressure { dest });
         }
         self.push(dest, msg);
     }
 
-    /// After a receive examined messages: once the unexamined tail drops
-    /// below the high-water mark, wake every backpressured sender (each
-    /// re-checks and re-parks if the mark is hit again).
-    fn after_examine(&self, mut q: MutexGuard<'_, InboxQ>) {
+    /// After a receive examined `me`'s messages: once the unexamined tail
+    /// drops below the high-water mark, wake every backpressured sender
+    /// (each re-checks and re-parks if the mark is hit again).
+    fn after_examine(&self, me: usize, mut inboxes: MutexGuard<'_, Inboxes>) {
+        let q = &mut inboxes.ranks[me];
         if q.unexamined() >= INBOX_HWM || q.send_parked.is_empty() {
             return;
         }
         let to_wake = std::mem::take(&mut q.send_parked);
-        drop(q);
+        drop(inboxes);
         for r in to_wake {
             self.sched.wake(r);
         }
@@ -286,7 +447,8 @@ impl Router {
         me: usize,
         mut f: impl FnMut(&Message) -> Examined,
     ) -> Option<Message> {
-        self.slots[me].lock().walk(false, &mut f)
+        let Inboxes { store, ranks } = &mut *self.inboxes.lock();
+        ranks[me].walk(store, false, &mut f)
     }
 
     /// Examine `me`'s unexamined messages in place, in arrival order,
@@ -304,19 +466,21 @@ impl Router {
             if let Some(verdict) = self.sched.verdict() {
                 return Err(verdict.clone());
             }
-            let mut q = self.slots[me].lock();
+            let mut inboxes = self.inboxes.lock();
+            let Inboxes { store, ranks } = &mut *inboxes;
+            let q = &mut ranks[me];
             // Clear a flag a verdict wake left behind.
             q.recv_parked = false;
             if q.unexamined() > 0 {
-                let taken = q.walk(true, &mut f);
-                self.after_examine(q);
+                let taken = q.walk(store, true, &mut f);
+                self.after_examine(me, inboxes);
                 match taken {
                     Some(m) => return Ok(m),
                     None => continue,
                 }
             }
             q.recv_parked = true;
-            drop(q);
+            drop(inboxes);
             self.sched.park(me, now, op);
         }
     }
@@ -324,15 +488,17 @@ impl Router {
     /// Put back a message [`Router::examine`] took, at the end of `me`'s
     /// kept prefix, where keeping it would have left it.
     pub(crate) fn keep(&self, me: usize, m: Message) {
-        let q = &mut *self.slots[me].lock();
-        q.msgs.insert(q.kept as usize, m);
-        q.kept += 1;
+        let Inboxes { store, ranks } = &mut *self.inboxes.lock();
+        let q = &mut ranks[me];
+        let i = store.put(m);
+        q.link(store, q.kept_last, i);
+        (q.kept_last, q.kept) = (i, q.kept + 1);
     }
 
     /// `rank`'s kept messages and its unexamined ones (teardown and test
     /// accounting).
     pub(crate) fn depths(&self, rank: usize) -> (usize, usize) {
-        let q = self.slots[rank].lock();
+        let q = &self.inboxes.lock().ranks[rank];
         (q.kept as usize, q.unexamined())
     }
 }
@@ -362,8 +528,34 @@ mod tests {
     }
 
     #[test]
-    fn a_ranks_inbox_record_is_64_bytes() {
-        assert_eq!(size_of::<InboxQ>(), 64);
+    fn a_ranks_inbox_is_48_bytes_and_a_slot_128() {
+        // 32,768 waiting messages, a 1,024-rank dense exchange's window of
+        // 32 each, fit in 4 MiB
+        assert_eq!(size_of::<InboxQ>(), 48);
+        assert_eq!(size_of::<Slot>(), 128);
+    }
+
+    #[test]
+    fn a_long_ping_pong_ends_holding_one_chunk() {
+        // every taken slot is the next one filled, so two ranks trading
+        // 10,000 messages, small and large, never need a second chunk
+        let chunks = crate::World::run(&crate::WorldConfig::summit(2), |ctx| {
+            let buf = ctx.gpu.host_alloc(1 << 10)?;
+            let peer = 1 - ctx.rank;
+            for i in 0..5_000 {
+                let len = [8, 1 << 10][i % 2];
+                if ctx.rank == 1 {
+                    ctx.recv_bytes(buf, len, Some(peer), Some(0))?;
+                }
+                ctx.send_bytes(buf, len, peer, 0)?;
+                if ctx.rank == 0 {
+                    ctx.recv_bytes(buf, len, Some(peer), Some(0))?;
+                }
+            }
+            Ok(ctx.router.inboxes.lock().store.chunks.len())
+        })
+        .unwrap();
+        assert_eq!(chunks, [1, 1]);
     }
 
     #[test]

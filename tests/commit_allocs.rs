@@ -5,8 +5,10 @@
 //! set-up, nothing for filling its grid, and an intern table that holds no plan no type uses; and the
 //! system MPI packing and unpacking a non-dense type it has moved before,
 //! nothing. A warm tuner decides a send without the heap in every mode,
-//! probes included, a traced metric that exists records without it, and
-//! a warm 26-peer sparse `alltoallv` moves its messages without it.
+//! probes included, a traced metric that exists records without it, a
+//! message of at most 64 bytes travels without it, and a warm 26-peer
+//! sparse `alltoallv` and a warm 64-rank dense one move their messages
+//! without it.
 //! The allocator counts per thread, so the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -328,6 +330,28 @@ fn a_warm_metric_records_without_the_heap() {
     assert_eq!(metrics.counter("tempi.sends"), 257);
 }
 
+/// A message of at most 64 bytes travels in the message itself: once the
+/// world's store has a free slot, sending and receiving every length up
+/// to 64 takes no buffer. While such payloads came from the free list,
+/// each new capacity class allocated.
+#[test]
+fn a_message_of_at_most_64_bytes_travels_without_the_heap() {
+    let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+    let (from, to) = (
+        ctx.gpu.host_alloc(64).unwrap(),
+        ctx.gpu.host_alloc(64).unwrap(),
+    );
+    ctx.send_bytes(from, 1, 0, 0).unwrap();
+    ctx.recv_bytes(to, 1, Some(0), Some(0)).unwrap();
+    let n_allocs = allocs(|| {
+        for len in 0..=64 {
+            ctx.send_bytes(from, len, 0, 0).unwrap();
+            ctx.recv_bytes(to, len, Some(0), Some(0)).unwrap();
+        }
+    });
+    assert_eq!(n_allocs, 0);
+}
+
 /// A warm 26-peer sparse `alltoallv` on a 64-rank 4×4×4 torus allocates
 /// nothing: payloads come from the free list or the rank's spare, and
 /// unexpected messages wait in the inbox they arrived in. The faces, edges
@@ -369,6 +393,41 @@ fn a_warm_sparse_alltoallv_on_a_torus_moves_its_messages_without_the_heap() {
         let before = ALLOCS.with(Cell::get);
         ctx.barrier();
         ctx.alltoallv_sparse_bytes(send, &blocks, recv, &blocks)?;
+        ctx.barrier();
+        // every fiber runs on the world's one worker thread
+        Ok(ALLOCS.with(Cell::get) - before)
+    })
+    .unwrap();
+    assert_eq!(
+        counted[0], 0,
+        "the warm alltoallv allocated {} times",
+        counted[0]
+    );
+}
+
+/// A warm dense `alltoallv` of 64 bytes between every pair of 64 ranks
+/// allocates nothing: its payloads travel inline, and the messages its
+/// window keeps in flight wait in slots the warm-up left free. While each
+/// rank queued its unexpected messages in a growable queue of its own,
+/// the call allocated.
+#[test]
+fn a_warm_dense_alltoallv_moves_its_messages_without_the_heap() {
+    const RANKS: usize = 64;
+    const CHUNK: usize = 64;
+    let counted = World::run(&WorldConfig::summit(RANKS), |ctx| {
+        let (send, recv) = (
+            ctx.gpu.malloc(CHUNK * RANKS)?,
+            ctx.gpu.malloc(CHUNK * RANKS)?,
+        );
+        let counts = vec![CHUNK; RANKS];
+        let displs: Vec<usize> = (0..RANKS).map(|j| j * CHUNK).collect();
+        // the warm-up enters without a barrier, as a timed loop's first
+        // exchange does
+        ctx.alltoallv_bytes(send, &counts, &displs, recv, &counts, &displs)?;
+        ctx.barrier();
+        let before = ALLOCS.with(Cell::get);
+        ctx.barrier();
+        ctx.alltoallv_bytes(send, &counts, &displs, recv, &counts, &displs)?;
         ctx.barrier();
         // every fiber runs on the world's one worker thread
         Ok(ALLOCS.with(Cell::get) - before)
