@@ -596,14 +596,18 @@ fn send(args: &[String]) {
     );
     for (rank, (_, _, _, clock, stats, _)) in results.iter().enumerate() {
         out!(
-            "rank {rank}        : clock {clock}, send faults {}, recv faults {}, retries {} (backoff {}), delays {} (+{}), peer-gone {}",
+            "rank {rank}        : clock {clock}, send faults {}, recv faults {}, retries {} (backoff {}), delays {} (+{}), peer-gone {}, corruptions {}, nacks {}, retransmits {} (+{})",
             stats.send_faults,
             stats.recv_faults,
             stats.retries,
             stats.backoff_time,
             stats.delays,
             stats.delay_time,
-            stats.peer_gone
+            stats.peer_gone,
+            stats.corruptions,
+            stats.nacks,
+            stats.retransmits,
+            stats.nack_time
         );
         for ev in &stats.events {
             out!("  degrade     : {ev}");

@@ -6,10 +6,12 @@
 //! each registry slot a commit has used, and the plans themselves,
 //! interned by value, so that a commit arriving at a plan equal to one the
 //! rank holds gets that `Arc<TypePlan>` back. A plan leaves the intern
-//! table with the last slot holding it. Translation runs in a scratch
-//! (`ir::translate::Scratch`) the state keeps, so a commit that arrives at an interned
-//! plan allocates nothing, and one that does not allocates only what its
-//! new plan keeps.
+//! table with the last slot holding it, and is kept as a spare: storage
+//! for the next new plan, once no caller holds it either. Translation
+//! runs in a scratch (`ir::translate::Scratch`) the state keeps, so a
+//! commit allocates nothing once the scratch has grown to its shape,
+//! whether it arrives at an interned plan or writes a new one over a
+//! spare.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -34,6 +36,13 @@ use crate::tempi::phase;
 /// CPU cost per IR node per canonicalization pass (tiny; Fig. 6's commit
 /// overhead is dominated by the vendor-priced introspection calls).
 const CANON_NODE_COST: SimTime = SimTime::from_ns(20);
+
+/// Most dead plans [`Commits`] keeps as spares. A warm create → commit →
+/// free cycle needs one: the free makes a spare and the next new plan
+/// takes it. The rest cover plans callers still hold, and what the slot
+/// table grows by between sweeps (a slot MPI retires keeps its dead plan
+/// until the next one): 8 is the table the first sweep runs at.
+const PLAN_SPARES: usize = 8;
 
 /// Diagnostics from one `MPI_Type_commit` (drives Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,7 +275,8 @@ impl<I: Introspect> Introspect for MemoIntrospect<'_, I> {
 }
 
 /// The commit state of one rank: the plans it holds and what committing
-/// reuses.
+/// reuses — the translation's scratch, and up to [`PLAN_SPARES`] dead
+/// plans as storage for new ones.
 #[derive(Debug, Default)]
 pub(crate) struct Commits {
     /// Committed plans, one per registry slot: the handle that committed
@@ -275,6 +285,11 @@ pub(crate) struct Commits {
     slots: HashMap<usize, (Datatype, Arc<TypePlan>)>,
     /// Every plan a slot holds, once, with the number of slots holding it.
     interned: HashMap<Arc<TypePlan>, Cell<usize>>,
+    /// Plans no slot holds any more, newest last, at most
+    /// [`PLAN_SPARES`]: not interned, only storage that a new plan is
+    /// written over once its `Arc` is unique — a caller may still hold a
+    /// plan `type_commit` returned.
+    spares: Vec<Arc<TypePlan>>,
     /// Slots held when [`Commits::sweep`] last ran.
     swept: usize,
     /// What translation has already paid MPI to learn about the predefined
@@ -305,7 +320,7 @@ impl Commits {
     pub(crate) fn free(&mut self, dt: Datatype) {
         if let Some(plan) = self.plan(dt) {
             self.slots.remove(&dt.slot());
-            release(&mut self.interned, &plan);
+            release(&mut self.interned, &mut self.spares, plan);
         }
     }
 
@@ -428,7 +443,10 @@ impl Commits {
         let plan = self.intern(plan);
         let held = (dt, Arc::clone(&plan));
         match self.slots.get_mut(&dt.slot()) {
-            Some(entry) => release(&mut self.interned, &std::mem::replace(entry, held).1),
+            Some(entry) => {
+                let dead = std::mem::replace(entry, held).1;
+                release(&mut self.interned, &mut self.spares, dead);
+            }
             None => drop(self.slots.insert(dt.slot(), held)),
         }
         plan
@@ -436,23 +454,38 @@ impl Commits {
 
     /// The interned plan equal to `plan`, with one more user: the one
     /// held, whereupon `plan`'s lists go back to the scratch, or else
-    /// `plan` itself, which keeps them (the scratch grows them again).
+    /// `plan` itself, which keeps them, written over a spare whose lists
+    /// go back to the scratch instead (in a new `Arc` when no spare is
+    /// free).
     fn intern(&mut self, plan: TypePlan) -> Arc<TypePlan> {
         let Some((kept, users)) = self.interned.get_key_value(&plan) else {
-            let kept = Arc::new(plan);
+            let kept = self.respare(plan);
             self.interned.insert(Arc::clone(&kept), Cell::new(1));
             return kept;
         };
         users.set(users.get() + 1);
         let kept = Arc::clone(kept);
-        let s = &mut self.scratch;
-        match plan.kind {
-            PlanKind::Strided(kp) => s.sb = kp.sb,
-            PlanKind::Blocks(bl) => s.blocks = bl.blocks,
-            PlanKind::Multi(members) => s.members = members,
-            PlanKind::Empty | PlanKind::Fallback(_) => {}
-        }
+        restore(&mut self.scratch, plan.kind);
         kept
+    }
+
+    /// `plan` in the storage of the newest spare no caller holds, of its
+    /// kind if there is one, else in a new `Arc`.
+    fn respare(&mut self, plan: TypePlan) -> Arc<TypePlan> {
+        let kind = std::mem::discriminant(&plan.kind);
+        // the kind of a spare no caller holds
+        let unshared =
+            |s: &mut Arc<TypePlan>| Arc::get_mut(s).map(|s| std::mem::discriminant(&s.kind));
+        let spares = &mut self.spares;
+        let Some(at) = (spares.iter_mut().rposition(|s| unshared(s) == Some(kind)))
+            .or_else(|| spares.iter_mut().rposition(|s| unshared(s).is_some()))
+        else {
+            return Arc::new(plan);
+        };
+        let mut spare = spares.remove(at);
+        let dead = Arc::get_mut(&mut spare).expect("a spare no caller holds");
+        restore(&mut self.scratch, std::mem::replace(dead, plan).kind);
+        spare
     }
 
     /// Drop the plans of the handles MPI no longer knows. A type freed
@@ -465,13 +498,14 @@ impl Commits {
         let Commits {
             slots,
             interned,
+            spares,
             swept,
             ..
         } = self;
         slots.retain(|_, (held, plan)| {
             let live = ctx.is_committed(*held).is_ok();
             if !live {
-                release(interned, plan);
+                release(interned, spares, Arc::clone(plan));
             }
             live
         });
@@ -479,14 +513,34 @@ impl Commits {
     }
 }
 
-/// One user of `plan` fewer in `interned`; the last takes it out.
-fn release(interned: &mut HashMap<Arc<TypePlan>, Cell<usize>>, plan: &TypePlan) {
-    let Some(users) = interned.get(plan) else {
+/// Hand the lists of `kind`, a plan's that is done with them, back to the
+/// scratch they were taken from.
+fn restore(s: &mut Scratch, kind: PlanKind) {
+    match kind {
+        PlanKind::Strided(kp) => s.sb = kp.sb,
+        PlanKind::Blocks(bl) => s.blocks = bl.blocks,
+        PlanKind::Multi(members) => s.members = members,
+        PlanKind::Empty | PlanKind::Fallback(_) => {}
+    }
+}
+
+/// One user of `plan` fewer in `interned`; the last takes it out, to the
+/// newest of `spares`.
+fn release(
+    interned: &mut HashMap<Arc<TypePlan>, Cell<usize>>,
+    spares: &mut Vec<Arc<TypePlan>>,
+    plan: Arc<TypePlan>,
+) {
+    let Some(users) = interned.get(&plan) else {
         return;
     };
     users.set(users.get() - 1);
     if users.get() == 0 {
-        interned.remove(plan);
+        interned.remove(&plan);
+        if spares.len() == PLAN_SPARES {
+            spares.remove(0);
+        }
+        spares.push(plan);
     }
 }
 
@@ -521,5 +575,33 @@ mod tests {
         // a derived handle is asked about every time
         assert_eq!(m.extent(dt).unwrap(), m.extent(dt).unwrap());
         assert_eq!(m.calls, 4);
+    }
+
+    #[test]
+    fn a_plan_a_caller_holds_keeps_its_value_and_its_storage() {
+        let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+        let (mut commits, config) = (Commits::default(), TempiConfig::default());
+        let mut cycle = |commits: &mut Commits, stride: i32| {
+            let dt = ctx.type_vector(2, 1, stride, MPI_BYTE).unwrap();
+            let plan = commits.commit(&mut ctx, dt, &config).unwrap();
+            ctx.type_free(dt).unwrap();
+            commits.free(dt);
+            plan
+        };
+        // a dead plan its caller still holds is a spare, but no new plan
+        // is written over it while it is shared
+        let held = cycle(&mut commits, 3);
+        let value = TypePlan::clone(&held);
+        for stride in 4..4 + 3 * PLAN_SPARES as i32 {
+            let plan = cycle(&mut commits, stride);
+            assert!(!Arc::ptr_eq(&plan, &held), "stride {stride}");
+            assert_eq!(*held, value, "stride {stride}");
+            assert_eq!(commits.interned(), 0);
+        }
+        // a spare no caller holds is the next new plan's storage
+        let at = Arc::as_ptr(&cycle(&mut commits, 100));
+        let plan = cycle(&mut commits, 101);
+        assert_eq!(Arc::as_ptr(&plan), at);
+        assert_ne!(*plan, value);
     }
 }

@@ -9,6 +9,7 @@
 use super::named::Named;
 use super::{Contents, Datatype, Dim, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
 use crate::error::{MpiError, MpiResult};
+use crate::pool::Pool;
 
 /// Well-known handles for the named types, in [`Named::ALL`] order.
 pub mod consts {
@@ -54,6 +55,60 @@ enum Slot {
     Retired,
 }
 
+/// Most bytes of capacity the registry keeps of freed types' lists, per
+/// element type: a warm create → free cycle of any list-carrying
+/// constructor takes back what its last free left, and a world holds at
+/// most three times this much for it.
+const LIST_POOL_BYTES: usize = 16 << 10;
+
+/// The argument lists of freed types ([`TypeRegistry::free`]), by element
+/// type, which the constructors that carry lists copy theirs into
+/// (`RankCtx::type_indexed` and its kin).
+#[derive(Debug, Default)]
+pub(crate) struct Lists {
+    /// Block lengths and element displacements.
+    pub(crate) ints: Pool<i32, LIST_POOL_BYTES>,
+    /// Byte displacements.
+    pub(crate) addrs: Pool<i64, LIST_POOL_BYTES>,
+    /// A struct's member types.
+    pub(crate) types: Pool<Datatype, LIST_POOL_BYTES>,
+}
+
+impl Lists {
+    /// Keep the lists of `def`, a freed type's construction.
+    fn keep(&mut self, def: TypeDef) {
+        match def {
+            TypeDef::Indexed {
+                blocklengths,
+                displacements,
+                ..
+            } => {
+                self.ints.put(blocklengths);
+                self.ints.put(displacements);
+            }
+            TypeDef::IndexedBlock { displacements, .. } => self.ints.put(displacements),
+            TypeDef::Hindexed {
+                blocklengths,
+                displacements_bytes,
+                ..
+            } => {
+                self.ints.put(blocklengths);
+                self.addrs.put(displacements_bytes);
+            }
+            TypeDef::Struct {
+                blocklengths,
+                displacements_bytes,
+                types,
+            } => {
+                self.ints.put(blocklengths);
+                self.addrs.put(displacements_bytes);
+                self.types.put(types);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// The registry of live datatypes.
 #[derive(Debug)]
 pub struct TypeRegistry {
@@ -62,6 +117,8 @@ pub struct TypeRegistry {
     /// pops before it grows `slots`. Last in, first out, so a seeded run
     /// hands out the same handles every time.
     free: Option<u32>,
+    /// What freed types' lists are kept in.
+    pub(crate) lists: Lists,
 }
 
 impl Default for TypeRegistry {
@@ -93,7 +150,11 @@ impl TypeRegistry {
             })
             .map(|info| Slot::Live(0, info))
             .collect();
-        TypeRegistry { slots, free: None }
+        TypeRegistry {
+            slots,
+            free: None,
+            lists: Lists::default(),
+        }
     }
 
     /// The live type `dt` names: its slot's occupant, if the generations
@@ -158,7 +219,9 @@ impl TypeRegistry {
     /// The slot goes on the free list under the next generation, so `dt`
     /// and every other copy of it stay dead — `InvalidDatatype` everywhere,
     /// a second free included — after `create` reuses the slot. A slot
-    /// freed at generation 255 is retired instead: never reused.
+    /// freed at generation 255 is retired instead: never reused. The type's
+    /// argument lists, if it has any, are kept for the next constructions
+    /// that carry lists, up to `LIST_POOL_BYTES` per element type.
     pub fn free(&mut self, dt: Datatype) -> MpiResult<()> {
         if dt.named_index().is_some() {
             return Err(MpiError::InvalidArg(
@@ -167,10 +230,13 @@ impl TypeRegistry {
         }
         self.get(dt)?;
         let slot = dt.slot();
-        self.slots[slot] = match dt.generation().checked_add(1) {
+        let vacant = match dt.generation().checked_add(1) {
             Some(next) => Slot::Free(next, self.free.replace(slot as u32)),
             None => Slot::Retired,
         };
+        if let Slot::Live(_, info) = std::mem::replace(&mut self.slots[slot], vacant) {
+            self.lists.keep(info.def);
+        }
         Ok(())
     }
 
@@ -207,6 +273,10 @@ impl TypeRegistry {
     /// does ascend that costs host time only — `typemap::for_each_block`
     /// walks it piece by piece and merges the touching runs into the one
     /// block the fast path would have found.
+    ///
+    /// The list-carrying constructors copy their argument lists into lists
+    /// freed types left behind ([`TypeRegistry::free`]), so a warm create
+    /// allocates nothing.
     ///
     /// Ranks create types on their fiber stacks, so each arm is a function
     /// of its own: a debug build gives every temporary of a function its

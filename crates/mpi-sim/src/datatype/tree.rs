@@ -106,11 +106,13 @@ impl TypeTree {
                 displacements_bytes,
                 ..
             } => ctx.type_create_hindexed(blocklengths, displacements_bytes, old()),
-            TypeDef::Subarray { dims, order, .. } => ctx.type_create(Ok(TypeDef::Subarray {
-                dims: dims.clone(),
-                order: *order,
-                oldtype: old(),
-            })),
+            TypeDef::Subarray { dims, order, .. } => ctx.type_create(|_| {
+                Ok(TypeDef::Subarray {
+                    dims: dims.clone(),
+                    order: *order,
+                    oldtype: old(),
+                })
+            }),
             TypeDef::Struct {
                 blocklengths,
                 displacements_bytes,

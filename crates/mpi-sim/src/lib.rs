@@ -48,6 +48,7 @@ pub mod error;
 pub mod fault;
 pub mod net;
 pub mod p2p;
+mod pool;
 pub mod reliability;
 pub mod runtime;
 #[allow(unsafe_code)]

@@ -21,8 +21,9 @@ use tempi_trace::sync::RwLock;
 use crate::datatype::{typemap, Combiner, Datatype, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
 use crate::net::Transport;
+use crate::pool::class as payload_class;
 use crate::runtime::{Members, RankCtx};
-use crate::sched::{payload_class, Examined, ParkOp};
+use crate::sched::{Examined, ParkOp};
 use crate::vendor::{baseline_gpu_xfer, offset_ptr};
 
 /// Most bytes of capacity a payload may have to be kept as a rank's spare

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
 use tempi_trace::sync::{Mutex, RwLock};
 
+use crate::datatype::registry::Lists;
 use crate::datatype::tree::write_spec;
 use crate::datatype::{Combiner, Datatype, Dim, Envelope, Order, TypeAttrs, TypeDef, TypeRegistry};
 use crate::error::{MpiError, MpiResult};
@@ -437,15 +438,21 @@ impl RankCtx {
     /// Create the type `def` spells, charging one type-constructor call's
     /// CPU cost first, so a call whose arguments do not even spell a type
     /// (`def` is an error) is charged too: every `MPI_Type_*` constructor
-    /// below is this one call.
-    pub(crate) fn type_create(&mut self, def: MpiResult<TypeDef>) -> MpiResult<Datatype> {
+    /// below is this one call. `def` copies its argument lists, if it has
+    /// any, into lists freed types left behind ([`TypeRegistry::free`]).
+    pub(crate) fn type_create(
+        &mut self,
+        def: impl FnOnce(&mut Lists) -> MpiResult<TypeDef>,
+    ) -> MpiResult<Datatype> {
         self.clock.advance(self.vendor.type_create_cost);
-        self.registry.write().create(def?)
+        let mut reg = self.registry.write();
+        let def = def(&mut reg.lists)?;
+        reg.create(def)
     }
 
     /// `MPI_Type_contiguous`.
     pub fn type_contiguous(&mut self, count: i32, oldtype: Datatype) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Contiguous { count, oldtype }))
+        self.type_create(|_| Ok(TypeDef::Contiguous { count, oldtype }))
     }
 
     /// `MPI_Type_vector` (stride in elements).
@@ -456,12 +463,14 @@ impl RankCtx {
         stride: i32,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Vector {
-            count,
-            blocklength,
-            stride,
-            oldtype,
-        }))
+        self.type_create(|_| {
+            Ok(TypeDef::Vector {
+                count,
+                blocklength,
+                stride,
+                oldtype,
+            })
+        })
     }
 
     /// `MPI_Type_create_hvector` (stride in bytes).
@@ -472,12 +481,14 @@ impl RankCtx {
         stride_bytes: i64,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Hvector {
-            count,
-            blocklength,
-            stride_bytes,
-            oldtype,
-        }))
+        self.type_create(|_| {
+            Ok(TypeDef::Hvector {
+                count,
+                blocklength,
+                stride_bytes,
+                oldtype,
+            })
+        })
     }
 
     /// `MPI_Type_create_subarray`; lists of different lengths are
@@ -490,12 +501,13 @@ impl RankCtx {
         order: Order,
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        let dims = Dim::from_lists(sizes, subsizes, starts).map_err(MpiError::InvalidArg);
-        self.type_create(dims.map(|dims| TypeDef::Subarray {
-            dims,
-            order,
-            oldtype,
-        }))
+        self.type_create(|_| {
+            Ok(TypeDef::Subarray {
+                dims: Dim::from_lists(sizes, subsizes, starts).map_err(MpiError::InvalidArg)?,
+                order,
+                oldtype,
+            })
+        })
     }
 
     /// `MPI_Type_indexed` (displacements in elements).
@@ -505,11 +517,13 @@ impl RankCtx {
         displacements: &[i32],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Indexed {
-            blocklengths: blocklengths.to_vec(),
-            displacements: displacements.to_vec(),
-            oldtype,
-        }))
+        self.type_create(|lists| {
+            Ok(TypeDef::Indexed {
+                blocklengths: lists.ints.copy(blocklengths),
+                displacements: lists.ints.copy(displacements),
+                oldtype,
+            })
+        })
     }
 
     /// `MPI_Type_create_indexed_block` (equal blocks, displacements in
@@ -520,11 +534,13 @@ impl RankCtx {
         displacements: &[i32],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::IndexedBlock {
-            blocklength,
-            displacements: displacements.to_vec(),
-            oldtype,
-        }))
+        self.type_create(|lists| {
+            Ok(TypeDef::IndexedBlock {
+                blocklength,
+                displacements: lists.ints.copy(displacements),
+                oldtype,
+            })
+        })
     }
 
     /// `MPI_Type_create_hindexed` (displacements in bytes).
@@ -534,11 +550,13 @@ impl RankCtx {
         displacements_bytes: &[i64],
         oldtype: Datatype,
     ) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Hindexed {
-            blocklengths: blocklengths.to_vec(),
-            displacements_bytes: displacements_bytes.to_vec(),
-            oldtype,
-        }))
+        self.type_create(|lists| {
+            Ok(TypeDef::Hindexed {
+                blocklengths: lists.ints.copy(blocklengths),
+                displacements_bytes: lists.addrs.copy(displacements_bytes),
+                oldtype,
+            })
+        })
     }
 
     /// `MPI_Type_create_struct`.
@@ -548,11 +566,13 @@ impl RankCtx {
         displacements_bytes: &[i64],
         types: &[Datatype],
     ) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Struct {
-            blocklengths: blocklengths.to_vec(),
-            displacements_bytes: displacements_bytes.to_vec(),
-            types: types.to_vec(),
-        }))
+        self.type_create(|lists| {
+            Ok(TypeDef::Struct {
+                blocklengths: lists.ints.copy(blocklengths),
+                displacements_bytes: lists.addrs.copy(displacements_bytes),
+                types: lists.types.copy(types),
+            })
+        })
     }
 
     /// `MPI_Type_create_resized`.
@@ -562,16 +582,18 @@ impl RankCtx {
         lb: i64,
         extent: i64,
     ) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Resized {
-            lb,
-            extent,
-            oldtype,
-        }))
+        self.type_create(|_| {
+            Ok(TypeDef::Resized {
+                lb,
+                extent,
+                oldtype,
+            })
+        })
     }
 
     /// `MPI_Type_dup`.
     pub fn type_dup(&mut self, oldtype: Datatype) -> MpiResult<Datatype> {
-        self.type_create(Ok(TypeDef::Dup { oldtype }))
+        self.type_create(|_| Ok(TypeDef::Dup { oldtype }))
     }
 
     /// `MPI_Type_free`.

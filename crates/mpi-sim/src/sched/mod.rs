@@ -42,7 +42,7 @@
 mod fiber;
 mod router;
 
-pub(crate) use router::{class as payload_class, Examined, Router};
+pub(crate) use router::{Examined, Router};
 pub use router::{INBOX_HWM, PAYLOAD_POOL_BYTES};
 
 use std::cmp::Reverse;

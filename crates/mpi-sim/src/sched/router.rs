@@ -42,74 +42,27 @@ use tempi_trace::sync::{Mutex, MutexGuard};
 
 use super::{DeadlockInfo, ParkOp, SchedCore};
 use crate::p2p::Message;
+use crate::pool::Pool;
 
 /// The per-rank inbox high-water mark, in messages: a remote user send
 /// to an inbox holding this many parks its sender.
 pub const INBOX_HWM: usize = 8192;
 
-/// Most bytes of buffer capacity the payload free list retains. Every
-/// eager payload — a one-piece message, a part of a pipelined transfer, a
-/// train — is taken from it by the sender and handed back by the receiver,
-/// except that each rank keeps one spent payload of at most 4 KiB aside
-/// for its own next send of a length in that payload's capacity class
-/// (`RankCtx::spend`, `RankCtx::take_payload`). One pipelined transfer has
-/// at most its own size in flight, and the model only pipelines objects
-/// of a few MiB, so this recycles the steady-state traffic of a send while
-/// a world of any size holds at most this much, plus 4 KiB per rank.
+/// Most bytes of buffer capacity the payload free list retains (a
+/// capacity-class `Pool`, the kind the registry keeps freed types' lists
+/// in). Every eager payload — a one-piece message, a part of a pipelined
+/// transfer, a train — is taken from it by the sender and handed back by
+/// the receiver, except that each rank keeps one spent payload of at most
+/// 4 KiB aside for its own next send of a length in that payload's
+/// capacity class (`RankCtx::spend`, `RankCtx::take_payload`). One
+/// pipelined transfer has at most its own size in flight, and the model
+/// only pipelines objects of a few MiB, so this recycles the steady-state
+/// traffic of a send while a world of any size holds at most this much,
+/// plus 4 KiB per rank.
 pub const PAYLOAD_POOL_BYTES: usize = 8 << 20;
 
-/// Spent payloads awaiting reuse, binned by capacity class: `bins[k]`
-/// holds the buffers of `2^k ..< 2^(k+1)` bytes (the last bin, all from
-/// 2 GiB up), largest first, so a take or a recycle of a class's usual
-/// size is a pop or push at its end.
-#[derive(Default)]
-struct PayloadPool {
-    bins: [Vec<Vec<u8>>; 32],
-    /// Their total capacity.
-    bytes: usize,
-}
-
-/// The capacity class of a non-empty buffer.
-pub(crate) fn class(cap: usize) -> usize {
-    cap.ilog2().min(31) as usize
-}
-
-impl PayloadPool {
-    /// The smallest pooled buffer with room for `len > 0` bytes: the
-    /// smallest fit in `len`'s own class, else the smallest buffer of the
-    /// next non-empty class (all of which fit).
-    fn take(&mut self, len: usize) -> Option<Vec<u8>> {
-        let own = &mut self.bins[class(len)];
-        // largest first: the buffers that fit are a prefix
-        let fits = match own.last() {
-            Some(b) if b.capacity() >= len => own.len(),
-            _ => own.partition_point(|b| b.capacity() >= len),
-        };
-        let buf = match fits {
-            0 => self.bins[class(len) + 1..].iter_mut().find_map(Vec::pop)?,
-            _ => own.remove(fits - 1),
-        };
-        self.bytes -= buf.capacity();
-        Some(buf)
-    }
-
-    /// Keep `buf` unless it is empty or would pass
-    /// [`PAYLOAD_POOL_BYTES`].
-    fn put(&mut self, mut buf: Vec<u8>) {
-        let cap = buf.capacity();
-        if cap == 0 || self.bytes + cap > PAYLOAD_POOL_BYTES {
-            return;
-        }
-        self.bytes += cap;
-        buf.clear();
-        let bin = &mut self.bins[class(cap)];
-        let at = match bin.last() {
-            Some(b) if b.capacity() < cap => bin.partition_point(|b| b.capacity() >= cap),
-            _ => bin.len(),
-        };
-        bin.insert(at, buf);
-    }
-}
+/// Spent payloads awaiting reuse.
+type PayloadPool = Pool<u8, PAYLOAD_POOL_BYTES>;
 
 /// What a receive makes of one message it examines.
 pub(crate) enum Examined {
@@ -352,8 +305,7 @@ impl Router {
     /// An empty buffer with room for `len` bytes: the smallest pooled one
     /// that is large enough, else a fresh allocation.
     pub(crate) fn take_payload(&self, len: usize) -> Vec<u8> {
-        let pooled = (len > 0).then(|| self.payloads.lock().take(len));
-        pooled.flatten().unwrap_or_else(|| Vec::with_capacity(len))
+        self.payloads.lock().take_or_new(len)
     }
 
     /// Hand a spent payload back for reuse; dropped instead when the list
@@ -380,7 +332,7 @@ impl Router {
 
     /// Bytes of capacity the payload free list currently retains.
     pub(crate) fn pooled_payload_bytes(&self) -> usize {
-        self.payloads.lock().bytes
+        self.payloads.lock().bytes()
     }
 
     /// Append to `dest`'s inbox under the lock and wake its owner.

@@ -1,14 +1,17 @@
 //! What creating and committing a datatype allocates: nothing for a
 //! subarray of up to four dimensions in a freed slot, nothing for a commit
-//! of a shape the rank already holds a plan of, a small fixed number for
+//! of a shape the rank already holds a plan of, nothing for a warm create →
+//! commit → free cycle of a constructor that carries lists (the freed
+//! type's lists and its dead plan are the next cycle's storage), nothing
+//! for a warm commit of a shape never seen before, a small fixed number for
 //! the fused halo pair on a fresh library and for a halo exchanger's whole
-//! set-up, nothing for filling its grid, and an intern table that holds no plan no type uses; and the
-//! system MPI packing and unpacking a non-dense type it has moved before,
-//! nothing. A warm tuner decides a send without the heap in every mode,
-//! probes included, a traced metric that exists records without it, a
-//! message of at most 64 bytes travels without it, and a warm 26-peer
-//! sparse `alltoallv` and a warm 64-rank dense one move their messages
-//! without it.
+//! set-up, nothing for filling its grid, and an intern table that holds no
+//! plan no type uses; and the system MPI packing and unpacking a non-dense
+//! type it has moved before, nothing. A warm tuner decides a send without
+//! the heap in every mode, probes included, a traced metric that exists
+//! records without it, a message of at most 64 bytes travels without it,
+//! and a warm 26-peer sparse `alltoallv` and a warm 64-rank dense one move
+//! their messages without it.
 //! The allocator counts per thread, so the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -149,6 +152,52 @@ fn a_recreated_shape_commits_without_the_heap() {
     }
 }
 
+#[test]
+fn a_warm_cycle_of_a_constructor_with_lists_allocates_nothing() {
+    // blockcyclic/512x128@512's and soa/8x2048@65536's lists among them
+    let displs: Vec<i32> = (0..512).map(|i| 512 * i).collect();
+    let soa = ([2048; 8], [0, 1, 2, 3, 4, 5, 6, 7].map(|i| i << 16));
+    type Create<'a> = &'a dyn Fn(&mut RankCtx) -> Datatype;
+    let constructors: [(&str, Create); 4] = [
+        ("indexed", &|ctx| {
+            ctx.type_indexed(&[2, 1, 3], &[0, 4, 9], MPI_FLOAT).unwrap()
+        }),
+        ("indexed_block", &|ctx| {
+            (ctx.type_create_indexed_block(128, &displs, MPI_BYTE)).unwrap()
+        }),
+        ("hindexed", &|ctx| {
+            (ctx.type_create_hindexed(&[2, 1], &[0, 16], MPI_FLOAT)).unwrap()
+        }),
+        ("struct", &|ctx| {
+            (ctx.type_create_struct(&soa.0, &soa.1, &[MPI_BYTE; 8])).unwrap()
+        }),
+    ];
+    for (name, create) in constructors {
+        for through_the_library in [true, false] {
+            let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+            let mut mpi = InterposedMpi::new(TempiConfig::default());
+            let mut cycle = |ctx: &mut RankCtx| {
+                let dt = create(ctx);
+                mpi.type_commit(ctx, dt).unwrap();
+                match through_the_library {
+                    true => mpi.type_free(ctx, dt).unwrap(),
+                    false => ctx.type_free(dt).unwrap(),
+                }
+            };
+            // the first commit pays MPI for what the named types are, so
+            // its plan differs from the next ones; by the third, the
+            // translation has its lists back from a plan
+            for _ in 0..3 {
+                cycle(&mut ctx);
+            }
+            for _ in 0..4 {
+                let n = allocs(|| cycle(&mut ctx));
+                assert_eq!(n, 0, "{name}, through the library: {through_the_library}");
+            }
+        }
+    }
+}
+
 /// Free `dt`, through the library or behind its back, then the
 /// intermediate types its construction left live, so that the next build
 /// of the same tree takes the same slots.
@@ -191,7 +240,8 @@ fn the_fused_halo_pair_commits_on_a_fresh_library_in_a_few_allocations() {
 /// Commit 10,000 distinct shapes beside a few live types and free each,
 /// through the library or behind its back: the intern table never holds
 /// more plans than types hold slots, and those are the live types and at
-/// most as many dead ones.
+/// most as many dead ones. Past the first shapes, each new shape's plan
+/// takes a dead plan's storage, so the commits allocate nothing.
 fn distinct_shapes_leave_no_plan_behind(through_the_library: bool) {
     let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
     let mut mpi = InterposedMpi::new(TempiConfig::default());
@@ -208,7 +258,13 @@ fn distinct_shapes_leave_no_plan_behind(through_the_library: bool) {
     };
     for k in 0..10_000 {
         let dt = ctx.type_vector(2, 1, 3 + k, MPI_BYTE).unwrap();
-        mpi.type_commit(&mut ctx, dt).unwrap();
+        let n = allocs(|| mpi.type_commit(&mut ctx, dt).unwrap());
+        // the tables and the spares grow to their size over the first
+        // sweeps; from then on a new shape's plan is a dead one's storage
+        assert!(
+            k < 2_048 || n == 0,
+            "shape {k}: the commit allocated {n} times"
+        );
         let (plans, held) = (mpi.tempi.interned_plans(), mpi.tempi.cached_plans());
         assert!(
             plans <= held && held <= most,
