@@ -40,8 +40,7 @@ const CANON_NODE_COST: SimTime = SimTime::from_ns(20);
 /// Most dead plans [`Commits`] keeps as spares. A warm create → commit →
 /// free cycle needs one: the free makes a spare and the next new plan
 /// takes it. The rest cover plans callers still hold, and what the slot
-/// table grows by between sweeps (a slot MPI retires keeps its dead plan
-/// until the next one): 8 is the table the first sweep runs at.
+/// table grows by between sweeps: 8 is the table the first sweep runs at.
 const PLAN_SPARES: usize = 8;
 
 /// Diagnostics from one `MPI_Type_commit` (drives Fig. 6).

@@ -13,8 +13,6 @@
 //! implementation, and records which layer served it (so tests can assert
 //! the fall-through behavior the paper's Fig. 5 describes).
 
-use std::collections::HashSet;
-
 use gpu_sim::GpuPtr;
 use mpi_sim::{AlltoallvBlock, Datatype, MpiResult, RankCtx, Status};
 
@@ -47,49 +45,45 @@ pub enum Provider {
     System,
 }
 
-/// The symbol-resolution table the dynamic linker would produce.
-#[derive(Debug, Clone)]
+/// The symbol-resolution table the dynamic linker would produce: bit `s`
+/// is set when symbol `s` resolves to TEMPI, so building one allocates
+/// nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct Linker {
-    overrides: HashSet<MpiSymbol>,
+    overrides: u32,
 }
 
 impl Linker {
     /// TEMPI inserted before the system MPI (link order or `LD_PRELOAD`):
     /// the symbols the library exports resolve to TEMPI.
     pub fn with_tempi() -> Self {
-        Linker {
-            overrides: [
-                MpiSymbol::TypeCommit,
-                MpiSymbol::TypeFree,
-                MpiSymbol::Pack,
-                MpiSymbol::Unpack,
-                MpiSymbol::PackSize,
-                MpiSymbol::Send,
-                MpiSymbol::Recv,
-            ]
-            .into_iter()
-            .collect(),
-        }
+        Self::with_overrides([
+            MpiSymbol::TypeCommit,
+            MpiSymbol::TypeFree,
+            MpiSymbol::Pack,
+            MpiSymbol::Unpack,
+            MpiSymbol::PackSize,
+            MpiSymbol::Send,
+            MpiSymbol::Recv,
+        ])
     }
 
     /// No interposition (TEMPI absent from the link order): everything
     /// resolves to the system MPI.
     pub fn system_only() -> Self {
-        Linker {
-            overrides: HashSet::new(),
-        }
+        Linker { overrides: 0 }
     }
 
     /// A custom override set (for experiments interposing a subset).
     pub fn with_overrides(symbols: impl IntoIterator<Item = MpiSymbol>) -> Self {
         Linker {
-            overrides: symbols.into_iter().collect(),
+            overrides: (symbols.into_iter()).fold(0, |set, s| set | 1 << s as u32),
         }
     }
 
     /// Resolve one symbol.
     pub fn resolve(&self, sym: MpiSymbol) -> Provider {
-        if self.overrides.contains(&sym) {
+        if self.overrides & 1 << sym as u32 != 0 {
             Provider::Tempi
         } else {
             Provider::System

@@ -547,12 +547,13 @@ pub struct GpuContext {
 }
 
 impl GpuContext {
-    /// Create a context for the given device model.
-    pub fn new(props: DeviceProps) -> Self {
-        let cap = props.global_mem_bytes;
+    /// Create a context for the given device model: a fresh one, or one
+    /// shared with other contexts, which then allocates no copy of it.
+    pub fn new(props: impl Into<Arc<DeviceProps>>) -> Self {
+        let props = props.into();
         GpuContext {
-            mem: Arc::new(Mutex::new(Memory::new(cap))),
-            props: Arc::new(props),
+            mem: Arc::new(Mutex::new(Memory::new(props.global_mem_bytes))),
+            props,
         }
     }
 

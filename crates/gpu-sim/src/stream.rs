@@ -54,11 +54,12 @@ pub struct Stream {
 }
 
 impl Stream {
-    /// Create a stream on `ctx` priced by `cost`.
-    pub fn new(ctx: GpuContext, cost: GpuCostModel) -> Self {
+    /// Create a stream on `ctx` priced by `cost`: a fresh model, or one
+    /// shared with other streams.
+    pub fn new(ctx: GpuContext, cost: impl Into<Arc<GpuCostModel>>) -> Self {
         Stream {
             ctx,
-            cost: Arc::new(cost),
+            cost: cost.into(),
             busy_until: SimTime::ZERO,
             stats: StreamStats::default(),
             tracer: Tracer::off(),

@@ -35,27 +35,26 @@ pub use typemap::Segment;
 
 /// An opaque MPI datatype handle: a [`TypeRegistry`] slot in the low
 /// [`Datatype::SLOT_BITS`] bits and the slot's generation in the high
-/// eight. Freeing a type bumps its slot's generation before the slot is
+/// 32. Freeing a type bumps its slot's generation before the slot is
 /// reused, so a handle kept past its free never names the slot's next
-/// occupant. A slot's first occupant has generation 0, so its handle is
-/// the slot index itself; the named types have fixed well-known handles
-/// (see [`registry::consts`]).
+/// occupant; with 2^32 generations a slot is reused for the life of any
+/// create/free loop. A slot's first occupant has generation 0, so its
+/// handle is the slot index itself; the named types have fixed well-known
+/// handles (see [`registry::consts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Datatype(pub u32);
+pub struct Datatype(pub u64);
 
 impl Datatype {
     /// Bits of a handle that index its registry slot.
-    pub const SLOT_BITS: u32 = 24;
+    pub const SLOT_BITS: u32 = 32;
 
     /// The handle of `slot`'s occupant of generation `generation`, or
     /// [`MpiError::HandlesExhausted`](crate::MpiError::HandlesExhausted)
     /// when `slot` does not fit in [`Datatype::SLOT_BITS`].
-    pub(crate) fn new(slot: usize, generation: u8) -> crate::MpiResult<Datatype> {
+    pub(crate) fn new(slot: usize, generation: u32) -> crate::MpiResult<Datatype> {
         match u32::try_from(slot) {
-            Ok(s) if s >> Self::SLOT_BITS == 0 => {
-                Ok(Datatype(s | (generation as u32) << Self::SLOT_BITS))
-            }
-            _ => Err(crate::MpiError::HandlesExhausted),
+            Ok(s) => Ok(Datatype(s as u64 | (generation as u64) << Self::SLOT_BITS)),
+            Err(_) => Err(crate::MpiError::HandlesExhausted),
         }
     }
 
@@ -65,8 +64,8 @@ impl Datatype {
     }
 
     /// Which occupant of its slot this handle names.
-    pub fn generation(self) -> u8 {
-        (self.0 >> Self::SLOT_BITS) as u8
+    pub fn generation(self) -> u32 {
+        (self.0 >> Self::SLOT_BITS) as u32
     }
 
     /// Position in [`Named::ALL`] if this is one of the predefined handles
@@ -122,16 +121,22 @@ impl Dim {
     /// `starts`.
     pub(crate) const COLUMNS: [fn(&Dim) -> i32; 3] = [|d| d.size, |d| d.subsize, |d| d.start];
 
-    /// The dimensions MPI's three parallel lists describe; lists of
-    /// different lengths describe none, and the error says so.
-    pub fn from_lists(sizes: &[i32], subsizes: &[i32], starts: &[i32]) -> Result<Dims, String> {
+    /// The dimensions MPI's three parallel lists describe, stored in
+    /// `order`; lists of different lengths describe none, and the error
+    /// says so.
+    pub fn from_lists(
+        sizes: &[i32],
+        subsizes: &[i32],
+        starts: &[i32],
+        order: Order,
+    ) -> Result<Dims, String> {
         let lens = [sizes.len(), subsizes.len(), starts.len()];
         if lens != [lens[0]; 3] {
             return Err(format!(
                 "subarray argument lists differ in length: {lens:?}"
             ));
         }
-        Ok(Dims::from_fn(lens[0], |i| Dim {
+        Ok(Dims::from_fn(lens[0], order, |i| Dim {
             size: sizes[i],
             subsize: subsizes[i],
             start: starts[i],
@@ -139,33 +144,42 @@ impl Dim {
     }
 }
 
-/// A subarray's dimensions: up to four in place, so creating or copying
-/// the common subarray allocates nothing, and more on the heap. Reads as
-/// a `&[Dim]`.
+/// A subarray's dimensions and their storage order: up to four
+/// dimensions in place, so creating or copying the common subarray
+/// allocates nothing, and more on the heap. Reads as a `&[Dim]`.
 #[derive(Clone, PartialEq)]
 pub struct Dims(DimStore);
 
 /// Made only by [`Dims::from_fn`], which zeroes the unused places: equal
-/// dimensions are equal values.
+/// dimensions are equal values. The order sits in the store's padding, so
+/// a [`TypeDef::Subarray`] is no larger than its dimensions and handle.
 #[derive(Clone, PartialEq)]
 enum DimStore {
-    Inline(u8, [Dim; 4]),
-    Spilled(Box<[Dim]>),
+    Inline(Order, u8, [Dim; 4]),
+    Spilled(Order, Box<[Dim]>),
 }
 
 impl Dims {
-    /// The `n` dimensions `dim(0)`, `dim(1)`, ….
-    fn from_fn(n: usize, dim: impl Fn(usize) -> Dim) -> Dims {
+    /// The `n` dimensions `dim(0)`, `dim(1)`, …, stored in `order`.
+    fn from_fn(n: usize, order: Order, dim: impl Fn(usize) -> Dim) -> Dims {
         Dims(match n {
             0..=4 => DimStore::Inline(
+                order,
                 n as u8,
                 std::array::from_fn(|i| match i < n {
                     true => dim(i),
                     false => Dim::default(),
                 }),
             ),
-            _ => DimStore::Spilled((0..n).map(dim).collect()),
+            _ => DimStore::Spilled(order, (0..n).map(dim).collect()),
         })
+    }
+
+    /// The storage order of the array.
+    pub fn order(&self) -> Order {
+        match self.0 {
+            DimStore::Inline(order, ..) | DimStore::Spilled(order, _) => order,
+        }
     }
 }
 
@@ -174,14 +188,15 @@ impl std::ops::Deref for Dims {
 
     fn deref(&self) -> &[Dim] {
         match &self.0 {
-            DimStore::Inline(n, dims) => &dims[..*n as usize],
-            DimStore::Spilled(dims) => dims,
+            DimStore::Inline(_, n, dims) => &dims[..*n as usize],
+            DimStore::Spilled(_, dims) => dims,
         }
     }
 }
 
 impl fmt::Debug for Dims {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?} ", self.order())?;
         (**self).fmt(f)
     }
 }
@@ -262,10 +277,9 @@ pub enum TypeDef<C = Datatype> {
     /// `MPI_Type_create_subarray`: an n-dimensional subarray of an
     /// n-dimensional array.
     Subarray {
-        /// Array and subarray per dimension, in MPI's argument order.
+        /// Array and subarray per dimension, in MPI's argument order, and
+        /// the storage order.
         dims: Dims,
-        /// Storage order.
-        order: Order,
         /// Element type.
         oldtype: C,
     },

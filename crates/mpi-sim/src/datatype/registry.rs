@@ -9,7 +9,7 @@
 use super::named::Named;
 use super::{Contents, Datatype, Dim, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
 use crate::error::{MpiError, MpiResult};
-use crate::pool::Pool;
+use crate::pool::{bins, Pool};
 
 /// Well-known handles for the named types, in [`Named::ALL`] order.
 pub mod consts {
@@ -42,16 +42,19 @@ pub mod consts {
 }
 
 /// One registry slot, with the generation of the handle that names, or
-/// will next name, its occupant.
+/// will next name, its occupant: 128 bytes, a [`TypeInfo`] and its
+/// generation.
 #[derive(Debug)]
 enum Slot {
     /// A live type.
-    Live(u8, TypeInfo),
+    Live(u32, TypeInfo),
     /// A freed slot on the free list; the link is the slot freed before
     /// it. The list lives in the vacant slots, so it allocates nothing.
-    Free(u8, Option<u32>),
-    /// Freed at the last generation: never reused, so no handle wraps
-    /// around to name a later occupant.
+    Free(u32, Option<u32>),
+    /// Freed at generation `u32::MAX`: never reused, so no handle wraps
+    /// around to name a later occupant. A create/free loop retires a slot
+    /// only after 2^32 frees of it, so the table stays the size of the
+    /// most types ever live at once.
     Retired,
 }
 
@@ -67,11 +70,11 @@ const LIST_POOL_BYTES: usize = 16 << 10;
 #[derive(Debug, Default)]
 pub(crate) struct Lists {
     /// Block lengths and element displacements.
-    pub(crate) ints: Pool<i32, LIST_POOL_BYTES>,
+    pub(crate) ints: Pool<i32, LIST_POOL_BYTES, { bins::<i32>(LIST_POOL_BYTES) }>,
     /// Byte displacements.
-    pub(crate) addrs: Pool<i64, LIST_POOL_BYTES>,
+    pub(crate) addrs: Pool<i64, LIST_POOL_BYTES, { bins::<i64>(LIST_POOL_BYTES) }>,
     /// A struct's member types.
-    pub(crate) types: Pool<Datatype, LIST_POOL_BYTES>,
+    pub(crate) types: Pool<Datatype, LIST_POOL_BYTES, { bins::<Datatype>(LIST_POOL_BYTES) }>,
 }
 
 impl Lists {
@@ -218,8 +221,9 @@ impl TypeRegistry {
     ///
     /// The slot goes on the free list under the next generation, so `dt`
     /// and every other copy of it stay dead — `InvalidDatatype` everywhere,
-    /// a second free included — after `create` reuses the slot. A slot
-    /// freed at generation 255 is retired instead: never reused. The type's
+    /// a second free included — after `create` reuses the slot, for the
+    /// slot's 2^32 generations. A slot freed at generation `u32::MAX` is
+    /// retired instead: never reused, so no handle wraps around. The type's
     /// argument lists, if it has any, are kept for the next constructions
     /// that carry lists, up to `LIST_POOL_BYTES` per element type.
     pub fn free(&mut self, dt: Datatype) -> MpiResult<()> {
@@ -346,11 +350,7 @@ impl TypeRegistry {
                 ref displacements_bytes,
                 oldtype,
             } => self.hindexed(blocklengths, displacements_bytes, oldtype),
-            TypeDef::Subarray {
-                ref dims,
-                order,
-                oldtype,
-            } => self.subarray(dims, order, oldtype),
+            TypeDef::Subarray { ref dims, oldtype } => self.subarray(dims, dims.order(), oldtype),
             TypeDef::Struct {
                 ref blocklengths,
                 ref displacements_bytes,
@@ -602,16 +602,12 @@ impl TypeRegistry {
                 addrs.extend(displacements_bytes.iter().copied());
                 dts.push(*oldtype);
             }
-            TypeDef::Subarray {
-                dims,
-                order,
-                oldtype,
-            } => {
+            TypeDef::Subarray { dims, oldtype } => {
                 ints.push(dims.len() as i64);
                 for pick in Dim::COLUMNS {
                     ints.extend(dims.iter().map(|d| pick(d) as i64));
                 }
-                ints.push(match order {
+                ints.push(match dims.order() {
                     Order::C => 0,
                     Order::Fortran => 1,
                 });
@@ -1135,25 +1131,59 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_cycles_through_every_generation_then_retires() {
+    fn a_slot_is_reused_past_every_small_generation() {
         let mut ctx = rank();
         let first = ctx.type_contiguous(2, MPI_BYTE).unwrap();
         let mut t = first;
         let mut dead = Vec::new();
-        for g in 0..=u8::MAX {
+        for g in 0..300 {
             assert_eq!((t.slot(), t.generation()), (first.slot(), g));
             ctx.type_free(t).unwrap();
             dead.push(t);
             t = ctx.type_contiguous(2, MPI_BYTE).unwrap();
         }
-        // freed at generation 255, the slot is retired: no handle wraps
-        // around to generation 0, and the next type takes a new slot
+        // past the 256 generations an 8-bit field would count, the slot
+        // is still reused, and the table has not grown
+        assert_eq!((t.slot(), t.generation()), (first.slot(), 300));
+        let mut r = ctx.registry().write();
+        assert_eq!((r.live(), r.slot_count()), (13, 13));
+        // and no earlier handle names its occupant
+        let invalid = Err(MpiError::InvalidDatatype);
+        for &d in &dead {
+            assert!(r.info(d).is_err(), "{d:?}");
+            assert_eq!(r.commit(d), invalid, "{d:?}");
+            assert_eq!(r.free(d), invalid, "{d:?}");
+        }
+        assert!(!r.is_committed(t).unwrap());
+    }
+
+    /// Put the free list's head, `dt`'s slot, at generation `generation`:
+    /// how a test reaches a slot's last generation without 2^32 frees.
+    fn start_generation_at(r: &mut TypeRegistry, dt: Datatype, generation: u32) {
+        match &mut r.slots[dt.slot()] {
+            Slot::Free(g, _) if r.free == Some(dt.slot() as u32) => *g = generation,
+            other => panic!("{dt:?} is not the free list's head: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_slot_freed_at_its_last_generation_retires() {
+        let mut ctx = rank();
+        let first = ctx.type_contiguous(2, MPI_BYTE).unwrap();
+        ctx.type_free(first).unwrap();
+        start_generation_at(&mut ctx.registry().write(), first, u32::MAX);
+        let last = ctx.type_contiguous(2, MPI_BYTE).unwrap();
+        assert_eq!((last.slot(), last.generation()), (first.slot(), u32::MAX));
+        ctx.type_free(last).unwrap();
+        // freed at generation u32::MAX, the slot is retired: no handle
+        // wraps around to generation 0, and the next type takes a new slot
+        let t = ctx.type_contiguous(2, MPI_BYTE).unwrap();
         assert_eq!((t.slot(), t.generation()), (first.slot() + 1, 0));
         {
             let r = ctx.registry().read();
-            assert!(dead
-                .iter()
-                .all(|&d| r.size(d) == Err(MpiError::InvalidDatatype)));
+            for d in [first, last] {
+                assert_eq!(r.size(d), Err(MpiError::InvalidDatatype));
+            }
             assert_eq!((r.live(), r.slot_count()), (13, 14));
         }
         ctx.type_free(t).unwrap();
@@ -1161,11 +1191,17 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_a_type_record_and_its_generation() {
+        assert_eq!(size_of::<Slot>(), 128);
+    }
+
+    #[test]
     fn a_slot_past_the_handle_bits_is_an_error_not_a_wrapped_handle() {
         let last = (1 << Datatype::SLOT_BITS) - 1;
-        let h = Datatype::new(last, u8::MAX).unwrap();
-        assert_eq!((h.slot(), h.generation()), (last, u8::MAX));
-        for slot in [last + 1, u32::MAX as usize + 1] {
+        let h = Datatype::new(last, u32::MAX).unwrap();
+        assert_eq!((h.slot(), h.generation()), (last, u32::MAX));
+        assert_eq!(h, Datatype(u64::MAX));
+        for slot in [last + 1, usize::MAX] {
             assert_eq!(Datatype::new(slot, 0), Err(MpiError::HandlesExhausted));
         }
         // named handles are generation 0 of their slots

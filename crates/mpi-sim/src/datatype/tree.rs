@@ -76,7 +76,7 @@ impl TypeTree {
         let old = || built[0];
         match &*self.0 {
             // the registry preregisters the named types in declaration order
-            TypeDef::Named(n) => Ok(Datatype(*n as u32)),
+            TypeDef::Named(n) => Ok(Datatype(*n as u64)),
             TypeDef::Dup { .. } => ctx.type_dup(old()),
             TypeDef::Contiguous { count, .. } => ctx.type_contiguous(*count, old()),
             TypeDef::Vector {
@@ -106,10 +106,9 @@ impl TypeTree {
                 displacements_bytes,
                 ..
             } => ctx.type_create_hindexed(blocklengths, displacements_bytes, old()),
-            TypeDef::Subarray { dims, order, .. } => ctx.type_create(|_| {
+            TypeDef::Subarray { dims, .. } => ctx.type_create(|_| {
                 Ok(TypeDef::Subarray {
                     dims: dims.clone(),
-                    order: *order,
                     oldtype: old(),
                 })
             }),
@@ -177,18 +176,21 @@ impl TypeTree {
                 displacements_bytes: c.addresses,
                 oldtype: oldtype(),
             },
-            Combiner::Subarray => TypeDef::Subarray {
-                dims: Dims::from_fn(n, |i| Dim {
+            Combiner::Subarray => {
+                let order = match int(1 + 3 * n) {
+                    0 => Order::C,
+                    _ => Order::Fortran,
+                };
+                let dim = |i| Dim {
                     size: int(1 + i),
                     subsize: int(1 + i + n),
                     start: int(1 + i + 2 * n),
-                }),
-                order: match int(1 + 3 * n) {
-                    0 => Order::C,
-                    _ => Order::Fortran,
-                },
-                oldtype: oldtype(),
-            },
+                };
+                TypeDef::Subarray {
+                    dims: Dims::from_fn(n, order, dim),
+                    oldtype: oldtype(),
+                }
+            }
             Combiner::Struct => TypeDef::Struct {
                 blocklengths: ints(0),
                 displacements_bytes: c.addresses,
@@ -269,8 +271,8 @@ pub(crate) fn write_spec<'a, C>(
                 displacements_bytes: displs,
                 ..
             } => write!(out, "hindexed({blocklengths:?}, {displs:?}, ")?,
-            TypeDef::Subarray { dims, order, .. } => {
-                let name = match order {
+            TypeDef::Subarray { dims, .. } => {
+                let name = match dims.order() {
                     Order::C => "subarray",
                     Order::Fortran => "subarray_fortran",
                 };
@@ -479,13 +481,13 @@ impl Parser<'_> {
                     self.args("subsizes")?,
                     self.args("starts")?,
                 );
+                let order = match name.as_str() {
+                    "subarray" => Order::C,
+                    _ => Order::Fortran,
+                };
                 TypeDef::Subarray {
-                    dims: Dim::from_lists(&sizes, &subsizes, &starts)
+                    dims: Dim::from_lists(&sizes, &subsizes, &starts, order)
                         .map_err(|e| format!("{e} at byte {at}"))?,
-                    order: match name.as_str() {
-                        "subarray" => Order::C,
-                        _ => Order::Fortran,
-                    },
                     oldtype: self.spec(inner)?,
                 }
             }
@@ -538,7 +540,7 @@ mod tests {
         for (i, n) in Named::ALL.into_iter().enumerate() {
             let tree = parse(&n.keyword()).unwrap();
             assert_eq!(tree, named(n));
-            assert_eq!(tree.build(&mut ctx).unwrap(), Datatype(i as u32));
+            assert_eq!(tree.build(&mut ctx).unwrap(), Datatype(i as u64));
         }
         assert_eq!(parse("unsigned_long").unwrap(), named(Named::UnsignedLong));
     }
@@ -564,10 +566,10 @@ mod tests {
     fn parses_lists() {
         let s = parse("subarray([1024,512,256],[47,13,100],[0,0,0],byte)").unwrap();
         match &*s.0 {
-            TypeDef::Subarray { dims, order, .. } => {
+            TypeDef::Subarray { dims, .. } => {
                 let sizes: Vec<i32> = dims.iter().map(|d| d.size).collect();
                 assert_eq!(sizes, [1024, 512, 256]);
-                assert_eq!(*order, Order::C);
+                assert_eq!(dims.order(), Order::C);
             }
             other => panic!("{other:?}"),
         }

@@ -288,11 +288,9 @@ fn block(
             displacements_bytes[k],
             blocklengths[k] as i64,
         )),
-        TypeDef::Subarray {
-            dims,
-            order,
-            oldtype,
-        } => subarray_block(*oldtype, (dims, *order), info.attrs.extent(), base, k),
+        TypeDef::Subarray { dims, oldtype } => {
+            subarray_block(*oldtype, (dims, dims.order()), info.attrs.extent(), base, k)
+        }
         TypeDef::Struct {
             blocklengths,
             displacements_bytes,

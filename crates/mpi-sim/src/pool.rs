@@ -5,12 +5,13 @@
 use std::fmt;
 
 /// Spent buffers awaiting reuse, binned by capacity class: `bins[k]` holds
-/// the buffers of `2^k ..< 2^(k+1)` elements (the last bin, all from
-/// 2^31 up), largest first, so a take or a recycle of a class's usual size
-/// is a pop or push at its end. They hold at most `BYTES` bytes of
-/// capacity together.
-pub(crate) struct Pool<T, const BYTES: usize> {
-    bins: [Vec<Vec<T>>; 32],
+/// the buffers of `2^k ..< 2^(k+1)` elements, largest first, so a take or
+/// a recycle of a class's usual size is a pop or push at its end. They
+/// hold at most `BYTES` bytes of capacity together, so a buffer past
+/// class `class(BYTES / size_of::<T>())` is never kept, and there are
+/// `BINS` ([`bins`]) bins: the classes a kept buffer can reach.
+pub(crate) struct Pool<T, const BYTES: usize, const BINS: usize> {
+    bins: [Vec<Vec<T>>; BINS],
     /// Their total capacity, in bytes.
     bytes: usize,
 }
@@ -21,12 +22,19 @@ fn bytes<T>(buf: &Vec<T>) -> usize {
 }
 
 /// The capacity class of a non-empty buffer.
-pub(crate) fn class(cap: usize) -> usize {
-    cap.ilog2().min(31) as usize
+pub(crate) const fn class(cap: usize) -> usize {
+    cap.ilog2() as usize
 }
 
-impl<T, const BYTES: usize> Default for Pool<T, BYTES> {
+/// The bins of a pool of at most `bytes` bytes of `T`s: one per capacity
+/// class up to the largest buffer that fits.
+pub(crate) const fn bins<T>(bytes: usize) -> usize {
+    class(bytes / size_of::<T>()) + 1
+}
+
+impl<T, const BYTES: usize, const BINS: usize> Default for Pool<T, BYTES, BINS> {
     fn default() -> Self {
+        const { assert!(BINS == bins::<T>(BYTES), "one bin per reachable class") };
         Pool {
             bins: std::array::from_fn(|_| Vec::new()),
             bytes: 0,
@@ -34,13 +42,13 @@ impl<T, const BYTES: usize> Default for Pool<T, BYTES> {
     }
 }
 
-impl<T, const BYTES: usize> fmt::Debug for Pool<T, BYTES> {
+impl<T, const BYTES: usize, const BINS: usize> fmt::Debug for Pool<T, BYTES, BINS> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Pool({} of {BYTES} bytes)", self.bytes)
     }
 }
 
-impl<T, const BYTES: usize> Pool<T, BYTES> {
+impl<T, const BYTES: usize, const BINS: usize> Pool<T, BYTES, BINS> {
     /// Bytes of capacity the pool retains.
     pub(crate) fn bytes(&self) -> usize {
         self.bytes
@@ -48,9 +56,9 @@ impl<T, const BYTES: usize> Pool<T, BYTES> {
 
     /// The smallest pooled buffer with room for `len > 0` elements: the
     /// smallest fit in `len`'s own class, else the smallest buffer of the
-    /// next non-empty class (all of which fit).
+    /// next non-empty class (all of which fit); none past the last bin.
     fn take(&mut self, len: usize) -> Option<Vec<T>> {
-        let own = &mut self.bins[class(len)];
+        let own = self.bins.get_mut(class(len))?;
         // largest first: the buffers that fit are a prefix
         let fits = match own.last() {
             Some(b) if b.capacity() >= len => own.len(),
@@ -89,7 +97,7 @@ impl<T, const BYTES: usize> Pool<T, BYTES> {
     }
 }
 
-impl<T: Copy, const BYTES: usize> Pool<T, BYTES> {
+impl<T: Copy, const BYTES: usize, const BINS: usize> Pool<T, BYTES, BINS> {
     /// `items` in a pooled buffer, else in a fresh one.
     pub(crate) fn copy(&mut self, items: &[T]) -> Vec<T> {
         let mut buf = self.take_or_new(items.len());
@@ -104,7 +112,7 @@ mod tests {
 
     #[test]
     fn a_list_is_copied_into_the_smallest_kept_buffer_that_fits() {
-        let mut pool = Pool::<i64, 1024>::default();
+        let mut pool = Pool::<i64, 1024, { bins::<i64>(1024) }>::default();
         for cap in [4, 16, 6] {
             pool.put(Vec::with_capacity(cap));
         }
@@ -122,5 +130,17 @@ mod tests {
         assert_eq!(pool.bytes(), 128 * 8);
         pool.put(vec![0; 1]);
         assert_eq!(pool.bytes(), 128 * 8);
+        // a list past the last bin's class is copied into a fresh buffer
+        assert_eq!(pool.copy(&[0; 256]).capacity(), 256);
+        assert_eq!(pool.bytes(), 128 * 8);
+    }
+
+    #[test]
+    fn a_pool_has_a_bin_per_class_a_kept_buffer_can_reach() {
+        // 1 KiB of `i64`s is at most 128 of them: classes 0 to 7
+        assert_eq!(bins::<i64>(1024), 8);
+        assert_eq!(bins::<u8>(8 << 20), 24);
+        let vec = size_of::<Vec<u8>>();
+        assert_eq!(size_of::<Pool<u8, { 8 << 20 }, 24>>(), 24 * vec + 8);
     }
 }

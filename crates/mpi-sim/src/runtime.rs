@@ -503,8 +503,8 @@ impl RankCtx {
     ) -> MpiResult<Datatype> {
         self.type_create(|_| {
             Ok(TypeDef::Subarray {
-                dims: Dim::from_lists(sizes, subsizes, starts).map_err(MpiError::InvalidArg)?,
-                order,
+                dims: Dim::from_lists(sizes, subsizes, starts, order)
+                    .map_err(MpiError::InvalidArg)?,
                 oldtype,
             })
         })
@@ -684,13 +684,16 @@ impl RankCtx {
 /// The simulated MPI world.
 pub struct World;
 
-/// The handles every rank of one world shares.
+/// The handles every rank of one world shares, and the descriptors every
+/// rank only reads, built once per world.
 struct WorldShared {
     size: usize,
     registry: Arc<RwLock<TypeRegistry>>,
     net: Arc<NetModel>,
     router: Arc<Router>,
     barrier: Arc<ClockBarrier>,
+    device: Arc<DeviceProps>,
+    gpu_cost: Arc<GpuCostModel>,
 }
 
 impl WorldShared {
@@ -703,14 +706,16 @@ impl WorldShared {
             net: Arc::new(cfg.net.clone()),
             router: Arc::new(Router::new(size, sched)),
             barrier: Arc::new(ClockBarrier::new(size, cfg.net.barrier_cost)),
+            device: Arc::new(cfg.device.clone()),
+            gpu_cost: Arc::new(cfg.gpu_cost.clone()),
         }
     }
 
     /// World rank `rank`'s context.
     fn ctx(&self, cfg: &WorldConfig, rank: usize) -> RankCtx {
-        let gpu = GpuContext::new(cfg.device.clone());
+        let gpu = GpuContext::new(Arc::clone(&self.device));
         let faults = FaultState::new(cfg, rank, &gpu);
-        let mut stream = Stream::new(gpu.clone(), cfg.gpu_cost.clone());
+        let mut stream = Stream::new(gpu.clone(), Arc::clone(&self.gpu_cost));
         stream.set_tracer(cfg.tracer.clone(), rank as u32);
         RankCtx {
             rank,
@@ -907,8 +912,7 @@ mod tests {
             (
                 |c| c.type_create_subarray(&[8, 6], &[4, 2], &[1, 3], Order::Fortran, MPI_BYTE),
                 TypeDef::Subarray {
-                    dims: Dim::from_lists(&[8, 6], &[4, 2], &[1, 3]).unwrap(),
-                    order: Order::Fortran,
+                    dims: Dim::from_lists(&[8, 6], &[4, 2], &[1, 3], Order::Fortran).unwrap(),
                     oldtype: MPI_BYTE,
                 },
             ),

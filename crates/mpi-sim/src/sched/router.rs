@@ -42,7 +42,7 @@ use tempi_trace::sync::{Mutex, MutexGuard};
 
 use super::{DeadlockInfo, ParkOp, SchedCore};
 use crate::p2p::Message;
-use crate::pool::Pool;
+use crate::pool::{bins, Pool};
 
 /// The per-rank inbox high-water mark, in messages: a remote user send
 /// to an inbox holding this many parks its sender.
@@ -62,7 +62,7 @@ pub const INBOX_HWM: usize = 8192;
 pub const PAYLOAD_POOL_BYTES: usize = 8 << 20;
 
 /// Spent payloads awaiting reuse.
-type PayloadPool = Pool<u8, PAYLOAD_POOL_BYTES>;
+type PayloadPool = Pool<u8, PAYLOAD_POOL_BYTES, { bins::<u8>(PAYLOAD_POOL_BYTES) }>;
 
 /// What a receive makes of one message it examines.
 pub(crate) enum Examined {

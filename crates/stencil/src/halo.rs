@@ -142,9 +142,6 @@ pub struct HaloTypes {
     pub send: Vec<Datatype>,
     /// Recv datatype per direction, in [`DIRS`] order.
     pub recv: Vec<Datatype>,
-    /// Packed bytes per direction (same for send and recv of a direction's
-    /// opposite pair).
-    pub bytes: Vec<usize>,
     /// Every send region, in the order they are packed: a struct of `send`
     /// members at displacement 0.
     pub fused_send: Datatype,
@@ -196,7 +193,6 @@ impl HaloTypes {
         Ok(HaloTypes {
             fused_send: fuse(&send, pack_order)?,
             fused_recv: fuse(&recv, unpack_order)?,
-            bytes: DIRS.iter().map(|&d| cfg.send_bytes(d)).collect(),
             send,
             recv,
         })
@@ -281,7 +277,7 @@ mod tests {
         assert_eq!(types.send.len(), 26);
         for (i, &d) in DIRS.iter().enumerate() {
             let sz = ctx.attrs(types.send[i]).unwrap().size as usize;
-            assert_eq!(sz, types.bytes[i], "direction {d:?}");
+            assert_eq!(sz, cfg.send_bytes(d), "direction {d:?}");
             let rz = ctx
                 .attrs(types.recv[dir_index(opposite(d)).unwrap()])
                 .unwrap()
@@ -289,7 +285,7 @@ mod tests {
             assert_eq!(rz, sz);
         }
         // +x face with l=4, r=2: 2×4×4 = 32 cells = 128 bytes
-        assert_eq!(types.bytes[dir_index([1, 0, 0]).unwrap()], 32 * 4);
+        assert_eq!(cfg.send_bytes([1, 0, 0]), 32 * 4);
     }
 
     #[test]

@@ -154,9 +154,9 @@ fn node(rng: &mut Rng, depth: u32, scratch: &mut RankCtx) -> TypeDef<TypeTree> {
             let sizes = [pick(rng, 2, 6), pick(rng, 2, 6)];
             let subsizes = sizes.map(|size| pick(rng, 1, size));
             let starts = [0, 1].map(|d| pick(rng, 0, sizes[d] - subsizes[d] + 1));
+            let order = [Order::C, Order::Fortran][rng.below(2) as usize];
             TypeDef::Subarray {
-                dims: Dim::from_lists(&sizes, &subsizes, &starts).expect("equal lengths"),
-                order: [Order::C, Order::Fortran][rng.below(2) as usize],
+                dims: Dim::from_lists(&sizes, &subsizes, &starts, order).expect("equal lengths"),
                 oldtype,
             }
         }
