@@ -779,18 +779,19 @@ impl Tempi {
                 }
             }
 
-            let ready = ctx.stream.busy_until();
-            let t2 = ctx.clock.now();
-            let shipped = if n == 1 {
-                ctx.send_bytes(out, len, dest, tag)
-            } else {
-                let part = PartInfo {
-                    index: k as u32,
-                    total: n as u32,
-                    runs: 1,
-                };
-                ctx.send_bytes_part(out.add(slot), len, dest, tag, ready, part)
+            // a chunk departs once the stream has staged it, one piece at
+            // the CPU's now (its stages joined the stream)
+            let ready = match n {
+                1 => SimTime::ZERO,
+                _ => ctx.stream.busy_until(),
             };
+            let part = PartInfo {
+                index: k as u32,
+                total: n as u32,
+                runs: 1,
+            };
+            let t2 = ctx.clock.now();
+            let shipped = ctx.send_bytes_part(out.add(slot), len, dest, tag, ready, part);
             phase(ctx, "wire", t2, || {
                 vec![
                     ("bytes", len.into()),
@@ -966,7 +967,7 @@ impl Tempi {
 
             let t0 = ctx.clock.now();
             let st = ctx
-                .recv_bytes_part(land.add(slot), room, src, tag)
+                .recv_bytes_runs(land.add(slot), (room, room), src, tag, |at| at(0))
                 .map_err(|e| match e {
                     // report the transfer so far against the receive's capacity
                     MpiError::Truncated { sent, .. } => MpiError::Truncated {

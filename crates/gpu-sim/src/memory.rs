@@ -499,13 +499,6 @@ impl Memory {
         Ok(self.region(ptr).read(ptr.offset, len)?.to_vec())
     }
 
-    /// [`Memory::peek`] appended to a caller-owned buffer, so a recycled
-    /// buffer of sufficient capacity makes the read allocation-free.
-    pub fn peek_into(&self, ptr: GpuPtr, len: usize, out: &mut Vec<u8>) -> GpuResult<()> {
-        out.extend_from_slice(self.region(ptr).read(ptr.offset, len)?);
-        Ok(())
-    }
-
     /// Debug backdoor write ignoring space rules. Costs no virtual time;
     /// intended for test setup only.
     pub fn poke(&mut self, ptr: GpuPtr, data: &[u8]) -> GpuResult<()> {

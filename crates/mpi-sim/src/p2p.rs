@@ -8,6 +8,17 @@
 //! [`RankCtx::recv_bytes`]), exactly as the real interposer can only invoke
 //! the underlying implementation through its public interface.
 //!
+//! The raw-bytes entry points are five: [`RankCtx::send_bytes`] (one
+//! contiguous message), [`RankCtx::send_bytes_part`] (one part of a
+//! pipelined transfer), [`RankCtx::send_bytes_runs`] (a train: a typed
+//! buffer's runs as one message), [`RankCtx::recv_bytes`] (a message, or a
+//! pipelined transfer whole) and [`RankCtx::recv_bytes_runs`] (exactly one
+//! message, landed in runs). They and the typed `send` / `recv` move bytes
+//! one way: a block source names a buffer's bytes as `(offset, len)`
+//! regions in packed order (one run, a train's runs, or a committed type's
+//! typemap); one gather reads a payload through it and one scatter lands
+//! one.
+//!
 //! Timing: a send deposits a message stamped with its departure instant;
 //! the wire time is charged on the receive side as
 //! `completion = max(local now, depart + transfer_time)`. Message order per
@@ -15,7 +26,7 @@
 
 use std::sync::Arc;
 
-use gpu_sim::{GpuPtr, MemSpace, Memory, PackDir, SimTime};
+use gpu_sim::{GpuPtr, MemSpace, PackDir, SimTime};
 use tempi_trace::sync::RwLock;
 
 use crate::datatype::{typemap, Combiner, Datatype, TypeRegistry};
@@ -313,39 +324,76 @@ impl WireType {
     }
 }
 
+/// A walk over a train's runs: it hands its sink each run's offset, in
+/// order.
+type RunWalk<'a> = dyn Fn(&mut dyn FnMut(i64)) + 'a;
+
+/// A block source: a buffer's bytes as `(offset, len)` regions, in packed
+/// order. Every send reads its payload through one ([`RankCtx::gather`])
+/// and every receive lands one through one ([`RankCtx::scatter`]).
+#[derive(Clone, Copy)]
+enum Blocks<'a> {
+    /// One run from the buffer's start: every byte that moves.
+    Whole,
+    /// Runs of this many bytes, at the offsets the walk hands its sink.
+    Runs(usize, &'a RunWalk<'a>),
+    /// Items of a committed type, in typemap order.
+    Typed(&'a WireType, usize),
+}
+
+impl Blocks<'_> {
+    /// Hand `sink` each region of the `bytes` that move, up to its first
+    /// error.
+    fn each(
+        self,
+        bytes: usize,
+        mut sink: impl FnMut(i64, usize) -> MpiResult<()>,
+    ) -> MpiResult<()> {
+        match self {
+            Blocks::Whole => sink(0, bytes),
+            Blocks::Runs(run, walk) => {
+                let mut done = Ok(());
+                walk(&mut |off| {
+                    if done.is_ok() {
+                        done = sink(off, run);
+                    }
+                });
+                done
+            }
+            Blocks::Typed(wt, count) => wt.for_each_block(count, |off, len, _| sink(off, len)),
+        }
+    }
+}
+
 impl RankCtx {
-    /// Gather the bytes a datatype covers into a payload off the free list
-    /// (functional effect only; callers charge the timing appropriate to
-    /// their path).
-    pub(crate) fn gather_payload(
-        &mut self,
-        buf: GpuPtr,
-        count: usize,
-        wt: &WireType,
-    ) -> MpiResult<Payload> {
-        let mut out = self.take_payload(wt.size * count);
+    /// Gather the `bytes` of `buf` that `blocks` names into a payload off
+    /// the free list (functional effect only; callers charge the timing
+    /// appropriate to their path). A failed read spends the payload.
+    fn gather(&mut self, buf: GpuPtr, bytes: usize, blocks: Blocks) -> MpiResult<Payload> {
+        let mut out = self.take_payload(bytes);
         let mem = self.gpu.memory();
         let from = mem.region(buf);
-        wt.for_each_block(count, |off, len, _| {
+        let read = blocks.each(bytes, |off, len| {
             out.extend_from_slice(from.read(offset_ptr(buf, off)?.offset, len)?);
             Ok(())
-        })?;
+        });
+        drop(mem);
+        if let Err(e) = read {
+            self.spend(out);
+            return Err(e);
+        }
         Ok(out)
     }
 
-    /// Scatter payload bytes into a datatype layout (functional effect
-    /// only).
-    pub(crate) fn scatter_payload(
-        &self,
-        buf: GpuPtr,
-        count: usize,
-        wt: &WireType,
-        payload: &[u8],
-    ) -> MpiResult<()> {
-        let mut mem = self.gpu.memory();
+    /// Land `payload` in the regions of `buf` that `blocks` names, in
+    /// order, until it runs out (functional effect only).
+    fn scatter(&self, buf: GpuPtr, payload: &[u8], blocks: Blocks) -> MpiResult<()> {
+        let (mut mem, mut rest) = (self.gpu.memory(), payload);
         let mut to = mem.region_mut(buf);
-        wt.for_each_block(count, |off, len, pos| {
-            Ok(to.write(offset_ptr(buf, off)?.offset, &payload[pos..pos + len])?)
+        blocks.each(payload.len(), |off, len| {
+            let (now, later) = rest.split_at(len.min(rest.len()));
+            rest = later;
+            Ok(to.write(offset_ptr(buf, off)?.offset, now)?)
         })
     }
 
@@ -457,21 +505,15 @@ impl RankCtx {
             return baseline_gpu_xfer(&self.vendor, on, wt, typed, count, packed, dir).map(drop);
         }
         let bytes = wt.size * count;
-        match dir {
-            PackDir::Pack => {
-                let payload = self.gather_payload(typed, count, wt)?;
-                let put = self.gpu.memory().poke(packed, &payload);
-                self.spend(payload);
-                put?;
-            }
-            PackDir::Unpack => {
-                let mut payload = self.take_payload(bytes);
-                self.peek_payload(packed, bytes, &mut payload)?;
-                let landed = self.scatter_payload(typed, count, wt, &payload);
-                self.spend(payload);
-                landed?;
-            }
-        }
+        let (typed, packed) = ((typed, Blocks::Typed(wt, count)), (packed, Blocks::Whole));
+        let ((from, read), (to, land)) = match dir {
+            PackDir::Pack => (typed, packed),
+            PackDir::Unpack => (packed, typed),
+        };
+        let payload = self.gather(from, bytes, read)?;
+        let landed = self.scatter(to, &payload, land);
+        self.spend(payload);
+        landed?;
         let t = self.vendor.host_pack_time(bytes, wt.blocks * count);
         self.clock.advance(t);
         Ok(())
@@ -518,34 +560,35 @@ impl RankCtx {
         self.verified(msg, transport)
     }
 
-    /// Deliver `first` and, when it is a part of a pipelined transfer,
-    /// every later part of that transfer in order, handing each delivered
-    /// payload and its byte offset within the transfer to `land`. Any
-    /// matching receive completes a part-tagged transfer this way, so a
-    /// peer without TEMPI (or TEMPI's own fall-through) gets all the bytes
-    /// rather than the first chunk. A transfer larger than `capacity` is
-    /// consumed whole and reported as [`MpiError::Truncated`]. `land`
-    /// returns the buffer it is done with (empty if it kept the bytes);
-    /// every spent buffer goes back to the router's free list, as do the
-    /// parts consumed unread.
-    pub(crate) fn deliver_transfer(
+    /// Match a message of `(src, tag)` past the receive gate and deliver
+    /// it and, when `whole` and it is a part of a pipelined transfer, every
+    /// later part of that transfer in order, handing each delivered payload
+    /// and its byte offset within the transfer to `land`. Every receive but
+    /// the one-message one ([`RankCtx::recv_bytes_runs`]) completes a
+    /// part-tagged transfer this way, so a peer without TEMPI (or TEMPI's
+    /// own fall-through) gets all the bytes rather than the first chunk. A
+    /// transfer larger than `capacity` is consumed whole and reported as
+    /// [`MpiError::Truncated`]. `land` returns the buffer it is done with
+    /// (empty if it kept the bytes); every spent buffer goes back to the
+    /// router's free list, as do the parts consumed unread.
+    fn recv_transfer(
         &mut self,
-        first: Message,
-        capacity: usize,
+        (src, tag): (Option<usize>, Option<i32>),
+        (capacity, whole): (usize, bool),
         dst_space: MemSpace,
         mut land: impl FnMut(&mut RankCtx, usize, Payload) -> MpiResult<Payload>,
     ) -> MpiResult<Status> {
-        let (src, tag) = (self.comm_members.rank_of(first.src_world), first.tag);
-        let mut received = 0usize;
-        let mut failed = None;
-        let mut msg = first;
+        self.recv_gate(src)?;
+        let mut msg = self.match_message(src, tag)?;
+        let (source, tag) = (self.comm_members.rank_of(msg.src_world), msg.tag);
+        let (mut bytes, mut failed) = (0, None);
         loop {
             let part = msg.part;
             let len = msg.payload.len();
-            if failed.is_none() && received + len <= capacity {
+            if failed.is_none() && bytes + len <= capacity {
                 let landed = self
                     .deliver_payload(msg, dst_space)
-                    .and_then(|payload| land(self, received, payload));
+                    .and_then(|payload| land(self, bytes, payload));
                 match landed {
                     Ok(spent) => self.spend(spent),
                     Err(e) => failed = Some(e),
@@ -554,43 +597,29 @@ impl RankCtx {
                 // a part consumed unread goes back to the free list too
                 self.spend(msg.payload);
             }
-            received += len;
-            if part.is_none_or(|p| p.index + p.runs >= p.total) {
+            bytes += len;
+            if !whole || part.is_none_or(|p| p.index + p.runs >= p.total) {
                 break;
             }
-            msg = self.match_message(Some(src), Some(tag))?;
+            msg = self.match_message(Some(source), Some(tag))?;
         }
         if let Some(e) = failed {
             return Err(e);
         }
-        if received > capacity {
+        if bytes > capacity {
             return Err(MpiError::Truncated {
-                sent: received,
+                sent: bytes,
                 capacity,
                 envelope: None,
             });
         }
-        Ok(Status {
-            source: src,
-            tag,
-            bytes: received,
-        })
+        Ok(Status { source, tag, bytes })
     }
 
     /// Bytes of buffer capacity the world's payload free list holds
     /// (never more than [`crate::PAYLOAD_POOL_BYTES`]).
     pub fn pooled_payload_bytes(&self) -> usize {
         self.router.pooled_payload_bytes()
-    }
-
-    fn post(
-        &mut self,
-        dest: usize,
-        tag: i32,
-        payload: Payload,
-        sender_space: MemSpace,
-    ) -> MpiResult<()> {
-        self.post_at(dest, tag, payload, sender_space, SimTime::ZERO, None)
     }
 
     /// Post a message whose payload only becomes available at `ready_at`
@@ -660,9 +689,38 @@ impl RankCtx {
         Ok(())
     }
 
+    /// The one send body, after the gate: gather `bytes` of `buf` from
+    /// `blocks`, charge their host pack ([`RankCtx::host_pack`]) and post
+    /// the payload, as `part` of a transfer if it is one, departing no
+    /// earlier than `ready_at`.
+    fn ship(
+        &mut self,
+        buf: GpuPtr,
+        (bytes, blocks): (usize, Blocks),
+        (dest, tag): (usize, i32),
+        (ready_at, part): (SimTime, Option<PartInfo>),
+    ) -> MpiResult<()> {
+        let payload = self.gather(buf, bytes, blocks)?;
+        self.host_pack(buf, bytes, blocks);
+        self.post_at(dest, tag, payload, buf.space, ready_at, part)
+    }
+
+    /// Charge the vendor's CPU pack of the `bytes` of `buf` that `blocks`
+    /// names, gathered or scattered: a typed buffer's non-contiguous host
+    /// data costs it, anything else moves as it lies.
+    fn host_pack(&mut self, buf: GpuPtr, bytes: usize, blocks: Blocks) {
+        if let Blocks::Typed(wt, count) = blocks {
+            if buf.space != MemSpace::Device && !wt.fully_contiguous(count) {
+                let t = self.vendor.host_pack_time(bytes, wt.blocks * count);
+                self.clock.advance(t);
+            }
+        }
+    }
+
     /// Send raw bytes as one chunk of a pipelined transfer: the wire
     /// departure waits for `ready_at` (when the packing kernel producing
-    /// this chunk completes on the GPU timeline).
+    /// this chunk completes on the GPU timeline). A transfer of one part
+    /// is a plain message, as [`RankCtx::send_bytes`] sends.
     pub fn send_bytes_part(
         &mut self,
         buf: GpuPtr,
@@ -673,9 +731,8 @@ impl RankCtx {
         part: PartInfo,
     ) -> MpiResult<()> {
         self.send_gate(dest)?;
-        let mut payload = self.take_payload(len);
-        self.peek_payload(buf, len, &mut payload)?;
-        self.post_at(dest, tag, payload, buf.space, ready_at, Some(part))
+        let (whole, part) = ((len, Blocks::Whole), Some(part).filter(|p| p.total > 1));
+        self.ship(buf, whole, (dest, tag), (ready_at, part))
     }
 
     /// An empty payload with room for `len` bytes to send: inline up to
@@ -693,13 +750,6 @@ impl RankCtx {
             false => self.router.take_payload(len),
         };
         Payload::Pooled(buf)
-    }
-
-    /// Append the `len` bytes at `buf` to `payload`.
-    fn peek_payload(&self, buf: GpuPtr, len: usize, payload: &mut Payload) -> MpiResult<()> {
-        let mem = self.gpu.memory();
-        payload.extend_from_slice(mem.region(buf).read(buf.offset, len)?);
-        Ok(())
     }
 
     /// Hand back a payload this rank is done with: an inline one is simply
@@ -728,32 +778,17 @@ impl RankCtx {
         (run, n): (usize, usize),
         dest: usize,
         tag: i32,
-        runs: impl FnOnce(&mut dyn FnMut(i64)),
+        runs: impl Fn(&mut dyn FnMut(i64)),
     ) -> MpiResult<()> {
         self.send_gate(dest)?;
-        let (mut payload, mut read) = (self.take_payload(run * n), Ok(()));
-        let mem = self.gpu.memory();
-        let from = mem.region(buf);
-        runs(&mut |off| {
-            if read.is_ok() {
-                read = offset_ptr(buf, off).and_then(|at| {
-                    payload.extend_from_slice(from.read(at.offset, run)?);
-                    Ok(())
-                });
-            }
-        });
-        drop(mem);
-        if let Err(e) = read {
-            self.spend(payload);
-            return Err(e);
-        }
-        let (index, total) = (0, n as u32);
+        let total = n as u32;
         let part = PartInfo {
-            index,
+            index: 0,
             total,
             runs: total,
         };
-        self.post_at(dest, tag, payload, buf.space, SimTime::ZERO, Some(part))
+        let blocks = (run * n, Blocks::Runs(run, &runs));
+        self.ship(buf, blocks, (dest, tag), (SimTime::ZERO, Some(part)))
     }
 
     /// Blocking match of `(src, tag)`; `None` means wildcard
@@ -822,9 +857,8 @@ impl RankCtx {
     /// `MPI_BYTE`). CUDA-aware: `buf` may be device memory.
     pub fn send_bytes(&mut self, buf: GpuPtr, len: usize, dest: usize, tag: i32) -> MpiResult<()> {
         self.send_gate(dest)?;
-        let mut payload = self.take_payload(len);
-        self.peek_payload(buf, len, &mut payload)?;
-        self.post(dest, tag, payload, buf.space)
+        let whole = (len, Blocks::Whole);
+        self.ship(buf, whole, (dest, tag), (SimTime::ZERO, None))
     }
 
     /// Receive raw bytes into `buf` (capacity `maxlen`). Returns the
@@ -837,81 +871,32 @@ impl RankCtx {
         src: Option<usize>,
         tag: Option<i32>,
     ) -> MpiResult<Status> {
-        self.recv_gate(src)?;
-        let msg = self.match_message(src, tag)?;
-        self.deliver_transfer(msg, maxlen, buf.space, |ctx, off, payload| {
-            ctx.gpu.memory().poke(buf.add(off), &payload)?;
+        let whole = (maxlen, true);
+        self.recv_transfer((src, tag), whole, buf.space, |ctx, off, payload| {
+            ctx.scatter(buf.add(off), &payload, Blocks::Whole)?;
             Ok(payload)
         })
     }
 
-    /// Receive exactly one message into `buf`, even when it is one part of
-    /// a pipelined transfer — the mirror of [`RankCtx::send_bytes_part`],
-    /// for a receiver that overlaps its own work with the parts still on
-    /// the wire.
-    pub fn recv_bytes_part(
-        &mut self,
-        buf: GpuPtr,
-        maxlen: usize,
-        src: Option<usize>,
-        tag: Option<i32>,
-    ) -> MpiResult<Status> {
-        self.recv_one(buf.space, maxlen, (src, tag), |mem, payload| {
-            Ok(mem.poke(buf, payload)?)
-        })
-    }
-
-    /// Receive exactly one message straight into the runs of a typed
-    /// buffer: its k-th `run` bytes land at the k-th offset `runs` hands
-    /// its sink — the mirror of [`RankCtx::send_bytes_runs`].
+    /// Receive exactly one message, even when it is one part of a pipelined
+    /// transfer, into at most `maxlen` bytes of `buf`: its k-th `run` bytes
+    /// land at the k-th offset `runs` hands its sink. The mirror of
+    /// [`RankCtx::send_bytes_runs`], and, as one run at offset 0, of
+    /// [`RankCtx::send_bytes_part`], for a receiver that overlaps its own
+    /// work with the parts still on the wire.
     pub fn recv_bytes_runs(
         &mut self,
         buf: GpuPtr,
         (run, maxlen): (usize, usize),
         src: Option<usize>,
         tag: Option<i32>,
-        runs: impl FnOnce(&mut dyn FnMut(i64)),
+        runs: impl Fn(&mut dyn FnMut(i64)),
     ) -> MpiResult<Status> {
-        self.recv_one(buf.space, maxlen, (src, tag), |mem, payload| {
-            let (mut landed, mut chunks) = (Ok(()), payload.chunks(run.max(1)));
-            let mut to = mem.region_mut(buf);
-            runs(&mut |off| match chunks.next() {
-                Some(bytes) if landed.is_ok() => {
-                    landed = offset_ptr(buf, off).and_then(|at| Ok(to.write(at.offset, bytes)?));
-                }
-                _ => {}
-            });
-            landed
+        let one = (maxlen, false);
+        self.recv_transfer((src, tag), one, buf.space, |ctx, _, payload| {
+            ctx.scatter(buf, &payload, Blocks::Runs(run, &runs))?;
+            Ok(payload)
         })
-    }
-
-    /// Match and deliver one message of at most `maxlen` bytes into
-    /// `space`, handing its bytes to `land`; the payload goes back to the
-    /// free list.
-    fn recv_one(
-        &mut self,
-        space: MemSpace,
-        maxlen: usize,
-        (src, tag): (Option<usize>, Option<i32>),
-        land: impl FnOnce(&mut Memory, &[u8]) -> MpiResult<()>,
-    ) -> MpiResult<Status> {
-        self.recv_gate(src)?;
-        let msg = self.match_message(src, tag)?;
-        let source = self.comm_members.rank_of(msg.src_world);
-        let (tag, bytes) = (msg.tag, msg.payload.len());
-        if bytes > maxlen {
-            self.spend(msg.payload);
-            return Err(MpiError::Truncated {
-                sent: bytes,
-                capacity: maxlen,
-                envelope: None,
-            });
-        }
-        let payload = self.deliver_payload(msg, space)?;
-        let landed = land(&mut self.gpu.memory(), &payload);
-        self.spend(payload);
-        landed?;
-        Ok(Status { source, tag, bytes })
     }
 
     // ---- datatype-aware system-MPI send/recv ----------------------------
@@ -933,7 +918,7 @@ impl RankCtx {
         let fully_contiguous = wt.fully_contiguous(count);
 
         if bytes == 0 {
-            return self.post(dest, tag, Payload::EMPTY, buf.space);
+            return self.post_at(dest, tag, Payload::EMPTY, buf.space, SimTime::ZERO, None);
         }
 
         if buf.space == MemSpace::Device && !fully_contiguous {
@@ -941,41 +926,22 @@ impl RankCtx {
             // temporary device buffer, then CUDA-aware transfer. The
             // buffer is freed, and a payload taken is spent, on every exit.
             let tmp = self.gpu.malloc(bytes)?;
-            let mut payload = Payload::EMPTY;
-            let packed = (self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp)).and_then(|()| {
-                payload = self.take_payload(bytes);
-                self.peek_payload(tmp, bytes, &mut payload)
-            });
+            let packed = (self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp))
+                .and_then(|()| self.gather(tmp, bytes, Blocks::Whole));
             let freed = self.gpu.free(tmp).map_err(MpiError::from);
-            if let Err(e) = packed.and(freed) {
+            let payload = packed?;
+            if let Err(e) = freed {
                 self.spend(payload);
                 return Err(e);
             }
-            return self.post(dest, tag, payload, MemSpace::Device);
+            return self.post_at(dest, tag, payload, buf.space, SimTime::ZERO, None);
         }
 
-        self.send_gathered(buf, count, &wt, dest, tag)
-    }
-
-    /// [`RankCtx::send`] of contiguous device data, or of host data
-    /// (packed on the CPU). (Out of the frame the vendor's device pack
-    /// runs beneath, on a rank's fiber stack.)
-    fn send_gathered(
-        &mut self,
-        buf: GpuPtr,
-        count: usize,
-        wt: &WireType,
-        dest: usize,
-        tag: i32,
-    ) -> MpiResult<()> {
-        let payload = self.gather_payload(buf, count, wt)?;
-        if buf.space != MemSpace::Device && !wt.fully_contiguous(count) {
-            let t = self
-                .vendor
-                .host_pack_time(wt.size * count, wt.blocks * count);
-            self.clock.advance(t);
-        }
-        self.post(dest, tag, payload, buf.space)
+        // contiguous device data, or host data packed on the CPU (out of
+        // the frame the vendor's device pack runs beneath, on a rank's
+        // fiber stack)
+        let blocks = (bytes, Blocks::Typed(&wt, count));
+        self.ship(buf, blocks, (dest, tag), (SimTime::ZERO, None))
     }
 
     /// `MPI_Recv`: receive `count` items of `dt` into `buf`.
@@ -990,9 +956,7 @@ impl RankCtx {
         self.check_comm()?;
         let wt = WireType::new(&self.registry, dt)?;
         let capacity = wt.transfer(count)?;
-        self.recv_gate(src)?;
-        let msg = self.match_message(src, tag)?;
-        let (st, payload) = self.recv_payload(msg, capacity, buf.space, dt)?;
+        let (st, payload) = self.recv_payload((src, tag), capacity, buf.space, dt)?;
         let bytes = st.bytes;
 
         let items = bytes.checked_div(wt.size).unwrap_or(0);
@@ -1014,42 +978,37 @@ impl RankCtx {
                     return Err(e.into());
                 }
             };
-            let poked = self
-                .gpu
-                .memory()
-                .poke(tmp, &payload)
-                .map_err(MpiError::from);
+            let poked = self.scatter(tmp, &payload, Blocks::Whole);
             self.spend(payload);
             let unpacked =
                 poked.and_then(|()| self.wire_xfer(PackDir::Unpack, &wt, buf, items, tmp));
             let freed = self.gpu.free(tmp).map_err(MpiError::from);
             unpacked.and(freed)?;
         } else {
-            self.scatter_payload(buf, items, &wt, &payload)?;
+            let blocks = Blocks::Typed(&wt, items);
+            let landed = self.scatter(buf, &payload, blocks);
             self.spend(payload);
-            if buf.space != MemSpace::Device && !fully_contiguous {
-                let t = self.vendor.host_pack_time(bytes, wt.blocks * items);
-                self.clock.advance(t);
-            }
+            landed?;
+            self.host_pack(buf, bytes, blocks);
         }
         Ok(st)
     }
 
-    /// [`RankCtx::recv`]'s delivery of `msg`, received into `space` as
-    /// `capacity` bytes of `dt`: its status and packed payload. One message
-    /// is consumed as it is; the parts of a pipelined transfer are
+    /// [`RankCtx::recv`]'s delivery of a message of `(src, tag)`, received
+    /// into `space` as `capacity` bytes of `dt`: its status and packed
+    /// payload. One message is consumed as it is; the parts of a pipelined transfer are
     /// gathered, in order, into one payload first. (Out of the frame the
     /// landing's unpack runs beneath, on a rank's fiber stack.)
     fn recv_payload(
         &mut self,
-        msg: Message,
+        from: (Option<usize>, Option<i32>),
         capacity: usize,
         space: MemSpace,
         dt: Datatype,
     ) -> MpiResult<(Status, Payload)> {
         let mut payload = Payload::EMPTY;
         let st = self
-            .deliver_transfer(msg, capacity, space, |_, off, part| {
+            .recv_transfer(from, (capacity, true), space, |_, off, part| {
                 if off == 0 {
                     payload = part;
                     return Ok(Payload::EMPTY);
@@ -1246,7 +1205,7 @@ mod tests {
             }
             let mut landed = Vec::new();
             for _ in 0..n {
-                ctx.recv_bytes_part(buf, len, Some(0), Some(0))?;
+                ctx.recv_bytes_runs(buf, (len, len), Some(0), Some(0), |at| at(0))?;
                 landed.push(ctx.clock.now());
             }
             let before = ctx.clock.now();
@@ -1310,7 +1269,8 @@ mod tests {
                                 ctx.recv_bytes_runs(to, (run, run * n), Some(0), Some(0), offsets)?;
                             }
                             for k in (0..n).filter(|_| !train) {
-                                ctx.recv_bytes_part(to.add(2 * run * k), run, Some(0), Some(0))?;
+                                let to = to.add(2 * run * k);
+                                ctx.recv_bytes_runs(to, (run, run), Some(0), Some(0), |at| at(0))?;
                             }
                             let got = ctx.gpu.memory().peek(to, 2 * run * n)?;
                             let landed = (0..n).all(|k| {

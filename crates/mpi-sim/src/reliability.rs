@@ -661,7 +661,8 @@ mod tests {
                     .unwrap();
             }
             for k in (0..n).filter(|_| !train) {
-                ctx.recv_bytes_part(to.add(2 * run * k), run, Some(0), Some(0))
+                let to = to.add(2 * run * k);
+                ctx.recv_bytes_runs(to, (run, run), Some(0), Some(0), |at| at(0))
                     .unwrap();
             }
             let stats = &ctx.faults.stats;

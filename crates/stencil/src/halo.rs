@@ -186,9 +186,14 @@ impl HaloTypes {
             recv.push(region_type(ctx, cfg, cfg.recv_region(d))?);
         }
         let mut fuse = |of: &[Datatype], order: &[usize]| {
-            let members: Vec<Datatype> = order.iter().map(|&k| of[k]).collect();
-            let n = members.len().min(26);
-            ctx.type_create_struct(&[1; 26][..n], &[0; 26][..n], &members)
+            // the members on the stack: the struct copies its lists
+            let mut members = [Datatype(0); 26];
+            members.iter_mut().zip(order).for_each(|(m, &k)| *m = of[k]);
+            let n = order.len();
+            let members = members.get(..n).ok_or_else(|| {
+                MpiError::InvalidArg(format!("{n} members fuse more than 26 directions"))
+            })?;
+            ctx.type_create_struct(&[1; 26][..n], &[0; 26][..n], members)
         };
         Ok(HaloTypes {
             fused_send: fuse(&send, pack_order)?,

@@ -9,8 +9,9 @@
 //! plan no type uses; and the system MPI packing and unpacking a non-dense
 //! type it has moved before, nothing. A warm tuner decides a send without
 //! the heap in every mode, probes included, a traced metric that exists
-//! records without it, a message of at most 64 bytes travels without it,
-//! and a warm 26-peer sparse `alltoallv` and a warm 64-rank dense one move
+//! records without it, a message of at most 64 bytes travels without it
+//! (typed from a non-contiguous host buffer, or as a train, too), and a
+//! warm 26-peer sparse `alltoallv` and a warm 64-rank dense one move
 //! their messages without it. A thousand warm cycles in one registry slot
 //! allocate nothing, the interposer is built without the heap, and a world
 //! spawns each rank in three allocations.
@@ -98,9 +99,10 @@ fn a_halo_exchanger_is_set_up_in_a_pinned_number_of_allocations() {
         let n = allocs(|| ex = Some(HaloExchanger::new(&mut ctx, &mut mpi, cfg).unwrap()));
         // the plans and schedules at their final sizes, the 53 subarrays
         // in their slots, the fused pair's member lists and the three
-        // commits: 38 (146 while each subarray allocated twice, 39 while
-        // the halo types kept a list of their sizes)
-        assert!(n <= 38, "{cfg:?}: set-up allocated {n} times");
+        // commits: 36 (146 while each subarray allocated twice, 39 while
+        // the halo types kept a list of their sizes, 38 while each fused
+        // type collected its members in a list of its own)
+        assert!(n <= 36, "{cfg:?}: set-up allocated {n} times");
         // the grid is filled where it lies, with no host copy of it (the
         // small grid only: a debug build fills the paper's for seconds)
         if cfg.local == HaloConfig::small(4).local {
@@ -444,7 +446,8 @@ fn a_warm_metric_records_without_the_heap() {
 /// A message of at most 64 bytes travels in the message itself: once the
 /// world's store has a free slot, sending and receiving every length up
 /// to 64 takes no buffer. While such payloads came from the free list,
-/// each new capacity class allocated.
+/// each new capacity class allocated. A warm typed send of a
+/// non-contiguous host type, and a warm train, take none either.
 #[test]
 fn a_message_of_at_most_64_bytes_travels_without_the_heap() {
     let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
@@ -461,6 +464,28 @@ fn a_message_of_at_most_64_bytes_travels_without_the_heap() {
         }
     });
     assert_eq!(n_allocs, 0);
+    // the system MPI's typed send and receive of a non-contiguous host
+    // type, and a train landed by the one-message receive: each gathers
+    // and scatters its regions straight between the buffer and the payload
+    let strided = ctx.type_vector(4, 8, 16, MPI_BYTE).unwrap();
+    ctx.type_commit_native(strided).unwrap();
+    let runs = |sink: &mut dyn FnMut(i64)| (0..8).for_each(|k| sink(8 * k));
+    let warm = |ctx: &mut RankCtx, typed: bool| match typed {
+        true => {
+            ctx.send(from, 1, strided, 0, 1).unwrap();
+            ctx.recv(to, 1, strided, Some(0), Some(1)).unwrap();
+        }
+        false => {
+            ctx.send_bytes_runs(from, (4, 8), 0, 2, runs).unwrap();
+            ctx.recv_bytes_runs(to, (4, 32), Some(0), Some(2), runs)
+                .unwrap();
+        }
+    };
+    for typed in [true, false] {
+        warm(&mut ctx, typed);
+        let n_allocs = allocs(|| warm(&mut ctx, typed));
+        assert_eq!(n_allocs, 0, "typed: {typed}");
+    }
 }
 
 /// A warm 26-peer sparse `alltoallv` on a 64-rank 4×4×4 torus allocates

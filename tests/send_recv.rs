@@ -308,3 +308,219 @@ fn model_selected_methods_match_expectation_per_size() {
     let sent: Vec<_> = want.iter().map(|&(m, _)| m).collect();
     assert_eq!(received, sent);
 }
+
+/// Steps of [`the_message_layer_lands_the_oracle_bytes_at_the_recorded_clocks`]:
+/// what rank 0 sends, and how rank 1 receives it, under tag `step`.
+const LAYER_STEPS: usize = 22;
+
+#[test]
+fn the_message_layer_lands_the_oracle_bytes_at_the_recorded_clocks() {
+    // Every raw-bytes entry point on host and device buffers, the system
+    // MPI's typed send / recv of a contiguous and a non-contiguous type,
+    // a pipelined transfer received whole, a train and truncated receives:
+    // the receiver's bytes match the typemap oracle and both ranks' clocks
+    // after every step match the ones recorded before the message layer
+    // was reduced to one gather and one scatter.
+    use gpu_sim::{GpuPtr, SimTime};
+    use mpi_sim::{PartInfo, RankCtx};
+    const SPAN: usize = 1024;
+    let (run, n, part) = (24usize, 6usize, 96usize);
+    let clocks = World::run(&two_node_cfg(), |ctx| {
+        let contig = ctx.type_contiguous(24, mpi_sim::consts::MPI_INT)?;
+        let strided = ctx.type_vector(12, 8, 20, MPI_BYTE)?;
+        for dt in [contig, strided] {
+            ctx.type_commit_native(dt)?;
+        }
+        let src = pattern(SPAN);
+        let offsets = |sink: &mut dyn FnMut(i64)| (0..n).for_each(|k| sink((40 * k + 7) as i64));
+        let whole = |sink: &mut dyn FnMut(i64)| sink(0);
+        let (host, dev) = (ctx.gpu.host_alloc(SPAN)?, ctx.gpu.malloc(SPAN)?);
+        let mut clocks = Vec::new();
+        for step in 0..LAYER_STEPS {
+            let tag = step as i32;
+            let buf = if step % 2 == 0 { host } else { dev };
+            let typed = [contig, strided][(step / 2) % 2];
+            if ctx.rank == 0 {
+                ctx.gpu.memory().poke(buf, &src)?;
+                let parts = |ctx: &mut RankCtx, at: GpuPtr, total: u32| {
+                    for index in 0..total {
+                        let info = PartInfo {
+                            index,
+                            total,
+                            runs: 1,
+                        };
+                        let ready = SimTime::from_ns(300 * u64::from(index));
+                        let from = at.add(part * index as usize);
+                        ctx.send_bytes_part(from, part, 1, tag, ready, info)?;
+                    }
+                    Ok::<_, MpiError>(())
+                };
+                match step {
+                    0 | 1 => ctx.send_bytes(buf, 200, 1, tag)?,
+                    2 | 3 => ctx.send_bytes(buf, 40, 1, tag)?,
+                    4 | 5 => parts(ctx, buf, 4)?,
+                    6 | 7 => parts(ctx, buf, 2)?,
+                    8 | 9 => parts(ctx, buf, 3)?,
+                    10 | 11 => ctx.send_bytes_runs(buf, (run, n), 1, tag, offsets)?,
+                    12..=15 => ctx.send(buf, 2, typed, 1, tag)?,
+                    16 | 17 => ctx.send(buf, 2, strided, 1, tag)?,
+                    18 => ctx.send_bytes(buf, 64, 1, tag)?,
+                    19 => ctx.send(buf, 2, strided, 1, tag)?,
+                    _ => parts(ctx, buf, 2)?,
+                }
+            } else {
+                ctx.gpu.memory().poke(buf, &[0u8; SPAN])?;
+                let (from, to) = (Some(0), Some(tag));
+                // what the step must leave in `buf`: its bytes, by the oracle
+                let mut want = vec![0u8; SPAN];
+                let packed = |ctx: &RankCtx, dt, count| {
+                    let reg = ctx.registry().read();
+                    let size = reg.info(dt).unwrap().attrs.size as usize * count;
+                    let mut out = vec![0u8; size];
+                    pack_cpu::pack(&reg, &src, 0, count, dt, &mut out, &mut 0).unwrap();
+                    out
+                };
+                let unpacked = |ctx: &RankCtx, bytes: &[u8], dt, count, want: &mut Vec<u8>| {
+                    let reg = ctx.registry().read();
+                    pack_cpu::unpack(&reg, bytes, &mut 0, want, 0, count, dt).unwrap();
+                };
+                match step {
+                    0..=3 => {
+                        let len = [200, 40][step / 2];
+                        let st = ctx.recv_bytes(buf, 256, from, to)?;
+                        assert_eq!(st.bytes, len, "step {step}");
+                        want[..len].copy_from_slice(&src[..len]);
+                    }
+                    4 | 5 => {
+                        assert_eq!(ctx.recv_bytes(buf, SPAN, from, to)?.bytes, 4 * part);
+                        want[..4 * part].copy_from_slice(&src[..4 * part]);
+                    }
+                    6 | 7 => {
+                        // two parts of 96 B, received whole as two items
+                        let st = ctx.recv(buf, 2, strided, from, to)?;
+                        assert_eq!(st.bytes, 2 * part, "step {step}");
+                        unpacked(ctx, &src[..2 * part], strided, 2, &mut want);
+                    }
+                    8 | 9 => {
+                        for k in 0..3 {
+                            let at = buf.add(100 * k);
+                            let st = ctx.recv_bytes_runs(at, (part, part), from, to, whole)?;
+                            assert_eq!(st.bytes, part, "step {step}");
+                            want[100 * k..][..part].copy_from_slice(&src[part * k..][..part]);
+                        }
+                    }
+                    10 | 11 => {
+                        let st = ctx.recv_bytes_runs(buf, (run, run * n), from, to, offsets)?;
+                        assert_eq!(st.bytes, run * n, "step {step}");
+                        for k in 0..n {
+                            let at = 40 * k + 7;
+                            want[at..at + run].copy_from_slice(&src[at..at + run]);
+                        }
+                    }
+                    12..=15 => {
+                        let st = ctx.recv(buf, 2, typed, from, to)?;
+                        let bytes = packed(ctx, typed, 2);
+                        assert_eq!(st.bytes, bytes.len(), "step {step}");
+                        unpacked(ctx, &bytes, typed, 2, &mut want);
+                    }
+                    16 | 17 => {
+                        // a typed send received as raw bytes: packed order
+                        let bytes = packed(ctx, strided, 2);
+                        let st = ctx.recv_bytes(buf, SPAN, from, to)?;
+                        assert_eq!(st.bytes, bytes.len(), "step {step}");
+                        want[..bytes.len()].copy_from_slice(&bytes);
+                    }
+                    18 => {
+                        let short = ctx.recv_bytes(buf, 16, from, to);
+                        let cut = Err(MpiError::Truncated {
+                            sent: 64,
+                            capacity: 16,
+                            envelope: None,
+                        });
+                        assert_eq!(short, cut);
+                    }
+                    19 => {
+                        let short = ctx.recv(buf, 1, strided, from, to);
+                        assert!(
+                            matches!(
+                                short,
+                                Err(MpiError::Truncated {
+                                    sent: 192,
+                                    capacity: 96,
+                                    ..
+                                })
+                            ),
+                            "{short:?}"
+                        );
+                    }
+                    _ => {
+                        for k in 0..2 {
+                            let room = [part - 1, part][k];
+                            let got = ctx.recv_bytes_runs(buf, (room, room), from, to, whole);
+                            match k {
+                                0 => assert!(matches!(got, Err(MpiError::Truncated { .. }))),
+                                _ => assert_eq!(got?.bytes, part, "step {step}"),
+                            }
+                        }
+                        want[..part].copy_from_slice(&src[part..2 * part]);
+                    }
+                }
+                assert_eq!(ctx.gpu.memory().peek(buf, SPAN)?, want, "step {step}");
+            }
+            clocks.push(ctx.clock.now().as_ps());
+        }
+        Ok(clocks)
+    })
+    .unwrap();
+    let recorded: [[u64; LAYER_STEPS]; 2] = [
+        [
+            3_600_000,
+            3_800_000,
+            4_000_000,
+            4_200_000,
+            5_000_000,
+            5_800_000,
+            6_200_000,
+            6_600_000,
+            7_200_000,
+            7_800_000,
+            9_000_000,
+            10_200_000,
+            10_400_000,
+            10_600_000,
+            12_250_667,
+            1_097_450_667,
+            1_099_101_334,
+            2_184_301_334,
+            2_184_501_334,
+            3_269_701_334,
+            3_270_101_334,
+            3_270_501_334,
+        ],
+        [
+            6_016_000,
+            15_033_333,
+            15_233_333,
+            15_433_333,
+            16_233_333,
+            17_033_333,
+            18_884_000,
+            1_104_284_000,
+            1_104_884_000,
+            1_105_484_000,
+            1_106_684_000,
+            1_107_884_000,
+            1_108_084_000,
+            1_108_284_000,
+            1_109_934_667,
+            2_195_134_667,
+            2_195_334_667,
+            2_195_534_667,
+            2_195_534_667,
+            2_195_534_667,
+            3_272_509_014,
+            3_281_717_334,
+        ],
+    ];
+    assert_eq!(clocks, recorded, "clocks (ps) after each step, per rank");
+}
