@@ -106,7 +106,7 @@ impl Order {
 /// One dimension of a subarray, in elements of its `oldtype`: what
 /// `MPI_Type_create_subarray` lists at one index of its `sizes`,
 /// `subsizes` and `starts`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Dim {
     /// Full array extent.
     pub size: i32,
@@ -430,14 +430,15 @@ impl TypeAttrs {
     };
 }
 
-/// A datatype record in the registry.
-#[derive(Debug, Clone)]
-pub struct TypeInfo {
+/// What the registry answers for a live handle: its definition's shared
+/// record, read in place, and the handle's own committed bit.
+#[derive(Debug, Clone, Copy)]
+pub struct TypeInfo<'a> {
     /// How the type was constructed.
-    pub def: TypeDef,
+    pub def: &'a TypeDef,
     /// Cached layout attributes.
     pub attrs: TypeAttrs,
-    /// Has `MPI_Type_commit` been called?
+    /// Has `MPI_Type_commit` been called on this handle?
     pub committed: bool,
     /// Is the typemap known to visit its bytes in ascending address order?
     /// Only then is a dense type one segment: a struct whose displacements

@@ -3,8 +3,22 @@
 //! One [`TypeRegistry`] is shared by all ranks of a simulated world (MPI
 //! datatypes are per-process, but the constructions in all experiments are
 //! identical across ranks; sharing keeps handles comparable in tests).
-//! The named types occupy fixed handles (see [`consts`]); a freed slot is
-//! reused under the next generation (see [`Datatype`]).
+//! It has two parts:
+//!
+//! * a **handle table** of 16-byte slots, each a handle's generation, its
+//!   committed bit and the record it names. The named types occupy fixed
+//!   handles (see [`consts`]); a freed slot is reused under the next
+//!   generation (see [`Datatype`]).
+//! * a **record slab** of definitions, each with its attributes and a
+//!   count of the handles over it. A list-free definition — dup,
+//!   contiguous, vector, hvector, a subarray of at most four dimensions,
+//!   resized — is hash-consed through an intern map, so every rank's copy
+//!   of one construction shares one record; the indexed family, struct
+//!   and a longer subarray keep a record per handle, and no list is ever
+//!   hashed.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use super::named::Named;
 use super::{Contents, Datatype, Dim, Envelope, Order, TypeAttrs, TypeDef, TypeInfo};
@@ -41,21 +55,162 @@ pub mod consts {
     pub const MPI_DOUBLE: Datatype = Datatype(11);
 }
 
-/// One registry slot, with the generation of the handle that names, or
-/// will next name, its occupant: 128 bytes, a [`TypeInfo`] and its
-/// generation.
-#[derive(Debug)]
+/// One handle slot, with the generation of the handle that names, or
+/// will next name, its occupant: 16 bytes.
+#[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// A live type.
-    Live(u32, TypeInfo),
+    /// A live handle: its generation, whether it is committed, and the
+    /// index of its record.
+    Live(u32, bool, u32),
     /// A freed slot on the free list; the link is the slot freed before
     /// it. The list lives in the vacant slots, so it allocates nothing.
     Free(u32, Option<u32>),
     /// Freed at generation `u32::MAX`: never reused, so no handle wraps
     /// around to name a later occupant. A create/free loop retires a slot
     /// only after 2^32 frees of it, so the table stays the size of the
-    /// most types ever live at once.
+    /// most types ever live at once. The named types' slots hold this too:
+    /// their handles are answered from [`NAMED`].
     Retired,
+}
+
+/// A definition and what [`TypeRegistry::create`] derived from it, shared
+/// by every handle over it. A record no handle names is vacant: its
+/// definition is [`VACANT`], and `next` links the slab's free list.
+#[derive(Debug)]
+struct Record {
+    def: TypeDef,
+    attrs: TypeAttrs,
+    /// See [`TypeInfo::ascending`].
+    ascending: bool,
+    /// The handles over it: the definition's reference count.
+    refs: u32,
+    /// A vacant record's link on the free list: the record vacated before
+    /// it.
+    next: Option<u32>,
+}
+
+/// A vacant record's definition: one that holds no heap.
+const VACANT: TypeDef = TypeDef::Named(Named::Byte);
+
+impl Record {
+    /// The record of `Named::ALL[i]`.
+    const fn named(i: usize) -> Record {
+        let n = Named::ALL[i];
+        let size = n.size() as i64;
+        Record {
+            def: TypeDef::Named(n),
+            attrs: TypeAttrs {
+                size: size as u64,
+                lb: 0,
+                ub: size,
+                true_lb: 0,
+                true_ub: size,
+            },
+            ascending: true,
+            refs: 1,
+            next: None,
+        }
+    }
+
+    /// What a handle over this record reads.
+    fn info(&self, committed: bool) -> TypeInfo<'_> {
+        TypeInfo {
+            def: &self.def,
+            attrs: self.attrs,
+            committed,
+            ascending: self.ascending,
+        }
+    }
+}
+
+/// The named types' records, at their handles' indices: a registry answers
+/// those handles from here, so a fresh one holds nothing on the heap.
+static NAMED: [Record; 12] = [
+    Record::named(0),
+    Record::named(1),
+    Record::named(2),
+    Record::named(3),
+    Record::named(4),
+    Record::named(5),
+    Record::named(6),
+    Record::named(7),
+    Record::named(8),
+    Record::named(9),
+    Record::named(10),
+    Record::named(11),
+];
+
+/// The handle slots and the records the first create reserves, before
+/// which a registry holds no heap: room for a halo exchanger's 55 types
+/// on one rank ([`TypeRegistry::records`] for every distinct definition),
+/// in one allocation each and one for the intern map, as many as a single
+/// table of 128-byte slots grown from the named types' 12 made for them.
+const FIRST_SLOTS: usize = 128;
+const FIRST_RECORDS: usize = 64;
+
+/// The intern hash of a list-free definition, or `None` for one that
+/// carries a list (the indexed family, struct, a subarray past four
+/// dimensions), which is never hashed nor shared.
+fn fingerprint(def: &TypeDef) -> Option<u64> {
+    let mut h = Fx::default();
+    match *def {
+        TypeDef::Dup { oldtype } => oldtype.hash(&mut h),
+        TypeDef::Contiguous { count, oldtype } => (count, oldtype).hash(&mut h),
+        TypeDef::Vector {
+            count,
+            blocklength,
+            stride,
+            oldtype,
+        } => (count, blocklength, stride, oldtype).hash(&mut h),
+        TypeDef::Hvector {
+            count,
+            blocklength,
+            stride_bytes,
+            oldtype,
+        } => (count, blocklength, stride_bytes, oldtype).hash(&mut h),
+        TypeDef::Subarray { ref dims, oldtype } if dims.len() <= 4 => {
+            (dims.order(), &dims[..], oldtype).hash(&mut h)
+        }
+        TypeDef::Resized {
+            lb,
+            extent,
+            oldtype,
+        } => (lb, extent, oldtype).hash(&mut h),
+        _ => return None,
+    }
+    def.combiner().hash(&mut h);
+    Some(h.finish())
+}
+
+/// The registry's deterministic hasher, of definitions into fingerprints
+/// and of fingerprints into the intern map: FxHash's rotate-xor-multiply
+/// per word, finished by SplitMix64's finalizer so that the map's bucket
+/// bits and tag bits both vary.
+#[derive(Default)]
+struct Fx(u64);
+
+impl Hasher for Fx {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+
+    fn write_u32(&mut self, w: u32) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 /// Most bytes of capacity the registry keeps of freed types' lists, per
@@ -113,103 +268,83 @@ impl Lists {
 }
 
 /// The registry of live datatypes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TypeRegistry {
+    /// The handle table, by slot: empty until the first create, then the
+    /// named types' placeholders and every derived handle's slot.
     slots: Vec<Slot>,
     /// The slot freed last: the head of the free list, which `create`
     /// pops before it grows `slots`. Last in, first out, so a seeded run
     /// hands out the same handles every time.
     free: Option<u32>,
+    /// The record slab: the derived types' definitions, by the index a
+    /// live slot holds.
+    records: Vec<Record>,
+    /// The record vacated last, which `create` fills before it grows
+    /// `records`.
+    vacant: Option<u32>,
+    /// Each interned definition's [`fingerprint`] → its record.
+    interned: HashMap<u64, u32, BuildHasherDefault<Fx>>,
     /// What freed types' lists are kept in.
     pub(crate) lists: Lists,
 }
 
-impl Default for TypeRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TypeRegistry {
-    /// A registry with the named types preregistered at their well-known
-    /// handles.
+    /// A registry with the named types at their well-known handles. It
+    /// holds no heap until the first create.
     pub fn new() -> Self {
-        let slots = Named::ALL
-            .iter()
-            .map(|&n| {
-                let size = n.size() as i64;
-                TypeInfo {
-                    def: TypeDef::Named(n),
-                    attrs: TypeAttrs {
-                        size: n.size() as u64,
-                        lb: 0,
-                        ub: size,
-                        true_lb: 0,
-                        true_ub: size,
-                    },
-                    committed: true, // named types are always committed
-                    ascending: true,
-                }
-            })
-            .map(|info| Slot::Live(0, info))
-            .collect();
-        TypeRegistry {
-            slots,
-            free: None,
-            lists: Lists::default(),
-        }
+        Self::default()
     }
 
-    /// The live type `dt` names: its slot's occupant, if the generations
-    /// agree.
-    fn get(&self, dt: Datatype) -> MpiResult<&TypeInfo> {
+    /// The live type `dt` names, as a view: its slot's record, if the
+    /// generations agree, read with the slot's committed bit.
+    pub fn info(&self, dt: Datatype) -> MpiResult<TypeInfo<'_>> {
+        if let Some(i) = dt.named_index() {
+            return Ok(NAMED[i].info(true)); // named types are always committed
+        }
         match self.slots.get(dt.slot()) {
-            Some(Slot::Live(g, info)) if *g == dt.generation() => Ok(info),
-            _ => Err(MpiError::InvalidDatatype),
-        }
-    }
-
-    /// The full record for a handle.
-    pub fn info(&self, dt: Datatype) -> MpiResult<&TypeInfo> {
-        self.get(dt)
-    }
-
-    /// `MPI_Type_size`.
-    pub fn size(&self, dt: Datatype) -> MpiResult<u64> {
-        Ok(self.get(dt)?.attrs.size)
-    }
-
-    /// `MPI_Type_get_extent`: returns `(lb, extent)`.
-    pub fn extent(&self, dt: Datatype) -> MpiResult<(i64, i64)> {
-        let a = &self.get(dt)?.attrs;
-        Ok((a.lb, a.extent()))
-    }
-
-    /// `MPI_Type_get_true_extent`: returns `(true_lb, true_extent)`.
-    pub fn true_extent(&self, dt: Datatype) -> MpiResult<(i64, i64)> {
-        let a = &self.get(dt)?.attrs;
-        Ok((a.true_lb, a.true_extent()))
-    }
-
-    /// Cached attributes for a handle.
-    pub fn attrs(&self, dt: Datatype) -> MpiResult<TypeAttrs> {
-        Ok(self.get(dt)?.attrs)
-    }
-
-    /// `MPI_Type_commit`. Idempotent, as in MPI.
-    pub fn commit(&mut self, dt: Datatype) -> MpiResult<()> {
-        match self.slots.get_mut(dt.slot()) {
-            Some(Slot::Live(g, info)) if *g == dt.generation() => {
-                info.committed = true;
-                Ok(())
+            Some(&Slot::Live(g, committed, r)) if g == dt.generation() => {
+                Ok(self.records[r as usize].info(committed))
             }
             _ => Err(MpiError::InvalidDatatype),
         }
     }
 
+    /// `MPI_Type_size`.
+    pub fn size(&self, dt: Datatype) -> MpiResult<u64> {
+        Ok(self.info(dt)?.attrs.size)
+    }
+
+    /// `MPI_Type_get_extent`: returns `(lb, extent)`.
+    pub fn extent(&self, dt: Datatype) -> MpiResult<(i64, i64)> {
+        let a = self.info(dt)?.attrs;
+        Ok((a.lb, a.extent()))
+    }
+
+    /// `MPI_Type_get_true_extent`: returns `(true_lb, true_extent)`.
+    pub fn true_extent(&self, dt: Datatype) -> MpiResult<(i64, i64)> {
+        let a = self.info(dt)?.attrs;
+        Ok((a.true_lb, a.true_extent()))
+    }
+
+    /// Cached attributes for a handle.
+    pub fn attrs(&self, dt: Datatype) -> MpiResult<TypeAttrs> {
+        Ok(self.info(dt)?.attrs)
+    }
+
+    /// `MPI_Type_commit`. Idempotent, as in MPI. It marks this handle
+    /// only: another handle over the same record stays as it was.
+    pub fn commit(&mut self, dt: Datatype) -> MpiResult<()> {
+        self.info(dt)?;
+        if let Some(Slot::Live(_, committed, _)) = self.slots.get_mut(dt.slot()) {
+            *committed = true;
+        }
+        Ok(())
+    }
+
     /// Is the type committed?
     pub fn is_committed(&self, dt: Datatype) -> MpiResult<bool> {
-        Ok(self.get(dt)?.committed)
+        Ok(self.info(dt)?.committed)
     }
 
     /// `MPI_Type_free`. Named types cannot be freed. Unlike MPI, freeing
@@ -223,37 +358,65 @@ impl TypeRegistry {
     /// and every other copy of it stay dead — `InvalidDatatype` everywhere,
     /// a second free included — after `create` reuses the slot, for the
     /// slot's 2^32 generations. A slot freed at generation `u32::MAX` is
-    /// retired instead: never reused, so no handle wraps around. The type's
-    /// argument lists, if it has any, are kept for the next constructions
-    /// that carry lists, up to `LIST_POOL_BYTES` per element type.
+    /// retired instead: never reused, so no handle wraps around.
+    ///
+    /// The handle's record loses a reference. Other handles over it keep
+    /// reading it unchanged; the last one vacates it and takes it out of
+    /// the intern map, and the type's argument lists, if it has any, are
+    /// kept for the next constructions that carry lists, up to
+    /// `LIST_POOL_BYTES` per element type.
     pub fn free(&mut self, dt: Datatype) -> MpiResult<()> {
         if dt.named_index().is_some() {
             return Err(MpiError::InvalidArg(
                 "cannot free a named datatype".to_string(),
             ));
         }
-        self.get(dt)?;
+        self.info(dt)?;
         let slot = dt.slot();
         let vacant = match dt.generation().checked_add(1) {
             Some(next) => Slot::Free(next, self.free.replace(slot as u32)),
             None => Slot::Retired,
         };
-        if let Slot::Live(_, info) = std::mem::replace(&mut self.slots[slot], vacant) {
-            self.lists.keep(info.def);
+        if let Slot::Live(_, _, r) = std::mem::replace(&mut self.slots[slot], vacant) {
+            self.release(r);
         }
         Ok(())
     }
 
+    /// Drop a handle's reference to record `r`. The last one vacates the
+    /// record, takes it out of the intern map and keeps its lists.
+    fn release(&mut self, r: u32) {
+        let rec = &mut self.records[r as usize];
+        rec.refs -= 1;
+        if rec.refs > 0 {
+            return;
+        }
+        let def = std::mem::replace(&mut rec.def, VACANT);
+        rec.next = self.vacant.replace(r);
+        if let Some(h) = fingerprint(&def) {
+            if self.interned.get(&h) == Some(&r) {
+                self.interned.remove(&h);
+            }
+        }
+        self.lists.keep(def);
+    }
+
     /// Number of live handles (named + derived).
     pub fn live(&self) -> usize {
-        (self.slots.iter())
-            .filter(|s| matches!(s, Slot::Live(..)))
-            .count()
+        let derived = self.slots.iter().filter(|s| matches!(s, Slot::Live(..)));
+        Named::ALL.len() + derived.count()
     }
 
     /// Number of slots, live, free or retired: what the registry holds.
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.slots.len().max(Named::ALL.len())
+    }
+
+    /// Number of derived definitions some live handle names: the records
+    /// the registry holds, where every handle over an interned definition
+    /// counts once.
+    pub fn records(&self) -> usize {
+        self.records.iter().filter(|r| r.refs > 0).count()
     }
 
     // ---- construction --------------------------------------------------
@@ -278,9 +441,10 @@ impl TypeRegistry {
     /// walks it piece by piece and merges the touching runs into the one
     /// block the fast path would have found.
     ///
-    /// The list-carrying constructors copy their argument lists into lists
-    /// freed types left behind ([`TypeRegistry::free`]), so a warm create
-    /// allocates nothing.
+    /// The new handle names the live record of an equal list-free
+    /// definition if there is one, else a new record. The list-carrying
+    /// constructors copy their argument lists into lists freed types left
+    /// behind ([`TypeRegistry::free`]), so a warm create allocates nothing.
     ///
     /// Ranks create types on their fiber stacks, so each arm is a function
     /// of its own: a debug build gives every temporary of a function its
@@ -292,28 +456,66 @@ impl TypeRegistry {
         (attrs.ub.checked_sub(attrs.lb))
             .and(attrs.true_ub.checked_sub(attrs.true_lb))
             .ok_or_else(bounds_overflow)?;
-        self.insert(TypeInfo {
-            def,
-            attrs,
-            committed: false,
-            ascending,
-        })
-    }
-
-    /// Store `info` in the free list's head, else in a new slot.
-    fn insert(&mut self, info: TypeInfo) -> MpiResult<Datatype> {
-        let head = self.free.map(|s| s as usize);
-        let (slot, generation, next) = match head.map(|s| (s, &self.slots[s])) {
-            Some((s, &Slot::Free(g, next))) => (s, g, next),
-            _ => (self.slots.len(), 0, None),
-        };
+        let (slot, generation, next) = self.vacancy();
         let handle = Datatype::new(slot, generation)?;
+        let live = Slot::Live(generation, false, self.share(def, attrs, ascending));
         if slot < self.slots.len() {
-            (self.slots[slot], self.free) = (Slot::Live(generation, info), next);
+            (self.slots[slot], self.free) = (live, next);
         } else {
-            self.slots.push(Slot::Live(generation, info));
+            self.slots.push(live);
         }
         Ok(handle)
+    }
+
+    /// The slot a new handle takes, its generation and the free list's
+    /// next head: the free list's head, else a new slot at the end. The
+    /// first create sizes the handle table, the slab and the map.
+    fn vacancy(&mut self) -> (usize, u32, Option<u32>) {
+        if self.slots.is_empty() {
+            self.slots.reserve_exact(FIRST_SLOTS);
+            self.slots.extend([Slot::Retired; Named::ALL.len()]);
+            self.records.reserve_exact(FIRST_RECORDS);
+            self.interned.reserve(FIRST_RECORDS);
+        }
+        let head = self.free.map(|s| s as usize);
+        match head.map(|s| (s, self.slots[s])) {
+            Some((s, Slot::Free(g, next))) => (s, g, next),
+            _ => (self.slots.len(), 0, None),
+        }
+    }
+
+    /// The record of `def`, with one more reference: an equal interned
+    /// definition's, else a new record, interned if `def` is list-free and
+    /// no other definition holds its fingerprint (one that collides keeps
+    /// a record of its own).
+    fn share(&mut self, def: TypeDef, attrs: TypeAttrs, ascending: bool) -> u32 {
+        let hash = fingerprint(&def);
+        let interned = hash.and_then(|h| self.interned.get(&h).copied());
+        if let Some(r) = interned.filter(|&r| self.records[r as usize].def == def) {
+            self.records[r as usize].refs += 1;
+            return r;
+        }
+        let record = Record {
+            def,
+            attrs,
+            ascending,
+            refs: 1,
+            next: None,
+        };
+        let r = match self.vacant {
+            Some(r) => {
+                self.vacant = std::mem::replace(&mut self.records[r as usize], record).next;
+                r
+            }
+            None => {
+                self.records.push(record);
+                (self.records.len() - 1) as u32
+            }
+        };
+        if let (Some(h), None) = (hash, interned) {
+            self.interned.insert(h, r);
+        }
+        r
     }
 
     /// [`TypeRegistry::create`]'s arms: the checked attributes of `def`
@@ -321,7 +523,7 @@ impl TypeRegistry {
     fn derive(&self, def: &TypeDef) -> MpiResult<(TypeAttrs, bool)> {
         match *def {
             TypeDef::Named(_) => Err(MpiError::InvalidArg("named types are predefined".into())),
-            TypeDef::Dup { oldtype } => self.get(oldtype).map(|old| (old.attrs, old.ascending)),
+            TypeDef::Dup { oldtype } => self.info(oldtype).map(|old| (old.attrs, old.ascending)),
             TypeDef::Contiguous { count, oldtype } => self.contiguous(count, oldtype),
             TypeDef::Vector {
                 count,
@@ -361,7 +563,7 @@ impl TypeRegistry {
                 extent,
                 oldtype,
             } => {
-                let old = self.get(oldtype)?;
+                let old = self.info(oldtype)?;
                 let mut attrs = old.attrs;
                 (attrs.lb, attrs.ub) = (lb, add(lb, extent)?);
                 Ok((attrs, old.ascending))
@@ -371,7 +573,7 @@ impl TypeRegistry {
 
     fn contiguous(&self, count: i32, oldtype: Datatype) -> MpiResult<(TypeAttrs, bool)> {
         check_args(&[], &[count])?;
-        let old = self.get(oldtype)?;
+        let old = self.info(oldtype)?;
         // one block of `count` elements
         Ok((strided(old.attrs, 1, count, || Ok(0))?, tiles(old)))
     }
@@ -384,7 +586,7 @@ impl TypeRegistry {
         oldtype: Datatype,
     ) -> MpiResult<(TypeAttrs, bool)> {
         check_args(&[], &[count, blocklength])?;
-        let old = self.get(oldtype)?;
+        let old = self.info(oldtype)?;
         // two `i32`s multiply without overflow in an `i64`
         let last = || mul((count - 1) as i64 * stride as i64, old.attrs.extent());
         let attrs = strided(old.attrs, count, blocklength, last)?;
@@ -399,7 +601,7 @@ impl TypeRegistry {
         oldtype: Datatype,
     ) -> MpiResult<(TypeAttrs, bool)> {
         check_args(&[], &[count, blocklength])?;
-        let old = self.get(oldtype)?;
+        let old = self.info(oldtype)?;
         let last = || mul((count - 1) as i64, stride_bytes);
         let attrs = strided(old.attrs, count, blocklength, last)?;
         let block = (blocklength as i64).saturating_mul(old.attrs.extent());
@@ -413,7 +615,7 @@ impl TypeRegistry {
         oldtype: Datatype,
     ) -> MpiResult<(TypeAttrs, bool)> {
         check_args(&[blocklengths.len(), displacements.len()], blocklengths)?;
-        let old = self.get(oldtype)?.attrs;
+        let old = self.info(oldtype)?.attrs;
         let blocks = (blocklengths.iter().zip(displacements))
             .map(|(&n, &d)| Ok((old, n as i64, mul(d as i64, old.extent())?)));
         Ok((span(blocks)?, false))
@@ -426,7 +628,7 @@ impl TypeRegistry {
         oldtype: Datatype,
     ) -> MpiResult<(TypeAttrs, bool)> {
         check_args(&[], &[blocklength])?;
-        let old = self.get(oldtype)?.attrs;
+        let old = self.info(oldtype)?.attrs;
         let blocks = (displacements.iter())
             .map(|&d| Ok((old, blocklength as i64, mul(d as i64, old.extent())?)));
         Ok((span(blocks)?, false))
@@ -440,7 +642,7 @@ impl TypeRegistry {
     ) -> MpiResult<(TypeAttrs, bool)> {
         let lens = [blocklengths.len(), displacements_bytes.len()];
         check_args(&lens, blocklengths)?;
-        let old = self.get(oldtype)?.attrs;
+        let old = self.info(oldtype)?.attrs;
         let blocks = blocklengths.iter().zip(displacements_bytes);
         Ok((span(blocks.map(|(&n, &d)| Ok((old, n as i64, d))))?, false))
     }
@@ -452,7 +654,7 @@ impl TypeRegistry {
         oldtype: Datatype,
     ) -> MpiResult<(TypeAttrs, bool)> {
         check_dims(dims)?;
-        let old = self.get(oldtype)?;
+        let old = self.info(oldtype)?;
         let ex = old.attrs.extent();
         // elements in the full array: when it fits, so does every
         // stride and every offset inside it
@@ -488,7 +690,7 @@ impl TypeRegistry {
         let lens = [blocklengths.len(), displacements_bytes.len(), types.len()];
         check_args(&lens, blocklengths)?;
         let blocks = (blocklengths.iter().zip(displacements_bytes).zip(types))
-            .map(|((&n, &d), &t)| Ok((self.get(t)?.attrs, n as i64, d)));
+            .map(|((&n, &d), &t)| Ok((self.info(t)?.attrs, n as i64, d)));
         Ok((span(blocks)?, false))
     }
 
@@ -496,8 +698,8 @@ impl TypeRegistry {
 
     /// `MPI_Type_get_envelope`.
     pub fn get_envelope(&self, dt: Datatype) -> MpiResult<Envelope> {
-        let info = self.get(dt)?;
-        let (ni, na, nd) = match &info.def {
+        let info = self.info(dt)?;
+        let (ni, na, nd) = match info.def {
             TypeDef::Named(_) => (0, 0, 0),
             TypeDef::Dup { .. } => (0, 0, 1),
             TypeDef::Contiguous { .. } => (1, 0, 1),
@@ -533,7 +735,7 @@ impl TypeRegistry {
         datatypes: &mut [Datatype],
     ) -> MpiResult<()> {
         let env = self.get_envelope(dt)?;
-        let info = self.get(dt)?;
+        let info = self.info(dt)?;
         let lens = (integers.len(), addresses.len(), datatypes.len());
         if lens.0 < env.num_integers || lens.1 < env.num_addresses || lens.2 < env.num_datatypes {
             return Err(MpiError::InvalidArg(format!(
@@ -542,7 +744,7 @@ impl TypeRegistry {
         }
         let (mut ints, mut addrs) = (Fill::new(integers), Fill::new(addresses));
         let mut dts = Fill::new(datatypes);
-        match &info.def {
+        match info.def {
             TypeDef::Named(_) => {
                 return Err(MpiError::InvalidArg(
                     "MPI_Type_get_contents is invalid on a named type".to_string(),
@@ -772,7 +974,7 @@ fn strided(
 }
 
 /// An element type whose own typemap ascends and fills its extent.
-fn tiles(old: &TypeInfo) -> bool {
+fn tiles(old: TypeInfo) -> bool {
     old.ascending && old.attrs.is_dense()
 }
 
@@ -1192,7 +1394,129 @@ mod tests {
 
     #[test]
     fn a_slot_is_a_type_record_and_its_generation() {
-        assert_eq!(size_of::<Slot>(), 128);
+        // a generation, a committed bit and a record index; the record
+        // holds a subarray's dimensions inline
+        assert_eq!(size_of::<Slot>(), 16);
+        assert_eq!(size_of::<Record>(), 128);
+    }
+
+    /// The record a live handle names.
+    fn record_of(r: &TypeRegistry, dt: Datatype) -> u32 {
+        match r.slots[dt.slot()] {
+            Slot::Live(g, _, rec) if g == dt.generation() => rec,
+            other => panic!("{dt:?} is not live: {other:?}"),
+        }
+    }
+
+    /// One spec of every list-free constructor over a named type, the
+    /// subarray in both orders. (Over a derived child, two builds are two
+    /// definitions: their children are two handles.)
+    const LIST_FREE: [&str; 7] = [
+        "dup(int)",
+        "contiguous(7, double)",
+        "vector(4, 1, 2, int)",
+        "hvector(3, 2, -40, float)",
+        "subarray([8, 6, 4, 2], [4, 2, 2, 1], [1, 3, 0, 1], short)",
+        "subarray_fortran([8, 6], [4, 2], [1, 3], byte)",
+        "resized(-4, 64, float)",
+    ];
+
+    /// What a handle answers: envelope, contents, attributes, true extent
+    /// and typemap.
+    type Answers = (
+        Envelope,
+        Contents,
+        TypeAttrs,
+        (i64, i64),
+        Vec<super::super::Segment>,
+    );
+
+    fn answers(r: &TypeRegistry, dt: Datatype) -> Answers {
+        let segments = super::super::typemap::segments(r, dt).unwrap();
+        (
+            r.get_envelope(dt).unwrap(),
+            r.contents(dt).unwrap(),
+            r.attrs(dt).unwrap(),
+            r.true_extent(dt).unwrap(),
+            segments,
+        )
+    }
+
+    #[test]
+    fn two_creates_of_a_list_free_definition_share_one_record() {
+        for spec in LIST_FREE {
+            for free_first in [true, false] {
+                let tree: TypeTree = spec.parse().unwrap();
+                let mut ctx = rank();
+                let a = tree.build(&mut ctx).unwrap();
+                let records = ctx.registry().read().records();
+                let b = tree.build(&mut ctx).unwrap();
+                let mut r = ctx.registry().write();
+                // two handles, one record
+                assert_ne!(a, b, "{spec}");
+                assert_eq!(record_of(&r, a), record_of(&r, b), "{spec}");
+                assert_eq!(r.records(), records, "{spec}");
+                assert_eq!(r.records[record_of(&r, a) as usize].refs, 2, "{spec}");
+                // committing one leaves the other as it was
+                r.commit(a).unwrap();
+                assert!(r.is_committed(a).unwrap() && !r.is_committed(b).unwrap());
+                // freeing either leaves the other's answers as they were
+                let (gone, kept) = if free_first { (a, b) } else { (b, a) };
+                let before = answers(&r, kept);
+                r.free(gone).unwrap();
+                assert_eq!(answers(&r, kept), before, "{spec}");
+                assert_eq!(r.size(gone), Err(MpiError::InvalidDatatype));
+                assert_eq!(r.records(), records, "{spec}");
+                // the record and its intern entry go with the last handle
+                let interned = r.interned.len();
+                r.free(kept).unwrap();
+                assert_eq!(r.records(), records - 1, "{spec}");
+                assert_eq!(r.interned.len(), interned - 1, "{spec}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_definition_with_a_list_is_never_shared() {
+        for spec in [
+            "indexed([2, 1], [0, 4], int)",
+            "indexed_block(2, [8, 0, 4], int)",
+            "hindexed([2, 1], [0, 16], float)",
+            "struct([1, 2], [0, 8], [int, double])",
+            "subarray([4, 4, 4, 4, 4], [2, 2, 2, 2, 2], [0, 1, 2, 0, 1], byte)",
+        ] {
+            let tree: TypeTree = spec.parse().unwrap();
+            let mut ctx = rank();
+            let a = tree.build(&mut ctx).unwrap();
+            let b = tree.build(&mut ctx).unwrap();
+            let r = ctx.registry().read();
+            assert_ne!(record_of(&r, a), record_of(&r, b), "{spec}");
+            assert_eq!(r.records(), 2, "{spec}");
+            assert!(r.interned.is_empty(), "{spec}: a list was hashed");
+        }
+    }
+
+    #[test]
+    fn a_definition_whose_fingerprint_another_holds_keeps_a_record_of_its_own() {
+        let mut ctx = rank();
+        let a = ctx.type_vector(4, 1, 2, MPI_INT).unwrap();
+        let mut r = ctx.registry().write();
+        // make `contiguous(8, int)` collide with `a`'s definition
+        let def = TypeDef::Contiguous {
+            count: 8,
+            oldtype: MPI_INT,
+        };
+        let held = record_of(&r, a);
+        r.interned.insert(fingerprint(&def).unwrap(), held);
+        let (b, c) = (r.create(def.clone()).unwrap(), r.create(def).unwrap());
+        assert_ne!(record_of(&r, b), record_of(&r, c));
+        assert_eq!(r.size(b), Ok(32));
+        assert_eq!(r.contents(a).unwrap().integers, vec![4, 1, 2]);
+        // freeing them leaves `a`'s entry where it is
+        r.free(b).unwrap();
+        r.free(c).unwrap();
+        assert_eq!((r.records(), r.interned.len()), (1, 2));
+        assert_eq!(r.size(a), Ok(16));
     }
 
     #[test]

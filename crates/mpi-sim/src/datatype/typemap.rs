@@ -185,7 +185,7 @@ where
         if info.attrs.is_dense() && info.ascending {
             return out.push(base + info.attrs.lb, info.attrs.size);
         }
-        match &info.def {
+        match info.def {
             TypeDef::Named(n) => return out.push(base, n.size() as u64),
             TypeDef::Dup { oldtype } | TypeDef::Resized { oldtype, .. } => dt = *oldtype,
             _ => {
@@ -232,12 +232,12 @@ where
 /// order: `n` elements of `old` one extent apart from `base + disp`.
 fn block(
     reg: &TypeRegistry,
-    info: &TypeInfo,
+    info: TypeInfo,
     base: i64,
     k: usize,
 ) -> MpiResult<Option<(Datatype, i64, i64, i64)>> {
     let i = k as i64;
-    Ok(match &info.def {
+    Ok(match info.def {
         TypeDef::Contiguous { count, oldtype } => {
             (k == 0).then_some((*oldtype, base, 0, *count as i64))
         }

@@ -752,6 +752,35 @@ impl RankCtx {
         Payload::Pooled(buf)
     }
 
+    /// A device buffer of at least `bytes` for the system MPI to stage a
+    /// non-contiguous device transfer through: the one this rank kept from
+    /// its last such transfer, replaced by a larger one when it is too
+    /// small, so a warm transfer allocates nothing ([`RankCtx::unstage`]
+    /// gives it back when a transfer fails).
+    fn staging(&mut self, bytes: usize) -> MpiResult<GpuPtr> {
+        if let Some((buf, len)) = self.staging {
+            if len >= bytes {
+                return Ok(buf);
+            }
+            self.staging = None;
+            self.gpu.free(buf)?;
+        }
+        let buf = self.gpu.malloc(bytes)?;
+        self.staging = Some((buf, bytes));
+        Ok(buf)
+    }
+
+    /// `r`, once the staging buffer is given back if `r` is an error: a
+    /// failed transfer keeps no device memory, and its own error is the
+    /// one reported.
+    fn unstage<T>(&mut self, r: MpiResult<T>) -> MpiResult<T> {
+        if let (Err(_), Some((buf, _))) = (&r, self.staging) {
+            self.staging = None;
+            let _ = self.gpu.free(buf);
+        }
+        r
+    }
+
     /// Hand back a payload this rank is done with: an inline one is simply
     /// dropped; a buffer is kept as its spare when that is free and the
     /// buffer small, else goes to the world's free list. Sends and
@@ -922,18 +951,12 @@ impl RankCtx {
         }
 
         if buf.space == MemSpace::Device && !fully_contiguous {
-            // Vendor baseline: pack on the GPU block-by-block into a
-            // temporary device buffer, then CUDA-aware transfer. The
-            // buffer is freed, and a payload taken is spent, on every exit.
-            let tmp = self.gpu.malloc(bytes)?;
+            // Vendor baseline: pack on the GPU block-by-block into the
+            // rank's staging buffer, then CUDA-aware transfer.
+            let tmp = self.staging(bytes)?;
             let packed = (self.wire_xfer(PackDir::Pack, &wt, buf, count, tmp))
                 .and_then(|()| self.gather(tmp, bytes, Blocks::Whole));
-            let freed = self.gpu.free(tmp).map_err(MpiError::from);
-            let payload = packed?;
-            if let Err(e) = freed {
-                self.spend(payload);
-                return Err(e);
-            }
+            let payload = self.unstage(packed)?;
             return self.post_at(dest, tag, payload, buf.space, SimTime::ZERO, None);
         }
 
@@ -967,23 +990,15 @@ impl RankCtx {
         }
 
         if buf.space == MemSpace::Device && !fully_contiguous {
-            // Vendor baseline: stage packed bytes in a temporary device
+            // Vendor baseline: stage packed bytes in the rank's staging
             // buffer (delivery covered by the transfer), then unpack
-            // block-by-block. The payload is spent, and the buffer freed,
-            // on every exit.
-            let tmp = match self.gpu.malloc(bytes) {
-                Ok(tmp) => tmp,
-                Err(e) => {
-                    self.spend(payload);
-                    return Err(e.into());
-                }
-            };
-            let poked = self.scatter(tmp, &payload, Blocks::Whole);
+            // block-by-block. The payload is spent on every exit.
+            let staged = (self.staging(bytes))
+                .and_then(|tmp| self.scatter(tmp, &payload, Blocks::Whole).map(|()| tmp));
             self.spend(payload);
             let unpacked =
-                poked.and_then(|()| self.wire_xfer(PackDir::Unpack, &wt, buf, items, tmp));
-            let freed = self.gpu.free(tmp).map_err(MpiError::from);
-            unpacked.and(freed)?;
+                staged.and_then(|tmp| self.wire_xfer(PackDir::Unpack, &wt, buf, items, tmp));
+            self.unstage(unpacked)?;
         } else {
             let blocks = Blocks::Typed(&wt, items);
             let landed = self.scatter(buf, &payload, blocks);

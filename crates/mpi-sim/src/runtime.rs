@@ -16,7 +16,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, SimClock, SimTime, Stream, Tracer};
+use gpu_sim::{DeviceProps, GpuContext, GpuCostModel, GpuPtr, SimClock, SimTime, Stream, Tracer};
 use tempi_trace::sync::{Mutex, RwLock};
 
 use crate::datatype::registry::Lists;
@@ -326,6 +326,9 @@ pub struct RankCtx {
     /// A small spent payload kept for this rank's next send
     /// ([`RankCtx::spend`]).
     pub(crate) spare: Vec<u8>,
+    /// The device buffer the system MPI stages a non-contiguous device
+    /// send or receive through, and its length (`RankCtx::staging`).
+    pub(crate) staging: Option<(GpuPtr, usize)>,
 }
 
 impl RankCtx {
@@ -672,7 +675,7 @@ impl RankCtx {
     pub fn describe(&self, dt: Datatype) -> String {
         let reg = self.registry.read();
         // a handle's construction; writing into a `String` fails only here
-        let def = |dt: &Datatype| reg.info(*dt).map(|info| &info.def).map_err(|_| fmt::Error);
+        let def = |dt: &Datatype| reg.info(*dt).map(|info| info.def).map_err(|_| fmt::Error);
         let mut spec = String::new();
         match def(&dt).and_then(|root| write_spec(&mut spec, root, def)) {
             Ok(()) => spec,
@@ -736,6 +739,7 @@ impl WorldShared {
             epoch: 0,
             part_link_free: SimTime::ZERO,
             spare: Vec::new(),
+            staging: None,
         }
     }
 }
@@ -937,7 +941,7 @@ mod tests {
             let before = ctx.clock.now();
             let dt = ctor(&mut ctx).unwrap();
             assert_eq!(ctx.clock.now() - before, cost, "{def:?}");
-            assert_eq!(ctx.registry().read().info(dt).unwrap().def, def);
+            assert_eq!(*ctx.registry().read().info(dt).unwrap().def, def);
         }
         // a bad argument is still one priced call, and inserts nothing
         let bad: [Ctor; 2] = [
@@ -993,16 +997,22 @@ mod tests {
 
     #[test]
     fn shared_registry_across_ranks() {
-        // all ranks create the same type concurrently; handles may differ
-        // but each rank's own handle must be valid
+        // all ranks create the same type concurrently; handles differ, each
+        // rank's own handle is valid, and all four name one record
         let cfg = WorldConfig::summit(4);
         let results = World::run(&cfg, |ctx| {
             let t = ctx.type_vector(4, 1, 2, MPI_INT)?;
             ctx.type_commit_native(t)?;
-            ctx.type_size(t)
+            ctx.barrier();
+            let records = ctx.registry().read().records();
+            Ok((t, ctx.type_size(t)?, records))
         })
         .unwrap();
-        assert!(results.iter().all(|&s| s == 16));
+        let handles: std::collections::BTreeSet<_> = results.iter().map(|r| r.0).collect();
+        assert_eq!(handles.len(), 4, "{results:?}");
+        assert!(results
+            .iter()
+            .all(|&(_, s, records)| (s, records) == (16, 1)));
     }
 
     const BUDGET: SimTime = SimTime::from_ms(1);

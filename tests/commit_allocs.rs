@@ -1,5 +1,6 @@
 //! What creating and committing a datatype allocates: nothing for a
-//! subarray of up to four dimensions in a freed slot, nothing for a commit
+//! subarray of up to four dimensions in a freed slot, nothing for a warm
+//! create → commit → free cycle of a subarray another handle shares, nothing for a commit
 //! of a shape the rank already holds a plan of, nothing for a warm create →
 //! commit → free cycle of a constructor that carries lists (the freed
 //! type's lists and its dead plan are the next cycle's storage), nothing
@@ -10,7 +11,9 @@
 //! type it has moved before, nothing. A warm tuner decides a send without
 //! the heap in every mode, probes included, a traced metric that exists
 //! records without it, a message of at most 64 bytes travels without it
-//! (typed from a non-contiguous host buffer, or as a train, too), and a
+//! (typed from a non-contiguous host buffer, or as a train, too), a warm
+//! system-MPI typed send and receive of a non-contiguous device buffer
+//! stage without it, and a
 //! warm 26-peer sparse `alltoallv` and a warm 64-rank dense one move
 //! their messages without it. A thousand warm cycles in one registry slot
 //! allocate nothing, the interposer is built without the heap, and a world
@@ -23,7 +26,7 @@ use std::cell::Cell;
 use gpu_sim::{MemSpace, SimTime};
 
 use mpi_sim::consts::{MPI_BYTE, MPI_FLOAT};
-use mpi_sim::datatype::{TypeInfo, TypeTree};
+use mpi_sim::datatype::{TypeAttrs, TypeDef, TypeTree};
 use mpi_sim::{AlltoallvBlock, Datatype, Order, RankCtx, VendorProfile, World, WorldConfig};
 use tempi_core::config::{Method, TempiConfig, TunerMode};
 use tempi_core::interpose::InterposedMpi;
@@ -85,9 +88,40 @@ fn a_subarray_of_up_to_four_dimensions_is_created_without_the_heap() {
     }
 }
 
+/// A registry record is a definition, its attributes, a reference count
+/// and a link: the definition holds a subarray's dimensions inline.
 #[test]
 fn a_type_record_keeps_a_subarrays_dimensions_within_120_bytes() {
-    assert!(std::mem::size_of::<TypeInfo>() <= 120);
+    assert!(std::mem::size_of::<TypeDef>() + std::mem::size_of::<TypeAttrs>() <= 120);
+}
+
+/// A warm create → commit → free cycle of a subarray another live handle
+/// shares allocates nothing: the new handle takes the freed slot and one
+/// more reference to the live record, and its free drops the reference.
+#[test]
+fn a_warm_cycle_of_a_shared_subarray_allocates_nothing() {
+    let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+    let mut mpi = InterposedMpi::new(TempiConfig::default());
+    let create = |ctx: &mut RankCtx| {
+        let (sizes, subsizes, starts) = ([64, 64, 64], [4, 60, 60], [0, 2, 2]);
+        (ctx.type_create_subarray(&sizes, &subsizes, &starts, Order::C, MPI_FLOAT)).unwrap()
+    };
+    let held = create(&mut ctx);
+    mpi.type_commit(&mut ctx, held).unwrap();
+    let mut cycle = |ctx: &mut RankCtx| {
+        let dt = create(ctx);
+        assert_eq!(ctx.registry().read().records(), 1, "{dt:?} shares a record");
+        mpi.type_commit(ctx, dt).unwrap();
+        mpi.type_free(ctx, dt).unwrap();
+    };
+    for _ in 0..3 {
+        cycle(&mut ctx);
+    }
+    for _ in 0..4 {
+        let n = allocs(|| cycle(&mut ctx));
+        assert_eq!(n, 0, "a warm cycle allocated {n} times");
+    }
+    assert!(ctx.registry().read().is_committed(held).unwrap());
 }
 
 #[test]
@@ -486,6 +520,28 @@ fn a_message_of_at_most_64_bytes_travels_without_the_heap() {
         let n_allocs = allocs(|| warm(&mut ctx, typed));
         assert_eq!(n_allocs, 0, "typed: {typed}");
     }
+}
+
+/// A warm system-MPI typed send and receive of a non-contiguous device
+/// buffer allocate nothing: both stage the packed bytes through the device
+/// buffer the rank keeps (while each called `gpu.malloc`, each allocated
+/// on the host for the simulated device memory).
+#[test]
+fn a_warm_system_mpi_device_send_and_recv_stage_without_the_heap() {
+    let mut ctx = RankCtx::standalone(&WorldConfig::summit(1));
+    let strided = ctx.type_vector(13, 100, 256, MPI_BYTE).unwrap();
+    ctx.type_commit_native(strided).unwrap();
+    let len = 12 * 256 + 100;
+    let (from, to) = (ctx.gpu.malloc(len).unwrap(), ctx.gpu.malloc(len).unwrap());
+    let warm = |ctx: &mut RankCtx| {
+        ctx.send(from, 1, strided, 0, 0).unwrap();
+        ctx.recv(to, 1, strided, Some(0), Some(0)).unwrap();
+    };
+    warm(&mut ctx);
+    let n_allocs = allocs(|| warm(&mut ctx));
+    assert_eq!(n_allocs, 0);
+    // the two buffers and the one staging buffer
+    assert_eq!(ctx.gpu.memory().live_allocations(), 3);
 }
 
 /// A warm 26-peer sparse `alltoallv` on a 64-rank 4×4×4 torus allocates

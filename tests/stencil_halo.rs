@@ -1,6 +1,7 @@
 //! End-to-end stencil tests: TEMPI and the system baseline must produce
 //! bit-identical grids after a halo exchange, across decompositions; the
-//! exchange must survive repeated iterations; and TEMPI must be faster.
+//! exchange must survive repeated iterations; TEMPI must be faster; and
+//! destroyed exchangers leave nothing in the world's datatype registry.
 
 mod common;
 
@@ -103,4 +104,36 @@ fn tempi_total_exchange_is_far_faster_at_scale() {
         system > tempi * 50,
         "expected ≥50x: system {system} ps vs tempi {tempi} ps"
     );
+}
+
+/// Every rank of a 64-rank world builds a halo exchanger, then destroys
+/// it. While they live, the ranks' equal types share records in the
+/// world's registry: a rank's 52 subarrays and its interior's are the
+/// same 53 definitions everywhere, and only its fused pair, two structs,
+/// keeps records of its own. Once every rank has destroyed its exchanger,
+/// the registry is back at the 12 named handles and holds no derived
+/// record.
+#[test]
+fn destroyed_exchangers_leave_no_handle_and_no_record_in_the_world() {
+    const RANKS: usize = 64;
+    let cfg = WorldConfig::summit(RANKS);
+    let counts = World::run(&cfg, |ctx| {
+        let mut mpi = InterposedMpi::new(TempiConfig::default());
+        let ex = HaloExchanger::new(ctx, &mut mpi, HaloConfig::small(4))?;
+        let held = |ctx: &mut mpi_sim::RankCtx| {
+            ctx.barrier();
+            let reg = ctx.registry().read();
+            (reg.live(), reg.records())
+        };
+        let built = held(ctx);
+        // no rank destroys before every rank has counted
+        ctx.barrier();
+        ex.destroy(ctx)?;
+        Ok((built, held(ctx)))
+    })
+    .expect("world");
+    for (rank, (built, left)) in counts.into_iter().enumerate() {
+        assert_eq!(built, (12 + RANKS * 55, 53 + RANKS * 2), "rank {rank}");
+        assert_eq!(left, (12, 0), "rank {rank}");
+    }
 }
